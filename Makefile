@@ -12,6 +12,10 @@
 GO ?= go
 FUZZTIME ?= 10s
 MODELCHECK_K ?= 3
+# Where bench-json writes its run records. Untracked by default, so `make
+# check` leaves the work tree clean; refresh the tracked trajectory point on
+# purpose with `make bench-json BENCH_OUT=BENCH_gbj.json`.
+BENCH_OUT ?= BENCH_check.json
 
 .PHONY: check vet lint plancheck modelcheck verify-certs build test race chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench bench-json bench-compare
 
@@ -75,11 +79,13 @@ chaos:
 # queries executed locally and on simulated clusters of 1/2/4/8 nodes
 # (serial and parallel, all shipping strategies), byte-identical rows
 # required; plus the distributed chaos runs with link-fault injection and
-# the Section 7 regression that the eager plan ships strictly fewer bytes
+# the Section 7 regression that the eager plan ships strictly fewer bytes,
+# the per-query-budget parity test (1 node vs 4) and the parked-query test
+# that a distributed run does not hold the engine lock against writers
 # (internal/dist, dist_engine_test.go).
 dist-oracle:
 	$(GO) test -race ./internal/dist -run 'TestLocalVsDistributedOracle|TestDistributedChaosOracle|TestEagerNeverShipsMoreBytes'
-	$(GO) test -race . -run TestEngineDistributed
+	$(GO) test -race . -run 'TestEngineDistributed|TestQueryOptionsBudgetHonouredDistributed|TestDistributedQueryDoesNotBlockWriter'
 
 # The recovery chaos oracle under the race detector: hundreds of seeded
 # queries × bounded link-fault schedules keyed to link ordinals, every run
@@ -129,11 +135,11 @@ bench:
 # headline experiments (Figure 1 and Figure 8), the row-vs-vectorized
 # throughput comparison, and the closed-loop server load run (E17:
 # concurrent-session p50/p99, plan-cache hit rate, cold-vs-warm p50),
-# with per-operator metrics, written to BENCH_gbj.json. E13 doubles as a perf gate: gbj-bench exits nonzero if
-# the vectorized engine is slower than the row engine on the Figure 1
-# workload.
+# with per-operator metrics, written to $(BENCH_OUT). E13 doubles as a perf
+# gate: gbj-bench exits nonzero if the vectorized engine is slower than the
+# row engine on the Figure 1 workload.
 bench-json:
-	$(GO) run ./cmd/gbj-bench -exp E1,E2,E13,E17 -reps 3 -json BENCH_gbj.json > /dev/null
+	$(GO) run ./cmd/gbj-bench -exp E1,E2,E13,E17 -reps 3 -json $(BENCH_OUT) > /dev/null
 
 # The vectorization perf gate alone, verbosely: row vs columnar engine on
 # the Figure 1 workload (10000 x 100) and the group-count sweep. Fails if

@@ -46,38 +46,20 @@ import (
 	"repro/internal/workload"
 )
 
-// parallelism is the executor worker count for every experiment: 0 or 1
-// serial, n > 1 that many workers, negative one per CPU.
-var parallelism int
+// knobs are the engine flags every experiment runs under: the executor
+// worker count (0 or 1 serial, n > 1 that many workers, negative one per
+// CPU), the columnar batch engine toggle (E13 compares the two engines
+// directly and ignores it), the per-execution operator-state byte cap and
+// the spill directory that lets budgeted measurements spill instead of
+// aborting or degrading (E15 defaults to a sweep area under the system temp
+// directory), the simulated cluster of the distributed experiments (E12,
+// E16), and the per-shipment retry budget of the fault-rate sweep (E16),
+// which caps the sweep's fault counts — larger schedules would make recovery
+// impossible.
+var knobs = cliutil.EngineFlags{Nodes: 4, LinkRetries: 8}
 
-// vectorize switches every experiment onto the columnar batch engine
-// (results are identical to the row engine's); E13 compares the two engines
-// directly and ignores this flag.
-var vectorize bool
-
-// timeout is the per-measurement deadline, 0 for none; memBudget caps
-// operator state bytes per execution, 0 for unlimited.
-var (
-	timeout   time.Duration
-	memBudget int64
-)
-
-// spillDir, when non-empty, lets budgeted measurements spill operator state
-// to temp files under it instead of aborting or degrading; E15 defaults to
-// a sweep area under the system temp directory when the flag is unset.
-var spillDir string
-
-// nodes and shards configure the simulated cluster of the distributed
-// experiments (E12, E16): cluster size and hash shards per table.
-var (
-	nodes  int
-	shards int
-)
-
-// linkRetries is the per-shipment retry budget of the fault-rate sweep
-// (E16); fault schedules larger than it would make recovery impossible, so
-// the sweep caps its fault counts at this budget.
-var linkRetries int
+// timeout is the per-measurement deadline, 0 for none.
+var timeout time.Duration
 
 // serverURL, when non-empty, points the server load experiment (E17) at an
 // already-running gbj-server instead of the in-process one it starts by
@@ -92,21 +74,25 @@ func measureCtx() (context.Context, context.CancelFunc) {
 	return context.Background(), func() {}
 }
 
+// governed is the lifecycle bundle both comparisons run under: the
+// measurement context plus the tool's budget, engine and spill settings.
+func governed(ctx context.Context) bench.Governed {
+	return bench.Governed{Context: ctx, MemoryBudget: knobs.MemBudget, Vectorize: knobs.Vectorize, SpillDir: knobs.SpillDir}
+}
+
 // compareForward runs a governed forward comparison with the tool's
 // timeout, budget and parallelism settings.
 func compareForward(store *storage.Store, query string, reps int) (*bench.Comparison, error) {
 	ctx, cancel := measureCtx()
 	defer cancel()
-	return bench.CompareForwardWith(store, query, reps, parallelism,
-		bench.Governed{Context: ctx, MemoryBudget: memBudget, Vectorize: vectorize, SpillDir: spillDir})
+	return bench.CompareForward(store, query, reps, knobs.Parallelism, governed(ctx))
 }
 
 // compareReverse is compareForward for the Section 8 reverse experiment.
 func compareReverse(store *storage.Store, query string, reps int) (*bench.Comparison, error) {
 	ctx, cancel := measureCtx()
 	defer cancel()
-	return bench.CompareReverseWith(store, query, reps, parallelism,
-		bench.Governed{Context: ctx, MemoryBudget: memBudget, Vectorize: vectorize, SpillDir: spillDir})
+	return bench.CompareReverse(store, query, reps, knobs.Parallelism, governed(ctx))
 }
 
 // record, when non-nil, accumulates every comparison as a machine-readable
@@ -116,7 +102,7 @@ var record *bench.File
 // addRecord appends a comparison to the JSON output when -json is active.
 func addRecord(experiment, note string, c *bench.Comparison) {
 	if record != nil {
-		record.Add(experiment, note, parallelism, c)
+		record.Add(experiment, note, knobs.Parallelism, c)
 	}
 }
 
@@ -124,21 +110,19 @@ func main() {
 	expFlag := flag.String("exp", "all", "comma-separated experiment ids (E1..E8) or 'all'")
 	reps := flag.Int("reps", 3, "repetitions per measurement")
 	jsonPath := flag.String("json", "", "also write machine-readable run records (per-operator metrics included) to this file")
-	flag.IntVar(&parallelism, "parallelism", 0, "executor workers (0=serial, -1=one per CPU)")
-	flag.BoolVar(&vectorize, "vectorize", false, "columnar batch execution for every experiment (E13 always compares both engines)")
-	flag.IntVar(&nodes, "nodes", 4, "simulated cluster size for the distributed experiment (E12)")
-	flag.IntVar(&shards, "shards", 0, "hash shards per table, a power of two (0 = one per node)")
-	flag.IntVar(&linkRetries, "link-retries", 8, "per-shipment link retry budget for the fault-rate sweep (E16)")
+	knobs.Register(flag.CommandLine, map[string]string{
+		"parallelism": "", "shards": "",
+		"vectorize":    "columnar batch execution for every experiment (E13 always compares both engines)",
+		"nodes":        "simulated cluster size for the distributed experiment (E12)",
+		"link-retries": "per-shipment link retry budget for the fault-rate sweep (E16)",
+		"mem-budget":   "per-execution operator-state byte cap (0 = unlimited); over-budget eager plans degrade to the lazy plan",
+		"spill-dir":    "directory for spill temp files; with -mem-budget set, over-budget operators spill to disk instead of degrading (empty = spilling off; E15 uses a default sweep area)",
+	})
 	flag.DurationVar(&timeout, "timeout", 0, "per-measurement deadline (0 = none)")
-	flag.Int64Var(&memBudget, "mem-budget", 0, "per-execution operator-state byte cap (0 = unlimited); over-budget eager plans degrade to the lazy plan")
-	flag.StringVar(&spillDir, "spill-dir", "", "directory for spill temp files; with -mem-budget set, over-budget operators spill to disk instead of degrading (empty = spilling off; E15 uses a default sweep area)")
 	flag.StringVar(&serverURL, "server", "", "base URL of a running gbj-server for the load experiment (E17), e.g. http://127.0.0.1:7432 (empty = start one in-process)")
 	flag.Parse()
 	for _, err := range []error{
-		cliutil.ValidateParallelism(parallelism),
-		cliutil.ValidateNodes(nodes),
-		cliutil.ValidateShards(shards),
-		cliutil.ValidateLinkRetries(linkRetries),
+		knobs.Validate(),
 		validateServerURL(serverURL),
 	} {
 		if err != nil {
@@ -424,10 +408,10 @@ func runE8(reps int) error {
 // advantage collapses toward parity, the communication-cost twin of the
 // Figure 8 crossover.
 func runE12(reps int) error {
-	if nodes < 2 {
-		return fmt.Errorf("E12 needs a cluster: pass -nodes 2 or more (got %d)", nodes)
+	if knobs.Nodes < 2 {
+		return fmt.Errorf("E12 needs a cluster: pass -nodes 2 or more (got %d)", knobs.Nodes)
 	}
-	fmt.Printf("cluster: %d nodes, %s; fact table: 50000 rows\n\n", nodes, shardDesc())
+	fmt.Printf("cluster: %d nodes, %s; fact table: 50000 rows\n\n", knobs.Nodes, shardDesc())
 	fmt.Printf("%-10s  %12s  %12s  %10s  %s\n",
 		"groups", "lazy_bytes", "eager_bytes", "reduction", "result rows")
 	for _, groups := range []int{10, 100, 1000, 10000, 50000} {
@@ -438,7 +422,7 @@ func runE12(reps int) error {
 			return err
 		}
 		ctx, cancel := measureCtx()
-		c, err := bench.CompareDistributed(ctx, store, workload.SweepQueryGroupByDim, reps, nodes, shards, parallelism)
+		c, err := bench.CompareDistributed(ctx, store, workload.SweepQueryGroupByDim, reps, knobs.Nodes, knobs.Shards, knobs.Parallelism)
 		cancel()
 		if err != nil {
 			return err
@@ -446,7 +430,7 @@ func runE12(reps int) error {
 		lazy, eager := c.Standard.CommBytes(), c.Transformed.CommBytes()
 		fmt.Printf("%-10d  %12d  %12d  %9.2fx  %d\n",
 			groups, lazy, eager, float64(lazy)/float64(eager), c.Standard.OutRows)
-		addRecord("E12", fmt.Sprintf("groups=%d nodes=%d", groups, nodes), c)
+		addRecord("E12", fmt.Sprintf("groups=%d nodes=%d", groups, knobs.Nodes), c)
 	}
 	return nil
 }
@@ -500,12 +484,12 @@ func runE13(reps int) error {
 		}
 		plan := report.Standard
 		ctx, cancel := measureCtx()
-		rowRun, err := bench.RunPlanGoverned("row engine", plan, store, reps, parallelism,
-			bench.Governed{Context: ctx, MemoryBudget: memBudget})
+		rowRun, err := bench.RunPlan("row engine", plan, store, reps, knobs.Parallelism,
+			bench.Governed{Context: ctx, MemoryBudget: knobs.MemBudget})
 		if err == nil {
 			var vecRun *bench.PlanRun
-			vecRun, err = bench.RunPlanGoverned("vectorized engine", plan, store, reps, parallelism,
-				bench.Governed{Context: ctx, MemoryBudget: memBudget, Vectorize: true})
+			vecRun, err = bench.RunPlan("vectorized engine", plan, store, reps, knobs.Parallelism,
+				bench.Governed{Context: ctx, MemoryBudget: knobs.MemBudget, Vectorize: true})
 			if err == nil {
 				if !rowRun.SameRows(vecRun) {
 					cancel()
@@ -556,7 +540,7 @@ func runE15(reps int) error {
 		return err
 	}
 	plan := report.Standard
-	dir := spillDir
+	dir := knobs.SpillDir
 	if dir == "" {
 		//lint:ignore spillcleanup the sweep needs a default spill area; every file under it comes from a SpillManager, and the directory itself is removed below
 		dir = filepath.Join(os.TempDir(), "gbj-bench-spill")
@@ -564,17 +548,17 @@ func runE15(reps int) error {
 	}
 	ctx, cancel := measureCtx()
 	defer cancel()
-	ref, err := bench.RunPlanGoverned("in-memory reference", plan, store, reps, parallelism,
-		bench.Governed{Context: ctx, Vectorize: vectorize})
+	ref, err := bench.RunPlan("in-memory reference", plan, store, reps, knobs.Parallelism,
+		bench.Governed{Context: ctx, Vectorize: knobs.Vectorize})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("reference (no budget): %v for %d result rows\n\n", ref.Duration, ref.OutRows)
 	fmt.Printf("%-10s  %-14s  %12s  %8s  %s\n", "budget", "time", "spill bytes", "vs ref", "rows")
 	for _, budget := range []int64{4 << 20, 1 << 20, 256 << 10, 64 << 10} {
-		run, err := bench.RunPlanGoverned(fmt.Sprintf("budget %s", budgetLabel(budget)),
-			plan, store, reps, parallelism,
-			bench.Governed{Context: ctx, MemoryBudget: budget, Vectorize: vectorize, SpillDir: dir})
+		run, err := bench.RunPlan(fmt.Sprintf("budget %s", budgetLabel(budget)),
+			plan, store, reps, knobs.Parallelism,
+			bench.Governed{Context: ctx, MemoryBudget: budget, Vectorize: knobs.Vectorize, SpillDir: dir})
 		if err != nil {
 			return fmt.Errorf("E15 budget %s: %w", budgetLabel(budget), err)
 		}
@@ -599,8 +583,8 @@ func runE15(reps int) error {
 // what varies with the fault rate. Backoffs run on a virtual clock, so the
 // "recovered" column is retry and re-execution work, not sleeping.
 func runE16(int) error {
-	if nodes < 2 {
-		return fmt.Errorf("E16 needs a cluster: pass -nodes 2 or more (got %d)", nodes)
+	if knobs.Nodes < 2 {
+		return fmt.Errorf("E16 needs a cluster: pass -nodes 2 or more (got %d)", knobs.Nodes)
 	}
 	store, err := workload.Sweep(workload.SweepParams{
 		FactRows: 20000, DimRows: 100, Groups: 100, MatchFraction: 1.0, Seed: 42,
@@ -608,17 +592,17 @@ func runE16(int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("cluster: %d nodes, %s; retry budget: %d per shipment\n\n", nodes, shardDesc(), linkRetries)
+	fmt.Printf("cluster: %d nodes, %s; retry budget: %d per shipment\n\n", knobs.Nodes, shardDesc(), knobs.LinkRetries)
 	fmt.Printf("%-10s  %-14s  %-14s  %8s  %10s  %s\n",
 		"faults<=", "fault-free", "recovered", "retries", "failovers", "rows")
 	for _, faults := range []int{1, 2, 4, 8} {
-		if faults > linkRetries {
-			fmt.Printf("%-10d  (skipped: exceeds the -link-retries budget %d)\n", faults, linkRetries)
+		if faults > knobs.LinkRetries {
+			fmt.Printf("%-10d  (skipped: exceeds the -link-retries budget %d)\n", faults, knobs.LinkRetries)
 			continue
 		}
 		ctx, cancel := measureCtx()
 		c, err := bench.CompareRecovered(ctx, store, workload.SweepQueryGroupByDim,
-			nodes, shards, parallelism, linkRetries, int64(1000+faults), faults)
+			knobs.Nodes, knobs.Shards, knobs.Parallelism, knobs.LinkRetries, int64(1000+faults), faults)
 		cancel()
 		if err != nil {
 			return fmt.Errorf("E16 faults<=%d: %w", faults, err)
@@ -627,7 +611,7 @@ func runE16(int) error {
 		fmt.Printf("%-10d  %-14v  %-14v  %8d  %10d  %s\n",
 			faults, c.Standard.Duration, c.Transformed.Duration,
 			gov.LinkRetries, gov.Failovers, "identical")
-		addRecord("E16", fmt.Sprintf("faults=%d nodes=%d retries=%d", faults, nodes, linkRetries), c)
+		addRecord("E16", fmt.Sprintf("faults=%d nodes=%d retries=%d", faults, knobs.Nodes, knobs.LinkRetries), c)
 	}
 	return nil
 }
@@ -653,8 +637,8 @@ func rowThroughput(r *bench.PlanRun) float64 {
 
 // shardDesc names the shard configuration for the E12 banner.
 func shardDesc() string {
-	if shards == 0 {
+	if knobs.Shards == 0 {
 		return "one shard per node"
 	}
-	return fmt.Sprintf("%d shards per table", shards)
+	return fmt.Sprintf("%d shards per table", knobs.Shards)
 }

@@ -83,14 +83,12 @@ func runE17(reps int) error {
 	if url == "" {
 		// In-process server: fresh engine, fresh (cold) plan cache.
 		e := gbj.New()
-		e.SetParallelism(parallelism)
-		e.SetVectorize(vectorize)
-		if memBudget > 0 {
-			e.SetMemoryBudget(memBudget)
-		}
-		if spillDir != "" {
-			e.SetSpillDir(spillDir)
-		}
+		// The server under load is single-site: the cluster knobs belong to
+		// E12/E16.
+		e.SetParallelism(knobs.Parallelism)
+		e.SetVectorize(knobs.Vectorize)
+		e.SetMemoryBudget(knobs.MemBudget)
+		e.SetSpillDir(knobs.SpillDir)
 		if err := seedLoadEngine(e, 5000, 100); err != nil {
 			return err
 		}
@@ -156,7 +154,7 @@ func runE17(reps int) error {
 		fmt.Println("warning: warm p50 not below cold p50 (noise or cache off?)")
 	}
 	if record != nil {
-		record.AddLoad("E17", "", parallelism, res)
+		record.AddLoad("E17", "", knobs.Parallelism, res)
 	}
 	return nil
 }

@@ -63,41 +63,22 @@ func main() {
 	analyze := flag.Bool("analyze", false, "execute the chosen plan and annotate it with actual row counts, estimates and per-node q-errors (EXPLAIN ANALYZE)")
 	trace := flag.Bool("trace", false, "with -analyze output, also print the hierarchical operator span trace as JSON")
 	timeout := flag.Duration("timeout", 0, "deadline for -analyze execution (0 = none)")
-	memBudget := flag.Int64("mem-budget", 0, "operator-state byte cap for -analyze execution (0 = unlimited); an over-budget eager plan degrades to the lazy plan and the output says so")
-	spillDir := flag.String("spill-dir", "", "directory for spill temp files; with -mem-budget set, over-budget operators spill to disk instead of degrading (empty = spilling off)")
-	parallelism := flag.Int("parallelism", 0, "executor workers (0=serial, -1=one per CPU)")
-	vectorize := flag.Bool("vectorize", false, "execute on the columnar batch engine; -analyze shows per-operator batch counts (morsels)")
-	nodes := flag.Int("nodes", 1, "simulated cluster size (1 = single-site)")
-	shards := flag.Int("shards", 0, "hash shards per table, a power of two (0 = one per node)")
-	linkRetries := flag.Int("link-retries", 0, "per-shipment link retry budget for distributed runs (0 = fail fast)")
+	knobs := cliutil.EngineFlags{Nodes: 1}
+	knobs.Register(flag.CommandLine, map[string]string{
+		"parallelism": "", "nodes": "", "shards": "", "link-retries": "",
+		"vectorize":  "execute on the columnar batch engine; -analyze shows per-operator batch counts (morsels)",
+		"mem-budget": "operator-state byte cap for -analyze execution (0 = unlimited); an over-budget eager plan degrades to the lazy plan and the output says so",
+		"spill-dir":  "directory for spill temp files; with -mem-budget set, over-budget operators spill to disk instead of degrading (empty = spilling off)",
+	})
 	flag.Parse()
-	for _, err := range []error{
-		cliutil.ValidateParallelism(*parallelism),
-		cliutil.ValidateNodes(*nodes),
-		cliutil.ValidateShards(*shards),
-		cliutil.ValidateLinkRetries(*linkRetries),
-	} {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gbj-explain:", err)
-			os.Exit(2)
-		}
+	if err := knobs.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "gbj-explain:", err)
+		os.Exit(2)
 	}
 
 	engine := gbj.New()
 	engine.SetPlanCheck(*check)
-	engine.SetMemoryBudget(*memBudget)
-	engine.SetSpillDir(*spillDir)
-	engine.SetParallelism(*parallelism)
-	engine.SetVectorize(*vectorize)
-	if err := engine.SetNodes(*nodes); err != nil {
-		fmt.Fprintln(os.Stderr, "gbj-explain:", err)
-		os.Exit(2)
-	}
-	if err := engine.SetShards(*shards); err != nil {
-		fmt.Fprintln(os.Stderr, "gbj-explain:", err)
-		os.Exit(2)
-	}
-	if err := engine.SetLinkRetries(*linkRetries); err != nil {
+	if err := knobs.Apply(engine); err != nil {
 		fmt.Fprintln(os.Stderr, "gbj-explain:", err)
 		os.Exit(2)
 	}

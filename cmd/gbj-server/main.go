@@ -43,17 +43,19 @@ func main() {
 	maxQueue := flag.Int("max-queue", 64, "admission queue depth once the pool is empty; beyond it queries are rejected with HTTP 429")
 	queueTimeout := flag.Duration("queue-timeout", 5*time.Second, "longest a query waits in the admission queue before a 429 (0 = wait for the client deadline)")
 	planCache := flag.Int("plan-cache", 256, "plan cache entries (0 = engine default)")
-	parallelism := flag.Int("parallelism", 0, "executor workers per query (0=serial, -1=one per CPU)")
-	vectorize := flag.Bool("vectorize", false, "execute on the columnar batch engine (same rows, same order)")
-	memBudget := flag.Int64("mem-budget", 0, "per-query operator-state byte cap (0 = unlimited)")
-	spillDir := flag.String("spill-dir", "", "directory for spill temp files; with -mem-budget, over-budget operators spill instead of degrading")
+	var knobs cliutil.EngineFlags
+	knobs.Register(flag.CommandLine, map[string]string{
+		"vectorize": "", "mem-budget": "",
+		"parallelism": "executor workers per query (0=serial, -1=one per CPU)",
+		"spill-dir":   "directory for spill temp files; with -mem-budget, over-budget operators spill instead of degrading",
+	})
 	initFile := flag.String("init", "", "SQL script to run at startup (schema and seed data)")
 	flag.Parse()
 	for _, err := range []error{
 		cliutil.ValidateAddr(*addr),
 		cliutil.ValidatePoolBytes(*pool),
 		cliutil.ValidateMaxSessions(*maxSessions),
-		cliutil.ValidateParallelism(*parallelism),
+		knobs.Validate(),
 	} {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gbj-server:", err)
@@ -62,12 +64,10 @@ func main() {
 	}
 
 	engine := gbj.New()
-	engine.SetParallelism(*parallelism)
-	engine.SetVectorize(*vectorize)
-	if *memBudget > 0 {
-		engine.SetMemoryBudget(*memBudget)
+	if err := knobs.Apply(engine); err != nil {
+		fmt.Fprintln(os.Stderr, "gbj-server:", err)
+		os.Exit(2)
 	}
-	engine.SetSpillDir(*spillDir)
 	if *initFile != "" {
 		data, err := os.ReadFile(*initFile)
 		if err != nil {

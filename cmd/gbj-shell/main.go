@@ -89,24 +89,16 @@ func queryContext() (context.Context, func()) {
 
 func main() {
 	file := flag.String("f", "", "run statements from a file, then exit")
-	parallelism := flag.Int("parallelism", 0, "executor workers (0=serial, -1=one per CPU)")
-	vectorize := flag.Bool("vectorize", false, "execute on the columnar batch engine (same rows, same order)")
-	nodes := flag.Int("nodes", 1, "simulated cluster size (1 = single-site)")
-	shards := flag.Int("shards", 0, "hash shards per table, a power of two (0 = one per node)")
-	linkRetries := flag.Int("link-retries", 0, "per-shipment link retry budget for distributed runs (0 = fail fast)")
-	spillDir := flag.String("spill-dir", "", "directory for spill temp files; with a \\budget set, over-budget operators spill to disk instead of degrading (empty = spilling off)")
+	knobs := cliutil.EngineFlags{Nodes: 1}
+	knobs.Register(flag.CommandLine, map[string]string{
+		"parallelism": "", "vectorize": "", "nodes": "", "shards": "", "link-retries": "",
+		"spill-dir": "directory for spill temp files; with a \\budget set, over-budget operators spill to disk instead of degrading (empty = spilling off)",
+	})
 	connect := flag.String("connect", "", "URL of a running gbj-server (e.g. http://127.0.0.1:7432); the shell becomes a network client instead of embedding an engine")
 	flag.Parse()
-	for _, err := range []error{
-		cliutil.ValidateParallelism(*parallelism),
-		cliutil.ValidateNodes(*nodes),
-		cliutil.ValidateShards(*shards),
-		cliutil.ValidateLinkRetries(*linkRetries),
-	} {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gbj-shell:", err)
-			os.Exit(2)
-		}
+	if err := knobs.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "gbj-shell:", err)
+		os.Exit(2)
 	}
 	if *connect != "" {
 		if err := cliutil.ValidateServerURL(*connect); err != nil {
@@ -136,21 +128,10 @@ func main() {
 	}
 
 	engine := gbj.New()
-	engine.SetParallelism(*parallelism)
-	engine.SetVectorize(*vectorize)
-	if err := engine.SetNodes(*nodes); err != nil {
+	if err := knobs.Apply(engine); err != nil {
 		fmt.Fprintln(os.Stderr, "gbj-shell:", err)
 		os.Exit(2)
 	}
-	if err := engine.SetShards(*shards); err != nil {
-		fmt.Fprintln(os.Stderr, "gbj-shell:", err)
-		os.Exit(2)
-	}
-	if err := engine.SetLinkRetries(*linkRetries); err != nil {
-		fmt.Fprintln(os.Stderr, "gbj-shell:", err)
-		os.Exit(2)
-	}
-	engine.SetSpillDir(*spillDir)
 	if *file != "" {
 		data, err := os.ReadFile(*file)
 		if err != nil {

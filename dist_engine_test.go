@@ -8,10 +8,16 @@ package gbj
 // strictly fewer exchange bytes than the lazy plan.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/fault"
 )
 
 // example1Engine loads the paper's Example 1 workload at the given scale.
@@ -99,9 +105,6 @@ func TestEngineNodeShardValidation(t *testing.T) {
 	if err := e.SetShards(8); err != nil {
 		t.Fatal(err)
 	}
-	if e.Nodes() != 4 || e.Shards() != 8 {
-		t.Fatalf("topology not recorded: nodes=%d shards=%d", e.Nodes(), e.Shards())
-	}
 }
 
 // TestEngineDistributedEagerShipsFewer is the Section 7 regression through
@@ -187,5 +190,128 @@ func TestEngineDistributedInsertInvalidatesCluster(t *testing.T) {
 	}
 	if before.Rows[0][0].(int64)+1 != after.Rows[0][0].(int64) {
 		t.Fatalf("stale cluster: count %v before insert, %v after", before.Rows[0][0], after.Rows[0][0])
+	}
+}
+
+// TestQueryOptionsBudgetHonouredDistributed: a per-query budget (the
+// admission controller's lease) governs a query the same at any node
+// count — one byte fits neither plan, so both topologies fail with a typed
+// *ResourceError instead of the cluster silently running unbudgeted — and
+// Serial sheds the cluster fragments' workers like it sheds local ones.
+func TestQueryOptionsBudgetHonouredDistributed(t *testing.T) {
+	for _, nodes := range []int{1, 4} {
+		e := example1Engine(t, 200, 8)
+		e.SetParallelism(4)
+		if err := e.SetNodes(nodes); err != nil {
+			t.Fatal(err)
+		}
+		_, err := e.QueryOptionsContext(context.Background(), example1Query, &QueryOptions{MemoryBudget: 1})
+		var re *ResourceError
+		if !errors.As(err, &re) {
+			t.Errorf("nodes=%d: 1-byte per-query budget returned %v, want *ResourceError", nodes, err)
+		}
+		if _, err := e.Query(example1Query); err != nil {
+			t.Errorf("nodes=%d: the per-query budget leaked into the next query: %v", nodes, err)
+		}
+
+		q, err := parseSelect(example1Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := e.prepare(q, &QueryOptions{Serial: true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := attempt{dist: nodes > 1}
+		if opts := p.execOptions(context.Background(), at, p.pc.plan, &outcome{}); opts.Parallelism != 0 || opts.Vectorize {
+			t.Errorf("nodes=%d: Serial left parallelism=%d vectorize=%t", nodes, opts.Parallelism, opts.Vectorize)
+		}
+	}
+}
+
+// parkingClock is a fault-injector clock whose first reading blocks until
+// released: a LinkDelay event on it parks a distributed query mid-shipment.
+type parkingClock struct{ parked, release chan struct{} }
+
+func (c *parkingClock) Now() time.Time {
+	c.parked <- struct{}{}
+	<-c.release
+	return time.Time{}
+}
+
+// TestDistributedQueryDoesNotBlockWriter: the engine's lock is not held
+// across cluster execution. With a distributed query parked mid-shipment a
+// concurrent INSERT returns; the parked query still answers from the
+// cluster it captured (its pre-insert rows); and the next query sees the
+// insert, on a cluster rebuilt for the new epoch.
+func TestDistributedQueryDoesNotBlockWriter(t *testing.T) {
+	e := example1Engine(t, 200, 8)
+	if err := e.SetNodes(4); err != nil {
+		t.Fatal(err)
+	}
+	e.SetDistStrategy(DistEager)
+	before, err := e.Query(example1Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := canonicalRows(before)
+
+	clock := &parkingClock{parked: make(chan struct{}, 1), release: make(chan struct{})}
+	var once sync.Once
+	release := func() { once.Do(func() { close(clock.release) }) }
+	defer release()
+	e.SetFaultInjector(fault.NewLinkSchedule([]fault.Event{{Tick: 1, Kind: fault.LinkDelay}}).WithClock(clock))
+
+	type answer struct {
+		res *Result
+		err error
+	}
+	parked := make(chan answer, 1)
+	go func() {
+		res, err := e.Query(example1Query)
+		parked <- answer{res, err}
+	}()
+	select {
+	case <-clock.parked:
+	case a := <-parked:
+		t.Fatalf("query finished without shipping anything (err=%v); nothing to park", a.err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("distributed query never reached its first shipment")
+	}
+
+	wrote := make(chan error, 1)
+	go func() { wrote <- e.Exec(`INSERT INTO Employee VALUES (100000, 0)`) }()
+	select {
+	case err := <-wrote:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("INSERT blocked behind a parked distributed query: the engine lock is held across cluster execution")
+	}
+
+	release()
+	a := <-parked
+	if a.err != nil {
+		t.Fatalf("parked query: %v", a.err)
+	}
+	if !equalStrings(want, canonicalRows(a.res)) {
+		t.Fatal("parked query did not return its pre-insert rows")
+	}
+
+	e.SetFaultInjector(nil)
+	after, err := e.Query(example1Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetNodes(1); err != nil {
+		t.Fatal(err)
+	}
+	local, err := e.Query(example1Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := canonicalRows(after); equalStrings(want, got) || !equalStrings(canonicalRows(local), got) {
+		t.Fatalf("query after the insert ran on a stale cluster:\n got %v\nwant %v", got, canonicalRows(local))
 	}
 }

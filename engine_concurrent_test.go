@@ -96,8 +96,7 @@ func TestConcurrentEngineMixedTraffic(t *testing.T) {
 			_ = e.RecoveryCounters()
 			_ = e.PlanCacheStats()
 			_ = e.Mode()
-			_ = e.Parallelism()
-			_ = e.Vectorize()
+			_ = e.LinkRetries()
 			_ = e.MemoryBudget()
 			_ = e.ListObjects()
 		}

@@ -34,8 +34,10 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/exec"
 	"repro/internal/expr"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/plancheck"
 	"repro/internal/schema"
@@ -81,39 +83,71 @@ type SpillError = exec.SpillError
 // the snapshot — so long-running queries never block writers, and writers
 // never change the rows a running query sees (snapshot isolation).
 type Engine struct {
-	mu          sync.RWMutex
-	store       *storage.Store
-	opt         *core.Optimizer
-	parallelism int
-	vectorize   bool
-	memBudget   int64
-	spillDir    string
-	clock       obs.Clock
-	fallbacks   atomic.Int64
+	mu    sync.RWMutex
+	store *storage.Store
+	opt   *core.Optimizer
+	// set is the only copy of every engine setting. Guarded by mu and
+	// written only by update; a query copies it by value under the read
+	// lock and runs off the copy.
+	set       settings
+	fallbacks atomic.Int64
 
 	// planCache, when non-nil (SetPlanCacheSize), memoizes plan selection
-	// keyed by (canonical AST, store epoch, engine mode); cacheStats
-	// counts its traffic. Guarded by mu like the other config fields; the
-	// cache itself is internally synchronized.
+	// keyed by (canonical AST, store epoch, planInputs); cacheStats counts
+	// its traffic. Guarded by mu; the cache itself is internally
+	// synchronized.
 	planCache  *core.PlanCache
 	cacheStats obs.CacheStats
 
-	// Distributed execution state (gbj_dist.go). distMu guards the lazily
-	// built cluster so concurrent queries (read-locked on mu) can share a
-	// rebuild.
-	nodes        int
-	shards       int
-	distStrategy DistStrategy
+	// cluster is the lazily built partitioning of the store for the current
+	// topology (gbj_dist.go), valid while clusterEpoch is the store's epoch.
+	// distMu guards both so concurrent queries (read-locked on mu) share one
+	// rebuild. recovery aggregates the fault-recovery counters of every
+	// distributed run.
 	distMu       sync.Mutex
-	cluster      *distCluster
-	clusterDirty bool
+	cluster      *dist.Cluster
+	clusterEpoch uint64
+	recovery     dist.RecoveryStats
+}
 
-	// Fault-tolerant distributed execution (gbj_dist.go): the per-shipment
-	// link retry budget, the engine-lifetime recovery counters, and an
-	// optional injected fault schedule (chaos and golden tests).
+// planInputs is every setting plan selection reads. It is comparable and
+// rendered whole into the plan-cache key (planKey), so a field added here
+// is part of the key without further wiring.
+type planInputs struct {
+	mode         Mode
+	parallelism  int
+	vectorize    bool
+	planCheck    bool
+	nodes        int // 0 and 1 both mean single-site
+	shards       int // 0 means one shard per node, rounded up to a power of two
+	distStrategy DistStrategy
+}
+
+// settings is the engine's configuration: what plan selection reads plus
+// what only execution reads. QueryOptions overrides apply to a by-value
+// copy (with), never to the engine's own value.
+type settings struct {
+	planInputs
+	memBudget   int64
+	spillDir    string
+	clock       obs.Clock
 	linkRetries int
-	recovery    distRecoveryStats
-	faults      *faultInjector
+	faults      *fault.Injector
+}
+
+// with returns the settings one query runs under: s with the per-query
+// overrides applied.
+func (s settings) with(o *QueryOptions) settings {
+	if o == nil {
+		return s
+	}
+	if o.MemoryBudget > 0 {
+		s.memBudget = o.MemoryBudget
+	}
+	if o.Serial {
+		s.parallelism, s.vectorize = 0, false
+	}
+	return s
 }
 
 // New returns an empty engine.
@@ -122,19 +156,33 @@ func New() *Engine {
 	return &Engine{store: store, opt: core.NewOptimizer(store)}
 }
 
-// SetMode selects the optimizer mode.
-func (e *Engine) SetMode(m Mode) {
+// update is the one way a setting changes: under the write lock it applies
+// set, mirrors the fields the optimizer and cost model read into
+// core.Optimizer, and clears the plan cache so no cached plan outlives the
+// settings it was chosen under. The cached cluster needs no invalidation
+// here: clusterFor compares its shape and epoch on every use.
+func (e *Engine) update(set func(*settings)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.opt.Mode = m
+	set(&e.set)
+	e.opt.Mode = e.set.mode
+	e.opt.Parallelism = e.set.parallelism
+	e.opt.Vectorize = e.set.vectorize
+	e.opt.Nodes = e.set.nodes
+	e.opt.CheckPlans = e.set.planCheck
 	e.invalidatePlans()
+}
+
+// SetMode selects the optimizer mode.
+func (e *Engine) SetMode(m Mode) {
+	e.update(func(s *settings) { s.mode = m })
 }
 
 // Mode returns the current optimizer mode.
 func (e *Engine) Mode() Mode {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.opt.Mode
+	return e.set.mode
 }
 
 // SetParallelism selects the executor worker count: 0 or 1 run queries
@@ -142,18 +190,7 @@ func (e *Engine) Mode() Mode {
 // one worker per CPU. Parallel execution is deterministic — it returns
 // exactly the rows, in exactly the order, of a serial run.
 func (e *Engine) SetParallelism(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.parallelism = n
-	e.opt.Parallelism = n
-	e.invalidatePlans()
-}
-
-// Parallelism returns the configured executor worker count.
-func (e *Engine) Parallelism() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.parallelism
+	e.update(func(s *settings) { s.parallelism = n })
 }
 
 // SetVectorize selects the executor's data representation: off (the
@@ -164,18 +201,7 @@ func (e *Engine) Parallelism() int {
 // the row-at-a-time engine — and composes with SetParallelism,
 // SetMemoryBudget and distributed execution.
 func (e *Engine) SetVectorize(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.vectorize = on
-	e.opt.Vectorize = on
-	e.invalidatePlans()
-}
-
-// Vectorize reports whether vectorized execution is enabled.
-func (e *Engine) Vectorize() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.vectorize
+	e.update(func(s *settings) { s.vectorize = on })
 }
 
 // SetMemoryBudget caps the bytes of operator state (hash tables, group
@@ -188,17 +214,14 @@ func (e *Engine) Vectorize() bool {
 // Only when the lazy plan also exceeds the budget does the query fail, with
 // a *ResourceError.
 func (e *Engine) SetMemoryBudget(bytes int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.memBudget = bytes
-	e.invalidatePlans()
+	e.update(func(s *settings) { s.memBudget = bytes })
 }
 
 // MemoryBudget returns the per-query state-byte cap, 0 when unlimited.
 func (e *Engine) MemoryBudget() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.memBudget
+	return e.set.memBudget
 }
 
 // SetSpillDir enables graceful spill-to-disk execution: queries that would
@@ -211,17 +234,7 @@ func (e *Engine) MemoryBudget() int64 {
 // a *SpillError (or triggers the eager→lazy fallback when one is at hand),
 // never as partial results.
 func (e *Engine) SetSpillDir(dir string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.spillDir = dir
-	e.invalidatePlans()
-}
-
-// SpillDir returns the spill directory, "" when spilling is disabled.
-func (e *Engine) SpillDir() string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.spillDir
+	e.update(func(s *settings) { s.spillDir = dir })
 }
 
 // Fallbacks reports how many queries degraded from the eager plan to the
@@ -235,9 +248,7 @@ func (e *Engine) Fallbacks() int64 {
 // obs.FakeClock makes analyze output fully deterministic — the golden tests
 // rely on it.
 func (e *Engine) SetClock(c obs.Clock) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.clock = c
+	e.update(func(s *settings) { s.clock = c })
 }
 
 // SetPlanCheck toggles static plan verification (package plancheck): when
@@ -246,17 +257,7 @@ func (e *Engine) SetClock(c obs.Clock) {
 // a TestFD certificate for its eager aggregation. A violation surfaces as a
 // query error. This is a debug/audit gate, off by default.
 func (e *Engine) SetPlanCheck(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.opt.CheckPlans = on
-	e.invalidatePlans()
-}
-
-// PlanCheck reports whether static plan verification is enabled.
-func (e *Engine) PlanCheck() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.opt.CheckPlans
+	e.update(func(s *settings) { s.planCheck = on })
 }
 
 // Result is a materialized query result with Go-native values: int64,
@@ -331,7 +332,6 @@ func (e *Engine) Exec(text string) error {
 			return err
 		}
 	}
-	e.invalidateCluster()
 	e.invalidatePlans()
 	return nil
 }
@@ -506,142 +506,210 @@ type QueryOptions struct {
 	// vectorization) for this query only — the admission controller's
 	// degradation mode under load. The plan choice is unchanged: serial
 	// and parallel, row and vectorized execution are equivalence-oracled,
-	// so shedding degrades resources, never results. Ignored by
-	// distributed execution (nodes > 1), whose worker configuration is
-	// cluster-wide.
+	// so shedding degrades resources, never results.
 	Serial bool
 }
 
 // QueryOptionsContext executes a SELECT with per-query options. Plan
 // selection happens under the engine's read lock (through the plan cache
-// when enabled); execution then runs against a store snapshot with the
-// lock released, so concurrent DML neither blocks on this query nor
-// changes the rows it sees.
+// when enabled); execution then runs against a store snapshot — or, with
+// more than one node, the cluster partitioned from it — with the lock
+// released, so concurrent DML neither blocks on this query nor changes the
+// rows it sees.
 func (e *Engine) QueryOptionsContext(ctx context.Context, text string, o *QueryOptions) (*Result, error) {
 	q, err := sql.ParseQuery(text)
 	if err != nil {
 		return nil, err
 	}
-	if o == nil {
-		o = &QueryOptions{}
-	}
-	p, err := convertParams(o.Params)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.RLock()
-	pc, err := e.chooseForExecCached(q)
-	if err != nil {
-		e.mu.RUnlock()
-		return nil, err
-	}
-	if e.nodes > 1 {
-		// Distributed execution stays under the read lock: the cluster is
-		// a shared materialization of the live store, so it must not see
-		// concurrent DML mid-query.
-		defer e.mu.RUnlock()
-		res, err := e.distExecute(ctx, pc, p, nil)
-		if err != nil {
+	return e.querySelect(ctx, q, o)
+}
+
+// querySelect runs a parsed SELECT uninstrumented and converts its rows.
+func (e *Engine) querySelect(ctx context.Context, q *sql.SelectStmt, o *QueryOptions) (*Result, error) {
+	var params expr.Params
+	if o != nil {
+		var err error
+		if params, err = convertParams(o.Params); err != nil {
 			return nil, err
 		}
-		return convertResult(res), nil
 	}
-	cfg := e.runConfigLocked(o)
-	e.mu.RUnlock()
-	res, err := governedRun(ctx, cfg, pc.plan, p, nil, nil, true)
-	if fe := fallbackError(err, pc); fe != nil {
-		e.fallbacks.Add(1)
-		res, err = governedRun(ctx, cfg, pc.fallback, p, nil, nil, false)
-	}
+	p, err := e.prepare(q, o, params)
 	if err != nil {
 		return nil, err
 	}
-	return convertResult(res), nil
-}
-
-// runConfig is the bundle of settings governedRun needs, copied out of
-// the engine under its lock so execution can proceed with the lock
-// released. The store field is a frozen snapshot: the query's stable view
-// of the data.
-type runConfig struct {
-	store       *storage.Store
-	parallelism int
-	vectorize   bool
-	memBudget   int64
-	spillDir    string
-	clock       obs.Clock
-	faults      *faultInjector
-}
-
-// runConfigLocked snapshots the store and the governance settings,
-// applying per-query overrides. Caller holds e.mu (read suffices).
-func (e *Engine) runConfigLocked(o *QueryOptions) runConfig {
-	cfg := runConfig{
-		store:       e.store.Snapshot(),
-		parallelism: e.parallelism,
-		vectorize:   e.vectorize,
-		memBudget:   e.memBudget,
-		spillDir:    e.spillDir,
-		clock:       e.clock,
-		faults:      e.faults,
+	out, err := e.run(ctx, &p, false)
+	if err != nil {
+		return nil, err
 	}
-	if o != nil {
-		if o.MemoryBudget > 0 {
-			cfg.memBudget = o.MemoryBudget
-		}
-		if o.Serial {
-			cfg.parallelism = 0
-			cfg.vectorize = false
+	return convertResult(out.res), nil
+}
+
+// prepared is everything one query captures under the engine's read lock;
+// execution touches nothing else of the engine but its atomic counters, so
+// the lock is released before the first row moves.
+type prepared struct {
+	pc     planChoice
+	set    settings       // the engine's settings with the query's overrides
+	store  *storage.Store // frozen snapshot: the query's stable view of the data
+	params expr.Params
+	// cluster is the partitioned materialization of the same data, non-nil
+	// when the query runs distributed. It is immutable after construction;
+	// a later write makes the engine build a new one, not change this one.
+	cluster *dist.Cluster
+}
+
+// prepare chooses the plan (through the plan cache) and captures the
+// query's settings, data snapshot and cluster, all under one read lock.
+func (e *Engine) prepare(q *sql.SelectStmt, o *QueryOptions, params expr.Params) (prepared, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	pc, err := e.chooseForExecCached(q)
+	if err != nil {
+		return prepared{}, err
+	}
+	p := prepared{pc: pc, set: e.set.with(o), store: e.store.Snapshot(), params: params}
+	if p.set.nodes > 1 {
+		if p.cluster, err = e.clusterFor(); err != nil {
+			return prepared{}, err
 		}
 	}
-	return cfg
+	return p, nil
 }
 
-// governedRun executes one plan under the config's governance settings:
-// the caller's context and the memory budget, against the config's store
-// snapshot. With spill set and a spill directory configured, the run gets
-// a per-query SpillManager so budget pressure triggers disk spilling
-// instead of a *ResourceError; the manager is swept when the run returns,
-// so no temp files outlive a query. Fallback re-executions pass
-// spill=false: a spill failure must not retry through the same failing
-// disk, and the lazy plan is the conservative in-memory shape either way.
-func governedRun(ctx context.Context, cfg runConfig, plan algebra.Node, params expr.Params, col *obs.Collector, tracer *obs.Tracer, spill bool) (*exec.Result, error) {
-	opts := &exec.Options{
-		Params:       params,
-		Group:        groupStrategyFor(plan),
-		Parallelism:  cfg.parallelism,
-		Vectorize:    cfg.vectorize,
-		Context:      ctx,
-		MemoryBudget: cfg.memBudget,
-		Metrics:      col,
-		Clock:        cfg.clock,
-		Trace:        tracer,
-		Faults:       cfg.faults,
+// attempt names one rung of the execution ladder: where the plan runs and
+// whether it is the chosen plan or its lazy fallback.
+type attempt struct{ dist, lazy bool }
+
+// outcome is what the rung that produced the rows ran and measured. col and
+// tracer are nil for uninstrumented runs; est is filled only alongside them.
+type outcome struct {
+	res    *exec.Result
+	plan   algebra.Node // the tree that executed: the compiled one on the cluster
+	est    algebra.Annotations
+	col    *obs.Collector
+	tracer *obs.Tracer
+	dist   bool
+}
+
+// run executes a prepared query down the one execution ladder
+//
+//	dist(plan) → dist(lazy) → local(plan, spill) → local(lazy, no spill)
+//
+// entering at dist(plan) with a cluster and at local(plan) without. A
+// budget abort or spill failure of the chosen plan steps to the lazy plan
+// at the same site (eager aggregation builds its group table before the
+// join filters rows, so it is the shape that can blow a budget the lazy
+// plan fits); an unavailable cluster — retries exhausted, failover
+// impossible — steps from either distributed rung to local(plan), so an
+// unhealthy cluster costs a query its distribution, not its answer. Any
+// other error, and any error of a last rung, is the query's error. Every
+// step counts in Fallbacks, a distributed→local step also in
+// RecoveryCounters().Degraded. An instrumented run gets a fresh collector
+// and tracer per rung, carrying the reasons for the steps that led there,
+// so the analysis describes the run that produced the rows.
+func (e *Engine) run(ctx context.Context, p *prepared, instrument bool) (outcome, error) {
+	at := attempt{dist: p.cluster != nil}
+	var degraded, fellBack string
+	for {
+		var out outcome
+		if instrument {
+			out.col, out.tracer = obs.NewCollector(), obs.NewTracer(p.set.clock)
+			if degraded != "" {
+				out.col.SetDegraded(degraded)
+			}
+			if fellBack != "" {
+				out.col.SetFallback(fellBack)
+			}
+		}
+		err := e.try(ctx, p, at, &out)
+		var ue *dist.UnavailableError
+		switch {
+		case err == nil:
+			return out, nil
+		case at.dist && errors.As(err, &ue):
+			e.fallbacks.Add(1)
+			e.recovery.Degraded.Add(1)
+			degraded, fellBack = degradeReason(ue), ""
+			at = attempt{}
+		case !at.lazy && canFallBack(err, p.pc):
+			e.fallbacks.Add(1)
+			fellBack = fallbackReason(err)
+			at.lazy = true
+		default:
+			return outcome{}, err
+		}
 	}
-	if spill && cfg.spillDir != "" && cfg.memBudget > 0 {
-		mgr := storage.NewSpillManager(cfg.spillDir)
+}
+
+// try executes one rung. Local rungs run the logical plan against the
+// store snapshot; distributed rungs lower it onto the cluster first.
+func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome) (err error) {
+	plan, ann, certs := p.pc.plan, p.pc.ann, p.pc.certs
+	if at.lazy {
+		plan, ann, certs = p.pc.fallback, p.pc.fallbackAnn, nil
+	}
+	opts := p.execOptions(ctx, at, plan, out)
+	if at == (attempt{}) && p.set.spillDir != "" && p.set.memBudget > 0 {
+		// The first local rung spills under budget pressure instead of
+		// aborting; its temp files are swept when the rung returns. The
+		// lazy re-execution gets no manager: a spill failure must not retry
+		// through the same failing disk, and the lazy plan is the
+		// conservative in-memory shape either way.
+		mgr := storage.NewSpillManager(p.set.spillDir)
 		defer func() { _ = mgr.Cleanup() }()
 		opts.Spill = mgr
 	}
-	return exec.Run(plan, cfg.store, opts)
+	if !at.dist {
+		out.plan, out.est = plan, ann
+		out.res, err = exec.Run(plan, p.store, opts)
+		return err
+	}
+	dp, err := p.set.compileDist(plan, ann, certs)
+	if err != nil {
+		return err
+	}
+	out.plan, out.dist = dp.Root, true
+	if out.col != nil {
+		out.est = translateAnn(dp, ann)
+	}
+	out.res, err = p.cluster.RunRecover(dp, opts, e.recoveryPolicy(p.set))
+	return err
 }
 
-// fallbackError returns the error when err is a budget abort or a spill
-// failure that the engine can recover from by degrading to the choice's
-// lazy fallback plan; nil otherwise.
-func fallbackError(err error, pc planChoice) error {
-	if err == nil || pc.fallback == nil {
-		return nil
+// execOptions builds the executor options of one rung from the query's
+// settings copy. Local rungs add what only single-site execution has: the
+// sort-aware grouping strategy, the columnar engine and operator spans
+// (try adds the first local rung's SpillManager). Cluster fragments always
+// hash — their output order is the runner's node-order concatenation and
+// any ORDER BY is a real coordinator sort, so order propagation has nothing
+// to elide — and run the row engine over their materialized shard slices,
+// as they always have.
+func (p *prepared) execOptions(ctx context.Context, at attempt, plan algebra.Node, out *outcome) *exec.Options {
+	opts := &exec.Options{
+		Params:       p.params,
+		Group:        exec.GroupHash,
+		Parallelism:  p.set.parallelism,
+		Context:      ctx,
+		MemoryBudget: p.set.memBudget,
+		Metrics:      out.col,
+		Clock:        p.set.clock,
+		Faults:       p.set.faults,
 	}
+	if !at.dist {
+		opts.Group = groupStrategyFor(plan)
+		opts.Vectorize = p.set.vectorize
+		opts.Trace = out.tracer
+	}
+	return opts
+}
+
+// canFallBack reports whether err is a budget abort or a spill failure
+// that the engine can recover from by degrading to the choice's lazy
+// fallback plan.
+func canFallBack(err error, pc planChoice) bool {
 	var re *exec.ResourceError
-	if errors.As(err, &re) {
-		return re
-	}
 	var se *exec.SpillError
-	if errors.As(err, &se) {
-		return se
-	}
-	return nil
+	return pc.fallback != nil && (errors.As(err, &re) || errors.As(err, &se))
 }
 
 // fallbackReason renders the one-line account of a budget degradation that
@@ -716,13 +784,6 @@ type planChoice struct {
 	certs []*plancheck.Certificate
 }
 
-// choosePlan runs the optimizer, including the Section 8 reverse analysis
-// when the query references an aggregated view.
-func (e *Engine) choosePlan(q *sql.SelectStmt) (algebra.Node, error) {
-	pc, err := e.chooseForExec(q)
-	return pc.plan, err
-}
-
 // chooseForExec runs the optimizer and packages the result for execution:
 // the chosen plan, its per-node row estimates — keyed by the exact node
 // pointers the executor will run, which is what lets Analyze pair estimates
@@ -731,7 +792,7 @@ func (e *Engine) choosePlan(q *sql.SelectStmt) (algebra.Node, error) {
 func (e *Engine) chooseForExec(q *sql.SelectStmt) (planChoice, error) {
 	// The reverse analysis applies to non-aggregating queries over an
 	// aggregated view; try it first, falling back to the forward path.
-	if e.referencesView(q) && e.opt.Mode != ModeNever {
+	if e.referencesView(q) && e.set.mode != ModeNever {
 		rr, err := e.opt.TryReverse(q)
 		if err != nil {
 			return planChoice{}, err
@@ -776,13 +837,29 @@ func (e *Engine) referencesView(q *sql.SelectStmt) bool {
 // trace, the transformed plan when valid, and the cost-based choice. For a
 // query over an aggregated view it reports the Section 8 reverse analysis.
 func (e *Engine) Explain(text string) (string, error) {
-	q, err := sql.ParseQuery(strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(text), "EXPLAIN")))
+	q, err := parseSelect(text)
 	if err != nil {
 		return "", err
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.explainQuery(q)
+}
+
+// parseSelect parses one SELECT statement, with or without a leading
+// EXPLAIN keyword (in any case, like every other keyword).
+func parseSelect(text string) (*sql.SelectStmt, error) {
+	stmt, err := sql.ParseOne(text)
+	if err != nil {
+		return nil, err
+	}
+	switch s := stmt.(type) {
+	case *sql.SelectStmt:
+		return s, nil
+	case *sql.ExplainStmt:
+		return s.Query, nil
+	}
+	return nil, fmt.Errorf("gbj: expected a SELECT statement, got %T", stmt)
 }
 
 func (e *Engine) explainQuery(q *sql.SelectStmt) (string, error) {
@@ -838,54 +915,40 @@ func (e *Engine) QueryAnalyzed(text string) (*Analysis, error) {
 // budget forces a degradation to the lazy plan, the analysis describes the
 // fallback run and Governance records why.
 func (e *Engine) QueryAnalyzedContext(ctx context.Context, text string) (*Analysis, error) {
-	q, err := sql.ParseQuery(strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(text), "EXPLAIN")))
+	q, err := parseSelect(text)
 	if err != nil {
 		return nil, err
 	}
-	e.mu.RLock()
-	pc, err := e.chooseForExecCached(q)
-	if err != nil {
-		e.mu.RUnlock()
-		return nil, err
-	}
-	if e.nodes > 1 {
-		defer e.mu.RUnlock()
-		return e.distAnalyze(ctx, pc)
-	}
-	cfg := e.runConfigLocked(nil)
-	e.mu.RUnlock()
-	plan, est := pc.plan, pc.ann
-	col := obs.NewCollector()
-	tracer := obs.NewTracer(cfg.clock)
-	res, err := governedRun(ctx, cfg, plan, nil, col, tracer, true)
-	if fe := fallbackError(err, pc); fe != nil {
-		// Degrade: re-run the lazy plan with fresh instrumentation so the
-		// analysis describes the run that produced the rows; the collector
-		// carries the fallback record.
-		e.fallbacks.Add(1)
-		plan, est = pc.fallback, pc.fallbackAnn
-		col = obs.NewCollector()
-		tracer = obs.NewTracer(cfg.clock)
-		col.SetFallback(fallbackReason(fe))
-		res, err = governedRun(ctx, cfg, plan, nil, col, tracer, false)
-	}
+	p, err := e.prepare(q, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	cal := core.Calibrate(plan, est, col)
-	trace, err := tracer.JSON()
+	out, err := e.run(ctx, &p, true)
 	if err != nil {
 		return nil, err
 	}
-	return &Analysis{
-		Result:      convertResult(res),
-		Plan:        plan,
+	// On the cluster, exchanges carry their shipped bytes (the "ship="
+	// annotation and the "exchange bytes shipped" total) and the estimates
+	// were translated onto the compiled tree through its origin map.
+	cal := core.Calibrate(out.plan, out.est, out.col)
+	trace, err := out.tracer.JSON()
+	if err != nil {
+		return nil, err
+	}
+	a := &Analysis{
+		Result:      convertResult(out.res),
+		Plan:        out.plan,
 		Calibration: cal,
-		Metrics:     col,
+		Metrics:     out.col,
 		TraceJSON:   trace,
-		Duration:    time.Duration(cal.TotalNanos),
-		Governance:  col.Gov(),
-	}, nil
+		Governance:  out.col.Gov(),
+	}
+	if !out.dist {
+		// The cluster's root is not one timed operator; only a single-site
+		// run has a root wall time to report.
+		a.Duration = time.Duration(cal.TotalNanos)
+	}
+	return a, nil
 }
 
 // String renders the analysis the way EXPLAIN ANALYZE displays it: the plan

@@ -7,8 +7,8 @@ package gbj
 // memoizes the planChoice keyed by the canonical AST rendering plus every
 // input plan selection depends on: the store epoch (any DDL/DML bumps it,
 // so a data or schema change can never serve a stale plan) and the full
-// engine mode vector (optimizer mode, parallelism, vectorize, plan-check,
-// cluster shape). Mode setters additionally clear the cache outright, so
+// planInputs value (optimizer mode, parallelism, vectorize, plan-check,
+// cluster shape). Setters additionally clear the cache outright, so
 // entries for superseded configurations don't linger in the LRU.
 //
 // A cache hit is never trusted blindly: when the cached choice carries
@@ -59,23 +59,21 @@ func (e *Engine) PlanCacheLen() int {
 	return e.planCache.Len()
 }
 
-// invalidatePlans clears the plan cache. Callers hold e.mu; every
-// configuration setter and Exec routes through here so no cached plan can
-// outlive the settings or schema it was planned under.
+// invalidatePlans clears the plan cache. Callers hold e.mu; update (every
+// setter) and Exec route through here so no cached plan can outlive the
+// settings or schema it was planned under.
 func (e *Engine) invalidatePlans() {
 	if e.planCache != nil {
 		e.planCache.Clear()
 	}
 }
 
-// planKeyLocked renders the cache key: the canonical AST plus every
-// engine input plan selection reads. The store epoch folds all DDL/DML
-// into the key; the mode vector folds in every setter that changes what
-// the optimizer or the cost model would produce. Caller holds e.mu.
-func (e *Engine) planKeyLocked(q *sql.SelectStmt) string {
-	return fmt.Sprintf("%s|e%d|m%d|p%d|v%t|c%t|n%d|s%d|d%d",
-		sql.Canonical(q), e.store.Epoch(), e.opt.Mode, e.parallelism,
-		e.vectorize, e.opt.CheckPlans, e.nodes, e.shards, e.distStrategy)
+// planKey renders the cache key: the canonical AST plus every engine input
+// plan selection reads. The store epoch folds all DDL/DML into the key;
+// planInputs, rendered whole, folds in every setting that changes what the
+// optimizer or the cost model would produce. Caller holds e.mu.
+func (e *Engine) planKey(q *sql.SelectStmt) string {
+	return fmt.Sprintf("%s|e%d|%v", sql.Canonical(q), e.store.Epoch(), e.set.planInputs)
 }
 
 // chooseForExecCached is chooseForExec behind the plan cache. Caller
@@ -85,7 +83,7 @@ func (e *Engine) chooseForExecCached(q *sql.SelectStmt) (planChoice, error) {
 	if e.planCache == nil {
 		return e.chooseForExec(q)
 	}
-	key := e.planKeyLocked(q)
+	key := e.planKey(q)
 	if v, ok := e.planCache.Get(key); ok {
 		pc := v.(planChoice)
 		if e.recertifyLocked(pc) {

@@ -333,3 +333,33 @@ func TestMustExecPanics(t *testing.T) {
 	}()
 	New().MustExec(`BOGUS`)
 }
+
+// TestExplainPrefixSpellings: EXPLAIN is a keyword like any other — any
+// case, and only as a word of its own — on both surfaces that accept it.
+func TestExplainPrefixSpellings(t *testing.T) {
+	e := newExample1Engine(t)
+	const sel = `SELECT D.DeptID FROM Department D`
+	for _, tc := range []struct {
+		text string
+		ok   bool
+	}{
+		{sel, true},
+		{"EXPLAIN " + sel, true},
+		{"explain " + sel, true},
+		{"  Explain\n" + sel, true},
+		{"EXPLAIN" + sel, false}, // glued: EXPLAINSELECT is an identifier
+		{"EXPLAIN EXPLAIN " + sel, false},
+		{"EXPLAIN INSERT INTO Department VALUES (9, 'X')", false},
+	} {
+		a, err := e.QueryAnalyzed(tc.text)
+		if (err == nil) != tc.ok {
+			t.Errorf("QueryAnalyzed(%q): err = %v, want ok=%t", tc.text, err, tc.ok)
+		}
+		if err == nil && len(a.Result.Rows) != 3 {
+			t.Errorf("QueryAnalyzed(%q) returned %d rows, want 3", tc.text, len(a.Result.Rows))
+		}
+		if _, err := e.Explain(tc.text); (err == nil) != tc.ok {
+			t.Errorf("Explain(%q): err = %v, want ok=%t", tc.text, err, tc.ok)
+		}
+	}
+}

@@ -71,18 +71,6 @@ type PlanRun struct {
 // Tree renders the plan with measured cardinalities.
 func (r *PlanRun) Tree() string { return algebra.Format(r.Plan, r.Ann) }
 
-// RunPlan executes the plan reps times (at least once), recording operator
-// cardinalities and the fastest wall time.
-func RunPlan(label string, plan algebra.Node, store *storage.Store, reps int) (*PlanRun, error) {
-	return RunPlanParallel(label, plan, store, reps, 0)
-}
-
-// RunPlanParallel is RunPlan with an executor worker count (0 or 1 serial,
-// negative one worker per CPU).
-func RunPlanParallel(label string, plan algebra.Node, store *storage.Store, reps, parallelism int) (*PlanRun, error) {
-	return RunPlanGoverned(label, plan, store, reps, parallelism, Governed{})
-}
-
 // Governed bundles the query-lifecycle settings of a governed benchmark
 // run: a context carrying a deadline or cancellation, a per-run cap on
 // operator state bytes, and — optionally — a lazy fallback plan to degrade
@@ -113,15 +101,17 @@ func (g Governed) ctx() context.Context {
 	return g.Context
 }
 
-// RunPlanGoverned is RunPlanParallel under lifecycle governance. A
-// repetition that trips the memory budget degrades the whole run to
-// g.Fallback (when set): the plan, label, cardinalities and metrics then
-// describe the fallback plan, and Fallbacks records the switch. Without a
-// fallback, the budget abort — like a cancellation — fails the run with
-// the executor's typed error. With g.SpillDir set, a budgeted rep spills to
-// disk instead of aborting; a spill failure degrades to the fallback (run
-// in memory) the same way a budget abort does.
-func RunPlanGoverned(label string, plan algebra.Node, store *storage.Store, reps, parallelism int, g Governed) (*PlanRun, error) {
+// RunPlan executes the plan reps times (at least once) with the given
+// executor worker count (0 or 1 serial, negative one worker per CPU) under
+// g's lifecycle governance, recording operator cardinalities and the
+// fastest wall time. A repetition that trips the memory budget degrades the
+// whole run to g.Fallback (when set): the plan, label, cardinalities and
+// metrics then describe the fallback plan, and Fallbacks records the switch.
+// Without a fallback, the budget abort — like a cancellation — fails the run
+// with the executor's typed error. With g.SpillDir set, a budgeted rep
+// spills to disk instead of aborting; a spill failure degrades to the
+// fallback (run in memory) the same way a budget abort does.
+func RunPlan(label string, plan algebra.Node, store *storage.Store, reps, parallelism int, g Governed) (*PlanRun, error) {
 	if reps < 1 {
 		reps = 1
 	}
@@ -133,11 +123,10 @@ func RunPlanGoverned(label string, plan algebra.Node, store *storage.Store, reps
 	}
 	var rows []value.Row
 	for i := 0; i < reps; i++ {
-		ann := make(algebra.Annotations)
 		col := obs.NewCollector() // fresh per rep: counters accumulate otherwise
 		start := time.Now()
 		res, err := exec.Run(plan, store, &exec.Options{
-			Stats: ann, Metrics: col, Parallelism: parallelism,
+			Metrics: col, Parallelism: parallelism,
 			Vectorize: g.Vectorize, Spill: spill,
 			Context: g.ctx(), MemoryBudget: g.MemoryBudget,
 		})
@@ -165,9 +154,14 @@ func RunPlanGoverned(label string, plan algebra.Node, store *storage.Store, reps
 			run.Duration = elapsed
 		}
 		rows = res.Rows
-		run.Ann = ann
 		run.Metrics = col
 	}
+	run.Ann = make(algebra.Annotations)
+	algebra.Walk(plan, func(n algebra.Node) {
+		if m := run.Metrics.Lookup(n); m != nil {
+			run.Ann[n] = algebra.Annotation{Rows: m.RowsOut.Load()}
+		}
+	})
 	run.OutRows = int64(len(rows))
 	run.checksum = canonical(rows)
 	extractStats(plan, run)
@@ -257,31 +251,13 @@ func (c *Comparison) FallbackCount() int {
 }
 
 // CompareForward runs the full pipeline on a query: optimize, execute both
-// plans (when the transformation is valid), and verify equivalence.
-func CompareForward(store *storage.Store, query string, reps int) (*Comparison, error) {
-	return CompareForwardParallel(store, query, reps, 0)
-}
-
-// CompareForwardParallel is CompareForward with an executor worker count,
-// also passed to the optimizer's cost model.
-func CompareForwardParallel(store *storage.Store, query string, reps, parallelism int) (*Comparison, error) {
-	return CompareForwardGoverned(nil, store, query, reps, parallelism, 0)
-}
-
-// CompareForwardGoverned is CompareForwardParallel under lifecycle
-// governance: both plans run under ctx and the memory budget, and an
-// over-budget transformed (eager) plan degrades to the standard plan — the
-// lazy shape is never fallback-eligible, since it has nothing cheaper to
-// degrade to.
-func CompareForwardGoverned(ctx context.Context, store *storage.Store, query string, reps, parallelism int, budget int64) (*Comparison, error) {
-	return CompareForwardWith(store, query, reps, parallelism, Governed{Context: ctx, MemoryBudget: budget})
-}
-
-// CompareForwardWith is CompareForwardGoverned with the full Governed
-// bundle — in particular the vectorized-engine toggle, which is also passed
-// to the optimizer's cost model so plan selection prices the engine that
-// will run the plans.
-func CompareForwardWith(store *storage.Store, query string, reps, parallelism int, gov Governed) (*Comparison, error) {
+// plans (when the transformation is valid) and verify equivalence. The
+// worker count and the vectorized-engine toggle are also passed to the
+// optimizer's cost model, so plan selection prices the engine that will run
+// the plans. Both plans run under gov, and an over-budget transformed
+// (eager) plan degrades to the standard plan — the lazy shape is never
+// fallback-eligible, since it has nothing cheaper to degrade to.
+func CompareForward(store *storage.Store, query string, reps, parallelism int, gov Governed) (*Comparison, error) {
 	q, err := sql.ParseQuery(query)
 	if err != nil {
 		return nil, err
@@ -294,14 +270,14 @@ func CompareForwardWith(store *storage.Store, query string, reps, parallelism in
 		return nil, err
 	}
 	c := &Comparison{Query: query, Report: report}
-	if c.Standard, err = RunPlanGoverned("standard (group after join)", report.Standard, store, reps, parallelism, gov); err != nil {
+	if c.Standard, err = RunPlan("standard (group after join)", report.Standard, store, reps, parallelism, gov); err != nil {
 		return nil, err
 	}
 	if report.Alternative == nil {
 		return c, nil
 	}
 	gov.Fallback = report.Standard
-	if c.Transformed, err = RunPlanGoverned("transformed (group before join)", report.Alternative, store, reps, parallelism, gov); err != nil {
+	if c.Transformed, err = RunPlan("transformed (group before join)", report.Alternative, store, reps, parallelism, gov); err != nil {
 		return nil, err
 	}
 	if !sameChecksum(c.Standard.checksum, c.Transformed.checksum) {
@@ -311,27 +287,11 @@ func CompareForwardWith(store *storage.Store, query string, reps, parallelism in
 }
 
 // CompareReverse runs the Section 8 experiment: nested (materialize the
-// view) vs flat (join first), verifying equivalence.
-func CompareReverse(store *storage.Store, query string, reps int) (*Comparison, error) {
-	return CompareReverseParallel(store, query, reps, 0)
-}
-
-// CompareReverseParallel is CompareReverse with an executor worker count.
-func CompareReverseParallel(store *storage.Store, query string, reps, parallelism int) (*Comparison, error) {
-	return CompareReverseGoverned(nil, store, query, reps, parallelism, 0)
-}
-
-// CompareReverseGoverned is CompareReverseParallel under lifecycle
-// governance. The nested plan materializes the aggregated view — a
+// view) vs flat (join first), verifying equivalence, under gov like
+// CompareForward. The nested plan materializes the aggregated view — a
 // group-before-join — so when the reverse transformation is valid it
 // degrades to the flat join-first plan on a budget abort.
-func CompareReverseGoverned(ctx context.Context, store *storage.Store, query string, reps, parallelism int, budget int64) (*Comparison, error) {
-	return CompareReverseWith(store, query, reps, parallelism, Governed{Context: ctx, MemoryBudget: budget})
-}
-
-// CompareReverseWith is CompareReverseGoverned with the full Governed
-// bundle, including the vectorized-engine toggle.
-func CompareReverseWith(store *storage.Store, query string, reps, parallelism int, gov Governed) (*Comparison, error) {
+func CompareReverse(store *storage.Store, query string, reps, parallelism int, gov Governed) (*Comparison, error) {
 	q, err := sql.ParseQuery(query)
 	if err != nil {
 		return nil, err
@@ -347,14 +307,14 @@ func CompareReverseWith(store *storage.Store, query string, reps, parallelism in
 		gov.Fallback = rr.FlatPlan
 	}
 	c := &Comparison{Query: query}
-	if c.Standard, err = RunPlanGoverned("nested (materialize view, then join)", rr.Nested, store, reps, parallelism, gov); err != nil {
+	if c.Standard, err = RunPlan("nested (materialize view, then join)", rr.Nested, store, reps, parallelism, gov); err != nil {
 		return nil, err
 	}
 	if !rr.Applicable || !rr.Decision.OK {
 		return c, nil
 	}
 	gov.Fallback = nil
-	if c.Transformed, err = RunPlanGoverned("flat (join before group-by)", rr.FlatPlan, store, reps, parallelism, gov); err != nil {
+	if c.Transformed, err = RunPlan("flat (join before group-by)", rr.FlatPlan, store, reps, parallelism, gov); err != nil {
 		return nil, err
 	}
 	if !sameChecksum(c.Standard.checksum, c.Transformed.checksum) {

@@ -16,7 +16,7 @@ func TestFigure1Cardinalities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompareForward(store, workload.Example1Query, 1)
+	c, err := CompareForward(store, workload.Example1Query, 1, 0, Governed{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestFigure8Cardinalities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompareForward(store, workload.Figure8Query, 1)
+	c, err := CompareForward(store, workload.Figure8Query, 1, 0, Governed{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestExample3Comparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompareForward(store, workload.Example3Query, 1)
+	c, err := CompareForward(store, workload.Example3Query, 1, 0, Governed{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestExample5ReverseComparison(t *testing.T) {
 	if err := workload.RegisterUserInfoView(store); err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompareReverse(store, workload.Example5Query, 1)
+	c, err := CompareReverse(store, workload.Example5Query, 1, 0, Governed{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestPlanRunDisplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompareForward(store, workload.Example1Query, 2)
+	c, err := CompareForward(store, workload.Example1Query, 2, 0, Governed{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestPlanRunDisplay(t *testing.T) {
 		SELECT E.DeptID, COUNT(E.EmpID), MIN(D.Name)
 		FROM Employee E, Department D
 		WHERE E.DeptID = D.DeptID
-		GROUP BY E.DeptID`, 1)
+		GROUP BY E.DeptID`, 1, 0, Governed{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestCompareReverseNotApplicable(t *testing.T) {
 	}
 	// No view in FROM: reverse is inapplicable but the nested plan runs.
 	c, err := CompareReverse(store, `
-		SELECT U.UserId FROM UserAccount U WHERE U.Machine = 'dragon'`, 1)
+		SELECT U.UserId FROM UserAccount U WHERE U.Machine = 'dragon'`, 1, 0, Governed{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestSweepWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompareForward(store, workload.SweepQueryGroupByDim, 1)
+	c, err := CompareForward(store, workload.SweepQueryGroupByDim, 1, 0, Governed{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestSweepWorkloads(t *testing.T) {
 	}
 	// The fact-side grouping query is NOT transformable by TestFD: the
 	// grouping column does not determine the join column.
-	c2, err := CompareForward(store, workload.SweepQueryGroupByFact, 1)
+	c2, err := CompareForward(store, workload.SweepQueryGroupByFact, 1, 0, Governed{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,145 @@
-// Package cliutil validates the flag values shared by the gbj command-line
-// tools (gbj-shell, gbj-explain, gbj-bench). The tools reject bad
-// topology and worker counts up front with a clear message instead of
-// clamping silently — a typo like -nodes 0 or -shards 6 would otherwise
-// run a subtly different experiment than the one asked for.
+// Package cliutil declares and validates the flags shared by the gbj
+// command-line tools (gbj-shell, gbj-explain, gbj-bench, gbj-server). The
+// tools reject bad topology and worker counts up front with a clear message
+// instead of clamping silently — a typo like -nodes 0 or -shards 6 would
+// otherwise run a subtly different experiment than the one asked for.
 package cliutil
 
 import (
+	"flag"
 	"fmt"
 	"net"
 	"net/url"
 	"strconv"
 )
+
+// EngineFlags is the one declaration of the engine-knob flags the tools
+// share: Register → Validate → Apply. The field values at Register time are
+// the flag defaults (gbj-bench defaults to a 4-node cluster, the others to
+// single-site), and each tool registers only the knobs it has.
+type EngineFlags struct {
+	Parallelism int
+	Vectorize   bool
+	Nodes       int
+	Shards      int
+	LinkRetries int
+	MemBudget   int64
+	SpillDir    string
+
+	registered map[string]string
+}
+
+// engineFlagHelp is the help text of a flag registered with "".
+var engineFlagHelp = map[string]string{
+	"parallelism":  "executor workers (0=serial, -1=one per CPU)",
+	"vectorize":    "execute on the columnar batch engine (same rows, same order)",
+	"nodes":        "simulated cluster size (1 = single-site)",
+	"shards":       "hash shards per table, a power of two (0 = one per node)",
+	"link-retries": "per-shipment link retry budget for distributed runs (0 = fail fast)",
+	"mem-budget":   "per-query operator-state byte cap (0 = unlimited)",
+	"spill-dir":    "directory for spill temp files; with a memory budget set, over-budget operators spill to disk instead of degrading (empty = spilling off)",
+}
+
+// Register declares on fs the flags named by help's keys — -parallelism,
+// -vectorize, -nodes, -shards, -link-retries, -mem-budget, -spill-dir —
+// with the mapped help text, or the shared default text for "". An unknown
+// name is a programming error and panics.
+func (f *EngineFlags) Register(fs *flag.FlagSet, help map[string]string) {
+	f.registered = help
+	for name, text := range help {
+		if text == "" {
+			text = engineFlagHelp[name]
+		}
+		switch name {
+		case "parallelism":
+			fs.IntVar(&f.Parallelism, name, f.Parallelism, text)
+		case "vectorize":
+			fs.BoolVar(&f.Vectorize, name, f.Vectorize, text)
+		case "nodes":
+			fs.IntVar(&f.Nodes, name, f.Nodes, text)
+		case "shards":
+			fs.IntVar(&f.Shards, name, f.Shards, text)
+		case "link-retries":
+			fs.IntVar(&f.LinkRetries, name, f.LinkRetries, text)
+		case "mem-budget":
+			fs.Int64Var(&f.MemBudget, name, f.MemBudget, text)
+		case "spill-dir":
+			fs.StringVar(&f.SpillDir, name, f.SpillDir, text)
+		default:
+			panic("cliutil: unknown engine flag -" + name)
+		}
+	}
+}
+
+func (f *EngineFlags) has(name string) bool {
+	_, ok := f.registered[name]
+	return ok
+}
+
+// Validate checks the parsed values of the registered flags and returns the
+// first rejection; the tools print it and exit 2.
+func (f *EngineFlags) Validate() error {
+	for _, c := range []struct {
+		name string
+		err  error
+	}{
+		{"parallelism", ValidateParallelism(f.Parallelism)},
+		{"nodes", ValidateNodes(f.Nodes)},
+		{"shards", ValidateShards(f.Shards)},
+		{"link-retries", ValidateLinkRetries(f.LinkRetries)},
+	} {
+		if f.has(c.name) && c.err != nil {
+			return c.err
+		}
+	}
+	return nil
+}
+
+// Engine is the setter surface of gbj.Engine that Apply drives (an
+// interface so this package stays importable by the tools' smallest
+// dependencies).
+type Engine interface {
+	SetParallelism(int)
+	SetVectorize(bool)
+	SetNodes(int) error
+	SetShards(int) error
+	SetLinkRetries(int) error
+	SetMemoryBudget(int64)
+	SetSpillDir(string)
+}
+
+// Apply sets every registered knob on the engine, returning the first
+// setter rejection (exit 2, like Validate's).
+func (f *EngineFlags) Apply(e Engine) error {
+	if f.has("parallelism") {
+		e.SetParallelism(f.Parallelism)
+	}
+	if f.has("vectorize") {
+		e.SetVectorize(f.Vectorize)
+	}
+	if f.has("mem-budget") {
+		e.SetMemoryBudget(f.MemBudget)
+	}
+	if f.has("spill-dir") {
+		e.SetSpillDir(f.SpillDir)
+	}
+	for _, set := range []struct {
+		name string
+		fn   func(int) error
+		v    int
+	}{
+		{"nodes", e.SetNodes, f.Nodes},
+		{"shards", e.SetShards, f.Shards},
+		{"link-retries", e.SetLinkRetries, f.LinkRetries},
+	} {
+		if f.has(set.name) {
+			if err := set.fn(set.v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
 
 // ValidateParallelism checks an executor worker count: 0 runs serial, a
 // positive count runs that many workers, and -1 is the documented "one

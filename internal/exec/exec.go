@@ -14,7 +14,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/algebra"
 	"repro/internal/expr"
@@ -94,22 +93,12 @@ type Options struct {
 	// means one worker per CPU. Results are row-identical to serial
 	// execution for any setting (see parallel.go).
 	Parallelism int
-	// Stats, when non-nil, receives the actual output cardinality of
-	// every plan node. It predates the Metrics collector and is kept as a
-	// compatibility shim: both paths share one instrumentation wrapper
-	// (metricOp) whose row counter is atomic and whose map writes are
-	// serialized through a plan-wide mutex, because parallel execution
-	// drains the two inputs of a join concurrently and sibling wrappers
-	// therefore close concurrently against the shared sink. New code
-	// should prefer Metrics, which also records timings, hash-table and
-	// morsel statistics.
-	Stats algebra.Annotations
 	// Metrics, when non-nil, collects per-operator obs.OpMetrics keyed by
 	// plan node: rows in/out, wall time, hash-table build entries and
 	// probe hits, approximate state bytes, and per-worker morsel counts.
-	// Use a fresh collector per run. When nil (and Stats and Trace are
-	// nil too) the executor inserts no instrumentation at all, so the
-	// disabled path adds zero allocations per row.
+	// Use a fresh collector per run. When nil (and Trace is nil too) the
+	// executor inserts no instrumentation at all, so the disabled path
+	// adds zero allocations per row.
 	Metrics *obs.Collector
 	// Clock supplies the timestamps behind operator timings and trace
 	// spans; nil means obs.Wall. Inject an obs.FakeClock to make timing
@@ -315,12 +304,6 @@ type compiler struct {
 	// span is the trace span of the node currently being compiled; child
 	// compilations hang their spans beneath it, mirroring the plan tree.
 	span *obs.Span
-	// sinkMu serializes writes to the shared Stats annotation map: under
-	// parallel execution the two inputs of a join are drained by
-	// concurrent goroutines, so sibling metricOp Closes would race on the
-	// map without it. (The Metrics collector needs no such lock — its
-	// counters are atomics on preallocated per-node structs.)
-	sinkMu sync.Mutex
 	// gov is the execution's lifecycle governor; nil when no cancellation
 	// context, memory budget or fault injector is configured, in which
 	// case no governOp wrappers are inserted either.
@@ -353,13 +336,10 @@ func (c *compiler) compile(n algebra.Node) (compiled, error) {
 	if c.gov != nil {
 		out.op = &governOp{inner: out.op, gov: c.gov, batch: batchSource(out.op)}
 	}
-	if c.opts.Stats != nil || c.opts.Metrics != nil || span != nil {
+	if c.opts.Metrics != nil || span != nil {
 		out.op = &metricOp{
 			inner:   out.op,
-			node:    n,
 			metrics: c.nodeMetrics(n),
-			sink:    c.opts.Stats,
-			mu:      &c.sinkMu,
 			clock:   c.clock,
 			span:    span,
 			batch:   batchSource(out.op),

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -428,7 +429,7 @@ func TestSortOperator(t *testing.T) {
 	}
 }
 
-// TestStatsCollection: the Stats option records per-node output
+// TestStatsCollection: the metrics collector records per-node output
 // cardinalities — the mechanism behind the Figure 1 / Figure 8 plan
 // annotations.
 func TestStatsCollection(t *testing.T) {
@@ -441,16 +442,17 @@ func TestStatsCollection(t *testing.T) {
 			{E: &expr.Aggregate{Func: expr.AggCountStar}, As: expr.ColumnID{Name: "n"}},
 		},
 	}
-	stats := make(algebra.Annotations)
-	_ = run(t, group, s, &Options{Stats: stats})
-	if stats[join].Rows != 5 {
-		t.Errorf("join output recorded as %d rows, want 5", stats[join].Rows)
+	col := obs.NewCollector()
+	_ = run(t, group, s, &Options{Metrics: col})
+	rows := func(n algebra.Node) int64 { return col.Lookup(n).RowsOut.Load() }
+	if rows(join) != 5 {
+		t.Errorf("join output recorded as %d rows, want 5", rows(join))
 	}
-	if stats[group].Rows != 2 {
-		t.Errorf("group output recorded as %d rows, want 2", stats[group].Rows)
+	if rows(group) != 2 {
+		t.Errorf("group output recorded as %d rows, want 2", rows(group))
 	}
-	if stats[join.L].Rows != 6 || stats[join.R].Rows != 3 {
-		t.Errorf("scan cardinalities (%d, %d), want (6, 3)", stats[join.L].Rows, stats[join.R].Rows)
+	if rows(join.L) != 6 || rows(join.R) != 3 {
+		t.Errorf("scan cardinalities (%d, %d), want (6, 3)", rows(join.L), rows(join.R))
 	}
 }
 

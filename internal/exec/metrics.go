@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,27 +12,21 @@ import (
 
 // metricOp is the single instrumentation wrapper the compiler inserts
 // around a physical operator when any observability sink is active. It
-// serves three sinks at once:
+// serves two sinks at once:
 //
 //   - Options.Metrics: rows out and tree-inclusive wall time into the
 //     node's obs.OpMetrics (operator internals — hash builds, probe hits,
 //     morsel counts — are recorded by the operators themselves);
-//   - Options.Stats: the legacy cardinality map, kept as a compatibility
-//     shim over the metrics path;
 //   - Options.Trace: the node's span, begun at Open and ended at Close.
 //
-// The row counter is atomic and the Stats-map write is serialized through
-// the compiler's shared sinkMu: under parallel execution the two inputs of
-// a join are drained by concurrent goroutines, so sibling wrappers open,
+// The row counter is atomic: under parallel execution the two inputs of a
+// join are drained by concurrent goroutines, so sibling wrappers open,
 // count and close concurrently. Next performs one atomic add per row and
 // never allocates; when every sink is nil the compiler inserts no wrapper
 // at all, so the disabled path costs nothing.
 type metricOp struct {
 	inner   Operator
-	node    algebra.Node
-	metrics *obs.OpMetrics       // nil unless Options.Metrics is set
-	sink    algebra.Annotations  // nil unless Options.Stats is set
-	mu      *sync.Mutex          // guards sink; shared across the plan's wrappers
+	metrics *obs.OpMetrics // nil unless Options.Metrics is set
 	clock   obs.Clock
 	span    *obs.Span // nil unless Options.Trace is set
 
@@ -50,11 +43,9 @@ type metricOp struct {
 
 func (s *metricOp) Open() error {
 	s.count.Store(0)
-	if s.metrics != nil || s.span != nil {
-		s.start = s.clock.Now()
-		if s.span != nil {
-			s.span.BeginAt(s.start)
-		}
+	s.start = s.clock.Now()
+	if s.span != nil {
+		s.span.BeginAt(s.start)
 	}
 	return s.inner.Open()
 }
@@ -80,23 +71,13 @@ func (s *metricOp) batchOK() bool { return s.batch != nil }
 func (s *metricOp) stableBatches() bool { return stableFeed(s.batch) }
 
 func (s *metricOp) Close() error {
-	n := s.count.Load()
-	if s.metrics != nil || s.span != nil {
-		end := s.clock.Now()
-		if s.span != nil {
-			s.span.EndAt(end)
-		}
-		if s.metrics != nil {
-			s.metrics.RowsOut.Add(n)
-			s.metrics.WallNanos.Add(end.Sub(s.start).Nanoseconds())
-		}
+	end := s.clock.Now()
+	if s.span != nil {
+		s.span.EndAt(end)
 	}
-	if s.sink != nil {
-		s.mu.Lock()
-		a := s.sink[s.node]
-		a.Rows = n
-		s.sink[s.node] = a
-		s.mu.Unlock()
+	if s.metrics != nil {
+		s.metrics.RowsOut.Add(s.count.Load())
+		s.metrics.WallNanos.Add(end.Sub(s.start).Nanoseconds())
 	}
 	return s.inner.Close()
 }
@@ -132,15 +113,12 @@ func (c *compiler) nodeMetrics(n algebra.Node) *obs.OpMetrics {
 // through the fused boundary are exactly the rows a standalone operator
 // would have emitted.
 func (c *compiler) wrapNode(n algebra.Node, op Operator) Operator {
-	if c.opts.Stats == nil && c.opts.Metrics == nil {
+	if c.opts.Metrics == nil {
 		return op
 	}
 	return &metricOp{
 		inner:   op,
-		node:    n,
 		metrics: c.nodeMetrics(n),
-		sink:    c.opts.Stats,
-		mu:      &c.sinkMu,
 		clock:   c.clock,
 		batch:   batchSource(op),
 	}

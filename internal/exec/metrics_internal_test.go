@@ -28,8 +28,8 @@ func valuesPlan(n int) *algebra.Values {
 	}
 }
 
-// TestDisabledObservabilityInsertsNoWrapper: when Stats, Metrics and Trace
-// are all nil, compile produces the bare operator — no metricOp in the tree.
+// TestDisabledObservabilityInsertsNoWrapper: when Metrics and Trace are
+// both nil, compile produces the bare operator — no metricOp in the tree.
 func TestDisabledObservabilityInsertsNoWrapper(t *testing.T) {
 	c := &compiler{opts: &Options{}, par: 1, clock: obs.Wall}
 	out, err := c.compile(valuesPlan(3))
@@ -42,7 +42,6 @@ func TestDisabledObservabilityInsertsNoWrapper(t *testing.T) {
 
 	// Sanity check of the inverse: any active sink produces the wrapper.
 	for _, opts := range []*Options{
-		{Stats: make(algebra.Annotations)},
 		{Metrics: obs.NewCollector()},
 		{Trace: obs.NewTracer(obs.NewFakeClock(time.Unix(0, 0), time.Millisecond))},
 	} {
@@ -71,8 +70,7 @@ func TestRowPathZeroAllocs(t *testing.T) {
 		opts *Options
 	}{
 		{"disabled", &Options{}},
-		{"metrics+stats+trace", &Options{
-			Stats:   make(algebra.Annotations),
+		{"metrics+trace", &Options{
 			Metrics: obs.NewCollector(),
 			Trace:   obs.NewTracer(obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)),
 			Clock:   obs.NewFakeClock(time.Unix(0, 0), time.Millisecond),

@@ -63,22 +63,18 @@ func sameRowOrder(a, b []string) bool {
 	return true
 }
 
-// runWithStats executes a plan with both observability sinks active — the
-// legacy Stats annotations and the obs metrics collector — and returns the
-// rows plus both sinks. Running them together makes every oracle execution
-// also an agreement check between the compat shim and its replacement.
-func runWithStats(t *testing.T, plan algebra.Node, store *storage.Store, opts exec.Options) ([]value.Row, algebra.Annotations, *obs.Collector) {
+// runWithStats executes a plan with a fresh metrics collector and returns
+// the rows plus the collector.
+func runWithStats(t *testing.T, plan algebra.Node, store *storage.Store, opts exec.Options) ([]value.Row, *obs.Collector) {
 	t.Helper()
-	ann := make(algebra.Annotations)
 	col := obs.NewCollector()
-	opts.Stats = ann
 	opts.Metrics = col
 	res, err := exec.Run(plan, store, &opts)
 	if err != nil {
 		t.Fatalf("exec.Run (parallelism=%d join=%v group=%v): %v",
 			opts.Parallelism, opts.Join, opts.Group, err)
 	}
-	return res.Rows, ann, col
+	return res.Rows, col
 }
 
 // joinInputRows sums RowsIn over the plan's join and product operators —
@@ -107,7 +103,7 @@ func joinInputRows(plan algebra.Node, col *obs.Collector) int64 {
 // modes are the three-way differential the vectorized engine is held to.
 func checkSerialVsParallel(t *testing.T, label, query string, plan algebra.Node, store *storage.Store, js exec.JoinStrategy, gs exec.GroupStrategy) []string {
 	t.Helper()
-	serialRows, serialAnn, serialCol := runWithStats(t, plan, store, exec.Options{Join: js, Group: gs})
+	serialRows, serialCol := runWithStats(t, plan, store, exec.Options{Join: js, Group: gs})
 	s := rowStrings(serialRows)
 	modes := []struct {
 		mode string
@@ -128,7 +124,7 @@ func checkSerialVsParallel(t *testing.T, label, query string, plan algebra.Node,
 		}
 	})
 	for _, m := range modes {
-		parRows, parAnn, parCol := runWithStats(t, plan, store, m.opts)
+		parRows, parCol := runWithStats(t, plan, store, m.opts)
 		p := rowStrings(parRows)
 		if !sameRowOrder(s, p) {
 			t.Fatalf("%s plan, join=%v group=%v: %s output differs from row/serial\nquery: %s\nrow/serial (%d rows): %v\n%s (%d rows): %v",
@@ -140,22 +136,8 @@ func checkSerialVsParallel(t *testing.T, label, query string, plan algebra.Node,
 				t.Fatalf("%s plan, join=%v group=%v: node %T missing from metrics collector (row/serial=%v %s=%v)",
 					label, js, gs, n, sm != nil, m.mode, pm != nil)
 			}
-			// The two sinks must agree with each other in every mode,
-			// limit or not — they share one counter.
-			if sm.RowsOut.Load() != serialAnn[n].Rows {
-				t.Fatalf("%s plan, join=%v group=%v: node %T metrics RowsOut %d disagrees with Stats %d\nquery: %s",
-					label, js, gs, n, sm.RowsOut.Load(), serialAnn[n].Rows, query)
-			}
-			if pm.RowsOut.Load() != parAnn[n].Rows {
-				t.Fatalf("%s plan, join=%v group=%v: %s node %T metrics RowsOut %d disagrees with Stats %d\nquery: %s",
-					label, js, gs, m.mode, n, pm.RowsOut.Load(), parAnn[n].Rows, query)
-			}
 			if hasLimit {
 				return
-			}
-			if serialAnn[n].Rows != parAnn[n].Rows {
-				t.Fatalf("%s plan, join=%v group=%v: node %T output cardinality %d row/serial vs %d %s\nquery: %s",
-					label, js, gs, n, serialAnn[n].Rows, parAnn[n].Rows, m.mode, query)
 			}
 			// The metrics collector must agree across modes (limit-free
 			// plans only, per above).
@@ -371,7 +353,7 @@ func TestEagerPlanShrinksJoinInput(t *testing.T) {
 		t.Fatal("Example 1 query did not produce a transformed plan")
 	}
 	measure := func(plan algebra.Node, parallelism int) int64 {
-		rows, _, col := runWithStats(t, plan, store, exec.Options{Parallelism: parallelism})
+		rows, col := runWithStats(t, plan, store, exec.Options{Parallelism: parallelism})
 		if len(rows) == 0 {
 			t.Fatal("plan produced no rows")
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -98,8 +99,7 @@ func TestConcurrentParallelRuns(t *testing.T) {
 		go func(plan algebra.Node, sortNeeded bool) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				ann := make(algebra.Annotations)
-				res, err := exec.Run(plan, store, &exec.Options{Parallelism: 4, Stats: ann})
+				res, err := exec.Run(plan, store, &exec.Options{Parallelism: 4, Metrics: obs.NewCollector()})
 				if err != nil {
 					errs <- err
 					return
@@ -152,20 +152,21 @@ func TestFigure1CountsParallel(t *testing.T) {
 		groupIn, groupOut     int64
 	}
 	measure := func(plan algebra.Node) nodeCounts {
-		ann := make(algebra.Annotations)
-		if _, err := exec.Run(plan, store, &exec.Options{Parallelism: 4, Stats: ann}); err != nil {
+		col := obs.NewCollector()
+		if _, err := exec.Run(plan, store, &exec.Options{Parallelism: 4, Metrics: col}); err != nil {
 			t.Fatal(err)
 		}
+		rows := func(n algebra.Node) int64 { return col.Lookup(n).RowsOut.Load() }
 		var c nodeCounts
 		algebra.Walk(plan, func(n algebra.Node) {
 			switch node := n.(type) {
 			case *algebra.Join:
-				c.joinL = ann[node.L].Rows
-				c.joinR = ann[node.R].Rows
-				c.joinOut = ann[node].Rows
+				c.joinL = rows(node.L)
+				c.joinR = rows(node.R)
+				c.joinOut = rows(node)
 			case *algebra.GroupBy:
-				c.groupIn = ann[node.Input].Rows
-				c.groupOut = ann[node].Rows
+				c.groupIn = rows(node.Input)
+				c.groupOut = rows(node)
 			}
 		})
 		return c

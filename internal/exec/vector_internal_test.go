@@ -42,9 +42,8 @@ func TestVectorPathZeroAllocs(t *testing.T) {
 		opts *Options
 	}{
 		{"disabled", &Options{Vectorize: true}},
-		{"metrics+stats+trace", &Options{
+		{"metrics+trace", &Options{
 			Vectorize: true,
-			Stats:     make(algebra.Annotations),
 			Metrics:   obs.NewCollector(),
 			Trace:     obs.NewTracer(obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)),
 			Clock:     obs.NewFakeClock(time.Unix(0, 0), time.Millisecond),

@@ -400,12 +400,14 @@ func likeMatch(s, pattern string) bool {
 	star, sBack := -1, 0
 	for si < len(s) {
 		switch {
-		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
-			si++
-			pi++
 		case pi < len(pattern) && pattern[pi] == '%':
+			// Checked before the literal case: a '%' in s must not consume
+			// the pattern's wildcard as if it were a literal.
 			star = pi
 			sBack = si
+			pi++
+		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
+			si++
 			pi++
 		case star >= 0:
 			sBack++

@@ -17,8 +17,7 @@ func (e *Engine) RunScript(text string, w io.Writer) error {
 
 // RunScriptContext is RunScript under a context: cancellation aborts the
 // in-flight statement (queries stop within one scheduling quantum) and
-// stops the script. Queries run under the engine's memory budget with the
-// same eager-to-lazy degradation as Query.
+// stops the script. SELECT statements run exactly as Query runs them.
 func (e *Engine) RunScriptContext(ctx context.Context, text string, w io.Writer) error {
 	stmts, err := sql.Parse(text)
 	if err != nil {
@@ -30,23 +29,10 @@ func (e *Engine) RunScriptContext(ctx context.Context, text string, w io.Writer)
 		}
 		switch s := stmt.(type) {
 		case *sql.SelectStmt:
-			e.mu.RLock()
-			pc, err := e.chooseForExecCached(s)
-			if err != nil {
-				e.mu.RUnlock()
-				return err
-			}
-			cfg := e.runConfigLocked(nil)
-			e.mu.RUnlock()
-			eres, err := governedRun(ctx, cfg, pc.plan, nil, nil, nil, true)
-			if fe := fallbackError(err, pc); fe != nil {
-				e.fallbacks.Add(1)
-				eres, err = governedRun(ctx, cfg, pc.fallback, nil, nil, nil, false)
-			}
+			res, err := e.querySelect(ctx, s, nil)
 			if err != nil {
 				return err
 			}
-			res := convertResult(eres)
 			fmt.Fprint(w, res.String())
 			fmt.Fprintf(w, "(%d rows)\n", len(res.Rows))
 		case *sql.ExplainStmt:

@@ -73,9 +73,6 @@ func TestSpillCompletes64KiB(t *testing.T) {
 	// The same budget with a spill directory: the query completes by
 	// partitioning to disk, and the rows are byte-identical.
 	e.SetSpillDir(t.TempDir())
-	if got := e.SpillDir(); got == "" {
-		t.Fatal("SpillDir() is empty after SetSpillDir")
-	}
 	res, err := e.Query(spillFallbackQuery)
 	if err != nil {
 		t.Fatalf("64 KiB budget with spilling failed: %v", err)
