@@ -84,14 +84,14 @@ type Options struct {
 	Join   JoinStrategy
 	Group  GroupStrategy
 	Params expr.Params
-	// Parallelism is the worker count for morsel-style intra-operator
-	// parallelism: 0 (and 1) preserve serial execution — the exact
-	// pre-parallelism operators and row-count accounting — while N > 1
-	// runs scans/filters/projections over parallel morsels, hash joins
-	// as partitioned build/probe, and hash aggregation with thread-local
-	// partials merged through the accumulators' combine step. Negative
-	// means one worker per CPU. Results are row-identical to serial
-	// execution for any setting (see parallel.go).
+	// Parallelism is the worker count of the one operator set: 0 (and 1)
+	// mean one worker — serial execution, with streaming filters,
+	// projections and join probes — while N > 1 runs filters, projections
+	// and nested-loop joins over parallel morsels, hash joins as
+	// partitioned build plus morsel probe, hash aggregation as per-worker
+	// partial tables absorbed through the accumulators' combine step, and
+	// sorts chunked. Negative means one worker per CPU. Results are
+	// row-identical for any setting (see parallel.go).
 	Parallelism int
 	// Metrics, when non-nil, collects per-operator obs.OpMetrics keyed by
 	// plan node: rows in/out, wall time, hash-table build entries and
@@ -125,15 +125,15 @@ type Options struct {
 	// oracle drives it. Nil keeps the row path fault-free and unchecked.
 	Faults *fault.Injector
 	// Spill, when non-nil (and a MemoryBudget is set), enables graceful
-	// spill-to-disk execution: sorts become external merge sorts, hash
-	// aggregation degrades to sort-based external aggregation, and hash
-	// joins become grace hash joins — all spilling through this temp-file
-	// manager when the budget refuses operator state, instead of aborting
-	// with a *ResourceError. Results are byte-identical to the in-memory
-	// operators. Disk failures (and injected disk faults) surface as typed
-	// *SpillError values; temp files are removed by operator Close, so the
-	// manager's Live() count is 0 after every run. Without a budget the
-	// manager is ignored — nothing can trigger a spill.
+	// spill-to-disk execution: when the budget refuses operator state a
+	// sort goes external, hash aggregation degrades to sort-based external
+	// aggregation, and a hash join goes grace — all spilling through this
+	// temp-file manager instead of aborting with a *ResourceError. Results
+	// are byte-identical to the in-memory execution. Disk failures (and
+	// injected disk faults) surface as typed *SpillError values; temp files
+	// are removed by operator Close, so the manager's Live() count is 0
+	// after every run. Without a budget the manager is ignored — nothing
+	// can trigger a spill.
 	Spill *storage.SpillManager
 	// Vectorize switches the hot operators — scan, filter, bare-column
 	// projection, hash join, hash grouping — to columnar batch execution
@@ -297,7 +297,7 @@ func drain(op Operator) ([]value.Row, error) {
 type compiler struct {
 	store *storage.Store
 	opts  *Options
-	// par is the resolved worker count; 1 selects the serial operators.
+	// par is the resolved worker count; 1 is serial execution.
 	par int
 	// clock is the resolved Options.Clock (obs.Wall by default).
 	clock obs.Clock
@@ -308,9 +308,9 @@ type compiler struct {
 	// context, memory budget or fault injector is configured, in which
 	// case no governOp wrappers are inserted either.
 	gov *governor
-	// spill is the temp-file manager for spill-capable operators; nil when
-	// spilling is off (no manager, or no budget to overflow), in which
-	// case the in-memory operators compile exactly as before.
+	// spill is the temp-file manager behind the state stores' external
+	// paths; nil when spilling is off (no manager, or no budget to
+	// overflow), in which case a budget breach aborts the query.
 	spill *storage.SpillManager
 }
 
@@ -382,8 +382,8 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 		if err != nil {
 			return compiled{}, err
 		}
-		// Filtering preserves order (the parallel filter concatenates
-		// morsels in input order, so it preserves it too).
+		// Filtering preserves order (morsel outputs concatenate in input
+		// order, so it does at any worker count).
 		if c.opts.Vectorize {
 			// The vectorized filter streams selection views at any
 			// parallelism level; output order is input order either way.
@@ -397,8 +397,18 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 			}, nil
 		}
 		if c.par > 1 {
+			params := c.opts.Params
 			return compiled{
-				op:    &parallelFilterOp{input: in.op, cond: cond, params: c.opts.Params, par: c.par, metrics: c.nodeMetrics(n), gov: c.gov, where: n.Describe()},
+				op: &morselMapOp{
+					left: in.op, par: c.par, metrics: c.nodeMetrics(n), gov: c.gov, where: n.Describe(),
+					fn: func(row value.Row, _, out []value.Row) ([]value.Row, error) {
+						truth, err := expr.EvalTruth(cond, row, params)
+						if truth == value.True && err == nil {
+							out = append(out, row)
+						}
+						return out, err
+					},
+				},
 				order: in.order,
 			}, nil
 		}
@@ -449,8 +459,19 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 			}
 		}
 		if c.par > 1 {
+			params := c.opts.Params
 			return compiled{
-				op:    &parallelProjectOp{input: in.op, items: items, distinct: node.Distinct, params: c.opts.Params, par: c.par, metrics: c.nodeMetrics(n), gov: c.gov, where: n.Describe()},
+				op: &morselMapOp{
+					left: in.op, par: c.par, metrics: c.nodeMetrics(n), gov: c.gov, where: n.Describe(),
+					distinct: node.Distinct,
+					fn: func(row value.Row, _, out []value.Row) ([]value.Row, error) {
+						proj, err := projectRow(items, row, params)
+						if err != nil {
+							return out, err
+						}
+						return append(out, proj), nil
+					},
+				},
 				order: order,
 			}, nil
 		}
@@ -493,13 +514,10 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 		if !allAsc {
 			outOrder = nil // mixed directions: no OrderKey-ascending guarantee
 		}
-		if c.spill != nil {
-			return compiled{
-				op:    &extSortOp{input: in.op, keys: keys, gov: c.gov, mgr: c.spill, metrics: c.nodeMetrics(n), where: n.Describe()},
-				order: outOrder,
-			}, nil
-		}
-		return compiled{op: &sortOp{input: in.op, keys: keys, par: c.par}, order: outOrder}, nil
+		return compiled{
+			op:    &sortOp{input: in.op, keys: keys, par: c.stateWorkers(), gov: c.gov, mgr: c.spill, metrics: c.nodeMetrics(n), where: n.Describe()},
+			order: outOrder,
+		}, nil
 	case *algebra.Limit:
 		return c.compileLimit(node)
 	default:
@@ -611,13 +629,9 @@ func (p *projectOp) Next() (value.Row, bool, error) {
 		if !ok || err != nil {
 			return nil, false, err
 		}
-		out := make(value.Row, len(p.items))
-		for i, item := range p.items {
-			v, err := expr.Eval(item, row, p.params)
-			if err != nil {
-				return nil, false, err
-			}
-			out[i] = v
+		out, err := projectRow(p.items, row, p.params)
+		if err != nil {
+			return nil, false, err
 		}
 		if p.distinct {
 			key := value.GroupKeyAll(out)
@@ -631,3 +645,16 @@ func (p *projectOp) Next() (value.Row, bool, error) {
 }
 
 func (p *projectOp) Close() error { return p.input.Close() }
+
+// projectRow evaluates the item expressions over one row.
+func projectRow(items []expr.Expr, row value.Row, params expr.Params) (value.Row, error) {
+	out := make(value.Row, len(items))
+	for i, item := range items {
+		v, err := expr.Eval(item, row, params)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}

@@ -1,0 +1,189 @@
+package exec
+
+import (
+	"sort"
+
+	"repro/internal/value"
+)
+
+// The grace path of hashJoinOp: what the join does when the budget refuses
+// its build table and a spill manager is present. Both sides are
+// hash-partitioned to temp files and each partition pair is joined on its
+// own, re-partitioning with a rehash when a partition's table is refused
+// again. Probe records carry their arrival seq; a probe row lands in exactly
+// one partition and partition files keep build order, so a stable sort of the
+// collected matches by probe seq is exactly the in-memory output order.
+
+// Grace hash join parameters: the partition fan-out and the recursion bound
+// after which a partition is built in memory regardless of the budget (pure
+// key skew — a single join key bigger than the whole budget — cannot be
+// split by rehashing, and correctness beats accounting).
+const (
+	graceParts    = 8
+	graceMaxDepth = 3
+)
+
+// gracePartition assigns a canonical join key to one of graceParts
+// partitions, salted by recursion depth so an oversized partition rehashes
+// differently on the next level (FNV-1a with a depth-perturbed basis).
+func gracePartition(key string, depth int) int {
+	h := uint64(1469598103934665603) + uint64(depth)*0x9e3779b97f4a7c15
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	return int(h % graceParts)
+}
+
+// openGrace runs the grace join over the drained build side and the still
+// unread left input, leaving the joined rows buffered in output order.
+func (j *hashJoinOp) openGrace(rrows []value.Row) error {
+	var build []spillRow // build rows under their insertion seq
+	for _, row := range rrows {
+		if err := j.gov.tick(); err != nil {
+			return err
+		}
+		if !anyNullAt(row, j.rcols) {
+			build = append(build, spillRow{seq: int64(len(build)), row: row})
+		}
+	}
+	var matches []spillRow // joined rows under their probe seq
+	seq := int64(-1)
+	err := j.grace(build, func() (spillRow, bool, error) {
+		row, ok, err := j.left.Next()
+		seq++
+		return spillRow{seq: seq, row: row}, ok, err
+	}, 0, &matches)
+	if err != nil {
+		return err
+	}
+	sort.SliceStable(matches, func(a, b int) bool { return matches[a].seq < matches[b].seq })
+	out := make([]value.Row, len(matches))
+	for i, m := range matches {
+		out[i] = m.row
+	}
+	j.reset(out)
+	return nil
+}
+
+// newPartitionFiles makes one spill file per partition, all tracked for
+// Close-time sweeping.
+func (j *hashJoinOp) newPartitionFiles(tag string) []*spillFile {
+	parts := make([]*spillFile, graceParts)
+	for i := range parts {
+		parts[i] = newSpillFile(j.mgr, j.gov, j.metrics, j.where, tag)
+	}
+	j.files = append(j.files, parts...)
+	if j.metrics != nil {
+		j.metrics.SpillParts.Add(graceParts)
+	}
+	return parts
+}
+
+// grace is one level of the grace join: the build rows and the probe stream
+// are scattered to partition files by the depth-salted key hash, then each
+// partition pair is joined and discarded.
+func (j *hashJoinOp) grace(build []spillRow, probe func() (spillRow, bool, error), depth int, matches *[]spillRow) error {
+	bparts := j.newPartitionFiles("build")
+	for _, sr := range build {
+		if err := j.gov.tick(); err != nil {
+			return err
+		}
+		p := gracePartition(value.GroupKey(sr.row, j.rcols), depth)
+		if err := bparts[p].writeRecord(sr.seq, sr.row); err != nil {
+			return err
+		}
+	}
+	pparts := j.newPartitionFiles("probe")
+	for {
+		sr, ok, err := probe()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		if err := j.gov.tick(); err != nil {
+			return err
+		}
+		if anyNullAt(sr.row, j.lcols) {
+			continue
+		}
+		p := gracePartition(value.GroupKey(sr.row, j.lcols), depth)
+		if err := pparts[p].writeRecord(sr.seq, sr.row); err != nil {
+			return err
+		}
+	}
+	for p := range bparts {
+		if err := j.joinPartition(bparts[p], pparts[p], depth, matches); err != nil {
+			return err
+		}
+		if err := bparts[p].discard(); err != nil {
+			return err
+		}
+		if err := pparts[p].discard(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// joinPartition builds one partition's table and probes it with the matching
+// probe file. A partition whose table alone is refused goes down one grace
+// level; at graceMaxDepth it is built uncharged instead.
+func (j *hashJoinOp) joinPartition(bf, pf *spillFile, depth int, matches *[]spillRow) error {
+	if err := bf.startRead(); err != nil {
+		return err
+	}
+	var build []spillRow
+	var rows []value.Row
+	for {
+		sr, ok, err := bf.readRecord()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		if err := j.gov.tick(); err != nil {
+			return err
+		}
+		build, rows = append(build, sr), append(rows, sr.row)
+	}
+	if err := pf.startRead(); err != nil {
+		return err
+	}
+	j.table = &joinTable{cols: j.rcols, adm: admissionFor(j.gov, j.mgr, j.where), metrics: j.metrics}
+	err := j.table.build(rows, 1)
+	if err == errRefused && depth < graceMaxDepth {
+		return j.grace(build, pf.readRecord, depth+1, matches)
+	}
+	if err == errRefused {
+		j.table.adm.mode = admitForce
+		err = j.table.build(rows, 1)
+	}
+	if err != nil {
+		return err
+	}
+	var joined []value.Row
+	for {
+		sr, ok, err := pf.readRecord()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		if err := j.gov.tick(); err != nil {
+			return err
+		}
+		if joined, err = j.probe(sr.row, joined[:0]); err != nil {
+			return err
+		}
+		for i := 0; i < len(joined); i++ {
+			*matches = append(*matches, spillRow{seq: sr.seq, row: joined[i]})
+		}
+	}
+	j.table.adm.release()
+	return nil
+}

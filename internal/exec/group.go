@@ -2,10 +2,13 @@ package exec
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"repro/internal/algebra"
 	"repro/internal/expr"
 	"repro/internal/obs"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -21,6 +24,7 @@ type aggSpec struct {
 
 // groupState accumulates one group.
 type groupState struct {
+	key  string    // canonical GroupKey; "" off the hash paths
 	repr value.Row // first row of the group, for the grouping columns
 	accs [][]expr.Accumulator
 }
@@ -58,6 +62,8 @@ func (c *compiler) compileGroupBy(node *algebra.GroupBy) (compiled, error) {
 		params:    c.opts.Params,
 		metrics:   c.nodeMetrics(node),
 		gov:       c.gov,
+		mgr:       c.spill,
+		par:       c.stateWorkers(),
 		where:     node.Describe(),
 	}
 	// Streams already ordered on the grouping columns have contiguous
@@ -75,50 +81,45 @@ func (c *compiler) compileGroupBy(node *algebra.GroupBy) (compiled, error) {
 			strategy = GroupHash
 		}
 	}
-	// Output columns: grouping columns first (positions 0..k-1), then
-	// the aggregate results. A fresh sort orders the output by the
-	// grouping-column sequence; a pre-sorted pass preserves the input's
-	// (possibly permuted) key order.
-	outOrder := make([]int, len(groupCols))
-	for i := range outOrder {
-		outOrder[i] = i
-	}
-	if preSorted {
-		for i, src := range in.order[:len(groupCols)] {
-			for gi, gc := range groupCols {
-				if gc == src {
-					outOrder[i] = gi
-					break
+	switch {
+	case strategy == GroupSort:
+		// Output columns: grouping columns first (positions 0..k-1), then
+		// the aggregate results. A fresh sort orders the output by the
+		// grouping-column sequence; a pre-sorted pass preserves the input's
+		// (possibly permuted) key order.
+		outOrder := make([]int, len(groupCols))
+		for i := range outOrder {
+			outOrder[i] = i
+		}
+		if preSorted {
+			for i, src := range in.order[:len(groupCols)] {
+				for gi, gc := range groupCols {
+					if gc == src {
+						outOrder[i] = gi
+						break
+					}
 				}
 			}
 		}
-	}
-	if c.spill != nil {
-		// Spill-capable aggregation: both forms degrade to sort-based
-		// external aggregation instead of tripping the budget.
-		if strategy == GroupSort {
-			return compiled{
-				op:    &spillGroupOp{groupCore: base, mgr: c.spill, preSorted: preSorted},
-				order: outOrder,
-			}, nil
-		}
-		return compiled{op: &spillGroupOp{groupCore: base, mgr: c.spill, byKey: true}}, nil
-	}
-	if strategy == GroupSort {
-		return compiled{
-			op:    &sortGroupOp{groupCore: base, preSorted: preSorted, par: c.par},
-			order: outOrder,
-		}, nil
-	}
-	if c.opts.Vectorize {
-		op := &vecHashGroupOp{groupCore: base, src: c.batchFeedFor(in.op, len(inSchema)), par: c.par}
+		return compiled{op: &sortGroupOp{groupCore: base, preSorted: preSorted}, order: outOrder}, nil
+	case c.opts.Vectorize && c.spill == nil:
+		op := &vecHashGroupOp{groupCore: base, src: c.batchFeedFor(in.op, len(inSchema))}
 		op.initAggCols()
 		return compiled{op: op}, nil
+	default:
+		return compiled{op: &hashGroupOp{groupCore: base}}, nil
 	}
-	if c.par > 1 {
-		return compiled{op: &parallelHashGroupOp{groupCore: base, par: c.par}}, nil
+}
+
+// stateWorkers is the worker count of the operators that hold budget-admitted
+// state — hash join, grouping, sort. A spill-capable run gives them one
+// worker (and keeps them on the row path): refusal releases a whole store,
+// which only a store with a single builder can do.
+func (c *compiler) stateWorkers() int {
+	if c.spill != nil || c.par < 1 {
+		return 1
 	}
-	return compiled{op: &hashGroupOp{groupCore: base}}, nil
+	return c.par
 }
 
 // groupCore holds the state shared by the hash and sort grouping operators.
@@ -127,12 +128,22 @@ type groupCore struct {
 	groupCols []int
 	specs     []aggSpec
 	params    expr.Params
-	metrics   *obs.OpMetrics // nil unless metrics collection is on
-	gov       *governor      // nil unless lifecycle governance is on
-	where     string         // plan-node description for errors
+	metrics   *obs.OpMetrics        // nil unless metrics collection is on
+	gov       *governor             // nil unless lifecycle governance is on
+	mgr       *storage.SpillManager // nil: a budget breach aborts; else it takes the external path
+	par       int                   // workers: partial tables, or the in-memory sort
+	where     string                // plan-node description for errors
 
-	out []value.Row
-	pos int
+	sorter *extSorter // run files of the sort path, swept at Close
+	bufOp
+}
+
+// Close sweeps the sort path's run files, if it ran.
+func (g *groupCore) Close() error {
+	if g.sorter != nil {
+		return g.sorter.close()
+	}
+	return nil
 }
 
 // groupStateBytes is the accounted size of one fresh group: its key bytes
@@ -148,18 +159,14 @@ func (g *groupCore) groupStateBytes(keyLen int) int64 {
 }
 
 // recordBuild reports n groups built with their keys totalling keyBytes —
-// for parallel grouping it is called once per partial table, so BuildEntries
-// sums the per-worker partials.
+// called once per partial table, so at several workers BuildEntries sums the
+// per-worker partials, exposing the duplication the merge folds away.
 func (g *groupCore) recordBuild(n int, keyBytes int64) {
 	if g.metrics == nil || n == 0 {
 		return
 	}
 	g.metrics.BuildEntries.Add(int64(n))
-	accs := 0
-	for _, spec := range g.specs {
-		accs += len(spec.aggs)
-	}
-	g.metrics.StateBytes.Add(keyBytes + int64(n)*int64(accs)*accStateBytes)
+	g.metrics.StateBytes.Add(keyBytes + g.groupStateBytes(0)*int64(n))
 }
 
 // newState allocates accumulators for a fresh group.
@@ -236,31 +243,201 @@ func (g *groupCore) finalize(st *groupState) (value.Row, error) {
 // row for each group" with the empty grouping treated as a single group.
 func (g *groupCore) scalarGroup() bool { return len(g.groupCols) == 0 }
 
-func (g *groupCore) emit(states []*groupState) error {
-	g.out = g.out[:0]
-	for _, st := range states {
+// hashAggregate groups rows through partial tables: one contiguous chunk of
+// the input per worker (one chunk, one table, at one worker), each chunk's
+// table built thread-locally and the tables then combined in chunk order.
+// When the budget refuses a group and a spill manager is present, the whole
+// input goes to sort-based aggregation with hash-order output instead.
+func (g *groupCore) hashAggregate(rows []value.Row, workers int) error {
+	size := chunkSizeFor(len(rows), workers)
+	tables := make([]*groupTable, numChunks(len(rows), size))
+	err := forEachChunk(g.where, workers, len(rows), size, func(w, c, lo, hi int) error {
+		if err := g.gov.cancelled(); err != nil {
+			return err
+		}
+		if g.metrics != nil && workers > 1 {
+			g.metrics.Morsel(w)
+		}
+		t, err := g.newTable()
+		if err != nil {
+			return err
+		}
+		for _, row := range rows[lo:hi] {
+			if err := g.gov.tick(); err != nil {
+				return err
+			}
+			st, err := t.rowGroup(row)
+			if err != nil {
+				return err
+			}
+			if err := g.feed(st, row); err != nil {
+				return err
+			}
+		}
+		tables[c] = t
+		g.recordBuild(len(t.order), t.keyBytes)
+		return nil
+	})
+	if err == errRefused {
+		return g.sortAggregate(rows, true)
+	}
+	if err != nil {
+		return err
+	}
+	return g.combine(tables)
+}
+
+// combine absorbs the partial tables in chunk order and emits the groups in
+// the resulting first-appearance order. Under exact arithmetic the result is
+// bit-identical for any chunk count, since the accumulator fold visits rows
+// in the same relative order.
+func (g *groupCore) combine(tables []*groupTable) error {
+	if len(tables) == 0 {
+		// Empty input: no groups, or the scalar group's single state.
+		t, err := g.newTable()
+		if err != nil {
+			return err
+		}
+		g.recordBuild(len(t.order), 0)
+		tables = []*groupTable{t}
+	}
+	for _, t := range tables[1:] {
+		if err := tables[0].absorb(t); err != nil {
+			return err
+		}
+	}
+	out := make([]value.Row, 0, len(tables[0].order))
+	for _, st := range tables[0].order {
 		row, err := g.finalize(st)
 		if err != nil {
 			return err
 		}
-		g.out = append(g.out, row)
+		out = append(out, row)
 	}
-	g.pos = 0
+	g.reset(out)
 	return nil
 }
 
-func (g *groupCore) next() (value.Row, bool, error) {
-	if g.pos >= len(g.out) {
-		return nil, false, nil
-	}
-	row := g.out[g.pos]
-	g.pos++
-	return row, true, nil
+// bySeq sorts finished group rows by the arrival seqs of their groups' first
+// rows: hash-order output, restored after a sort by key.
+type bySeq struct {
+	seqs []int64
+	rows []value.Row
 }
 
-// hashGroupOp groups via a hash table keyed by the =ⁿ-respecting GroupKey.
-// Output order is first-appearance order of groups (deterministic for a
-// deterministic input order).
+func (s bySeq) Len() int           { return len(s.rows) }
+func (s bySeq) Less(i, j int) bool { return s.seqs[i] < s.seqs[j] }
+func (s bySeq) Swap(i, j int) {
+	s.seqs[i], s.seqs[j] = s.seqs[j], s.seqs[i]
+	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
+}
+
+// sortAggregate sorts rows so groups arrive contiguous and aggregates them
+// streaming. byKey is the external path of hash aggregation: records sort on
+// the canonical GroupKey prepended as a column (equal keys ⟺ equal strings),
+// and first-appearance output order is restored from their arrival seqs.
+// Otherwise rows sort on the grouping columns themselves and the output is
+// in grouping-key order.
+func (g *groupCore) sortAggregate(rows []value.Row, byKey bool) error {
+	cmp := func(a, b value.Row) int { return compareAt(a, g.groupCols, b, g.groupCols) }
+	if byKey {
+		cmp = func(a, b value.Row) int { return strings.Compare(a[0].Str(), b[0].Str()) }
+	}
+	g.sorter = &extSorter{gov: g.gov, mgr: g.mgr, metrics: g.metrics, op: g.where, par: g.par, cmp: cmp}
+	if byKey {
+		for _, row := range rows {
+			if err := g.gov.tick(); err != nil {
+				return err
+			}
+			rec := append(value.Row{value.NewString(value.GroupKey(row, g.groupCols))}, row...)
+			if err := g.sorter.add(rec, rowStateBytes(rec)); err != nil {
+				return err
+			}
+		}
+	} else if err := g.sorter.addAll(rows); err != nil {
+		return err
+	}
+	it, err := g.sorter.finish()
+	if err != nil {
+		return err
+	}
+	return g.streamGroups(it, byKey)
+}
+
+// streamGroups aggregates contiguous groups off a sorted stream, one live
+// state at a time: finished groups are finalized at once, which is the whole
+// point of sorting first. With a spill manager a state is charged on group
+// start and released on finalize (proceeding uncharged if even one state is
+// refused); without one every group is charged and stays charged.
+func (g *groupCore) streamGroups(it *mergeIter, byKey bool) error {
+	adm := admissionFor(g.gov, g.mgr, g.where)
+	var out []value.Row
+	var firstSeqs []int64 // byKey only, parallel to out
+	var cur *groupState
+	var keyBytes int64
+	finish := func() error {
+		if cur == nil {
+			return nil
+		}
+		row, err := g.finalize(cur)
+		if err != nil {
+			return err
+		}
+		out = append(out, row)
+		adm.release()
+		return nil
+	}
+	for {
+		sr, ok, err := it.next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		if err := g.gov.tick(); err != nil {
+			return err
+		}
+		var key string
+		row := sr.row
+		if byKey {
+			key, row = row[0].Str(), row[1:]
+		}
+		if cur == nil || key != cur.key || (!byKey && compareAt(cur.repr, g.groupCols, row, g.groupCols) != 0) {
+			if err := finish(); err != nil {
+				return err
+			}
+			if cur, err = g.newState(row); err != nil {
+				return err
+			}
+			cur.key = key
+			if byKey {
+				firstSeqs = append(firstSeqs, sr.seq)
+			}
+			keyBytes += int64(len(key))
+			if err := adm.charge(g.groupStateBytes(len(key))); err != nil && err != errRefused {
+				return err
+			}
+		}
+		if err := g.feed(cur, row); err != nil {
+			return err
+		}
+	}
+	if err := finish(); err != nil {
+		return err
+	}
+	if byKey {
+		sort.Sort(bySeq{seqs: firstSeqs, rows: out})
+	}
+	g.recordBuild(len(out), keyBytes)
+	g.reset(out)
+	return nil
+}
+
+// hashGroupOp groups via partial hash tables keyed by the =ⁿ-respecting
+// GroupKey. Output order is first-appearance order of groups (deterministic
+// for a deterministic input order), at any worker count and on either side
+// of the spill decision.
 type hashGroupOp struct {
 	groupCore
 }
@@ -270,54 +447,8 @@ func (g *hashGroupOp) Open() error {
 	if err != nil {
 		return err
 	}
-	index := make(map[string]*groupState)
-	var order []*groupState
-	if g.scalarGroup() {
-		st, err := g.newState(nil)
-		if err != nil {
-			return err
-		}
-		order = append(order, st)
-		for _, row := range rows {
-			if err := g.gov.tick(); err != nil {
-				return err
-			}
-			if err := g.feed(st, row); err != nil {
-				return err
-			}
-		}
-		g.recordBuild(1, 0)
-		return g.emit(order)
-	}
-	var keyBytes int64
-	for _, row := range rows {
-		if err := g.gov.tick(); err != nil {
-			return err
-		}
-		key := value.GroupKey(row, g.groupCols)
-		st, ok := index[key]
-		if !ok {
-			st, err = g.newState(row)
-			if err != nil {
-				return err
-			}
-			index[key] = st
-			order = append(order, st)
-			keyBytes += int64(len(key))
-			if err := g.gov.charge(g.where, g.groupStateBytes(len(key))); err != nil {
-				return err
-			}
-		}
-		if err := g.feed(st, row); err != nil {
-			return err
-		}
-	}
-	g.recordBuild(len(order), keyBytes)
-	return g.emit(order)
+	return g.hashAggregate(rows, g.par)
 }
-
-func (g *hashGroupOp) Next() (value.Row, bool, error) { return g.next() }
-func (g *hashGroupOp) Close() error                   { return nil }
 
 // sortGroupOp sorts the input on the grouping columns and aggregates each
 // run of =ⁿ-equal keys in a single pass — grouping pipelined with
@@ -328,7 +459,6 @@ func (g *hashGroupOp) Close() error                   { return nil }
 type sortGroupOp struct {
 	groupCore
 	preSorted bool
-	par       int
 }
 
 func (g *sortGroupOp) Open() error {
@@ -337,50 +467,14 @@ func (g *sortGroupOp) Open() error {
 		return err
 	}
 	if g.scalarGroup() {
-		st, err := g.newState(nil)
-		if err != nil {
-			return err
-		}
-		for _, row := range rows {
-			if err := g.gov.tick(); err != nil {
-				return err
-			}
-			if err := g.feed(st, row); err != nil {
-				return err
-			}
-		}
-		g.recordBuild(1, 0)
-		return g.emit([]*groupState{st})
+		// One group: nothing to sort, and one state never needs to spill.
+		return g.hashAggregate(rows, 1)
 	}
-	if !g.preSorted {
-		rows = sortByCols(g.where, rows, g.groupCols, g.par)
+	if g.preSorted {
+		return g.streamGroups(&mergeIter{rows: rows}, false)
 	}
-	var states []*groupState
-	var cur *groupState
-	for _, row := range rows {
-		if err := g.gov.tick(); err != nil {
-			return err
-		}
-		if cur == nil || compareAt(cur.repr, g.groupCols, row, g.groupCols) != 0 {
-			cur, err = g.newState(row)
-			if err != nil {
-				return err
-			}
-			states = append(states, cur)
-			if err := g.gov.charge(g.where, g.groupStateBytes(0)); err != nil {
-				return err
-			}
-		}
-		if err := g.feed(cur, row); err != nil {
-			return err
-		}
-	}
-	g.recordBuild(len(states), 0)
-	return g.emit(states)
+	return g.sortAggregate(rows, false)
 }
-
-func (g *sortGroupOp) Next() (value.Row, bool, error) { return g.next() }
-func (g *sortGroupOp) Close() error                   { return nil }
 
 // sortKey is one compiled ORDER BY key.
 type sortKey struct {
@@ -388,46 +482,74 @@ type sortKey struct {
 	desc bool
 }
 
-// sortOp materializes and sorts its input under value.OrderKey, using the
-// parallel stable sort when par > 1.
-type sortOp struct {
-	input Operator
-	keys  []sortKey
-	par   int
+// cmpByKeys three-way compares rows by the ORDER BY keys under
+// value.OrderKey.
+func cmpByKeys(keys []sortKey, a, b value.Row) int {
+	for _, k := range keys {
+		if c := value.OrderKey(a[k.col], b[k.col]); c != 0 {
+			if k.desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
+}
 
-	out []value.Row
-	pos int
+// sortOp is ORDER BY: a stable sort under value.OrderKey through the
+// external sorter. With a spill manager, rows are buffered under the budget,
+// sorted runs go to disk when it refuses a row and the runs are k-way merged
+// on output; without one the sort stays in memory, unaccounted, and runs on
+// par workers. The result is byte-identical either way.
+type sortOp struct {
+	input   Operator
+	keys    []sortKey
+	par     int
+	gov     *governor
+	mgr     *storage.SpillManager
+	metrics *obs.OpMetrics
+	where   string
+
+	sorter *extSorter
+	it     *mergeIter
 }
 
 func (s *sortOp) Open() error {
-	rows, err := drain(s.input)
-	if err != nil {
+	if err := s.input.Open(); err != nil {
 		return err
 	}
-	s.out = sortRowsStable("sort", rows, s.par, func(a, b value.Row) bool {
-		for _, k := range s.keys {
-			c := value.OrderKey(a[k.col], b[k.col])
-			if c == 0 {
-				continue
-			}
-			if k.desc {
-				return c > 0
-			}
-			return c < 0
+	s.sorter = &extSorter{
+		gov: s.gov, mgr: s.mgr, metrics: s.metrics, op: s.where, par: s.par,
+		cmp: func(a, b value.Row) int { return cmpByKeys(s.keys, a, b) },
+	}
+	for {
+		row, ok, err := s.input.Next()
+		if err != nil {
+			return err
 		}
-		return false
-	})
-	s.pos = 0
-	return nil
+		if !ok {
+			break
+		}
+		if err := s.sorter.add(row, rowStateBytes(row)); err != nil {
+			return err
+		}
+	}
+	var err error
+	s.it, err = s.sorter.finish()
+	return err
 }
 
 func (s *sortOp) Next() (value.Row, bool, error) {
-	if s.pos >= len(s.out) {
-		return nil, false, nil
-	}
-	row := s.out[s.pos]
-	s.pos++
-	return row, true, nil
+	sr, ok, err := s.it.next()
+	return sr.row, ok, err
 }
 
-func (s *sortOp) Close() error { return nil }
+func (s *sortOp) Close() error {
+	err := s.input.Close()
+	if s.sorter != nil {
+		if cerr := s.sorter.close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}
+	return err
+}

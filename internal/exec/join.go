@@ -4,6 +4,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/expr"
 	"repro/internal/obs"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -77,21 +78,9 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 	switch strategy {
 	case JoinHash:
 		// Probe order follows the left input; left columns keep their
-		// positions in the concatenated schema. The partitioned parallel
-		// hash join reproduces the same output order.
-		if c.spill != nil {
-			// Grace hash join: identical streaming behaviour while the
-			// build fits the budget, partitioned spill execution beyond it.
-			return compiled{
-				op: &spillHashJoinOp{
-					left: left.op, right: right.op, keys: keys,
-					residual: boundResidual, params: c.opts.Params,
-					metrics: metrics, gov: c.gov, mgr: c.spill, where: where,
-				},
-				order: left.order,
-			}, nil
-		}
-		if c.opts.Vectorize {
+		// positions in the concatenated schema — at any worker count and on
+		// either side of the spill decision.
+		if c.opts.Vectorize && c.spill == nil {
 			return compiled{
 				op: &vecHashJoinOp{
 					left: left.op, right: right.op,
@@ -104,34 +93,20 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 				order: left.order,
 			}, nil
 		}
-		if c.par > 1 {
-			return compiled{
-				op: &parallelHashJoinOp{
-					left: left.op, right: right.op, keys: keys,
-					residual: boundResidual, params: c.opts.Params, par: c.par,
-					metrics: metrics, gov: c.gov, where: where,
-				},
-				order: left.order,
-			}, nil
+		op := &hashJoinOp{
+			left: left.op, right: right.op,
+			residual: boundResidual, params: c.opts.Params, par: c.stateWorkers(),
+			metrics: metrics, gov: c.gov, mgr: c.spill, where: where,
 		}
-		return compiled{
-			op: &hashJoinOp{
-				left: left.op, right: right.op, keys: keys,
-				residual: boundResidual, params: c.opts.Params,
-				metrics: metrics, gov: c.gov, where: where,
-			},
-			order: left.order,
-		}, nil
+		op.lcols, op.rcols = keyColumns(keys)
+		return compiled{op: op, order: left.order}, nil
 	case JoinSortMerge:
 		// Exploit pre-sorted inputs (Section 7: eager aggregation's
 		// sorted output feeds the join): when the left input already
 		// streams in some permutation of the key columns, permute the
 		// key list to match and skip that side's sort; likewise for
 		// the right side against the (possibly permuted) keys.
-		lCols := make([]int, len(keys))
-		for i, k := range keys {
-			lCols[i] = k.left
-		}
+		lCols, _ := keyColumns(keys)
 		lSorted := false
 		if orderedPrefixSet(left.order, lCols) {
 			perm := make([]equiKey, 0, len(keys))
@@ -148,15 +123,8 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 				lSorted = true
 			}
 		}
-		rCols := make([]int, len(keys))
-		for i, k := range keys {
-			rCols[i] = k.right
-		}
+		outOrder, rCols := keyColumns(keys)
 		rSorted := lSorted && hasSequencePrefix(right.order, rCols)
-		outOrder := make([]int, len(keys))
-		for i, k := range keys {
-			outOrder[i] = k.left
-		}
 		return compiled{
 			op: &mergeJoinOp{
 				left: left.op, right: right.op, keys: keys,
@@ -173,11 +141,28 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 			return compiled{}, err
 		}
 		if c.par > 1 {
+			// Morsels of the left input, each row scanning the whole right
+			// side: the serial nested loop's output order, morsel by morsel.
+			gov, params := c.gov, c.opts.Params
 			return compiled{
-				op: &parallelNestedLoopJoinOp{
-					left: left.op, right: right.op,
-					cond: full, params: c.opts.Params, par: c.par,
-					metrics: metrics, gov: c.gov, where: where,
+				op: &morselMapOp{
+					left: left.op, right: right.op, par: c.par, metrics: metrics, gov: gov, where: where,
+					fn: func(lrow value.Row, rrows, out []value.Row) ([]value.Row, error) {
+						for _, rrow := range rrows {
+							if err := gov.tick(); err != nil {
+								return out, err
+							}
+							joined := lrow.Concat(rrow)
+							truth, err := expr.EvalTruth(full, joined, params)
+							if err != nil {
+								return out, err
+							}
+							if truth == value.True {
+								out = append(out, joined)
+							}
+						}
+						return out, nil
+					},
 				},
 				order: left.order,
 			}, nil
@@ -260,113 +245,114 @@ func (j *nestedLoopJoinOp) Next() (value.Row, bool, error) {
 
 func (j *nestedLoopJoinOp) Close() error { return j.left.Close() }
 
-// hashJoinOp builds a hash table on the right input keyed by the join
-// columns, then probes with left rows. Rows with a NULL in any key column
-// are dropped on both sides: the equality comparison would be unknown, so
-// such rows can never satisfy the join condition.
+// hashJoinOp is the row hash join: it builds a joinTable on the right input
+// and probes it with left rows in left order, each row's matches in build
+// order. At one worker the probe streams — Next pulls a left row and emits
+// its matches, so no join output is materialized; above one both inputs are
+// drained concurrently, the table is built partitioned and the probe runs
+// over morsels of the left input in Open. When the budget refuses the build
+// and a spill manager is present the join goes grace (grace.go); the output
+// rows and their order are the same in all three forms.
 type hashJoinOp struct {
-	left, right Operator
-	keys        []equiKey
-	residual    expr.Expr
-	params      expr.Params
-	metrics     *obs.OpMetrics // nil unless metrics collection is on
-	gov         *governor      // nil unless lifecycle governance is on
-	where       string         // plan-node description for errors
+	left, right  Operator
+	lcols, rcols []int // key columns in the left/right rows
+	residual     expr.Expr
+	params       expr.Params
+	par          int
+	metrics      *obs.OpMetrics        // nil unless metrics collection is on
+	gov          *governor             // nil unless lifecycle governance is on
+	mgr          *storage.SpillManager // nil: a budget breach aborts
+	where        string                // plan-node description for errors
 
-	table   map[string][]value.Row
-	cur     value.Row
-	matches []value.Row
-	mpos    int
-	done    bool
+	table     *joinTable
+	streaming bool         // left rows are still to be pulled by Next
+	files     []*spillFile // grace partition files, swept at Close
+	bufOp                  // joined rows ready to emit
 }
 
 func (j *hashJoinOp) Open() error {
-	if err := j.left.Open(); err != nil {
-		return err
+	var lrows, rrows []value.Row
+	var err error
+	if j.par > 1 {
+		lrows, rrows, err = drainBoth(j.where, j.left, j.right)
+	} else if err = j.left.Open(); err == nil {
+		rrows, err = drain(j.right)
 	}
-	rows, err := drain(j.right)
 	if err != nil {
 		return err
 	}
-	rightCols := make([]int, len(j.keys))
-	for i, k := range j.keys {
-		rightCols[i] = k.right
+	j.reset(nil)
+	j.streaming = false
+	j.table = &joinTable{cols: j.rcols, adm: admissionFor(j.gov, j.mgr, j.where), metrics: j.metrics}
+	if err := j.table.build(rrows, j.par); err == errRefused {
+		return j.openGrace(rrows)
+	} else if err != nil {
+		return err
 	}
-	j.table = make(map[string][]value.Row)
-	// Build stats accumulate in the insertion loop (the built map is never
-	// re-iterated — instrumented executor code keeps the maprange
-	// determinism guarantee).
-	var entries, stateBytes int64
-	for _, row := range rows {
+	if j.par <= 1 {
+		j.streaming = true
+		return nil
+	}
+	out, err := mapMorsels(j.where, j.par, j.gov, j.metrics, lrows, j.probe)
+	j.reset(out)
+	return err
+}
+
+// probe appends to out the joined rows of one left row that pass the
+// residual, in build order.
+func (j *hashJoinOp) probe(row value.Row, out []value.Row) ([]value.Row, error) {
+	if anyNullAt(row, j.lcols) {
+		return out, nil
+	}
+	matches := j.table.lookup(value.GroupKey(row, j.lcols))
+	if j.metrics != nil && len(matches) > 0 {
+		j.metrics.ProbeHits.Add(int64(len(matches)))
+	}
+	for _, m := range matches {
+		// A skewed key's match list can dominate the run, so it ticks itself.
 		if err := j.gov.tick(); err != nil {
-			return err
+			return out, err
 		}
-		if anyNullAt(row, rightCols) {
-			continue
+		joined := row.Concat(m)
+		truth, err := expr.EvalTruth(j.residual, joined, j.params)
+		if err != nil {
+			return out, err
 		}
-		key := value.GroupKey(row, rightCols)
-		j.table[key] = append(j.table[key], row)
-		entries++
-		entry := int64(len(key)) + rowStateBytes(row)
-		stateBytes += entry
-		// Budget check per admitted entry: the query aborts on the exact
-		// allocation that crosses the limit, not after the build finishes.
-		if err := j.gov.charge(j.where, entry); err != nil {
-			return err
+		if truth == value.True {
+			out = append(out, joined)
 		}
 	}
-	if j.metrics != nil {
-		j.metrics.BuildEntries.Add(entries)
-		j.metrics.StateBytes.Add(stateBytes)
-	}
-	j.cur = nil
-	j.matches = nil
-	j.mpos = 0
-	j.done = false
-	return nil
+	return out, nil
 }
 
 func (j *hashJoinOp) Next() (value.Row, bool, error) {
-	leftCols := make([]int, len(j.keys))
-	for i, k := range j.keys {
-		leftCols[i] = k.left
-	}
-	for {
-		if j.done {
-			return nil, false, nil
-		}
-		for j.mpos < len(j.matches) {
-			out := j.cur.Concat(j.matches[j.mpos])
-			j.mpos++
-			truth, err := expr.EvalTruth(j.residual, out, j.params)
-			if err != nil {
-				return nil, false, err
-			}
-			if truth == value.True {
-				return out, true, nil
-			}
-		}
+	for j.streaming && j.pos >= len(j.out) {
 		row, ok, err := j.left.Next()
-		if err != nil {
+		if !ok || err != nil {
+			j.streaming = false
 			return nil, false, err
 		}
-		if !ok {
-			j.done = true
-			return nil, false, nil
+		if j.out, err = j.probe(row, j.out[:0]); err != nil {
+			return nil, false, err
 		}
-		if anyNullAt(row, leftCols) {
-			continue
-		}
-		j.cur = row
-		j.matches = j.table[value.GroupKey(row, leftCols)]
-		j.mpos = 0
-		if j.metrics != nil && len(j.matches) > 0 {
-			j.metrics.ProbeHits.Add(int64(len(j.matches)))
-		}
+		j.pos = 0
 	}
+	return j.bufOp.Next()
 }
 
-func (j *hashJoinOp) Close() error { return j.left.Close() }
+func (j *hashJoinOp) Close() error {
+	var err error
+	if j.par <= 1 {
+		err = j.left.Close() // above one worker drainBoth closed it
+	}
+	for _, f := range j.files {
+		if derr := f.discard(); derr != nil && err == nil {
+			err = derr
+		}
+	}
+	j.files = nil
+	return err
+}
 
 // mergeJoinOp sorts both inputs on the join keys and merges them, emitting
 // the cross product of each matching key group. NULL keys are dropped for
@@ -405,12 +391,7 @@ func (j *mergeJoinOp) Open() error {
 			return err
 		}
 	}
-	lCols := make([]int, len(j.keys))
-	rCols := make([]int, len(j.keys))
-	for i, k := range j.keys {
-		lCols[i] = k.left
-		rCols[i] = k.right
-	}
+	lCols, rCols := keyColumns(j.keys)
 	if lrows, err = dropNullKeys(j.gov, lrows, lCols); err != nil {
 		return err
 	}
@@ -478,6 +459,15 @@ func (j *mergeJoinOp) Next() (value.Row, bool, error) {
 
 func (j *mergeJoinOp) Close() error { return nil }
 
+// keyColumns splits equi-keys into the left and right column lists.
+func keyColumns(keys []equiKey) (left, right []int) {
+	left, right = make([]int, len(keys)), make([]int, len(keys))
+	for i, k := range keys {
+		left[i], right[i] = k.left, k.right
+	}
+	return left, right
+}
+
 func anyNullAt(row value.Row, cols []int) bool {
 	for _, c := range cols {
 		if row[c].IsNull() {
@@ -501,8 +491,8 @@ func dropNullKeys(gov *governor, rows []value.Row, cols []int) ([]value.Row, err
 }
 
 func sortByCols(where string, rows []value.Row, cols []int, par int) []value.Row {
-	return sortRowsStable(where, rows, par, func(a, b value.Row) bool {
-		return compareAt(a, cols, b, cols) < 0
+	return sortRowsStable(where, rows, par, func(a, b value.Row) int {
+		return compareAt(a, cols, b, cols)
 	})
 }
 

@@ -96,17 +96,8 @@ type topKOp struct {
 }
 
 func (t *topKOp) less(a, b spillRow) bool {
-	for _, k := range t.keys {
-		c := value.OrderKey(a.row[k.col], b.row[k.col])
-		if c == 0 {
-			continue
-		}
-		if k.desc {
-			return c > 0
-		}
-		return c < 0
-	}
-	return a.seq < b.seq
+	c := cmpByKeys(t.keys, a.row, b.row)
+	return c < 0 || c == 0 && a.seq < b.seq
 }
 
 // worse reports a sorting strictly after b — the max-heap's ordering, so

@@ -62,19 +62,32 @@ func TestDisabledObservabilityInsertsNoWrapper(t *testing.T) {
 // TestRowPathZeroAllocs: pulling rows allocates nothing per row — neither on
 // the uninstrumented path (no wrapper exists) nor on the fully instrumented
 // path (metricOp.Next is one atomic add; timings and sink writes happen at
-// Open/Close, off the row path).
+// Open/Close, off the row path). The one-worker hash join streams its probe:
+// each emitted row costs its probe key and its concatenated row, nothing
+// else — in particular no per-call key-column slice.
 func TestRowPathZeroAllocs(t *testing.T) {
 	const runs = 1000
-	cases := []struct {
-		name string
-		opts *Options
-	}{
-		{"disabled", &Options{}},
-		{"metrics+trace", &Options{
+	instrumented := func() *Options {
+		return &Options{
 			Metrics: obs.NewCollector(),
 			Trace:   obs.NewTracer(obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)),
 			Clock:   obs.NewFakeClock(time.Unix(0, 0), time.Millisecond),
-		}},
+		}
+	}
+	// More rows than AllocsPerRun will pull, so every measured Next returns
+	// a live row; the join's keys are unique, so it emits one row per probe.
+	scan := valuesPlan(runs + 10)
+	join := govJoinPlan(runs+10, runs+10)
+	cases := []struct {
+		name string
+		opts *Options
+		plan algebra.Node
+		want float64
+	}{
+		{"disabled", &Options{}, scan, 0},
+		{"metrics+trace", instrumented(), scan, 0},
+		{"hash-join", &Options{Join: JoinHash}, join, 2},
+		{"hash-join/metrics+trace", instrumented(), join, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,9 +95,7 @@ func TestRowPathZeroAllocs(t *testing.T) {
 			if c.clock == nil {
 				c.clock = obs.Wall
 			}
-			// More rows than AllocsPerRun will pull, so every measured Next
-			// returns a live row.
-			out, err := c.compile(valuesPlan(runs + 10))
+			out, err := c.compile(tc.plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,8 +108,8 @@ func TestRowPathZeroAllocs(t *testing.T) {
 					t.Fatalf("Next: ok=%v err=%v", ok, err)
 				}
 			})
-			if avg != 0 {
-				t.Errorf("%s row path allocates %.2f times per row, want 0", tc.name, avg)
+			if avg != tc.want {
+				t.Errorf("%s row path allocates %.2f times per row, want %.0f", tc.name, avg, tc.want)
 			}
 		})
 	}

@@ -1,34 +1,35 @@
 // Morsel-style intra-operator parallelism. The executor stays a pull-based
-// Volcano engine at operator granularity, but when Options.Parallelism asks
-// for more than one worker the compiler swaps in the operators of this file:
-// each materializes its input(s), partitions the work into fixed-size
-// morsels (contiguous row ranges), and fans the morsels out to a small
-// worker pool.
+// Volcano engine at operator granularity; a worker count above one
+// (Options.Parallelism) changes how the materializing operators do their
+// work, not which operators exist. Filter, projection and nested-loop join
+// become a morselMapOp (this file); the hash join builds its table
+// partitioned and probes over morsels; hash aggregation builds one partial
+// table per worker; sorts run chunked (sortRowsStable). One worker is serial
+// execution.
 //
 // Determinism is a hard requirement — the serial-vs-parallel oracle tests
 // assert row-identical results and identical per-operator cardinalities —
-// so every parallel operator is built on the same discipline:
+// so everything that runs on the worker pool follows the same discipline:
 //
 //   - Work is partitioned by fixed chunk boundaries that depend only on the
 //     input size, never on worker scheduling. Workers pull chunk indices
 //     from an atomic cursor, but each chunk's output is a pure function of
 //     its row range.
 //   - Per-chunk outputs are concatenated (or merged) in chunk-index order,
-//     which reproduces the serial operator's output order row for row.
-//   - Parallel aggregation keeps one thread-local partial-aggregate table
-//     per chunk and merges them in chunk order through the accumulators'
-//     Merge step — the paper's eager/partial aggregation reused as the
-//     combine rule. Group output order (first appearance) and accumulator
-//     fold order therefore match serial execution exactly; results are
-//     bit-identical whenever the aggregate arithmetic is exact (integers,
-//     exactly representable floats).
+//     which reproduces the one-worker output order row for row.
+//   - Aggregation keeps one thread-local partial-aggregate table per chunk
+//     and absorbs them in chunk order through the accumulators' Merge step
+//     (groupTable.absorb). Group output order (first appearance) and
+//     accumulator fold order therefore do not depend on the worker count;
+//     results are bit-identical whenever the aggregate arithmetic is exact
+//     (integers, exactly representable floats).
 //
-// The parallel hash join follows the partitioned build/probe scheme: the
-// build side is scattered into Parallelism hash partitions by join-key hash
-// (a serial scatter, preserving build-input order within each partition),
-// the partition hash tables are built by parallel workers, and probe
-// workers then consume morsels of the probe side, each probing the
-// partition its row hashes to.
+// The hash join follows the partitioned build/probe scheme (joinTable): the
+// build side is scattered into one hash partition per worker by join-key
+// hash (a serial scatter, preserving build-input order within each
+// partition), the partition tables are built by parallel workers, and probe
+// workers then consume morsels of the probe side, each row probing the
+// partition it hashes to.
 package exec
 
 import (
@@ -38,7 +39,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/value"
 )
@@ -48,9 +48,9 @@ import (
 // per-morsel bookkeeping.
 const MorselSize = 1024
 
-// effectiveParallelism resolves Options.Parallelism: 0 and 1 mean serial
-// execution (the pre-parallelism operators, bit-for-bit), negative means
-// one worker per CPU, anything else is the worker count itself.
+// effectiveParallelism resolves Options.Parallelism: 0 and 1 mean one
+// worker (serial execution), negative means one worker per CPU, anything
+// else is the worker count itself.
 func (o *Options) effectiveParallelism() int {
 	p := o.Parallelism
 	if p < 0 {
@@ -204,8 +204,8 @@ func drainBoth(where string, l, r Operator) (lrows, rrows []value.Row, err error
 	return lrows, rrows, nil
 }
 
-// bufOp is the streaming tail shared by the materializing parallel
-// operators: Open fills out, Next drains it.
+// bufOp is the streaming tail shared by the materializing operators: Open
+// fills out, Next drains it.
 type bufOp struct {
 	out []value.Row
 	pos int
@@ -224,133 +224,91 @@ func (b *bufOp) Next() (value.Row, bool, error) {
 
 func (b *bufOp) Close() error { return nil }
 
-// ----------------------------------------------------------- scan/filter
+// ------------------------------------------------------------ morsel map
 
-// parallelFilterOp materializes its input (for a base-table scan this is
-// the morsel-partitioned table itself) and evaluates the predicate over
-// morsels in parallel. Concatenating survivors in morsel order makes the
-// output row-identical to the serial filterOp's.
-type parallelFilterOp struct {
-	input   Operator
-	cond    expr.Expr
-	params  expr.Params
-	par     int
-	metrics *obs.OpMetrics // nil unless metrics collection is on
-	gov     *governor      // nil unless lifecycle governance is on
-	where   string         // plan-node description, for panic/cancel reporting
-	bufOp
-}
-
-func (f *parallelFilterOp) Open() error {
-	rows, err := drain(f.input)
-	if err != nil {
-		return err
-	}
+// mapMorsels runs fn over every row of rows — MorselSize rows per scheduling
+// unit, on up to par workers — and returns the outputs concatenated in morsel
+// order, which is the order one serial pass would have produced. fn appends
+// its row's outputs to out.
+func mapMorsels(where string, par int, gov *governor, metrics *obs.OpMetrics, rows []value.Row,
+	fn func(row value.Row, out []value.Row) ([]value.Row, error)) ([]value.Row, error) {
 	outs := make([][]value.Row, numChunks(len(rows), MorselSize))
-	err = forEachChunk(f.where, f.par, len(rows), MorselSize, func(w, c, lo, hi int) error {
-		if err := f.gov.cancelled(); err != nil {
+	err := forEachChunk(where, par, len(rows), MorselSize, func(w, c, lo, hi int) error {
+		if err := gov.cancelled(); err != nil {
 			return err
 		}
-		if f.metrics != nil {
-			f.metrics.Morsel(w)
+		if metrics != nil {
+			metrics.Morsel(w)
 		}
-		var keep []value.Row
 		for _, row := range rows[lo:hi] {
-			if err := f.gov.tick(); err != nil {
+			if err := gov.tick(); err != nil {
 				return err
 			}
-			truth, err := expr.EvalTruth(f.cond, row, f.params)
-			if err != nil {
+			var err error
+			if outs[c], err = fn(row, outs[c]); err != nil {
 				return err
-			}
-			if truth == value.True {
-				keep = append(keep, row)
 			}
 		}
-		outs[c] = keep
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	f.reset(concatChunks(outs))
-	return nil
+	return concatChunks(outs), nil
 }
 
-// --------------------------------------------------------------- project
-
-// parallelProjectOp evaluates the item expressions over morsels in
-// parallel. DISTINCT deduplication stays a serial pass over the (cheap)
-// already-projected rows, keeping first occurrences in input order exactly
-// as the serial projectOp does.
-type parallelProjectOp struct {
-	input    Operator
-	items    []expr.Expr
-	distinct bool
-	params   expr.Params
-	par      int
-	metrics  *obs.OpMetrics
-	gov      *governor
-	where    string
+// morselMapOp is the materializing row-at-a-time operator above one worker:
+// filter, projection and nested-loop join are the three fn's the compiler
+// gives it. It drains its input (both inputs, concurrently, for a join),
+// maps morsels of the left input through fn — which also sees the drained
+// right side — and buffers the result. DISTINCT deduplication stays a serial
+// pass over the (cheap) already-mapped rows, keeping first occurrences in
+// input order exactly as the serial projectOp does.
+type morselMapOp struct {
+	left, right Operator // right is nil for the unary operators
+	par         int
+	metrics     *obs.OpMetrics // nil unless metrics collection is on
+	gov         *governor      // nil unless lifecycle governance is on
+	where       string         // plan-node description, for panic/cancel reporting
+	fn          func(row value.Row, side, out []value.Row) ([]value.Row, error)
+	distinct    bool
 	bufOp
 }
 
-func (p *parallelProjectOp) Open() error {
-	rows, err := drain(p.input)
+func (m *morselMapOp) Open() error {
+	var rows, side []value.Row
+	var err error
+	if m.right != nil {
+		rows, side, err = drainBoth(m.where, m.left, m.right)
+	} else {
+		rows, err = drain(m.left)
+	}
 	if err != nil {
 		return err
 	}
-	outs := make([][]value.Row, numChunks(len(rows), MorselSize))
-	err = forEachChunk(p.where, p.par, len(rows), MorselSize, func(w, c, lo, hi int) error {
-		if err := p.gov.cancelled(); err != nil {
-			return err
-		}
-		if p.metrics != nil {
-			p.metrics.Morsel(w)
-		}
-		proj := make([]value.Row, 0, hi-lo)
-		for _, row := range rows[lo:hi] {
-			if err := p.gov.tick(); err != nil {
-				return err
-			}
-			out := make(value.Row, len(p.items))
-			for i, item := range p.items {
-				v, err := expr.Eval(item, row, p.params)
-				if err != nil {
-					return err
-				}
-				out[i] = v
-			}
-			proj = append(proj, out)
-		}
-		outs[c] = proj
-		return nil
-	})
+	out, err := mapMorsels(m.where, m.par, m.gov, m.metrics, rows,
+		func(row value.Row, out []value.Row) ([]value.Row, error) { return m.fn(row, side, out) })
 	if err != nil {
 		return err
 	}
-	flat := concatChunks(outs)
-	if p.distinct {
-		seen := make(map[string]bool, len(flat))
-		dedup := flat[:0]
-		for _, row := range flat {
-			if err := p.gov.tick(); err != nil {
+	if m.distinct {
+		seen := make(map[string]bool, len(out))
+		dedup := out[:0]
+		for _, row := range out {
+			if err := m.gov.tick(); err != nil {
 				return err
 			}
 			key := value.GroupKeyAll(row)
-			if seen[key] {
-				continue
+			if !seen[key] {
+				seen[key] = true
+				dedup = append(dedup, row)
 			}
-			seen[key] = true
-			dedup = append(dedup, row)
 		}
-		flat = dedup
+		out = dedup
 	}
-	p.reset(flat)
+	m.reset(out)
 	return nil
 }
-
-// ------------------------------------------------------------- hash join
 
 // partitionOf hashes a join key into one of n partitions.
 func partitionOf(key string, n int) int {
@@ -359,354 +317,17 @@ func partitionOf(key string, n int) int {
 	return int(h.Sum32() % uint32(n))
 }
 
-// parallelHashJoinOp is the partitioned parallel hash join: both inputs are
-// drained concurrently; the build (right) side is scattered into par hash
-// partitions by join-key hash (serial scatter, so each partition keeps
-// build-input order); the partition hash tables are built by parallel
-// workers; probe workers then consume morsels of the left input, each row
-// probing the partition it hashes to. Because matches within a key follow
-// build order and morsel outputs concatenate in probe order, the output is
-// row-identical to the serial hashJoinOp's.
-type parallelHashJoinOp struct {
-	left, right Operator
-	keys        []equiKey
-	residual    expr.Expr
-	params      expr.Params
-	par         int
-	metrics     *obs.OpMetrics
-	gov         *governor
-	where       string
-	bufOp
-}
-
-func (j *parallelHashJoinOp) Open() error {
-	lrows, rrows, err := drainBoth(j.where, j.left, j.right)
-	if err != nil {
-		return err
-	}
-	leftCols := make([]int, len(j.keys))
-	rightCols := make([]int, len(j.keys))
-	for i, k := range j.keys {
-		leftCols[i] = k.left
-		rightCols[i] = k.right
-	}
-
-	// Build phase: scatter, then build each partition's table in parallel.
-	nPart := j.par
-	parts := make([][]value.Row, nPart)
-	for _, row := range rrows {
-		if err := j.gov.tick(); err != nil {
-			return err
-		}
-		if anyNullAt(row, rightCols) {
-			continue
-		}
-		p := partitionOf(value.GroupKey(row, rightCols), nPart)
-		parts[p] = append(parts[p], row)
-	}
-	tables := make([]map[string][]value.Row, nPart)
-	err = forEachChunk(j.where, j.par, nPart, 1, func(w, c, lo, hi int) error {
-		if err := j.gov.cancelled(); err != nil {
-			return err
-		}
-		if j.metrics != nil {
-			j.metrics.Morsel(w)
-		}
-		t := make(map[string][]value.Row, len(parts[c]))
-		var bytes int64
-		for _, row := range parts[c] {
-			if err := j.gov.tick(); err != nil {
-				return err
-			}
-			key := value.GroupKey(row, rightCols)
-			t[key] = append(t[key], row)
-			entry := int64(len(key)) + rowStateBytes(row)
-			bytes += entry
-			if err := j.gov.charge(j.where, entry); err != nil {
-				return err
-			}
-		}
-		tables[c] = t
-		if j.metrics != nil {
-			j.metrics.BuildEntries.Add(int64(len(parts[c])))
-			j.metrics.StateBytes.Add(bytes)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// Probe phase: morsel-parallel over the left input.
-	outs := make([][]value.Row, numChunks(len(lrows), MorselSize))
-	err = forEachChunk(j.where, j.par, len(lrows), MorselSize, func(w, c, lo, hi int) error {
-		if err := j.gov.cancelled(); err != nil {
-			return err
-		}
-		if j.metrics != nil {
-			j.metrics.Morsel(w)
-		}
-		var matches []value.Row
-		var hits int64
-		for _, row := range lrows[lo:hi] {
-			if err := j.gov.tick(); err != nil {
-				return err
-			}
-			if anyNullAt(row, leftCols) {
-				continue
-			}
-			key := value.GroupKey(row, leftCols)
-			found := tables[partitionOf(key, nPart)][key]
-			hits += int64(len(found))
-			for _, m := range found {
-				out := row.Concat(m)
-				truth, err := expr.EvalTruth(j.residual, out, j.params)
-				if err != nil {
-					return err
-				}
-				if truth == value.True {
-					matches = append(matches, out)
-				}
-			}
-		}
-		outs[c] = matches
-		if j.metrics != nil {
-			j.metrics.ProbeHits.Add(hits)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	j.reset(concatChunks(outs))
-	return nil
-}
-
-// ------------------------------------------------------ nested-loop join
-
-// parallelNestedLoopJoinOp materializes both inputs (concurrently) and
-// fans morsels of the left input out to workers, each scanning the full
-// right side per row — the serial nested loop's output order, morsel by
-// morsel.
-type parallelNestedLoopJoinOp struct {
-	left, right Operator
-	cond        expr.Expr
-	params      expr.Params
-	par         int
-	metrics     *obs.OpMetrics
-	gov         *governor
-	where       string
-	bufOp
-}
-
-func (j *parallelNestedLoopJoinOp) Open() error {
-	lrows, rrows, err := drainBoth(j.where, j.left, j.right)
-	if err != nil {
-		return err
-	}
-	outs := make([][]value.Row, numChunks(len(lrows), MorselSize))
-	err = forEachChunk(j.where, j.par, len(lrows), MorselSize, func(w, c, lo, hi int) error {
-		if err := j.gov.cancelled(); err != nil {
-			return err
-		}
-		if j.metrics != nil {
-			j.metrics.Morsel(w)
-		}
-		var matches []value.Row
-		for _, lrow := range lrows[lo:hi] {
-			for _, rrow := range rrows {
-				if err := j.gov.tick(); err != nil {
-					return err
-				}
-				out := lrow.Concat(rrow)
-				truth, err := expr.EvalTruth(j.cond, out, j.params)
-				if err != nil {
-					return err
-				}
-				if truth == value.True {
-					matches = append(matches, out)
-				}
-			}
-		}
-		outs[c] = matches
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	j.reset(concatChunks(outs))
-	return nil
-}
-
-// ------------------------------------------------------ hash aggregation
-
-// parallelHashGroupOp is parallel hash aggregation: one thread-local
-// partial-aggregate table per contiguous input chunk (one chunk per
-// worker), merged in chunk order through the accumulators' Merge step. The
-// merged table's group order — first appearance across the ordered chunks —
-// equals the serial hashGroupOp's first-appearance order, and the
-// accumulator fold visits rows in the same relative order, so results match
-// serial execution bit for bit under exact arithmetic.
-type parallelHashGroupOp struct {
-	groupCore
-	par int
-}
-
-// localGroups is one chunk's partial-aggregate table.
-type localGroups struct {
-	index map[string]*groupState
-	order []*groupState
-	keys  []string
-}
-
-func (g *parallelHashGroupOp) Open() error {
-	rows, err := drain(g.input)
-	if err != nil {
-		return err
-	}
-	if g.scalarGroup() {
-		return g.openScalar(rows)
-	}
-	size := chunkSizeFor(len(rows), g.par)
-	locals := make([]localGroups, numChunks(len(rows), size))
-	err = forEachChunk(g.where, g.par, len(rows), size, func(w, c, lo, hi int) error {
-		if err := g.gov.cancelled(); err != nil {
-			return err
-		}
-		if g.metrics != nil {
-			g.metrics.Morsel(w)
-		}
-		local := localGroups{index: make(map[string]*groupState)}
-		var keyBytes int64
-		for _, row := range rows[lo:hi] {
-			if err := g.gov.tick(); err != nil {
-				return err
-			}
-			key := value.GroupKey(row, g.groupCols)
-			st, ok := local.index[key]
-			if !ok {
-				var err error
-				st, err = g.newState(row)
-				if err != nil {
-					return err
-				}
-				local.index[key] = st
-				local.order = append(local.order, st)
-				local.keys = append(local.keys, key)
-				keyBytes += int64(len(key))
-				if err := g.gov.charge(g.where, g.groupStateBytes(len(key))); err != nil {
-					return err
-				}
-			}
-			if err := g.feed(st, row); err != nil {
-				return err
-			}
-		}
-		locals[c] = local
-		// Per-partial accounting: BuildEntries sums the thread-local
-		// tables, exposing the duplication the merge step later folds away.
-		g.recordBuild(len(local.order), keyBytes)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	// Deterministic merge: chunks in index order, groups in each chunk's
-	// first-appearance order. A group's adopted state is therefore always
-	// the one from the earliest chunk containing it, making its
-	// representative row the globally first row of the group — exactly
-	// the serial operator's choice.
-	global := make(map[string]*groupState)
-	var order []*groupState
-	for _, local := range locals {
-		for i, st := range local.order {
-			key := local.keys[i]
-			if dst, ok := global[key]; ok {
-				if err := g.mergeStates(dst, st); err != nil {
-					return err
-				}
-			} else {
-				//lint:ignore budgetcharge adopts a partial state already charged when its chunk built it
-				global[key] = st
-				order = append(order, st)
-			}
-		}
-	}
-	return g.emit(order)
-}
-
-// openScalar aggregates the whole input as one group, with per-chunk
-// partials merged in chunk order.
-func (g *parallelHashGroupOp) openScalar(rows []value.Row) error {
-	if len(rows) == 0 {
-		st, err := g.newState(nil)
-		if err != nil {
-			return err
-		}
-		return g.emit([]*groupState{st})
-	}
-	size := chunkSizeFor(len(rows), g.par)
-	partials := make([]*groupState, numChunks(len(rows), size))
-	err := forEachChunk(g.where, g.par, len(rows), size, func(w, c, lo, hi int) error {
-		if err := g.gov.cancelled(); err != nil {
-			return err
-		}
-		if g.metrics != nil {
-			g.metrics.Morsel(w)
-		}
-		st, err := g.newState(nil)
-		if err != nil {
-			return err
-		}
-		for _, row := range rows[lo:hi] {
-			if err := g.gov.tick(); err != nil {
-				return err
-			}
-			if err := g.feed(st, row); err != nil {
-				return err
-			}
-		}
-		partials[c] = st
-		g.recordBuild(1, 0)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, st := range partials[1:] {
-		if err := g.mergeStates(partials[0], st); err != nil {
-			return err
-		}
-	}
-	return g.emit(partials[:1])
-}
-
-func (g *parallelHashGroupOp) Next() (value.Row, bool, error) { return g.next() }
-func (g *parallelHashGroupOp) Close() error                   { return nil }
-
-// mergeStates folds src's partial accumulators into dst.
-func (g *groupCore) mergeStates(dst, src *groupState) error {
-	for i := range dst.accs {
-		for k := range dst.accs[i] {
-			if err := dst.accs[i][k].Merge(src.accs[i][k]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // --------------------------------------------------------- parallel sort
 
-// sortRowsStable stable-sorts rows under less, in parallel when par > 1:
+// sortRowsStable stable-sorts rows under cmp, in parallel when par > 1:
 // fixed contiguous chunks are sorted concurrently (in place) and then
 // merged pairwise, ties taking the left — lower-index — chunk's row first.
 // The output permutation is exactly sort.SliceStable's, so parallel and
 // serial sorts are interchangeable everywhere, including beneath
 // order-exploiting operators.
-func sortRowsStable(where string, rows []value.Row, par int, less func(a, b value.Row) bool) []value.Row {
+func sortRowsStable(where string, rows []value.Row, par int, cmp func(a, b value.Row) int) []value.Row {
 	if par <= 1 || len(rows) < 2*MorselSize {
-		sort.SliceStable(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
+		sort.SliceStable(rows, func(i, j int) bool { return cmp(rows[i], rows[j]) < 0 })
 		return rows
 	}
 	size := chunkSizeFor(len(rows), par)
@@ -717,7 +338,7 @@ func sortRowsStable(where string, rows []value.Row, par int, less func(a, b valu
 	// it — the operator or Run-level recovery reports it.
 	if err := forEachChunk(where, par, len(rows), size, func(w, c, lo, hi int) error {
 		run := rows[lo:hi]
-		sort.SliceStable(run, func(i, j int) bool { return less(run[i], run[j]) })
+		sort.SliceStable(run, func(i, j int) bool { return cmp(run[i], run[j]) < 0 })
 		runs[c] = run
 		return nil
 	}); err != nil {
@@ -738,7 +359,7 @@ func sortRowsStable(where string, rows []value.Row, par int, less func(a, b valu
 			for i < len(a) && k < len(b) {
 				// Stability: take from the left run unless the right
 				// row is strictly smaller.
-				if less(b[k], a[i]) {
+				if cmp(b[k], a[i]) < 0 {
 					out = append(out, b[k])
 					k++
 				} else {

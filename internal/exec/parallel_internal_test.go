@@ -107,7 +107,7 @@ func TestSortRowsStableMatchesSerial(t *testing.T) {
 	for _, par := range []int{2, 3, 4, 8} {
 		in := make([]value.Row, n)
 		copy(in, rows)
-		got := sortRowsStable("test", in, par, less)
+		got := sortRowsStable("test", in, par, func(a, b value.Row) int { return value.OrderKey(a[0], b[0]) })
 		for i := range got {
 			if got[i][0].Int() != want[i][0].Int() || got[i][1].Int() != want[i][1].Int() {
 				t.Fatalf("par=%d: position %d is (%d,%d), want (%d,%d)",

@@ -1,24 +1,23 @@
 // Spill-to-disk execution. When Options.Spill supplies a temp-file manager
-// and a memory budget is set, the compiler swaps the memory-bound operators
-// for spill-capable ones: a budget breach becomes a partitioning decision —
+// and a memory budget is set, the state stores admit by refusal instead of
+// abort (store.go), and a refusal becomes a partitioning decision —
 // external merge sort (sorted runs + k-way merge), sort-based external
 // aggregation, and a grace hash join (partition build+probe to temp files,
 // recurse on oversized partitions) — instead of a *ResourceError. The
 // paper's premise survives memory pressure: group-by placement stays a cost
 // choice, not a survival choice.
 //
-// Spilled results are byte-identical to the in-memory operators' output.
-// Every spilled record carries its arrival sequence number, and each
-// operator re-establishes the exact in-memory output order from those
-// sequences: the external sort tie-breaks on arrival order (≡ stable
-// sort), the grace join orders its output by (probe seq, build seq)
-// (≡ probe order with build-insertion-order matches), and external
-// aggregation orders groups by first-arrival sequence (≡ hash
-// first-appearance order).
+// Spilled results are byte-identical to in-memory execution. Spilled
+// records carry their arrival sequence number, and each external path
+// re-establishes the exact in-memory output order from those sequences:
+// the external sort tie-breaks on arrival order (≡ stable sort), the grace
+// join orders its output stably by probe seq (≡ probe order with
+// build-insertion-order matches), and external aggregation orders groups
+// by first-arrival sequence (≡ hash first-appearance order).
 //
 // Disk I/O is fault-injectable (fault.DiskStep fires per record written,
 // read and per file close) and any failure — injected or real — aborts the
-// operator with a typed *SpillError wrapping the cause; a spill operator
+// operator with a typed *SpillError wrapping the cause; a spilling operator
 // never returns a partial result. Temp files are created only through the
 // storage.SpillManager (enforced by the spillcleanup analyzer), tracked by
 // the operator that made them and removed at Close, so Live() == 0 holds
@@ -156,16 +155,19 @@ func noEOF(err error) error {
 	return err
 }
 
-// spillFile is one temp file owned by a spill operator: buffered writes,
-// then a rewind and sequential reads. Every record write, record read and
-// close advances the governor's disk fault point; any error — injected or
-// real — surfaces as a *SpillError from the owning operator's name.
+// spillFile is one temp file owned by an operator: buffered writes, then a
+// rewind and sequential reads. The file is created by its first record, so
+// an empty grace partition never touches the disk. Every record write,
+// record read and close advances the governor's disk fault point; any error
+// — injected or real — surfaces as a *SpillError from the owning operator's
+// name.
 type spillFile struct {
-	f       *os.File
+	f       *os.File // nil until the first write
 	mgr     *storage.SpillManager
 	gov     *governor
 	metrics *obs.OpMetrics
 	op      string // owning operator, for SpillError
+	tag     string
 	w       *bufio.Writer
 	r       *bufio.Reader
 	scratch []byte
@@ -173,18 +175,21 @@ type spillFile struct {
 	gone    bool
 }
 
-func newSpillFile(mgr *storage.SpillManager, gov *governor, metrics *obs.OpMetrics, op, tag string) (*spillFile, error) {
-	f, err := mgr.Create(tag)
-	if err != nil {
-		return nil, &SpillError{Op: op, Stage: "create", Err: err}
-	}
-	return &spillFile{f: f, mgr: mgr, gov: gov, metrics: metrics, op: op, w: bufio.NewWriter(f)}, nil
+func newSpillFile(mgr *storage.SpillManager, gov *governor, metrics *obs.OpMetrics, op, tag string) *spillFile {
+	return &spillFile{mgr: mgr, gov: gov, metrics: metrics, op: op, tag: tag}
 }
 
 // writeRecord appends one encoded (seq, row) record. An injected
 // DiskShortWrite writes half the record before failing, modelling a torn
 // write that a reader would see as a truncated record.
 func (s *spillFile) writeRecord(seq int64, row value.Row) error {
+	if s.f == nil {
+		f, err := s.mgr.Create(s.tag)
+		if err != nil {
+			return &SpillError{Op: s.op, Stage: "create", Err: err}
+		}
+		s.f, s.w = f, bufio.NewWriter(f)
+	}
 	s.scratch = appendSpillRow(s.scratch[:0], seq, row)
 	if err := s.gov.diskTick(); err != nil {
 		var fe *fault.Error
@@ -209,6 +214,9 @@ func (s *spillFile) writeRecord(seq int64, row value.Row) error {
 
 // startRead flushes pending writes and rewinds for sequential reads.
 func (s *spillFile) startRead() error {
+	if s.f == nil {
+		return nil
+	}
 	if err := s.w.Flush(); err != nil {
 		return &SpillError{Op: s.op, Stage: "flush", Err: err}
 	}
@@ -221,6 +229,9 @@ func (s *spillFile) startRead() error {
 
 // readRecord returns the next record; ok is false at end of file.
 func (s *spillFile) readRecord() (spillRow, bool, error) {
+	if s.f == nil {
+		return spillRow{}, false, nil
+	}
 	if err := s.gov.diskTick(); err != nil {
 		return spillRow{}, false, &SpillError{Op: s.op, Stage: "read", Err: err}
 	}
@@ -235,7 +246,7 @@ func (s *spillFile) readRecord() (spillRow, bool, error) {
 // close fails (or a close fault fires), so a failing query never leaks temp
 // files; the first error is reported. Idempotent.
 func (s *spillFile) discard() error {
-	if s.gone {
+	if s.gone || s.f == nil {
 		return nil
 	}
 	s.gone = true
@@ -252,29 +263,35 @@ func (s *spillFile) discard() error {
 	return first
 }
 
-// extSorter is the shared external-sort machinery: rows are buffered under
-// tryCharge accounting, the buffer is sorted and written out as a run when
-// the budget refuses a row, and finish() merges the runs (or iterates the
-// buffer when everything fit). The comparator must be a total order on the
-// records — callers tie-break on the unique arrival seq, which also makes
-// the sort equivalent to a stable sort by the caller's keys.
+// extSorter is the one sorter: a stable sort of rows under cmp (ties keep
+// arrival order) that goes external on budget pressure. With a spill manager
+// rows are buffered under tryCharge accounting, the buffer is written out as
+// a sorted run when the budget refuses a row, and finish() merges the runs;
+// records carry their arrival seq, so ties resolve across runs exactly as
+// within one and a consumer can tell which record came first. Without a manager nothing can spill and nothing is accounted:
+// the buffer is sorted in place on par workers.
 type extSorter struct {
 	gov     *governor
 	mgr     *storage.SpillManager
 	metrics *obs.OpMetrics
 	op      string
-	less    func(a, b spillRow) bool
+	par     int
+	cmp     func(a, b value.Row) int
 
-	buf     []spillRow
+	buf     []value.Row // arrival order
+	base    int64       // arrival seq of buf[0]
 	charged int64
 	runs    []*spillFile
 }
 
-// add buffers one record, flushing a sorted run to disk when the budget
-// refuses it. A record too large for the whole budget is admitted
-// uncharged: the external sort degrades accounting before it ever fails.
-func (x *extSorter) add(sr spillRow, bytes int64) error {
-	if !x.gov.tryCharge(bytes) {
+// add buffers one row accounted at `bytes`, flushing a sorted run to disk
+// when the budget refuses it. A row too large for the whole budget is
+// admitted uncharged: the external sort degrades accounting before it ever
+// fails.
+func (x *extSorter) add(row value.Row, bytes int64) error {
+	if x.mgr == nil {
+		bytes = 0
+	} else if !x.gov.tryCharge(bytes) {
 		if len(x.buf) > 0 {
 			if err := x.flushRun(); err != nil {
 				return err
@@ -285,23 +302,45 @@ func (x *extSorter) add(sr spillRow, bytes int64) error {
 		}
 	}
 	x.charged += bytes
-	x.buf = append(x.buf, sr)
+	x.buf = append(x.buf, row)
 	return nil
 }
 
-func (x *extSorter) sortBuf() {
-	sort.Slice(x.buf, func(i, j int) bool { return x.less(x.buf[i], x.buf[j]) })
+// addAll hands the sorter its whole input at once. With nothing to account
+// an empty sorter adopts the slice and later sorts it in place.
+func (x *extSorter) addAll(rows []value.Row) error {
+	if x.mgr == nil && len(x.buf) == 0 {
+		x.buf = rows
+		return nil
+	}
+	for _, row := range rows {
+		if err := x.gov.tick(); err != nil {
+			return err
+		}
+		if err := x.add(row, rowStateBytes(row)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func (x *extSorter) flushRun() error {
-	x.sortBuf()
-	sf, err := newSpillFile(x.mgr, x.gov, x.metrics, x.op, "run")
-	if err != nil {
-		return err
+// sortedOrder returns the buffer's indices in sorted order; the rows stay
+// in arrival order, so an index is still a row's arrival seq less base.
+func (x *extSorter) sortedOrder() []int {
+	order := make([]int, len(x.buf))
+	for i := range order {
+		order[i] = i
 	}
+	sort.SliceStable(order, func(a, b int) bool { return x.cmp(x.buf[order[a]], x.buf[order[b]]) < 0 })
+	return order
+}
+
+// flushRun writes the buffer out as one sorted run and releases its charge.
+func (x *extSorter) flushRun() error {
+	sf := newSpillFile(x.mgr, x.gov, x.metrics, x.op, "run")
 	x.runs = append(x.runs, sf)
-	for _, sr := range x.buf {
-		if err := sf.writeRecord(sr.seq, sr.row); err != nil {
+	for _, i := range x.sortedOrder() {
+		if err := sf.writeRecord(x.base+int64(i), x.buf[i]); err != nil {
 			return err
 		}
 	}
@@ -310,25 +349,29 @@ func (x *extSorter) flushRun() error {
 	}
 	x.gov.release(x.charged)
 	x.charged = 0
+	x.base += int64(len(x.buf))
 	x.buf = x.buf[:0]
 	return nil
 }
 
-// finish ends the input phase and returns a merged iterator over all
-// records in comparator order. With no runs on disk the buffer is sorted
-// and iterated directly (the in-memory fast path); otherwise the buffer
-// becomes the final run and the runs are k-way merged, streaming.
+// finish ends the input phase and returns an iterator over all records in
+// sorted order. With no runs on disk the buffer is iterated directly — sorted
+// in place when nothing could have spilled, which is the one case where the
+// records' arrival seqs are not kept; otherwise the buffer becomes the final
+// run and the runs are k-way merged, streaming.
 func (x *extSorter) finish() (*mergeIter, error) {
+	if x.mgr == nil {
+		return &mergeIter{rows: sortRowsStable(x.op, x.buf, x.par, x.cmp)}, nil
+	}
 	if len(x.runs) == 0 {
-		x.sortBuf()
-		return &mergeIter{buf: x.buf}, nil
+		return &mergeIter{rows: x.buf, order: x.sortedOrder()}, nil
 	}
 	if len(x.buf) > 0 {
 		if err := x.flushRun(); err != nil {
 			return nil, err
 		}
 	}
-	it := &mergeIter{less: x.less}
+	it := &mergeIter{cmp: x.cmp}
 	for _, run := range x.runs {
 		if err := run.startRead(); err != nil {
 			return nil, err
@@ -356,24 +399,29 @@ func (x *extSorter) close() error {
 	return first
 }
 
-// spilledRuns reports how many runs went to disk.
-func (x *extSorter) spilledRuns() int { return len(x.runs) }
-
 // runHead is one run's current record in the merge heap.
 type runHead struct {
 	cur spillRow
 	src *spillFile
 }
 
-// mergeIter yields records in comparator order, either from the in-memory
+// mergeIter yields records in sorted order, either from the in-memory
 // buffer or by merging run files through a binary min-heap.
 type mergeIter struct {
-	// in-memory mode
-	buf []spillRow
-	pos int
+	// in-memory mode: rows in iteration order, or in arrival order with the
+	// iteration order beside them; seq is the index into rows either way
+	rows  []value.Row
+	order []int
+	pos   int
 	// merge mode
-	less  func(a, b spillRow) bool
+	cmp   func(a, b value.Row) int
 	heads []runHead
+}
+
+// before is the merge order: cmp, ties broken by arrival seq.
+func (m *mergeIter) before(a, b spillRow) bool {
+	c := m.cmp(a.row, b.row)
+	return c < 0 || c == 0 && a.seq < b.seq
 }
 
 func (m *mergeIter) push(h runHead) {
@@ -381,7 +429,7 @@ func (m *mergeIter) push(h runHead) {
 	i := len(m.heads) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !m.less(m.heads[i].cur, m.heads[parent].cur) {
+		if !m.before(m.heads[i].cur, m.heads[parent].cur) {
 			break
 		}
 		m.heads[i], m.heads[parent] = m.heads[parent], m.heads[i]
@@ -394,10 +442,10 @@ func (m *mergeIter) siftDown() {
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < len(m.heads) && m.less(m.heads[l].cur, m.heads[min].cur) {
+		if l < len(m.heads) && m.before(m.heads[l].cur, m.heads[min].cur) {
 			min = l
 		}
-		if r < len(m.heads) && m.less(m.heads[r].cur, m.heads[min].cur) {
+		if r < len(m.heads) && m.before(m.heads[r].cur, m.heads[min].cur) {
 			min = r
 		}
 		if min == i {
@@ -410,13 +458,16 @@ func (m *mergeIter) siftDown() {
 
 // next returns the smallest remaining record; ok is false when drained.
 func (m *mergeIter) next() (spillRow, bool, error) {
-	if m.less == nil {
-		if m.pos >= len(m.buf) {
+	if m.cmp == nil {
+		if m.pos >= len(m.rows) {
 			return spillRow{}, false, nil
 		}
-		sr := m.buf[m.pos]
+		i := m.pos
+		if m.order != nil {
+			i = m.order[i]
+		}
 		m.pos++
-		return sr, true, nil
+		return spillRow{seq: int64(i), row: m.rows[i]}, true, nil
 	}
 	if len(m.heads) == 0 {
 		return spillRow{}, false, nil
@@ -429,12 +480,11 @@ func (m *mergeIter) next() (spillRow, bool, error) {
 	}
 	if ok {
 		m.heads[0].cur = sr
-		m.siftDown()
 	} else {
 		last := len(m.heads) - 1
 		m.heads[0] = m.heads[last]
 		m.heads = m.heads[:last]
-		m.siftDown()
 	}
+	m.siftDown()
 	return out, true, nil
 }

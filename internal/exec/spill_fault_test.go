@@ -13,9 +13,10 @@ import (
 )
 
 // TestSpillOperatorDiskFaults is the per-operator disk-fault regression
-// suite: each spill operator — external sort, external aggregation, grace
+// suite: each external path — external sort, external aggregation, grace
 // hash join — is driven through every disk fault kind injected at every
-// tick of its execution. Each run must either return exactly the fault-free
+// tick of its execution (the horizon is the fault-free run's own tick
+// count). Each run must either return exactly the fault-free
 // spilling run's rows (the fault landed where no disk operation happened)
 // or fail with a typed *SpillError and a nil result — never a partial
 // result, never an untyped error — and must never leave a temp file behind.
@@ -49,13 +50,6 @@ func TestSpillOperatorDiskFaults(t *testing.T) {
 		},
 	}
 	kinds := []fault.Kind{fault.DiskWriteFail, fault.DiskShortWrite, fault.DiskReadFail, fault.DiskCloseFail}
-	maxTick := int64(400)
-	if testing.Short() {
-		// The first ~120 ticks cover every disk-operation stage at least
-		// once; the full sweep also walks the faults through the long
-		// tail of partition reads.
-		maxTick = 120
-	}
 
 	rowsEqual := func(a, b []value.Row) bool {
 		if len(a) != len(b) {
@@ -81,8 +75,16 @@ func TestSpillOperatorDiskFaults(t *testing.T) {
 			refOpts.MemoryBudget = budget
 			refOpts.Spill = refMgr
 			refOpts.Metrics = refCol
+			refOpts.Faults = fault.New(nil) // no events: it only counts the ticks
 			ref, err := Run(tc.plan, s, &refOpts)
 			must(t, err)
+			maxTick := refOpts.Faults.Ticks()
+			if testing.Short() && maxTick > 120 {
+				// The first ~120 ticks cover every disk-operation stage at
+				// least once; the full sweep also walks the faults through
+				// the long tail of partition reads.
+				maxTick = 120
+			}
 			if refCol.Gov().SpillBytes == 0 {
 				t.Fatalf("reference run did not spill; the budget is not tight enough to exercise %s", tc.name)
 			}
@@ -91,37 +93,41 @@ func TestSpillOperatorDiskFaults(t *testing.T) {
 			}
 
 			for _, kind := range kinds {
-				fired := 0
-				for tick := int64(1); tick <= maxTick; tick++ {
-					mgr := storage.NewSpillManager(dir)
-					opts := tc.opts
-					opts.MemoryBudget = budget
-					opts.Spill = mgr
-					opts.Faults = fault.New([]fault.Event{{Tick: tick, Kind: kind}})
-					res, err := Run(tc.plan, s, &opts)
-					if err != nil {
-						fired++
-						var se *SpillError
-						if !errors.As(err, &se) {
-							t.Fatalf("%v at tick %d surfaced as %T, want *SpillError: %v", kind, tick, err, err)
+				t.Run(kind.String(), func(t *testing.T) {
+					t.Parallel()
+					dir := t.TempDir()
+					fired := 0
+					for tick := int64(1); tick <= maxTick; tick++ {
+						mgr := storage.NewSpillManager(dir)
+						opts := tc.opts
+						opts.MemoryBudget = budget
+						opts.Spill = mgr
+						opts.Faults = fault.New([]fault.Event{{Tick: tick, Kind: kind}})
+						res, err := Run(tc.plan, s, &opts)
+						if err != nil {
+							fired++
+							var se *SpillError
+							if !errors.As(err, &se) {
+								t.Fatalf("%v at tick %d surfaced as %T, want *SpillError: %v", kind, tick, err, err)
+							}
+							if res != nil {
+								t.Fatalf("%v at tick %d returned a partial result alongside the error", kind, tick)
+							}
+						} else if !rowsEqual(res.Rows, ref.Rows) {
+							t.Fatalf("%v at tick %d: un-faulted run diverged from reference (%d rows vs %d)",
+								kind, tick, len(res.Rows), len(ref.Rows))
 						}
-						if res != nil {
-							t.Fatalf("%v at tick %d returned a partial result alongside the error", kind, tick)
+						if n := mgr.Live(); n != 0 {
+							t.Fatalf("%v at tick %d leaked %d spill files (err=%v)", kind, tick, n, err)
 						}
-					} else if !rowsEqual(res.Rows, ref.Rows) {
-						t.Fatalf("%v at tick %d: un-faulted run diverged from reference (%d rows vs %d)",
-							kind, tick, len(res.Rows), len(ref.Rows))
+						if err := mgr.Cleanup(); err != nil {
+							t.Fatalf("cleanup after %v at tick %d: %v", kind, tick, err)
+						}
 					}
-					if n := mgr.Live(); n != 0 {
-						t.Fatalf("%v at tick %d leaked %d spill files (err=%v)", kind, tick, n, err)
+					if fired == 0 {
+						t.Fatalf("%v never landed on a disk operation in the %d-tick sweep; the sweep is not covering %s", kind, maxTick, tc.name)
 					}
-					if err := mgr.Cleanup(); err != nil {
-						t.Fatalf("cleanup after %v at tick %d: %v", kind, tick, err)
-					}
-				}
-				if fired == 0 {
-					t.Fatalf("%v never landed on a disk operation in the tick sweep; the sweep is not covering %s", kind, tc.name)
-				}
+				})
 			}
 		})
 	}

@@ -66,15 +66,12 @@ func FuzzExternalSort(f *testing.F) {
 			})
 		}
 
-		less := func(a, b spillRow) bool {
-			c := value.OrderKey(a.row[0], b.row[0])
-			if c != 0 {
-				if desc {
-					return c > 0
-				}
-				return c < 0
+		cmp := func(a, b value.Row) int {
+			c := value.OrderKey(a[0], b[0])
+			if desc {
+				return -c
 			}
-			return a.seq < b.seq
+			return c
 		}
 
 		// Reference: a plain stable in-memory sort by the key column.
@@ -82,15 +79,15 @@ func FuzzExternalSort(f *testing.F) {
 		for i, r := range rows {
 			ref[i] = spillRow{seq: int64(i), row: r}
 		}
-		sort.SliceStable(ref, func(i, j int) bool { return less(ref[i], ref[j]) })
+		sort.SliceStable(ref, func(i, j int) bool { return cmp(ref[i].row, ref[j].row) < 0 })
 
 		// Subject: the extSorter under a budget tight enough to force runs
 		// to disk on any non-trivial input.
 		mgr := storage.NewSpillManager(t.TempDir())
 		gov := newGovernor(&Options{MemoryBudget: 1 + int64(budget%1024)})
-		x := &extSorter{gov: gov, mgr: mgr, op: "fuzz", less: less}
+		x := &extSorter{gov: gov, mgr: mgr, op: "fuzz", cmp: cmp}
 		for i, r := range rows {
-			if err := x.add(spillRow{seq: int64(i), row: r}, rowStateBytes(r)); err != nil {
+			if err := x.add(r, rowStateBytes(r)); err != nil {
 				t.Fatalf("add row %d: %v", i, err)
 			}
 		}

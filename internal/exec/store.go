@@ -1,0 +1,223 @@
+// The state stores behind every hash and sort operator: the group table and
+// the join build table here, the external sorter in spill.go. Each admits its
+// state through one admission rule taken from the governor, so "abort on a
+// budget breach" and "refuse, release and hand over to the external path" are
+// policies of a store, not operator families, and a worker count is how many
+// partial stores (group chunks, join partitions) are built at once — 1 is
+// serial execution.
+package exec
+
+import (
+	"errors"
+
+	"repro/internal/obs"
+	"repro/internal/storage"
+	"repro/internal/value"
+)
+
+// admitMode is how a store reacts when the budget refuses its next entry.
+type admitMode uint8
+
+const (
+	admitAbort  admitMode = iota // charge: the breach aborts the query with a *ResourceError
+	admitRefuse                  // tryCharge: the breach releases the store's bytes and reports errRefused
+	admitForce                   // uncharged: a grace partition no rehash can split
+)
+
+// errRefused is a store's "does not fit" under admitRefuse. It never leaves
+// the operator that owns the store: the operator answers it by taking its
+// external path.
+var errRefused = errors.New("exec: operator state refused by the memory budget")
+
+// admission is one store's admission rule. A store built by several workers
+// shares it only under admitAbort, which keeps no per-store total.
+type admission struct {
+	gov   *governor
+	where string
+	mode  admitMode
+	held  int64 // bytes admitted under admitRefuse, given back by release
+}
+
+// admissionFor is the rule of an operator's primary store: abort, unless a
+// spill manager makes an external path available.
+func admissionFor(gov *governor, mgr *storage.SpillManager, where string) admission {
+	a := admission{gov: gov, where: where}
+	if mgr != nil {
+		a.mode = admitRefuse
+	}
+	return a
+}
+
+// charge admits n bytes, or fails with *ResourceError (admitAbort) or
+// errRefused after releasing everything held (admitRefuse).
+func (a *admission) charge(n int64) error {
+	switch a.mode {
+	case admitAbort:
+		return a.gov.charge(a.where, n)
+	case admitRefuse:
+		if !a.gov.tryCharge(n) {
+			a.release()
+			return errRefused
+		}
+		a.held += n
+	}
+	return nil
+}
+
+// release returns the held bytes to the budget (state charged under
+// admitAbort is never released: its high-water mark is what an OOM would see).
+func (a *admission) release() {
+	a.gov.release(a.held)
+	a.held = 0
+}
+
+// groupTable is the partial-aggregate store: canonical group key → group
+// state, in first-appearance order. A scalar aggregation (no grouping
+// columns) is a table holding one unkeyed, uncharged state from the start, so
+// it yields its one row even over empty input.
+type groupTable struct {
+	core     *groupCore
+	adm      admission
+	index    map[string]*groupState // nil for the scalar group
+	order    []*groupState
+	keyBytes int64
+}
+
+func (g *groupCore) newTable() (*groupTable, error) {
+	t := &groupTable{core: g, adm: admissionFor(g.gov, g.mgr, g.where)}
+	if g.scalarGroup() {
+		st, err := g.newState(nil)
+		t.order = []*groupState{st}
+		return t, err
+	}
+	t.index = make(map[string]*groupState)
+	return t, nil
+}
+
+// rowGroup returns the group row belongs to, creating it on first sight.
+func (t *groupTable) rowGroup(row value.Row) (*groupState, error) {
+	if t.index == nil {
+		return t.order[0], nil
+	}
+	key := value.GroupKey(row, t.core.groupCols)
+	if st, ok := t.index[key]; ok {
+		return st, nil
+	}
+	return t.insert(key, row)
+}
+
+// insert admits and creates the group for key, with repr as the row its
+// grouping-column values are read from.
+func (t *groupTable) insert(key string, repr value.Row) (*groupState, error) {
+	if err := t.adm.charge(t.core.groupStateBytes(len(key))); err != nil {
+		return nil, err
+	}
+	st, err := t.core.newState(repr)
+	if err != nil {
+		return nil, err
+	}
+	st.key = key
+	t.index[key] = st
+	t.order = append(t.order, st)
+	t.keyBytes += int64(len(key))
+	return st, nil
+}
+
+// absorb merges a later chunk's partial table into t through the
+// accumulators' Merge step — the paper's eager aggregation reused as the
+// combine rule. Absorbing chunks in index order keeps t.order the global
+// first-appearance order, and a group's state (hence its representative row)
+// is always the one from the earliest chunk containing it: exactly what one
+// pass over the whole input would have built.
+func (t *groupTable) absorb(src *groupTable) error {
+	for _, st := range src.order {
+		var dst *groupState
+		if t.index == nil {
+			dst = t.order[0]
+		} else if dst = t.index[st.key]; dst == nil {
+			//lint:ignore budgetcharge adopts a partial state already charged when its chunk built it
+			t.index[st.key] = st
+			t.order = append(t.order, st)
+			continue
+		}
+		for i := range dst.accs {
+			for k := range dst.accs[i] {
+				if err := dst.accs[i][k].Merge(st.accs[i][k]); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// joinTable is the hash-join build store: build rows by canonical join key,
+// hash-partitioned one map per build worker (one map at one worker). Rows
+// with a NULL key column are never stored — the equality would be unknown.
+// Matches come back in build order, whatever the partition count.
+type joinTable struct {
+	cols    []int // key columns of the build rows
+	adm     admission
+	metrics *obs.OpMetrics // nil unless metrics collection is on
+	parts   []map[string][]value.Row
+}
+
+// build stores rows on `workers` workers: a serial scatter by key hash keeps
+// build order within each partition, then the partitions fill in parallel.
+// Every entry is admitted on its own, so an abort names the exact allocation
+// that crossed the budget; build statistics are recorded only for a table
+// that was built to the end.
+func (t *joinTable) build(rows []value.Row, workers int) error {
+	scattered := [][]value.Row{rows}
+	if workers > 1 {
+		scattered = make([][]value.Row, workers)
+		for _, row := range rows {
+			if err := t.adm.gov.tick(); err != nil {
+				return err
+			}
+			p := partitionOf(value.GroupKey(row, t.cols), workers)
+			scattered[p] = append(scattered[p], row)
+		}
+	}
+	t.parts = make([]map[string][]value.Row, len(scattered))
+	return forEachChunk(t.adm.where, workers, len(scattered), 1, func(w, c, _, _ int) error {
+		if err := t.adm.gov.cancelled(); err != nil {
+			return err
+		}
+		if t.metrics != nil && workers > 1 {
+			t.metrics.Morsel(w)
+		}
+		part := make(map[string][]value.Row)
+		var entries, bytes int64
+		for _, row := range scattered[c] {
+			if err := t.adm.gov.tick(); err != nil {
+				return err
+			}
+			if anyNullAt(row, t.cols) {
+				continue
+			}
+			key := value.GroupKey(row, t.cols)
+			entry := int64(len(key)) + rowStateBytes(row)
+			if err := t.adm.charge(entry); err != nil {
+				return err
+			}
+			part[key] = append(part[key], row)
+			entries++
+			bytes += entry
+		}
+		t.parts[c] = part
+		if t.metrics != nil {
+			t.metrics.BuildEntries.Add(entries)
+			t.metrics.StateBytes.Add(bytes)
+		}
+		return nil
+	})
+}
+
+// lookup returns the build rows stored under key, in build order.
+func (t *joinTable) lookup(key string) []value.Row {
+	if len(t.parts) == 1 {
+		return t.parts[0][key]
+	}
+	return t.parts[partitionOf(key, len(t.parts))][key]
+}

@@ -440,7 +440,7 @@ func cmpColCol(lcol, rcol int, op expr.BinOp) vecPred {
 // vecFilterOp evaluates the predicate a batch at a time, emitting selection
 // views over its input's vectors — survivors are never copied. It streams
 // (no materialization) at any parallelism level; output order is input
-// order, exactly like the serial and parallel row filters.
+// order, exactly like the row filter at any worker count.
 type vecFilterOp struct {
 	input   Operator
 	src     batchFeed

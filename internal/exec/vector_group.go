@@ -21,16 +21,13 @@ type aggColRef struct {
 // arguments that are bare columns feed straight from the vectors; anything
 // else evaluates over a per-batch scratch row. Group output order is first
 // appearance, and the accumulator fold visits rows in input order — both
-// identical to the serial row hashGroupOp.
+// identical to the row hashGroupOp.
 //
-// With par > 1 the input batches are materialized and fanned out in
-// contiguous chunks, one thread-local partial table per chunk, merged in
-// chunk order through the accumulators' Merge step — the same discipline
-// (and therefore the same results) as parallelHashGroupOp.
+// It is hashGroupOp with a batch feeder: the same groupTable, partial
+// tables and chunk-order combine, hence the same results.
 type vecHashGroupOp struct {
 	groupCore
 	src     batchFeed
-	par     int
 	aggCols []aggColRef
 }
 
@@ -91,95 +88,41 @@ func (g *vecHashGroupOp) Open() error {
 		return err
 	}
 	resetFeed(g.src)
-	if g.scalarGroup() {
-		return g.openScalar()
-	}
-	if g.par > 1 {
-		return g.openParallel()
-	}
-	index := make(map[string]*groupState)
-	var order []*groupState
-	var keyBytes int64
-	var enc vec.KeyEncoder
-	var scratch value.Row
-	for {
-		b, ok, err := g.src.NextBatch()
+	if g.par <= 1 || g.scalarGroup() {
+		// One table fed straight off the stream, no materialization.
+		t, err := g.newTable()
 		if err != nil {
 			return err
 		}
-		if !ok {
-			break
-		}
-		if g.metrics != nil {
-			g.metrics.Morsel(0)
-		}
-		keys := enc.Encode(b, g.groupCols)
-		for i, n := 0, b.Len(); i < n; i++ {
-			st, ok := index[string(keys[i])]
+		var enc vec.KeyEncoder
+		var scratch value.Row
+		for {
+			b, ok, err := g.src.NextBatch()
+			if err != nil {
+				return err
+			}
 			if !ok {
-				var err error
-				st, err = g.newState(b.MaterializeRow(i))
-				if err != nil {
-					return err
-				}
-				key := string(keys[i])
-				index[key] = st
-				order = append(order, st)
-				keyBytes += int64(len(key))
-				if err := g.gov.charge(g.where, g.groupStateBytes(len(key))); err != nil {
-					return err
-				}
+				break
 			}
-			if err := g.feedVec(st, b, i, &scratch); err != nil {
+			if g.metrics != nil {
+				g.metrics.Morsel(0)
+			}
+			if err := g.feedBatch(t, b, &enc, &scratch); err != nil {
 				return err
 			}
 		}
+		g.recordBuild(len(t.order), t.keyBytes)
+		return g.combine([]*groupTable{t})
 	}
-	g.recordBuild(len(order), keyBytes)
-	return g.emit(order)
-}
-
-// openScalar aggregates the whole input as one group in a single streaming
-// pass (one row out even for empty input, per SQL2).
-func (g *vecHashGroupOp) openScalar() error {
-	st, err := g.newState(nil)
-	if err != nil {
-		return err
-	}
-	var scratch value.Row
-	for {
-		b, ok, err := g.src.NextBatch()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if g.metrics != nil {
-			g.metrics.Morsel(0)
-		}
-		for i, n := 0, b.Len(); i < n; i++ {
-			if err := g.feedVec(st, b, i, &scratch); err != nil {
-				return err
-			}
-		}
-	}
-	g.recordBuild(1, 0)
-	return g.emit([]*groupState{st})
-}
-
-// openParallel materializes the input batches and aggregates contiguous
-// batch chunks into thread-local partial tables, merged in chunk order. A
-// group's adopted state comes from the earliest chunk containing it, so its
-// representative row is the globally first row of the group and the global
-// first-appearance order equals serial execution's.
-func (g *vecHashGroupOp) openParallel() error {
+	// Above one worker the input batches are materialized and contiguous
+	// batch chunks aggregate into thread-local partial tables, combined in
+	// chunk order like the row operator's.
 	batches, err := drainFeed(g.src)
 	if err != nil {
 		return err
 	}
 	size := chunkSizeFor(len(batches), g.par)
-	locals := make([]localGroups, numChunks(len(batches), size))
+	tables := make([]*groupTable, numChunks(len(batches), size))
 	err = forEachChunk(g.where, g.par, len(batches), size, func(w, c, lo, hi int) error {
 		if err := g.gov.cancelled(); err != nil {
 			return err
@@ -187,62 +130,52 @@ func (g *vecHashGroupOp) openParallel() error {
 		if g.metrics != nil {
 			g.metrics.Morsel(w)
 		}
-		local := localGroups{index: make(map[string]*groupState)}
-		var keyBytes int64
+		t, err := g.newTable()
+		if err != nil {
+			return err
+		}
 		var enc vec.KeyEncoder
 		var scratch value.Row
 		for _, b := range batches[lo:hi] {
 			if err := g.gov.tick(); err != nil {
 				return err
 			}
-			keys := enc.Encode(b, g.groupCols)
-			for i, n := 0, b.Len(); i < n; i++ {
-				st, ok := local.index[string(keys[i])]
-				if !ok {
-					var err error
-					st, err = g.newState(b.MaterializeRow(i))
-					if err != nil {
-						return err
-					}
-					key := string(keys[i])
-					local.index[key] = st
-					local.order = append(local.order, st)
-					local.keys = append(local.keys, key)
-					keyBytes += int64(len(key))
-					if err := g.gov.charge(g.where, g.groupStateBytes(len(key))); err != nil {
-						return err
-					}
-				}
-				if err := g.feedVec(st, b, i, &scratch); err != nil {
-					return err
-				}
+			if err := g.feedBatch(t, b, &enc, &scratch); err != nil {
+				return err
 			}
 		}
-		locals[c] = local
-		g.recordBuild(len(local.order), keyBytes)
+		tables[c] = t
+		g.recordBuild(len(t.order), t.keyBytes)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	global := make(map[string]*groupState)
-	var order []*groupState
-	for _, local := range locals {
-		for i, st := range local.order {
-			key := local.keys[i]
-			if dst, ok := global[key]; ok {
-				if err := g.mergeStates(dst, st); err != nil {
-					return err
-				}
-			} else {
-				//lint:ignore budgetcharge adopts a partial state already charged when its chunk built it
-				global[key] = st
-				order = append(order, st)
-			}
-		}
-	}
-	return g.emit(order)
+	return g.combine(tables)
 }
 
-func (g *vecHashGroupOp) Next() (value.Row, bool, error) { return g.next() }
-func (g *vecHashGroupOp) Close() error                   { return g.input.Close() }
+// feedBatch folds one batch into t: keys encoded column-at-a-time, groups
+// looked up by key bytes (no string is built for a group already present).
+func (g *vecHashGroupOp) feedBatch(t *groupTable, b *vec.Batch, enc *vec.KeyEncoder, scratch *value.Row) error {
+	var keys [][]byte
+	if t.index != nil {
+		keys = enc.Encode(b, g.groupCols)
+	}
+	for i, n := 0, b.Len(); i < n; i++ {
+		var st *groupState
+		if t.index == nil {
+			st = t.order[0]
+		} else if st = t.index[string(keys[i])]; st == nil {
+			var err error
+			if st, err = t.insert(string(keys[i]), b.MaterializeRow(i)); err != nil {
+				return err
+			}
+		}
+		if err := g.feedVec(st, b, i, scratch); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (g *vecHashGroupOp) Close() error { return g.input.Close() }

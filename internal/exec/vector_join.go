@@ -15,7 +15,7 @@ import (
 // columns from the build store. Rows with a NULL in any key column are
 // dropped on both sides, exactly like the row hash join.
 //
-// Output order matches the serial row hashJoinOp row for row: probe rows in
+// Output order matches the row hashJoinOp row for row: probe rows in
 // input order, each row's matches in build insertion order, residual
 // filtering applied per concatenated row. With par > 1 the probe batches
 // are materialized and fanned out to workers one batch per chunk, and the

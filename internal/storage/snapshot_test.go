@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -125,24 +126,25 @@ func TestSnapshotCatalogIsolation(t *testing.T) {
 
 // Concurrent snapshot readers vs a writer: run under -race. Each reader
 // captures a snapshot, records its length, and re-reads it repeatedly
-// while the writer keeps inserting; any drift is a torn snapshot.
+// while the writer inserts; any drift is a torn snapshot. The writer's
+// insert count is fixed and the readers loop until it is done, so the
+// table — which every reader iteration re-columnarizes — stays bounded and
+// the test's work is linear however the scheduler interleaves them.
 func TestSnapshotConcurrentReadersVsWriter(t *testing.T) {
+	const inserts = 2000
 	s := snapshotStore(t)
 	for i := 0; i < 8; i++ {
 		s.MustInsert("t", intsRow(int64(i), int64(i)))
 	}
 	var writer sync.WaitGroup
-	stop := make(chan struct{})
+	written := make(chan struct{})
 	writer.Add(1)
 	go func() {
 		defer writer.Done()
-		for i := 8; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		defer close(written)
+		for i := 8; i < 8+inserts; i++ {
 			s.MustInsert("t", intsRow(int64(i), int64(i)))
+			runtime.Gosched() // let readers capture intermediate versions
 		}
 	}()
 	errs := make(chan error, 8)
@@ -151,7 +153,12 @@ func TestSnapshotConcurrentReadersVsWriter(t *testing.T) {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			for iter := 0; iter < 200; iter++ {
+			for done := false; !done; {
+				select {
+				case <-written:
+					done = true // one last pass over the final table
+				default:
+				}
 				snap := s.Snapshot()
 				tab, err := snap.Table("t")
 				if err != nil {
@@ -183,7 +190,6 @@ func TestSnapshotConcurrentReadersVsWriter(t *testing.T) {
 		}()
 	}
 	readers.Wait()
-	close(stop)
 	writer.Wait()
 	select {
 	case err := <-errs:
