@@ -128,6 +128,10 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzEagerCert -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzExternalSort -fuzztime $(FUZZTIME)
 
+# Every benchmark in the module with allocs/op — among them the layer
+# benchmarks behind the grouping decision of DESIGN.md §19 (internal/exec:
+# BenchmarkOrderByOverGrouping, GroupAuto vs forced GroupSort on the row and
+# the vectorized engine, and BenchmarkSortRowsStable, the sort kernel alone).
 bench:
 	$(GO) test -bench . -benchmem ./...
 

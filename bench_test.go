@@ -412,13 +412,15 @@ func BenchmarkPredicateExpansionAblation(b *testing.B) {
 }
 
 // BenchmarkOrderExploitation measures the Section 7 interesting-order
-// exploitation: the transformed plan's eager aggregation (sort-based)
-// leaves its output ordered on GA1+, letting the merge join above skip its
-// left-side sort. The ablation finding (recorded in EXPERIMENTS.md): the
-// exploitation eliminates the redundant sort and most allocations, but
-// in-memory hash grouping still beats sort-based grouping outright at this
-// scale — the exploitation pays off when grouped output must be sorted
-// anyway (ORDER BY on the grouping columns), not as a default.
+// exploitation under forced strategies: the transformed plan's eager
+// aggregation, sort-based, leaves its output ordered on GA1+, letting the
+// merge join above skip its left-side sort. The ablation finding (recorded
+// in EXPERIMENTS.md): skipping that sort is real, but paying an N-row sort
+// in the grouping operator to get there loses to hashing the N rows and
+// ordering the G groups afterwards — at this scale and, measured by
+// exec.BenchmarkOrderByOverGrouping, also when the grouped output must be
+// sorted anyway. So the executor streams only over an order it is handed
+// and never sorts rows to create one (DESIGN.md §19).
 func BenchmarkOrderExploitation(b *testing.B) {
 	store, err := workload.EmployeeDepartment(100000, 1000)
 	if err != nil {

@@ -223,7 +223,7 @@ func TestQueryOptionsBudgetHonouredDistributed(t *testing.T) {
 			t.Fatal(err)
 		}
 		at := attempt{dist: nodes > 1}
-		if opts := p.execOptions(context.Background(), at, p.pc.plan, &outcome{}); opts.Parallelism != 0 || opts.Vectorize {
+		if opts := p.execOptions(context.Background(), at, &outcome{}); opts.Parallelism != 0 || opts.Vectorize {
 			t.Errorf("nodes=%d: Serial left parallelism=%d vectorize=%t", nodes, opts.Parallelism, opts.Vectorize)
 		}
 	}

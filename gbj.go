@@ -648,7 +648,7 @@ func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome)
 	if at.lazy {
 		plan, ann, certs = p.pc.fallback, p.pc.fallbackAnn, nil
 	}
-	opts := p.execOptions(ctx, at, plan, out)
+	opts := p.execOptions(ctx, at, out)
 	if at == (attempt{}) && p.set.spillDir != "" && p.set.memBudget > 0 {
 		// The first local rung spills under budget pressure instead of
 		// aborting; its temp files are swept when the rung returns. The
@@ -678,13 +678,12 @@ func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome)
 
 // execOptions builds the executor options of one rung from the query's
 // settings copy. Local rungs add what only single-site execution has: the
-// sort-aware grouping strategy, the columnar engine and operator spans
-// (try adds the first local rung's SpillManager). Cluster fragments always
-// hash — their output order is the runner's node-order concatenation and
-// any ORDER BY is a real coordinator sort, so order propagation has nothing
-// to elide — and run the row engine over their materialized shard slices,
-// as they always have.
-func (p *prepared) execOptions(ctx context.Context, at attempt, plan algebra.Node, out *outcome) *exec.Options {
+// per-node grouping choice of the executor's compiler (exec.GroupAuto), the
+// columnar engine and operator spans (try adds the first local rung's
+// SpillManager). Cluster fragments always hash — their input is the runner's
+// node-order concatenation, never a sorted stream — and run the row engine
+// over their materialized shard slices, as they always have.
+func (p *prepared) execOptions(ctx context.Context, at attempt, out *outcome) *exec.Options {
 	opts := &exec.Options{
 		Params:       p.params,
 		Group:        exec.GroupHash,
@@ -696,7 +695,7 @@ func (p *prepared) execOptions(ctx context.Context, at attempt, plan algebra.Nod
 		Faults:       p.set.faults,
 	}
 	if !at.dist {
-		opts.Group = groupStrategyFor(plan)
+		opts.Group = exec.GroupAuto
 		opts.Vectorize = p.set.vectorize
 		opts.Trace = out.tracer
 	}
@@ -724,44 +723,6 @@ func fallbackReason(err error) string {
 		return fmt.Sprintf("eager plan exceeded the memory budget (%d of %d bytes at %s); re-executed the lazy group-after-join plan", re.Used, re.Budget, re.Op)
 	}
 	return "re-executed the lazy group-after-join plan"
-}
-
-// groupStrategyFor picks the physical grouping strategy for a plan: when an
-// ascending ORDER BY sits directly above grouping output and its keys are a
-// prefix of the grouping columns, sort-based grouping makes the final sort
-// free (the executor elides it via order propagation) — the paper's
-// Section 7 note that grouped output "is normally sorted based on the
-// grouping columns" and that this can be exploited. Everything else hashes.
-func groupStrategyFor(plan algebra.Node) exec.GroupStrategy {
-	sortNode, ok := topSort(plan)
-	if !ok {
-		return exec.GroupAuto
-	}
-	var group *algebra.GroupBy
-	algebra.Walk(sortNode, func(n algebra.Node) {
-		if g, ok := n.(*algebra.GroupBy); ok && group == nil {
-			group = g
-		}
-	})
-	if group == nil || len(sortNode.Keys) > len(group.GroupCols) {
-		return exec.GroupAuto
-	}
-	for i, k := range sortNode.Keys {
-		if k.Desc || group.GroupCols[i].Name != k.Col.Name {
-			return exec.GroupAuto
-		}
-	}
-	return exec.GroupSort
-}
-
-// topSort returns the plan's final ORDER BY node, looking through a LIMIT
-// on top of it.
-func topSort(plan algebra.Node) (*algebra.Sort, bool) {
-	if l, ok := plan.(*algebra.Limit); ok {
-		plan = l.Input
-	}
-	s, ok := plan.(*algebra.Sort)
-	return s, ok
 }
 
 // planChoice is the executable outcome of plan selection: the chosen plan

@@ -102,6 +102,9 @@ func (c *Calibration) Annotations() algebra.Annotations {
 		if nc.Metrics.WallNanos > 0 {
 			fmt.Fprintf(&note, " time=%v", time.Duration(nc.Metrics.WallNanos))
 		}
+		if nc.Metrics.Operator != "" {
+			fmt.Fprintf(&note, " op=%s", nc.Metrics.Operator)
+		}
 		if nc.Metrics.BuildEntries > 0 {
 			fmt.Fprintf(&note, " build=%d", nc.Metrics.BuildEntries)
 		}

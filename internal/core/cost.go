@@ -23,17 +23,25 @@ type Stats interface {
 	DistinctValues(table, column string) int64
 }
 
-// StoreStats derives statistics from a live store, caching distinct counts.
-// It is safe for concurrent use (several queries may optimize at once).
+// StoreStats derives statistics from a live store, caching each distinct
+// count for as long as its table keeps the length it was counted at: the
+// store is insert-only, so length is a version and a write recounts only the
+// written table. Safe for concurrent use (several queries may optimize at once).
 type StoreStats struct {
 	store    *storage.Store
 	mu       sync.Mutex
-	distinct map[[2]string]int64
+	distinct map[[2]string]distinctCount
+}
+
+// distinctCount is one cached count and the table length it holds for.
+type distinctCount struct {
+	rows int
+	n    int64
 }
 
 // NewStoreStats returns statistics backed by the store's current contents.
 func NewStoreStats(store *storage.Store) *StoreStats {
-	return &StoreStats{store: store, distinct: make(map[[2]string]int64)}
+	return &StoreStats{store: store, distinct: make(map[[2]string]distinctCount)}
 }
 
 // TableRows returns the table's current cardinality (0 for unknown tables).
@@ -47,12 +55,6 @@ func (s *StoreStats) TableRows(table string) int64 {
 
 // DistinctValues counts distinct values in the column under =ⁿ.
 func (s *StoreStats) DistinctValues(table, column string) int64 {
-	key := [2]string{table, column}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v, ok := s.distinct[key]; ok {
-		return v
-	}
 	t, err := s.store.Table(table)
 	if err != nil {
 		return 0
@@ -61,12 +63,23 @@ func (s *StoreStats) DistinctValues(table, column string) int64 {
 	if idx < 0 {
 		return 0
 	}
-	seen := make(map[string]bool)
-	for _, row := range t.Rows() {
-		seen[value.GroupKey(row, []int{idx})] = true
+	key := [2]string{table, column}
+	rows := t.Rows()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c, ok := s.distinct[key]; ok && c.rows == len(rows) {
+		return c.n
+	}
+	seen := make(map[string]struct{})
+	var buf []byte
+	for _, row := range rows {
+		buf = value.AppendGroupKey(buf[:0], row[idx])
+		if _, ok := seen[string(buf)]; !ok {
+			seen[string(buf)] = struct{}{}
+		}
 	}
 	n := int64(len(seen))
-	s.distinct[key] = n
+	s.distinct[key] = distinctCount{rows: len(rows), n: n}
 	return n
 }
 

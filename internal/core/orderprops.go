@@ -2,11 +2,11 @@ package core
 
 // Order-properties pass: after a plan is assembled, walk it once and mark
 // every GroupBy whose input provably streams in an order that makes each
-// group contiguous. The executor's sort-based grouping then runs as a
-// single streaming pass — no sort, no hash table — which is the plan-level
-// half of the sort-elision story (the executor independently re-verifies
-// the order it actually receives and falls back to a real sort if the hint
-// outruns the stream).
+// group contiguous, so that grouping can run as a single streaming pass —
+// no sort, no hash table. This is the plan-level statement of the claim;
+// the plan verifier re-derives it, and the executor decides from the order
+// it can itself prove of the physical stream (DESIGN.md §19), hashing
+// whenever it cannot.
 
 import (
 	"repro/internal/algebra"

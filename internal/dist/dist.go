@@ -25,7 +25,6 @@ package dist
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync/atomic"
 
 	"repro/internal/fault"
@@ -45,9 +44,16 @@ func Partition(r value.Row, cols []int, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := fnv.New32a()
-	h.Write([]byte(value.GroupKey(r, cols)))
-	return int(h.Sum32() % uint32(n))
+	var scratch [64]byte // the key is hashed, never kept: no string is made
+	key := scratch[:0]
+	for _, c := range cols {
+		key = value.AppendGroupKey(key, r[c])
+	}
+	h := uint32(2166136261)
+	for _, b := range key {
+		h = (h ^ uint32(b)) * 16777619
+	}
+	return int(h % uint32(n))
 }
 
 // RowBytes is the accounted wire size of one row: the length of its

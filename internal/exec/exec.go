@@ -54,11 +54,13 @@ func (s JoinStrategy) String() string {
 // GroupStrategy selects the physical grouping implementation.
 type GroupStrategy uint8
 
-// Grouping strategies. GroupAuto exploits interesting orders (the paper's
-// Section 7: grouped output "is normally sorted based on the grouping
-// columns" and sortedness can be exploited downstream): when the input is
-// already ordered on the grouping columns, grouping runs as a single
-// streaming pass with no sort; otherwise it hashes.
+// Grouping strategies. GroupAuto (every local run) lets the compiler choose
+// per GroupBy node from the order it can prove of the node's input — the
+// paper's Section 7, sortedness "can be exploited": input already ordered on
+// the grouping columns is grouped in one streaming pass, anything else
+// hashes. GroupHash (cluster fragments) and GroupSort (sort the input rows,
+// then stream; the oracles' reference variant, set by no production caller)
+// force one implementation on every node.
 const (
 	GroupHash GroupStrategy = iota
 	GroupSort
@@ -82,7 +84,7 @@ func (s GroupStrategy) String() string {
 // Options configures an execution.
 type Options struct {
 	Join   JoinStrategy
-	Group  GroupStrategy
+	Group  GroupStrategy // GroupAuto on local runs, GroupHash in cluster fragments
 	Params expr.Params
 	// Parallelism is the worker count of the one operator set: 0 (and 1)
 	// mean one worker — serial execution, with streaming filters,

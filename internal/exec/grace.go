@@ -26,7 +26,7 @@ const (
 // gracePartition assigns a canonical join key to one of graceParts
 // partitions, salted by recursion depth so an oversized partition rehashes
 // differently on the next level (FNV-1a with a depth-perturbed basis).
-func gracePartition(key string, depth int) int {
+func gracePartition(key []byte, depth int) int {
 	h := uint64(1469598103934665603) + uint64(depth)*0x9e3779b97f4a7c15
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -85,11 +85,13 @@ func (j *hashJoinOp) newPartitionFiles(tag string) []*spillFile {
 // partition pair is joined and discarded.
 func (j *hashJoinOp) grace(build []spillRow, probe func() (spillRow, bool, error), depth int, matches *[]spillRow) error {
 	bparts := j.newPartitionFiles("build")
+	var key []byte
 	for _, sr := range build {
 		if err := j.gov.tick(); err != nil {
 			return err
 		}
-		p := gracePartition(value.GroupKey(sr.row, j.rcols), depth)
+		key = appendKey(key[:0], sr.row, j.rcols)
+		p := gracePartition(key, depth)
 		if err := bparts[p].writeRecord(sr.seq, sr.row); err != nil {
 			return err
 		}
@@ -109,7 +111,8 @@ func (j *hashJoinOp) grace(build []spillRow, probe func() (spillRow, bool, error
 		if anyNullAt(sr.row, j.lcols) {
 			continue
 		}
-		p := gracePartition(value.GroupKey(sr.row, j.lcols), depth)
+		key = appendKey(key[:0], sr.row, j.lcols)
+		p := gracePartition(key, depth)
 		if err := pparts[p].writeRecord(sr.seq, sr.row); err != nil {
 			return err
 		}

@@ -66,23 +66,16 @@ func (c *compiler) compileGroupBy(node *algebra.GroupBy) (compiled, error) {
 		par:       c.stateWorkers(),
 		where:     node.Describe(),
 	}
-	// Streams already ordered on the grouping columns have contiguous
-	// groups: a single aggregation pass with no sort and no hash table.
-	// The optimizer's order-properties pass can assert the same thing from
-	// the plan shape (node.Ordered); the executor still verifies against
-	// its own propagated order and falls back to a real sort if the hint
-	// outruns what the physical stream guarantees.
+	// How grouping is chosen, here and nowhere else (DESIGN.md §19). Order is
+	// a physical property of this node's input: if the propagated order
+	// proves it sorted on the grouping columns the groups are contiguous —
+	// one streaming pass, no sort, no table. Anything else hashes, and an
+	// ORDER BY above orders G group rows, not N input rows here; an unproven
+	// node.Ordered hint changes nothing. A fresh sort survives as forced
+	// GroupSort (the oracles' reference) and as a refused table's external path.
 	preSorted := orderedPrefixSet(in.order, groupCols)
-	strategy := c.opts.Group
-	if strategy == GroupAuto {
-		if preSorted || node.Ordered {
-			strategy = GroupSort
-		} else {
-			strategy = GroupHash
-		}
-	}
 	switch {
-	case strategy == GroupSort:
+	case c.opts.Group == GroupSort, c.opts.Group == GroupAuto && preSorted:
 		// Output columns: grouping columns first (positions 0..k-1), then
 		// the aggregate results. A fresh sort orders the output by the
 		// grouping-column sequence; a pre-sorted pass preserves the input's
@@ -169,6 +162,14 @@ func (g *groupCore) recordBuild(n int, keyBytes int64) {
 	g.metrics.StateBytes.Add(keyBytes + g.groupStateBytes(0)*int64(n))
 }
 
+// ran names the grouping implementation that ran (hash, vec-hash, stream,
+// sort, external) in the node's metrics, for EXPLAIN ANALYZE.
+func (g *groupCore) ran(impl string) {
+	if g.metrics != nil {
+		g.metrics.Operator.Store(&impl)
+	}
+}
+
 // newState allocates accumulators for a fresh group.
 func (g *groupCore) newState(repr value.Row) (*groupState, error) {
 	st := &groupState{repr: repr, accs: make([][]expr.Accumulator, len(g.specs))}
@@ -216,6 +217,11 @@ func (g *groupCore) finalize(st *groupState) (value.Row, error) {
 		out = append(out, st.repr[c])
 	}
 	for i, spec := range g.specs {
+		if _, bare := spec.expr.(*expr.Aggregate); bare {
+			// The item is its one aggregate: no arithmetic shell to evaluate.
+			out = append(out, st.accs[i][0].Result())
+			continue
+		}
 		results := make(map[*expr.Aggregate]value.Value, len(spec.aggs))
 		for k, agg := range spec.aggs {
 			results[agg] = st.accs[i][k].Result()
@@ -249,6 +255,7 @@ func (g *groupCore) scalarGroup() bool { return len(g.groupCols) == 0 }
 // When the budget refuses a group and a spill manager is present, the whole
 // input goes to sort-based aggregation with hash-order output instead.
 func (g *groupCore) hashAggregate(rows []value.Row, workers int) error {
+	g.ran("hash")
 	size := chunkSizeFor(len(rows), workers)
 	tables := make([]*groupTable, numChunks(len(rows), size))
 	err := forEachChunk(g.where, workers, len(rows), size, func(w, c, lo, hi int) error {
@@ -279,6 +286,7 @@ func (g *groupCore) hashAggregate(rows []value.Row, workers int) error {
 		return nil
 	})
 	if err == errRefused {
+		g.ran("external")
 		return g.sortAggregate(rows, true)
 	}
 	if err != nil {
@@ -368,13 +376,13 @@ func (g *groupCore) sortAggregate(rows []value.Row, byKey bool) error {
 // state at a time: finished groups are finalized at once, which is the whole
 // point of sorting first. With a spill manager a state is charged on group
 // start and released on finalize (proceeding uncharged if even one state is
-// refused); without one every group is charged and stays charged.
+// refused); without one every group is charged and stays charged. No table
+// is built, so no build statistics are recorded.
 func (g *groupCore) streamGroups(it *mergeIter, byKey bool) error {
 	adm := admissionFor(g.gov, g.mgr, g.where)
 	var out []value.Row
 	var firstSeqs []int64 // byKey only, parallel to out
 	var cur *groupState
-	var keyBytes int64
 	finish := func() error {
 		if cur == nil {
 			return nil
@@ -414,7 +422,6 @@ func (g *groupCore) streamGroups(it *mergeIter, byKey bool) error {
 			if byKey {
 				firstSeqs = append(firstSeqs, sr.seq)
 			}
-			keyBytes += int64(len(key))
 			if err := adm.charge(g.groupStateBytes(len(key))); err != nil && err != errRefused {
 				return err
 			}
@@ -429,7 +436,6 @@ func (g *groupCore) streamGroups(it *mergeIter, byKey bool) error {
 	if byKey {
 		sort.Sort(bySeq{seqs: firstSeqs, rows: out})
 	}
-	g.recordBuild(len(out), keyBytes)
 	g.reset(out)
 	return nil
 }
@@ -471,8 +477,10 @@ func (g *sortGroupOp) Open() error {
 		return g.hashAggregate(rows, 1)
 	}
 	if g.preSorted {
+		g.ran("stream")
 		return g.streamGroups(&mergeIter{rows: rows}, false)
 	}
+	g.ran("sort")
 	return g.sortAggregate(rows, false)
 }
 

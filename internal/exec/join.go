@@ -304,7 +304,8 @@ func (j *hashJoinOp) probe(row value.Row, out []value.Row) ([]value.Row, error) 
 	if anyNullAt(row, j.lcols) {
 		return out, nil
 	}
-	matches := j.table.lookup(value.GroupKey(row, j.lcols))
+	var scratch [64]byte // on the stack: probe runs on several workers at once
+	matches := j.table.lookup(appendKey(scratch[:0], row, j.lcols))
 	if j.metrics != nil && len(matches) > 0 {
 		j.metrics.ProbeHits.Add(int64(len(matches)))
 	}

@@ -63,8 +63,9 @@ func TestDisabledObservabilityInsertsNoWrapper(t *testing.T) {
 // the uninstrumented path (no wrapper exists) nor on the fully instrumented
 // path (metricOp.Next is one atomic add; timings and sink writes happen at
 // Open/Close, off the row path). The one-worker hash join streams its probe:
-// each emitted row costs its probe key and its concatenated row, nothing
-// else — in particular no per-call key-column slice.
+// each emitted row costs its concatenated row and nothing else — the probe
+// key is bytes in a scratch buffer, so a probe that misses costs nothing, and
+// neither does a row that joins a group the table already holds.
 func TestRowPathZeroAllocs(t *testing.T) {
 	const runs = 1000
 	instrumented := func() *Options {
@@ -86,8 +87,8 @@ func TestRowPathZeroAllocs(t *testing.T) {
 	}{
 		{"disabled", &Options{}, scan, 0},
 		{"metrics+trace", instrumented(), scan, 0},
-		{"hash-join", &Options{Join: JoinHash}, join, 2},
-		{"hash-join/metrics+trace", instrumented(), join, 2},
+		{"hash-join", &Options{Join: JoinHash}, join, 1},
+		{"hash-join/metrics+trace", instrumented(), join, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -113,4 +114,31 @@ func TestRowPathZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+	t.Run("hash-join, probe miss", func(t *testing.T) {
+		j := &hashJoinOp{lcols: []int{0}, table: &joinTable{cols: []int{0}}}
+		must(t, j.table.build(join.R.(*algebra.Values).Rows, 1))
+		miss := value.Row{value.NewInt(-1), value.NewInt(0)}
+		if avg := testing.AllocsPerRun(runs, func() {
+			if out, err := j.probe(miss, nil); len(out) != 0 || err != nil {
+				t.Fatalf("probe: %d rows, err=%v", len(out), err)
+			}
+		}); avg != 0 {
+			t.Errorf("a probe that misses allocates %.2f times, want 0", avg)
+		}
+	})
+	t.Run("hash-group, existing group", func(t *testing.T) {
+		core := sumCore(t, nil, nil, 0)
+		tab, err := core.newTable()
+		must(t, err)
+		row := value.Row{value.NewInt(7), value.NewInt(1)}
+		first, err := tab.rowGroup(row)
+		must(t, err)
+		if avg := testing.AllocsPerRun(runs, func() {
+			if st, err := tab.rowGroup(row); st != first || err != nil {
+				t.Fatalf("rowGroup: new state or err=%v", err)
+			}
+		}); avg != 0 {
+			t.Errorf("a row of an existing group allocates %.2f times, want 0", avg)
+		}
+	})
 }

@@ -33,9 +33,8 @@
 package exec
 
 import (
-	"hash/fnv"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -310,11 +309,13 @@ func (m *morselMapOp) Open() error {
 	return nil
 }
 
-// partitionOf hashes a join key into one of n partitions.
-func partitionOf(key string, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
+// partitionOf hashes a join key into one of n partitions (FNV-32a).
+func partitionOf(key []byte, n int) int {
+	h := uint32(2166136261)
+	for _, b := range key {
+		h = (h ^ uint32(b)) * 16777619
+	}
+	return int(h % uint32(n))
 }
 
 // --------------------------------------------------------- parallel sort
@@ -322,12 +323,12 @@ func partitionOf(key string, n int) int {
 // sortRowsStable stable-sorts rows under cmp, in parallel when par > 1:
 // fixed contiguous chunks are sorted concurrently (in place) and then
 // merged pairwise, ties taking the left — lower-index — chunk's row first.
-// The output permutation is exactly sort.SliceStable's, so parallel and
+// The output permutation is exactly a serial stable sort's, so parallel and
 // serial sorts are interchangeable everywhere, including beneath
 // order-exploiting operators.
 func sortRowsStable(where string, rows []value.Row, par int, cmp func(a, b value.Row) int) []value.Row {
 	if par <= 1 || len(rows) < 2*MorselSize {
-		sort.SliceStable(rows, func(i, j int) bool { return cmp(rows[i], rows[j]) < 0 })
+		slices.SortStableFunc(rows, cmp)
 		return rows
 	}
 	size := chunkSizeFor(len(rows), par)
@@ -337,9 +338,8 @@ func sortRowsStable(where string, rows []value.Row, par int, cmp func(a, b value
 	// contained worker panic; re-panic it (already typed) rather than drop
 	// it — the operator or Run-level recovery reports it.
 	if err := forEachChunk(where, par, len(rows), size, func(w, c, lo, hi int) error {
-		run := rows[lo:hi]
-		sort.SliceStable(run, func(i, j int) bool { return cmp(run[i], run[j]) < 0 })
-		runs[c] = run
+		runs[c] = rows[lo:hi]
+		slices.SortStableFunc(runs[c], cmp)
 		return nil
 	}); err != nil {
 		panic(err)

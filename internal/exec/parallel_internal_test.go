@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"sync"
@@ -87,8 +88,8 @@ func TestChunkSizeFor(t *testing.T) {
 	}
 }
 
-// TestSortRowsStableMatchesSerial: the parallel merge sort must reproduce
-// sort.SliceStable's permutation exactly, ties included. Keys are drawn
+// TestSortRowsStableMatchesSerial: the sort kernel — serial and parallel
+// merge — must reproduce sort.SliceStable's permutation exactly, ties included. Keys are drawn
 // from a tiny domain so duplicate keys — where stability matters — are
 // everywhere, and the input is large enough to take the parallel path.
 func TestSortRowsStableMatchesSerial(t *testing.T) {
@@ -104,7 +105,7 @@ func TestSortRowsStableMatchesSerial(t *testing.T) {
 	copy(want, rows)
 	sort.SliceStable(want, func(i, j int) bool { return less(want[i], want[j]) })
 
-	for _, par := range []int{2, 3, 4, 8} {
+	for _, par := range []int{1, 2, 3, 4, 8} {
 		in := make([]value.Row, n)
 		copy(in, rows)
 		got := sortRowsStable("test", in, par, func(a, b value.Row) int { return value.OrderKey(a[0], b[0]) })
@@ -117,17 +118,48 @@ func TestSortRowsStableMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPartitionOfRange: partition assignment stays in range and is a pure
-// function of the key.
+// BenchmarkSortRowsStable is the sort layer on its own: 48 000 rows with
+// 1 000 distinct keys (six-way ties, so stability is exercised), on an int
+// key and on a string-then-int key, at one worker and at two.
+func BenchmarkSortRowsStable(b *testing.B) {
+	r := rand.New(rand.NewSource(7))
+	rows := make([]value.Row, 48000)
+	for i := range rows {
+		k := int64(r.Intn(1000))
+		rows[i] = value.Row{value.NewInt(k), value.NewString(fmt.Sprintf("dim%05d", k/8)), value.NewInt(int64(i))}
+	}
+	for _, key := range []struct {
+		name string
+		cols []int
+	}{{"int", []int{0}}, {"string+int", []int{1, 0}}} {
+		cmp := func(a, b value.Row) int { return compareAt(a, key.cols, b, key.cols) }
+		for _, par := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/par%d", key.name, par), func(b *testing.B) {
+				b.ReportAllocs()
+				in := make([]value.Row, len(rows))
+				for i := 0; i < b.N; i++ {
+					copy(in, rows)
+					sortRowsStable("bench", in, par, cmp)
+				}
+			})
+		}
+	}
+}
+
+// TestPartitionOfRange: partition assignment stays in range and is the
+// FNV-32a hash of the key bytes, as hash/fnv computes it — the inlined loop
+// moves no key to another partition.
 func TestPartitionOfRange(t *testing.T) {
 	for i := 0; i < 100; i++ {
-		key := fmt.Sprintf("key-%d", i)
+		key := []byte(fmt.Sprintf("key-%d", i))
 		p := partitionOf(key, 7)
 		if p < 0 || p >= 7 {
 			t.Fatalf("partitionOf(%q, 7) = %d", key, p)
 		}
-		if q := partitionOf(key, 7); q != p {
-			t.Fatalf("partitionOf(%q, 7) unstable: %d then %d", key, p, q)
+		h := fnv.New32a()
+		h.Write(key)
+		if want := int(h.Sum32() % 7); p != want {
+			t.Fatalf("partitionOf(%q, 7) = %d, hash/fnv says %d", key, p, want)
 		}
 	}
 }

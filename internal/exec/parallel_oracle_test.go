@@ -101,7 +101,7 @@ func joinInputRows(plan algebra.Node, col *obs.Collector) int64 {
 // early termination makes interior counts depend on which mode could elide
 // the sort). The serial row path is the reference semantics; the other three
 // modes are the three-way differential the vectorized engine is held to.
-func checkSerialVsParallel(t *testing.T, label, query string, plan algebra.Node, store *storage.Store, js exec.JoinStrategy, gs exec.GroupStrategy) []string {
+func checkSerialVsParallel(t *testing.T, label, query string, plan algebra.Node, store *storage.Store, js exec.JoinStrategy, gs exec.GroupStrategy) []value.Row {
 	t.Helper()
 	serialRows, serialCol := runWithStats(t, plan, store, exec.Options{Join: js, Group: gs})
 	s := rowStrings(serialRows)
@@ -153,7 +153,33 @@ func checkSerialVsParallel(t *testing.T, label, query string, plan algebra.Node,
 			}
 		})
 	}
-	return s
+	return serialRows
+}
+
+// orderKeySeq renders the ORDER BY key of every row, in row order, for a plan
+// whose root is a Sort (looking through a LIMIT); nil for unordered plans.
+// Grouping strategies may order tied rows differently — hashing leaves them
+// in first-appearance order, sort-based grouping in full grouping-key order —
+// but never the keys: two runs with one key sequence and one multiset are in
+// the same order wherever the keys are a total order, and hold the same rows
+// within each tie where they are a strict prefix of the grouping columns.
+func orderKeySeq(plan algebra.Node, rows []value.Row) []string {
+	if l, ok := plan.(*algebra.Limit); ok {
+		plan = l.Input
+	}
+	sortNode, ok := plan.(*algebra.Sort)
+	if !ok {
+		return nil
+	}
+	cols := make([]int, len(sortNode.Keys))
+	for i, k := range sortNode.Keys {
+		cols[i], _ = sortNode.Input.Schema().IndexOf(k.Col)
+	}
+	seq := make([]string, len(rows))
+	for i, r := range rows {
+		seq[i] = value.GroupKey(r, cols)
+	}
+	return seq
 }
 
 // oracleQuery checks one query on one store across every plan and strategy
@@ -186,19 +212,25 @@ func oracleQuery(t *testing.T, store *storage.Store, query string) int {
 	checks := 0
 	// Every strategy combination must agree with serial execution; every
 	// plan and combination must also agree with each other as multisets
-	// (a cross-check that strategy/plan choice never changes results).
-	var reference []string
+	// (a cross-check that strategy/plan choice never changes results) and,
+	// under an ORDER BY, on the sequence of sort keys — GroupAuto ≡ forced
+	// GroupHash ≡ forced GroupSort up to the order of tied rows.
+	var reference, referenceKeys []string
 	for _, pl := range plans {
 		for _, js := range joinStrategies {
 			for _, gs := range groupStrategies {
 				rows := checkSerialVsParallel(t, pl.label, query, pl.plan, store, js, gs)
-				sorted := append([]string(nil), rows...)
+				sorted := rowStrings(rows)
 				sortStrings(sorted)
+				keys := orderKeySeq(pl.plan, rows)
 				if reference == nil {
-					reference = sorted
+					reference, referenceKeys = sorted, keys
 				} else if !sameRowOrder(reference, sorted) {
 					t.Fatalf("%s plan, join=%v group=%v: result multiset differs from the first combination\nquery: %s\nfirst: %v\n this: %v",
 						pl.label, js, gs, query, reference, sorted)
+				} else if !sameRowOrder(referenceKeys, keys) {
+					t.Fatalf("%s plan, join=%v group=%v: ORDER BY key sequence differs from the first combination\nquery: %s\nfirst: %q\n this: %q",
+						pl.label, js, gs, query, referenceKeys, keys)
 				}
 				checks++
 			}
@@ -278,6 +310,21 @@ func sweepQueries(r *rand.Rand) []string {
 		fmt.Sprintf(`SELECT D.DimID, MAX(F.V)
 		 FROM Fact F, Dim D WHERE F.DimID = D.DimID
 		 GROUP BY D.DimID ORDER BY DimID DESC LIMIT %d`, 1+r.Intn(4)),
+		// ORDER BY on a strict prefix of the grouping columns: ties, so no
+		// LIMIT (which tied rows it keeps is the strategy's to choose).
+		`SELECT F.GroupID, D.Label, SUM(F.V), COUNT(*)
+		 FROM Fact F, Dim D WHERE F.DimID = D.DimID
+		 GROUP BY F.GroupID, D.Label ORDER BY GroupID`,
+		`SELECT F.GroupID, D.Label, SUM(F.V)
+		 FROM Fact F, Dim D WHERE F.DimID = D.DimID
+		 GROUP BY F.GroupID, D.Label ORDER BY GroupID DESC`,
+		// ORDER BY on all of them: a total order, with and without LIMIT.
+		fmt.Sprintf(`SELECT F.GroupID, D.Label, MAX(F.V)
+		 FROM Fact F, Dim D WHERE F.DimID = D.DimID
+		 GROUP BY F.GroupID, D.Label ORDER BY GroupID, Label LIMIT %d`, 1+r.Intn(8)),
+		fmt.Sprintf(`SELECT F.GroupID, COUNT(F.FID), SUM(F.V)
+		 FROM Fact F, Dim D WHERE F.DimID = D.DimID
+		 GROUP BY F.GroupID ORDER BY GroupID DESC LIMIT %d`, 1+r.Intn(6)),
 	}
 }
 

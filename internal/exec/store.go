@@ -71,6 +71,16 @@ func (a *admission) release() {
 	a.held = 0
 }
 
+// appendKey appends the canonical key of row over cols — value.GroupKey's
+// bytes — to buf. The stores probe with the bytes in a reused buffer,
+// m[string(buf)], and make a key string only for an entry they insert.
+func appendKey(buf []byte, row value.Row, cols []int) []byte {
+	for _, c := range cols {
+		buf = value.AppendGroupKey(buf, row[c])
+	}
+	return buf
+}
+
 // groupTable is the partial-aggregate store: canonical group key → group
 // state, in first-appearance order. A scalar aggregation (no grouping
 // columns) is a table holding one unkeyed, uncharged state from the start, so
@@ -81,6 +91,7 @@ type groupTable struct {
 	index    map[string]*groupState // nil for the scalar group
 	order    []*groupState
 	keyBytes int64
+	probe    []byte // scratch: the key of the row being looked up
 }
 
 func (g *groupCore) newTable() (*groupTable, error) {
@@ -99,11 +110,11 @@ func (t *groupTable) rowGroup(row value.Row) (*groupState, error) {
 	if t.index == nil {
 		return t.order[0], nil
 	}
-	key := value.GroupKey(row, t.core.groupCols)
-	if st, ok := t.index[key]; ok {
+	t.probe = appendKey(t.probe[:0], row, t.core.groupCols)
+	if st, ok := t.index[string(t.probe)]; ok {
 		return st, nil
 	}
-	return t.insert(key, row)
+	return t.insert(string(t.probe), row)
 }
 
 // insert admits and creates the group for key, with repr as the row its
@@ -171,11 +182,13 @@ func (t *joinTable) build(rows []value.Row, workers int) error {
 	scattered := [][]value.Row{rows}
 	if workers > 1 {
 		scattered = make([][]value.Row, workers)
+		var key []byte
 		for _, row := range rows {
 			if err := t.adm.gov.tick(); err != nil {
 				return err
 			}
-			p := partitionOf(value.GroupKey(row, t.cols), workers)
+			key = appendKey(key[:0], row, t.cols)
+			p := partitionOf(key, workers)
 			scattered[p] = append(scattered[p], row)
 		}
 	}
@@ -188,6 +201,7 @@ func (t *joinTable) build(rows []value.Row, workers int) error {
 			t.metrics.Morsel(w)
 		}
 		part := make(map[string][]value.Row)
+		var key []byte
 		var entries, bytes int64
 		for _, row := range scattered[c] {
 			if err := t.adm.gov.tick(); err != nil {
@@ -196,12 +210,13 @@ func (t *joinTable) build(rows []value.Row, workers int) error {
 			if anyNullAt(row, t.cols) {
 				continue
 			}
-			key := value.GroupKey(row, t.cols)
+			key = appendKey(key[:0], row, t.cols)
 			entry := int64(len(key)) + rowStateBytes(row)
 			if err := t.adm.charge(entry); err != nil {
 				return err
 			}
-			part[key] = append(part[key], row)
+			// Storing under a key is the one place a map wants the string.
+			part[string(key)] = append(part[string(key)], row)
 			entries++
 			bytes += entry
 		}
@@ -215,9 +230,9 @@ func (t *joinTable) build(rows []value.Row, workers int) error {
 }
 
 // lookup returns the build rows stored under key, in build order.
-func (t *joinTable) lookup(key string) []value.Row {
+func (t *joinTable) lookup(key []byte) []value.Row {
 	if len(t.parts) == 1 {
-		return t.parts[0][key]
+		return t.parts[0][string(key)]
 	}
-	return t.parts[partitionOf(key, len(t.parts))][key]
+	return t.parts[partitionOf(key, len(t.parts))][string(key)]
 }

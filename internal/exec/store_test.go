@@ -185,7 +185,7 @@ func TestJoinTablePartitions(t *testing.T) {
 					want = append(want, row)
 				}
 			}
-			got := tab.lookup(value.GroupKey(probe, []int{0}))
+			got := tab.lookup(appendKey(nil, probe, []int{0}))
 			if len(got) != len(want) {
 				t.Fatalf("workers=%d key=%d: %d matches, want %d", workers, k, len(got), len(want))
 			}

@@ -88,6 +88,7 @@ func (g *vecHashGroupOp) Open() error {
 		return err
 	}
 	resetFeed(g.src)
+	g.ran("vec-hash")
 	if g.par <= 1 || g.scalarGroup() {
 		// One table fed straight off the stream, no materialization.
 		t, err := g.newTable()

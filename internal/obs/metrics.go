@@ -24,8 +24,8 @@ type OpMetrics struct {
 	// its children (tree-inclusive, like EXPLAIN ANALYZE in most engines).
 	WallNanos atomic.Int64
 	// BuildEntries counts hash-table entries built: rows inserted on a hash
-	// join's build side, or groups created by a grouping operator (for
-	// parallel grouping, the sum over per-worker partial tables).
+	// join's build side, or groups created by hash grouping (for parallel
+	// grouping, the sum over per-worker partial tables).
 	BuildEntries atomic.Int64
 	// ProbeHits counts build rows found by probe lookups in a hash join,
 	// before residual-predicate filtering.
@@ -60,6 +60,9 @@ type OpMetrics struct {
 	// Failovers counts node deaths this exchange recovered from by
 	// re-executing the dead node's fragment at a surviving node.
 	Failovers atomic.Int64
+	// Operator names the implementation that ran a node the executor has
+	// several of (grouping: hash, vec-hash, stream, sort, external).
+	Operator atomic.Pointer[string]
 
 	// workerMorsels[w] counts the morsels executed by worker w.
 	workerMorsels []atomic.Int64
@@ -98,6 +101,7 @@ type Snapshot struct {
 	Retries       int64   `json:"retries,omitempty"`
 	Redeliveries  int64   `json:"redeliveries_dropped,omitempty"`
 	Failovers     int64   `json:"failovers,omitempty"`
+	Operator      string  `json:"operator,omitempty"`
 	WorkerMorsels []int64 `json:"worker_morsels,omitempty"`
 }
 
@@ -118,6 +122,9 @@ func (m *OpMetrics) Snapshot() Snapshot {
 		Retries:      m.Retries.Load(),
 		Redeliveries: m.Redeliveries.Load(),
 		Failovers:    m.Failovers.Load(),
+	}
+	if op := m.Operator.Load(); op != nil {
+		s.Operator = *op
 	}
 	if s.Batches > 0 && len(m.workerMorsels) > 0 {
 		s.WorkerMorsels = m.WorkerMorsels()
