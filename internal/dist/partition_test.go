@@ -217,3 +217,18 @@ func sameMultiset(a, b []value.Row) bool {
 	}
 	return true
 }
+
+// BenchmarkRowBytes measures the wire-size accounting of one shipped row — a
+// partial-aggregate row of the benchmark's dist_ship shape (a). It must not
+// allocate: links call it once per shipped row.
+func BenchmarkRowBytes(b *testing.B) {
+	row := value.Row{value.NewInt(17), value.NewString("dim00017"), value.NewInt(48), value.NewInt(2391)}
+	b.ReportAllocs()
+	var total int64
+	for i := 0; i < b.N; i++ {
+		total += dist.RowBytes(row)
+	}
+	if total != int64(b.N)*dist.RowBytes(row) {
+		b.Fatal("RowBytes is not a function of the row")
+	}
+}

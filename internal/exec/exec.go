@@ -160,7 +160,9 @@ type Result struct {
 // execution — the seam the distributed runtime (package dist) uses to run
 // one plan fragment per node: shard leaves and exchange endpoints implement
 // it, and the compiler lowers them like a Values literal. SourceRows is
-// read once at compile time of each Run.
+// read once at compile time of each Run, and at one worker that slice is the
+// only copy of a fragment's input the run holds: the operators above the
+// leaf — streaming join probe, folding group-by — pull from it row by row.
 type RowSource interface {
 	algebra.Node
 	SourceRows() []value.Row

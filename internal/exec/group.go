@@ -26,7 +26,9 @@ type aggSpec struct {
 type groupState struct {
 	key  string    // canonical GroupKey; "" off the hash paths
 	repr value.Row // first row of the group, for the grouping columns
-	accs [][]expr.Accumulator
+	// accs holds one accumulator per aggregate, flat: spec by spec, each
+	// spec's aggs in discovery order. Every walk over it counts along.
+	accs []expr.Accumulator
 }
 
 func (c *compiler) compileGroupBy(node *algebra.GroupBy) (compiled, error) {
@@ -144,11 +146,16 @@ func (g *groupCore) Close() error {
 // recordBuild feeds the metrics, applied per group so the budget check
 // trips on the exact group that crosses the limit.
 func (g *groupCore) groupStateBytes(keyLen int) int64 {
-	accs := 0
+	return int64(keyLen) + int64(g.numAccs())*accStateBytes
+}
+
+// numAccs is the number of accumulators a group state holds.
+func (g *groupCore) numAccs() int {
+	n := 0
 	for _, spec := range g.specs {
-		accs += len(spec.aggs)
+		n += len(spec.aggs)
 	}
-	return int64(keyLen) + int64(accs)*accStateBytes
+	return n
 }
 
 // recordBuild reports n groups built with their keys totalling keyBytes —
@@ -172,15 +179,14 @@ func (g *groupCore) ran(impl string) {
 
 // newState allocates accumulators for a fresh group.
 func (g *groupCore) newState(repr value.Row) (*groupState, error) {
-	st := &groupState{repr: repr, accs: make([][]expr.Accumulator, len(g.specs))}
-	for i, spec := range g.specs {
-		st.accs[i] = make([]expr.Accumulator, len(spec.aggs))
-		for k, agg := range spec.aggs {
+	st := &groupState{repr: repr, accs: make([]expr.Accumulator, 0, g.numAccs())}
+	for _, spec := range g.specs {
+		for _, agg := range spec.aggs {
 			acc, err := expr.NewAccumulator(agg)
 			if err != nil {
 				return nil, err
 			}
-			st.accs[i][k] = acc
+			st.accs = append(st.accs, acc)
 		}
 	}
 	return st, nil
@@ -188,8 +194,9 @@ func (g *groupCore) newState(repr value.Row) (*groupState, error) {
 
 // feed folds one row into a group's accumulators.
 func (g *groupCore) feed(st *groupState, row value.Row) error {
-	for i, spec := range g.specs {
-		for k, agg := range spec.aggs {
+	k := 0
+	for _, spec := range g.specs {
+		for _, agg := range spec.aggs {
 			var v value.Value
 			if agg.Func == expr.AggCountStar {
 				v = value.Null // ignored by the COUNT(*) accumulator
@@ -200,9 +207,10 @@ func (g *groupCore) feed(st *groupState, row value.Row) error {
 					return err
 				}
 			}
-			if err := st.accs[i][k].Add(v); err != nil {
+			if err := st.accs[k].Add(v); err != nil {
 				return err
 			}
+			k++
 		}
 	}
 	return nil
@@ -216,15 +224,18 @@ func (g *groupCore) finalize(st *groupState) (value.Row, error) {
 	for _, c := range g.groupCols {
 		out = append(out, st.repr[c])
 	}
-	for i, spec := range g.specs {
+	rest := st.accs
+	for _, spec := range g.specs {
+		accs := rest[:len(spec.aggs)]
+		rest = rest[len(spec.aggs):]
 		if _, bare := spec.expr.(*expr.Aggregate); bare {
 			// The item is its one aggregate: no arithmetic shell to evaluate.
-			out = append(out, st.accs[i][0].Result())
+			out = append(out, accs[0].Result())
 			continue
 		}
 		results := make(map[*expr.Aggregate]value.Value, len(spec.aggs))
 		for k, agg := range spec.aggs {
-			results[agg] = st.accs[i][k].Result()
+			results[agg] = accs[k].Result()
 		}
 		substituted := expr.RewritePre(spec.expr, func(n expr.Expr) expr.Expr {
 			if a, ok := n.(*expr.Aggregate); ok {
@@ -249,11 +260,62 @@ func (g *groupCore) finalize(st *groupState) (value.Row, error) {
 // row for each group" with the empty grouping treated as a single group.
 func (g *groupCore) scalarGroup() bool { return len(g.groupCols) == 0 }
 
-// hashAggregate groups rows through partial tables: one contiguous chunk of
-// the input per worker (one chunk, one table, at one worker), each chunk's
-// table built thread-locally and the tables then combined in chunk order.
-// When the budget refuses a group and a spill manager is present, the whole
-// input goes to sort-based aggregation with hash-order output instead.
+// overInput runs fn between the input's Open and Close — drain's protocol for
+// a consumer that takes the rows as they come instead of holding them.
+func (g *groupCore) overInput(fn func() error) error {
+	err := g.input.Open()
+	if err == nil {
+		err = fn()
+	}
+	if cerr := g.input.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// foldInput is hash aggregation that never holds its input: one table, each
+// row folded into its group as the input yields it, so N rows cost G states.
+// It is for the runs that read a row once — one worker, and a breach of the
+// budget aborts (or, for the scalar group, nothing is charged at all);
+// hashAggregate serves the runs that read rows twice.
+func (g *groupCore) foldInput() error {
+	g.ran("hash")
+	t, err := g.newTable()
+	if err != nil {
+		return err
+	}
+	err = g.overInput(func() error {
+		for {
+			row, ok, err := g.input.Next()
+			if !ok || err != nil {
+				return err
+			}
+			if err := g.gov.tick(); err != nil {
+				return err
+			}
+			st, err := t.rowGroup(row)
+			if err != nil {
+				return err
+			}
+			if err := g.feed(st, row); err != nil {
+				return err
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	g.recordBuild(len(t.order), t.keyBytes)
+	return g.combine([]*groupTable{t})
+}
+
+// hashAggregate groups materialized rows through partial tables: one
+// contiguous chunk of the input per worker, each chunk's table built
+// thread-locally and the tables then combined in chunk order. It holds the
+// rows because it reads them twice — chunks need the input's length before
+// the first row is grouped, and when the budget refuses a group and a spill
+// manager is present the whole input goes to sort-based aggregation with
+// hash-order output instead.
 func (g *groupCore) hashAggregate(rows []value.Row, workers int) error {
 	g.ran("hash")
 	size := chunkSizeFor(len(rows), workers)
@@ -440,15 +502,21 @@ func (g *groupCore) streamGroups(it *mergeIter, byKey bool) error {
 	return nil
 }
 
-// hashGroupOp groups via partial hash tables keyed by the =ⁿ-respecting
-// GroupKey. Output order is first-appearance order of groups (deterministic
-// for a deterministic input order), at any worker count and on either side
-// of the spill decision.
+// hashGroupOp groups via hash tables keyed by the =ⁿ-respecting GroupKey.
+// At one worker with abort admission it folds the input stream into one
+// table and holds G states, never the N rows; with several workers (chunked
+// partial tables) or a spill manager (a refused table re-reads the rows for
+// the external sort) it materializes the input first. Output order is
+// first-appearance order of groups (deterministic for a deterministic input
+// order), at any worker count and on either side of the spill decision.
 type hashGroupOp struct {
 	groupCore
 }
 
 func (g *hashGroupOp) Open() error {
+	if g.par <= 1 && g.mgr == nil {
+		return g.foldInput()
+	}
 	rows, err := drain(g.input)
 	if err != nil {
 		return err
@@ -456,29 +524,30 @@ func (g *hashGroupOp) Open() error {
 	return g.hashAggregate(rows, g.par)
 }
 
-// sortGroupOp sorts the input on the grouping columns and aggregates each
-// run of =ⁿ-equal keys in a single pass — grouping pipelined with
-// aggregation, the implementation the paper's Section 2 attributes to
-// sort-based grouping. Output is ordered by the grouping key. With
-// preSorted set (the input already streams in key order) the sort is
-// skipped entirely.
+// sortGroupOp aggregates each run of =ⁿ-equal keys off a key-ordered stream
+// in a single pass — grouping pipelined with aggregation, the implementation
+// the paper's Section 2 attributes to sort-based grouping. With preSorted set
+// the input already streams in key order and is consumed as it comes: one
+// live state and one live row. Otherwise the input is materialized and
+// sorted on the grouping columns first, and the output is ordered by the
+// grouping key.
 type sortGroupOp struct {
 	groupCore
 	preSorted bool
 }
 
 func (g *sortGroupOp) Open() error {
-	rows, err := drain(g.input)
-	if err != nil {
-		return err
-	}
 	if g.scalarGroup() {
 		// One group: nothing to sort, and one state never needs to spill.
-		return g.hashAggregate(rows, 1)
+		return g.foldInput()
 	}
 	if g.preSorted {
 		g.ran("stream")
-		return g.streamGroups(&mergeIter{rows: rows}, false)
+		return g.overInput(func() error { return g.streamGroups(&mergeIter{src: g.input}, false) })
+	}
+	rows, err := drain(g.input)
+	if err != nil {
+		return err
 	}
 	g.ran("sort")
 	return g.sortAggregate(rows, false)

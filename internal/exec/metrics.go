@@ -82,9 +82,9 @@ func (s *metricOp) Close() error {
 	return s.inner.Close()
 }
 
-// State-size approximation constants: a value.Row in a hash table costs one
-// slice header plus one interface word pair per column; an accumulator is a
-// small struct behind an interface.
+// State-size constants: a value.Row in a hash table costs one slice header
+// plus one two-word value.Value per column (a test holds valueSlotBytes to
+// unsafe.Sizeof); an accumulator is a small struct behind an interface.
 const (
 	rowHeaderBytes = 24
 	valueSlotBytes = 16

@@ -3,6 +3,7 @@ package exec
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/algebra"
 	"repro/internal/expr"
@@ -141,4 +142,80 @@ func TestRowPathZeroAllocs(t *testing.T) {
 			t.Errorf("a row of an existing group allocates %.2f times, want 0", avg)
 		}
 	})
+	t.Run("hash-group, new group", func(t *testing.T) {
+		// Two aggregate items: the state, its one accumulator slice, two
+		// accumulators and the inserted key string. (Map and order growth
+		// amortize below one and AllocsPerRun rounds down.)
+		core := sumCore(t, nil, nil, 0)
+		core.specs = append(core.specs, core.specs[0])
+		tab, err := core.newTable()
+		must(t, err)
+		rows, next := keyedValuesPlan("t", runs+1, runs+1).Rows, 0
+		if avg := testing.AllocsPerRun(runs, func() {
+			if _, err := tab.rowGroup(rows[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}); avg != 5 {
+			t.Errorf("a row that starts a group allocates %.2f times, want 5", avg)
+		}
+	})
+}
+
+// TestSerialGroupingHoldsGroupsNotRows: at one worker with abort admission
+// hash grouping folds its input as it arrives, and so do the streaming pass
+// over key-ordered input and the scalar group — what a run allocates depends
+// on the number of groups G and not on the number of rows N, so the same G
+// over four times the rows allocates exactly as often. (A run that drains its
+// input first pays the row buffer's growth, which depends on N.)
+func TestSerialGroupingHoldsGroupsNotRows(t *testing.T) {
+	const groups = 100
+	for _, tc := range []struct {
+		name string
+		op   func(n int) Operator
+		out  int
+	}{
+		{"hash", func(n int) Operator {
+			core := sumCore(t, nil, nil, 0)
+			core.input = &valuesOp{rows: keyedValuesPlan("t", n, groups).Rows}
+			return &hashGroupOp{groupCore: *core}
+		}, groups},
+		{"stream", func(n int) Operator {
+			rows := keyedValuesPlan("t", n, n).Rows // keys 0..n-1, ascending
+			for i, row := range rows {
+				row[0] = value.NewInt(int64(i * groups / n))
+			}
+			core := sumCore(t, nil, nil, 0)
+			core.input = &valuesOp{rows: rows}
+			return &sortGroupOp{groupCore: *core, preSorted: true}
+		}, groups},
+		{"scalar", func(n int) Operator {
+			core := sumCore(t, nil, nil)
+			core.input = &valuesOp{rows: keyedValuesPlan("t", n, groups).Rows}
+			return &sortGroupOp{groupCore: *core}
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := func(n int) float64 {
+				op := tc.op(n) // the source rows are built here, outside the measurement
+				return testing.AllocsPerRun(5, func() {
+					rows, err := drain(op)
+					if err != nil || len(rows) != tc.out {
+						t.Fatalf("%d rows, err=%v", len(rows), err)
+					}
+				})
+			}
+			if small, large := allocs(10000), allocs(40000); small != large {
+				t.Errorf("grouping 10000 rows allocates %.0f times, 40000 rows %.0f times: want the same", small, large)
+			}
+		})
+	}
+}
+
+// TestValueSlotBytesIsTheValueSize: budgets, state bytes and spill bytes count
+// a column at valueSlotBytes; it is the size of a value.Value.
+func TestValueSlotBytesIsTheValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(value.Value{}); got != valueSlotBytes {
+		t.Fatalf("unsafe.Sizeof(value.Value{}) = %d, valueSlotBytes = %d", got, valueSlotBytes)
+	}
 }

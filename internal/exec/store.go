@@ -151,11 +151,9 @@ func (t *groupTable) absorb(src *groupTable) error {
 			t.order = append(t.order, st)
 			continue
 		}
-		for i := range dst.accs {
-			for k := range dst.accs[i] {
-				if err := dst.accs[i][k].Merge(st.accs[i][k]); err != nil {
-					return err
-				}
+		for k := range dst.accs {
+			if err := dst.accs[k].Merge(st.accs[k]); err != nil {
+				return err
 			}
 		}
 	}

@@ -54,10 +54,9 @@ func (g *vecHashGroupOp) feedVec(st *groupState, b *vec.Batch, i int, scratch *v
 	phys := b.Index(i)
 	loaded := false
 	ac := 0
-	for si := range g.specs {
-		for k, agg := range g.specs[si].aggs {
+	for _, spec := range g.specs {
+		for _, agg := range spec.aggs {
 			ref := g.aggCols[ac]
-			ac++
 			var v value.Value
 			switch {
 			case ref.star:
@@ -75,9 +74,10 @@ func (g *vecHashGroupOp) feedVec(st *groupState, b *vec.Batch, i int, scratch *v
 					return err
 				}
 			}
-			if err := st.accs[si][k].Add(v); err != nil {
+			if err := st.accs[ac].Add(v); err != nil {
 				return err
 			}
+			ac++
 		}
 	}
 	return nil

@@ -88,16 +88,16 @@ func GroupKey(r Row, cols []int) string {
 // row-at-a-time encoding byte for byte.
 func AppendGroupKey(dst []byte, v Value) []byte {
 	var buf [8]byte
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return append(dst, 0)
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return append(dst, 1, 1)
 		}
 		return append(dst, 1, 0)
 	case KindInt:
-		binary.BigEndian.PutUint64(buf[:], uint64(v.i))
+		binary.BigEndian.PutUint64(buf[:], uint64(v.i()))
 		dst = append(dst, 2)
 		return append(dst, buf[:]...)
 	case KindFloat:
@@ -106,19 +106,19 @@ func AppendGroupKey(dst []byte, v Value) []byte {
 		// that 1 and 1.0 group together, matching Compare. All
 		// other floats keep a distinct float encoding; they can
 		// never compare equal to an int64.
-		if i, exact := exactInt(v.f); exact {
+		if i, exact := exactInt(v.f()); exact {
 			binary.BigEndian.PutUint64(buf[:], uint64(i))
 			dst = append(dst, 2)
 		} else {
-			binary.BigEndian.PutUint64(buf[:], math.Float64bits(v.f))
+			binary.BigEndian.PutUint64(buf[:], math.Float64bits(v.f()))
 			dst = append(dst, 4)
 		}
 		return append(dst, buf[:]...)
 	case KindString:
-		binary.BigEndian.PutUint64(buf[:], uint64(len(v.s)))
+		binary.BigEndian.PutUint64(buf[:], uint64(len(v.str())))
 		dst = append(dst, 3)
 		dst = append(dst, buf[:]...)
-		return append(dst, v.s...)
+		return append(dst, v.str()...)
 	default:
 		return dst
 	}

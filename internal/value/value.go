@@ -17,9 +17,11 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // Kind identifies the runtime type of a Value.
@@ -54,102 +56,90 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a single SQL scalar. The zero Value is NULL.
-type Value struct {
-	kind Kind
-	i    int64
-	f    float64
-	s    string
-	b    bool
-}
-
 // Null is the SQL NULL value.
 var Null = Value{}
 
-// NewInt returns an INTEGER value.
-func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
-
-// NewFloat returns a DOUBLE value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
-
-// NewString returns a CHARACTER value.
-func NewString(v string) Value { return Value{kind: KindString, s: v} }
-
-// NewBool returns a BOOLEAN value.
-func NewBool(v bool) Value { return Value{kind: KindBool, b: v} }
-
-// Kind reports the value's runtime kind.
-func (v Value) Kind() Kind { return v.kind }
-
-// IsNull reports whether the value is SQL NULL.
-func (v Value) IsNull() bool { return v.kind == KindNull }
-
 // Int returns the integer payload. It panics unless Kind is KindInt.
 func (v Value) Int() int64 {
-	if v.kind != KindInt {
-		panic("value: Int() on " + v.kind.String())
+	if v.Kind() != KindInt {
+		panic(kindError{"Int", v})
 	}
-	return v.i
+	return v.i()
 }
 
 // Float returns the float payload. It panics unless Kind is KindFloat.
 func (v Value) Float() float64 {
-	if v.kind != KindFloat {
-		panic("value: Float() on " + v.kind.String())
+	if v.Kind() != KindFloat {
+		panic(kindError{"Float", v})
 	}
-	return v.f
+	return v.f()
 }
 
 // Str returns the string payload. It panics unless Kind is KindString.
 func (v Value) Str() string {
-	if v.kind != KindString {
-		panic("value: Str() on " + v.kind.String())
+	if v.Kind() != KindString {
+		panic(kindError{"Str", v})
 	}
-	return v.s
+	return v.str()
 }
 
 // Bool returns the boolean payload. It panics unless Kind is KindBool.
 func (v Value) Bool() bool {
-	if v.kind != KindBool {
-		panic("value: Bool() on " + v.kind.String())
+	if v.Kind() != KindBool {
+		panic(kindError{"Bool", v})
 	}
-	return v.b
+	return v.b()
+}
+
+// kindError is what an accessor panics with on a value of another kind. The
+// message is built only if someone prints it, which keeps the accessors
+// small enough to inline.
+type kindError struct {
+	accessor string
+	v        Value
+}
+
+func (e kindError) Error() string {
+	return "value: " + e.accessor + "() on " + e.v.Kind().String()
 }
 
 // AsFloat converts a numeric value to float64 for mixed-type arithmetic and
 // comparison. ok is false for non-numeric values (including NULL).
 func (v Value) AsFloat() (f float64, ok bool) {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.i()), true
 	case KindFloat:
-		return v.f, true
+		return v.f(), true
 	default:
 		return 0, false
 	}
 }
 
 // IsNumeric reports whether the value is an INTEGER or DOUBLE.
-func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
+func (v Value) IsNumeric() bool {
+	k := v.Kind()
+	return k == KindInt || k == KindFloat
+}
 
 // String renders the value the way the shell and EXPLAIN output print it.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
-		return "'" + v.s + "'"
+		return "'" + v.str() + "'"
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return "TRUE"
 		}
 		return "FALSE"
 	default:
-		return fmt.Sprintf("Value(kind=%d)", uint8(v.kind))
+		return fmt.Sprintf("Value(kind=%d)", uint8(v.Kind()))
 	}
 }
 
@@ -237,57 +227,35 @@ func Ceil(t Truth) bool { return t != False }
 // Numeric values compare across INTEGER/DOUBLE; strings compare
 // lexicographically; booleans order FALSE < TRUE.
 func Compare(a, b Value) (sign int, ok bool) {
-	if a.kind == KindNull || b.kind == KindNull {
+	ak, bk := a.Kind(), b.Kind()
+	switch {
+	case ak == KindNull || bk == KindNull:
+		return 0, false
+	case ak == KindInt && bk == KindInt:
+		return cmp.Compare(a.i(), b.i()), true
+	case ak == KindInt && bk == KindFloat:
+		return cmpIntFloat(a.i(), b.f())
+	case ak == KindFloat && bk == KindInt:
+		sign, ok = cmpIntFloat(b.i(), a.f())
+		return -sign, ok
+	case ak != bk:
 		return 0, false
 	}
-	if a.IsNumeric() && b.IsNumeric() {
-		switch {
-		case a.kind == KindInt && b.kind == KindInt:
-			switch {
-			case a.i < b.i:
-				return -1, true
-			case a.i > b.i:
-				return 1, true
-			default:
-				return 0, true
-			}
-		case a.kind == KindInt:
-			return cmpIntFloat(a.i, b.f)
-		case b.kind == KindInt:
-			sign, ok = cmpIntFloat(b.i, a.f)
-			return -sign, ok
-		default:
-			switch {
-			case a.f < b.f:
-				return -1, true
-			case a.f > b.f:
-				return 1, true
-			case math.IsNaN(a.f) || math.IsNaN(b.f):
-				return 0, false
-			default:
-				return 0, true
-			}
+	switch ak {
+	case KindFloat:
+		af, bf := a.f(), b.f()
+		if math.IsNaN(af) || math.IsNaN(bf) {
+			return 0, false
 		}
-	}
-	if a.kind != b.kind {
-		return 0, false
-	}
-	switch a.kind {
+		return cmp.Compare(af, bf), true
 	case KindString:
-		switch {
-		case a.s < b.s:
-			return -1, true
-		case a.s > b.s:
-			return 1, true
-		default:
-			return 0, true
-		}
+		return strings.Compare(a.str(), b.str()), true
 	case KindBool:
 		av, bv := 0, 0
-		if a.b {
+		if a.b() {
 			av = 1
 		}
-		if b.b {
+		if b.b() {
 			bv = 1
 		}
 		return av - bv, true
@@ -353,7 +321,7 @@ func Less(a, b Value) Truth {
 // are NULL, ⌊a = b⌋ otherwise. GROUP BY, DISTINCT and the paper's functional
 // dependencies are all defined in terms of it.
 func NullEq(a, b Value) bool {
-	if a.kind == KindNull && b.kind == KindNull {
+	if a.IsNull() && b.IsNull() {
 		return true
 	}
 	return Floor(Equal(a, b))
@@ -368,7 +336,7 @@ func OrderKey(a, b Value) int {
 	if ra != rb {
 		return ra - rb
 	}
-	if a.kind == KindNull {
+	if a.IsNull() {
 		return 0
 	}
 	sign, ok := Compare(a, b)
@@ -391,7 +359,7 @@ func OrderKey(a, b Value) int {
 }
 
 func orderRank(v Value) int {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return 0
 	case KindBool:
