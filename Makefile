@@ -110,8 +110,8 @@ spill-oracle:
 	$(GO) test -race . -run 'TestSpillCompletes64KiB|TestSpillFailureFallsBack'
 
 # The query-service oracle under the race detector: the 64-session
-# HTTP-vs-direct differential (every response byte-identical to the
-# single-caller engine or provably untorn), the admission-ladder tests
+# HTTP-vs-direct differential (every response cell-for-cell and
+# type-for-type identical to the single-caller engine, or provably untorn), the admission-ladder tests
 # (degrade, queue, typed 429 — never an OOM), and the mid-query shutdown
 # chaos test (clean typed errors, zero leaked goroutines, zero live
 # spill files). See DESIGN.md §17.
@@ -119,7 +119,9 @@ serve-oracle:
 	$(GO) test -race ./internal/server -run 'TestServeOracleDifferential|TestShutdownMidQueryChaos|TestAdmit'
 
 # Each fuzz target needs its own invocation (go test allows one -fuzz
-# pattern per package run). -run=^$ skips the regular tests.
+# pattern per package run). -run=^$ skips the regular tests. The last one
+# holds the query response's hand-written encoder and decoder to
+# encoding/json (DESIGN.md §17.5).
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzTestFD -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
@@ -128,6 +130,7 @@ fuzz:
 	$(GO) test ./internal/vec -run '^$$' -fuzz FuzzGroupKeyVector -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzEagerCert -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzExternalSort -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzQueryResponseWire -fuzztime $(FUZZTIME)
 
 # Every benchmark in the module with allocs/op — among them the layer
 # benchmarks behind the grouping decision of DESIGN.md §19 (internal/exec:
@@ -136,7 +139,9 @@ fuzz:
 # and behind the row representation of §19.1 (internal/value: BenchmarkConcat,
 # BenchmarkAppendGroupKey, BenchmarkCompare; internal/exec:
 # BenchmarkHashGroupSerial, one cluster fragment's join-then-group;
-# internal/dist: BenchmarkRowBytes).
+# internal/dist: BenchmarkRowBytes) and behind the wire encoding of §17.5
+# (internal/server: BenchmarkEncodeQueryResponse, BenchmarkDecodeQueryResponse,
+# each beside the encoding/json path it replaced).
 bench:
 	$(GO) test -bench . -benchmem ./...
 

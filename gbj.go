@@ -524,8 +524,42 @@ func (e *Engine) QueryOptionsContext(ctx context.Context, text string, o *QueryO
 	return e.querySelect(ctx, q, o)
 }
 
+// Rows is a query result in the engine's own row representation: what
+// Result holds before its cells are boxed into Go-native values. It exists
+// for the query service, whose response encoder walks typed rows directly.
+// The rows may alias engine state; callers read them and let them go.
+type Rows struct {
+	Columns []string
+	Rows    []value.Row
+}
+
+// QueryRowsContext is QueryOptionsContext without the conversion to
+// Go-native values — same plan selection, same snapshot, same execution
+// ladder, same errors.
+func (e *Engine) QueryRowsContext(ctx context.Context, text string, o *QueryOptions) (*Rows, error) {
+	q, err := sql.ParseQuery(text)
+	if err != nil {
+		return nil, err
+	}
+	res, err := e.queryRows(ctx, q, o)
+	if err != nil {
+		return nil, err
+	}
+	return &Rows{Columns: columnNames(res.Schema), Rows: res.Rows}, nil
+}
+
 // querySelect runs a parsed SELECT uninstrumented and converts its rows.
 func (e *Engine) querySelect(ctx context.Context, q *sql.SelectStmt, o *QueryOptions) (*Result, error) {
+	res, err := e.queryRows(ctx, q, o)
+	if err != nil {
+		return nil, err
+	}
+	return convertResult(res), nil
+}
+
+// queryRows runs a parsed SELECT uninstrumented down the execution ladder
+// and returns the rows of the rung that answered.
+func (e *Engine) queryRows(ctx context.Context, q *sql.SelectStmt, o *QueryOptions) (*exec.Result, error) {
 	var params expr.Params
 	if o != nil {
 		var err error
@@ -541,7 +575,7 @@ func (e *Engine) querySelect(ctx context.Context, q *sql.SelectStmt, o *QueryOpt
 	if err != nil {
 		return nil, err
 	}
-	return convertResult(out.res), nil
+	return out.res, nil
 }
 
 // prepared is everything one query captures under the engine's read lock;
@@ -1052,17 +1086,33 @@ func convertParams(params map[string]any) (expr.Params, error) {
 	return out, nil
 }
 
-func convertResult(res *exec.Result) *Result {
-	out := &Result{}
-	for _, d := range res.Schema {
-		out.Columns = append(out.Columns, d.ID.Name)
+func columnNames(schema algebra.Schema) []string {
+	var cols []string
+	for _, d := range schema {
+		cols = append(cols, d.ID.Name)
 	}
+	return cols
+}
+
+// convertResult boxes a result's cells into Go-native values. The cells of
+// all rows are cut from one slab, so a result costs two slice allocations
+// however many rows it has; an empty result keeps Rows nil.
+func convertResult(res *exec.Result) *Result {
+	out := &Result{Columns: columnNames(res.Schema)}
+	if len(res.Rows) == 0 {
+		return out
+	}
+	cells := 0
 	for _, row := range res.Rows {
-		conv := make([]any, len(row))
+		cells += len(row)
+	}
+	slab := make([]any, cells)
+	out.Rows = make([][]any, len(res.Rows))
+	for r, row := range res.Rows {
+		conv := slab[:len(row):len(row)]
+		slab = slab[len(row):]
 		for i, v := range row {
 			switch v.Kind() {
-			case value.KindNull:
-				conv[i] = nil
 			case value.KindInt:
 				conv[i] = v.Int()
 			case value.KindFloat:
@@ -1073,7 +1123,7 @@ func convertResult(res *exec.Result) *Result {
 				conv[i] = v.Bool()
 			}
 		}
-		out.Rows = append(out.Rows, conv)
+		out.Rows[r] = conv
 	}
 	return out
 }

@@ -1,9 +1,14 @@
 package gbj
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/exec"
+	"repro/internal/value"
 )
 
 // newExample1Engine builds the paper's Example 1 database via the SQL API.
@@ -243,6 +248,65 @@ func TestResultString(t *testing.T) {
 	s := res.String()
 	if !strings.Contains(s, "DeptID") || !strings.Contains(s, "Sales") {
 		t.Errorf("Result.String() = %q", s)
+	}
+}
+
+// TestQueryRowsIsQueryUnboxed: QueryRowsContext returns the rows Query
+// boxes, and an empty result keeps Result.Rows nil.
+func TestQueryRowsIsQueryUnboxed(t *testing.T) {
+	e := newExample1Engine(t)
+	ctx := context.Background()
+	for _, q := range []string{example1Query, `SELECT D.DeptID, D.Name FROM Department D WHERE D.DeptID > 99`} {
+		boxed, err := e.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		typed, err := e.QueryRowsContext(ctx, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again := convertResult(&exec.Result{Rows: typed.Rows})
+		if !reflect.DeepEqual(typed.Columns, boxed.Columns) || !reflect.DeepEqual(again.Rows, boxed.Rows) {
+			t.Errorf("%s:\ntyped %v %v\nboxed %v %v", q, typed.Columns, typed.Rows, boxed.Columns, boxed.Rows)
+		}
+		if len(boxed.Rows) == 0 && boxed.Rows != nil {
+			t.Errorf("%s: empty result has non-nil Rows", q)
+		}
+	}
+	if _, err := e.QueryRowsContext(ctx, `SELEC nonsense`, nil); err == nil {
+		t.Error("parse error not reported")
+	}
+}
+
+// TestConvertResultAllocatesPerResult: boxing a result costs the same
+// number of allocations at ten rows and at a thousand — the cells share one
+// slab. (Cells that need a box of their own — strings, integers past a
+// byte — are left out of the rows.)
+func TestConvertResultAllocatesPerResult(t *testing.T) {
+	allocs := func(n int) float64 {
+		res := &exec.Result{Rows: make([]value.Row, n)}
+		for i := range res.Rows {
+			res.Rows[i] = value.Row{value.NewInt(int64(i % 200)), value.NewBool(i%2 == 0), value.Null}
+		}
+		return testing.AllocsPerRun(10, func() { convertResult(res) })
+	}
+	if small, large := allocs(10), allocs(1000); small != large || large > 3 {
+		t.Errorf("convertResult: %v allocations for 10 rows, %v for 1000; want the same, at most 3", small, large)
+	}
+}
+
+// BenchmarkConvertResult is the boxing layer alone, at the shape of
+// serve_wide's widest result (24 000 rows of int, string, int).
+func BenchmarkConvertResult(b *testing.B) {
+	res := &exec.Result{Rows: make([]value.Row, 24000)}
+	for i := range res.Rows {
+		res.Rows[i] = value.Row{value.NewInt(int64(1000 + i)), value.NewString(fmt.Sprintf("label-%04d", i%997)), value.NewInt(int64(i % 50))}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if out := convertResult(res); len(out.Rows) != len(res.Rows) {
+			b.Fatal("rows lost")
+		}
 	}
 }
 

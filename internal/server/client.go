@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 )
 
@@ -97,7 +98,6 @@ func (c *Client) QueryDetail(ctx context.Context, sqlText string, params map[str
 	if err := c.do(ctx, http.MethodPost, "/v1/query", &req, &resp); err != nil {
 		return nil, err
 	}
-	normalizeRows(resp.Rows)
 	return &resp, nil
 }
 
@@ -141,41 +141,53 @@ func (c *Client) do(ctx context.Context, method, path string, body, dst any) err
 		return err
 	}
 	defer resp.Body.Close()
-	dec := json.NewDecoder(resp.Body)
-	dec.UseNumber()
 	if resp.StatusCode/100 != 2 {
 		var e ErrorResponse
-		if err := dec.Decode(&e); err != nil {
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 			return &APIError{Status: resp.StatusCode, Code: "protocol", Message: fmt.Sprintf("undecodable error body: %v", err)}
 		}
 		return &APIError{Status: resp.StatusCode, Code: e.Code, Message: e.Error}
 	}
-	if dst == nil {
-		return nil
+	switch dst := dst.(type) {
+	case nil:
+	case *QueryResponse:
+		err = readQueryResponse(resp, dst)
+	default:
+		err = json.NewDecoder(resp.Body).Decode(dst)
 	}
-	if err := dec.Decode(dst); err != nil {
+	if err != nil {
 		return fmt.Errorf("decoding %s response: %w", path, err)
 	}
 	return nil
 }
 
-// normalizeRows converts json.Number cells back into the engine's value
-// vocabulary: integral numbers to int64, the rest to float64. JSON's
-// single number type would otherwise make every HTTP result differ from
-// the direct-engine result by value type — the serve-oracle differential
-// depends on this round-trip being faithful.
-func normalizeRows(rows [][]any) {
-	for _, row := range rows {
-		for i, v := range row {
-			n, ok := v.(json.Number)
-			if !ok {
-				continue
-			}
-			if iv, err := n.Int64(); err == nil {
-				row[i] = iv
-			} else if fv, err := n.Float64(); err == nil {
-				row[i] = fv
-			}
+// readQueryResponse reads the body into a pooled buffer, grown once when
+// the server announced its length, and decodes it with the decoder written
+// for the query grammar. Cells come back in the engine's value vocabulary —
+// int64, float64, string, bool, nil — by the number rule of wire.go, so an
+// HTTP result equals the direct-engine result in Go types as well as in
+// values; the serve-oracle differential depends on that.
+func readQueryResponse(resp *http.Response, dst *QueryResponse) error {
+	bp := getBuffer()
+	b := *bp
+	if n := resp.ContentLength; n > 0 {
+		b = slices.Grow(b, int(n))
+	}
+	for {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, 512)
+		}
+		n, err := resp.Body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			putBuffer(bp, b)
+			return err
 		}
 	}
+	err := decodeQueryResponse(b, dst)
+	putBuffer(bp, b)
+	return err
 }

@@ -4,10 +4,12 @@ package server
 // context from the request joined to the server root (requestContext) and
 // maps engine errors onto a fixed status-code table:
 //
-//	400 sql             parse/bind/plan errors, bad requests
+//	400 sql             parse/bind/plan errors, bad requests, a result
+//	                    holding a non-finite DOUBLE (out of range for JSON)
 //	404 unknown_session query names a session that does not exist
 //	408 timeout         the request context's deadline expired
 //	408 cancelled       the client went away mid-query
+//	413 too_large       the request body exceeds maxRequestBytes
 //	429 admission       typed *AdmissionError (pool/queue/session limits)
 //	500 spill           *gbj.SpillError — disk failure during spilling
 //	500 panic           *gbj.ExecPanicError — contained executor panic
@@ -23,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -119,7 +122,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	var req QueryRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -141,29 +144,49 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	defer tkt.release()
-	opts := &gbj.QueryOptions{Params: req.Params}
-	tkt.apply(opts)
-	res, err := s.engine.QueryOptionsContext(ctx, req.SQL, opts)
+	defer tkt.release() // the error paths' net; the success path releases below
+	bp := getBuffer()
+	body, err := s.encodeQuery(ctx, &req, tkt, *bp)
 	if err != nil {
+		putBuffer(bp, body)
 		s.writeError(w, err)
 		return
 	}
+	// The whole body exists and the rows are out of scope: what the query
+	// leased goes back before the socket is touched, so a reader that
+	// stalls holds a buffer, not pool bytes.
+	tkt.release()
 	if sess != nil {
 		atomic.AddInt64(&sess.queries, 1)
 	}
-	resp := QueryResponse{Columns: res.Columns, Rows: res.Rows, Degraded: tkt.serial}
-	if resp.Rows == nil {
-		resp.Rows = [][]any{}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	// A broken connection surfaces to the client, not here.
+	_, _ = w.Write(body)
+	putBuffer(bp, body)
+}
+
+// encodeQuery runs the admitted query and appends its complete response
+// body to b. Nothing has been written to the client when it returns, so
+// every failure — the ladder's, or a value JSON cannot carry — still gets
+// its row of the status table.
+func (s *Server) encodeQuery(ctx context.Context, req *QueryRequest, tkt *ticket, b []byte) ([]byte, error) {
+	opts := &gbj.QueryOptions{Params: req.Params}
+	tkt.apply(opts)
+	res, err := s.engine.QueryRowsContext(ctx, req.SQL, opts)
+	if err != nil {
+		return b, err
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return appendQueryResponse(b, res.Columns, res.Rows, tkt.serial)
 }
 
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	var req ExecRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -204,11 +227,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ExecResponse{OK: true})
 }
 
-// decodeJSON decodes a request body with json.Number preserved, then
-// normalizes parameter values: JSON has one number type, but the engine
-// distinguishes int64 from float64, so integral numbers become int64.
-func decodeJSON(r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
+// maxRequestBytes bounds every request body: SQL text and its parameters,
+// never data.
+const maxRequestBytes = 1 << 20
+
+// decodeJSON decodes a request body of at most maxRequestBytes with
+// json.Number preserved, then normalizes parameter values: JSON has one
+// number type, but the engine distinguishes int64 from float64, so integral
+// numbers become int64.
+func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.UseNumber()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
@@ -231,11 +259,13 @@ func decodeJSON(r *http.Request, dst any) error {
 	return nil
 }
 
+// writeJSON answers with one of the small fixed-shape bodies; a query
+// response goes through appendQueryResponse instead.
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	// Encoding a materialized response cannot fail on these types; a
-	// broken connection surfaces to the client, not here.
+	// Encoding cannot fail on these types; a broken connection surfaces to
+	// the client, not here.
 	_ = json.NewEncoder(w).Encode(body)
 }
 
@@ -255,6 +285,10 @@ func (s *Server) classify(err error) (int, string) {
 	}
 	if errors.Is(err, errUnknownSession) {
 		return http.StatusNotFound, "unknown_session"
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, "too_large"
 	}
 	var re *gbj.ResourceError
 	if errors.As(err, &re) {

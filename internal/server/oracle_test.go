@@ -2,39 +2,31 @@ package server
 
 // The serve-oracle differential: 64 concurrent sessions of mixed
 // DML/query traffic against the HTTP API, with every static-table result
-// compared byte-for-byte (canonical JSON) against the single-caller
-// Engine.Query oracle, hot-table results checked against an arithmetic
+// compared cell for cell — Go types included, so a DOUBLE that arrives as
+// an int64 is a failure — against the single-caller Engine.Query oracle,
+// hot-table results checked against an arithmetic
 // invariant that any torn snapshot breaks, and a full differential re-run
 // after the storm quiesces. `make serve-oracle` runs this under -race.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro"
 )
 
-func mustJSON(t *testing.T, v any) string {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
 // oracleRows runs the query directly on the engine — the single-caller
-// oracle — and returns the canonical JSON of its rows.
-func oracleRows(t *testing.T, e *gbj.Engine, q string, params map[string]any) string {
+// oracle — and returns its rows.
+func oracleRows(t *testing.T, e *gbj.Engine, q string, params map[string]any) [][]any {
 	t.Helper()
 	res, err := e.QueryParams(q, params)
 	if err != nil {
 		t.Fatalf("oracle %q: %v", q, err)
 	}
-	return mustJSON(t, res.Rows)
+	return res.Rows
 }
 
 func TestServeOracleDifferential(t *testing.T) {
@@ -49,8 +41,9 @@ func TestServeOracleDifferential(t *testing.T) {
 		PlanCacheSize: 64,
 	})
 
-	// The static queries: results must be byte-identical to the direct
-	// oracle throughout the storm, because no writer touches Emp/Dept.
+	// The static queries: results must be identical to the direct oracle
+	// throughout the storm, because no writer touches Emp/Dept/Rate. The
+	// last one sums a DOUBLE column to integral values (80.0, 25.0).
 	staticQueries := []struct {
 		sql    string
 		params map[string]any
@@ -58,8 +51,9 @@ func TestServeOracleDifferential(t *testing.T) {
 		{groupByJoin, nil},
 		{`SELECT COUNT(EmpID) FROM Emp WHERE DeptID = :d`, map[string]any{"d": 2}},
 		{`SELECT d.Name, COUNT(e.EmpID) FROM Emp e, Dept d WHERE e.DeptID = d.DeptID GROUP BY d.Name ORDER BY Name`, nil},
+		{`SELECT e.DeptID, SUM(r.Hourly), COUNT(e.EmpID) FROM Emp e, Rate r WHERE e.DeptID = r.DeptID GROUP BY e.DeptID ORDER BY DeptID`, nil},
 	}
-	want := make([]string, len(staticQueries))
+	want := make([][][]any, len(staticQueries))
 	for i, q := range staticQueries {
 		want[i] = oracleRows(t, e, q.sql, q.params)
 	}
@@ -99,8 +93,8 @@ func TestServeOracleDifferential(t *testing.T) {
 						errs <- fmt.Errorf("client %d: static q%d: %w", cl, qi, err)
 						return
 					}
-					if got := mustJSON(t, resp.Rows); got != want[qi] {
-						errs <- fmt.Errorf("client %d: static q%d diverged from oracle:\n got %s\nwant %s", cl, qi, got, want[qi])
+					if !reflect.DeepEqual(resp.Rows, want[qi]) {
+						errs <- fmt.Errorf("client %d: static q%d diverged from oracle:\n got %#v\nwant %#v", cl, qi, resp.Rows, want[qi])
 						return
 					}
 				case 2: // hot-table invariant: SUM(val) == 2*SUM(grp) by construction
@@ -144,7 +138,7 @@ func TestServeOracleDifferential(t *testing.T) {
 	}
 
 	// Quiesced: the full differential — every query, HTTP vs direct
-	// engine, byte-identical canonical JSON.
+	// engine, identical values of identical Go types.
 	post := []struct {
 		sql    string
 		params map[string]any
@@ -153,14 +147,15 @@ func TestServeOracleDifferential(t *testing.T) {
 		{`SELECT COUNT(EmpID) FROM Emp WHERE DeptID = :d`, map[string]any{"d": 2}},
 		{`SELECT grp, SUM(val), COUNT(id) FROM kv GROUP BY grp ORDER BY grp`, nil},
 		{`SELECT COUNT(id) FROM kv`, nil},
+		{`SELECT DeptID, Hourly FROM Rate`, nil},
 	}
 	for _, q := range post {
 		resp, err := c0.QueryDetail(ctx, q.sql, q.params)
 		if err != nil {
 			t.Fatalf("post %q: %v", q.sql, err)
 		}
-		if got, w := mustJSON(t, resp.Rows), oracleRows(t, e, q.sql, q.params); got != w {
-			t.Fatalf("post-storm differential %q:\n got %s\nwant %s", q.sql, got, w)
+		if w := oracleRows(t, e, q.sql, q.params); !reflect.DeepEqual(resp.Rows, w) {
+			t.Fatalf("post-storm differential %q:\n got %#v\nwant %#v", q.sql, resp.Rows, w)
 		}
 	}
 

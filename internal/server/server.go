@@ -134,13 +134,23 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 // embedding under another mux).
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// What a connection may cost before it has sent a request: a header must
+// arrive within readHeaderTimeout and fit in maxHeaderBytes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	maxHeaderBytes    = 64 << 10
+)
+
 // Serve accepts connections on ln until Shutdown or a listener error.
 // Request base contexts are the server's root context, so cancelling the
 // context passed to New tears down in-flight requests too.
 func (s *Server) Serve(ln net.Listener) error {
+	// No WriteTimeout: a query is bounded by its context, not by the socket.
 	srv := &http.Server{
-		Handler:     s.mux,
-		BaseContext: func(net.Listener) context.Context { return s.root },
+		Handler:           s.mux,
+		BaseContext:       func(net.Listener) context.Context { return s.root },
+		ReadHeaderTimeout: readHeaderTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
 	}
 	s.httpMu.Lock()
 	s.http = srv

@@ -5,19 +5,28 @@ package server
 // the README's error-code ↔ typed-error mapping is executable here.
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/value"
 )
 
-// newTestEngine seeds the two-table schema every server test queries: the
-// paper's Employee/Department shape plus a writable kv table.
+// newTestEngine seeds the schema every server test queries: the paper's
+// Employee/Department shape, a per-department DOUBLE column (two of its
+// values integral) and a writable kv table.
 func newTestEngine(t *testing.T) *gbj.Engine {
 	t.Helper()
 	e := gbj.New()
@@ -25,6 +34,8 @@ func newTestEngine(t *testing.T) *gbj.Engine {
 	e.MustExec(`CREATE TABLE Emp (EmpID INTEGER PRIMARY KEY, DeptID INTEGER)`)
 	e.MustExec(`INSERT INTO Dept VALUES (1, 'Eng'), (2, 'Ops'), (3, 'Sales')`)
 	e.MustExec(`INSERT INTO Emp VALUES (1, 1), (2, 1), (3, 2), (4, 2), (5, 2), (6, 3)`)
+	e.MustExec(`CREATE TABLE Rate (DeptID INTEGER PRIMARY KEY, Hourly DOUBLE)`)
+	e.MustExec(`INSERT INTO Rate VALUES (1, 40.0), (2, 32.5), (3, 25.0)`)
 	e.MustExec(`CREATE TABLE kv (id INTEGER PRIMARY KEY, grp INTEGER, val INTEGER)`)
 	return e
 }
@@ -167,6 +178,25 @@ func TestErrorCodeTable(t *testing.T) {
 		t.Fatalf("timeout mapped to %d %s", ae.Status, ae.Code)
 	}
 
+	// 413 too_large: a request body past the fixed cap, on either route.
+	big := strings.Repeat(" ", maxRequestBytes) + `SELECT COUNT(id) FROM kv`
+	_, err = c.Query(ctx, big, nil)
+	apiError(t, err, http.StatusRequestEntityTooLarge, "too_large")
+	err = c.Exec(ctx, big)
+	apiError(t, err, http.StatusRequestEntityTooLarge, "too_large")
+
+	// 400 sql: a result JSON cannot carry — SUM overflows DOUBLE to +Inf.
+	// Never a 2xx with an undecodable body.
+	e.MustExec(`CREATE TABLE fl (id INTEGER PRIMARY KEY, x DOUBLE)`)
+	e.MustExec(`INSERT INTO fl VALUES (1, 1e308), (2, 1e308)`)
+	for _, q := range []string{`SELECT SUM(x) FROM fl`, `SELECT id, x * -10.0 FROM fl`} {
+		_, err = c.Query(ctx, q, nil)
+		apiError(t, err, http.StatusBadRequest, "sql")
+		if !strings.Contains(err.Error(), "numeric value out of range") {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+
 	// 507 resource: budget exceeded with no fallback plan and no spill.
 	e.SetMemoryBudget(64)
 	e.SetMode(gbj.ModeNever) // the lazy plan has no cheaper fallback
@@ -174,6 +204,108 @@ func TestErrorCodeTable(t *testing.T) {
 	apiError(t, err, http.StatusInsufficientStorage, "resource")
 	e.SetMemoryBudget(0)
 	e.SetMode(gbj.ModeCost)
+}
+
+// TestNonFiniteDoubleIsAnError: the encoder refuses each value JSON has no
+// number for, naming the row and the column, before it has produced a body.
+func TestNonFiniteDoubleIsAnError(t *testing.T) {
+	for _, f := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		rows := []value.Row{
+			{value.NewInt(1), value.NewFloat(2)},
+			{value.NewInt(2), value.NewFloat(f)},
+		}
+		_, err := appendQueryResponse(nil, []string{"id", "x"}, rows, false)
+		if err == nil || !strings.Contains(err.Error(), `row 2, column "x"`) {
+			t.Errorf("%v: got error %v, want one naming row 2, column \"x\"", f, err)
+		}
+	}
+}
+
+// TestDoubleKeepsItsTypeOverHTTP: a DOUBLE whose value is integral is a
+// float64 in-process and must be one over HTTP too.
+func TestDoubleKeepsItsTypeOverHTTP(t *testing.T) {
+	ctx := context.Background()
+	e := newTestEngine(t)
+	_, c := newTestServer(t, Config{Engine: e})
+	e.MustExec(`CREATE TABLE fl (id INTEGER PRIMARY KEY, x DOUBLE)`)
+	e.MustExec(`INSERT INTO fl VALUES (1, 2.0), (2, 0.5), (3, -3.0), (4, 1e21)`)
+	for _, q := range []string{`SELECT id, x FROM fl`, `SELECT SUM(x), COUNT(id) FROM fl WHERE id < 4`} {
+		direct, err := e.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Query(ctx, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Rows, direct.Rows) {
+			t.Fatalf("%s: HTTP %#v, direct %#v", q, res.Rows, direct.Rows)
+		}
+	}
+}
+
+// parkedWriter is a ResponseWriter whose Write blocks until released: a
+// client that has stopped reading.
+type parkedWriter struct {
+	header  http.Header
+	status  int
+	body    bytes.Buffer
+	parked  chan struct{} // closed when Write is first entered
+	entered sync.Once
+	release chan struct{}
+}
+
+func (w *parkedWriter) Header() http.Header { return w.header }
+func (w *parkedWriter) WriteHeader(s int)   { w.status = s }
+func (w *parkedWriter) Write(b []byte) (int, error) {
+	w.entered.Do(func() { close(w.parked) })
+	<-w.release
+	return w.body.Write(b)
+}
+
+// TestSlowReaderHoldsNoPoolBytes: while a response is stuck in Write, its
+// query's lease is already back in the pool and the next query is admitted
+// at full budget.
+func TestSlowReaderHoldsNoPoolBytes(t *testing.T) {
+	ctx := context.Background()
+	// One full lease is the whole pool: a lease held across Write would
+	// degrade the second query (or queue it).
+	s, c := newTestServer(t, Config{PoolBytes: 1 << 20, PerQueryBytes: 1 << 20, MaxQueue: 4})
+	w := &parkedWriter{header: http.Header{}, parked: make(chan struct{}), release: make(chan struct{})}
+	req := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(`{"sql":"SELECT COUNT(EmpID) FROM Emp"}`))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Handler().ServeHTTP(w, req)
+	}()
+	select {
+	case <-w.parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("handler never reached Write")
+	}
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := st.Admission.Pool; p.Granted != 0 || p.Available != p.Total {
+		t.Errorf("pool while the writer is parked: %+v, want nothing granted", *p)
+	}
+	resp, err := c.QueryDetail(ctx, groupByJoin, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Degraded {
+		t.Error("second query degraded: the parked response still holds its lease")
+	}
+	close(w.release)
+	<-done
+	var got QueryResponse
+	if err := decodeQueryResponse(w.body.Bytes(), &got); err != nil || w.status != http.StatusOK {
+		t.Fatalf("parked response: status %d, %v", w.status, err)
+	}
+	if len(got.Rows) != 1 || got.Rows[0][0] != int64(6) {
+		t.Fatalf("parked response rows: %v", got.Rows)
+	}
 }
 
 func TestSessionLimitIsAdmissionError(t *testing.T) {
@@ -230,6 +362,28 @@ func TestServeOnListener(t *testing.T) {
 	}
 	if _, err := c.Query(ctx, groupByJoin, nil); err != nil {
 		t.Fatal(err)
+	}
+	// A header that never ends: the server answers 431 once it has read
+	// maxHeaderBytes (plus net/http's slack) and closes the connection,
+	// instead of buffering for as long as the peer keeps sending.
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	go func() {
+		// The write fails once the server has hung up; that is the point.
+		_, _ = io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: x\r\nX-Pad: "+strings.Repeat("a", 2*maxHeaderBytes))
+	}()
+	// A reset instead of a clean close is as good; a read that is still
+	// waiting at the deadline is the failure.
+	answer, err := io.ReadAll(conn)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("endless header: connection still open: %v", err)
+	}
+	if !bytes.HasPrefix(answer, []byte("HTTP/1.1 431 ")) {
+		t.Fatalf("endless header answered %q", answer)
 	}
 	sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
