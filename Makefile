@@ -6,21 +6,17 @@
 # (verify-certs), the chaos oracle, the fault-recovery oracle
 # (recovery-oracle), the disk-chaos spill oracle (spill-oracle), the
 # query-service oracle (serve-oracle: concurrent-session differential,
-# admission ladder, shutdown chaos), the row-vs-vectorized comparison
-# (bench-compare: identical rows required, timings reported), and a short run
-# of every fuzz target.
+# admission ladder, shutdown chaos), and a short run of every fuzz target.
+# Nothing here times anything: `make bench` runs the layer benchmarks, and
+# `go run ./benchmark` is the end-to-end measurement (BENCHMARK.json).
 
 GO ?= go
 FUZZTIME ?= 10s
 MODELCHECK_K ?= 3
-# Where bench-json writes its run records. Untracked by default, so `make
-# check` leaves the work tree clean; refresh the tracked trajectory point on
-# purpose with `make bench-json BENCH_OUT=BENCH_gbj.json`.
-BENCH_OUT ?= BENCH_check.json
 
-.PHONY: check vet lint plancheck modelcheck verify-certs build test race chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench bench-json bench-compare
+.PHONY: check vet lint plancheck modelcheck verify-certs build test race chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench
 
-check: vet lint build race plancheck modelcheck verify-certs chaos dist-oracle recovery-oracle spill-oracle serve-oracle bench-json bench-compare fuzz
+check: vet lint build race plancheck modelcheck verify-certs chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz
 
 vet:
 	$(GO) vet ./...
@@ -119,9 +115,11 @@ serve-oracle:
 	$(GO) test -race ./internal/server -run 'TestServeOracleDifferential|TestShutdownMidQueryChaos|TestAdmit'
 
 # Each fuzz target needs its own invocation (go test allows one -fuzz
-# pattern per package run). -run=^$ skips the regular tests. The last one
-# holds the query response's hand-written encoder and decoder to
-# encoding/json (DESIGN.md §17.5).
+# pattern per package run). -run=^$ skips the regular tests. The last two
+# are the service boundary: the query response's hand-written encoder and
+# decoder held to encoding/json (DESIGN.md §17.5), and arbitrary request
+# bodies through the real mux — a well-formed response or a row of the
+# status table, never a panic or a leaked goroutine.
 fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzTestFD -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
@@ -131,6 +129,7 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzEagerCert -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzExternalSort -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzQueryResponseWire -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzHandleQuery -fuzztime $(FUZZTIME)
 
 # Every benchmark in the module with allocs/op — among them the layer
 # benchmarks behind the grouping decision of DESIGN.md §19 (internal/exec:
@@ -144,19 +143,3 @@ fuzz:
 # each beside the encoding/json path it replaced).
 bench:
 	$(GO) test -bench . -benchmem ./...
-
-# Machine-readable experiment records: one quick pass over the paper's two
-# headline experiments (Figure 1 and Figure 8), the row-vs-vectorized
-# throughput comparison, and the closed-loop server load run (E17:
-# concurrent-session p50/p99, plan-cache hit rate, cold-vs-warm p50),
-# with per-operator metrics, written to $(BENCH_OUT). E13 doubles as a
-# differential check: gbj-bench exits nonzero if the two engines' rows differ.
-bench-json:
-	$(GO) run ./cmd/gbj-bench -exp E1,E2,E13,E17 -reps 3 -json $(BENCH_OUT) > /dev/null
-
-# The row-vs-vectorized comparison alone, verbosely: both engines on the
-# Figure 1 workload (10000 x 100) and the group-count sweep. Fails if any
-# pair of runs returns different rows; the timings are a table, not a gate
-# (EXPERIMENTS.md E13 says why).
-bench-compare:
-	$(GO) run ./cmd/gbj-bench -exp E13 -reps 5

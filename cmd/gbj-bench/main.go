@@ -1,13 +1,17 @@
-// Command gbj-bench runs the reproduction's experiments — one per figure or
-// worked example in the paper — and prints paper-style tables: operator
+// Command gbj-bench runs the paper's experiments — one per figure, worked
+// example or Section 7 trade-off — and prints paper-style tables: operator
 // cardinalities (matching the plan-diagram annotations of Figures 1 and 8),
-// wall times for both plans, and the optimizer's decision.
+// shipped bytes, the TestFD trace and the optimizer's decision, with wall
+// times for both plans alongside. It reproduces the paper and nothing else:
+// whatever times the engine itself lives in benchmark/ (EXPERIMENTS.md,
+// "What times the engine").
 //
 // Usage:
 //
 //	gbj-bench                  # run every experiment
-//	gbj-bench -exp E1,E5       # run a subset
+//	gbj-bench -exp E1,E5       # run a subset (E1..E8, E12)
 //	gbj-bench -reps 5          # repetitions per measurement (fastest wins)
+//	gbj-bench -json out.json   # also write machine-readable run records
 //	gbj-bench -parallelism -1  # parallel execution, one worker per CPU
 //	gbj-bench -vectorize       # columnar batch execution (identical rows)
 //	gbj-bench -nodes 4         # cluster size for the distributed experiment (E12)
@@ -16,17 +20,10 @@
 //	gbj-bench -mem-budget 1048576  # per-execution state-byte cap; an
 //	                               # over-budget eager plan degrades to the
 //	                               # lazy plan (recorded as a fallback)
-//	gbj-bench -spill-dir /tmp/gbj  # with -mem-budget, spill over-budget
-//	                               # operator state to temp files instead of
-//	                               # degrading; E15 sweeps budgets either way
-//	gbj-bench -exp E17             # closed-loop server load: 64 concurrent
-//	                               # sessions against an in-process gbj-server
-//	gbj-bench -exp E17 -server http://127.0.0.1:7432
-//	                               # ...or against an already-running daemon
 //
-// Flag values are validated up front: -parallelism below -1, -nodes below
-// 1, and non-power-of-two -shards are rejected with an error (exit 2)
-// instead of being clamped silently.
+// Flag values are validated up front: an unknown -exp id, -parallelism below
+// -1, -nodes below 1, and non-power-of-two -shards are rejected with an error
+// (exit 2) instead of being dropped or clamped silently.
 package main
 
 import (
@@ -34,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -48,23 +44,12 @@ import (
 
 // knobs are the engine flags every experiment runs under: the executor
 // worker count (0 or 1 serial, n > 1 that many workers, negative one per
-// CPU), the columnar batch engine toggle (E13 compares the two engines
-// directly and ignores it), the per-execution operator-state byte cap and
-// the spill directory that lets budgeted measurements spill instead of
-// aborting or degrading (E15 defaults to a sweep area under the system temp
-// directory), the simulated cluster of the distributed experiments (E12,
-// E16), and the per-shipment retry budget of the fault-rate sweep (E16),
-// which caps the sweep's fault counts — larger schedules would make recovery
-// impossible.
-var knobs = cliutil.EngineFlags{Nodes: 4, LinkRetries: 8}
+// CPU), the columnar batch engine toggle, the per-execution operator-state
+// byte cap, and the simulated cluster of the distributed experiment (E12).
+var knobs = cliutil.EngineFlags{Nodes: 4}
 
 // timeout is the per-measurement deadline, 0 for none.
 var timeout time.Duration
-
-// serverURL, when non-empty, points the server load experiment (E17) at an
-// already-running gbj-server instead of the in-process one it starts by
-// default.
-var serverURL string
 
 // measureCtx returns the context one measurement runs under.
 func measureCtx() (context.Context, context.CancelFunc) {
@@ -75,9 +60,9 @@ func measureCtx() (context.Context, context.CancelFunc) {
 }
 
 // governed is the lifecycle bundle both comparisons run under: the
-// measurement context plus the tool's budget, engine and spill settings.
+// measurement context plus the tool's budget and engine settings.
 func governed(ctx context.Context) bench.Governed {
-	return bench.Governed{Context: ctx, MemoryBudget: knobs.MemBudget, Vectorize: knobs.Vectorize, SpillDir: knobs.SpillDir}
+	return bench.Governed{Context: ctx, MemoryBudget: knobs.MemBudget, Vectorize: knobs.Vectorize}
 }
 
 // compareForward runs a governed forward comparison with the tool's
@@ -106,65 +91,82 @@ func addRecord(experiment, note string, c *bench.Comparison) {
 	}
 }
 
+// experiments is every experiment the tool runs, in run order. E10 and E11
+// of EXPERIMENTS.md are readings of the -json records, not runners.
+var experiments = []struct {
+	id, title string
+	run       func(reps int) error
+}{
+	{"E1", "Figure 1 — Example 1, group-by pushdown wins", runE1},
+	{"E2", "Figure 8 / Example 4 — transformation valid but harmful", runE2},
+	{"E3", "Example 3 — TestFD on the printer query", runE3},
+	{"E4", "Example 5 / Section 8 — reverse transformation", runE4},
+	{"E5", "Section 7 — join selectivity sweep (crossover)", runE5},
+	{"E6", "Section 7 — group count sweep", runE6},
+	{"E7", "Section 7 — distributed communication cost", runE7},
+	{"E8", "Section 7 — optimizer decision accuracy over a parameter grid", runE8},
+	{"E12", "Section 7 — eager vs lazy shipping on a simulated cluster (measured bytes)", runE12},
+}
+
+// experimentIDs lists the valid -exp ids in run order.
+func experimentIDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// parseExperiments resolves the -exp value to the set of experiments to
+// run: "all", or a comma-separated list of ids in either case. An id the
+// tool does not have is an error naming the valid ones, never a silent
+// skip — a script still asking for a retired experiment must not "pass".
+func parseExperiments(arg string) (map[string]bool, error) {
+	all := strings.EqualFold(strings.TrimSpace(arg), "all")
+	want := map[string]bool{}
+	for _, id := range experimentIDs() {
+		want[id] = all
+	}
+	if all {
+		return want, nil
+	}
+	for _, field := range strings.Split(arg, ",") {
+		id := strings.ToUpper(strings.TrimSpace(field))
+		if _, known := want[id]; !known {
+			return nil, fmt.Errorf("-exp: unknown experiment %q; valid ids are %s, or 'all'",
+				strings.TrimSpace(field), strings.Join(experimentIDs(), ","))
+		}
+		want[id] = true
+	}
+	return want, nil
+}
+
 func main() {
-	expFlag := flag.String("exp", "all", "comma-separated experiment ids (E1..E8) or 'all'")
+	expFlag := flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(experimentIDs(), ",")+") or 'all'")
 	reps := flag.Int("reps", 3, "repetitions per measurement")
 	jsonPath := flag.String("json", "", "also write machine-readable run records (per-operator metrics included) to this file")
 	knobs.Register(flag.CommandLine, map[string]string{
 		"parallelism": "", "shards": "",
-		"vectorize":    "columnar batch execution for every experiment (E13 always compares both engines)",
-		"nodes":        "simulated cluster size for the distributed experiment (E12)",
-		"link-retries": "per-shipment link retry budget for the fault-rate sweep (E16)",
-		"mem-budget":   "per-execution operator-state byte cap (0 = unlimited); over-budget eager plans degrade to the lazy plan",
-		"spill-dir":    "directory for spill temp files; with -mem-budget set, over-budget operators spill to disk instead of degrading (empty = spilling off; E15 uses a default sweep area)",
+		"vectorize":  "columnar batch execution for every experiment",
+		"nodes":      "simulated cluster size for the distributed experiment (E12)",
+		"mem-budget": "per-execution operator-state byte cap (0 = unlimited); over-budget eager plans degrade to the lazy plan",
 	})
 	flag.DurationVar(&timeout, "timeout", 0, "per-measurement deadline (0 = none)")
-	flag.StringVar(&serverURL, "server", "", "base URL of a running gbj-server for the load experiment (E17), e.g. http://127.0.0.1:7432 (empty = start one in-process)")
 	flag.Parse()
-	for _, err := range []error{
-		knobs.Validate(),
-		validateServerURL(serverURL),
-	} {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gbj-bench:", err)
-			os.Exit(2)
-		}
+	want, err := parseExperiments(*expFlag)
+	if err == nil {
+		err = knobs.Validate()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gbj-bench:", err)
+		os.Exit(2)
 	}
 	if *jsonPath != "" {
 		record = &bench.File{Tool: "gbj-bench"}
 	}
 
-	want := map[string]bool{}
-	if *expFlag == "all" {
-		for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E12", "E13", "E15", "E16", "E17"} {
-			want[id] = true
-		}
-	} else {
-		for _, id := range strings.Split(*expFlag, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
-	}
-
-	runners := []struct {
-		id, title string
-		run       func(reps int) error
-	}{
-		{"E1", "Figure 1 — Example 1, group-by pushdown wins", runE1},
-		{"E2", "Figure 8 / Example 4 — transformation valid but harmful", runE2},
-		{"E3", "Example 3 — TestFD on the printer query", runE3},
-		{"E4", "Example 5 / Section 8 — reverse transformation", runE4},
-		{"E5", "Section 7 — join selectivity sweep (crossover)", runE5},
-		{"E6", "Section 7 — group count sweep", runE6},
-		{"E7", "Section 7 — distributed communication cost", runE7},
-		{"E8", "Section 7 — optimizer decision accuracy over a parameter grid", runE8},
-		{"E12", "Section 7 — eager vs lazy shipping on a simulated cluster (measured bytes)", runE12},
-		{"E13", "row-at-a-time vs vectorized execution (throughput)", runE13},
-		{"E15", "spill-to-disk budget sweep (in-memory vs external crossover)", runE15},
-		{"E16", "fault-rate sweep — recovery cost under injected link faults", runE16},
-		{"E17", "closed-loop server load — concurrent sessions, admission, plan-cache p50/p99", runE17},
-	}
 	failed := false
-	for _, r := range runners {
+	for _, r := range experiments {
 		if !want[r.id] {
 			continue
 		}
@@ -433,201 +435,6 @@ func runE12(reps int) error {
 		addRecord("E12", fmt.Sprintf("groups=%d nodes=%d", groups, knobs.Nodes), c)
 	}
 	return nil
-}
-
-// runE13 measures the vectorized engine against the row engine on the same
-// plans: the Figure 1 workload (10000 employees, 100 departments — the E9
-// differential-harness workload) plus a group-count sweep. Both engines run
-// the optimizer's standard (lazy) plan so the comparison isolates the data
-// representation; every pair must return identical result multisets — that
-// is the `make bench-compare` gate. The timings are a table, not a gate: which
-// engine is faster on a given shape is a measurement for the "batch face by
-// default" decision, not a property either engine owes the other.
-func runE13(reps int) error {
-	type point struct {
-		note  string
-		query string
-		store func() (*storage.Store, error)
-	}
-	points := []point{
-		{"figure1 (10000x100)", workload.Example1Query, func() (*storage.Store, error) {
-			return workload.EmployeeDepartment(10000, 100)
-		}},
-	}
-	for _, groups := range []int{10, 1000, 10000} {
-		groups := groups
-		points = append(points, point{
-			fmt.Sprintf("sweep groups=%d", groups), workload.SweepQueryGroupByDim,
-			func() (*storage.Store, error) {
-				return workload.Sweep(workload.SweepParams{
-					FactRows: 50000, DimRows: groups, Groups: groups,
-					MatchFraction: 1.0, Seed: 42,
-				})
-			},
-		})
-	}
-	fmt.Printf("%-22s  %-14s  %-14s  %12s  %12s  %s\n",
-		"workload", "row", "vectorized", "row rows/s", "vec rows/s", "speedup")
-	for _, p := range points {
-		store, err := p.store()
-		if err != nil {
-			return err
-		}
-		q, err := sql.ParseQuery(p.query)
-		if err != nil {
-			return err
-		}
-		report, err := core.NewOptimizer(store).Optimize(q)
-		if err != nil {
-			return err
-		}
-		plan := report.Standard
-		ctx, cancel := measureCtx()
-		rowRun, err := bench.RunPlan("row engine", plan, store, reps, knobs.Parallelism,
-			bench.Governed{Context: ctx, MemoryBudget: knobs.MemBudget})
-		if err == nil {
-			var vecRun *bench.PlanRun
-			vecRun, err = bench.RunPlan("vectorized engine", plan, store, reps, knobs.Parallelism,
-				bench.Governed{Context: ctx, MemoryBudget: knobs.MemBudget, Vectorize: true})
-			if err == nil {
-				if !rowRun.SameRows(vecRun) {
-					cancel()
-					return fmt.Errorf("E13 %s: vectorized rows differ from the row engine", p.note)
-				}
-				speedup := float64(rowRun.Duration) / float64(vecRun.Duration)
-				fmt.Printf("%-22s  %-14v  %-14v  %12.0f  %12.0f  %.2fx\n",
-					p.note, rowRun.Duration, vecRun.Duration,
-					rowThroughput(rowRun), rowThroughput(vecRun), speedup)
-				addRecord("E13", p.note, &bench.Comparison{
-					Query: p.query, Standard: rowRun, Transformed: vecRun,
-				})
-			}
-		}
-		cancel()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runE15 measures the spill crossover the budget governor enables: one
-// workload (50000 fact rows joined and grouped over a 10000-row dimension)
-// executed under a descending sweep of memory budgets with spilling on.
-// Every budgeted run must return exactly the rows of the unbudgeted
-// in-memory reference; the table shows the budget at which operator state
-// starts going to disk (grace-join partitions, external aggregation, sorted
-// runs) and what the disk traffic costs in wall time.
-func runE15(reps int) error {
-	store, err := workload.Sweep(workload.SweepParams{
-		FactRows: 50000, DimRows: 10000, Groups: 10000,
-		MatchFraction: 1.0, Seed: 42,
-	})
-	if err != nil {
-		return err
-	}
-	q, err := sql.ParseQuery(workload.SweepQueryGroupByDim)
-	if err != nil {
-		return err
-	}
-	report, err := core.NewOptimizer(store).Optimize(q)
-	if err != nil {
-		return err
-	}
-	plan := report.Standard
-	dir := knobs.SpillDir
-	if dir == "" {
-		//lint:ignore spillcleanup the sweep needs a default spill area; every file under it comes from a SpillManager, and the directory itself is removed below
-		dir = filepath.Join(os.TempDir(), "gbj-bench-spill")
-		defer os.RemoveAll(dir)
-	}
-	ctx, cancel := measureCtx()
-	defer cancel()
-	ref, err := bench.RunPlan("in-memory reference", plan, store, reps, knobs.Parallelism,
-		bench.Governed{Context: ctx, Vectorize: knobs.Vectorize})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("reference (no budget): %v for %d result rows\n\n", ref.Duration, ref.OutRows)
-	fmt.Printf("%-10s  %-14s  %12s  %8s  %s\n", "budget", "time", "spill bytes", "vs ref", "rows")
-	for _, budget := range []int64{4 << 20, 1 << 20, 256 << 10, 64 << 10} {
-		run, err := bench.RunPlan(fmt.Sprintf("budget %s", budgetLabel(budget)),
-			plan, store, reps, knobs.Parallelism,
-			bench.Governed{Context: ctx, MemoryBudget: budget, Vectorize: knobs.Vectorize, SpillDir: dir})
-		if err != nil {
-			return fmt.Errorf("E15 budget %s: %w", budgetLabel(budget), err)
-		}
-		if !run.SameRows(ref) {
-			return fmt.Errorf("E15 budget %s: spilled rows differ from the in-memory reference", budgetLabel(budget))
-		}
-		gov := run.Metrics.Gov()
-		fmt.Printf("%-10s  %-14v  %12d  %7.2fx  %s\n",
-			budgetLabel(budget), run.Duration, gov.SpillBytes,
-			float64(run.Duration)/float64(ref.Duration), "identical")
-		addRecord("E15", fmt.Sprintf("budget=%d spill_bytes=%d", budget, gov.SpillBytes),
-			&bench.Comparison{Query: workload.SweepQueryGroupByDim, Standard: ref, Transformed: run})
-	}
-	return nil
-}
-
-// runE16 measures what fault tolerance costs: the E12 workload's eager
-// distributed plan under a sweep of seeded link-fault schedules (at most
-// 1, 2, 4, ... faults per run, capped at the -link-retries budget so every
-// schedule is survivable). Each faulted run must return exactly the rows of
-// its fault-free reference — the recovery counters, not the row counts, are
-// what varies with the fault rate. Backoffs run on a virtual clock, so the
-// "recovered" column is retry and re-execution work, not sleeping.
-func runE16(int) error {
-	if knobs.Nodes < 2 {
-		return fmt.Errorf("E16 needs a cluster: pass -nodes 2 or more (got %d)", knobs.Nodes)
-	}
-	store, err := workload.Sweep(workload.SweepParams{
-		FactRows: 20000, DimRows: 100, Groups: 100, MatchFraction: 1.0, Seed: 42,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("cluster: %d nodes, %s; retry budget: %d per shipment\n\n", knobs.Nodes, shardDesc(), knobs.LinkRetries)
-	fmt.Printf("%-10s  %-14s  %-14s  %8s  %10s  %s\n",
-		"faults<=", "fault-free", "recovered", "retries", "failovers", "rows")
-	for _, faults := range []int{1, 2, 4, 8} {
-		if faults > knobs.LinkRetries {
-			fmt.Printf("%-10d  (skipped: exceeds the -link-retries budget %d)\n", faults, knobs.LinkRetries)
-			continue
-		}
-		ctx, cancel := measureCtx()
-		c, err := bench.CompareRecovered(ctx, store, workload.SweepQueryGroupByDim,
-			knobs.Nodes, knobs.Shards, knobs.Parallelism, knobs.LinkRetries, int64(1000+faults), faults)
-		cancel()
-		if err != nil {
-			return fmt.Errorf("E16 faults<=%d: %w", faults, err)
-		}
-		gov := c.Transformed.Metrics.Gov()
-		fmt.Printf("%-10d  %-14v  %-14v  %8d  %10d  %s\n",
-			faults, c.Standard.Duration, c.Transformed.Duration,
-			gov.LinkRetries, gov.Failovers, "identical")
-		addRecord("E16", fmt.Sprintf("faults=%d nodes=%d retries=%d", faults, knobs.Nodes, knobs.LinkRetries), c)
-	}
-	return nil
-}
-
-// budgetLabel renders a byte budget in power-of-two units for the E15 table.
-func budgetLabel(b int64) string {
-	switch {
-	case b >= 1<<20 && b%(1<<20) == 0:
-		return fmt.Sprintf("%dMiB", b>>20)
-	case b >= 1<<10 && b%(1<<10) == 0:
-		return fmt.Sprintf("%dKiB", b>>10)
-	}
-	return fmt.Sprintf("%dB", b)
-}
-
-// rowThroughput is a run's leaf-row throughput in rows per second.
-func rowThroughput(r *bench.PlanRun) float64 {
-	if r.Duration <= 0 {
-		return 0
-	}
-	return float64(r.InputRows) / r.Duration.Seconds()
 }
 
 // shardDesc names the shard configuration for the E12 banner.

@@ -238,13 +238,6 @@ type GroupBy struct {
 	Input     Node
 	GroupCols []expr.ColumnID
 	Aggs      []AggItem
-	// Ordered is the optimizer's order-properties hint: the input provably
-	// streams ordered on a (all-ascending) key sequence covering GroupCols,
-	// so grouping can be a single streaming pass with no sort and no hash
-	// table. The plan verifier's order-requirement rule checks the claim
-	// against a descendant Sort; the executor streams only on the order it
-	// proves for itself and hashes otherwise, so a wrong hint costs nothing.
-	Ordered bool
 }
 
 // Schema returns the grouping columns (with their input types) followed by

@@ -51,8 +51,7 @@ type PlanRun struct {
 	// Vectorize records whether the run used the columnar batch engine.
 	Vectorize bool
 	// InputRows totals the rows produced by the plan's leaves (scans and
-	// values) — the work volume behind the rows-per-second throughput the
-	// run records report.
+	// values) — the work volume behind the run records' rows_per_sec.
 	InputRows int64
 	// Ann carries the measured per-node cardinalities for plan display.
 	Ann algebra.Annotations
@@ -71,11 +70,11 @@ type PlanRun struct {
 // Tree renders the plan with measured cardinalities.
 func (r *PlanRun) Tree() string { return algebra.Format(r.Plan, r.Ann) }
 
-// Governed bundles the query-lifecycle settings of a governed benchmark
-// run: a context carrying a deadline or cancellation, a per-run cap on
-// operator state bytes, and — optionally — a lazy fallback plan to degrade
-// to when the measured plan exceeds the budget, mirroring the engine's
-// graceful degradation.
+// Governed bundles the query-lifecycle settings of a governed run: a
+// context carrying a deadline or cancellation, a per-run cap on operator
+// state bytes, and — optionally — a lazy fallback plan to degrade to when
+// the measured plan exceeds the budget, mirroring the engine's graceful
+// degradation.
 type Governed struct {
 	// Context cancels or deadlines the run; nil means none.
 	Context context.Context
@@ -87,11 +86,6 @@ type Governed struct {
 	// Vectorize runs the plan through the columnar batch engine instead of
 	// the row-at-a-time engine; results are identical either way.
 	Vectorize bool
-	// SpillDir, when non-empty (and a MemoryBudget is set), lets each
-	// repetition spill operator state to disk instead of aborting with a
-	// budget error — the crossover E15 measures. Temp files are swept when
-	// the run returns.
-	SpillDir string
 }
 
 func (g Governed) ctx() context.Context {
@@ -108,42 +102,29 @@ func (g Governed) ctx() context.Context {
 // whole run to g.Fallback (when set): the plan, label, cardinalities and
 // metrics then describe the fallback plan, and Fallbacks records the switch.
 // Without a fallback, the budget abort — like a cancellation — fails the run
-// with the executor's typed error. With g.SpillDir set, a budgeted rep
-// spills to disk instead of aborting; a spill failure degrades to the
-// fallback (run in memory) the same way a budget abort does.
+// with the executor's typed error.
 func RunPlan(label string, plan algebra.Node, store *storage.Store, reps, parallelism int, g Governed) (*PlanRun, error) {
 	if reps < 1 {
 		reps = 1
 	}
 	run := &PlanRun{Label: label, Plan: plan, Vectorize: g.Vectorize}
-	var spill *storage.SpillManager
-	if g.SpillDir != "" && g.MemoryBudget > 0 {
-		spill = storage.NewSpillManager(g.SpillDir)
-		defer func() { _ = spill.Cleanup() }()
-	}
 	var rows []value.Row
 	for i := 0; i < reps; i++ {
 		col := obs.NewCollector() // fresh per rep: counters accumulate otherwise
 		start := time.Now()
 		res, err := exec.Run(plan, store, &exec.Options{
-			Metrics: col, Parallelism: parallelism,
-			Vectorize: g.Vectorize, Spill: spill,
+			Metrics: col, Parallelism: parallelism, Vectorize: g.Vectorize,
 			Context: g.ctx(), MemoryBudget: g.MemoryBudget,
 		})
 		elapsed := time.Since(start)
 		var re *exec.ResourceError
-		var se *exec.SpillError
-		if err != nil && run.Fallbacks == 0 && g.Fallback != nil &&
-			(errors.As(err, &re) || errors.As(err, &se)) {
-			// Degrade once, for this and every remaining repetition; the
-			// first over-budget (or spill-failed) rep restarts the loop on
-			// the fallback plan, in memory — mirroring the engine, a spill
-			// failure must not retry through the same failing disk.
+		if err != nil && run.Fallbacks == 0 && g.Fallback != nil && errors.As(err, &re) {
+			// Degrade once, for this and every remaining repetition: the
+			// first over-budget rep restarts the loop on the fallback plan.
 			run.Fallbacks = 1
 			run.Label = label + " [over budget: fell back to lazy plan]"
 			plan, run.Plan = g.Fallback, g.Fallback
 			run.Duration = 0
-			spill = nil
 			i = -1
 			continue
 		}
@@ -203,10 +184,6 @@ func canonical(rows []value.Row) []string {
 	sort.Strings(keys)
 	return keys
 }
-
-// SameRows reports whether two runs returned identical result multisets —
-// the differential check behind the E13 row-vs-vectorized comparison.
-func (r *PlanRun) SameRows(o *PlanRun) bool { return sameChecksum(r.checksum, o.checksum) }
 
 func sameChecksum(a, b []string) bool {
 	if len(a) != len(b) {

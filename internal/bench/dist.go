@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/exec"
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -76,87 +75,6 @@ func CompareDistributed(ctx context.Context, store *storage.Store, query string,
 			query, lazy.OutRows, eager.OutRows)
 	}
 	return &Comparison{Query: query, Report: report, Standard: lazy, Transformed: eager}, nil
-}
-
-// CompareRecovered measures the fault-tolerance layer (E16): the query's
-// eager distributed plan runs once fault-free (the Standard slot) and once
-// under a seeded link-fault schedule of at most maxEvents LinkDelay/LinkDrop
-// events with a per-shipment retry budget of linkRetries (the Transformed
-// slot). Backoffs run on a FakeClock, so the measured recovered time is
-// retry work, not sleeping. Both runs must return identical multisets —
-// with linkRetries >= maxEvents every bounded schedule is survivable, so a
-// divergence or an error is a recovery bug, not noise.
-func CompareRecovered(ctx context.Context, store *storage.Store, query string, nodes, shards, parallelism, linkRetries int, seed int64, maxEvents int) (*Comparison, error) {
-	q, err := sql.ParseQuery(query)
-	if err != nil {
-		return nil, err
-	}
-	opt := core.NewOptimizer(store)
-	opt.Parallelism = parallelism
-	opt.Nodes = nodes
-	report, err := opt.Optimize(q)
-	if err != nil {
-		return nil, err
-	}
-	plan := report.Standard
-	if report.Transformed && report.Alternative != nil {
-		plan = report.Alternative
-	}
-	cl, err := dist.NewCluster(store, nodes, shards)
-	if err != nil {
-		return nil, err
-	}
-	dp, err := dist.Compile(plan, dist.Config{Nodes: cl.Nodes(), Strategy: dist.StrategyEager})
-	if err != nil {
-		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// The reference run carries an inert injector purely to count link
-	// ticks: that total becomes the link-ordinal horizon of the fault
-	// schedule, so the seeded events land inside the faulted run instead
-	// of past its last shipment.
-	probe := fault.New(nil)
-	ref := &PlanRun{Label: "fault-free reference", Plan: dp.Root}
-	col := obs.NewCollector()
-	start := time.Now()
-	res, err := cl.Run(dp, &exec.Options{
-		Group:       exec.GroupHash,
-		Parallelism: parallelism,
-		Context:     ctx,
-		Metrics:     col,
-		Faults:      probe,
-	})
-	ref.Duration = time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	ref.Metrics, ref.OutRows, ref.checksum = col, int64(len(res.Rows)), canonical(res.Rows)
-
-	clock := obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)
-	inj := fault.NewSeededLinkOnly(seed, probe.LinkTicks(), maxEvents).WithClock(clock)
-	rec := &dist.Recovery{LinkRetries: linkRetries, Clock: clock}
-	faulted := &PlanRun{Label: fmt.Sprintf("recovered (<=%d link faults)", maxEvents), Plan: dp.Root}
-	col = obs.NewCollector()
-	start = time.Now()
-	res, err = cl.RunRecover(dp, &exec.Options{
-		Group:       exec.GroupHash,
-		Parallelism: parallelism,
-		Context:     ctx,
-		Metrics:     col,
-		Faults:      inj,
-	}, rec)
-	faulted.Duration = time.Since(start)
-	if err != nil {
-		return nil, fmt.Errorf("recovered run (seed=%d faults<=%d retries=%d): %w", seed, maxEvents, linkRetries, err)
-	}
-	faulted.Metrics, faulted.OutRows, faulted.checksum = col, int64(len(res.Rows)), canonical(res.Rows)
-	if !sameChecksum(ref.checksum, faulted.checksum) {
-		return nil, fmt.Errorf("recovered run diverged on %q: fault-free %d rows, recovered %d rows",
-			query, ref.OutRows, faulted.OutRows)
-	}
-	return &Comparison{Query: query, Report: report, Standard: ref, Transformed: faulted}, nil
 }
 
 // runDistPlan compiles the logical plan for the cluster under one

@@ -10,10 +10,10 @@ import (
 	"repro/internal/workload"
 )
 
-// TestWriteFileEmptyRuns: -json must produce a valid BENCH record even
-// when no experiment matched — "runs": [], never null.
+// TestWriteFileEmptyRuns: -json must produce a valid document even for an
+// empty run set — "runs": [], never null.
 func TestWriteFileEmptyRuns(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_gbj.json")
+	path := filepath.Join(t.TempDir(), "out.json")
 	f := &File{Tool: "gbj-bench"}
 	if err := f.WriteFile(path); err != nil {
 		t.Fatal(err)

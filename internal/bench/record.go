@@ -1,11 +1,11 @@
 package bench
 
-// This file defines the machine-readable run records behind the
-// BENCH_*.json output of cmd/gbj-bench. Every PlanRun carries the
-// executor's full per-operator metrics, so a recorded experiment preserves
-// the plan-diagram cardinalities (Figures 1 and 8), the hash-table and
-// morsel statistics, and the timings — enough to regenerate every table in
-// EXPERIMENTS.md without rerunning.
+// This file defines the machine-readable run records behind the -json
+// output of cmd/gbj-bench. Every PlanRun carries the executor's full
+// per-operator metrics, so a recorded experiment preserves the plan-diagram
+// cardinalities (Figures 1 and 8), the hash-table and morsel statistics,
+// and the timings — enough to regenerate every table in EXPERIMENTS.md
+// without rerunning.
 
 import (
 	"encoding/json"
@@ -44,8 +44,7 @@ type PlanRecord struct {
 	// volume behind RowsPerSec.
 	InputRows int64 `json:"input_rows"`
 	// RowsPerSec is leaf-row throughput: InputRows over the fastest wall
-	// time. The row-vs-vectorized trajectory in BENCH_gbj.json tracks this
-	// number across engine versions.
+	// time.
 	RowsPerSec float64 `json:"rows_per_sec"`
 	// CommBytes totals the bytes shipped across cluster links by the
 	// plan's exchange operators; 0 for single-site plans.
@@ -93,7 +92,7 @@ func (r *PlanRun) Record() *PlanRecord {
 
 // RunRecord is one experiment data point.
 type RunRecord struct {
-	// Experiment is the id from EXPERIMENTS.md (E1..E10).
+	// Experiment is the id from EXPERIMENTS.md (E1..E8, E12).
 	Experiment string `json:"experiment"`
 	// Note distinguishes points within a sweep (e.g. "match=0.05").
 	Note        string  `json:"note,omitempty"`
@@ -106,8 +105,7 @@ type RunRecord struct {
 	// re-run as the lazy plan.
 	Fallbacks int `json:"fallbacks,omitempty"`
 	// Vectorize records whether the point's runs used the columnar batch
-	// engine (E13's row-engine baselines within a vectorized invocation
-	// keep their own per-plan Vectorize flags).
+	// engine.
 	Vectorize   bool        `json:"vectorize,omitempty"`
 	Standard    *PlanRecord `json:"standard,omitempty"`
 	Transformed *PlanRecord `json:"transformed,omitempty"`
@@ -115,40 +113,13 @@ type RunRecord struct {
 	// summed across the point's runs: re-attempted link shipments, nodes
 	// failed over to survivors, and executions that degraded from
 	// distributed to local. Always emitted — a zero is the claim that no
-	// recovery machinery fired, which the fault-rate sweep (E16) trends
-	// across versions just like RowsPerSec.
+	// recovery machinery fired.
 	Retries   int64 `json:"retries"`
 	Failovers int64 `json:"failovers"`
 	Degraded  int64 `json:"degraded"`
-	// Load carries the closed-loop server load measurement (E17); nil for
-	// plan-comparison experiments.
-	Load *LoadRecord `json:"load,omitempty"`
 }
 
-// LoadRecord is the machine-readable form of one closed-loop load run
-// (E17): concurrent-session latency percentiles, the plan-cache hit rate,
-// and the cold-vs-warm p50 pair the cache's benefit is trended by.
-type LoadRecord struct {
-	Clients int `json:"clients"`
-	Ops     int `json:"ops"`
-	Writes  int `json:"writes"`
-	// Rejected counts typed admission rejections (HTTP 429);
-	// DegradedResponses counts queries served under a shed serial grant.
-	Rejected          int `json:"rejected"`
-	DegradedResponses int `json:"degraded_responses"`
-	// P50Ns/P99Ns are storm latency percentiles; ColdP50Ns/WarmP50Ns are
-	// the single-client first-execution vs cached-execution medians.
-	P50Ns     int64 `json:"p50_ns"`
-	P99Ns     int64 `json:"p99_ns"`
-	ColdP50Ns int64 `json:"cold_p50_ns"`
-	WarmP50Ns int64 `json:"warm_p50_ns"`
-	// QPS is completed operations per second of storm wall time.
-	QPS float64 `json:"qps"`
-	// CacheHitRate is hits/(hits+misses) of the server's plan cache.
-	CacheHitRate float64 `json:"cache_hit_rate"`
-}
-
-// File is the top-level BENCH_*.json document.
+// File is the top-level -json document.
 type File struct {
 	Tool string      `json:"tool"`
 	Runs []RunRecord `json:"runs"`
@@ -187,16 +158,6 @@ func (f *File) Add(experiment, note string, parallelism int, c *Comparison) {
 		}
 	}
 	f.Runs = append(f.Runs, rec)
-}
-
-// AddLoad appends a load-harness measurement as a run record.
-func (f *File) AddLoad(experiment, note string, parallelism int, r *LoadResult) {
-	f.Runs = append(f.Runs, RunRecord{
-		Experiment:  experiment,
-		Note:        note,
-		Parallelism: parallelism,
-		Load:        r.Record(),
-	})
 }
 
 // WriteFile writes the document as indented JSON. An empty run set still

@@ -245,8 +245,8 @@ func ValidatePoolBytes(b int64) error {
 	return nil
 }
 
-// ValidateServerURL checks a client-side gbj-server base URL (gbj-bench
-// -server, gbj-shell -connect): http or https, with an explicit host:port.
+// ValidateServerURL checks a client-side gbj-server base URL (gbj-shell
+// -connect): http or https, with an explicit host:port.
 // A missing port is rejected, never defaulted — the client guessing 7432
 // while the daemon listens elsewhere is a confusing way to find out.
 func ValidateServerURL(u string) error {

@@ -76,3 +76,37 @@ func auditCertificateRoundTrip(t *testing.T, transformed algebra.Node, shape *Sh
 		t.Fatalf("FD2 refutation diagnostic must name the theorem condition, got: %v", err)
 	}
 }
+
+// TestPlancheckRejectsLimitUnderJoin pins the spill-safety rule: a Limit
+// feeding a join (or group) through cardinality-transparent operators
+// truncates an intermediate a re-reading operator depends on. The planner
+// never builds this shape — user LIMITs inside derived tables sit behind a
+// projection — so the checker flags it as an optimizer bug.
+func TestPlancheckRejectsLimitUnderJoin(t *testing.T) {
+	s := example1Store(t)
+	o := NewOptimizer(s)
+	b, err := o.Planner().Bind(parse(t, example1SQL))
+	must(t, err)
+	plan, err := o.Planner().PlanStandard(b)
+	must(t, err)
+
+	// Splice a Limit directly above one join input, simulating an unsound
+	// push-down.
+	var join *algebra.Join
+	algebra.Walk(plan, func(n algebra.Node) {
+		if j, ok := n.(*algebra.Join); ok {
+			join = j
+		}
+	})
+	if join == nil {
+		t.Fatalf("plan has no Join:\n%s", algebra.Format(plan, nil))
+	}
+	join.L = &algebra.Limit{Input: join.L, N: 1}
+	err = plancheck.Verify(plan, nil)
+	if err == nil {
+		t.Fatal("plan checker accepted a Limit feeding a join input")
+	}
+	if !strings.Contains(err.Error(), "spill-safety") {
+		t.Fatalf("violation cites the wrong rule: %v", err)
+	}
+}

@@ -650,7 +650,6 @@ func (p *Planner) finishPlan(b *BoundQuery, input algebra.Node, items []algebra.
 	if b.HasLimit {
 		plan = &algebra.Limit{Input: plan, N: b.Limit}
 	}
-	annotateOrder(plan)
 	return plan, nil
 }
 

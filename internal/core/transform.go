@@ -84,6 +84,5 @@ func (p *Planner) PlanTransformed(shape *Shape) (algebra.Node, error) {
 	if b.HasLimit {
 		plan = &algebra.Limit{Input: plan, N: b.Limit}
 	}
-	annotateOrder(plan)
 	return plan, nil
 }

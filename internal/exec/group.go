@@ -72,9 +72,9 @@ func (c *compiler) compileGroupBy(node *algebra.GroupBy) (compiled, error) {
 	// a physical property of this node's input: if the propagated order
 	// proves it sorted on the grouping columns the groups are contiguous —
 	// one streaming pass, no sort, no table. Anything else hashes, and an
-	// ORDER BY above orders G group rows, not N input rows here; an unproven
-	// node.Ordered hint changes nothing. A fresh sort survives as forced
-	// GroupSort (the oracles' reference) and as a refused table's external path.
+	// ORDER BY above orders G group rows, not N input rows here. A fresh sort
+	// survives as forced GroupSort (the oracles' reference) and as a refused
+	// table's external path.
 	preSorted := orderedPrefixSet(in.order, groupCols)
 	switch {
 	case c.opts.Group == GroupSort, c.opts.Group == GroupAuto && preSorted:

@@ -7,7 +7,7 @@ import (
 
 // compileLimit lowers a Limit node. LIMIT over a fresh ORDER BY fuses into
 // a bounded TopK (a size-N heap instead of a full materialized sort) —
-// unless the order-properties pass already proved the input sorted, in
+// unless the order propagated from the input already proves it sorted, in
 // which case the sort is elided exactly as in the bare Sort case and the
 // limit just stops the stream after N rows.
 func (c *compiler) compileLimit(node *algebra.Limit) (compiled, error) {

@@ -124,14 +124,6 @@ func TestGroupAutoExploitsSortedInput(t *testing.T) {
 	if _, ok := out2.op.(*hashGroupOp); !ok {
 		t.Fatalf("GroupAuto over unsorted input compiled to %T, want hashGroupOp", out2.op)
 	}
-	// An optimizer hint the compiler cannot prove from the physical stream
-	// still hashes: it never buys a fresh sort of the input.
-	group2.Ordered = true
-	out2, err = c.compile(group2)
-	must(t, err)
-	if _, ok := out2.op.(*hashGroupOp); !ok {
-		t.Fatalf("GroupAuto with an unproven Ordered hint compiled to %T, want hashGroupOp", out2.op)
-	}
 
 	// And the results agree across all three strategies.
 	var results [][]value.Row

@@ -2,8 +2,9 @@ package exec_test
 
 // Benchmarks for the row-vs-vectorized engine comparison on the paper's
 // Figure 1 workload (Employee 10000 x Department 100, standard plan:
-// join first, group once at the top). These back the E13 experiment and
-// give `go test -bench . -cpuprofile` a stable harness for hunting
+// join first, group once at the top). They are the layer-level reading of
+// the row-vs-vectorized ratio (benchmark/'s olap_eager is the end-to-end
+// one) and give `go test -bench . -cpuprofile` a stable harness for hunting
 // regressions in the columnar path.
 
 import (

@@ -21,7 +21,7 @@ import (
 var SpillCleanupAnalyzer = &Analyzer{
 	Name: "spillcleanup",
 	Doc:  "spill temp files must come from a storage.SpillManager, and every manager construction site must defer Cleanup in the same function",
-	Dirs: []string{"", "cmd", "internal/bench", "internal/exec", "internal/storage"},
+	Dirs: []string{"", "cmd", "internal/exec", "internal/storage"},
 	Run:  runSpillCleanup,
 }
 

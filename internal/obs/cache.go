@@ -1,7 +1,7 @@
 package obs
 
 // Plan-cache counters. The engine's plan cache reports every lookup here;
-// the server's /v1/stats endpoint and the E17 load harness read them back.
+// the server's /v1/stats endpoint and the benchmark's trace read them back.
 // All fields are atomics — lookups happen concurrently from every session.
 
 import "sync/atomic"

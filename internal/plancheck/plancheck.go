@@ -336,14 +336,6 @@ func (c *checker) checkGroupBy(node *algebra.GroupBy) {
 		}
 	}
 	c.checkLimitBelow(node, node.Input)
-	// order-requirement: an Ordered hint claims the input streams with
-	// equal grouping-column values contiguous. The claim must be justified
-	// by a descendant Sort, independently re-proved here with the same
-	// order-preservation reasoning the optimizer pass uses.
-	if node.Ordered && !sortJustifies(node.Input, node.GroupCols) {
-		c.report("order-requirement", node,
-			"Ordered hint is not justified: no descendant all-ascending Sort covers the grouping columns %v through order-preserving operators", node.GroupCols)
-	}
 	// Aggregate items: at least one aggregate each, argument columns
 	// resolve, and the accumulators form a mergeable partial-aggregate
 	// algebra (parallel-grouping legality).
@@ -358,69 +350,6 @@ func (c *checker) checkGroupBy(node *algebra.GroupBy) {
 				c.checkExpr("resolve", node, a.Arg, in)
 			}
 			c.checkMergeable(node, a)
-		}
-	}
-}
-
-// sortJustifies re-proves the optimizer's Ordered annotation: walking down
-// from the GroupBy input through order-preserving operators (filters,
-// bare-column renaming projections), it must reach a Sort whose leading
-// len(cols) keys are all ascending and form exactly the set cols — the
-// condition under which rows with equal grouping values arrive contiguous.
-// This is deliberately an independent implementation of the optimizer's
-// own proof, so a bug in either side surfaces as a violation.
-func sortJustifies(in algebra.Node, cols []expr.ColumnID) bool {
-	if len(cols) == 0 {
-		return false
-	}
-	mapped := append([]expr.ColumnID(nil), cols...)
-	for {
-		switch t := in.(type) {
-		case *algebra.Select:
-			in = t.Input
-		case *algebra.Project:
-			if t.Distinct {
-				return false
-			}
-			next := make([]expr.ColumnID, len(mapped))
-			for i, col := range mapped {
-				found := false
-				for _, it := range t.Items {
-					if it.As == col {
-						cr, ok := it.E.(*expr.ColumnRef)
-						if !ok {
-							return false
-						}
-						next[i] = cr.ID
-						found = true
-						break
-					}
-				}
-				if !found {
-					return false
-				}
-			}
-			mapped = next
-			in = t.Input
-		case *algebra.Sort:
-			if len(t.Keys) < len(mapped) {
-				return false
-			}
-			prefix := make(map[expr.ColumnID]bool, len(mapped))
-			for _, k := range t.Keys[:len(mapped)] {
-				if k.Desc {
-					return false
-				}
-				prefix[k.Col] = true
-			}
-			for _, col := range mapped {
-				if !prefix[col] {
-					return false
-				}
-			}
-			return true
-		default:
-			return false
 		}
 	}
 }

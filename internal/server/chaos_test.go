@@ -43,7 +43,7 @@ func liveFiles(t *testing.T, dir string) int {
 
 // settleGoroutines waits for the goroutine count to return to baseline
 // (tolerating a couple of runtime-internal stragglers).
-func settleGoroutines(t *testing.T, baseline int) {
+func settleGoroutines(t testing.TB, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {

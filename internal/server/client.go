@@ -1,8 +1,8 @@
 package server
 
 // Client is the Go client for the gbj HTTP API — the same code path
-// gbj-shell -connect and the E17 load harness use, so the protocol has
-// exactly one client implementation to keep honest.
+// gbj-shell -connect and the benchmark's serve_* workloads use, so the
+// protocol has exactly one client implementation to keep honest.
 
 import (
 	"bytes"

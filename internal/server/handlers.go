@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -231,15 +232,23 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // never data.
 const maxRequestBytes = 1 << 20
 
-// decodeJSON decodes a request body of at most maxRequestBytes with
-// json.Number preserved, then normalizes parameter values: JSON has one
-// number type, but the engine distinguishes int64 from float64, so integral
-// numbers become int64.
+// decodeJSON decodes a request body of at most maxRequestBytes — one JSON
+// value and nothing after it but white space — with json.Number preserved,
+// then normalizes parameter values: JSON has one number type, but the engine
+// distinguishes int64 from float64, so integral numbers become int64.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.UseNumber()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
+	}
+	// dec.More() would let a stray '}' or ']' through; only io.EOF from the
+	// next token proves the value was the whole body.
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("a second JSON value")
+		}
+		return fmt.Errorf("bad request body: trailing data: %w", err)
 	}
 	if q, ok := dst.(*QueryRequest); ok && q.Params != nil {
 		for k, v := range q.Params {

@@ -7,6 +7,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"math"
@@ -27,7 +28,7 @@ import (
 // newTestEngine seeds the schema every server test queries: the paper's
 // Employee/Department shape, a per-department DOUBLE column (two of its
 // values integral) and a writable kv table.
-func newTestEngine(t *testing.T) *gbj.Engine {
+func newTestEngine(t testing.TB) *gbj.Engine {
 	t.Helper()
 	e := gbj.New()
 	e.MustExec(`CREATE TABLE Dept (DeptID INTEGER PRIMARY KEY, Name CHARACTER(30))`)
@@ -143,7 +144,7 @@ func apiError(t *testing.T, err error, status int, code string) {
 func TestErrorCodeTable(t *testing.T) {
 	ctx := context.Background()
 	e := newTestEngine(t)
-	_, c := newTestServer(t, Config{Engine: e})
+	s, c := newTestServer(t, Config{Engine: e})
 
 	// 400 sql: parse errors.
 	_, err := c.Query(ctx, `SELEC nonsense`, nil)
@@ -153,6 +154,28 @@ func TestErrorCodeTable(t *testing.T) {
 	apiError(t, err, http.StatusBadRequest, "sql")
 	err = c.Exec(ctx, `INSERT INTO NoSuchTable VALUES (1)`)
 	apiError(t, err, http.StatusBadRequest, "sql")
+
+	// 400 sql: a request body that is more than one JSON value, on either
+	// route — the same value alone is served.
+	for _, route := range []struct{ path, one string }{
+		{"/v1/query", `{"sql":"SELECT COUNT(EmpID) FROM Emp"}`},
+		{"/v1/exec", `{"sql":"INSERT INTO kv VALUES (9, 9, 9)"}`},
+	} {
+		path, one := route.path, route.one
+		for _, tail := range []string{"x", "}", " " + one} {
+			rec := postRaw(ctx, s, path, []byte(one+tail))
+			var er ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Code != http.StatusBadRequest || er.Code != "sql" || !strings.Contains(er.Error, "bad request body") {
+				t.Fatalf("%s with trailing %q: HTTP %d %+v, want 400 sql \"bad request body\"", path, tail, rec.Code, er)
+			}
+		}
+		if rec := postRaw(ctx, s, path, []byte(one+" \n")); rec.Code != http.StatusOK {
+			t.Fatalf("%s with trailing white space: HTTP %d %s", path, rec.Code, rec.Body)
+		}
+	}
 
 	// 404 unknown_session: querying or closing a session that isn't open.
 	c2 := NewClient(c.base, c.hc)
