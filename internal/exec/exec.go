@@ -88,12 +88,15 @@ type Options struct {
 	Params expr.Params
 	// Parallelism is the worker count of the one operator set: 0 (and 1)
 	// mean one worker — serial execution, with streaming filters,
-	// projections and join probes — while N > 1 runs filters, projections
-	// and nested-loop joins over parallel morsels, hash joins as
-	// partitioned build plus morsel probe, hash aggregation as per-worker
-	// partial tables absorbed through the accumulators' combine step, and
-	// sorts chunked. Negative means one worker per CPU. Results are
-	// row-identical for any setting (see parallel.go).
+	// projections and join probes — while N > 1 runs the streaming nodes
+	// between two breakers (filter, non-DISTINCT projection, hash-join
+	// probe, nested-loop left side) as the stages of one pipeline: workers
+	// carry morsels of its source through the whole chain into the breaker
+	// above — hash aggregation's per-chunk partial tables, absorbed through
+	// the accumulators' combine step, or a morsel-ordered collection — so
+	// nothing in between is materialized. Hash-join tables build
+	// partitioned and sorts run chunked. Negative means one worker per CPU.
+	// Results are row-identical for any setting (see parallel.go).
 	Parallelism int
 	// Metrics, when non-nil, collects per-operator obs.OpMetrics keyed by
 	// plan node: rows in/out, wall time, hash-table build entries and
@@ -273,8 +276,12 @@ type Operator interface {
 	Close() error
 }
 
-// drain pulls an operator to completion.
+// drain pulls an operator to completion. A pipeline is not pulled: its rows
+// are collected in morsel order, once.
 func drain(op Operator) ([]value.Row, error) {
+	if p, ok := op.(*pipeOp); ok {
+		return p.collect()
+	}
 	if err := op.Open(); err != nil {
 		op.Close()
 		return nil, err
@@ -334,6 +341,19 @@ func (c *compiler) compile(n algebra.Node) (compiled, error) {
 	if err != nil {
 		return compiled{}, err
 	}
+	if p, ok := out.op.(*pipeOp); ok {
+		// The node runs inside a pipeline and is never pulled: its rows are
+		// ticked and counted in a stage, once per chunk, not in a wrapper's Next.
+		observed := c.opts.Metrics != nil || span != nil
+		if c.gov != nil || observed {
+			var m *metricOp
+			if observed {
+				m = &metricOp{metrics: c.nodeMetrics(n), clock: c.clock, span: span}
+			}
+			p.meter(m)
+		}
+		return out, nil
+	}
 	// Each wrapper captures the wrapped operator's batch face at compile
 	// time, so batch pulls flow through the same instrumentation chain as
 	// row pulls (one tick / one row-count update per batch).
@@ -386,8 +406,8 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 		if err != nil {
 			return compiled{}, err
 		}
-		// Filtering preserves order (morsel outputs concatenate in input
-		// order, so it does at any worker count).
+		// Filtering preserves order (a pipeline's chunks are collected in
+		// input order, so it does at any worker count).
 		if c.opts.Vectorize {
 			// The vectorized filter streams selection views at any
 			// parallelism level; output order is input order either way.
@@ -401,20 +421,20 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 			}, nil
 		}
 		if c.par > 1 {
-			params := c.opts.Params
-			return compiled{
-				op: &morselMapOp{
-					left: in.op, par: c.par, metrics: c.nodeMetrics(n), gov: c.gov, where: n.Describe(),
-					fn: func(row value.Row, _, out []value.Row) ([]value.Row, error) {
-						truth, err := expr.EvalTruth(cond, row, params)
-						if truth == value.True && err == nil {
-							out = append(out, row)
-						}
-						return out, err
-					},
-				},
-				order: in.order,
-			}, nil
+			p, gov, params := c.pipeline(in.op, n.Describe()), c.gov, c.opts.Params
+			p.add(stage{metrics: c.nodeMetrics(n), bind: func(emit emitFn) emitFn {
+				return func(row value.Row) error {
+					if err := gov.tick(); err != nil {
+						return err
+					}
+					truth, err := expr.EvalTruth(cond, row, params)
+					if truth != value.True || err != nil {
+						return err
+					}
+					return emit(row)
+				}
+			}}, p.borrowed)
+			return compiled{op: p, order: in.order}, nil
 		}
 		return compiled{
 			op:    &filterOp{input: in.op, cond: cond, params: c.opts.Params},
@@ -463,21 +483,23 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 			}
 		}
 		if c.par > 1 {
-			params := c.opts.Params
-			return compiled{
-				op: &morselMapOp{
-					left: in.op, par: c.par, metrics: c.nodeMetrics(n), gov: c.gov, where: n.Describe(),
-					distinct: node.Distinct,
-					fn: func(row value.Row, _, out []value.Row) ([]value.Row, error) {
-						proj, err := projectRow(items, row, params)
-						if err != nil {
-							return out, err
-						}
-						return append(out, proj), nil
-					},
-				},
-				order: order,
-			}, nil
+			p, gov, params := c.pipeline(in.op, n.Describe()), c.gov, c.opts.Params
+			p.add(stage{metrics: c.nodeMetrics(n), bind: func(emit emitFn) emitFn {
+				return func(row value.Row) error {
+					if err := gov.tick(); err != nil {
+						return err
+					}
+					proj, err := projectRow(items, row, params)
+					if err != nil {
+						return err
+					}
+					return emit(proj)
+				}
+			}}, false)
+			if node.Distinct {
+				return compiled{op: &distinctOp{input: p, gov: gov}, order: order}, nil
+			}
+			return compiled{op: p, order: order}, nil
 		}
 		return compiled{
 			op:    &projectOp{input: in.op, items: items, distinct: node.Distinct, params: c.opts.Params},
@@ -563,6 +585,8 @@ func (s *scanOp) Next() (value.Row, bool, error) {
 
 func (s *scanOp) Close() error { return nil }
 
+func (s *scanOp) resident() []value.Row { return s.table.Rows() }
+
 // valuesOp iterates literal rows.
 type valuesOp struct {
 	rows []value.Row
@@ -581,6 +605,8 @@ func (v *valuesOp) Next() (value.Row, bool, error) {
 }
 
 func (v *valuesOp) Close() error { return nil }
+
+func (v *valuesOp) resident() []value.Row { return v.rows }
 
 // filterOp keeps rows whose condition is true (σ[C] under ⌊·⌋
 // interpretation: unknown disqualifies).
@@ -617,12 +643,12 @@ type projectOp struct {
 	items    []expr.Expr
 	distinct bool
 	params   expr.Params
-	seen     map[string]bool
+	seen     distinctSet
 }
 
 func (p *projectOp) Open() error {
 	if p.distinct {
-		p.seen = make(map[string]bool)
+		p.seen = newDistinctSet(len(p.items))
 	}
 	return p.input.Open()
 }
@@ -637,18 +663,77 @@ func (p *projectOp) Next() (value.Row, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		if p.distinct {
-			key := value.GroupKeyAll(out)
-			if p.seen[key] {
-				continue
-			}
-			p.seen[key] = true
+		if p.distinct && !p.seen.first(out) {
+			continue
 		}
 		return out, true, nil
 	}
 }
 
 func (p *projectOp) Close() error { return p.input.Close() }
+
+// distinctSet is DISTINCT's memory: the canonical key of every row seen. A
+// row is looked up by its key bytes in a reused buffer; only a first
+// occurrence makes a string.
+type distinctSet struct {
+	seen map[string]struct{}
+	cols []int // every column, for appendKey
+	key  []byte
+}
+
+func newDistinctSet(width int) distinctSet {
+	return distinctSet{seen: make(map[string]struct{}), cols: firstColumns(width)}
+}
+
+// firstColumns is the column list 0, 1, …, n-1.
+func firstColumns(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}
+
+// first reports whether row is the first of its =ⁿ class, and remembers it.
+func (d *distinctSet) first(row value.Row) bool {
+	d.key = appendKey(d.key[:0], row, d.cols)
+	if _, dup := d.seen[string(d.key)]; dup {
+		return false
+	}
+	d.seen[string(d.key)] = struct{}{}
+	return true
+}
+
+// distinctOp is DISTINCT above one worker. The projection itself ran as the
+// last stage of the pipeline below; duplicates are dropped in one serial pass
+// over its collected rows, first occurrences kept in input order exactly as
+// the serial projectOp keeps them.
+type distinctOp struct {
+	input *pipeOp
+	gov   *governor
+	bufOp
+}
+
+func (d *distinctOp) Open() error {
+	rows, err := d.input.collect()
+	if err != nil || len(rows) == 0 {
+		return err
+	}
+	seen := newDistinctSet(len(rows[0]))
+	out := rows[:0]
+	for _, row := range rows {
+		if err := d.gov.tick(); err != nil {
+			return err
+		}
+		if seen.first(row) {
+			out = append(out, row)
+		}
+	}
+	d.reset(out)
+	return nil
+}
+
+func (d *distinctOp) Close() error { return nil }
 
 // projectRow evaluates the item expressions over one row.
 func projectRow(items []expr.Expr, row value.Row, params expr.Params) (value.Row, error) {

@@ -26,10 +26,10 @@ const cancelStride = 64
 
 // governor is one execution's lifecycle state.
 type governor struct {
-	ctx    context.Context
-	done   <-chan struct{}
-	budget int64 // bytes; 0 means unlimited
-	faults *fault.Injector
+	ctx     context.Context
+	done    <-chan struct{}
+	budget  int64 // bytes; 0 means unlimited
+	faults  *fault.Injector
 	used    atomic.Int64
 	hi      atomic.Int64 // high-water mark of used, for reporting
 	ticks   atomic.Int64
@@ -182,11 +182,13 @@ func (g *governor) usedBytes() int64 {
 	return g.used.Load()
 }
 
-// governOp is the wrapper the compiler inserts around every physical
+// governOp is the wrapper the compiler inserts around every pulled physical
 // operator when a governor exists: one governance tick per pulled row, and
 // a context poll at Open so a cancelled query never starts new operators.
 // Like metricOp it is compile-time-only plumbing — with governance off the
-// wrapper does not exist.
+// wrapper does not exist. A node that runs inside a pipeline is not pulled:
+// the pipeline polls the context when it starts and ticks once per row the
+// node puts out, in a stage (pipeOp.meterFn).
 type governOp struct {
 	inner Operator
 	gov   *governor

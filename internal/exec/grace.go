@@ -62,7 +62,7 @@ func (j *hashJoinOp) openGrace(rrows []value.Row) error {
 	for i, m := range matches {
 		out[i] = m.row
 	}
-	j.reset(out)
+	j.buf.reset(out)
 	return nil
 }
 

@@ -24,8 +24,10 @@ type aggSpec struct {
 
 // groupState accumulates one group.
 type groupState struct {
-	key  string    // canonical GroupKey; "" off the hash paths
-	repr value.Row // first row of the group, for the grouping columns
+	key string // canonical GroupKey; "" off the hash paths
+	// group holds the grouping-column values of the group's first row, in
+	// groupCols order — copied out of the row, which may be a scratch row.
+	group []value.Value
 	// accs holds one accumulator per aggregate, flat: spec by spec, each
 	// spec's aggs in discovery order. Every walk over it counts along.
 	accs []expr.Accumulator
@@ -102,7 +104,11 @@ func (c *compiler) compileGroupBy(node *algebra.GroupBy) (compiled, error) {
 		op.initAggCols()
 		return compiled{op: op}, nil
 	default:
-		return compiled{op: &hashGroupOp{groupCore: base}}, nil
+		op := &hashGroupOp{groupCore: base}
+		if op.par > 1 {
+			op.input = c.pipeline(in.op, op.where)
+		}
+		return compiled{op: op}, nil
 	}
 }
 
@@ -178,8 +184,8 @@ func (g *groupCore) ran(impl string) {
 }
 
 // newState allocates accumulators for a fresh group.
-func (g *groupCore) newState(repr value.Row) (*groupState, error) {
-	st := &groupState{repr: repr, accs: make([]expr.Accumulator, 0, g.numAccs())}
+func (g *groupCore) newState() (*groupState, error) {
+	st := &groupState{accs: make([]expr.Accumulator, 0, g.numAccs())}
 	for _, spec := range g.specs {
 		for _, agg := range spec.aggs {
 			acc, err := expr.NewAccumulator(agg)
@@ -216,14 +222,20 @@ func (g *groupCore) feed(st *groupState, row value.Row) error {
 	return nil
 }
 
-// finalize produces the output row for a group: grouping-column values from
-// the representative row, then each aggregate item evaluated with its
-// aggregate subterms replaced by the accumulator results.
+// groupValues appends row's grouping-column values to dst.
+func (g *groupCore) groupValues(dst []value.Value, row value.Row) []value.Value {
+	for _, c := range g.groupCols {
+		dst = append(dst, row[c])
+	}
+	return dst
+}
+
+// finalize produces the output row for a group: its grouping values, then
+// each aggregate item evaluated with its aggregate subterms replaced by the
+// accumulator results.
 func (g *groupCore) finalize(st *groupState) (value.Row, error) {
 	out := make(value.Row, 0, len(g.groupCols)+len(g.specs))
-	for _, c := range g.groupCols {
-		out = append(out, st.repr[c])
-	}
+	out = append(out, st.group...)
 	rest := st.accs
 	for _, spec := range g.specs {
 		accs := rest[:len(spec.aggs)]
@@ -275,9 +287,10 @@ func (g *groupCore) overInput(fn func() error) error {
 
 // foldInput is hash aggregation that never holds its input: one table, each
 // row folded into its group as the input yields it, so N rows cost G states.
-// It is for the runs that read a row once — one worker, and a breach of the
+// It is for the runs that read a row once at one worker — a breach of the
 // budget aborts (or, for the scalar group, nothing is charged at all);
-// hashAggregate serves the runs that read rows twice.
+// foldPipeline is the same at several workers, hashAggregate serves the runs
+// that read rows twice.
 func (g *groupCore) foldInput() error {
 	g.ran("hash")
 	t, err := g.newTable()
@@ -309,52 +322,73 @@ func (g *groupCore) foldInput() error {
 	return g.combine([]*groupTable{t})
 }
 
-// hashAggregate groups materialized rows through partial tables: one
-// contiguous chunk of the input per worker, each chunk's table built
-// thread-locally and the tables then combined in chunk order. It holds the
-// rows because it reads them twice — chunks need the input's length before
-// the first row is grouped, and when the budget refuses a group and a spill
-// manager is present the whole input goes to sort-based aggregation with
-// hash-order output instead.
-func (g *groupCore) hashAggregate(rows []value.Row, workers int) error {
-	g.ran("hash")
-	size := chunkSizeFor(len(rows), workers)
-	tables := make([]*groupTable, numChunks(len(rows), size))
-	err := forEachChunk(g.where, workers, len(rows), size, func(w, c, lo, hi int) error {
-		if err := g.gov.cancelled(); err != nil {
-			return err
-		}
-		if g.metrics != nil && workers > 1 {
-			g.metrics.Morsel(w)
-		}
-		t, err := g.newTable()
-		if err != nil {
-			return err
-		}
-		for _, row := range rows[lo:hi] {
-			if err := g.gov.tick(); err != nil {
-				return err
-			}
-			st, err := t.rowGroup(row)
-			if err != nil {
-				return err
-			}
-			if err := g.feed(st, row); err != nil {
-				return err
-			}
-		}
-		tables[c] = t
-		g.recordBuild(len(t.order), t.keyBytes)
-		return nil
-	})
-	if err == errRefused {
-		g.ran("external")
-		return g.sortAggregate(rows, true)
+// partialTables is hash aggregation as a pipeline's sink: one contiguous
+// chunk of the source per worker, each chunk's rows folded into the chunk's
+// own table as its stages emit them. The rows are borrowed and never kept —
+// a new group copies its grouping values, nothing else — so N rows cost G
+// states per chunk.
+type partialTables struct {
+	g      *groupCore
+	tables []*groupTable
+}
+
+func (s *partialTables) begin(n int) int {
+	size := chunkSizeFor(n, s.g.par)
+	s.tables = make([]*groupTable, numChunks(n, size))
+	return size
+}
+
+func (s *partialTables) bind(worker, chunk int) (emitFn, error) {
+	if s.g.metrics != nil {
+		s.g.metrics.Morsel(worker)
 	}
+	t, err := s.g.newTable()
+	s.tables[chunk] = t
+	return func(row value.Row) error {
+		if err := s.g.gov.tick(); err != nil {
+			return err
+		}
+		return t.add(row)
+	}, err
+}
+
+// foldPipeline runs the input pipeline into per-chunk partial tables and
+// combines them in chunk order.
+func (g *groupCore) foldPipeline(in *pipeOp) error {
+	g.ran("hash")
+	s := &partialTables{g: g}
+	if err := in.run(s); err != nil {
+		return err
+	}
+	for _, t := range s.tables {
+		g.recordBuild(len(t.order), t.keyBytes)
+	}
+	return g.combine(s.tables)
+}
+
+// hashAggregate groups materialized rows on a spill-capable run (one worker).
+// It holds the rows because it may read them twice: when the budget refuses a
+// group the table is released and the whole input goes to sort-based
+// aggregation with hash-order output instead.
+func (g *groupCore) hashAggregate(rows []value.Row) error {
+	g.ran("hash")
+	t, err := g.newTable()
 	if err != nil {
 		return err
 	}
-	return g.combine(tables)
+	for _, row := range rows {
+		if err := g.gov.tick(); err != nil {
+			return err
+		}
+		if err := t.add(row); err == errRefused {
+			g.ran("external")
+			return g.sortAggregate(rows, true)
+		} else if err != nil {
+			return err
+		}
+	}
+	g.recordBuild(len(t.order), t.keyBytes)
+	return g.combine([]*groupTable{t})
 }
 
 // combine absorbs the partial tables in chunk order and emits the groups in
@@ -445,6 +479,10 @@ func (g *groupCore) streamGroups(it *mergeIter, byKey bool) error {
 	var out []value.Row
 	var firstSeqs []int64 // byKey only, parallel to out
 	var cur *groupState
+	// One state is live at a time and finalize copies its grouping values
+	// out, so every group's values share one buffer, compared by position.
+	pos := firstColumns(len(g.groupCols))
+	group := make([]value.Value, 0, len(g.groupCols))
 	finish := func() error {
 		if cur == nil {
 			return nil
@@ -473,14 +511,14 @@ func (g *groupCore) streamGroups(it *mergeIter, byKey bool) error {
 		if byKey {
 			key, row = row[0].Str(), row[1:]
 		}
-		if cur == nil || key != cur.key || (!byKey && compareAt(cur.repr, g.groupCols, row, g.groupCols) != 0) {
+		if cur == nil || key != cur.key || (!byKey && compareAt(cur.group, pos, row, g.groupCols) != 0) {
 			if err := finish(); err != nil {
 				return err
 			}
-			if cur, err = g.newState(row); err != nil {
+			if cur, err = g.newState(); err != nil {
 				return err
 			}
-			cur.key = key
+			cur.key, cur.group = key, g.groupValues(group[:0], row)
 			if byKey {
 				firstSeqs = append(firstSeqs, sr.seq)
 			}
@@ -502,26 +540,30 @@ func (g *groupCore) streamGroups(it *mergeIter, byKey bool) error {
 	return nil
 }
 
-// hashGroupOp groups via hash tables keyed by the =ⁿ-respecting GroupKey.
-// At one worker with abort admission it folds the input stream into one
-// table and holds G states, never the N rows; with several workers (chunked
-// partial tables) or a spill manager (a refused table re-reads the rows for
-// the external sort) it materializes the input first. Output order is
-// first-appearance order of groups (deterministic for a deterministic input
-// order), at any worker count and on either side of the spill decision.
+// hashGroupOp groups via hash tables keyed by the =ⁿ-respecting GroupKey. It
+// holds G states and never the N rows: at one worker it folds the input
+// stream into one table, at several it is the sink of its input's pipeline —
+// one partial table per chunk, fed by the chunk's stages. Only a spill-capable
+// run (one worker) materializes the input first, because a refused table
+// re-reads the rows for the external sort. Output order is first-appearance
+// order of groups (deterministic for a deterministic input order), at any
+// worker count and on either side of the spill decision.
 type hashGroupOp struct {
-	groupCore
+	groupCore // above one worker the input is a *pipeOp
 }
 
 func (g *hashGroupOp) Open() error {
-	if g.par <= 1 && g.mgr == nil {
-		return g.foldInput()
+	if g.mgr != nil {
+		rows, err := drain(g.input)
+		if err != nil {
+			return err
+		}
+		return g.hashAggregate(rows)
 	}
-	rows, err := drain(g.input)
-	if err != nil {
-		return err
+	if p, ok := g.input.(*pipeOp); ok {
+		return g.foldPipeline(p)
 	}
-	return g.hashAggregate(rows, g.par)
+	return g.foldInput()
 }
 
 // sortGroupOp aggregates each run of =ⁿ-equal keys off a key-ordered stream
@@ -592,28 +634,43 @@ type sortOp struct {
 }
 
 func (s *sortOp) Open() error {
-	if err := s.input.Open(); err != nil {
-		return err
-	}
 	s.sorter = &extSorter{
 		gov: s.gov, mgr: s.mgr, metrics: s.metrics, op: s.where, par: s.par,
 		cmp: func(a, b value.Row) int { return cmpByKeys(s.keys, a, b) },
 	}
-	for {
-		row, ok, err := s.input.Next()
+	if s.par > 1 {
+		// Several workers means no spill manager: the input is materialized
+		// once (a pipeline's collection is handed over as it is) and the
+		// sorter adopts the slice.
+		rows, err := drain(s.input)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			break
+		if err := s.sorter.addAll(rows); err != nil {
+			return err
+		}
+	} else if err := s.pullInput(); err != nil {
+		return err
+	}
+	var err error
+	s.it, err = s.sorter.finish()
+	return err
+}
+
+// pullInput feeds the sorter row by row; the input stays open until Close.
+func (s *sortOp) pullInput() error {
+	if err := s.input.Open(); err != nil {
+		return err
+	}
+	for {
+		row, ok, err := s.input.Next()
+		if !ok || err != nil {
+			return err
 		}
 		if err := s.sorter.add(row, rowStateBytes(row)); err != nil {
 			return err
 		}
 	}
-	var err error
-	s.it, err = s.sorter.finish()
-	return err
 }
 
 func (s *sortOp) Next() (value.Row, bool, error) {
@@ -622,7 +679,10 @@ func (s *sortOp) Next() (value.Row, bool, error) {
 }
 
 func (s *sortOp) Close() error {
-	err := s.input.Close()
+	var err error
+	if s.par <= 1 {
+		err = s.input.Close() // above one worker drain closed it
+	}
 	if s.sorter != nil {
 		if cerr := s.sorter.close(); cerr != nil && err == nil {
 			err = cerr

@@ -1,50 +1,95 @@
 package exec_test
 
-// Layer benchmark for serial hash aggregation over join output — what one
+// Layer benchmarks for hash aggregation over join output, row engine,
+// GroupHash, the join-then-group plan. BenchmarkHashGroupSerial is what one
 // cluster fragment of the benchmark's dist_ship workload runs: 12 000 Fact
-// rows joined to 1 000 dims, grouped to 1 000 groups (shape (a)) and to
-// 6 500 (the many-groups query), row engine, one worker, GroupHash, the
-// join-then-group plan. Run with -benchmem: B/op is rows the run held,
-// allocs/op the per-group state.
+// rows joined to 1 000 dims, grouped to 1 000 groups (shape (a)) and to 6 500
+// (the many-groups query), one worker. BenchmarkHashGroupParallel is the same
+// at two workers — scan → probe → per-chunk partial tables, the olap_groups
+// pipeline — and both add a two-column key at about 0.8 groups per row (the
+// groups_region shape). BenchmarkPipelineFilterProject is the pipeline that
+// ends in a collection: scan → filter → project → result. Run with -benchmem:
+// B/op is rows the run held, allocs/op the per-group (per-result-row) state.
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/sql"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
-func BenchmarkHashGroupSerial(b *testing.B) {
+// benchSweep is the 12 000 × 1 000 instance with the given number of GroupID
+// values.
+func benchSweep(b *testing.B, groups int) *storage.Store {
+	b.Helper()
 	store, err := workload.Sweep(workload.SweepParams{
-		FactRows: 12000, DimRows: 1000, Groups: 6500, MatchFraction: 1, Seed: 17,
+		FactRows: 12000, DimRows: 1000, Groups: groups, MatchFraction: 1, Seed: 17,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, q := range []struct{ name, text string }{
+	return store
+}
+
+// standardPlan is the optimizer's join-then-group plan of text.
+func standardPlan(b *testing.B, store *storage.Store, text string) algebra.Node {
+	b.Helper()
+	stmt, err := sql.ParseQuery(text)
+	if err != nil {
+		b.Fatal(err)
+	}
+	report, err := core.NewOptimizer(store).Optimize(stmt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return report.Standard
+}
+
+func benchRun(b *testing.B, plan algebra.Node, store *storage.Store, opts exec.Options) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := exec.Run(plan, store, &opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func benchHashGroup(b *testing.B, parallelism int) {
+	many := benchSweep(b, 6500)
+	for _, q := range []struct {
+		name, text string
+		store      *storage.Store
+	}{
 		{"groups=1000", `SELECT D.DimID, D.Label, COUNT(F.FID), SUM(F.V) FROM Fact F, Dim D
-			WHERE F.DimID = D.DimID GROUP BY D.DimID, D.Label`},
+			WHERE F.DimID = D.DimID GROUP BY D.DimID, D.Label`, many},
 		{"groups=6500", `SELECT F.GroupID, COUNT(F.FID), SUM(F.V) FROM Fact F, Dim D
-			WHERE F.DimID = D.DimID GROUP BY F.GroupID`},
+			WHERE F.DimID = D.DimID GROUP BY F.GroupID`, many},
+		// 26 GroupIDs × 1 000 labels over 12 000 rows: some 9 600 occupied pairs.
+		{"groups=0.8perRow", `SELECT F.GroupID, D.Label, COUNT(F.FID), SUM(F.V) FROM Fact F, Dim D
+			WHERE F.DimID = D.DimID GROUP BY F.GroupID, D.Label`, benchSweep(b, 26)},
 	} {
-		stmt, err := sql.ParseQuery(q.text)
-		if err != nil {
-			b.Fatal(err)
-		}
-		report, err := core.NewOptimizer(store).Optimize(stmt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts := exec.Options{Group: exec.GroupHash}
+		plan := standardPlan(b, q.store, q.text)
 		b.Run(q.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := exec.Run(report.Standard, store, &opts); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchRun(b, plan, q.store, exec.Options{Group: exec.GroupHash, Parallelism: parallelism})
+		})
+	}
+}
+
+func BenchmarkHashGroupSerial(b *testing.B) { benchHashGroup(b, 1) }
+
+func BenchmarkHashGroupParallel(b *testing.B) { benchHashGroup(b, 2) }
+
+func BenchmarkPipelineFilterProject(b *testing.B) {
+	store := benchSweep(b, 6500)
+	plan := standardPlan(b, store, `SELECT F.FID, F.V FROM Fact F WHERE F.V < 50`)
+	for _, parallelism := range []int{1, 2} {
+		b.Run(fmt.Sprintf("par%d", parallelism), func(b *testing.B) {
+			benchRun(b, plan, store, exec.Options{Parallelism: parallelism})
 		})
 	}
 }

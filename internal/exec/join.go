@@ -94,11 +94,24 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 			}, nil
 		}
 		op := &hashJoinOp{
-			left: left.op, right: right.op,
+			right:    right.op,
 			residual: boundResidual, params: c.opts.Params, par: c.stateWorkers(),
 			metrics: metrics, gov: c.gov, mgr: c.spill, where: where,
 		}
 		op.lcols, op.rcols = keyColumns(keys)
+		if op.par > 1 {
+			// The probe is a stage of the left input's pipeline; the operator
+			// has no left input of its own and is never pulled.
+			p := c.pipeline(left.op, where)
+			width := len(lSchema) + len(rSchema)
+			p.add(stage{
+				metrics: metrics,
+				start:   func() error { _, err := op.buildTable(); return err },
+				bind:    func(emit emitFn) emitFn { return op.probeInto(make(value.Row, width), emit) },
+			}, true)
+			return compiled{op: p, order: left.order}, nil
+		}
+		op.left = left.op
 		return compiled{op: op, order: left.order}, nil
 	case JoinSortMerge:
 		// Exploit pre-sorted inputs (Section 7: eager aggregation's
@@ -141,31 +154,42 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 			return compiled{}, err
 		}
 		if c.par > 1 {
-			// Morsels of the left input, each row scanning the whole right
-			// side: the serial nested loop's output order, morsel by morsel.
-			gov, params := c.gov, c.opts.Params
-			return compiled{
-				op: &morselMapOp{
-					left: left.op, right: right.op, par: c.par, metrics: metrics, gov: gov, where: where,
-					fn: func(lrow value.Row, rrows, out []value.Row) ([]value.Row, error) {
+			// A stage of the left input's pipeline, each row scanning the whole
+			// collected right side: the serial nested loop's output order, chunk
+			// by chunk.
+			p, gov, params := c.pipeline(left.op, where), c.gov, c.opts.Params
+			width := len(lSchema) + len(rSchema)
+			var rrows []value.Row
+			p.add(stage{
+				metrics: metrics,
+				start:   func() (err error) { rrows, err = drain(right.op); return err },
+				bind: func(emit emitFn) emitFn {
+					joined := make(value.Row, width)
+					return func(lrow value.Row) error {
+						if err := gov.tick(); err != nil {
+							return err
+						}
+						n := copy(joined, lrow)
 						for _, rrow := range rrows {
 							if err := gov.tick(); err != nil {
-								return out, err
+								return err
 							}
-							joined := lrow.Concat(rrow)
+							copy(joined[n:], rrow)
 							truth, err := expr.EvalTruth(full, joined, params)
 							if err != nil {
-								return out, err
+								return err
 							}
 							if truth == value.True {
-								out = append(out, joined)
+								if err := emit(joined); err != nil {
+									return err
+								}
 							}
 						}
-						return out, nil
-					},
+						return nil
+					}
 				},
-				order: left.order,
-			}, nil
+			}, true)
+			return compiled{op: p, order: left.order}, nil
 		}
 		return compiled{
 			op: &nestedLoopJoinOp{
@@ -248,11 +272,13 @@ func (j *nestedLoopJoinOp) Close() error { return j.left.Close() }
 // hashJoinOp is the row hash join: it builds a joinTable on the right input
 // and probes it with left rows in left order, each row's matches in build
 // order. At one worker the probe streams — Next pulls a left row and emits
-// its matches, so no join output is materialized; above one both inputs are
-// drained concurrently, the table is built partitioned and the probe runs
-// over morsels of the left input in Open. When the budget refuses the build
-// and a spill manager is present the join goes grace (grace.go); the output
-// rows and their order are the same in all three forms.
+// its matches, so no join output is materialized. Above one worker the
+// operator is not pulled at all: buildTable and probeInto are a stage of the
+// left input's pipeline, the table built partitioned, each joined row written
+// into the chunk's scratch row and handed straight to the stage above. When
+// the budget refuses the build and a spill manager is present (one worker,
+// then) the join goes grace (grace.go); the output rows and their order are
+// the same in all three forms.
 type hashJoinOp struct {
 	left, right  Operator
 	lcols, rcols []int // key columns in the left/right rows
@@ -267,35 +293,33 @@ type hashJoinOp struct {
 	table     *joinTable
 	streaming bool         // left rows are still to be pulled by Next
 	files     []*spillFile // grace partition files, swept at Close
-	bufOp                  // joined rows ready to emit
+	buf       bufOp        // one left row's joined rows (all of them, after grace)
 }
 
 func (j *hashJoinOp) Open() error {
-	var lrows, rrows []value.Row
-	var err error
-	if j.par > 1 {
-		lrows, rrows, err = drainBoth(j.where, j.left, j.right)
-	} else if err = j.left.Open(); err == nil {
-		rrows, err = drain(j.right)
-	}
-	if err != nil {
+	if err := j.left.Open(); err != nil {
 		return err
 	}
-	j.reset(nil)
+	j.buf.reset(nil)
 	j.streaming = false
-	j.table = &joinTable{cols: j.rcols, adm: admissionFor(j.gov, j.mgr, j.where), metrics: j.metrics}
-	if err := j.table.build(rrows, j.par); err == errRefused {
+	if rrows, err := j.buildTable(); err == errRefused {
 		return j.openGrace(rrows)
 	} else if err != nil {
 		return err
 	}
-	if j.par <= 1 {
-		j.streaming = true
-		return nil
+	j.streaming = true
+	return nil
+}
+
+// buildTable drains the right input into the join table, on j.par workers,
+// and returns the drained rows: a refused build hands them to the grace path.
+func (j *hashJoinOp) buildTable() ([]value.Row, error) {
+	rrows, err := drain(j.right)
+	if err != nil {
+		return nil, err
 	}
-	out, err := mapMorsels(j.where, j.par, j.gov, j.metrics, lrows, j.probe)
-	j.reset(out)
-	return err
+	j.table = &joinTable{cols: j.rcols, adm: admissionFor(j.gov, j.mgr, j.where), metrics: j.metrics}
+	return rrows, j.table.build(rrows, j.par)
 }
 
 // probe appends to out the joined rows of one left row that pass the
@@ -304,7 +328,7 @@ func (j *hashJoinOp) probe(row value.Row, out []value.Row) ([]value.Row, error) 
 	if anyNullAt(row, j.lcols) {
 		return out, nil
 	}
-	var scratch [64]byte // on the stack: probe runs on several workers at once
+	var scratch [64]byte
 	matches := j.table.lookup(appendKey(scratch[:0], row, j.lcols))
 	if j.metrics != nil && len(matches) > 0 {
 		j.metrics.ProbeHits.Add(int64(len(matches)))
@@ -326,26 +350,62 @@ func (j *hashJoinOp) probe(row value.Row, out []value.Row) ([]value.Row, error) 
 	return out, nil
 }
 
+// probeInto is the probe as a pipeline stage: the same rows as probe, each
+// written into joined — the chunk's scratch row, overwritten by the next — and
+// handed to emit.
+func (j *hashJoinOp) probeInto(joined value.Row, emit emitFn) emitFn {
+	var key [64]byte
+	return func(row value.Row) error {
+		if err := j.gov.tick(); err != nil {
+			return err
+		}
+		if anyNullAt(row, j.lcols) {
+			return nil
+		}
+		matches := j.table.lookup(appendKey(key[:0], row, j.lcols))
+		if len(matches) == 0 {
+			return nil
+		}
+		if j.metrics != nil {
+			j.metrics.ProbeHits.Add(int64(len(matches)))
+		}
+		n := copy(joined, row)
+		for _, m := range matches {
+			if err := j.gov.tick(); err != nil {
+				return err
+			}
+			copy(joined[n:], m)
+			truth, err := expr.EvalTruth(j.residual, joined, j.params)
+			if err != nil {
+				return err
+			}
+			if truth == value.True {
+				if err := emit(joined); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+}
+
 func (j *hashJoinOp) Next() (value.Row, bool, error) {
-	for j.streaming && j.pos >= len(j.out) {
+	for j.streaming && j.buf.pos >= len(j.buf.out) {
 		row, ok, err := j.left.Next()
 		if !ok || err != nil {
 			j.streaming = false
 			return nil, false, err
 		}
-		if j.out, err = j.probe(row, j.out[:0]); err != nil {
+		if j.buf.out, err = j.probe(row, j.buf.out[:0]); err != nil {
 			return nil, false, err
 		}
-		j.pos = 0
+		j.buf.pos = 0
 	}
-	return j.bufOp.Next()
+	return j.buf.Next()
 }
 
 func (j *hashJoinOp) Close() error {
-	var err error
-	if j.par <= 1 {
-		err = j.left.Close() // above one worker drainBoth closed it
-	}
+	err := j.left.Close()
 	for _, f := range j.files {
 		if derr := f.discard(); derr != nil && err == nil {
 			err = derr
@@ -369,9 +429,7 @@ type mergeJoinOp struct {
 	par              int
 	gov              *governor
 	where            string
-
-	out []value.Row
-	pos int
+	bufOp
 }
 
 func (j *mergeJoinOp) Open() error {
@@ -448,17 +506,6 @@ func (j *mergeJoinOp) Open() error {
 	j.pos = 0
 	return nil
 }
-
-func (j *mergeJoinOp) Next() (value.Row, bool, error) {
-	if j.pos >= len(j.out) {
-		return nil, false, nil
-	}
-	row := j.out[j.pos]
-	j.pos++
-	return row, true, nil
-}
-
-func (j *mergeJoinOp) Close() error { return nil }
 
 // keyColumns splits equi-keys into the left and right column lists.
 func keyColumns(keys []equiKey) (left, right []int) {

@@ -91,8 +91,7 @@ type topKOp struct {
 	n     int64
 
 	heap []spillRow
-	out  []value.Row
-	pos  int
+	bufOp
 }
 
 func (t *topKOp) less(a, b spillRow) bool {
@@ -172,18 +171,8 @@ func (t *topKOp) Open() error {
 		t.heap = t.heap[:last]
 		t.siftDown()
 	}
-	t.out = out
-	t.pos = 0
+	t.reset(out)
 	return nil
-}
-
-func (t *topKOp) Next() (value.Row, bool, error) {
-	if t.pos >= len(t.out) {
-		return nil, false, nil
-	}
-	row := t.out[t.pos]
-	t.pos++
-	return row, true, nil
 }
 
 func (t *topKOp) Close() error { return t.input.Close() }

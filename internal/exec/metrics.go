@@ -20,10 +20,15 @@ import (
 //   - Options.Trace: the node's span, begun at Open and ended at Close.
 //
 // The row counter is atomic: under parallel execution the two inputs of a
-// join are drained by concurrent goroutines, so sibling wrappers open,
+// merge join are drained by concurrent goroutines, so sibling wrappers open,
 // count and close concurrently. Next performs one atomic add per row and
 // never allocates; when every sink is nil the compiler inserts no wrapper
 // at all, so the disabled path costs nothing.
+//
+// A node that runs inside a pipeline (pipeOp) is never pulled. Its metricOp
+// wraps nothing: the pipeline calls begin and end around its run and adds each
+// chunk's row count to count once, so the row path there costs one atomic add
+// per morsel per node.
 type metricOp struct {
 	inner   Operator
 	metrics *obs.OpMetrics // nil unless Options.Metrics is set
@@ -41,12 +46,29 @@ type metricOp struct {
 	start time.Time
 }
 
-func (s *metricOp) Open() error {
+// begin starts the node's clock and span.
+func (s *metricOp) begin() {
 	s.count.Store(0)
 	s.start = s.clock.Now()
 	if s.span != nil {
 		s.span.BeginAt(s.start)
 	}
+}
+
+// end stops them and reports the rows counted since begin.
+func (s *metricOp) end() {
+	end := s.clock.Now()
+	if s.span != nil {
+		s.span.EndAt(end)
+	}
+	if s.metrics != nil {
+		s.metrics.RowsOut.Add(s.count.Load())
+		s.metrics.WallNanos.Add(end.Sub(s.start).Nanoseconds())
+	}
+}
+
+func (s *metricOp) Open() error {
+	s.begin()
 	return s.inner.Open()
 }
 
@@ -71,14 +93,7 @@ func (s *metricOp) batchOK() bool { return s.batch != nil }
 func (s *metricOp) stableBatches() bool { return stableFeed(s.batch) }
 
 func (s *metricOp) Close() error {
-	end := s.clock.Now()
-	if s.span != nil {
-		s.span.EndAt(end)
-	}
-	if s.metrics != nil {
-		s.metrics.RowsOut.Add(s.count.Load())
-		s.metrics.WallNanos.Add(end.Sub(s.start).Nanoseconds())
-	}
+	s.end()
 	return s.inner.Close()
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -127,6 +128,26 @@ func TestRowPathZeroAllocs(t *testing.T) {
 			t.Errorf("a probe that misses allocates %.2f times, want 0", avg)
 		}
 	})
+	t.Run("DISTINCT project, duplicate row", func(t *testing.T) {
+		// The projected row; the duplicate is recognised by its key bytes in
+		// the set's buffer, so no key string is made for it.
+		dup := value.Row{value.NewInt(7), value.NewString("a longer string than a small-string buffer holds")}
+		p := &projectOp{
+			input: &flickerOp{row: dup}, distinct: true,
+			items: []expr.Expr{&expr.ColumnRef{Index: 1}, &expr.ColumnRef{Index: 0}},
+		}
+		must(t, p.Open())
+		if _, ok, err := p.Next(); !ok || err != nil {
+			t.Fatalf("first occurrence: ok=%v err=%v", ok, err)
+		}
+		if avg := testing.AllocsPerRun(runs, func() {
+			if _, ok, err := p.Next(); ok || err != nil {
+				t.Fatalf("duplicate: ok=%v err=%v", ok, err)
+			}
+		}); avg != 1 {
+			t.Errorf("a duplicate row under DISTINCT allocates %.2f times, want 1", avg)
+		}
+	})
 	t.Run("hash-group, existing group", func(t *testing.T) {
 		core := sumCore(t, nil, nil, 0)
 		tab, err := core.newTable()
@@ -144,8 +165,9 @@ func TestRowPathZeroAllocs(t *testing.T) {
 	})
 	t.Run("hash-group, new group", func(t *testing.T) {
 		// Two aggregate items: the state, its one accumulator slice, two
-		// accumulators and the inserted key string. (Map and order growth
-		// amortize below one and AllocsPerRun rounds down.)
+		// accumulators and the inserted key string. (Map and order growth and
+		// the table's slab of grouping values amortize below one and
+		// AllocsPerRun rounds down.)
 		core := sumCore(t, nil, nil, 0)
 		core.specs = append(core.specs, core.specs[0])
 		tab, err := core.newTable()
@@ -210,6 +232,89 @@ func TestSerialGroupingHoldsGroupsNotRows(t *testing.T) {
 			}
 		})
 	}
+}
+
+// flickerOp yields its row and end-of-stream alternately, so each Next of a
+// DISTINCT projection above it handles exactly one (duplicate) row.
+type flickerOp struct {
+	row value.Row
+	eos bool
+}
+
+func (f *flickerOp) Open() error  { return nil }
+func (f *flickerOp) Close() error { return nil }
+func (f *flickerOp) Next() (value.Row, bool, error) {
+	f.eos = !f.eos
+	return f.row, f.eos, nil
+}
+
+// TestParallelPipelineHoldsGroupsNotRows: above one worker a morsel runs
+// through every streaming operator into the breaker's sink, and nothing in
+// between is held as rows. Scan → hash join → hash group at two workers
+// allocates for the build side and for G groups per chunk — the same G over
+// four times the rows allocates as often, give or take morsel bookkeeping (an
+// operator that materialized the join output would pay one row per probe row).
+// Scan → filter → project → root allocates in proportion to its result, not
+// to the rows the filter read.
+func TestParallelPipelineHoldsGroupsNotRows(t *testing.T) {
+	t.Run("join-group", func(t *testing.T) {
+		const groups = 100
+		allocs := func(n int) float64 {
+			plan := &algebra.GroupBy{
+				Input: &algebra.Join{
+					L:    keyedValuesPlan("l", n, groups),
+					R:    keyedValuesPlan("r", groups, groups),
+					Cond: expr.Eq(expr.Column("l", "k"), expr.Column("r", "k")),
+				},
+				GroupCols: []expr.ColumnID{{Table: "l", Name: "k"}},
+				Aggs: []algebra.AggItem{{
+					E:  &expr.Aggregate{Func: expr.AggSum, Arg: expr.Column("r", "v")},
+					As: expr.ColumnID{Name: "s"},
+				}},
+			}
+			return testing.AllocsPerRun(5, func() {
+				res, err := Run(plan, nil, &Options{Parallelism: 2})
+				if err != nil || len(res.Rows) != groups {
+					t.Fatalf("%v rows, err=%v", res, err)
+				}
+			})
+		}
+		small, large := allocs(10000), allocs(40000)
+		t.Logf("allocations: %.0f over 10000 rows, %.0f over 40000", small, large)
+		if slack := 4.0 * float64(numChunks(40000-10000, MorselSize)); large-small > slack {
+			t.Errorf("grouping a join of 10000 rows allocates %.0f times, of 40000 rows %.0f times: want within %.0f (morsel bookkeeping)", small, large, slack)
+		}
+	})
+	t.Run("filter-project", func(t *testing.T) {
+		const n, keep = 64 * MorselSize, 16 // one row in 16 passes the filter
+		plan := &algebra.Project{
+			Input: &algebra.Select{
+				Input: keyedValuesPlan("t", n, keep),
+				Cond:  expr.Eq(expr.Column("t", "k"), expr.IntLit(3)),
+			},
+			Items: []algebra.ProjItem{
+				{E: expr.Column("t", "v"), As: expr.ColumnID{Name: "v"}},
+				{E: expr.Column("t", "k"), As: expr.ColumnID{Name: "k"}},
+			},
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := Run(plan, nil, &Options{Parallelism: 2})
+		runtime.ReadMemStats(&after)
+		if err != nil || len(res.Rows) != n/keep {
+			t.Fatalf("%v rows, err=%v", res, err)
+		}
+		// The projected rows, their headers in the per-chunk outputs (append
+		// growth) and in the concatenated result: a small multiple of the
+		// result, where every intermediate held as a slice costs n headers.
+		result := int64(len(res.Rows)) * rowStateBytes(res.Rows[0])
+		got := int64(after.TotalAlloc - before.TotalAlloc)
+		t.Logf("%d bytes allocated for a %d-byte result", got, result)
+		if got > 4*result {
+			t.Errorf("filter → project → root allocated %d bytes for a %d-byte result (%d rows of %d read): want at most 4x the result", got, result, len(res.Rows), n)
+		}
+	})
 }
 
 // TestValueSlotBytesIsTheValueSize: budgets, state bytes and spill bytes count

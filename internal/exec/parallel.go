@@ -1,35 +1,44 @@
-// Morsel-style intra-operator parallelism. The executor stays a pull-based
-// Volcano engine at operator granularity; a worker count above one
-// (Options.Parallelism) changes how the materializing operators do their
-// work, not which operators exist. Filter, projection and nested-loop join
-// become a morselMapOp (this file); the hash join builds its table
-// partitioned and probes over morsels; hash aggregation builds one partial
-// table per worker; sorts run chunked (sortRowsStable). One worker is serial
-// execution.
+// Morsel-driven intra-query parallelism. One worker (Options.Parallelism 0 or
+// 1) is the serial pull engine: streaming scanOp/filterOp/projectOp and join
+// probes, the reference path of every oracle. A worker count above one changes
+// how rows move, not which plan runs: the streaming nodes between two breakers
+// — filter, non-DISTINCT projection, hash-join probe, the nested loop's left
+// side — become the stages of one pipeline (pipeOp, this file), workers carry
+// morsels of the pipeline's source through the whole chain, and the breaker
+// above is its sink: one partial group table per chunk for hash grouping, a
+// morsel-ordered collection for everything else that must hold rows (the
+// result, a sort's or TopK's input, DISTINCT, merge-join inputs, a join's
+// build side). Nothing between two breakers is materialized. Sorts run
+// chunked (sortRowsStable).
+//
+// Borrowed rows. A join stage writes each joined row into a scratch row it
+// owns and emits that; the row is valid until the stage's next emit. A sink
+// that keeps rows copies them once; the group sink keeps only a new group's
+// grouping values, so N joined rows cost G states.
 //
 // Determinism is a hard requirement — the serial-vs-parallel oracle tests
 // assert row-identical results and identical per-operator cardinalities —
 // so everything that runs on the worker pool follows the same discipline:
 //
 //   - Work is partitioned by fixed chunk boundaries that depend only on the
-//     input size, never on worker scheduling. Workers pull chunk indices
-//     from an atomic cursor, but each chunk's output is a pure function of
-//     its row range.
-//   - Per-chunk outputs are concatenated (or merged) in chunk-index order,
-//     which reproduces the one-worker output order row for row.
-//   - Aggregation keeps one thread-local partial-aggregate table per chunk
-//     and absorbs them in chunk order through the accumulators' Merge step
-//     (groupTable.absorb). Group output order (first appearance) and
-//     accumulator fold order therefore do not depend on the worker count;
-//     results are bit-identical whenever the aggregate arithmetic is exact
-//     (integers, exactly representable floats).
+//     length of the pipeline's source, never on worker scheduling. Workers
+//     pull chunk indices from an atomic cursor, but each chunk's output is a
+//     pure function of its row range.
+//   - Collected outputs are concatenated in chunk-index order, which
+//     reproduces the one-worker output order row for row.
+//   - Aggregation keeps one partial-aggregate table per chunk — one contiguous
+//     chunk per worker — and absorbs them in chunk order through the
+//     accumulators' Merge step (groupTable.absorb). Group output order (first
+//     appearance) and accumulator fold order therefore do not depend on the
+//     worker count; results are bit-identical whenever the aggregate
+//     arithmetic is exact (integers, exactly representable floats).
 //
 // The hash join follows the partitioned build/probe scheme (joinTable): the
-// build side is scattered into one hash partition per worker by join-key
-// hash (a serial scatter, preserving build-input order within each
-// partition), the partition tables are built by parallel workers, and probe
-// workers then consume morsels of the probe side, each row probing the
-// partition it hashes to.
+// build side is collected and scattered into one hash partition per worker by
+// join-key hash (a serial scatter, preserving build-input order within each
+// partition), the partition tables are built by parallel workers, and the
+// probe stage of every chunk then looks each row up in the partition it
+// hashes to.
 package exec
 
 import (
@@ -174,7 +183,7 @@ func concatChunks(outs [][]value.Row) []value.Row {
 }
 
 // drainBoth drains two operators concurrently — inter-subtree parallelism
-// for plans whose join inputs are themselves expensive. The per-node stats
+// for a merge join whose inputs are themselves expensive. The per-node stats
 // hooks must be (and are) safe for concurrent Close against a shared sink.
 // Panics on either side become *ExecPanicError; the left side is recovered
 // locally (not left to Run's top-level recovery) precisely so that wg.Wait
@@ -203,8 +212,9 @@ func drainBoth(where string, l, r Operator) (lrows, rrows []value.Row, err error
 	return lrows, rrows, nil
 }
 
-// bufOp is the streaming tail shared by the materializing operators: Open
-// fills out, Next drains it.
+// bufOp is the tail of the operators whose whole output is resident once they
+// are open: Open fills out, Next hands it out — or a pipeline above reads it
+// in place.
 type bufOp struct {
 	out []value.Row
 	pos int
@@ -221,92 +231,265 @@ func (b *bufOp) Next() (value.Row, bool, error) {
 	return row, true, nil
 }
 
+func (b *bufOp) resident() []value.Row { return b.out[b.pos:] }
+
 func (b *bufOp) Close() error { return nil }
 
-// ------------------------------------------------------------ morsel map
+// -------------------------------------------------------------- pipelines
 
-// mapMorsels runs fn over every row of rows — MorselSize rows per scheduling
-// unit, on up to par workers — and returns the outputs concatenated in morsel
-// order, which is the order one serial pass would have produced. fn appends
-// its row's outputs to out.
-func mapMorsels(where string, par int, gov *governor, metrics *obs.OpMetrics, rows []value.Row,
-	fn func(row value.Row, out []value.Row) ([]value.Row, error)) ([]value.Row, error) {
-	outs := make([][]value.Row, numChunks(len(rows), MorselSize))
-	err := forEachChunk(where, par, len(rows), MorselSize, func(w, c, lo, hi int) error {
-		if err := gov.cancelled(); err != nil {
+// emitFn receives one row from the stage below. The row is borrowed: it may
+// be a scratch row its producer overwrites on the next call, so a receiver
+// that keeps the row copies it (pipeOp.borrowed says whether it has to).
+type emitFn func(row value.Row) error
+
+// stage is one streaming plan node inside a pipeline: a filter, a projection,
+// a hash-join probe, a nested loop's left side — or, with no bind, a node that
+// only passes rows on (a Sort the propagated order made unnecessary).
+type stage struct {
+	metrics *obs.OpMetrics // the node's; one Morsel per chunk it handles
+	// start runs once, before the first chunk: a join materializes the side
+	// its rows are matched against. nil when there is nothing to build.
+	start func() error
+	// bind returns the stage's row function for one chunk, handing what it
+	// produces to emit. Per-chunk state (scratch rows, key buffers) lives in
+	// the closure, so chunks share nothing.
+	bind func(emit emitFn) emitFn
+	// metered: the node's output is ticked and counted here, per chunk,
+	// rather than in a wrapper's Next; out is the metricOp that would have
+	// wrapped the node (nil when only the governor is on).
+	metered bool
+	out     *metricOp
+}
+
+// sink is the breaker a pipeline ends in.
+type sink interface {
+	// begin is told the source's length and answers with the rows per chunk,
+	// having made room for that many chunks' results.
+	begin(n int) int
+	// bind returns the receiver of one chunk's rows; the worker carrying the
+	// chunk is for morsel accounting only.
+	bind(worker, chunk int) (emitFn, error)
+}
+
+// resident is an operator whose whole output lies in memory once it is open
+// (a table, literal rows, a breaker's finished buffer). A pipeline reads it
+// where it lies instead of pulling it through Next.
+type resident interface {
+	Operator
+	resident() []value.Row
+}
+
+// pipeOp is execution above one worker: a source, a chain of stages and — per
+// run — a sink. The source is an already materialized []value.Row; workers
+// carry chunks of it through the whole chain, row by row, into the sink's
+// per-chunk receiver, so nothing between two breakers is ever held as a
+// slice. Chunk boundaries depend on the source's length only, and every sink
+// keeps its per-chunk results in chunk order: rows, row order, group order
+// and per-node counts are those of a serial run at any worker count.
+//
+// The compiler grows one pipeOp per run of streaming nodes: each such node
+// adds its stage to its input's pipeline (compiler.pipeline). A breaker above
+// runs it into its own sink (hash grouping: one partial table per chunk) or
+// drains it, which collects the rows in morsel order (drain); an operator that
+// only knows how to pull gets the same collection through Open and Next.
+type pipeOp struct {
+	src      Operator // the node below the first stage, opened and closed by run
+	srcOut   *metricOp
+	stages   []stage
+	borrowed bool // the last stage emits scratch rows: a sink that keeps rows copies them
+	metered  bool // some stage is
+	par      int
+	gov      *governor
+	where    string // the topmost node using the pipeline, for panic reporting
+	bufOp
+}
+
+// pipeline returns the pipeline the plan node described by where runs its
+// input op through: op's own when op is one, else a new one with op as its
+// source. A resident source is read in place, so its rows never pass its
+// wrappers' Next; the wrappers are taken off and their work — the cancellation
+// poll at Open, the clock, the row count — is done by run.
+func (c *compiler) pipeline(op Operator, where string) *pipeOp {
+	if p, ok := op.(*pipeOp); ok {
+		p.where = where
+		return p
+	}
+	p := &pipeOp{src: op, par: c.par, gov: c.gov, where: where}
+	m, _ := op.(*metricOp)
+	if m != nil {
+		op = m.inner
+	}
+	if g, ok := op.(*governOp); ok {
+		op = g.inner
+	}
+	if _, ok := op.(resident); ok {
+		p.src, p.srcOut = op, m
+	}
+	return p
+}
+
+// add appends a node's stage. borrowed says whether the stage emits scratch
+// rows; a stage that passes its input rows on (a filter) hands p.borrowed back.
+func (p *pipeOp) add(st stage, borrowed bool) {
+	p.stages = append(p.stages, st)
+	p.borrowed = borrowed
+}
+
+// meter makes the topmost node's output ticked and counted inside the
+// pipeline — the node the compiler just lowered onto it, or, when that node
+// added no stage of its own, a stage that only passes rows on.
+func (p *pipeOp) meter(out *metricOp) {
+	if p.stages[len(p.stages)-1].metered {
+		p.stages = append(p.stages, stage{})
+	}
+	last := &p.stages[len(p.stages)-1]
+	last.metered, last.out = true, out
+	p.metered = true
+}
+
+// eachOut calls fn on the metricOp of every instrumented node, topmost first
+// — the order Open and Close reach the wrappers of a pulled plan.
+func (p *pipeOp) eachOut(fn func(*metricOp)) {
+	for i := len(p.stages) - 1; i >= 0; i-- {
+		if out := p.stages[i].out; out != nil {
+			fn(out)
+		}
+	}
+	if p.srcOut != nil {
+		fn(p.srcOut)
+	}
+}
+
+// run carries the source through the stages into s.
+func (p *pipeOp) run(s sink) error {
+	if err := p.gov.cancelled(); err != nil {
+		return err
+	}
+	p.eachOut((*metricOp).begin)
+	err := p.runChunks(s)
+	p.eachOut((*metricOp).end)
+	return err
+}
+
+func (p *pipeOp) runChunks(s sink) (err error) {
+	var rows []value.Row
+	if src, ok := p.src.(resident); ok {
+		defer func() {
+			if cerr := src.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		if err := src.Open(); err != nil {
 			return err
 		}
-		if metrics != nil {
-			metrics.Morsel(w)
-		}
-		for _, row := range rows[lo:hi] {
-			if err := gov.tick(); err != nil {
+		rows = src.resident()
+	} else if rows, err = drain(p.src); err != nil {
+		return err
+	}
+	for i := range p.stages {
+		if start := p.stages[i].start; start != nil {
+			if err := start(); err != nil {
 				return err
 			}
-			var err error
-			if outs[c], err = fn(row, outs[c]); err != nil {
+		}
+	}
+	return forEachChunk(p.where, p.par, len(rows), s.begin(len(rows)), func(w, c, lo, hi int) error {
+		if err := p.gov.cancelled(); err != nil {
+			return err
+		}
+		emit, err := s.bind(w, c)
+		if err != nil {
+			return err
+		}
+		var counts []int64 // rows out of each metered stage, this chunk
+		if p.metered {
+			counts = make([]int64, len(p.stages))
+		}
+		for i := len(p.stages) - 1; i >= 0; i-- {
+			st := &p.stages[i]
+			if st.metered {
+				emit = p.meterFn(&counts[i], emit)
+			}
+			if st.bind != nil {
+				emit = st.bind(emit)
+				if st.metrics != nil {
+					st.metrics.Morsel(w)
+				}
+			}
+		}
+		for _, row := range rows[lo:hi] {
+			// The source node's tick, one per row it hands up.
+			if err := p.gov.tick(); err != nil {
 				return err
+			}
+			if err := emit(row); err != nil {
+				return err
+			}
+		}
+		if p.srcOut != nil {
+			p.srcOut.count.Add(int64(hi - lo))
+		}
+		for i, n := range counts {
+			if out := p.stages[i].out; out != nil {
+				out.count.Add(n)
 			}
 		}
 		return nil
 	})
-	if err != nil {
+}
+
+// meterFn is a plan node's instrumentation as a stage: the governor tick and
+// the row count its wrappers' Next would have done per row, the count kept in
+// the chunk's slot n and added to the node's counter once per chunk.
+func (p *pipeOp) meterFn(n *int64, emit emitFn) emitFn {
+	return func(row value.Row) error {
+		if err := p.gov.tick(); err != nil {
+			return err
+		}
+		*n++
+		return emit(row)
+	}
+}
+
+// collector is the sink that keeps rows: each chunk's output in its own
+// slice, concatenated in chunk order — the order one serial pass produces.
+type collector struct {
+	copyRows bool
+	outs     [][]value.Row
+}
+
+func (s *collector) begin(n int) int {
+	s.outs = make([][]value.Row, numChunks(n, MorselSize))
+	return MorselSize
+}
+
+func (s *collector) bind(_, chunk int) (emitFn, error) {
+	out := &s.outs[chunk]
+	return func(row value.Row) error {
+		if s.copyRows {
+			row = slices.Clone(row)
+		}
+		*out = append(*out, row)
+		return nil
+	}, nil
+}
+
+// collect runs the pipeline to completion and returns its rows in morsel
+// order, in a slice the caller owns.
+func (p *pipeOp) collect() ([]value.Row, error) {
+	s := &collector{copyRows: p.borrowed}
+	if err := p.run(s); err != nil {
 		return nil, err
 	}
-	return concatChunks(outs), nil
+	return concatChunks(s.outs), nil
 }
 
-// morselMapOp is the materializing row-at-a-time operator above one worker:
-// filter, projection and nested-loop join are the three fn's the compiler
-// gives it. It drains its input (both inputs, concurrently, for a join),
-// maps morsels of the left input through fn — which also sees the drained
-// right side — and buffers the result. DISTINCT deduplication stays a serial
-// pass over the (cheap) already-mapped rows, keeping first occurrences in
-// input order exactly as the serial projectOp does.
-type morselMapOp struct {
-	left, right Operator // right is nil for the unary operators
-	par         int
-	metrics     *obs.OpMetrics // nil unless metrics collection is on
-	gov         *governor      // nil unless lifecycle governance is on
-	where       string         // plan-node description, for panic/cancel reporting
-	fn          func(row value.Row, side, out []value.Row) ([]value.Row, error)
-	distinct    bool
-	bufOp
-}
-
-func (m *morselMapOp) Open() error {
-	var rows, side []value.Row
-	var err error
-	if m.right != nil {
-		rows, side, err = drainBoth(m.where, m.left, m.right)
-	} else {
-		rows, err = drain(m.left)
-	}
-	if err != nil {
-		return err
-	}
-	out, err := mapMorsels(m.where, m.par, m.gov, m.metrics, rows,
-		func(row value.Row, out []value.Row) ([]value.Row, error) { return m.fn(row, side, out) })
-	if err != nil {
-		return err
-	}
-	if m.distinct {
-		seen := make(map[string]bool, len(out))
-		dedup := out[:0]
-		for _, row := range out {
-			if err := m.gov.tick(); err != nil {
-				return err
-			}
-			key := value.GroupKeyAll(row)
-			if !seen[key] {
-				seen[key] = true
-				dedup = append(dedup, row)
-			}
-		}
-		out = dedup
-	}
-	m.reset(out)
-	return nil
+// Open serves a consumer that pulls: the rows are collected, Next hands them
+// out.
+func (p *pipeOp) Open() error {
+	rows, err := p.collect()
+	p.reset(rows)
+	return err
 }
 
 // partitionOf hashes a join key into one of n partitions (FNV-32a).

@@ -9,6 +9,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/algebra"
+	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/value"
 )
 
@@ -177,4 +180,87 @@ func TestEffectiveParallelism(t *testing.T) {
 			t.Errorf("Parallelism=%d resolved to %d, want >= %d", c.in, got, c.min)
 		}
 	}
+}
+
+// TestBorrowedRowsNeverEscape: a join stage emits each joined row in a scratch
+// row the next emit overwrites, so every sink that keeps rows must copy them.
+// Each retaining sink is put above a probe that spans several morsels at four
+// workers and must return the serial rows; a missing copy shows as a chunk's
+// rows all reading as the last row written. Run under the race detector (make
+// race), a scratch row shared between workers shows there too.
+func TestBorrowedRowsNeverEscape(t *testing.T) {
+	col := func(table, name string) expr.ColumnID { return expr.ColumnID{Table: table, Name: name} }
+	// 2500 probe rows over three morsels, two build rows per key.
+	probe := func() *algebra.Join {
+		return &algebra.Join{
+			L:    keyedValuesPlan("l", 2*MorselSize+452, 50),
+			R:    keyedValuesPlan("r", 100, 50),
+			Cond: expr.Eq(expr.Column("l", "k"), expr.Column("r", "k")),
+		}
+	}
+	plans := []struct {
+		sink string
+		join JoinStrategy
+		plan algebra.Node
+	}{
+		{"root", JoinHash, probe()},
+		{"root, nested loop", JoinNestedLoop, probe()},
+		{"root, through a filter", JoinHash, &algebra.Select{
+			Input: probe(), Cond: &expr.Binary{Op: expr.OpLt, L: expr.Column("r", "v"), R: expr.IntLit(70)},
+		}},
+		{"sort", JoinHash, &algebra.Sort{
+			Input: probe(), Keys: []algebra.SortItem{{Col: col("r", "v"), Desc: true}, {Col: col("l", "v")}},
+		}},
+		{"TopK", JoinHash, &algebra.Limit{N: 37, Input: &algebra.Sort{
+			Input: probe(), Keys: []algebra.SortItem{{Col: col("r", "v"), Desc: true}, {Col: col("l", "v")}},
+		}}},
+		{"DISTINCT", JoinHash, &algebra.Project{Distinct: true, Input: probe(), Items: []algebra.ProjItem{
+			{E: expr.Column("r", "v"), As: col("", "rv")}, {E: expr.Column("l", "k"), As: col("", "k")},
+		}}},
+		{"build side of an upper hash join", JoinHash, &algebra.Join{
+			L: keyedValuesPlan("u", 60, 50), R: probe(),
+			Cond: expr.Eq(expr.Column("u", "k"), expr.Column("l", "k")),
+		}},
+		{"right side of an upper nested loop", JoinNestedLoop, &algebra.Join{
+			L: keyedValuesPlan("u", 6, 50), R: probe(),
+			Cond: expr.Eq(expr.Column("u", "k"), expr.Column("l", "k")),
+		}},
+	}
+	same := func(t *testing.T, got, want []value.Row) {
+		t.Helper()
+		if len(got) != len(want) || len(want) == 0 {
+			t.Fatalf("%d rows, want %d (and some)", len(got), len(want))
+		}
+		for i := range want {
+			if g, w := value.GroupKeyAll(got[i]), value.GroupKeyAll(want[i]); g != w {
+				t.Fatalf("row %d is %v, want %v", i, got[i], want[i])
+			}
+		}
+	}
+	for _, tc := range plans {
+		t.Run(tc.sink, func(t *testing.T) {
+			want, err := Run(tc.plan, nil, &Options{Join: tc.join})
+			must(t, err)
+			got, err := Run(tc.plan, nil, &Options{Join: tc.join, Parallelism: 4})
+			must(t, err)
+			same(t, got.Rows, want.Rows)
+		})
+	}
+	// One run has one join strategy, so a merge join over a hash join's probe
+	// is put together by hand.
+	t.Run("merge-join input", func(t *testing.T) {
+		merged := func(par int) []value.Row {
+			c := &compiler{opts: &Options{Join: JoinHash}, par: par, clock: obs.Wall}
+			left, err := c.compile(probe())
+			must(t, err)
+			right, err := c.compile(keyedValuesPlan("u", 60, 50))
+			must(t, err)
+			rows, err := drain(&mergeJoinOp{
+				left: left.op, right: right.op, keys: []equiKey{{left: 0, right: 0}}, par: par, where: "merge",
+			})
+			must(t, err)
+			return rows
+		}
+		same(t, merged(4), merged(1))
+	})
 }

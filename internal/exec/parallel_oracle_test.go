@@ -28,10 +28,16 @@ import (
 	"repro/internal/workload"
 )
 
-// oracleParallelism is the worker count the parallel runs use. Any value
-// above 1 must give identical results; 4 exercises multi-chunk scheduling
-// even on a single-CPU machine.
+// oracleParallelism is the worker count the vectorized parallel runs (and the
+// other oracles) use. Any value above 1 must give identical results; 4
+// exercises multi-chunk scheduling even on a single-CPU machine.
 const oracleParallelism = 4
+
+// rowWorkerCounts are the worker counts the row engine's pipelines are run
+// at. Most oracle inputs are shorter than one morsel, so 3 and 8 are worker
+// counts above the chunk count of every collecting pipeline, and 8 is above
+// the row count of some sources.
+var rowWorkerCounts = []int{2, 3, oracleParallelism, 8}
 
 var joinStrategies = []exec.JoinStrategy{
 	exec.JoinAuto, exec.JoinHash, exec.JoinSortMerge, exec.JoinNestedLoop,
@@ -105,13 +111,16 @@ func checkSerialVsParallel(t *testing.T, label, query string, plan algebra.Node,
 	t.Helper()
 	serialRows, serialCol := runWithStats(t, plan, store, exec.Options{Join: js, Group: gs})
 	s := rowStrings(serialRows)
-	modes := []struct {
+	type runMode struct {
 		mode string
 		opts exec.Options
-	}{
-		{"row/parallel", exec.Options{Join: js, Group: gs, Parallelism: oracleParallelism}},
+	}
+	modes := []runMode{
 		{"vec/serial", exec.Options{Join: js, Group: gs, Vectorize: true}},
 		{"vec/parallel", exec.Options{Join: js, Group: gs, Parallelism: oracleParallelism, Vectorize: true}},
+	}
+	for _, workers := range rowWorkerCounts {
+		modes = append(modes, runMode{fmt.Sprintf("row/parallel=%d", workers), exec.Options{Join: js, Group: gs, Parallelism: workers}})
 	}
 	// Early termination makes interior cardinalities plan-shape-dependent:
 	// under a LIMIT, a mode whose input order lets the sort elide pulls only
@@ -328,9 +337,74 @@ func sweepQueries(r *rand.Rand) []string {
 	}
 }
 
+// pipelineQueries are the templates whose row-engine plans above one worker
+// are pipelines of several stages ending in each kind of sink — partial group
+// tables, and the collection behind the result, a sort, a TopK, DISTINCT, a
+// merge join's inputs and a join's build side (the join strategies the oracle
+// forces decide which). Dim is joined twice for the three-table shapes.
+func pipelineQueries(r *rand.Rand) []string {
+	cut := 20 + r.Intn(60)
+	return []string{
+		// filter → probe → group
+		fmt.Sprintf(`SELECT F.GroupID, SUM(F.V), COUNT(*)
+		 FROM Fact F, Dim D WHERE F.DimID = D.DimID AND F.V < %d
+		 GROUP BY F.GroupID`, cut),
+		// probe → DISTINCT project
+		`SELECT DISTINCT D.Label, F.GroupID
+		 FROM Fact F, Dim D WHERE F.DimID = D.DimID`,
+		// probe with a residual → ORDER BY … LIMIT, and → ORDER BY
+		fmt.Sprintf(`SELECT F.FID, D.Label, F.V
+		 FROM Fact F, Dim D WHERE F.DimID = D.DimID AND F.V > D.DimID
+		 ORDER BY FID LIMIT %d`, 1+r.Intn(40)),
+		`SELECT F.FID, D.Label, F.V
+		 FROM Fact F, Dim D WHERE F.DimID = D.DimID AND F.V > D.DimID
+		 ORDER BY FID DESC`,
+		// probe → root, unordered: the collection itself
+		fmt.Sprintf(`SELECT F.FID, D.Label
+		 FROM Fact F, Dim D WHERE F.DimID = D.DimID AND F.V < %d`, cut),
+		// nested loop (no equi-key under any strategy) → group
+		`SELECT D.DimID, COUNT(*), SUM(F.V)
+		 FROM Fact F, Dim D WHERE F.V < D.DimID
+		 GROUP BY D.DimID`,
+		// probe → probe → group, and → root
+		`SELECT D.Label, D2.Label, COUNT(*), SUM(F.V)
+		 FROM Fact F, Dim D, Dim D2 WHERE F.DimID = D.DimID AND F.GroupID = D2.DimID
+		 GROUP BY D.Label, D2.Label`,
+		fmt.Sprintf(`SELECT F.FID, D.Label, D2.Label
+		 FROM Fact F, Dim D, Dim D2 WHERE F.DimID = D.DimID AND F.GroupID = D2.DimID AND F.V < %d`, cut),
+	}
+}
+
+// pipelineStores are the instances every pipeline template runs on: a random
+// one, one whose Fact spans several morsels, one with no Fact rows at all (the
+// empty source) and one whose every join key is NULL (a probe that emits
+// nothing).
+func pipelineStores(t *testing.T, r *rand.Rand) []*storage.Store {
+	t.Helper()
+	sweep := func(facts int) *storage.Store {
+		store, err := workload.Sweep(workload.SweepParams{
+			FactRows: facts, DimRows: 12, Groups: 9, MatchFraction: 0.8, Seed: r.Int63(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	nullKeys := sweep(0)
+	for i := 0; i < 50; i++ {
+		if err := nullKeys.Insert("Fact", value.Row{
+			value.NewInt(int64(i)), value.Null, value.NewInt(int64(i % 7)), value.NewInt(int64(r.Intn(100))),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return []*storage.Store{randomSweepStore(t, r), sweep(2*exec.MorselSize + 300), sweep(0), nullKeys}
+}
+
 // TestSerialVsParallelOracle is the randomized serial ≡ parallel suite: at
 // least 200 queries (40 under -short) over random workload tables, each
-// checked across every JoinStrategy × GroupStrategy on both plans.
+// checked across every JoinStrategy × GroupStrategy on both plans, and then
+// every pipeline template on every pipeline store.
 func TestSerialVsParallelOracle(t *testing.T) {
 	targetQueries := 200
 	if testing.Short() {
@@ -373,6 +447,12 @@ func TestSerialVsParallelOracle(t *testing.T) {
 				checks += oracleQuery(t, store, qs[r.Intn(len(qs))])
 				queries++
 			}
+		}
+	}
+	for _, store := range pipelineStores(t, r) {
+		for _, q := range pipelineQueries(r) {
+			checks += oracleQuery(t, store, q)
+			queries++
 		}
 	}
 	t.Logf("serial-vs-parallel oracle: %d queries, %d plan/strategy comparisons", queries, checks)

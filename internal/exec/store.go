@@ -92,17 +92,31 @@ type groupTable struct {
 	order    []*groupState
 	keyBytes int64
 	probe    []byte // scratch: the key of the row being looked up
+	// values is the slab the states' grouping values are cut from: a new
+	// group costs no allocation of its own for them. A full slab is left to
+	// the states that point into it and one twice as large started, so a
+	// table of a few groups stays a few values large.
+	values []value.Value
 }
 
 func (g *groupCore) newTable() (*groupTable, error) {
 	t := &groupTable{core: g, adm: admissionFor(g.gov, g.mgr, g.where)}
 	if g.scalarGroup() {
-		st, err := g.newState(nil)
+		st, err := g.newState()
 		t.order = []*groupState{st}
 		return t, err
 	}
 	t.index = make(map[string]*groupState)
 	return t, nil
+}
+
+// add folds one row into its group. The row is not kept.
+func (t *groupTable) add(row value.Row) error {
+	st, err := t.rowGroup(row)
+	if err != nil {
+		return err
+	}
+	return t.core.feed(st, row)
 }
 
 // rowGroup returns the group row belongs to, creating it on first sight.
@@ -117,17 +131,31 @@ func (t *groupTable) rowGroup(row value.Row) (*groupState, error) {
 	return t.insert(string(t.probe), row)
 }
 
-// insert admits and creates the group for key, with repr as the row its
-// grouping-column values are read from.
-func (t *groupTable) insert(key string, repr value.Row) (*groupState, error) {
+// A table's slabs of grouping values double from minGroupSlab values to
+// maxGroupSlab.
+const (
+	minGroupSlab = 8
+	maxGroupSlab = 512
+)
+
+// insert admits and creates the group for key, copying its grouping values
+// out of row — the group's first row, which the table does not keep.
+func (t *groupTable) insert(key string, row value.Row) (*groupState, error) {
 	if err := t.adm.charge(t.core.groupStateBytes(len(key))); err != nil {
 		return nil, err
 	}
-	st, err := t.core.newState(repr)
+	st, err := t.core.newState()
 	if err != nil {
 		return nil, err
 	}
-	st.key = key
+	k := len(t.core.groupCols)
+	if len(t.values)+k > cap(t.values) {
+		size := min(max(2*cap(t.values), minGroupSlab), maxGroupSlab)
+		t.values = make([]value.Value, 0, max(size, k))
+	}
+	n := len(t.values)
+	t.values = t.core.groupValues(t.values, row)
+	st.key, st.group = key, t.values[n:len(t.values):len(t.values)]
 	t.index[key] = st
 	t.order = append(t.order, st)
 	t.keyBytes += int64(len(key))
@@ -137,8 +165,8 @@ func (t *groupTable) insert(key string, repr value.Row) (*groupState, error) {
 // absorb merges a later chunk's partial table into t through the
 // accumulators' Merge step — the paper's eager aggregation reused as the
 // combine rule. Absorbing chunks in index order keeps t.order the global
-// first-appearance order, and a group's state (hence its representative row)
-// is always the one from the earliest chunk containing it: exactly what one
+// first-appearance order, and a group's state (hence its grouping values) is
+// always the one from the earliest chunk containing it: exactly what one
 // pass over the whole input would have built.
 func (t *groupTable) absorb(src *groupTable) error {
 	for _, st := range src.order {

@@ -168,7 +168,8 @@ func (g *vecHashGroupOp) feedBatch(t *groupTable, b *vec.Batch, enc *vec.KeyEnco
 			st = t.order[0]
 		} else if st = t.index[string(keys[i])]; st == nil {
 			var err error
-			if st, err = t.insert(string(keys[i]), b.MaterializeRow(i)); err != nil {
+			*scratch = b.ReadRow(i, *scratch)
+			if st, err = t.insert(string(keys[i]), *scratch); err != nil {
 				return err
 			}
 		}

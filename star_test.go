@@ -157,3 +157,76 @@ func TestOrderByOverGroupingSortsGroupsNotRows(t *testing.T) {
 		}
 	}
 }
+
+// TestPipelinedPlanCountsMatchSerial pins, by operator counts, what a
+// pipelined run reports. The groups shape at two workers — scan → probe →
+// partial group tables, then the group rows → project → TopK — joins all
+// 48 000 Fact rows (every one finds its dim) and builds the sum of the
+// chunks' partial tables, and EXPLAIN ANALYZE still shows a row count and an
+// inclusive time on every node although none of the streaming ones is ever
+// pulled. At any worker count every node's input and output cardinality is
+// the serial run's.
+func TestPipelinedPlanCountsMatchSerial(t *testing.T) {
+	const facts, dims, groups = 48000, 1000, 8000
+	e := starEngine(t)
+	loadStar(t, e, facts, dims)
+	analyze := func(workers int) *Analysis {
+		t.Helper()
+		e.SetParallelism(workers)
+		a, err := e.QueryAnalyzed(starShapeGroups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	type counts struct{ in, out int64 }
+	nodeCounts := func(a *Analysis) (c []counts) {
+		algebra.Walk(a.Plan, func(n algebra.Node) {
+			m := a.Metrics.Lookup(n).Snapshot()
+			c = append(c, counts{m.RowsIn, m.RowsOut})
+		})
+		return c
+	}
+	serial := nodeCounts(analyze(1))
+	// Fact is cut into one contiguous chunk per worker and a group is six
+	// consecutive rows: a chunk boundary that is no multiple of six splits one
+	// group over two partial tables.
+	for workers, build := range map[int]int64{2: groups, 3: groups + 2, 8: groups} {
+		a := analyze(workers)
+		got := nodeCounts(a)
+		for i := range serial {
+			if got[i] != serial[i] {
+				t.Errorf("workers=%d: node %d has rows in/out %+v, the serial run %+v", workers, i, got[i], serial[i])
+			}
+		}
+		algebra.Walk(a.Plan, func(n algebra.Node) {
+			m := a.Metrics.Lookup(n).Snapshot()
+			switch n.(type) {
+			case *algebra.Join:
+				if m.RowsOut != facts || m.ProbeHits != facts || m.BuildEntries != dims {
+					t.Errorf("workers=%d: Join put out %d rows with hits=%d build=%d, want %d, %d and %d",
+						workers, m.RowsOut, m.ProbeHits, m.BuildEntries, facts, facts, dims)
+				}
+			case *algebra.GroupBy:
+				if m.Operator != "hash" || m.RowsOut != groups || m.BuildEntries != build {
+					t.Errorf("workers=%d: GroupBy ran as %q, %d rows, build=%d: want hash, %d rows and the partial tables' sum %d",
+						workers, m.Operator, m.RowsOut, m.BuildEntries, groups, build)
+				}
+			}
+		})
+		if workers != 2 {
+			continue
+		}
+		text := a.String()
+		for _, want := range []string{"-- 48000 rows", "hits=48000", "op=hash build=8000"} {
+			if !strings.Contains(text, want) {
+				t.Errorf("EXPLAIN ANALYZE at two workers lacks %q:\n%s", want, text)
+			}
+		}
+		for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+			if strings.Contains(line, " -- ") && !strings.Contains(line, "time=") {
+				t.Errorf("EXPLAIN ANALYZE at two workers: node without an inclusive time: %s", line)
+			}
+		}
+	}
+}
