@@ -14,7 +14,7 @@ GO ?= go
 FUZZTIME ?= 10s
 MODELCHECK_K ?= 3
 
-.PHONY: check vet lint plancheck modelcheck verify-certs build test race chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench
+.PHONY: check vet lint plancheck modelcheck verify-certs build test race chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench loc
 
 check: vet lint build race plancheck modelcheck verify-certs chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz
 
@@ -115,8 +115,9 @@ serve-oracle:
 	$(GO) test -race ./internal/server -run 'TestServeOracleDifferential|TestShutdownMidQueryChaos|TestAdmit'
 
 # Each fuzz target needs its own invocation (go test allows one -fuzz
-# pattern per package run). -run=^$ skips the regular tests. The last two
-# are the service boundary: the query response's hand-written encoder and
+# pattern per package run). -run=^$ skips the regular tests.
+# FuzzRepartitionPermutation holds the cluster's shuffle to a permutation of
+# its input. The last two are the service boundary: the query response's hand-written encoder and
 # decoder held to encoding/json (DESIGN.md §17.5), and arbitrary request
 # bodies through the real mux — a well-formed response or a row of the
 # status table, never a panic or a leaked goroutine.
@@ -128,6 +129,7 @@ fuzz:
 	$(GO) test ./internal/vec -run '^$$' -fuzz FuzzGroupKeyVector -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzEagerCert -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzExternalSort -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzRepartitionPermutation -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzQueryResponseWire -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzHandleQuery -fuzztime $(FUZZTIME)
 
@@ -137,9 +139,20 @@ fuzz:
 # the vectorized engine, and BenchmarkSortRowsStable, the sort kernel alone)
 # and behind the row representation of §19.1 (internal/value: BenchmarkConcat,
 # BenchmarkAppendGroupKey, BenchmarkCompare; internal/exec:
-# BenchmarkHashGroupSerial, one cluster fragment's join-then-group;
+# BenchmarkHashGroupSerial, one cluster fragment's join-then-group, and
+# BenchmarkTinyJoinGroup, what a run costs before its first row;
 # internal/dist: BenchmarkRowBytes) and behind the wire encoding of §17.5
 # (internal/server: BenchmarkEncodeQueryResponse, BenchmarkDecodeQueryResponse,
 # each beside the encoding/json path it replaced).
 bench:
 	$(GO) test -bench . -benchmem ./...
+
+# Non-test and test Go lines per package — the numbers CHANGES.md reports for
+# a change (internal/exec's non-test count is the one ROADMAP tracks).
+loc:
+	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		n=$$(ls $$d/*.go | grep -v _test.go | xargs cat 2>/dev/null | wc -l); \
+		t=$$(ls $$d/*_test.go 2>/dev/null | xargs cat 2>/dev/null | wc -l); \
+		rel=$${d#$(CURDIR)}; rel=$${rel#/}; \
+		printf '%-40s %7d %7d\n' $${rel:-.} $$n $$t; \
+	done | awk '{print; n += $$2; t += $$3} END {printf "%-40s %7d %7d\n", "total (non-test, test)", n, t}'

@@ -1,9 +1,10 @@
-// Package exec implements the physical executor: a Volcano-style iterator
-// engine that lowers logical plans (package algebra) onto in-memory tables
-// (package storage). Each logical operator has one or more physical
-// implementations — joins can run as hash, sort-merge or nested-loop;
-// grouping as hash aggregation or sort-based aggregation pipelined with the
-// sort (the Klug/Dayal technique the paper's Section 2 recounts).
+// Package exec implements the physical executor: it lowers logical plans
+// (package algebra) onto in-memory tables (package storage) as breakers that
+// hold state, joined by pipelines that carry rows between them (parallel.go).
+// Each logical operator has one or more physical implementations — joins can
+// run as hash, sort-merge or nested-loop; grouping as hash aggregation or
+// sort-based aggregation pipelined with the sort (the Klug/Dayal technique
+// the paper's Section 2 recounts).
 //
 // The executor records the number of rows each plan node produces. Those
 // counts are how the benchmark harness regenerates the paper's Figure 1 and
@@ -86,16 +87,15 @@ type Options struct {
 	Join   JoinStrategy
 	Group  GroupStrategy // GroupAuto on local runs, GroupHash in cluster fragments
 	Params expr.Params
-	// Parallelism is the worker count of the one operator set: 0 (and 1)
-	// mean one worker — serial execution, with streaming filters,
-	// projections and join probes — while N > 1 runs the streaming nodes
-	// between two breakers (filter, non-DISTINCT projection, hash-join
-	// probe, nested-loop left side) as the stages of one pipeline: workers
-	// carry morsels of its source through the whole chain into the breaker
-	// above — hash aggregation's per-chunk partial tables, absorbed through
-	// the accumulators' combine step, or a morsel-ordered collection — so
-	// nothing in between is materialized. Hash-join tables build
-	// partitioned and sorts run chunked. Negative means one worker per CPU.
+	// Parallelism is the worker count of the one operator set: how many
+	// goroutines carry a pipeline's chunks (0 and 1 mean one worker, the
+	// caller's own goroutine; negative means one per CPU) and how many
+	// partial tables hash aggregation builds. It does not change how rows
+	// move: at every setting the streaming nodes between two breakers
+	// (filter, projection, hash-join probe, nested-loop left side) are the
+	// stages of one pipeline whose chunks run through the whole chain into
+	// the breaker above, so nothing in between is materialized. Hash-join
+	// tables build partitioned and sorts run chunked above one worker.
 	// Results are row-identical for any setting (see parallel.go).
 	Parallelism int
 	// Metrics, when non-nil, collects per-operator obs.OpMetrics keyed by
@@ -163,18 +163,19 @@ type Result struct {
 // execution — the seam the distributed runtime (package dist) uses to run
 // one plan fragment per node: shard leaves and exchange endpoints implement
 // it, and the compiler lowers them like a Values literal. SourceRows is
-// read once at compile time of each Run, and at one worker that slice is the
-// only copy of a fragment's input the run holds: the operators above the
-// leaf — streaming join probe, folding group-by — pull from it row by row.
+// read once at compile time of each Run, and that slice is the only copy of a
+// fragment's input the run holds: the pipeline above the leaf — join probe,
+// folding group-by — reads it in place.
 type RowSource interface {
 	algebra.Node
 	SourceRows() []value.Row
 }
 
-// Run executes a logical plan to completion. A panic anywhere in the
-// serial operator stack is recovered here into a typed *ExecPanicError
-// (worker-pool panics are recovered closer to the worker, with the worker
-// id, and arrive as ordinary errors).
+// Run executes a logical plan to completion. A panic on the caller's own
+// goroutine — every operator, and a pipeline's chunks at one worker — is
+// recovered here into a typed *ExecPanicError (worker-pool panics are
+// recovered closer to the worker, with the worker id, and arrive as ordinary
+// errors).
 func Run(root algebra.Node, store *storage.Store, opts *Options) (res *Result, err error) {
 	if opts == nil {
 		opts = &Options{}
@@ -308,7 +309,7 @@ func drain(op Operator) ([]value.Row, error) {
 type compiler struct {
 	store *storage.Store
 	opts  *Options
-	// par is the resolved worker count; 1 is serial execution.
+	// par is the resolved worker count.
 	par int
 	// clock is the resolved Options.Clock (obs.Wall by default).
 	clock obs.Clock
@@ -420,26 +421,21 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 				order: in.order,
 			}, nil
 		}
-		if c.par > 1 {
-			p, gov, params := c.pipeline(in.op, n.Describe()), c.gov, c.opts.Params
-			p.add(stage{metrics: c.nodeMetrics(n), bind: func(emit emitFn) emitFn {
-				return func(row value.Row) error {
-					if err := gov.tick(); err != nil {
-						return err
-					}
-					truth, err := expr.EvalTruth(cond, row, params)
-					if truth != value.True || err != nil {
-						return err
-					}
-					return emit(row)
+		p, gov, params := c.pipeline(in.op, n), c.gov, c.opts.Params
+		p.add(stage{metrics: c.nodeMetrics(n), bind: func(emit emitFn) emitFn {
+			// σ[C] under ⌊·⌋ interpretation: unknown disqualifies.
+			return func(row value.Row) error {
+				if err := gov.tick(); err != nil {
+					return err
 				}
-			}}, p.borrowed)
-			return compiled{op: p, order: in.order}, nil
-		}
-		return compiled{
-			op:    &filterOp{input: in.op, cond: cond, params: c.opts.Params},
-			order: in.order,
-		}, nil
+				truth, err := expr.EvalTruth(cond, row, params)
+				if truth != value.True || err != nil {
+					return err
+				}
+				return emit(row)
+			}
+		}}, p.borrowed)
+		return compiled{op: p, order: in.order}, nil
 	case *algebra.Project:
 		in, err := c.compile(node.Input)
 		if err != nil {
@@ -482,29 +478,23 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 				}, nil
 			}
 		}
-		if c.par > 1 {
-			p, gov, params := c.pipeline(in.op, n.Describe()), c.gov, c.opts.Params
-			p.add(stage{metrics: c.nodeMetrics(n), bind: func(emit emitFn) emitFn {
-				return func(row value.Row) error {
-					if err := gov.tick(); err != nil {
-						return err
-					}
-					proj, err := projectRow(items, row, params)
-					if err != nil {
-						return err
-					}
-					return emit(proj)
+		p, gov, params := c.pipeline(in.op, n), c.gov, c.opts.Params
+		p.add(stage{metrics: c.nodeMetrics(n), bind: func(emit emitFn) emitFn {
+			return func(row value.Row) error {
+				if err := gov.tick(); err != nil {
+					return err
 				}
-			}}, false)
-			if node.Distinct {
-				return compiled{op: &distinctOp{input: p, gov: gov}, order: order}, nil
+				proj, err := projectRow(items, row, params)
+				if err != nil {
+					return err
+				}
+				return emit(proj)
 			}
-			return compiled{op: p, order: order}, nil
+		}}, false)
+		if node.Distinct {
+			return compiled{op: &distinctOp{input: p, gov: gov}, order: order}, nil
 		}
-		return compiled{
-			op:    &projectOp{input: in.op, items: items, distinct: node.Distinct, params: c.opts.Params},
-			order: order,
-		}, nil
+		return compiled{op: p, order: order}, nil
 	case *algebra.Product:
 		return c.compileJoin(&algebra.Join{L: node.L, R: node.R}, n)
 	case *algebra.Join:
@@ -541,7 +531,7 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 			outOrder = nil // mixed directions: no OrderKey-ascending guarantee
 		}
 		return compiled{
-			op:    &sortOp{input: in.op, keys: keys, par: c.stateWorkers(), gov: c.gov, mgr: c.spill, metrics: c.nodeMetrics(n), where: n.Describe()},
+			op:    &sortOp{input: c.pipeline(in.op, n), keys: keys, par: c.stateWorkers(), gov: c.gov, mgr: c.spill, metrics: c.nodeMetrics(n), where: n.Describe()},
 			order: outOrder,
 		}, nil
 	case *algebra.Limit:
@@ -608,70 +598,6 @@ func (v *valuesOp) Close() error { return nil }
 
 func (v *valuesOp) resident() []value.Row { return v.rows }
 
-// filterOp keeps rows whose condition is true (σ[C] under ⌊·⌋
-// interpretation: unknown disqualifies).
-type filterOp struct {
-	input  Operator
-	cond   expr.Expr
-	params expr.Params
-}
-
-func (f *filterOp) Open() error { return f.input.Open() }
-
-func (f *filterOp) Next() (value.Row, bool, error) {
-	for {
-		row, ok, err := f.input.Next()
-		if !ok || err != nil {
-			return nil, false, err
-		}
-		truth, err := expr.EvalTruth(f.cond, row, f.params)
-		if err != nil {
-			return nil, false, err
-		}
-		if truth == value.True {
-			return row, true, nil
-		}
-	}
-}
-
-func (f *filterOp) Close() error { return f.input.Close() }
-
-// projectOp evaluates the item expressions per row; with distinct set it
-// eliminates duplicates under =ⁿ (SQL2 duplicate semantics).
-type projectOp struct {
-	input    Operator
-	items    []expr.Expr
-	distinct bool
-	params   expr.Params
-	seen     distinctSet
-}
-
-func (p *projectOp) Open() error {
-	if p.distinct {
-		p.seen = newDistinctSet(len(p.items))
-	}
-	return p.input.Open()
-}
-
-func (p *projectOp) Next() (value.Row, bool, error) {
-	for {
-		row, ok, err := p.input.Next()
-		if !ok || err != nil {
-			return nil, false, err
-		}
-		out, err := projectRow(p.items, row, p.params)
-		if err != nil {
-			return nil, false, err
-		}
-		if p.distinct && !p.seen.first(out) {
-			continue
-		}
-		return out, true, nil
-	}
-}
-
-func (p *projectOp) Close() error { return p.input.Close() }
-
 // distinctSet is DISTINCT's memory: the canonical key of every row seen. A
 // row is looked up by its key bytes in a reused buffer; only a first
 // occurrence makes a string.
@@ -704,10 +630,10 @@ func (d *distinctSet) first(row value.Row) bool {
 	return true
 }
 
-// distinctOp is DISTINCT above one worker. The projection itself ran as the
-// last stage of the pipeline below; duplicates are dropped in one serial pass
-// over its collected rows, first occurrences kept in input order exactly as
-// the serial projectOp keeps them.
+// distinctOp is DISTINCT: duplicate elimination under =ⁿ (SQL2 duplicate
+// semantics). The projection itself ran as the last stage of the pipeline
+// below; duplicates are dropped in one serial pass over its collected rows,
+// first occurrences kept in input order.
 type distinctOp struct {
 	input *pipeOp
 	gov   *governor

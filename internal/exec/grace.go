@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/value"
@@ -10,9 +11,11 @@ import (
 // its build table and a spill manager is present. Both sides are
 // hash-partitioned to temp files and each partition pair is joined on its
 // own, re-partitioning with a rehash when a partition's table is refused
-// again. Probe records carry their arrival seq; a probe row lands in exactly
-// one partition and partition files keep build order, so a stable sort of the
-// collected matches by probe seq is exactly the in-memory output order.
+// again. The left pipeline runs as one in-order chunk and its rows go to the
+// partition files as they are emitted. Probe records carry their arrival seq;
+// a probe row lands in exactly one partition and partition files keep build
+// order, so a stable sort of the collected matches by probe seq is exactly
+// the in-memory output order.
 
 // Grace hash join parameters: the partition fan-out and the recursion bound
 // after which a partition is built in memory regardless of the budget (pure
@@ -35,8 +38,12 @@ func gracePartition(key []byte, depth int) int {
 	return int(h % graceParts)
 }
 
-// openGrace runs the grace join over the drained build side and the still
-// unread left input, leaving the joined rows buffered in output order.
+// rowFeed hands a level's probe records, in order, to fn.
+type rowFeed func(fn func(spillRow) error) error
+
+// openGrace runs the grace join over the drained build side and the left
+// pipeline, whose rows go to the partition files as they are emitted, leaving
+// the joined rows buffered in output order.
 func (j *hashJoinOp) openGrace(rrows []value.Row) error {
 	var build []spillRow // build rows under their insertion seq
 	for _, row := range rrows {
@@ -48,11 +55,12 @@ func (j *hashJoinOp) openGrace(rrows []value.Row) error {
 		}
 	}
 	var matches []spillRow // joined rows under their probe seq
-	seq := int64(-1)
-	err := j.grace(build, func() (spillRow, bool, error) {
-		row, ok, err := j.left.Next()
-		seq++
-		return spillRow{seq: seq, row: row}, ok, err
+	err := j.grace(build, func(fn func(spillRow) error) error {
+		seq := int64(-1)
+		return j.left.each(func(row value.Row) error {
+			seq++
+			return fn(spillRow{seq: seq, row: row})
+		})
 	}, 0, &matches)
 	if err != nil {
 		return err
@@ -62,8 +70,21 @@ func (j *hashJoinOp) openGrace(rrows []value.Row) error {
 	for i, m := range matches {
 		out[i] = m.row
 	}
-	j.buf.reset(out)
+	j.reset(out)
 	return nil
+}
+
+// each is a partition file's records as a rowFeed.
+func (s *spillFile) each(fn func(spillRow) error) error {
+	for {
+		sr, ok, err := s.readRecord()
+		if !ok || err != nil {
+			return err
+		}
+		if err := fn(sr); err != nil {
+			return err
+		}
+	}
 }
 
 // newPartitionFiles makes one spill file per partition, all tracked for
@@ -83,7 +104,7 @@ func (j *hashJoinOp) newPartitionFiles(tag string) []*spillFile {
 // grace is one level of the grace join: the build rows and the probe stream
 // are scattered to partition files by the depth-salted key hash, then each
 // partition pair is joined and discarded.
-func (j *hashJoinOp) grace(build []spillRow, probe func() (spillRow, bool, error), depth int, matches *[]spillRow) error {
+func (j *hashJoinOp) grace(build []spillRow, probe rowFeed, depth int, matches *[]spillRow) error {
 	bparts := j.newPartitionFiles("build")
 	var key []byte
 	for _, sr := range build {
@@ -97,25 +118,18 @@ func (j *hashJoinOp) grace(build []spillRow, probe func() (spillRow, bool, error
 		}
 	}
 	pparts := j.newPartitionFiles("probe")
-	for {
-		sr, ok, err := probe()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
+	err := probe(func(sr spillRow) error {
 		if err := j.gov.tick(); err != nil {
 			return err
 		}
 		if anyNullAt(sr.row, j.lcols) {
-			continue
+			return nil
 		}
 		key = appendKey(key[:0], sr.row, j.lcols)
-		p := gracePartition(key, depth)
-		if err := pparts[p].writeRecord(sr.seq, sr.row); err != nil {
-			return err
-		}
+		return pparts[gracePartition(key, depth)].writeRecord(sr.seq, sr.row)
+	})
+	if err != nil {
+		return err
 	}
 	for p := range bparts {
 		if err := j.joinPartition(bparts[p], pparts[p], depth, matches); err != nil {
@@ -159,7 +173,7 @@ func (j *hashJoinOp) joinPartition(bf, pf *spillFile, depth int, matches *[]spil
 	j.table = &joinTable{cols: j.rcols, adm: admissionFor(j.gov, j.mgr, j.where), metrics: j.metrics}
 	err := j.table.build(rows, 1)
 	if err == errRefused && depth < graceMaxDepth {
-		return j.grace(build, pf.readRecord, depth+1, matches)
+		return j.grace(build, pf.each, depth+1, matches)
 	}
 	if err == errRefused {
 		j.table.adm.mode = admitForce
@@ -168,24 +182,17 @@ func (j *hashJoinOp) joinPartition(bf, pf *spillFile, depth int, matches *[]spil
 	if err != nil {
 		return err
 	}
-	var joined []value.Row
-	for {
-		sr, ok, err := pf.readRecord()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := j.gov.tick(); err != nil {
-			return err
-		}
-		if joined, err = j.probe(sr.row, joined[:0]); err != nil {
-			return err
-		}
-		for i := 0; i < len(joined); i++ {
-			*matches = append(*matches, spillRow{seq: sr.seq, row: joined[i]})
-		}
+	var seq int64 // of the probe record being joined
+	probe := j.probeInto(make(value.Row, j.width), func(joined value.Row) error {
+		*matches = append(*matches, spillRow{seq: seq, row: slices.Clone(joined)})
+		return nil
+	})
+	err = pf.each(func(sr spillRow) error {
+		seq = sr.seq
+		return probe(sr.row)
+	})
+	if err != nil {
+		return err
 	}
 	j.table.adm.release()
 	return nil

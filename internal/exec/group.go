@@ -60,7 +60,6 @@ func (c *compiler) compileGroupBy(node *algebra.GroupBy) (compiled, error) {
 		specs[i] = aggSpec{expr: bound, aggs: aggs}
 	}
 	base := groupCore{
-		input:     in.op,
 		groupCols: groupCols,
 		specs:     specs,
 		params:    c.opts.Params,
@@ -98,17 +97,15 @@ func (c *compiler) compileGroupBy(node *algebra.GroupBy) (compiled, error) {
 				}
 			}
 		}
+		base.input = c.pipeline(in.op, node)
 		return compiled{op: &sortGroupOp{groupCore: base, preSorted: preSorted}, order: outOrder}, nil
 	case c.opts.Vectorize && c.spill == nil:
-		op := &vecHashGroupOp{groupCore: base, src: c.batchFeedFor(in.op, len(inSchema))}
+		op := &vecHashGroupOp{groupCore: base, in: in.op, src: c.batchFeedFor(in.op, len(inSchema))}
 		op.initAggCols()
 		return compiled{op: op}, nil
 	default:
-		op := &hashGroupOp{groupCore: base}
-		if op.par > 1 {
-			op.input = c.pipeline(in.op, op.where)
-		}
-		return compiled{op: op}, nil
+		base.input = c.pipeline(in.op, node)
+		return compiled{op: &hashGroupOp{groupCore: base}}, nil
 	}
 }
 
@@ -125,7 +122,7 @@ func (c *compiler) stateWorkers() int {
 
 // groupCore holds the state shared by the hash and sort grouping operators.
 type groupCore struct {
-	input     Operator
+	input     *pipeOp // the row operators' input; the batch face feeds itself
 	groupCols []int
 	specs     []aggSpec
 	params    expr.Params
@@ -272,56 +269,6 @@ func (g *groupCore) finalize(st *groupState) (value.Row, error) {
 // row for each group" with the empty grouping treated as a single group.
 func (g *groupCore) scalarGroup() bool { return len(g.groupCols) == 0 }
 
-// overInput runs fn between the input's Open and Close — drain's protocol for
-// a consumer that takes the rows as they come instead of holding them.
-func (g *groupCore) overInput(fn func() error) error {
-	err := g.input.Open()
-	if err == nil {
-		err = fn()
-	}
-	if cerr := g.input.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// foldInput is hash aggregation that never holds its input: one table, each
-// row folded into its group as the input yields it, so N rows cost G states.
-// It is for the runs that read a row once at one worker — a breach of the
-// budget aborts (or, for the scalar group, nothing is charged at all);
-// foldPipeline is the same at several workers, hashAggregate serves the runs
-// that read rows twice.
-func (g *groupCore) foldInput() error {
-	g.ran("hash")
-	t, err := g.newTable()
-	if err != nil {
-		return err
-	}
-	err = g.overInput(func() error {
-		for {
-			row, ok, err := g.input.Next()
-			if !ok || err != nil {
-				return err
-			}
-			if err := g.gov.tick(); err != nil {
-				return err
-			}
-			st, err := t.rowGroup(row)
-			if err != nil {
-				return err
-			}
-			if err := g.feed(st, row); err != nil {
-				return err
-			}
-		}
-	})
-	if err != nil {
-		return err
-	}
-	g.recordBuild(len(t.order), t.keyBytes)
-	return g.combine([]*groupTable{t})
-}
-
 // partialTables is hash aggregation as a pipeline's sink: one contiguous
 // chunk of the source per worker, each chunk's rows folded into the chunk's
 // own table as its stages emit them. The rows are borrowed and never kept —
@@ -352,12 +299,15 @@ func (s *partialTables) bind(worker, chunk int) (emitFn, error) {
 	}, err
 }
 
-// foldPipeline runs the input pipeline into per-chunk partial tables and
-// combines them in chunk order.
-func (g *groupCore) foldPipeline(in *pipeOp) error {
+// foldPipeline is hash aggregation that never holds its input: the input
+// pipeline runs into per-chunk partial tables — one chunk, one table, at one
+// worker — which are combined in chunk order. It is for the runs that read a
+// row once: a breach of the budget aborts (or, for the scalar group, nothing
+// is charged at all); hashAggregate serves the runs that read rows twice.
+func (g *groupCore) foldPipeline() error {
 	g.ran("hash")
 	s := &partialTables{g: g}
-	if err := in.run(s); err != nil {
+	if err := g.input.run(s); err != nil {
 		return err
 	}
 	for _, t := range s.tables {
@@ -366,7 +316,7 @@ func (g *groupCore) foldPipeline(in *pipeOp) error {
 	return g.combine(s.tables)
 }
 
-// hashAggregate groups materialized rows on a spill-capable run (one worker).
+// hashAggregate groups materialized rows on a spill-capable run (one table).
 // It holds the rows because it may read them twice: when the budget refuses a
 // group the table is released and the whole input goes to sort-based
 // aggregation with hash-order output instead.
@@ -465,16 +415,30 @@ func (g *groupCore) sortAggregate(rows []value.Row, byKey bool) error {
 	if err != nil {
 		return err
 	}
-	return g.streamGroups(it, byKey)
+	add, done := g.streamGroups(byKey)
+	for {
+		sr, ok, err := it.next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return done()
+		}
+		if err := add(sr); err != nil {
+			return err
+		}
+	}
 }
 
 // streamGroups aggregates contiguous groups off a sorted stream, one live
-// state at a time: finished groups are finalized at once, which is the whole
-// point of sorting first. With a spill manager a state is charged on group
-// start and released on finalize (proceeding uncharged if even one state is
-// refused); without one every group is charged and stays charged. No table
-// is built, so no build statistics are recorded.
-func (g *groupCore) streamGroups(it *mergeIter, byKey bool) error {
+// state at a time: add takes the stream's records in order — their rows are
+// not kept — and done finishes the last group and hands the operator its
+// output. Finished groups are finalized at once, which is the whole point of
+// sorting first. With a spill manager a state is charged on group start and
+// released on finalize (proceeding uncharged if even one state is refused);
+// without one every group is charged and stays charged. No table is built, so
+// no build statistics are recorded.
+func (g *groupCore) streamGroups(byKey bool) (add func(spillRow) error, done func() error) {
 	adm := admissionFor(g.gov, g.mgr, g.where)
 	var out []value.Row
 	var firstSeqs []int64 // byKey only, parallel to out
@@ -495,14 +459,7 @@ func (g *groupCore) streamGroups(it *mergeIter, byKey bool) error {
 		adm.release()
 		return nil
 	}
-	for {
-		sr, ok, err := it.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
+	add = func(sr spillRow) error {
 		if err := g.gov.tick(); err != nil {
 			return err
 		}
@@ -515,6 +472,7 @@ func (g *groupCore) streamGroups(it *mergeIter, byKey bool) error {
 			if err := finish(); err != nil {
 				return err
 			}
+			var err error
 			if cur, err = g.newState(); err != nil {
 				return err
 			}
@@ -526,53 +484,50 @@ func (g *groupCore) streamGroups(it *mergeIter, byKey bool) error {
 				return err
 			}
 		}
-		if err := g.feed(cur, row); err != nil {
+		return g.feed(cur, row)
+	}
+	done = func() error {
+		if err := finish(); err != nil {
 			return err
 		}
+		if byKey {
+			sort.Sort(bySeq{seqs: firstSeqs, rows: out})
+		}
+		g.reset(out)
+		return nil
 	}
-	if err := finish(); err != nil {
-		return err
-	}
-	if byKey {
-		sort.Sort(bySeq{seqs: firstSeqs, rows: out})
-	}
-	g.reset(out)
-	return nil
+	return add, done
 }
 
 // hashGroupOp groups via hash tables keyed by the =ⁿ-respecting GroupKey. It
-// holds G states and never the N rows: at one worker it folds the input
-// stream into one table, at several it is the sink of its input's pipeline —
-// one partial table per chunk, fed by the chunk's stages. Only a spill-capable
-// run (one worker) materializes the input first, because a refused table
-// re-reads the rows for the external sort. Output order is first-appearance
-// order of groups (deterministic for a deterministic input order), at any
-// worker count and on either side of the spill decision.
+// holds G states and never the N rows: it is the sink of its input's pipeline
+// — one partial table per chunk, one chunk per worker, fed by the chunk's
+// stages. Only a spill-capable run materializes the input first, because a
+// refused table re-reads the rows for the external sort. Output order is
+// first-appearance order of groups (deterministic for a deterministic input
+// order), at any worker count and on either side of the spill decision.
 type hashGroupOp struct {
-	groupCore // above one worker the input is a *pipeOp
+	groupCore
 }
 
 func (g *hashGroupOp) Open() error {
 	if g.mgr != nil {
-		rows, err := drain(g.input)
+		rows, err := g.input.collect()
 		if err != nil {
 			return err
 		}
 		return g.hashAggregate(rows)
 	}
-	if p, ok := g.input.(*pipeOp); ok {
-		return g.foldPipeline(p)
-	}
-	return g.foldInput()
+	return g.foldPipeline()
 }
 
 // sortGroupOp aggregates each run of =ⁿ-equal keys off a key-ordered stream
 // in a single pass — grouping pipelined with aggregation, the implementation
 // the paper's Section 2 attributes to sort-based grouping. With preSorted set
-// the input already streams in key order and is consumed as it comes: one
-// live state and one live row. Otherwise the input is materialized and
-// sorted on the grouping columns first, and the output is ordered by the
-// grouping key.
+// the input already streams in key order and is consumed as it comes, as one
+// in-order chunk: one live state and one live row. Otherwise the input is
+// materialized and sorted on the grouping columns first, and the output is
+// ordered by the grouping key.
 type sortGroupOp struct {
 	groupCore
 	preSorted bool
@@ -581,13 +536,17 @@ type sortGroupOp struct {
 func (g *sortGroupOp) Open() error {
 	if g.scalarGroup() {
 		// One group: nothing to sort, and one state never needs to spill.
-		return g.foldInput()
+		return g.foldPipeline()
 	}
 	if g.preSorted {
 		g.ran("stream")
-		return g.overInput(func() error { return g.streamGroups(&mergeIter{src: g.input}, false) })
+		add, done := g.streamGroups(false)
+		if err := g.input.each(func(row value.Row) error { return add(spillRow{row: row}) }); err != nil {
+			return err
+		}
+		return done()
 	}
-	rows, err := drain(g.input)
+	rows, err := g.input.collect()
 	if err != nil {
 		return err
 	}
@@ -616,12 +575,14 @@ func cmpByKeys(keys []sortKey, a, b value.Row) int {
 }
 
 // sortOp is ORDER BY: a stable sort under value.OrderKey through the
-// external sorter. With a spill manager, rows are buffered under the budget,
-// sorted runs go to disk when it refuses a row and the runs are k-way merged
-// on output; without one the sort stays in memory, unaccounted, and runs on
-// par workers. The result is byte-identical either way.
+// external sorter. With a spill manager the input pipeline runs as one
+// in-order chunk straight into the sorter — rows are buffered under the
+// budget, sorted runs go to disk when it refuses a row and the runs are k-way
+// merged on output, so no row is held unaccounted; without one the sort stays
+// in memory, unaccounted, adopts the pipeline's collection and runs on par
+// workers. The result is byte-identical either way.
 type sortOp struct {
-	input   Operator
+	input   *pipeOp
 	keys    []sortKey
 	par     int
 	gov     *governor
@@ -638,39 +599,22 @@ func (s *sortOp) Open() error {
 		gov: s.gov, mgr: s.mgr, metrics: s.metrics, op: s.where, par: s.par,
 		cmp: func(a, b value.Row) int { return cmpByKeys(s.keys, a, b) },
 	}
-	if s.par > 1 {
-		// Several workers means no spill manager: the input is materialized
-		// once (a pipeline's collection is handed over as it is) and the
-		// sorter adopts the slice.
-		rows, err := drain(s.input)
-		if err != nil {
-			return err
+	var err error
+	if s.mgr == nil {
+		var rows []value.Row
+		if rows, err = s.input.collect(); err == nil {
+			err = s.sorter.addAll(rows)
 		}
-		if err := s.sorter.addAll(rows); err != nil {
-			return err
-		}
-	} else if err := s.pullInput(); err != nil {
+	} else {
+		err = s.input.each(func(row value.Row) error {
+			return s.sorter.add(s.input.keep(row), rowStateBytes(row))
+		})
+	}
+	if err != nil {
 		return err
 	}
-	var err error
 	s.it, err = s.sorter.finish()
 	return err
-}
-
-// pullInput feeds the sorter row by row; the input stays open until Close.
-func (s *sortOp) pullInput() error {
-	if err := s.input.Open(); err != nil {
-		return err
-	}
-	for {
-		row, ok, err := s.input.Next()
-		if !ok || err != nil {
-			return err
-		}
-		if err := s.sorter.add(row, rowStateBytes(row)); err != nil {
-			return err
-		}
-	}
 }
 
 func (s *sortOp) Next() (value.Row, bool, error) {
@@ -679,14 +623,8 @@ func (s *sortOp) Next() (value.Row, bool, error) {
 }
 
 func (s *sortOp) Close() error {
-	var err error
-	if s.par <= 1 {
-		err = s.input.Close() // above one worker drain closed it
-	}
 	if s.sorter != nil {
-		if cerr := s.sorter.close(); cerr != nil && err == nil {
-			err = cerr
-		}
+		return s.sorter.close()
 	}
-	return err
+	return nil
 }

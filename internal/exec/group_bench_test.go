@@ -8,8 +8,12 @@ package exec_test
 // at two workers — scan → probe → per-chunk partial tables, the olap_groups
 // pipeline — and both add a two-column key at about 0.8 groups per row (the
 // groups_region shape). BenchmarkPipelineFilterProject is the pipeline that
-// ends in a collection: scan → filter → project → result. Run with -benchmem:
-// B/op is rows the run held, allocs/op the per-group (per-result-row) state.
+// ends in a collection: scan → filter → project → result. BenchmarkTinyJoinGroup
+// is a plan too small for any of that to matter — 100 × 10 rows, join → group
+// → project, one worker, the size of a serve_mixed table — so what it times is
+// what a run costs before its first row: compiling the plan and setting up its
+// pipelines. Run with -benchmem: B/op is rows the run held, allocs/op the
+// per-group (per-result-row) state.
 
 import (
 	"fmt"
@@ -92,4 +96,16 @@ func BenchmarkPipelineFilterProject(b *testing.B) {
 			benchRun(b, plan, store, exec.Options{Parallelism: parallelism})
 		})
 	}
+}
+
+func BenchmarkTinyJoinGroup(b *testing.B) {
+	store, err := workload.Sweep(workload.SweepParams{
+		FactRows: 100, DimRows: 10, Groups: 10, MatchFraction: 1, Seed: 17,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := standardPlan(b, store, `SELECT D.DimID, D.Label, COUNT(F.FID), SUM(F.V) FROM Fact F, Dim D
+		WHERE F.DimID = D.DimID GROUP BY D.DimID, D.Label`)
+	benchRun(b, plan, store, exec.Options{Parallelism: 1})
 }

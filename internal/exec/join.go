@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"repro/internal/algebra"
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -93,26 +95,28 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 				order: left.order,
 			}, nil
 		}
+		width := len(lSchema) + len(rSchema)
 		op := &hashJoinOp{
-			right:    right.op,
+			right: right.op, width: width,
 			residual: boundResidual, params: c.opts.Params, par: c.stateWorkers(),
 			metrics: metrics, gov: c.gov, mgr: c.spill, where: where,
 		}
 		op.lcols, op.rcols = keyColumns(keys)
-		if op.par > 1 {
-			// The probe is a stage of the left input's pipeline; the operator
-			// has no left input of its own and is never pulled.
-			p := c.pipeline(left.op, where)
-			width := len(lSchema) + len(rSchema)
-			p.add(stage{
-				metrics: metrics,
-				start:   func() error { _, err := op.buildTable(); return err },
-				bind:    func(emit emitFn) emitFn { return op.probeInto(make(value.Row, width), emit) },
-			}, true)
-			return compiled{op: p, order: left.order}, nil
+		p := c.pipeline(left.op, key)
+		if c.spill != nil {
+			// Whether the build is admitted is known only once it ran, and the
+			// grace path needs the whole left side: the operator takes the left
+			// pipeline as one in-order chunk.
+			op.left = p
+			return compiled{op: op, order: left.order}, nil
 		}
-		op.left = left.op
-		return compiled{op: op, order: left.order}, nil
+		// The probe is a stage of the left input's pipeline.
+		p.add(stage{
+			metrics: metrics,
+			start:   func() error { _, err := op.buildTable(); return err },
+			bind:    func(emit emitFn) emitFn { return op.probeInto(make(value.Row, width), emit) },
+		}, true)
+		return compiled{op: p, order: left.order}, nil
 	case JoinSortMerge:
 		// Exploit pre-sorted inputs (Section 7: eager aggregation's
 		// sorted output feeds the join): when the left input already
@@ -153,135 +157,62 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 		if err != nil {
 			return compiled{}, err
 		}
-		if c.par > 1 {
-			// A stage of the left input's pipeline, each row scanning the whole
-			// collected right side: the serial nested loop's output order, chunk
-			// by chunk.
-			p, gov, params := c.pipeline(left.op, where), c.gov, c.opts.Params
-			width := len(lSchema) + len(rSchema)
-			var rrows []value.Row
-			p.add(stage{
-				metrics: metrics,
-				start:   func() (err error) { rrows, err = drain(right.op); return err },
-				bind: func(emit emitFn) emitFn {
-					joined := make(value.Row, width)
-					return func(lrow value.Row) error {
+		// A stage of the left input's pipeline, each row scanning the whole
+		// collected right side: left order, each row's matches in right order.
+		p, gov, params := c.pipeline(left.op, key), c.gov, c.opts.Params
+		width := len(lSchema) + len(rSchema)
+		var rrows []value.Row
+		p.add(stage{
+			metrics: metrics,
+			start:   func() (err error) { rrows, err = drain(right.op); return err },
+			bind: func(emit emitFn) emitFn {
+				joined := make(value.Row, width)
+				return func(lrow value.Row) error {
+					if err := gov.tick(); err != nil {
+						return err
+					}
+					n := copy(joined, lrow)
+					// The inner scan can run long between emitted rows (a
+					// selective condition over a large right side): it ticks itself.
+					for _, rrow := range rrows {
 						if err := gov.tick(); err != nil {
 							return err
 						}
-						n := copy(joined, lrow)
-						for _, rrow := range rrows {
-							if err := gov.tick(); err != nil {
+						copy(joined[n:], rrow)
+						truth, err := expr.EvalTruth(full, joined, params)
+						if err != nil {
+							return err
+						}
+						if truth == value.True {
+							if err := emit(joined); err != nil {
 								return err
-							}
-							copy(joined[n:], rrow)
-							truth, err := expr.EvalTruth(full, joined, params)
-							if err != nil {
-								return err
-							}
-							if truth == value.True {
-								if err := emit(joined); err != nil {
-									return err
-								}
 							}
 						}
-						return nil
 					}
-				},
-			}, true)
-			return compiled{op: p, order: left.order}, nil
-		}
-		return compiled{
-			op: &nestedLoopJoinOp{
-				left: left.op, right: right.op,
-				cond: full, params: c.opts.Params, gov: c.gov,
+					return nil
+				}
 			},
-			order: left.order,
-		}, nil
+		}, true)
+		return compiled{op: p, order: left.order}, nil
 	}
 }
-
-// nestedLoopJoinOp materializes the right input and scans it per left row.
-type nestedLoopJoinOp struct {
-	left, right Operator
-	cond        expr.Expr
-	params      expr.Params
-	gov         *governor
-
-	rightRows []value.Row
-	cur       value.Row
-	rpos      int
-	done      bool
-}
-
-func (j *nestedLoopJoinOp) Open() error {
-	if err := j.left.Open(); err != nil {
-		return err
-	}
-	rows, err := drain(j.right)
-	if err != nil {
-		return err
-	}
-	j.rightRows = rows
-	j.cur = nil
-	j.rpos = 0
-	j.done = false
-	return nil
-}
-
-func (j *nestedLoopJoinOp) Next() (value.Row, bool, error) {
-	for {
-		if j.done {
-			return nil, false, nil
-		}
-		if j.cur == nil {
-			row, ok, err := j.left.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				j.done = true
-				return nil, false, nil
-			}
-			j.cur = row
-			j.rpos = 0
-		}
-		for j.rpos < len(j.rightRows) {
-			// The inner scan can run long between emitted rows (selective
-			// conditions over a large right side), so it ticks itself rather
-			// than relying on the surrounding governOp's per-Next tick.
-			if err := j.gov.tick(); err != nil {
-				return nil, false, err
-			}
-			out := j.cur.Concat(j.rightRows[j.rpos])
-			j.rpos++
-			truth, err := expr.EvalTruth(j.cond, out, j.params)
-			if err != nil {
-				return nil, false, err
-			}
-			if truth == value.True {
-				return out, true, nil
-			}
-		}
-		j.cur = nil
-	}
-}
-
-func (j *nestedLoopJoinOp) Close() error { return j.left.Close() }
 
 // hashJoinOp is the row hash join: it builds a joinTable on the right input
 // and probes it with left rows in left order, each row's matches in build
-// order. At one worker the probe streams — Next pulls a left row and emits
-// its matches, so no join output is materialized. Above one worker the
-// operator is not pulled at all: buildTable and probeInto are a stage of the
-// left input's pipeline, the table built partitioned, each joined row written
-// into the chunk's scratch row and handed straight to the stage above. When
-// the budget refuses the build and a spill manager is present (one worker,
-// then) the join goes grace (grace.go); the output rows and their order are
-// the same in all three forms.
+// order. buildTable and probeInto are a stage of the left input's pipeline —
+// the table built partitioned above one worker, each joined row written into
+// the chunk's scratch row and handed straight to the stage above — and the
+// operator itself is never opened. Only a spill-capable run opens it: whether
+// the budget admits the build is known once it ran, and when it refuses the
+// join goes grace (grace.go), which takes the whole left side. The operator
+// then runs the left pipeline as one in-order chunk, through the same
+// probeInto or into the grace partition files, and holds the joined rows; the
+// rows and their order are the same in all forms.
 type hashJoinOp struct {
-	left, right  Operator
+	left         *pipeOp // spill-capable run only
+	right        Operator
 	lcols, rcols []int // key columns in the left/right rows
+	width        int   // columns of a joined row
 	residual     expr.Expr
 	params       expr.Params
 	par          int
@@ -290,25 +221,25 @@ type hashJoinOp struct {
 	mgr          *storage.SpillManager // nil: a budget breach aborts
 	where        string                // plan-node description for errors
 
-	table     *joinTable
-	streaming bool         // left rows are still to be pulled by Next
-	files     []*spillFile // grace partition files, swept at Close
-	buf       bufOp        // one left row's joined rows (all of them, after grace)
+	table *joinTable
+	files []*spillFile // grace partition files, swept at Close
+	bufOp              // spill-capable run: the joined rows
 }
 
 func (j *hashJoinOp) Open() error {
-	if err := j.left.Open(); err != nil {
-		return err
-	}
-	j.buf.reset(nil)
-	j.streaming = false
-	if rrows, err := j.buildTable(); err == errRefused {
+	rrows, err := j.buildTable()
+	if err == errRefused {
 		return j.openGrace(rrows)
 	} else if err != nil {
 		return err
 	}
-	j.streaming = true
-	return nil
+	var out []value.Row
+	err = j.left.each(j.probeInto(make(value.Row, j.width), func(joined value.Row) error {
+		out = append(out, slices.Clone(joined))
+		return nil
+	}))
+	j.reset(out)
+	return err
 }
 
 // buildTable drains the right input into the join table, on j.par workers,
@@ -322,37 +253,9 @@ func (j *hashJoinOp) buildTable() ([]value.Row, error) {
 	return rrows, j.table.build(rrows, j.par)
 }
 
-// probe appends to out the joined rows of one left row that pass the
-// residual, in build order.
-func (j *hashJoinOp) probe(row value.Row, out []value.Row) ([]value.Row, error) {
-	if anyNullAt(row, j.lcols) {
-		return out, nil
-	}
-	var scratch [64]byte
-	matches := j.table.lookup(appendKey(scratch[:0], row, j.lcols))
-	if j.metrics != nil && len(matches) > 0 {
-		j.metrics.ProbeHits.Add(int64(len(matches)))
-	}
-	for _, m := range matches {
-		// A skewed key's match list can dominate the run, so it ticks itself.
-		if err := j.gov.tick(); err != nil {
-			return out, err
-		}
-		joined := row.Concat(m)
-		truth, err := expr.EvalTruth(j.residual, joined, j.params)
-		if err != nil {
-			return out, err
-		}
-		if truth == value.True {
-			out = append(out, joined)
-		}
-	}
-	return out, nil
-}
-
-// probeInto is the probe as a pipeline stage: the same rows as probe, each
-// written into joined — the chunk's scratch row, overwritten by the next — and
-// handed to emit.
+// probeInto is the probe: the joined rows of one left row that pass the
+// residual, in build order, each written into joined — the caller's scratch
+// row, overwritten by the next — and handed to emit.
 func (j *hashJoinOp) probeInto(joined value.Row, emit emitFn) emitFn {
 	var key [64]byte
 	return func(row value.Row) error {
@@ -371,6 +274,7 @@ func (j *hashJoinOp) probeInto(joined value.Row, emit emitFn) emitFn {
 		}
 		n := copy(joined, row)
 		for _, m := range matches {
+			// A skewed key's match list can dominate the run, so it ticks itself.
 			if err := j.gov.tick(); err != nil {
 				return err
 			}
@@ -389,23 +293,8 @@ func (j *hashJoinOp) probeInto(joined value.Row, emit emitFn) emitFn {
 	}
 }
 
-func (j *hashJoinOp) Next() (value.Row, bool, error) {
-	for j.streaming && j.buf.pos >= len(j.buf.out) {
-		row, ok, err := j.left.Next()
-		if !ok || err != nil {
-			j.streaming = false
-			return nil, false, err
-		}
-		if j.buf.out, err = j.probe(row, j.buf.out[:0]); err != nil {
-			return nil, false, err
-		}
-		j.buf.pos = 0
-	}
-	return j.buf.Next()
-}
-
 func (j *hashJoinOp) Close() error {
-	err := j.left.Close()
+	var err error
 	for _, f := range j.files {
 		if derr := f.discard(); derr != nil && err == nil {
 			err = derr

@@ -31,62 +31,60 @@ func (c *compiler) compileLimit(node *algebra.Limit) (compiled, error) {
 				allAsc = false
 			}
 		}
+		p := c.pipeline(in.op, node)
+		// The fused Sort node has no operator of its own; a stage that only
+		// counts records the rows flowing through the fused boundary (a sort is
+		// 1:1, so the boundary count is the Sort's output cardinality) and
+		// keeps EXPLAIN ANALYZE and the Stats sink consistent with an unfused
+		// plan.
+		if c.opts.Metrics != nil {
+			p.meter(&metricOp{metrics: c.nodeMetrics(s), clock: c.clock})
+		}
 		if allAsc && hasSequencePrefix(in.order, keyCols) {
-			return compiled{op: &limitOp{input: c.wrapNode(s, in.op), n: node.N}, order: in.order}, nil
+			return compiled{op: &limitOp{input: p, n: node.N}, order: in.order}, nil
 		}
 		outOrder := keyCols
 		if !allAsc {
 			outOrder = nil
 		}
-		// The fused Sort node has no operator of its own; wrapping the TopK's
-		// input with the Sort's instrumentation records the rows flowing
-		// through the fused boundary (a sort is 1:1, so the boundary count is
-		// the Sort's output cardinality) and keeps EXPLAIN ANALYZE and the
-		// Stats sink consistent with an unfused plan.
-		return compiled{
-			op:    &topKOp{input: c.wrapNode(s, in.op), keys: keys, n: node.N},
-			order: outOrder,
-		}, nil
+		return compiled{op: &topKOp{input: p, keys: keys, n: node.N}, order: outOrder}, nil
 	}
 	in, err := c.compile(node.Input)
 	if err != nil {
 		return compiled{}, err
 	}
-	return compiled{op: &limitOp{input: in.op, n: node.N}, order: in.order}, nil
+	return compiled{op: &limitOp{input: c.pipeline(in.op, node), n: node.N}, order: in.order}, nil
 }
 
-// limitOp passes through the first n rows and stops pulling.
+// limitOp keeps the first n rows of its input, taken as one in-order chunk,
+// and stops the run there: nothing past the row that filled it is read.
 type limitOp struct {
-	input Operator
+	input *pipeOp
 	n     int64
-	seen  int64
+	bufOp
 }
 
 func (l *limitOp) Open() error {
-	l.seen = 0
-	return l.input.Open()
-}
-
-func (l *limitOp) Next() (value.Row, bool, error) {
-	if l.seen >= l.n {
-		return nil, false, nil
+	var out []value.Row
+	var err error
+	if l.n > 0 {
+		err = l.input.each(func(row value.Row) error {
+			if out = append(out, l.input.keep(row)); int64(len(out)) == l.n {
+				return errStop
+			}
+			return nil
+		})
 	}
-	row, ok, err := l.input.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	return row, true, nil
+	l.reset(out)
+	return err
 }
-
-func (l *limitOp) Close() error { return l.input.Close() }
 
 // topKOp is the fused ORDER BY + LIMIT operator: a bounded max-heap of the
 // n smallest rows under (keys, arrival seq) — the seq tie-break makes the
 // result identical to a stable full sort followed by LIMIT. State is n
 // rows, not the whole input.
 type topKOp struct {
-	input Operator
+	input *pipeOp
 	keys  []sortKey
 	n     int64
 
@@ -136,32 +134,24 @@ func (t *topKOp) siftDown() {
 }
 
 func (t *topKOp) Open() error {
-	if err := t.input.Open(); err != nil {
-		return err
-	}
 	t.heap = t.heap[:0]
 	seq := int64(0)
-	for {
-		row, ok, err := t.input.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
+	err := t.input.each(func(row value.Row) error {
 		sr := spillRow{seq: seq, row: row}
 		seq++
-		if t.n <= 0 {
-			continue
-		}
+		// A borrowed row is copied only when it enters the heap.
 		if int64(len(t.heap)) < t.n {
+			sr.row = t.input.keep(row)
 			t.push(sr)
-			continue
-		}
-		if t.less(sr, t.heap[0]) {
+		} else if t.n > 0 && t.less(sr, t.heap[0]) {
+			sr.row = t.input.keep(row)
 			t.heap[0] = sr
 			t.siftDown()
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	out := make([]value.Row, len(t.heap))
 	for i := len(t.heap) - 1; i >= 0; i-- {
@@ -174,5 +164,3 @@ func (t *topKOp) Open() error {
 	t.reset(out)
 	return nil
 }
-
-func (t *topKOp) Close() error { return t.input.Close() }

@@ -121,24 +121,6 @@ func (c *compiler) nodeMetrics(n algebra.Node) *obs.OpMetrics {
 	return c.opts.Metrics.Node(n)
 }
 
-// wrapNode applies the instrumentation wrapper for a plan node around an
-// already-compiled operator. Fusions that consume a child node without
-// compiling it (the Sort under a fused or elided TopK) use this so the node
-// still reports its cardinality to every active sink — the rows flowing
-// through the fused boundary are exactly the rows a standalone operator
-// would have emitted.
-func (c *compiler) wrapNode(n algebra.Node, op Operator) Operator {
-	if c.opts.Metrics == nil {
-		return op
-	}
-	return &metricOp{
-		inner:   op,
-		metrics: c.nodeMetrics(n),
-		clock:   c.clock,
-		batch:   batchSource(op),
-	}
-}
-
 // fillRowsIn derives each node's input cardinality as the sum of its
 // children's output cardinalities, after execution. Done once per run over
 // the plan tree — never on the row path.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/expr"
 	"repro/internal/obs"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -61,13 +62,37 @@ func TestDisabledObservabilityInsertsNoWrapper(t *testing.T) {
 	}
 }
 
-// TestRowPathZeroAllocs: pulling rows allocates nothing per row — neither on
-// the uninstrumented path (no wrapper exists) nor on the fully instrumented
-// path (metricOp.Next is one atomic add; timings and sink writes happen at
-// Open/Close, off the row path). The one-worker hash join streams its probe:
-// each emitted row costs its concatenated row and nothing else — the probe
-// key is bytes in a scratch buffer, so a probe that misses costs nothing, and
-// neither does a row that joins a group the table already holds.
+// probeJoinPlan joins n left rows to a build side of keys rows, one match per
+// left row, so what a run allocates per joined row is its growth in n.
+func probeJoinPlan(n, keys int) *algebra.Join {
+	return &algebra.Join{
+		L:    keyedValuesPlan("l", n, keys),
+		R:    keyedValuesPlan("r", keys, keys),
+		Cond: expr.Eq(expr.Column("l", "k"), expr.Column("r", "k")),
+	}
+}
+
+// sumOverJoin groups probeJoinPlan's rows by l.k: keys groups whatever n is.
+func sumOverJoin(n, keys int) *algebra.GroupBy {
+	return &algebra.GroupBy{
+		Input:     probeJoinPlan(n, keys),
+		GroupCols: []expr.ColumnID{{Table: "l", Name: "k"}},
+		Aggs: []algebra.AggItem{{
+			E:  &expr.Aggregate{Func: expr.AggSum, Arg: expr.Column("r", "v")},
+			As: expr.ColumnID{Name: "s"},
+		}},
+	}
+}
+
+// TestRowPathZeroAllocs: a row allocates nothing on its way — neither on the
+// uninstrumented path (no wrapper exists) nor on the fully instrumented one
+// (a pulled node's metricOp.Next is one atomic add, a pipelined node counts
+// once per chunk; timings and sink writes happen at Open/Close, off the row
+// path). The hash-join probe writes each joined row into its chunk's scratch
+// row: a root that collects the rows pays one copy per joined row, a hash-group
+// sink pays nothing. The probe key is bytes in a scratch buffer, so a probe
+// that misses costs nothing, and neither does a row that joins a group the
+// table already holds.
 func TestRowPathZeroAllocs(t *testing.T) {
 	const runs = 1000
 	instrumented := func() *Options {
@@ -78,27 +103,21 @@ func TestRowPathZeroAllocs(t *testing.T) {
 		}
 	}
 	// More rows than AllocsPerRun will pull, so every measured Next returns
-	// a live row; the join's keys are unique, so it emits one row per probe.
+	// a live row.
 	scan := valuesPlan(runs + 10)
-	join := govJoinPlan(runs+10, runs+10)
-	cases := []struct {
+	for _, tc := range []struct {
 		name string
 		opts *Options
-		plan algebra.Node
-		want float64
 	}{
-		{"disabled", &Options{}, scan, 0},
-		{"metrics+trace", instrumented(), scan, 0},
-		{"hash-join", &Options{Join: JoinHash}, join, 1},
-		{"hash-join/metrics+trace", instrumented(), join, 1},
-	}
-	for _, tc := range cases {
+		{"disabled", &Options{}},
+		{"metrics+trace", instrumented()},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := &compiler{opts: tc.opts, par: 1, clock: tc.opts.Clock}
 			if c.clock == nil {
 				c.clock = obs.Wall
 			}
-			out, err := c.compile(tc.plan)
+			out, err := c.compile(scan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,20 +130,66 @@ func TestRowPathZeroAllocs(t *testing.T) {
 					t.Fatalf("Next: ok=%v err=%v", ok, err)
 				}
 			})
-			if avg != tc.want {
-				t.Errorf("%s row path allocates %.2f times per row, want %.0f", tc.name, avg, tc.want)
+			if avg != 0 {
+				t.Errorf("%s row path allocates %.2f times per row, want 0", tc.name, avg)
+			}
+		})
+	}
+	// The join runs inside a pipeline, so a whole Run is measured: the same
+	// build side under four times the probe rows — what the extra rows cost is
+	// the cost per joined row, plus the collection's bookkeeping per morsel
+	// (its closures, and the doublings of a morsel's output slice).
+	const groups, small, large = 100, 10 * MorselSize, 40 * MorselSize
+	const perMorsel = 24
+	plain := func() *Options { return &Options{Join: JoinHash} }
+	for _, tc := range []struct {
+		name    string
+		opts    func() *Options
+		grouped bool // the join feeds a hash-group sink, not a collecting root
+	}{
+		{"hash-join", plain, false},
+		{"hash-join/metrics+trace", instrumented, false},
+		{"hash-join into hash-group", plain, true},
+		{"hash-join into hash-group/metrics+trace", instrumented, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := func(n int) float64 {
+				var plan algebra.Node = probeJoinPlan(n, groups)
+				out := n
+				if tc.grouped {
+					plan, out = sumOverJoin(n, groups), groups
+				}
+				return testing.AllocsPerRun(5, func() {
+					res, err := Run(plan, nil, tc.opts())
+					if err != nil || len(res.Rows) != out {
+						t.Fatalf("%v rows, err=%v", res, err)
+					}
+				})
+			}
+			// A whole Run's count moves by a few between runs whatever n is (a
+			// GC empties a pool; the race detector's runtime allocates): one
+			// morsel's worth is allowed for that, a thousandth of one per row.
+			got := allocs(large) - allocs(small)
+			want, perRow := float64(perMorsel), 0
+			if !tc.grouped {
+				perRow = 1
+				want += float64((large - small) + perMorsel*(large-small)/MorselSize)
+			}
+			t.Logf("%d more joined rows allocate %.0f times more", large-small, got)
+			if got > want {
+				t.Errorf("%d more joined rows allocate %.0f times more, want at most %.0f (%d per row)", large-small, got, want, perRow)
 			}
 		})
 	}
 	t.Run("hash-join, probe miss", func(t *testing.T) {
 		j := &hashJoinOp{lcols: []int{0}, table: &joinTable{cols: []int{0}}}
-		must(t, j.table.build(join.R.(*algebra.Values).Rows, 1))
+		must(t, j.table.build(keyedValuesPlan("r", runs, runs).Rows, 1))
+		probe := j.probeInto(make(value.Row, 4), func(row value.Row) error {
+			t.Fatalf("probe emitted %v", row)
+			return nil
+		})
 		miss := value.Row{value.NewInt(-1), value.NewInt(0)}
-		if avg := testing.AllocsPerRun(runs, func() {
-			if out, err := j.probe(miss, nil); len(out) != 0 || err != nil {
-				t.Fatalf("probe: %d rows, err=%v", len(out), err)
-			}
-		}); avg != 0 {
+		if avg := testing.AllocsPerRun(runs, func() { must(t, probe(miss)) }); avg != 0 {
 			t.Errorf("a probe that misses allocates %.2f times, want 0", avg)
 		}
 	})
@@ -132,17 +197,19 @@ func TestRowPathZeroAllocs(t *testing.T) {
 		// The projected row; the duplicate is recognised by its key bytes in
 		// the set's buffer, so no key string is made for it.
 		dup := value.Row{value.NewInt(7), value.NewString("a longer string than a small-string buffer holds")}
-		p := &projectOp{
-			input: &flickerOp{row: dup}, distinct: true,
-			items: []expr.Expr{&expr.ColumnRef{Index: 1}, &expr.ColumnRef{Index: 0}},
+		items := []expr.Expr{&expr.ColumnRef{Index: 1}, &expr.ColumnRef{Index: 0}}
+		seen := newDistinctSet(len(items))
+		first := func() bool {
+			out, err := projectRow(items, dup, nil)
+			must(t, err)
+			return seen.first(out)
 		}
-		must(t, p.Open())
-		if _, ok, err := p.Next(); !ok || err != nil {
-			t.Fatalf("first occurrence: ok=%v err=%v", ok, err)
+		if !first() {
+			t.Fatal("the first occurrence is not the first")
 		}
 		if avg := testing.AllocsPerRun(runs, func() {
-			if _, ok, err := p.Next(); ok || err != nil {
-				t.Fatalf("duplicate: ok=%v err=%v", ok, err)
+			if first() {
+				t.Fatal("a duplicate is the first of its class")
 			}
 		}); avg != 1 {
 			t.Errorf("a duplicate row under DISTINCT allocates %.2f times, want 1", avg)
@@ -184,12 +251,27 @@ func TestRowPathZeroAllocs(t *testing.T) {
 	})
 }
 
-// TestSerialGroupingHoldsGroupsNotRows: at one worker with abort admission
-// hash grouping folds its input as it arrives, and so do the streaming pass
-// over key-ordered input and the scalar group — what a run allocates depends
-// on the number of groups G and not on the number of rows N, so the same G
-// over four times the rows allocates exactly as often. (A run that drains its
-// input first pays the row buffer's growth, which depends on N.)
+// filtered compiles a filter that passes every row of rows: the pipeline a
+// grouping operator built by hand takes as its input.
+func filtered(t *testing.T, rows []value.Row) *pipeOp {
+	t.Helper()
+	plan := keyedValuesPlan("t", 0, 1)
+	plan.Rows = rows
+	c := &compiler{opts: &Options{}, par: 1, clock: obs.Wall}
+	out, err := c.compile(&algebra.Select{
+		Input: plan,
+		Cond:  expr.NewBinary(expr.OpGe, expr.Column("t", "v"), expr.IntLit(0)),
+	})
+	must(t, err)
+	return out.op.(*pipeOp)
+}
+
+// TestSerialGroupingHoldsGroupsNotRows: with abort admission hash grouping
+// folds its input as its pipeline's stages emit it, and so do the streaming
+// pass over key-ordered input and the scalar group — what a one-worker run
+// allocates depends on the number of groups G and not on the number of rows
+// N, so the same G over four times the rows, through a filter, allocates
+// exactly as often. (A run that collects its input first pays for the rows.)
 func TestSerialGroupingHoldsGroupsNotRows(t *testing.T) {
 	const groups = 100
 	for _, tc := range []struct {
@@ -199,7 +281,7 @@ func TestSerialGroupingHoldsGroupsNotRows(t *testing.T) {
 	}{
 		{"hash", func(n int) Operator {
 			core := sumCore(t, nil, nil, 0)
-			core.input = &valuesOp{rows: keyedValuesPlan("t", n, groups).Rows}
+			core.input = filtered(t, keyedValuesPlan("t", n, groups).Rows)
 			return &hashGroupOp{groupCore: *core}
 		}, groups},
 		{"stream", func(n int) Operator {
@@ -208,12 +290,12 @@ func TestSerialGroupingHoldsGroupsNotRows(t *testing.T) {
 				row[0] = value.NewInt(int64(i * groups / n))
 			}
 			core := sumCore(t, nil, nil, 0)
-			core.input = &valuesOp{rows: rows}
+			core.input = filtered(t, rows)
 			return &sortGroupOp{groupCore: *core, preSorted: true}
 		}, groups},
 		{"scalar", func(n int) Operator {
 			core := sumCore(t, nil, nil)
-			core.input = &valuesOp{rows: keyedValuesPlan("t", n, groups).Rows}
+			core.input = filtered(t, keyedValuesPlan("t", n, groups).Rows)
 			return &sortGroupOp{groupCore: *core}
 		}, 1},
 	} {
@@ -234,18 +316,51 @@ func TestSerialGroupingHoldsGroupsNotRows(t *testing.T) {
 	}
 }
 
-// flickerOp yields its row and end-of-stream alternately, so each Next of a
-// DISTINCT projection above it handles exactly one (duplicate) row.
-type flickerOp struct {
-	row value.Row
-	eos bool
-}
-
-func (f *flickerOp) Open() error  { return nil }
-func (f *flickerOp) Close() error { return nil }
-func (f *flickerOp) Next() (value.Row, bool, error) {
-	f.eos = !f.eos
-	return f.row, f.eos, nil
+// TestSpillCapableSortStreamsItsInput: a sort under a budget and a spill
+// manager takes its input pipeline as one in-order chunk, so a joined row is
+// copied out of the probe's scratch row when the sorter admits it and lives
+// until its run is flushed — the run allocates for those copies (and for the
+// records the merge reads back), not for a second, unaccounted collection of
+// the join's whole output.
+func TestSpillCapableSortStreamsItsInput(t *testing.T) {
+	const n, keys = 16 * MorselSize, 100
+	c := &compiler{opts: &Options{Join: JoinHash}, par: 1, clock: obs.Wall}
+	out, err := c.compile(probeJoinPlan(n, keys))
+	must(t, err)
+	gov := &governor{budget: MorselSize * rowStateBytes(make(value.Row, 4))}
+	metrics := &obs.OpMetrics{}
+	op := &sortOp{
+		input: out.op.(*pipeOp), keys: []sortKey{{col: 1, desc: true}}, par: 1,
+		gov: gov, mgr: storage.NewSpillManager(t.TempDir()), metrics: metrics, where: "sort",
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	must(t, op.Open())
+	rows := 0
+	for {
+		_, ok, err := op.Next()
+		must(t, err)
+		if !ok {
+			break
+		}
+		rows++
+	}
+	must(t, op.Close())
+	runtime.ReadMemStats(&after)
+	// The high-water mark includes the one refused attempt that flushed a run.
+	row := rowStateBytes(make(value.Row, 4))
+	if rows != n || metrics.SortRuns.Load() < 2 || gov.usedBytes() > gov.budget+row {
+		t.Fatalf("%d rows in %d runs with %d bytes held: want %d rows, spilled, inside the budget of %d",
+			rows, metrics.SortRuns.Load(), gov.usedBytes(), n, gov.budget)
+	}
+	// One copy when the sorter admits the row, one row decoded by the merge;
+	// a collection of the probe's output would add its copies and headers.
+	got := int64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("%d bytes allocated, %d per row of %d", got, got/n, row)
+	if got > 2*n*row {
+		t.Errorf("sorting %d joined rows of %d bytes under a budget allocated %d bytes, want at most two rows' worth per row", n, row, got)
+	}
 }
 
 // TestParallelPipelineHoldsGroupsNotRows: above one worker a morsel runs

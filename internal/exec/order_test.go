@@ -36,7 +36,7 @@ func TestOrderPropagation(t *testing.T) {
 	must(t, err)
 	if _, isSort := out2.op.(*sortOp); isSort {
 		// The outer op must not be a second sortOp over a sortOp.
-		if _, innerSort := out2.op.(*sortOp).input.(*sortOp); innerSort {
+		if _, innerSort := out2.op.(*sortOp).input.src.(*sortOp); innerSort {
 			t.Error("redundant sort not elided")
 		}
 	}

@@ -1,15 +1,17 @@
-// Morsel-driven intra-query parallelism. One worker (Options.Parallelism 0 or
-// 1) is the serial pull engine: streaming scanOp/filterOp/projectOp and join
-// probes, the reference path of every oracle. A worker count above one changes
-// how rows move, not which plan runs: the streaming nodes between two breakers
-// — filter, non-DISTINCT projection, hash-join probe, the nested loop's left
-// side — become the stages of one pipeline (pipeOp, this file), workers carry
-// morsels of the pipeline's source through the whole chain, and the breaker
-// above is its sink: one partial group table per chunk for hash grouping, a
-// morsel-ordered collection for everything else that must hold rows (the
-// result, a sort's or TopK's input, DISTINCT, merge-join inputs, a join's
-// build side). Nothing between two breakers is materialized. Sorts run
-// chunked (sortRowsStable).
+// The row engine: morsel-driven pipelines at every worker count. The streaming
+// nodes between two breakers — filter, projection, hash-join probe, the nested
+// loop's left side — are the stages of one pipeline (pipeOp, this file):
+// chunks of the pipeline's source are carried through the whole chain, and
+// the breaker above is its sink: one partial group table per chunk for hash
+// grouping, a morsel-ordered collection for everything else that must hold
+// rows (the result, an in-memory sort's input, DISTINCT, merge-join inputs, a
+// join's build side), or — for a consumer that is serial by nature: LIMIT,
+// TopK, grouping a key-ordered stream, a spill-capable sort or hash join — the
+// whole source as one chunk in order (pipeOp.each). Nothing between two
+// breakers is materialized. The worker count (Options.Parallelism) decides
+// only how many goroutines carry the chunks — one worker runs them in a loop,
+// on the caller's goroutine — and how many chunks hash grouping asks for.
+// Sorts run chunked (sortRowsStable).
 //
 // Borrowed rows. A join stage writes each joined row into a scratch row it
 // owns and emits that; the row is valid until the stage's next emit. A sink
@@ -24,8 +26,8 @@
 //     length of the pipeline's source, never on worker scheduling. Workers
 //     pull chunk indices from an atomic cursor, but each chunk's output is a
 //     pure function of its row range.
-//   - Collected outputs are concatenated in chunk-index order, which
-//     reproduces the one-worker output order row for row.
+//   - Collected outputs are concatenated in chunk-index order, which is the
+//     order one pass over the source produces.
 //   - Aggregation keeps one partial-aggregate table per chunk — one contiguous
 //     chunk per worker — and absorbs them in chunk order through the
 //     accumulators' Merge step (groupTable.absorb). Group output order (first
@@ -42,11 +44,13 @@
 package exec
 
 import (
+	"errors"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/algebra"
 	"repro/internal/obs"
 	"repro/internal/value"
 )
@@ -57,8 +61,8 @@ import (
 const MorselSize = 1024
 
 // effectiveParallelism resolves Options.Parallelism: 0 and 1 mean one
-// worker (serial execution), negative means one worker per CPU, anything
-// else is the worker count itself.
+// worker, negative means one worker per CPU, anything else is the worker
+// count itself.
 func (o *Options) effectiveParallelism() int {
 	p := o.Parallelism
 	if p < 0 {
@@ -83,7 +87,7 @@ func numChunks(n, size int) int {
 // `workers` goroutines that pull chunk indices from a shared atomic cursor.
 // Chunk boundaries depend only on n and size, so per-chunk results are
 // deterministic regardless of which worker runs which chunk; the worker
-// index (0 on the serial fallback path) exists purely for observability —
+// index (0 when one worker runs the loop) exists purely for observability —
 // per-worker morsel accounting — and must not influence results. The first
 // error (by chunk index) cancels remaining chunks and is returned; a panic
 // in fn terminates only its worker (the pool drains and joins normally) and
@@ -99,7 +103,8 @@ func forEachChunk(where string, workers, n, size int, fn func(worker, chunk, lo,
 		workers = chunks
 	}
 	if workers <= 1 {
-		// Serial fallback: a panic here unwinds to Run's top-level recovery.
+		// One worker is the caller: no goroutine, and a panic here unwinds to
+		// Run's top-level recovery.
 		for c := 0; c < chunks; c++ {
 			lo := c * size
 			hi := lo + size
@@ -166,8 +171,12 @@ func chunkSizeFor(n, workers int) int {
 	return size
 }
 
-// concatChunks flattens per-chunk outputs in chunk order.
+// concatChunks flattens per-chunk outputs in chunk order; a single chunk's
+// output is handed over as it is.
 func concatChunks(outs [][]value.Row) []value.Row {
+	if len(outs) == 1 {
+		return outs[0]
+	}
 	total := 0
 	for _, o := range outs {
 		total += len(o)
@@ -239,7 +248,7 @@ func (b *bufOp) Close() error { return nil }
 
 // emitFn receives one row from the stage below. The row is borrowed: it may
 // be a scratch row its producer overwrites on the next call, so a receiver
-// that keeps the row copies it (pipeOp.borrowed says whether it has to).
+// that keeps the row takes it through pipeOp.keep, which copies it if so.
 type emitFn func(row value.Row) error
 
 // stage is one streaming plan node inside a pipeline: a filter, a projection,
@@ -279,19 +288,19 @@ type resident interface {
 	resident() []value.Row
 }
 
-// pipeOp is execution above one worker: a source, a chain of stages and — per
-// run — a sink. The source is an already materialized []value.Row; workers
-// carry chunks of it through the whole chain, row by row, into the sink's
-// per-chunk receiver, so nothing between two breakers is ever held as a
-// slice. Chunk boundaries depend on the source's length only, and every sink
-// keeps its per-chunk results in chunk order: rows, row order, group order
-// and per-node counts are those of a serial run at any worker count.
+// pipeOp is the row engine: a source, a chain of stages and — per run — a
+// sink. Chunks of the source are carried through the whole chain, row by row,
+// into the sink's per-chunk receiver, so nothing between two breakers is ever
+// held as a slice. Chunk boundaries depend on the source's length only, and
+// every sink keeps its per-chunk results in chunk order: rows, row order,
+// group order and per-node counts are the same at any worker count.
 //
 // The compiler grows one pipeOp per run of streaming nodes: each such node
 // adds its stage to its input's pipeline (compiler.pipeline). A breaker above
-// runs it into its own sink (hash grouping: one partial table per chunk) or
-// drains it, which collects the rows in morsel order (drain); an operator that
-// only knows how to pull gets the same collection through Open and Next.
+// runs it into its own sink (hash grouping: one partial table per chunk),
+// collects its rows in morsel order (collect, which is what drain does with
+// it), or takes them as one chunk in order (each). Only the batch face's
+// row-to-batch adapter pulls a pipeline: Open collects, Next hands out.
 type pipeOp struct {
 	src      Operator // the node below the first stage, opened and closed by run
 	srcOut   *metricOp
@@ -300,21 +309,20 @@ type pipeOp struct {
 	metered  bool // some stage is
 	par      int
 	gov      *governor
-	where    string // the topmost node using the pipeline, for panic reporting
+	node     algebra.Node // the topmost node using the pipeline, named when a worker panics
 	bufOp
 }
 
-// pipeline returns the pipeline the plan node described by where runs its
-// input op through: op's own when op is one, else a new one with op as its
-// source. A resident source is read in place, so its rows never pass its
+// pipeline returns the pipeline the plan node n runs its input op through:
+// op's own when op is one, else a new one with op as its source. A resident source is read in place, so its rows never pass its
 // wrappers' Next; the wrappers are taken off and their work — the cancellation
 // poll at Open, the clock, the row count — is done by run.
-func (c *compiler) pipeline(op Operator, where string) *pipeOp {
+func (c *compiler) pipeline(op Operator, n algebra.Node) *pipeOp {
 	if p, ok := op.(*pipeOp); ok {
-		p.where = where
+		p.node = n
 		return p
 	}
-	p := &pipeOp{src: op, par: c.par, gov: c.gov, where: where}
+	p := &pipeOp{src: op, par: c.par, gov: c.gov, node: n}
 	m, _ := op.(*metricOp)
 	if m != nil {
 		op = m.inner
@@ -339,7 +347,7 @@ func (p *pipeOp) add(st stage, borrowed bool) {
 // pipeline — the node the compiler just lowered onto it, or, when that node
 // added no stage of its own, a stage that only passes rows on.
 func (p *pipeOp) meter(out *metricOp) {
-	if p.stages[len(p.stages)-1].metered {
+	if len(p.stages) == 0 || p.stages[len(p.stages)-1].metered {
 		p.stages = append(p.stages, stage{})
 	}
 	last := &p.stages[len(p.stages)-1]
@@ -360,6 +368,15 @@ func (p *pipeOp) eachOut(fn func(*metricOp)) {
 	}
 }
 
+// keep returns row as a receiver may hold it: a copy when the pipeline emits
+// scratch rows.
+func (p *pipeOp) keep(row value.Row) value.Row {
+	if p.borrowed {
+		return slices.Clone(row)
+	}
+	return row
+}
+
 // run carries the source through the stages into s.
 func (p *pipeOp) run(s sink) error {
 	if err := p.gov.cancelled(); err != nil {
@@ -372,17 +389,24 @@ func (p *pipeOp) run(s sink) error {
 }
 
 func (p *pipeOp) runChunks(s sink) (err error) {
+	src, inPlace := p.src.(resident)
+	_, ordered := s.(inOrder)
+	pulled := ordered && !inPlace
 	var rows []value.Row
-	if src, ok := p.src.(resident); ok {
+	if inPlace || pulled {
+		// A source that has to be pulled is pulled straight into an in-order
+		// run; a sink that cuts chunks needs it drained to know its length.
 		defer func() {
-			if cerr := src.Close(); err == nil {
+			if cerr := p.src.Close(); err == nil {
 				err = cerr
 			}
 		}()
-		if err := src.Open(); err != nil {
+		if err := p.src.Open(); err != nil {
 			return err
 		}
-		rows = src.resident()
+		if inPlace {
+			rows = src.resident()
+		}
 	} else if rows, err = drain(p.src); err != nil {
 		return err
 	}
@@ -393,49 +417,85 @@ func (p *pipeOp) runChunks(s sink) (err error) {
 			}
 		}
 	}
-	return forEachChunk(p.where, p.par, len(rows), s.begin(len(rows)), func(w, c, lo, hi int) error {
-		if err := p.gov.cancelled(); err != nil {
-			return err
-		}
-		emit, err := s.bind(w, c)
+	if pulled {
+		emit, counts, err := p.bind(s, 0, 0)
 		if err != nil {
 			return err
 		}
-		var counts []int64 // rows out of each metered stage, this chunk
-		if p.metered {
-			counts = make([]int64, len(p.stages))
-		}
-		for i := len(p.stages) - 1; i >= 0; i-- {
-			st := &p.stages[i]
-			if st.metered {
-				emit = p.meterFn(&counts[i], emit)
+		for {
+			row, ok, err := p.src.Next()
+			if ok && err == nil {
+				err = emit(row)
 			}
-			if st.bind != nil {
-				emit = st.bind(emit)
-				if st.metrics != nil {
-					st.metrics.Morsel(w)
-				}
+			if !ok || err != nil {
+				p.count(0, counts)
+				return err
 			}
 		}
+	}
+	where := ""
+	if p.par > 1 {
+		where = p.node.Describe() // formatted only for a pool that can report a panic under it
+	}
+	return forEachChunk(where, p.par, len(rows), s.begin(len(rows)), func(w, c, lo, hi int) error {
+		emit, counts, err := p.bind(s, w, c)
+		if err != nil {
+			return err
+		}
+		read := 0
 		for _, row := range rows[lo:hi] {
 			// The source node's tick, one per row it hands up.
-			if err := p.gov.tick(); err != nil {
-				return err
+			if err = p.gov.tick(); err != nil {
+				break
 			}
-			if err := emit(row); err != nil {
-				return err
-			}
-		}
-		if p.srcOut != nil {
-			p.srcOut.count.Add(int64(hi - lo))
-		}
-		for i, n := range counts {
-			if out := p.stages[i].out; out != nil {
-				out.count.Add(n)
+			read++
+			if err = emit(row); err != nil {
+				break
 			}
 		}
-		return nil
+		p.count(read, counts)
+		return err
 	})
+}
+
+// bind composes one chunk's row function: the stages, bottom to top, over s's
+// receiver for the chunk. counts holds the rows out of each metered stage.
+func (p *pipeOp) bind(s sink, w, c int) (emit emitFn, counts []int64, err error) {
+	if err := p.gov.cancelled(); err != nil {
+		return nil, nil, err
+	}
+	if emit, err = s.bind(w, c); err != nil {
+		return nil, nil, err
+	}
+	if p.metered {
+		counts = make([]int64, len(p.stages))
+	}
+	for i := len(p.stages) - 1; i >= 0; i-- {
+		st := &p.stages[i]
+		if st.metered {
+			emit = p.meterFn(&counts[i], emit)
+		}
+		if st.bind != nil {
+			emit = st.bind(emit)
+			if st.metrics != nil {
+				st.metrics.Morsel(w)
+			}
+		}
+	}
+	return emit, counts, nil
+}
+
+// count adds a chunk's row counts to their nodes, once per chunk — also for a
+// chunk that stopped early: read is the source rows it got to.
+func (p *pipeOp) count(read int, counts []int64) {
+	if p.srcOut != nil {
+		p.srcOut.count.Add(int64(read))
+	}
+	for i, n := range counts {
+		if out := p.stages[i].out; out != nil {
+			out.count.Add(n)
+		}
+	}
 }
 
 // meterFn is a plan node's instrumentation as a stage: the governor tick and
@@ -452,10 +512,11 @@ func (p *pipeOp) meterFn(n *int64, emit emitFn) emitFn {
 }
 
 // collector is the sink that keeps rows: each chunk's output in its own
-// slice, concatenated in chunk order — the order one serial pass produces.
+// slice, concatenated in chunk order — the order one pass over the source
+// produces.
 type collector struct {
-	copyRows bool
-	outs     [][]value.Row
+	p    *pipeOp
+	outs [][]value.Row
 }
 
 func (s *collector) begin(n int) int {
@@ -466,10 +527,7 @@ func (s *collector) begin(n int) int {
 func (s *collector) bind(_, chunk int) (emitFn, error) {
 	out := &s.outs[chunk]
 	return func(row value.Row) error {
-		if s.copyRows {
-			row = slices.Clone(row)
-		}
-		*out = append(*out, row)
+		*out = append(*out, s.p.keep(row))
 		return nil
 	}, nil
 }
@@ -477,15 +535,40 @@ func (s *collector) bind(_, chunk int) (emitFn, error) {
 // collect runs the pipeline to completion and returns its rows in morsel
 // order, in a slice the caller owns.
 func (p *pipeOp) collect() ([]value.Row, error) {
-	s := &collector{copyRows: p.borrowed}
+	if _, inPlace := p.src.(resident); len(p.stages) == 0 && !inPlace {
+		// Nothing to carry the rows through: the drained source is the collection.
+		return drain(p.src)
+	}
+	s := &collector{p: p}
 	if err := p.run(s); err != nil {
 		return nil, err
 	}
 	return concatChunks(s.outs), nil
 }
 
-// Open serves a consumer that pulls: the rows are collected, Next hands them
-// out.
+// inOrder is the sink of a consumer that is serial by nature: the whole source
+// is one chunk, handed to fn row by row in order.
+type inOrder struct{ fn emitFn }
+
+func (s inOrder) begin(n int) int { return n }
+
+func (s inOrder) bind(_, _ int) (emitFn, error) { return s.fn, nil }
+
+// errStop ends an in-order run early: its consumer has the rows it wants.
+var errStop = errors.New("exec: in-order run stopped by its consumer")
+
+// each hands fn the pipeline's rows as one chunk in order — borrowed, so fn
+// keeps a row through keep. fn returning errStop ends the run at that row, at
+// any worker count: nothing further is read from the source.
+func (p *pipeOp) each(fn emitFn) error {
+	if err := p.run(inOrder{fn}); err != errStop {
+		return err
+	}
+	return nil
+}
+
+// Open serves the one consumer that pulls, the batch face's row-to-batch
+// adapter: the rows are collected, Next hands them out.
 func (p *pipeOp) Open() error {
 	rows, err := p.collect()
 	p.reset(rows)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -184,10 +185,12 @@ func TestEffectiveParallelism(t *testing.T) {
 
 // TestBorrowedRowsNeverEscape: a join stage emits each joined row in a scratch
 // row the next emit overwrites, so every sink that keeps rows must copy them.
-// Each retaining sink is put above a probe that spans several morsels at four
-// workers and must return the serial rows; a missing copy shows as a chunk's
-// rows all reading as the last row written. Run under the race detector (make
-// race), a scratch row shared between workers shows there too.
+// Each retaining sink is put above a probe that spans several morsels; the run
+// at one worker and the run at four must both return the rows of the reference
+// evaluator, which shares no code with them, and each other's rows in order. A
+// missing copy shows as a chunk's rows all reading as the last row written.
+// Run under the race detector (make race), a scratch row shared between
+// workers shows there too.
 func TestBorrowedRowsNeverEscape(t *testing.T) {
 	col := func(table, name string) expr.ColumnID { return expr.ColumnID{Table: table, Name: name} }
 	// 2500 probe rows over three morsels, two build rows per key.
@@ -198,6 +201,11 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 			Cond: expr.Eq(expr.Column("l", "k"), expr.Column("r", "k")),
 		}
 	}
+	// (r.v DESC, l.v) is a total order of the probe's rows: columns 3 and 1.
+	sorted := &algebra.Sort{
+		Input: probe(), Keys: []algebra.SortItem{{Col: col("r", "v"), Desc: true}, {Col: col("l", "v")}},
+	}
+	const top = 37
 	plans := []struct {
 		sink string
 		join JoinStrategy
@@ -208,12 +216,8 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 		{"root, through a filter", JoinHash, &algebra.Select{
 			Input: probe(), Cond: &expr.Binary{Op: expr.OpLt, L: expr.Column("r", "v"), R: expr.IntLit(70)},
 		}},
-		{"sort", JoinHash, &algebra.Sort{
-			Input: probe(), Keys: []algebra.SortItem{{Col: col("r", "v"), Desc: true}, {Col: col("l", "v")}},
-		}},
-		{"TopK", JoinHash, &algebra.Limit{N: 37, Input: &algebra.Sort{
-			Input: probe(), Keys: []algebra.SortItem{{Col: col("r", "v"), Desc: true}, {Col: col("l", "v")}},
-		}}},
+		{"sort", JoinHash, sorted},
+		{"TopK", JoinHash, &algebra.Limit{N: top, Input: sorted}},
 		{"DISTINCT", JoinHash, &algebra.Project{Distinct: true, Input: probe(), Items: []algebra.ProjItem{
 			{E: expr.Column("r", "v"), As: col("", "rv")}, {E: expr.Column("l", "k"), As: col("", "k")},
 		}}},
@@ -239,11 +243,32 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 	}
 	for _, tc := range plans {
 		t.Run(tc.sink, func(t *testing.T) {
-			want, err := Run(tc.plan, nil, &Options{Join: tc.join})
+			ref := tc.plan
+			limit, limited := ref.(*algebra.Limit)
+			if limited {
+				ref = limit.Input
+			}
+			want, err := refEval(ref, nil, nil)
 			must(t, err)
-			got, err := Run(tc.plan, nil, &Options{Join: tc.join, Parallelism: 4})
+			if limited {
+				// The reference evaluator orders nothing and cuts nothing: the
+				// first rows under the total order, taken here.
+				slices.SortFunc(want, func(a, b value.Row) int {
+					if c := value.OrderKey(b[3], a[3]); c != 0 {
+						return c
+					}
+					return value.OrderKey(a[1], b[1])
+				})
+				want = want[:limit.N]
+			}
+			one, err := Run(tc.plan, nil, &Options{Join: tc.join})
 			must(t, err)
-			same(t, got.Rows, want.Rows)
+			four, err := Run(tc.plan, nil, &Options{Join: tc.join, Parallelism: 4})
+			must(t, err)
+			if !sameMultiset(one.Rows, want) || !sameMultiset(four.Rows, want) {
+				t.Fatalf("rows differ from the reference evaluator's %d: %d at one worker, %d at four", len(want), len(one.Rows), len(four.Rows))
+			}
+			same(t, four.Rows, one.Rows)
 		})
 	}
 	// One run has one join strategy, so a merge join over a hash join's probe
@@ -261,6 +286,70 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 			must(t, err)
 			return rows
 		}
-		same(t, merged(4), merged(1))
+		want, err := refEval(&algebra.Join{
+			L: probe(), R: keyedValuesPlan("u", 60, 50),
+			Cond: expr.Eq(expr.Column("l", "k"), expr.Column("u", "k")),
+		}, nil, nil)
+		must(t, err)
+		one, four := merged(1), merged(4)
+		if !sameMultiset(one, want) || !sameMultiset(four, want) {
+			t.Fatalf("rows differ from the reference evaluator's %d: %d at one worker, %d at four", len(want), len(one), len(four))
+		}
+		same(t, four, one)
 	})
+}
+
+// TestLimitStopsTheSource: a bare LIMIT takes its input as one in-order chunk
+// and ends the run at the row that fills it — at any worker count its rows are
+// the first n of the unlimited run, and the source has handed up less than one
+// morsel beyond them, not all it holds.
+func TestLimitStopsTheSource(t *testing.T) {
+	const rows, n = 48000, 10
+	for _, tc := range []struct {
+		name string
+		plan func(src algebra.Node) algebra.Node
+	}{
+		{"filter → project", func(src algebra.Node) algebra.Node {
+			return &algebra.Project{
+				Input: &algebra.Select{
+					Input: src, Cond: expr.NewBinary(expr.OpGe, expr.Column("t", "k"), expr.IntLit(25)),
+				},
+				Items: []algebra.ProjItem{
+					{E: expr.Column("t", "v"), As: expr.ColumnID{Name: "v"}},
+					{E: expr.Column("t", "k"), As: expr.ColumnID{Name: "k"}},
+				},
+			}
+		}},
+		{"hash-join probe", func(src algebra.Node) algebra.Node {
+			return &algebra.Join{
+				L: src, R: keyedValuesPlan("r", 100, 50),
+				Cond: expr.Eq(expr.Column("t", "k"), expr.Column("r", "k")),
+			}
+		}},
+	} {
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				src := keyedValuesPlan("t", rows, 50)
+				plan := tc.plan(src)
+				full, err := Run(plan, nil, &Options{Join: JoinHash, Parallelism: workers})
+				must(t, err)
+				col := obs.NewCollector()
+				got, err := Run(&algebra.Limit{Input: plan, N: n}, nil, &Options{Join: JoinHash, Parallelism: workers, Metrics: col})
+				must(t, err)
+				if len(got.Rows) != n {
+					t.Fatalf("%d rows, want %d", len(got.Rows), n)
+				}
+				for i, row := range got.Rows {
+					if g, w := value.GroupKeyAll(row), value.GroupKeyAll(full.Rows[i]); g != w {
+						t.Fatalf("row %d is %v, want %v", i, row, full.Rows[i])
+					}
+				}
+				read := col.Lookup(src).RowsOut.Load()
+				t.Logf("the source handed up %d rows", read)
+				if read >= n+MorselSize {
+					t.Errorf("the source handed up %d of its %d rows for LIMIT %d", read, rows, n)
+				}
+			})
+		}
+	}
 }

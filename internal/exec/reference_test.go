@@ -319,9 +319,9 @@ func randomExecPlan(t *testing.T, s *storage.Store, r *rand.Rand) algebra.Node {
 	return plan
 }
 
-// TestExecutorAgainstReference: the Volcano executor, under every physical
-// join and grouping strategy, must agree (as a multiset) with the naive
-// reference evaluator on random plans over random data.
+// TestExecutorAgainstReference: the executor, under every physical join and
+// grouping strategy, at one worker and at several, must agree (as a multiset)
+// with the naive reference evaluator on random plans over random data.
 func TestExecutorAgainstReference(t *testing.T) {
 	iterations := 1500
 	if testing.Short() {
@@ -337,13 +337,17 @@ func TestExecutorAgainstReference(t *testing.T) {
 		}
 		for _, join := range []JoinStrategy{JoinHash, JoinSortMerge, JoinNestedLoop} {
 			for _, group := range []GroupStrategy{GroupHash, GroupSort, GroupAuto} {
-				res, err := Run(plan, s, &Options{Join: join, Group: group})
-				if err != nil {
-					t.Fatalf("iteration %d (%v/%v): %v", i, join, group, err)
-				}
-				if !sameMultiset(res.Rows, want) {
-					t.Fatalf("iteration %d (%v/%v): executor disagrees with reference\nplan:\n%s\ngot:  %v\nwant: %v",
-						i, join, group, algebra.Format(plan, nil), res.Rows, want)
+				// Three workers over these few rows: a chunk, and a partial
+				// group table, every two or three rows.
+				for _, par := range []int{1, 3} {
+					res, err := Run(plan, s, &Options{Join: join, Group: group, Parallelism: par})
+					if err != nil {
+						t.Fatalf("iteration %d (%v/%v/%d workers): %v", i, join, group, par, err)
+					}
+					if !sameMultiset(res.Rows, want) {
+						t.Fatalf("iteration %d (%v/%v/%d workers): executor disagrees with reference\nplan:\n%s\ngot:  %v\nwant: %v",
+							i, join, group, par, algebra.Format(plan, nil), res.Rows, want)
+					}
 				}
 			}
 		}

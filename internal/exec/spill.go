@@ -405,12 +405,9 @@ type runHead struct {
 	src *spillFile
 }
 
-// mergeIter yields records in sorted order: from the in-memory buffer, by
-// merging run files through a binary min-heap, or straight off an open
-// operator whose rows already arrive in order.
+// mergeIter yields records in sorted order: from the in-memory buffer, or by
+// merging run files through a binary min-heap.
 type mergeIter struct {
-	// stream mode: seq counts the rows pulled
-	src Operator
 	// in-memory mode: rows in iteration order, or in arrival order with the
 	// iteration order beside them; seq is the index into rows either way
 	rows  []value.Row
@@ -461,12 +458,6 @@ func (m *mergeIter) siftDown() {
 
 // next returns the smallest remaining record; ok is false when drained.
 func (m *mergeIter) next() (spillRow, bool, error) {
-	if m.src != nil {
-		row, ok, err := m.src.Next()
-		seq := int64(m.pos)
-		m.pos++
-		return spillRow{seq: seq, row: row}, ok, err
-	}
 	if m.cmp == nil {
 		if m.pos >= len(m.rows) {
 			return spillRow{}, false, nil

@@ -3,8 +3,7 @@
 // state through one admission rule taken from the governor, so "abort on a
 // budget breach" and "refuse, release and hand over to the external path" are
 // policies of a store, not operator families, and a worker count is how many
-// partial stores (group chunks, join partitions) are built at once — 1 is
-// serial execution.
+// partial stores (group chunks, join partitions) are built at once.
 package exec
 
 import (

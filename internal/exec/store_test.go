@@ -210,7 +210,8 @@ func TestScalarGroupEmptyInput(t *testing.T) {
 			must(t, g.hashAggregate(nil))
 		} else {
 			g.par = workers
-			must(t, g.foldPipeline(&pipeOp{src: &valuesOp{}, par: workers, where: g.where}))
+			g.input = &pipeOp{src: &valuesOp{}, par: workers, node: valuesPlan(0)}
+			must(t, g.foldPipeline())
 		}
 		row, ok, err := g.Next()
 		must(t, err)

@@ -27,6 +27,7 @@ type aggColRef struct {
 // tables and chunk-order combine, hence the same results.
 type vecHashGroupOp struct {
 	groupCore
+	in      Operator // opened and closed here, read through src
 	src     batchFeed
 	aggCols []aggColRef
 }
@@ -84,7 +85,7 @@ func (g *vecHashGroupOp) feedVec(st *groupState, b *vec.Batch, i int, scratch *v
 }
 
 func (g *vecHashGroupOp) Open() error {
-	if err := g.input.Open(); err != nil {
+	if err := g.in.Open(); err != nil {
 		return err
 	}
 	resetFeed(g.src)
@@ -180,4 +181,4 @@ func (g *vecHashGroupOp) feedBatch(t *groupTable, b *vec.Batch, enc *vec.KeyEnco
 	return nil
 }
 
-func (g *vecHashGroupOp) Close() error { return g.input.Close() }
+func (g *vecHashGroupOp) Close() error { return g.in.Close() }
