@@ -77,11 +77,15 @@ chaos:
 # (serial and parallel, all shipping strategies), byte-identical rows
 # required; plus the distributed chaos runs with link-fault injection and
 # the Section 7 regression that the eager plan ships strictly fewer bytes,
-# the per-query-budget parity test (1 node vs 4) and the parked-query test
-# that a distributed run does not hold the engine lock against writers
-# (internal/dist, dist_engine_test.go).
+# the sites-at-once tests (a second site starts before the first ends, one
+# compiled plan under concurrent runs, the same rows, link bytes and counts
+# at GOMAXPROCS 1 and 4, a site's panic contained), the per-query-budget
+# parity test (1 node vs 4) and the parked-query test that a distributed
+# run does not hold the engine lock against writers (internal/dist,
+# dist_engine_test.go). The internal/dist legs here and in recovery-oracle
+# run at -cpu 1,4: one processor is the site loop, four is sites at once.
 dist-oracle:
-	$(GO) test -race ./internal/dist -run 'TestLocalVsDistributedOracle|TestDistributedChaosOracle|TestEagerNeverShipsMoreBytes'
+	$(GO) test -race -cpu 1,4 ./internal/dist -run 'TestLocalVsDistributedOracle|TestDistributedChaosOracle|TestEagerNeverShipsMoreBytes|TestSites|TestOnePlanManyRuns|TestSiteFailure'
 	$(GO) test -race . -run 'TestEngineDistributed|TestQueryOptionsBudgetHonouredDistributed|TestDistributedQueryDoesNotBlockWriter'
 
 # The recovery chaos oracle under the race detector: hundreds of seeded
@@ -92,7 +96,7 @@ dist-oracle:
 # (internal/dist/recovery_oracle_test.go) and the engine-level
 # degradation tests (dist_recovery_engine_test.go).
 recovery-oracle:
-	$(GO) test -race ./internal/dist -run TestRecovery
+	$(GO) test -race -cpu 1,4 ./internal/dist -run TestRecovery
 	$(GO) test -race . -run 'TestEngineRetried|TestEngineDegrad|TestExplainAnalyzeGoldenRecovery'
 
 # The disk-chaos spill oracle under the race detector: hundreds of seeded

@@ -315,3 +315,64 @@ func TestDistributedQueryDoesNotBlockWriter(t *testing.T) {
 		t.Fatalf("query after the insert ran on a stale cluster:\n got %v\nwant %v", got, canonicalRows(local))
 	}
 }
+
+// TestSerialQueryRunsSitesInTurn: QueryOptions.Serial reaches the cluster
+// runner — the recovery policy a distributed rung executes under says so —
+// and an ordinary query's does not. (What the runner does with it, and with
+// a budget or a fault injector, is dist's TestSitesAtOnceRule.)
+func TestSerialQueryRunsSitesInTurn(t *testing.T) {
+	e := example1Engine(t, 200, 8)
+	if err := e.SetNodes(4); err != nil {
+		t.Fatal(err)
+	}
+	q, err := parseSelect(example1Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []*QueryOptions{nil, {}, {MemoryBudget: 1 << 20}, {Serial: true}} {
+		p, err := e.prepare(q, o, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := e.recoveryPolicy(p.set).Serial, o != nil && o.Serial; got != want {
+			t.Errorf("options %+v: the cluster rung runs with Serial=%t, want %t", o, got, want)
+		}
+	}
+}
+
+// TestClusterEstimatesCountTheSites: on the cluster rung a per-node partial
+// aggregate, the gather above it and a broadcast are measured summed over
+// the sites, so their estimates are too (dist.Plan.EstRows). Every
+// employee has a department and the departments are equally full: the
+// estimates are exact, and EXPLAIN ANALYZE has to say so.
+func TestClusterEstimatesCountTheSites(t *testing.T) {
+	e := example1Engine(t, 4000, 50)
+	if err := e.SetNodes(4); err != nil {
+		t.Fatal(err)
+	}
+	e.SetDistStrategy(DistEager)
+	a, err := e.QueryAnalyzed(example1Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Calibration.MaxQError != 1 {
+		t.Errorf("max q-error %.2f on exact estimates, want 1.00:\n%s", a.Calibration.MaxQError, a)
+	}
+	a, err = e.QueryAnalyzed(`SELECT E.EmpID, D.Name FROM Employee E, Department D WHERE E.DeptID = D.DeptID`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broadcasts := 0
+	for _, nc := range a.Calibration.Nodes {
+		if nc.Node.Describe() != "Exchange broadcast" {
+			continue
+		}
+		broadcasts++
+		if nc.Estimated != 200 || nc.Actual != 200 {
+			t.Errorf("broadcast of 50 departments to 4 nodes: est=%d actual=%d, want 200 and 200", nc.Estimated, nc.Actual)
+		}
+	}
+	if broadcasts != 1 {
+		t.Errorf("%d broadcasts in the plan, want 1:\n%s", broadcasts, a)
+	}
+}

@@ -133,6 +133,9 @@ type settings struct {
 	clock       obs.Clock
 	linkRetries int
 	faults      *fault.Injector
+	// serial is QueryOptions.Serial, kept beside the worker count it zeroes
+	// because a cluster run sheds one thing more: its sites running at once.
+	serial bool
 }
 
 // with returns the settings one query runs under: s with the per-query
@@ -145,7 +148,7 @@ func (s settings) with(o *QueryOptions) settings {
 		s.memBudget = o.MemoryBudget
 	}
 	if o.Serial {
-		s.parallelism, s.vectorize = 0, false
+		s.parallelism, s.vectorize, s.serial = 0, false, true
 	}
 	return s
 }
@@ -188,7 +191,9 @@ func (e *Engine) Mode() Mode {
 // SetParallelism selects the executor worker count: 0 or 1 run queries
 // serially (the default), n > 1 runs n workers, and a negative value uses
 // one worker per CPU. Parallel execution is deterministic — it returns
-// exactly the rows, in exactly the order, of a serial run.
+// exactly the rows, in exactly the order, of a serial run. On a cluster
+// (SetNodes) this is the worker count of each fragment run; how many sites
+// run at once is not set here or anywhere (see SetNodes).
 func (e *Engine) SetParallelism(n int) {
 	e.update(func(s *settings) { s.parallelism = n })
 }
@@ -503,10 +508,12 @@ type QueryOptions struct {
 	// global pool and passes them through here.
 	MemoryBudget int64
 	// Serial forces serial row-at-a-time execution (sheds parallelism and
-	// vectorization) for this query only — the admission controller's
-	// degradation mode under load. The plan choice is unchanged: serial
-	// and parallel, row and vectorized execution are equivalence-oracled,
-	// so shedding degrades resources, never results.
+	// vectorization, and on a cluster runs a fragment's sites one after
+	// another instead of at once) for this query only — the admission
+	// controller's degradation mode under load. The plan choice is
+	// unchanged: serial and parallel, row and vectorized execution, sites
+	// in turn and sites at once are equivalence-oracled, so shedding
+	// degrades resources, never results.
 	Serial bool
 }
 
@@ -716,7 +723,11 @@ func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome)
 // columnar engine and operator spans (try adds the first local rung's
 // SpillManager). Cluster fragments always hash — their input is the runner's
 // node-order concatenation, never a sorted stream — and run the row engine
-// over their materialized shard slices, as they always have.
+// over their shard slices, as they always have. These options are the
+// session's; the cluster runner hands every (fragment, site) run a copy with
+// that site's Sources bound, and runs a fragment's sites at once unless the
+// budget or injector set here — or a Serial query, through recoveryPolicy —
+// says one at a time (dist's sitesAtOnce).
 func (p *prepared) execOptions(ctx context.Context, at attempt, out *outcome) *exec.Options {
 	opts := &exec.Options{
 		Params:       p.params,

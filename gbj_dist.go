@@ -94,8 +94,14 @@ func (e *Engine) RecoveryCounters() RecoveryCounters {
 
 // SetNodes selects the simulated cluster size queries run on: 1 (the
 // default) executes single-site; n > 1 hash-partitions every base table
-// across n nodes and executes queries with exchange operators. Values
-// below 1 are rejected.
+// across n nodes and executes queries with exchange operators. The nodes
+// work at the same time, as a cluster's sites do: min(n, GOMAXPROCS) of a
+// fragment's per-node runs execute at once — one after another only for a
+// Serial query, under a memory budget (every site's run is entitled to the
+// whole of the query's one lease) or under a fault injector (its schedule
+// is one sequence). The result is the same either way, row for row and
+// byte for byte: each site's output is kept under its node number and rows
+// move between sites in node order. Values below 1 are rejected.
 func (e *Engine) SetNodes(n int) error {
 	if n < 1 {
 		return fmt.Errorf("gbj: node count must be at least 1, got %d", n)
@@ -205,13 +211,16 @@ func translateCerts(dp *dist.Plan, certs []*plancheck.Certificate) []*plancheck.
 
 // recoveryPolicy assembles the fault-tolerance policy a distributed rung
 // executes under: the retry budget, the clock driving backoff, the
-// engine-lifetime counter aggregate, and — when plan checking is on — the
-// plancheck dist-recovery verifier consulted on every failover re-route.
+// engine-lifetime counter aggregate, whether the query is Serial (its
+// sites then run one after another, dist's sitesAtOnce rule) and — when
+// plan checking is on — the plancheck dist-recovery verifier consulted on
+// every failover re-route.
 func (e *Engine) recoveryPolicy(s settings) *dist.Recovery {
 	rec := &dist.Recovery{
 		LinkRetries: s.linkRetries,
 		Clock:       s.clock,
 		Stats:       &e.recovery,
+		Serial:      s.serial,
 	}
 	if s.planCheck {
 		rec.Verify = verifyRecovery
@@ -236,13 +245,19 @@ func degradeReason(err error) string {
 }
 
 // translateAnn moves logical-plan row estimates onto the distributed
-// nodes derived from them. Synthesized nodes whose origin has no estimate
+// nodes derived from them — scaled where the compiler priced a node at
+// other than its origin's cardinality (dp.EstRows: per-node partial
+// aggregates, broadcasts), since the measured count it calibrates against
+// is summed over the sites. Synthesized nodes whose origin has no estimate
 // (or no origin) calibrate against the zero estimate, surfacing as
 // q-error like any other unestimated operator.
 func translateAnn(dp *dist.Plan, ann algebra.Annotations) algebra.Annotations {
 	out := make(algebra.Annotations, len(dp.Origins))
 	for n, origin := range dp.Origins {
 		if a, ok := ann[origin]; ok {
+			if rows, ok := dp.EstRows[n]; ok {
+				a.Rows = int64(rows)
+			}
 			out[n] = a
 		}
 	}

@@ -94,6 +94,13 @@ type Plan struct {
 	// EstBytes is the summed per-exchange byte estimate (0 without an
 	// estimator).
 	EstBytes float64
+	// EstRows is the row estimate of every node whose output, summed over
+	// the sites that produce it, is not its origin's cardinality: a per-node
+	// partial GroupBy and the gather above it (partialRows), a broadcast
+	// (every node reads the whole input). These are the cardinalities the
+	// exchanges are priced at; EXPLAIN ANALYZE calibrates against them.
+	// Empty without an estimator.
+	EstRows map[algebra.Node]float64
 }
 
 // EagerGroupBys counts the grouping operators that were compiled into a
@@ -141,6 +148,7 @@ func Compile(logical algebra.Node, cfg Config) (*Plan, error) {
 		Nodes:    cfg.Nodes,
 		Strategy: cfg.Strategy,
 		Origins:  make(map[algebra.Node]algebra.Node),
+		EstRows:  make(map[algebra.Node]float64),
 	}}
 	root, part, err := c.comp(logical)
 	if err != nil {
@@ -196,6 +204,9 @@ func (c *compiler) exchange(kind ExchangeKind, keys []int, input algebra.Node, o
 	x := &Exchange{Kind: kind, Keys: keys, Input: input}
 	if rows := c.rows(origin); rows >= 0 {
 		x.EstBytes = c.shipBytes(kind, rows, rowWidth(input.Schema()))
+		if kind == Broadcast {
+			c.plan.EstRows[x] = float64(c.cfg.Nodes) * rows
+		}
 	}
 	c.register(x, origin)
 	return x
@@ -350,6 +361,17 @@ func (c *compiler) compJoin(origin algebra.Node, l, r algebra.Node) (algebra.Nod
 	}
 }
 
+// partialRows estimates the rows the per-node partial aggregation of node
+// produces over all sites: one per group per node, and never more than its
+// input. ok is false without an estimator.
+func (c *compiler) partialRows(node *algebra.GroupBy) (rows float64, ok bool) {
+	inRows, groups := c.rows(node.Input), c.rows(node)
+	if inRows < 0 || groups < 0 {
+		return 0, false
+	}
+	return min(float64(c.cfg.Nodes)*groups, inRows), true
+}
+
 // compGroup compiles grouping — the lazy/eager decision point.
 func (c *compiler) compGroup(node *algebra.GroupBy) (algebra.Node, bool, error) {
 	in, part, err := c.comp(node.Input)
@@ -370,18 +392,10 @@ func (c *compiler) compGroup(node *algebra.GroupBy) (algebra.Node, bool, error) 
 		eager = false
 	default: // StrategyAuto
 		eager = Decomposable(node.Aggs)
-		if eager {
-			inRows := c.rows(node.Input)
-			groups := c.rows(node)
-			if inRows >= 0 && groups >= 0 {
-				partials := float64(c.cfg.Nodes) * groups
-				if partials > inRows {
-					partials = inRows
-				}
-				width := rowWidth(in.Schema())
-				outWidth := rowWidth(node.Schema())
-				eager = c.shipBytes(Gather, partials, outWidth) <= c.shipBytes(Gather, inRows, width)
-			}
+		if partials, ok := c.partialRows(node); eager && ok {
+			width := rowWidth(in.Schema())
+			outWidth := rowWidth(node.Schema())
+			eager = c.shipBytes(Gather, partials, outWidth) <= c.shipBytes(Gather, c.rows(node.Input), width)
 		}
 	}
 
@@ -393,12 +407,9 @@ func (c *compiler) compGroup(node *algebra.GroupBy) (algebra.Node, bool, error) 
 		partial := &algebra.GroupBy{Input: in, GroupCols: node.GroupCols, Aggs: partialAggs}
 		c.register(partial, node)
 		g := &Exchange{Kind: Gather, Input: partial}
-		if inRows, groups := c.rows(node.Input), c.rows(node); inRows >= 0 && groups >= 0 {
-			partials := float64(c.cfg.Nodes) * groups
-			if partials > inRows {
-				partials = inRows
-			}
+		if partials, ok := c.partialRows(node); ok {
 			g.EstBytes = c.shipBytes(Gather, partials, rowWidth(partial.Schema()))
+			c.plan.EstRows[partial], c.plan.EstRows[g] = partials, partials
 		}
 		c.register(g, node)
 		final := &algebra.GroupBy{Input: g, GroupCols: node.GroupCols, Aggs: finalAggs}

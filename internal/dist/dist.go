@@ -19,8 +19,15 @@
 // and fragments execute through the ordinary executor (package exec) — one
 // governed exec.Run per (fragment, node), with morsel parallelism,
 // cancellation, memory budgets and fault injection all inherited from the
-// session's exec.Options. Links account every cross-node row in canonical
-// encoded bytes and drive the link-level fault kinds (LinkDelay/LinkDrop).
+// session's exec.Options. The sites are simulated in time as well as in
+// bytes: a fragment's per-node runs execute at once, min(nodes, GOMAXPROCS)
+// of them, over a compiled plan that is read-only while it runs — one after
+// another only for a Serial query, under a memory budget or under a fault
+// injector (sitesAtOnce in run.go has the rule and its reasons). Results
+// do not depend on it: every site's output is kept under its node index and
+// all row movement happens on the runner's own goroutine, in node order.
+// Links account every cross-node row in canonical encoded bytes and drive
+// the link-level fault kinds (LinkDelay/LinkDrop).
 package dist
 
 import (

@@ -9,9 +9,12 @@
 //     coordinator, Broadcast replicates its input onto every node, Shuffle
 //     repartitions rows by a hash of key columns.
 //
-// Both implement exec.RowSource, so the runner materializes their rows per
-// site and the ordinary executor runs each fragment unchanged — morsel
-// scheduler, governor, metrics and all.
+// Neither holds rows. A fragment run binds them, per site, through
+// exec.Options.Sources (sources in run.go): site i reads its own shard for a
+// Leaf and the rows delivered to site i for an Exchange, and the ordinary
+// executor runs the fragment unchanged — morsel scheduler, governor, metrics
+// and all. Nothing in a compiled plan is written while it runs, so a
+// fragment's sites run at once and several runs may share one *Plan.
 package dist
 
 import (
@@ -19,7 +22,6 @@ import (
 	"strings"
 
 	"repro/internal/algebra"
-	"repro/internal/value"
 )
 
 // ExchangeKind selects an exchange's movement pattern.
@@ -64,10 +66,6 @@ type Exchange struct {
 	// EstBytes is the compile-time estimate of bytes this exchange ships,
 	// when the compiler had a cardinality estimator; 0 otherwise.
 	EstBytes float64
-
-	// delivered holds the rows the runner materialized at the currently
-	// executing site; the executor consumes them through SourceRows.
-	delivered []value.Row
 }
 
 // Schema passes the input schema through.
@@ -93,10 +91,6 @@ func (x *Exchange) Describe() string {
 	return "Exchange " + x.Kind.String()
 }
 
-// SourceRows implements exec.RowSource: the rows delivered to the
-// executing site.
-func (x *Exchange) SourceRows() []value.Row { return x.delivered }
-
 // ExchangeKindName implements plancheck.ExchangeNode.
 func (x *Exchange) ExchangeKindName() string { return x.Kind.String() }
 
@@ -104,13 +98,11 @@ func (x *Exchange) ExchangeKindName() string { return x.Kind.String() }
 func (x *Exchange) ShuffleKeys() []int { return x.Keys }
 
 // Leaf is a partitioned fragment's base-table input: the executing node's
-// shard of Table. The runner sets its rows before each per-node run.
+// shard of Table, which each per-node run binds to its own node's rows.
 type Leaf struct {
 	Table string
 	Alias string
 	Cols  algebra.Schema
-
-	rows []value.Row
 }
 
 // Schema returns the shard's columns (the scanned table's schema).
@@ -126,9 +118,6 @@ func (l *Leaf) Describe() string {
 	}
 	return "Shard " + l.Table
 }
-
-// SourceRows implements exec.RowSource: the executing node's shard.
-func (l *Leaf) SourceRows() []value.Row { return l.rows }
 
 // ShardTable implements plancheck.ShardSource.
 func (l *Leaf) ShardTable() string { return l.Table }

@@ -72,6 +72,10 @@ type Recovery struct {
 	// Stats, when set, accumulates the run's recovery counters into an
 	// engine-lifetime aggregate (the \retries shell command reads it).
 	Stats *RecoveryStats
+	// Serial runs a fragment's sites one after another on the caller's
+	// goroutine (see sitesAtOnce): how a query that asked for serial
+	// execution reaches the runner. It changes no result.
+	Serial bool
 }
 
 // resolveRecovery normalizes a policy for one run. nil means fault

@@ -1,11 +1,17 @@
 // Distributed execution. The runner walks the compiled plan bottom-up,
 // evaluating each exchange's input fragment and moving its rows through
 // the cluster's links, then executing the consuming fragment through the
-// ordinary executor — one governed exec.Run per (fragment, node), with the
-// fragment's Leaf and Exchange endpoints materialized as row sources. The
-// node loop is serial and deterministic: gathered output concatenates in
-// node order, shuffled output receives senders in node order, so a given
-// cluster size always produces the same rows in the same order.
+// ordinary executor — one governed exec.Run per (fragment, node), each bound
+// to its own site's shard rows and delivered partitions (sources), so the
+// compiled plan is read-only while it runs. A partitioned fragment's sites
+// run at once, on the executor's own worker pool (sitesAtOnce says how
+// many); everything that orders the result stays with the runner's own
+// goroutine: each site's output is kept under its node index, gathered
+// output concatenates in node order, shuffled output receives senders in
+// node order, and every shipment — with its (epoch, seq) tag and its link
+// ordinal — is made after the sites have joined. A given cluster size
+// therefore produces the same rows in the same order, ships the same bytes
+// and counts the same recoveries however many sites ran together.
 //
 // Every cross-node transfer is one logical *shipment* carrying an
 // (epoch, seq) tag. With a Recovery policy installed the runner retries
@@ -23,6 +29,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"time"
 
@@ -47,11 +54,13 @@ type placed struct {
 // Run executes a compiled plan on the cluster with fault tolerance off:
 // one attempt per shipment, fail-fast. opts carries the session's
 // execution settings — parallelism, params, context, memory budget, fault
-// injector, metrics collector — and is passed to every fragment run; the
-// memory budget therefore governs each fragment execution individually
-// (per node), which mirrors a real cluster where every site has its own
-// memory. A panic anywhere in the distributed runtime is contained into a
-// typed *exec.ExecPanicError, same as the single-node executor.
+// injector, metrics collector — and every fragment run gets a copy of it
+// (plus its site's Sources); the memory budget therefore governs each
+// fragment execution individually (per node), which mirrors a real cluster
+// where every site has its own memory. A panic anywhere in the distributed
+// runtime — a site's fragment run included, whichever goroutine carried it —
+// is contained into one typed *exec.ExecPanicError, same as the single-node
+// executor, with every site worker joined before Run returns.
 func (c *Cluster) Run(p *Plan, opts *exec.Options) (*exec.Result, error) {
 	return c.RunRecover(p, opts, nil)
 }
@@ -83,6 +92,7 @@ func (c *Cluster) RunRecover(p *Plan, opts *exec.Options, rec *Recovery) (res *e
 		opts:   opts,
 		plan:   p,
 		rec:    resolveRecovery(rec),
+		sites:  sitesAtOnce(len(c.nodes), opts, rec),
 		health: newHealth(len(c.nodes)),
 		inbox:  make(map[int64]bool),
 	}
@@ -94,7 +104,41 @@ func (c *Cluster) RunRecover(p *Plan, opts *exec.Options, rec *Recovery) (res *e
 	if out.part {
 		return nil, fmt.Errorf("dist: plan root %s is partitioned; compile must gather it", p.Root.Describe())
 	}
+	if opts.Metrics != nil {
+		// Once, after every site of every fragment (failover re-runs
+		// included) has added its rows: what the analysis reads does not
+		// depend on which site finished last.
+		obs.FillRowsIn(opts.Metrics, p.Root, algebra.Node.Children)
+	}
 	return &exec.Result{Schema: p.Root.Schema(), Rows: out.rows}, nil
+}
+
+// sitesAtOnce is the one rule for how many of a partitioned fragment's
+// per-node runs execute at the same time: min(nodes, GOMAXPROCS). The sites
+// of a cluster work independently — that is the premise of the paper's
+// Section 7 — and share nothing here but a read-only plan and read-only
+// shards; beyond the processor count more goroutines would only queue. It
+// is 1 — the same loop, on the caller's goroutine — when the run
+//
+//   - is Serial (rec.Serial: the engine's QueryOptions.Serial, which
+//     admission's degraded grant sets to shed a query's concurrency; the
+//     cluster's is shed with the rest);
+//   - has a MemoryBudget: the budget is one lease from a process-wide pool,
+//     and every fragment run is entitled to all of it under a governor of
+//     its own, so W sites at once would hold W leases' worth of state;
+//   - carries a fault injector: its schedules are ordinals over one
+//     sequence of row and link events, and sites running together would
+//     decide by scheduling which event an ordinal lands on.
+//
+// Nothing else enters, and there is no option: rows, row order, link bytes
+// and recovery counters are the same for any answer (see the file comment),
+// so the answer is only ever a matter of time. Each fragment run keeps
+// Options.Parallelism as given.
+func sitesAtOnce(nodes int, opts *exec.Options, rec *Recovery) int {
+	if (rec != nil && rec.Serial) || opts.MemoryBudget > 0 || opts.Faults != nil {
+		return 1
+	}
+	return min(nodes, runtime.GOMAXPROCS(0))
 }
 
 type runner struct {
@@ -102,6 +146,7 @@ type runner struct {
 	opts   *exec.Options
 	plan   *Plan
 	rec    Recovery
+	sites  int // sitesAtOnce, fixed for the run
 	health *health
 
 	// inbox is the receiver side of the shipment protocol: seq tags whose
@@ -161,16 +206,17 @@ func (r *runner) eval(n algebra.Node) (placed, error) {
 // evalFragment executes one fragment: the maximal subtree below n whose
 // interior is ordinary algebra, bounded by Leaf shards and child
 // exchanges. Child exchanges are evaluated (and their rows moved) first;
-// then the fragment runs once at the coordinator, or once per node when
-// any of its sources is partitioned.
+// then the fragment runs once at the coordinator, or once per node — sites
+// at once, each result kept under its node index — when any of its sources
+// is partitioned.
 func (r *runner) evalFragment(n algebra.Node) (placed, error) {
-	var leaves []*Leaf
+	part := false
 	var exchanges []*Exchange
 	var walk func(m algebra.Node)
 	walk = func(m algebra.Node) {
 		switch t := m.(type) {
 		case *Leaf:
-			leaves = append(leaves, t)
+			part = true
 		case *Exchange:
 			exchanges = append(exchanges, t)
 		default:
@@ -182,7 +228,6 @@ func (r *runner) evalFragment(n algebra.Node) (placed, error) {
 	walk(n)
 
 	delivered := make([]placed, len(exchanges))
-	part := len(leaves) > 0
 	for i, x := range exchanges {
 		d, err := r.evalExchange(x)
 		if err != nil {
@@ -194,61 +239,73 @@ func (r *runner) evalFragment(n algebra.Node) (placed, error) {
 		}
 	}
 
-	if !part {
-		for i, x := range exchanges {
-			x.delivered = delivered[i].rows
-		}
-		rows, err := r.runExec(n)
-		if err != nil {
-			return placed{}, err
-		}
-		return placed{rows: rows}, nil
-	}
-
-	// runAt binds node i's shard of every leaf and partition i of every
-	// delivered exchange, then executes the fragment. The main loop below
+	// runAt executes the fragment as site i sees it. The node pool below
 	// runs it once per node; a failover re-runs it for a dead node's
 	// partition at the surviving owner of its shard replica.
 	runAt := func(i int) ([]value.Row, error) {
-		for _, leaf := range leaves {
-			leaf.rows = r.cl.nodes[i].TableRows(leaf.Table)
+		opts := *r.opts
+		opts.Sources = r.sources(i, exchanges, delivered)
+		// The store argument is nil: fragments contain no Scan nodes
+		// (compilation replaced them with shard Leafs), so the executor
+		// never touches it.
+		res, err := exec.Run(n, nil, &opts)
+		if err != nil {
+			return nil, err
 		}
-		for j, x := range exchanges {
-			d := delivered[j]
-			if !d.part {
-				// A coordinator-resident source feeding a partitioned
-				// fragment would mean data reached the nodes outside a
-				// link; the compiler never produces this shape.
-				return nil, fmt.Errorf("dist: %s delivers coordinator rows into a partitioned fragment", x.Describe())
-			}
-			x.delivered = d.parts[i]
+		return res.Rows, nil
+	}
+	if !part {
+		rows, err := runAt(0)
+		return placed{rows: rows}, err
+	}
+	for j, x := range exchanges {
+		if !delivered[j].part {
+			// A coordinator-resident source feeding a partitioned
+			// fragment would mean data reached the nodes outside a
+			// link; the compiler never produces this shape.
+			return placed{}, fmt.Errorf("dist: %s delivers coordinator rows into a partitioned fragment", x.Describe())
 		}
-		return r.runExec(n)
 	}
 
+	where := ""
+	if r.sites > 1 {
+		where = "dist: " + n.Describe() // formatted only for a pool that can report a panic under it
+	}
 	parts := make([][]value.Row, len(r.cl.nodes))
-	for i := range r.cl.nodes {
-		if err := r.cancelled(); err != nil {
-			return placed{}, err
+	err := exec.ForEach(where, r.sites, len(parts), func(_, i int) (err error) {
+		if err = r.cancelled(); err == nil {
+			parts[i], err = runAt(i)
 		}
-		rows, err := runAt(i)
-		if err != nil {
-			return placed{}, err
-		}
-		parts[i] = rows
+		return err
+	})
+	if err != nil {
+		return placed{}, err
 	}
 	return placed{part: true, parts: parts, runAt: runAt}, nil
 }
 
-// runExec executes a fragment tree through the ordinary executor. The
-// store argument is nil: fragments contain no Scan nodes (compilation
-// replaced them with shard Leafs), so the executor never touches it.
-func (r *runner) runExec(n algebra.Node) ([]value.Row, error) {
-	res, err := exec.Run(n, nil, r.opts)
-	if err != nil {
-		return nil, err
+// sources is the binding of one fragment run (exec.Options.Sources): site's
+// own shard of every Leaf, and of every exchange what was delivered to site
+// — its partition, or the coordinator's one row set.
+func (r *runner) sources(site int, exchanges []*Exchange, delivered []placed) func(algebra.Node) ([]value.Row, bool) {
+	return func(n algebra.Node) ([]value.Row, bool) {
+		switch t := n.(type) {
+		case *Leaf:
+			return r.cl.nodes[site].TableRows(t.Table), true
+		case *Exchange:
+			for j, x := range exchanges {
+				if x != t {
+					continue
+				}
+				d := delivered[j]
+				if d.part {
+					return d.parts[site], true
+				}
+				return d.rows, true
+			}
+		}
+		return nil, false
 	}
-	return res.Rows, nil
 }
 
 // evalExchange evaluates an exchange's input and applies its movement,

@@ -151,24 +151,25 @@ type Options struct {
 	// batch rather than per row. Off by default: the row path is the
 	// reference semantics and stays byte-for-byte untouched.
 	Vectorize bool
+	// Sources, when non-nil, binds the plan's leaves that are not core algebra
+	// to their rows, for this run only — the seam the distributed runtime
+	// (package dist) runs one plan fragment per site through: it sets, on a
+	// by-value copy of the session's Options, the function that answers site
+	// i's shard for a shard leaf and the rows delivered to site i for an
+	// exchange endpoint, so the plan tree itself is never written and any
+	// number of runs may share it. The compiler lowers a bound leaf like a
+	// Values literal; the slice is the only copy of the input the run holds,
+	// and the pipeline above the leaf — join probe, folding group-by — reads
+	// it in place. Such a run is one of several over the same plan nodes and
+	// the same collector, so it leaves RowsIn to whoever bound it: derived
+	// once (obs.FillRowsIn), after the last of them has joined.
+	Sources func(leaf algebra.Node) ([]value.Row, bool)
 }
 
 // Result is a fully materialized query result.
 type Result struct {
 	Schema algebra.Schema
 	Rows   []value.Row
-}
-
-// RowSource is a plan leaf whose rows are materialized by the caller before
-// execution — the seam the distributed runtime (package dist) uses to run
-// one plan fragment per node: shard leaves and exchange endpoints implement
-// it, and the compiler lowers them like a Values literal. SourceRows is
-// read once at compile time of each Run, and that slice is the only copy of a
-// fragment's input the run holds: the pipeline above the leaf — join probe,
-// folding group-by — reads it in place.
-type RowSource interface {
-	algebra.Node
-	SourceRows() []value.Row
 }
 
 // Run executes a logical plan to completion. A panic on the caller's own
@@ -230,8 +231,8 @@ func Run(root algebra.Node, store *storage.Store, opts *Options) (res *Result, e
 	if err != nil {
 		return nil, err
 	}
-	if opts.Metrics != nil {
-		fillRowsIn(root, opts.Metrics)
+	if opts.Metrics != nil && opts.Sources == nil {
+		obs.FillRowsIn(opts.Metrics, root, algebra.Node.Children)
 	}
 	return &Result{Schema: root.Schema(), Rows: rows}, nil
 }
@@ -389,15 +390,6 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 			return compiled{op: &vecValuesOp{rows: node.Rows, width: len(n.Schema()), metrics: c.nodeMetrics(n)}}, nil
 		}
 		return compiled{op: &valuesOp{rows: node.Rows}}, nil
-	case RowSource:
-		// Materialized leaves outside the core algebra — the distributed
-		// runtime's shard and exchange endpoints (package dist) — plug in
-		// here: the fragment runner materializes their rows before Run and
-		// the executor treats them exactly like a Values literal.
-		if c.opts.Vectorize {
-			return compiled{op: &vecValuesOp{rows: node.SourceRows(), width: len(n.Schema()), metrics: c.nodeMetrics(n)}}, nil
-		}
-		return compiled{op: &valuesOp{rows: node.SourceRows()}}, nil
 	case *algebra.Select:
 		in, err := c.compile(node.Input)
 		if err != nil {
@@ -537,6 +529,16 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 	case *algebra.Limit:
 		return c.compileLimit(node)
 	default:
+		// A leaf outside the core algebra — the distributed runtime's shard
+		// and exchange endpoints — is whatever rows this run binds it to.
+		if c.opts.Sources != nil {
+			if rows, ok := c.opts.Sources(n); ok {
+				if c.opts.Vectorize {
+					return compiled{op: &vecValuesOp{rows: rows, width: len(n.Schema()), metrics: c.nodeMetrics(n)}}, nil
+				}
+				return compiled{op: &valuesOp{rows: rows}}, nil
+			}
+		}
 		return compiled{}, fmt.Errorf("exec: no physical implementation for %T", n)
 	}
 }

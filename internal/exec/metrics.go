@@ -120,22 +120,3 @@ func (c *compiler) nodeMetrics(n algebra.Node) *obs.OpMetrics {
 	}
 	return c.opts.Metrics.Node(n)
 }
-
-// fillRowsIn derives each node's input cardinality as the sum of its
-// children's output cardinalities, after execution. Done once per run over
-// the plan tree — never on the row path.
-func fillRowsIn(root algebra.Node, col *obs.Collector) {
-	algebra.Walk(root, func(n algebra.Node) {
-		m := col.Lookup(n)
-		if m == nil {
-			return
-		}
-		var in int64
-		for _, ch := range n.Children() {
-			if cm := col.Lookup(ch); cm != nil {
-				in += cm.RowsOut.Load()
-			}
-		}
-		m.RowsIn.Store(in)
-	})
-}

@@ -160,6 +160,16 @@ func forEachChunk(where string, workers, n, size int, fn func(worker, chunk, lo,
 	return nil
 }
 
+// ForEach runs fn(worker, i) for every i in [0, n) on the executor's worker
+// pool — forEachChunk with one index per chunk, so everything said there
+// holds: at most `workers` goroutines, one worker is the caller's own
+// goroutine, the first error by index wins, a panic surfaces as an
+// *ExecPanicError naming `where`, and every worker is joined before ForEach
+// returns. It is the pool the distributed runtime runs a fragment's sites on.
+func ForEach(where string, workers, n int, fn func(worker, i int) error) error {
+	return forEachChunk(where, workers, n, 1, func(w, i, _, _ int) error { return fn(w, i) })
+}
+
 // chunkSizeFor splits n rows into one contiguous chunk per worker — the
 // chunking used by thread-local partial aggregation, where the merge cost
 // scales with the chunk count rather than the row count.

@@ -244,9 +244,9 @@ func (s *vecScanOp) stableBatches() bool { return true }
 
 // ---------------------------------------------------------------- values
 
-// vecValuesOp iterates literal rows (Values nodes and the distributed
-// runtime's RowSource leaves) as columnar batches, columnarized once at
-// first Open.
+// vecValuesOp iterates literal rows (Values nodes and the leaves a run binds
+// through Options.Sources) as columnar batches, columnarized once at first
+// Open.
 type vecValuesOp struct {
 	rows    []value.Row
 	width   int

@@ -184,6 +184,7 @@ func TestAnalyzerScoping(t *testing.T) {
 		{lint.AccMergeAnalyzer, "internal/expr", "internal/exec"},
 		{lint.OptMutationAnalyzer, "internal/exec", ""},
 		{lint.NoRawGoAnalyzer, "internal/exec", "internal/fault"},
+		{lint.NoRawGoAnalyzer, "internal/dist", "internal/server"},
 		{lint.DistLinkAnalyzer, "internal/dist", "internal/exec"},
 		{lint.CowDictAnalyzer, "internal/vec", "internal/exec"},
 		{lint.GovLoopAnalyzer, "internal/exec", "internal/vec"},

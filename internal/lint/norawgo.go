@@ -12,11 +12,13 @@ import (
 // state). Every spawn must go through the goSafe helper, which registers
 // with a WaitGroup and converts panics into errors delivered before the
 // waiter is released. goSafe itself hosts the one sanctioned `go`
-// statement.
+// statement. internal/dist is held to the same rule and has no goSafe of
+// its own: the sites of a cluster fragment run on the executor's pool
+// (exec.ForEach), so the distributed runtime starts no goroutine itself.
 var NoRawGoAnalyzer = &Analyzer{
 	Name: "norawgo",
 	Doc:  "forbid raw go statements in the executor (spawn through goSafe, which recovers panics and guarantees the join)",
-	Dirs: []string{"internal/exec"},
+	Dirs: []string{"internal/exec", "internal/dist"},
 	Run:  runNoRawGo,
 }
 

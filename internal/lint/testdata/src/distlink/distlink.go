@@ -66,6 +66,17 @@ func shuffleBad(src, dst *Node) {
 	dst.shards["T"] = rows  // want "outside the Link abstraction"
 }
 
+// A site worker — a function literal a pool runs once per node — is no
+// exception: with the sites running at once it is the likeliest place for a
+// shortcut past TableRows.
+func workerBad(c *Cluster, forEach func(n int, fn func(i int))) [][]Row {
+	parts := make([][]Row, len(c.nodes))
+	forEach(len(c.nodes), func(i int) {
+		parts[i] = c.nodes[i].shards["T"] // want "outside the Link abstraction"
+	})
+	return parts
+}
+
 func byValueBad(n Node) int {
 	return len(n.shards) // want "outside the Link abstraction"
 }

@@ -155,7 +155,8 @@ type Collector struct {
 type Governance struct {
 	// BudgetBytes is Options.MemoryBudget; 0 when no budget was set.
 	BudgetBytes int64 `json:"budget_bytes,omitempty"`
-	// UsedBytes is the governor's accounted state high-water mark.
+	// UsedBytes is the governor's accounted state high-water mark; on a
+	// cluster, the largest of the per-site fragment runs'.
 	UsedBytes int64 `json:"used_bytes,omitempty"`
 	// Fallback is true when this execution is the lazy (group-after-join)
 	// retry of an eager plan that exceeded the budget.
@@ -215,16 +216,21 @@ func (c *Collector) SetBudget(bytes int64) {
 }
 
 // SetBudgetUsed records the governor's accounted state high-water mark.
+// A cluster query reports once per fragment run, each under its own
+// governor; the largest report is kept — the per-site high-water mark, which
+// is what a per-site budget bounds — so the figure does not depend on which
+// run finished last.
 func (c *Collector) SetBudgetUsed(bytes int64) {
 	c.mu.Lock()
-	c.gov.UsedBytes = bytes
+	c.gov.UsedBytes = max(c.gov.UsedBytes, bytes)
 	c.mu.Unlock()
 }
 
-// SetSpilled records the execution's total spill-file bytes.
+// SetSpilled records the execution's total spill-file bytes; over a cluster
+// query's fragment runs the largest is kept, like SetBudgetUsed.
 func (c *Collector) SetSpilled(bytes int64) {
 	c.mu.Lock()
-	c.gov.SpillBytes = bytes
+	c.gov.SpillBytes = max(c.gov.SpillBytes, bytes)
 	c.mu.Unlock()
 }
 
@@ -290,6 +296,27 @@ func (c *Collector) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.ops)
+}
+
+// FillRowsIn derives the input cardinality of n and every node below it as
+// the sum of its children's output cardinalities. It runs once per query,
+// after execution — for a cluster query after every site of every fragment
+// has joined, so no partial sum is ever stored — and never on the row path.
+// children lists a plan node's inputs (the package knows no plan algebra).
+func FillRowsIn[N any](c *Collector, n N, children func(N) []N) {
+	kids := children(n)
+	if m := c.Lookup(n); m != nil {
+		var in int64
+		for _, ch := range kids {
+			if cm := c.Lookup(ch); cm != nil {
+				in += cm.RowsOut.Load()
+			}
+		}
+		m.RowsIn.Store(in)
+	}
+	for _, ch := range kids {
+		FillRowsIn(c, ch, children)
+	}
 }
 
 // Each visits every registered operator in registration order (compile

@@ -189,3 +189,34 @@ func TestTracerJSONDeterministic(t *testing.T) {
 		t.Fatalf("trace JSON not deterministic:\n%s\nvs\n%s", b, b2)
 	}
 }
+
+// TestGovernanceKeepsTheLargestReport: a cluster query reports used and
+// spilled bytes once per fragment run, in whatever order the sites finish;
+// the collector keeps the largest — the per-site high-water mark.
+func TestGovernanceKeepsTheLargestReport(t *testing.T) {
+	c := obs.NewCollector()
+	for _, b := range []int64{40, 900, 12, 0} {
+		c.SetBudgetUsed(b)
+		c.SetSpilled(b / 2)
+	}
+	if g := c.Gov(); g.UsedBytes != 900 || g.SpillBytes != 450 {
+		t.Fatalf("used=%d spilled=%d after reports 40, 900, 12, 0 — want the largest, 900 and 450", g.UsedBytes, g.SpillBytes)
+	}
+}
+
+// TestFillRowsIn: a node's input is the sum of its children's outputs,
+// derived for every registered node below the root in one call.
+func TestFillRowsIn(t *testing.T) {
+	children := map[string][]string{"join": {"left", "right"}, "left": {"scan"}}
+	c := obs.NewCollector()
+	for id, out := range map[string]int64{"join": 5, "left": 7, "right": 3, "scan": 20} {
+		c.Node(id).RowsOut.Store(out)
+	}
+	c.Node("join").RowsIn.Store(99) // a stale partial sum is overwritten
+	obs.FillRowsIn(c, "join", func(id string) []string { return children[id] })
+	for id, want := range map[string]int64{"join": 10, "left": 20, "right": 0, "scan": 0} {
+		if got := c.Lookup(id).RowsIn.Load(); got != want {
+			t.Errorf("%s: RowsIn %d, want %d", id, got, want)
+		}
+	}
+}
