@@ -24,8 +24,10 @@ vet:
 # The repository's own multichecker (internal/lint): map-iteration
 # determinism in row paths, cost-model purity, atomic shared counters,
 # the accumulator Merge contract, exec.Options immutability, the
-# copy-on-write dictionary protocol, governed row loops, memory-budget
-# accounting, %w error wrapping and selection-vector access.
+# copy-on-write dictionary protocol, governed row and batch loops (the
+# pipeline runner's chunk loop in either source form), memory-budget
+# accounting of the one join table and the one group table, %w error
+# wrapping and selection-vector access.
 lint:
 	$(GO) run ./cmd/gbj-lint ./...
 
@@ -104,7 +106,8 @@ recovery-oracle:
 # schedules (write/short-write/read/close failures); every run must return
 # exactly the unbudgeted rows or a typed *SpillError, with zero live spill
 # files afterwards (internal/exec/disk_chaos_oracle_test.go), plus the
-# per-operator fault sweeps and the engine-level spill lifecycle tests.
+# per-operator fault sweeps — each external path over a row and over a
+# columnar source — and the engine-level spill lifecycle tests.
 spill-oracle:
 	$(GO) test -race ./internal/exec -run 'TestDiskChaosOracle|TestSpillOperatorDiskFaults'
 	$(GO) test -race . -run 'TestSpillCompletes64KiB|TestSpillFailureFallsBack'
@@ -139,8 +142,11 @@ fuzz:
 
 # Every benchmark in the module with allocs/op — among them the layer
 # benchmarks behind the grouping decision of DESIGN.md §19 (internal/exec:
-# BenchmarkOrderByOverGrouping, GroupAuto vs forced GroupSort on the row and
-# the vectorized engine, and BenchmarkSortRowsStable, the sort kernel alone)
+# BenchmarkOrderByOverGrouping, GroupAuto vs forced GroupSort in the row and
+# the columnar source form, the latter also at two workers, and
+# BenchmarkSortRowsStable, the sort kernel alone), behind the row-vs-batch
+# decision of §13.5 (BenchmarkFigure1Row / BenchmarkFigure1Vec, par1 and par2:
+# the only timing of the batch form above one worker)
 # and behind the row representation of §19.1 (internal/value: BenchmarkConcat,
 # BenchmarkAppendGroupKey, BenchmarkCompare; internal/exec:
 # BenchmarkHashGroupSerial, one cluster fragment's join-then-group, and

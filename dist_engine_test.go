@@ -376,3 +376,22 @@ func TestClusterEstimatesCountTheSites(t *testing.T) {
 		t.Errorf("%d broadcasts in the plan, want 1:\n%s", broadcasts, a)
 	}
 }
+
+// TestRootGatherCountsItsRows: a plan whose root is a gather has no fragment
+// above the exchange to count the rows it delivers — the run counts them, so
+// the analysis shows the gather's row count and not a q-error of its own
+// making.
+func TestRootGatherCountsItsRows(t *testing.T) {
+	e := example1Engine(t, 20, 4)
+	if err := e.SetNodes(4); err != nil {
+		t.Fatal(err)
+	}
+	a, err := e.QueryAnalyzed(`SELECT E.EmpID, D.Name FROM Employee E, Department D WHERE E.DeptID = D.DeptID`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := a.String()
+	if !strings.Contains(text, "Exchange gather  -- 20 rows (est=20 q=1.00") || !strings.Contains(text, "max q-error: 1.00") {
+		t.Errorf("the root gather of 20 rows does not read 20 rows at q=1.00:\n%s", text)
+	}
+}

@@ -105,6 +105,11 @@ func (c *Cluster) RunRecover(p *Plan, opts *exec.Options, rec *Recovery) (res *e
 		return nil, fmt.Errorf("dist: plan root %s is partitioned; compile must gather it", p.Root.Describe())
 	}
 	if opts.Metrics != nil {
+		if x, ok := p.Root.(*Exchange); ok {
+			// An exchange's rows out are counted by the fragment that reads
+			// it; the root's reader is the caller.
+			opts.Metrics.Node(x).RowsOut.Add(int64(len(out.rows)))
+		}
 		// Once, after every site of every fragment (failover re-runs
 		// included) has added its rows: what the analysis reads does not
 		// depend on which site finished last.

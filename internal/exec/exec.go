@@ -140,16 +140,23 @@ type Options struct {
 	// after every run. Without a budget the manager is ignored — nothing
 	// can trigger a spill.
 	Spill *storage.SpillManager
-	// Vectorize switches the hot operators — scan, filter, bare-column
-	// projection, hash join, hash grouping — to columnar batch execution
-	// (package vec): typed column vectors with null bitmaps, selection
-	// vectors instead of row copies, and group/join keys encoded
-	// column-at-a-time in the value.GroupKey canonical byte format.
-	// Results are row-identical to the row path for any plan and any
-	// Parallelism setting (the differential oracles compare all
-	// combinations); governance ticks and fault-injector steps advance per
-	// batch rather than per row. Off by default: the row path is the
-	// reference semantics and stays byte-for-byte untouched.
+	// Vectorize makes the plan's leaves sources in columnar form (package
+	// vec: typed column vectors with null bitmaps, 1024-row batches) — the
+	// only thing it selects. A pipeline over such a leaf carries one batch
+	// per scheduling unit through the stages that have a batch form (filter:
+	// selection vectors instead of row copies; bare-column projection; the
+	// hash-join probe: keys encoded column-at-a-time in the value.GroupKey
+	// canonical byte format, output gathered by index) into a sink that
+	// takes batches (hash grouping, the collection), and is unrolled into
+	// one borrowed scratch row per logical row where it meets a stage or a
+	// sink that has only a row form; above the first breaker the plan runs
+	// in row form. It is the same runner, stores and admission either way
+	// (parallel.go, vector.go), so results are row-identical to the row form
+	// for any plan at any Parallelism, with or without a spill manager (the
+	// differential oracles compare all combinations). While a chain is in
+	// batches the governor ticks, the fault injector steps and rows are
+	// counted once per batch, not once per row. Off by default: the row form
+	// is what every end-to-end workload but one runs.
 	Vectorize bool
 	// Sources, when non-nil, binds the plan's leaves that are not core algebra
 	// to their rows, for this run only — the seam the distributed runtime
@@ -214,14 +221,7 @@ func Run(root algebra.Node, store *storage.Store, opts *Options) (res *Result, e
 	if err != nil {
 		return nil, err
 	}
-	var rows []value.Row
-	if b := batchSource(out.op); b != nil {
-		// Vectorized root: drain batches and materialize rows once at the
-		// boundary (wrapper row counts are batch-granular and identical).
-		rows, err = drainBatches(b)
-	} else {
-		rows, err = drain(out.op)
-	}
+	rows, err := out.rows()
 	if opts.Metrics != nil && c.gov != nil {
 		opts.Metrics.SetBudgetUsed(c.gov.usedBytes())
 		if sp := c.gov.spilledBytes(); sp > 0 {
@@ -237,15 +237,27 @@ func Run(root algebra.Node, store *storage.Store, opts *Options) (res *Result, e
 	return &Result{Schema: root.Schema(), Rows: rows}, nil
 }
 
-// compiled couples a physical operator with its output-order guarantee:
-// order lists the output column positions the stream is sorted by
-// (ascending under value.OrderKey); nil means no guarantee. The compiler
-// propagates this "interesting order" property to skip redundant sorts —
-// the paper's Section 7 observation that grouped output arrives sorted on
-// the grouping columns and downstream operators can exploit it.
+// compiled is what a plan node lowers to — a breaker or a leaf that is opened
+// (op), or the pipeline whose topmost stage the node is (pipe), never both —
+// with its output-order guarantee: order lists the output column positions
+// the stream is sorted by (ascending under value.OrderKey); nil means no
+// guarantee. The compiler propagates this "interesting order" property to
+// skip redundant sorts — the paper's Section 7 observation that grouped
+// output arrives sorted on the grouping columns and downstream operators can
+// exploit it.
 type compiled struct {
 	op    Operator
+	pipe  *pipeOp
 	order []int
+}
+
+// rows materializes the node's output: a pipeline's collection in morsel
+// order, an operator pulled to its end.
+func (c compiled) rows() ([]value.Row, error) {
+	if c.pipe != nil {
+		return c.pipe.collect()
+	}
+	return drain(c.op)
 }
 
 // orderedPrefixSet reports whether the first len(cols) entries of order
@@ -278,12 +290,8 @@ type Operator interface {
 	Close() error
 }
 
-// drain pulls an operator to completion. A pipeline is not pulled: its rows
-// are collected in morsel order, once.
+// drain pulls an operator to completion.
 func drain(op Operator) ([]value.Row, error) {
-	if p, ok := op.(*pipeOp); ok {
-		return p.collect()
-	}
 	if err := op.Open(); err != nil {
 		op.Close()
 		return nil, err
@@ -343,7 +351,7 @@ func (c *compiler) compile(n algebra.Node) (compiled, error) {
 	if err != nil {
 		return compiled{}, err
 	}
-	if p, ok := out.op.(*pipeOp); ok {
+	if p := out.pipe; p != nil {
 		// The node runs inside a pipeline and is never pulled: its rows are
 		// ticked and counted in a stage, once per chunk, not in a wrapper's Next.
 		observed := c.opts.Metrics != nil || span != nil
@@ -356,20 +364,11 @@ func (c *compiler) compile(n algebra.Node) (compiled, error) {
 		}
 		return out, nil
 	}
-	// Each wrapper captures the wrapped operator's batch face at compile
-	// time, so batch pulls flow through the same instrumentation chain as
-	// row pulls (one tick / one row-count update per batch).
 	if c.gov != nil {
-		out.op = &governOp{inner: out.op, gov: c.gov, batch: batchSource(out.op)}
+		out.op = &governOp{inner: out.op, gov: c.gov}
 	}
 	if c.opts.Metrics != nil || span != nil {
-		out.op = &metricOp{
-			inner:   out.op,
-			metrics: c.nodeMetrics(n),
-			clock:   c.clock,
-			span:    span,
-			batch:   batchSource(out.op),
-		}
+		out.op = &metricOp{inner: out.op, metrics: c.nodeMetrics(n), clock: c.clock, span: span}
 	}
 	return out, nil
 }
@@ -381,15 +380,9 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 		if err != nil {
 			return compiled{}, err
 		}
-		if c.opts.Vectorize {
-			return compiled{op: &vecScanOp{table: tab, metrics: c.nodeMetrics(n)}}, nil
-		}
-		return compiled{op: &scanOp{table: tab}}, nil
+		return c.leaf(n, tab, nil), nil
 	case *algebra.Values:
-		if c.opts.Vectorize {
-			return compiled{op: &vecValuesOp{rows: node.Rows, width: len(n.Schema()), metrics: c.nodeMetrics(n)}}, nil
-		}
-		return compiled{op: &valuesOp{rows: node.Rows}}, nil
+		return c.leaf(n, nil, node.Rows), nil
 	case *algebra.Select:
 		in, err := c.compile(node.Input)
 		if err != nil {
@@ -401,19 +394,11 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 		}
 		// Filtering preserves order (a pipeline's chunks are collected in
 		// input order, so it does at any worker count).
-		if c.opts.Vectorize {
-			// The vectorized filter streams selection views at any
-			// parallelism level; output order is input order either way.
-			return compiled{
-				op: &vecFilterOp{
-					input: in.op, src: c.batchFeedFor(in.op, len(node.Input.Schema())),
-					cond: cond, pred: compileVecPred(cond),
-					params: c.opts.Params, metrics: c.nodeMetrics(n),
-				},
-				order: in.order,
-			}, nil
+		p, gov, params := c.pipeline(in, n), c.gov, c.opts.Params
+		if p.inBatches() {
+			p.add(stage{metrics: c.nodeMetrics(n), batch: c.filterBatches(cond)}, true)
+			return compiled{pipe: p, order: in.order}, nil
 		}
-		p, gov, params := c.pipeline(in.op, n), c.gov, c.opts.Params
 		p.add(stage{metrics: c.nodeMetrics(n), bind: func(emit emitFn) emitFn {
 			// σ[C] under ⌊·⌋ interpretation: unknown disqualifies.
 			return func(row value.Row) error {
@@ -427,7 +412,7 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 				return emit(row)
 			}
 		}}, p.borrowed)
-		return compiled{op: p, order: in.order}, nil
+		return compiled{pipe: p, order: in.order}, nil
 	case *algebra.Project:
 		in, err := c.compile(node.Input)
 		if err != nil {
@@ -458,19 +443,15 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 			}
 			order = append(order, mapped)
 		}
-		if c.opts.Vectorize && !node.Distinct {
-			// Bare-column projections are zero-copy column permutations;
-			// any other shape (expressions, DISTINCT) keeps the row
-			// operators, consuming vectorized children through the
-			// batch-to-row adapter.
+		p, gov, params := c.pipeline(in, n), c.gov, c.opts.Params
+		if !node.Distinct && p.inBatches() {
+			// Bare columns are a zero-copy column permutation; any other shape
+			// (expressions, DISTINCT) is a row stage, over the unrolled batch.
 			if cols, ok := bareColumns(items); ok {
-				return compiled{
-					op:    &vecProjectOp{input: in.op, src: c.batchFeedFor(in.op, len(node.Input.Schema())), cols: cols, metrics: c.nodeMetrics(n)},
-					order: order,
-				}, nil
+				p.add(stage{metrics: c.nodeMetrics(n), batch: c.projectBatches(cols)}, true)
+				return compiled{pipe: p, order: order}, nil
 			}
 		}
-		p, gov, params := c.pipeline(in.op, n), c.gov, c.opts.Params
 		p.add(stage{metrics: c.nodeMetrics(n), bind: func(emit emitFn) emitFn {
 			return func(row value.Row) error {
 				if err := gov.tick(); err != nil {
@@ -486,7 +467,7 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 		if node.Distinct {
 			return compiled{op: &distinctOp{input: p, gov: gov}, order: order}, nil
 		}
-		return compiled{op: p, order: order}, nil
+		return compiled{pipe: p, order: order}, nil
 	case *algebra.Product:
 		return c.compileJoin(&algebra.Join{L: node.L, R: node.R}, n)
 	case *algebra.Join:
@@ -523,7 +504,7 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 			outOrder = nil // mixed directions: no OrderKey-ascending guarantee
 		}
 		return compiled{
-			op:    &sortOp{input: c.pipeline(in.op, n), keys: keys, par: c.stateWorkers(), gov: c.gov, mgr: c.spill, metrics: c.nodeMetrics(n), where: n.Describe()},
+			op:    &sortOp{input: c.pipeline(in, n), keys: keys, par: c.stateWorkers(), gov: c.gov, mgr: c.spill, metrics: c.nodeMetrics(n), where: n.Describe()},
 			order: outOrder,
 		}, nil
 	case *algebra.Limit:
@@ -533,14 +514,27 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 		// and exchange endpoints — is whatever rows this run binds it to.
 		if c.opts.Sources != nil {
 			if rows, ok := c.opts.Sources(n); ok {
-				if c.opts.Vectorize {
-					return compiled{op: &vecValuesOp{rows: rows, width: len(n.Schema()), metrics: c.nodeMetrics(n)}}, nil
-				}
-				return compiled{op: &valuesOp{rows: rows}}, nil
+				return c.leaf(n, nil, rows), nil
 			}
 		}
 		return compiled{}, fmt.Errorf("exec: no physical implementation for %T", n)
 	}
+}
+
+// leaf lowers a leaf — a stored table, or the rows of a Values node or of a
+// leaf bound through Options.Sources — in the source form the run asks for.
+// It is the one place Options.Vectorize is read: a columnar leaf is a pipeline
+// of no stages over a colSource, and above it the compiler asks the pipeline
+// whether it is still in batches.
+func (c *compiler) leaf(n algebra.Node, tab *storage.Table, rows []value.Row) compiled {
+	if c.opts.Vectorize {
+		src := &colSource{table: tab, rows: rows, width: len(n.Schema()), metrics: c.nodeMetrics(n)}
+		return compiled{pipe: &pipeOp{cols: src, borrowed: true, par: c.par, gov: c.gov, node: n}}
+	}
+	if tab != nil {
+		return compiled{op: &scanOp{table: tab}}
+	}
+	return compiled{op: &valuesOp{rows: rows}}
 }
 
 // hasSequencePrefix reports whether order starts with exactly the sequence

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/value"
-	"repro/internal/vec"
 )
 
 // cancelStride is how many governed row events pass between context polls.
@@ -187,15 +186,12 @@ func (g *governor) usedBytes() int64 {
 // a context poll at Open so a cancelled query never starts new operators.
 // Like metricOp it is compile-time-only plumbing — with governance off the
 // wrapper does not exist. A node that runs inside a pipeline is not pulled:
-// the pipeline polls the context when it starts and ticks once per row the
-// node puts out, in a stage (pipeOp.meterFn).
+// the pipeline polls the context when it starts and ticks once per row — per
+// batch, while the chain is in batches — the node puts out, in a stage
+// (pipeOp.meterFn, meterBatch).
 type governOp struct {
 	inner Operator
 	gov   *governor
-	// batch is inner's batch face, captured at wrap time; nil when inner
-	// cannot produce batches. On the vectorized path the governance tick
-	// runs once per batch instead of once per row.
-	batch BatchOperator
 }
 
 func (o *governOp) Open() error {
@@ -211,17 +207,6 @@ func (o *governOp) Next() (value.Row, bool, error) {
 	}
 	return o.inner.Next()
 }
-
-func (o *governOp) NextBatch() (*vec.Batch, bool, error) {
-	if err := o.gov.tick(); err != nil {
-		return nil, false, err
-	}
-	return o.batch.NextBatch()
-}
-
-func (o *governOp) batchOK() bool { return o.batch != nil }
-
-func (o *governOp) stableBatches() bool { return stableFeed(o.batch) }
 
 func (o *governOp) Close() error { return o.inner.Close() }
 

@@ -97,22 +97,19 @@ func (c *compiler) compileGroupBy(node *algebra.GroupBy) (compiled, error) {
 				}
 			}
 		}
-		base.input = c.pipeline(in.op, node)
+		base.input = c.pipeline(in, node)
 		return compiled{op: &sortGroupOp{groupCore: base, preSorted: preSorted}, order: outOrder}, nil
-	case c.opts.Vectorize && c.spill == nil:
-		op := &vecHashGroupOp{groupCore: base, in: in.op, src: c.batchFeedFor(in.op, len(inSchema))}
-		op.initAggCols()
-		return compiled{op: op}, nil
 	default:
-		base.input = c.pipeline(in.op, node)
+		base.input = c.pipeline(in, node)
 		return compiled{op: &hashGroupOp{groupCore: base}}, nil
 	}
 }
 
 // stateWorkers is the worker count of the operators that hold budget-admitted
 // state — hash join, grouping, sort. A spill-capable run gives them one
-// worker (and keeps them on the row path): refusal releases a whole store,
-// which only a store with a single builder can do.
+// worker, and they take their input as rows in order (a columnar pipeline
+// below them stays in batches up to that point): refusal releases a whole
+// store, which only a store with a single builder can do.
 func (c *compiler) stateWorkers() int {
 	if c.spill != nil || c.par < 1 {
 		return 1
@@ -122,9 +119,10 @@ func (c *compiler) stateWorkers() int {
 
 // groupCore holds the state shared by the hash and sort grouping operators.
 type groupCore struct {
-	input     *pipeOp // the row operators' input; the batch face feeds itself
+	input     *pipeOp
 	groupCols []int
 	specs     []aggSpec
+	aggCols   []aggColRef // the aggregate arguments as input columns, when input is in batches
 	params    expr.Params
 	metrics   *obs.OpMetrics        // nil unless metrics collection is on
 	gov       *governor             // nil unless lifecycle governance is on
@@ -279,7 +277,7 @@ type partialTables struct {
 	tables []*groupTable
 }
 
-func (s *partialTables) begin(n int) int {
+func (s *partialTables) begin(n, _ int) int {
 	size := chunkSizeFor(n, s.g.par)
 	s.tables = make([]*groupTable, numChunks(n, size))
 	return size
@@ -305,7 +303,12 @@ func (s *partialTables) bind(worker, chunk int) (emitFn, error) {
 // row once: a breach of the budget aborts (or, for the scalar group, nothing
 // is charged at all); hashAggregate serves the runs that read rows twice.
 func (g *groupCore) foldPipeline() error {
-	g.ran("hash")
+	if g.input.inBatches() {
+		g.ran("vec-hash")
+		g.initAggCols()
+	} else {
+		g.ran("hash")
+	}
 	s := &partialTables{g: g}
 	if err := g.input.run(s); err != nil {
 		return err

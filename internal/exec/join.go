@@ -82,27 +82,14 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 		// Probe order follows the left input; left columns keep their
 		// positions in the concatenated schema — at any worker count and on
 		// either side of the spill decision.
-		if c.opts.Vectorize && c.spill == nil {
-			return compiled{
-				op: &vecHashJoinOp{
-					left: left.op, right: right.op,
-					lsrc: c.batchFeedFor(left.op, len(lSchema)),
-					rsrc: c.batchFeedFor(right.op, len(rSchema)),
-					keys: keys, residual: boundResidual, params: c.opts.Params,
-					par: c.par, metrics: metrics, gov: c.gov, where: where,
-					lwidth: len(lSchema), rwidth: len(rSchema),
-				},
-				order: left.order,
-			}, nil
-		}
 		width := len(lSchema) + len(rSchema)
 		op := &hashJoinOp{
-			right: right.op, width: width,
+			right: right, width: width,
 			residual: boundResidual, params: c.opts.Params, par: c.stateWorkers(),
 			metrics: metrics, gov: c.gov, mgr: c.spill, where: where,
 		}
 		op.lcols, op.rcols = keyColumns(keys)
-		p := c.pipeline(left.op, key)
+		p := c.pipeline(left, key)
 		if c.spill != nil {
 			// Whether the build is admitted is known only once it ran, and the
 			// grace path needs the whole left side: the operator takes the left
@@ -110,13 +97,17 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 			op.left = p
 			return compiled{op: op, order: left.order}, nil
 		}
-		// The probe is a stage of the left input's pipeline.
-		p.add(stage{
-			metrics: metrics,
-			start:   func() error { _, err := op.buildTable(); return err },
-			bind:    func(emit emitFn) emitFn { return op.probeInto(make(value.Row, width), emit) },
-		}, true)
-		return compiled{op: p, order: left.order}, nil
+		// The probe is a stage of the left input's pipeline, in the form the
+		// pipeline is in.
+		st := stage{metrics: metrics, start: func() error { _, err := op.buildTable(); return err }}
+		if p.inBatches() {
+			op.probes = make([]probeState, c.par)
+			st.batch = op.probeBatches
+		} else {
+			st.bind = func(emit emitFn) emitFn { return op.probeInto(make(value.Row, width), emit) }
+		}
+		p.add(st, true)
+		return compiled{pipe: p, order: left.order}, nil
 	case JoinSortMerge:
 		// Exploit pre-sorted inputs (Section 7: eager aggregation's
 		// sorted output feeds the join): when the left input already
@@ -144,7 +135,7 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 		rSorted := lSorted && hasSequencePrefix(right.order, rCols)
 		return compiled{
 			op: &mergeJoinOp{
-				left: left.op, right: right.op, keys: keys,
+				left: left, right: right, keys: keys,
 				lSorted: lSorted, rSorted: rSorted,
 				residual: boundResidual, params: c.opts.Params, par: c.par,
 				gov: c.gov, where: where,
@@ -159,12 +150,12 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 		}
 		// A stage of the left input's pipeline, each row scanning the whole
 		// collected right side: left order, each row's matches in right order.
-		p, gov, params := c.pipeline(left.op, key), c.gov, c.opts.Params
+		p, gov, params := c.pipeline(left, key), c.gov, c.opts.Params
 		width := len(lSchema) + len(rSchema)
 		var rrows []value.Row
 		p.add(stage{
 			metrics: metrics,
-			start:   func() (err error) { rrows, err = drain(right.op); return err },
+			start:   func() (err error) { rrows, err = right.rows(); return err },
 			bind: func(emit emitFn) emitFn {
 				joined := make(value.Row, width)
 				return func(lrow value.Row) error {
@@ -193,16 +184,17 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 				}
 			},
 		}, true)
-		return compiled{op: p, order: left.order}, nil
+		return compiled{pipe: p, order: left.order}, nil
 	}
 }
 
-// hashJoinOp is the row hash join: it builds a joinTable on the right input
-// and probes it with left rows in left order, each row's matches in build
-// order. buildTable and probeInto are a stage of the left input's pipeline —
-// the table built partitioned above one worker, each joined row written into
-// the chunk's scratch row and handed straight to the stage above — and the
-// operator itself is never opened. Only a spill-capable run opens it: whether
+// hashJoinOp is the hash join: it builds a joinTable on the right input and
+// probes it with left rows in left order, each row's matches in build order.
+// buildTable and the probe are a stage of the left input's pipeline — the
+// table built partitioned above one worker; probeInto writes each joined row
+// into the chunk's scratch row and hands it straight to the stage above,
+// probeBatches (vector_join.go) gathers a batch's joined rows into the
+// worker's output vectors — and the operator itself is never opened. Only a spill-capable run opens it: whether
 // the budget admits the build is known once it ran, and when it refuses the
 // join goes grace (grace.go), which takes the whole left side. The operator
 // then runs the left pipeline as one in-order chunk, through the same
@@ -210,7 +202,7 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 // rows and their order are the same in all forms.
 type hashJoinOp struct {
 	left         *pipeOp // spill-capable run only
-	right        Operator
+	right        compiled
 	lcols, rcols []int // key columns in the left/right rows
 	width        int   // columns of a joined row
 	residual     expr.Expr
@@ -221,9 +213,10 @@ type hashJoinOp struct {
 	mgr          *storage.SpillManager // nil: a budget breach aborts
 	where        string                // plan-node description for errors
 
-	table *joinTable
-	files []*spillFile // grace partition files, swept at Close
-	bufOp              // spill-capable run: the joined rows
+	table  *joinTable
+	probes []probeState // batch form only: one per worker
+	files  []*spillFile // grace partition files, swept at Close
+	bufOp               // spill-capable run: the joined rows
 }
 
 func (j *hashJoinOp) Open() error {
@@ -245,7 +238,7 @@ func (j *hashJoinOp) Open() error {
 // buildTable drains the right input into the join table, on j.par workers,
 // and returns the drained rows: a refused build hands them to the grace path.
 func (j *hashJoinOp) buildTable() ([]value.Row, error) {
-	rrows, err := drain(j.right)
+	rrows, err := j.right.rows()
 	if err != nil {
 		return nil, err
 	}
@@ -310,7 +303,7 @@ func (j *hashJoinOp) Close() error {
 // ordered on the keys, whose sort is skipped. With par > 1 the two inputs
 // are drained concurrently and the key sorts run as parallel stable sorts.
 type mergeJoinOp struct {
-	left, right      Operator
+	left, right      compiled
 	keys             []equiKey
 	lSorted, rSorted bool
 	residual         expr.Expr
@@ -330,11 +323,11 @@ func (j *mergeJoinOp) Open() error {
 			return err
 		}
 	} else {
-		lrows, err = drain(j.left)
+		lrows, err = j.left.rows()
 		if err != nil {
 			return err
 		}
-		rrows, err = drain(j.right)
+		rrows, err = j.right.rows()
 		if err != nil {
 			return err
 		}

@@ -31,7 +31,7 @@ func (c *compiler) compileLimit(node *algebra.Limit) (compiled, error) {
 				allAsc = false
 			}
 		}
-		p := c.pipeline(in.op, node)
+		p := c.pipeline(in, node)
 		// The fused Sort node has no operator of its own; a stage that only
 		// counts records the rows flowing through the fused boundary (a sort is
 		// 1:1, so the boundary count is the Sort's output cardinality) and
@@ -53,7 +53,7 @@ func (c *compiler) compileLimit(node *algebra.Limit) (compiled, error) {
 	if err != nil {
 		return compiled{}, err
 	}
-	return compiled{op: &limitOp{input: c.pipeline(in.op, node), n: node.N}, order: in.order}, nil
+	return compiled{op: &limitOp{input: c.pipeline(in, node), n: node.N}, order: in.order}, nil
 }
 
 // limitOp keeps the first n rows of its input, taken as one in-order chunk,

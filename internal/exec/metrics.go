@@ -7,7 +7,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/obs"
 	"repro/internal/value"
-	"repro/internal/vec"
 )
 
 // metricOp is the single instrumentation wrapper the compiler inserts
@@ -27,20 +26,14 @@ import (
 //
 // A node that runs inside a pipeline (pipeOp) is never pulled. Its metricOp
 // wraps nothing: the pipeline calls begin and end around its run and adds each
-// chunk's row count to count once, so the row path there costs one atomic add
-// per morsel per node.
+// chunk's row count to count once — a batch's logical length while the chain
+// is in batches — so the row path there costs one atomic add per morsel per
+// node.
 type metricOp struct {
 	inner   Operator
 	metrics *obs.OpMetrics // nil unless Options.Metrics is set
 	clock   obs.Clock
 	span    *obs.Span // nil unless Options.Trace is set
-
-	// batch is inner's batch face, captured at wrap time; nil when inner
-	// cannot produce batches. On the vectorized path the row counter
-	// advances by whole batches (one atomic add per batch); operators
-	// record their batch counts themselves via OpMetrics.Morsel, exactly
-	// like the morsel-parallel row operators.
-	batch BatchOperator
 
 	count atomic.Int64
 	start time.Time
@@ -79,18 +72,6 @@ func (s *metricOp) Next() (value.Row, bool, error) {
 	}
 	return row, ok, err
 }
-
-func (s *metricOp) NextBatch() (*vec.Batch, bool, error) {
-	b, ok, err := s.batch.NextBatch()
-	if ok && err == nil {
-		s.count.Add(int64(b.Len()))
-	}
-	return b, ok, err
-}
-
-func (s *metricOp) batchOK() bool { return s.batch != nil }
-
-func (s *metricOp) stableBatches() bool { return stableFeed(s.batch) }
 
 func (s *metricOp) Close() error {
 	s.end()

@@ -263,7 +263,7 @@ func filtered(t *testing.T, rows []value.Row) *pipeOp {
 		Cond:  expr.NewBinary(expr.OpGe, expr.Column("t", "v"), expr.IntLit(0)),
 	})
 	must(t, err)
-	return out.op.(*pipeOp)
+	return out.pipe
 }
 
 // TestSerialGroupingHoldsGroupsNotRows: with abort admission hash grouping
@@ -330,7 +330,7 @@ func TestSpillCapableSortStreamsItsInput(t *testing.T) {
 	gov := &governor{budget: MorselSize * rowStateBytes(make(value.Row, 4))}
 	metrics := &obs.OpMetrics{}
 	op := &sortOp{
-		input: out.op.(*pipeOp), keys: []sortKey{{col: 1, desc: true}}, par: 1,
+		input: out.pipe, keys: []sortKey{{col: 1, desc: true}}, par: 1,
 		gov: gov, mgr: storage.NewSpillManager(t.TempDir()), metrics: metrics, where: "sort",
 	}
 	var before, after runtime.MemStats

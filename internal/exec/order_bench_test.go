@@ -4,9 +4,9 @@ package exec_test
 // olap_eager shape (c) and olap_groups `groups` queries at its scale (48 000
 // Fact rows, 1 000 dims, 8 000 GroupID values), under the compiler's own
 // per-node choice (GroupAuto: hash the rows, order the groups) against forced
-// sort-based grouping (GroupSort: stable-sort the rows), on the row and the
-// vectorized engine. Run with -benchmem: allocs/op is how the row-path key
-// probes are held to account.
+// sort-based grouping (GroupSort: stable-sort the rows), in the row and the
+// columnar source form, the columnar one also at two workers. Run with
+// -benchmem: allocs/op is how the row-path key probes are held to account.
 
 import (
 	"testing"
@@ -40,13 +40,16 @@ func BenchmarkOrderByOverGrouping(b *testing.B) {
 		}
 		plan := report.Chosen()
 		for _, gs := range []exec.GroupStrategy{exec.GroupAuto, exec.GroupSort} {
-			for _, vectorize := range []bool{false, true} {
-				engine := "row"
-				if vectorize {
-					engine = "vec"
-				}
-				opts := exec.Options{Group: gs, Vectorize: vectorize}
-				b.Run(q.name+"/"+gs.String()+"/"+engine, func(b *testing.B) {
+			for _, engine := range []struct {
+				name string
+				opts exec.Options
+			}{
+				{"row", exec.Options{Group: gs}},
+				{"vec", exec.Options{Group: gs, Vectorize: true}},
+				{"vec/par2", exec.Options{Group: gs, Vectorize: true, Parallelism: 2}},
+			} {
+				opts := engine.opts
+				b.Run(q.name+"/"+gs.String()+"/"+engine.name, func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						if _, err := exec.Run(plan, store, &opts); err != nil {

@@ -13,10 +13,21 @@
 // on the caller's goroutine — and how many chunks hash grouping asks for.
 // Sorts run chunked (sortRowsStable).
 //
+// A batch is a chunk. With Options.Vectorize a leaf is a source in columnar
+// form (colSource) and the scheduling unit is one vec.Batch instead of a run
+// of rows: the stages that have a batch form (vector.go: kernelized filter,
+// bare-column projection, the gathering probe) hand the batch on, the sinks
+// that take batches (partial group tables, the collection) consume it, and
+// where the chain meets a stage or a sink that has only a row form the batch
+// is unrolled into one scratch row per logical row (pipeOp.unroll). It is the
+// same runner, the same chunk boundaries — a function of the source's batch
+// count — and the same sinks.
+//
 // Borrowed rows. A join stage writes each joined row into a scratch row it
-// owns and emits that; the row is valid until the stage's next emit. A sink
-// that keeps rows copies them once; the group sink keeps only a new group's
-// grouping values, so N joined rows cost G states.
+// owns and emits that, and an unrolled batch is read into one; the row is
+// valid until the next emit. A sink that keeps rows copies them once; the
+// group sink keeps only a new group's grouping values, so N joined rows cost
+// G states.
 //
 // Determinism is a hard requirement — the serial-vs-parallel oracle tests
 // assert row-identical results and identical per-operator cardinalities —
@@ -52,7 +63,9 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/obs"
+	"repro/internal/storage"
 	"repro/internal/value"
+	"repro/internal/vec"
 )
 
 // MorselSize is the number of rows in one scheduling unit. Small enough to
@@ -201,17 +214,17 @@ func concatChunks(outs [][]value.Row) []value.Row {
 	return flat
 }
 
-// drainBoth drains two operators concurrently — inter-subtree parallelism
+// drainBoth drains two inputs concurrently — inter-subtree parallelism
 // for a merge join whose inputs are themselves expensive. The per-node stats
 // hooks must be (and are) safe for concurrent Close against a shared sink.
 // Panics on either side become *ExecPanicError; the left side is recovered
 // locally (not left to Run's top-level recovery) precisely so that wg.Wait
 // always runs and the right-side goroutine is joined before return.
-func drainBoth(where string, l, r Operator) (lrows, rrows []value.Row, err error) {
+func drainBoth(where string, l, r compiled) (lrows, rrows []value.Row, err error) {
 	var rerr error
 	var wg sync.WaitGroup
 	goSafe(&wg, where, -1, func(e error) { rerr = e }, func() {
-		rrows, rerr = drain(r)
+		rrows, rerr = r.rows()
 	})
 	lrows, lerr := func() (rows []value.Row, err error) {
 		defer func() {
@@ -219,7 +232,7 @@ func drainBoth(where string, l, r Operator) (lrows, rrows []value.Row, err error
 				rows, err = nil, panicError(where, -1, rec)
 			}
 		}()
-		return drain(l)
+		return l.rows()
 	}()
 	wg.Wait()
 	if lerr != nil {
@@ -261,11 +274,16 @@ func (b *bufOp) Close() error { return nil }
 // that keeps the row takes it through pipeOp.keep, which copies it if so.
 type emitFn func(row value.Row) error
 
+// batchFn receives one batch from the stage below. The batch, its vectors and
+// its selection are borrowed until the next call.
+type batchFn func(b *vec.Batch) error
+
 // stage is one streaming plan node inside a pipeline: a filter, a projection,
-// a hash-join probe, a nested loop's left side — or, with no bind, a node that
-// only passes rows on (a Sort the propagated order made unnecessary).
+// a hash-join probe, a nested loop's left side — or, with neither bind nor
+// batch, a node that only passes on what it is handed (a Sort the propagated
+// order made unnecessary).
 type stage struct {
-	metrics *obs.OpMetrics // the node's; one Morsel per chunk it handles
+	metrics *obs.OpMetrics // the node's; one Morsel per chunk, or per batch, it handles
 	// start runs once, before the first chunk: a join materializes the side
 	// its rows are matched against. nil when there is nothing to build.
 	start func() error
@@ -273,6 +291,13 @@ type stage struct {
 	// produces to emit. Per-chunk state (scratch rows, key buffers) lives in
 	// the closure, so chunks share nothing.
 	bind func(emit emitFn) emitFn
+	// batch is the stage's batch form, given instead of bind to a pipeline
+	// that is still in batches: the function the worker runs a chunk's
+	// batches through, handing what it produces to next. Its scratch —
+	// selection, output vectors, key encoder — is the worker's, so it is
+	// made once per worker and run, not once per batch. The runner ticks
+	// and counts the Morsel before each batch (perBatch).
+	batch func(worker int, next batchFn) batchFn
 	// metered: the node's output is ticked and counted here, per chunk,
 	// rather than in a wrapper's Next; out is the metricOp that would have
 	// wrapped the node (nil when only the governor is on).
@@ -282,12 +307,19 @@ type stage struct {
 
 // sink is the breaker a pipeline ends in.
 type sink interface {
-	// begin is told the source's length and answers with the rows per chunk,
-	// having made room for that many chunks' results.
-	begin(n int) int
+	// begin is told the source's length — n units of which morsel make one
+	// scheduling unit: MorselSize rows, one batch — and answers with the
+	// units per chunk, having made room for that many chunks' results.
+	begin(n, morsel int) int
 	// bind returns the receiver of one chunk's rows; the worker carrying the
 	// chunk is for morsel accounting only.
 	bind(worker, chunk int) (emitFn, error)
+}
+
+// batchSink is a sink that also takes a chunk as batches, when the pipeline
+// is in batches all the way up.
+type batchSink interface {
+	bindBatch(worker, chunk int) (batchFn, error)
 }
 
 // resident is an operator whose whole output lies in memory once it is open
@@ -298,40 +330,65 @@ type resident interface {
 	resident() []value.Row
 }
 
-// pipeOp is the row engine: a source, a chain of stages and — per run — a
-// sink. Chunks of the source are carried through the whole chain, row by row,
-// into the sink's per-chunk receiver, so nothing between two breakers is ever
-// held as a slice. Chunk boundaries depend on the source's length only, and
-// every sink keeps its per-chunk results in chunk order: rows, row order,
-// group order and per-node counts are the same at any worker count.
+// colSource is a pipeline's source in columnar form, the form a leaf takes
+// under Options.Vectorize: a stored table's cached batches, or literal rows
+// (a Values node, a leaf bound through Options.Sources) columnarized when the
+// run starts.
+type colSource struct {
+	table   *storage.Table
+	rows    []value.Row
+	width   int
+	metrics *obs.OpMetrics // the leaf's; one Morsel per batch handed out
+	metered bool           // the leaf's own instrumentation has been placed (pipeOp.meter)
+}
+
+func (s *colSource) batches() []*vec.Batch {
+	if s.table != nil {
+		return s.table.Columnar()
+	}
+	return vec.Columnarize(s.rows, s.width, vec.BatchSize)
+}
+
+// pipeOp is the engine's one runner: a source, a chain of stages and — per
+// run — a sink. Chunks of the source are carried through the whole chain, row
+// by row or batch by batch, into the sink's per-chunk receiver, so nothing
+// between two breakers is ever held as a slice. Chunk boundaries depend on
+// the source's length only, and every sink keeps its per-chunk results in
+// chunk order: rows, row order, group order and per-node counts are the same
+// at any worker count and in either source form.
 //
 // The compiler grows one pipeOp per run of streaming nodes: each such node
 // adds its stage to its input's pipeline (compiler.pipeline). A breaker above
 // runs it into its own sink (hash grouping: one partial table per chunk),
-// collects its rows in morsel order (collect, which is what drain does with
-// it), or takes them as one chunk in order (each). Only the batch face's
-// row-to-batch adapter pulls a pipeline: Open collects, Next hands out.
+// collects its rows in morsel order (collect), or takes them as one chunk in
+// order (each). A pipeline is never pulled.
 type pipeOp struct {
-	src      Operator // the node below the first stage, opened and closed by run
-	srcOut   *metricOp
-	stages   []stage
+	src    Operator   // the node below the first stage, opened and closed by run
+	cols   *colSource // or the leaf below it in columnar form; src is nil
+	srcOut *metricOp
+	stages []stage
+	// nbatch counts the stages in batch form — the first ones: the chain is
+	// in batches up to stages[nbatch] and in rows from there.
+	nbatch   int
 	borrowed bool // the last stage emits scratch rows: a sink that keeps rows copies them
 	metered  bool // some stage is
 	par      int
 	gov      *governor
 	node     algebra.Node // the topmost node using the pipeline, named when a worker panics
-	bufOp
+	scratch  []value.Row  // per worker: the row a batch is unrolled into
 }
 
-// pipeline returns the pipeline the plan node n runs its input op through:
-// op's own when op is one, else a new one with op as its source. A resident source is read in place, so its rows never pass its
-// wrappers' Next; the wrappers are taken off and their work — the cancellation
-// poll at Open, the clock, the row count — is done by run.
-func (c *compiler) pipeline(op Operator, n algebra.Node) *pipeOp {
-	if p, ok := op.(*pipeOp); ok {
+// pipeline returns the pipeline the plan node n runs its input through: the
+// input's own when it compiled to one, else a new one with the input's
+// operator as its source. A resident source is read in place, so its rows
+// never pass its wrappers' Next; the wrappers are taken off and their work —
+// the cancellation poll at Open, the clock, the row count — is done by run.
+func (c *compiler) pipeline(in compiled, n algebra.Node) *pipeOp {
+	if p := in.pipe; p != nil {
 		p.node = n
 		return p
 	}
+	op := in.op
 	p := &pipeOp{src: op, par: c.par, gov: c.gov, node: n}
 	m, _ := op.(*metricOp)
 	if m != nil {
@@ -346,19 +403,33 @@ func (c *compiler) pipeline(op Operator, n algebra.Node) *pipeOp {
 	return p
 }
 
+// inBatches reports whether what the pipeline's topmost stage hands on is
+// still a batch — what a node asks before it adds its batch form, and a run
+// before it binds a sink's.
+func (p *pipeOp) inBatches() bool { return p.cols != nil && p.nbatch == len(p.stages) }
+
 // add appends a node's stage. borrowed says whether the stage emits scratch
 // rows; a stage that passes its input rows on (a filter) hands p.borrowed back.
 func (p *pipeOp) add(st stage, borrowed bool) {
+	if st.bind == nil && p.inBatches() {
+		p.nbatch++
+	}
 	p.stages = append(p.stages, st)
 	p.borrowed = borrowed
 }
 
 // meter makes the topmost node's output ticked and counted inside the
 // pipeline — the node the compiler just lowered onto it, or, when that node
-// added no stage of its own, a stage that only passes rows on.
+// added no stage of its own, a stage that only passes on what it is handed. A
+// columnar leaf is the source itself: the runner's batch loop is its tick and
+// its count.
 func (p *pipeOp) meter(out *metricOp) {
+	if p.cols != nil && !p.cols.metered {
+		p.cols.metered, p.srcOut = true, out
+		return
+	}
 	if len(p.stages) == 0 || p.stages[len(p.stages)-1].metered {
-		p.stages = append(p.stages, stage{})
+		p.add(stage{}, p.borrowed)
 	}
 	last := &p.stages[len(p.stages)-1]
 	last.metered, last.out = true, out
@@ -401,9 +472,14 @@ func (p *pipeOp) run(s sink) error {
 func (p *pipeOp) runChunks(s sink) (err error) {
 	src, inPlace := p.src.(resident)
 	_, ordered := s.(inOrder)
-	pulled := ordered && !inPlace
+	pulled := ordered && !inPlace && p.cols == nil
 	var rows []value.Row
-	if inPlace || pulled {
+	var batches []*vec.Batch
+	switch {
+	case p.cols != nil:
+		batches = p.cols.batches()
+		p.scratch = make([]value.Row, p.par)
+	case inPlace || pulled:
 		// A source that has to be pulled is pulled straight into an in-order
 		// run; a sink that cuts chunks needs it drained to know its length.
 		defer func() {
@@ -417,8 +493,10 @@ func (p *pipeOp) runChunks(s sink) (err error) {
 		if inPlace {
 			rows = src.resident()
 		}
-	} else if rows, err = drain(p.src); err != nil {
-		return err
+	default:
+		if rows, err = drain(p.src); err != nil {
+			return err
+		}
 	}
 	for i := range p.stages {
 		if start := p.stages[i].start; start != nil {
@@ -428,7 +506,7 @@ func (p *pipeOp) runChunks(s sink) (err error) {
 		}
 	}
 	if pulled {
-		emit, counts, err := p.bind(s, 0, 0)
+		emit, _, counts, err := p.bind(s, 0, 0)
 		if err != nil {
 			return err
 		}
@@ -447,20 +525,39 @@ func (p *pipeOp) runChunks(s sink) (err error) {
 	if p.par > 1 {
 		where = p.node.Describe() // formatted only for a pool that can report a panic under it
 	}
-	return forEachChunk(where, p.par, len(rows), s.begin(len(rows)), func(w, c, lo, hi int) error {
-		emit, counts, err := p.bind(s, w, c)
+	n, morsel := len(rows), MorselSize
+	if p.cols != nil {
+		n, morsel = len(batches), 1
+	}
+	return forEachChunk(where, p.par, n, s.begin(n, morsel), func(w, c, lo, hi int) error {
+		emit, carry, counts, err := p.bind(s, w, c)
 		if err != nil {
 			return err
 		}
+		// The source node's tick, one per unit it hands up: a batch, or a row.
 		read := 0
-		for _, row := range rows[lo:hi] {
-			// The source node's tick, one per row it hands up.
-			if err = p.gov.tick(); err != nil {
-				break
+		if carry != nil {
+			for _, b := range batches[lo:hi] {
+				if err = p.gov.tick(); err != nil {
+					break
+				}
+				if p.cols.metrics != nil {
+					p.cols.metrics.Morsel(w)
+				}
+				read += b.Len()
+				if err = carry(b); err != nil {
+					break
+				}
 			}
-			read++
-			if err = emit(row); err != nil {
-				break
+		} else {
+			for _, row := range rows[lo:hi] {
+				if err = p.gov.tick(); err != nil {
+					break
+				}
+				read++
+				if err = emit(row); err != nil {
+					break
+				}
 			}
 		}
 		p.count(read, counts)
@@ -468,19 +565,27 @@ func (p *pipeOp) runChunks(s sink) (err error) {
 	})
 }
 
-// bind composes one chunk's row function: the stages, bottom to top, over s's
-// receiver for the chunk. counts holds the rows out of each metered stage.
-func (p *pipeOp) bind(s sink, w, c int) (emit emitFn, counts []int64, err error) {
+// bind composes one chunk's function, top to bottom: s's receiver for the
+// chunk, the row stages over it, and — over a columnar source — the batch
+// stages under those, with the batch unrolled into the worker's scratch row
+// where the chain leaves batches. A columnar source is carried through carry,
+// any other through emit; counts holds the rows out of each metered stage.
+func (p *pipeOp) bind(s sink, w, c int) (emit emitFn, carry batchFn, counts []int64, err error) {
 	if err := p.gov.cancelled(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	if emit, err = s.bind(w, c); err != nil {
-		return nil, nil, err
+	if bs, ok := s.(batchSink); ok && p.inBatches() {
+		carry, err = bs.bindBatch(w, c)
+	} else {
+		emit, err = s.bind(w, c)
+	}
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	if p.metered {
 		counts = make([]int64, len(p.stages))
 	}
-	for i := len(p.stages) - 1; i >= 0; i-- {
+	for i := len(p.stages) - 1; i >= p.nbatch; i-- {
 		st := &p.stages[i]
 		if st.metered {
 			emit = p.meterFn(&counts[i], emit)
@@ -492,7 +597,52 @@ func (p *pipeOp) bind(s sink, w, c int) (emit emitFn, counts []int64, err error)
 			}
 		}
 	}
-	return emit, counts, nil
+	if p.cols == nil {
+		return emit, nil, counts, nil
+	}
+	if carry == nil {
+		carry = p.unroll(w, emit)
+	}
+	for i := p.nbatch - 1; i >= 0; i-- {
+		st := &p.stages[i]
+		if st.metered {
+			carry = p.meterBatch(&counts[i], carry)
+		}
+		if st.batch != nil {
+			carry = p.perBatch(st.metrics, w, st.batch(w, carry))
+		}
+	}
+	return nil, carry, counts, nil
+}
+
+// perBatch is what every batch stage does before its own work: the stage's
+// governor tick and its Morsel, once per batch.
+func (p *pipeOp) perBatch(metrics *obs.OpMetrics, w int, stage batchFn) batchFn {
+	return func(b *vec.Batch) error {
+		if err := p.gov.tick(); err != nil {
+			return err
+		}
+		if metrics != nil {
+			metrics.Morsel(w)
+		}
+		return stage(b)
+	}
+}
+
+// unroll is where a chain leaves batches: every logical row of a batch is
+// read into the worker's scratch row and handed to emit — borrowed, like a
+// join stage's joined row.
+func (p *pipeOp) unroll(w int, emit emitFn) batchFn {
+	scratch := &p.scratch[w]
+	return func(b *vec.Batch) error {
+		for i, n := 0, b.Len(); i < n; i++ {
+			*scratch = b.ReadRow(i, *scratch)
+			if err := emit(*scratch); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // count adds a chunk's row counts to their nodes, once per chunk — also for a
@@ -521,6 +671,18 @@ func (p *pipeOp) meterFn(n *int64, emit emitFn) emitFn {
 	}
 }
 
+// meterBatch is meterFn for a node in batch form: one tick per batch, the
+// batch's logical rows counted.
+func (p *pipeOp) meterBatch(n *int64, next batchFn) batchFn {
+	return func(b *vec.Batch) error {
+		if err := p.gov.tick(); err != nil {
+			return err
+		}
+		*n += int64(b.Len())
+		return next(b)
+	}
+}
+
 // collector is the sink that keeps rows: each chunk's output in its own
 // slice, concatenated in chunk order — the order one pass over the source
 // produces.
@@ -529,9 +691,9 @@ type collector struct {
 	outs [][]value.Row
 }
 
-func (s *collector) begin(n int) int {
-	s.outs = make([][]value.Row, numChunks(n, MorselSize))
-	return MorselSize
+func (s *collector) begin(n, morsel int) int {
+	s.outs = make([][]value.Row, numChunks(n, morsel))
+	return morsel
 }
 
 func (s *collector) bind(_, chunk int) (emitFn, error) {
@@ -542,10 +704,19 @@ func (s *collector) bind(_, chunk int) (emitFn, error) {
 	}, nil
 }
 
+// bindBatch materializes a batch's logical rows: fresh rows, nothing to copy.
+func (s *collector) bindBatch(_, chunk int) (batchFn, error) {
+	out := &s.outs[chunk]
+	return func(b *vec.Batch) error {
+		*out = b.AppendRows(*out)
+		return nil
+	}, nil
+}
+
 // collect runs the pipeline to completion and returns its rows in morsel
 // order, in a slice the caller owns.
 func (p *pipeOp) collect() ([]value.Row, error) {
-	if _, inPlace := p.src.(resident); len(p.stages) == 0 && !inPlace {
+	if _, inPlace := p.src.(resident); len(p.stages) == 0 && !inPlace && p.cols == nil {
 		// Nothing to carry the rows through: the drained source is the collection.
 		return drain(p.src)
 	}
@@ -560,7 +731,7 @@ func (p *pipeOp) collect() ([]value.Row, error) {
 // is one chunk, handed to fn row by row in order.
 type inOrder struct{ fn emitFn }
 
-func (s inOrder) begin(n int) int { return n }
+func (s inOrder) begin(n, _ int) int { return n }
 
 func (s inOrder) bind(_, _ int) (emitFn, error) { return s.fn, nil }
 
@@ -575,14 +746,6 @@ func (p *pipeOp) each(fn emitFn) error {
 		return err
 	}
 	return nil
-}
-
-// Open serves the one consumer that pulls, the batch face's row-to-batch
-// adapter: the rows are collected, Next hands them out.
-func (p *pipeOp) Open() error {
-	rows, err := p.collect()
-	p.reset(rows)
-	return err
 }
 
 // partitionOf hashes a join key into one of n partitions (FNV-32a).

@@ -186,8 +186,10 @@ func TestEffectiveParallelism(t *testing.T) {
 // TestBorrowedRowsNeverEscape: a join stage emits each joined row in a scratch
 // row the next emit overwrites, so every sink that keeps rows must copy them.
 // Each retaining sink is put above a probe that spans several morsels; the run
-// at one worker and the run at four must both return the rows of the reference
-// evaluator, which shares no code with them, and each other's rows in order. A
+// at one worker must return the rows of the reference evaluator, which shares
+// no code with it, and the run at four, and both in the columnar source form —
+// where the probe gathers a batch and a sink without a batch form is handed
+// the batch unrolled into one scratch row — the same rows in the same order. A
 // missing copy shows as a chunk's rows all reading as the last row written.
 // Run under the race detector (make race), a scratch row shared between
 // workers shows there too.
@@ -263,25 +265,32 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 			}
 			one, err := Run(tc.plan, nil, &Options{Join: tc.join})
 			must(t, err)
-			four, err := Run(tc.plan, nil, &Options{Join: tc.join, Parallelism: 4})
-			must(t, err)
-			if !sameMultiset(one.Rows, want) || !sameMultiset(four.Rows, want) {
-				t.Fatalf("rows differ from the reference evaluator's %d: %d at one worker, %d at four", len(want), len(one.Rows), len(four.Rows))
+			if !sameMultiset(one.Rows, want) {
+				t.Fatalf("%d rows at one worker differ from the reference evaluator's %d", len(one.Rows), len(want))
 			}
-			same(t, four.Rows, one.Rows)
+			for _, opts := range []*Options{
+				{Join: tc.join, Parallelism: 4},
+				{Join: tc.join, Vectorize: true},
+				{Join: tc.join, Vectorize: true, Parallelism: 4},
+			} {
+				got, err := Run(tc.plan, nil, opts)
+				must(t, err)
+				t.Logf("vectorize=%v workers=%d", opts.Vectorize, opts.Parallelism)
+				same(t, got.Rows, one.Rows)
+			}
 		})
 	}
 	// One run has one join strategy, so a merge join over a hash join's probe
 	// is put together by hand.
 	t.Run("merge-join input", func(t *testing.T) {
-		merged := func(par int) []value.Row {
-			c := &compiler{opts: &Options{Join: JoinHash}, par: par, clock: obs.Wall}
+		merged := func(par int, vectorize bool) []value.Row {
+			c := &compiler{opts: &Options{Join: JoinHash, Vectorize: vectorize}, par: par, clock: obs.Wall}
 			left, err := c.compile(probe())
 			must(t, err)
 			right, err := c.compile(keyedValuesPlan("u", 60, 50))
 			must(t, err)
 			rows, err := drain(&mergeJoinOp{
-				left: left.op, right: right.op, keys: []equiKey{{left: 0, right: 0}}, par: par, where: "merge",
+				left: left, right: right, keys: []equiKey{{left: 0, right: 0}}, par: par, where: "merge",
 			})
 			must(t, err)
 			return rows
@@ -291,18 +300,22 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 			Cond: expr.Eq(expr.Column("l", "k"), expr.Column("u", "k")),
 		}, nil, nil)
 		must(t, err)
-		one, four := merged(1), merged(4)
-		if !sameMultiset(one, want) || !sameMultiset(four, want) {
-			t.Fatalf("rows differ from the reference evaluator's %d: %d at one worker, %d at four", len(want), len(one), len(four))
+		one := merged(1, false)
+		if !sameMultiset(one, want) {
+			t.Fatalf("%d rows at one worker differ from the reference evaluator's %d", len(one), len(want))
 		}
-		same(t, four, one)
+		same(t, merged(4, false), one)
+		same(t, merged(1, true), one)
+		same(t, merged(4, true), one)
 	})
 }
 
 // TestLimitStopsTheSource: a bare LIMIT takes its input as one in-order chunk
 // and ends the run at the row that fills it — at any worker count its rows are
 // the first n of the unlimited run, and the source has handed up less than one
-// morsel beyond them, not all it holds.
+// morsel beyond them, not all it holds. In the columnar source form that is the
+// batches holding the first n rows, each unrolled into a scratch row the limit
+// must copy.
 func TestLimitStopsTheSource(t *testing.T) {
 	const rows, n = 48000, 10
 	for _, tc := range []struct {
@@ -327,14 +340,22 @@ func TestLimitStopsTheSource(t *testing.T) {
 			}
 		}},
 	} {
-		for _, workers := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+		for _, run := range []struct {
+			workers   int
+			vectorize bool
+		}{{1, false}, {2, false}, {4, false}, {1, true}, {4, true}} {
+			workers, vectorize := run.workers, run.vectorize
+			name := fmt.Sprintf("%s/workers=%d", tc.name, workers)
+			if vectorize {
+				name += ", vectorized"
+			}
+			t.Run(name, func(t *testing.T) {
 				src := keyedValuesPlan("t", rows, 50)
 				plan := tc.plan(src)
 				full, err := Run(plan, nil, &Options{Join: JoinHash, Parallelism: workers})
 				must(t, err)
 				col := obs.NewCollector()
-				got, err := Run(&algebra.Limit{Input: plan, N: n}, nil, &Options{Join: JoinHash, Parallelism: workers, Metrics: col})
+				got, err := Run(&algebra.Limit{Input: plan, N: n}, nil, &Options{Join: JoinHash, Parallelism: workers, Vectorize: vectorize, Metrics: col})
 				must(t, err)
 				if len(got.Rows) != n {
 					t.Fatalf("%d rows, want %d", len(got.Rows), n)

@@ -28,15 +28,16 @@ import (
 	"repro/internal/workload"
 )
 
-// oracleParallelism is the worker count the vectorized parallel runs (and the
-// other oracles) use. Any value above 1 must give identical results; 4
-// exercises multi-chunk scheduling even on a single-CPU machine.
+// oracleParallelism is the worker count the other oracles' parallel runs use.
+// Any value above 1 must give identical results; 4 exercises multi-chunk
+// scheduling even on a single-CPU machine.
 const oracleParallelism = 4
 
-// rowWorkerCounts are the worker counts the row engine's pipelines are run
-// at. Most oracle inputs are shorter than one morsel, so 3 and 8 are worker
-// counts above the chunk count of every collecting pipeline, and 8 is above
-// the row count of some sources.
+// rowWorkerCounts are the worker counts the pipelines are run at above one
+// worker, in the row and in the columnar source form alike. Most oracle
+// inputs are shorter than one morsel, so 3 and 8 are worker counts above the
+// chunk count of every collecting pipeline, and 8 is above the row count of
+// some sources.
 var rowWorkerCounts = []int{2, 3, oracleParallelism, 8}
 
 var joinStrategies = []exec.JoinStrategy{
@@ -98,15 +99,15 @@ func joinInputRows(plan algebra.Node, col *obs.Collector) int64 {
 	return total
 }
 
-// checkSerialVsParallel runs one plan under one strategy combination in all
-// four execution modes — {row, vectorized} × {serial, parallel} — and
-// asserts that every mode returns exactly the serial row path's rows in its
-// order with identical per-operator cardinalities (RowsOut and RowsIn;
-// Batches is intentionally excluded — it is a mode-specific scheduling
+// checkSerialVsParallel runs one plan under one strategy combination in both
+// source forms — row and vectorized — at one worker and at every count in
+// rowWorkerCounts, and asserts that every mode returns exactly the serial row
+// path's rows in its order with identical per-operator cardinalities (RowsOut
+// and RowsIn; Batches is intentionally excluded — it is a mode-specific scheduling
 // statistic; plans containing a Limit skip the cardinality comparison, since
 // early termination makes interior counts depend on which mode could elide
-// the sort). The serial row path is the reference semantics; the other three
-// modes are the three-way differential the vectorized engine is held to.
+// the sort). The serial row path is the reference semantics; the batch form is
+// held to it at exactly the worker counts the row form is.
 func checkSerialVsParallel(t *testing.T, label, query string, plan algebra.Node, store *storage.Store, js exec.JoinStrategy, gs exec.GroupStrategy) []value.Row {
 	t.Helper()
 	serialRows, serialCol := runWithStats(t, plan, store, exec.Options{Join: js, Group: gs})
@@ -117,10 +118,11 @@ func checkSerialVsParallel(t *testing.T, label, query string, plan algebra.Node,
 	}
 	modes := []runMode{
 		{"vec/serial", exec.Options{Join: js, Group: gs, Vectorize: true}},
-		{"vec/parallel", exec.Options{Join: js, Group: gs, Parallelism: oracleParallelism, Vectorize: true}},
 	}
 	for _, workers := range rowWorkerCounts {
-		modes = append(modes, runMode{fmt.Sprintf("row/parallel=%d", workers), exec.Options{Join: js, Group: gs, Parallelism: workers}})
+		modes = append(modes,
+			runMode{fmt.Sprintf("vec/parallel=%d", workers), exec.Options{Join: js, Group: gs, Parallelism: workers, Vectorize: true}},
+			runMode{fmt.Sprintf("row/parallel=%d", workers), exec.Options{Join: js, Group: gs, Parallelism: workers}})
 	}
 	// Early termination makes interior cardinalities plan-shape-dependent:
 	// under a LIMIT, a mode whose input order lets the sort elide pulls only

@@ -14,12 +14,13 @@ import (
 
 // TestSpillOperatorDiskFaults is the per-operator disk-fault regression
 // suite: each external path — external sort, external aggregation, grace
-// hash join — is driven through every disk fault kind injected at every
-// tick of its execution (the horizon is the fault-free run's own tick
-// count). Each run must either return exactly the fault-free
-// spilling run's rows (the fault landed where no disk operation happened)
-// or fail with a typed *SpillError and a nil result — never a partial
-// result, never an untyped error — and must never leave a temp file behind.
+// hash join, each in the row and in the columnar source form — is driven
+// through every disk fault kind injected at every tick of its execution (the
+// horizon is the fault-free run's own tick count). The fault-free spilling run
+// must return the unbudgeted rows; each faulted run must either return exactly
+// those (the fault landed where no disk operation happened) or fail with a
+// typed *SpillError and a nil result — never a partial result, never an
+// untyped error — and must never leave a temp file behind.
 func TestSpillOperatorDiskFaults(t *testing.T) {
 	s := fixture(t)
 	// A budget below one row's state forces every operator to spill
@@ -47,6 +48,26 @@ func TestSpillOperatorDiskFaults(t *testing.T) {
 			name: "grace-hash-join",
 			plan: joinPlan(t, s),
 			opts: Options{Join: JoinHash},
+		},
+		// The same breakers over a columnar source: the streaming prefix stays
+		// in batches and the breaker takes the unrolled rows in order.
+		{
+			name: "external-sort, vectorized",
+			plan: &algebra.Sort{
+				Input: scanOf(t, s, "Employee", "E"),
+				Keys:  []algebra.SortItem{{Col: expr.ColumnID{Table: "E", Name: "Salary"}}},
+			},
+			opts: Options{Vectorize: true},
+		},
+		{
+			name: "external-aggregation, vectorized",
+			plan: groupPlan(t, s, true),
+			opts: Options{Group: GroupHash, Vectorize: true},
+		},
+		{
+			name: "grace-hash-join, vectorized",
+			plan: joinPlan(t, s),
+			opts: Options{Join: JoinHash, Vectorize: true},
 		},
 	}
 	kinds := []fault.Kind{fault.DiskWriteFail, fault.DiskShortWrite, fault.DiskReadFail, fault.DiskCloseFail}
@@ -90,6 +111,12 @@ func TestSpillOperatorDiskFaults(t *testing.T) {
 			}
 			if n := refMgr.Live(); n != 0 {
 				t.Fatalf("fault-free run leaked %d spill files", n)
+			}
+			// Spilling changes no row: the row engine's, with no budget at all.
+			unbudgeted, err := Run(tc.plan, s, &Options{Join: tc.opts.Join, Group: tc.opts.Group})
+			must(t, err)
+			if !rowsEqual(ref.Rows, unbudgeted.Rows) {
+				t.Fatalf("the spilling run's %d rows are not the unbudgeted run's %d", len(ref.Rows), len(unbudgeted.Rows))
 			}
 
 			for _, kind := range kinds {

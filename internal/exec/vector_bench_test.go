@@ -1,13 +1,16 @@
 package exec_test
 
-// Benchmarks for the row-vs-vectorized engine comparison on the paper's
+// Benchmarks for the row-vs-columnar source form comparison on the paper's
 // Figure 1 workload (Employee 10000 x Department 100, standard plan:
 // join first, group once at the top). They are the layer-level reading of
 // the row-vs-vectorized ratio (benchmark/'s olap_eager is the end-to-end
 // one) and give `go test -bench . -cpuprofile` a stable harness for hunting
-// regressions in the columnar path.
+// regressions in the columnar path. par1 and par2 fix Options.Parallelism,
+// whatever -cpu says: no end-to-end workload runs vectorized above one worker,
+// so this is where that path is timed.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/algebra"
@@ -35,21 +38,21 @@ func figure1Plan(b *testing.B) (algebra.Node, *storage.Store) {
 	return report.Standard, store
 }
 
-func benchFigure1(b *testing.B, opts *exec.Options) {
+func benchFigure1(b *testing.B, vectorize bool) {
 	plan, store := figure1Plan(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := exec.Run(plan, store, opts); err != nil {
-			b.Fatal(err)
-		}
+	for _, par := range []int{1, 2} {
+		opts := &exec.Options{Vectorize: vectorize, Parallelism: par}
+		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := exec.Run(plan, store, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-func BenchmarkFigure1Row(b *testing.B) {
-	benchFigure1(b, &exec.Options{})
-}
+func BenchmarkFigure1Row(b *testing.B) { benchFigure1(b, false) }
 
-func BenchmarkFigure1Vec(b *testing.B) {
-	benchFigure1(b, &exec.Options{Vectorize: true})
-}
+func BenchmarkFigure1Vec(b *testing.B) { benchFigure1(b, true) }

@@ -8,20 +8,22 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/expr"
 	"repro/internal/obs"
+	"repro/internal/schema"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
-// These tests pin the vectorized path's per-batch cost the same way the
-// metrics and governance tests pin the row path's per-row cost: once the
-// operators are warm, pulling a batch through scan → filter — with
-// instrumentation and governance wrappers active — allocates nothing. The
-// kernels reuse their selection and output buffers, the wrappers are one
-// atomic add (metrics) and one stride-amortized context poll (governance)
-// per batch, and selection views alias the input's vectors.
+// These tests pin the batch form's per-batch cost the same way the metrics and
+// governance tests pin the row form's per-row cost: a batch allocates nothing
+// on its way through the kernelized filter, the gathering probe or the group
+// sink — with instrumentation and governance active — because a stage's
+// scratch (selection, output vectors, key encoder, scratch row) is its
+// worker's, made once per run, selection views alias the input's vectors, and
+// the instrumentation is one tick and one count per batch.
 
 // vecFilterPlan builds Select(v >= 0) over an n-row Values input — a
 // predicate the compiler kernels (int column vs int literal) and that every
-// row passes, so each NextBatch emits one full batch.
+// row passes, so every batch is handed on whole.
 func vecFilterPlan(n int) *algebra.Select {
 	return &algebra.Select{
 		Input: valuesPlan(n),
@@ -29,75 +31,150 @@ func vecFilterPlan(n int) *algebra.Select {
 	}
 }
 
+// keyedStore holds one table t(k, v) of n rows, k cycling through keys values:
+// keyedValuesPlan's rows as a stored table, whose columnar form is built once
+// and cached, outside any measurement.
+func keyedStore(t *testing.T, n, keys int) (*storage.Store, *algebra.Scan) {
+	t.Helper()
+	s := storage.NewStore(schema.NewCatalog())
+	must(t, s.CreateTable(&schema.Table{Name: "t", Columns: []schema.Column{
+		{Name: "k", Type: value.KindInt}, {Name: "v", Type: value.KindInt},
+	}}))
+	for _, row := range keyedValuesPlan("t", n, keys).Rows {
+		must(t, s.Insert("t", row))
+	}
+	tab, err := s.Table("t")
+	must(t, err)
+	tab.Columnar()
+	return s, scanOf(t, s, "t", "t")
+}
+
 // TestVectorPathZeroAllocs: the batch analogue of TestRowPathZeroAllocs and
-// TestGovernedRowPathZeroAllocs. Pulling a warm batch allocates nothing on
-// the uninstrumented path, the fully instrumented path, and the governed
-// path.
+// TestGovernedRowPathZeroAllocs. What a whole run allocates does not grow
+// with the number of source batches: scan → kernelized filter into an
+// in-order consumer (the batch unrolled into the worker's scratch row), and
+// scan → probe → group sink (batches all the way), allocate as often over four
+// times the batches — on the uninstrumented path, the fully instrumented path
+// and the governed path.
 func TestVectorPathZeroAllocs(t *testing.T) {
-	const runs = 100
+	const groups, small, large = 100, 10 * MorselSize, 40 * MorselSize
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cases := []struct {
+	configs := []struct {
 		name string
-		opts *Options
+		opts func() *Options
 	}{
-		{"disabled", &Options{Vectorize: true}},
-		{"metrics+trace", &Options{
-			Vectorize: true,
-			Metrics:   obs.NewCollector(),
-			Trace:     obs.NewTracer(obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)),
-			Clock:     obs.NewFakeClock(time.Unix(0, 0), time.Millisecond),
+		{"disabled", func() *Options { return &Options{Vectorize: true} }},
+		{"metrics+trace", func() *Options {
+			return &Options{
+				Vectorize: true,
+				Metrics:   obs.NewCollector(),
+				Trace:     obs.NewTracer(obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)),
+				Clock:     obs.NewFakeClock(time.Unix(0, 0), time.Millisecond),
+			}
 		}},
-		{"governed", &Options{
-			Vectorize:    true,
-			Context:      ctx,
-			MemoryBudget: 1 << 30,
+		{"governed", func() *Options {
+			return &Options{Vectorize: true, Context: ctx, MemoryBudget: 1 << 30}
 		}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := &compiler{opts: tc.opts, par: 1, clock: tc.opts.Clock}
+	chains := []struct {
+		name string
+		run  func(t *testing.T, store *storage.Store, src algebra.Node, n int, opts *Options)
+	}{
+		{"scan → filter", func(t *testing.T, store *storage.Store, src algebra.Node, n int, opts *Options) {
+			c := &compiler{store: store, opts: opts, par: 1, clock: opts.Clock, gov: newGovernor(opts)}
 			if c.clock == nil {
 				c.clock = obs.Wall
 			}
-			c.gov = newGovernor(tc.opts)
-			// More batches than AllocsPerRun will pull, so every measured
-			// NextBatch returns a live batch.
-			out, err := c.compile(vecFilterPlan((runs + 10) * 1024))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b := batchSource(out.op)
-			if b == nil {
-				t.Fatalf("compiled %T has no batch face with Vectorize on", out.op)
-			}
-			if err := out.op.Open(); err != nil {
-				t.Fatal(err)
-			}
-			defer out.op.Close()
-			avg := testing.AllocsPerRun(runs, func() {
-				if _, ok, err := b.NextBatch(); !ok || err != nil {
-					t.Fatalf("NextBatch: ok=%v err=%v", ok, err)
-				}
+			out, err := c.compile(&algebra.Select{
+				Input: src, Cond: expr.NewBinary(expr.OpGe, expr.Column("t", "v"), expr.IntLit(0)),
 			})
-			if avg != 0 {
-				t.Errorf("%s vector path allocates %.2f times per batch, want 0", tc.name, avg)
+			must(t, err)
+			if !out.pipe.inBatches() {
+				t.Fatal("scan → filter is not in batches with Vectorize on")
+			}
+			rows := 0
+			must(t, out.pipe.each(func(value.Row) error { rows++; return nil }))
+			if rows != n {
+				t.Fatalf("%d rows, want %d", rows, n)
+			}
+		}},
+		{"scan → probe → group sink", func(t *testing.T, store *storage.Store, src algebra.Node, n int, opts *Options) {
+			res, err := Run(&algebra.GroupBy{
+				Input: &algebra.Join{
+					L: src, R: keyedValuesPlan("r", groups, groups),
+					Cond: expr.Eq(expr.Column("t", "k"), expr.Column("r", "k")),
+				},
+				GroupCols: []expr.ColumnID{{Table: "t", Name: "k"}},
+				Aggs: []algebra.AggItem{{
+					E:  &expr.Aggregate{Func: expr.AggSum, Arg: expr.Column("r", "v")},
+					As: expr.ColumnID{Name: "s"},
+				}},
+			}, store, opts)
+			if err != nil || len(res.Rows) != groups {
+				t.Fatalf("%v rows, err=%v", res, err)
+			}
+		}},
+	}
+	for _, cfg := range configs {
+		t.Run(cfg.name, func(t *testing.T) {
+			for _, chain := range chains {
+				allocs := func(n int) float64 {
+					store, src := keyedStore(t, n, groups)
+					return testing.AllocsPerRun(5, func() { chain.run(t, store, src, n, cfg.opts()) })
+				}
+				// The counts are equal; under the race detector a whole run's
+				// count moves by a few whatever n is (its runtime allocates), so
+				// TestRowPathZeroAllocs' allowance for that applies — still less
+				// than one allocation per further batch.
+				few, many := allocs(small), allocs(large)
+				t.Logf("%s: %.0f allocations over 10 batches, %.0f over 40", chain.name, few, many)
+				if many-few > 24 {
+					t.Errorf("%s: a run over 10 batches allocates %.0f times, over 40 batches %.0f times: want the same", chain.name, few, many)
+				}
 			}
 		})
 	}
 }
 
-// TestVectorizeDisabledInsertsNoBatchOperators: with Vectorize off the
-// compiler emits the historical row operators, and the root has no batch
-// face — the row path is untouched by the columnar engine's existence.
+// TestVectorizeDisabledInsertsNoBatchOperators: with Vectorize off nothing has
+// a batch form — the source is rows, no stage hands on a batch and a sink that
+// could take batches is bound to rows — so the row path is untouched by the
+// columnar form's existence. With it on, the same plan is in batches up to
+// its sink.
 func TestVectorizeDisabledInsertsNoBatchOperators(t *testing.T) {
-	c := &compiler{opts: &Options{}, par: 1, clock: obs.Wall}
-	out, err := c.compile(vecFilterPlan(8))
-	if err != nil {
-		t.Fatal(err)
+	compilePlan := func(opts *Options) *pipeOp {
+		c := &compiler{opts: opts, par: 1, clock: obs.Wall}
+		out, err := c.compile(&algebra.Project{
+			Input: vecFilterPlan(8),
+			Items: []algebra.ProjItem{{E: expr.Column("t", "v"), As: expr.ColumnID{Name: "v"}}},
+		})
+		must(t, err)
+		return out.pipe
 	}
-	if b := batchSource(out.op); b != nil {
-		t.Fatalf("compile produced a batch face %T with Vectorize off", b)
+	bound := func(p *pipeOp) batchFn {
+		s := &collector{p: p}
+		s.begin(8, MorselSize)
+		_, carry, _, err := p.bind(s, 0, 0)
+		must(t, err)
+		return carry
+	}
+	p := compilePlan(&Options{})
+	if p.cols != nil || p.nbatch != 0 || p.inBatches() {
+		t.Fatalf("Vectorize off: the source is columnar (%v) or %d stages are in batches", p.cols != nil, p.nbatch)
+	}
+	for i, st := range p.stages {
+		if st.batch != nil || st.bind == nil {
+			t.Fatalf("Vectorize off: stage %d has a batch form (%v) or no row form", i, st.batch != nil)
+		}
+	}
+	if bound(p) != nil {
+		t.Fatal("Vectorize off: the collecting sink was bound to batches")
+	}
+	v := compilePlan(&Options{Vectorize: true})
+	v.scratch = make([]value.Row, 1)
+	if v.cols == nil || !v.inBatches() || v.nbatch != 2 || bound(v) == nil {
+		t.Fatalf("Vectorize on: columnar source %v, %d of %d stages in batches", v.cols != nil, v.nbatch, len(v.stages))
 	}
 }
 

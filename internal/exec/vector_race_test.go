@@ -3,10 +3,11 @@ package exec_test
 // Concurrent vectorized execution over one shared store. The storage layer
 // caches each table's columnar batches and shares string dictionaries
 // across them, so concurrent vectorized queries read the same vectors and
-// dictionaries from many goroutines while parallel hash joins gather build
-// rows through vec.Table.AppendFrom (which must re-intern, never adopt, a
-// foreign dictionary). Running this under the race detector — `make check`
-// runs this package with -race — is what certifies those sharing rules.
+// dictionaries from many goroutines while the probe stages of several
+// workers gather left columns through Vector.AppendFrom (which adopts a
+// cached column's dictionary read-only and must never intern into it).
+// Running this under the race detector — `make check` runs this package
+// with -race — is what certifies those sharing rules.
 
 import (
 	"sync"

@@ -8,17 +8,17 @@ import (
 // BudgetChargeAnalyzer enforces the memory-accounting contract of the
 // stateful operators: hash-join tables and aggregation state grow without
 // bound in the input size, so every function that inserts into such state —
-// a map keyed by group/join key whose values are row lists ([]value.Row),
-// group states (*groupState) or row indexes ([]int32), or a columnar build
-// table (AppendRow) — must charge the governor's memory budget in the same
-// function. A growth site in a function that never calls charge means the
+// a map keyed by group/join key whose values are row lists ([]value.Row) or
+// group states (*groupState): the one join table and the one group table,
+// which the row and the batch form of a probe and of a group feed share —
+// must charge the governor's memory budget in the same function. A growth site in a function that never calls charge means the
 // query can blow past its MemoryBudget silently; the oracle only catches
 // that dynamically, and only when the budget happens to be crossed under
 // test. Sites that adopt state already charged elsewhere (the parallel
 // merge step) carry an explicit //lint:ignore with the reason.
 var BudgetChargeAnalyzer = &Analyzer{
 	Name: "budgetcharge",
-	Doc:  "operator state growth (hash tables, group states, build tables) must charge the memory budget in the same function",
+	Doc:  "operator state growth (hash tables, group states) must charge the memory budget in the same function",
 	Dirs: []string{"internal/exec"},
 	Run:  runBudgetCharge,
 }
@@ -60,13 +60,6 @@ func checkChargeScope(pass *Pass, body *ast.BlockStmt) {
 					pass.Reportf(idx.Pos(), "insert into operator state %s without charging the memory budget: call gov.charge with the entry size in this function, before the state can grow", types.ExprString(idx.X))
 				}
 			}
-		case *ast.CallExpr:
-			if charges {
-				return true
-			}
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "AppendRow" {
-				pass.Reportf(n.Pos(), "%s.AppendRow grows the build table without charging the memory budget: call gov.charge with the row size in this function", types.ExprString(sel.X))
-			}
 		}
 		return true
 	})
@@ -97,8 +90,8 @@ func scopeCharges(body *ast.BlockStmt) bool {
 }
 
 // stateMapValue reports whether the expression is a map whose value type is
-// operator state: []value.Row (hash-join row lists), *groupState
-// (aggregation state) or []int32 (columnar build indexes).
+// operator state: []value.Row (hash-join row lists) or *groupState
+// (aggregation state).
 func stateMapValue(pass *Pass, e ast.Expr) bool {
 	t := pass.TypeOf(e)
 	if t == nil {
@@ -111,9 +104,6 @@ func stateMapValue(pass *Pass, e ast.Expr) bool {
 	switch v := m.Elem().(type) {
 	case *types.Slice:
 		if named, ok := v.Elem().(*types.Named); ok && named.Obj().Name() == "Row" {
-			return true
-		}
-		if basic, ok := v.Elem().(*types.Basic); ok && basic.Kind() == types.Int32 {
 			return true
 		}
 	case *types.Pointer:

@@ -6,30 +6,30 @@ import (
 )
 
 // GovLoopAnalyzer enforces the executor's responsiveness contract: every
-// loop that walks rows must pass through the query governor, or
-// cancellation, deadlines and memory-budget aborts go unnoticed for the
-// whole loop. Concretely, any `range` over a []value.Row in internal/exec
-// must call the governor (tick, cancelled or charge) or pull from an
-// Operator (Next) somewhere in its body — or be nested inside a loop that
-// does, which bounds the ungoverned stretch to one outer iteration. The
-// governor is nil-safe, so the fix is always just a tick; see governor.go's
-// cancelStride for why per-row ticks are cheap.
+// loop that walks rows — or batches, the unit a columnar pipeline carries —
+// must pass through the query governor, or cancellation, deadlines and
+// memory-budget aborts go unnoticed for the whole loop. Concretely, any
+// `range` over a []value.Row or a []*vec.Batch in internal/exec must call
+// the governor (tick, cancelled or charge) or pull from an Operator (Next)
+// somewhere in its body — or be nested inside a loop that does, which bounds
+// the ungoverned stretch to one outer iteration. The governor is nil-safe,
+// so the fix is always just a tick; see governor.go's cancelStride for why
+// per-row ticks are cheap.
 var GovLoopAnalyzer = &Analyzer{
 	Name: "govloop",
-	Doc:  "every row loop in the executor must tick the governor or check cancellation",
+	Doc:  "every row or batch loop in the executor must tick the governor or check cancellation",
 	Dirs: []string{"internal/exec"},
 	Run:  runGovLoop,
 }
 
 // governedCallNames are the method names that count as touching the
 // governor or yielding control: governor.tick/cancelled/charge and the
-// Operator/batchFeed Next/NextBatch pulls (whose implementations tick).
+// Operator Next pull (whose implementations tick).
 var governedCallNames = map[string]bool{
 	"tick":      true,
 	"cancelled": true,
 	"charge":    true,
 	"Next":      true,
-	"NextBatch": true,
 }
 
 func runGovLoop(pass *Pass) error {
@@ -56,8 +56,8 @@ func checkGovLoops(pass *Pass, n ast.Node, governed bool) {
 			return true
 		}
 		inner := governed || bodyTicksGovernor(rs.Body)
-		if isRowSlice(pass, rs.X) && !inner {
-			pass.Reportf(rs.For, "row loop over %s never touches the governor: cancellation, deadlines and budget aborts stall for its whole run; call gov.tick() (nil-safe) per row", types.ExprString(rs.X))
+		if unit := loopUnit(pass, rs.X); unit != "" && !inner {
+			pass.Reportf(rs.For, "%s loop over %s never touches the governor: cancellation, deadlines and budget aborts stall for its whole run; call gov.tick() (nil-safe) per %s", unit, types.ExprString(rs.X), unit)
 		}
 		// Recurse manually so nested loops see the updated governed state,
 		// then prune this subtree from the outer Inspect.
@@ -91,20 +91,24 @@ func bodyTicksGovernor(body *ast.BlockStmt) bool {
 	return found
 }
 
-// isRowSlice reports whether the expression has type []value.Row.
-func isRowSlice(pass *Pass, e ast.Expr) bool {
+// loopUnit names what a range over the expression walks — "row" for a
+// []value.Row, "batch" for a []*vec.Batch — or "" for anything else.
+func loopUnit(pass *Pass, e ast.Expr) string {
 	t := pass.TypeOf(e)
 	if t == nil {
-		return false
+		return ""
 	}
 	sl, ok := t.Underlying().(*types.Slice)
 	if !ok {
-		return false
+		return ""
 	}
-	named, ok := sl.Elem().(*types.Named)
-	if !ok || named.Obj().Name() != "Row" {
-		return false
+	elem, unit, want := sl.Elem(), "row", "value.Row"
+	if p, ok := elem.(*types.Pointer); ok {
+		elem, unit, want = p.Elem(), "batch", "vec.Batch"
 	}
-	pkg := named.Obj().Pkg()
-	return pkg != nil && pkg.Name() == "value"
+	named, ok := elem.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Name()+"."+named.Obj().Name() != want {
+		return ""
+	}
+	return unit
 }

@@ -1,6 +1,6 @@
 // Fixture for the budgetcharge analyzer: functions that grow operator
-// state (hash-join row lists, group states, columnar build tables) must
-// charge the memory budget in the same function scope.
+// state (hash-join row lists, group states) must charge the memory budget in
+// the same function scope.
 package budgetcharge
 
 import "repro/internal/value"
@@ -12,10 +12,6 @@ func (g *governor) charge(where string, n int64) error { return nil }
 type groupState struct {
 	n int
 }
-
-type builder struct{}
-
-func (b *builder) AppendRow(batch, i int) bool { return false }
 
 func unchargedRows(m map[string][]value.Row, key string, row value.Row) {
 	m[key] = append(m[key], row) // want "without charging the memory budget"
@@ -30,8 +26,28 @@ func unchargedState(m map[string]*groupState, key string) {
 	m[key] = &groupState{} // want "without charging the memory budget"
 }
 
-func unchargedIndexes(m map[string][]int32, key string, idx int32) {
-	m[key] = append(m[key], idx) // want "without charging the memory budget"
+// unchargedBatchFeed: the group sink's batch feed looks a row's group up by
+// its encoded key bytes and starts the group on a miss. Starting it is an
+// insertion like any other, whichever form the row arrived in.
+func unchargedBatchFeed(index map[string]*groupState, keys [][]byte) {
+	for _, k := range keys {
+		if index[string(k)] == nil {
+			index[string(k)] = &groupState{} // want "without charging the memory budget"
+		}
+	}
+}
+
+func chargedBatchFeed(gov *governor, index map[string]*groupState, keys [][]byte) error {
+	for _, k := range keys {
+		if index[string(k)] != nil {
+			continue
+		}
+		if err := gov.charge("fixture", int64(len(k))); err != nil {
+			return err
+		}
+		index[string(k)] = &groupState{}
+	}
+	return nil
 }
 
 // boolMapExempt: dedup bookkeeping maps hold no rows; they are not
@@ -40,13 +56,16 @@ func boolMapExempt(m map[string]bool, key string) {
 	m[key] = true
 }
 
-func unchargedAppendRow(b *builder) {
-	b.AppendRow(0, 1) // want "grows the build table"
-}
-
-func chargedAppendRow(gov *governor, b *builder) error {
-	b.AppendRow(0, 1)
-	return gov.charge("fixture", 8)
+// stageStart: a probe stage builds its table in the stage's start closure —
+// a scope of its own, in the row and in the batch form of the stage alike.
+func stageStart(gov *governor, rows []value.Row) func() {
+	_ = gov.charge("outer", 1)
+	part := make(map[string][]value.Row)
+	return func() {
+		for _, row := range rows {
+			part["k"] = append(part["k"], row) // want "without charging the memory budget"
+		}
+	}
 }
 
 // closureIsItsOwnScope: a charge in the enclosing function does not cover

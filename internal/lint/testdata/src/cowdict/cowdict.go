@@ -43,6 +43,15 @@ func (v *Vector) adoptWithoutFlag(src *Vector) {
 	v.dict = src.dict // want "without setting the foreign flag"
 }
 
+// regather: a reused output vector keeps its dictionary across resets and
+// re-adopts its source's batch after batch; every adoption sets the flag.
+func (v *Vector) regatherWithoutFlag(src *Vector) {
+	v.codes = v.codes[:0]
+	if v.dict == nil || v.dict == src.dict {
+		v.dict = src.dict // want "without setting the foreign flag"
+	}
+}
+
 func (v *Vector) adoptProperly(src *Vector) {
 	v.dict = src.dict
 	v.foreign = true

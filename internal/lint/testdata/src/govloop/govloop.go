@@ -1,10 +1,13 @@
 // Fixture for the govloop analyzer: row loops in the executor must touch
 // the governor. The types mirror internal/exec's unexported governor just
 // enough to exercise the rule — the analyzer matches the method names, the
-// row-slice type is the real one.
+// row-slice and batch-slice types are the real ones.
 package govloop
 
-import "repro/internal/value"
+import (
+	"repro/internal/value"
+	"repro/internal/vec"
+)
 
 type governor struct{}
 
@@ -22,6 +25,29 @@ func (o *op) ungoverned(rows []value.Row) int {
 		n += len(row)
 	}
 	return n
+}
+
+// ungovernedBatches: a chunk of a columnar source is a run of batches, and
+// the loop that carries them is held to the same rule, once per batch.
+func (o *op) ungovernedBatches(batches []*vec.Batch, carry func(*vec.Batch) error) error {
+	for _, b := range batches { // want "batch loop over batches never touches the governor"
+		if err := carry(b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (o *op) tickedBatches(batches []*vec.Batch, carry func(*vec.Batch) error) error {
+	for _, b := range batches {
+		if err := o.gov.tick(); err != nil {
+			return err
+		}
+		if err := carry(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (o *op) ticked(rows []value.Row) error {

@@ -19,6 +19,19 @@ func loop(b *Batch) int32 {
 	return s
 }
 
+// gatherStage: a pipeline stage's per-batch function gathers into its reused
+// output by Batch.Index like everyone else — the batch it is handed may be a
+// table's (Sel == nil) or a filter's view.
+func gatherStage(out []int32) func(b *Batch) []int32 {
+	return func(b *Batch) []int32 {
+		out = out[:0]
+		for i := 0; i < b.n; i++ {
+			out = append(out, b.Sel[i]) // want "direct index into selection vector"
+		}
+		return out
+	}
+}
+
 // nilCheck: asking which representation a batch uses is legal.
 func nilCheck(b *Batch) bool {
 	return b.Sel == nil

@@ -10,22 +10,22 @@ import (
 // physical indices listed in Sel, in that order — a filter emits its
 // input's vectors untouched and narrows Sel instead of copying survivors.
 //
-// Unless a producer documents otherwise, a batch returned from a
-// NextBatch-style iterator (and its buffers) is valid only until the next
-// call; Clone detaches it.
+// A table's cached batches are shared and read-only. A batch handed from one
+// pipeline stage to the next (and its buffers) is the producing worker's
+// scratch: valid only until that worker's next batch.
 type Batch struct {
 	Cols []*Vector
 	Sel  []int32
 	n    int
 }
 
-// NewBatch wraps column vectors (all the same length) into a batch.
-func NewBatch(cols []*Vector) *Batch {
-	n := 0
+// Reset makes b a batch over cols (all the same length) with no selection —
+// how a producer re-fills the one output batch it reuses.
+func (b *Batch) Reset(cols []*Vector) {
+	b.Cols, b.Sel, b.n = cols, nil, 0
 	if len(cols) > 0 {
-		n = cols[0].Len()
+		b.n = cols[0].Len()
 	}
-	return &Batch{Cols: cols, n: n}
 }
 
 // Len returns the logical row count (len(Sel) when a selection is active).
@@ -103,43 +103,6 @@ func (b *Batch) Project(cols []int, out *Batch) {
 	out.n = b.n
 }
 
-// Clone returns a deep copy whose buffers are independent of the producer
-// (dictionaries stay shared; they are append-only).
-func (b *Batch) Clone() *Batch {
-	out := &Batch{n: b.n}
-	out.Cols = make([]*Vector, len(b.Cols))
-	for i, c := range b.Cols {
-		out.Cols[i] = c.clone()
-	}
-	if b.Sel != nil {
-		out.Sel = append([]int32(nil), b.Sel...)
-	}
-	return out
-}
-
-// SizeBytes approximates the heap bytes of the batch's vectors and
-// selection.
-func (b *Batch) SizeBytes() int64 {
-	var total int64
-	for _, c := range b.Cols {
-		total += c.SizeBytes()
-	}
-	return total + int64(len(b.Sel))*4
-}
-
-// FromRows builds one batch from rows (column-major copy). width names the
-// column count, which rows cannot supply when empty.
-func FromRows(rows []value.Row, width int) *Batch {
-	cols := make([]*Vector, width)
-	for c := range cols {
-		cols[c] = &Vector{}
-		for _, r := range rows {
-			cols[c].Append(r[c])
-		}
-	}
-	return &Batch{Cols: cols, n: len(rows)}
-}
-
 // Columnarize splits rows into column-major batches of up to size rows
 // each. String columns share one dictionary per column across all batches,
 // so join and group keys over the same column compare by code.
@@ -170,46 +133,4 @@ func Columnarize(rows []value.Row, width, size int) []*Batch {
 		out = append(out, &Batch{Cols: cols, n: hi - lo})
 	}
 	return out
-}
-
-// Table is an unbounded columnar row store — the build side of the
-// vectorized hash join accumulates probe targets here so output columns
-// can be gathered by index.
-type Table struct {
-	cols []*Vector
-	n    int
-}
-
-// NewTable returns an empty table with the given width.
-func NewTable(width int) *Table {
-	t := &Table{cols: make([]*Vector, width)}
-	for i := range t.cols {
-		t.cols[i] = &Vector{}
-	}
-	return t
-}
-
-// Len returns the stored row count.
-func (t *Table) Len() int { return t.n }
-
-// Col returns column c.
-func (t *Table) Col(c int) *Vector { return t.cols[c] }
-
-// AppendRow copies logical row i of b into the table and returns the bytes
-// the copy grew the table by (the governor's per-allocation charge).
-func (t *Table) AppendRow(b *Batch, i int) int64 {
-	var before int64
-	for _, c := range t.cols {
-		before += c.SizeBytes()
-	}
-	phys := b.Index(i)
-	for c, col := range t.cols {
-		col.AppendFrom(b.Cols[c], phys)
-	}
-	t.n++
-	var after int64
-	for _, c := range t.cols {
-		after += c.SizeBytes()
-	}
-	return after - before
 }

@@ -19,14 +19,25 @@ type KeyEncoder struct {
 	keys [][]byte
 }
 
+// keySlot is the bytes a row's key buffer starts with per key column.
+const keySlot = 16
+
 // Encode returns one canonical key per logical row of b, over the given
 // column positions. The returned slice and its buffers are valid until the
 // next Encode call on this encoder.
 func (e *KeyEncoder) Encode(b *Batch, cols []int) [][]byte {
 	n := b.Len()
-	if cap(e.keys) < n {
+	if old := cap(e.keys); old < n {
+		// The new rows' buffers are cut from one slab, a slot per key column
+		// that holds any fixed-width encoding and a short string's; a longer
+		// key outgrows its slice on its own.
 		grown := make([][]byte, n)
-		copy(grown, e.keys[:cap(e.keys)])
+		copy(grown, e.keys[:old])
+		width := keySlot * len(cols)
+		slab := make([]byte, (n-old)*width)
+		for i := old; i < n; i++ {
+			grown[i], slab = slab[:0:width], slab[width:]
+		}
 		e.keys = grown
 	}
 	e.keys = e.keys[:n]

@@ -263,6 +263,23 @@ func (v *Vector) Append(val value.Value) {
 	v.n++
 }
 
+// AppendBoxed adds one element to a vector that is kept in the mixed (boxed)
+// representation from its first element on — the gather of a row store's
+// values, which a typed payload would re-kind and re-intern one by one. Such
+// a gather fills about a batch, so the payload starts at that size instead of
+// growing to it in a dozen steps.
+func (v *Vector) AppendBoxed(val value.Value) {
+	if !v.mixed && v.n > 0 {
+		v.demote()
+	}
+	if cap(v.vals) == 0 {
+		v.vals = make([]value.Value, 0, BatchSize)
+	}
+	v.mixed = true
+	v.vals = append(v.vals, val)
+	v.n++
+}
+
 // AppendFrom appends element i of src, copying typed payloads directly
 // when the kinds line up. A vector whose first element comes from a
 // dictionary-encoded source adopts the source dictionary read-only
@@ -360,32 +377,4 @@ func (v *Vector) Reset() {
 	v.bools = v.bools[:0]
 	v.codes = v.codes[:0]
 	v.vals = v.vals[:0]
-}
-
-// SizeBytes approximates the heap bytes the vector's payload occupies —
-// the quantity the governor charges per vector allocation.
-func (v *Vector) SizeBytes() int64 {
-	var b int64
-	b += int64(len(v.nulls.words)) * 8
-	b += int64(len(v.ints)) * 8
-	b += int64(len(v.floats)) * 8
-	b += int64(len(v.bools))
-	b += int64(len(v.codes)) * 4
-	b += int64(len(v.vals)) * 40
-	return b
-}
-
-// clone returns a deep copy of the vector. The dictionary is shared
-// read-only (foreign): concurrent readers are safe, and a clone that
-// later appends a new string clones it first.
-func (v *Vector) clone() *Vector {
-	out := &Vector{kind: v.kind, mixed: v.mixed, n: v.n, dict: v.dict, foreign: v.dict != nil}
-	out.nulls.words = append([]uint64(nil), v.nulls.words...)
-	out.nulls.any = v.nulls.any
-	out.ints = append([]int64(nil), v.ints...)
-	out.floats = append([]float64(nil), v.floats...)
-	out.bools = append([]bool(nil), v.bools...)
-	out.codes = append([]int32(nil), v.codes...)
-	out.vals = append([]value.Value(nil), v.vals...)
-	return out
 }

@@ -127,7 +127,7 @@ func TestMixedKindColumnFallsBack(t *testing.T) {
 // follow the selection.
 func TestSelectionVector(t *testing.T) {
 	rows := intRows(100, 0)
-	b := FromRows(rows, 3)
+	b := Columnarize(rows, 3, len(rows))[0]
 	var sel []int32
 	for i := 0; i < 100; i += 3 {
 		sel = append(sel, int32(i))
@@ -162,7 +162,7 @@ func TestKeyEncoderMatchesScalarWithNulls(t *testing.T) {
 		{value.NewInt(-1), value.Null, value.Null},
 		{value.NewInt(0), value.NewFloat(-0.0), value.NewString("a")},
 	}
-	b := FromRows(rows, 3)
+	b := Columnarize(rows, 3, len(rows))[0]
 	cols := []int{0, 1, 2}
 	var enc KeyEncoder
 	keys := enc.Encode(b, cols)
@@ -177,36 +177,45 @@ func TestKeyEncoderMatchesScalarWithNulls(t *testing.T) {
 	}
 }
 
-// TestTableGather checks the join build store: appended rows read back
-// identically and cloned batches detach from producer buffers.
-func TestTableGather(t *testing.T) {
+// TestGather checks the two gathers a join's output is made of: elements
+// copied by index out of a batch's vectors (AppendFrom), and a row store's
+// values boxed as they come (AppendBoxed). Both read back identically, a
+// reused vector starts over, and the boxed one never builds a dictionary.
+func TestGather(t *testing.T) {
 	rows := intRows(50, 7)
-	b := FromRows(rows, 3)
-	tab := NewTable(3)
-	var charged int64
-	for i := 0; i < b.Len(); i++ {
-		charged += tab.AppendRow(b, i)
-	}
-	if charged <= 0 {
-		t.Fatalf("appending %d rows charged %d bytes", b.Len(), charged)
-	}
-	if tab.Len() != 50 {
-		t.Fatalf("table has %d rows, want 50", tab.Len())
-	}
-	var out Vector
-	for i := 0; i < tab.Len(); i++ {
-		out.Reset()
-		for c := 0; c < 3; c++ {
-			out.AppendFrom(tab.Col(c), i)
+	b := Columnarize(rows, 3, len(rows))[0]
+	var typed, boxed [3]Vector
+	for round := 0; round < 2; round++ {
+		for c := range typed {
+			typed[c].Reset()
+			boxed[c].Reset()
+			for i := b.Len() - 1; i >= 0; i-- {
+				typed[c].AppendFrom(b.Cols[c], i)
+				boxed[c].AppendBoxed(rows[i][c])
+			}
 		}
-		got := value.Row{out.Value(0), out.Value(1), out.Value(2)}
-		if !value.NullEqRows(got, rows[i]) {
-			t.Fatalf("row %d reads %s, want %s", i, got, rows[i])
+		for i := range rows {
+			want := rows[len(rows)-1-i]
+			for name, got := range map[string]value.Row{
+				"AppendFrom":  {typed[0].Value(i), typed[1].Value(i), typed[2].Value(i)},
+				"AppendBoxed": {boxed[0].Value(i), boxed[1].Value(i), boxed[2].Value(i)},
+			} {
+				if !value.NullEqRows(got, want) {
+					t.Fatalf("round %d, %s: row %d reads %s, want %s", round, name, i, got, want)
+				}
+			}
+		}
+		for c := range boxed {
+			if !boxed[c].Mixed() || boxed[c].StrDict() != nil || boxed[c].Len() != len(rows) {
+				t.Fatalf("round %d: boxed column %d: mixed=%v dict=%v len=%d", round, c, boxed[c].Mixed(), boxed[c].StrDict(), boxed[c].Len())
+			}
 		}
 	}
-	clone := b.Clone()
-	b.Cols[0].ints[0] = 999
-	if clone.Cols[0].Int(0) == 999 {
-		t.Fatalf("clone shares int buffer with source")
+	// Boxing after typed elements keeps them.
+	var v Vector
+	v.Append(value.NewInt(1))
+	v.AppendBoxed(value.NewString("x"))
+	if v.Len() != 2 || v.Value(0).Int() != 1 || v.Value(1).Str() != "x" {
+		t.Fatalf("typed then boxed reads %v, %v", v.Value(0), v.Value(1))
 	}
 }
