@@ -149,7 +149,9 @@ fuzz:
 # the only timing of the batch form above one worker)
 # and behind the row representation of §19.1 (internal/value: BenchmarkConcat,
 # BenchmarkAppendGroupKey, BenchmarkCompare; internal/exec:
-# BenchmarkHashGroupSerial, one cluster fragment's join-then-group, and
+# BenchmarkHashGroupSerial, one cluster fragment's join-then-group,
+# BenchmarkGroupTable, the group table alone — all inserts, all hits at 10 and
+# 1 000 groups, two partials absorbed — and
 # BenchmarkTinyJoinGroup, what a run costs before its first row;
 # internal/dist: BenchmarkRowBytes) and behind the wire encoding of §17.5
 # (internal/server: BenchmarkEncodeQueryResponse, BenchmarkDecodeQueryResponse,

@@ -52,7 +52,7 @@ func fixture(t *testing.T) *storage.Store {
 	return s
 }
 
-func must(t *testing.T, err error) {
+func must(t testing.TB, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)

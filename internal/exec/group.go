@@ -12,25 +12,17 @@ import (
 	"repro/internal/value"
 )
 
-// aggSpec is one compiled aggregate item: the bound output expression with
-// its aggregate subterms identified, so per-group results can be
-// substituted and the arithmetic shell evaluated.
+// aggSpec is one compiled aggregate item (e.g. COUNT(A1) + SUM(A2+A3)): its
+// aggregate subterms identified, so per-group results can be substituted and
+// the arithmetic shell evaluated.
 type aggSpec struct {
-	// expr is the full bound item expression (e.g. COUNT(A1) + SUM(A2+A3)).
-	expr expr.Expr
-	// aggs are the aggregate nodes inside expr, in discovery order.
-	aggs []*expr.Aggregate
-}
-
-// groupState accumulates one group.
-type groupState struct {
-	key string // canonical GroupKey; "" off the hash paths
-	// group holds the grouping-column values of the group's first row, in
-	// groupCols order — copied out of the row, which may be a scratch row.
-	group []value.Value
-	// accs holds one accumulator per aggregate, flat: spec by spec, each
-	// spec's aggs in discovery order. Every walk over it counts along.
-	accs []expr.Accumulator
+	// first is the slot of the item's first aggregate subterm in
+	// groupCore.aggs; its others follow in discovery order.
+	first int
+	// shell is the bound item with each aggregate subterm replaced by a
+	// column reading the subterm's slot of a group's results; nil when the
+	// item is its one aggregate and there is no arithmetic to evaluate.
+	shell expr.Expr
 }
 
 func (c *compiler) compileGroupBy(node *algebra.GroupBy) (compiled, error) {
@@ -47,27 +39,23 @@ func (c *compiler) compileGroupBy(node *algebra.GroupBy) (compiled, error) {
 		}
 		groupCols[i] = idx
 	}
-	specs := make([]aggSpec, len(node.Aggs))
-	for i, item := range node.Aggs {
-		bound, err := expr.Bind(item.E, inSchema)
-		if err != nil {
-			return compiled{}, err
-		}
-		aggs := expr.Aggregates(bound)
-		if len(aggs) == 0 {
-			return compiled{}, fmt.Errorf("exec: aggregate item %s contains no aggregate function", item.E)
-		}
-		specs[i] = aggSpec{expr: bound, aggs: aggs}
-	}
 	base := groupCore{
 		groupCols: groupCols,
-		specs:     specs,
 		params:    c.opts.Params,
 		metrics:   c.nodeMetrics(node),
 		gov:       c.gov,
 		mgr:       c.spill,
 		par:       c.stateWorkers(),
 		where:     node.Describe(),
+	}
+	for _, item := range node.Aggs {
+		bound, err := expr.Bind(item.E, inSchema)
+		if err != nil {
+			return compiled{}, err
+		}
+		if !base.addItem(bound) {
+			return compiled{}, fmt.Errorf("exec: aggregate item %s contains no aggregate function", item.E)
+		}
 	}
 	// How grouping is chosen, here and nowhere else (DESIGN.md §19). Order is
 	// a physical property of this node's input: if the propagated order
@@ -122,7 +110,8 @@ type groupCore struct {
 	input     *pipeOp
 	groupCols []int
 	specs     []aggSpec
-	aggCols   []aggColRef // the aggregate arguments as input columns, when input is in batches
+	aggs      []*expr.Aggregate // the items' aggregate subterms, item by item: one accumulator column each
+	aggCols   []aggColRef       // the aggregate arguments as input columns, when input is in batches
 	params    expr.Params
 	metrics   *obs.OpMetrics        // nil unless metrics collection is on
 	gov       *governor             // nil unless lifecycle governance is on
@@ -142,21 +131,40 @@ func (g *groupCore) Close() error {
 	return nil
 }
 
+// addItem compiles one bound aggregate item, binding each aggregate subterm
+// to its accumulator column once so no group rebuilds the expression. It
+// reports false for an item that holds no aggregate.
+func (g *groupCore) addItem(bound expr.Expr) bool {
+	aggs := expr.Aggregates(bound)
+	if len(aggs) == 0 {
+		return false
+	}
+	spec := aggSpec{first: len(g.aggs)}
+	if _, bare := bound.(*expr.Aggregate); !bare {
+		slots := make(map[*expr.Aggregate]int, len(aggs))
+		for k, agg := range aggs {
+			slots[agg] = spec.first + k
+		}
+		spec.shell = expr.RewritePre(bound, func(n expr.Expr) expr.Expr {
+			if a, ok := n.(*expr.Aggregate); ok {
+				if slot, hit := slots[a]; hit {
+					return expr.BoundColumn("", a.String(), slot)
+				}
+			}
+			return nil
+		})
+	}
+	g.specs = append(g.specs, spec)
+	g.aggs = append(g.aggs, aggs...)
+	return true
+}
+
 // groupStateBytes is the accounted size of one fresh group: its key bytes
 // plus one accumulator-state slot per aggregate — the same formula
 // recordBuild feeds the metrics, applied per group so the budget check
 // trips on the exact group that crosses the limit.
 func (g *groupCore) groupStateBytes(keyLen int) int64 {
-	return int64(keyLen) + int64(g.numAccs())*accStateBytes
-}
-
-// numAccs is the number of accumulators a group state holds.
-func (g *groupCore) numAccs() int {
-	n := 0
-	for _, spec := range g.specs {
-		n += len(spec.aggs)
-	}
-	return n
+	return int64(keyLen) + int64(len(g.aggs))*accStateBytes
 }
 
 // recordBuild reports n groups built with their keys totalling keyBytes —
@@ -178,88 +186,9 @@ func (g *groupCore) ran(impl string) {
 	}
 }
 
-// newState allocates accumulators for a fresh group.
-func (g *groupCore) newState() (*groupState, error) {
-	st := &groupState{accs: make([]expr.Accumulator, 0, g.numAccs())}
-	for _, spec := range g.specs {
-		for _, agg := range spec.aggs {
-			acc, err := expr.NewAccumulator(agg)
-			if err != nil {
-				return nil, err
-			}
-			st.accs = append(st.accs, acc)
-		}
-	}
-	return st, nil
-}
-
-// feed folds one row into a group's accumulators.
-func (g *groupCore) feed(st *groupState, row value.Row) error {
-	k := 0
-	for _, spec := range g.specs {
-		for _, agg := range spec.aggs {
-			var v value.Value
-			if agg.Func == expr.AggCountStar {
-				v = value.Null // ignored by the COUNT(*) accumulator
-			} else {
-				var err error
-				v, err = expr.Eval(agg.Arg, row, g.params)
-				if err != nil {
-					return err
-				}
-			}
-			if err := st.accs[k].Add(v); err != nil {
-				return err
-			}
-			k++
-		}
-	}
-	return nil
-}
-
-// groupValues appends row's grouping-column values to dst.
-func (g *groupCore) groupValues(dst []value.Value, row value.Row) []value.Value {
-	for _, c := range g.groupCols {
-		dst = append(dst, row[c])
-	}
-	return dst
-}
-
-// finalize produces the output row for a group: its grouping values, then
-// each aggregate item evaluated with its aggregate subterms replaced by the
-// accumulator results.
-func (g *groupCore) finalize(st *groupState) (value.Row, error) {
-	out := make(value.Row, 0, len(g.groupCols)+len(g.specs))
-	out = append(out, st.group...)
-	rest := st.accs
-	for _, spec := range g.specs {
-		accs := rest[:len(spec.aggs)]
-		rest = rest[len(spec.aggs):]
-		if _, bare := spec.expr.(*expr.Aggregate); bare {
-			// The item is its one aggregate: no arithmetic shell to evaluate.
-			out = append(out, accs[0].Result())
-			continue
-		}
-		results := make(map[*expr.Aggregate]value.Value, len(spec.aggs))
-		for k, agg := range spec.aggs {
-			results[agg] = accs[k].Result()
-		}
-		substituted := expr.RewritePre(spec.expr, func(n expr.Expr) expr.Expr {
-			if a, ok := n.(*expr.Aggregate); ok {
-				if v, hit := results[a]; hit {
-					return expr.Lit(v)
-				}
-			}
-			return nil
-		})
-		v, err := expr.Eval(substituted, nil, g.params)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
+// width is the number of columns of an output row: the grouping columns, then
+// one per aggregate item.
+func (g *groupCore) width() int { return len(g.groupCols) + len(g.specs) }
 
 // scalarGroup reports whether the operator aggregates the whole input as
 // one group (no grouping columns): it must emit exactly one row even for
@@ -314,7 +243,7 @@ func (g *groupCore) foldPipeline() error {
 		return err
 	}
 	for _, t := range s.tables {
-		g.recordBuild(len(t.order), t.keyBytes)
+		g.recordBuild(t.n, t.index.KeyBytes())
 	}
 	return g.combine(s.tables)
 }
@@ -340,7 +269,7 @@ func (g *groupCore) hashAggregate(rows []value.Row) error {
 			return err
 		}
 	}
-	g.recordBuild(len(t.order), t.keyBytes)
+	g.recordBuild(t.n, t.index.KeyBytes())
 	return g.combine([]*groupTable{t})
 }
 
@@ -355,21 +284,26 @@ func (g *groupCore) combine(tables []*groupTable) error {
 		if err != nil {
 			return err
 		}
-		g.recordBuild(len(t.order), 0)
+		g.recordBuild(t.n, 0)
 		tables = []*groupTable{t}
 	}
-	for _, t := range tables[1:] {
-		if err := tables[0].absorb(t); err != nil {
+	t := tables[0]
+	for _, src := range tables[1:] {
+		if err := t.absorb(src); err != nil {
 			return err
 		}
 	}
-	out := make([]value.Row, 0, len(tables[0].order))
-	for _, st := range tables[0].order {
-		row, err := g.finalize(st)
-		if err != nil {
+	// Ids are first-appearance order, so walking them is the output order;
+	// every output row is cut from one slab.
+	out := make([]value.Row, t.n)
+	slab := make([]value.Value, 0, t.n*g.width())
+	for id := 0; id < t.n; id++ {
+		start := len(slab)
+		var err error
+		if slab, err = t.appendRow(id, slab); err != nil {
 			return err
 		}
-		out = append(out, row)
+		out[id] = slab[start:len(slab):len(slab)]
 	}
 	g.reset(out)
 	return nil
@@ -418,7 +352,10 @@ func (g *groupCore) sortAggregate(rows []value.Row, byKey bool) error {
 	if err != nil {
 		return err
 	}
-	add, done := g.streamGroups(byKey)
+	add, done, err := g.streamGroups(byKey)
+	if err != nil {
+		return err
+	}
 	for {
 		sr, ok, err := it.next()
 		if err != nil {
@@ -441,20 +378,28 @@ func (g *groupCore) sortAggregate(rows []value.Row, byKey bool) error {
 // released on finalize (proceeding uncharged if even one state is refused);
 // without one every group is charged and stays charged. No table is built, so
 // no build statistics are recorded.
-func (g *groupCore) streamGroups(byKey bool) (add func(spillRow) error, done func() error) {
+func (g *groupCore) streamGroups(byKey bool) (add func(spillRow) error, done func() error, err error) {
 	adm := admissionFor(g.gov, g.mgr, g.where)
 	var out []value.Row
 	var firstSeqs []int64 // byKey only, parallel to out
-	var cur *groupState
-	// One state is live at a time and finalize copies its grouping values
-	// out, so every group's values share one buffer, compared by position.
+	// One state is live at a time — group 0 of the accumulator columns, made
+	// fresh again for each group — and its grouping values are copied into
+	// the output row when it ends, so every group's values share one buffer,
+	// compared by position.
+	accs, err := g.newAccs()
+	if err != nil {
+		return nil, nil, err
+	}
+	accs.grow()
+	live := false
+	var key string
 	pos := firstColumns(len(g.groupCols))
 	group := make([]value.Value, 0, len(g.groupCols))
 	finish := func() error {
-		if cur == nil {
+		if !live {
 			return nil
 		}
-		row, err := g.finalize(cur)
+		row, err := accs.finish(0, append(make(value.Row, 0, g.width()), group...))
 		if err != nil {
 			return err
 		}
@@ -466,20 +411,22 @@ func (g *groupCore) streamGroups(byKey bool) (add func(spillRow) error, done fun
 		if err := g.gov.tick(); err != nil {
 			return err
 		}
-		var key string
+		var rowKey string
 		row := sr.row
 		if byKey {
-			key, row = row[0].Str(), row[1:]
+			rowKey, row = row[0].Str(), row[1:]
 		}
-		if cur == nil || key != cur.key || (!byKey && compareAt(cur.group, pos, row, g.groupCols) != 0) {
+		if !live || rowKey != key || (!byKey && compareAt(group, pos, row, g.groupCols) != 0) {
 			if err := finish(); err != nil {
 				return err
 			}
-			var err error
-			if cur, err = g.newState(); err != nil {
-				return err
+			for _, col := range accs.cols {
+				col.Reset(0)
 			}
-			cur.key, cur.group = key, g.groupValues(group[:0], row)
+			live, key, group = true, rowKey, group[:0]
+			for _, c := range g.groupCols {
+				group = append(group, row[c])
+			}
 			if byKey {
 				firstSeqs = append(firstSeqs, sr.seq)
 			}
@@ -487,7 +434,7 @@ func (g *groupCore) streamGroups(byKey bool) (add func(spillRow) error, done fun
 				return err
 			}
 		}
-		return g.feed(cur, row)
+		return accs.feed(0, row)
 	}
 	done = func() error {
 		if err := finish(); err != nil {
@@ -499,7 +446,7 @@ func (g *groupCore) streamGroups(byKey bool) (add func(spillRow) error, done fun
 		g.reset(out)
 		return nil
 	}
-	return add, done
+	return add, done, nil
 }
 
 // hashGroupOp groups via hash tables keyed by the =ⁿ-respecting GroupKey. It
@@ -543,7 +490,10 @@ func (g *sortGroupOp) Open() error {
 	}
 	if g.preSorted {
 		g.ran("stream")
-		add, done := g.streamGroups(false)
+		add, done, err := g.streamGroups(false)
+		if err != nil {
+			return err
+		}
 		if err := g.input.each(func(row value.Row) error { return add(spillRow{row: row}) }); err != nil {
 			return err
 		}

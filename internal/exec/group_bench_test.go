@@ -12,7 +12,8 @@ package exec_test
 // is a plan too small for any of that to matter — 100 × 10 rows, join → group
 // → project, one worker, the size of a serve_mixed table — so what it times is
 // what a run costs before its first row: compiling the plan and setting up its
-// pipelines. Run with -benchmem: B/op is rows the run held, allocs/op the
+// pipelines. (The group table with no plan around it is BenchmarkGroupTable,
+// store_bench_test.go.) Run with -benchmem: B/op is rows the run held, allocs/op the
 // per-group (per-result-row) state.
 
 import (

@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/value"
+	"repro/internal/vec"
 )
 
 // These tests pin the cost model of the observability layer itself: with
@@ -220,33 +221,33 @@ func TestRowPathZeroAllocs(t *testing.T) {
 		tab, err := core.newTable()
 		must(t, err)
 		row := value.Row{value.NewInt(7), value.NewInt(1)}
-		first, err := tab.rowGroup(row)
-		must(t, err)
-		if avg := testing.AllocsPerRun(runs, func() {
-			if st, err := tab.rowGroup(row); st != first || err != nil {
-				t.Fatalf("rowGroup: new state or err=%v", err)
-			}
-		}); avg != 0 {
-			t.Errorf("a row of an existing group allocates %.2f times, want 0", avg)
+		must(t, tab.add(row))
+		if avg := testing.AllocsPerRun(runs, func() { must(t, tab.add(row)) }); avg != 0 || tab.n != 1 {
+			t.Errorf("a row of an existing group allocates %.2f times (%d groups), want 0", avg, tab.n)
+		}
+		// The batch feed: every row of the batch belongs to a group present.
+		batches := vec.Columnarize(keyedValuesPlan("t", MorselSize, 10).Rows, 2, MorselSize)
+		core.initAggCols()
+		var feed batchFeed
+		must(t, feed.fold(tab, batches[0]))
+		if avg := testing.AllocsPerRun(runs, func() { must(t, feed.fold(tab, batches[0])) }); avg != 0 || tab.n != 10 {
+			t.Errorf("a batch of existing groups allocates %.2f times (%d groups), want 0", avg, tab.n)
 		}
 	})
 	t.Run("hash-group, new group", func(t *testing.T) {
-		// Two aggregate items: the state, its one accumulator slice, two
-		// accumulators and the inserted key string. (Map and order growth and
-		// the table's slab of grouping values amortize below one and
-		// AllocsPerRun rounds down.)
+		// A group is an id: its key bytes, grouping values and accumulator
+		// states are elements of the table's pages, so what a new group
+		// allocates is its share of a page, a key chunk or an index doubling.
+		const fresh = 4096
 		core := sumCore(t, nil, nil, 0)
-		core.specs = append(core.specs, core.specs[0])
-		tab, err := core.newTable()
-		must(t, err)
-		rows, next := keyedValuesPlan("t", runs+1, runs+1).Rows, 0
-		if avg := testing.AllocsPerRun(runs, func() {
-			if _, err := tab.rowGroup(rows[next]); err != nil {
-				t.Fatal(err)
-			}
-			next++
-		}); avg != 5 {
-			t.Errorf("a row that starts a group allocates %.2f times, want 5", avg)
+		addItems(t, core, &expr.Aggregate{Func: expr.AggSum, Arg: expr.Column("t", "v")})
+		rows := keyedValuesPlan("t", fresh, fresh).Rows
+		var tab *groupTable
+		avg := testing.AllocsPerRun(5, func() {
+			tab = buildTable(t, core, rows)
+		})
+		if perGroup := avg / fresh; perGroup > 0.05 || tab.n != fresh {
+			t.Errorf("%d rows that each start a group allocate %.0f times, %.3f a group (%d groups): want at most 0.05", fresh, avg, perGroup, tab.n)
 		}
 	})
 }

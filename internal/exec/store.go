@@ -9,7 +9,9 @@ package exec
 import (
 	"errors"
 
+	"repro/internal/expr"
 	"repro/internal/obs"
+	"repro/internal/paged"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -71,8 +73,8 @@ func (a *admission) release() {
 }
 
 // appendKey appends the canonical key of row over cols — value.GroupKey's
-// bytes — to buf. The stores probe with the bytes in a reused buffer,
-// m[string(buf)], and make a key string only for an entry they insert.
+// bytes — to buf. The stores probe with the bytes in a reused buffer; the join
+// table makes a key string only for an entry it inserts, the group table never.
 func appendKey(buf []byte, row value.Row, cols []int) []byte {
 	for _, c := range cols {
 		buf = value.AppendGroupKey(buf, row[c])
@@ -80,106 +82,182 @@ func appendKey(buf []byte, row value.Row, cols []int) []byte {
 	return buf
 }
 
-// groupTable is the partial-aggregate store: canonical group key → group
-// state, in first-appearance order. A scalar aggregation (no grouping
-// columns) is a table holding one unkeyed, uncharged state from the start, so
-// it yields its one row even over empty input.
+// groupAccs is the aggregate state of a set of groups: one accumulator column
+// per aggregate of the node (groupCore.aggs order), indexed by group id.
+type groupAccs struct {
+	core *groupCore
+	cols []expr.AccColumn
+	// results is scratch: one group's accumulator results, the row an item's
+	// arithmetic shell is evaluated against.
+	results value.Row
+}
+
+func (g *groupCore) newAccs() (groupAccs, error) {
+	a := groupAccs{core: g, cols: make([]expr.AccColumn, len(g.aggs)), results: make(value.Row, len(g.aggs))}
+	for k, agg := range g.aggs {
+		var err error
+		if a.cols[k], err = expr.NewAccColumn(agg); err != nil {
+			return a, err
+		}
+	}
+	return a, nil
+}
+
+// grow appends a fresh group to every column.
+func (a *groupAccs) grow() {
+	for _, col := range a.cols {
+		col.Grow()
+	}
+}
+
+// feed folds one row into group id's accumulators.
+func (a *groupAccs) feed(id int, row value.Row) error {
+	for k, agg := range a.core.aggs {
+		var v value.Value // NULL: ignored by the COUNT(*) accumulator
+		if agg.Func != expr.AggCountStar {
+			var err error
+			if v, err = expr.Eval(agg.Arg, row, a.core.params); err != nil {
+				return err
+			}
+		}
+		if err := a.cols[k].Add(id, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// finish appends group id's aggregate items to out: an item that is its one
+// aggregate is that accumulator's result, any other is its arithmetic shell
+// evaluated over the group's results.
+func (a *groupAccs) finish(id int, out []value.Value) ([]value.Value, error) {
+	for k, col := range a.cols {
+		a.results[k] = col.Result(id)
+	}
+	for _, spec := range a.core.specs {
+		if spec.shell == nil {
+			out = append(out, a.results[spec.first])
+			continue
+		}
+		v, err := expr.Eval(spec.shell, a.results, a.core.params)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// groupTable is the partial-aggregate store. A group is a dense id, handed
+// out in first-appearance order by the index — a paged.Dict over the groups'
+// canonical key bytes — and everything else a group owns is element id of a
+// paged array: its grouping values, those of the group's first row, and one
+// accumulator state per aggregate. No key string, state struct or accumulator
+// is allocated for a group, and the index and the COUNT, SUM and AVG columns
+// hold no pointers for the collector to follow.
+//
+// A scalar aggregation (no grouping columns) is a table holding one unkeyed,
+// uncharged group from the start, so it yields its one row even over empty
+// input.
 type groupTable struct {
-	core     *groupCore
-	adm      admission
-	index    map[string]*groupState // nil for the scalar group
-	order    []*groupState
-	keyBytes int64
-	probe    []byte // scratch: the key of the row being looked up
-	// values is the slab the states' grouping values are cut from: a new
-	// group costs no allocation of its own for them. A full slab is left to
-	// the states that point into it and one twice as large started, so a
-	// table of a few groups stays a few values large.
-	values []value.Value
+	groupAccs
+	adm    admission
+	scalar bool
+	n      int // groups
+	index  paged.Dict
+	values paged.Array[value.Value]
+	probe  []byte // scratch: the key of the row being looked up
 }
 
 func (g *groupCore) newTable() (*groupTable, error) {
-	t := &groupTable{core: g, adm: admissionFor(g.gov, g.mgr, g.where)}
-	if g.scalarGroup() {
-		st, err := g.newState()
-		t.order = []*groupState{st}
-		return t, err
+	accs, err := g.newAccs()
+	t := &groupTable{groupAccs: accs, adm: admissionFor(g.gov, g.mgr, g.where), scalar: g.scalarGroup()}
+	if t.scalar {
+		t.grow()
+		t.n = 1
 	}
-	t.index = make(map[string]*groupState)
-	return t, nil
+	return t, err
 }
 
 // add folds one row into its group. The row is not kept.
 func (t *groupTable) add(row value.Row) error {
-	st, err := t.rowGroup(row)
+	id, err := t.rowGroup(row)
 	if err != nil {
 		return err
 	}
-	return t.core.feed(st, row)
+	return t.feed(id, row)
 }
 
-// rowGroup returns the group row belongs to, creating it on first sight.
-func (t *groupTable) rowGroup(row value.Row) (*groupState, error) {
-	if t.index == nil {
-		return t.order[0], nil
+// rowGroup returns the id of the group row belongs to, creating the group on
+// first sight.
+func (t *groupTable) rowGroup(row value.Row) (int, error) {
+	if t.scalar {
+		return 0, nil
 	}
 	t.probe = appendKey(t.probe[:0], row, t.core.groupCols)
-	if st, ok := t.index[string(t.probe)]; ok {
-		return st, nil
+	hash := paged.Hash(t.probe)
+	if id := t.index.Lookup(hash, t.probe); id >= 0 {
+		return id, nil
 	}
-	return t.insert(string(t.probe), row)
+	return t.insert(hash, t.probe, row)
 }
-
-// A table's slabs of grouping values double from minGroupSlab values to
-// maxGroupSlab.
-const (
-	minGroupSlab = 8
-	maxGroupSlab = 512
-)
 
 // insert admits and creates the group for key, copying its grouping values
 // out of row — the group's first row, which the table does not keep.
-func (t *groupTable) insert(key string, row value.Row) (*groupState, error) {
+func (t *groupTable) insert(hash uint32, key []byte, row value.Row) (int, error) {
 	if err := t.adm.charge(t.core.groupStateBytes(len(key))); err != nil {
-		return nil, err
+		return 0, err
 	}
-	st, err := t.core.newState()
-	if err != nil {
-		return nil, err
+	id := t.appendGroup(hash, key)
+	for _, c := range t.core.groupCols {
+		*t.values.Append() = row[c]
 	}
+	return id, nil
+}
+
+// appendGroup gives key — not in the table — the next id and fresh
+// accumulator states. The caller appends the group's grouping values, and
+// accounts for the group: this is where a table grows.
+func (t *groupTable) appendGroup(hash uint32, key []byte) int {
+	t.n++
+	t.grow()
+	return t.index.Append(hash, key)
+}
+
+// appendRow appends group id's output row — its grouping values, then its
+// aggregate items — to out.
+func (t *groupTable) appendRow(id int, out []value.Value) ([]value.Value, error) {
 	k := len(t.core.groupCols)
-	if len(t.values)+k > cap(t.values) {
-		size := min(max(2*cap(t.values), minGroupSlab), maxGroupSlab)
-		t.values = make([]value.Value, 0, max(size, k))
+	for j := id * k; j < (id+1)*k; j++ {
+		out = append(out, *t.values.At(j))
 	}
-	n := len(t.values)
-	t.values = t.core.groupValues(t.values, row)
-	st.key, st.group = key, t.values[n:len(t.values):len(t.values)]
-	t.index[key] = st
-	t.order = append(t.order, st)
-	t.keyBytes += int64(len(key))
-	return st, nil
+	return t.finish(id, out)
 }
 
 // absorb merges a later chunk's partial table into t through the
 // accumulators' Merge step — the paper's eager aggregation reused as the
-// combine rule. Absorbing chunks in index order keeps t.order the global
-// first-appearance order, and a group's state (hence its grouping values) is
-// always the one from the earliest chunk containing it: exactly what one
-// pass over the whole input would have built.
+// combine rule. A group t does not hold yet is appended, under the hash src
+// stored for it, and src's state merged into the fresh one, which leaves
+// exactly src's state. Absorbing chunks in index order keeps t's ids the
+// global first-appearance order, and a group's grouping values are always
+// those from the earliest chunk containing it: exactly what one pass over the
+// whole input would have built.
 func (t *groupTable) absorb(src *groupTable) error {
-	for _, st := range src.order {
-		var dst *groupState
-		if t.index == nil {
-			dst = t.order[0]
-		} else if dst = t.index[st.key]; dst == nil {
-			//lint:ignore budgetcharge adopts a partial state already charged when its chunk built it
-			t.index[st.key] = st
-			t.order = append(t.order, st)
-			continue
+	k := len(t.core.groupCols)
+	for sid := 0; sid < src.n; sid++ {
+		id := 0
+		if !t.scalar {
+			hash, key := src.index.HashOf(sid), src.index.Key(sid)
+			if id = t.index.Lookup(hash, key); id < 0 {
+				//lint:ignore budgetcharge copies a partial state already charged when its chunk built it
+				id = t.appendGroup(hash, key)
+				for j := sid * k; j < (sid+1)*k; j++ {
+					*t.values.Append() = *src.values.At(j)
+				}
+			}
 		}
-		for k := range dst.accs {
-			if err := dst.accs[k].Merge(st.accs[k]); err != nil {
+		for c, col := range t.cols {
+			if err := col.MergeFrom(id, src.cols[c], sid); err != nil {
 				return err
 			}
 		}

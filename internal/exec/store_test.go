@@ -2,9 +2,12 @@ package exec
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/paged"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -29,15 +32,79 @@ func kvRows(kv ...int64) []value.Row {
 
 // sumCore is a groupCore computing SUM(v) over kvRows, grouped by the given
 // columns.
-func sumCore(t *testing.T, gov *governor, mgr *storage.SpillManager, groupCols ...int) *groupCore {
+func sumCore(t testing.TB, gov *governor, mgr *storage.SpillManager, groupCols ...int) *groupCore {
 	t.Helper()
-	bound, err := expr.Bind(&expr.Aggregate{Func: expr.AggSum, Arg: expr.Column("t", "v")},
-		keyedValuesPlan("t", 0, 1).Schema())
+	g := &groupCore{groupCols: groupCols, gov: gov, mgr: mgr, par: 1, where: "group"}
+	addItems(t, g, &expr.Aggregate{Func: expr.AggSum, Arg: expr.Column("t", "v")})
+	return g
+}
+
+// addItems gives g more aggregate items over the (k, v) schema.
+func addItems(t testing.TB, g *groupCore, items ...expr.Expr) {
+	t.Helper()
+	for _, item := range items {
+		bound, err := expr.Bind(item, keyedValuesPlan("t", 0, 1).Schema())
+		must(t, err)
+		if !g.addItem(bound) {
+			t.Fatalf("%s holds no aggregate", item)
+		}
+	}
+}
+
+// groupRow is group id's output row.
+func groupRow(t *testing.T, tab *groupTable, id int) value.Row {
+	t.Helper()
+	row, err := tab.appendRow(id, nil)
 	must(t, err)
-	return &groupCore{
-		groupCols: groupCols,
-		specs:     []aggSpec{{expr: bound, aggs: expr.Aggregates(bound)}},
-		gov:       gov, mgr: mgr, par: 1, where: "group",
+	return row
+}
+
+// buildTable folds rows into a fresh table of g.
+func buildTable(t testing.TB, g *groupCore, rows []value.Row) *groupTable {
+	t.Helper()
+	tab, err := g.newTable()
+	must(t, err)
+	for _, row := range rows {
+		if err := tab.add(row); err != nil { // no must: a benchmark's rows would each pay for t.Helper
+			t.Fatal(err)
+		}
+	}
+	return tab
+}
+
+// absorbCuts builds one table per chunk of rows — cut at the given row
+// indexes — and absorbs them in chunk order into the first.
+func absorbCuts(t *testing.T, g *groupCore, rows []value.Row, cuts []int) *groupTable {
+	t.Helper()
+	lo := 0
+	var tables []*groupTable
+	for _, hi := range append(cuts, len(rows)) {
+		tables = append(tables, buildTable(t, g, rows[lo:hi]))
+		lo = hi
+	}
+	for _, tab := range tables[1:] {
+		must(t, tables[0].absorb(tab))
+	}
+	return tables[0]
+}
+
+// sameTable fails unless got holds want's groups under the same ids: the same
+// key bytes, grouping values of the same kinds and the same output rows.
+func sameTable(t *testing.T, where string, got, want *groupTable) {
+	t.Helper()
+	if got.n != want.n {
+		t.Fatalf("%s: %d groups, want %d", where, got.n, want.n)
+	}
+	for id := 0; id < got.n; id++ {
+		g, w := groupRow(t, got, id), groupRow(t, want, id)
+		if !got.scalar && string(got.index.Key(id)) != string(want.index.Key(id)) {
+			t.Fatalf("%s: group %d has key %q, want %q", where, id, got.index.Key(id), want.index.Key(id))
+		}
+		for c := range w {
+			if g[c].Kind() != w[c].Kind() || !value.NullEq(g[c], w[c]) {
+				t.Fatalf("%s: group %d is %v, want %v", where, id, g, w)
+			}
+		}
 	}
 }
 
@@ -120,7 +187,7 @@ func TestStoreAdmission(t *testing.T) {
 }
 
 // TestGroupTableAbsorb: however the input is cut into chunks, absorbing the
-// chunks' partial tables in order yields the one-pass table — groups in
+// chunks' partial tables in order yields the one-pass table — group ids in
 // global first-appearance order, each holding the grouping values of the
 // first row of the group in the whole input (key 1 arrives as an integer and
 // later as the =ⁿ-equal 1.0, and stays the integer), sums merged.
@@ -128,43 +195,176 @@ func TestGroupTableAbsorb(t *testing.T) {
 	rows := kvRows(2, 1, 1, 2, 3, 4, 1, 8, 2, 16, 4, 32, 3, 64)
 	rows[3][0] = value.NewFloat(1)
 	g := sumCore(t, nil, nil, 0)
-	build := func(chunk []value.Row) *groupTable {
+	want := buildTable(t, g, rows)
+	if first := groupRow(t, want, 1); first[0].Kind() != value.KindInt || first[1].Int() != 10 {
+		t.Fatalf("group 1 is %v, want the integer key 1 with sum 10", first)
+	}
+	for _, cuts := range [][]int{{}, {1}, {3}, {6}, {2, 4}, {1, 2, 3, 4, 5, 6}, {0, 7}} {
+		sameTable(t, fmt.Sprintf("cuts %v", cuts), absorbCuts(t, g, rows, cuts), want)
+	}
+}
+
+// TestGroupTableAbsorbBoxedStates: the aggregates whose states hold pointers
+// — DISTINCT's value set, MIN and MAX over strings — and an arithmetic shell
+// come through absorb as through one pass, for the keyed and the scalar
+// group, at one chunk and at three.
+func TestGroupTableAbsorbBoxedStates(t *testing.T) {
+	words := []string{"pear", "fig", "apple", "fig", "quince", "apple", "kiwi", "pear", "date"}
+	rows := make([]value.Row, 0, 3*len(words))
+	for i := 0; i < 3*len(words); i++ {
+		v := value.NewString(words[i%len(words)])
+		if i%7 == 3 {
+			v = value.Null
+		}
+		rows = append(rows, value.Row{value.NewInt(int64(i % 4)), v})
+	}
+	v := expr.Column("t", "v")
+	items := []expr.Expr{
+		&expr.Aggregate{Func: expr.AggCount, Arg: v, Distinct: true},
+		&expr.Aggregate{Func: expr.AggMin, Arg: v},
+		&expr.Aggregate{Func: expr.AggMax, Arg: v, Distinct: true},
+		expr.NewBinary(expr.OpAdd, &expr.Aggregate{Func: expr.AggCount, Arg: v}, &expr.Aggregate{Func: expr.AggCountStar}),
+	}
+	for _, groupCols := range [][]int{{0}, {}} {
+		g := &groupCore{groupCols: groupCols, par: 1, where: "group"}
+		addItems(t, g, items...)
+		want := buildTable(t, g, rows)
+		// The one-pass table against sets kept by hand.
+		for id := 0; id < want.n; id++ {
+			seen := map[string]bool{}
+			var nonNull, all int64
+			lo, hi := "", ""
+			for _, row := range rows {
+				if len(groupCols) == 1 && row[0].Int() != int64(id) {
+					continue
+				}
+				all++
+				if row[1].IsNull() {
+					continue
+				}
+				w := row[1].Str()
+				if nonNull++; len(seen) == 0 || w < lo {
+					lo = w
+				}
+				if len(seen) == 0 || w > hi {
+					hi = w
+				}
+				seen[w] = true
+			}
+			got := groupRow(t, want, id)[len(groupCols):]
+			if got[0].Int() != int64(len(seen)) || got[1].Str() != lo || got[2].Str() != hi || got[3].Int() != nonNull+all {
+				t.Fatalf("group %d of %v: %v, want %d distinct, %q..%q, %d", id, groupCols, got, len(seen), lo, hi, nonNull+all)
+			}
+		}
+		for _, cuts := range [][]int{{}, {5, 17}, {9, 18}} {
+			sameTable(t, fmt.Sprintf("group by %v, cuts %v", groupCols, cuts), absorbCuts(t, g, rows, cuts), want)
+		}
+	}
+}
+
+// TestGroupTableIndex drives the table with chosen hashes — lookup and insert
+// take the hash as an argument. Keys that share a hash (one probe sequence,
+// one tag) are told apart by their bytes, a key that is a prefix of another
+// included; and across growth over several pages of groups and many rehashes
+// of the index (internal/paged counts them) every earlier key is still found
+// under its id, with its own key bytes and grouping values.
+func TestGroupTableIndex(t *testing.T) {
+	t.Run("collisions", func(t *testing.T) {
+		tab, err := sumCore(t, nil, nil, 0).newTable()
+		must(t, err)
+		const hash = 0xfeed0007
+		keys := []string{"ab", "abc", "a", "b", "abd", ""}
+		for id, key := range keys {
+			if got := tab.index.Lookup(hash, []byte(key)); got != -1 {
+				t.Fatalf("key %q found as group %d before it was inserted", key, got)
+			}
+			got, err := tab.insert(hash, []byte(key), kvRows(int64(id), 0)[0])
+			must(t, err)
+			if got != id {
+				t.Fatalf("key %q became group %d, want %d", key, got, id)
+			}
+		}
+		// Other groups, in the colliding keys' probe sequence too.
+		for i := 0; i < 40; i++ {
+			_, err := tab.insert(hash+uint32(i%3), []byte{'x', byte(i)}, kvRows(100, 0)[0])
+			must(t, err)
+		}
+		for id, key := range keys {
+			if got := tab.index.Lookup(hash, []byte(key)); got != id || string(tab.index.Key(id)) != key || tab.values.At(id).Int() != int64(id) {
+				t.Fatalf("key %q is group %d, want group %d with key %q and value %d", key, got, id, tab.index.Key(id), id)
+			}
+			if got := tab.index.Lookup(hash+1, []byte(key)); got != -1 {
+				t.Fatalf("key %q found under another hash as group %d", key, got)
+			}
+		}
+		if got := tab.index.Lookup(hash, []byte("abcd")); got != -1 {
+			t.Fatalf("a key never inserted found as group %d", got)
+		}
+	})
+	t.Run("growth", func(t *testing.T) {
+		const groups = 3*paged.Size + 100
+		g := sumCore(t, nil, nil, 0, 1)
 		tab, err := g.newTable()
 		must(t, err)
-		for _, row := range chunk {
-			st, err := tab.rowGroup(row)
-			must(t, err)
-			must(t, g.feed(st, row))
+		row := func(i int) value.Row {
+			// A long string key now and then: longer than a chunk of the key arena.
+			k := value.NewInt(int64(i))
+			if i%500 == 7 {
+				k = value.NewString(strings.Repeat("k", 20000+i))
+			}
+			return value.Row{k, value.NewInt(int64(i % 3))}
 		}
-		return tab
+		check := func(upTo int) {
+			t.Helper()
+			for i := 0; i < upTo; i++ {
+				r := row(i)
+				id, err := tab.rowGroup(r)
+				must(t, err)
+				if id != i || !value.NullEq(*tab.values.At(2 * i), r[0]) || !value.NullEq(*tab.values.At(2*i + 1), r[1]) {
+					t.Fatalf("with %d groups, key %d is group %d", tab.n, i, id)
+				}
+			}
+		}
+		for i := 0; i < groups; i++ {
+			must(t, tab.add(row(i)))
+			if n := i + 1; n&(n-1) == 0 { // around each doubling of the index
+				check(n)
+			}
+		}
+		check(groups)
+		if tab.n != groups || tab.index.Len() != groups {
+			t.Fatalf("%d groups under %d keys, want %d", tab.n, tab.index.Len(), groups)
+		}
+		// Absorbed into an empty table, the groups keep their ids and sums.
+		into, err := g.newTable()
+		must(t, err)
+		must(t, into.absorb(tab))
+		sameTable(t, "absorbed", into, tab)
+	})
+}
+
+// TestArithmeticShellIsBoundOnce: an item that is arithmetic over aggregates
+// — COUNT(v) + SUM(v) * 2 — has each aggregate subterm bound to its
+// accumulator column when the node is compiled, so finishing a group
+// evaluates the shell over the group's results and builds nothing: the output
+// of 1 000 groups is its row headers and one slab of values.
+func TestArithmeticShellIsBoundOnce(t *testing.T) {
+	const groups = 1000
+	v := expr.Column("t", "v")
+	g := sumCore(t, nil, nil, 0)
+	addItems(t, g, expr.NewBinary(expr.OpAdd,
+		&expr.Aggregate{Func: expr.AggCount, Arg: v},
+		expr.NewBinary(expr.OpMul, &expr.Aggregate{Func: expr.AggSum, Arg: v}, expr.IntLit(2))))
+	tab := buildTable(t, g, keyedValuesPlan("t", 3*groups, groups).Rows)
+	if avg := testing.AllocsPerRun(10, func() { must(t, g.combine([]*groupTable{tab})) }); avg > 2 {
+		t.Errorf("finishing %d groups allocates %.0f times, want 2 (the rows and their slab)", groups, avg)
 	}
-	want := build(rows)
-	for _, cuts := range [][]int{{}, {1}, {3}, {6}, {2, 4}, {1, 2, 3, 4, 5, 6}, {0, 7}} {
-		lo := 0
-		var tables []*groupTable
-		for _, hi := range append(cuts, len(rows)) {
-			tables = append(tables, build(rows[lo:hi]))
-			lo = hi
-		}
-		for _, tab := range tables[1:] {
-			must(t, tables[0].absorb(tab))
-		}
-		got := tables[0]
-		if len(got.order) != len(want.order) {
-			t.Fatalf("cuts %v: %d groups, want %d", cuts, len(got.order), len(want.order))
-		}
-		for i, st := range got.order {
-			w := want.order[i]
-			if st.key != w.key || len(st.group) != 1 || st.group[0].Kind() != w.group[0].Kind() || !value.NullEq(st.group[0], w.group[0]) {
-				t.Fatalf("cuts %v: group %d is key %q values %v, want key %q values %v", cuts, i, st.key, st.group, w.key, w.group)
-			}
-			gotRow, err := g.finalize(st)
-			must(t, err)
-			wantRow, err := g.finalize(w)
-			must(t, err)
-			if value.GroupKeyAll(gotRow) != value.GroupKeyAll(wantRow) {
-				t.Fatalf("cuts %v: group %d finalizes to %v, want %v", cuts, i, gotRow, wantRow)
-			}
+	// Group k holds v = k, k+1000, k+2000.
+	for k := int64(0); k < groups; k++ {
+		row, ok, err := g.Next()
+		must(t, err)
+		if sum := 3*k + 3*groups; !ok || row[0].Int() != k || row[1].Int() != sum || row[2].Int() != 3+2*sum {
+			t.Fatalf("group %d is %v (ok=%v), want SUM %d and COUNT + SUM * 2 = %d", k, row, ok, sum, 3+2*sum)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"repro/internal/expr"
+	"repro/internal/paged"
 	"repro/internal/value"
 	"repro/internal/vec"
 )
@@ -19,16 +20,14 @@ type aggColRef struct {
 // once per run of a grouping whose input pipeline is in batches.
 func (g *groupCore) initAggCols() {
 	g.aggCols = g.aggCols[:0]
-	for _, spec := range g.specs {
-		for _, agg := range spec.aggs {
-			ref := aggColRef{col: -1}
-			if agg.Func == expr.AggCountStar {
-				ref.star = true
-			} else if cr, ok := agg.Arg.(*expr.ColumnRef); ok && cr.Index >= 0 {
-				ref.col = cr.Index
-			}
-			g.aggCols = append(g.aggCols, ref)
+	for _, agg := range g.aggs {
+		ref := aggColRef{col: -1}
+		if agg.Func == expr.AggCountStar {
+			ref.star = true
+		} else if cr, ok := agg.Arg.(*expr.ColumnRef); ok && cr.Index >= 0 {
+			ref.col = cr.Index
 		}
+		g.aggCols = append(g.aggCols, ref)
 	}
 }
 
@@ -42,8 +41,7 @@ func (s *partialTables) bindBatch(worker, chunk int) (batchFn, error) {
 	t, err := s.g.newTable()
 	s.tables[chunk] = t
 	// One chunk per worker: the chunk's scratch is made once per worker and run.
-	var enc vec.KeyEncoder
-	var scratch value.Row
+	feed := new(batchFeed)
 	return func(b *vec.Batch) error {
 		if err := s.g.gov.tick(); err != nil {
 			return err
@@ -51,67 +49,75 @@ func (s *partialTables) bindBatch(worker, chunk int) (batchFn, error) {
 		if s.g.metrics != nil {
 			s.g.metrics.Morsel(worker)
 		}
-		return s.g.feedBatch(t, b, &enc, &scratch)
+		return feed.fold(t, b)
 	}, err
 }
 
-// feedBatch folds one batch into t: keys encoded column-at-a-time, groups
-// looked up by key bytes (no string is built for a group already present).
-func (g *groupCore) feedBatch(t *groupTable, b *vec.Batch, enc *vec.KeyEncoder, scratch *value.Row) error {
-	var keys [][]byte
-	if t.index != nil {
-		keys = enc.Encode(b, g.groupCols)
-	}
-	for i, n := 0, b.Len(); i < n; i++ {
-		var st *groupState
-		if t.index == nil {
-			st = t.order[0]
-		} else if st = t.index[string(keys[i])]; st == nil {
-			var err error
-			*scratch = b.ReadRow(i, *scratch)
-			if st, err = t.insert(string(keys[i]), *scratch); err != nil {
-				return err
-			}
-		}
-		if err := g.feedVec(st, b, i, scratch); err != nil {
-			return err
-		}
-	}
-	return nil
+// batchFeed is the scratch one chunk folds its batches with, a block of
+// foldBlock logical rows at a time.
+type batchFeed struct {
+	enc  vec.KeyEncoder
+	row  value.Row              // a logical row read out of the batch
+	ids  [foldBlock]int32       // the group of each row of the block
+	vals [foldBlock]value.Value // one aggregate's argument for each row of the block
 }
 
-// feedVec folds logical row i of b into a group's accumulators, reading
-// bare-column arguments from the vectors and materializing the scratch row
-// only when some argument needs expression evaluation. The fold order over
-// (spec, agg) pairs matches groupCore.feed exactly.
-func (g *groupCore) feedVec(st *groupState, b *vec.Batch, i int, scratch *value.Row) error {
-	phys := b.Index(i)
-	loaded := false
-	ac := 0
-	for _, spec := range g.specs {
-		for _, agg := range spec.aggs {
-			ref := g.aggCols[ac]
-			var v value.Value
-			switch {
-			case ref.star:
-				v = value.Null // ignored by the COUNT(*) accumulator
-			case ref.col >= 0:
-				v = b.Cols[ref.col].Value(phys)
-			default:
-				if !loaded {
-					*scratch = b.ReadRow(i, *scratch)
-					loaded = true
+// foldBlock rows' ids and arguments stay in the first-level cache between the
+// pass that writes them and the pass that reads them.
+const foldBlock = 256
+
+// fold folds one batch into t, each block of rows in two passes: every row's
+// group id first — keys encoded column-at-a-time, groups looked up by key
+// bytes, a row read out of the batch only when it starts a group — then each
+// accumulator column over the id vector, at one dynamic dispatch per column
+// and block. Each accumulator still sees its group's values in row order.
+func (f *batchFeed) fold(t *groupTable, b *vec.Batch) error {
+	g, n := t.core, b.Len()
+	var keys [][]byte
+	if !t.scalar {
+		keys = f.enc.Encode(b, g.groupCols)
+	}
+	for lo := 0; lo < n; lo += foldBlock {
+		ids := f.ids[:min(foldBlock, n-lo)]
+		if !t.scalar { // else every id stays 0: the scalar aggregation's one group
+			for i := range ids {
+				key := keys[lo+i]
+				hash := paged.Hash(key)
+				id := t.index.Lookup(hash, key)
+				if id < 0 {
+					var err error
+					f.row = b.ReadRow(lo+i, f.row)
+					if id, err = t.insert(hash, key, f.row); err != nil {
+						return err
+					}
 				}
-				var err error
-				v, err = expr.Eval(agg.Arg, *scratch, g.params)
-				if err != nil {
-					return err
+				ids[i] = int32(id)
+			}
+		}
+		for k, col := range t.cols {
+			var vals []value.Value // nil: COUNT(*) ignores its input
+			switch ref := g.aggCols[k]; {
+			case ref.star:
+			case ref.col >= 0:
+				vals = f.vals[:len(ids)]
+				v := b.Cols[ref.col]
+				for i := range vals {
+					vals[i] = v.Value(b.Index(lo + i))
+				}
+			default:
+				// The argument is an expression: evaluate it over the rows.
+				vals = f.vals[:len(ids)]
+				for i := range vals {
+					var err error
+					f.row = b.ReadRow(lo+i, f.row)
+					if vals[i], err = expr.Eval(g.aggs[k].Arg, f.row, g.params); err != nil {
+						return err
+					}
 				}
 			}
-			if err := st.accs[ac].Add(v); err != nil {
+			if err := col.AddEach(ids, vals); err != nil {
 				return err
 			}
-			ac++
 		}
 	}
 	return nil

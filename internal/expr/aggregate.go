@@ -3,6 +3,7 @@ package expr
 import (
 	"fmt"
 
+	"repro/internal/paged"
 	"repro/internal/value"
 )
 
@@ -32,31 +33,120 @@ type Accumulator interface {
 
 // NewAccumulator builds an accumulator for the aggregate node.
 func NewAccumulator(a *Aggregate) (Accumulator, error) {
-	var inner Accumulator
-	switch a.Func {
-	case AggCountStar:
-		return &countStarAcc{}, nil // COUNT(*) admits no DISTINCT in our subset
-	case AggCount:
-		inner = &countAcc{}
-	case AggSum:
-		inner = &sumAcc{}
-	case AggAvg:
-		inner = &avgAcc{}
-	case AggMin:
-		inner = &minmaxAcc{min: true}
-	case AggMax:
-		inner = &minmaxAcc{min: false}
-	default:
+	switch {
+	case !validAggFunc(a.Func):
 		return nil, fmt.Errorf("expr: unknown aggregate function %v", a.Func)
+	case a.Distinct && a.Func != AggCountStar: // COUNT(*) admits no DISTINCT in our subset
+		return &distinctAcc{fn: a.Func}, nil
 	}
-	if a.Distinct {
-		return &distinctAcc{seen: make(map[string]bool), inner: inner}, nil
-	}
-	return inner, nil
+	return newPlainAcc(a.Func), nil
 }
 
-// mergeMismatch is the error for merging accumulators of different kinds.
-func mergeMismatch(dst, src Accumulator) error {
+func validAggFunc(f AggFunc) bool { return f <= AggMax }
+
+// newPlainAcc is the non-DISTINCT accumulator of a valid aggregate function.
+func newPlainAcc(f AggFunc) Accumulator {
+	switch f {
+	case AggCountStar:
+		return &countStarAcc{}
+	case AggCount:
+		return &countAcc{}
+	case AggSum:
+		return &sumAcc{}
+	case AggAvg:
+		return &avgAcc{}
+	default:
+		return &minmaxAcc{min: f == AggMin}
+	}
+}
+
+// AccColumn is one aggregate's state for every group of a group table: group
+// g's accumulator is element g of a paged array of accumulator structs, so a
+// group costs no allocation of its own and a page of COUNT, SUM or AVG states
+// holds no pointer for the collector to follow. Each method runs the
+// Accumulator method of the same name on that element — the SQL2 rules, the
+// int→float promotion and the Merge algebra are the accumulators' own.
+type AccColumn interface {
+	// Grow appends a fresh state: the next group's.
+	Grow()
+	// Reset makes group g's state fresh again.
+	Reset(g int)
+	// Add folds one input value into group g's state.
+	Add(g int, v value.Value) error
+	// AddEach folds vals[i] into group ids[i]'s state for every i, in order;
+	// nil vals stands for COUNT(*)'s ignored inputs. It is Add over a batch
+	// at one dynamic dispatch for the batch.
+	AddEach(ids []int32, vals []value.Value) error
+	// MergeFrom merges group sg's state of src — a column of the same
+	// aggregate — into group g's. Merging into a fresh state yields exactly
+	// the state merged in.
+	MergeFrom(g int, src AccColumn, sg int) error
+	// Result returns group g's aggregate value.
+	Result(g int) value.Value
+}
+
+// NewAccColumn builds an empty accumulator column for the aggregate node.
+func NewAccColumn(a *Aggregate) (AccColumn, error) {
+	switch {
+	case !validAggFunc(a.Func):
+		return nil, fmt.Errorf("expr: unknown aggregate function %v", a.Func)
+	case a.Distinct && a.Func != AggCountStar:
+		return &accColumn[distinctAcc, *distinctAcc]{fresh: distinctAcc{fn: a.Func}}, nil
+	}
+	switch a.Func {
+	case AggCountStar:
+		return &accColumn[countStarAcc, *countStarAcc]{}, nil
+	case AggCount:
+		return &accColumn[countAcc, *countAcc]{}, nil
+	case AggSum:
+		return &accColumn[sumAcc, *sumAcc]{}, nil
+	case AggAvg:
+		return &accColumn[avgAcc, *avgAcc]{}, nil
+	default:
+		return &accColumn[minmaxAcc, *minmaxAcc]{fresh: minmaxAcc{min: a.Func == AggMin}}, nil
+	}
+}
+
+// accColumn is the AccColumn of the accumulator struct T.
+type accColumn[T any, P interface {
+	*T
+	Accumulator
+}] struct {
+	states paged.Array[T]
+	fresh  T // a state no value has been folded into
+}
+
+func (c *accColumn[T, P]) Grow()       { *c.states.Append() = c.fresh }
+func (c *accColumn[T, P]) Reset(g int) { *c.states.At(g) = c.fresh }
+
+func (c *accColumn[T, P]) Add(g int, v value.Value) error { return P(c.states.At(g)).Add(v) }
+
+func (c *accColumn[T, P]) AddEach(ids []int32, vals []value.Value) error {
+	var v value.Value
+	for i, g := range ids {
+		if vals != nil {
+			v = vals[i]
+		}
+		if err := P(c.states.At(int(g))).Add(v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (c *accColumn[T, P]) MergeFrom(g int, src AccColumn, sg int) error {
+	o, ok := src.(*accColumn[T, P])
+	if !ok {
+		return mergeMismatch(c, src)
+	}
+	return P(c.states.At(g)).Merge(P(o.states.At(sg)))
+}
+
+func (c *accColumn[T, P]) Result(g int) value.Value { return P(c.states.At(g)).Result() }
+
+// mergeMismatch is the error for merging accumulators, or accumulator
+// columns, of different kinds.
+func mergeMismatch(dst, src any) error {
 	return fmt.Errorf("expr: cannot merge %T into %T", src, dst)
 }
 
@@ -231,7 +321,10 @@ func (m *minmaxAcc) Result() value.Value {
 // are forwarded (the inner accumulator skips them), so dedup only needs to
 // track non-null keys. vals keeps the distinct values in first-appearance
 // order so that Merge replays the other partial's values deterministically.
+// The set and the inner accumulator are made by the first value, so a fresh
+// distinctAcc is a plain struct value an accumulator column can copy.
 type distinctAcc struct {
+	fn    AggFunc
 	seen  map[string]bool
 	vals  []value.Value
 	inner Accumulator
@@ -245,6 +338,9 @@ func (d *distinctAcc) Add(v value.Value) error {
 	if d.seen[key] {
 		return nil
 	}
+	if d.seen == nil {
+		d.seen, d.inner = make(map[string]bool), newPlainAcc(d.fn)
+	}
 	d.seen[key] = true
 	d.vals = append(d.vals, v)
 	return d.inner.Add(v)
@@ -255,7 +351,7 @@ func (d *distinctAcc) Add(v value.Value) error {
 // exactly as serial execution would.
 func (d *distinctAcc) Merge(other Accumulator) error {
 	o, ok := other.(*distinctAcc)
-	if !ok {
+	if !ok || o.fn != d.fn {
 		return mergeMismatch(d, other)
 	}
 	for _, v := range o.vals {
@@ -266,4 +362,9 @@ func (d *distinctAcc) Merge(other Accumulator) error {
 	return nil
 }
 
-func (d *distinctAcc) Result() value.Value { return d.inner.Result() }
+func (d *distinctAcc) Result() value.Value {
+	if d.inner == nil {
+		return newPlainAcc(d.fn).Result()
+	}
+	return d.inner.Result()
+}

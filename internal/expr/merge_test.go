@@ -154,3 +154,89 @@ func TestMergeKindMismatch(t *testing.T) {
 		t.Error("merging a MAX partial into a MIN accumulator did not error")
 	}
 }
+
+// TestAccColumnIsTheAccumulatorPerGroup: an accumulator column's group g is
+// an accumulator — fed by Add or by AddEach over an id vector, merged from a
+// second column into a used and into a fresh state, and reset, it reads what
+// NewAccumulator's accumulators read over the same values; merging from a
+// column of another aggregate is an error.
+func TestAccColumnIsTheAccumulatorPerGroup(t *testing.T) {
+	v := Column("T", "v")
+	aggs := []*Aggregate{
+		{Func: AggCountStar}, {Func: AggCount, Arg: v}, {Func: AggSum, Arg: v}, {Func: AggAvg, Arg: v},
+		{Func: AggMin, Arg: v}, {Func: AggMax, Arg: v},
+		{Func: AggCount, Arg: v, Distinct: true}, {Func: AggMax, Arg: v, Distinct: true},
+	}
+	const groups = 3
+	vals := []value.Value{value.NewInt(4), value.Null, value.NewInt(-1), value.NewFloat(2.5), value.NewInt(4), value.NewInt(9), value.Null, value.NewInt(0)}
+	ids := make([]int32, len(vals))
+	for i := range ids {
+		ids[i] = int32(i % groups)
+	}
+	for _, agg := range aggs {
+		col := func() AccColumn {
+			c, err := NewAccColumn(agg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g := 0; g < groups+1; g++ { // the last group stays fresh
+				c.Grow()
+			}
+			return c
+		}
+		byEach, byAdd := col(), col()
+		each := vals
+		if agg.Func == AggCountStar {
+			each = nil // COUNT(*) ignores its input
+		}
+		if err := byEach.AddEach(ids, each); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]Accumulator, groups+1)
+		for g := range want {
+			want[g], _ = NewAccumulator(agg)
+		}
+		for i, val := range vals {
+			if err := byAdd.Add(int(ids[i]), val); err != nil {
+				t.Fatal(err)
+			}
+			if err := want[ids[i]].Add(val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for g := range want {
+			if a, b, w := byEach.Result(g), byAdd.Result(g), want[g].Result(); !sameValue(a, w) || !sameValue(b, w) {
+				t.Errorf("%s group %d: AddEach %v, Add %v, accumulator %v", agg, g, a, b, w)
+			}
+		}
+		// Group 1 of byAdd into group 0 of byEach, and into its fresh group.
+		if err := want[0].Merge(want[1]); err != nil {
+			t.Fatal(err)
+		}
+		for _, into := range []int{0, groups} {
+			if err := byEach.MergeFrom(into, byAdd, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := byEach.Result(0); !sameValue(got, want[0].Result()) {
+			t.Errorf("%s: merged into a used state %v, accumulators %v", agg, got, want[0].Result())
+		}
+		if got := byEach.Result(groups); !sameValue(got, want[1].Result()) {
+			t.Errorf("%s: merged into a fresh state %v, want the state merged in, %v", agg, got, want[1].Result())
+		}
+		byEach.Reset(0)
+		if got := byEach.Result(0); !sameValue(got, want[groups].Result()) {
+			t.Errorf("%s: a reset state reads %v, a fresh accumulator %v", agg, got, want[groups].Result())
+		}
+		for _, other := range aggs {
+			if other.Func == agg.Func && other.Distinct == agg.Distinct {
+				continue
+			}
+			src, _ := NewAccColumn(other)
+			src.Grow()
+			if err := byAdd.MergeFrom(0, src, 0); err == nil {
+				t.Errorf("merging a %s column into a %s column did not error", other, agg)
+			}
+		}
+	}
+}

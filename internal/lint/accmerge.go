@@ -7,9 +7,10 @@ import (
 
 // AccMergeAnalyzer enforces the accumulator contract that parallel
 // aggregation depends on: any type implementing Add and Result (the shape
-// of expr.Accumulator) must also implement Merge — the partial-aggregate
-// combine step thread-local partials flow through — and Merge must
-// type-assert its partner before touching it, so a cross-kind merge fails
+// of expr.Accumulator, and of expr.AccColumn, its per-group-id column form)
+// must also implement Merge — MergeFrom in the column form: the
+// partial-aggregate combine step thread-local partials flow through — and it
+// must type-assert its partner before touching it, so a cross-kind merge fails
 // loudly instead of corrupting an aggregate. A missing Merge silently
 // excludes the aggregate from parallel group-by; a non-asserting Merge
 // panics or miscomputes when the planner ever pairs partials wrongly.
@@ -41,11 +42,14 @@ func runAccMerge(pass *Pass) error {
 		if lookupMethod(mset, "Add") == nil || lookupMethod(mset, "Result") == nil {
 			continue // not an accumulator
 		}
-		if lookupMethod(mset, "Merge") == nil {
-			pass.Reportf(tn.Pos(), "accumulator %s has Add and Result but no Merge: it cannot participate in parallel partial aggregation", name)
-			continue
+		merge := "Merge"
+		if lookupMethod(mset, merge) == nil {
+			if merge = "MergeFrom"; lookupMethod(mset, merge) == nil {
+				pass.Reportf(tn.Pos(), "accumulator %s has Add and Result but no Merge: it cannot participate in parallel partial aggregation", name)
+				continue
+			}
 		}
-		checkMergeBody(pass, name)
+		checkMergeBody(pass, name, merge)
 	}
 	return nil
 }
@@ -60,13 +64,13 @@ func lookupMethod(mset *types.MethodSet, name string) *types.Selection {
 	return nil
 }
 
-// checkMergeBody locates the Merge method declared on the named type and
+// checkMergeBody locates the merge method declared on the named type and
 // requires a type assertion in its body.
-func checkMergeBody(pass *Pass, typeName string) {
+func checkMergeBody(pass *Pass, typeName, merge string) {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Name.Name != "Merge" || fd.Recv == nil || len(fd.Recv.List) == 0 {
+			if !ok || fd.Name.Name != merge || fd.Recv == nil || len(fd.Recv.List) == 0 {
 				continue
 			}
 			if receiverTypeName(fd.Recv.List[0].Type) != typeName {
@@ -86,7 +90,7 @@ func checkMergeBody(pass *Pass, typeName string) {
 				return !asserts
 			})
 			if !asserts {
-				pass.Reportf(fd.Pos(), "%s.Merge never type-asserts its partner: a cross-kind partial merge must fail explicitly, not corrupt the aggregate", typeName)
+				pass.Reportf(fd.Pos(), "%s.%s never type-asserts its partner: a cross-kind partial merge must fail explicitly, not corrupt the aggregate", typeName, merge)
 			}
 			return
 		}

@@ -7,18 +7,20 @@ import (
 
 // BudgetChargeAnalyzer enforces the memory-accounting contract of the
 // stateful operators: hash-join tables and aggregation state grow without
-// bound in the input size, so every function that inserts into such state —
-// a map keyed by group/join key whose values are row lists ([]value.Row) or
-// group states (*groupState): the one join table and the one group table,
-// which the row and the batch form of a probe and of a group feed share —
-// must charge the governor's memory budget in the same function. A growth site in a function that never calls charge means the
+// bound in the input size, so every function that grows such state — an
+// insert into a map keyed by join key whose values are row lists
+// ([]value.Row), or a call of the group table's appendGroup, the one place a
+// group gets its id, key bytes and accumulator states: the one join table and
+// the one group table, which the row and the batch form of a probe and of a
+// group feed share — must charge the governor's memory budget in the same
+// function. A growth site in a function that never calls charge means the
 // query can blow past its MemoryBudget silently; the oracle only catches
 // that dynamically, and only when the budget happens to be crossed under
-// test. Sites that adopt state already charged elsewhere (the parallel
+// test. Sites that copy state already charged elsewhere (the parallel
 // merge step) carry an explicit //lint:ignore with the reason.
 var BudgetChargeAnalyzer = &Analyzer{
 	Name: "budgetcharge",
-	Doc:  "operator state growth (hash tables, group states) must charge the memory budget in the same function",
+	Doc:  "operator state growth (join-table inserts, groups appended to a group table) must charge the memory budget in the same function",
 	Dirs: []string{"internal/exec"},
 	Run:  runBudgetCharge,
 }
@@ -47,6 +49,10 @@ func checkChargeScope(pass *Pass, body *ast.BlockStmt) {
 		case *ast.FuncLit:
 			checkChargeScope(pass, n.Body)
 			return false
+		case *ast.CallExpr:
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && !charges && appendsGroup(pass, sel) {
+				pass.Reportf(n.Pos(), "group appended to %s without charging the memory budget: call charge with the group's state size in this function, before the table can grow", types.ExprString(sel.X))
+			}
 		case *ast.AssignStmt:
 			if charges {
 				return true
@@ -89,9 +95,22 @@ func scopeCharges(body *ast.BlockStmt) bool {
 	return found
 }
 
+// appendsGroup reports whether sel names the group table's growth step: the
+// appendGroup method of a groupTable.
+func appendsGroup(pass *Pass, sel *ast.SelectorExpr) bool {
+	if sel.Sel.Name != "appendGroup" {
+		return false
+	}
+	t := pass.TypeOf(sel.X)
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "groupTable"
+}
+
 // stateMapValue reports whether the expression is a map whose value type is
-// operator state: []value.Row (hash-join row lists) or *groupState
-// (aggregation state).
+// operator state: []value.Row, a hash join's row lists.
 func stateMapValue(pass *Pass, e ast.Expr) bool {
 	t := pass.TypeOf(e)
 	if t == nil {
@@ -101,15 +120,9 @@ func stateMapValue(pass *Pass, e ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	switch v := m.Elem().(type) {
-	case *types.Slice:
-		if named, ok := v.Elem().(*types.Named); ok && named.Obj().Name() == "Row" {
-			return true
-		}
-	case *types.Pointer:
-		if named, ok := v.Elem().(*types.Named); ok && named.Obj().Name() == "groupState" {
-			return true
-		}
+	if v, ok := m.Elem().(*types.Slice); ok {
+		named, ok := v.Elem().(*types.Named)
+		return ok && named.Obj().Name() == "Row"
 	}
 	return false
 }

@@ -22,7 +22,8 @@
 //     statement's function literal; shared counters must use sync/atomic.
 //   - accmerge: every accumulator implementation (a type with Add and
 //     Result methods, internal/expr) must also implement the partial-
-//     aggregate Merge, and Merge must type-assert its partner — the
+//     aggregate Merge (MergeFrom on an accumulator column), and it must
+//     type-assert its partner — the
 //     contract parallel aggregation is built on.
 //   - optmutation: no writes to exec.Options fields outside the Options
 //     methods themselves (internal/exec); an Options value is treated as
@@ -46,8 +47,8 @@
 //     governor or check cancellation, directly or via an enclosing governed
 //     loop; an ungoverned loop stalls cancellation, deadlines and budget
 //     aborts for its whole run.
-//   - budgetcharge: every function that grows operator state — hash-join
-//     tables, group states, columnar build tables — must charge the
+//   - budgetcharge: every function that grows operator state — a hash-join
+//     table's row lists, a group table's groups (appendGroup) — must charge the
 //     governor's memory budget in that same function, before the state can
 //     outgrow the limit unobserved.
 //   - errwrapped: errors passed to fmt.Errorf are wrapped with %w, never

@@ -11,7 +11,7 @@ import (
 // run-to-run nondeterministic output — the exact failure mode the
 // serial-vs-parallel oracle exists to catch, but only dynamically. The
 // engine's convention is an insertion-order slice maintained beside the
-// map (see groupTable.order in internal/exec) or an explicit sort of the keys.
+// map (see distinctAcc.vals in internal/expr) or an explicit sort of the keys.
 var MapRangeAnalyzer = &Analyzer{
 	Name: "maprange",
 	Doc:  "forbid bare range over maps in row paths (nondeterministic iteration order)",

@@ -63,6 +63,42 @@ func (a *blindMerge) Merge(other Accumulator) error { // want "never type-assert
 
 func (a *blindMerge) Result() int { return a.total }
 
+// Column mirrors the engine's column form: an accumulator per group id.
+type Column interface {
+	Add(g, v int) error
+	MergeFrom(g int, src Column, sg int) error
+	Result(g int) int
+}
+
+// goodColumn is the column form, generic over its state as the engine's is:
+// MergeFrom is its Merge, and asserts its partner.
+type goodColumn[T any] struct{ states []T }
+
+func (c *goodColumn[T]) Add(g, v int) error { return nil }
+
+func (c *goodColumn[T]) MergeFrom(g int, src Column, sg int) error {
+	o, ok := src.(*goodColumn[T])
+	if !ok {
+		return errors.New("mismatched accumulator kinds")
+	}
+	c.states[g] = o.states[sg]
+	return nil
+}
+
+func (c *goodColumn[T]) Result(g int) int { return g }
+
+// blindColumn merges from whatever column it is handed.
+type blindColumn struct{ totals []int }
+
+func (c *blindColumn) Add(g, v int) error { c.totals[g] += v; return nil }
+
+func (c *blindColumn) MergeFrom(g int, src Column, sg int) error { // want "never type-asserts its partner"
+	c.totals[g] += src.Result(sg)
+	return nil
+}
+
+func (c *blindColumn) Result(g int) int { return c.totals[g] }
+
 // notAnAccumulator lacks Result; the contract does not apply.
 type notAnAccumulator struct{ n int }
 
