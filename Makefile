@@ -152,7 +152,9 @@ fuzz:
 # BenchmarkHashGroupSerial, one cluster fragment's join-then-group,
 # BenchmarkGroupTable, the group table alone — all inserts, all hits at 10 and
 # 1 000 groups, two partials absorbed — and
-# BenchmarkTinyJoinGroup, what a run costs before its first row;
+# BenchmarkTinyJoinGroup, what a run costs before its first row, and
+# BenchmarkResultPath, what a finished row costs on its way to Run's caller —
+# group → rename, group → column-permuting π and scan → rename, par1 and par2;
 # internal/dist: BenchmarkRowBytes) and behind the wire encoding of §17.5
 # (internal/server: BenchmarkEncodeQueryResponse, BenchmarkDecodeQueryResponse,
 # each beside the encoding/json path it replaced).

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"time"
 
 	"repro/internal/algebra"
@@ -331,18 +332,18 @@ func (r *runner) evalExchange(x *Exchange) (placed, error) {
 		if !in.part {
 			return placed{rows: in.rows}, nil
 		}
-		var out []value.Row
+		shipped := make([][]value.Row, 0, len(in.parts))
 		for src, rows := range in.parts {
 			if in.repl && src != 0 {
 				break // replicated input: the coordinator already has it all
 			}
-			shipped, err := r.shipFT(m, src, 0, rows, recomputeAt(in, src))
+			got, err := r.shipFT(m, src, 0, rows, recomputeAt(in, src))
 			if err != nil {
 				return placed{}, err
 			}
-			out = append(out, shipped...)
+			shipped = append(shipped, got)
 		}
-		return placed{rows: out}, nil
+		return placed{rows: slices.Concat(shipped...)}, nil
 
 	case Broadcast:
 		full := in.rows
@@ -350,9 +351,7 @@ func (r *runner) evalExchange(x *Exchange) (placed, error) {
 			if in.repl {
 				full = in.parts[0]
 			} else {
-				for _, rows := range in.parts {
-					full = append(full, rows...)
-				}
+				full = slices.Concat(in.parts...)
 			}
 		}
 		// Account the replication: every row must reach every node that
@@ -392,29 +391,52 @@ func (r *runner) evalExchange(x *Exchange) (placed, error) {
 		if !in.part {
 			srcs = [][]value.Row{in.rows}
 		}
-		buckets := make([][]value.Row, n)
+		shipped := make([][][]value.Row, n) // per destination, in source order
 		for src, rows := range srcs {
-			bySrc := make([][]value.Row, n)
-			for _, row := range rows {
-				dst := Partition(row, x.Keys, n)
-				bySrc[dst] = append(bySrc[dst], row)
-			}
+			bySrc := partitionRows(rows, x.Keys, n)
 			for dst := 0; dst < n; dst++ {
 				if len(bySrc[dst]) == 0 {
 					continue
 				}
-				shipped, err := r.shipFT(m, src, dst, bySrc[dst], shuffleRecompute(in, src, x.Keys, dst, n))
+				got, err := r.shipFT(m, src, dst, bySrc[dst], shuffleRecompute(in, src, x.Keys, dst, n))
 				if err != nil {
 					return placed{}, err
 				}
-				buckets[dst] = append(buckets[dst], shipped...)
+				shipped[dst] = append(shipped[dst], got)
 			}
+		}
+		buckets := make([][]value.Row, n)
+		for dst, pieces := range shipped {
+			buckets[dst] = slices.Concat(pieces...)
 		}
 		return placed{part: true, parts: buckets}, nil
 
 	default:
 		return placed{}, fmt.Errorf("dist: unknown exchange kind %v", x.Kind)
 	}
+}
+
+// partitionRows splits rows into n buckets by Partition, each in input order.
+// The destinations are counted first, so the buckets are cut from one slice.
+func partitionRows(rows []value.Row, keys []int, n int) [][]value.Row {
+	dsts := make([]int, len(rows))
+	counts := make([]int, n)
+	for i, row := range rows {
+		dsts[i] = Partition(row, keys, n)
+		counts[dsts[i]]++
+	}
+	flat := make([]value.Row, len(rows))
+	buckets := make([][]value.Row, n)
+	start := 0
+	for dst := range buckets {
+		end := start + counts[dst]
+		buckets[dst] = flat[start:start:end]
+		start = end
+	}
+	for i, row := range rows {
+		buckets[dsts[i]] = append(buckets[dsts[i]], row)
+	}
+	return buckets
 }
 
 // recomputeAt builds the failover recompute closure for partition src of

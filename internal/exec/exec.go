@@ -15,6 +15,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/expr"
@@ -290,8 +291,22 @@ type Operator interface {
 	Close() error
 }
 
-// drain pulls an operator to completion.
+// drain pulls an operator to completion — unless it is resident under its
+// wrappers (a finished breaker, a table, literal rows): then it is a
+// collection of no stages, and its rows are handed over, ticked and counted
+// as its wrappers' Next would have done them, with the tick of the pull that
+// finds the end.
 func drain(op Operator) ([]value.Row, error) {
+	if m, gov, src := unwrap(op); src != nil {
+		rows, err := (&pipeOp{src: src, srcOut: m, par: 1, gov: gov}).collect()
+		if err == nil {
+			err = gov.tick()
+		}
+		if err != nil {
+			return nil, err
+		}
+		return rows, nil
+	}
 	if err := op.Open(); err != nil {
 		op.Close()
 		return nil, err
@@ -418,9 +433,10 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 		if err != nil {
 			return compiled{}, err
 		}
+		inSchema := node.Input.Schema()
 		items := make([]expr.Expr, len(node.Items))
 		for i, item := range node.Items {
-			bound, err := expr.Bind(item.E, node.Input.Schema())
+			bound, err := expr.Bind(item.E, inSchema)
 			if err != nil {
 				return compiled{}, err
 			}
@@ -444,10 +460,16 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 			order = append(order, mapped)
 		}
 		p, gov, params := c.pipeline(in, n), c.gov, c.opts.Params
-		if !node.Distinct && p.inBatches() {
-			// Bare columns are a zero-copy column permutation; any other shape
-			// (expressions, DISTINCT) is a row stage, over the unrolled batch.
-			if cols, ok := bareColumns(items); ok {
+		if cols, bare := bareColumns(items); bare && !node.Distinct {
+			if slices.Equal(cols, firstColumns(len(inSchema))) {
+				// The input's columns in order under other names — the paper's
+				// π_A over a GroupBy, almost always: the input's rows, passed on.
+				p.add(p.passStage(c.nodeMetrics(n)), p.borrowed)
+				return compiled{pipe: p, order: order}, nil
+			}
+			if p.inBatches() {
+				// Bare columns are a zero-copy column permutation; any other shape
+				// (expressions, DISTINCT) is a row stage, over the unrolled batch.
 				p.add(stage{metrics: c.nodeMetrics(n), batch: c.projectBatches(cols)}, true)
 				return compiled{pipe: p, order: order}, nil
 			}
@@ -532,9 +554,9 @@ func (c *compiler) leaf(n algebra.Node, tab *storage.Table, rows []value.Row) co
 		return compiled{pipe: &pipeOp{cols: src, borrowed: true, par: c.par, gov: c.gov, node: n}}
 	}
 	if tab != nil {
-		return compiled{op: &scanOp{table: tab}}
+		rows = tab.Rows()
 	}
-	return compiled{op: &valuesOp{rows: rows}}
+	return compiled{op: &leafOp{rows: rows}}
 }
 
 // hasSequencePrefix reports whether order starts with exactly the sequence
@@ -551,48 +573,18 @@ func hasSequencePrefix(order, want []int) bool {
 	return true
 }
 
-// scanOp iterates a stored table.
-type scanOp struct {
-	table *storage.Table
-	pos   int
-}
-
-func (s *scanOp) Open() error { s.pos = 0; return nil }
-
-func (s *scanOp) Next() (value.Row, bool, error) {
-	rows := s.table.Rows()
-	if s.pos >= len(rows) {
-		return nil, false, nil
-	}
-	row := rows[s.pos]
-	s.pos++
-	return row, true, nil
-}
-
-func (s *scanOp) Close() error { return nil }
-
-func (s *scanOp) resident() []value.Row { return s.table.Rows() }
-
-// valuesOp iterates literal rows.
-type valuesOp struct {
+// leafOp is a leaf in row form: a stored table's rows, a Values literal's or
+// rows bound through Options.Sources. They are resident from the start and
+// none of them is the run's own, so a result takes them in a fresh header
+// slice.
+type leafOp struct {
 	rows []value.Row
-	pos  int
+	bufOp
 }
 
-func (v *valuesOp) Open() error { v.pos = 0; return nil }
+func (l *leafOp) Open() error { l.reset(l.rows); return nil }
 
-func (v *valuesOp) Next() (value.Row, bool, error) {
-	if v.pos >= len(v.rows) {
-		return nil, false, nil
-	}
-	row := v.rows[v.pos]
-	v.pos++
-	return row, true, nil
-}
-
-func (v *valuesOp) Close() error { return nil }
-
-func (v *valuesOp) resident() []value.Row { return v.rows }
+func (l *leafOp) take() []value.Row { return slices.Clone(l.bufOp.take()) }
 
 // distinctSet is DISTINCT's memory: the canonical key of every row seen. A
 // row is looked up by its key bytes in a reused buffer; only a first

@@ -401,6 +401,28 @@ func TestParallelPipelineHoldsGroupsNotRows(t *testing.T) {
 			t.Errorf("grouping a join of 10000 rows allocates %.0f times, of 40000 rows %.0f times: want within %.0f (morsel bookkeeping)", small, large, slack)
 		}
 	})
+	t.Run("group-rename", func(t *testing.T) {
+		// π_A over the GroupBy renames its columns and makes nothing: whatever
+		// the group count, group → rename → root allocates what group → root
+		// does and a fixed slack more (the rename's pipeline), not a row per group.
+		const slack = 16
+		allocs := func(plan algebra.Node, groups int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				res, err := Run(plan, nil, &Options{Parallelism: 2})
+				if err != nil || len(res.Rows) != groups {
+					t.Fatalf("%v rows, err=%v", res, err)
+				}
+			})
+		}
+		for _, groups := range []int{100, 20000} {
+			group := govGroupPlan(2*groups, groups)
+			bare, renamed := allocs(group, groups), allocs(renameOf(group), groups)
+			t.Logf("%d groups: %.0f allocations under the group, %.0f under the rename", groups, bare, renamed)
+			if renamed-bare > slack {
+				t.Errorf("%d groups: group → rename → root allocates %.0f times, group → root %.0f: want within %d", groups, renamed, bare, slack)
+			}
+		}
+	})
 	t.Run("filter-project", func(t *testing.T) {
 		const n, keep = 64 * MorselSize, 16 // one row in 16 passes the filter
 		plan := &algebra.Project{

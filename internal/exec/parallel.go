@@ -246,13 +246,21 @@ func drainBoth(where string, l, r compiled) (lrows, rrows []value.Row, err error
 
 // bufOp is the tail of the operators whose whole output is resident once they
 // are open: Open fills out, Next hands it out — or a pipeline above reads it
-// in place.
+// in place, or the run's result takes it over (take).
 type bufOp struct {
 	out []value.Row
 	pos int
 }
 
 func (b *bufOp) reset(rows []value.Row) { b.out, b.pos = rows, 0 }
+
+// take gives the finished buffer up: the rows and their header slice are the
+// taker's from here on.
+func (b *bufOp) take() []value.Row {
+	rows := b.out[b.pos:]
+	b.reset(nil)
+	return rows
+}
 
 func (b *bufOp) Next() (value.Row, bool, error) {
 	if b.pos >= len(b.out) {
@@ -283,6 +291,10 @@ type batchFn func(b *vec.Batch) error
 // batch, a node that only passes on what it is handed (a Sort the propagated
 // order made unnecessary).
 type stage struct {
+	// passes: the stage hands on every row it is given, as it is given — a
+	// rename (passStage), or a node with no work of its own. A collection
+	// whose stages all pass is its source's rows (collect).
+	passes  bool
 	metrics *obs.OpMetrics // the node's; one Morsel per chunk, or per batch, it handles
 	// start runs once, before the first chunk: a join materializes the side
 	// its rows are matched against. nil when there is nothing to build.
@@ -324,10 +336,14 @@ type batchSink interface {
 
 // resident is an operator whose whole output lies in memory once it is open
 // (a table, literal rows, a breaker's finished buffer). A pipeline reads it
-// where it lies instead of pulling it through Next.
+// where it lies instead of pulling it through Next, and a result that is its
+// rows takes them: a breaker gives its buffer up, and rows the run does not
+// own — a table's, a literal's, rows bound through Options.Sources — come in
+// a fresh header slice, never the owner's own.
 type resident interface {
 	Operator
 	resident() []value.Row
+	take() []value.Row
 }
 
 // colSource is a pipeline's source in columnar form, the form a leaf takes
@@ -388,19 +404,28 @@ func (c *compiler) pipeline(in compiled, n algebra.Node) *pipeOp {
 		p.node = n
 		return p
 	}
-	op := in.op
-	p := &pipeOp{src: op, par: c.par, gov: c.gov, node: n}
+	p := &pipeOp{src: in.op, par: c.par, gov: c.gov, node: n}
+	if m, _, op := unwrap(in.op); op != nil {
+		p.src, p.srcOut = op, m
+	}
+	return p
+}
+
+// unwrap takes a compiled operator's wrappers off when what they wrap is
+// resident: its metricOp (nil when unobserved), the governor its governOp
+// ticks (nil when ungoverned), and the resident operator — nil for one that
+// has to be pulled.
+func unwrap(op Operator) (*metricOp, *governor, resident) {
 	m, _ := op.(*metricOp)
 	if m != nil {
 		op = m.inner
 	}
+	var gov *governor
 	if g, ok := op.(*governOp); ok {
-		op = g.inner
+		op, gov = g.inner, g.gov
 	}
-	if _, ok := op.(resident); ok {
-		p.src, p.srcOut = op, m
-	}
-	return p
+	src, _ := op.(resident)
+	return m, gov, src
 }
 
 // inBatches reports whether what the pipeline's topmost stage hands on is
@@ -429,7 +454,7 @@ func (p *pipeOp) meter(out *metricOp) {
 		return
 	}
 	if len(p.stages) == 0 || p.stages[len(p.stages)-1].metered {
-		p.add(stage{}, p.borrowed)
+		p.add(stage{passes: true}, p.borrowed)
 	}
 	last := &p.stages[len(p.stages)-1]
 	last.metered, last.out = true, out
@@ -521,22 +546,32 @@ func (p *pipeOp) runChunks(s sink) (err error) {
 			}
 		}
 	}
-	where := ""
-	if p.par > 1 {
+	// A collection that is its source's rows, with no tick and no count per
+	// row, has nothing to do with a row — a chunk is its length — and nothing
+	// for a second worker to do.
+	_, idle := s.(passOn)
+	idle = idle && p.gov == nil && !p.metered
+	workers, where := p.par, ""
+	if idle {
+		workers = 1
+	}
+	if workers > 1 {
 		where = p.node.Describe() // formatted only for a pool that can report a panic under it
 	}
 	n, morsel := len(rows), MorselSize
 	if p.cols != nil {
 		n, morsel = len(batches), 1
 	}
-	return forEachChunk(where, p.par, n, s.begin(n, morsel), func(w, c, lo, hi int) error {
+	return forEachChunk(where, workers, n, s.begin(n, morsel), func(w, c, lo, hi int) error {
 		emit, carry, counts, err := p.bind(s, w, c)
 		if err != nil {
 			return err
 		}
 		// The source node's tick, one per unit it hands up: a batch, or a row.
 		read := 0
-		if carry != nil {
+		if idle {
+			read = hi - lo
+		} else if carry != nil {
 			for _, b := range batches[lo:hi] {
 				if err = p.gov.tick(); err != nil {
 					break
@@ -658,6 +693,31 @@ func (p *pipeOp) count(read int, counts []int64) {
 	}
 }
 
+// passStage is the stage of a node that hands on every row it is given, as it
+// is given — every batch, in batch form: a projection that only renames. It
+// makes nothing; it still ticks once per row (per batch, in perBatch) and
+// counts a Morsel per chunk, as the projection it replaces did.
+func (p *pipeOp) passStage(metrics *obs.OpMetrics) stage {
+	st := stage{metrics: metrics, passes: true}
+	if p.inBatches() {
+		st.batch = func(_ int, next batchFn) batchFn { return next }
+		return st
+	}
+	gov := p.gov
+	st.bind = func(emit emitFn) emitFn {
+		if gov == nil {
+			return emit
+		}
+		return func(row value.Row) error {
+			if err := gov.tick(); err != nil {
+				return err
+			}
+			return emit(row)
+		}
+	}
+	return st
+}
+
 // meterFn is a plan node's instrumentation as a stage: the governor tick and
 // the row count its wrappers' Next would have done per row, the count kept in
 // the chunk's slot n and added to the node's counter once per chunk.
@@ -713,10 +773,31 @@ func (s *collector) bindBatch(_, chunk int) (batchFn, error) {
 	}, nil
 }
 
+// passOn is the sink of a collection that is its source's rows: it keeps
+// nothing, and cuts the collector's chunks, so every stage ticks, counts and
+// takes its morsels exactly as it would into a collector.
+type passOn struct{}
+
+func (passOn) begin(_, morsel int) int { return morsel }
+
+func (passOn) bind(_, _ int) (emitFn, error) {
+	return func(value.Row) error { return nil }, nil
+}
+
 // collect runs the pipeline to completion and returns its rows in morsel
-// order, in a slice the caller owns.
+// order, in a slice the caller owns. Over a resident source whose rows every
+// stage passes on, the rows are the source's: the run ticks, counts and times
+// them into passOn, and the source hands them over (resident.take) — the one
+// place a finished row reaches a result without another copy.
 func (p *pipeOp) collect() ([]value.Row, error) {
-	if _, inPlace := p.src.(resident); len(p.stages) == 0 && !inPlace && p.cols == nil {
+	src, inPlace := p.src.(resident)
+	if inPlace && !slices.ContainsFunc(p.stages, func(st stage) bool { return !st.passes }) {
+		if err := p.run(passOn{}); err != nil {
+			return nil, err
+		}
+		return src.take(), nil
+	}
+	if len(p.stages) == 0 && !inPlace && p.cols == nil {
 		// Nothing to carry the rows through: the drained source is the collection.
 		return drain(p.src)
 	}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -403,10 +404,102 @@ func pipelineStores(t *testing.T, r *rand.Rand) []*storage.Store {
 	return []*storage.Store{randomSweepStore(t, r), sweep(2*exec.MorselSize + 300), sweep(0), nullKeys}
 }
 
+// renameShapes are the paper's π_A as a pure rename — every input column, in
+// order, under another name — over each input whose rows a collection takes
+// as they lie: a hash group's finished rows and a stored table (the
+// optimizer's own plans), DISTINCT's survivors and a TopK's buffer (a rename
+// put over the optimizer's plan by hand).
+func renameShapes(t *testing.T, store *storage.Store, r *rand.Rand) []*algebra.Project {
+	t.Helper()
+	plan := func(query string) algebra.Node {
+		q, err := sql.ParseQuery(query)
+		if err != nil {
+			t.Fatalf("parsing %q: %v", query, err)
+		}
+		report, err := core.NewOptimizer(store).Optimize(q)
+		if err != nil {
+			t.Fatalf("optimizing %q: %v", query, err)
+		}
+		return report.Standard
+	}
+	renameOver := func(in algebra.Node) algebra.Node {
+		items := make([]algebra.ProjItem, len(in.Schema()))
+		for i, c := range in.Schema() {
+			items[i] = algebra.ProjItem{E: expr.Column(c.ID.Table, c.ID.Name), As: expr.ColumnID{Name: fmt.Sprintf("r%d", i)}}
+		}
+		return &algebra.Project{Input: in, Items: items}
+	}
+	shapes := []struct {
+		plan  algebra.Node
+		input func(algebra.Node) bool
+	}{
+		{plan(`SELECT F.GroupID, SUM(F.V), COUNT(*)
+			 FROM Fact F, Dim D WHERE F.DimID = D.DimID
+			 GROUP BY F.GroupID`), func(n algebra.Node) bool { _, ok := n.(*algebra.GroupBy); return ok }},
+		{plan(`SELECT F.FID, F.DimID, F.GroupID, F.V FROM Fact F`),
+			func(n algebra.Node) bool { _, ok := n.(*algebra.Scan); return ok }},
+		{renameOver(plan(`SELECT DISTINCT D.Label, F.GroupID
+			 FROM Fact F, Dim D WHERE F.DimID = D.DimID`)),
+			func(n algebra.Node) bool { p, ok := n.(*algebra.Project); return ok && p.Distinct }},
+		{renameOver(plan(fmt.Sprintf(`SELECT F.FID, D.Label, F.V
+			 FROM Fact F, Dim D WHERE F.DimID = D.DimID
+			 ORDER BY FID DESC LIMIT %d`, 1+r.Intn(40)))),
+			func(n algebra.Node) bool { l, ok := n.(*algebra.Limit); return ok && isSort(l.Input) }},
+	}
+	out := make([]*algebra.Project, len(shapes))
+	for i, s := range shapes {
+		p, ok := s.plan.(*algebra.Project)
+		if !ok || p.Distinct || !s.input(p.Input) {
+			t.Fatalf("rename shape %d is not a rename over its input:\n%s", i, algebra.Format(s.plan, nil))
+		}
+		for j, item := range p.Items {
+			if c, ok := item.E.(*expr.ColumnRef); !ok || c.ID != p.Input.Schema()[j].ID {
+				t.Fatalf("rename shape %d: item %d is %s, not the input's column %d", i, j, item.E, j)
+			}
+		}
+		out[i] = p
+	}
+	return out
+}
+
+func isSort(n algebra.Node) bool { _, ok := n.(*algebra.Sort); return ok }
+
+// checkRenameShape holds a rename — whose collection is its input's rows,
+// handed over rather than collected — to one worker: at every count in
+// rowWorkerCounts, in either source form, the same rows as the rename's input
+// in their order, the same RowsOut at every node as one worker in that form,
+// and the same Batches at the rename, whose stage still takes a morsel per
+// chunk of the collection it no longer fills.
+func checkRenameShape(t *testing.T, plan *algebra.Project, store *storage.Store) {
+	t.Helper()
+	in, _ := runWithStats(t, plan.Input, store, exec.Options{})
+	want := rowStrings(in)
+	for _, vectorize := range []bool{false, true} {
+		one, oneCol := runWithStats(t, plan, store, exec.Options{Vectorize: vectorize})
+		if !sameRowOrder(rowStrings(one), want) {
+			t.Fatalf("vectorize=%v: the rename's rows are not its input's\n%s", vectorize, algebra.Format(plan, nil))
+		}
+		for _, workers := range rowWorkerCounts {
+			rows, col := runWithStats(t, plan, store, exec.Options{Vectorize: vectorize, Parallelism: workers})
+			if !sameRowOrder(rowStrings(rows), want) {
+				t.Fatalf("vectorize=%v workers=%d: the rename's rows differ from one worker's\n%s", vectorize, workers, algebra.Format(plan, nil))
+			}
+			algebra.Walk(plan, func(n algebra.Node) {
+				if got, w := col.Lookup(n).RowsOut.Load(), oneCol.Lookup(n).RowsOut.Load(); got != w {
+					t.Fatalf("vectorize=%v workers=%d: %s RowsOut %d, one worker %d", vectorize, workers, n.Describe(), got, w)
+				}
+			})
+			if got, w := col.Lookup(plan).Batches.Load(), oneCol.Lookup(plan).Batches.Load(); got != w {
+				t.Fatalf("vectorize=%v workers=%d: the rename took %d morsels, one worker %d\n%s", vectorize, workers, got, w, algebra.Format(plan, nil))
+			}
+		}
+	}
+}
+
 // TestSerialVsParallelOracle is the randomized serial ≡ parallel suite: at
 // least 200 queries (40 under -short) over random workload tables, each
 // checked across every JoinStrategy × GroupStrategy on both plans, and then
-// every pipeline template on every pipeline store.
+// every pipeline template and rename shape on every pipeline store.
 func TestSerialVsParallelOracle(t *testing.T) {
 	targetQueries := 200
 	if testing.Short() {
@@ -455,6 +548,10 @@ func TestSerialVsParallelOracle(t *testing.T) {
 		for _, q := range pipelineQueries(r) {
 			checks += oracleQuery(t, store, q)
 			queries++
+		}
+		for _, plan := range renameShapes(t, store, r) {
+			checkRenameShape(t, plan, store)
+			checks++
 		}
 	}
 	t.Logf("serial-vs-parallel oracle: %d queries, %d plan/strategy comparisons", queries, checks)

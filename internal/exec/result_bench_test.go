@@ -1,0 +1,43 @@
+package exec_test
+
+// BenchmarkResultPath is the layer benchmark of the result path — what the
+// engine does with rows a breaker has finished, or a table holds, on their way
+// to Run's caller: 48 000 Fact rows grouped to 37 000 groups under the paper's
+// π_A, once as a pure rename (group → rename → root: the rows are the group
+// table's own), once permuting the columns (group → π → root: a row made per
+// group), and the bare table under a rename (scan → rename → root: the stored
+// rows in a header slice of the caller's). At one and at two workers; run with
+// -benchmem — allocs/op is the result path's per-row cost.
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/algebra"
+	"repro/internal/exec"
+	"repro/internal/workload"
+)
+
+func BenchmarkResultPath(b *testing.B) {
+	store, err := workload.Sweep(workload.SweepParams{
+		FactRows: 48000, DimRows: 1000, Groups: 37000, MatchFraction: 1, Seed: 17,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range []struct{ name, text string }{
+		{"group-rename", `SELECT F.GroupID, COUNT(F.FID), SUM(F.V) FROM Fact F GROUP BY F.GroupID`},
+		{"group-permute", `SELECT SUM(F.V), F.GroupID, COUNT(F.FID) FROM Fact F GROUP BY F.GroupID`},
+		{"scan-rename", `SELECT F.FID, F.DimID, F.GroupID, F.V FROM Fact F`},
+	} {
+		plan := standardPlan(b, store, q.text)
+		if _, ok := plan.(*algebra.Project); !ok {
+			b.Fatalf("%s: plan root is %T, want the π_A", q.name, plan)
+		}
+		for _, par := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/par%d", q.name, par), func(b *testing.B) {
+				benchRun(b, plan, store, exec.Options{Parallelism: par})
+			})
+		}
+	}
+}

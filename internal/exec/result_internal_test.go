@@ -1,0 +1,184 @@
+package exec
+
+import (
+	"context"
+	"fmt"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"repro/internal/algebra"
+	"repro/internal/expr"
+	"repro/internal/fault"
+	"repro/internal/obs"
+	"repro/internal/value"
+)
+
+// renameOf is the paper's π_A over in as a pure rename: every input column, in
+// order, under a new name.
+func renameOf(in algebra.Node) *algebra.Project {
+	items := make([]algebra.ProjItem, len(in.Schema()))
+	for i, c := range in.Schema() {
+		items[i] = algebra.ProjItem{E: expr.Column(c.ID.Table, c.ID.Name), As: expr.ColumnID{Name: fmt.Sprintf("r%d", i)}}
+	}
+	return &algebra.Project{Input: in, Items: items}
+}
+
+// TestRowsAreMadeOnce: a finished row's first copy is its last. Group →
+// rename → root returns the group's own rows — cut from one slab, in id
+// order — and TopK → root its own buffer, both given up by the breaker rather
+// than copied, at one and three workers, in the row and the columnar source
+// form, with metrics and a context governor each on and off. A rename over a
+// stored table returns the table's rows in a header slice of the caller's:
+// reordering it and appending to it leave Table.Rows() as it was.
+func TestRowsAreMadeOnce(t *testing.T) {
+	const n, groups, top = 5000, 300, 5
+	store, scan := keyedStore(t, n, groups)
+	tab, err := store.Table("t")
+	must(t, err)
+	group := &algebra.GroupBy{
+		Input:     scan,
+		GroupCols: []expr.ColumnID{{Table: "t", Name: "k"}},
+		Aggs: []algebra.AggItem{{
+			E: &expr.Aggregate{Func: expr.AggSum, Arg: expr.Column("t", "v")}, As: expr.ColumnID{Name: "s"},
+		}},
+	}
+	topK := &algebra.Limit{N: top, Input: &algebra.Sort{
+		Input: scan, Keys: []algebra.SortItem{{Col: expr.ColumnID{Table: "t", Name: "v"}, Desc: true}},
+	}}
+	wantGroups, err := Run(group, store, nil)
+	must(t, err)
+	wantTop, err := Run(topK, store, nil)
+	must(t, err)
+	width := len(group.Schema())
+	for _, workers := range []int{1, 3} {
+		for _, vectorize := range []bool{false, true} {
+			for _, metrics := range []bool{false, true} {
+				for _, governed := range []bool{false, true} {
+					name := fmt.Sprintf("workers=%d/vectorize=%v/metrics=%v/governed=%v", workers, vectorize, metrics, governed)
+					t.Run(name, func(t *testing.T) {
+						opts := &Options{Parallelism: workers, Vectorize: vectorize}
+						if metrics {
+							opts.Metrics = obs.NewCollector()
+						}
+						if governed {
+							ctx, cancel := context.WithCancel(context.Background())
+							defer cancel()
+							opts.Context = ctx
+						}
+						compile := func(plan algebra.Node) compiled {
+							c := &compiler{store: store, opts: opts, par: workers, clock: obs.Wall, gov: newGovernor(opts)}
+							out, err := c.compile(plan)
+							must(t, err)
+							return out
+						}
+
+						// group → rename → root: the collection is the group's buffer.
+						out := compile(renameOf(group))
+						breaker := out.pipe.src.(*hashGroupOp)
+						rows, err := out.rows()
+						must(t, err)
+						if breaker.out != nil {
+							t.Fatal("the group kept its buffer: the result is a copy")
+						}
+						if !sameRows(rows, wantGroups.Rows) {
+							t.Fatalf("group → rename → root: %v, want %v", rows, wantGroups.Rows)
+						}
+						slab := uintptr(unsafe.Pointer(&rows[0][0]))
+						for i, row := range rows {
+							if at := uintptr(unsafe.Pointer(&row[0])); at != slab+uintptr(i*width)*unsafe.Sizeof(value.Value{}) {
+								t.Fatalf("row %d does not lie in the group's slab: a row was made again", i)
+							}
+						}
+						if metrics {
+							if got := opts.Metrics.Lookup(out.pipe.node).RowsOut.Load(); got != groups {
+								t.Fatalf("the rename counted %d rows, want %d", got, groups)
+							}
+						}
+
+						// TopK → root: the result is the operator's buffer, given up.
+						out = compile(topK)
+						_, _, src := unwrap(out.op)
+						heap := src.(*topKOp)
+						rows, err = out.rows()
+						must(t, err)
+						if heap.out != nil || len(rows) != top || cap(rows) != top {
+							t.Fatalf("TopK → root: %d rows in a slice of %d, buffer given up: %v — want its own %d-row buffer", len(rows), cap(rows), heap.out == nil, top)
+						}
+						if !sameRows(rows, wantTop.Rows) {
+							t.Fatalf("TopK → root: %v, want %v", rows, wantTop.Rows)
+						}
+
+						// scan → rename → root: the stored rows, in a header slice of the caller's.
+						before := slices.Clone(tab.Rows())
+						res, err := Run(renameOf(scan), store, opts)
+						must(t, err)
+						if !sameRows(res.Rows, before) {
+							t.Fatal("scan → rename → root: not the table's rows")
+						}
+						slices.Reverse(res.Rows)
+						res.Rows = append(res.Rows, value.Row{value.NewInt(-1), value.NewInt(-1)})
+						after := tab.Rows()
+						if len(after) != len(before) {
+							t.Fatalf("appending to the result grew the table to %d rows from %d", len(after), len(before))
+						}
+						for i := range before {
+							if &after[i][0] != &before[i][0] {
+								t.Fatalf("reordering the result moved the table's row %d", i)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// sameRows reports whether a and b hold the same rows in the same order.
+func sameRows(a, b []value.Row) bool {
+	return slices.EqualFunc(a, b, func(x, y value.Row) bool { return value.GroupKeyAll(x) == value.GroupKeyAll(y) })
+}
+
+// TestResultPathKeepsInjectorSteps: handing a breaker's rows over in place of
+// collecting them moves no fault-injector ordinal. Each plan takes exactly the
+// injector steps it took when every result row was pulled or collected (the
+// counts measured on the commit before the hand-over) — every row ticked once
+// per node that ticks it, the drained root's end-of-stream pull included — at
+// one worker and at three, in both source forms.
+func TestResultPathKeepsInjectorSteps(t *testing.T) {
+	group := govGroupPlan(5000, 300)
+	src := keyedValuesPlan("t", 3000, 70)
+	topK := &algebra.Limit{N: 7, Input: &algebra.Sort{
+		Input: src, Keys: []algebra.SortItem{{Col: expr.ColumnID{Table: "t", Name: "v"}, Desc: true}},
+	}}
+	distinct := &algebra.Project{Distinct: true, Input: src, Items: []algebra.ProjItem{
+		{E: expr.Column("t", "k"), As: expr.ColumnID{Table: "t", Name: "k"}},
+	}}
+	for _, tc := range []struct {
+		name     string
+		plan     algebra.Node
+		row, vec int64
+	}{
+		{"group → rename → root", renameOf(group), 10900, 910},
+		{"group → root", group, 10301, 311},
+		{"scan → rename → root", renameOf(src), 9000, 9},
+		{"TopK → root", topK, 3008, 11},
+		{"TopK → rename → root", renameOf(topK), 3021, 24},
+		{"DISTINCT → rename → root", renameOf(distinct), 9210, 6213},
+	} {
+		for _, workers := range []int{1, 3} {
+			for _, vectorize := range []bool{false, true} {
+				inj := fault.New(nil)
+				_, err := Run(tc.plan, nil, &Options{Faults: inj, Parallelism: workers, Vectorize: vectorize})
+				must(t, err)
+				want := tc.row
+				if vectorize {
+					want = tc.vec
+				}
+				if got := inj.Ticks(); got != want {
+					t.Errorf("%s, workers=%d, vectorize=%v: %d injector steps, want %d", tc.name, workers, vectorize, got, want)
+				}
+			}
+		}
+	}
+}

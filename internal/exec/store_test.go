@@ -410,7 +410,7 @@ func TestScalarGroupEmptyInput(t *testing.T) {
 			must(t, g.hashAggregate(nil))
 		} else {
 			g.par = workers
-			g.input = &pipeOp{src: &valuesOp{}, par: workers, node: valuesPlan(0)}
+			g.input = &pipeOp{src: &leafOp{}, par: workers, node: valuesPlan(0)}
 			must(t, g.foldPipeline())
 		}
 		row, ok, err := g.Next()

@@ -6,7 +6,8 @@
 //   - Select: a compiled predicate kernel (or per-row EvalTruth over a scratch
 //     row when the shape is not kernelizable) narrows the selection vector;
 //     survivors are never copied.
-//   - Project, bare columns and not DISTINCT: a zero-copy column permutation.
+//   - Project, bare columns and not DISTINCT: a zero-copy column permutation —
+//     or, for a rename (the input's columns in order), the batch handed on.
 //   - hash-join probe (vector_join.go): keys encoded column-at-a-time, the
 //     shared joinTable looked up per row, the output batch gathered by index.
 //
