@@ -151,7 +151,9 @@ fuzz:
 # BenchmarkAppendGroupKey, BenchmarkCompare; internal/exec:
 # BenchmarkHashGroupSerial, one cluster fragment's join-then-group,
 # BenchmarkGroupTable, the group table alone — all inserts, all hits at 10 and
-# 1 000 groups, two partials absorbed — and
+# 1 000 groups, two partials absorbed —, BenchmarkJoinTable, the other hashed
+# stores alone — join build + probe at 10 keys, 1 000 keys and 100 keys × 100
+# rows, par1 and par2, DISTINCT's set, COUNT(DISTINCT) over 1 000 groups — and
 # BenchmarkTinyJoinGroup, what a run costs before its first row, and
 # BenchmarkResultPath, what a finished row costs on its way to Run's caller —
 # group → rename, group → column-permuting π and scan → rename, par1 and par2;

@@ -21,6 +21,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/paged"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -586,17 +587,18 @@ func (l *leafOp) Open() error { l.reset(l.rows); return nil }
 
 func (l *leafOp) take() []value.Row { return slices.Clone(l.bufOp.take()) }
 
-// distinctSet is DISTINCT's memory: the canonical key of every row seen. A
-// row is looked up by its key bytes in a reused buffer; only a first
-// occurrence makes a string.
+// distinctSet is DISTINCT's memory: the canonical key of every row seen, in a
+// paged.Dict. A row is looked up by its key bytes in a reused buffer, and a
+// first occurrence's bytes are copied into the index's arena — no string is
+// made for either.
 type distinctSet struct {
-	seen map[string]struct{}
-	cols []int // every column, for appendKey
-	key  []byte
+	index paged.Dict
+	cols  []int // every column, for appendKey
+	key   []byte
 }
 
 func newDistinctSet(width int) distinctSet {
-	return distinctSet{seen: make(map[string]struct{}), cols: firstColumns(width)}
+	return distinctSet{cols: firstColumns(width)}
 }
 
 // firstColumns is the column list 0, 1, …, n-1.
@@ -611,10 +613,11 @@ func firstColumns(n int) []int {
 // first reports whether row is the first of its =ⁿ class, and remembers it.
 func (d *distinctSet) first(row value.Row) bool {
 	d.key = appendKey(d.key[:0], row, d.cols)
-	if _, dup := d.seen[string(d.key)]; dup {
+	hash := paged.Hash(d.key)
+	if d.index.Lookup(hash, d.key) >= 0 {
 		return false
 	}
-	d.seen[string(d.key)] = struct{}{}
+	d.index.Append(hash, d.key)
 	return true
 }
 

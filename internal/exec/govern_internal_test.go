@@ -142,8 +142,8 @@ func TestCancelledContextFailsFast(t *testing.T) {
 }
 
 // TestCancelAbortsWithinStride: a Cancel fault at row-event N must abort
-// the query within cancelStride further events — the deterministic form of
-// the "cancellation lands within a fraction of a morsel" guarantee.
+// the query at that event — every tick polls the context, so not one row
+// event runs past the cancel.
 func TestCancelAbortsWithinStride(t *testing.T) {
 	const cancelAt = 5000
 	ctx, cancel := context.WithCancel(context.Background())
@@ -153,11 +153,9 @@ func TestCancelAbortsWithinStride(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// The governor polls the context every cancelStride ticks; a serial run
-	// must therefore unwind after at most one full stride past the cancel
-	// (plus the stride the poll counter was already into).
-	if got := inj.Ticks(); got > cancelAt+2*cancelStride {
-		t.Fatalf("query ran %d row events past the cancel, want <= %d", got-cancelAt, 2*cancelStride)
+	// The cancelling event's own tick sees the context done.
+	if got := inj.Ticks(); got != cancelAt {
+		t.Fatalf("query ran %d row events past the cancel, want 0", got-cancelAt)
 	}
 }
 
@@ -180,8 +178,8 @@ func TestDeadlineAbortsLongScanEarly(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	// Worst case: the deadline plus one cancelStride of delayed events
-	// (~64ms) before the next poll. 5s leaves two orders of magnitude slack
+	// Worst case: the deadline plus the one delayed event (~1ms) in flight
+	// when it expires. 5s leaves three orders of magnitude slack
 	// for CI scheduling while still proving the scan did not run to
 	// completion.
 	if elapsed > 5*time.Second {

@@ -18,11 +18,6 @@ import (
 	"repro/internal/value"
 )
 
-// cancelStride is how many governed row events pass between context polls.
-// Far below one morsel (1024 rows), so a cancelled or timed-out query
-// unwinds within a fraction of a morsel's work.
-const cancelStride = 64
-
 // governor is one execution's lifecycle state.
 type governor struct {
 	ctx     context.Context
@@ -31,7 +26,6 @@ type governor struct {
 	faults  *fault.Injector
 	used    atomic.Int64
 	hi      atomic.Int64 // high-water mark of used, for reporting
-	ticks   atomic.Int64
 	spilled atomic.Int64 // total bytes written to spill files
 }
 
@@ -54,7 +48,10 @@ func newGovernor(opts *Options) *governor {
 }
 
 // tick is the per-row governance check: it advances the fault injector and
-// polls the context every cancelStride events. Nil-safe and allocation-free.
+// polls the context. The poll is a non-blocking receive, which reads the
+// channel and writes nothing, so workers ticking at once share no cache line
+// and a cancelled query stops at the next event. Nil-safe and
+// allocation-free.
 func (g *governor) tick() error {
 	if g == nil {
 		return nil
@@ -64,18 +61,11 @@ func (g *governor) tick() error {
 			return err
 		}
 	}
-	if g.done != nil && g.ticks.Add(1)%cancelStride == 0 {
-		select {
-		case <-g.done:
-			return g.ctx.Err()
-		default:
-		}
-	}
-	return nil
+	return g.cancelled()
 }
 
-// cancelled polls the context immediately — operators call it at chunk and
-// phase boundaries, where latency matters more than stride amortization.
+// cancelled polls the context: tick's poll without the fault injector's step,
+// which operators call at chunk and phase boundaries.
 func (g *governor) cancelled() error {
 	if g == nil || g.done == nil {
 		return nil

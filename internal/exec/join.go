@@ -259,19 +259,19 @@ func (j *hashJoinOp) probeInto(joined value.Row, emit emitFn) emitFn {
 			return nil
 		}
 		matches := j.table.lookup(appendKey(key[:0], row, j.lcols))
-		if len(matches) == 0 {
+		if matches.n == 0 {
 			return nil
 		}
 		if j.metrics != nil {
-			j.metrics.ProbeHits.Add(int64(len(matches)))
+			j.metrics.ProbeHits.Add(int64(matches.n))
 		}
 		n := copy(joined, row)
-		for _, m := range matches {
-			// A skewed key's match list can dominate the run, so it ticks itself.
+		for m := matches.head; m >= 0; m = j.table.next[m] {
+			// A skewed key's chain can dominate the run, so it ticks itself.
 			if err := j.gov.tick(); err != nil {
 				return err
 			}
-			copy(joined[n:], m)
+			copy(joined[n:], j.table.rows[m])
 			truth, err := expr.EvalTruth(j.residual, joined, j.params)
 			if err != nil {
 				return err

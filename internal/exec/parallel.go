@@ -47,11 +47,11 @@
 //     arithmetic is exact (integers, exactly representable floats).
 //
 // The hash join follows the partitioned build/probe scheme (joinTable): the
-// build side is collected and scattered into one hash partition per worker by
-// join-key hash (a serial scatter, preserving build-input order within each
-// partition), the partition tables are built by parallel workers, and the
-// probe stage of every chunk then looks each row up in the partition it
-// hashes to.
+// build side is collected and its row indexes scattered into one partition
+// per worker by the range of the join key's hash (a serial scatter,
+// preserving build-input order within each partition), the partition indexes
+// are built by parallel workers, and the probe stage of every chunk then
+// looks each row up in the partition its key hashes to.
 package exec
 
 import (
@@ -827,15 +827,6 @@ func (p *pipeOp) each(fn emitFn) error {
 		return err
 	}
 	return nil
-}
-
-// partitionOf hashes a join key into one of n partitions (FNV-32a).
-func partitionOf(key []byte, n int) int {
-	h := uint32(2166136261)
-	for _, b := range key {
-		h = (h ^ uint32(b)) * 16777619
-	}
-	return int(h % uint32(n))
 }
 
 // --------------------------------------------------------- parallel sort

@@ -3,7 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -13,6 +13,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/expr"
 	"repro/internal/obs"
+	"repro/internal/paged"
 	"repro/internal/value"
 )
 
@@ -150,20 +151,38 @@ func BenchmarkSortRowsStable(b *testing.B) {
 	}
 }
 
-// TestPartitionOfRange: partition assignment stays in range and is the
-// FNV-32a hash of the key bytes, as hash/fnv computes it — the inlined loop
-// moves no key to another partition.
-func TestPartitionOfRange(t *testing.T) {
-	for i := 0; i < 100; i++ {
-		key := []byte(fmt.Sprintf("key-%d", i))
-		p := partitionOf(key, 7)
-		if p < 0 || p >= 7 {
-			t.Fatalf("partitionOf(%q, 7) = %d", key, p)
+// TestJoinPartitionRange: a join key's partition is the range of its
+// paged.Hash — in [0, n) from the smallest hash to the largest — and a built
+// table holds each key in that partition and in no other, at 1, 2, 3 and 8
+// workers: over 1 000 keys, and over 2, which leave partitions empty.
+func TestJoinPartitionRange(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		if lo, hi := hashRange(0, n), hashRange(math.MaxUint32, n); lo != 0 || hi != n-1 {
+			t.Fatalf("n=%d: hashes 0 and 2³²-1 fall in partitions %d and %d, want 0 and %d", n, lo, hi, n-1)
 		}
-		h := fnv.New32a()
-		h.Write(key)
-		if want := int(h.Sum32() % 7); p != want {
-			t.Fatalf("partitionOf(%q, 7) = %d, hash/fnv says %d", key, p, want)
+	}
+	for _, keys := range []int{1000, 2} {
+		rows := keyedValuesPlan("t", 3*keys, keys).Rows
+		for _, workers := range []int{1, 2, 3, 8} {
+			tab := &joinTable{cols: []int{0}}
+			must(t, tab.build(rows, workers))
+			for _, row := range rows[:keys] {
+				key := appendKey(nil, row, []int{0})
+				hash := paged.Hash(key)
+				for p := range tab.parts {
+					id := tab.parts[p].index.Lookup(hash, key)
+					if own := hashRange(hash, workers); (id >= 0) != (p == own) {
+						t.Fatalf("workers=%d: key %v found as %d in partition %d, its own is %d", workers, row[0], id, p, own)
+					}
+				}
+			}
+			held := 0
+			for _, part := range tab.parts {
+				held += part.index.Len()
+			}
+			if held != keys {
+				t.Fatalf("workers=%d: the partitions hold %d keys, want %d", workers, held, keys)
+			}
 		}
 	}
 }

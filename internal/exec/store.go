@@ -73,8 +73,8 @@ func (a *admission) release() {
 }
 
 // appendKey appends the canonical key of row over cols — value.GroupKey's
-// bytes — to buf. The stores probe with the bytes in a reused buffer; the join
-// table makes a key string only for an entry it inserts, the group table never.
+// bytes — to buf. The stores probe and insert with the bytes in a reused
+// buffer, and none of them makes a key string.
 func appendKey(buf []byte, row value.Row, cols []int) []byte {
 	for _, c := range cols {
 		buf = value.AppendGroupKey(buf, row[c])
@@ -265,77 +265,131 @@ func (t *groupTable) absorb(src *groupTable) error {
 	return nil
 }
 
-// joinTable is the hash-join build store: build rows by canonical join key,
-// hash-partitioned one map per build worker (one map at one worker). Rows
-// with a NULL key column are never stored — the equality would be unknown.
-// Matches come back in build order, whatever the partition count.
+// joinTable is the hash-join build store. The build rows stay in the slice
+// the caller drained them into, and a match is a row's index in it: each
+// partition hands every distinct canonical join key a dense id in a
+// paged.Dict, and a key id's chain links its rows through next, one entry per
+// build row. Chains are tail-linked, so matches come back in build order
+// whatever the partition count and however skewed the key. A partition is a
+// range of the key's paged.Hash, one per build worker (one at one worker).
+// Rows with a NULL key column are never stored — the equality would be
+// unknown. No key string and no per-key slice is made.
 type joinTable struct {
 	cols    []int // key columns of the build rows
 	adm     admission
 	metrics *obs.OpMetrics // nil unless metrics collection is on
-	parts   []map[string][]value.Row
+	rows    []value.Row    // the build rows, in build order
+	next    []int32        // by build row: the next row of its chain, or -1
+	parts   []joinPart
 }
 
-// build stores rows on `workers` workers: a serial scatter by key hash keeps
-// build order within each partition, then the partitions fill in parallel.
-// Every entry is admitted on its own, so an abort names the exact allocation
-// that crossed the budget; build statistics are recorded only for a table
-// that was built to the end.
+// joinPart is one partition: its keys, and each key id's chain.
+type joinPart struct {
+	index  paged.Dict
+	chains []joinChain
+}
+
+// joinChain is the build rows stored under one key: the first and the last
+// of them (-1 when there are none) and how many.
+type joinChain struct{ head, tail, n int32 }
+
+// hashRange is the partition, of n, that a key hashing to hash belongs to:
+// the hash's range when [0, 2³²) is cut in n equal parts.
+func hashRange(hash uint32, n int) int { return int(uint64(hash) * uint64(n) >> 32) }
+
+// build stores rows on `workers` workers: a serial scatter of row indexes by
+// key hash keeps build order within each partition, then the partitions fill
+// in parallel. Every entry is admitted on its own, so an abort names the
+// exact allocation that crossed the budget; build statistics are recorded
+// only for a table that was built to the end.
 func (t *joinTable) build(rows []value.Row, workers int) error {
-	scattered := [][]value.Row{rows}
+	t.rows, t.next, t.parts = rows, make([]int32, len(rows)), make([]joinPart, workers)
+	var scattered [][]int32 // by partition, above one worker
 	if workers > 1 {
-		scattered = make([][]value.Row, workers)
+		scattered = make([][]int32, workers)
 		var key []byte
-		for _, row := range rows {
+		for i, row := range rows {
 			if err := t.adm.gov.tick(); err != nil {
 				return err
 			}
 			key = appendKey(key[:0], row, t.cols)
-			p := partitionOf(key, workers)
-			scattered[p] = append(scattered[p], row)
+			p := hashRange(paged.Hash(key), workers)
+			scattered[p] = append(scattered[p], int32(i))
 		}
 	}
-	t.parts = make([]map[string][]value.Row, len(scattered))
-	return forEachChunk(t.adm.where, workers, len(scattered), 1, func(w, c, _, _ int) error {
+	return forEachChunk(t.adm.where, workers, workers, 1, func(w, c, _, _ int) error {
 		if err := t.adm.gov.cancelled(); err != nil {
 			return err
 		}
 		if t.metrics != nil && workers > 1 {
 			t.metrics.Morsel(w)
 		}
-		part := make(map[string][]value.Row)
-		var key []byte
-		var entries, bytes int64
-		for _, row := range scattered[c] {
-			if err := t.adm.gov.tick(); err != nil {
-				return err
-			}
-			if anyNullAt(row, t.cols) {
-				continue
-			}
-			key = appendKey(key[:0], row, t.cols)
-			entry := int64(len(key)) + rowStateBytes(row)
-			if err := t.adm.charge(entry); err != nil {
-				return err
-			}
-			// Storing under a key is the one place a map wants the string.
-			part[string(key)] = append(part[string(key)], row)
-			entries++
-			bytes += entry
+		ids, n := []int32(nil), len(rows) // one worker: every row
+		if scattered != nil {
+			ids, n = scattered[c], len(scattered[c])
 		}
-		t.parts[c] = part
-		if t.metrics != nil {
-			t.metrics.BuildEntries.Add(entries)
-			t.metrics.StateBytes.Add(bytes)
-		}
-		return nil
+		return t.fill(&t.parts[c], ids, n)
 	})
 }
 
-// lookup returns the build rows stored under key, in build order.
-func (t *joinTable) lookup(key []byte) []value.Row {
-	if len(t.parts) == 1 {
-		return t.parts[0][string(key)]
+// fill stores the n build rows of one partition under their keys, in order:
+// rows ids, or the first n rows when ids is nil.
+func (t *joinTable) fill(part *joinPart, ids []int32, n int) error {
+	part.index.Reserve(n)
+	var key []byte
+	var entries, bytes int64
+	for k := 0; k < n; k++ {
+		i := int32(k)
+		if ids != nil {
+			i = ids[k]
+		}
+		if err := t.adm.gov.tick(); err != nil {
+			return err
+		}
+		row := t.rows[i]
+		if anyNullAt(row, t.cols) {
+			continue
+		}
+		key = appendKey(key[:0], row, t.cols)
+		entry := int64(len(key)) + rowStateBytes(row)
+		if err := t.adm.charge(entry); err != nil {
+			return err
+		}
+		t.link(part, paged.Hash(key), key, i)
+		entries++
+		bytes += entry
 	}
-	return t.parts[partitionOf(key, len(t.parts))][string(key)]
+	if t.metrics != nil {
+		t.metrics.BuildEntries.Add(entries)
+		t.metrics.StateBytes.Add(bytes)
+	}
+	return nil
+}
+
+// link appends build row i to the chain of key, whose hash is hash, in part,
+// giving a key seen for the first time its id and a chain of one: this is
+// where a partition grows.
+func (t *joinTable) link(part *joinPart, hash uint32, key []byte, i int32) {
+	t.next[i] = -1
+	id := part.index.Lookup(hash, key)
+	if id < 0 {
+		part.index.Append(hash, key)
+		part.chains = append(part.chains, joinChain{head: i, tail: i, n: 1})
+		return
+	}
+	ch := &part.chains[id]
+	t.next[ch.tail] = i
+	ch.tail = i
+	ch.n++
+}
+
+// lookup returns the chain of build rows stored under key; the rows after
+// its head follow t.next.
+func (t *joinTable) lookup(key []byte) joinChain {
+	hash := paged.Hash(key)
+	part := &t.parts[hashRange(hash, len(t.parts))]
+	if id := part.index.Lookup(hash, key); id >= 0 {
+		return part.chains[id]
+	}
+	return joinChain{head: -1}
 }

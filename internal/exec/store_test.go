@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/expr"
 	"repro/internal/paged"
@@ -369,35 +370,123 @@ func TestArithmeticShellIsBoundOnce(t *testing.T) {
 	}
 }
 
-// TestJoinTablePartitions: a key's matches are the build rows with that key,
-// in build order, at any partition count; NULL keys are never stored.
-func TestJoinTablePartitions(t *testing.T) {
-	rows := kvRows(3, 0, 1, 1, -1, 2, 3, 3, 2, 4, 1, 5, 3, 6, -1, 7, 9, 8)
-	for _, workers := range []int{1, 2, 3, 8} {
-		tab := &joinTable{cols: []int{0}}
-		must(t, tab.build(rows, workers))
-		if len(tab.parts) != workers {
-			t.Fatalf("workers=%d: %d partitions", workers, len(tab.parts))
-		}
-		for k := int64(-1); k < 11; k++ {
-			probe := kvRows(k, 0)[0]
-			var want []value.Row
-			for _, row := range rows {
-				if k >= 0 && !row[0].IsNull() && row[0].Int() == k {
-					want = append(want, row)
-				}
-			}
-			got := tab.lookup(appendKey(nil, probe, []int{0}))
-			if len(got) != len(want) {
-				t.Fatalf("workers=%d key=%d: %d matches, want %d", workers, k, len(got), len(want))
-			}
-			for i := range got {
-				if &got[i][0] != &want[i][0] {
-					t.Fatalf("workers=%d key=%d: match %d is %v, want %v (build order)", workers, k, i, got[i], want[i])
-				}
-			}
+// chainRows walks a join chain: the build rows stored under its key, in
+// chain order. It fails unless the walk ends after the chain's count — a
+// chain linked into a cycle stops one row past it.
+func chainRows(t testing.TB, tab *joinTable, ch joinChain) []value.Row {
+	t.Helper()
+	var rows []value.Row
+	for m := ch.head; m >= 0; m = tab.next[m] {
+		if rows = append(rows, tab.rows[m]); len(rows) > int(ch.n) {
+			break
 		}
 	}
+	if len(rows) != int(ch.n) {
+		t.Fatalf("a chain of %d rows walks %d or more", ch.n, len(rows))
+	}
+	return rows
+}
+
+// sameBuildRows fails unless got holds exactly want's rows — the same rows,
+// not equal ones — in want's order.
+func sameBuildRows(t *testing.T, where string, got, want []value.Row) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d matches, want %d", where, len(got), len(want))
+	}
+	for i := range got {
+		if &got[i][0] != &want[i][0] {
+			t.Fatalf("%s: match %d is %v, want %v (build order)", where, i, got[i], want[i])
+		}
+	}
+}
+
+// TestJoinTablePartitions: a key's matches are the build rows with that key,
+// in build order, at any partition count — a key stored 10 000 times
+// included, whose chain builds in linear time; NULL keys are never stored,
+// so a build of NULLs only, like an empty one, holds nothing; and keys forced
+// under one hash keep chains of their own.
+func TestJoinTablePartitions(t *testing.T) {
+	key0 := func(k int64) []byte { return appendKey(nil, kvRows(k, 0)[0], []int{0}) }
+	t.Run("build order", func(t *testing.T) {
+		rows := kvRows(3, 0, 1, 1, -1, 2, 3, 3, 2, 4, 1, 5, 3, 6, -1, 7, 9, 8)
+		for _, workers := range []int{1, 2, 3, 8} {
+			tab := &joinTable{cols: []int{0}}
+			must(t, tab.build(rows, workers))
+			if len(tab.parts) != workers {
+				t.Fatalf("workers=%d: %d partitions", workers, len(tab.parts))
+			}
+			for k := int64(-1); k < 11; k++ {
+				var want []value.Row
+				for _, row := range rows {
+					if k >= 0 && !row[0].IsNull() && row[0].Int() == k {
+						want = append(want, row)
+					}
+				}
+				sameBuildRows(t, fmt.Sprintf("workers=%d key=%d", workers, k), chainRows(t, tab, tab.lookup(key0(k))), want)
+			}
+		}
+	})
+	t.Run("one key 10 000 times", func(t *testing.T) {
+		// A chain that were walked to its end on every insert would take 16
+		// times as long for 4 times the rows; tail-linking takes 4. The
+		// fastest of five builds is compared, so a collection or a
+		// descheduling in one of them does not count.
+		fastest := func(rows []value.Row) time.Duration {
+			best := time.Duration(1 << 62)
+			for range 5 {
+				start := time.Now()
+				must(t, (&joinTable{cols: []int{0}}).build(rows, 1))
+				best = min(best, time.Since(start))
+			}
+			return best
+		}
+		small, large := keyedValuesPlan("t", 10000, 1).Rows, keyedValuesPlan("t", 40000, 1).Rows
+		if s, l := fastest(small), fastest(large); l > 10*s {
+			t.Errorf("one key stored 40 000 times builds in %v, 10 000 times in %v: not linear", l, s)
+		}
+		for _, workers := range []int{1, 2} {
+			tab := &joinTable{cols: []int{0}}
+			must(t, tab.build(small, workers))
+			sameBuildRows(t, fmt.Sprintf("workers=%d", workers), chainRows(t, tab, tab.lookup(appendKey(nil, small[0], []int{0}))), small)
+		}
+	})
+	t.Run("nothing stored", func(t *testing.T) {
+		for _, rows := range [][]value.Row{kvRows(-1, 1, -1, 2, -1, 3), nil} {
+			for _, workers := range []int{1, 2, 8} {
+				tab := &joinTable{cols: []int{0}}
+				must(t, tab.build(rows, workers))
+				for _, part := range tab.parts {
+					if part.index.Len() != 0 || len(part.chains) != 0 {
+						t.Fatalf("%d rows at workers=%d: a partition holds %d keys", len(rows), workers, part.index.Len())
+					}
+				}
+				if ch := tab.lookup(key0(1)); ch.n != 0 || ch.head != -1 {
+					t.Fatalf("%d rows at workers=%d: key 1 has a chain of %d", len(rows), workers, ch.n)
+				}
+			}
+		}
+	})
+	t.Run("collisions", func(t *testing.T) {
+		const hash = 0xfeed0007
+		keys := []string{"ab", "abc", "a", "b", "abd", ""}
+		rows := kvRows(0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11)
+		tab := &joinTable{cols: []int{0}, rows: rows, next: make([]int32, len(rows)), parts: make([]joinPart, 1)}
+		part := &tab.parts[0]
+		for i, row := range rows { // row i goes under keys[i % 6]
+			tab.link(part, hash, []byte(keys[row[0].Int()]), int32(i))
+		}
+		for id, key := range keys {
+			got := part.index.Lookup(hash, []byte(key))
+			if got != id {
+				t.Fatalf("key %q is id %d, want %d", key, got, id)
+			}
+			sameBuildRows(t, fmt.Sprintf("key %q", key), chainRows(t, tab, part.chains[got]), []value.Row{rows[id], rows[id+len(keys)]})
+		}
+		if got := part.index.Lookup(hash, []byte("abcd")); got != -1 {
+			t.Fatalf("a key never stored found as %d", got)
+		}
+	})
 }
 
 // TestScalarGroupEmptyInput: the scalar group's table holds its one state

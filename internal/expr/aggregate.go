@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/paged"
@@ -37,7 +38,7 @@ func NewAccumulator(a *Aggregate) (Accumulator, error) {
 	case !validAggFunc(a.Func):
 		return nil, fmt.Errorf("expr: unknown aggregate function %v", a.Func)
 	case a.Distinct && a.Func != AggCountStar: // COUNT(*) admits no DISTINCT in our subset
-		return &distinctAcc{fn: a.Func}, nil
+		return newDistinctAcc(a.Func), nil
 	}
 	return newPlainAcc(a.Func), nil
 }
@@ -91,19 +92,25 @@ func NewAccColumn(a *Aggregate) (AccColumn, error) {
 	case !validAggFunc(a.Func):
 		return nil, fmt.Errorf("expr: unknown aggregate function %v", a.Func)
 	case a.Distinct && a.Func != AggCountStar:
-		return &accColumn[distinctAcc, *distinctAcc]{fresh: distinctAcc{fn: a.Func}}, nil
+		return newDistinctColumn(a.Func), nil
 	}
-	switch a.Func {
+	return newPlainColumn(a.Func), nil
+}
+
+// newPlainColumn is the non-DISTINCT accumulator column of a valid aggregate
+// function.
+func newPlainColumn(f AggFunc) AccColumn {
+	switch f {
 	case AggCountStar:
-		return &accColumn[countStarAcc, *countStarAcc]{}, nil
+		return &accColumn[countStarAcc, *countStarAcc]{}
 	case AggCount:
-		return &accColumn[countAcc, *countAcc]{}, nil
+		return &accColumn[countAcc, *countAcc]{}
 	case AggSum:
-		return &accColumn[sumAcc, *sumAcc]{}, nil
+		return &accColumn[sumAcc, *sumAcc]{}
 	case AggAvg:
-		return &accColumn[avgAcc, *avgAcc]{}, nil
+		return &accColumn[avgAcc, *avgAcc]{}
 	default:
-		return &accColumn[minmaxAcc, *minmaxAcc]{fresh: minmaxAcc{min: a.Func == AggMin}}, nil
+		return &accColumn[minmaxAcc, *minmaxAcc]{fresh: minmaxAcc{min: f == AggMin}}
 	}
 }
 
@@ -317,54 +324,137 @@ func (m *minmaxAcc) Result() value.Value {
 	return m.best
 }
 
-// distinctAcc deduplicates inputs under =ⁿ before delegating. NULL inputs
-// are forwarded (the inner accumulator skips them), so dedup only needs to
-// track non-null keys. vals keeps the distinct values in first-appearance
-// order so that Merge replays the other partial's values deterministically.
-// The set and the inner accumulator are made by the first value, so a fresh
-// distinctAcc is a plain struct value an accumulator column can copy.
-type distinctAcc struct {
-	fn    AggFunc
-	seen  map[string]bool
-	vals  []value.Value
-	inner Accumulator
+// distinctColumn is the AccColumn of a DISTINCT aggregate: the plain
+// aggregate's column, fed only a group's first occurrence of each value under
+// =ⁿ. NULL inputs are dropped here, as the plain aggregate would skip them.
+// Which values the groups have seen is one paged.Dict for the whole column,
+// keyed by (group tag, canonical value bytes) encoded into a reused buffer,
+// so a duplicate allocates nothing. A group's values are chained in
+// first-appearance order, which MergeFrom replays through Add — continuing
+// the plain aggregate's left-to-right fold exactly as serial execution would.
+type distinctColumn struct {
+	fn     AggFunc
+	inner  AccColumn
+	index  paged.Dict
+	groups paged.Array[distinctGroup]
+	vals   paged.Array[distinctVal] // by index id
+	tags   uint32                   // tags handed out
+	key    []byte                   // scratch: the key being looked up
 }
 
-func (d *distinctAcc) Add(v value.Value) error {
+// distinctGroup is one group's value set: the tag its index keys start with
+// and the chain of its values (ids into vals, -1 for none).
+type distinctGroup struct {
+	tag        uint32
+	head, tail int32
+	n          int
+}
+
+// distinctVal is one (group, value) entry and the next value of its group.
+type distinctVal struct {
+	v    value.Value
+	next int32
+}
+
+func newDistinctColumn(f AggFunc) *distinctColumn {
+	return &distinctColumn{fn: f, inner: newPlainColumn(f)}
+}
+
+func (c *distinctColumn) Grow() {
+	c.inner.Grow()
+	*c.groups.Append() = c.fresh()
+}
+
+// fresh is an empty value set under a tag no group has had.
+func (c *distinctColumn) fresh() distinctGroup {
+	c.tags++
+	return distinctGroup{tag: c.tags, head: -1, tail: -1}
+}
+
+// Reset gives group g an empty set under a new tag, so its old entries are
+// never found again. When they are all the index holds — the one live group
+// of a stream aggregation — the index starts over instead of keeping them.
+func (c *distinctColumn) Reset(g int) {
+	c.inner.Reset(g)
+	grp := c.groups.At(g)
+	if grp.n == c.index.Len() {
+		c.index, c.vals = paged.Dict{}, paged.Array[distinctVal]{}
+	}
+	*grp = c.fresh()
+}
+
+func (c *distinctColumn) Add(g int, v value.Value) error {
 	if v.IsNull() {
 		return nil
 	}
-	key := value.GroupKeyAll(value.Row{v})
-	if d.seen[key] {
+	grp := c.groups.At(g)
+	c.key = binary.LittleEndian.AppendUint32(c.key[:0], grp.tag)
+	c.key = value.AppendGroupKey(c.key, v)
+	hash := paged.Hash(c.key)
+	if c.index.Lookup(hash, c.key) >= 0 {
 		return nil
 	}
-	if d.seen == nil {
-		d.seen, d.inner = make(map[string]bool), newPlainAcc(d.fn)
+	id := int32(c.index.Append(hash, c.key))
+	*c.vals.Append() = distinctVal{v: v, next: -1}
+	if grp.tail < 0 {
+		grp.head = id
+	} else {
+		c.vals.At(int(grp.tail)).next = id
 	}
-	d.seen[key] = true
-	d.vals = append(d.vals, v)
-	return d.inner.Add(v)
+	grp.tail = id
+	grp.n++
+	return c.inner.Add(g, v)
 }
 
-// Merge unions the other partial's distinct values: each value unseen here
-// flows through Add, continuing the inner accumulator's left-to-right fold
-// exactly as serial execution would.
-func (d *distinctAcc) Merge(other Accumulator) error {
-	o, ok := other.(*distinctAcc)
-	if !ok || o.fn != d.fn {
-		return mergeMismatch(d, other)
-	}
-	for _, v := range o.vals {
-		if err := d.Add(v); err != nil {
+func (c *distinctColumn) AddEach(ids []int32, vals []value.Value) error {
+	for i, g := range ids {
+		if err := c.Add(int(g), vals[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (d *distinctAcc) Result() value.Value {
-	if d.inner == nil {
-		return newPlainAcc(d.fn).Result()
+// MergeFrom adds src's group sg's values to group g in their order of first
+// appearance: a union of the two sets that folds what g had not seen.
+func (c *distinctColumn) MergeFrom(g int, src AccColumn, sg int) error {
+	o, ok := src.(*distinctColumn)
+	if !ok || o.fn != c.fn {
+		return mergeMismatch(c, src)
 	}
-	return d.inner.Result()
+	for id := o.groups.At(sg).head; id >= 0; {
+		val := o.vals.At(int(id))
+		v, next := val.v, val.next // Add may move c's first page, o's too if o is c
+		if err := c.Add(g, v); err != nil {
+			return err
+		}
+		id = next
+	}
+	return nil
 }
+
+func (c *distinctColumn) Result(g int) value.Value { return c.inner.Result(g) }
+
+// distinctAcc is a DISTINCT aggregate's Accumulator: group 0 of a
+// distinctColumn of its own.
+type distinctAcc struct{ col *distinctColumn }
+
+func newDistinctAcc(f AggFunc) *distinctAcc {
+	col := newDistinctColumn(f)
+	col.Grow()
+	return &distinctAcc{col: col}
+}
+
+func (d *distinctAcc) Add(v value.Value) error { return d.col.Add(0, v) }
+
+// Merge unions the other partial's distinct values into this one's, as
+// distinctColumn.MergeFrom does for a group.
+func (d *distinctAcc) Merge(other Accumulator) error {
+	o, ok := other.(*distinctAcc)
+	if !ok {
+		return mergeMismatch(d, other)
+	}
+	return d.col.MergeFrom(0, o.col, 0)
+}
+
+func (d *distinctAcc) Result() value.Value { return d.col.Result(0) }

@@ -7,20 +7,19 @@ import (
 
 // BudgetChargeAnalyzer enforces the memory-accounting contract of the
 // stateful operators: hash-join tables and aggregation state grow without
-// bound in the input size, so every function that grows such state — an
-// insert into a map keyed by join key whose values are row lists
-// ([]value.Row), or a call of the group table's appendGroup, the one place a
-// group gets its id, key bytes and accumulator states: the one join table and
-// the one group table, which the row and the batch form of a probe and of a
-// group feed share — must charge the governor's memory budget in the same
-// function. A growth site in a function that never calls charge means the
-// query can blow past its MemoryBudget silently; the oracle only catches
-// that dynamically, and only when the budget happens to be crossed under
-// test. Sites that copy state already charged elsewhere (the parallel
-// merge step) carry an explicit //lint:ignore with the reason.
+// bound in the input size, so every function that calls a store's growth
+// step — the group table's appendGroup, the one place a group gets its id,
+// key bytes and accumulator states, and the join table's link, the one place
+// a build row joins a key's chain — must charge the governor's memory budget
+// in the same function. Both stores are shared by the row and the batch form
+// of a probe and of a group feed. A growth site in a function that never
+// calls charge means the query can blow past its MemoryBudget silently; the
+// oracle only catches that dynamically, and only when the budget happens to
+// be crossed under test. Sites that copy state already charged elsewhere
+// (the parallel merge step) carry an explicit //lint:ignore with the reason.
 var BudgetChargeAnalyzer = &Analyzer{
 	Name: "budgetcharge",
-	Doc:  "operator state growth (join-table inserts, groups appended to a group table) must charge the memory budget in the same function",
+	Doc:  "operator state growth (build rows linked into a join table, groups appended to a group table) must charge the memory budget in the same function",
 	Dirs: []string{"internal/exec"},
 	Run:  runBudgetCharge,
 }
@@ -50,20 +49,9 @@ func checkChargeScope(pass *Pass, body *ast.BlockStmt) {
 			checkChargeScope(pass, n.Body)
 			return false
 		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && !charges && appendsGroup(pass, sel) {
-				pass.Reportf(n.Pos(), "group appended to %s without charging the memory budget: call charge with the group's state size in this function, before the table can grow", types.ExprString(sel.X))
-			}
-		case *ast.AssignStmt:
-			if charges {
-				return true
-			}
-			for _, lhs := range n.Lhs {
-				idx, ok := lhs.(*ast.IndexExpr)
-				if !ok {
-					continue
-				}
-				if stateMapValue(pass, idx.X) {
-					pass.Reportf(idx.Pos(), "insert into operator state %s without charging the memory budget: call gov.charge with the entry size in this function, before the state can grow", types.ExprString(idx.X))
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && !charges {
+				if what := growthStep(pass, sel); what != "" {
+					pass.Reportf(n.Pos(), "%s %s without charging the memory budget: call charge with the entry's size in this function, before the table can grow", what, types.ExprString(sel.X))
 				}
 			}
 		}
@@ -95,34 +83,23 @@ func scopeCharges(body *ast.BlockStmt) bool {
 	return found
 }
 
-// appendsGroup reports whether sel names the group table's growth step: the
-// appendGroup method of a groupTable.
-func appendsGroup(pass *Pass, sel *ast.SelectorExpr) bool {
-	if sel.Sel.Name != "appendGroup" {
-		return false
-	}
+// growthSteps are the stores' growth steps, by store type and method name,
+// each with the words a finding uses for it.
+var growthSteps = map[[2]string]string{
+	{"groupTable", "appendGroup"}: "group appended to",
+	{"joinTable", "link"}:         "build row linked into",
+}
+
+// growthStep reports whether sel names a store's growth step, and how a
+// finding says it: "" when it does not.
+func growthStep(pass *Pass, sel *ast.SelectorExpr) string {
 	t := pass.TypeOf(sel.X)
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "groupTable"
-}
-
-// stateMapValue reports whether the expression is a map whose value type is
-// operator state: []value.Row, a hash join's row lists.
-func stateMapValue(pass *Pass, e ast.Expr) bool {
-	t := pass.TypeOf(e)
-	if t == nil {
-		return false
-	}
-	m, ok := t.Underlying().(*types.Map)
 	if !ok {
-		return false
+		return ""
 	}
-	if v, ok := m.Elem().(*types.Slice); ok {
-		named, ok := v.Elem().(*types.Named)
-		return ok && named.Obj().Name() == "Row"
-	}
-	return false
+	return growthSteps[[2]string{named.Obj().Name(), sel.Sel.Name}]
 }

@@ -13,8 +13,9 @@ import (
 // the governor (tick, cancelled or charge) or pull from an Operator (Next)
 // somewhere in its body — or be nested inside a loop that does, which bounds
 // the ungoverned stretch to one outer iteration. The governor is nil-safe,
-// so the fix is always just a tick; see governor.go's cancelStride for why
-// per-row ticks are cheap.
+// so the fix is always just a tick, and a tick is cheap: a fault-injector
+// step and a non-blocking receive on the context's done channel, which
+// writes nothing shared (governor.go).
 var GovLoopAnalyzer = &Analyzer{
 	Name: "govloop",
 	Doc:  "every row or batch loop in the executor must tick the governor or check cancellation",

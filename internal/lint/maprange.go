@@ -10,8 +10,8 @@ import (
 // that feeds rows, groups or join matches out of a bare map range produces
 // run-to-run nondeterministic output — the exact failure mode the
 // serial-vs-parallel oracle exists to catch, but only dynamically. The
-// engine's convention is an insertion-order slice maintained beside the
-// map (see distinctAcc.vals in internal/expr) or an explicit sort of the keys.
+// engine's convention is an index that hands out ids in insertion order
+// (paged.Dict, under every hashed store) or an explicit sort of the keys.
 var MapRangeAnalyzer = &Analyzer{
 	Name: "maprange",
 	Doc:  "forbid bare range over maps in row paths (nondeterministic iteration order)",

@@ -1,9 +1,7 @@
 // Fixture for the budgetcharge analyzer: functions that grow operator
-// state (hash-join row lists, the group table's groups) must charge the
+// state (the join table's chains, the group table's groups) must charge the
 // memory budget in the same function scope.
 package budgetcharge
-
-import "repro/internal/value"
 
 type governor struct{}
 
@@ -22,13 +20,34 @@ func (t *groupTable) appendGroup(hash uint32, key []byte) int {
 
 func (t *groupTable) lookup(hash uint32, key []byte) int { return -1 }
 
-func unchargedRows(m map[string][]value.Row, key string, row value.Row) {
-	m[key] = append(m[key], row) // want "without charging the memory budget"
+// joinTable mirrors the engine's: link is where a partition grows.
+type joinTable struct {
+	gov  *governor
+	next []int32
 }
 
-func chargedRows(gov *governor, m map[string][]value.Row, key string, row value.Row) error {
-	m[key] = append(m[key], row)
-	return gov.charge("fixture", 1)
+type joinPart struct{ n int }
+
+func (t *joinTable) link(part *joinPart, hash uint32, key []byte, i int32) {
+	t.next[i] = -1
+	part.n++
+}
+
+// unchargedFill is the build loop with its charge deleted.
+func (t *joinTable) unchargedFill(part *joinPart, keys [][]byte) {
+	for i, k := range keys {
+		t.link(part, 7, k, int32(i)) // want "build row linked into t without charging the memory budget"
+	}
+}
+
+func (t *joinTable) fill(part *joinPart, keys [][]byte) error {
+	for i, k := range keys {
+		if err := t.gov.charge("fixture", int64(len(k))); err != nil {
+			return err
+		}
+		t.link(part, 7, k, int32(i))
+	}
+	return nil
 }
 
 // unchargedInsert is the table's insert with its charge deleted.
@@ -78,20 +97,13 @@ func (t *groupTable) absorb(keys [][]byte) {
 	}
 }
 
-// boolMapExempt: dedup bookkeeping maps hold no rows; they are not
-// operator state in the budget's sense.
-func boolMapExempt(m map[string]bool, key string) {
-	m[key] = true
-}
-
 // stageStart: a probe stage builds its table in the stage's start closure —
 // a scope of its own, in the row and in the batch form of the stage alike.
-func stageStart(gov *governor, rows []value.Row) func() {
+func stageStart(gov *governor, t *joinTable, keys [][]byte) func() {
 	_ = gov.charge("outer", 1)
-	part := make(map[string][]value.Row)
 	return func() {
-		for _, row := range rows {
-			part["k"] = append(part["k"], row) // want "without charging the memory budget"
+		for i, k := range keys {
+			t.link(&joinPart{}, 7, k, int32(i)) // want "without charging the memory budget"
 		}
 	}
 }

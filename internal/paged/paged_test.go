@@ -31,11 +31,14 @@ func TestArrayKeepsElementsInPlace(t *testing.T) {
 
 // TestDictCollisions: keys appended under one hash share a probe sequence and
 // a tag, and are told apart by their bytes — a key that is a prefix of
-// another, and the empty key, included — before and after the slots double.
+// another, the empty key, and keys of 8 to 16 bytes that differ in one byte
+// only (compared word by word), included — before and after the slots double.
 func TestDictCollisions(t *testing.T) {
 	var d Dict
 	const hash = 0xfeed0007
-	keys := []string{"ab", "abc", "a", "b", "abd", ""}
+	keys := []string{"ab", "abc", "a", "b", "abd", "",
+		"01234567", "01234568", "X1234567", "012345678", "0123X5678",
+		"0123456789abcdef", "0123456X89abcdef", "0123456789abcdeX"}
 	for id, key := range keys {
 		if got := d.Lookup(hash, []byte(key)); got != -1 {
 			t.Fatalf("key %q found as %d before it was appended", key, got)
@@ -58,8 +61,38 @@ func TestDictCollisions(t *testing.T) {
 			t.Fatalf("key %q found under another hash as %d", key, got)
 		}
 	}
-	if got := d.Lookup(hash, []byte("abcd")); got != -1 {
-		t.Fatalf("a key never appended found as %d", got)
+	for _, key := range []string{"abcd", "0123456789abcdeY", "01234569"} {
+		if got := d.Lookup(hash, []byte(key)); got != -1 {
+			t.Fatalf("key %q, never appended, found as %d", key, got)
+		}
+	}
+}
+
+// TestDictReserve: a Dict reserved for n keys is the smallest table that holds
+// them, takes all n without re-placing a slot and finds every one; reserving
+// fewer keys than it is sized for changes nothing.
+func TestDictReserve(t *testing.T) {
+	for _, n := range []int{1, 12, 13, 1000, 3*Size + 100} {
+		var d Dict
+		d.Reserve(n)
+		size, first := len(d.slots), &d.slots[0]
+		if 4*n > 3*size || (size > minDictSlots && 4*n <= 3*size/2) {
+			t.Fatalf("reserved %d slots for %d keys", size, n)
+		}
+		for i := 0; i < n; i++ {
+			k := []byte(fmt.Sprintf("key-%d", i))
+			d.Append(Hash(k), k)
+		}
+		d.Reserve(n / 2)
+		if len(d.slots) != size || &d.slots[0] != first {
+			t.Fatalf("%d keys in a Dict reserved for them: %d slots, want the reserved %d, not re-placed", n, len(d.slots), size)
+		}
+		for i := 0; i < n; i++ {
+			k := []byte(fmt.Sprintf("key-%d", i))
+			if got := d.Lookup(Hash(k), k); got != i {
+				t.Fatalf("key %d of %d is id %d", i, n, got)
+			}
+		}
 	}
 }
 
