@@ -117,9 +117,12 @@ spill-oracle:
 # type-for-type identical to the single-caller engine, or provably untorn), the admission-ladder tests
 # (degrade, queue, typed 429 — never an OOM), and the mid-query shutdown
 # chaos test (clean typed errors, zero leaked goroutines, zero live
-# spill files). See DESIGN.md §17.
+# spill files); plus the store's snapshot tests, since a writer appends into
+# the slab pages and the key index that live snapshots' rows share
+# (concurrent readers against a writer). See DESIGN.md §17.
 serve-oracle:
 	$(GO) test -race ./internal/server -run 'TestServeOracleDifferential|TestShutdownMidQueryChaos|TestAdmit'
+	$(GO) test -race ./internal/storage -run TestSnapshot
 
 # Each fuzz target needs its own invocation (go test allows one -fuzz
 # pattern per package run). -run=^$ skips the regular tests.
@@ -154,9 +157,13 @@ fuzz:
 # 1 000 groups, two partials absorbed —, BenchmarkJoinTable, the other hashed
 # stores alone — join build + probe at 10 keys, 1 000 keys and 100 keys × 100
 # rows, par1 and par2, DISTINCT's set, COUNT(DISTINCT) over 1 000 groups — and
-# BenchmarkTinyJoinGroup, what a run costs before its first row, and
+# BenchmarkTinyJoinGroup, what a run costs before its first row,
 # BenchmarkResultPath, what a finished row costs on its way to Run's caller —
-# group → rename, group → column-permuting π and scan → rename, par1 and par2;
+# group → rename, group → column-permuting π, scan → rename and the wide
+# scan → filter → probe → permuting π, par1 and par2, the wide one also under a
+# cancellable context — and BenchmarkGovernorTick, the per-row governance
+# check on one goroutine and on two sharing a governor; internal/storage:
+# BenchmarkInsert, 48 000 four-column rows under a primary key;
 # internal/dist: BenchmarkRowBytes) and behind the wire encoding of §17.5
 # (internal/server: BenchmarkEncodeQueryResponse, BenchmarkDecodeQueryResponse,
 # each beside the encoding/json path it replaced).

@@ -207,6 +207,7 @@ func Run(root algebra.Node, store *storage.Store, opts *Options) (res *Result, e
 		c.clock = obs.Wall
 	}
 	c.gov = newGovernor(opts)
+	defer c.gov.detach()
 	if opts.Spill != nil && c.gov != nil && c.gov.budget > 0 {
 		c.spill = opts.Spill
 	}
@@ -476,17 +477,18 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 			}
 		}
 		p.add(stage{metrics: c.nodeMetrics(n), bind: func(emit emitFn) emitFn {
+			// The chunk's scratch row: a sink that keeps rows copies it.
+			proj := make(value.Row, len(items))
 			return func(row value.Row) error {
 				if err := gov.tick(); err != nil {
 					return err
 				}
-				proj, err := projectRow(items, row, params)
-				if err != nil {
+				if err := projectInto(proj, items, row, params); err != nil {
 					return err
 				}
 				return emit(proj)
 			}
-		}}, false)
+		}}, true)
 		if node.Distinct {
 			return compiled{op: &distinctOp{input: p, gov: gov}, order: order}, nil
 		}
@@ -646,21 +648,37 @@ func (d *distinctOp) Open() error {
 			out = append(out, row)
 		}
 	}
+	if 2*len(out) < len(rows) {
+		// The collection's rows lie in its slabs, and its header slice still
+		// points at the dropped ones: survivors of a collection that dropped
+		// most of it move to a slice and a slab of their own, so the dropped
+		// rows are not kept alive by a few kept ones.
+		kept := make([]value.Row, len(out))
+		width := len(out[0])
+		slab := make([]value.Value, len(out)*width)
+		for i, row := range out {
+			if err := d.gov.cancelled(); err != nil {
+				return err
+			}
+			kept[i] = slab[i*width : (i+1)*width : (i+1)*width]
+			copy(kept[i], row)
+		}
+		out = kept
+	}
 	d.reset(out)
 	return nil
 }
 
 func (d *distinctOp) Close() error { return nil }
 
-// projectRow evaluates the item expressions over one row.
-func projectRow(items []expr.Expr, row value.Row, params expr.Params) (value.Row, error) {
-	out := make(value.Row, len(items))
+// projectInto evaluates the item expressions over one row into out.
+func projectInto(out value.Row, items []expr.Expr, row value.Row, params expr.Params) error {
 	for i, item := range items {
 		v, err := expr.Eval(item, row, params)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out[i] = v
 	}
-	return out, nil
+	return nil
 }

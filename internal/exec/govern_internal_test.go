@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -141,10 +142,10 @@ func TestCancelledContextFailsFast(t *testing.T) {
 	}
 }
 
-// TestCancelAbortsWithinStride: a Cancel fault at row-event N must abort
-// the query at that event — every tick polls the context, so not one row
-// event runs past the cancel.
-func TestCancelAbortsWithinStride(t *testing.T) {
+// TestInjectedCancelStopsAtItsTick: a Cancel fault at row-event N must abort
+// the query at that event — under an injector every tick polls the context
+// exactly, so not one row event runs past the cancel.
+func TestInjectedCancelStopsAtItsTick(t *testing.T) {
 	const cancelAt = 5000
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -156,6 +157,111 @@ func TestCancelAbortsWithinStride(t *testing.T) {
 	// The cancelling event's own tick sees the context done.
 	if got := inj.Ticks(); got != cancelAt {
 		t.Fatalf("query ran %d row events past the cancel, want 0", got-cancelAt)
+	}
+}
+
+// TestCancelStopsUninjectedRun: without an injector a tick is a load of the
+// flag the context's callback raises. A nested-loop join of one morsel of left
+// rows against 100 000 right rows — over 10⁸ row events, each a tick and a
+// condition that never holds, in a single chunk, so no boundary poll comes
+// before the end — is cancelled from another goroutine 20 ms in and returns
+// context.Canceled long before it could have finished, at one worker and at
+// two. A run that finished would return no error.
+func TestCancelStopsUninjectedRun(t *testing.T) {
+	plan := &algebra.Join{
+		L:    keyedValuesPlan("l", MorselSize, 10),
+		R:    keyedValuesPlan("r", 100_000, 10),
+		Cond: expr.NewBinary(expr.OpLt, expr.Column("l", "v"), expr.IntLit(0)),
+	}
+	for _, par := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(20*time.Millisecond, cancel)
+		start := time.Now()
+		_, err := Run(plan, nil, &Options{Context: ctx, Parallelism: par})
+		elapsed := time.Since(start)
+		timer.Stop()
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("par=%d: err = %v, want context.Canceled", par, err)
+		}
+		// As generous as TestDeadlineAbortsLongScanEarly's bound.
+		if elapsed > 5*time.Second {
+			t.Fatalf("par=%d: the cancelled run took %v", par, elapsed)
+		}
+	}
+}
+
+// hookCountingContext is a cancellable context that keeps the callbacks
+// context.AfterFunc registers on it — AfterFunc hands them to a context's own
+// AfterFunc method when it has one — so a test can count those still hooked.
+type hookCountingContext struct {
+	context.Context // Background: no deadline, no values
+	done            chan struct{}
+	mu              sync.Mutex
+	hooks           map[int]func()
+	registered      int
+}
+
+func newHookCountingContext() *hookCountingContext {
+	return &hookCountingContext{Context: context.Background(), done: make(chan struct{}), hooks: map[int]func(){}}
+}
+
+func (c *hookCountingContext) Done() <-chan struct{} { return c.done }
+
+func (c *hookCountingContext) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+func (c *hookCountingContext) AfterFunc(f func()) (stop func() bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	id := c.registered
+	c.registered++
+	c.hooks[id] = f
+	return func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		_, hooked := c.hooks[id]
+		delete(c.hooks, id)
+		return hooked
+	}
+}
+
+// cancel closes the context and runs every callback still hooked, returning
+// how many ran.
+func (c *hookCountingContext) cancel() int {
+	close(c.done)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, f := range c.hooks {
+		f()
+	}
+	return len(c.hooks)
+}
+
+// TestGovernorUnhooksAtRunEnd: every governed run hooks a callback onto its
+// context and takes it off when it returns, so 10 000 runs on one long-lived
+// context leave nothing on it, and cancelling it afterwards raises no
+// governor's flag.
+func TestGovernorUnhooksAtRunEnd(t *testing.T) {
+	const runs = 10_000
+	ctx := newHookCountingContext()
+	plan := valuesPlan(3)
+	for i := 0; i < runs; i++ {
+		if _, err := Run(plan, nil, &Options{Context: ctx}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ctx.registered != runs {
+		t.Fatalf("%d runs hooked %d callbacks, want one each", runs, ctx.registered)
+	}
+	if ran := ctx.cancel(); ran != 0 {
+		t.Fatalf("cancelling the context after %d runs raised %d governors' flags, want 0", runs, ran)
 	}
 }
 

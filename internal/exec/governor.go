@@ -20,17 +20,29 @@ import (
 
 // governor is one execution's lifecycle state.
 type governor struct {
-	ctx     context.Context
-	done    <-chan struct{}
-	budget  int64 // bytes; 0 means unlimited
-	faults  *fault.Injector
+	ctx    context.Context
+	done   <-chan struct{}
+	budget int64 // bytes; 0 means unlimited
+	faults *fault.Injector
+	// slow sends every tick down tickSlow: set from the start under a fault
+	// injector, else raised, once, by the callback newGovernor hooks onto the
+	// context, which unhook takes off again when the run ends.
+	slow   atomic.Bool
+	unhook func() bool
+	// The fields above are read by every tick and written (almost) never; the
+	// counters below are written by every charge. The pad keeps them on
+	// different cache lines, so a worker's charge does not evict the flag
+	// another worker is polling.
+	_       [64]byte
 	used    atomic.Int64
 	hi      atomic.Int64 // high-water mark of used, for reporting
 	spilled atomic.Int64 // total bytes written to spill files
 }
 
 // newGovernor builds the execution's governor, or nil when every
-// governance option is off (the zero-cost path).
+// governance option is off (the zero-cost path). Without a fault injector, a
+// context that can be cancelled gets a callback that raises slow; the caller
+// unhooks it with detach once the run is over.
 func newGovernor(opts *Options) *governor {
 	var done <-chan struct{}
 	if opts.Context != nil {
@@ -39,33 +51,57 @@ func newGovernor(opts *Options) *governor {
 	if done == nil && opts.MemoryBudget <= 0 && opts.Faults == nil {
 		return nil
 	}
-	return &governor{
+	g := &governor{
 		ctx:    opts.Context,
 		done:   done,
 		budget: opts.MemoryBudget,
 		faults: opts.Faults,
 	}
+	if g.faults != nil {
+		g.slow.Store(true) // every tick steps the injector and polls exactly
+	} else if done != nil {
+		g.unhook = context.AfterFunc(opts.Context, func() { g.slow.Store(true) })
+	}
+	return g
 }
 
-// tick is the per-row governance check: it advances the fault injector and
-// polls the context. The poll is a non-blocking receive, which reads the
-// channel and writes nothing, so workers ticking at once share no cache line
-// and a cancelled query stops at the next event. Nil-safe and
-// allocation-free.
-func (g *governor) tick() error {
-	if g == nil {
-		return nil
+// detach takes the context callback off, so a context that outlives the run
+// holds nothing of it. Nil-safe.
+func (g *governor) detach() {
+	if g != nil && g.unhook != nil {
+		g.unhook()
 	}
-	if g.faults != nil {
-		if err := g.faults.Step(); err != nil {
-			return err
-		}
+}
+
+// tick is the per-row governance check. Without a fault injector it is one
+// atomic load of slow, which writes nothing, so workers ticking at once share
+// the line read-only. The flag is raised by a goroutine the context starts
+// when it is cancelled, so a tick sees a cancel once that goroutine has run —
+// at once on an idle processor, within the scheduler's preemption slice
+// (some 10 ms) when every processor is busy — while cancelled, at every run,
+// pipeline and chunk boundary, sees it exactly. Under a fault injector every
+// tick steps it and then polls exactly, so an injected cancel stops the run at
+// its own tick. Nil-safe, allocation-free, and small enough to inline.
+func (g *governor) tick() error {
+	if g != nil && g.slow.Load() {
+		return g.tickSlow()
+	}
+	return nil
+}
+
+// tickSlow is a tick under a fault injector, or once the context is done.
+func (g *governor) tickSlow() error {
+	if g.faults == nil {
+		return g.ctx.Err()
+	}
+	if err := g.faults.Step(); err != nil {
+		return err
 	}
 	return g.cancelled()
 }
 
-// cancelled polls the context: tick's poll without the fault injector's step,
-// which operators call at chunk and phase boundaries.
+// cancelled polls the context exactly — a non-blocking receive on its done
+// channel — which operators call at run, pipeline and chunk boundaries.
 func (g *governor) cancelled() error {
 	if g == nil || g.done == nil {
 		return nil

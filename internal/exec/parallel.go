@@ -24,10 +24,11 @@
 // count — and the same sinks.
 //
 // Borrowed rows. A join stage writes each joined row into a scratch row it
-// owns and emits that, and an unrolled batch is read into one; the row is
-// valid until the next emit. A sink that keeps rows copies them once; the
-// group sink keeps only a new group's grouping values, so N joined rows cost
-// G states.
+// owns and emits that, so does a projection that is not a rename, and an
+// unrolled batch is read into one; the row is valid until the next emit. A
+// sink that keeps rows copies them once — the collection into its worker's
+// slab, so a kept row is not a heap object of its own; the group sink keeps
+// only a new group's grouping values, so N joined rows cost G states.
 //
 // Determinism is a hard requirement — the serial-vs-parallel oracle tests
 // assert row-identical results and identical per-operator cardinalities —
@@ -279,7 +280,8 @@ func (b *bufOp) Close() error { return nil }
 
 // emitFn receives one row from the stage below. The row is borrowed: it may
 // be a scratch row its producer overwrites on the next call, so a receiver
-// that keeps the row takes it through pipeOp.keep, which copies it if so.
+// that keeps the row copies it if so — the collection into its slab, any
+// other through pipeOp.keep.
 type emitFn func(row value.Row) error
 
 // batchFn receives one batch from the stage below. The batch, its vectors and
@@ -475,7 +477,9 @@ func (p *pipeOp) eachOut(fn func(*metricOp)) {
 }
 
 // keep returns row as a receiver may hold it: a copy when the pipeline emits
-// scratch rows.
+// scratch rows, made on its own — for a consumer that keeps a bounded subset
+// of its input (LIMIT, TopK, a spill path), where a slab page would be kept
+// alive by the few rows cut from it.
 func (p *pipeOp) keep(row value.Row) value.Row {
 	if p.borrowed {
 		return slices.Clone(row)
@@ -745,30 +749,40 @@ func (p *pipeOp) meterBatch(n *int64, next batchFn) batchFn {
 
 // collector is the sink that keeps rows: each chunk's output in its own
 // slice, concatenated in chunk order — the order one pass over the source
-// produces.
+// produces. A row it has to copy — a borrowed one, or a batch's — is cut from
+// the slab of the worker carrying the chunk, not allocated on its own.
 type collector struct {
-	p    *pipeOp
-	outs [][]value.Row
+	p     *pipeOp
+	outs  [][]value.Row
+	slabs []value.Slab // per worker
 }
 
 func (s *collector) begin(n, morsel int) int {
 	s.outs = make([][]value.Row, numChunks(n, morsel))
+	s.slabs = make([]value.Slab, s.p.par)
 	return morsel
 }
 
-func (s *collector) bind(_, chunk int) (emitFn, error) {
+func (s *collector) bind(worker, chunk int) (emitFn, error) {
 	out := &s.outs[chunk]
+	if !s.p.borrowed {
+		return func(row value.Row) error {
+			*out = append(*out, row)
+			return nil
+		}, nil
+	}
+	slab := &s.slabs[worker]
 	return func(row value.Row) error {
-		*out = append(*out, s.p.keep(row))
+		*out = append(*out, slab.Copy(row))
 		return nil
 	}, nil
 }
 
-// bindBatch materializes a batch's logical rows: fresh rows, nothing to copy.
-func (s *collector) bindBatch(_, chunk int) (batchFn, error) {
-	out := &s.outs[chunk]
+// bindBatch materializes a batch's logical rows, cut from the worker's slab.
+func (s *collector) bindBatch(worker, chunk int) (batchFn, error) {
+	out, slab := &s.outs[chunk], &s.slabs[worker]
 	return func(b *vec.Batch) error {
-		*out = b.AppendRows(*out)
+		*out = b.AppendRows(*out, slab)
 		return nil
 	}, nil
 }

@@ -6,10 +6,15 @@ package exec_test
 // π_A, once as a pure rename (group → rename → root: the rows are the group
 // table's own), once permuting the columns (group → π → root: a row made per
 // group), and the bare table under a rename (scan → rename → root: the stored
-// rows in a header slice of the caller's). At one and at two workers; run with
-// -benchmem — allocs/op is the result path's per-row cost.
+// rows in a header slice of the caller's). The wide shape is the per-row plan
+// the service's largest responses run: scan → filter → probe → column-permuting
+// π → root, some 24 000 joined rows kept, each projected into the stage's
+// scratch row and copied into the collection's slab — also under a cancellable
+// context, where every tick is a load of the governor's flag. At one and at two
+// workers; run with -benchmem — allocs/op is the result path's per-row cost.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -25,10 +30,16 @@ func BenchmarkResultPath(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, q := range []struct{ name, text string }{
-		{"group-rename", `SELECT F.GroupID, COUNT(F.FID), SUM(F.V) FROM Fact F GROUP BY F.GroupID`},
-		{"group-permute", `SELECT SUM(F.V), F.GroupID, COUNT(F.FID) FROM Fact F GROUP BY F.GroupID`},
-		{"scan-rename", `SELECT F.FID, F.DimID, F.GroupID, F.V FROM Fact F`},
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, q := range []struct {
+		name, text string
+		governed   bool // also run under a cancellable context
+	}{
+		{"group-rename", `SELECT F.GroupID, COUNT(F.FID), SUM(F.V) FROM Fact F GROUP BY F.GroupID`, false},
+		{"group-permute", `SELECT SUM(F.V), F.GroupID, COUNT(F.FID) FROM Fact F GROUP BY F.GroupID`, false},
+		{"scan-rename", `SELECT F.FID, F.DimID, F.GroupID, F.V FROM Fact F`, false},
+		{"wide", `SELECT F.FID, D.Label, F.V FROM Fact F, Dim D WHERE F.DimID = D.DimID AND F.V < 50`, true},
 	} {
 		plan := standardPlan(b, store, q.text)
 		if _, ok := plan.(*algebra.Project); !ok {
@@ -38,6 +49,11 @@ func BenchmarkResultPath(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/par%d", q.name, par), func(b *testing.B) {
 				benchRun(b, plan, store, exec.Options{Parallelism: par})
 			})
+			if q.governed {
+				b.Run(fmt.Sprintf("%s/par%d/ctx", q.name, par), func(b *testing.B) {
+					benchRun(b, plan, store, exec.Options{Parallelism: par, Context: ctx})
+				})
+			}
 		}
 	}
 }

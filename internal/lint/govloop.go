@@ -13,9 +13,10 @@ import (
 // the governor (tick, cancelled or charge) or pull from an Operator (Next)
 // somewhere in its body — or be nested inside a loop that does, which bounds
 // the ungoverned stretch to one outer iteration. The governor is nil-safe,
-// so the fix is always just a tick, and a tick is cheap: a fault-injector
-// step and a non-blocking receive on the context's done channel, which
-// writes nothing shared (governor.go).
+// so the fix is always just a tick, and a tick is cheap: one atomic load of
+// the flag the context's callback raises on cancellation, which writes
+// nothing shared — a fault-injector step and a non-blocking receive on the
+// context's done channel only under an injector (governor.go).
 var GovLoopAnalyzer = &Analyzer{
 	Name: "govloop",
 	Doc:  "every row or batch loop in the executor must tick the governor or check cancellation",

@@ -8,7 +8,8 @@ import (
 
 // Dict maps byte keys to dense ids, handed out in insertion order: the index
 // under every hashed store — the group table, the join table's partitions,
-// DISTINCT and a DISTINCT aggregate's value sets. It is an open-addressing
+// DISTINCT and a DISTINCT aggregate's value sets, a stored table's key
+// indexes. It is an open-addressing
 // table of {hash, record} slots — linear probing, never more than three
 // quarters full — over an arena of byte chunks holding one record per key:
 // its id, its length and its bytes. A lookup goes from the slot straight to

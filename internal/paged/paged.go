@@ -2,7 +2,7 @@
 // accumulator columns keep their per-group state in — element i lives at a
 // fixed place from the moment it is appended, and growing the array never
 // copies what is already there — and Dict, the byte-key index every hashed
-// store of the executor is built on.
+// store of the executor, and every key index of the table store, is built on.
 package paged
 
 // An Array's pages hold Size elements. Only the first page grows, doubling

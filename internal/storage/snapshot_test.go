@@ -165,10 +165,14 @@ func TestSnapshotConcurrentReadersVsWriter(t *testing.T) {
 					errs <- err
 					return
 				}
+				// Row i holds id i: the writer's later rows, cut from the
+				// same slab pages, never land on a captured one.
 				n := tab.Len()
-				sum := int64(0)
 				for i := 0; i < n; i++ {
-					sum += tab.Row(i)[0].Int()
+					if id := tab.Row(i)[0].Int(); id != int64(i) {
+						errs <- fmt.Errorf("snapshot row %d reads id %d", i, id)
+						return
+					}
 				}
 				// Re-read: same table version must yield the same data.
 				tab2, _ := snap.Table("t")

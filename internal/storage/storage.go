@@ -9,28 +9,23 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/expr"
+	"repro/internal/paged"
 	"repro/internal/schema"
 	"repro/internal/value"
 	"repro/internal/vec"
 )
 
-// Table holds the rows of one base table along with the uniqueness indexes
-// that enforce its key constraints.
+// Table is one version of a base table: its rows, and the writer state every
+// version of the table shares.
 type Table struct {
 	Def  *schema.Table
 	rows []value.Row
-	// keyIndex[i] maps the GroupKey of key i's columns to the count of
-	// rows holding that key value (always 0 or 1 once enforced).
-	keyIndex []map[string]int
-	// keyCols[i] are the column positions of key i.
-	keyCols [][]int
-	// boundChecks are the table's CHECK constraints (column-level and
-	// table-level), bound to row positions at table-creation time.
-	boundChecks []expr.Expr
+	w    *writer
 
 	// colMu guards the lazily built columnar projection; concurrent
 	// queries may race to build it for the same row snapshot.
@@ -38,6 +33,28 @@ type Table struct {
 	// colBatches is the cached columnar form of rows[:colRows].
 	colBatches []*vec.Batch
 	colRows    int
+}
+
+// writer is what only an insert touches, shared by every version of one
+// table: the slab stored rows are cut from, the uniqueness indexes that
+// enforce the table's keys, the bound constraints, and the scratch a row is
+// checked in before it is stored. Writers are serialized on the live store
+// and snapshots reject writes, so none of it is locked. The slab and the rows'
+// header slice are append-only: a version's readers never look past its own
+// rows, which no later insert writes.
+type writer struct {
+	slab value.Slab
+	// keys[i] holds the GroupKey bytes of key i's columns of every stored row
+	// (a candidate key's NULL-holding rows are exempt and absent).
+	keys []paged.Dict
+	// keyCols[i] are the column positions of key i; fkCols[i] those of
+	// foreign key i.
+	keyCols, fkCols [][]int
+	// checks are the table's CHECK constraints (column-level and
+	// table-level), bound to row positions at table-creation time.
+	checks []expr.Expr
+	row    value.Row // the row under check, coerced
+	key    []byte    // the key under check
 }
 
 // Len returns the number of rows.
@@ -166,14 +183,13 @@ func (s *Store) CreateTable(def *schema.Table) error {
 }
 
 func newTable(def *schema.Table) (*Table, error) {
-	t := &Table{Def: def}
+	w := &writer{keys: make([]paged.Dict, len(def.Keys)), row: make(value.Row, len(def.Columns))}
+	t := &Table{Def: def, w: w}
 	for _, k := range def.Keys {
-		cols := make([]int, len(k.Columns))
-		for i, name := range k.Columns {
-			cols[i] = def.ColumnIndex(name)
-		}
-		t.keyCols = append(t.keyCols, cols)
-		t.keyIndex = append(t.keyIndex, make(map[string]int))
+		w.keyCols = append(w.keyCols, columnPositions(def, k.Columns))
+	}
+	for _, fk := range def.ForeignKeys {
+		w.fkCols = append(w.fkCols, columnPositions(def, fk.Columns))
 	}
 	resolver := expr.ResolverFunc(func(id expr.ColumnID) (int, error) {
 		if id.Table != "" && id.Table != def.Name {
@@ -192,16 +208,25 @@ func newTable(def *schema.Table) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.boundChecks = append(t.boundChecks, bound)
+		w.checks = append(w.checks, bound)
 	}
 	for _, chk := range def.Checks {
 		bound, err := expr.Bind(chk, resolver)
 		if err != nil {
 			return nil, err
 		}
-		t.boundChecks = append(t.boundChecks, bound)
+		w.checks = append(w.checks, bound)
 	}
 	return t, nil
+}
+
+// columnPositions returns the positions of the named columns in def.
+func columnPositions(def *schema.Table, names []string) []int {
+	cols := make([]int, len(names))
+	for i, name := range names {
+		cols[i] = def.ColumnIndex(name)
+	}
+	return cols
 }
 
 // Table returns the named table instance — the version current at the
@@ -226,7 +251,9 @@ func (s *Store) table(name string) (*Table, error) {
 // Insert appends a row to the named table after enforcing every constraint:
 // arity and type conformance, NOT NULL, CHECK (a row is rejected only when
 // a check evaluates to false — unknown passes, per SQL2), PRIMARY KEY and
-// UNIQUE, and FOREIGN KEY (all-NULL-or-match).
+// UNIQUE, and FOREIGN KEY (all-NULL-or-match). The row is checked in the
+// table's scratch row, so a refused row is written nowhere; an accepted one
+// is copied once, into the table's slab.
 func (s *Store) Insert(table string, row value.Row) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -237,76 +264,68 @@ func (s *Store) Insert(table string, row value.Row) error {
 	if err != nil {
 		return err
 	}
-	def := t.Def
+	def, w := t.Def, t.w
 	if len(row) != len(def.Columns) {
 		return fmt.Errorf("storage: %s expects %d columns, got %d", table, len(def.Columns), len(row))
 	}
-	row = row.Clone()
 	for i, col := range def.Columns {
 		v := row[i]
-		if v.IsNull() {
-			if col.NotNull {
-				return fmt.Errorf("storage: %s.%s is NOT NULL", table, col.Name)
+		if !v.IsNull() {
+			if v, err = coerce(v, col.Type); err != nil {
+				return fmt.Errorf("storage: %s.%s: %w", table, col.Name, err)
 			}
-			continue
+		} else if col.NotNull {
+			return fmt.Errorf("storage: %s.%s is NOT NULL", table, col.Name)
 		}
-		coerced, err := coerce(v, col.Type)
-		if err != nil {
-			return fmt.Errorf("storage: %s.%s: %w", table, col.Name, err)
-		}
-		row[i] = coerced
+		w.row[i] = v
 	}
-	for _, chk := range t.boundChecks {
-		truth, err := expr.EvalTruth(chk, row, nil)
+	for _, chk := range w.checks {
+		truth, err := expr.EvalTruth(chk, w.row, nil)
 		if err != nil {
 			return fmt.Errorf("storage: %s: evaluating check: %w", table, err)
 		}
 		if truth == value.False {
-			return fmt.Errorf("storage: %s: check constraint (%s) violated by %s", table, chk, row)
+			return fmt.Errorf("storage: %s: check constraint (%s) violated by %s", table, chk, w.row)
 		}
 	}
-	keyStrings := make([]string, len(def.Keys))
 	for ki, k := range def.Keys {
-		cols := t.keyCols[ki]
-		if !k.Primary && anyNull(row, cols) {
-			// Candidate keys use UNIQUE-predicate semantics: a NULL
-			// in the key exempts the row from the uniqueness check.
-			keyStrings[ki] = ""
-			continue
-		}
-		key := value.GroupKey(row, cols)
-		if t.keyIndex[ki][key] > 0 {
+		if w.keyOf(ki, k.Primary) && w.keys[ki].Lookup(paged.Hash(w.key), w.key) >= 0 {
 			return fmt.Errorf("storage: %s: duplicate value for %s", table, k)
 		}
-		keyStrings[ki] = key
 	}
-	for _, fk := range def.ForeignKeys {
-		if err := s.checkForeignKey(def, fk, row); err != nil {
+	for fi, fk := range def.ForeignKeys {
+		if err := s.checkForeignKey(def, fk, w, w.fkCols[fi]); err != nil {
 			return err
 		}
 	}
-	for ki, key := range keyStrings {
-		if key != "" {
-			t.keyIndex[ki][key]++
+	for ki, k := range def.Keys {
+		if w.keyOf(ki, k.Primary) {
+			w.keys[ki].Append(paged.Hash(w.key), w.key)
 		}
 	}
-	// Copy-on-write publish: a fresh *Table carries the appended rows so
-	// snapshots holding the old version keep their exact multiset. The
-	// append may share the backing array — safe, because the old version's
-	// readers never index past its recorded length. The key indexes are
-	// shared and mutated in place: only writers consult them, and writers
-	// are serialized on the live store (snapshots reject writes outright).
-	// The columnar cache starts empty in the new version; old snapshots
-	// keep theirs.
-	s.tables[table] = &Table{
-		Def:         t.Def,
-		rows:        append(t.rows, row),
-		keyIndex:    t.keyIndex,
-		keyCols:     t.keyCols,
-		boundChecks: t.boundChecks,
-	}
+	// Copy-on-write publish: a fresh *Table carries the appended row so
+	// snapshots holding the old version keep their exact multiset. The row
+	// goes into the shared slab and its header onto the shared slice, both
+	// past everything an older version can reach. The columnar cache starts
+	// empty in the new version; old snapshots keep theirs.
+	s.tables[table] = &Table{Def: def, rows: append(t.rows, w.slab.Copy(w.row)), w: w}
 	s.epoch.Add(1)
 	return nil
+}
+
+// keyOf encodes key ki of the row under check into w.key. It reports false for
+// a row a candidate key exempts: UNIQUE-predicate semantics, under which a
+// NULL in the key takes the row out of the uniqueness check.
+func (w *writer) keyOf(ki int, primary bool) bool {
+	cols := w.keyCols[ki]
+	if !primary && anyNull(w.row, cols) {
+		return false
+	}
+	w.key = w.key[:0]
+	for _, c := range cols {
+		w.key = value.AppendGroupKey(w.key, w.row[c])
+	}
+	return true
 }
 
 // MustInsert inserts and panics on error; a convenience for workload
@@ -328,13 +347,10 @@ func anyNull(row value.Row, cols []int) bool {
 
 // checkForeignKey enforces MATCH SIMPLE semantics: if any referencing
 // column is NULL the constraint is satisfied; otherwise the value list must
-// equal the referenced key of some row in the referenced table.
-func (s *Store) checkForeignKey(def *schema.Table, fk schema.ForeignKey, row value.Row) error {
-	cols := make([]int, len(fk.Columns))
-	for i, name := range fk.Columns {
-		cols[i] = def.ColumnIndex(name)
-	}
-	if anyNull(row, cols) {
+// equal the referenced key of some row in the referenced table. The row is
+// w's row under check, cols the foreign key's positions in it.
+func (s *Store) checkForeignKey(def *schema.Table, fk schema.ForeignKey, w *writer, cols []int) error {
+	if anyNull(w.row, cols) {
 		return nil
 	}
 	// Called with mu held by Insert; use the unlocked lookup.
@@ -356,34 +372,30 @@ func (s *Store) checkForeignKey(def *schema.Table, fk schema.ForeignKey, row val
 		if !sameColumns(k.Columns, target) {
 			continue
 		}
-		// Reorder our values into the key's column order.
-		ordered := make(value.Row, len(target))
+		// Encode our values in the key's column order.
+		w.key = w.key[:0]
+		for _, keyCol := range k.Columns {
+			w.key = value.AppendGroupKey(w.key, w.row[cols[slices.Index(target, keyCol)]])
+		}
+		if ref.w.keys[ki].Lookup(paged.Hash(w.key), w.key) >= 0 {
+			return nil
+		}
+		ordered := make(value.Row, len(k.Columns))
 		for i, keyCol := range k.Columns {
-			for j, refCol := range target {
-				if refCol == keyCol {
-					ordered[i] = row[cols[j]]
-				}
-			}
+			ordered[i] = w.row[cols[slices.Index(target, keyCol)]]
 		}
-		probe := value.GroupKeyAll(ordered)
-		if ref.keyIndex[ki][probe] == 0 {
-			return fmt.Errorf("storage: %s: foreign key (%v) has no match in %s", def.Name, ordered, fk.RefTable)
-		}
-		return nil
+		return fmt.Errorf("storage: %s: foreign key (%v) has no match in %s", def.Name, ordered, fk.RefTable)
 	}
 	return fmt.Errorf("storage: foreign key target (%v) is not a key of %s", target, fk.RefTable)
 }
 
+// sameColumns reports whether a and b name the same columns, in any order.
 func sameColumns(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	set := make(map[string]bool, len(a))
-	for _, s := range a {
-		set[s] = true
-	}
 	for _, s := range b {
-		if !set[s] {
+		if !slices.Contains(a, s) {
 			return false
 		}
 	}

@@ -66,15 +66,11 @@ func (b *Batch) ReadRow(i int, scratch value.Row) value.Row {
 	return scratch
 }
 
-// MaterializeRow returns logical row i as a fresh row safe to retain.
-func (b *Batch) MaterializeRow(i int) value.Row {
-	return b.ReadRow(i, nil)
-}
-
-// AppendRows materializes every logical row onto dst in order.
-func (b *Batch) AppendRows(dst []value.Row) []value.Row {
+// AppendRows materializes every logical row onto dst in order, each row cut
+// from slab.
+func (b *Batch) AppendRows(dst []value.Row, slab *value.Slab) []value.Row {
 	for i, n := 0, b.Len(); i < n; i++ {
-		dst = append(dst, b.MaterializeRow(i))
+		dst = append(dst, b.ReadRow(i, slab.Make(len(b.Cols))))
 	}
 	return dst
 }

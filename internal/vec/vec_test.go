@@ -33,11 +33,12 @@ func TestColumnarizeRoundTrip(t *testing.T) {
 		rows := intRows(n, 5)
 		batches := Columnarize(rows, 3, BatchSize)
 		var got []value.Row
+		var slab value.Slab
 		for _, b := range batches {
 			if b.Len() > BatchSize {
 				t.Fatalf("n=%d: batch of %d rows exceeds BatchSize", n, b.Len())
 			}
-			got = b.AppendRows(got)
+			got = b.AppendRows(got, &slab)
 		}
 		if len(got) != n {
 			t.Fatalf("n=%d: round trip produced %d rows", n, len(got))
@@ -147,7 +148,7 @@ func TestSelectionVector(t *testing.T) {
 		if string(keys[i]) != want {
 			t.Fatalf("selected row %d: key %q, want %q", i, keys[i], want)
 		}
-		if got := view.MaterializeRow(i); !value.NullEqRows(got, rows[phys]) {
+		if got := view.ReadRow(i, nil); !value.NullEqRows(got, rows[phys]) {
 			t.Fatalf("selected row %d reads %s, want %s", i, got, rows[phys])
 		}
 	}
