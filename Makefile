@@ -107,10 +107,16 @@ recovery-oracle:
 # exactly the unbudgeted rows or a typed *SpillError, with zero live spill
 # files afterwards (internal/exec/disk_chaos_oracle_test.go), plus the
 # per-operator fault sweeps — each external path over a row and over a
-# columnar source — and the engine-level spill lifecycle tests.
+# columnar source — and the engine-level spill lifecycle tests; plus the
+# spill-capable hash join both ways (internal/exec/spill_join_test.go):
+# TestAdmittedSpillJoinStreams (an admitted build is the probe stage, so TopK
+# and COUNT(*) over it allocate the same at 10 000 and 160 000 probe rows) and
+# TestRefusedSpillJoinCuts (a refused build cuts the pipeline into the grace
+# path, rows as the reference evaluator's, no spill file left), and the two
+# spill analyze goldens.
 spill-oracle:
-	$(GO) test -race ./internal/exec -run 'TestDiskChaosOracle|TestSpillOperatorDiskFaults'
-	$(GO) test -race . -run 'TestSpillCompletes64KiB|TestSpillFailureFallsBack'
+	$(GO) test -race ./internal/exec -run 'TestDiskChaosOracle|TestSpillOperatorDiskFaults|TestAdmittedSpillJoinStreams|TestRefusedSpillJoinCuts'
+	$(GO) test -race . -run 'TestSpillCompletes64KiB|TestSpillFailureFallsBack|TestExplainAnalyzeGolden(SpillJoin|TopK)$$'
 
 # The query-service oracle under the race detector: the 64-session
 # HTTP-vs-direct differential (every response cell-for-cell and

@@ -113,7 +113,7 @@ type Options struct {
 	// alternative to reading the wall clock in executor code).
 	Clock obs.Clock
 	// Trace, when non-nil, records one hierarchical span per operator,
-	// mirroring the plan tree, begun/ended at operator Open/Close.
+	// mirroring the plan tree, begun and ended around the node's run.
 	Trace *obs.Tracer
 	// Context, when non-nil, bounds the execution: a cancelled or expired
 	// context aborts the query with ctx.Err() (context.Canceled or
@@ -138,9 +138,9 @@ type Options struct {
 	// temp-file manager instead of aborting with a *ResourceError. Results
 	// are byte-identical to the in-memory execution. Disk failures (and
 	// injected disk faults) surface as typed *SpillError values; temp files
-	// are removed by operator Close, so the manager's Live() count is 0
-	// after every run. Without a budget the manager is ignored — nothing
-	// can trigger a spill.
+	// are removed by the operator that made them before its rows move on,
+	// so the manager's Live() count is 0 after every run. Without a budget
+	// the manager is ignored — nothing can trigger a spill.
 	Spill *storage.SpillManager
 	// Vectorize makes the plan's leaves sources in columnar form (package
 	// vec: typed column vectors with null bitmaps, 1024-row batches) — the
@@ -192,7 +192,7 @@ func Run(root algebra.Node, store *storage.Store, opts *Options) (res *Result, e
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			// A panic unwinds past every operator Close, so any spill files
+			// A panic unwinds past every operator's sweep, so any spill files
 			// the run created are still on disk; sweep them here so the
 			// "zero live files after Run" contract holds on panic paths too.
 			if opts.Spill != nil {
@@ -224,7 +224,13 @@ func Run(root algebra.Node, store *storage.Store, opts *Options) (res *Result, e
 	if err != nil {
 		return nil, err
 	}
-	rows, err := out.rows()
+	// A root that is a leaf or a breaker ticks once more: the end of its rows
+	// is a governed event, like each of them.
+	last := out.pipe.src != nil && len(out.pipe.stages) == 0
+	rows, err := out.pipe.collect()
+	if err == nil && last {
+		err = c.gov.tick()
+	}
 	if opts.Metrics != nil && c.gov != nil {
 		opts.Metrics.SetBudgetUsed(c.gov.usedBytes())
 		if sp := c.gov.spilledBytes(); sp > 0 {
@@ -240,27 +246,16 @@ func Run(root algebra.Node, store *storage.Store, opts *Options) (res *Result, e
 	return &Result{Schema: root.Schema(), Rows: rows}, nil
 }
 
-// compiled is what a plan node lowers to — a breaker or a leaf that is opened
-// (op), or the pipeline whose topmost stage the node is (pipe), never both —
-// with its output-order guarantee: order lists the output column positions
-// the stream is sorted by (ascending under value.OrderKey); nil means no
-// guarantee. The compiler propagates this "interesting order" property to
-// skip redundant sorts — the paper's Section 7 observation that grouped
-// output arrives sorted on the grouping columns and downstream operators can
-// exploit it.
+// compiled is what a plan node lowers to — the pipeline whose topmost stage or
+// source the node is — with its output-order guarantee: order lists the
+// output column positions the stream is sorted by (ascending under
+// value.OrderKey); nil means no guarantee. The compiler propagates this
+// "interesting order" property to skip redundant sorts — the paper's Section
+// 7 observation that grouped output arrives sorted on the grouping columns and
+// downstream operators can exploit it.
 type compiled struct {
-	op    Operator
 	pipe  *pipeOp
 	order []int
-}
-
-// rows materializes the node's output: a pipeline's collection in morsel
-// order, an operator pulled to its end.
-func (c compiled) rows() ([]value.Row, error) {
-	if c.pipe != nil {
-		return c.pipe.collect()
-	}
-	return drain(c.op)
 }
 
 // orderedPrefixSet reports whether the first len(cols) entries of order
@@ -283,54 +278,6 @@ func orderedPrefixSet(order []int, cols []int) bool {
 	return true
 }
 
-// Operator is a pull-based physical operator.
-type Operator interface {
-	// Open prepares the operator for iteration.
-	Open() error
-	// Next returns the next row; ok is false at end of stream.
-	Next() (row value.Row, ok bool, err error)
-	// Close releases resources. It is safe after a failed Open.
-	Close() error
-}
-
-// drain pulls an operator to completion — unless it is resident under its
-// wrappers (a finished breaker, a table, literal rows): then it is a
-// collection of no stages, and its rows are handed over, ticked and counted
-// as its wrappers' Next would have done them, with the tick of the pull that
-// finds the end.
-func drain(op Operator) ([]value.Row, error) {
-	if m, gov, src := unwrap(op); src != nil {
-		rows, err := (&pipeOp{src: src, srcOut: m, par: 1, gov: gov}).collect()
-		if err == nil {
-			err = gov.tick()
-		}
-		if err != nil {
-			return nil, err
-		}
-		return rows, nil
-	}
-	if err := op.Open(); err != nil {
-		op.Close()
-		return nil, err
-	}
-	var rows []value.Row
-	for {
-		row, ok, err := op.Next()
-		if err != nil {
-			op.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		rows = append(rows, row)
-	}
-	if err := op.Close(); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
 // compiler lowers logical nodes to physical operators.
 type compiler struct {
 	store *storage.Store
@@ -344,7 +291,7 @@ type compiler struct {
 	span *obs.Span
 	// gov is the execution's lifecycle governor; nil when no cancellation
 	// context, memory budget or fault injector is configured, in which
-	// case no governOp wrappers are inserted either.
+	// case nothing ticks.
 	gov *governor
 	// spill is the temp-file manager behind the state stores' external
 	// paths; nil when spilling is off (no manager, or no budget to
@@ -368,24 +315,15 @@ func (c *compiler) compile(n algebra.Node) (compiled, error) {
 	if err != nil {
 		return compiled{}, err
 	}
-	if p := out.pipe; p != nil {
-		// The node runs inside a pipeline and is never pulled: its rows are
-		// ticked and counted in a stage, once per chunk, not in a wrapper's Next.
-		observed := c.opts.Metrics != nil || span != nil
-		if c.gov != nil || observed {
-			var m *metricOp
-			if observed {
-				m = &metricOp{metrics: c.nodeMetrics(n), clock: c.clock, span: span}
-			}
-			p.meter(m)
+	// The node's rows are ticked and counted by the runner: in a stage, once
+	// per chunk, or in its loop over the source the node is.
+	observed := c.opts.Metrics != nil || span != nil
+	if c.gov != nil || observed {
+		var m *metricOp
+		if observed {
+			m = &metricOp{metrics: c.nodeMetrics(n), clock: c.clock, span: span}
 		}
-		return out, nil
-	}
-	if c.gov != nil {
-		out.op = &governOp{inner: out.op, gov: c.gov}
-	}
-	if c.opts.Metrics != nil || span != nil {
-		out.op = &metricOp{inner: out.op, metrics: c.nodeMetrics(n), clock: c.clock, span: span}
+		out.pipe.meter(m)
 	}
 	return out, nil
 }
@@ -411,7 +349,7 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 		}
 		// Filtering preserves order (a pipeline's chunks are collected in
 		// input order, so it does at any worker count).
-		p, gov, params := c.pipeline(in, n), c.gov, c.opts.Params
+		p, gov, params := in.pipeline(n), c.gov, c.opts.Params
 		if p.inBatches() {
 			p.add(stage{metrics: c.nodeMetrics(n), batch: c.filterBatches(cond)}, true)
 			return compiled{pipe: p, order: in.order}, nil
@@ -461,7 +399,7 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 			}
 			order = append(order, mapped)
 		}
-		p, gov, params := c.pipeline(in, n), c.gov, c.opts.Params
+		p, gov, params := in.pipeline(n), c.gov, c.opts.Params
 		if cols, bare := bareColumns(items); bare && !node.Distinct {
 			if slices.Equal(cols, firstColumns(len(inSchema))) {
 				// The input's columns in order under other names — the paper's
@@ -490,7 +428,7 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 			}
 		}}, true)
 		if node.Distinct {
-			return compiled{op: &distinctOp{input: p, gov: gov}, order: order}, nil
+			return compiled{pipe: c.source(&distinctOp{input: p, gov: gov}, n), order: order}, nil
 		}
 		return compiled{pipe: p, order: order}, nil
 	case *algebra.Product:
@@ -528,10 +466,8 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 		if !allAsc {
 			outOrder = nil // mixed directions: no OrderKey-ascending guarantee
 		}
-		return compiled{
-			op:    &sortOp{input: c.pipeline(in, n), keys: keys, par: c.stateWorkers(), gov: c.gov, mgr: c.spill, metrics: c.nodeMetrics(n), where: n.Describe()},
-			order: outOrder,
-		}, nil
+		op := &sortOp{input: in.pipeline(n), keys: keys, par: c.stateWorkers(), gov: c.gov, mgr: c.spill, metrics: c.nodeMetrics(n), where: n.Describe()}
+		return compiled{pipe: c.source(op, n), order: outOrder}, nil
 	case *algebra.Limit:
 		return c.compileLimit(node)
 	default:
@@ -559,7 +495,7 @@ func (c *compiler) leaf(n algebra.Node, tab *storage.Table, rows []value.Row) co
 	if tab != nil {
 		rows = tab.Rows()
 	}
-	return compiled{op: &leafOp{rows: rows}}
+	return compiled{pipe: c.source(leafRows(rows), n)}
 }
 
 // hasSequencePrefix reports whether order starts with exactly the sequence
@@ -576,18 +512,12 @@ func hasSequencePrefix(order, want []int) bool {
 	return true
 }
 
-// leafOp is a leaf in row form: a stored table's rows, a Values literal's or
-// rows bound through Options.Sources. They are resident from the start and
-// none of them is the run's own, so a result takes them in a fresh header
-// slice.
-type leafOp struct {
-	rows []value.Row
-	bufOp
-}
+// leafRows is a leaf in row form: a stored table's rows, a Values literal's or
+// rows bound through Options.Sources. None of them is the run's own, so a
+// result takes them in a fresh header slice (collect).
+type leafRows []value.Row
 
-func (l *leafOp) Open() error { l.reset(l.rows); return nil }
-
-func (l *leafOp) take() []value.Row { return slices.Clone(l.bufOp.take()) }
+func (l leafRows) open() ([]value.Row, *mergeIter, error) { return l, nil, nil }
 
 // distinctSet is DISTINCT's memory: the canonical key of every row seen, in a
 // paged.Dict. A row is looked up by its key bytes in a reused buffer, and a
@@ -630,19 +560,18 @@ func (d *distinctSet) first(row value.Row) bool {
 type distinctOp struct {
 	input *pipeOp
 	gov   *governor
-	bufOp
 }
 
-func (d *distinctOp) Open() error {
+func (d *distinctOp) open() ([]value.Row, *mergeIter, error) {
 	rows, err := d.input.collect()
 	if err != nil || len(rows) == 0 {
-		return err
+		return nil, nil, err
 	}
 	seen := newDistinctSet(len(rows[0]))
 	out := rows[:0]
 	for _, row := range rows {
 		if err := d.gov.tick(); err != nil {
-			return err
+			return nil, nil, err
 		}
 		if seen.first(row) {
 			out = append(out, row)
@@ -658,18 +587,15 @@ func (d *distinctOp) Open() error {
 		slab := make([]value.Value, len(out)*width)
 		for i, row := range out {
 			if err := d.gov.cancelled(); err != nil {
-				return err
+				return nil, nil, err
 			}
 			kept[i] = slab[i*width : (i+1)*width : (i+1)*width]
 			copy(kept[i], row)
 		}
 		out = kept
 	}
-	d.reset(out)
-	return nil
+	return out, nil, nil
 }
-
-func (d *distinctOp) Close() error { return nil }
 
 // projectInto evaluates the item expressions over one row into out.
 func projectInto(out value.Row, items []expr.Expr, row value.Row, params expr.Params) error {

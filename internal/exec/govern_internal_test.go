@@ -16,7 +16,7 @@ import (
 )
 
 // These tests pin the lifecycle-governance layer: no governance option set
-// means no governOp wrapper and an unchanged row path; a cancelled context
+// means no governor and nothing metered; a cancelled context
 // aborts within a bounded number of row events; a memory budget trips a
 // typed *ResourceError on the exact allocation that crosses it; and a panic
 // anywhere inside execution surfaces as a typed *ExecPanicError with every
@@ -61,21 +61,26 @@ func govJoinPlan(n, keys int) *algebra.Join {
 
 // TestGovernanceDisabledInsertsNoWrapper: with no context, budget or fault
 // injector — including a plain context.Background(), which can never be
-// cancelled — compile produces the bare operator tree, exactly as before
-// governance existed. Any real governance option produces the wrapper.
+// cancelled — there is no governor, and compile meters nothing: no source and
+// no stage ticks. Any real governance option makes a governor, and every node
+// is metered — the leaf on the runner, the filter on its stage — though no
+// observability sink is on.
 func TestGovernanceDisabledInsertsNoWrapper(t *testing.T) {
+	compile := func(opts *Options) *pipeOp {
+		c := &compiler{opts: opts, par: 1, clock: nil}
+		c.gov = newGovernor(opts)
+		out, err := c.compile(filterOf(valuesPlan(3), "t"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.pipe
+	}
 	for name, opts := range map[string]*Options{
 		"zero-options":       {},
 		"background-context": {Context: context.Background()},
 	} {
-		c := &compiler{opts: opts, par: 1, clock: nil}
-		c.gov = newGovernor(opts)
-		out, err := c.compile(valuesPlan(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := out.op.(*governOp); ok {
-			t.Errorf("%s: compile inserted a governOp with governance off", name)
+		if p := compile(opts); p.gov != nil || metered(p) {
+			t.Errorf("%s: compile made a governor (%v) or metered a node with governance off", name, p.gov != nil)
 		}
 	}
 
@@ -86,43 +91,37 @@ func TestGovernanceDisabledInsertsNoWrapper(t *testing.T) {
 		"memory-budget":      {MemoryBudget: 1 << 20},
 		"fault-injector":     {Faults: fault.New(nil)},
 	} {
-		c := &compiler{opts: opts, par: 1, clock: nil}
-		c.gov = newGovernor(opts)
-		out, err := c.compile(valuesPlan(3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := out.op.(*governOp); !ok {
-			t.Errorf("%s: compile produced %T, want a *governOp wrapper", name, out.op)
+		if p := compile(opts); p.gov == nil || !p.srcMetered || len(p.stages) != 1 || !p.stages[0].metered {
+			t.Errorf("%s: compile made governor %v, metered the leaf %v and the stages %v: want a governor and both metered", name, p.gov, p.srcMetered, p.stages)
 		}
 	}
 }
 
-// TestGovernedRowPathZeroAllocs: the governed row path — context polling
-// plus budget accounting per pulled row — allocates nothing per row, just
-// like the instrumented metrics path.
+// TestGovernedRowPathZeroAllocs: the governed row path — a context poll per
+// row and budget accounting — allocates nothing per row, just like the
+// instrumented metrics path: a whole Run allocates as often over four times
+// the rows, give or take the race runtime's own.
 func TestGovernedRowPathZeroAllocs(t *testing.T) {
-	const runs = 1000
+	const small, large, perMorsel = 10 * MorselSize, 40 * MorselSize, 24
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := &Options{Context: ctx, MemoryBudget: 1 << 30}
-	c := &compiler{opts: opts, par: 1, clock: nil}
-	c.gov = newGovernor(opts)
-	out, err := c.compile(valuesPlan(runs + 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := out.op.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer out.op.Close()
-	avg := testing.AllocsPerRun(runs, func() {
-		if _, ok, err := out.op.Next(); !ok || err != nil {
-			t.Fatalf("Next: ok=%v err=%v", ok, err)
+	opts := func() *Options { return &Options{Context: ctx, MemoryBudget: 1 << 30} }
+	for _, tc := range []struct {
+		name    string
+		plan    func(n int) algebra.Node
+		morsels bool // each morsel grows a collected output slice of its own
+	}{
+		{"scan", func(n int) algebra.Node { return valuesPlan(n) }, false},
+		{"scan → filter", func(n int) algebra.Node { return filterOf(valuesPlan(n), "t") }, true},
+	} {
+		got := runAllocs(t, tc.plan(large), opts, large) - runAllocs(t, tc.plan(small), opts, small)
+		want := float64(perMorsel)
+		if tc.morsels {
+			want += float64(perMorsel * (large - small) / MorselSize)
 		}
-	})
-	if avg != 0 {
-		t.Errorf("governed row path allocates %.2f times per row, want 0", avg)
+		if got > want {
+			t.Errorf("%s: %d more governed rows allocate %.0f times more, want at most %.0f (none per row)", tc.name, large-small, got, want)
+		}
 	}
 }
 

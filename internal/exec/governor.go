@@ -3,9 +3,8 @@
 // the byte budget and the fault injector; every method is nil-receiver
 // safe, so operators call g.tick()/g.charge() unconditionally and the
 // ungoverned path costs one nil check. When no governance option is set the
-// compiler builds no governor and inserts no governOp wrappers at all, so
-// the disabled row path is byte-identical to the pre-governance executor
-// (TestGovernanceRowPathZeroAllocs pins the allocation profile).
+// compiler builds no governor and meters nothing for it
+// (TestGovernanceDisabledInsertsNoWrapper pins it).
 package exec
 
 import (
@@ -15,7 +14,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fault"
-	"repro/internal/value"
 )
 
 // governor is one execution's lifecycle state.
@@ -206,35 +204,6 @@ func (g *governor) usedBytes() int64 {
 	}
 	return g.used.Load()
 }
-
-// governOp is the wrapper the compiler inserts around every pulled physical
-// operator when a governor exists: one governance tick per pulled row, and
-// a context poll at Open so a cancelled query never starts new operators.
-// Like metricOp it is compile-time-only plumbing — with governance off the
-// wrapper does not exist. A node that runs inside a pipeline is not pulled:
-// the pipeline polls the context when it starts and ticks once per row — per
-// batch, while the chain is in batches — the node puts out, in a stage
-// (pipeOp.meterFn, meterBatch).
-type governOp struct {
-	inner Operator
-	gov   *governor
-}
-
-func (o *governOp) Open() error {
-	if err := o.gov.cancelled(); err != nil {
-		return err
-	}
-	return o.inner.Open()
-}
-
-func (o *governOp) Next() (value.Row, bool, error) {
-	if err := o.gov.tick(); err != nil {
-		return nil, false, err
-	}
-	return o.inner.Next()
-}
-
-func (o *governOp) Close() error { return o.inner.Close() }
 
 // panicError converts a recovered panic value into a typed error,
 // preserving an already-typed *ExecPanicError from a nested recovery.

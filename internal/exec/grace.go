@@ -11,11 +11,11 @@ import (
 // its build table and a spill manager is present. Both sides are
 // hash-partitioned to temp files and each partition pair is joined on its
 // own, re-partitioning with a rehash when a partition's table is refused
-// again. The left pipeline runs as one in-order chunk and its rows go to the
-// partition files as they are emitted. Probe records carry their arrival seq;
-// a probe row lands in exactly one partition and partition files keep build
-// order, so a stable sort of the collected matches by probe seq is exactly
-// the in-memory output order.
+// again. The pipeline below the refused stage runs as one in-order chunk and
+// its rows go to the partition files as they are emitted. Probe records carry
+// their arrival seq; a probe row lands in exactly one partition and partition
+// files keep build order, so a stable sort of the collected matches by probe
+// seq is exactly the in-memory output order.
 
 // Grace hash join parameters: the partition fan-out and the recursion bound
 // after which a partition is built in memory regardless of the budget (pure
@@ -41,37 +41,42 @@ func gracePartition(key []byte, depth int) int {
 // rowFeed hands a level's probe records, in order, to fn.
 type rowFeed func(fn func(spillRow) error) error
 
-// openGrace runs the grace join over the drained build side and the left
-// pipeline, whose rows go to the partition files as they are emitted, leaving
-// the joined rows buffered in output order.
-func (j *hashJoinOp) openGrace(rrows []value.Row) error {
+// graceJoin runs the grace join over the refused table's build rows and the
+// left side, which left hands over row by row in order — the rows go to the
+// partition files as they come — and returns the joined rows in output order.
+// Every partition file is swept before it returns.
+func (j *hashJoinOp) graceJoin(left func(emitFn) error) (out []value.Row, err error) {
+	defer func() {
+		if derr := discardAll(j.files); derr != nil && err == nil {
+			out, err = nil, derr
+		}
+	}()
 	var build []spillRow // build rows under their insertion seq
-	for _, row := range rrows {
+	for _, row := range j.table.rows {
 		if err := j.gov.tick(); err != nil {
-			return err
+			return nil, err
 		}
 		if !anyNullAt(row, j.rcols) {
 			build = append(build, spillRow{seq: int64(len(build)), row: row})
 		}
 	}
 	var matches []spillRow // joined rows under their probe seq
-	err := j.grace(build, func(fn func(spillRow) error) error {
+	err = j.grace(build, func(fn func(spillRow) error) error {
 		seq := int64(-1)
-		return j.left.each(func(row value.Row) error {
+		return left(func(row value.Row) error {
 			seq++
 			return fn(spillRow{seq: seq, row: row})
 		})
 	}, 0, &matches)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	sort.SliceStable(matches, func(a, b int) bool { return matches[a].seq < matches[b].seq })
-	out := make([]value.Row, len(matches))
+	out = make([]value.Row, len(matches))
 	for i, m := range matches {
 		out[i] = m.row
 	}
-	j.reset(out)
-	return nil
+	return out, nil
 }
 
 // each is a partition file's records as a rowFeed.
@@ -87,8 +92,8 @@ func (s *spillFile) each(fn func(spillRow) error) error {
 	}
 }
 
-// newPartitionFiles makes one spill file per partition, all tracked for
-// Close-time sweeping.
+// newPartitionFiles makes one spill file per partition, all tracked for the
+// sweep at the end of graceJoin.
 func (j *hashJoinOp) newPartitionFiles(tag string) []*spillFile {
 	parts := make([]*spillFile, graceParts)
 	for i := range parts {

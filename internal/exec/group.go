@@ -85,19 +85,19 @@ func (c *compiler) compileGroupBy(node *algebra.GroupBy) (compiled, error) {
 				}
 			}
 		}
-		base.input = c.pipeline(in, node)
-		return compiled{op: &sortGroupOp{groupCore: base, preSorted: preSorted}, order: outOrder}, nil
+		base.input = in.pipeline(node)
+		return compiled{pipe: c.source(&sortGroupOp{groupCore: base, preSorted: preSorted}, node), order: outOrder}, nil
 	default:
-		base.input = c.pipeline(in, node)
-		return compiled{op: &hashGroupOp{groupCore: base}}, nil
+		base.input = in.pipeline(node)
+		return compiled{pipe: c.source(&hashGroupOp{groupCore: base}, node)}, nil
 	}
 }
 
 // stateWorkers is the worker count of the operators that hold budget-admitted
 // state — hash join, grouping, sort. A spill-capable run gives them one
-// worker, and they take their input as rows in order (a columnar pipeline
-// below them stays in batches up to that point): refusal releases a whole
-// store, which only a store with a single builder can do.
+// worker, and they take their input as rows (a columnar pipeline below them
+// stays in batches up to that point): refusal releases a whole store, which
+// only a store with a single builder can do.
 func (c *compiler) stateWorkers() int {
 	if c.spill != nil || c.par < 1 {
 		return 1
@@ -118,17 +118,6 @@ type groupCore struct {
 	mgr       *storage.SpillManager // nil: a budget breach aborts; else it takes the external path
 	par       int                   // workers: partial tables, or the in-memory sort
 	where     string                // plan-node description for errors
-
-	sorter *extSorter // run files of the sort path, swept at Close
-	bufOp
-}
-
-// Close sweeps the sort path's run files, if it ran.
-func (g *groupCore) Close() error {
-	if g.sorter != nil {
-		return g.sorter.close()
-	}
-	return nil
 }
 
 // addItem compiles one bound aggregate item, binding each aggregate subterm
@@ -231,7 +220,7 @@ func (s *partialTables) bind(worker, chunk int) (emitFn, error) {
 // worker — which are combined in chunk order. It is for the runs that read a
 // row once: a breach of the budget aborts (or, for the scalar group, nothing
 // is charged at all); hashAggregate serves the runs that read rows twice.
-func (g *groupCore) foldPipeline() error {
+func (g *groupCore) foldPipeline() ([]value.Row, error) {
 	if g.input.inBatches() {
 		g.ran("vec-hash")
 		g.initAggCols()
@@ -240,7 +229,7 @@ func (g *groupCore) foldPipeline() error {
 	}
 	s := &partialTables{g: g}
 	if err := g.input.run(s); err != nil {
-		return err
+		return nil, err
 	}
 	for _, t := range s.tables {
 		g.recordBuild(t.n, t.index.KeyBytes())
@@ -252,21 +241,21 @@ func (g *groupCore) foldPipeline() error {
 // It holds the rows because it may read them twice: when the budget refuses a
 // group the table is released and the whole input goes to sort-based
 // aggregation with hash-order output instead.
-func (g *groupCore) hashAggregate(rows []value.Row) error {
+func (g *groupCore) hashAggregate(rows []value.Row) ([]value.Row, error) {
 	g.ran("hash")
 	t, err := g.newTable()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, row := range rows {
 		if err := g.gov.tick(); err != nil {
-			return err
+			return nil, err
 		}
 		if err := t.add(row); err == errRefused {
 			g.ran("external")
 			return g.sortAggregate(rows, true)
 		} else if err != nil {
-			return err
+			return nil, err
 		}
 	}
 	g.recordBuild(t.n, t.index.KeyBytes())
@@ -277,12 +266,12 @@ func (g *groupCore) hashAggregate(rows []value.Row) error {
 // the resulting first-appearance order. Under exact arithmetic the result is
 // bit-identical for any chunk count, since the accumulator fold visits rows
 // in the same relative order.
-func (g *groupCore) combine(tables []*groupTable) error {
+func (g *groupCore) combine(tables []*groupTable) ([]value.Row, error) {
 	if len(tables) == 0 {
 		// Empty input: no groups, or the scalar group's single state.
 		t, err := g.newTable()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		g.recordBuild(t.n, 0)
 		tables = []*groupTable{t}
@@ -290,7 +279,7 @@ func (g *groupCore) combine(tables []*groupTable) error {
 	t := tables[0]
 	for _, src := range tables[1:] {
 		if err := t.absorb(src); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	// Ids are first-appearance order, so walking them is the output order;
@@ -301,12 +290,11 @@ func (g *groupCore) combine(tables []*groupTable) error {
 		start := len(slab)
 		var err error
 		if slab, err = t.appendRow(id, slab); err != nil {
-			return err
+			return nil, err
 		}
 		out[id] = slab[start:len(slab):len(slab)]
 	}
-	g.reset(out)
-	return nil
+	return out, nil
 }
 
 // bySeq sorts finished group rows by the arrival seqs of their groups' first
@@ -328,57 +316,62 @@ func (s bySeq) Swap(i, j int) {
 // the canonical GroupKey prepended as a column (equal keys ⟺ equal strings),
 // and first-appearance output order is restored from their arrival seqs.
 // Otherwise rows sort on the grouping columns themselves and the output is
-// in grouping-key order.
-func (g *groupCore) sortAggregate(rows []value.Row, byKey bool) error {
+// in grouping-key order. The sorter's run files are swept before it returns.
+func (g *groupCore) sortAggregate(rows []value.Row, byKey bool) (out []value.Row, err error) {
 	cmp := func(a, b value.Row) int { return compareAt(a, g.groupCols, b, g.groupCols) }
 	if byKey {
 		cmp = func(a, b value.Row) int { return strings.Compare(a[0].Str(), b[0].Str()) }
 	}
-	g.sorter = &extSorter{gov: g.gov, mgr: g.mgr, metrics: g.metrics, op: g.where, par: g.par, cmp: cmp}
+	sorter := &extSorter{gov: g.gov, mgr: g.mgr, metrics: g.metrics, op: g.where, par: g.par, cmp: cmp}
+	defer func() {
+		if cerr := sorter.close(); err == nil {
+			err = cerr
+		}
+	}()
 	if byKey {
 		for _, row := range rows {
 			if err := g.gov.tick(); err != nil {
-				return err
+				return nil, err
 			}
 			rec := append(value.Row{value.NewString(value.GroupKey(row, g.groupCols))}, row...)
-			if err := g.sorter.add(rec, rowStateBytes(rec)); err != nil {
-				return err
+			if err := sorter.add(rec, rowStateBytes(rec)); err != nil {
+				return nil, err
 			}
 		}
-	} else if err := g.sorter.addAll(rows); err != nil {
-		return err
+	} else if err := sorter.addAll(rows); err != nil {
+		return nil, err
 	}
-	it, err := g.sorter.finish()
+	it, err := sorter.finish()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	add, done, err := g.streamGroups(byKey)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for {
 		sr, ok, err := it.next()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !ok {
 			return done()
 		}
 		if err := add(sr); err != nil {
-			return err
+			return nil, err
 		}
 	}
 }
 
 // streamGroups aggregates contiguous groups off a sorted stream, one live
 // state at a time: add takes the stream's records in order — their rows are
-// not kept — and done finishes the last group and hands the operator its
-// output. Finished groups are finalized at once, which is the whole point of
-// sorting first. With a spill manager a state is charged on group start and
-// released on finalize (proceeding uncharged if even one state is refused);
-// without one every group is charged and stays charged. No table is built, so
-// no build statistics are recorded.
-func (g *groupCore) streamGroups(byKey bool) (add func(spillRow) error, done func() error, err error) {
+// not kept — and done finishes the last group and returns the output.
+// Finished groups are finalized at once, which is the whole point of sorting
+// first. With a spill manager a state is charged on group start and released
+// on finalize (proceeding uncharged if even one state is refused); without one
+// every group is charged and stays charged. No table is built, so no build
+// statistics are recorded.
+func (g *groupCore) streamGroups(byKey bool) (add func(spillRow) error, done func() ([]value.Row, error), err error) {
 	adm := admissionFor(g.gov, g.mgr, g.where)
 	var out []value.Row
 	var firstSeqs []int64 // byKey only, parallel to out
@@ -436,15 +429,14 @@ func (g *groupCore) streamGroups(byKey bool) (add func(spillRow) error, done fun
 		}
 		return accs.feed(0, row)
 	}
-	done = func() error {
+	done = func() ([]value.Row, error) {
 		if err := finish(); err != nil {
-			return err
+			return nil, err
 		}
 		if byKey {
 			sort.Sort(bySeq{seqs: firstSeqs, rows: out})
 		}
-		g.reset(out)
-		return nil
+		return out, nil
 	}
 	return add, done, nil
 }
@@ -452,23 +444,28 @@ func (g *groupCore) streamGroups(byKey bool) (add func(spillRow) error, done fun
 // hashGroupOp groups via hash tables keyed by the =ⁿ-respecting GroupKey. It
 // holds G states and never the N rows: it is the sink of its input's pipeline
 // — one partial table per chunk, one chunk per worker, fed by the chunk's
-// stages. Only a spill-capable run materializes the input first, because a
-// refused table re-reads the rows for the external sort. Output order is
-// first-appearance order of groups (deterministic for a deterministic input
-// order), at any worker count and on either side of the spill decision.
+// stages. Only a spill-capable run with grouping columns materializes the
+// input first, because a refused table re-reads the rows for the external
+// sort; the scalar group's one state never spills, so it always folds. Output
+// order is first-appearance order of groups (deterministic for a
+// deterministic input order), at any worker count and on either side of the
+// spill decision.
 type hashGroupOp struct {
 	groupCore
 }
 
-func (g *hashGroupOp) Open() error {
-	if g.mgr != nil {
-		rows, err := g.input.collect()
-		if err != nil {
-			return err
+func (g *hashGroupOp) open() ([]value.Row, *mergeIter, error) {
+	var out []value.Row
+	var err error
+	if g.mgr != nil && !g.scalarGroup() {
+		var rows []value.Row
+		if rows, err = g.input.collect(); err == nil {
+			out, err = g.hashAggregate(rows)
 		}
-		return g.hashAggregate(rows)
+	} else {
+		out, err = g.foldPipeline()
 	}
-	return g.foldPipeline()
+	return out, nil, err
 }
 
 // sortGroupOp aggregates each run of =ⁿ-equal keys off a key-ordered stream
@@ -483,7 +480,12 @@ type sortGroupOp struct {
 	preSorted bool
 }
 
-func (g *sortGroupOp) Open() error {
+func (g *sortGroupOp) open() ([]value.Row, *mergeIter, error) {
+	out, err := g.aggregate()
+	return out, nil, err
+}
+
+func (g *sortGroupOp) aggregate() ([]value.Row, error) {
 	if g.scalarGroup() {
 		// One group: nothing to sort, and one state never needs to spill.
 		return g.foldPipeline()
@@ -492,16 +494,16 @@ func (g *sortGroupOp) Open() error {
 		g.ran("stream")
 		add, done, err := g.streamGroups(false)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := g.input.each(func(row value.Row) error { return add(spillRow{row: row}) }); err != nil {
-			return err
+			return nil, err
 		}
 		return done()
 	}
 	rows, err := g.input.collect()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	g.ran("sort")
 	return g.sortAggregate(rows, false)
@@ -533,7 +535,8 @@ func cmpByKeys(keys []sortKey, a, b value.Row) int {
 // budget, sorted runs go to disk when it refuses a row and the runs are k-way
 // merged on output, so no row is held unaccounted; without one the sort stays
 // in memory, unaccounted, adopts the pipeline's collection and runs on par
-// workers. The result is byte-identical either way.
+// workers. The result is byte-identical either way: rows in sorted order, or
+// the merge of the runs, which the runner reads and closes.
 type sortOp struct {
 	input   *pipeOp
 	keys    []sortKey
@@ -542,13 +545,10 @@ type sortOp struct {
 	mgr     *storage.SpillManager
 	metrics *obs.OpMetrics
 	where   string
-
-	sorter *extSorter
-	it     *mergeIter
 }
 
-func (s *sortOp) Open() error {
-	s.sorter = &extSorter{
+func (s *sortOp) open() ([]value.Row, *mergeIter, error) {
+	x := &extSorter{
 		gov: s.gov, mgr: s.mgr, metrics: s.metrics, op: s.where, par: s.par,
 		cmp: func(a, b value.Row) int { return cmpByKeys(s.keys, a, b) },
 	}
@@ -556,28 +556,24 @@ func (s *sortOp) Open() error {
 	if s.mgr == nil {
 		var rows []value.Row
 		if rows, err = s.input.collect(); err == nil {
-			err = s.sorter.addAll(rows)
+			err = x.addAll(rows)
 		}
 	} else {
 		err = s.input.each(func(row value.Row) error {
-			return s.sorter.add(s.input.keep(row), rowStateBytes(row))
+			return x.add(s.input.keep(row), rowStateBytes(row))
 		})
 	}
-	if err != nil {
-		return err
+	var it *mergeIter
+	if err == nil {
+		it, err = x.finish()
 	}
-	s.it, err = s.sorter.finish()
-	return err
-}
-
-func (s *sortOp) Next() (value.Row, bool, error) {
-	sr, ok, err := s.it.next()
-	return sr.row, ok, err
-}
-
-func (s *sortOp) Close() error {
-	if s.sorter != nil {
-		return s.sorter.close()
+	switch {
+	case err != nil:
+		x.close()
+		return nil, nil, err
+	case it.cmp != nil:
+		return nil, it, nil // runs on disk: their merge
+	default:
+		return it.sorted(), nil, nil
 	}
-	return nil
 }

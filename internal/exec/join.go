@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"slices"
-
 	"repro/internal/algebra"
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -44,8 +42,8 @@ func splitJoinCondition(cond expr.Expr, left, right algebra.Schema) (keys []equi
 
 // compileJoin lowers a join. key is the logical node metrics are registered
 // under — the original plan node, which for a Product differs from the
-// synthetic Join wrapper node, and must match the node the surrounding
-// metricOp (and the cost model's estimates) are keyed by.
+// synthetic Join wrapper node, and must match the node its instrumentation
+// (and the cost model's estimates) are keyed by.
 func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, error) {
 	metrics := c.nodeMetrics(key)
 	where := key.Describe()
@@ -84,27 +82,24 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 		// either side of the spill decision.
 		width := len(lSchema) + len(rSchema)
 		op := &hashJoinOp{
-			right: right, width: width,
+			right: right.pipe, width: width,
 			residual: boundResidual, params: c.opts.Params, par: c.stateWorkers(),
 			metrics: metrics, gov: c.gov, mgr: c.spill, where: where,
 		}
 		op.lcols, op.rcols = keyColumns(keys)
-		p := c.pipeline(left, key)
-		if c.spill != nil {
-			// Whether the build is admitted is known only once it ran, and the
-			// grace path needs the whole left side: the operator takes the left
-			// pipeline as one in-order chunk.
-			op.left = p
-			return compiled{op: op, order: left.order}, nil
-		}
 		// The probe is a stage of the left input's pipeline, in the form the
-		// pipeline is in.
-		st := stage{metrics: metrics, start: func() error { _, err := op.buildTable(); return err }}
-		if p.inBatches() {
+		// pipeline is in — in rows on a spill-capable run, where a build the
+		// budget refuses cuts the pipeline at the stage and the join goes grace.
+		p := left.pipeline(key)
+		st := stage{metrics: metrics, start: op.build}
+		if p.inBatches() && c.spill == nil {
 			op.probes = make([]probeState, c.par)
 			st.batch = op.probeBatches
 		} else {
 			st.bind = func(emit emitFn) emitFn { return op.probeInto(make(value.Row, width), emit) }
+		}
+		if c.spill != nil {
+			st.grace = op.graceJoin
 		}
 		p.add(st, true)
 		return compiled{pipe: p, order: left.order}, nil
@@ -133,15 +128,13 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 		}
 		outOrder, rCols := keyColumns(keys)
 		rSorted := lSorted && hasSequencePrefix(right.order, rCols)
-		return compiled{
-			op: &mergeJoinOp{
-				left: left, right: right, keys: keys,
-				lSorted: lSorted, rSorted: rSorted,
-				residual: boundResidual, params: c.opts.Params, par: c.par,
-				gov: c.gov, where: where,
-			},
-			order: outOrder,
-		}, nil
+		op := &mergeJoinOp{
+			left: left.pipe, right: right.pipe, keys: keys,
+			lSorted: lSorted, rSorted: rSorted,
+			residual: boundResidual, params: c.opts.Params, par: c.par,
+			gov: c.gov, where: where,
+		}
+		return compiled{pipe: c.source(op, key), order: outOrder}, nil
 	default:
 		// Nested loop evaluates the full condition as a residual.
 		full, err := expr.Bind(node.Cond, node.Schema())
@@ -150,12 +143,12 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 		}
 		// A stage of the left input's pipeline, each row scanning the whole
 		// collected right side: left order, each row's matches in right order.
-		p, gov, params := c.pipeline(left, key), c.gov, c.opts.Params
+		p, gov, params := left.pipeline(key), c.gov, c.opts.Params
 		width := len(lSchema) + len(rSchema)
 		var rrows []value.Row
 		p.add(stage{
 			metrics: metrics,
-			start:   func() (err error) { rrows, err = right.rows(); return err },
+			start:   func() (err error) { rrows, err = right.pipe.collect(); return err },
 			bind: func(emit emitFn) emitFn {
 				joined := make(value.Row, width)
 				return func(lrow value.Row) error {
@@ -190,19 +183,17 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 
 // hashJoinOp is the hash join: it builds a joinTable on the right input and
 // probes it with left rows in left order, each row's matches in build order.
-// buildTable and the probe are a stage of the left input's pipeline — the
-// table built partitioned above one worker; probeInto writes each joined row
-// into the chunk's scratch row and hands it straight to the stage above,
+// build and the probe are a stage of the left input's pipeline — the table
+// built partitioned above one worker; probeInto writes each joined row into
+// the chunk's scratch row and hands it straight to the stage above,
 // probeBatches (vector_join.go) gathers a batch's joined rows into the
-// worker's output vectors — and the operator itself is never opened. Only a spill-capable run opens it: whether
-// the budget admits the build is known once it ran, and when it refuses the
-// join goes grace (grace.go), which takes the whole left side. The operator
-// then runs the left pipeline as one in-order chunk, through the same
-// probeInto or into the grace partition files, and holds the joined rows; the
-// rows and their order are the same in all forms.
+// worker's output vectors. On a spill-capable run the build admits by refusal,
+// and a refused build cuts the pipeline at the stage: the join goes grace
+// (grace.go), which takes the whole left side as one in-order chunk and
+// returns the joined rows as the source of the stages above. The rows and
+// their order are the same in all forms.
 type hashJoinOp struct {
-	left         *pipeOp // spill-capable run only
-	right        compiled
+	right        *pipeOp
 	lcols, rcols []int // key columns in the left/right rows
 	width        int   // columns of a joined row
 	residual     expr.Expr
@@ -215,35 +206,18 @@ type hashJoinOp struct {
 
 	table  *joinTable
 	probes []probeState // batch form only: one per worker
-	files  []*spillFile // grace partition files, swept at Close
-	bufOp               // spill-capable run: the joined rows
+	files  []*spillFile // grace partition files, swept before graceJoin returns
 }
 
-func (j *hashJoinOp) Open() error {
-	rrows, err := j.buildTable()
-	if err == errRefused {
-		return j.openGrace(rrows)
-	} else if err != nil {
+// build drains the right input into the join table, on j.par workers. A build
+// the budget refuses leaves the drained rows in the table for the grace path.
+func (j *hashJoinOp) build() error {
+	rrows, err := j.right.collect()
+	if err != nil {
 		return err
 	}
-	var out []value.Row
-	err = j.left.each(j.probeInto(make(value.Row, j.width), func(joined value.Row) error {
-		out = append(out, slices.Clone(joined))
-		return nil
-	}))
-	j.reset(out)
-	return err
-}
-
-// buildTable drains the right input into the join table, on j.par workers,
-// and returns the drained rows: a refused build hands them to the grace path.
-func (j *hashJoinOp) buildTable() ([]value.Row, error) {
-	rrows, err := j.right.rows()
-	if err != nil {
-		return nil, err
-	}
 	j.table = &joinTable{cols: j.rcols, adm: admissionFor(j.gov, j.mgr, j.where), metrics: j.metrics}
-	return rrows, j.table.build(rrows, j.par)
+	return j.table.build(rrows, j.par)
 }
 
 // probeInto is the probe: the joined rows of one left row that pass the
@@ -286,24 +260,13 @@ func (j *hashJoinOp) probeInto(joined value.Row, emit emitFn) emitFn {
 	}
 }
 
-func (j *hashJoinOp) Close() error {
-	var err error
-	for _, f := range j.files {
-		if derr := f.discard(); derr != nil && err == nil {
-			err = derr
-		}
-	}
-	j.files = nil
-	return err
-}
-
 // mergeJoinOp sorts both inputs on the join keys and merges them, emitting
 // the cross product of each matching key group. NULL keys are dropped for
 // the same reason as in the hash join. lSorted/rSorted mark inputs already
 // ordered on the keys, whose sort is skipped. With par > 1 the two inputs
 // are drained concurrently and the key sorts run as parallel stable sorts.
 type mergeJoinOp struct {
-	left, right      compiled
+	left, right      *pipeOp
 	keys             []equiKey
 	lSorted, rSorted bool
 	residual         expr.Expr
@@ -311,33 +274,25 @@ type mergeJoinOp struct {
 	par              int
 	gov              *governor
 	where            string
-	bufOp
 }
 
-func (j *mergeJoinOp) Open() error {
+func (j *mergeJoinOp) open() ([]value.Row, *mergeIter, error) {
 	var lrows, rrows []value.Row
 	var err error
 	if j.par > 1 {
 		lrows, rrows, err = drainBoth(j.where, j.left, j.right)
-		if err != nil {
-			return err
-		}
-	} else {
-		lrows, err = j.left.rows()
-		if err != nil {
-			return err
-		}
-		rrows, err = j.right.rows()
-		if err != nil {
-			return err
-		}
+	} else if lrows, err = j.left.collect(); err == nil {
+		rrows, err = j.right.collect()
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	lCols, rCols := keyColumns(j.keys)
 	if lrows, err = dropNullKeys(j.gov, lrows, lCols); err != nil {
-		return err
+		return nil, nil, err
 	}
 	if rrows, err = dropNullKeys(j.gov, rrows, rCols); err != nil {
-		return err
+		return nil, nil, err
 	}
 	if !j.lSorted {
 		lrows = sortByCols(j.where, lrows, lCols, j.par)
@@ -346,7 +301,7 @@ func (j *mergeJoinOp) Open() error {
 		rrows = sortByCols(j.where, rrows, rCols, j.par)
 	}
 
-	j.out = j.out[:0]
+	var out []value.Row
 	li, ri := 0, 0
 	for li < len(lrows) && ri < len(rrows) {
 		cmp := compareAt(lrows[li], lCols, rrows[ri], rCols)
@@ -370,23 +325,22 @@ func (j *mergeJoinOp) Open() error {
 					// The per-key cross product materializes without pulls,
 					// so it ticks itself (a skewed key can dominate the run).
 					if err := j.gov.tick(); err != nil {
-						return err
+						return nil, nil, err
 					}
 					row := lrows[a].Concat(rrows[b])
 					truth, err := expr.EvalTruth(j.residual, row, j.params)
 					if err != nil {
-						return err
+						return nil, nil, err
 					}
 					if truth == value.True {
-						j.out = append(j.out, row)
+						out = append(out, row)
 					}
 				}
 			}
 			li, ri = lEnd, rEnd
 		}
 	}
-	j.pos = 0
-	return nil
+	return out, nil, nil
 }
 
 // keyColumns splits equi-keys into the left and right column lists.

@@ -31,7 +31,7 @@ func (c *compiler) compileLimit(node *algebra.Limit) (compiled, error) {
 				allAsc = false
 			}
 		}
-		p := c.pipeline(in, node)
+		p := in.pipeline(node)
 		// The fused Sort node has no operator of its own; a stage that only
 		// counts records the rows flowing through the fused boundary (a sort is
 		// 1:1, so the boundary count is the Sort's output cardinality) and
@@ -41,19 +41,19 @@ func (c *compiler) compileLimit(node *algebra.Limit) (compiled, error) {
 			p.meter(&metricOp{metrics: c.nodeMetrics(s), clock: c.clock})
 		}
 		if allAsc && hasSequencePrefix(in.order, keyCols) {
-			return compiled{op: &limitOp{input: p, n: node.N}, order: in.order}, nil
+			return compiled{pipe: c.source(&limitOp{input: p, n: node.N}, node), order: in.order}, nil
 		}
 		outOrder := keyCols
 		if !allAsc {
 			outOrder = nil
 		}
-		return compiled{op: &topKOp{input: p, keys: keys, n: node.N}, order: outOrder}, nil
+		return compiled{pipe: c.source(&topKOp{input: p, keys: keys, n: node.N}, node), order: outOrder}, nil
 	}
 	in, err := c.compile(node.Input)
 	if err != nil {
 		return compiled{}, err
 	}
-	return compiled{op: &limitOp{input: c.pipeline(in, node), n: node.N}, order: in.order}, nil
+	return compiled{pipe: c.source(&limitOp{input: in.pipeline(node), n: node.N}, node), order: in.order}, nil
 }
 
 // limitOp keeps the first n rows of its input, taken as one in-order chunk,
@@ -61,10 +61,9 @@ func (c *compiler) compileLimit(node *algebra.Limit) (compiled, error) {
 type limitOp struct {
 	input *pipeOp
 	n     int64
-	bufOp
 }
 
-func (l *limitOp) Open() error {
+func (l *limitOp) open() ([]value.Row, *mergeIter, error) {
 	var out []value.Row
 	var err error
 	if l.n > 0 {
@@ -75,8 +74,7 @@ func (l *limitOp) Open() error {
 			return nil
 		})
 	}
-	l.reset(out)
-	return err
+	return out, nil, err
 }
 
 // topKOp is the fused ORDER BY + LIMIT operator: a bounded max-heap of the
@@ -89,7 +87,6 @@ type topKOp struct {
 	n     int64
 
 	heap []spillRow
-	bufOp
 }
 
 func (t *topKOp) less(a, b spillRow) bool {
@@ -133,7 +130,7 @@ func (t *topKOp) siftDown() {
 	}
 }
 
-func (t *topKOp) Open() error {
+func (t *topKOp) open() ([]value.Row, *mergeIter, error) {
 	t.heap = t.heap[:0]
 	seq := int64(0)
 	err := t.input.each(func(row value.Row) error {
@@ -151,7 +148,7 @@ func (t *topKOp) Open() error {
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	out := make([]value.Row, len(t.heap))
 	for i := len(t.heap) - 1; i >= 0; i-- {
@@ -161,6 +158,5 @@ func (t *topKOp) Open() error {
 		t.heap = t.heap[:last]
 		t.siftDown()
 	}
-	t.reset(out)
-	return nil
+	return out, nil, nil
 }

@@ -9,28 +9,23 @@ import (
 	"repro/internal/value"
 )
 
-// metricOp is the single instrumentation wrapper the compiler inserts
-// around a physical operator when any observability sink is active. It
+// metricOp is a plan node's instrumentation, which the compiler places on
+// the node's pipeline — on its stage, or on the runner's loop over the source
+// the node is (pipeOp.meter) — when any observability sink is active. It
 // serves two sinks at once:
 //
 //   - Options.Metrics: rows out and tree-inclusive wall time into the
 //     node's obs.OpMetrics (operator internals — hash builds, probe hits,
 //     morsel counts — are recorded by the operators themselves);
-//   - Options.Trace: the node's span, begun at Open and ended at Close.
+//   - Options.Trace: the node's span.
 //
-// The row counter is atomic: under parallel execution the two inputs of a
-// merge join are drained by concurrent goroutines, so sibling wrappers open,
-// count and close concurrently. Next performs one atomic add per row and
-// never allocates; when every sink is nil the compiler inserts no wrapper
-// at all, so the disabled path costs nothing.
-//
-// A node that runs inside a pipeline (pipeOp) is never pulled. Its metricOp
-// wraps nothing: the pipeline calls begin and end around its run and adds each
-// chunk's row count to count once — a batch's logical length while the chain
-// is in batches — so the row path there costs one atomic add per morsel per
-// node.
+// The pipeline calls begin and end around its run and adds each chunk's row
+// count to count once — a batch's logical length while the chain is in
+// batches — so the row path costs one atomic add per morsel per node and
+// never allocates. The counter is atomic: the chunks of one pipeline, and the
+// two inputs of a merge join, run on concurrent goroutines. When every sink
+// is nil the compiler places nothing, so the disabled path costs nothing.
 type metricOp struct {
-	inner   Operator
 	metrics *obs.OpMetrics // nil unless Options.Metrics is set
 	clock   obs.Clock
 	span    *obs.Span // nil unless Options.Trace is set
@@ -58,24 +53,6 @@ func (s *metricOp) end() {
 		s.metrics.RowsOut.Add(s.count.Load())
 		s.metrics.WallNanos.Add(end.Sub(s.start).Nanoseconds())
 	}
-}
-
-func (s *metricOp) Open() error {
-	s.begin()
-	return s.inner.Open()
-}
-
-func (s *metricOp) Next() (value.Row, bool, error) {
-	row, ok, err := s.inner.Next()
-	if ok && err == nil {
-		s.count.Add(1)
-	}
-	return row, ok, err
-}
-
-func (s *metricOp) Close() error {
-	s.end()
-	return s.inner.Close()
 }
 
 // State-size constants: a value.Row in a hash table costs one slice header

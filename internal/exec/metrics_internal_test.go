@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -16,9 +17,10 @@ import (
 )
 
 // These tests pin the cost model of the observability layer itself: with
-// every sink nil the compiler inserts no instrumentation at all, and with
-// sinks active the per-row work is a single atomic add — zero allocations
-// either way. testing.AllocsPerRun makes both claims checkable.
+// every sink nil the compiler places no instrumentation at all, and with
+// sinks active the per-row work is a single atomic add per morsel — zero
+// allocations per row either way. testing.AllocsPerRun makes both claims
+// checkable.
 
 // valuesPlan builds an n-row single-column Values node — the smallest plan
 // whose row path the compiler accepts.
@@ -33,33 +35,46 @@ func valuesPlan(n int) *algebra.Values {
 	}
 }
 
+// filterOf passes the rows of in whose v is not negative: a plan node that is
+// a stage over in's source.
+func filterOf(in algebra.Node, table string) *algebra.Select {
+	return &algebra.Select{Input: in, Cond: expr.NewBinary(expr.OpGe, expr.Column(table, "v"), expr.IntLit(0))}
+}
+
+// metered reports whether compile placed any instrumentation on p: on the
+// runner's loop over its source, or on a stage.
+func metered(p *pipeOp) bool {
+	return p.srcMetered || p.srcOut != nil || slices.ContainsFunc(p.stages, func(st stage) bool { return st.metered || st.out != nil })
+}
+
 // TestDisabledObservabilityInsertsNoWrapper: when Metrics and Trace are
-// both nil, compile produces the bare operator — no metricOp in the tree.
+// both nil, nothing is metered — no metricOp on a leaf's pipeline, on its
+// source or on a filter's stage.
 func TestDisabledObservabilityInsertsNoWrapper(t *testing.T) {
-	c := &compiler{opts: &Options{}, par: 1, clock: obs.Wall}
-	out, err := c.compile(valuesPlan(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := out.op.(*metricOp); ok {
-		t.Fatal("compile inserted a metricOp with every observability sink disabled")
+	for _, plan := range []algebra.Node{valuesPlan(3), filterOf(valuesPlan(3), "t")} {
+		c := &compiler{opts: &Options{}, par: 1, clock: obs.Wall}
+		out, err := c.compile(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if metered(out.pipe) {
+			t.Fatalf("compile metered %s with every observability sink disabled", plan.Describe())
+		}
 	}
 
-	// Sanity check of the inverse: any active sink produces the wrapper.
+	// Sanity check of the inverse: any active sink places the leaf's metricOp
+	// on the runner, and the filter's on its stage.
 	for _, opts := range []*Options{
 		{Metrics: obs.NewCollector()},
 		{Trace: obs.NewTracer(obs.NewFakeClock(time.Unix(0, 0), time.Millisecond))},
 	} {
 		c := &compiler{opts: opts, par: 1, clock: obs.Wall}
-		if opts.Clock != nil {
-			c.clock = opts.Clock
-		}
-		out, err := c.compile(valuesPlan(3))
+		out, err := c.compile(filterOf(valuesPlan(3), "t"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := out.op.(*metricOp); !ok {
-			t.Fatalf("compile produced %T with a sink active, want *metricOp", out.op)
+		if p := out.pipe; p.srcOut == nil || len(p.stages) != 1 || p.stages[0].out == nil {
+			t.Fatalf("compile metered the leaf with %v and the filter with %v, want a metricOp each", p.srcOut, p.stages)
 		}
 	}
 }
@@ -86,13 +101,27 @@ func sumOverJoin(n, keys int) *algebra.GroupBy {
 	}
 }
 
+// runAllocs is what a whole Run of plan under the options opts makes
+// allocates, averaged over a few runs; it fails unless the result has rows
+// rows.
+func runAllocs(t *testing.T, plan algebra.Node, opts func() *Options, rows int) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(5, func() {
+		res, err := Run(plan, nil, opts())
+		if err != nil || len(res.Rows) != rows {
+			t.Fatalf("%v rows, err=%v", res, err)
+		}
+	})
+}
+
 // TestRowPathZeroAllocs: a row allocates nothing on its way — neither on the
-// uninstrumented path (no wrapper exists) nor on the fully instrumented one
-// (a pulled node's metricOp.Next is one atomic add, a pipelined node counts
-// once per chunk; timings and sink writes happen at Open/Close, off the row
-// path), nor on the governed one (a tick is a load of a flag). The hash-join
-// probe writes each joined row into its chunk's scratch row: a root that
-// collects the rows copies each into its slab, a page per thousand rows, and a
+// uninstrumented path (nothing is metered) nor on the fully instrumented one
+// (a node counts once per chunk, and timings and sink writes happen around
+// the node's run, off the row path), nor on the governed one (a tick is a load
+// of a flag). A leaf's rows reach a root that is the leaf with no copy, so a
+// whole Run allocates as often over four times the rows. The hash-join probe
+// writes each joined row into its chunk's scratch row: a root that collects
+// the rows copies each into its slab, a page per thousand rows, and a
 // hash-group sink pays nothing. The probe key is bytes in a scratch buffer, so
 // a probe that misses costs nothing, and neither does a row that joins a group
 // the table already holds.
@@ -111,48 +140,31 @@ func TestRowPathZeroAllocs(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	governed := func() *Options { return &Options{Join: JoinHash, Context: ctx} }
-	// More rows than AllocsPerRun will pull, so every measured Next returns
-	// a live row.
-	scan := valuesPlan(runs + 10)
-	for _, tc := range []struct {
-		name string
-		opts *Options
-	}{
-		{"disabled", &Options{}},
-		{"metrics+trace", instrumented()},
-		{"governed", governed()},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := &compiler{opts: tc.opts, par: 1, clock: tc.opts.Clock, gov: newGovernor(tc.opts)}
-			defer c.gov.detach()
-			if c.clock == nil {
-				c.clock = obs.Wall
-			}
-			out, err := c.compile(scan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := out.op.Open(); err != nil {
-				t.Fatal(err)
-			}
-			defer out.op.Close()
-			avg := testing.AllocsPerRun(runs, func() {
-				if _, ok, err := out.op.Next(); !ok || err != nil {
-					t.Fatalf("Next: ok=%v err=%v", ok, err)
-				}
-			})
-			if avg != 0 {
-				t.Errorf("%s row path allocates %.2f times per row, want 0", tc.name, avg)
-			}
-		})
-	}
-	// The join runs inside a pipeline, so a whole Run is measured: the same
-	// build side under four times the probe rows — what the extra rows cost is
-	// the cost per joined row, plus the collection's bookkeeping per morsel
-	// (its closures, and the doublings of a morsel's output slice).
+	// A whole Run's count moves by a few between runs whatever its size (a GC
+	// empties a pool; the race detector's runtime allocates): one morsel's
+	// bookkeeping is allowed for that, a thousandth of one per row.
 	const groups, small, large = 100, 10 * MorselSize, 40 * MorselSize
 	const perMorsel = 24
 	plain := func() *Options { return &Options{Join: JoinHash} }
+	for _, tc := range []struct {
+		name string
+		opts func() *Options
+	}{
+		{"disabled", plain},
+		{"metrics+trace", instrumented},
+		{"governed", governed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := runAllocs(t, valuesPlan(large), tc.opts, large) - runAllocs(t, valuesPlan(small), tc.opts, small)
+			if got > perMorsel {
+				t.Errorf("%d more rows at the root allocate %.0f times more, want at most %d (none per row)", large-small, got, perMorsel)
+			}
+		})
+	}
+	// The join runs inside a pipeline: the same build side under four times
+	// the probe rows — what the extra rows cost is the cost per joined row, plus
+	// the collection's bookkeeping per morsel (its closures, and the doublings
+	// of a morsel's output slice).
 	for _, tc := range []struct {
 		name    string
 		opts    func() *Options
@@ -167,21 +179,11 @@ func TestRowPathZeroAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs := func(n int) float64 {
-				var plan algebra.Node = probeJoinPlan(n, groups)
-				out := n
 				if tc.grouped {
-					plan, out = sumOverJoin(n, groups), groups
+					return runAllocs(t, sumOverJoin(n, groups), tc.opts, groups)
 				}
-				return testing.AllocsPerRun(5, func() {
-					res, err := Run(plan, nil, tc.opts())
-					if err != nil || len(res.Rows) != out {
-						t.Fatalf("%v rows, err=%v", res, err)
-					}
-				})
+				return runAllocs(t, probeJoinPlan(n, groups), tc.opts, n)
 			}
-			// A whole Run's count moves by a few between runs whatever n is (a
-			// GC empties a pool; the race detector's runtime allocates): one
-			// morsel's worth is allowed for that, a thousandth of one per row.
 			got := allocs(large) - allocs(small)
 			want := float64(perMorsel)
 			if !tc.grouped {
@@ -271,10 +273,7 @@ func filtered(t *testing.T, rows []value.Row) *pipeOp {
 	plan := keyedValuesPlan("t", 0, 1)
 	plan.Rows = rows
 	c := &compiler{opts: &Options{}, par: 1, clock: obs.Wall}
-	out, err := c.compile(&algebra.Select{
-		Input: plan,
-		Cond:  expr.NewBinary(expr.OpGe, expr.Column("t", "v"), expr.IntLit(0)),
-	})
+	out, err := c.compile(filterOf(plan, "t"))
 	must(t, err)
 	return out.pipe
 }
@@ -289,15 +288,15 @@ func TestSerialGroupingHoldsGroupsNotRows(t *testing.T) {
 	const groups = 100
 	for _, tc := range []struct {
 		name string
-		op   func(n int) Operator
+		op   func(n int) breaker
 		out  int
 	}{
-		{"hash", func(n int) Operator {
+		{"hash", func(n int) breaker {
 			core := sumCore(t, nil, nil, 0)
 			core.input = filtered(t, keyedValuesPlan("t", n, groups).Rows)
 			return &hashGroupOp{groupCore: *core}
 		}, groups},
-		{"stream", func(n int) Operator {
+		{"stream", func(n int) breaker {
 			rows := keyedValuesPlan("t", n, n).Rows // keys 0..n-1, ascending
 			for i, row := range rows {
 				row[0] = value.NewInt(int64(i * groups / n))
@@ -306,7 +305,7 @@ func TestSerialGroupingHoldsGroupsNotRows(t *testing.T) {
 			core.input = filtered(t, rows)
 			return &sortGroupOp{groupCore: *core, preSorted: true}
 		}, groups},
-		{"scalar", func(n int) Operator {
+		{"scalar", func(n int) breaker {
 			core := sumCore(t, nil, nil)
 			core.input = filtered(t, keyedValuesPlan("t", n, groups).Rows)
 			return &sortGroupOp{groupCore: *core}
@@ -316,7 +315,7 @@ func TestSerialGroupingHoldsGroupsNotRows(t *testing.T) {
 			allocs := func(n int) float64 {
 				op := tc.op(n) // the source rows are built here, outside the measurement
 				return testing.AllocsPerRun(5, func() {
-					rows, err := drain(op)
+					rows, _, err := op.open()
 					if err != nil || len(rows) != tc.out {
 						t.Fatalf("%d rows, err=%v", len(rows), err)
 					}
@@ -349,17 +348,21 @@ func TestSpillCapableSortStreamsItsInput(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	must(t, op.Open())
+	_, merge, err := op.open()
+	must(t, err)
+	if merge == nil {
+		t.Fatal("the sort returned rows, not the merge of its runs: the budget does not make it spill")
+	}
 	rows := 0
 	for {
-		_, ok, err := op.Next()
+		_, ok, err := merge.next()
 		must(t, err)
 		if !ok {
 			break
 		}
 		rows++
 	}
-	must(t, op.Close())
+	must(t, merge.close())
 	runtime.ReadMemStats(&after)
 	// The high-water mark includes the one refused attempt that flushed a run.
 	row := rowStateBytes(make(value.Row, 4))

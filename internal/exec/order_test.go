@@ -34,9 +34,9 @@ func TestOrderPropagation(t *testing.T) {
 	doubleSort := &algebra.Sort{Input: sortE, Keys: sortE.Keys}
 	out2, err := c.compile(doubleSort)
 	must(t, err)
-	if _, isSort := out2.op.(*sortOp); isSort {
-		// The outer op must not be a second sortOp over a sortOp.
-		if _, innerSort := out2.op.(*sortOp).input.src.(*sortOp); innerSort {
+	if outer, isSort := out2.pipe.src.(*sortOp); isSort {
+		// The outer source must not be a second sortOp over a sortOp.
+		if _, innerSort := outer.input.src.(*sortOp); innerSort {
 			t.Error("redundant sort not elided")
 		}
 	}
@@ -101,9 +101,9 @@ func TestGroupAutoExploitsSortedInput(t *testing.T) {
 	c := &compiler{store: s, opts: &Options{Group: GroupAuto}}
 	out, err := c.compile(group)
 	must(t, err)
-	sg, ok := out.op.(*sortGroupOp)
+	sg, ok := out.pipe.src.(*sortGroupOp)
 	if !ok {
-		t.Fatalf("GroupAuto over sorted input compiled to %T, want sortGroupOp", out.op)
+		t.Fatalf("GroupAuto over sorted input compiled to %T, want sortGroupOp", out.pipe.src)
 	}
 	if !sg.preSorted {
 		t.Error("preSorted not set on sorted input")
@@ -121,8 +121,8 @@ func TestGroupAutoExploitsSortedInput(t *testing.T) {
 	}
 	out2, err := c.compile(group2)
 	must(t, err)
-	if _, ok := out2.op.(*hashGroupOp); !ok {
-		t.Fatalf("GroupAuto over unsorted input compiled to %T, want hashGroupOp", out2.op)
+	if _, ok := out2.pipe.src.(*hashGroupOp); !ok {
+		t.Fatalf("GroupAuto over unsorted input compiled to %T, want hashGroupOp", out2.pipe.src)
 	}
 
 	// And the results agree across all three strategies.
@@ -156,9 +156,9 @@ func TestMergeJoinExploitsSortedInputs(t *testing.T) {
 	c := &compiler{store: s, opts: &Options{Join: JoinSortMerge}}
 	out, err := c.compile(join)
 	must(t, err)
-	mj, ok := out.op.(*mergeJoinOp)
+	mj, ok := out.pipe.src.(*mergeJoinOp)
 	if !ok {
-		t.Fatalf("compiled to %T, want mergeJoinOp", out.op)
+		t.Fatalf("compiled to %T, want mergeJoinOp", out.pipe.src)
 	}
 	if !mj.lSorted || !mj.rSorted {
 		t.Errorf("sorted inputs not exploited: lSorted=%v rSorted=%v", mj.lSorted, mj.rSorted)
@@ -194,9 +194,9 @@ func TestEagerAggregationFeedsMergeJoin(t *testing.T) {
 	c := &compiler{store: s, opts: &Options{Join: JoinSortMerge, Group: GroupSort}}
 	out, err := c.compile(join)
 	must(t, err)
-	mj, ok := out.op.(*mergeJoinOp)
+	mj, ok := out.pipe.src.(*mergeJoinOp)
 	if !ok {
-		t.Fatalf("compiled to %T, want mergeJoinOp", out.op)
+		t.Fatalf("compiled to %T, want mergeJoinOp", out.pipe.src)
 	}
 	if !mj.lSorted {
 		t.Error("eager aggregation's sorted output not exploited by the merge join")

@@ -1,17 +1,18 @@
-// The row engine: morsel-driven pipelines at every worker count. The streaming
-// nodes between two breakers — filter, projection, hash-join probe, the nested
-// loop's left side — are the stages of one pipeline (pipeOp, this file):
-// chunks of the pipeline's source are carried through the whole chain, and
-// the breaker above is its sink: one partial group table per chunk for hash
-// grouping, a morsel-ordered collection for everything else that must hold
-// rows (the result, an in-memory sort's input, DISTINCT, merge-join inputs, a
-// join's build side), or — for a consumer that is serial by nature: LIMIT,
-// TopK, grouping a key-ordered stream, a spill-capable sort or hash join — the
-// whole source as one chunk in order (pipeOp.each). Nothing between two
-// breakers is materialized. The worker count (Options.Parallelism) decides
-// only how many goroutines carry the chunks — one worker runs them in a loop,
-// on the caller's goroutine — and how many chunks hash grouping asks for.
-// Sorts run chunked (sortRowsStable).
+// The row engine: morsel-driven pipelines at every worker count. Every plan
+// node lowers to a pipeline (pipeOp, this file). A leaf or a breaker is a
+// pipeline's source; the streaming nodes above it — filter, projection,
+// hash-join probe, the nested loop's left side — are its stages. Chunks of the
+// source are carried through the whole chain, and the breaker above is its
+// sink: one partial group table per chunk for hash grouping, a morsel-ordered
+// collection for everything else that must hold rows (the result, an in-memory
+// sort's input, DISTINCT, merge-join inputs, a join's build side), or — for a
+// consumer that is serial by nature: LIMIT, TopK, grouping a key-ordered
+// stream, a spill-capable sort, a refused join's grace path — the whole source
+// as one chunk in order (pipeOp.each). Nothing between two breakers is
+// materialized. The worker count (Options.Parallelism) decides only how many
+// goroutines carry the chunks — one worker runs them in a loop, on the
+// caller's goroutine — and how many chunks hash grouping asks for. Sorts run
+// chunked (sortRowsStable).
 //
 // A batch is a chunk. With Options.Vectorize a leaf is a source in columnar
 // form (colSource) and the scheduling unit is one vec.Batch instead of a run
@@ -221,11 +222,11 @@ func concatChunks(outs [][]value.Row) []value.Row {
 // Panics on either side become *ExecPanicError; the left side is recovered
 // locally (not left to Run's top-level recovery) precisely so that wg.Wait
 // always runs and the right-side goroutine is joined before return.
-func drainBoth(where string, l, r compiled) (lrows, rrows []value.Row, err error) {
+func drainBoth(where string, l, r *pipeOp) (lrows, rrows []value.Row, err error) {
 	var rerr error
 	var wg sync.WaitGroup
 	goSafe(&wg, where, -1, func(e error) { rerr = e }, func() {
-		rrows, rerr = r.rows()
+		rrows, rerr = r.collect()
 	})
 	lrows, lerr := func() (rows []value.Row, err error) {
 		defer func() {
@@ -233,7 +234,7 @@ func drainBoth(where string, l, r compiled) (lrows, rrows []value.Row, err error
 				rows, err = nil, panicError(where, -1, rec)
 			}
 		}()
-		return l.rows()
+		return l.collect()
 	}()
 	wg.Wait()
 	if lerr != nil {
@@ -244,37 +245,6 @@ func drainBoth(where string, l, r compiled) (lrows, rrows []value.Row, err error
 	}
 	return lrows, rrows, nil
 }
-
-// bufOp is the tail of the operators whose whole output is resident once they
-// are open: Open fills out, Next hands it out — or a pipeline above reads it
-// in place, or the run's result takes it over (take).
-type bufOp struct {
-	out []value.Row
-	pos int
-}
-
-func (b *bufOp) reset(rows []value.Row) { b.out, b.pos = rows, 0 }
-
-// take gives the finished buffer up: the rows and their header slice are the
-// taker's from here on.
-func (b *bufOp) take() []value.Row {
-	rows := b.out[b.pos:]
-	b.reset(nil)
-	return rows
-}
-
-func (b *bufOp) Next() (value.Row, bool, error) {
-	if b.pos >= len(b.out) {
-		return nil, false, nil
-	}
-	row := b.out[b.pos]
-	b.pos++
-	return row, true, nil
-}
-
-func (b *bufOp) resident() []value.Row { return b.out[b.pos:] }
-
-func (b *bufOp) Close() error { return nil }
 
 // -------------------------------------------------------------- pipelines
 
@@ -301,6 +271,10 @@ type stage struct {
 	// start runs once, before the first chunk: a join materializes the side
 	// its rows are matched against. nil when there is nothing to build.
 	start func() error
+	// grace is a spill-capable hash join's answer to a start the budget
+	// refused (errRefused): it takes the pipeline below it as one in-order
+	// chunk (left) and returns the joined rows, the run's own (pipeOp.cut).
+	grace func(left func(emitFn) error) ([]value.Row, error)
 	// bind returns the stage's row function for one chunk, handing what it
 	// produces to emit. Per-chunk state (scratch rows, key buffers) lives in
 	// the closure, so chunks share nothing.
@@ -312,9 +286,8 @@ type stage struct {
 	// made once per worker and run, not once per batch. The runner ticks
 	// and counts the Morsel before each batch (perBatch).
 	batch func(worker int, next batchFn) batchFn
-	// metered: the node's output is ticked and counted here, per chunk,
-	// rather than in a wrapper's Next; out is the metricOp that would have
-	// wrapped the node (nil when only the governor is on).
+	// metered: the node's output is ticked and counted here, per chunk; out
+	// is the node's instrumentation (nil when only the governor is on).
 	metered bool
 	out     *metricOp
 }
@@ -336,16 +309,15 @@ type batchSink interface {
 	bindBatch(worker, chunk int) (batchFn, error)
 }
 
-// resident is an operator whose whole output lies in memory once it is open
-// (a table, literal rows, a breaker's finished buffer). A pipeline reads it
-// where it lies instead of pulling it through Next, and a result that is its
-// rows takes them: a breaker gives its buffer up, and rows the run does not
-// own — a table's, a literal's, rows bound through Options.Sources — come in
-// a fresh header slice, never the owner's own.
-type resident interface {
-	Operator
-	resident() []value.Row
-	take() []value.Row
+// breaker is a pipeline's source in row form: a node that holds state — a
+// grouping, a sort, DISTINCT, LIMIT, TopK, a merge join — or a leaf's rows
+// (leafRows). open runs the node's input pipelines into its store and returns
+// its output: rows the run owns, or, from a sort that went to disk, the merge
+// of its runs, which the runner pulls into an in-order sink or drains for any
+// other, and closes. Every other spill file a breaker made is swept before
+// open returns.
+type breaker interface {
+	open() ([]value.Row, *mergeIter, error)
 }
 
 // colSource is a pipeline's source in columnar form, the form a leaf takes
@@ -357,7 +329,6 @@ type colSource struct {
 	rows    []value.Row
 	width   int
 	metrics *obs.OpMetrics // the leaf's; one Morsel per batch handed out
-	metered bool           // the leaf's own instrumentation has been placed (pipeOp.meter)
 }
 
 func (s *colSource) batches() []*vec.Batch {
@@ -375,16 +346,18 @@ func (s *colSource) batches() []*vec.Batch {
 // chunk order: rows, row order, group order and per-node counts are the same
 // at any worker count and in either source form.
 //
-// The compiler grows one pipeOp per run of streaming nodes: each such node
-// adds its stage to its input's pipeline (compiler.pipeline). A breaker above
-// runs it into its own sink (hash grouping: one partial table per chunk),
-// collects its rows in morsel order (collect), or takes them as one chunk in
-// order (each). A pipeline is never pulled.
+// Every plan node lowers to a pipeline: a leaf or a breaker starts one
+// (compiler.source), and a streaming node adds its stage to its input's
+// (compiled.pipeline). A breaker above runs it into its own sink (hash
+// grouping: one partial table per chunk), collects its rows in morsel order
+// (collect), or takes them as one chunk in order (each). A pipeline is never
+// pulled.
 type pipeOp struct {
-	src    Operator   // the node below the first stage, opened and closed by run
-	cols   *colSource // or the leaf below it in columnar form; src is nil
-	srcOut *metricOp
-	stages []stage
+	src        breaker    // the node below the first stage, opened by run
+	cols       *colSource // or the leaf below it in columnar form; src is nil
+	srcOut     *metricOp  // the source node's instrumentation (nil when only the governor is on)
+	srcMetered bool       // meter has placed srcOut
+	stages     []stage
 	// nbatch counts the stages in batch form — the first ones: the chain is
 	// in batches up to stages[nbatch] and in rows from there.
 	nbatch   int
@@ -396,38 +369,17 @@ type pipeOp struct {
 	scratch  []value.Row  // per worker: the row a batch is unrolled into
 }
 
-// pipeline returns the pipeline the plan node n runs its input through: the
-// input's own when it compiled to one, else a new one with the input's
-// operator as its source. A resident source is read in place, so its rows
-// never pass its wrappers' Next; the wrappers are taken off and their work —
-// the cancellation poll at Open, the clock, the row count — is done by run.
-func (c *compiler) pipeline(in compiled, n algebra.Node) *pipeOp {
-	if p := in.pipe; p != nil {
-		p.node = n
-		return p
-	}
-	p := &pipeOp{src: in.op, par: c.par, gov: c.gov, node: n}
-	if m, _, op := unwrap(in.op); op != nil {
-		p.src, p.srcOut = op, m
-	}
-	return p
+// source starts the pipeline of a node whose rows are a breaker's output or a
+// leaf's rows: no stages yet, b as its source.
+func (c *compiler) source(b breaker, n algebra.Node) *pipeOp {
+	return &pipeOp{src: b, par: c.par, gov: c.gov, node: n}
 }
 
-// unwrap takes a compiled operator's wrappers off when what they wrap is
-// resident: its metricOp (nil when unobserved), the governor its governOp
-// ticks (nil when ungoverned), and the resident operator — nil for one that
-// has to be pulled.
-func unwrap(op Operator) (*metricOp, *governor, resident) {
-	m, _ := op.(*metricOp)
-	if m != nil {
-		op = m.inner
-	}
-	var gov *governor
-	if g, ok := op.(*governOp); ok {
-		op, gov = g.inner, g.gov
-	}
-	src, _ := op.(resident)
-	return m, gov, src
+// pipeline returns the pipeline the plan node n runs this input through: the
+// input's own.
+func (in compiled) pipeline(n algebra.Node) *pipeOp {
+	in.pipe.node = n
+	return in.pipe
 }
 
 // inBatches reports whether what the pipeline's topmost stage hands on is
@@ -448,11 +400,11 @@ func (p *pipeOp) add(st stage, borrowed bool) {
 // meter makes the topmost node's output ticked and counted inside the
 // pipeline — the node the compiler just lowered onto it, or, when that node
 // added no stage of its own, a stage that only passes on what it is handed. A
-// columnar leaf is the source itself: the runner's batch loop is its tick and
-// its count.
+// source node — a leaf, a breaker — is the runner's: its loop over the source
+// is the node's tick and its count.
 func (p *pipeOp) meter(out *metricOp) {
-	if p.cols != nil && !p.cols.metered {
-		p.cols.metered, p.srcOut = true, out
+	if len(p.stages) == 0 && !p.srcMetered {
+		p.srcMetered, p.srcOut = true, out
 		return
 	}
 	if len(p.stages) == 0 || p.stages[len(p.stages)-1].metered {
@@ -463,8 +415,7 @@ func (p *pipeOp) meter(out *metricOp) {
 	p.metered = true
 }
 
-// eachOut calls fn on the metricOp of every instrumented node, topmost first
-// — the order Open and Close reach the wrappers of a pulled plan.
+// eachOut calls fn on the metricOp of every instrumented node, topmost first.
 func (p *pipeOp) eachOut(fn func(*metricOp)) {
 	for i := len(p.stages) - 1; i >= 0; i-- {
 		if out := p.stages[i].out; out != nil {
@@ -498,62 +449,99 @@ func (p *pipeOp) run(s sink) error {
 	return err
 }
 
+// runChunks opens the source, starts the stages and drives the source through
+// them into s. A merge is pulled into an in-order sink; any other sink cuts
+// chunks, so it is drained first. A stage whose start the budget refuses cuts
+// the pipeline there (cut), and the stages above it start after the cut.
 func (p *pipeOp) runChunks(s sink) (err error) {
-	src, inPlace := p.src.(resident)
-	_, ordered := s.(inOrder)
-	pulled := ordered && !inPlace && p.cols == nil
 	var rows []value.Row
+	var merge *mergeIter
 	var batches []*vec.Batch
-	switch {
-	case p.cols != nil:
+	if p.cols != nil {
 		batches = p.cols.batches()
 		p.scratch = make([]value.Row, p.par)
-	case inPlace || pulled:
-		// A source that has to be pulled is pulled straight into an in-order
-		// run; a sink that cuts chunks needs it drained to know its length.
-		defer func() {
-			if cerr := p.src.Close(); err == nil {
+	} else if rows, merge, err = p.src.open(); err != nil {
+		return err
+	}
+	if merge != nil {
+		defer func(m *mergeIter) {
+			if cerr := m.close(); err == nil {
 				err = cerr
 			}
-		}()
-		if err := p.src.Open(); err != nil {
-			return err
-		}
-		if inPlace {
-			rows = src.resident()
-		}
-	default:
-		if rows, err = drain(p.src); err != nil {
-			return err
-		}
-	}
-	for i := range p.stages {
-		if start := p.stages[i].start; start != nil {
-			if err := start(); err != nil {
+		}(merge)
+		if _, ordered := s.(inOrder); !ordered {
+			if rows, err = merge.drain(p.gov); err != nil {
 				return err
 			}
+			merge = nil
 		}
 	}
-	if pulled {
+	if h, ok := s.(*passOn); ok {
+		h.rows = rows
+	}
+	for i := 0; i < len(p.stages); i++ {
+		start := p.stages[i].start
+		if start == nil {
+			continue
+		}
+		if err = start(); err == errRefused {
+			// p is the stages above the cut from here, the first of them next.
+			rows, err = p.cut(i, rows, merge, batches)
+			merge, batches, i = nil, nil, -1
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return p.drive(s, rows, merge, batches)
+}
+
+// cut runs the source and the stages below stage i — whose start the budget
+// refused: a spill-capable hash join — as one in-order chunk into the stage's
+// grace path, and ends their instrumentation there; p becomes the stages
+// above, over the joined rows the grace path returns. It comes before any
+// source row has moved, so nothing below is begun twice.
+func (p *pipeOp) cut(i int, rows []value.Row, merge *mergeIter, batches []*vec.Batch) ([]value.Row, error) {
+	below, st := *p, p.stages[i]
+	below.stages = p.stages[:i]
+	joined, err := st.grace(func(fn emitFn) error { return below.drive(inOrder{fn}, rows, merge, batches) })
+	below.eachOut((*metricOp).end)
+	p.stages, p.nbatch, p.cols = p.stages[i+1:], 0, nil
+	p.srcOut, p.borrowed = st.out, p.borrowed && len(p.stages) > 0
+	return joined, err
+}
+
+// drive carries an opened source through the stages into s: a merge pulled
+// row by row into an in-order sink, rows or batches cut into s's chunks.
+func (p *pipeOp) drive(s sink, rows []value.Row, merge *mergeIter, batches []*vec.Batch) error {
+	if merge != nil {
 		emit, _, counts, err := p.bind(s, 0, 0)
 		if err != nil {
 			return err
 		}
+		read := 0
 		for {
-			row, ok, err := p.src.Next()
-			if ok && err == nil {
-				err = emit(row)
+			// One tick per pull, the pull that finds the end included.
+			if err = p.gov.tick(); err != nil {
+				break
 			}
-			if !ok || err != nil {
-				p.count(0, counts)
-				return err
+			var sr spillRow
+			var ok bool
+			if sr, ok, err = merge.next(); !ok || err != nil {
+				break
+			}
+			read++
+			if err = emit(sr.row); err != nil {
+				break
 			}
 		}
+		p.count(read, counts)
+		return err
 	}
 	// A collection that is its source's rows, with no tick and no count per
 	// row, has nothing to do with a row — a chunk is its length — and nothing
 	// for a second worker to do.
-	_, idle := s.(passOn)
+	_, idle := s.(*passOn)
 	idle = idle && p.gov == nil && !p.metered
 	workers, where := p.par, ""
 	if idle {
@@ -723,8 +711,8 @@ func (p *pipeOp) passStage(metrics *obs.OpMetrics) stage {
 }
 
 // meterFn is a plan node's instrumentation as a stage: the governor tick and
-// the row count its wrappers' Next would have done per row, the count kept in
-// the chunk's slot n and added to the node's counter once per chunk.
+// the row count per row, the count kept in the chunk's slot n and added to the
+// node's counter once per chunk.
 func (p *pipeOp) meterFn(n *int64, emit emitFn) emitFn {
 	return func(row value.Row) error {
 		if err := p.gov.tick(); err != nil {
@@ -789,31 +777,32 @@ func (s *collector) bindBatch(worker, chunk int) (batchFn, error) {
 
 // passOn is the sink of a collection that is its source's rows: it keeps
 // nothing, and cuts the collector's chunks, so every stage ticks, counts and
-// takes its morsels exactly as it would into a collector.
-type passOn struct{}
+// takes its morsels exactly as it would into a collector. The runner hands it
+// the source's rows.
+type passOn struct{ rows []value.Row }
 
-func (passOn) begin(_, morsel int) int { return morsel }
+func (*passOn) begin(_, morsel int) int { return morsel }
 
-func (passOn) bind(_, _ int) (emitFn, error) {
+func (*passOn) bind(_, _ int) (emitFn, error) {
 	return func(value.Row) error { return nil }, nil
 }
 
 // collect runs the pipeline to completion and returns its rows in morsel
-// order, in a slice the caller owns. Over a resident source whose rows every
-// stage passes on, the rows are the source's: the run ticks, counts and times
-// them into passOn, and the source hands them over (resident.take) — the one
-// place a finished row reaches a result without another copy.
+// order, in a slice the caller owns. Over a source in row form whose rows
+// every stage passes on, the rows are the source's: the run ticks, counts and
+// times them into passOn and hands them over — a breaker's own, a leaf's in a
+// fresh header slice — the one place a finished row reaches a result without
+// another copy.
 func (p *pipeOp) collect() ([]value.Row, error) {
-	src, inPlace := p.src.(resident)
-	if inPlace && !slices.ContainsFunc(p.stages, func(st stage) bool { return !st.passes }) {
-		if err := p.run(passOn{}); err != nil {
+	if p.src != nil && !slices.ContainsFunc(p.stages, func(st stage) bool { return !st.passes }) {
+		h := &passOn{}
+		if err := p.run(h); err != nil {
 			return nil, err
 		}
-		return src.take(), nil
-	}
-	if len(p.stages) == 0 && !inPlace && p.cols == nil {
-		// Nothing to carry the rows through: the drained source is the collection.
-		return drain(p.src)
+		if _, leaf := p.src.(leafRows); leaf {
+			return slices.Clone(h.rows), nil
+		}
+		return h.rows, nil
 	}
 	s := &collector{p: p}
 	if err := p.run(s); err != nil {

@@ -308,9 +308,9 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 			must(t, err)
 			right, err := c.compile(keyedValuesPlan("u", 60, 50))
 			must(t, err)
-			rows, err := drain(&mergeJoinOp{
-				left: left, right: right, keys: []equiKey{{left: 0, right: 0}}, par: par, where: "merge",
-			})
+			rows, _, err := (&mergeJoinOp{
+				left: left.pipe, right: right.pipe, keys: []equiKey{{left: 0, right: 0}}, par: par, where: "merge",
+			}).open()
 			must(t, err)
 			return rows
 		}

@@ -24,13 +24,26 @@ func renameOf(in algebra.Node) *algebra.Project {
 	return &algebra.Project{Input: in, Items: items}
 }
 
+// handedOver is a breaker that remembers the rows its open returned.
+type handedOver struct {
+	breaker
+	rows []value.Row
+}
+
+func (h *handedOver) open() ([]value.Row, *mergeIter, error) {
+	rows, merge, err := h.breaker.open()
+	h.rows = rows
+	return rows, merge, err
+}
+
 // TestRowsAreMadeOnce: a finished row's first copy is its last. Group →
 // rename → root returns the group's own rows — cut from one slab, in id
-// order — and TopK → root its own buffer, both given up by the breaker rather
-// than copied, at one and three workers, in the row and the columnar source
-// form, with metrics and a context governor each on and off. A rename over a
-// stored table returns the table's rows in a header slice of the caller's:
-// reordering it and appending to it leave Table.Rows() as it was.
+// order — and TopK → root its own buffer, both the very slice the breaker's
+// open returned rather than a copy, at one and three workers, in the row and
+// the columnar source form, with metrics and a context governor each on and
+// off. A rename over a stored table returns the table's rows in a header slice
+// of the caller's: reordering it and appending to it leave Table.Rows() as it
+// was.
 func TestRowsAreMadeOnce(t *testing.T) {
 	const n, groups, top = 5000, 300, 5
 	store, scan := keyedStore(t, n, groups)
@@ -75,11 +88,12 @@ func TestRowsAreMadeOnce(t *testing.T) {
 
 						// group → rename → root: the collection is the group's buffer.
 						out := compile(renameOf(group))
-						breaker := out.pipe.src.(*hashGroupOp)
-						rows, err := out.rows()
+						grouped := &handedOver{breaker: out.pipe.src.(*hashGroupOp)}
+						out.pipe.src = grouped
+						rows, err := out.pipe.collect()
 						must(t, err)
-						if breaker.out != nil {
-							t.Fatal("the group kept its buffer: the result is a copy")
+						if unsafe.SliceData(rows) != unsafe.SliceData(grouped.rows) {
+							t.Fatal("the result is a copy of the group's rows")
 						}
 						if !sameRows(rows, wantGroups.Rows) {
 							t.Fatalf("group → rename → root: %v, want %v", rows, wantGroups.Rows)
@@ -98,12 +112,12 @@ func TestRowsAreMadeOnce(t *testing.T) {
 
 						// TopK → root: the result is the operator's buffer, given up.
 						out = compile(topK)
-						_, _, src := unwrap(out.op)
-						heap := src.(*topKOp)
-						rows, err = out.rows()
+						heap := &handedOver{breaker: out.pipe.src.(*topKOp)}
+						out.pipe.src = heap
+						rows, err = out.pipe.collect()
 						must(t, err)
-						if heap.out != nil || len(rows) != top || cap(rows) != top {
-							t.Fatalf("TopK → root: %d rows in a slice of %d, buffer given up: %v — want its own %d-row buffer", len(rows), cap(rows), heap.out == nil, top)
+						if given := unsafe.SliceData(rows) == unsafe.SliceData(heap.rows); !given || len(rows) != top || cap(rows) != top {
+							t.Fatalf("TopK → root: %d rows in a slice of %d, the heap's own: %v — want its own %d-row buffer", len(rows), cap(rows), given, top)
 						}
 						if !sameRows(rows, wantTop.Rows) {
 							t.Fatalf("TopK → root: %v, want %v", rows, wantTop.Rows)

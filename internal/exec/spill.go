@@ -20,8 +20,9 @@
 // operator with a typed *SpillError wrapping the cause; a spilling operator
 // never returns a partial result. Temp files are created only through the
 // storage.SpillManager (enforced by the spillcleanup analyzer), tracked by
-// the operator that made them and removed at Close, so Live() == 0 holds
-// after every run, faulted or not.
+// the operator that made them and removed by it before its rows move on — a
+// spilled sort's runs once the runner has read their merge — so Live() == 0
+// holds after every run, faulted or not.
 package exec
 
 import (
@@ -371,7 +372,7 @@ func (x *extSorter) finish() (*mergeIter, error) {
 			return nil, err
 		}
 	}
-	it := &mergeIter{cmp: x.cmp}
+	it := &mergeIter{cmp: x.cmp, runs: x.runs}
 	for _, run := range x.runs {
 		if err := run.startRead(); err != nil {
 			return nil, err
@@ -388,14 +389,16 @@ func (x *extSorter) finish() (*mergeIter, error) {
 }
 
 // close discards every run file; the first error is reported.
-func (x *extSorter) close() error {
+func (x *extSorter) close() error { return discardAll(x.runs) }
+
+// discardAll discards every file of files; the first error is reported.
+func discardAll(files []*spillFile) error {
 	var first error
-	for _, run := range x.runs {
-		if err := run.discard(); err != nil && first == nil {
+	for _, f := range files {
+		if err := f.discard(); err != nil && first == nil {
 			first = err
 		}
 	}
-	x.runs = nil
 	return first
 }
 
@@ -416,7 +419,39 @@ type mergeIter struct {
 	// merge mode
 	cmp   func(a, b value.Row) int
 	heads []runHead
+	runs  []*spillFile // every run, discarded by close
 }
+
+// sorted is an in-memory iteration's rows in iteration order: the buffer
+// itself when it is sorted, else permuted once.
+func (m *mergeIter) sorted() []value.Row {
+	if m.order == nil {
+		return m.rows
+	}
+	rows := make([]value.Row, len(m.order))
+	for i, o := range m.order {
+		rows[i] = m.rows[o]
+	}
+	return rows
+}
+
+// drain reads a merge to its end into rows, polling the context per record.
+func (m *mergeIter) drain(gov *governor) ([]value.Row, error) {
+	var rows []value.Row
+	for {
+		sr, ok, err := m.next()
+		if err == nil && ok {
+			err = gov.cancelled()
+		}
+		if !ok || err != nil {
+			return rows, err
+		}
+		rows = append(rows, sr.row)
+	}
+}
+
+// close discards the merge's run files; the first error is reported.
+func (m *mergeIter) close() error { return discardAll(m.runs) }
 
 // before is the merge order: cmp, ties broken by arrival seq.
 func (m *mergeIter) before(a, b spillRow) bool {

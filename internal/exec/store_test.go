@@ -357,15 +357,21 @@ func TestArithmeticShellIsBoundOnce(t *testing.T) {
 		&expr.Aggregate{Func: expr.AggCount, Arg: v},
 		expr.NewBinary(expr.OpMul, &expr.Aggregate{Func: expr.AggSum, Arg: v}, expr.IntLit(2))))
 	tab := buildTable(t, g, keyedValuesPlan("t", 3*groups, groups).Rows)
-	if avg := testing.AllocsPerRun(10, func() { must(t, g.combine([]*groupTable{tab})) }); avg > 2 {
+	var rows []value.Row
+	if avg := testing.AllocsPerRun(10, func() {
+		var err error
+		rows, err = g.combine([]*groupTable{tab})
+		must(t, err)
+	}); avg > 2 {
 		t.Errorf("finishing %d groups allocates %.0f times, want 2 (the rows and their slab)", groups, avg)
 	}
 	// Group k holds v = k, k+1000, k+2000.
-	for k := int64(0); k < groups; k++ {
-		row, ok, err := g.Next()
-		must(t, err)
-		if sum := 3*k + 3*groups; !ok || row[0].Int() != k || row[1].Int() != sum || row[2].Int() != 3+2*sum {
-			t.Fatalf("group %d is %v (ok=%v), want SUM %d and COUNT + SUM * 2 = %d", k, row, ok, sum, 3+2*sum)
+	if len(rows) != groups {
+		t.Fatalf("%d groups finished, want %d", len(rows), groups)
+	}
+	for k, row := range rows {
+		if sum := 3*int64(k) + 3*groups; row[0].Int() != int64(k) || row[1].Int() != sum || row[2].Int() != 3+2*sum {
+			t.Fatalf("group %d is %v, want SUM %d and COUNT + SUM * 2 = %d", k, row, sum, 3+2*sum)
 		}
 	}
 }
@@ -495,20 +501,18 @@ func TestJoinTablePartitions(t *testing.T) {
 func TestScalarGroupEmptyInput(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		g := sumCore(t, nil, nil)
+		var rows []value.Row
+		var err error
 		if workers == 1 {
-			must(t, g.hashAggregate(nil))
+			rows, err = g.hashAggregate(nil)
 		} else {
 			g.par = workers
-			g.input = &pipeOp{src: &leafOp{}, par: workers, node: valuesPlan(0)}
-			must(t, g.foldPipeline())
+			g.input = &pipeOp{src: leafRows(nil), par: workers, node: valuesPlan(0)}
+			rows, err = g.foldPipeline()
 		}
-		row, ok, err := g.Next()
 		must(t, err)
-		if !ok || len(row) != 1 || !row[0].IsNull() {
-			t.Fatalf("workers=%d: scalar SUM over no rows = %v (ok=%v), want one NULL", workers, row, ok)
-		}
-		if _, ok, _ := g.Next(); ok {
-			t.Fatalf("workers=%d: scalar group yielded a second row", workers)
+		if len(rows) != 1 || len(rows[0]) != 1 || !rows[0][0].IsNull() {
+			t.Fatalf("workers=%d: scalar SUM over no rows = %v, want one row of one NULL", workers, rows)
 		}
 	}
 }

@@ -10,9 +10,10 @@ import (
 // must pass through the query governor, or cancellation, deadlines and
 // memory-budget aborts go unnoticed for the whole loop. Concretely, any
 // `range` over a []value.Row or a []*vec.Batch in internal/exec must call
-// the governor (tick, cancelled or charge) or pull from an Operator (Next)
-// somewhere in its body — or be nested inside a loop that does, which bounds
-// the ungoverned stretch to one outer iteration. The governor is nil-safe,
+// the governor (tick, cancelled or charge) somewhere in its body — or be
+// nested inside a loop that does, which bounds the ungoverned stretch to one
+// outer iteration. Pulling from an iterator does not count: nothing promises
+// that a Next ticks. The governor is nil-safe,
 // so the fix is always just a tick, and a tick is cheap: one atomic load of
 // the flag the context's callback raises on cancellation, which writes
 // nothing shared — a fault-injector step and a non-blocking receive on the
@@ -25,13 +26,11 @@ var GovLoopAnalyzer = &Analyzer{
 }
 
 // governedCallNames are the method names that count as touching the
-// governor or yielding control: governor.tick/cancelled/charge and the
-// Operator Next pull (whose implementations tick).
+// governor: governor.tick/cancelled/charge.
 var governedCallNames = map[string]bool{
 	"tick":      true,
 	"cancelled": true,
 	"charge":    true,
-	"Next":      true,
 }
 
 func runGovLoop(pass *Pass) error {

@@ -10,9 +10,9 @@ import (
 // depends on. Spill files carry two obligations: they must be created
 // through a storage.SpillManager (which tracks the live set, so a run can
 // prove it leaked nothing), and every function that constructs a manager
-// must defer its Cleanup — the panic path unwinds past operator Closes, so
-// only a deferred sweep at the construction site guarantees no file
-// outlives the query. The analyzer flags ad-hoc temp files (os.CreateTemp
+// must defer its Cleanup — the panic path unwinds past the operators' own
+// sweeps, so only a deferred sweep at the construction site guarantees no
+// file outlives the query. The analyzer flags ad-hoc temp files (os.CreateTemp
 // and friends) everywhere in its scope, raw filesystem mutation inside the
 // executor and storage packages (where all file I/O belongs to the
 // manager), and NewSpillManager call sites whose function never defers a

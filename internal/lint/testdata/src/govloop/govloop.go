@@ -11,8 +11,8 @@ import (
 
 type governor struct{}
 
-func (g *governor) tick() error                      { return nil }
-func (g *governor) cancelled() error                 { return nil }
+func (g *governor) tick() error                        { return nil }
+func (g *governor) cancelled() error                   { return nil }
 func (g *governor) charge(where string, n int64) error { return nil }
 
 type op struct {
@@ -106,14 +106,14 @@ func (o *op) closureDoesNotCount(rows []value.Row) func() error {
 	return f
 }
 
-// pulled: draining an operator via Next is governed — the operator ticks
-// inside its Next.
+// pulled: a pull through Next is not a tick — nothing says the iterator
+// behind it ticks — so a row loop that only pulls is flagged.
 type fakeOp struct{}
 
 func (f *fakeOp) Next() (value.Row, bool, error) { return nil, false, nil }
 
 func (o *op) pulled(rows []value.Row, src *fakeOp) error {
-	for range rows {
+	for range rows { // want "never touches the governor"
 		if _, _, err := src.Next(); err != nil {
 			return err
 		}
