@@ -1,12 +1,14 @@
 # Development entry points. `make check` is the full gate: vet, the custom
 # static analyzers (gbj-lint), build, race-enabled tests (which include the
-# row-vs-vectorized differential oracles, the concurrent-execution smoke
-# tests and the plan-verifier suite), the bounded-exhaustive plan-equivalence
-# model checker, the independent certificate re-derivation gate
-# (verify-certs), the chaos oracle, the fault-recovery oracle
-# (recovery-oracle), the disk-chaos spill oracle (spill-oracle), the
-# query-service oracle (serve-oracle: concurrent-session differential,
-# admission ladder, shutdown chaos), and a short run of every fuzz target.
+# whole oracle matrix, the concurrent-execution smoke tests and the
+# plan-verifier suite), the bounded-exhaustive plan-equivalence model checker,
+# the independent certificate re-derivation gate (verify-certs), the matrix's
+# faulted slices one target each — chaos, dist-oracle, recovery-oracle,
+# spill-oracle — with the targeted tests beside them, the query-service oracle
+# (serve-oracle: concurrent-session differential, admission ladder, shutdown
+# chaos), and a short run of every fuzz target. The oracle matrix is
+# TestMatrix in internal/plancheck/modelcheck, one subtest per cell of
+# modelcheck.Cells: every run's rows against workload.RefEval (DESIGN.md §5).
 # Nothing here times anything: `make bench` runs the layer benchmarks, and
 # `go run ./benchmark` is the end-to-end measurement (BENCHMARK.json).
 
@@ -33,16 +35,17 @@ lint:
 
 # Bounded-exhaustive plan-equivalence model checking: every tiny database
 # up to MODELCHECK_K rows per table (NULLs and int/float key mixing
-# included), every claimed-equivalent plan pair (lazy vs eager, row vs
-# vectorized, serial vs parallel, local vs distributed) executed by brute
-# force and compared. Any mismatch prints a minimized counterexample. The
-# gate runs through the gbj-lint CLI (exercising the -modelcheck wiring);
-# the single tiny package argument keeps the lint half of the run trivial
-# since `make lint` already covers the whole module. The unit suite around
-# the checker (gauntlet, minimizer, bound validation) runs as well.
+# included), every variant of the matrix's fault-free cells one axis at a
+# time (lazy vs eager, row vs vectorized, worker counts, strategies, cluster
+# sizes) executed by brute force and compared with the reference evaluator.
+# Any mismatch prints a minimized counterexample. The gate runs through the
+# gbj-lint CLI (exercising the -modelcheck wiring); the single tiny package
+# argument keeps the lint half of the run trivial since `make lint` already
+# covers the whole module. The unit suite around the checker (gauntlet,
+# minimizer, bound validation) runs as well; the matrix has its own targets.
 modelcheck:
 	$(GO) run ./cmd/gbj-lint -modelcheck -k $(MODELCHECK_K) ./internal/cliutil
-	$(GO) test ./internal/plancheck/modelcheck
+	$(GO) test ./internal/plancheck/modelcheck -skip TestMatrix
 
 # Independent certificate re-derivation over the randomized oracle corpus:
 # the certifier recomputes FD1/FD2 from the catalog alone and cross-checks
@@ -52,10 +55,12 @@ verify-certs:
 
 # Static plan verification (internal/plancheck): the verifier's unit suite
 # plus the oracle runs that audit every optimizer-emitted plan — including
-# the TestFD certificate on transformed plans — via the CheckPlans gate.
+# the TestFD certificate on transformed plans — via the CheckPlans gate: the
+# matrix's local cell (every strategy, worker count and source form) and the
+# public-API engine-mode oracle.
 plancheck:
 	$(GO) test ./internal/plancheck
-	$(GO) test ./internal/exec -run TestSerialVsParallelOracle
+	$(GO) test ./internal/plancheck/modelcheck -run 'TestMatrix/^local$$'
 	$(GO) test . -run TestEngineModeOracle
 
 build:
@@ -67,45 +72,50 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The fault-injection chaos oracle under the race detector: hundreds of
-# randomized queries × deterministic cancel/panic/alloc-fail/delay
-# schedules; every run must return the oracle's rows or a clean typed
-# error, with no goroutine leaks (internal/exec/chaos_oracle_test.go).
+# The matrix's chaos cell under the race detector: hundreds of corpus
+# queries × deterministic cancel/panic/alloc-fail/delay schedules; every run
+# must return the fault-free rows in order or a clean typed error, with no
+# goroutine leaks.
 chaos:
-	$(GO) test -race ./internal/exec -run TestChaosOracle
+	$(GO) test -race ./internal/plancheck/modelcheck -run 'TestMatrix/^chaos$$'
 
-# The distributed oracle under the race detector: hundreds of randomized
-# queries executed locally and on simulated clusters of 1/2/4/8 nodes
-# (serial and parallel, all shipping strategies), byte-identical rows
-# required; plus the distributed chaos runs with link-fault injection and
-# the Section 7 regression that the eager plan ships strictly fewer bytes,
-# the sites-at-once tests (a second site starts before the first ends, one
-# compiled plan under concurrent runs, the same rows, link bytes and counts
-# at GOMAXPROCS 1 and 4, a site's panic contained), the per-query-budget
-# parity test (1 node vs 4) and the parked-query test that a distributed
-# run does not hold the engine lock against writers (internal/dist,
-# dist_engine_test.go). The internal/dist legs here and in recovery-oracle
-# run at -cpu 1,4: one processor is the site loop, four is sites at once.
+# The matrix's cluster cells under the race detector: hundreds of corpus
+# queries on simulated clusters of 1/2/4/8 nodes (serial and parallel, both
+# source forms, all shipping strategies), the reference's rows required and
+# every compiled plan through plancheck's distributed rules; and the same
+# under link-fault injection (clean typed error or the reference's rows).
+# Beside them: the Section 7 regression that the eager plan ships strictly
+# fewer bytes, the sites-at-once tests (a second site starts before the first
+# ends, one compiled plan under concurrent runs, the same rows, link bytes
+# and counts at GOMAXPROCS 1 and 4, a site's panic contained), the
+# per-query-budget parity test (1 node vs 4) and the parked-query test that a
+# distributed run does not hold the engine lock against writers
+# (dist_engine_test.go). The matrix and internal/dist legs here and in
+# recovery-oracle run at -cpu 1,4: one processor is the site loop, four is
+# sites at once.
 dist-oracle:
-	$(GO) test -race -cpu 1,4 ./internal/dist -run 'TestLocalVsDistributedOracle|TestDistributedChaosOracle|TestEagerNeverShipsMoreBytes|TestSites|TestOnePlanManyRuns|TestSiteFailure'
+	$(GO) test -race -cpu 1,4 ./internal/plancheck/modelcheck -run 'TestMatrix/^cluster'
+	$(GO) test -race -cpu 1,4 ./internal/dist -run 'TestEagerNeverShipsMoreBytes|TestSites|TestOnePlanManyRuns|TestSiteFailure'
 	$(GO) test -race . -run 'TestEngineDistributed|TestQueryOptionsBudgetHonouredDistributed|TestDistributedQueryDoesNotBlockWriter'
 
-# The recovery chaos oracle under the race detector: hundreds of seeded
-# queries × bounded link-fault schedules keyed to link ordinals, every run
-# required to produce oracle-identical rows with recovery visible only in
-# the retry/failover counters; plus the exhausted-budget typed-error sweep,
-# the receiver-dedup seeded-bug regression, the failover equivalence sweep
-# (internal/dist/recovery_oracle_test.go) and the engine-level
+# The matrix's recovery cells under the race detector: hundreds of corpus
+# queries × bounded link-fault schedules keyed to link ordinals, with and
+# without a 64 KiB per-site lease, every run required to return the
+# reference's rows with recovery visible only in the retry/failover counters;
+# and bursts of drops that must fail nodes over. Beside them: the
+# exhausted-budget typed-error sweep, the receiver-dedup seeded-bug
+# regression, the failover sweep (internal/dist) and the engine-level
 # degradation tests (dist_recovery_engine_test.go).
 recovery-oracle:
+	$(GO) test -race -cpu 1,4 ./internal/plancheck/modelcheck -run 'TestMatrix/^(recovery|failover)'
 	$(GO) test -race -cpu 1,4 ./internal/dist -run TestRecovery
 	$(GO) test -race . -run 'TestEngineRetried|TestEngineDegrad|TestExplainAnalyzeGoldenRecovery'
 
-# The disk-chaos spill oracle under the race detector: hundreds of seeded
+# The matrix's spill cell under the race detector: hundreds of corpus
 # queries × budgets that force spilling × deterministic disk-fault
 # schedules (write/short-write/read/close failures); every run must return
-# exactly the unbudgeted rows or a typed *SpillError, with zero live spill
-# files afterwards (internal/exec/disk_chaos_oracle_test.go), plus the
+# exactly the unbudgeted rows in order or a typed error (*SpillError among
+# them), with zero live spill files afterwards, plus the
 # per-operator fault sweeps — each external path over a row and over a
 # columnar source — and the engine-level spill lifecycle tests; plus the
 # spill-capable hash join both ways (internal/exec/spill_join_test.go):
@@ -115,7 +125,8 @@ recovery-oracle:
 # path, rows as the reference evaluator's, no spill file left), and the two
 # spill analyze goldens.
 spill-oracle:
-	$(GO) test -race ./internal/exec -run 'TestDiskChaosOracle|TestSpillOperatorDiskFaults|TestAdmittedSpillJoinStreams|TestRefusedSpillJoinCuts'
+	$(GO) test -race ./internal/plancheck/modelcheck -run 'TestMatrix/^spill$$'
+	$(GO) test -race ./internal/exec -run 'TestSpillOperatorDiskFaults|TestAdmittedSpillJoinStreams|TestRefusedSpillJoinCuts'
 	$(GO) test -race . -run 'TestSpillCompletes64KiB|TestSpillFailureFallsBack|TestExplainAnalyzeGolden(SpillJoin|TopK)$$'
 
 # The query-service oracle under the race detector: the 64-session

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -75,7 +76,7 @@ func TestEngineDistributedOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("iteration %d nodes=%d: %v\nquery: %s", i, nodes, err, query)
 			}
-			if !equalStrings(want, canonicalRows(got)) {
+			if !slices.Equal(want, canonicalRows(got)) {
 				t.Fatalf("iteration %d nodes=%d diverged\nquery: %s\nlocal: %v\ndistributed: %v",
 					i, nodes, query, want, canonicalRows(got))
 			}
@@ -143,7 +144,7 @@ func TestEngineDistributedEagerShipsFewer(t *testing.T) {
 		shipped[s] = cb
 		rows = append(rows, canonicalRows(a.Result))
 	}
-	if !equalStrings(rows[0], rows[1]) {
+	if !slices.Equal(rows[0], rows[1]) {
 		t.Fatal("eager and lazy strategies returned different rows")
 	}
 	if shipped[DistEager] >= shipped[DistLazy] {
@@ -295,7 +296,7 @@ func TestDistributedQueryDoesNotBlockWriter(t *testing.T) {
 	if a.err != nil {
 		t.Fatalf("parked query: %v", a.err)
 	}
-	if !equalStrings(want, canonicalRows(a.res)) {
+	if !slices.Equal(want, canonicalRows(a.res)) {
 		t.Fatal("parked query did not return its pre-insert rows")
 	}
 
@@ -311,7 +312,7 @@ func TestDistributedQueryDoesNotBlockWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := canonicalRows(after); equalStrings(want, got) || !equalStrings(canonicalRows(local), got) {
+	if got := canonicalRows(after); slices.Equal(want, got) || !slices.Equal(canonicalRows(local), got) {
 		t.Fatalf("query after the insert ran on a stale cluster:\n got %v\nwant %v", got, canonicalRows(local))
 	}
 }

@@ -7,6 +7,7 @@ package gbj
 // showing the recovery counters under the fake clock.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -48,7 +49,7 @@ func TestEngineRetriedQueryMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fault-free distributed run: %v", err)
 	}
-	if !equalStrings(want, canonicalRows(res)) {
+	if !slices.Equal(want, canonicalRows(res)) {
 		t.Fatal("fault-free distributed run diverged from local")
 	}
 	if probe.LinkTicks() == 0 {
@@ -65,7 +66,7 @@ func TestEngineRetriedQueryMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bounded drops inside the retry budget failed the query: %v", err)
 	}
-	if !equalStrings(want, canonicalRows(res)) {
+	if !slices.Equal(want, canonicalRows(res)) {
 		t.Fatal("retried distributed run diverged from the local oracle")
 	}
 	if rc := e.RecoveryCounters(); rc.Retries == 0 {
@@ -94,7 +95,7 @@ func TestEngineDegradesToLocal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query failed instead of degrading to local execution: %v", err)
 	}
-	if !equalStrings(want, canonicalRows(res)) {
+	if !slices.Equal(want, canonicalRows(res)) {
 		t.Fatal("degraded run diverged from the local oracle")
 	}
 	rc := e.RecoveryCounters()
@@ -126,7 +127,7 @@ func TestEngineDegradedAnalyzeExplains(t *testing.T) {
 	if err != nil {
 		t.Fatalf("analyze failed instead of degrading: %v", err)
 	}
-	if !equalStrings(want, canonicalRows(a.Result)) {
+	if !slices.Equal(want, canonicalRows(a.Result)) {
 		t.Fatal("degraded analyze rows diverged from the local oracle")
 	}
 	out := a.String()

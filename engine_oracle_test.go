@@ -3,7 +3,8 @@ package gbj
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -52,7 +53,7 @@ func TestEngineModeOracle(t *testing.T) {
 					refLabel = fmt.Sprintf("mode %v, %s", mode, cfg.name)
 					continue
 				}
-				if !equalStrings(ref, rows) {
+				if !slices.Equal(ref, rows) {
 					t.Fatalf("iteration %d: mode %v, %s disagrees with %s\nquery: %s\nreference: %v\ngot:       %v",
 						i, mode, cfg.name, refLabel, query, ref, rows)
 				}
@@ -143,23 +144,17 @@ func stripQualifier(col string) string {
 	return col
 }
 
+// canonicalRows renders a result as a sorted multiset of rows. Every cell is
+// tagged with its Go type, so int64(1) and float64(1) are different answers.
 func canonicalRows(res *Result) []string {
 	out := make([]string, len(res.Rows))
 	for i, row := range res.Rows {
-		out[i] = fmt.Sprintf("%v", row)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+		cells := make([]string, len(row))
+		for j, v := range row {
+			cells[j] = fmt.Sprintf("%T:%v", v, v)
 		}
+		out[i] = strings.Join(cells, "|")
 	}
-	return true
+	slices.Sort(out)
+	return out
 }

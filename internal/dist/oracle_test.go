@@ -1,35 +1,20 @@
 package dist_test
 
-// The local-vs-distributed oracle: randomized queries executed once
-// single-site (the oracle) and once per cluster size in {1, 2, 4, 8},
-// serial and parallel, with every grouping strategy the distributed
-// compiler knows. The distributed run must return exactly the oracle's
-// rows (as a multiset — gather order is node order, not scan order), for
-// both the standard and the transformed plan of every query. The chaos
-// variant repeats the comparison under link-level fault injection: each
-// faulted run either reproduces the oracle rows exactly or fails with a
-// clean typed error, and no run may leak a goroutine.
+// The randomized local-vs-distributed differentials are cells of the oracle
+// matrix (internal/plancheck/modelcheck: cluster, cluster-chaos, recovery,
+// recovery-lease, failover). What stays here are targeted assertions over the
+// matrix's corpus and fingerprint.
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"math/rand"
-	"runtime"
-	"sort"
+	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/algebra"
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/exec"
-	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/plancheck"
-	"repro/internal/sql"
+	"repro/internal/plancheck/modelcheck"
 	"repro/internal/storage"
-	"repro/internal/value"
 	"repro/internal/workload"
 )
 
@@ -43,276 +28,14 @@ func exampleStore(t *testing.T, employees, departments int) *storage.Store {
 	return store
 }
 
-// distQueries are the query templates the oracle draws from; cut
-// parameterizes the filter variants. Aggregate arguments are small
-// integers so decomposed SUM/AVG merges are exact (the same implicit
-// assumption the serial-vs-parallel oracle makes).
-func distQueries(r *rand.Rand) []string {
-	cut := r.Intn(100)
-	return []string{
-		`SELECT D.DimID, D.Label, COUNT(F.FID), SUM(F.V)
-		 FROM Fact F, Dim D WHERE F.DimID = D.DimID
-		 GROUP BY D.DimID, D.Label`,
-		fmt.Sprintf(`SELECT D.DimID, D.Label, SUM(F.V)
-		 FROM Fact F, Dim D WHERE F.DimID = D.DimID AND F.V < %d
-		 GROUP BY D.DimID, D.Label`, cut),
-		`SELECT D.DimID, MIN(F.V), MAX(F.V), AVG(F.V)
-		 FROM Fact F, Dim D WHERE F.DimID = D.DimID
-		 GROUP BY D.DimID`,
-		`SELECT F.GroupID, SUM(F.V), COUNT(*)
-		 FROM Fact F, Dim D WHERE F.DimID = D.DimID
-		 GROUP BY F.GroupID`,
-		`SELECT D.DimID, D.Label, COUNT(DISTINCT F.GroupID)
-		 FROM Fact F, Dim D WHERE F.DimID = D.DimID
-		 GROUP BY D.DimID, D.Label`,
-		`SELECT COUNT(F.FID), SUM(F.V), MIN(F.V)
-		 FROM Fact F, Dim D WHERE F.DimID = D.DimID`,
-		`SELECT D.DimID, D.Label, SUM(F.V)
-		 FROM Fact F, Dim D WHERE F.DimID = D.DimID
-		 GROUP BY D.DimID, D.Label ORDER BY DimID DESC`,
-		`SELECT DISTINCT F.GroupID
-		 FROM Fact F, Dim D WHERE F.DimID = D.DimID`,
-		`SELECT F.GroupID, AVG(F.V), COUNT(F.V)
-		 FROM Fact F WHERE F.V < 90
-		 GROUP BY F.GroupID`,
-	}
-}
-
-// distStore builds a random sweep instance with NULL join keys and NULL
-// aggregate inputs mixed in.
-func distStore(t *testing.T, r *rand.Rand) *storage.Store {
-	t.Helper()
-	store, err := workload.Sweep(workload.SweepParams{
-		FactRows:      40 + r.Intn(160),
-		DimRows:       3 + r.Intn(15),
-		Groups:        2 + r.Intn(10),
-		MatchFraction: 0.2 + 0.8*r.Float64(),
-		Seed:          r.Int63(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < r.Intn(6); i++ {
-		if err := store.Insert("Fact", value.Row{
-			value.NewInt(int64(100000 + i)), value.Null,
-			value.NewInt(int64(r.Intn(5))), value.Null,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return store
-}
-
-// canonRows renders rows in canonical encoding, sorted — the multiset
-// fingerprint the oracle compares.
-func canonRows(rows []value.Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = fmt.Sprintf("%q", value.GroupKeyAll(r))
-	}
-	sort.Strings(out)
-	return out
-}
-
-func equalCanon(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-var distStrategies = []dist.Strategy{dist.StrategyAuto, dist.StrategyEager, dist.StrategyLazy}
-
 // plansFor optimizes a query and returns its candidate plans.
 func plansFor(t *testing.T, store *storage.Store, query string) []algebra.Node {
 	t.Helper()
-	q, err := sql.ParseQuery(query)
+	plans, err := modelcheck.Plans(store, query)
 	if err != nil {
-		t.Fatalf("parsing %q: %v", query, err)
-	}
-	report, err := core.NewOptimizer(store).Optimize(q)
-	if err != nil {
-		t.Fatalf("optimizing %q: %v", query, err)
-	}
-	plans := []algebra.Node{report.Standard}
-	if report.Alternative != nil {
-		plans = append(plans, report.Alternative)
+		t.Fatal(err)
 	}
 	return plans
-}
-
-// TestLocalVsDistributedOracle is the main equivalence suite: ~200
-// randomized queries, each executed single-site and on clusters of 1, 2, 4
-// and 8 nodes (serial and parallel fragments), asserting exact row
-// equality. Every distributed plan must also pass the static verifier's
-// distributed rules.
-func TestLocalVsDistributedOracle(t *testing.T) {
-	targetQueries := 200
-	if testing.Short() {
-		targetQueries = 40
-	}
-	r := rand.New(rand.NewSource(0xD157))
-	queries, runs := 0, 0
-	for queries < targetQueries {
-		store := distStore(t, r)
-		qs := distQueries(r)
-		query := qs[r.Intn(len(qs))]
-		plans := plansFor(t, store, query)
-		plan := plans[r.Intn(len(plans))]
-
-		oracleRes, err := exec.Run(plan, store, &exec.Options{})
-		if err != nil {
-			t.Fatalf("local run for %q: %v", query, err)
-		}
-		want := canonRows(oracleRes.Rows)
-
-		strategy := distStrategies[r.Intn(len(distStrategies))]
-		par := 1 + 3*r.Intn(2) // 1 or 4
-		vecMode := r.Intn(2) == 1
-		for _, nodes := range []int{1, 2, 4, 8} {
-			cl, err := dist.NewCluster(store, nodes, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dp, err := dist.Compile(plan, dist.Config{Nodes: nodes, Strategy: strategy})
-			if err != nil {
-				t.Fatalf("compiling %q for %d nodes: %v", query, nodes, err)
-			}
-			assertDistPlanChecks(t, dp, query)
-			res, err := cl.Run(dp, &exec.Options{Parallelism: par, Vectorize: vecMode})
-			if err != nil {
-				t.Fatalf("distributed run for %q on %d nodes (strategy %v, vec=%v): %v", query, nodes, strategy, vecMode, err)
-			}
-			got := canonRows(res.Rows)
-			if !equalCanon(want, got) {
-				t.Fatalf("distributed result diverged\nquery: %s\nnodes=%d strategy=%v par=%d vec=%v\nlocal (%d rows): %v\ndistributed (%d rows): %v",
-					query, nodes, strategy, par, vecMode, len(want), want, len(got), got)
-			}
-			runs++
-		}
-		queries++
-	}
-	t.Logf("local-vs-distributed oracle: %d queries, %d distributed runs matched exactly", queries, runs)
-}
-
-// assertDistPlanChecks runs the static verifier's distributed rules on a
-// compiled plan, tolerating only eager-cert violations (the oracle has no
-// certificates at hand; certificate translation is the engine's job).
-func assertDistPlanChecks(t *testing.T, dp *dist.Plan, query string) {
-	t.Helper()
-	for _, v := range plancheck.Check(dp.Root, nil) {
-		if v.Rule == "eager-cert" {
-			continue
-		}
-		t.Fatalf("distributed plan violates %s for %q: %v", v.Rule, query, v)
-	}
-}
-
-// TestDistributedChaosOracle repeats the equivalence under deterministic
-// fault injection mixing the row-path kinds with link delays and drops:
-// every faulted run either reproduces the oracle rows exactly or fails
-// with a clean typed error, and the goroutine count settles afterwards.
-func TestDistributedChaosOracle(t *testing.T) {
-	targetQueries := 60
-	if testing.Short() {
-		targetQueries = 15
-	}
-	const runsPerQuery = 3
-	r := rand.New(rand.NewSource(0xC4A05D))
-	baseline := runtime.NumGoroutine()
-
-	queries, cleanRuns, faultedRuns := 0, 0, 0
-	for queries < targetQueries {
-		store := distStore(t, r)
-		qs := distQueries(r)
-		query := qs[r.Intn(len(qs))]
-		plans := plansFor(t, store, query)
-		plan := plans[r.Intn(len(plans))]
-
-		oracleRes, err := exec.Run(plan, store, &exec.Options{})
-		if err != nil {
-			t.Fatalf("local run for %q: %v", query, err)
-		}
-		want := canonRows(oracleRes.Rows)
-
-		nodes := []int{2, 4, 8}[r.Intn(3)]
-		strategy := distStrategies[r.Intn(len(distStrategies))]
-		cl, err := dist.NewCluster(store, nodes, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dp, err := dist.Compile(plan, dist.Config{Nodes: nodes, Strategy: strategy})
-		if err != nil {
-			t.Fatalf("compiling %q: %v", query, err)
-		}
-
-		for run := 0; run < runsPerQuery; run++ {
-			ctx, cancel := context.WithCancel(context.Background())
-			inj := fault.NewSeededLinks(r.Int63(), 3000, 4).
-				WithCancel(cancel).
-				WithDelay(20 * time.Microsecond)
-			opts := &exec.Options{
-				Parallelism: 1 + 3*r.Intn(2),
-				Vectorize:   r.Intn(2) == 1,
-				Context:     ctx,
-				Faults:      inj,
-			}
-			if r.Intn(3) == 0 {
-				opts.MemoryBudget = 1 + r.Int63n(1<<14)
-			}
-			res, err := cl.Run(dp, opts)
-			cancel()
-			if err == nil {
-				cleanRuns++
-				got := canonRows(res.Rows)
-				if !equalCanon(want, got) {
-					t.Fatalf("faulted distributed run diverged without reporting an error\nquery: %s\nnodes=%d strategy=%v schedule=%v\nlocal: %v\ndistributed: %v",
-						query, nodes, strategy, inj.Events(), want, got)
-				}
-			} else {
-				faultedRuns++
-				if res != nil {
-					t.Fatalf("failed run returned a partial result\nquery: %s\nerr: %v", query, err)
-				}
-				if !distExpectedError(err) {
-					t.Fatalf("fault surfaced as an untyped error\nquery: %s\nnodes=%d strategy=%v schedule=%v\nerr (%T): %v",
-						query, nodes, strategy, inj.Events(), err, err)
-				}
-			}
-		}
-		queries++
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if g := runtime.NumGoroutine(); g <= baseline+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines did not settle after the distributed chaos sweep: baseline %d, now %d",
-				baseline, runtime.NumGoroutine())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Logf("distributed chaos: %d queries × %d schedules — %d clean typed failures, %d exact matches",
-		queries, runsPerQuery, faultedRuns, cleanRuns)
-}
-
-// distExpectedError reports whether err is a typed failure a distributed
-// execution may legitimately surface under fault injection.
-func distExpectedError(err error) bool {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return true
-	}
-	var fe *fault.Error
-	var re *exec.ResourceError
-	var pe *exec.ExecPanicError
-	return errors.As(err, &fe) || errors.As(err, &re) || errors.As(err, &pe)
 }
 
 // TestEagerNeverShipsMoreBytes reproduces the Section 7 argument on the
@@ -346,7 +69,7 @@ func TestEagerNeverShipsMoreBytes(t *testing.T) {
 				if err != nil {
 					t.Fatalf("nodes=%d plan %d strategy %v: %v", nodes, pi, strategy, err)
 				}
-				results = append(results, canonRows(res.Rows))
+				results = append(results, workload.Multiset(res.Rows))
 				var shipped int64
 				for _, x := range dp.Exchanges {
 					if m := col.Lookup(x); m != nil {
@@ -358,7 +81,7 @@ func TestEagerNeverShipsMoreBytes(t *testing.T) {
 				}
 				bytesByStrategy[strategy] = shipped
 			}
-			if !equalCanon(results[0], results[1]) {
+			if !slices.Equal(results[0], results[1]) {
 				t.Fatalf("nodes=%d plan %d: eager and lazy results differ", nodes, pi)
 			}
 			eager, lazy := bytesByStrategy[dist.StrategyEager], bytesByStrategy[dist.StrategyLazy]

@@ -3,11 +3,12 @@ package dist_test
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/value"
+	"repro/internal/workload"
 )
 
 // TestPartitionDeterminism: routing is a pure function of the row's key
@@ -199,23 +200,7 @@ func someCols(r *rand.Rand, width int) []int {
 
 // sameMultiset compares two row sets ignoring order.
 func sameMultiset(a, b []value.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as := make([]string, len(a))
-	bs := make([]string, len(b))
-	for i := range a {
-		as[i] = string(value.GroupKeyAll(a[i]))
-		bs[i] = string(value.GroupKeyAll(b[i]))
-	}
-	sort.Strings(as)
-	sort.Strings(bs)
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(workload.Multiset(a), workload.Multiset(b))
 }
 
 // BenchmarkRowBytes measures the wire-size accounting of one shipped row — a

@@ -47,13 +47,8 @@ type ShipTag struct {
 // oracle relies on.
 type Recovery struct {
 	// LinkRetries is the per-shipment retry budget: attempts beyond the
-	// first. 0 means no retries.
+	// first. 0 means no retries. Each retry waits backoff's schedule.
 	LinkRetries int
-	// BaseBackoff is the wait before the first retry; each further retry
-	// doubles it. Defaults to 1ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth. Defaults to 50ms.
-	MaxBackoff time.Duration
 	// FailThreshold is the circuit breaker: a node whose link fails this
 	// many consecutive attempts is declared dead and its shard ownership
 	// moves to a surviving node. 0 defaults to 3; negative disables
@@ -88,12 +83,6 @@ func resolveRecovery(rc *Recovery) Recovery {
 	if out.LinkRetries < 0 {
 		out.LinkRetries = 0
 	}
-	if out.BaseBackoff <= 0 {
-		out.BaseBackoff = time.Millisecond
-	}
-	if out.MaxBackoff <= 0 {
-		out.MaxBackoff = 50 * time.Millisecond
-	}
 	if out.FailThreshold == 0 {
 		out.FailThreshold = 3
 	}
@@ -103,24 +92,25 @@ func resolveRecovery(rc *Recovery) Recovery {
 	return out
 }
 
+// The retry wait: baseBackoff before the first retry, doubling per retry up
+// to maxBackoff.
+const (
+	baseBackoff = time.Millisecond
+	maxBackoff  = 50 * time.Millisecond
+)
+
 // backoff computes the wait before retry attempt (1-based) of a shipment:
-// BaseBackoff·2^(attempt-1) capped at MaxBackoff, plus a deterministic
-// jitter in [0, BaseBackoff) derived from the shipment tag by splitmix64.
+// baseBackoff·2^(attempt-1) capped at maxBackoff, plus a deterministic
+// jitter in [0, baseBackoff) derived from the shipment tag by splitmix64.
 // Same tag and attempt, same wait, on any host — which keeps recovery
 // schedules reproducible from a seed.
-func (rc *Recovery) backoff(tag ShipTag, attempt int) time.Duration {
-	base := rc.BaseBackoff
-	if base <= 0 {
-		return 0
-	}
-	d := base
-	for i := 1; i < attempt && d < rc.MaxBackoff; i++ {
+func backoff(tag ShipTag, attempt int) time.Duration {
+	d := baseBackoff
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if rc.MaxBackoff > 0 && d > rc.MaxBackoff {
-		d = rc.MaxBackoff
-	}
-	return d + time.Duration(splitmix(uint64(tag.Seq)<<16^uint64(uint(tag.Epoch))<<8^uint64(attempt))%uint64(base))
+	d = min(d, maxBackoff)
+	return d + time.Duration(splitmix(uint64(tag.Seq)<<16^uint64(uint(tag.Epoch))<<8^uint64(attempt))%uint64(baseBackoff))
 }
 
 // splitmix is the same splitmix64 step internal/fault uses for schedules:

@@ -27,12 +27,6 @@ func TestResolveRecoveryDefaults(t *testing.T) {
 	if def.LinkRetries != 0 {
 		t.Errorf("zero LinkRetries resolved to %d, want 0", def.LinkRetries)
 	}
-	if def.BaseBackoff != time.Millisecond {
-		t.Errorf("BaseBackoff default = %v, want 1ms", def.BaseBackoff)
-	}
-	if def.MaxBackoff != 50*time.Millisecond {
-		t.Errorf("MaxBackoff default = %v, want 50ms", def.MaxBackoff)
-	}
 	if def.FailThreshold != 3 {
 		t.Errorf("FailThreshold default = %d, want 3", def.FailThreshold)
 	}
@@ -50,23 +44,19 @@ func TestResolveRecoveryDefaults(t *testing.T) {
 }
 
 // TestBackoffSchedule pins the retry wait computation: deterministic for a
-// given (tag, attempt), exponential in the attempt number, capped at
-// MaxBackoff, with jitter strictly below one BaseBackoff.
+// given (tag, attempt), 1ms doubling per attempt up to a 50ms cap, with
+// jitter strictly below 1ms.
 func TestBackoffSchedule(t *testing.T) {
-	rc := &Recovery{BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond}
 	tag := ShipTag{Seq: 7, Epoch: 1}
 
 	for attempt := 1; attempt <= 10; attempt++ {
-		a, b := rc.backoff(tag, attempt), rc.backoff(tag, attempt)
+		a, b := backoff(tag, attempt), backoff(tag, attempt)
 		if a != b {
 			t.Fatalf("attempt %d: backoff is not deterministic: %v vs %v", attempt, a, b)
 		}
-		exp := time.Millisecond << (attempt - 1)
-		if exp > rc.MaxBackoff {
-			exp = rc.MaxBackoff
-		}
-		if a < exp || a >= exp+rc.BaseBackoff {
-			t.Fatalf("attempt %d: backoff %v outside [%v, %v)", attempt, a, exp, exp+rc.BaseBackoff)
+		exp := min(time.Millisecond<<(attempt-1), 50*time.Millisecond)
+		if a < exp || a >= exp+time.Millisecond {
+			t.Fatalf("attempt %d: backoff %v outside [%v, %v)", attempt, a, exp, exp+time.Millisecond)
 		}
 	}
 
@@ -74,14 +64,10 @@ func TestBackoffSchedule(t *testing.T) {
 	// 64 shipments at attempt 1 at least two waits should differ.
 	seen := map[time.Duration]bool{}
 	for seq := int64(0); seq < 64; seq++ {
-		seen[rc.backoff(ShipTag{Seq: seq}, 1)] = true
+		seen[backoff(ShipTag{Seq: seq}, 1)] = true
 	}
 	if len(seen) < 2 {
 		t.Error("jitter is constant across shipment tags")
-	}
-
-	if d := (&Recovery{}).backoff(tag, 3); d != 0 {
-		t.Errorf("zero BaseBackoff produced a wait of %v, want 0", d)
 	}
 }
 

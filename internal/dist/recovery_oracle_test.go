@@ -1,13 +1,13 @@
 package dist_test
 
-// The recovery chaos oracle: randomized queries executed under a Recovery
-// policy with deterministic link-fault schedules. The contract under test
-// is the tentpole fault-tolerance guarantee — a *bounded* schedule (at
-// most LinkRetries link faults) must complete with exactly the rows a
-// fault-free run produces, with recovery visible only in the counters; an
-// exhausting schedule must surface a typed *dist.UnavailableError; and the
-// receiver-side shipment dedup must be load-bearing (disabling it through
-// the seeded-bug hook must corrupt aggregates in a way the oracle catches).
+// Targeted recovery assertions beside the oracle matrix's recovery cells
+// (internal/plancheck/modelcheck), which hold every *bounded* schedule (at
+// most LinkRetries link faults) to exactly the rows a fault-free run
+// produces: an exhausting schedule must surface a typed
+// *dist.UnavailableError; the receiver-side shipment dedup must be
+// load-bearing (disabling it through the seeded-bug hook must corrupt
+// aggregates against the local run's rows); and a burst of drops must fail a
+// node over and still return the local run's rows.
 //
 // Fault schedules here are keyed to link ordinals (fault.NewSeededLinkOnly,
 // fault.NewLinkSchedule), so row-path executor traffic cannot absorb the
@@ -17,28 +17,19 @@ package dist_test
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"runtime"
+	"slices"
 	"testing"
 	"time"
 
-	"repro/internal/algebra"
 	"repro/internal/dist"
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/plancheck"
+	"repro/internal/plancheck/modelcheck"
+	"repro/internal/storage"
+	"repro/internal/workload"
 )
-
-// recoveryVerify adapts the plancheck dist-recovery rule into the
-// Recovery.Verify hook, the same wiring the engine installs.
-func recoveryVerify(root algebra.Node, alive []bool, owner []int) error {
-	if vs := plancheck.CheckRecovery(root, alive, owner); len(vs) > 0 {
-		return fmt.Errorf("%v", vs[0])
-	}
-	return nil
-}
 
 // probeLinkTicks runs the compiled plan with an inert injector and returns
 // how many link ticks the run consumes — the horizon seeded schedules are
@@ -53,111 +44,6 @@ func probeLinkTicks(t *testing.T, cl *dist.Cluster, dp *dist.Plan, opts exec.Opt
 	return probe.LinkTicks()
 }
 
-// TestRecoveryChaosOracle is the gate suite: randomized queries on
-// clusters of 2, 4 and 8 nodes, row and vectorized, serial and parallel,
-// each re-run under seeded link-fault schedules bounded by the retry
-// budget. Every bounded run must produce exactly the oracle rows — no
-// typed-error escape hatch — and the retries it took must be observable
-// in the recovery counters whenever a drop was scheduled.
-func TestRecoveryChaosOracle(t *testing.T) {
-	targetQueries := 200
-	if testing.Short() {
-		targetQueries = 30
-	}
-	const runsPerQuery = 2
-	r := rand.New(rand.NewSource(0x5EC0))
-	baseline := runtime.NumGoroutine()
-
-	queries, faultedRuns, totalRetries, totalFailovers := 0, 0, int64(0), int64(0)
-	for queries < targetQueries {
-		store := distStore(t, r)
-		qs := distQueries(r)
-		query := qs[r.Intn(len(qs))]
-		plans := plansFor(t, store, query)
-		plan := plans[r.Intn(len(plans))]
-
-		oracleRes, err := exec.Run(plan, store, &exec.Options{})
-		if err != nil {
-			t.Fatalf("local run for %q: %v", query, err)
-		}
-		want := canonRows(oracleRes.Rows)
-
-		nodes := []int{2, 4, 8}[r.Intn(3)]
-		strategy := distStrategies[r.Intn(len(distStrategies))]
-		cl, err := dist.NewCluster(store, nodes, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dp, err := dist.Compile(plan, dist.Config{Nodes: nodes, Strategy: strategy})
-		if err != nil {
-			t.Fatalf("compiling %q: %v", query, err)
-		}
-
-		par := 1 + 3*r.Intn(2) // 1 or 4
-		vecMode := r.Intn(2) == 1
-		horizon := probeLinkTicks(t, cl, dp, exec.Options{Parallelism: par, Vectorize: vecMode})
-		queries++
-		if horizon == 0 {
-			continue // every shipment was empty or same-site: nothing to fault
-		}
-
-		for run := 0; run < runsPerQuery; run++ {
-			maxEvents := 1 + r.Intn(4)
-			linkRetries := 4 + r.Intn(4) // always ≥ maxEvents: the schedule is bounded
-			clock := obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)
-			inj := fault.NewSeededLinkOnly(r.Int63(), horizon, maxEvents).WithClock(clock)
-			stats := &dist.RecoveryStats{}
-			rec := &dist.Recovery{
-				LinkRetries: linkRetries,
-				Clock:       clock,
-				Verify:      recoveryVerify,
-				Stats:       stats,
-			}
-			res, err := cl.RunRecover(dp, &exec.Options{
-				Parallelism: par,
-				Vectorize:   vecMode,
-				Faults:      inj,
-			}, rec)
-			if err != nil {
-				t.Fatalf("bounded fault schedule failed the run\nquery: %s\nnodes=%d strategy=%v par=%d vec=%v retries=%d\nschedule: %v\nerr: %v",
-					query, nodes, strategy, par, vecMode, linkRetries, inj.Events(), err)
-			}
-			got := canonRows(res.Rows)
-			if !equalCanon(want, got) {
-				t.Fatalf("recovered run diverged from the oracle\nquery: %s\nnodes=%d strategy=%v par=%d vec=%v\nschedule: %v\nlocal (%d rows): %v\nrecovered (%d rows): %v",
-					query, nodes, strategy, par, vecMode, inj.Events(), len(want), want, len(got), got)
-			}
-			drops := 0
-			for _, e := range inj.Events() {
-				if e.Kind == fault.LinkDrop {
-					drops++
-				}
-			}
-			if got := stats.Retries.Load() + stats.RedeliveriesDropped.Load() + stats.Failovers.Load(); drops > 0 && got == 0 {
-				t.Fatalf("schedule held %d drops inside the probe horizon but no recovery counter moved\nquery: %s\nnodes=%d schedule: %v",
-					drops, query, nodes, inj.Events())
-			}
-			totalRetries += stats.Retries.Load()
-			totalFailovers += stats.Failovers.Load()
-			faultedRuns++
-		}
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if g := runtime.NumGoroutine(); g <= baseline+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines did not settle after the recovery chaos sweep: baseline %d, now %d",
-				baseline, runtime.NumGoroutine())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Logf("recovery chaos: %d queries, %d bounded faulted runs — all oracle-identical (%d retries, %d failovers)",
-		queries, faultedRuns, totalRetries, totalFailovers)
-}
-
 // TestRecoveryExhaustedBudgetIsTyped: an exhausting schedule — more drops
 // than any retry budget, failover disabled — must not hang, corrupt or
 // return partial rows: each run either still matches the oracle (the
@@ -168,16 +54,16 @@ func TestRecoveryExhaustedBudgetIsTyped(t *testing.T) {
 	r := rand.New(rand.NewSource(0xE0F))
 	sawUnavailable := false
 	for trial := 0; trial < 60 && !sawUnavailable; trial++ {
-		store := distStore(t, r)
-		qs := distQueries(r)
-		query := qs[r.Intn(len(qs))]
+		store := nullKeySweep(t, r)
+		qs := workload.Templates(r)
+		query := qs[r.Intn(len(qs))].Query
 		plan := plansFor(t, store, query)[0]
 
 		oracleRes, err := exec.Run(plan, store, &exec.Options{})
 		if err != nil {
 			t.Fatalf("local run for %q: %v", query, err)
 		}
-		want := canonRows(oracleRes.Rows)
+		want := workload.Multiset(oracleRes.Rows)
 
 		nodes := []int{2, 4}[r.Intn(2)]
 		cl, err := dist.NewCluster(store, nodes, 0)
@@ -199,7 +85,7 @@ func TestRecoveryExhaustedBudgetIsTyped(t *testing.T) {
 		res, err := cl.RunRecover(dp, &exec.Options{Faults: inj}, rec)
 		switch {
 		case err == nil:
-			if got := canonRows(res.Rows); !equalCanon(want, got) {
+			if got := workload.Multiset(res.Rows); !slices.Equal(want, got) {
 				t.Fatalf("exhausting schedule corrupted rows without an error\nquery: %s\nschedule: %v", query, inj.Events())
 			}
 		default:
@@ -231,7 +117,7 @@ func TestRecoveryExhaustedBudgetIsTyped(t *testing.T) {
 // pre-aggregated shipment and the aggregates diverge.
 func TestRecoverySkipShipmentDedupCorrupts(t *testing.T) {
 	r := rand.New(rand.NewSource(0xDED0))
-	store := distStore(t, r)
+	store := nullKeySweep(t, r)
 	const query = `SELECT D.DimID, D.Label, COUNT(F.FID), SUM(F.V)
 	 FROM Fact F, Dim D WHERE F.DimID = D.DimID
 	 GROUP BY D.DimID, D.Label`
@@ -241,7 +127,7 @@ func TestRecoverySkipShipmentDedupCorrupts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := canonRows(oracleRes.Rows)
+	want := workload.Multiset(oracleRes.Rows)
 
 	cl, err := dist.NewCluster(store, 2, 0)
 	if err != nil {
@@ -265,7 +151,7 @@ func TestRecoverySkipShipmentDedupCorrupts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("single bounded drop at link ordinal %d failed the run: %v", tick, err)
 		}
-		return canonRows(res.Rows), stats
+		return workload.Multiset(res.Rows), stats
 	}
 
 	// Sweep every link ordinal for ack-tick drops: the runs where the
@@ -274,7 +160,7 @@ func TestRecoverySkipShipmentDedupCorrupts(t *testing.T) {
 	var ackTicks []int64
 	for tick := int64(1); tick <= horizon; tick++ {
 		got, stats := runWithDropAt(tick)
-		if !equalCanon(want, got) {
+		if !slices.Equal(want, got) {
 			t.Fatalf("dedup failed: drop at link ordinal %d diverged from the oracle\ngot: %v\nwant: %v", tick, got, want)
 		}
 		if stats.RedeliveriesDropped.Load() > 0 {
@@ -292,7 +178,7 @@ func TestRecoverySkipShipmentDedupCorrupts(t *testing.T) {
 	defer func() { dist.TestHooks.SkipShipmentDedup = false }()
 	corrupted := 0
 	for _, tick := range ackTicks {
-		if got, _ := runWithDropAt(tick); !equalCanon(want, got) {
+		if got, _ := runWithDropAt(tick); !slices.Equal(want, got) {
 			corrupted++
 		}
 	}
@@ -311,7 +197,7 @@ func TestRecoverySkipShipmentDedupCorrupts(t *testing.T) {
 // fails over and completes.
 func TestRecoveryFailoverProducesExactRows(t *testing.T) {
 	r := rand.New(rand.NewSource(0xFA11))
-	store := distStore(t, r)
+	store := nullKeySweep(t, r)
 	const query = `SELECT F.GroupID, SUM(F.V), COUNT(*)
 	 FROM Fact F, Dim D WHERE F.DimID = D.DimID
 	 GROUP BY F.GroupID`
@@ -321,7 +207,7 @@ func TestRecoveryFailoverProducesExactRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := canonRows(oracleRes.Rows)
+	want := workload.Multiset(oracleRes.Rows)
 
 	cl, err := dist.NewCluster(store, 4, 0)
 	if err != nil {
@@ -350,7 +236,7 @@ func TestRecoveryFailoverProducesExactRows(t *testing.T) {
 			LinkRetries:   1,
 			FailThreshold: 2,
 			Clock:         clock,
-			Verify:        recoveryVerify,
+			Verify:        modelcheck.RecoveryVerify,
 			Stats:         stats,
 		}
 		res, err := cl.RunRecover(dp, &exec.Options{Faults: inj}, rec)
@@ -363,7 +249,7 @@ func TestRecoveryFailoverProducesExactRows(t *testing.T) {
 			}
 			continue
 		}
-		if got := canonRows(res.Rows); !equalCanon(want, got) {
+		if got := workload.Multiset(res.Rows); !slices.Equal(want, got) {
 			t.Fatalf("post-failover rows diverged (burst at ordinal %d, %d failovers)\ngot: %v\nwant: %v",
 				start, stats.Failovers.Load(), got, want)
 		}
@@ -376,4 +262,14 @@ func TestRecoveryFailoverProducesExactRows(t *testing.T) {
 	if !recovered {
 		t.Fatalf("no burst position in %d link ordinals produced a successful failover", horizon)
 	}
+}
+
+// nullKeySweep draws a random NULL-key sweep store from the oracle corpus.
+func nullKeySweep(t *testing.T, r *rand.Rand) *storage.Store {
+	t.Helper()
+	store, err := workload.NullKeySweep(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
 }

@@ -590,7 +590,7 @@ func (r *runner) accept(m *obs.OpMetrics, tag ShipTag, received, rows []value.Ro
 // deadline — no goroutine ever sleeps, so recovery costs nothing real
 // and is deterministic under obs.FakeClock.
 func (r *runner) waitBackoff(tag ShipTag, attempt int) error {
-	d := r.rec.backoff(tag, attempt)
+	d := backoff(tag, attempt)
 	if d <= 0 {
 		return nil
 	}

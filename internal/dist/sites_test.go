@@ -24,6 +24,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/plancheck/modelcheck"
 	"repro/internal/storage"
 	"repro/internal/value"
 	"repro/internal/workload"
@@ -94,7 +95,7 @@ func TestSitesRunAtOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalCanon(canonRows(want.Rows), canonRows(res.Rows)) {
+		if !slices.Equal(workload.Multiset(want.Rows), workload.Multiset(res.Rows)) {
 			t.Error("rows diverged from the single-site answer")
 		}
 	})
@@ -121,7 +122,7 @@ func failoverBurst(t *testing.T, cl *dist.Cluster, dp *dist.Plan) func() (*fault
 				LinkRetries:   1,
 				FailThreshold: 2,
 				Clock:         clock,
-				Verify:        recoveryVerify,
+				Verify:        modelcheck.RecoveryVerify,
 				Stats:         &dist.RecoveryStats{},
 			}
 		}
@@ -142,7 +143,7 @@ func failoverBurst(t *testing.T, cl *dist.Cluster, dp *dist.Plan) func() (*fault
 // (and, unsynchronized, another site's rows).
 func TestOnePlanManyRuns(t *testing.T) {
 	r := rand.New(rand.NewSource(0xFA11))
-	store := distStore(t, r)
+	store := nullKeySweep(t, r)
 	const query = `SELECT F.GroupID, SUM(F.V), COUNT(*)
 	 FROM Fact F, Dim D WHERE F.DimID = D.DimID
 	 GROUP BY F.GroupID`
@@ -151,7 +152,7 @@ func TestOnePlanManyRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := canonRows(oracle.Rows)
+	want := workload.Multiset(oracle.Rows)
 	cl, err := dist.NewCluster(store, 4, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +168,7 @@ func TestOnePlanManyRuns(t *testing.T) {
 	check := func(who string, res *exec.Result, err error) {
 		if err != nil {
 			t.Errorf("%s run: %v", who, err)
-		} else if got := canonRows(res.Rows); !equalCanon(want, got) {
+		} else if got := workload.Multiset(res.Rows); !slices.Equal(want, got) {
 			t.Errorf("%s run diverged from the single-site answer\ngot:  %v\nwant: %v", who, got, want)
 		}
 	}
@@ -235,13 +236,13 @@ func TestSitesAtOnceSameAnswers(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(0x517E5))
 	for q := 0; q < targetQueries; q++ {
-		store := distStore(t, r)
-		qs := distQueries(r)
-		query := qs[r.Intn(len(qs))]
+		store := nullKeySweep(t, r)
+		qs := workload.Templates(r)
+		query := qs[r.Intn(len(qs))].Query
 		plans := plansFor(t, store, query)
 		plan := plans[r.Intn(len(plans))]
 		nodes := []int{2, 4, 8}[r.Intn(3)]
-		strategy := distStrategies[r.Intn(len(distStrategies))]
+		strategy := []dist.Strategy{dist.StrategyAuto, dist.StrategyEager, dist.StrategyLazy}[r.Intn(3)]
 		par := 1 + 3*r.Intn(2)
 		dp, err := dist.Compile(plan, dist.Config{Nodes: nodes, Strategy: strategy})
 		if err != nil {
@@ -261,7 +262,7 @@ func TestSitesAtOnceSameAnswers(t *testing.T) {
 				defer cancel()
 				opts := &exec.Options{Parallelism: par, Context: ctx, Metrics: obs.NewCollector()}
 				stats := &dist.RecoveryStats{}
-				rec := &dist.Recovery{LinkRetries: 8, Verify: recoveryVerify, Stats: stats}
+				rec := &dist.Recovery{LinkRetries: 8, Verify: modelcheck.RecoveryVerify, Stats: stats}
 				if faulted {
 					horizon := probeLinkTicks(t, cl, dp, *opts)
 					clock := obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)
@@ -280,10 +281,8 @@ func TestSitesAtOnceSameAnswers(t *testing.T) {
 		if len(one.rows) != len(four.rows) {
 			t.Fatalf("%q on %d nodes: %d rows at GOMAXPROCS 1, %d at 4", query, nodes, len(one.rows), len(four.rows))
 		}
-		for i := range one.rows {
-			if value.GroupKeyAll(one.rows[i]) != value.GroupKeyAll(four.rows[i]) {
-				t.Fatalf("%q on %d nodes (strategy %v): row %d is %v at GOMAXPROCS 1 and %v at 4", query, nodes, strategy, i, one.rows[i], four.rows[i])
-			}
+		if a, b := workload.Fingerprint(one.rows), workload.Fingerprint(four.rows); !slices.Equal(a, b) {
+			t.Fatalf("%q on %d nodes (strategy %v): rows differ\nGOMAXPROCS 1: %v\nGOMAXPROCS 4: %v", query, nodes, strategy, a, b)
 		}
 		if !slices.Equal(one.links, four.links) {
 			t.Fatalf("%q on %d nodes (strategy %v): link counters differ\nGOMAXPROCS 1: %v\nGOMAXPROCS 4: %v", query, nodes, strategy, one.links, four.links)

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/algebra"
@@ -10,6 +10,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/value"
+	"repro/internal/workload"
 )
 
 // fixture builds a small Employee/Department store in the shape of the
@@ -74,28 +75,9 @@ func scanOf(t *testing.T, s *storage.Store, table, alias string) *algebra.Scan {
 	return algebra.NewScan(table, alias, cols)
 }
 
-// canonical renders a multiset of rows as a sorted list of group keys so
-// two results can be compared ignoring order.
-func canonical(rows []value.Row) []string {
-	keys := make([]string, len(rows))
-	for i, r := range rows {
-		keys[i] = value.GroupKeyAll(r)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
+// sameMultiset compares two row sets ignoring order.
 func sameMultiset(a, b []value.Row) bool {
-	ka, kb := canonical(a), canonical(b)
-	if len(ka) != len(kb) {
-		return false
-	}
-	for i := range ka {
-		if ka[i] != kb[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(workload.Multiset(a), workload.Multiset(b))
 }
 
 func run(t *testing.T, plan algebra.Node, s *storage.Store, opts *Options) *Result {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/paged"
 	"repro/internal/value"
+	"repro/internal/workload"
 )
 
 // TestForEachChunkCoverage: every index in [0, n) is visited exactly once,
@@ -264,24 +264,8 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 	}
 	for _, tc := range plans {
 		t.Run(tc.sink, func(t *testing.T) {
-			ref := tc.plan
-			limit, limited := ref.(*algebra.Limit)
-			if limited {
-				ref = limit.Input
-			}
-			want, err := refEval(ref, nil, nil)
+			want, err := workload.RefEval(tc.plan, nil, nil)
 			must(t, err)
-			if limited {
-				// The reference evaluator orders nothing and cuts nothing: the
-				// first rows under the total order, taken here.
-				slices.SortFunc(want, func(a, b value.Row) int {
-					if c := value.OrderKey(b[3], a[3]); c != 0 {
-						return c
-					}
-					return value.OrderKey(a[1], b[1])
-				})
-				want = want[:limit.N]
-			}
 			one, err := Run(tc.plan, nil, &Options{Join: tc.join})
 			must(t, err)
 			if !sameMultiset(one.Rows, want) {
@@ -314,7 +298,7 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 			must(t, err)
 			return rows
 		}
-		want, err := refEval(&algebra.Join{
+		want, err := workload.RefEval(&algebra.Join{
 			L: probe(), R: keyedValuesPlan("u", 60, 50),
 			Cond: expr.Eq(expr.Column("l", "k"), expr.Column("u", "k")),
 		}, nil, nil)

@@ -1,16 +1,21 @@
 package exec_test
 
+// The randomized serial-vs-parallel, reference, chaos and disk-chaos
+// differentials are cells of the oracle matrix
+// (internal/plancheck/modelcheck: local, reference, chaos, spill). What stays
+// here are targeted assertions over the matrix's corpus and fingerprint.
+
 import (
-	"strings"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/algebra"
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/sql"
+	"repro/internal/plancheck/modelcheck"
 	"repro/internal/storage"
+	"repro/internal/value"
 	"repro/internal/workload"
 )
 
@@ -18,15 +23,14 @@ import (
 // nil when the transformation is invalid).
 func planPair(t *testing.T, store *storage.Store, query string) (standard, alternative algebra.Node) {
 	t.Helper()
-	q, err := sql.ParseQuery(query)
+	plans, err := modelcheck.Plans(store, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := core.NewOptimizer(store).Optimize(q)
-	if err != nil {
-		t.Fatal(err)
+	if len(plans) == 1 {
+		return plans[0], nil
 	}
-	return report.Standard, report.Alternative
+	return plans[0], plans[1]
 }
 
 // TestParallelDeterminism runs the same parallel plan 20 times and demands
@@ -50,18 +54,18 @@ func TestParallelDeterminism(t *testing.T) {
 		label string
 		plan  algebra.Node
 	}{{"standard", standard}, {"transformed", alternative}} {
-		var first string
+		var first []string
 		for run := 0; run < 20; run++ {
 			res, err := exec.Run(pl.plan, store, &exec.Options{Parallelism: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := strings.Join(rowStrings(res.Rows), "\n")
+			got := workload.Fingerprint(res.Rows)
 			if run == 0 {
 				first = got
 				continue
 			}
-			if got != first {
+			if !slices.Equal(got, first) {
 				t.Fatalf("%s plan: run %d produced different output than run 0", pl.label, run)
 			}
 		}
@@ -86,17 +90,19 @@ func TestConcurrentParallelRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := strings.Join(rowStrings(ref.Rows), "\n")
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for g := 0; g < 8; g++ {
-		plan := standard
+		// The standard plan's runs must return its serial rows in order, the
+		// transformed plan's the same multiset.
+		plan, fingerprint := standard, workload.Fingerprint
 		if g%2 == 1 {
-			plan = alternative
+			plan, fingerprint = alternative, workload.Multiset
 		}
+		want := fingerprint(ref.Rows)
 		wg.Add(1)
-		go func(plan algebra.Node, sortNeeded bool) {
+		go func(plan algebra.Node, fingerprint func([]value.Row) []string) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
 				res, err := exec.Run(plan, store, &exec.Options{Parallelism: 4, Metrics: obs.NewCollector()})
@@ -104,16 +110,12 @@ func TestConcurrentParallelRuns(t *testing.T) {
 					errs <- err
 					return
 				}
-				got := rowStrings(res.Rows)
-				if sortNeeded {
-					sortStrings(got)
-				}
-				if strings.Join(got, "\n") != want {
+				if !slices.Equal(fingerprint(res.Rows), want) {
 					errs <- errMismatch
 					return
 				}
 			}
-		}(plan, plan == alternative)
+		}(plan, fingerprint)
 	}
 	wg.Wait()
 	close(errs)
@@ -188,5 +190,56 @@ func TestFigure1CountsParallel(t *testing.T) {
 	if alt.joinL+alt.joinR != 100+100 || alt.joinOut != 100 {
 		t.Errorf("transformed join: %d x %d -> %d, want 100 x 100 -> 100",
 			alt.joinL, alt.joinR, alt.joinOut)
+	}
+}
+
+// TestEagerPlanShrinksJoinInput asserts Section 7's core claim on measured
+// (not estimated) cardinalities: when each group spans many fact rows,
+// performing the group-by before the join strictly reduces the rows entering
+// join operators. With 5000 employees in 25 departments, the standard plan
+// joins 5000+25 input rows while the eager plan joins only 25+25.
+func TestEagerPlanShrinksJoinInput(t *testing.T) {
+	store, err := workload.EmployeeDepartment(5000, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	standard, alternative := planPair(t, store, workload.Example1Query)
+	if alternative == nil {
+		t.Fatal("Example 1 query did not produce a transformed plan")
+	}
+	// joinInput sums RowsIn over the plan's join and product operators.
+	joinInput := func(plan algebra.Node, parallelism int) int64 {
+		col := obs.NewCollector()
+		res, err := exec.Run(plan, store, &exec.Options{Parallelism: parallelism, Metrics: col})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) == 0 {
+			t.Fatal("plan produced no rows")
+		}
+		var total int64
+		algebra.Walk(plan, func(n algebra.Node) {
+			switch n.(type) {
+			case *algebra.Join, *algebra.Product:
+				total += col.Lookup(n).RowsIn.Load()
+			}
+		})
+		return total
+	}
+	for _, parallelism := range []int{0, 4} {
+		lazy := joinInput(standard, parallelism)
+		eager := joinInput(alternative, parallelism)
+		if eager >= lazy {
+			t.Errorf("parallelism=%d: eager plan fed %d rows into joins, lazy fed %d — eager must be strictly smaller",
+				parallelism, eager, lazy)
+		}
+		// The exact counts are deterministic for this workload: the lazy
+		// plan joins every employee row, the eager plan one row per group.
+		if lazy < 5000 {
+			t.Errorf("parallelism=%d: lazy join input %d, want >= 5000 (all employee rows)", parallelism, lazy)
+		}
+		if eager > 100 {
+			t.Errorf("parallelism=%d: eager join input %d, want <= 100 (one row per department-side group)", parallelism, eager)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"repro/internal/algebra"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/value"
+	"repro/internal/workload"
 )
 
 // countStar is COUNT(*) over in: the scalar group.
@@ -111,18 +111,8 @@ func TestRefusedSpillJoinCuts(t *testing.T) {
 		}},
 	}
 	for _, tc := range plans {
-		want, err := refEval(tc.plan, nil, nil)
+		want, err := workload.RefEval(tc.plan, nil, nil)
 		must(t, err)
-		if _, sorted := tc.plan.(*algebra.Sort); sorted {
-			// The reference evaluator orders nothing: (r.v DESC, l.v) is a total
-			// order of the joined rows, columns 3 and 1.
-			slices.SortFunc(want, func(a, b value.Row) int {
-				if c := value.OrderKey(b[3], a[3]); c != 0 {
-					return c
-				}
-				return value.OrderKey(a[1], b[1])
-			})
-		}
 		for _, workers := range []int{1, 2, 4} {
 			for _, vectorize := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/workers=%d/vectorize=%v", tc.name, workers, vectorize), func(t *testing.T) {

@@ -10,13 +10,12 @@ package exec_test
 // with -race — is what certifies those sharing rules.
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
-	"repro/internal/algebra"
-	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/sql"
+	"repro/internal/plancheck/modelcheck"
 	"repro/internal/workload"
 )
 
@@ -29,17 +28,9 @@ func TestConcurrentVectorizedAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := sql.ParseQuery(workload.Example1Query)
+	plans, err := modelcheck.Plans(store, workload.Example1Query)
 	if err != nil {
 		t.Fatal(err)
-	}
-	report, err := core.NewOptimizer(store).Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plans := []algebra.Node{report.Standard}
-	if report.Alternative != nil {
-		plans = append(plans, report.Alternative)
 	}
 	refs := make([][]string, len(plans))
 	for i, plan := range plans {
@@ -47,7 +38,7 @@ func TestConcurrentVectorizedAggregation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs[i] = rowStrings(res.Rows)
+		refs[i] = workload.Fingerprint(res.Rows)
 	}
 
 	const goroutines = 8
@@ -70,7 +61,7 @@ func TestConcurrentVectorizedAggregation(t *testing.T) {
 					errs <- err
 					return
 				}
-				if got := rowStrings(res.Rows); !sameRowOrder(refs[pi], got) {
+				if got := workload.Fingerprint(res.Rows); !slices.Equal(refs[pi], got) {
 					t.Errorf("goroutine %d run %d (par=%d): vectorized rows diverged from the row engine",
 						g, run, opts.Parallelism)
 					return

@@ -4,10 +4,12 @@
 // catalog; this package attacks the same claim from the opposite side: it
 // enumerates EVERY database with up to k rows per table over small value
 // domains — including NULLs, duplicate rows and int/float key mixing — and
-// executes each claimed-equivalent plan pair on each database, comparing
-// output multisets exactly. The pairs cover the engine's four execution
-// claims at once: lazy vs eager (standard vs transformed plan), row vs
-// vectorized, serial vs parallel, and local vs distributed.
+// executes every claimed-equivalent execution on each database, comparing
+// its output multiset exactly with workload.RefEval's. The executions are
+// the variants of the oracle matrix's fault-free cells (matrix.go), one axis
+// at a time: lazy vs eager (standard vs transformed plan), row vs
+// vectorized, every worker count, join and grouping strategy, and every
+// cluster size and shipping strategy.
 //
 // Any disagreement is shrunk by a greedy delta-debugging minimizer (drop
 // one row at a time while the failure persists) before being reported, so
@@ -22,17 +24,16 @@ package modelcheck
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/algebra"
-	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/exec"
 	"repro/internal/schema"
-	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/value"
+	"repro/internal/workload"
 )
 
 // Scenario is one schema + query + candidate-row pool to exhaust.
@@ -61,12 +62,11 @@ type Config struct {
 type Counterexample struct {
 	Scenario string
 	Query    string
-	// Variant names the execution pair that disagreed with the baseline
-	// (standard plan, row-at-a-time, serial, local).
+	// Variant names the execution that disagreed with the reference.
 	Variant string
 	// Database is the minimized failing database.
 	Database map[string][]value.Row
-	// Want and Got are the canonicalized result multisets.
+	// Want and Got are the result multisets, as kind-tagged fingerprints.
 	Want, Got []string
 }
 
@@ -96,42 +96,12 @@ type Result struct {
 	// Databases is the number of constraint-satisfying databases
 	// enumerated and executed.
 	Databases int
-	// PlanPairs is the number of plan-pair comparisons performed (one per
-	// database per non-baseline variant).
+	// PlanPairs is the number of comparisons with the reference performed
+	// (one per database per variant).
 	PlanPairs int
 	// Counterexamples holds every minimized disagreement (empty on a
 	// clean run).
 	Counterexamples []*Counterexample
-}
-
-// variant is one execution configuration of one plan.
-type variant struct {
-	name string
-	plan algebra.Node
-	opts func() *exec.Options
-	// distPlan, when non-nil, runs the plan on a simulated cluster
-	// instead of locally.
-	distPlan *dist.Plan
-	nodes    int
-}
-
-func (v *variant) run(store *storage.Store) ([]value.Row, error) {
-	if v.distPlan != nil {
-		cl, err := dist.NewCluster(store, v.nodes, 0)
-		if err != nil {
-			return nil, err
-		}
-		res, err := cl.Run(v.distPlan, v.opts())
-		if err != nil {
-			return nil, err
-		}
-		return res.Rows, nil
-	}
-	res, err := exec.Run(v.plan, store, v.opts())
-	if err != nil {
-		return nil, err
-	}
-	return res.Rows, nil
 }
 
 // Run model-checks every scenario up to cfg.K rows per table.
@@ -161,29 +131,11 @@ func runScenario(sc *Scenario, k int, res *Result) error {
 	if err != nil {
 		return err
 	}
-	q, err := sql.ParseQuery(sc.Query)
-	if err != nil {
-		return fmt.Errorf("parse %q: %w", sc.Query, err)
-	}
-	o := core.NewOptimizer(planStore)
-	o.Mode = core.ModeAlways
-	rep, err := o.Optimize(q)
+	ps, err := plans(planStore, sc.Query, false)
 	if err != nil {
 		return err
 	}
-
-	baseline := &variant{name: "standard/row/serial/local", plan: rep.Standard, opts: func() *exec.Options { return &exec.Options{} }}
-	variants, err := planVariants("standard", rep.Standard)
-	if err != nil {
-		return err
-	}
-	if rep.Alternative != nil {
-		tv, err := planVariants("transformed", rep.Alternative)
-		if err != nil {
-			return err
-		}
-		variants = append(variants, tv...)
-	}
+	variants := modelVariants(ps)
 
 	// Enumerate the databases: the cross product over tables of all
 	// multisets of up to k pool rows.
@@ -199,7 +151,7 @@ func runScenario(sc *Scenario, k int, res *Result) error {
 	var visit func(ti int) error
 	visit = func(ti int) error {
 		if ti == len(names) {
-			return checkDatabase(sc, db, baseline, variants, res)
+			return checkDatabase(sc, db, ps, variants, res)
 		}
 		for _, rows := range perTable[ti] {
 			db[names[ti]] = rows
@@ -212,70 +164,54 @@ func runScenario(sc *Scenario, k int, res *Result) error {
 	return visit(0)
 }
 
-// planVariants builds the non-baseline execution configurations of a plan:
-// vectorized, parallel, and distributed (2 nodes); for the transformed plan
-// the row/serial/local configuration is itself a pair against the baseline.
-func planVariants(label string, plan algebra.Node) ([]*variant, error) {
-	var out []*variant
-	if label != "standard" {
-		out = append(out, &variant{name: label + "/row/serial/local", plan: plan, opts: func() *exec.Options { return &exec.Options{} }})
-	}
-	out = append(out,
-		&variant{name: label + "/vectorized/serial/local", plan: plan, opts: func() *exec.Options { return &exec.Options{Vectorize: true} }},
-		&variant{name: label + "/row/parallel/local", plan: plan, opts: func() *exec.Options { return &exec.Options{Parallelism: 4} }},
-	)
-	const nodes = 2
-	dp, err := dist.Compile(plan, dist.Config{Nodes: nodes, Strategy: dist.StrategyAuto})
+// reference is RefEval's output on one database, as a multiset.
+func reference(ps []algebra.Node, store *storage.Store) ([]string, error) {
+	rows, err := workload.RefEval(ps[0], store, nil)
 	if err != nil {
-		return nil, fmt.Errorf("distributed compile (%s): %w", label, err)
+		return nil, fmt.Errorf("reference: %w", err)
 	}
-	out = append(out, &variant{
-		name: label + "/row/serial/distributed", plan: plan,
-		opts: func() *exec.Options { return &exec.Options{} }, distPlan: dp, nodes: nodes,
-	})
-	return out, nil
+	return workload.Multiset(rows), nil
+}
+
+// output is the variant's output on one database, as a multiset; a failed
+// run's output is its error.
+func output(ps []algebra.Node, store *storage.Store, v Variant) []string {
+	res, err := v.run(ps, store, &exec.Options{}, nil)
+	if err != nil {
+		return []string{"error: " + err.Error()}
+	}
+	return workload.Multiset(res.Rows)
 }
 
 // checkDatabase executes every variant against one database and records a
-// minimized counterexample for each disagreement with the baseline.
-func checkDatabase(sc *Scenario, db map[string][]value.Row, baseline *variant, variants []*variant, res *Result) error {
+// minimized counterexample for each disagreement with the reference.
+func checkDatabase(sc *Scenario, db map[string][]value.Row, ps []algebra.Node, variants []Variant, res *Result) error {
 	store, err := buildStore(sc, db)
 	if err != nil {
 		return nil // constraint-violating database: skip, don't fail
 	}
 	res.Databases++
-	wantRows, err := baseline.run(store)
+	want, err := reference(ps, store)
 	if err != nil {
-		return fmt.Errorf("baseline execution: %w", err)
+		return err
 	}
-	want := canon(wantRows)
 	for _, v := range variants {
 		res.PlanPairs++
-		gotRows, runErr := v.run(store)
-		got := canon(gotRows)
-		if runErr == nil && equalCanon(want, got) {
+		got := output(ps, store, v)
+		if slices.Equal(want, got) {
 			continue
 		}
-		if runErr != nil {
-			got = []string{"error: " + runErr.Error()}
-		}
-		minimized := minimize(sc, db, baseline, v)
-		mStore, bErr := buildStore(sc, minimized)
+		minimized := minimize(sc, db, ps, v)
 		mWant, mGot := want, got
-		if bErr == nil {
-			if rows, err := baseline.run(mStore); err == nil {
-				mWant = canon(rows)
-			}
-			if rows, err := v.run(mStore); err == nil {
-				mGot = canon(rows)
-			} else {
-				mGot = []string{"error: " + err.Error()}
+		if mStore, err := buildStore(sc, minimized); err == nil {
+			if w, err := reference(ps, mStore); err == nil {
+				mWant, mGot = w, output(ps, mStore, v)
 			}
 		}
 		res.Counterexamples = append(res.Counterexamples, &Counterexample{
 			Scenario: sc.Name,
 			Query:    sc.Query,
-			Variant:  v.name,
+			Variant:  v.String(),
 			Database: cloneDB(minimized),
 			Want:     mWant,
 			Got:      mGot,
@@ -284,27 +220,20 @@ func checkDatabase(sc *Scenario, db map[string][]value.Row, baseline *variant, v
 	return nil
 }
 
-// disagrees reports whether the variant still diverges from the baseline on
-// the database (an execution error counts as divergence).
-func disagrees(sc *Scenario, db map[string][]value.Row, baseline, v *variant) bool {
+// disagrees reports whether the variant still diverges from the reference
+// on the database (an execution error counts as divergence).
+func disagrees(sc *Scenario, db map[string][]value.Row, ps []algebra.Node, v Variant) bool {
 	store, err := buildStore(sc, db)
 	if err != nil {
 		return false // not a valid database
 	}
-	wantRows, err := baseline.run(store)
-	if err != nil {
-		return false
-	}
-	gotRows, err := v.run(store)
-	if err != nil {
-		return true
-	}
-	return !equalCanon(canon(wantRows), canon(gotRows))
+	want, err := reference(ps, store)
+	return err == nil && !slices.Equal(want, output(ps, store, v))
 }
 
 // minimize greedily shrinks a failing database: repeatedly drop any single
 // row whose removal keeps the disagreement, until the database is 1-minimal.
-func minimize(sc *Scenario, db map[string][]value.Row, baseline, v *variant) map[string][]value.Row {
+func minimize(sc *Scenario, db map[string][]value.Row, ps []algebra.Node, v Variant) map[string][]value.Row {
 	cur := cloneDB(db)
 	for {
 		shrunk := false
@@ -312,7 +241,7 @@ func minimize(sc *Scenario, db map[string][]value.Row, baseline, v *variant) map
 			for i := range rows {
 				cand := cloneDB(cur)
 				cand[name] = append(append([]value.Row{}, rows[:i]...), rows[i+1:]...)
-				if disagrees(sc, cand, baseline, v) {
+				if disagrees(sc, cand, ps, v) {
 					cur = cand
 					shrunk = true
 					break
@@ -351,38 +280,6 @@ func cloneDB(db map[string][]value.Row) map[string][]value.Row {
 		out[name] = append([]value.Row{}, rows...)
 	}
 	return out
-}
-
-// canon canonicalizes a result multiset: one kind-tagged fingerprint per
-// row, sorted. Kind tags keep int 1 and float 1.0 distinct — the engine's
-// plans must agree on output types, not merely on =ⁿ equivalence classes.
-func canon(rows []value.Row) []string {
-	out := make([]string, len(rows))
-	for i, row := range rows {
-		parts := make([]string, len(row))
-		for j, v := range row {
-			if v.IsNull() {
-				parts[j] = "∅"
-			} else {
-				parts[j] = fmt.Sprintf("%d:%s", v.Kind(), v)
-			}
-		}
-		out[i] = strings.Join(parts, "|")
-	}
-	sort.Strings(out)
-	return out
-}
-
-func equalCanon(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // rowMultisets enumerates every multiset of 0..k pool rows as index-sorted

@@ -7,7 +7,9 @@
 // group-count sweeps.
 //
 // Generators are deterministic (seeded) so experiment tables are
-// reproducible run to run.
+// reproducible run to run. The package also holds the oracle corpus
+// (corpus.go) and RefEval, the reference evaluator every oracle compares
+// the executor with, and the fingerprint it compares in (reference.go).
 package workload
 
 import (
