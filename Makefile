@@ -6,46 +6,41 @@
 # faulted slices one target each — chaos, dist-oracle, recovery-oracle,
 # spill-oracle — with the targeted tests beside them, the query-service oracle
 # (serve-oracle: concurrent-session differential, admission ladder, shutdown
-# chaos), and a short run of every fuzz target. The oracle matrix is
-# TestMatrix in internal/plancheck/modelcheck, one subtest per cell of
-# modelcheck.Cells: every run's rows against workload.RefEval (DESIGN.md §5).
-# Nothing here times anything: `make bench` runs the layer benchmarks, and
-# `go run ./benchmark` is the end-to-end measurement (BENCHMARK.json).
+# chaos), a short run of every fuzz target, and one iteration of every
+# benchmark (bench-smoke). The oracle matrix is TestMatrix in
+# internal/plancheck/modelcheck, one subtest per cell of modelcheck.Cells:
+# every run's rows against workload.RefEval (DESIGN.md §5). Nothing here
+# times anything: `make bench` runs the layer benchmarks, `gbj-bench` the
+# paper's experiments, and `go run ./benchmark` is the end-to-end
+# measurement (BENCHMARK.json).
 
 GO ?= go
 FUZZTIME ?= 10s
-MODELCHECK_K ?= 3
 
-.PHONY: check vet lint plancheck modelcheck verify-certs build test race chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench loc
+.PHONY: check vet lint plancheck modelcheck verify-certs build test race chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench bench-smoke loc
 
-check: vet lint build race plancheck modelcheck verify-certs chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz
+check: vet lint build race plancheck modelcheck verify-certs chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench-smoke
 
 vet:
 	$(GO) vet ./...
 
-# The repository's own multichecker (internal/lint): map-iteration
-# determinism in row paths, cost-model purity, atomic shared counters,
-# the accumulator Merge contract, exec.Options immutability, the
-# copy-on-write dictionary protocol, governed row and batch loops (the
-# pipeline runner's chunk loop in either source form), memory-budget
-# accounting of the one join table and the one group table, %w error
-# wrapping and selection-vector access.
+# The repository's own multichecker (internal/lint); `go run ./cmd/gbj-lint
+# -list` prints its analyzers, each with its rule and the directories it
+# covers.
 lint:
 	$(GO) run ./cmd/gbj-lint ./...
 
-# Bounded-exhaustive plan-equivalence model checking: every tiny database
-# up to MODELCHECK_K rows per table (NULLs and int/float key mixing
+# Bounded-exhaustive plan-equivalence model checking (TestModelCheckGate):
+# every tiny database up to 3 rows per table (NULLs and int/float key mixing
 # included), every variant of the matrix's fault-free cells one axis at a
 # time (lazy vs eager, row vs vectorized, worker counts, strategies, cluster
 # sizes) executed by brute force and compared with the reference evaluator.
-# Any mismatch prints a minimized counterexample. The gate runs through the
-# gbj-lint CLI (exercising the -modelcheck wiring); the single tiny package
-# argument keeps the lint half of the run trivial since `make lint` already
-# covers the whole module. The unit suite around the checker (gauntlet,
-# minimizer, bound validation) runs as well; the matrix has its own targets.
+# Any mismatch prints a minimized counterexample; -v prints the gate's
+# scenario, database and plan-pair counts. The unit suite around the checker
+# (gauntlet, minimizer, bound validation) runs as well; the matrix has its
+# own targets.
 modelcheck:
-	$(GO) run ./cmd/gbj-lint -modelcheck -k $(MODELCHECK_K) ./internal/cliutil
-	$(GO) test ./internal/plancheck/modelcheck -skip TestMatrix
+	$(GO) test -v ./internal/plancheck/modelcheck -skip TestMatrix
 
 # Independent certificate re-derivation over the randomized oracle corpus:
 # the certifier recomputes FD1/FD2 from the catalog alone and cross-checks
@@ -160,32 +155,42 @@ fuzz:
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzQueryResponseWire -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzHandleQuery -fuzztime $(FUZZTIME)
 
-# Every benchmark in the module with allocs/op — among them the layer
-# benchmarks behind the grouping decision of DESIGN.md §19 (internal/exec:
+# Every benchmark in the module with allocs/op — the layer benchmarks; the
+# paper's figures, examples and sweeps are `gbj-bench` (EXPERIMENTS.md).
+# Among them: the paper's Figure 1 (internal/exec: BenchmarkFigure1Row /
+# BenchmarkFigure1Vec, the lazy and the eager plan at par1 and par2 — the
+# row-vs-batch decision of §13.5, and the only timing of the batch form above
+# one worker —, under Row also the forced join and group strategies and, at
+# 100 000 employees, the interesting-order ablation); the decision procedure
+# (internal/core: BenchmarkTestFD, and BenchmarkPredicateExpansion, the §6.3
+# ablation); the grouping decision of DESIGN.md §19 (internal/exec:
 # BenchmarkOrderByOverGrouping, GroupAuto vs forced GroupSort in the row and
 # the columnar source form, the latter also at two workers, and
-# BenchmarkSortRowsStable, the sort kernel alone), behind the row-vs-batch
-# decision of §13.5 (BenchmarkFigure1Row / BenchmarkFigure1Vec, par1 and par2:
-# the only timing of the batch form above one worker)
-# and behind the row representation of §19.1 (internal/value: BenchmarkConcat,
-# BenchmarkAppendGroupKey, BenchmarkCompare; internal/exec:
-# BenchmarkHashGroupSerial, one cluster fragment's join-then-group,
-# BenchmarkGroupTable, the group table alone — all inserts, all hits at 10 and
-# 1 000 groups, two partials absorbed —, BenchmarkJoinTable, the other hashed
-# stores alone — join build + probe at 10 keys, 1 000 keys and 100 keys × 100
-# rows, par1 and par2, DISTINCT's set, COUNT(DISTINCT) over 1 000 groups — and
-# BenchmarkTinyJoinGroup, what a run costs before its first row,
-# BenchmarkResultPath, what a finished row costs on its way to Run's caller —
-# group → rename, group → column-permuting π, scan → rename and the wide
-# scan → filter → probe → permuting π, par1 and par2, the wide one also under a
-# cancellable context — and BenchmarkGovernorTick, the per-row governance
-# check on one goroutine and on two sharing a governor; internal/storage:
-# BenchmarkInsert, 48 000 four-column rows under a primary key;
-# internal/dist: BenchmarkRowBytes) and behind the wire encoding of §17.5
-# (internal/server: BenchmarkEncodeQueryResponse, BenchmarkDecodeQueryResponse,
-# each beside the encoding/json path it replaced).
+# BenchmarkSortRowsStable, the sort kernel alone); the row representation of
+# §19.1 (internal/value: BenchmarkConcat, BenchmarkAppendGroupKey,
+# BenchmarkCompare; internal/exec: BenchmarkHashGroupSerial, one cluster
+# fragment's join-then-group, BenchmarkGroupTable, the group table alone —
+# all inserts, all hits at 10 and 1 000 groups, two partials absorbed —,
+# BenchmarkJoinTable, the other hashed stores alone — join build + probe at
+# 10 keys, 1 000 keys and 100 keys × 100 rows, par1 and par2, DISTINCT's set,
+# COUNT(DISTINCT) over 1 000 groups — and BenchmarkTinyJoinGroup, what a run
+# costs before its first row, BenchmarkResultPath, what a finished row costs
+# on its way to Run's caller — group → rename, group → column-permuting π,
+# scan → rename and the wide scan → filter → probe → permuting π, par1 and
+# par2, the wide one also under a cancellable context — and
+# BenchmarkGovernorTick, the per-row governance check on one goroutine and on
+# two sharing a governor; internal/storage: BenchmarkInsert, 48 000
+# four-column rows under a primary key; internal/dist: BenchmarkRowBytes);
+# and the wire encoding of §17.5 (internal/server:
+# BenchmarkEncodeQueryResponse, BenchmarkDecodeQueryResponse, each beside the
+# encoding/json path it replaced).
 bench:
 	$(GO) test -bench . -benchmem ./...
+
+# Every benchmark once, regular tests skipped: a benchmark that no longer
+# runs, or whose row-count assertion fails, breaks the gate. Times nothing.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Non-test and test Go lines per package — the numbers CHANGES.md reports for
 # a change (internal/exec's non-test count is the one ROADMAP tracks).

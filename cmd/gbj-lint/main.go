@@ -1,10 +1,6 @@
 // Command gbj-lint runs the repository's custom static analyzers (package
-// internal/lint) over the module — map-iteration determinism in row paths,
-// cost-model purity, atomic counters in parallel code, the accumulator
-// Merge contract, exec.Options immutability, the copy-on-write dictionary
-// protocol, governed row loops, memory-budget accounting, %w error
-// wrapping and selection-vector access — and, on request, the bounded-
-// exhaustive plan-equivalence model checker (internal/plancheck/modelcheck).
+// internal/lint) over the module; `gbj-lint -list` prints the catalog, each
+// analyzer with the rule it enforces and the directories it covers.
 //
 // Usage:
 //
@@ -13,16 +9,13 @@
 //	gbj-lint ./internal/exec ./internal/core
 //	gbj-lint -list            # print the analyzer catalog
 //	gbj-lint -json            # machine-readable findings report
-//	gbj-lint -modelcheck      # also brute-force plan pairs on tiny databases
-//	gbj-lint -modelcheck -k 4 # ... up to 4 rows per table
 //
 // Findings print as "file:line:col: message (analyzer)" and make the
 // command exit 1; a clean tree exits 0. With -json the report is a single
-// JSON object with the findings, per-analyzer counts and (with
-// -modelcheck) the model-checking summary — the exit-code contract is the
-// same. Suppress an individual finding with a "//lint:ignore <analyzer>
-// <reason>" comment on or above its line; the analyzer name and reason are
-// mandatory, and there is no blanket form.
+// JSON object with the findings and per-analyzer counts — the exit-code
+// contract is the same. Suppress an individual finding with a
+// "//lint:ignore <analyzer> <reason>" comment on or above its line; the
+// analyzer name and reason are mandatory, and there is no blanket form.
 package main
 
 import (
@@ -35,7 +28,6 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/lint"
-	"repro/internal/plancheck/modelcheck"
 )
 
 // report is the -json output schema.
@@ -43,8 +35,6 @@ type report struct {
 	Findings []finding      `json:"findings"`
 	Counts   map[string]int `json:"counts"`
 	Total    int            `json:"total"`
-	// ModelCheck is present only when -modelcheck ran.
-	ModelCheck *modelReport `json:"modelcheck,omitempty"`
 }
 
 type finding struct {
@@ -55,31 +45,12 @@ type finding struct {
 	Message  string `json:"message"`
 }
 
-type modelReport struct {
-	K               int      `json:"k"`
-	Scenarios       int      `json:"scenarios"`
-	Databases       int      `json:"databases"`
-	PlanPairs       int      `json:"plan_pairs"`
-	Counterexamples []string `json:"counterexamples"`
-}
-
 func main() {
 	list := flag.Bool("list", false, "print the analyzer catalog and exit")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report")
-	runModel := flag.Bool("modelcheck", false, "also run the bounded-exhaustive plan-equivalence model checker")
-	k := flag.Int("k", 3, "model-checker bound: maximum rows per table (requires -modelcheck)")
 	flag.Parse()
 
-	kSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "k" {
-			kSet = true
-		}
-	})
 	if err := cliutil.ValidateLintOutput(*jsonOut, *list); err != nil {
-		fail(err)
-	}
-	if err := cliutil.ValidateModelCheck(*runModel, kSet, *k); err != nil {
 		fail(err)
 	}
 
@@ -130,33 +101,6 @@ func main() {
 		}
 	}
 
-	failures := rep.Total
-	if *runModel {
-		res, err := modelcheck.Run(modelcheck.Config{K: *k})
-		if err != nil {
-			fail(err)
-		}
-		mr := &modelReport{
-			K:               *k,
-			Scenarios:       res.Scenarios,
-			Databases:       res.Databases,
-			PlanPairs:       res.PlanPairs,
-			Counterexamples: []string{},
-		}
-		for _, c := range res.Counterexamples {
-			mr.Counterexamples = append(mr.Counterexamples, c.String())
-		}
-		rep.ModelCheck = mr
-		failures += len(res.Counterexamples)
-		if !*jsonOut {
-			fmt.Printf("modelcheck: %d scenarios, %d databases, %d plan pairs (k=%d)\n",
-				res.Scenarios, res.Databases, res.PlanPairs, *k)
-			for _, c := range res.Counterexamples {
-				fmt.Printf("modelcheck counterexample:\n%s\n", c)
-			}
-		}
-	}
-
 	if *jsonOut {
 		if rep.Findings == nil {
 			rep.Findings = []finding{}
@@ -167,8 +111,8 @@ func main() {
 			fail(err)
 		}
 	}
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "gbj-lint: %d finding(s)\n", failures)
+	if rep.Total > 0 {
+		fmt.Fprintf(os.Stderr, "gbj-lint: %d finding(s)\n", rep.Total)
 		os.Exit(1)
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -21,6 +21,7 @@ import (
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/value"
+	"repro/internal/workload"
 )
 
 // JoinStat is the measured shape of one join: the paper's "N x M" plan
@@ -64,6 +65,8 @@ type PlanRun struct {
 	// (Plan, Label and all stats then describe the fallback).
 	Fallbacks int
 
+	// checksum is the result's kind-tagged multiset (workload.Multiset):
+	// two plans agree when theirs are equal.
 	checksum []string
 }
 
@@ -144,7 +147,7 @@ func RunPlan(label string, plan algebra.Node, store *storage.Store, reps, parall
 		}
 	})
 	run.OutRows = int64(len(rows))
-	run.checksum = canonical(rows)
+	run.checksum = workload.Multiset(rows)
 	extractStats(plan, run)
 	return run, nil
 }
@@ -174,27 +177,6 @@ func extractStats(plan algebra.Node, run *PlanRun) {
 			run.GroupOutput = run.Ann[node].Rows
 		}
 	})
-}
-
-func canonical(rows []value.Row) []string {
-	keys := make([]string, len(rows))
-	for i, r := range rows {
-		keys[i] = value.GroupKeyAll(r)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sameChecksum(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Comparison is a measured standard-vs-transformed experiment.
@@ -257,7 +239,7 @@ func CompareForward(store *storage.Store, query string, reps, parallelism int, g
 	if c.Transformed, err = RunPlan("transformed (group before join)", report.Alternative, store, reps, parallelism, gov); err != nil {
 		return nil, err
 	}
-	if !sameChecksum(c.Standard.checksum, c.Transformed.checksum) {
+	if !slices.Equal(c.Standard.checksum, c.Transformed.checksum) {
 		return nil, fmt.Errorf("bench: plans disagree on %q — Main Theorem violation", query)
 	}
 	return c, nil
@@ -294,7 +276,7 @@ func CompareReverse(store *storage.Store, query string, reps, parallelism int, g
 	if c.Transformed, err = RunPlan("flat (join before group-by)", rr.FlatPlan, store, reps, parallelism, gov); err != nil {
 		return nil, err
 	}
-	if !sameChecksum(c.Standard.checksum, c.Transformed.checksum) {
+	if !slices.Equal(c.Standard.checksum, c.Transformed.checksum) {
 		return nil, fmt.Errorf("bench: reverse plans disagree on %q", query)
 	}
 	return c, nil

@@ -11,6 +11,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/algebra"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/value"
+	"repro/internal/workload"
 )
 
 // CommBytes totals the bytes the run's exchange operators shipped across
@@ -70,7 +72,7 @@ func CompareDistributed(ctx context.Context, store *storage.Store, query string,
 	if err != nil {
 		return nil, err
 	}
-	if !sameChecksum(lazy.checksum, eager.checksum) {
+	if !slices.Equal(lazy.checksum, eager.checksum) {
 		return nil, fmt.Errorf("distributed strategies disagree on %q: lazy %d rows, eager %d rows",
 			query, lazy.OutRows, eager.OutRows)
 	}
@@ -113,6 +115,6 @@ func runDistPlan(ctx context.Context, cl *dist.Cluster, plan algebra.Node, strat
 		run.Metrics = col
 	}
 	run.OutRows = int64(len(rows))
-	run.checksum = canonical(rows)
+	run.checksum = workload.Multiset(rows)
 	return run, nil
 }

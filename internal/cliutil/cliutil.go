@@ -184,22 +184,6 @@ func ValidateLinkRetries(n int) error {
 	return nil
 }
 
-// ValidateModelCheck checks gbj-lint's model-checker flags. The bound -k is
-// rows per table and must be at least 1 — a bound of 0 would "pass" by
-// checking only empty databases, so it is rejected, not clamped. Setting -k
-// without -modelcheck is also rejected: the flag would silently do nothing,
-// and a CI invocation that thinks it raised the bound should fail loudly
-// instead.
-func ValidateModelCheck(enabled, kSet bool, k int) error {
-	if kSet && !enabled {
-		return fmt.Errorf("-k %d without -modelcheck: the bound only applies to the model checker; add -modelcheck or drop -k", k)
-	}
-	if enabled && k < 1 {
-		return fmt.Errorf("-modelcheck bound -k must be at least 1 row per table, got %d", k)
-	}
-	return nil
-}
-
 // ValidateLintOutput checks gbj-lint's output-mode flags: -json emits the
 // machine-readable findings report and -list the human-readable analyzer
 // catalog; combining them would have to drop one, so the pair is rejected.

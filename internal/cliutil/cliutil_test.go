@@ -95,30 +95,6 @@ func TestValidateLinkRetries(t *testing.T) {
 	}
 }
 
-func TestValidateModelCheck(t *testing.T) {
-	tests := []struct {
-		enabled, kSet bool
-		k             int
-		ok            bool
-	}{
-		{false, false, 3, true}, // defaults: nothing to check
-		{true, false, 3, true},  // -modelcheck with the default bound
-		{true, true, 1, true},   // explicit minimal bound
-		{true, true, 4, true},   // explicit raised bound
-		{true, true, 0, false},  // zero bound checks only empty databases
-		{true, true, -2, false}, // negative bound
-		{true, false, 0, false}, // even an unset bound must be valid
-		{false, true, 3, false}, // -k without -modelcheck silently does nothing
-		{false, true, 0, false}, // ... and is rejected before the range check
-	}
-	for _, tt := range tests {
-		err := ValidateModelCheck(tt.enabled, tt.kSet, tt.k)
-		if (err == nil) != tt.ok {
-			t.Errorf("ValidateModelCheck(%v, %v, %d) = %v, want ok=%v", tt.enabled, tt.kSet, tt.k, err, tt.ok)
-		}
-	}
-}
-
 func TestValidateLintOutput(t *testing.T) {
 	tests := []struct {
 		jsonOut, list bool

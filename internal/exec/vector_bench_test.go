@@ -1,13 +1,26 @@
 package exec_test
 
-// Benchmarks for the row-vs-columnar source form comparison on the paper's
-// Figure 1 workload (Employee 10000 x Department 100, standard plan:
-// join first, group once at the top). They are the layer-level reading of
-// the row-vs-vectorized ratio (benchmark/'s olap_eager is the end-to-end
-// one) and give `go test -bench . -cpuprofile` a stable harness for hunting
-// regressions in the columnar path. par1 and par2 fix Options.Parallelism,
-// whatever -cpu says: no end-to-end workload runs vectorized above one worker,
-// so this is where that path is timed.
+// Benchmarks on the paper's Figure 1 workload: Example 1 over Employee
+// 10000 x Department 100. The plan axis is the paper's two plans: lazy is
+// Plan 1 (join 10000 x 100, then group 10000 rows into 100) and eager is
+// Plan 2 (group 10000 rows into 100, then join 100 x 100). par1 and par2 fix
+// Options.Parallelism, whatever -cpu says: no end-to-end workload runs
+// vectorized above one worker, so this is where that path is timed. They are
+// the layer-level reading of the row-vs-vectorized ratio (benchmark/'s
+// olap_eager is the end-to-end one) and give `go test -bench . -cpuprofile`
+// a stable harness for hunting regressions in either source form.
+//
+// BenchmarkFigure1Row also carries the executor ablations. Under lazy/par1
+// it forces the other physical strategies (join=sort-merge,
+// join=nested-loop, group=sort; hash is the default run): the
+// transformation's win is not an artifact of one algorithm. Under
+// scale=100k it runs the eager plan at Employee 100000 x Department 1000
+// with three (group, join) pairs: the sort grouping leaves its output
+// ordered on the join column, so the merge join above skips its left-side
+// sort. Skipping that sort is real, but paying an N-row sort in the grouping
+// operator to get there loses to hashing the N rows — which is why the
+// executor streams only over an order it is handed and never sorts rows to
+// create one (DESIGN.md §19). Every run must return one row per department.
 
 import (
 	"fmt"
@@ -21,9 +34,11 @@ import (
 	"repro/internal/workload"
 )
 
-func figure1Plan(b *testing.B) (algebra.Node, *storage.Store) {
+// figure1 builds Example 1 over employees x departments and returns the
+// store with its lazy (standard) and eager (transformed) plans.
+func figure1(b *testing.B, employees, departments int) (store *storage.Store, lazy, eager algebra.Node) {
 	b.Helper()
-	store, err := workload.EmployeeDepartment(10000, 100)
+	store, err := workload.EmployeeDepartment(employees, departments)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,24 +50,71 @@ func figure1Plan(b *testing.B) (algebra.Node, *storage.Store) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return report.Standard, store
+	if report.Alternative == nil {
+		b.Fatalf("Example 1: transformation not available: %s", report.WhyNot)
+	}
+	return store, report.Standard, report.Alternative
 }
 
-func benchFigure1(b *testing.B, vectorize bool) {
-	plan, store := figure1Plan(b)
-	for _, par := range []int{1, 2} {
-		opts := &exec.Options{Vectorize: vectorize, Parallelism: par}
-		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := exec.Run(plan, store, opts); err != nil {
-					b.Fatal(err)
-				}
+// benchPlan times plan under opts as the sub-benchmark name; every run must
+// return rows rows.
+func benchPlan(b *testing.B, name string, store *storage.Store, plan algebra.Node, opts exec.Options, rows int) {
+	b.Run(name, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := exec.Run(plan, store, &opts)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			if len(res.Rows) != rows {
+				b.Fatalf("%d rows, want %d", len(res.Rows), rows)
+			}
+		}
+	})
+}
+
+// benchFigure1 runs both plans at one and two workers in one source form
+// and returns the store and the lazy plan for further sub-benchmarks.
+func benchFigure1(b *testing.B, vectorize bool) (*storage.Store, algebra.Node) {
+	store, lazy, eager := figure1(b, 10000, 100)
+	for _, p := range []struct {
+		name string
+		plan algebra.Node
+	}{{"lazy", lazy}, {"eager", eager}} {
+		for _, par := range []int{1, 2} {
+			benchPlan(b, fmt.Sprintf("%s/par%d", p.name, par), store, p.plan,
+				exec.Options{Vectorize: vectorize, Parallelism: par}, 100)
+		}
+	}
+	return store, lazy
+}
+
+func BenchmarkFigure1Row(b *testing.B) {
+	store, lazy := benchFigure1(b, false)
+	for _, s := range []struct {
+		name string
+		opts exec.Options
+	}{
+		{"join=sort-merge", exec.Options{Join: exec.JoinSortMerge}},
+		{"join=nested-loop", exec.Options{Join: exec.JoinNestedLoop}},
+		{"group=sort", exec.Options{Group: exec.GroupSort}},
+	} {
+		s.opts.Parallelism = 1
+		benchPlan(b, "lazy/par1/"+s.name, store, lazy, s.opts, 100)
+	}
+
+	store, _, eager := figure1(b, 100000, 1000)
+	for _, s := range []struct {
+		group exec.GroupStrategy
+		join  exec.JoinStrategy
+	}{
+		{exec.GroupHash, exec.JoinHash},
+		{exec.GroupSort, exec.JoinSortMerge}, // the merge join's left sort exploited
+		{exec.GroupHash, exec.JoinSortMerge}, // ... and not
+	} {
+		benchPlan(b, fmt.Sprintf("scale=100k/eager/group=%s,join=%s", s.group, s.join), store, eager,
+			exec.Options{Group: s.group, Join: s.join, Parallelism: 1}, 1000)
 	}
 }
-
-func BenchmarkFigure1Row(b *testing.B) { benchFigure1(b, false) }
 
 func BenchmarkFigure1Vec(b *testing.B) { benchFigure1(b, true) }

@@ -211,11 +211,11 @@ func (r *rng) intn(n int64) int64 {
 	return int64(r.next() % uint64(n))
 }
 
-// NewSeeded derives a deterministic random schedule from seed: between one
-// and maxEvents faults, each of a random kind at a random tick in
-// [1, horizon]. The same (seed, horizon, maxEvents) always yields the same
-// schedule.
-func NewSeeded(seed int64, horizon int64, maxEvents int) *Injector {
+// seededEvents is the body every seeded constructor but NewSeededLinkOnly
+// shares: horizon and maxEvents clamped to at least 1, an event count drawn
+// in [1, maxEvents], then each event drawn by draw from the same generator.
+// The same (seed, horizon, maxEvents, draw) always yields the same events.
+func seededEvents(seed, horizon int64, maxEvents int, draw func(r *rng, horizon int64) Event) []Event {
 	if horizon < 1 {
 		horizon = 1
 	}
@@ -226,12 +226,19 @@ func NewSeeded(seed int64, horizon int64, maxEvents int) *Injector {
 	n := 1 + r.intn(int64(maxEvents))
 	events := make([]Event, 0, n)
 	for k := int64(0); k < n; k++ {
-		events = append(events, Event{
-			Tick: 1 + r.intn(horizon),
-			Kind: Kind(r.intn(numRowKinds)),
-		})
+		events = append(events, draw(r, horizon))
 	}
-	return New(events)
+	return events
+}
+
+// NewSeeded derives a deterministic random schedule from seed: between one
+// and maxEvents faults, each of a random row-path kind at a random tick in
+// [1, horizon]. The same (seed, horizon, maxEvents) always yields the same
+// schedule.
+func NewSeeded(seed int64, horizon int64, maxEvents int) *Injector {
+	return New(seededEvents(seed, horizon, maxEvents, func(r *rng, horizon int64) Event {
+		return Event{Tick: 1 + r.intn(horizon), Kind: Kind(r.intn(numRowKinds))}
+	}))
 }
 
 // NewSeededLinks derives a deterministic random schedule that mixes all six
@@ -239,22 +246,9 @@ func NewSeeded(seed int64, horizon int64, maxEvents int) *Injector {
 // distributed chaos oracle exercises. The same (seed, horizon, maxEvents)
 // always yields the same schedule.
 func NewSeededLinks(seed int64, horizon int64, maxEvents int) *Injector {
-	if horizon < 1 {
-		horizon = 1
-	}
-	if maxEvents < 1 {
-		maxEvents = 1
-	}
-	r := &rng{state: uint64(seed)}
-	n := 1 + r.intn(int64(maxEvents))
-	events := make([]Event, 0, n)
-	for k := int64(0); k < n; k++ {
-		events = append(events, Event{
-			Tick: 1 + r.intn(horizon),
-			Kind: Kind(r.intn(numKinds)),
-		})
-	}
-	return New(events)
+	return New(seededEvents(seed, horizon, maxEvents, func(r *rng, horizon int64) Event {
+		return Event{Tick: 1 + r.intn(horizon), Kind: Kind(r.intn(numKinds))}
+	}))
 }
 
 // NewSeededLinkOnly derives a deterministic random schedule of pure link
@@ -321,26 +315,13 @@ func NewLinkSchedule(events []Event) *Injector {
 // for a single-node spilling run. The same (seed, horizon, maxEvents)
 // always yields the same schedule.
 func NewSeededDisk(seed int64, horizon int64, maxEvents int) *Injector {
-	if horizon < 1 {
-		horizon = 1
-	}
-	if maxEvents < 1 {
-		maxEvents = 1
-	}
-	r := &rng{state: uint64(seed)}
-	n := 1 + r.intn(int64(maxEvents))
-	events := make([]Event, 0, n)
-	for k := int64(0); k < n; k++ {
+	return New(seededEvents(seed, horizon, maxEvents, func(r *rng, horizon int64) Event {
 		kind := Kind(r.intn(numDiskKinds))
 		if kind == LinkDelay || kind == LinkDrop {
 			kind = DiskWriteFail + Kind(r.intn(int64(numDiskKinds)-int64(DiskWriteFail)))
 		}
-		events = append(events, Event{
-			Tick: 1 + r.intn(horizon),
-			Kind: kind,
-		})
-	}
-	return New(events)
+		return Event{Tick: 1 + r.intn(horizon), Kind: kind}
+	}))
 }
 
 // Events returns the schedule (a copy), for logging failed chaos runs.
@@ -384,6 +365,14 @@ func (i *Injector) Step() error {
 	if !ok {
 		return nil
 	}
+	return i.fire(k, t)
+}
+
+// fire realizes a row-path kind scheduled at tick t — the four kinds that
+// fire on every path: AllocFail returns a typed *Error, Panic panics with a
+// *PanicValue, Delay pauses, Cancel invokes the cancel function. Any other
+// kind belongs to a path that is not the caller's and is skipped.
+func (i *Injector) fire(k Kind, t int64) error {
 	switch k {
 	case AllocFail:
 		return &Error{Kind: AllocFail, Tick: t}
@@ -421,20 +410,13 @@ func (i *Injector) LinkStep() error {
 		return nil
 	}
 	switch k {
-	case AllocFail:
-		return &Error{Kind: AllocFail, Tick: t}
-	case Panic:
-		panic(&PanicValue{Tick: t})
-	case Delay, LinkDelay:
+	case LinkDelay:
 		i.pause()
-	case Cancel:
-		if i.cancel != nil {
-			i.cancel()
-		}
+		return nil
 	case LinkDrop:
 		return &Error{Kind: LinkDrop, Tick: t}
 	}
-	return nil
+	return i.fire(k, t)
 }
 
 // DiskStep advances the tick counter by one from a spill-file operation
@@ -456,18 +438,8 @@ func (i *Injector) DiskStep() error {
 		return nil
 	}
 	switch k {
-	case AllocFail:
-		return &Error{Kind: AllocFail, Tick: t}
-	case Panic:
-		panic(&PanicValue{Tick: t})
-	case Delay:
-		i.pause()
-	case Cancel:
-		if i.cancel != nil {
-			i.cancel()
-		}
 	case DiskWriteFail, DiskShortWrite, DiskReadFail, DiskCloseFail:
 		return &Error{Kind: k, Tick: t}
 	}
-	return nil
+	return i.fire(k, t)
 }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -154,6 +155,92 @@ func TestSeededConstructorsDeterministic(t *testing.T) {
 				if !c.kinds(a[i].Kind) {
 					t.Fatalf("%s(seed=%d): kind %v outside the constructor's set", c.name, seed, a[i].Kind)
 				}
+			}
+		}
+	}
+}
+
+// TestSeededSchedulesPinned pins the schedules the seeded constructors
+// derive for seeds 1–20 (horizon 100, at most 4 events): a failed chaos run
+// is replayed from its logged seed, so a refactor of the constructors must
+// not move a single tick or kind.
+func TestSeededSchedulesPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		make func(seed, horizon int64, maxEvents int) *Injector
+		want []string // seed 1 first
+	}{
+		{"NewSeeded", NewSeeded, []string{
+			"[{20 delay} {36 panic}]",
+			"[{27 cancel} {37 panic} {20 delay}]",
+			"[{62 panic} {48 delay}]",
+			"[{5 cancel} {83 panic} {46 delay}]",
+			"[{45 cancel} {10 panic} {37 panic}]",
+			"[{34 delay}]",
+			"[{5 delay} {4 delay} {6 delay} {83 panic}]",
+			"[{18 panic} {65 delay} {33 cancel}]",
+			"[{7 delay}]",
+			"[{15 panic} {37 alloc-fail} {55 panic}]",
+			"[{46 panic} {81 alloc-fail}]",
+			"[{8 delay} {38 delay} {81 panic} {80 delay}]",
+			"[{22 alloc-fail} {28 cancel} {49 cancel} {45 panic}]",
+			"[{95 delay} {15 cancel} {91 cancel}]",
+			"[{97 cancel} {72 delay}]",
+			"[{24 alloc-fail} {67 delay} {25 cancel} {26 cancel}]",
+			"[{14 alloc-fail} {12 delay} {19 alloc-fail} {78 delay}]",
+			"[{89 delay} {81 delay} {42 delay}]",
+			"[{71 panic}]",
+			"[{58 cancel}]",
+		}},
+		{"NewSeededLinks", NewSeededLinks, []string{
+			"[{20 alloc-fail} {36 cancel}]",
+			"[{27 cancel} {37 panic} {20 delay}]",
+			"[{62 cancel} {48 alloc-fail}]",
+			"[{5 cancel} {83 panic} {46 alloc-fail}]",
+			"[{45 link-drop} {10 panic} {37 cancel}]",
+			"[{34 alloc-fail}]",
+			"[{5 alloc-fail} {4 link-delay} {6 link-delay} {83 link-drop}]",
+			"[{18 panic} {65 link-delay} {33 link-drop}]",
+			"[{7 alloc-fail}]",
+			"[{15 cancel} {37 link-delay} {55 cancel}]",
+			"[{46 cancel} {81 delay}]",
+			"[{8 delay} {38 link-delay} {81 panic} {80 delay}]",
+			"[{22 alloc-fail} {28 cancel} {49 cancel} {45 panic}]",
+			"[{95 alloc-fail} {15 link-drop} {91 link-drop}]",
+			"[{97 link-drop} {72 link-delay}]",
+			"[{24 link-delay} {67 link-delay} {25 link-drop} {26 cancel}]",
+			"[{14 delay} {12 link-delay} {19 delay} {78 alloc-fail}]",
+			"[{89 link-delay} {81 alloc-fail} {42 alloc-fail}]",
+			"[{71 link-drop}]",
+			"[{58 panic}]",
+		}},
+		{"NewSeededDisk", NewSeededDisk, []string{
+			"[{91 disk-close-fail} {49 disk-short-write}]",
+			"[{52 disk-write-fail} {50 disk-write-fail} {63 disk-close-fail}]",
+			"[{30 panic} {67 disk-short-write}]",
+			"[{83 disk-close-fail} {46 panic} {90 disk-read-fail}]",
+			"[{10 disk-close-fail} {37 panic} {16 disk-close-fail}]",
+			"[{87 cancel}]",
+			"[{4 disk-read-fail} {99 disk-short-write} {86 delay} {17 disk-close-fail}]",
+			"[{6 disk-short-write} {33 disk-read-fail} {15 disk-close-fail}]",
+			"[{39 disk-write-fail}]",
+			"[{37 disk-short-write} {55 disk-write-fail} {86 disk-close-fail}]",
+			"[{81 disk-short-write} {83 disk-read-fail}]",
+			"[{99 disk-short-write} {55 disk-short-write} {98 alloc-fail} {87 disk-close-fail}]",
+			"[{57 panic} {8 disk-short-write} {4 disk-read-fail} {64 disk-short-write}]",
+			"[{15 disk-read-fail} {91 disk-close-fail} {72 disk-write-fail}]",
+			"[{32 disk-write-fail} {51 panic}]",
+			"[{29 cancel} {87 disk-write-fail} {26 disk-close-fail} {13 disk-short-write}]",
+			"[{57 cancel} {67 panic} {45 disk-read-fail} {71 disk-short-write}]",
+			"[{11 disk-read-fail} {71 alloc-fail} {19 panic}]",
+			"[{54 alloc-fail}]",
+			"[{12 disk-short-write}]",
+		}},
+	} {
+		for i, want := range c.want {
+			seed := int64(i + 1)
+			if got := fmt.Sprint(c.make(seed, 100, 4).Events()); got != want {
+				t.Errorf("%s(seed=%d) = %s, want %s", c.name, seed, got, want)
 			}
 		}
 	}

@@ -18,8 +18,6 @@
 //     injected obs.Clock, or EXPLAIN / EXPLAIN ANALYZE output and the
 //     oracle suites become unreproducible. The one sanctioned wall-clock
 //     read is obs.Wall, which carries the //lint:ignore directive.
-//   - atomiccounter: no plain ++/--/+=/-= on an integer captured by a `go`
-//     statement's function literal; shared counters must use sync/atomic.
 //   - accmerge: every accumulator implementation (a type with Add and
 //     Result methods, internal/expr) must also implement the partial-
 //     aggregate Merge (MergeFrom on an accumulator column), and it must
@@ -57,6 +55,11 @@
 //   - selbounds: no direct indexing of a batch's selection vector outside
 //     internal/vec; Sel is an optional representation (nil means identity)
 //     and only the Batch accessors handle both cases.
+//   - spillcleanup: spill temp files come only from a storage.SpillManager,
+//     and every function that constructs one defers its Cleanup (the root
+//     package, cmd, internal/exec, internal/storage); no ad-hoc temp files,
+//     and no raw filesystem mutation in the executor and storage packages,
+//     or a panicking query can leave files behind.
 //   - sessionctx: no context.Background()/context.TODO() in the query
 //     server (internal/server); every context must derive from the request
 //     (r.Context()) joined to the caller-provided server root, or shutdown
@@ -259,7 +262,6 @@ func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		MapRangeAnalyzer,
 		NoWallClockAnalyzer,
-		AtomicCounterAnalyzer,
 		AccMergeAnalyzer,
 		OptMutationAnalyzer,
 		NoRawGoAnalyzer,

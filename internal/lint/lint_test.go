@@ -32,64 +32,14 @@ func fixture(t *testing.T, name string) string {
 	return dir
 }
 
-func TestMapRangeFixture(t *testing.T) {
-	linttest.Run(t, loader, fixture(t, "maprange"), lint.MapRangeAnalyzer)
-}
-
-func TestNoWallClockFixture(t *testing.T) {
-	linttest.Run(t, loader, fixture(t, "nowallclock"), lint.NoWallClockAnalyzer)
-}
-
-func TestAtomicCounterFixture(t *testing.T) {
-	linttest.Run(t, loader, fixture(t, "atomiccounter"), lint.AtomicCounterAnalyzer)
-}
-
-func TestAccMergeFixture(t *testing.T) {
-	linttest.Run(t, loader, fixture(t, "accmerge"), lint.AccMergeAnalyzer)
-}
-
-func TestOptMutationFixture(t *testing.T) {
-	linttest.Run(t, loader, fixture(t, "optmutation"), lint.OptMutationAnalyzer)
-}
-
-func TestNoRawGoFixture(t *testing.T) {
-	linttest.Run(t, loader, fixture(t, "norawgo"), lint.NoRawGoAnalyzer)
-}
-
-func TestDistLinkFixture(t *testing.T) {
-	linttest.Run(t, loader, fixture(t, "distlink"), lint.DistLinkAnalyzer)
-}
-
-func TestCowDictFixture(t *testing.T) {
-	linttest.Run(t, loader, fixture(t, "cowdict"), lint.CowDictAnalyzer)
-}
-
-func TestGovLoopFixture(t *testing.T) {
-	linttest.Run(t, loader, fixture(t, "govloop"), lint.GovLoopAnalyzer)
-}
-
-func TestBudgetChargeFixture(t *testing.T) {
-	linttest.Run(t, loader, fixture(t, "budgetcharge"), lint.BudgetChargeAnalyzer)
-}
-
-func TestErrWrappedFixture(t *testing.T) {
-	linttest.Run(t, loader, fixture(t, "errwrapped"), lint.ErrWrappedAnalyzer)
-}
-
-func TestSelBoundsFixture(t *testing.T) {
-	linttest.Run(t, loader, fixture(t, "selbounds"), lint.SelBoundsAnalyzer)
-}
-
-func TestSpillCleanupFixture(t *testing.T) {
-	linttest.Run(t, loader, fixture(t, "spillcleanup"), lint.SpillCleanupAnalyzer)
-}
-
-func TestRetryLoopFixture(t *testing.T) {
-	linttest.Run(t, loader, fixture(t, "retryloop"), lint.RetryLoopAnalyzer)
-}
-
-func TestSessionCtxFixture(t *testing.T) {
-	linttest.Run(t, loader, fixture(t, "sessionctx"), lint.SessionCtxAnalyzer)
+// TestFixture runs every analyzer of the catalog over its fixture,
+// testdata/src/<analyzer name>: an analyzer added without one fails here.
+func TestFixture(t *testing.T) {
+	for _, a := range lint.DefaultAnalyzers() {
+		t.Run(a.Name, func(t *testing.T) {
+			linttest.Run(t, loader, fixture(t, a.Name), a)
+		})
+	}
 }
 
 // unscoped strips an analyzer's Dirs so it runs on fixtures outside its
@@ -180,7 +130,6 @@ func TestAnalyzerScoping(t *testing.T) {
 		{lint.NoWallClockAnalyzer, "internal/exec", "internal/sql"},
 		{lint.NoWallClockAnalyzer, "internal/obs", "cmd/gbj-bench"},
 		{lint.NoWallClockAnalyzer, "internal/dist", "internal/fault"},
-		{lint.AtomicCounterAnalyzer, "internal/exec", "internal/sql"},
 		{lint.AccMergeAnalyzer, "internal/expr", "internal/exec"},
 		{lint.OptMutationAnalyzer, "internal/exec", ""},
 		{lint.NoRawGoAnalyzer, "internal/exec", "internal/fault"},
@@ -195,6 +144,7 @@ func TestAnalyzerScoping(t *testing.T) {
 		{lint.SpillCleanupAnalyzer, "internal/storage", "internal/vec"},
 		{lint.SpillCleanupAnalyzer, "cmd/gbj-shell", "internal/sql"},
 		{lint.RetryLoopAnalyzer, "internal/dist", "internal/exec"},
+		{lint.SessionCtxAnalyzer, "internal/server", "internal/exec"},
 	}
 	for _, c := range cases {
 		if !c.a.AppliesTo(c.in) {

@@ -7,20 +7,21 @@ import (
 	"repro/internal/core"
 )
 
-// TestModelCheckGate is the CI gate: every builtin scenario, exhaustively
-// enumerated to 3 rows per table, must produce zero counterexamples across
-// all plan pairs (lazy vs eager, row vs vectorized, serial vs parallel,
-// local vs distributed).
+// TestModelCheckGate is the CI gate (`make modelcheck`): every builtin
+// scenario, exhaustively enumerated to 3 rows per table, must produce zero
+// counterexamples across all plan pairs (lazy vs eager, row vs vectorized,
+// serial vs parallel, local vs distributed).
 func TestModelCheckGate(t *testing.T) {
-	res, err := Run(Config{K: 3})
+	const k = 3
+	res, err := Run(Config{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Scenarios == 0 || res.Databases == 0 || res.PlanPairs == 0 {
 		t.Fatalf("gate checked nothing: %+v", res)
 	}
-	t.Logf("modelcheck gate: %d scenarios, %d databases, %d plan-pair comparisons",
-		res.Scenarios, res.Databases, res.PlanPairs)
+	t.Logf("modelcheck: %d scenarios, %d databases, %d plan pairs (k=%d)",
+		res.Scenarios, res.Databases, res.PlanPairs, k)
 	for _, c := range res.Counterexamples {
 		t.Errorf("counterexample:\n%s", c)
 	}
