@@ -1,25 +1,25 @@
-# Development entry points. `make check` is the full gate: vet, the custom
-# static analyzers (gbj-lint), build, race-enabled tests (which include the
-# whole oracle matrix, the concurrent-execution smoke tests and the
-# plan-verifier suite), the bounded-exhaustive plan-equivalence model checker,
-# the independent certificate re-derivation gate (verify-certs), the matrix's
-# faulted slices one target each — chaos, dist-oracle, recovery-oracle,
-# spill-oracle — with the targeted tests beside them, the query-service oracle
-# (serve-oracle: concurrent-session differential, admission ladder, shutdown
-# chaos), a short run of every fuzz target, and one iteration of every
-# benchmark (bench-smoke). The oracle matrix is TestMatrix in
-# internal/plancheck/modelcheck, one subtest per cell of modelcheck.Cells:
-# every run's rows against workload.RefEval (DESIGN.md §5). Nothing here
-# times anything: `make bench` runs the layer benchmarks, `gbj-bench` the
-# paper's experiments, and `go run ./benchmark` is the end-to-end
-# measurement (BENCHMARK.json).
+# Development entry points. `make check` is the full gate, and it runs each
+# test once: vet, the custom static analyzers (gbj-lint), build, every test in
+# the module under the race detector (race: the whole oracle matrix, the
+# model checker, the certificate re-derivation, the plan-verifier suite, the
+# concurrent-execution and query-service oracles), the cluster legs again at
+# one and at four processors (sites), a short run of every fuzz target, and
+# one iteration of every benchmark (bench-smoke). The oracle matrix is
+# TestMatrix in internal/plancheck/modelcheck, one subtest per cell of
+# modelcheck.Cells: every run's rows against workload.RefEval (DESIGN.md §5).
+# The named slices below — plancheck, modelcheck, verify-certs, chaos,
+# dist-oracle, recovery-oracle, spill-oracle, serve-oracle — re-run parts of
+# race on their own, for working on one of them. Nothing here times anything:
+# `make bench` runs the layer benchmarks, `gbj-bench` the paper's
+# experiments, and `go run ./benchmark` is the end-to-end measurement
+# (BENCHMARK.json).
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet lint plancheck modelcheck verify-certs build test race chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench bench-smoke loc
+.PHONY: check vet lint plancheck modelcheck verify-certs build test race sites chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench bench-smoke loc
 
-check: vet lint build race plancheck modelcheck verify-certs chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench-smoke
+check: vet lint build race sites fuzz bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -49,10 +49,10 @@ verify-certs:
 	$(GO) test ./internal/core -run TestCertifierOracleCorpus -v
 
 # Static plan verification (internal/plancheck): the verifier's unit suite
-# plus the oracle runs that audit every optimizer-emitted plan — including
-# the TestFD certificate on transformed plans — via the CheckPlans gate: the
-# matrix's local cell (every strategy, worker count and source form) and the
-# public-API engine-mode oracle.
+# plus the oracle runs over plans the optimizer verified as it emitted them,
+# the TestFD certificate of every transformed plan included: the matrix's
+# local cell (every strategy, worker count and source form) and the
+# public-API engine-mode oracle (the engine verifies every plan it runs).
 plancheck:
 	$(GO) test ./internal/plancheck
 	$(GO) test ./internal/plancheck/modelcheck -run 'TestMatrix/^local$$'
@@ -67,6 +67,13 @@ test:
 race:
 	$(GO) test -race ./...
 
+# What race does not already run: the cluster's legs of dist-oracle and
+# recovery-oracle at one processor, where a fragment's sites run one after
+# another, and at four, where they run at once.
+sites:
+	$(GO) test -race -cpu 1,4 ./internal/plancheck/modelcheck -run 'TestMatrix/^(cluster|recovery|failover)'
+	$(GO) test -race -cpu 1,4 ./internal/dist -run 'TestEagerNeverShipsMoreBytes|TestSites|TestOnePlanManyRuns|TestSiteFailure|TestRecovery'
+
 # The matrix's chaos cell under the race detector: hundreds of corpus
 # queries × deterministic cancel/panic/alloc-fail/delay schedules; every run
 # must return the fault-free rows in order or a clean typed error, with no
@@ -75,9 +82,10 @@ chaos:
 	$(GO) test -race ./internal/plancheck/modelcheck -run 'TestMatrix/^chaos$$'
 
 # The matrix's cluster cells under the race detector: hundreds of corpus
-# queries on simulated clusters of 1/2/4/8 nodes (serial and parallel, both
-# source forms, all shipping strategies), the reference's rows required and
-# every compiled plan through plancheck's distributed rules; and the same
+# queries on simulated clusters of 1/2/4/8 nodes (serial and parallel, all
+# shipping strategies; a fragment reads its bound rows in row form), the
+# reference's rows required and every compiled plan through plancheck's
+# distributed rules; and the same
 # under link-fault injection (clean typed error or the reference's rows).
 # Beside them: the Section 7 regression that the eager plan ships strictly
 # fewer bytes, the sites-at-once tests (a second site starts before the first

@@ -1,6 +1,8 @@
 // Command gbj-explain shows the optimizer's full decision for one query:
 // the Section 3 normalization, the TestFD trace, both plans with estimated
-// cardinalities, and the cost-based choice.
+// cardinalities, and the cost-based choice. Both plans are statically
+// verified (plancheck) before they are shown, as before every query the
+// engine runs: a plan that fails is an error, not output.
 //
 // The schema is loaded from a SQL script (CREATE TABLE / DOMAIN / VIEW and
 // optional INSERTs for statistics); the query is read from the command line
@@ -59,14 +61,13 @@ const demoQuery = `
 func main() {
 	schemaFile := flag.String("schema", "", "SQL script defining tables, views and data")
 	demo := flag.Bool("demo", false, "explain the paper's Example 1 on a built-in schema")
-	check := flag.Bool("check", false, "statically verify both plans (plancheck): schema resolution, join key types, aggregate placement, and the TestFD certificate of an eager aggregation")
 	analyze := flag.Bool("analyze", false, "execute the chosen plan and annotate it with actual row counts, estimates and per-node q-errors (EXPLAIN ANALYZE)")
 	trace := flag.Bool("trace", false, "with -analyze output, also print the hierarchical operator span trace as JSON")
 	timeout := flag.Duration("timeout", 0, "deadline for -analyze execution (0 = none)")
 	knobs := cliutil.EngineFlags{Nodes: 1}
 	knobs.Register(flag.CommandLine, map[string]string{
 		"parallelism": "", "nodes": "", "shards": "", "link-retries": "",
-		"vectorize":  "execute on the columnar batch engine; -analyze shows per-operator batch counts (morsels)",
+		"vectorize":  "read stored tables as columnar batches; -analyze shows per-operator batch counts (morsels)",
 		"mem-budget": "operator-state byte cap for -analyze execution (0 = unlimited); an over-budget eager plan degrades to the lazy plan and the output says so",
 		"spill-dir":  "directory for spill temp files; with -mem-budget set, over-budget operators spill to disk instead of degrading (empty = spilling off)",
 	})
@@ -77,7 +78,6 @@ func main() {
 	}
 
 	engine := gbj.New()
-	engine.SetPlanCheck(*check)
 	if err := knobs.Apply(engine); err != nil {
 		fmt.Fprintln(os.Stderr, "gbj-explain:", err)
 		os.Exit(2)
@@ -141,7 +141,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println(text)
-	if *check {
-		fmt.Println("plancheck: all produced plans verified, 0 violations")
-	}
 }

@@ -50,9 +50,10 @@ func example1Engine(t *testing.T, employees, departments int) *Engine {
 // example1Query (gbj_test.go) is the workload's aggregate join.
 
 // TestEngineDistributedOracle runs the randomized engine queries locally
-// and on clusters of 2, 4 and 8 nodes, serial and parallel, asserting the
-// same multiset through the public API with plan checking on (so every
-// distributed plan passes the verifier, certificates included).
+// and on clusters of 2, 4 and 8 nodes, serial and parallel, with Vectorize
+// on and off, asserting the same multiset through the public API (every
+// distributed plan passes the verifier, certificates included, or the query
+// fails).
 func TestEngineDistributedOracle(t *testing.T) {
 	iterations := 120
 	if testing.Short() {
@@ -68,6 +69,7 @@ func TestEngineDistributedOracle(t *testing.T) {
 		want := canonicalRows(local)
 		e.SetParallelism(1 + 3*r.Intn(2))
 		e.SetDistStrategy([]DistStrategy{DistAuto, DistEager, DistLazy}[r.Intn(3)])
+		e.SetVectorize(r.Intn(2) == 1)
 		for _, nodes := range []int{2, 4, 8} {
 			if err := e.SetNodes(nodes); err != nil {
 				t.Fatal(err)
@@ -118,7 +120,6 @@ func TestEngineDistributedEagerShipsFewer(t *testing.T) {
 		employees, departments = 1500, 30
 	}
 	e := example1Engine(t, employees, departments)
-	e.SetPlanCheck(true)
 	if err := e.SetNodes(4); err != nil {
 		t.Fatal(err)
 	}

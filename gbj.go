@@ -117,7 +117,6 @@ type planInputs struct {
 	mode         Mode
 	parallelism  int
 	vectorize    bool
-	planCheck    bool
 	nodes        int // 0 and 1 both mean single-site
 	shards       int // 0 means one shard per node, rounded up to a power of two
 	distStrategy DistStrategy
@@ -153,10 +152,14 @@ func (s settings) with(o *QueryOptions) settings {
 	return s
 }
 
-// New returns an empty engine.
+// New returns an empty engine. Its optimizer verifies every plan it emits
+// (core.Optimizer.CheckPlans): a transformed plan executes only with a TestFD
+// certificate that plancheck accepts and re-derives from the catalog.
 func New() *Engine {
 	store := storage.NewStore(schema.NewCatalog())
-	return &Engine{store: store, opt: core.NewOptimizer(store)}
+	opt := core.NewOptimizer(store)
+	opt.CheckPlans = true
+	return &Engine{store: store, opt: opt}
 }
 
 // update is the one way a setting changes: under the write lock it applies
@@ -172,7 +175,6 @@ func (e *Engine) update(set func(*settings)) {
 	e.opt.Parallelism = e.set.parallelism
 	e.opt.Vectorize = e.set.vectorize
 	e.opt.Nodes = e.set.nodes
-	e.opt.CheckPlans = e.set.planCheck
 	e.invalidatePlans()
 }
 
@@ -198,13 +200,15 @@ func (e *Engine) SetParallelism(n int) {
 	e.update(func(s *settings) { s.parallelism = n })
 }
 
-// SetVectorize selects the executor's data representation: off (the
-// default) pulls one row at a time through the operator tree; on streams
-// columnar batches of up to 1024 rows through vectorized scan, filter,
-// projection, hash-join and hash-aggregation kernels. Vectorized execution
-// is deterministic — it returns exactly the rows, in exactly the order, of
-// the row-at-a-time engine — and composes with SetParallelism,
-// SetMemoryBudget and distributed execution.
+// SetVectorize selects the data representation of stored tables: off (the
+// default) a scan hands its rows through the pipeline; on it hands the
+// table's cached columnar batches of up to 1024 rows through vectorized
+// filter, projection, hash-join probe and hash-aggregation kernels. Rows
+// handed to a run stay rows: on a cluster (SetNodes) every fragment reads
+// its shard or its delivery in row form, so only a query the cluster
+// degrades to a local run reads batches. Vectorized execution is
+// deterministic — it returns exactly the rows, in exactly the order, of the
+// row form — and composes with SetParallelism and SetMemoryBudget.
 func (e *Engine) SetVectorize(on bool) {
 	e.update(func(s *settings) { s.vectorize = on })
 }
@@ -254,15 +258,6 @@ func (e *Engine) Fallbacks() int64 {
 // rely on it.
 func (e *Engine) SetClock(c obs.Clock) {
 	e.update(func(s *settings) { s.clock = c })
-}
-
-// SetPlanCheck toggles static plan verification (package plancheck): when
-// on, every plan the optimizer produces — standard, transformed, nested and
-// flat — is checked for well-formedness, and a transformed plan must carry
-// a TestFD certificate for its eager aggregation. A violation surfaces as a
-// query error. This is a debug/audit gate, off by default.
-func (e *Engine) SetPlanCheck(on bool) {
-	e.update(func(s *settings) { s.planCheck = on })
 }
 
 // Result is a materialized query result with Go-native values: int64,
@@ -718,21 +713,19 @@ func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome)
 }
 
 // execOptions builds the executor options of one rung from the query's
-// settings copy. Local rungs add what only single-site execution has: the
-// per-node grouping choice of the executor's compiler (exec.GroupAuto), the
-// columnar engine and operator spans (try adds the first local rung's
-// SpillManager). Cluster fragments always hash — their input is the runner's
-// node-order concatenation, never a sorted stream — and run the row engine
-// over their shard slices, as they always have. These options are the
-// session's; the cluster runner hands every (fragment, site) run a copy with
-// that site's Sources bound, and runs a fragment's sites at once unless the
-// budget or injector set here — or a Serial query, through recoveryPolicy —
-// says one at a time (dist's sitesAtOnce).
+// settings copy: the same options on every rung, local or cluster, but for
+// operator spans, which only local rungs record (try adds the first local
+// rung's SpillManager). The cluster runner hands every (fragment, site) run a
+// copy with that site's Sources bound — rows, so a fragment runs in row form
+// whatever Vectorize says (exec's leaf rule) — and runs a fragment's sites at
+// once unless the budget or injector set here — or a Serial query, through
+// recoveryPolicy — says one at a time (dist's sitesAtOnce).
 func (p *prepared) execOptions(ctx context.Context, at attempt, out *outcome) *exec.Options {
 	opts := &exec.Options{
 		Params:       p.params,
-		Group:        exec.GroupHash,
+		Group:        exec.GroupAuto,
 		Parallelism:  p.set.parallelism,
+		Vectorize:    p.set.vectorize,
 		Context:      ctx,
 		MemoryBudget: p.set.memBudget,
 		Metrics:      out.col,
@@ -740,8 +733,6 @@ func (p *prepared) execOptions(ctx context.Context, at attempt, out *outcome) *e
 		Faults:       p.set.faults,
 	}
 	if !at.dist {
-		opts.Group = exec.GroupAuto
-		opts.Vectorize = p.set.vectorize
 		opts.Trace = out.tracer
 	}
 	return opts

@@ -1,19 +1,20 @@
 package gbj
 
 // Plan-cache layer. Plan selection — parse-tree normalization, TestFD,
-// costing both shapes, optional static verification — is pure CPU work
+// costing both shapes, static verification — is pure CPU work
 // repeated verbatim for every occurrence of the same query text, which is
 // exactly the traffic shape a multi-session server sees. The cache
 // memoizes the planChoice keyed by the canonical AST rendering plus every
 // input plan selection depends on: the store epoch (any DDL/DML bumps it,
 // so a data or schema change can never serve a stale plan) and the full
-// planInputs value (optimizer mode, parallelism, vectorize, plan-check,
-// cluster shape). Setters additionally clear the cache outright, so
-// entries for superseded configurations don't linger in the LRU.
+// planInputs value (optimizer mode, parallelism, vectorize, cluster shape).
+// Setters additionally clear the cache outright, so entries for superseded
+// configurations don't linger in the LRU.
 //
-// A cache hit is never trusted blindly: when the cached choice carries
-// TestFD certificates, they are re-verified against the current catalog
-// through plancheck.CrossCheck before the plan may execute. A certificate
+// A cache hit is never trusted blindly: a plan is verified when it is
+// chosen, and when the cached choice carries TestFD certificates, they are
+// cross-checked again against the current catalog through
+// plancheck.CrossCheck before the plan may execute. A certificate
 // the independent derivation refutes drops the entry (counted as
 // `rejected` in the stats) and the query re-plans from scratch — a stale
 // certificate can never execute. Sharing cached plan trees across

@@ -163,9 +163,8 @@ func nextPow2(n int) int {
 }
 
 // compileDist lowers a chosen logical plan onto the cluster, pricing
-// exchanges with the optimizer's row estimates, and — when plan checking
-// is on — verifies the distributed plan with the certificates translated
-// onto its nodes.
+// exchanges with the optimizer's row estimates, and verifies the
+// distributed plan with the certificates translated onto its nodes.
 func (s settings) compileDist(plan algebra.Node, ann algebra.Annotations, certs []*plancheck.Certificate) (*dist.Plan, error) {
 	dp, err := dist.Compile(plan, dist.Config{
 		Nodes:    s.nodes,
@@ -180,10 +179,8 @@ func (s settings) compileDist(plan algebra.Node, ann algebra.Annotations, certs 
 	if err != nil {
 		return nil, err
 	}
-	if s.planCheck {
-		if err := plancheck.Verify(dp.Root, &plancheck.Options{Certificates: translateCerts(dp, certs)}); err != nil {
-			return nil, fmt.Errorf("gbj: distributed plan failed verification: %w", err)
-		}
+	if err := plancheck.Verify(dp.Root, &plancheck.Options{Certificates: translateCerts(dp, certs)}); err != nil {
+		return nil, fmt.Errorf("gbj: distributed plan failed verification: %w", err)
 	}
 	return dp, nil
 }
@@ -212,20 +209,16 @@ func translateCerts(dp *dist.Plan, certs []*plancheck.Certificate) []*plancheck.
 // recoveryPolicy assembles the fault-tolerance policy a distributed rung
 // executes under: the retry budget, the clock driving backoff, the
 // engine-lifetime counter aggregate, whether the query is Serial (its
-// sites then run one after another, dist's sitesAtOnce rule) and — when
-// plan checking is on — the plancheck dist-recovery verifier consulted on
-// every failover re-route.
+// sites then run one after another, dist's sitesAtOnce rule) and the
+// plancheck dist-recovery verifier consulted on every failover re-route.
 func (e *Engine) recoveryPolicy(s settings) *dist.Recovery {
-	rec := &dist.Recovery{
+	return &dist.Recovery{
 		LinkRetries: s.linkRetries,
 		Clock:       s.clock,
 		Stats:       &e.recovery,
 		Serial:      s.serial,
+		Verify:      verifyRecovery,
 	}
-	if s.planCheck {
-		rec.Verify = verifyRecovery
-	}
-	return rec
 }
 
 // verifyRecovery is the plancheck hook the distributed runner consults

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/value"
 )
@@ -63,6 +64,36 @@ func TestEngineExample1(t *testing.T) {
 	}
 	if e.Mode() != ModeNever {
 		t.Errorf("Mode() = %v after SetMode(ModeNever)", e.Mode())
+	}
+}
+
+// TestEngineRefusesUnprovenRewrite: every plan the engine runs is verified
+// when it is chosen. With the optimizer forced to push the group-by past a
+// join TestFD rejects — R2 has no key, so the R1 row joins two R2 rows, which
+// the lazy plan sums twice and the eager plan would not — the query fails
+// with the certifier's error instead of returning the eager plan's rows, on
+// one site and on a cluster.
+func TestEngineRefusesUnprovenRewrite(t *testing.T) {
+	core.TestHooks.ForceTransform = true
+	defer func() { core.TestHooks.ForceTransform = false }()
+	e := New()
+	e.MustExec(`
+		CREATE TABLE R1 (a INTEGER, c INTEGER);
+		CREATE TABLE R2 (d INTEGER, e INTEGER);
+		INSERT INTO R1 VALUES (1, 10);
+		INSERT INTO R2 VALUES (1, 1), (1, 2)`)
+	e.SetMode(ModeAlways)
+	for _, nodes := range []int{1, 2} {
+		if err := e.SetNodes(nodes); err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Query(`SELECT R1.a, SUM(R1.c) FROM R1, R2 WHERE R1.a = R2.d GROUP BY R1.a`)
+		if err == nil {
+			t.Fatalf("nodes=%d: the unproven rewrite ran and returned %v", nodes, res.Rows)
+		}
+		if !strings.Contains(err.Error(), "cert-derive") {
+			t.Fatalf("nodes=%d: want the certifier's verification error, got: %v", nodes, err)
+		}
 	}
 }
 

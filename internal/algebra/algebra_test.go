@@ -164,9 +164,6 @@ func TestFormatAndWalk(t *testing.T) {
 		t.Errorf("indentation wrong:\n%s", out)
 	}
 
-	if CountNodes(group) != 4 {
-		t.Errorf("CountNodes = %d, want 4", CountNodes(group))
-	}
 	scans := FindScans(group)
 	if len(scans) != 2 || scans[0] != e || scans[1] != d {
 		t.Errorf("FindScans = %v", scans)

@@ -57,13 +57,6 @@ func Walk(root Node, fn func(Node)) {
 	}
 }
 
-// CountNodes returns the number of operators in the plan.
-func CountNodes(root Node) int {
-	n := 0
-	Walk(root, func(Node) { n++ })
-	return n
-}
-
 // FindScans returns every Scan in the plan, in pre-order.
 func FindScans(root Node) []*Scan {
 	var out []*Scan

@@ -99,7 +99,7 @@ func runDistPlan(ctx context.Context, cl *dist.Cluster, plan algebra.Node, strat
 		col := obs.NewCollector()
 		start := time.Now()
 		res, err := cl.Run(dp, &exec.Options{
-			Group:       exec.GroupHash,
+			Group:       exec.GroupAuto,
 			Parallelism: parallelism,
 			Context:     ctx,
 			Metrics:     col,

@@ -32,7 +32,7 @@ type EngineFlags struct {
 // engineFlagHelp is the help text of a flag registered with "".
 var engineFlagHelp = map[string]string{
 	"parallelism":  "executor workers (0=serial, -1=one per CPU)",
-	"vectorize":    "execute on the columnar batch engine (same rows, same order)",
+	"vectorize":    "read stored tables as columnar batches (same rows, same order)",
 	"nodes":        "simulated cluster size (1 = single-site)",
 	"shards":       "hash shards per table, a power of two (0 = one per node)",
 	"link-retries": "per-shipment link retry budget for distributed runs (0 = fail fast)",

@@ -104,6 +104,8 @@ type CostModel struct {
 	// perfectly partitionable per-row work by a uniform factor; cardinalities
 	// are untouched, so the eager-vs-lazy decision (driven by row counts)
 	// only flips where the two plans were already near-tied on work terms.
+	// It applies to single-site plans only: on a cluster (Nodes > 1) every
+	// fragment reads rows bound to it and runs in row form.
 	Vectorize bool
 	// Nodes is the simulated cluster size plans will run on. With more
 	// than one node, Estimate compiles each plan for the cluster (via the
@@ -229,10 +231,11 @@ func (m *CostModel) workers() float64 {
 }
 
 // parallelWork is the effective cost of perfectly partitionable per-row
-// work w: divided across the workers, plus the fan-out overhead. Serial
+// work w: scaled for the batch form where a single-site plan runs in it,
+// divided across the workers, plus the fan-out overhead. Serial row-form
 // models (workers == 1) return w unchanged.
 func (m *CostModel) parallelWork(w float64) float64 {
-	if m.Vectorize {
+	if m.Vectorize && m.Nodes <= 1 {
 		w *= costVectorWork
 	}
 	p := m.workers()

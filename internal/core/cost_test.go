@@ -88,6 +88,33 @@ func TestCostPrefersTransformedOnExample1Stats(t *testing.T) {
 	}
 }
 
+// TestCostVectorizeOnlyAtOneSite: the batch form's work factor prices a plan
+// that runs in it — a single-site plan over stored tables — and nothing on a
+// cluster, where every fragment reads rows bound to it and runs in row form.
+// There a plan costs the same with Vectorize on and off.
+func TestCostVectorizeOnlyAtOneSite(t *testing.T) {
+	m, b, p := costFixture(t)
+	plan, err := p.PlanStandard(b)
+	must(t, err)
+	for _, nodes := range []int{0, 1, 4} {
+		m.Nodes = nodes
+		m.Vectorize = false
+		row := m.Estimate(plan).Total
+		m.Vectorize = true
+		vec := m.Estimate(plan).Total
+		wantWork, wantCheaper := 1000*costVectorWork, true
+		if nodes > 1 {
+			wantWork, wantCheaper = 1000, false
+		}
+		if got := m.parallelWork(1000); got != wantWork {
+			t.Errorf("nodes=%d: vectorized work 1000 costs %g, want %g", nodes, got, wantWork)
+		}
+		if (vec < row) != wantCheaper || vec > row {
+			t.Errorf("nodes=%d: the plan costs %g vectorized and %g in row form", nodes, vec, row)
+		}
+	}
+}
+
 func TestSelectivityEstimates(t *testing.T) {
 	m, _, _ := costFixture(t)
 	eq := expr.Eq(expr.Column("D", "DeptID"), expr.IntLit(5))

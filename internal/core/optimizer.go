@@ -51,7 +51,8 @@ type Optimizer struct {
 	// partial-aggregate merge costs. 0 or 1 costs plans serially.
 	Parallelism int
 	// Vectorize is the executor's columnar batch mode; the cost model
-	// scales partitionable per-row work down by a uniform factor for it.
+	// scales partitionable per-row work down by a uniform factor for it on
+	// a single-site plan (CostModel.Vectorize).
 	Vectorize bool
 	// Nodes is the simulated cluster size plans will run on; with more
 	// than one node the cost model adds a per-byte communication term for
@@ -66,9 +67,11 @@ type Optimizer struct {
 	// CheckPlans statically verifies every plan the optimizer emits with
 	// package plancheck before returning it: well-formedness for all
 	// plans, plus a TestFD certificate covering the eager aggregation of
-	// a transformed plan. A violation turns into an optimizer error —
-	// this is a debug gate (gbj-explain -check, the oracle suites), off
-	// by default in production paths.
+	// a transformed plan, re-derived from the catalog. A violation turns
+	// into an optimizer error. The engine sets it in gbj.New, so no plan
+	// runs unverified there; it stays a field because the model checker and
+	// the certifier gauntlets plan unverified on purpose, to show what the
+	// other checks catch on their own.
 	CheckPlans bool
 }
 
@@ -82,9 +85,6 @@ func NewOptimizer(store *storage.Store) *Optimizer {
 
 // Planner exposes the underlying planner.
 func (o *Optimizer) Planner() *Planner { return o.planner }
-
-// SetStats overrides the statistics source (tests, what-if analysis).
-func (o *Optimizer) SetStats(s Stats) { o.stats = s }
 
 // Report documents an optimization decision for EXPLAIN output.
 type Report struct {

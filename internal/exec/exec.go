@@ -61,9 +61,9 @@ type GroupStrategy uint8
 // per GroupBy node from the order it can prove of the node's input — the
 // paper's Section 7, sortedness "can be exploited": input already ordered on
 // the grouping columns is grouped in one streaming pass, anything else
-// hashes. GroupHash (cluster fragments) and GroupSort (sort the input rows,
-// then stream; the oracles' reference variant, set by no production caller)
-// force one implementation on every node.
+// hashes. GroupHash and GroupSort (sort the input rows, then stream) force
+// one implementation on every node: the oracles' strategy axis, set by no
+// engine path.
 const (
 	GroupHash GroupStrategy = iota
 	GroupSort
@@ -87,7 +87,7 @@ func (s GroupStrategy) String() string {
 // Options configures an execution.
 type Options struct {
 	Join   JoinStrategy
-	Group  GroupStrategy // GroupAuto on local runs, GroupHash in cluster fragments
+	Group  GroupStrategy // GroupAuto on every engine run
 	Params expr.Params
 	// Parallelism is the worker count of the one operator set: how many
 	// goroutines carry a pipeline's chunks (0 and 1 mean one worker, the
@@ -142,23 +142,26 @@ type Options struct {
 	// so the manager's Live() count is 0 after every run. Without a budget
 	// the manager is ignored — nothing can trigger a spill.
 	Spill *storage.SpillManager
-	// Vectorize makes the plan's leaves sources in columnar form (package
-	// vec: typed column vectors with null bitmaps, 1024-row batches) — the
-	// only thing it selects. A pipeline over such a leaf carries one batch
-	// per scheduling unit through the stages that have a batch form (filter:
-	// selection vectors instead of row copies; bare-column projection; the
-	// hash-join probe: keys encoded column-at-a-time in the value.GroupKey
-	// canonical byte format, output gathered by index) into a sink that
-	// takes batches (hash grouping, the collection), and is unrolled into
-	// one borrowed scratch row per logical row where it meets a stage or a
-	// sink that has only a row form; above the first breaker the plan runs
-	// in row form. It is the same runner, stores and admission either way
-	// (parallel.go, vector.go), so results are row-identical to the row form
-	// for any plan at any Parallelism, with or without a spill manager (the
-	// differential oracles compare all combinations). While a chain is in
-	// batches the governor ticks, the fault injector steps and rows are
-	// counted once per batch, not once per row. Off by default: the row form
-	// is what every end-to-end workload but one runs.
+	// Vectorize makes the plan's stored tables sources in columnar form
+	// (package vec: typed column vectors with null bitmaps, 1024-row
+	// batches, built once per table version and cached) — the only thing it
+	// selects. Rows handed to the run — a Values literal, a leaf bound
+	// through Sources — stay a row source (compiler.leaf). A pipeline over a
+	// columnar leaf carries one batch per scheduling unit through the stages
+	// that have a batch form (filter: selection vectors instead of row
+	// copies; bare-column projection; the hash-join probe: keys encoded
+	// column-at-a-time in the value.GroupKey canonical byte format, output
+	// gathered by index) into a sink that takes batches (hash grouping, the
+	// collection), and is unrolled into one borrowed scratch row per logical
+	// row where it meets a stage or a sink that has only a row form; above
+	// the first breaker the plan runs in row form. It is the same runner,
+	// stores and admission either way (parallel.go, vector.go), so results
+	// are row-identical to the row form for any plan at any Parallelism,
+	// with or without a spill manager (the differential oracles compare all
+	// combinations). While a chain is in batches the governor ticks, the
+	// fault injector steps and rows are counted once per batch, not once per
+	// row. Off by default: the row form is what every end-to-end workload
+	// but one runs.
 	Vectorize bool
 	// Sources, when non-nil, binds the plan's leaves that are not core algebra
 	// to their rows, for this run only — the seam the distributed runtime
@@ -483,19 +486,21 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 }
 
 // leaf lowers a leaf — a stored table, or the rows of a Values node or of a
-// leaf bound through Options.Sources — in the source form the run asks for.
-// It is the one place Options.Vectorize is read: a columnar leaf is a pipeline
-// of no stages over a colSource, and above it the compiler asks the pipeline
-// whether it is still in batches.
+// leaf bound through Options.Sources — in its source form. It is the one
+// place Options.Vectorize is read, and the leaf decides: only a stored table,
+// whose batches are built once and cached (Table.Columnar), becomes a
+// pipeline of no stages over a colSource, above which the compiler asks the
+// pipeline whether it is still in batches. Rows handed to the run stay rows:
+// columnarizing them would cost every run what it saves.
 func (c *compiler) leaf(n algebra.Node, tab *storage.Table, rows []value.Row) compiled {
+	if tab == nil {
+		return compiled{pipe: c.source(leafRows(rows), n)}
+	}
 	if c.opts.Vectorize {
-		src := &colSource{table: tab, rows: rows, width: len(n.Schema()), metrics: c.nodeMetrics(n)}
+		src := &colSource{table: tab, metrics: c.nodeMetrics(n)}
 		return compiled{pipe: &pipeOp{cols: src, borrowed: true, par: c.par, gov: c.gov, node: n}}
 	}
-	if tab != nil {
-		rows = tab.Rows()
-	}
-	return compiled{pipe: c.source(leafRows(rows), n)}
+	return compiled{pipe: c.source(leafRows(tab.Rows()), n)}
 }
 
 // hasSequencePrefix reports whether order starts with exactly the sequence

@@ -14,15 +14,17 @@
 // caller's goroutine — and how many chunks hash grouping asks for. Sorts run
 // chunked (sortRowsStable).
 //
-// A batch is a chunk. With Options.Vectorize a leaf is a source in columnar
-// form (colSource) and the scheduling unit is one vec.Batch instead of a run
-// of rows: the stages that have a batch form (vector.go: kernelized filter,
-// bare-column projection, the gathering probe) hand the batch on, the sinks
-// that take batches (partial group tables, the collection) consume it, and
-// where the chain meets a stage or a sink that has only a row form the batch
-// is unrolled into one scratch row per logical row (pipeOp.unroll). It is the
-// same runner, the same chunk boundaries — a function of the source's batch
-// count — and the same sinks.
+// A batch is a chunk. With Options.Vectorize a stored table's leaf is a
+// source in columnar form (colSource) and the scheduling unit is one
+// vec.Batch instead of a run of rows: the stages that have a batch form
+// (vector.go: kernelized filter, bare-column projection, the gathering probe)
+// hand the batch on, the sinks that take batches (partial group tables, the
+// collection) consume it, and where the chain meets a stage or a sink that
+// has only a row form the batch is unrolled into one scratch row per logical
+// row (pipeOp.unroll). It is the same runner, the same chunk boundaries — a
+// function of the source's batch count — and the same sinks. Rows handed to
+// the run (a Values literal, a leaf bound through Options.Sources) stay a
+// row source.
 //
 // Borrowed rows. A join stage writes each joined row into a scratch row it
 // owns and emits that, so does a projection that is not a rename, and an
@@ -320,22 +322,11 @@ type breaker interface {
 	open() ([]value.Row, *mergeIter, error)
 }
 
-// colSource is a pipeline's source in columnar form, the form a leaf takes
-// under Options.Vectorize: a stored table's cached batches, or literal rows
-// (a Values node, a leaf bound through Options.Sources) columnarized when the
-// run starts.
+// colSource is a pipeline's source in columnar form, the form a stored
+// table's leaf takes under Options.Vectorize: the table's cached batches.
 type colSource struct {
 	table   *storage.Table
-	rows    []value.Row
-	width   int
 	metrics *obs.OpMetrics // the leaf's; one Morsel per batch handed out
-}
-
-func (s *colSource) batches() []*vec.Batch {
-	if s.table != nil {
-		return s.table.Columnar()
-	}
-	return vec.Columnarize(s.rows, s.width, vec.BatchSize)
 }
 
 // pipeOp is the engine's one runner: a source, a chain of stages and — per
@@ -458,7 +449,7 @@ func (p *pipeOp) runChunks(s sink) (err error) {
 	var merge *mergeIter
 	var batches []*vec.Batch
 	if p.cols != nil {
-		batches = p.cols.batches()
+		batches = p.cols.table.Columnar()
 		p.scratch = make([]value.Row, p.par)
 	} else if rows, merge, err = p.src.open(); err != nil {
 		return err

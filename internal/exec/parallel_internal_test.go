@@ -215,9 +215,10 @@ func TestEffectiveParallelism(t *testing.T) {
 func TestBorrowedRowsNeverEscape(t *testing.T) {
 	col := func(table, name string) expr.ColumnID { return expr.ColumnID{Table: table, Name: name} }
 	// 2500 probe rows over three morsels, two build rows per key.
+	store, l := keyedStore(t, "l", 2*MorselSize+452, 50)
 	probe := func() *algebra.Join {
 		return &algebra.Join{
-			L:    keyedValuesPlan("l", 2*MorselSize+452, 50),
+			L:    l,
 			R:    keyedValuesPlan("r", 100, 50),
 			Cond: expr.Eq(expr.Column("l", "k"), expr.Column("r", "k")),
 		}
@@ -264,9 +265,9 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 	}
 	for _, tc := range plans {
 		t.Run(tc.sink, func(t *testing.T) {
-			want, err := workload.RefEval(tc.plan, nil, nil)
+			want, err := workload.RefEval(tc.plan, store, nil)
 			must(t, err)
-			one, err := Run(tc.plan, nil, &Options{Join: tc.join})
+			one, err := Run(tc.plan, store, &Options{Join: tc.join})
 			must(t, err)
 			if !sameMultiset(one.Rows, want) {
 				t.Fatalf("%d rows at one worker differ from the reference evaluator's %d", len(one.Rows), len(want))
@@ -276,7 +277,7 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 				{Join: tc.join, Vectorize: true},
 				{Join: tc.join, Vectorize: true, Parallelism: 4},
 			} {
-				got, err := Run(tc.plan, nil, opts)
+				got, err := Run(tc.plan, store, opts)
 				must(t, err)
 				t.Logf("vectorize=%v workers=%d", opts.Vectorize, opts.Parallelism)
 				same(t, got.Rows, one.Rows)
@@ -287,7 +288,7 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 	// is put together by hand.
 	t.Run("merge-join input", func(t *testing.T) {
 		merged := func(par int, vectorize bool) []value.Row {
-			c := &compiler{opts: &Options{Join: JoinHash, Vectorize: vectorize}, par: par, clock: obs.Wall}
+			c := &compiler{store: store, opts: &Options{Join: JoinHash, Vectorize: vectorize}, par: par, clock: obs.Wall}
 			left, err := c.compile(probe())
 			must(t, err)
 			right, err := c.compile(keyedValuesPlan("u", 60, 50))
@@ -301,7 +302,7 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 		want, err := workload.RefEval(&algebra.Join{
 			L: probe(), R: keyedValuesPlan("u", 60, 50),
 			Cond: expr.Eq(expr.Column("l", "k"), expr.Column("u", "k")),
-		}, nil, nil)
+		}, store, nil)
 		must(t, err)
 		one := merged(1, false)
 		if !sameMultiset(one, want) {
@@ -321,6 +322,7 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 // must copy.
 func TestLimitStopsTheSource(t *testing.T) {
 	const rows, n = 48000, 10
+	store, src := keyedStore(t, "t", rows, 50)
 	for _, tc := range []struct {
 		name string
 		plan func(src algebra.Node) algebra.Node
@@ -353,12 +355,11 @@ func TestLimitStopsTheSource(t *testing.T) {
 				name += ", vectorized"
 			}
 			t.Run(name, func(t *testing.T) {
-				src := keyedValuesPlan("t", rows, 50)
 				plan := tc.plan(src)
-				full, err := Run(plan, nil, &Options{Join: JoinHash, Parallelism: workers})
+				full, err := Run(plan, store, &Options{Join: JoinHash, Parallelism: workers})
 				must(t, err)
 				col := obs.NewCollector()
-				got, err := Run(&algebra.Limit{Input: plan, N: n}, nil, &Options{Join: JoinHash, Parallelism: workers, Vectorize: vectorize, Metrics: col})
+				got, err := Run(&algebra.Limit{Input: plan, N: n}, store, &Options{Join: JoinHash, Parallelism: workers, Vectorize: vectorize, Metrics: col})
 				must(t, err)
 				if len(got.Rows) != n {
 					t.Fatalf("%d rows, want %d", len(got.Rows), n)

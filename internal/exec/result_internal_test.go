@@ -11,6 +11,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -46,7 +47,7 @@ func (h *handedOver) open() ([]value.Row, *mergeIter, error) {
 // was.
 func TestRowsAreMadeOnce(t *testing.T) {
 	const n, groups, top = 5000, 300, 5
-	store, scan := keyedStore(t, n, groups)
+	store, scan := keyedStore(t, "t", n, groups)
 	tab, err := store.Table("t")
 	must(t, err)
 	group := &algebra.GroupBy{
@@ -161,7 +162,9 @@ func sameRows(a, b []value.Row) bool {
 // one worker and at three, in both source forms.
 func TestResultPathKeepsInjectorSteps(t *testing.T) {
 	group := govGroupPlan(5000, 300)
-	src := keyedValuesPlan("t", 3000, 70)
+	groupStore, groupScan := keyedStore(t, "t", 5000, 300)
+	group.Input = groupScan
+	store, src := keyedStore(t, "t", 3000, 70)
 	topK := &algebra.Limit{N: 7, Input: &algebra.Sort{
 		Input: src, Keys: []algebra.SortItem{{Col: expr.ColumnID{Table: "t", Name: "v"}, Desc: true}},
 	}}
@@ -171,19 +174,20 @@ func TestResultPathKeepsInjectorSteps(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		plan     algebra.Node
+		store    *storage.Store
 		row, vec int64
 	}{
-		{"group → rename → root", renameOf(group), 10900, 910},
-		{"group → root", group, 10301, 311},
-		{"scan → rename → root", renameOf(src), 9000, 9},
-		{"TopK → root", topK, 3008, 11},
-		{"TopK → rename → root", renameOf(topK), 3021, 24},
-		{"DISTINCT → rename → root", renameOf(distinct), 9210, 6213},
+		{"group → rename → root", renameOf(group), groupStore, 10900, 910},
+		{"group → root", group, groupStore, 10301, 311},
+		{"scan → rename → root", renameOf(src), store, 9000, 9},
+		{"TopK → root", topK, store, 3008, 11},
+		{"TopK → rename → root", renameOf(topK), store, 3021, 24},
+		{"DISTINCT → rename → root", renameOf(distinct), store, 9210, 6213},
 	} {
 		for _, workers := range []int{1, 3} {
 			for _, vectorize := range []bool{false, true} {
 				inj := fault.New(nil)
-				_, err := Run(tc.plan, nil, &Options{Faults: inj, Parallelism: workers, Vectorize: vectorize})
+				_, err := Run(tc.plan, tc.store, &Options{Faults: inj, Parallelism: workers, Vectorize: vectorize})
 				must(t, err)
 				want := tc.row
 				if vectorize {

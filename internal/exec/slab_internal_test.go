@@ -17,7 +17,7 @@ import (
 // workers, across every chunk and page boundary of the result.
 func TestKeptRowsNeverAlias(t *testing.T) {
 	const n, keys = 10*MorselSize + 37, 50
-	store, scan := keyedStore(t, n, keys)
+	store, scan := keyedStore(t, "t", n, keys)
 	plans := map[string]algebra.Node{
 		"scan → probe → root": &algebra.Join{
 			L:    scan,

@@ -82,10 +82,11 @@ func joinsOf(n algebra.Node) []*algebra.Join {
 // left behind.
 func TestRefusedSpillJoinCuts(t *testing.T) {
 	col := func(table, name string) expr.ColumnID { return expr.ColumnID{Table: table, Name: name} }
+	store, l := keyedStore(t, "l", 2*MorselSize+300, 40)
 	join := func() *algebra.Join {
 		return &algebra.Join{
 			L: &algebra.Select{
-				Input: keyedValuesPlan("l", 2*MorselSize+300, 40),
+				Input: l,
 				Cond:  expr.NewBinary(expr.OpGe, expr.Column("l", "v"), expr.IntLit(200)),
 			},
 			R:    keyedValuesPlan("r", 60, 30),
@@ -111,7 +112,7 @@ func TestRefusedSpillJoinCuts(t *testing.T) {
 		}},
 	}
 	for _, tc := range plans {
-		want, err := workload.RefEval(tc.plan, nil, nil)
+		want, err := workload.RefEval(tc.plan, store, nil)
 		must(t, err)
 		for _, workers := range []int{1, 2, 4} {
 			for _, vectorize := range []bool{false, true} {
@@ -119,7 +120,7 @@ func TestRefusedSpillJoinCuts(t *testing.T) {
 					mgr := storage.NewSpillManager(t.TempDir())
 					defer mgr.Cleanup()
 					metrics := obs.NewCollector()
-					res, err := Run(tc.plan, nil, &Options{
+					res, err := Run(tc.plan, store, &Options{
 						Join: JoinHash, Parallelism: workers, Vectorize: vectorize,
 						MemoryBudget: 512, Spill: mgr, Metrics: metrics,
 					})

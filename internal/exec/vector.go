@@ -1,7 +1,7 @@
-// The batch forms of the streaming stages. With Options.Vectorize a leaf is a
-// source in columnar form (colSource, parallel.go) and the runner carries one
-// vec.Batch per scheduling unit; the nodes below are the ones with a batch
-// form — a stage that takes a batch and hands a batch on:
+// The batch forms of the streaming stages. With Options.Vectorize a stored
+// table's leaf is a source in columnar form (colSource, parallel.go) and the
+// runner carries one vec.Batch per scheduling unit; the nodes below are the
+// ones with a batch form — a stage that takes a batch and hands a batch on:
 //
 //   - Select: a compiled predicate kernel (or per-row EvalTruth over a scratch
 //     row when the shape is not kernelizable) narrows the selection vector;

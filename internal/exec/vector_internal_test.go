@@ -21,32 +21,35 @@ import (
 // worker's, made once per run, selection views alias the input's vectors, and
 // the instrumentation is one tick and one count per batch.
 
-// vecFilterPlan builds Select(v >= 0) over an n-row Values input — a
-// predicate the compiler kernels (int column vs int literal) and that every
-// row passes, so every batch is handed on whole.
-func vecFilterPlan(n int) *algebra.Select {
+// vecFilter is Select(v >= 0) over in — a predicate the compiler kernels (int
+// column vs int literal) and that every row passes, so every batch is handed
+// on whole.
+func vecFilter(in algebra.Node) *algebra.Select {
 	return &algebra.Select{
-		Input: valuesPlan(n),
+		Input: in,
 		Cond:  expr.NewBinary(expr.OpGe, expr.Column("t", "v"), expr.IntLit(0)),
 	}
 }
 
-// keyedStore holds one table t(k, v) of n rows, k cycling through keys values:
-// keyedValuesPlan's rows as a stored table, whose columnar form is built once
-// and cached, outside any measurement.
-func keyedStore(t *testing.T, n, keys int) (*storage.Store, *algebra.Scan) {
+// keyedStore holds one table table(k, v) of n rows, k cycling through keys
+// values — keyedValuesPlan's rows as a stored table, its columnar form built
+// once and cached, outside any measurement — and returns the store and a Scan
+// of it. Under Vectorize a Scan is a columnar source and a Values literal is
+// not, so a test of the batch form reads its rows through this.
+func keyedStore(t testing.TB, table string, n, keys int) (*storage.Store, *algebra.Scan) {
 	t.Helper()
+	values := keyedValuesPlan(table, n, keys)
 	s := storage.NewStore(schema.NewCatalog())
-	must(t, s.CreateTable(&schema.Table{Name: "t", Columns: []schema.Column{
+	must(t, s.CreateTable(&schema.Table{Name: table, Columns: []schema.Column{
 		{Name: "k", Type: value.KindInt}, {Name: "v", Type: value.KindInt},
 	}}))
-	for _, row := range keyedValuesPlan("t", n, keys).Rows {
-		must(t, s.Insert("t", row))
+	for _, row := range values.Rows {
+		must(t, s.Insert(table, row))
 	}
-	tab, err := s.Table("t")
+	tab, err := s.Table(table)
 	must(t, err)
 	tab.Columnar()
-	return s, scanOf(t, s, "t", "t")
+	return s, algebra.NewScan(table, table, values.Cols)
 }
 
 // TestVectorPathZeroAllocs: the batch analogue of TestRowPathZeroAllocs and
@@ -120,7 +123,7 @@ func TestVectorPathZeroAllocs(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			for _, chain := range chains {
 				allocs := func(n int) float64 {
-					store, src := keyedStore(t, n, groups)
+					store, src := keyedStore(t, "t", n, groups)
 					return testing.AllocsPerRun(5, func() { chain.run(t, store, src, n, cfg.opts()) })
 				}
 				// The counts are equal; under the race detector a whole run's
@@ -143,10 +146,11 @@ func TestVectorPathZeroAllocs(t *testing.T) {
 // columnar form's existence. With it on, the same plan is in batches up to
 // its sink.
 func TestVectorizeDisabledInsertsNoBatchOperators(t *testing.T) {
+	store, scan := keyedStore(t, "t", 8, 8)
 	compilePlan := func(opts *Options) *pipeOp {
-		c := &compiler{opts: opts, par: 1, clock: obs.Wall}
+		c := &compiler{store: store, opts: opts, par: 1, clock: obs.Wall}
 		out, err := c.compile(&algebra.Project{
-			Input: vecFilterPlan(8),
+			Input: vecFilter(scan),
 			Items: []algebra.ProjItem{{E: expr.Column("t", "v"), As: expr.ColumnID{Name: "v"}}},
 		})
 		must(t, err)
@@ -178,14 +182,63 @@ func TestVectorizeDisabledInsertsNoBatchOperators(t *testing.T) {
 	}
 }
 
+// boundLeaf is a leaf outside the core algebra, like the distributed
+// runtime's shard and exchange endpoints: whatever rows a run binds it to
+// through Options.Sources.
+type boundLeaf struct{ cols algebra.Schema }
+
+func (l *boundLeaf) Schema() algebra.Schema   { return l.cols }
+func (l *boundLeaf) Children() []algebra.Node { return nil }
+func (l *boundLeaf) Describe() string         { return "bound" }
+
+// TestOnlyStoredTablesAreColumnar pins the leaf rule: under Vectorize a Scan
+// of a stored table is a columnar source — its batches are built once and
+// cached — while rows handed to the run, a Values literal or a leaf bound
+// through Options.Sources, stay a row source, so no run columnarizes them.
+// Both kinds of leaf return the same rows.
+func TestOnlyStoredTablesAreColumnar(t *testing.T) {
+	values := keyedValuesPlan("t", 3*MorselSize+5, 7)
+	store, scan := keyedStore(t, "t", len(values.Rows), 7)
+	bound := &boundLeaf{cols: values.Cols}
+	opts := &Options{Vectorize: true, Sources: func(leaf algebra.Node) ([]value.Row, bool) {
+		return values.Rows, leaf == bound
+	}}
+	want := run(t, scan, store, &Options{}).Rows
+	for _, tc := range []struct {
+		name     string
+		leaf     algebra.Node
+		columnar bool
+	}{
+		{"stored table", scan, true},
+		{"Values literal", values, false},
+		{"bound through Sources", bound, false},
+	} {
+		c := &compiler{store: store, opts: opts, par: 1, clock: obs.Wall}
+		out, err := c.compile(vecFilter(tc.leaf))
+		must(t, err)
+		if got := out.pipe.cols != nil; got != tc.columnar || out.pipe.inBatches() != tc.columnar {
+			t.Fatalf("%s: columnar source %v, in batches %v: want %v", tc.name, got, out.pipe.inBatches(), tc.columnar)
+		}
+		if !tc.columnar {
+			if _, ok := out.pipe.src.(leafRows); !ok {
+				t.Fatalf("%s: the source is a %T, want the leaf's rows", tc.name, out.pipe.src)
+			}
+		}
+		if got := run(t, vecFilter(tc.leaf), store, opts).Rows; !sameRows(got, want) {
+			t.Fatalf("%s: %d rows differ from the stored table's %d", tc.name, len(got), len(want))
+		}
+	}
+}
+
 // TestVectorBatchCountersRecorded: a vectorized run records per-operator
 // batch counts in the metrics (the row engine's morsel slot), while row
 // counts stay row-granular and identical to the row engine's.
 func TestVectorBatchCountersRecorded(t *testing.T) {
 	const n = 3*1024 + 17
-	plan := vecFilterPlan(n)
+	store, scan := keyedStore(t, "t", n, 8)
+	plan := vecFilter(scan)
 	col := obs.NewCollector()
-	res, err := Run(plan, nil, &Options{Vectorize: true, Metrics: col})
+	res, err := Run(plan, store, &Options{Vectorize: true, Metrics: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +259,14 @@ func TestVectorBatchCountersRecorded(t *testing.T) {
 }
 
 // TestVectorGroupMatchesRowGroup: vectorized aggregation (serial and
-// parallel) returns the row engine's exact rows in its exact order, on a
+// parallel, op=vec-hash) returns the row engine's exact rows in its exact
+// order, on a
 // plan whose aggregate arguments exercise both the bare-column fast path
 // (SUM(v)) and the expression fallback (SUM(v+k) has no single column).
 func TestVectorGroupMatchesRowGroup(t *testing.T) {
+	store, scan := keyedStore(t, "t", 10_000, 97)
 	plan := &algebra.GroupBy{
-		Input:     keyedValuesPlan("t", 10_000, 97),
+		Input:     scan,
 		GroupCols: []expr.ColumnID{{Table: "t", Name: "k"}},
 		Aggs: []algebra.AggItem{
 			{
@@ -229,14 +284,18 @@ func TestVectorGroupMatchesRowGroup(t *testing.T) {
 			},
 		},
 	}
-	ref, err := Run(plan, nil, &Options{})
+	ref, err := Run(plan, store, &Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{0, 4} {
-		res, err := Run(plan, nil, &Options{Vectorize: true, Parallelism: par})
+		col := obs.NewCollector()
+		res, err := Run(plan, store, &Options{Vectorize: true, Parallelism: par, Metrics: col})
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
+		}
+		if op := col.Lookup(plan).Operator.Load(); op == nil || *op != "vec-hash" {
+			t.Fatalf("par=%d: the group did not take batches (op=%v)", par, op)
 		}
 		if len(res.Rows) != len(ref.Rows) {
 			t.Fatalf("par=%d: %d groups, want %d", par, len(res.Rows), len(ref.Rows))

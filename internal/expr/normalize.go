@@ -37,25 +37,6 @@ func Conjuncts(e Expr) []Expr {
 	return out
 }
 
-// Disjuncts splits e on top-level ORs into a flat list.
-func Disjuncts(e Expr) []Expr {
-	var out []Expr
-	var split func(Expr)
-	split = func(x Expr) {
-		if x == nil {
-			return
-		}
-		if b, ok := x.(*Binary); ok && b.Op == OpOr {
-			split(b.L)
-			split(b.R)
-			return
-		}
-		out = append(out, x)
-	}
-	split(e)
-	return out
-}
-
 // negateComparison returns the comparison with the complementary operator.
 // Under three-valued logic NOT(a < b) and (a >= b) agree on all inputs:
 // both are unknown exactly when the operands are incomparable.
@@ -261,16 +242,6 @@ func dnf(e Expr) ([][]Expr, error) {
 	return [][]Expr{{e}}, nil
 }
 
-// RebuildCNF reassembles clauses produced by CNF back into a single
-// predicate expression (nil when empty).
-func RebuildCNF(clauses [][]Expr) Expr {
-	var conj []Expr
-	for _, clause := range clauses {
-		conj = append(conj, Or(clause...))
-	}
-	return And(conj...)
-}
-
 // SimplifyTruth folds boolean literals out of a predicate under 3VL:
 // TRUE AND x → x, FALSE AND x → FALSE, TRUE OR x → TRUE, FALSE OR x → x,
 // NOT literal → literal. NULL literals (unknown) are left in place: unknown
@@ -393,9 +364,6 @@ func isConstant(e Expr) bool {
 	return constant
 }
 
-// IsConstant reports whether e references no columns or aggregates.
-func IsConstant(e Expr) bool { return isConstant(e) }
-
 // FoldConstants evaluates constant subexpressions at plan time. Host
 // variables are substituted from params when present. Errors during folding
 // leave the node unfolded (it will error again at run time if reached).
@@ -469,22 +437,4 @@ func Classify(conjunct Expr, r1Tables map[string]bool) ConjunctSide {
 	default:
 		return SideC1
 	}
-}
-
-// EqualityConstant extracts, from a conjunctive predicate, every column
-// that the predicate pins to a constant (Type 1 atoms among the top-level
-// conjuncts). Used for constant propagation in cardinality estimation and
-// for TestFD's seeding step.
-func EqualityConstant(e Expr) map[ColumnID]value.Value {
-	out := make(map[ColumnID]value.Value)
-	for _, c := range Conjuncts(e) {
-		atom := ClassifyAtom(c)
-		if atom.Class != AtomColConst {
-			continue
-		}
-		if lit, ok := atom.Const.(*Literal); ok {
-			out[atom.Col] = lit.Val
-		}
-	}
-	return out
 }

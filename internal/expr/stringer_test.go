@@ -145,13 +145,3 @@ func TestBoundColumn(t *testing.T) {
 		t.Errorf("Eval(BoundColumn) = %v, %v", v, err)
 	}
 }
-
-// TestRenameTables covers the qualifier-rewrite helper.
-func TestRenameTables(t *testing.T) {
-	e := Eq(Column("old", "a"), Column("keep", "b"))
-	out := RenameTables(e, map[string]string{"old": "new"})
-	want := Eq(Column("new", "a"), Column("keep", "b"))
-	if !Equal(out, want) {
-		t.Errorf("RenameTables = %s, want %s", out, want)
-	}
-}

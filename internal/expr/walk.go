@@ -183,19 +183,6 @@ func SubstituteColumns(e Expr, mapping map[ColumnID]ColumnID) Expr {
 	})
 }
 
-// RenameTables returns a copy of e with table qualifiers replaced according
-// to the mapping.
-func RenameTables(e Expr, mapping map[string]string) Expr {
-	return Rewrite(e, func(n Expr) Expr {
-		if c, ok := n.(*ColumnRef); ok {
-			if to, hit := mapping[c.ID.Table]; hit {
-				return &ColumnRef{ID: ColumnID{Table: to, Name: c.ID.Name}, Index: c.Index}
-			}
-		}
-		return n
-	})
-}
-
 // Equal reports structural equality of two expressions (ignoring bound
 // indexes, which are an evaluation artifact).
 func Equal(a, b Expr) bool {

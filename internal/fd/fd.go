@@ -34,13 +34,6 @@ func NewColSet(cols ...expr.ColumnID) ColSet {
 // Add inserts a column.
 func (s ColSet) Add(c expr.ColumnID) { s[c] = true }
 
-// AddAll inserts every column of other.
-func (s ColSet) AddAll(other ColSet) {
-	for c := range other {
-		s[c] = true
-	}
-}
-
 // Has reports membership.
 func (s ColSet) Has(c expr.ColumnID) bool { return s[c] }
 

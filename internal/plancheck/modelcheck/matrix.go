@@ -206,18 +206,18 @@ var Cells = []Cell{
 		Workers: []int{1, 4}, Vectorize: bothForms, Budgets: []int64{-8 << 10, 64 << 10, 0},
 		Spill: true, Faults: DiskFaults, Compare: InOrder, MinSpilled: 1},
 	{Name: "cluster", Seed: 0xD157, Instances: 200, Short: 40, Corpus: workload.Draw, Draw: 4,
-		Workers: []int{1, 4}, Vectorize: bothForms, Nodes: []int{1, 2, 4, 8}, Strategies: allStrategies},
+		Workers: []int{1, 4}, Nodes: []int{1, 2, 4, 8}, Strategies: allStrategies},
 	{Name: "cluster-chaos", Seed: 0xC4A05D, Instances: 60, Short: 15, Corpus: workload.Draw, Draw: 1, Runs: 5,
-		Workers: []int{1, 4}, Vectorize: bothForms, Nodes: []int{2, 4, 8}, Strategies: allStrategies, Budgets: []int64{0, 0, -1 << 14},
+		Workers: []int{1, 4}, Nodes: []int{2, 4, 8}, Strategies: allStrategies, Budgets: []int64{0, 0, -1 << 14},
 		Faults: LinkFaults},
 	{Name: "recovery", Seed: 0x5EC0, Instances: 200, Short: 30, Corpus: workload.Draw, Draw: 1, Runs: 2,
-		Workers: []int{1, 4}, Vectorize: bothForms, Nodes: []int{2, 4, 8}, Strategies: allStrategies,
+		Workers: []int{1, 4}, Nodes: []int{2, 4, 8}, Strategies: allStrategies,
 		Faults: BoundedLinks, Recovery: Retry},
 	{Name: "recovery-lease", Seed: 0x1EA5E, Instances: 100, Short: 15, Corpus: workload.Draw, Draw: 1, Runs: 2,
-		Workers: []int{1, 4}, Vectorize: bothForms, Nodes: []int{2, 4, 8}, Strategies: allStrategies, Budgets: []int64{64 << 10},
+		Workers: []int{1, 4}, Nodes: []int{2, 4, 8}, Strategies: allStrategies, Budgets: []int64{64 << 10},
 		Faults: BoundedLinks, Recovery: Retry},
 	{Name: "failover", Seed: 0xFA11, Instances: 60, Short: 15, Corpus: workload.Draw, Draw: 1, Runs: 2,
-		Workers: []int{1, 4}, Vectorize: bothForms, Nodes: []int{2, 4, 8}, Strategies: allStrategies,
+		Workers: []int{1, 4}, Nodes: []int{2, 4, 8}, Strategies: allStrategies,
 		Faults: LinkBursts, Recovery: Failover, MinFailovers: 1},
 }
 

@@ -34,8 +34,9 @@
 //     are exactly the certified GA1+. A missing or refuted certificate is
 //     reported with the violated theorem condition named.
 //
-// The optimizer runs Check on every plan it emits when its CheckPlans debug
-// flag is set; the oracle and fuzz suites run it unconditionally.
+// The optimizer runs Check on every plan it emits when its CheckPlans flag is
+// set, which the engine (gbj.New) always sets; the oracle and fuzz suites run
+// it unconditionally.
 package plancheck
 
 import (

@@ -8,9 +8,12 @@ package gbj
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/plancheck"
+	"repro/internal/sql"
 )
 
 // queryCounts runs example1Query and returns DeptID -> COUNT.
@@ -107,26 +110,50 @@ func TestPlanCacheInvalidationMatrix(t *testing.T) {
 	}
 }
 
-// A cached plan whose certificate no longer survives independent
-// re-derivation must be rejected at hit time and re-planned — the
-// "stale certificate never executes" guarantee. The tampering hook
-// truncates the certified GA1+ column list exactly like a real staleness
-// bug would.
+// A plan whose certificate does not survive verification never executes.
+// Chosen under the tamper hook, which truncates the certified GA1+ column
+// list exactly like a real staleness bug would, the query fails
+// verification and nothing is cached. A cached plan whose certificate no
+// longer survives independent re-derivation is rejected at hit time and
+// re-planned; the engine caches only verified plans, so that entry is
+// planted by hand.
 func TestPlanCacheRejectsTamperedCertificate(t *testing.T) {
 	e := newExample1Engine(t)
 	e.SetPlanCacheSize(16)
 	e.SetMode(ModeAlways) // guarantee the eager (certified) shape
 
-	// Plant a poisoned entry: certificates built under the tamper hook.
 	core.TestHooks.TamperCertCols = true
-	base := queryCounts(t, e)
+	_, err := e.Query(example1Query)
 	core.TestHooks.TamperCertCols = false
+	if err == nil || !strings.Contains(err.Error(), "eager-cert") {
+		t.Fatalf("a tampered certificate was not refused when chosen: %v", err)
+	}
+	if n := e.PlanCacheLen(); n != 0 {
+		t.Fatalf("the refused plan was cached: %d entries", n)
+	}
+
+	// Plant a poisoned entry: the cached certificate licenses the wrong GA1+.
+	base := queryCounts(t, e)
 	if base[1] != 2 || base[2] != 3 || base[3] != 1 {
-		t.Fatalf("poisoned cold run returned wrong rows: %v", base)
+		t.Fatalf("cold run returned wrong rows: %v", base)
 	}
-	if s := e.PlanCacheStats(); s.Misses != 1 {
-		t.Fatalf("expected one cold miss: %+v", s)
+	q, err := sql.ParseQuery(example1Query)
+	if err != nil {
+		t.Fatal(err)
 	}
+	e.mu.Lock()
+	key := e.planKey(q)
+	v, ok := e.planCache.Get(key)
+	if !ok {
+		e.mu.Unlock()
+		t.Fatal("the cold run left no cache entry")
+	}
+	pc := v.(planChoice)
+	tampered := *pc.certs[0]
+	tampered.GroupCols = tampered.GroupCols[:len(tampered.GroupCols)-1]
+	pc.certs = []*plancheck.Certificate{&tampered}
+	e.planCache.Put(key, pc)
+	e.mu.Unlock()
 
 	// The next lookup hits the poisoned entry, re-vets it through
 	// plancheck.CrossCheck, rejects it, and re-plans cleanly.
