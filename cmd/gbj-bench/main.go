@@ -21,8 +21,11 @@
 //	                               # over-budget eager plan degrades to the
 //	                               # lazy plan (recorded as a fallback)
 //
-// Flag values are validated up front: an unknown -exp id, -parallelism below
-// -1, -nodes below 1, and non-power-of-two -shards are rejected with an error
+// Every number comes from a gbj.Engine over the experiment's store: the
+// standard plan under ModeNever, the transformed one under ModeAlways, the
+// cluster's two strategies under SetDistStrategy. Flag values are validated
+// up front, on a fresh engine: an unknown -exp id, -parallelism below -1,
+// -nodes below 1, and non-power-of-two -shards are rejected with an error
 // (exit 2) instead of being dropped or clamped silently.
 package main
 
@@ -30,14 +33,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
+	gbj "repro"
 	"repro/internal/bench"
 	"repro/internal/cliutil"
-	"repro/internal/core"
-	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -48,8 +51,19 @@ import (
 // byte cap, and the simulated cluster of the distributed experiment (E12).
 var knobs = cliutil.EngineFlags{Nodes: 4}
 
+// knobHelp names the engine flags the tool registers, with their help text.
+var knobHelp = map[string]string{
+	"parallelism": "", "shards": "",
+	"vectorize":  "columnar batch execution for every experiment",
+	"nodes":      "simulated cluster size for the distributed experiment (E12)",
+	"mem-budget": "per-execution operator-state byte cap (0 = unlimited); over-budget eager plans degrade to the lazy plan",
+}
+
 // timeout is the per-measurement deadline, 0 for none.
 var timeout time.Duration
+
+// out is where the experiments print their tables.
+var out io.Writer = os.Stdout
 
 // measureCtx returns the context one measurement runs under.
 func measureCtx() (context.Context, context.CancelFunc) {
@@ -59,25 +73,29 @@ func measureCtx() (context.Context, context.CancelFunc) {
 	return context.Background(), func() {}
 }
 
-// governed is the lifecycle bundle both comparisons run under: the
-// measurement context plus the tool's budget and engine settings.
-func governed(ctx context.Context) bench.Governed {
-	return bench.Governed{Context: ctx, MemoryBudget: knobs.MemBudget, Vectorize: knobs.Vectorize}
+// engineOn returns an engine over store with the tool's settings. Only the
+// cluster experiment's engine gets -nodes and -shards; every other one runs
+// single-site.
+func engineOn(store *storage.Store, cluster bool) (*gbj.Engine, error) {
+	e := gbj.NewWithStore(store)
+	set := knobs
+	if !cluster {
+		set.Nodes, set.Shards = 1, 0
+	}
+	return e, set.Apply(e)
 }
 
-// compareForward runs a governed forward comparison with the tool's
-// timeout, budget and parallelism settings.
-func compareForward(store *storage.Store, query string, reps int) (*bench.Comparison, error) {
+// compareForward runs a forward comparison on an engine over store under
+// the tool's timeout, returning the engine too.
+func compareForward(store *storage.Store, query string, reps int) (*bench.Comparison, *gbj.Engine, error) {
+	e, err := engineOn(store, false)
+	if err != nil {
+		return nil, nil, err
+	}
 	ctx, cancel := measureCtx()
 	defer cancel()
-	return bench.CompareForward(store, query, reps, knobs.Parallelism, governed(ctx))
-}
-
-// compareReverse is compareForward for the Section 8 reverse experiment.
-func compareReverse(store *storage.Store, query string, reps int) (*bench.Comparison, error) {
-	ctx, cancel := measureCtx()
-	defer cancel()
-	return bench.CompareReverse(store, query, reps, knobs.Parallelism, governed(ctx))
+	c, err := bench.CompareForward(ctx, e, query, reps)
+	return c, e, err
 }
 
 // record, when non-nil, accumulates every comparison as a machine-readable
@@ -87,7 +105,7 @@ var record *bench.File
 // addRecord appends a comparison to the JSON output when -json is active.
 func addRecord(experiment, note string, c *bench.Comparison) {
 	if record != nil {
-		record.Add(experiment, note, knobs.Parallelism, c)
+		record.Add(experiment, note, c)
 	}
 }
 
@@ -145,40 +163,22 @@ func main() {
 	expFlag := flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(experimentIDs(), ",")+") or 'all'")
 	reps := flag.Int("reps", 3, "repetitions per measurement")
 	jsonPath := flag.String("json", "", "also write machine-readable run records (per-operator metrics included) to this file")
-	knobs.Register(flag.CommandLine, map[string]string{
-		"parallelism": "", "shards": "",
-		"vectorize":  "columnar batch execution for every experiment",
-		"nodes":      "simulated cluster size for the distributed experiment (E12)",
-		"mem-budget": "per-execution operator-state byte cap (0 = unlimited); over-budget eager plans degrade to the lazy plan",
-	})
+	knobs.Register(flag.CommandLine, knobHelp)
 	flag.DurationVar(&timeout, "timeout", 0, "per-measurement deadline (0 = none)")
 	flag.Parse()
 	want, err := parseExperiments(*expFlag)
 	if err == nil {
-		err = knobs.Validate()
+		err = knobs.Apply(gbj.New())
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gbj-bench:", err)
 		os.Exit(2)
 	}
 	if *jsonPath != "" {
-		record = &bench.File{Tool: "gbj-bench"}
+		record = &bench.File{Tool: "gbj-bench", Parallelism: knobs.Parallelism, Vectorize: knobs.Vectorize}
 	}
 
-	failed := false
-	for _, r := range experiments {
-		if !want[r.id] {
-			continue
-		}
-		fmt.Printf("==================================================================\n")
-		fmt.Printf("%s: %s\n", r.id, r.title)
-		fmt.Printf("==================================================================\n")
-		if err := r.run(*reps); err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", r.id, err)
-			failed = true
-		}
-		fmt.Println()
-	}
+	failed := !runExperiments(want, *reps)
 	if record != nil {
 		if err := record.WriteFile(*jsonPath); err != nil {
 			fmt.Fprintln(os.Stderr, "writing", *jsonPath, "failed:", err)
@@ -192,20 +192,40 @@ func main() {
 	}
 }
 
+// runExperiments runs the selected experiments in order, printing each
+// one's banner and tables and each failure; it reports whether all passed.
+func runExperiments(want map[string]bool, reps int) bool {
+	ok := true
+	for _, r := range experiments {
+		if !want[r.id] {
+			continue
+		}
+		fmt.Fprintf(out, "==================================================================\n")
+		fmt.Fprintf(out, "%s: %s\n", r.id, r.title)
+		fmt.Fprintf(out, "==================================================================\n")
+		if err := r.run(reps); err != nil {
+			fmt.Fprintf(os.Stderr, "%s failed: %v\n", r.id, err)
+			ok = false
+		}
+		fmt.Fprintln(out)
+	}
+	return ok
+}
+
 func runE1(reps int) error {
 	store, err := workload.EmployeeDepartment(10000, 100)
 	if err != nil {
 		return err
 	}
-	c, err := compareForward(store, workload.Example1Query, reps)
+	c, _, err := compareForward(store, workload.Example1Query, reps)
 	if err != nil {
 		return err
 	}
-	fmt.Println("paper: Plan 1 joins 10000 x 100 -> 10000, groups 10000 -> 100;")
-	fmt.Println("       Plan 2 groups 10000 -> 100, joins 100 x 100 -> 100")
-	fmt.Println()
-	fmt.Print(c.Table())
-	fmt.Printf("optimizer choice: transformed=%v\n", c.Report.Transformed)
+	fmt.Fprintln(out, "paper: Plan 1 joins 10000 x 100 -> 10000, groups 10000 -> 100;")
+	fmt.Fprintln(out, "       Plan 2 groups 10000 -> 100, joins 100 x 100 -> 100")
+	fmt.Fprintln(out)
+	fmt.Fprint(out, c.Table())
+	fmt.Fprintf(out, "optimizer choice: transformed=%v\n", c.Picked == "transformed")
 	addRecord("E1", "", c)
 	return nil
 }
@@ -215,15 +235,15 @@ func runE2(reps int) error {
 	if err != nil {
 		return err
 	}
-	c, err := compareForward(store, workload.Figure8Query, reps)
+	c, _, err := compareForward(store, workload.Figure8Query, reps)
 	if err != nil {
 		return err
 	}
-	fmt.Println("paper: Plan 1 joins 10000 x 100 -> 50, groups 50 -> 10;")
-	fmt.Println("       Plan 2 groups 10000 -> ~9000, joins ~9000 x 100")
-	fmt.Println()
-	fmt.Print(c.Table())
-	fmt.Printf("optimizer choice: transformed=%v (must be false)\n", c.Report.Transformed)
+	fmt.Fprintln(out, "paper: Plan 1 joins 10000 x 100 -> 50, groups 50 -> 10;")
+	fmt.Fprintln(out, "       Plan 2 groups 10000 -> ~9000, joins ~9000 x 100")
+	fmt.Fprintln(out)
+	fmt.Fprint(out, c.Table())
+	fmt.Fprintf(out, "optimizer choice: transformed=%v (must be false)\n", c.Picked == "transformed")
 	addRecord("E2", "", c)
 	return nil
 }
@@ -233,25 +253,18 @@ func runE3(reps int) error {
 	if err != nil {
 		return err
 	}
-	// Show the TestFD trace the paper walks through in Section 6.3.
-	q, err := sql.ParseQuery(workload.Example3Query)
+	c, e, err := compareForward(store, workload.Example3Query, reps)
 	if err != nil {
 		return err
 	}
-	opt := core.NewOptimizer(store)
-	r, err := opt.Optimize(q)
+	// The engine's explanation carries the normalization and the TestFD
+	// trace the paper walks through in Section 6.3 (paper: YES).
+	text, err := e.Explain(workload.Example3Query)
 	if err != nil {
 		return err
 	}
-	fmt.Println(r.Shape.String())
-	fmt.Println()
-	fmt.Println(r.Decision.TraceString())
-	fmt.Printf("\nTestFD answer: %v (paper: YES)\n\n", r.Decision.OK)
-	c, err := compareForward(store, workload.Example3Query, reps)
-	if err != nil {
-		return err
-	}
-	fmt.Print(c.Table())
+	fmt.Fprintln(out, text)
+	fmt.Fprint(out, c.Table())
 	addRecord("E3", "", c)
 	return nil
 }
@@ -264,66 +277,64 @@ func runE4(reps int) error {
 	if err := workload.RegisterUserInfoView(store); err != nil {
 		return err
 	}
-	c, err := compareReverse(store, workload.Example5Query, reps)
+	e, err := engineOn(store, false)
 	if err != nil {
 		return err
 	}
-	fmt.Println("nested = materialize UserInfo view, then join;")
-	fmt.Println("flat   = merged single query (join before group-by, Section 8)")
-	fmt.Println()
-	fmt.Print(c.Table())
+	ctx, cancel := measureCtx()
+	defer cancel()
+	c, err := bench.CompareReverse(ctx, e, workload.Example5Query, workload.Example5FlatQuery, reps)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(out, "nested = materialize UserInfo view, then join;")
+	fmt.Fprintln(out, "flat   = merged single query (join before group-by, Section 8)")
+	fmt.Fprintln(out)
+	fmt.Fprint(out, c.Table())
 	addRecord("E4", "", c)
 	return nil
 }
 
-func runE5(reps int) error {
-	fmt.Printf("%-10s  %-14s  %-14s  %-9s  %s\n",
-		"match", "standard", "transformed", "speedup", "optimizer picks")
-	for _, match := range []float64{0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0} {
-		store, err := workload.Sweep(workload.SweepParams{
-			FactRows: 50000, DimRows: 100, Groups: 100, MatchFraction: match, Seed: 42,
-		})
+// sweep prints one row per point of a Section 7 sweep over the fact/dimension
+// workload, labelled by at: both plans' times, the speedup and the engine's
+// cost-based pick.
+func sweep(id, axis string, points []workload.SweepParams, at func(workload.SweepParams) any, reps int) error {
+	fmt.Fprintf(out, "%-10s  %-14s  %-14s  %-9s  %s\n",
+		axis, "standard", "transformed", "speedup", "optimizer picks")
+	for _, p := range points {
+		store, err := workload.Sweep(p)
 		if err != nil {
 			return err
 		}
-		c, err := compareForward(store, workload.SweepQueryGroupByDim, reps)
+		c, _, err := compareForward(store, workload.SweepQueryGroupByDim, reps)
 		if err != nil {
 			return err
 		}
-		choice := "standard"
-		if c.Report.Transformed {
-			choice = "transformed"
-		}
-		fmt.Printf("%-10g  %-14v  %-14v  %-9.2f  %s\n",
-			match, c.Standard.Duration, c.Transformed.Duration, c.Speedup(), choice)
-		addRecord("E5", fmt.Sprintf("match=%g", match), c)
+		fmt.Fprintf(out, "%-10v  %-14v  %-14v  %-9.2f  %s\n",
+			at(p), c.Standard.Duration, c.Transformed.Duration, c.Speedup(), c.Picked)
+		addRecord(id, fmt.Sprintf("%s=%v", axis, at(p)), c)
 	}
 	return nil
 }
 
+func runE5(reps int) error {
+	var points []workload.SweepParams
+	for _, match := range []float64{0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0} {
+		points = append(points, workload.SweepParams{
+			FactRows: 50000, DimRows: 100, Groups: 100, MatchFraction: match, Seed: 42,
+		})
+	}
+	return sweep("E5", "match", points, func(p workload.SweepParams) any { return p.MatchFraction }, reps)
+}
+
 func runE6(reps int) error {
-	fmt.Printf("%-10s  %-14s  %-14s  %-9s  %s\n",
-		"groups", "standard", "transformed", "speedup", "optimizer picks")
+	var points []workload.SweepParams
 	for _, groups := range []int{10, 100, 1000, 10000, 50000} {
-		store, err := workload.Sweep(workload.SweepParams{
+		points = append(points, workload.SweepParams{
 			FactRows: 50000, DimRows: groups, Groups: groups, MatchFraction: 1.0, Seed: 42,
 		})
-		if err != nil {
-			return err
-		}
-		c, err := compareForward(store, workload.SweepQueryGroupByDim, reps)
-		if err != nil {
-			return err
-		}
-		choice := "standard"
-		if c.Report.Transformed {
-			choice = "transformed"
-		}
-		fmt.Printf("%-10d  %-14v  %-14v  %-9.2f  %s\n",
-			groups, c.Standard.Duration, c.Transformed.Duration, c.Speedup(), choice)
-		addRecord("E6", fmt.Sprintf("groups=%d", groups), c)
 	}
-	return nil
+	return sweep("E6", "groups", points, func(p workload.SweepParams) any { return p.Groups }, reps)
 }
 
 func runE7(int) error {
@@ -331,39 +342,25 @@ func runE7(int) error {
 	if err != nil {
 		return err
 	}
-	q, err := sql.ParseQuery(workload.Example1Query)
+	dc, err := gbj.NewWithStore(store).EstimateDistributed(workload.Example1Query)
 	if err != nil {
 		return err
 	}
-	opt := core.NewOptimizer(store)
-	b, err := opt.Planner().Bind(q)
-	if err != nil {
-		return err
-	}
-	shape, err := core.Normalize(b, nil)
-	if err != nil {
-		return err
-	}
-	model := core.NewCostModel(core.NewStoreStats(store), b)
-	dc, err := model.EstimateDistributed(opt.Planner(), shape)
-	if err != nil {
-		return err
-	}
-	fmt.Println("scenario: R1 (Employee) and R2 (Department) at different sites;")
-	fmt.Println("the join executes at R2's site (paper Section 7, distributed bullet)")
-	fmt.Println()
-	fmt.Printf("rows shipped, standard plan (all of sigma[C1]R1): %8.0f\n", dc.StandardRowsShipped)
-	fmt.Printf("rows shipped, transformed plan (one per group):    %8.0f\n", dc.TransformedRowsShipped)
-	fmt.Printf("reduction: %.0fx\n", dc.StandardRowsShipped/dc.TransformedRowsShipped)
+	fmt.Fprintln(out, "scenario: R1 (Employee) and R2 (Department) at different sites;")
+	fmt.Fprintln(out, "the join executes at R2's site (paper Section 7, distributed bullet)")
+	fmt.Fprintln(out)
+	fmt.Fprintf(out, "rows shipped, standard plan (all of sigma[C1]R1): %8.0f\n", dc.StandardRows)
+	fmt.Fprintf(out, "rows shipped, transformed plan (one per group):    %8.0f\n", dc.TransformedRows)
+	fmt.Fprintf(out, "reduction: %.0fx\n", dc.StandardRows/dc.TransformedRows)
 	return nil
 }
 
 // runE8 quantifies Section 7's closing point — "Ultimately, the choice is
 // determined by the estimated cost of the two plans" — by measuring, over
-// a grid of join selectivities and group counts, how often the cost-based
-// decision matches the empirically faster plan.
+// a grid of join selectivities and group counts, how often the engine's
+// cost-based decision matches the empirically faster plan.
 func runE8(reps int) error {
-	fmt.Printf("%-10s %-8s  %-11s  %-11s  %-12s %-9s %s\n",
+	fmt.Fprintf(out, "%-10s %-8s  %-11s  %-11s  %-12s %-9s %s\n",
 		"match", "groups", "standard", "transformed", "picked", "winner", "agree")
 	total, agree := 0, 0
 	for _, match := range []float64{0.01, 0.1, 0.5, 1.0} {
@@ -375,30 +372,26 @@ func runE8(reps int) error {
 			if err != nil {
 				return err
 			}
-			c, err := compareForward(store, workload.SweepQueryGroupByDim, reps)
+			c, _, err := compareForward(store, workload.SweepQueryGroupByDim, reps)
 			if err != nil {
 				return err
-			}
-			picked := "standard"
-			if c.Report.Transformed {
-				picked = "transformed"
 			}
 			winner := "standard"
 			if c.Transformed != nil && c.Transformed.Duration < c.Standard.Duration {
 				winner = "transformed"
 			}
-			ok := picked == winner
+			ok := c.Picked == winner
 			total++
 			if ok {
 				agree++
 			}
 			addRecord("E8", fmt.Sprintf("match=%g groups=%d", match, groups), c)
-			fmt.Printf("%-10g %-8d  %-11v  %-11v  %-12s %-9s %v\n",
+			fmt.Fprintf(out, "%-10g %-8d  %-11v  %-11v  %-12s %-9s %v\n",
 				match, groups, c.Standard.Duration.Round(time.Microsecond*100),
-				c.Transformed.Duration.Round(time.Microsecond*100), picked, winner, ok)
+				c.Transformed.Duration.Round(time.Microsecond*100), c.Picked, winner, ok)
 		}
 	}
-	fmt.Printf("\ndecision accuracy: %d/%d grid points\n", agree, total)
+	fmt.Fprintf(out, "\ndecision accuracy: %d/%d grid points\n", agree, total)
 	return nil
 }
 
@@ -413,8 +406,8 @@ func runE12(reps int) error {
 	if knobs.Nodes < 2 {
 		return fmt.Errorf("E12 needs a cluster: pass -nodes 2 or more (got %d)", knobs.Nodes)
 	}
-	fmt.Printf("cluster: %d nodes, %s; fact table: 50000 rows\n\n", knobs.Nodes, shardDesc())
-	fmt.Printf("%-10s  %12s  %12s  %10s  %s\n",
+	fmt.Fprintf(out, "cluster: %d nodes, %s; fact table: 50000 rows\n\n", knobs.Nodes, shardDesc())
+	fmt.Fprintf(out, "%-10s  %12s  %12s  %10s  %s\n",
 		"groups", "lazy_bytes", "eager_bytes", "reduction", "result rows")
 	for _, groups := range []int{10, 100, 1000, 10000, 50000} {
 		store, err := workload.Sweep(workload.SweepParams{
@@ -423,14 +416,18 @@ func runE12(reps int) error {
 		if err != nil {
 			return err
 		}
+		e, err := engineOn(store, true)
+		if err != nil {
+			return err
+		}
 		ctx, cancel := measureCtx()
-		c, err := bench.CompareDistributed(ctx, store, workload.SweepQueryGroupByDim, reps, knobs.Nodes, knobs.Shards, knobs.Parallelism)
+		c, err := bench.CompareDistributed(ctx, e, workload.SweepQueryGroupByDim, reps)
 		cancel()
 		if err != nil {
 			return err
 		}
 		lazy, eager := c.Standard.CommBytes(), c.Transformed.CommBytes()
-		fmt.Printf("%-10d  %12d  %12d  %9.2fx  %d\n",
+		fmt.Fprintf(out, "%-10d  %12d  %12d  %9.2fx  %d\n",
 			groups, lazy, eager, float64(lazy)/float64(eager), c.Standard.OutRows)
 		addRecord("E12", fmt.Sprintf("groups=%d nodes=%d", groups, knobs.Nodes), c)
 	}

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 // TestParseExperiments pins the -exp contract: 'all' and id lists in either
@@ -63,5 +68,47 @@ func TestParseExperiments(t *testing.T) {
 				t.Fatalf("parseExperiments(%q) selects %v, want %v", tc.arg, ids, want)
 			}
 		})
+	}
+}
+
+// TestEveryExperimentRuns runs the whole tool once, at one repetition per
+// measurement, and checks the paper's answers in its output: Figure 1's
+// cardinalities and choice, Figure 8's refusal, Example 3's TestFD YES, and
+// E12's measured bytes on the default 4-node cluster.
+func TestEveryExperimentRuns(t *testing.T) {
+	knobs.Register(flag.NewFlagSet("gbj-bench", flag.ContinueOnError), knobHelp)
+	var buf bytes.Buffer
+	out, record = &buf, &bench.File{}
+	defer func() { out, record = os.Stdout, nil }()
+	want, err := parseExperiments("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !runExperiments(want, 1) {
+		t.Fatalf("an experiment failed; output so far:\n%s", buf.String())
+	}
+	text := buf.String()
+	for _, line := range []string{
+		"join 10000 x 100 -> 10000",
+		"group   10000 -> 100",
+		"optimizer choice: transformed=true\n",
+		"optimizer choice: transformed=false (must be false)",
+		"answer: YES — FD1 and FD2 hold in the join result",
+		"nested (materialize view, then join)",
+		"reduction: 100x",
+		"10               1350208          1018",
+		"50000            2325000       1870644",
+	} {
+		if !strings.Contains(text, line) {
+			t.Errorf("output lacks %q", line)
+		}
+	}
+	// One record per comparison: E1-E4 one each, E5 seven, E6 five, E8
+	// twelve, E12 five; E7 estimates and records nothing.
+	if got := len(record.Runs); got != 33 {
+		t.Errorf("%d run records, want 33", got)
+	}
+	if t.Failed() {
+		t.Logf("output:\n%s", text)
 	}
 }

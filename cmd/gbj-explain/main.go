@@ -72,10 +72,6 @@ func main() {
 		"spill-dir":  "directory for spill temp files; with -mem-budget set, over-budget operators spill to disk instead of degrading (empty = spilling off)",
 	})
 	flag.Parse()
-	if err := knobs.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "gbj-explain:", err)
-		os.Exit(2)
-	}
 
 	engine := gbj.New()
 	if err := knobs.Apply(engine); err != nil {

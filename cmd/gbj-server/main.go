@@ -55,7 +55,6 @@ func main() {
 		cliutil.ValidateAddr(*addr),
 		cliutil.ValidatePoolBytes(*pool),
 		cliutil.ValidateMaxSessions(*maxSessions),
-		knobs.Validate(),
 	} {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gbj-server:", err)

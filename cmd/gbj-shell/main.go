@@ -96,7 +96,8 @@ func main() {
 	})
 	connect := flag.String("connect", "", "URL of a running gbj-server (e.g. http://127.0.0.1:7432); the shell becomes a network client instead of embedding an engine")
 	flag.Parse()
-	if err := knobs.Validate(); err != nil {
+	engine := gbj.New()
+	if err := knobs.Apply(engine); err != nil {
 		fmt.Fprintln(os.Stderr, "gbj-shell:", err)
 		os.Exit(2)
 	}
@@ -127,11 +128,6 @@ func main() {
 		os.Exit(runConnected(*connect))
 	}
 
-	engine := gbj.New()
-	if err := knobs.Apply(engine); err != nil {
-		fmt.Fprintln(os.Stderr, "gbj-shell:", err)
-		os.Exit(2)
-	}
 	if *file != "" {
 		data, err := os.ReadFile(*file)
 		if err != nil {

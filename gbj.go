@@ -156,7 +156,14 @@ func (s settings) with(o *QueryOptions) settings {
 // (core.Optimizer.CheckPlans): a transformed plan executes only with a TestFD
 // certificate that plancheck accepts and re-derives from the catalog.
 func New() *Engine {
-	store := storage.NewStore(schema.NewCatalog())
+	return NewWithStore(storage.NewStore(schema.NewCatalog()))
+}
+
+// NewWithStore returns an engine that adopts a store built elsewhere in this
+// module — a workload generator's, with its tables, rows and views — exactly
+// as New would have built it by DDL and INSERTs. The engine owns the store
+// from then on: write to it only through Exec.
+func NewWithStore(store *storage.Store) *Engine {
 	opt := core.NewOptimizer(store)
 	opt.CheckPlans = true
 	return &Engine{store: store, opt: opt}
@@ -723,7 +730,6 @@ func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome)
 func (p *prepared) execOptions(ctx context.Context, at attempt, out *outcome) *exec.Options {
 	opts := &exec.Options{
 		Params:       p.params,
-		Group:        exec.GroupAuto,
 		Parallelism:  p.set.parallelism,
 		Vectorize:    p.set.vectorize,
 		Context:      ctx,

@@ -1,27 +1,25 @@
 // Package bench is the experiment harness behind EXPERIMENTS.md and the
-// cmd/gbj-bench tool: it runs a query under both the standard plan (group
-// after join) and the transformed plan (group before join), collects the
+// cmd/gbj-bench tool. It runs one query on a gbj.Engine under two engine
+// settings — the standard plan (group after join) against the transformed
+// plan (group before join), a query over a view against its merged flat
+// form, lazy against eager shipping on a cluster — collects the
 // per-operator cardinalities the paper annotates its plan diagrams with
-// (Figures 1 and 8), measures wall time, and verifies that both plans
-// produce identical multisets before reporting anything.
+// (Figures 1 and 8), and verifies that both sides return identical
+// multisets before reporting anything. Every number is read from the
+// engine's own analysis of a run (gbj.Analysis): the plan it chose and
+// verified, the executor settings it ran under, its budget fallback.
 package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
 	"time"
 
+	gbj "repro"
 	"repro/internal/algebra"
-	"repro/internal/core"
-	"repro/internal/exec"
-	"repro/internal/obs"
-	"repro/internal/sql"
-	"repro/internal/storage"
-	"repro/internal/value"
-	"repro/internal/workload"
+	"repro/internal/plancheck"
 )
 
 // JoinStat is the measured shape of one join: the paper's "N x M" plan
@@ -35,158 +33,147 @@ func (j JoinStat) String() string {
 	return fmt.Sprintf("%d x %d -> %d", j.LeftRows, j.RightRows, j.OutRows)
 }
 
-// PlanRun is one measured execution of a plan.
+// PlanRun is one side of a comparison, measured over its repetitions.
 type PlanRun struct {
 	Label string
-	Plan  algebra.Node
+	// Analysis is the engine's account of the last repetition: the plan it
+	// executed (on a cluster, the compiled one), per-operator metrics and
+	// estimates, governance.
+	Analysis *gbj.Analysis
 	// OutRows is the result cardinality.
 	OutRows int64
 	// Joins lists each join's input/output cardinalities, outermost
 	// first.
 	Joins []JoinStat
-	// GroupInput and GroupOutput are the grouping operator's
-	// cardinalities (the paper's central trade-off quantities).
+	// GroupInput and GroupOutput are the grouping operator's cardinalities
+	// (the paper's central trade-off quantities).
 	GroupInput, GroupOutput int64
-	// Duration is the wall time of the fastest repetition.
-	Duration time.Duration
-	// Vectorize records whether the run used the columnar batch engine.
-	Vectorize bool
-	// InputRows totals the rows produced by the plan's leaves (scans and
-	// values) — the work volume behind the run records' rows_per_sec.
+	// InputRows totals the rows produced by the plan's leaves — the work
+	// volume behind the run records' rows_per_sec.
 	InputRows int64
-	// Ann carries the measured per-node cardinalities for plan display.
-	Ann algebra.Annotations
-	// Metrics is the per-operator collector of the last repetition: rows
-	// in/out, wall times, hash-table build/probe statistics, state bytes
-	// and per-worker morsel counts, keyed by plan node.
-	Metrics *obs.Collector
-	// Fallbacks counts budget degradations: 1 when the measured plan blew
-	// the memory budget and the run switched to the governed fallback plan
-	// (Plan, Label and all stats then describe the fallback).
+	// Duration is the fastest repetition: the root operator's wall time on
+	// one site, the wall time of the call on a cluster (whose root is not
+	// one timed operator).
+	Duration time.Duration
+	// Fallbacks counts the repetitions whose eager plan blew the memory
+	// budget and that the engine re-ran as the lazy plan (Analysis and the
+	// cardinalities then describe the lazy run).
 	Fallbacks int
 
-	// checksum is the result's kind-tagged multiset (workload.Multiset):
-	// two plans agree when theirs are equal.
+	reps int
+	// checksum is the result's type-tagged multiset: two sides agree when
+	// theirs are equal.
 	checksum []string
 }
 
-// Tree renders the plan with measured cardinalities.
-func (r *PlanRun) Tree() string { return algebra.Format(r.Plan, r.Ann) }
-
-// Governed bundles the query-lifecycle settings of a governed run: a
-// context carrying a deadline or cancellation, a per-run cap on operator
-// state bytes, and — optionally — a lazy fallback plan to degrade to when
-// the measured plan exceeds the budget, mirroring the engine's graceful
-// degradation.
-type Governed struct {
-	// Context cancels or deadlines the run; nil means none.
-	Context context.Context
-	// MemoryBudget caps operator state bytes per execution; 0 is unlimited.
-	MemoryBudget int64
-	// Fallback, when non-nil, is executed instead after a budget abort; the
-	// run's Fallbacks counter records the switch.
-	Fallback algebra.Node
-	// Vectorize runs the plan through the columnar batch engine instead of
-	// the row-at-a-time engine; results are identical either way.
-	Vectorize bool
+// label is the run's label, marked when a repetition fell back.
+func (r *PlanRun) label() string {
+	if r.Fallbacks > 0 {
+		return r.Label + " [over budget: fell back to lazy plan]"
+	}
+	return r.Label
 }
 
-func (g Governed) ctx() context.Context {
-	if g.Context == nil {
-		return context.Background()
-	}
-	return g.Context
+// Tree renders the plan with measured cardinalities and estimates.
+func (r *PlanRun) Tree() string {
+	return algebra.Format(r.Analysis.Plan, r.Analysis.Calibration.Annotations())
 }
 
-// RunPlan executes the plan reps times (at least once) with the given
-// executor worker count (0 or 1 serial, negative one worker per CPU) under
-// g's lifecycle governance, recording operator cardinalities and the
-// fastest wall time. A repetition that trips the memory budget degrades the
-// whole run to g.Fallback (when set): the plan, label, cardinalities and
-// metrics then describe the fallback plan, and Fallbacks records the switch.
-// Without a fallback, the budget abort — like a cancellation — fails the run
-// with the executor's typed error.
-func RunPlan(label string, plan algebra.Node, store *storage.Store, reps, parallelism int, g Governed) (*PlanRun, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	run := &PlanRun{Label: label, Plan: plan, Vectorize: g.Vectorize}
-	var rows []value.Row
-	for i := 0; i < reps; i++ {
-		col := obs.NewCollector() // fresh per rep: counters accumulate otherwise
-		start := time.Now()
-		res, err := exec.Run(plan, store, &exec.Options{
-			Metrics: col, Parallelism: parallelism, Vectorize: g.Vectorize,
-			Context: g.ctx(), MemoryBudget: g.MemoryBudget,
-		})
-		elapsed := time.Since(start)
-		var re *exec.ResourceError
-		if err != nil && run.Fallbacks == 0 && g.Fallback != nil && errors.As(err, &re) {
-			// Degrade once, for this and every remaining repetition: the
-			// first over-budget rep restarts the loop on the fallback plan.
-			run.Fallbacks = 1
-			run.Label = label + " [over budget: fell back to lazy plan]"
-			plan, run.Plan = g.Fallback, g.Fallback
-			run.Duration = 0
-			i = -1
-			continue
-		}
+// CommBytes totals the bytes the run's exchange operators shipped across
+// cluster links; 0 for a single-site run.
+func (r *PlanRun) CommBytes() int64 { return r.Analysis.Calibration.CommBytes() }
+
+// repeat runs query on e until the run has reps repetitions (at least one).
+func (r *PlanRun) repeat(ctx context.Context, e *gbj.Engine, query string, reps int) error {
+	for r.reps < max(reps, 1) {
+		a, d, err := analyze(ctx, e, query)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if i == 0 || elapsed < run.Duration {
-			run.Duration = elapsed
-		}
-		rows = res.Rows
-		run.Metrics = col
+		r.add(a, d)
 	}
-	run.Ann = make(algebra.Annotations)
-	algebra.Walk(plan, func(n algebra.Node) {
-		if m := run.Metrics.Lookup(n); m != nil {
-			run.Ann[n] = algebra.Annotation{Rows: m.RowsOut.Load()}
-		}
-	})
-	run.OutRows = int64(len(rows))
-	run.checksum = workload.Multiset(rows)
-	extractStats(plan, run)
-	return run, nil
+	return nil
 }
 
-// extractStats pulls the join and grouping cardinalities out of the
-// measured annotations.
-func extractStats(plan algebra.Node, run *PlanRun) {
-	algebra.Walk(plan, func(n algebra.Node) {
-		if len(n.Children()) == 0 {
-			run.InputRows += run.Ann[n].Rows
-		}
-		switch node := n.(type) {
-		case *algebra.Join:
-			run.Joins = append(run.Joins, JoinStat{
-				LeftRows:  run.Ann[node.L].Rows,
-				RightRows: run.Ann[node.R].Rows,
-				OutRows:   run.Ann[node].Rows,
-			})
-		case *algebra.Product:
-			run.Joins = append(run.Joins, JoinStat{
-				LeftRows:  run.Ann[node.L].Rows,
-				RightRows: run.Ann[node.R].Rows,
-				OutRows:   run.Ann[node].Rows,
-			})
+// analyze runs query once on e with full instrumentation and returns the
+// engine's analysis with the run's duration: the root operator's wall time,
+// or on a cluster, where Analysis.Duration is 0, the wall time of the call.
+func analyze(ctx context.Context, e *gbj.Engine, query string) (*gbj.Analysis, time.Duration, error) {
+	start := time.Now()
+	a, err := e.QueryAnalyzedContext(ctx, query)
+	wall := time.Since(start)
+	if err != nil {
+		return nil, 0, err
+	}
+	if a.Duration > 0 {
+		return a, a.Duration, nil
+	}
+	return a, wall, nil
+}
+
+// add folds one repetition into the run: the fastest duration wins, and the
+// analysis and cardinalities are the last repetition's.
+func (r *PlanRun) add(a *gbj.Analysis, d time.Duration) {
+	if r.reps == 0 || d < r.Duration {
+		r.Duration = d
+	}
+	r.reps++
+	if a.Governance.Fallback {
+		r.Fallbacks++
+	}
+	r.Analysis = a
+	r.OutRows = int64(len(a.Result.Rows))
+	r.checksum = multiset(a.Result.Rows)
+	rows := a.Calibration.Annotations() // measured rows per node
+	r.Joins, r.InputRows = nil, 0
+	for _, nc := range a.Calibration.Nodes {
+		kids := nc.Node.Children()
+		switch nc.Node.(type) {
+		case *algebra.Join, *algebra.Product:
+			r.Joins = append(r.Joins, JoinStat{rows[kids[0]].Rows, rows[kids[1]].Rows, nc.Actual})
 		case *algebra.GroupBy:
-			run.GroupInput = run.Ann[node.Input].Rows
-			run.GroupOutput = run.Ann[node].Rows
+			r.GroupInput, r.GroupOutput = rows[kids[0]].Rows, nc.Actual
 		}
-	})
+		if len(kids) == 0 {
+			r.InputRows += nc.Actual
+		}
+	}
 }
 
-// Comparison is a measured standard-vs-transformed experiment.
+// multiset renders result rows order-free and type-tagged, so an integer
+// and a float that print alike still differ.
+func multiset(rows [][]any) []string {
+	out := make([]string, len(rows))
+	for i, row := range rows {
+		var sb strings.Builder
+		for _, v := range row {
+			fmt.Fprintf(&sb, "%T:%v|", v, v)
+		}
+		out[i] = sb.String()
+	}
+	slices.Sort(out)
+	return out
+}
+
+// eager reports whether the analysed run executed the group-before-join
+// plan: its tree has an eager aggregation, or the engine chose one and fell
+// back to the lazy plan on a budget abort.
+func eager(a *gbj.Analysis) bool {
+	return a.Governance.Fallback || len(plancheck.EagerGroups(a.Plan)) > 0
+}
+
+// Comparison is a measured two-sided experiment: Standard is the lazy side
+// (group after join, the nested view, lazy shipping), Transformed the eager
+// one.
 type Comparison struct {
 	Query    string
-	Report   *core.Report
 	Standard *PlanRun
-	// Transformed is nil when the transformation is invalid or not
-	// applicable.
+	// Transformed is nil when the engine's always-transform plan has no
+	// eager aggregation: TestFD did not prove the rewrite.
 	Transformed *PlanRun
+	// Picked is the side the engine's cost-based mode chose ("standard" or
+	// "transformed"); empty when the sides are not a cost-based choice.
+	Picked string
 }
 
 // Speedup returns standard time / transformed time (0 when not available).
@@ -197,116 +184,130 @@ func (c *Comparison) Speedup() float64 {
 	return float64(c.Standard.Duration) / float64(c.Transformed.Duration)
 }
 
-// FallbackCount totals the budget degradations across both measured runs.
-func (c *Comparison) FallbackCount() int {
-	n := 0
-	if c.Standard != nil {
-		n += c.Standard.Fallbacks
+// runs lists the comparison's measured sides.
+func (c *Comparison) runs() []*PlanRun {
+	if c.Transformed == nil {
+		return []*PlanRun{c.Standard}
 	}
-	if c.Transformed != nil {
-		n += c.Transformed.Fallbacks
-	}
-	return n
+	return []*PlanRun{c.Standard, c.Transformed}
 }
 
-// CompareForward runs the full pipeline on a query: optimize, execute both
-// plans (when the transformation is valid) and verify equivalence. The
-// worker count and the vectorized-engine toggle are also passed to the
-// optimizer's cost model, so plan selection prices the engine that will run
-// the plans. Both plans run under gov, and an over-budget transformed
-// (eager) plan degrades to the standard plan — the lazy shape is never
-// fallback-eligible, since it has nothing cheaper to degrade to.
-func CompareForward(store *storage.Store, query string, reps, parallelism int, gov Governed) (*Comparison, error) {
-	q, err := sql.ParseQuery(query)
-	if err != nil {
-		return nil, err
-	}
-	opt := core.NewOptimizer(store)
-	opt.Parallelism = parallelism
-	opt.Vectorize = gov.Vectorize
-	report, err := opt.Optimize(q)
-	if err != nil {
-		return nil, err
-	}
-	c := &Comparison{Query: query, Report: report}
-	if c.Standard, err = RunPlan("standard (group after join)", report.Standard, store, reps, parallelism, gov); err != nil {
-		return nil, err
-	}
-	if report.Alternative == nil {
-		return c, nil
-	}
-	gov.Fallback = report.Standard
-	if c.Transformed, err = RunPlan("transformed (group before join)", report.Alternative, store, reps, parallelism, gov); err != nil {
-		return nil, err
-	}
-	if !slices.Equal(c.Standard.checksum, c.Transformed.checksum) {
-		return nil, fmt.Errorf("bench: plans disagree on %q — Main Theorem violation", query)
+// verified returns the comparison when both sides returned the same
+// multiset, and an error naming what disagreed otherwise.
+func (c *Comparison) verified(what string) (*Comparison, error) {
+	if c.Transformed != nil && !slices.Equal(c.Standard.checksum, c.Transformed.checksum) {
+		return nil, fmt.Errorf("bench: %s disagree on %q: %d rows against %d",
+			what, c.Query, c.Standard.OutRows, c.Transformed.OutRows)
 	}
 	return c, nil
 }
 
-// CompareReverse runs the Section 8 experiment: nested (materialize the
-// view) vs flat (join first), verifying equivalence, under gov like
-// CompareForward. The nested plan materializes the aggregated view — a
-// group-before-join — so when the reverse transformation is valid it
-// degrades to the flat join-first plan on a budget abort.
-func CompareReverse(store *storage.Store, query string, reps, parallelism int, gov Governed) (*Comparison, error) {
-	q, err := sql.ParseQuery(query)
+// CompareForward measures query's two plans on e, reps times each: the
+// standard plan under ModeNever and the transformed plan under ModeAlways.
+// The transformed side exists only when the ModeAlways plan has an eager
+// aggregation — TestFD proved the rewrite and the plan passed verification;
+// an unproven rewrite fails here with the certifier's error before it runs.
+// Picked is the engine's own ModeCost choice, and the run that reveals it
+// counts as a repetition of the plan it picked. The engine's budget
+// fallback applies: an over-budget eager repetition re-runs as the lazy
+// plan and counts in Fallbacks. e is left in ModeCost.
+func CompareForward(ctx context.Context, e *gbj.Engine, query string, reps int) (*Comparison, error) {
+	c := &Comparison{
+		Query:       query,
+		Standard:    &PlanRun{Label: "standard (group after join)"},
+		Transformed: &PlanRun{Label: "transformed (group before join)"},
+	}
+	defer e.SetMode(gbj.ModeCost)
+	e.SetMode(gbj.ModeCost)
+	a, d, err := analyze(ctx, e, query)
 	if err != nil {
 		return nil, err
 	}
-	opt := core.NewOptimizer(store)
-	opt.Parallelism = parallelism
-	opt.Vectorize = gov.Vectorize
-	rr, err := opt.TryReverse(q)
-	if err != nil {
+	picked := c.Standard
+	c.Picked = "standard"
+	if eager(a) {
+		c.Picked, picked = "transformed", c.Transformed
+	}
+	picked.add(a, d)
+	e.SetMode(gbj.ModeNever)
+	if err := c.Standard.repeat(ctx, e, query, reps); err != nil {
 		return nil, err
 	}
-	if rr.Applicable && rr.Decision.OK {
-		gov.Fallback = rr.FlatPlan
+	e.SetMode(gbj.ModeAlways)
+	for c.Transformed != nil && c.Transformed.reps < max(reps, 1) {
+		a, d, err := analyze(ctx, e, query)
+		if err != nil {
+			return nil, err
+		}
+		if !eager(a) {
+			c.Transformed = nil
+			break
+		}
+		c.Transformed.add(a, d)
 	}
-	c := &Comparison{Query: query}
-	if c.Standard, err = RunPlan("nested (materialize view, then join)", rr.Nested, store, reps, parallelism, gov); err != nil {
+	return c.verified("plans")
+}
+
+// CompareReverse measures the Section 8 experiment on e: the nested query
+// over an aggregated view (materialize the view, then join) against flat,
+// its merged single-block form (join first, group once), both under
+// ModeNever so each runs as written. e is left in ModeCost.
+func CompareReverse(ctx context.Context, e *gbj.Engine, nested, flat string, reps int) (*Comparison, error) {
+	c := &Comparison{
+		Query:       nested,
+		Standard:    &PlanRun{Label: "nested (materialize view, then join)"},
+		Transformed: &PlanRun{Label: "flat (join before group-by)"},
+	}
+	defer e.SetMode(gbj.ModeCost)
+	e.SetMode(gbj.ModeNever)
+	if err := c.Standard.repeat(ctx, e, nested, reps); err != nil {
 		return nil, err
 	}
-	if !rr.Applicable || !rr.Decision.OK {
-		return c, nil
-	}
-	gov.Fallback = nil
-	if c.Transformed, err = RunPlan("flat (join before group-by)", rr.FlatPlan, store, reps, parallelism, gov); err != nil {
+	if err := c.Transformed.repeat(ctx, e, flat, reps); err != nil {
 		return nil, err
 	}
-	if !slices.Equal(c.Standard.checksum, c.Transformed.checksum) {
-		return nil, fmt.Errorf("bench: reverse plans disagree on %q", query)
+	return c.verified("reverse plans")
+}
+
+// CompareDistributed measures query on e's cluster (SetNodes) under the
+// lazy shipping strategy (ship every detail row to the coordinator) and the
+// eager one (pre-aggregate per node, ship one row per local group): the
+// engine's chosen plan, compiled with its estimates, verified, and run under
+// its recovery policy. e is left on DistAuto.
+func CompareDistributed(ctx context.Context, e *gbj.Engine, query string, reps int) (*Comparison, error) {
+	c := &Comparison{
+		Query:       query,
+		Standard:    &PlanRun{Label: "lazy (ship detail rows)"},
+		Transformed: &PlanRun{Label: "eager (pre-aggregate per node)"},
 	}
-	return c, nil
+	defer e.SetDistStrategy(gbj.DistAuto)
+	e.SetDistStrategy(gbj.DistLazy)
+	if err := c.Standard.repeat(ctx, e, query, reps); err != nil {
+		return nil, err
+	}
+	e.SetDistStrategy(gbj.DistEager)
+	if err := c.Transformed.repeat(ctx, e, query, reps); err != nil {
+		return nil, err
+	}
+	return c.verified("distributed strategies")
 }
 
 // Table renders the comparison in the shape of the paper's plan-diagram
 // annotations plus measured times.
 func (c *Comparison) Table() string {
 	var sb strings.Builder
-	row := func(label string, r *PlanRun) {
-		if r == nil {
-			fmt.Fprintf(&sb, "%-34s (not run)\n", label)
-			return
-		}
-		if r.Fallbacks > 0 {
-			label = r.Label // carries the over-budget fallback marker
-		}
+	for _, r := range c.runs() {
 		joins := make([]string, len(r.Joins))
 		for i, j := range r.Joins {
 			joins[i] = j.String()
 		}
 		fmt.Fprintf(&sb, "%-34s join %-28s  group %7d -> %-7d  out %6d  %12v\n",
-			label, strings.Join(joins, "; "), r.GroupInput, r.GroupOutput, r.OutRows, r.Duration)
+			r.label(), strings.Join(joins, "; "), r.GroupInput, r.GroupOutput, r.OutRows, r.Duration)
 	}
-	row("standard (group after join)", c.Standard)
 	if c.Transformed != nil {
-		row("transformed (group before join)", c.Transformed)
 		fmt.Fprintf(&sb, "speedup: %.2fx\n", c.Speedup())
-	} else if c.Report != nil {
-		fmt.Fprintf(&sb, "transformation not applied: %s\n", c.Report.WhyNot)
+	} else {
+		sb.WriteString("transformation not applied: the always-transform plan has no eager aggregation (gbj-explain says why)\n")
 	}
 	return sb.String()
 }

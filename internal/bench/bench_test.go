@@ -1,11 +1,25 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	gbj "repro"
+	"repro/internal/core"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
+
+// forward runs CompareForward once per plan on an engine over store.
+func forward(t *testing.T, store *storage.Store, query string, reps int) *Comparison {
+	t.Helper()
+	c, err := CompareForward(context.Background(), gbj.NewWithStore(store), query, reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 // TestFigure1Cardinalities measures the paper's Figure 1 plan diagrams: at
 // 10000 employees and 100 departments, the standard plan joins 10000 x 100
@@ -16,12 +30,9 @@ func TestFigure1Cardinalities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompareForward(store, workload.Example1Query, 1, 0, Governed{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := forward(t, store, workload.Example1Query, 1)
 	if c.Transformed == nil {
-		t.Fatalf("transformation not available: %s", c.Report.WhyNot)
+		t.Fatal("transformation not available")
 	}
 
 	// Plan 1 (standard): join inputs 10000 and 100, join output 10000,
@@ -52,8 +63,8 @@ func TestFigure1Cardinalities(t *testing.T) {
 	}
 
 	// The optimizer must choose the transformed plan here.
-	if !c.Report.Transformed {
-		t.Errorf("optimizer did not choose the transformed plan: %s", c.Report.WhyNot)
+	if c.Picked != "transformed" {
+		t.Errorf("the engine picked the %s plan, want the transformed one", c.Picked)
 	}
 	if !strings.Contains(c.Table(), "speedup") {
 		t.Error("Table() missing the speedup line")
@@ -69,12 +80,9 @@ func TestFigure8Cardinalities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompareForward(store, workload.Figure8Query, 1, 0, Governed{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := forward(t, store, workload.Figure8Query, 1)
 	if c.Transformed == nil {
-		t.Fatalf("transformation not available: %s", c.Report.WhyNot)
+		t.Fatal("transformation not available")
 	}
 
 	std := c.Standard
@@ -98,13 +106,10 @@ func TestFigure8Cardinalities(t *testing.T) {
 		t.Errorf("transformed join = %s, want %d x 100", tr.Joins[0], tr.GroupOutput)
 	}
 
-	// Section 7's punchline: valid but not advantageous — the cost model
-	// must keep the standard plan.
-	if !c.Report.Decision.OK {
-		t.Fatalf("TestFD rejected the Figure 8 query: %s", c.Report.Decision.Reason)
-	}
-	if c.Report.Transformed {
-		t.Error("optimizer chose the transformed plan on the Figure 8 instance")
+	// Section 7's punchline: valid (the transformed side ran) but not
+	// advantageous — the cost model must keep the standard plan.
+	if c.Picked != "standard" {
+		t.Error("the engine chose the transformed plan on the Figure 8 instance")
 	}
 }
 
@@ -117,12 +122,9 @@ func TestExample3Comparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompareForward(store, workload.Example3Query, 1, 0, Governed{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := forward(t, store, workload.Example3Query, 1)
 	if c.Transformed == nil {
-		t.Fatalf("transformation not available: %s", c.Report.WhyNot)
+		t.Fatal("transformation not available")
 	}
 	if len(c.Standard.Joins) != 2 || len(c.Transformed.Joins) != 2 {
 		t.Errorf("join counts: standard %d, transformed %d, want 2 and 2",
@@ -145,12 +147,9 @@ func TestExample5ReverseComparison(t *testing.T) {
 	if err := workload.RegisterUserInfoView(store); err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompareReverse(store, workload.Example5Query, 1, 0, Governed{})
+	c, err := CompareReverse(context.Background(), gbj.NewWithStore(store), workload.Example5Query, workload.Example5FlatQuery, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if c.Transformed == nil {
-		t.Fatal("reverse transformation not available")
 	}
 	// Nested: the view aggregates ALL users (500*4 auth rows); flat: the
 	// join first restricts to dragon users.
@@ -163,6 +162,44 @@ func TestExample5ReverseComparison(t *testing.T) {
 	}
 }
 
+// TestCompareReverseDisagreementFails: a "flat form" that is not the nested
+// query's equivalent fails the comparison instead of reporting numbers.
+func TestCompareReverseDisagreementFails(t *testing.T) {
+	store, err := workload.Printers(workload.PrinterParams{
+		Users: 20, Machines: 2, Printers: 4, AuthsPerUser: 2, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := workload.RegisterUserInfoView(store); err != nil {
+		t.Fatal(err)
+	}
+	wrong := strings.Replace(workload.Example5FlatQuery, "MAX(P.Speed)", "MIN(P.Speed)", 1)
+	_, err = CompareReverse(context.Background(), gbj.NewWithStore(store), workload.Example5Query, wrong, 1)
+	if err == nil || !strings.Contains(err.Error(), "reverse plans disagree") {
+		t.Fatalf("a wrong flat form was not refused: %v", err)
+	}
+}
+
+// TestForwardRefusesUnprovenRewrite: with the optimizer forced to push the
+// group-by past a join TestFD rejects — R2 has no key, so the R1 row joins
+// two R2 rows — the comparison fails with the certifier's error before the
+// eager plan runs, not after two result multisets differ.
+func TestForwardRefusesUnprovenRewrite(t *testing.T) {
+	core.TestHooks.ForceTransform = true
+	defer func() { core.TestHooks.ForceTransform = false }()
+	e := gbj.New()
+	e.MustExec(`
+		CREATE TABLE R1 (a INTEGER, c INTEGER);
+		CREATE TABLE R2 (d INTEGER, e INTEGER);
+		INSERT INTO R1 VALUES (1, 10);
+		INSERT INTO R2 VALUES (1, 1), (1, 2)`)
+	_, err := CompareForward(context.Background(), e, `SELECT R1.a, SUM(R1.c) FROM R1, R2 WHERE R1.a = R2.d GROUP BY R1.a`, 1)
+	if err == nil || !strings.Contains(err.Error(), "cert-derive") {
+		t.Fatalf("want the certifier's verification error, got: %v", err)
+	}
+}
+
 // TestPlanRunDisplay covers the harness's display helpers: the measured
 // plan tree and the comparison table.
 func TestPlanRunDisplay(t *testing.T) {
@@ -170,10 +207,7 @@ func TestPlanRunDisplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompareForward(store, workload.Example1Query, 2, 0, Governed{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := forward(t, store, workload.Example1Query, 2)
 	tree := c.Standard.Tree()
 	if !strings.Contains(tree, "GroupBy") || !strings.Contains(tree, "rows") {
 		t.Errorf("Tree() = %q", tree)
@@ -181,15 +215,12 @@ func TestPlanRunDisplay(t *testing.T) {
 	if c.Speedup() <= 0 {
 		t.Errorf("Speedup() = %v", c.Speedup())
 	}
-	// A non-transformable comparison renders the WhyNot line.
-	c2, err := CompareForward(store, `
+	// A non-transformable comparison says so in its table.
+	c2 := forward(t, store, `
 		SELECT E.DeptID, COUNT(E.EmpID), MIN(D.Name)
 		FROM Employee E, Department D
 		WHERE E.DeptID = D.DeptID
-		GROUP BY E.DeptID`, 1, 0, Governed{})
-	if err != nil {
-		t.Fatal(err)
-	}
+		GROUP BY E.DeptID`, 1)
 	if c2.Transformed != nil {
 		t.Fatal("expected a non-transformable query")
 	}
@@ -201,29 +232,6 @@ func TestPlanRunDisplay(t *testing.T) {
 	}
 }
 
-// TestCompareReverseNotApplicable covers the reverse harness's
-// no-transformation path.
-func TestCompareReverseNotApplicable(t *testing.T) {
-	store, err := workload.Printers(workload.PrinterParams{
-		Users: 20, Machines: 2, Printers: 4, AuthsPerUser: 2, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No view in FROM: reverse is inapplicable but the nested plan runs.
-	c, err := CompareReverse(store, `
-		SELECT U.UserId FROM UserAccount U WHERE U.Machine = 'dragon'`, 1, 0, Governed{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Transformed != nil {
-		t.Fatal("reverse unexpectedly applicable")
-	}
-	if c.Standard.OutRows != 10 {
-		t.Errorf("nested run returned %d rows, want 10", c.Standard.OutRows)
-	}
-}
-
 // TestSweepWorkloads sanity-checks the generic generator at a small size.
 func TestSweepWorkloads(t *testing.T) {
 	store, err := workload.Sweep(workload.SweepParams{
@@ -232,22 +240,16 @@ func TestSweepWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompareForward(store, workload.SweepQueryGroupByDim, 1, 0, Governed{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := forward(t, store, workload.SweepQueryGroupByDim, 1)
 	if c.Transformed == nil {
-		t.Fatalf("dim-grouped sweep not transformable: %s", c.Report.WhyNot)
+		t.Fatal("dim-grouped sweep not transformable")
 	}
 	if c.Standard.OutRows != c.Transformed.OutRows {
 		t.Error("row counts disagree")
 	}
 	// The fact-side grouping query is NOT transformable by TestFD: the
 	// grouping column does not determine the join column.
-	c2, err := CompareForward(store, workload.SweepQueryGroupByFact, 1, 0, Governed{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := forward(t, store, workload.SweepQueryGroupByFact, 1)
 	if c2.Transformed != nil {
 		t.Error("fact-grouped sweep unexpectedly transformable (GroupID does not determine DimID)")
 	}

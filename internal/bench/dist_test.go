@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	gbj "repro"
 	"repro/internal/workload"
 )
 
@@ -42,7 +44,11 @@ func TestCompareDistributedCommBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompareDistributed(nil, store, workload.Example1Query, 1, 4, 0, 0)
+	e := gbj.NewWithStore(store)
+	if err := e.SetNodes(4); err != nil {
+		t.Fatal(err)
+	}
+	c, err := CompareDistributed(context.Background(), e, workload.Example1Query, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +60,7 @@ func TestCompareDistributedCommBytes(t *testing.T) {
 		t.Fatalf("eager shipped %d bytes, lazy %d — eager must ship fewer on Example 1", eagerBytes, lazyBytes)
 	}
 	f := &File{Tool: "gbj-bench"}
-	f.Add("E12", "nodes=4", 0, c)
+	f.Add("E12", "nodes=4", c)
 	rec := f.Runs[0]
 	if rec.Standard.CommBytes != lazyBytes || rec.Transformed.CommBytes != eagerBytes {
 		t.Fatalf("comm_bytes not recorded: standard=%d (want %d) transformed=%d (want %d)",

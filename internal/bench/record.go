@@ -38,8 +38,6 @@ type PlanRecord struct {
 	JoinInputRows int64 `json:"join_input_rows"`
 	// DurationNs is the fastest repetition's wall time.
 	DurationNs int64 `json:"duration_ns"`
-	// Vectorize records whether the run used the columnar batch engine.
-	Vectorize bool `json:"vectorize"`
 	// InputRows totals the rows produced by the plan's leaves — the work
 	// volume behind RowsPerSec.
 	InputRows int64 `json:"input_rows"`
@@ -55,38 +53,32 @@ type PlanRecord struct {
 
 // Record converts the run to its JSON form.
 func (r *PlanRun) Record() *PlanRecord {
+	cal := r.Analysis.Calibration
 	rec := &PlanRecord{
-		Label:       r.Label,
-		OutRows:     r.OutRows,
-		GroupInput:  r.GroupInput,
-		GroupOutput: r.GroupOutput,
-		DurationNs:  r.Duration.Nanoseconds(),
-		Vectorize:   r.Vectorize,
-		InputRows:   r.InputRows,
+		Label:         r.label(),
+		OutRows:       r.OutRows,
+		GroupInput:    r.GroupInput,
+		GroupOutput:   r.GroupOutput,
+		JoinInputRows: cal.JoinInputRows,
+		DurationNs:    r.Duration.Nanoseconds(),
+		InputRows:     r.InputRows,
+		CommBytes:     cal.CommBytes(),
 	}
 	if r.Duration > 0 {
 		rec.RowsPerSec = float64(r.InputRows) / r.Duration.Seconds()
 	}
-	if r.Metrics == nil {
-		return rec
-	}
 	var walk func(n algebra.Node, depth int)
 	walk = func(n algebra.Node, depth int) {
 		op := OpRecord{Op: n.Describe(), Depth: depth}
-		if m := r.Metrics.Lookup(n); m != nil {
+		if m := r.Analysis.Metrics.Lookup(n); m != nil {
 			op.Metrics = m.Snapshot()
-		}
-		rec.CommBytes += op.Metrics.CommBytes
-		switch n.(type) {
-		case *algebra.Join, *algebra.Product:
-			rec.JoinInputRows += op.Metrics.RowsIn
 		}
 		rec.Ops = append(rec.Ops, op)
 		for _, c := range n.Children() {
 			walk(c, depth+1)
 		}
 	}
-	walk(r.Plan, 0)
+	walk(r.Analysis.Plan, 0)
 	return rec
 }
 
@@ -104,8 +96,8 @@ type RunRecord struct {
 	// each one is an execution whose eager plan blew the budget and was
 	// re-run as the lazy plan.
 	Fallbacks int `json:"fallbacks,omitempty"`
-	// Vectorize records whether the point's runs used the columnar batch
-	// engine.
+	// Vectorize records whether the engine read stored tables as columnar
+	// batches.
 	Vectorize   bool        `json:"vectorize,omitempty"`
 	Standard    *PlanRecord `json:"standard,omitempty"`
 	Transformed *PlanRecord `json:"transformed,omitempty"`
@@ -119,38 +111,33 @@ type RunRecord struct {
 	Degraded  int64 `json:"degraded"`
 }
 
-// File is the top-level -json document.
+// File is the top-level -json document. Parallelism and Vectorize are the
+// engine settings every run ran under; Add stamps them on each record.
 type File struct {
-	Tool string      `json:"tool"`
-	Runs []RunRecord `json:"runs"`
+	Tool        string      `json:"tool"`
+	Runs        []RunRecord `json:"runs"`
+	Parallelism int         `json:"-"`
+	Vectorize   bool        `json:"-"`
 }
 
 // Add appends an experiment's comparison as a run record.
-func (f *File) Add(experiment, note string, parallelism int, c *Comparison) {
+func (f *File) Add(experiment, note string, c *Comparison) {
 	rec := RunRecord{
 		Experiment:  experiment,
 		Note:        note,
 		Query:       c.Query,
-		Parallelism: parallelism,
-		Vectorize:   c.Standard.Vectorize,
+		Parallelism: f.Parallelism,
+		Vectorize:   f.Vectorize,
+		Chosen:      c.Picked,
 		Speedup:     c.Speedup(),
-		Fallbacks:   c.FallbackCount(),
 		Standard:    c.Standard.Record(),
 	}
 	if c.Transformed != nil {
 		rec.Transformed = c.Transformed.Record()
 	}
-	if c.Report != nil {
-		rec.Chosen = "standard"
-		if c.Report.Transformed {
-			rec.Chosen = "transformed"
-		}
-	}
-	for _, run := range []*PlanRun{c.Standard, c.Transformed} {
-		if run == nil || run.Metrics == nil {
-			continue
-		}
-		gov := run.Metrics.Gov()
+	for _, run := range c.runs() {
+		rec.Fallbacks += run.Fallbacks
+		gov := run.Analysis.Governance
 		rec.Retries += gov.LinkRetries
 		rec.Failovers += gov.Failovers
 		if gov.Degraded {

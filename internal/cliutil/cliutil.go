@@ -14,7 +14,7 @@ import (
 )
 
 // EngineFlags is the one declaration of the engine-knob flags the tools
-// share: Register → Validate → Apply. The field values at Register time are
+// share: Register, then Apply. The field values at Register time are
 // the flag defaults (gbj-bench defaults to a 4-node cluster, the others to
 // single-site), and each tool registers only the knobs it has.
 type EngineFlags struct {
@@ -76,25 +76,6 @@ func (f *EngineFlags) has(name string) bool {
 	return ok
 }
 
-// Validate checks the parsed values of the registered flags and returns the
-// first rejection; the tools print it and exit 2.
-func (f *EngineFlags) Validate() error {
-	for _, c := range []struct {
-		name string
-		err  error
-	}{
-		{"parallelism", ValidateParallelism(f.Parallelism)},
-		{"nodes", ValidateNodes(f.Nodes)},
-		{"shards", ValidateShards(f.Shards)},
-		{"link-retries", ValidateLinkRetries(f.LinkRetries)},
-	} {
-		if f.has(c.name) && c.err != nil {
-			return c.err
-		}
-	}
-	return nil
-}
-
 // Engine is the setter surface of gbj.Engine that Apply drives (an
 // interface so this package stays importable by the tools' smallest
 // dependencies).
@@ -108,10 +89,15 @@ type Engine interface {
 	SetSpillDir(string)
 }
 
-// Apply sets every registered knob on the engine, returning the first
-// setter rejection (exit 2, like Validate's).
+// Apply sets every registered knob on the engine and returns the first
+// rejection, naming its flag: -parallelism's CLI rule (ValidateParallelism)
+// or the range check of the engine's own setter, the one copy of each rule.
+// The tools print it and exit 2.
 func (f *EngineFlags) Apply(e Engine) error {
 	if f.has("parallelism") {
+		if err := ValidateParallelism(f.Parallelism); err != nil {
+			return err
+		}
 		e.SetParallelism(f.Parallelism)
 	}
 	if f.has("vectorize") {
@@ -134,7 +120,7 @@ func (f *EngineFlags) Apply(e Engine) error {
 	} {
 		if f.has(set.name) {
 			if err := set.fn(set.v); err != nil {
-				return err
+				return fmt.Errorf("-%s: %w", set.name, err)
 			}
 		}
 	}
@@ -143,43 +129,12 @@ func (f *EngineFlags) Apply(e Engine) error {
 
 // ValidateParallelism checks an executor worker count: 0 runs serial, a
 // positive count runs that many workers, and -1 is the documented "one
-// worker per CPU" sentinel. Any other negative value is rejected.
+// worker per CPU" sentinel. Any other negative value is rejected — the one
+// rule only the tools keep, since the engine gives every negative count a
+// meaning.
 func ValidateParallelism(n int) error {
 	if n < -1 {
 		return fmt.Errorf("-parallelism must be -1 (one worker per CPU), 0 (serial), or a positive worker count; got %d", n)
-	}
-	return nil
-}
-
-// ValidateNodes checks a simulated cluster size: at least one node.
-func ValidateNodes(n int) error {
-	if n < 1 {
-		return fmt.Errorf("-nodes must be at least 1, got %d", n)
-	}
-	return nil
-}
-
-// ValidateShards checks a per-table hash shard count: 0 means the default
-// (one shard per node); any explicit count must be a power of two, so that
-// doubling the cluster moves whole shards instead of resplitting rows.
-func ValidateShards(s int) error {
-	if s < 0 {
-		return fmt.Errorf("-shards must be at least 1 (or 0 for one shard per node), got %d", s)
-	}
-	if s > 0 && s&(s-1) != 0 {
-		return fmt.Errorf("-shards must be a power of two, got %d", s)
-	}
-	return nil
-}
-
-// ValidateLinkRetries checks a per-shipment link retry budget: 0 disables
-// retries (fail fast on the first link fault), a positive count allows that
-// many re-attempts. Negative budgets are rejected, not clamped — a script
-// that computed -1 expecting "unlimited" would otherwise silently run
-// fail-fast, the opposite of what it asked for.
-func ValidateLinkRetries(n int) error {
-	if n < 0 {
-		return fmt.Errorf("-link-retries must be 0 (fail fast) or a positive retry budget, got %d", n)
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/value"
+	"repro/internal/workload"
 )
 
 func must(t *testing.T, err error) {
@@ -1279,6 +1280,58 @@ func TestExample5ReverseTransformation(t *testing.T) {
 	// Same answer as Example 3: alice and bob on dragon.
 	if len(nested) != 2 {
 		t.Fatalf("result has %d rows, want 2: %v", len(nested), nested)
+	}
+}
+
+// TestExample5FlatQueryIsTheMerge pins the flat form gbj-bench's E4 runs to
+// the query the optimizer's Section 8 merge builds from Example 5.
+func TestExample5FlatQueryIsTheMerge(t *testing.T) {
+	store, err := workload.Printers(workload.PrinterParams{Users: 20, Machines: 2, Printers: 4, AuthsPerUser: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := workload.RegisterUserInfoView(store); err != nil {
+		t.Fatal(err)
+	}
+	nested, err := sql.ParseQuery(workload.Example5Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := sql.ParseQuery(workload.Example5FlatQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewOptimizer(store).TryReverse(nested)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Applicable || !r.Decision.OK {
+		t.Fatalf("reverse transformation not available: %s", r.WhyNot)
+	}
+	if got, want := sql.Canonical(flat), sql.Canonical(r.Flat); got != want {
+		t.Fatalf("Example5FlatQuery is\n  %s\nthe merge builds\n  %s", got, want)
+	}
+}
+
+// TestReverseChoicePricesTheCluster: the nested-vs-flat choice of Section 8
+// prices the engine the plans run on, cluster size included — on four nodes
+// both plans carry the communication term the forward choice has.
+func TestReverseChoicePricesTheCluster(t *testing.T) {
+	s := printerStore(t)
+	registerUserInfoView(t, s)
+	o := NewOptimizer(s)
+	o.Nodes = 4
+	r, err := o.TryReverse(parse(t, `
+		SELECT U.UserId, U.UserName, I.TotUsage, I.MaxSpeed, I.MinSpeed
+		FROM UserInfo I, UserAccount U
+		WHERE I.UserId = U.UserId AND I.Machine = U.Machine AND U.Machine = 'dragon'`))
+	must(t, err)
+	if !r.Applicable || !r.Decision.OK {
+		t.Fatalf("reverse not applicable: %s", r.WhyNot)
+	}
+	if r.NestedCost.CommBytes <= 0 || r.FlatCost.CommBytes <= 0 {
+		t.Fatalf("a 4-node choice priced no communication: nested %.0f bytes, flat %.0f bytes",
+			r.NestedCost.CommBytes, r.FlatCost.CommBytes)
 	}
 }
 

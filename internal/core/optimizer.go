@@ -188,6 +188,17 @@ func (o *Optimizer) verifyReport(r *Report) error {
 	return nil
 }
 
+// costModel prices a bound query for the engine the plans will run on: its
+// worker count, its batch mode and its cluster size. Forward and reverse
+// choices both read it, so neither prices a different engine.
+func (o *Optimizer) costModel(b *BoundQuery) *CostModel {
+	model := NewCostModel(o.stats, b)
+	model.Parallelism = o.Parallelism
+	model.Vectorize = o.Vectorize
+	model.Nodes = o.Nodes
+	return model
+}
+
 // Optimize plans a query, deciding whether to perform the group-by before
 // the join.
 func (o *Optimizer) Optimize(q *sql.SelectStmt) (*Report, error) {
@@ -219,10 +230,7 @@ func (o *Optimizer) optimizeBound(b *BoundQuery) (*Report, error) {
 		return nil, err
 	}
 	r := &Report{Standard: standard}
-	model := NewCostModel(o.stats, b)
-	model.Parallelism = o.Parallelism
-	model.Vectorize = o.Vectorize
-	model.Nodes = o.Nodes
+	model := o.costModel(b)
 	r.StandardCost = model.Estimate(standard)
 
 	if o.Mode == ModeNever {

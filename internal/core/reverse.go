@@ -85,9 +85,7 @@ func (o *Optimizer) tryReverse(q *sql.SelectStmt) (*ReverseReport, error) {
 		return nil, err
 	}
 	r := &ReverseReport{Nested: nested}
-	model := NewCostModel(o.stats, b)
-	model.Parallelism = o.Parallelism
-	model.Vectorize = o.Vectorize
+	model := o.costModel(b)
 	r.NestedCost = model.Estimate(nested)
 
 	merged, why, err := o.mergeAggregatedView(b)

@@ -57,17 +57,17 @@ func (s JoinStrategy) String() string {
 // GroupStrategy selects the physical grouping implementation.
 type GroupStrategy uint8
 
-// Grouping strategies. GroupAuto (every local run) lets the compiler choose
-// per GroupBy node from the order it can prove of the node's input — the
-// paper's Section 7, sortedness "can be exploited": input already ordered on
-// the grouping columns is grouped in one streaming pass, anything else
-// hashes. GroupHash and GroupSort (sort the input rows, then stream) force
-// one implementation on every node: the oracles' strategy axis, set by no
-// engine path.
+// Grouping strategies. GroupAuto, the zero value and so every engine run,
+// lets the compiler choose per GroupBy node from the order it can prove of
+// the node's input — the paper's Section 7, sortedness "can be exploited":
+// input already ordered on the grouping columns is grouped in one streaming
+// pass, anything else hashes. GroupHash and GroupSort (sort the input rows,
+// then stream) force one implementation on every node: the oracles'
+// strategy axis, set by no engine path.
 const (
-	GroupHash GroupStrategy = iota
+	GroupAuto GroupStrategy = iota
+	GroupHash
 	GroupSort
-	GroupAuto
 )
 
 // String names the strategy.
@@ -87,7 +87,7 @@ func (s GroupStrategy) String() string {
 // Options configures an execution.
 type Options struct {
 	Join   JoinStrategy
-	Group  GroupStrategy // GroupAuto on every engine run
+	Group  GroupStrategy // zero: GroupAuto, what every engine run uses
 	Params expr.Params
 	// Parallelism is the worker count of the one operator set: how many
 	// goroutines carry a pipeline's chunks (0 and 1 mean one worker, the

@@ -71,7 +71,7 @@ func TestRowsAreMadeOnce(t *testing.T) {
 				for _, governed := range []bool{false, true} {
 					name := fmt.Sprintf("workers=%d/vectorize=%v/metrics=%v/governed=%v", workers, vectorize, metrics, governed)
 					t.Run(name, func(t *testing.T) {
-						opts := &Options{Parallelism: workers, Vectorize: vectorize}
+						opts := &Options{Group: GroupHash, Parallelism: workers, Vectorize: vectorize}
 						if metrics {
 							opts.Metrics = obs.NewCollector()
 						}

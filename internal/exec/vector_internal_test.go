@@ -290,7 +290,7 @@ func TestVectorGroupMatchesRowGroup(t *testing.T) {
 	}
 	for _, par := range []int{0, 4} {
 		col := obs.NewCollector()
-		res, err := Run(plan, store, &Options{Vectorize: true, Parallelism: par, Metrics: col})
+		res, err := Run(plan, store, &Options{Group: GroupHash, Vectorize: true, Parallelism: par, Metrics: col})
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}

@@ -250,6 +250,17 @@ const Example5Query = `
 	FROM UserInfo I, UserAccount U
 	WHERE I.UserId = U.UserId AND I.Machine = U.Machine AND U.Machine = 'dragon'`
 
+// Example5FlatQuery is Example5Query merged into one block (Section 8): the
+// view's grouping moves above every join, so the query joins first and groups
+// once — the Example 3 query under the view's column names.
+const Example5FlatQuery = `
+	SELECT U.UserId AS UserId, U.UserName AS UserName, SUM(A.Usage) AS TotUsage,
+	       MAX(P.Speed) AS MaxSpeed, MIN(P.Speed) AS MinSpeed
+	FROM UserAccount U, PrinterAuth A, Printer P
+	WHERE A.UserId = U.UserId AND A.Machine = U.Machine AND U.Machine = 'dragon'
+	      AND A.PNo = P.PNo
+	GROUP BY U.UserId, U.UserName`
+
 // RegisterUserInfoView adds the Example 5 aggregated view to a printer
 // store's catalog.
 func RegisterUserInfoView(s *storage.Store) error {

@@ -146,7 +146,7 @@ func TestOrderByOverGroupingSortsGroupsNotRows(t *testing.T) {
 	}
 	for _, vectorize := range []bool{false, true} {
 		col := obs.NewCollector()
-		res, err := exec.Run(group, e.store.Snapshot(), &exec.Options{Group: exec.GroupAuto, Vectorize: vectorize, Metrics: col})
+		res, err := exec.Run(group, e.store.Snapshot(), &exec.Options{Vectorize: vectorize, Metrics: col})
 		if err != nil {
 			t.Fatal(err)
 		}
