@@ -185,13 +185,15 @@ fuzz:
 # costs before its first row, BenchmarkResultPath, what a finished row costs
 # on its way to Run's caller — group → rename, group → column-permuting π,
 # scan → rename and the wide scan → filter → probe → permuting π, par1 and
-# par2, the wide one also under a cancellable context — and
+# par2, the wide one also under a cancellable context and streamed to a
+# consumer (exec.Stream) — and
 # BenchmarkGovernorTick, the per-row governance check on one goroutine and on
 # two sharing a governor; internal/storage: BenchmarkInsert, 48 000
 # four-column rows under a primary key; internal/dist: BenchmarkRowBytes);
 # and the wire encoding of §17.5 (internal/server:
 # BenchmarkEncodeQueryResponse, BenchmarkDecodeQueryResponse, each beside the
-# encoding/json path it replaced).
+# encoding/json path it replaced, and BenchmarkHandleQuery, a served SELECT
+# through the handler, serve_wide's two reads).
 bench:
 	$(GO) test -bench . -benchmem ./...
 

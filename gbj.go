@@ -533,33 +533,35 @@ func (e *Engine) QueryOptionsContext(ctx context.Context, text string, o *QueryO
 	return e.querySelect(ctx, q, o)
 }
 
-// Rows is a query result in the engine's own row representation: what
-// Result holds before its cells are boxed into Go-native values. It exists
-// for the query service, whose response encoder walks typed rows directly.
-// The rows may alias engine state; callers read them and let them go.
-type Rows struct {
-	Columns []string
-	Rows    []value.Row
+// RowSink takes a query's rows as the answering rung's plan emits them
+// (QueryStreamContext), in the engine's own row representation: the chunks
+// of exec.Consumer, which no result collects.
+type RowSink interface {
+	// Start opens a rung of the execution ladder with the result's column
+	// names, before its rows. Every rung starts, so a second Start voids what
+	// the sink took since the first: the rows of a rung that failed after it
+	// had handed some over.
+	Start(columns []string)
+	exec.Consumer
 }
 
-// QueryRowsContext is QueryOptionsContext without the conversion to
-// Go-native values — same plan selection, same snapshot, same execution
-// ladder, same errors.
-func (e *Engine) QueryRowsContext(ctx context.Context, text string, o *QueryOptions) (*Rows, error) {
+// QueryStreamContext is QueryOptionsContext with the rows handed to sink as
+// the plan makes them instead of returned — same plan selection, same
+// snapshot, same execution ladder, same errors. An error sink returns ends
+// the query with that error. It exists for the query service, whose
+// response body is encoded as the rows arrive.
+func (e *Engine) QueryStreamContext(ctx context.Context, text string, o *QueryOptions, sink RowSink) error {
 	q, err := sql.ParseQuery(text)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res, err := e.queryRows(ctx, q, o)
-	if err != nil {
-		return nil, err
-	}
-	return &Rows{Columns: columnNames(res.Schema), Rows: res.Rows}, nil
+	_, err = e.queryRows(ctx, q, o, sink)
+	return err
 }
 
 // querySelect runs a parsed SELECT uninstrumented and converts its rows.
 func (e *Engine) querySelect(ctx context.Context, q *sql.SelectStmt, o *QueryOptions) (*Result, error) {
-	res, err := e.queryRows(ctx, q, o)
+	res, err := e.queryRows(ctx, q, o, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -567,8 +569,9 @@ func (e *Engine) querySelect(ctx context.Context, q *sql.SelectStmt, o *QueryOpt
 }
 
 // queryRows runs a parsed SELECT uninstrumented down the execution ladder
-// and returns the rows of the rung that answered.
-func (e *Engine) queryRows(ctx context.Context, q *sql.SelectStmt, o *QueryOptions) (*exec.Result, error) {
+// and returns the rows of the rung that answered — or, given a sink, hands
+// them to it.
+func (e *Engine) queryRows(ctx context.Context, q *sql.SelectStmt, o *QueryOptions, sink RowSink) (*exec.Result, error) {
 	var params expr.Params
 	if o != nil {
 		var err error
@@ -580,7 +583,7 @@ func (e *Engine) queryRows(ctx context.Context, q *sql.SelectStmt, o *QueryOptio
 	if err != nil {
 		return nil, err
 	}
-	out, err := e.run(ctx, &p, false)
+	out, err := e.run(ctx, &p, false, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -650,7 +653,7 @@ type outcome struct {
 // RecoveryCounters().Degraded. An instrumented run gets a fresh collector
 // and tracer per rung, carrying the reasons for the steps that led there,
 // so the analysis describes the run that produced the rows.
-func (e *Engine) run(ctx context.Context, p *prepared, instrument bool) (outcome, error) {
+func (e *Engine) run(ctx context.Context, p *prepared, instrument bool, sink RowSink) (outcome, error) {
 	at := attempt{dist: p.cluster != nil}
 	var degraded, fellBack string
 	for {
@@ -664,7 +667,7 @@ func (e *Engine) run(ctx context.Context, p *prepared, instrument bool) (outcome
 				out.col.SetFallback(fellBack)
 			}
 		}
-		err := e.try(ctx, p, at, &out)
+		err := e.try(ctx, p, at, &out, sink)
 		var ue *dist.UnavailableError
 		switch {
 		case err == nil:
@@ -685,8 +688,11 @@ func (e *Engine) run(ctx context.Context, p *prepared, instrument bool) (outcome
 }
 
 // try executes one rung. Local rungs run the logical plan against the
-// store snapshot; distributed rungs lower it onto the cluster first.
-func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome) (err error) {
+// store snapshot; distributed rungs lower it onto the cluster first. Given a
+// sink, the rung starts it and hands it the rows instead of keeping them: a
+// local rung's as its root pipeline makes them, a cluster rung's as the
+// cluster returns them.
+func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome, sink RowSink) (err error) {
 	plan, ann, certs := p.pc.plan, p.pc.ann, p.pc.certs
 	if at.lazy {
 		plan, ann, certs = p.pc.fallback, p.pc.fallbackAnn, nil
@@ -704,6 +710,10 @@ func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome)
 	}
 	if !at.dist {
 		out.plan, out.est = plan, ann
+		if sink != nil {
+			sink.Start(columnNames(plan.Schema()))
+			return exec.Stream(plan, p.store, opts, sink)
+		}
 		out.res, err = exec.Run(plan, p.store, opts)
 		return err
 	}
@@ -716,7 +726,18 @@ func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome)
 		out.est = translateAnn(dp, ann)
 	}
 	out.res, err = p.cluster.RunRecover(dp, opts, e.recoveryPolicy(p.set))
-	return err
+	if err != nil || sink == nil {
+		return err
+	}
+	sink.Start(columnNames(out.res.Schema))
+	sink.Begin(1)
+	emit := sink.Chunk(0)
+	for _, row := range out.res.Rows {
+		if err := emit(row); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // execOptions builds the executor options of one rung from the query's
@@ -926,7 +947,7 @@ func (e *Engine) QueryAnalyzedContext(ctx context.Context, text string) (*Analys
 	if err != nil {
 		return nil, err
 	}
-	out, err := e.run(ctx, &p, true)
+	out, err := e.run(ctx, &p, true, nil)
 	if err != nil {
 		return nil, err
 	}

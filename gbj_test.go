@@ -4,12 +4,15 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/value"
+	"repro/internal/workload"
 )
 
 // newExample1Engine builds the paper's Example 1 database via the SQL API.
@@ -282,31 +285,140 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-// TestQueryRowsIsQueryUnboxed: QueryRowsContext returns the rows Query
-// boxes, and an empty result keeps Result.Rows nil.
-func TestQueryRowsIsQueryUnboxed(t *testing.T) {
-	e := newExample1Engine(t)
+// collectSink is a RowSink that keeps a copy of every row it is handed, by
+// chunk, counts the rungs that started and the rows a later start voided.
+type collectSink struct {
+	columns []string
+	starts  int
+	voided  int
+	chunks  [][]value.Row
+}
+
+func (s *collectSink) Start(cols []string) {
+	s.voided += len(s.rows())
+	s.columns, s.chunks = cols, nil
+	s.starts++
+}
+
+func (s *collectSink) Begin(n int) { s.chunks = make([][]value.Row, n) }
+
+func (s *collectSink) Chunk(c int) func(value.Row) error {
+	return func(row value.Row) error {
+		s.chunks[c] = append(s.chunks[c], slices.Clone(row))
+		return nil
+	}
+}
+
+func (s *collectSink) rows() []value.Row { return slices.Concat(s.chunks...) }
+
+// TestQueryStreamIsQueryUnboxed: QueryStreamContext hands its sink the rows
+// Query boxes, in Query's order — at one worker and at four, where the wide
+// join arrives in several chunks, in the columnar source form and on a
+// four-node cluster —, an empty result still starts with its columns, and
+// an empty result keeps Result.Rows nil.
+func TestQueryStreamIsQueryUnboxed(t *testing.T) {
+	store, err := workload.Sweep(workload.SweepParams{FactRows: 6000, DimRows: 50, Groups: 40, MatchFraction: 0.9, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx := context.Background()
-	for _, q := range []string{example1Query, `SELECT D.DeptID, D.Name FROM Department D WHERE D.DeptID > 99`} {
-		boxed, err := e.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		typed, err := e.QueryRowsContext(ctx, q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again := convertResult(&exec.Result{Rows: typed.Rows})
-		if !reflect.DeepEqual(typed.Columns, boxed.Columns) || !reflect.DeepEqual(again.Rows, boxed.Rows) {
-			t.Errorf("%s:\ntyped %v %v\nboxed %v %v", q, typed.Columns, typed.Rows, boxed.Columns, boxed.Rows)
-		}
-		if len(boxed.Rows) == 0 && boxed.Rows != nil {
-			t.Errorf("%s: empty result has non-nil Rows", q)
+	queries := []string{
+		`SELECT F.FID, D.Label, F.V FROM Fact F, Dim D WHERE F.DimID = D.DimID AND F.V < 50`,
+		workload.SweepQueryGroupByDim,
+		workload.SweepQueryGroupByFact + ` ORDER BY GroupID`,
+		`SELECT D.DimID, D.Label FROM Dim D WHERE D.DimID > 99`,
+	}
+	for _, set := range []struct {
+		name string
+		set  func(e *Engine)
+	}{
+		{"par1", func(e *Engine) {}},
+		{"par4", func(e *Engine) { e.SetParallelism(4) }},
+		{"vectorized-par4", func(e *Engine) { e.SetVectorize(true); e.SetParallelism(4) }},
+		{"nodes4", func(e *Engine) {
+			if err := e.SetNodes(4); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		e := NewWithStore(store)
+		set.set(e)
+		for i, q := range queries {
+			boxed, err := e.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sink collectSink
+			if err := e.QueryStreamContext(ctx, q, nil, &sink); err != nil {
+				t.Fatal(err)
+			}
+			again := convertResult(&exec.Result{Rows: sink.rows()})
+			if sink.starts != 1 || !reflect.DeepEqual(sink.columns, boxed.Columns) || !reflect.DeepEqual(again.Rows, boxed.Rows) {
+				t.Errorf("%s, query %d: %d starts, columns %v, %d rows; Query: columns %v, %d rows",
+					set.name, i, sink.starts, sink.columns, len(again.Rows), boxed.Columns, len(boxed.Rows))
+			}
+			if i == 0 && set.name == "par4" && len(sink.chunks) < 2 {
+				t.Errorf("%s: the wide join arrived in %d chunk(s), want several", set.name, len(sink.chunks))
+			}
+			if len(boxed.Rows) == 0 && boxed.Rows != nil {
+				t.Errorf("%s, query %d: empty result has non-nil Rows", set.name, i)
+			}
 		}
 	}
-	if _, err := e.QueryRowsContext(ctx, `SELEC nonsense`, nil); err == nil {
+	e := NewWithStore(store)
+	if err := e.QueryStreamContext(ctx, `SELEC nonsense`, nil, &collectSink{}); err == nil {
 		t.Error("parse error not reported")
 	}
+}
+
+// TestStreamRestartsPerRung: a rung that fails after it has handed its sink
+// rows is followed by the next rung's Start, and the sink ends with exactly
+// that rung's rows. The eager plan's ORDER BY is the only operator a 500 kB
+// budget sends to disk, and its merge — pulled row by row into the sink —
+// fails a read near its end: a *SpillError, then the lazy plan in memory.
+func TestStreamRestartsPerRung(t *testing.T) {
+	store, err := workload.Sweep(workload.SweepParams{FactRows: 6000, DimRows: 1500, Groups: 10, MatchFraction: 0.5, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := workload.SweepQueryGroupByDim + ` ORDER BY Label DESC`
+	e := NewWithStore(store)
+	e.SetMode(ModeNever)
+	want, err := e.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetMode(ModeAlways)
+	e.SetMemoryBudget(500_000)
+	e.SetSpillDir(t.TempDir())
+	stream := func(inj *fault.Injector) *collectSink {
+		t.Helper()
+		e.SetFaultInjector(inj)
+		var sink collectSink
+		if err := e.QueryStreamContext(ctx, q, nil, &sink); err != nil {
+			t.Fatal(err)
+		}
+		if got := convertResult(&exec.Result{Rows: sink.rows()}); !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("streamed %d rows, want the lazy plan's %d", len(got.Rows), len(want.Rows))
+		}
+		return &sink
+	}
+	// A fault-free run counts the ticks; the merge is its last phase.
+	clean := fault.New(nil)
+	if sink := stream(clean); sink.starts != 1 || e.Fallbacks() != 0 {
+		t.Fatalf("fault-free run: %d starts, %d fallbacks", sink.starts, e.Fallbacks())
+	}
+	var events []fault.Event
+	for tick := clean.Ticks() - 100; tick <= clean.Ticks(); tick++ {
+		events = append(events, fault.Event{Tick: tick, Kind: fault.DiskReadFail})
+	}
+	sink := stream(fault.New(events))
+	if sink.starts != 2 || sink.voided == 0 || e.Fallbacks() != 1 {
+		t.Fatalf("faulted merge: %d starts, %d rows voided, %d fallbacks; want 2 starts after some rows, 1 fallback",
+			sink.starts, sink.voided, e.Fallbacks())
+	}
+	t.Logf("the failed rung handed over %d of %d rows", sink.voided, len(want.Rows))
 }
 
 // TestConvertResultAllocatesPerResult: boxing a result costs the same

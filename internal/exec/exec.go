@@ -184,12 +184,45 @@ type Result struct {
 	Rows   []value.Row
 }
 
-// Run executes a logical plan to completion. A panic on the caller's own
-// goroutine — every operator, and a pipeline's chunks at one worker — is
-// recovered here into a typed *ExecPanicError (worker-pool panics are
+// Consumer takes the rows of a streamed run (Stream) as the root pipeline
+// emits them, in chunks: runs of consecutive result rows, chunk c's before
+// chunk c+1's in the order Run would return them.
+type Consumer interface {
+	// Begin is called once, before any row, with the number of chunks. One
+	// chunk is filled on the caller's goroutine; more may be filled at once,
+	// on the run's workers, in any order.
+	Begin(chunks int)
+	// Chunk returns the receiver of chunk c's rows, in order. A row is
+	// borrowed: it may be overwritten once the receiver returns. An error
+	// from the receiver ends the run with that error.
+	Chunk(c int) func(row value.Row) error
+}
+
+// Run executes a logical plan to completion and returns its rows. A panic on
+// the caller's own goroutine — every operator, and a pipeline's chunks at one
+// worker — is recovered into a typed *ExecPanicError (worker-pool panics are
 // recovered closer to the worker, with the worker id, and arrive as ordinary
 // errors).
-func Run(root algebra.Node, store *storage.Store, opts *Options) (res *Result, err error) {
+func Run(root algebra.Node, store *storage.Store, opts *Options) (*Result, error) {
+	rows, err := execute(root, store, opts, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Schema: root.Schema(), Rows: rows}, nil
+}
+
+// Stream is Run with the root pipeline's rows handed to c as they are made
+// instead of collected: no row of the result is kept by the run. At one
+// worker the rows are one chunk, pulled in order — a spilled sort's merge
+// included; above one they are the chunks Run's collection cuts.
+func Stream(root algebra.Node, store *storage.Store, opts *Options, c Consumer) error {
+	_, err := execute(root, store, opts, c)
+	return err
+}
+
+// execute is Run's and Stream's one body: it compiles root and runs its
+// pipeline into cons, or, with cons nil, collects it.
+func execute(root algebra.Node, store *storage.Store, opts *Options, cons Consumer) (rows []value.Row, err error) {
 	if opts == nil {
 		opts = &Options{}
 	}
@@ -201,7 +234,7 @@ func Run(root algebra.Node, store *storage.Store, opts *Options) (res *Result, e
 			if opts.Spill != nil {
 				_ = opts.Spill.Cleanup()
 			}
-			res, err = nil, panicError(root.Describe(), -1, r)
+			rows, err = nil, panicError(root.Describe(), -1, r)
 		}
 	}()
 	c := &compiler{store: store, opts: opts, par: opts.effectiveParallelism()}
@@ -230,7 +263,11 @@ func Run(root algebra.Node, store *storage.Store, opts *Options) (res *Result, e
 	// A root that is a leaf or a breaker ticks once more: the end of its rows
 	// is a governed event, like each of them.
 	last := out.pipe.src != nil && len(out.pipe.stages) == 0
-	rows, err := out.pipe.collect()
+	if cons != nil {
+		err = out.pipe.stream(cons)
+	} else {
+		rows, err = out.pipe.collect()
+	}
 	if err == nil && last {
 		err = c.gov.tick()
 	}
@@ -246,7 +283,7 @@ func Run(root algebra.Node, store *storage.Store, opts *Options) (res *Result, e
 	if opts.Metrics != nil && opts.Sources == nil {
 		obs.FillRowsIn(opts.Metrics, root, algebra.Node.Children)
 	}
-	return &Result{Schema: root.Schema(), Rows: rows}, nil
+	return rows, nil
 }
 
 // compiled is what a plan node lowers to — the pipeline whose topmost stage or

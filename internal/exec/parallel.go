@@ -802,6 +802,27 @@ func (p *pipeOp) collect() ([]value.Row, error) {
 	return concatChunks(s.outs), nil
 }
 
+// stream runs the pipeline to completion into c (Stream): at one worker as
+// one in-order chunk, a merge pulled row by row; above one cut into the
+// collector's chunks, each chunk's rows handed to c's receiver for it.
+func (p *pipeOp) stream(c Consumer) error {
+	if p.par == 1 {
+		c.Begin(1)
+		return p.run(inOrder{c.Chunk(0)})
+	}
+	return p.run(streamer{c})
+}
+
+// streamer is the sink of a streamed run above one worker.
+type streamer struct{ c Consumer }
+
+func (s streamer) begin(n, morsel int) int {
+	s.c.Begin(numChunks(n, morsel))
+	return morsel
+}
+
+func (s streamer) bind(_, chunk int) (emitFn, error) { return s.c.Chunk(chunk), nil }
+
 // inOrder is the sink of a consumer that is serial by nature: the whole source
 // is one chunk, handed to fn row by row in order.
 type inOrder struct{ fn emitFn }

@@ -10,16 +10,20 @@ package exec_test
 // the service's largest responses run: scan → filter → probe → column-permuting
 // π → root, some 24 000 joined rows kept, each projected into the stage's
 // scratch row and copied into the collection's slab — also under a cancellable
-// context, where every tick is a load of the governor's flag. At one and at two
-// workers; run with -benchmem — allocs/op is the result path's per-row cost.
+// context, where every tick is a load of the governor's flag, and streamed
+// (exec.Stream) into a consumer that only counts, the path a served SELECT
+// takes: no slab, no collection. At one and at two workers; run with
+// -benchmem — allocs/op is the result path's per-row cost.
 
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/exec"
+	"repro/internal/value"
 	"repro/internal/workload"
 )
 
@@ -53,7 +57,35 @@ func BenchmarkResultPath(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/par%d/ctx", q.name, par), func(b *testing.B) {
 					benchRun(b, plan, store, exec.Options{Parallelism: par, Context: ctx})
 				})
+				b.Run(fmt.Sprintf("%s/par%d/stream", q.name, par), func(b *testing.B) {
+					res, err := exec.Run(plan, store, &exec.Options{Parallelism: par})
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						var c rowCounter
+						if err := exec.Stream(plan, store, &exec.Options{Parallelism: par}, &c); err != nil {
+							b.Fatal(err)
+						}
+						if c.n.Load() != int64(len(res.Rows)) {
+							b.Fatalf("streamed %d rows, Run returns %d", c.n.Load(), len(res.Rows))
+						}
+					}
+				})
 			}
 		}
+	}
+}
+
+// rowCounter is a Consumer that only counts the rows it is handed.
+type rowCounter struct{ n atomic.Int64 }
+
+func (c *rowCounter) Begin(int) {}
+
+func (c *rowCounter) Chunk(int) func(value.Row) error {
+	return func(value.Row) error {
+		c.n.Add(1)
+		return nil
 	}
 }

@@ -153,9 +153,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	// The whole body exists and the rows are out of scope: what the query
-	// leased goes back before the socket is touched, so a reader that
-	// stalls holds a buffer, not pool bytes.
+	// The whole body exists and the query has ended: what it leased goes
+	// back before the socket is touched, so a reader that stalls holds a
+	// buffer, not pool bytes.
 	tkt.release()
 	if sess != nil {
 		atomic.AddInt64(&sess.queries, 1)
@@ -170,17 +170,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // encodeQuery runs the admitted query and appends its complete response
-// body to b. Nothing has been written to the client when it returns, so
-// every failure — the ladder's, or a value JSON cannot carry — still gets
-// its row of the status table.
+// body to b, each row as the plan makes it. Nothing has been written to the
+// client when it returns, so every failure — the ladder's, or a value JSON
+// cannot carry — still gets its row of the status table.
 func (s *Server) encodeQuery(ctx context.Context, req *QueryRequest, tkt *ticket, b []byte) ([]byte, error) {
 	opts := &gbj.QueryOptions{Params: req.Params}
 	tkt.apply(opts)
-	res, err := s.engine.QueryRowsContext(ctx, req.SQL, opts)
-	if err != nil {
-		return b, err
-	}
-	return appendQueryResponse(b, res.Columns, res.Rows, tkt.serial)
+	body := &responseBody{b: b, base: len(b)}
+	err := s.engine.QueryStreamContext(ctx, req.SQL, opts, body)
+	return body.end(err, tkt.serial)
 }
 
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {

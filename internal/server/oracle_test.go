@@ -29,6 +29,31 @@ func oracleRows(t *testing.T, e *gbj.Engine, q string, params map[string]any) []
 	return res.Rows
 }
 
+// oracleQuery is one query of the differential, with its parameters.
+type oracleQuery struct {
+	sql    string
+	params map[string]any
+}
+
+// staticQueries must answer as the direct oracle does throughout the storm,
+// because no writer touches Emp/Dept/Rate. The last one sums a DOUBLE column
+// to integral values (80.0, 25.0).
+var staticQueries = []oracleQuery{
+	{groupByJoin, nil},
+	{`SELECT COUNT(EmpID) FROM Emp WHERE DeptID = :d`, map[string]any{"d": 2}},
+	{`SELECT d.Name, COUNT(e.EmpID) FROM Emp e, Dept d WHERE e.DeptID = d.DeptID GROUP BY d.Name ORDER BY Name`, nil},
+	{`SELECT e.DeptID, SUM(r.Hourly), COUNT(e.EmpID) FROM Emp e, Rate r WHERE e.DeptID = r.DeptID GROUP BY e.DeptID ORDER BY DeptID`, nil},
+}
+
+// quiescedQueries are the full differential once the storm is over.
+var quiescedQueries = []oracleQuery{
+	{groupByJoin, nil},
+	{`SELECT COUNT(EmpID) FROM Emp WHERE DeptID = :d`, map[string]any{"d": 2}},
+	{`SELECT grp, SUM(val), COUNT(id) FROM kv GROUP BY grp ORDER BY grp`, nil},
+	{`SELECT COUNT(id) FROM kv`, nil},
+	{`SELECT DeptID, Hourly FROM Rate`, nil},
+}
+
 func TestServeOracleDifferential(t *testing.T) {
 	ctx := context.Background()
 	e := newTestEngine(t)
@@ -41,18 +66,6 @@ func TestServeOracleDifferential(t *testing.T) {
 		PlanCacheSize: 64,
 	})
 
-	// The static queries: results must be identical to the direct oracle
-	// throughout the storm, because no writer touches Emp/Dept/Rate. The
-	// last one sums a DOUBLE column to integral values (80.0, 25.0).
-	staticQueries := []struct {
-		sql    string
-		params map[string]any
-	}{
-		{groupByJoin, nil},
-		{`SELECT COUNT(EmpID) FROM Emp WHERE DeptID = :d`, map[string]any{"d": 2}},
-		{`SELECT d.Name, COUNT(e.EmpID) FROM Emp e, Dept d WHERE e.DeptID = d.DeptID GROUP BY d.Name ORDER BY Name`, nil},
-		{`SELECT e.DeptID, SUM(r.Hourly), COUNT(e.EmpID) FROM Emp e, Rate r WHERE e.DeptID = r.DeptID GROUP BY e.DeptID ORDER BY DeptID`, nil},
-	}
 	want := make([][][]any, len(staticQueries))
 	for i, q := range staticQueries {
 		want[i] = oracleRows(t, e, q.sql, q.params)
@@ -139,17 +152,7 @@ func TestServeOracleDifferential(t *testing.T) {
 
 	// Quiesced: the full differential — every query, HTTP vs direct
 	// engine, identical values of identical Go types.
-	post := []struct {
-		sql    string
-		params map[string]any
-	}{
-		{groupByJoin, nil},
-		{`SELECT COUNT(EmpID) FROM Emp WHERE DeptID = :d`, map[string]any{"d": 2}},
-		{`SELECT grp, SUM(val), COUNT(id) FROM kv GROUP BY grp ORDER BY grp`, nil},
-		{`SELECT COUNT(id) FROM kv`, nil},
-		{`SELECT DeptID, Hourly FROM Rate`, nil},
-	}
-	for _, q := range post {
+	for _, q := range quiescedQueries {
 		resp, err := c0.QueryDetail(ctx, q.sql, q.params)
 		if err != nil {
 			t.Fatalf("post %q: %v", q.sql, err)

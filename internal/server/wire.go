@@ -4,8 +4,9 @@ package server
 // JSON encoding/json produces for QueryResponse — one object with
 // "columns" (strings), "rows" (arrays of scalars) and an optional
 // "degraded" — so any JSON client reads it; what is hand-written is the
-// path: the handler appends typed rows once into a pooled buffer, and the
-// Go client scans exactly this grammar back into Go-native values.
+// path: the handler appends each typed row into a pooled buffer as the plan
+// makes it (responseBody), and the Go client scans exactly this grammar back
+// into Go-native values.
 //
 // One number rule lets a cell keep its SQL type across JSON's single number
 // type: a DOUBLE is always written with a fraction or an exponent (2.0,
@@ -15,6 +16,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -24,8 +26,8 @@ import (
 	"repro/internal/value"
 )
 
-// sampleRows is how many rows both halves look at before they size the
-// rest of their output by extrapolation.
+// sampleRows is how many rows the decoder reads before it sizes the rest of
+// its output by extrapolation.
 const sampleRows = 64
 
 // maxPooledBuffer is the largest buffer the pool keeps. A larger one is
@@ -57,10 +59,27 @@ func putBuffer(bp *[]byte, b []byte) {
 	bufPool.Put(bp)
 }
 
+// A body is a header (appendHeader), its rows, each a comma and an array
+// (appendRow), and a trailer (appendTrailer) that makes the first row's
+// comma the list's opening bracket.
+
 // appendQueryResponse appends the response body for cols and rows to b,
 // newline-terminated as json.Encoder would. It fails, before the caller
 // has written anything, on a non-finite DOUBLE, which JSON cannot carry.
 func appendQueryResponse(b []byte, cols []string, rows []value.Row, degraded bool) ([]byte, error) {
+	b = appendHeader(b, cols)
+	at := len(b)
+	for r, row := range rows {
+		var bad int
+		if b, bad = appendRow(b, row); bad >= 0 {
+			return b, nonFinite(cols, row, 0, r, bad)
+		}
+	}
+	return appendTrailer(b, at, degraded), nil
+}
+
+// appendHeader appends a body's columns and the key of its rows.
+func appendHeader(b []byte, cols []string) []byte {
 	b = append(b, `{"columns":[`...)
 	for i, c := range cols {
 		if i > 0 {
@@ -68,47 +87,155 @@ func appendQueryResponse(b []byte, cols []string, rows []value.Row, degraded boo
 		}
 		b = appendString(b, c)
 	}
-	b = append(b, `],"rows":[`...)
-	start := len(b)
-	for r, row := range rows {
-		if r == sampleRows {
-			// The sampled rows' average, plus an eighth, for the rest: one
-			// growth instead of append's doublings.
-			rest := (len(b) - start) / sampleRows * (len(rows) - sampleRows)
-			b = slices.Grow(b, rest+rest/8+64)
-		}
-		if r > 0 {
+	return append(b, `],"rows":`...)
+}
+
+// appendRow appends row as an element of the rows list, its comma first. It
+// stops at a non-finite DOUBLE and returns that cell's column; -1 when the
+// row is whole.
+func appendRow(b []byte, row value.Row) ([]byte, int) {
+	b = append(b, ',', '[')
+	for i, v := range row {
+		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, '[')
-		for i, v := range row {
-			if i > 0 {
-				b = append(b, ',')
+		switch v.Kind() {
+		case value.KindNull:
+			b = append(b, "null"...)
+		case value.KindInt:
+			b = strconv.AppendInt(b, v.Int(), 10)
+		case value.KindFloat:
+			f := v.Float()
+			if math.IsInf(f, 0) || math.IsNaN(f) {
+				return b, i
 			}
-			switch v.Kind() {
-			case value.KindNull:
-				b = append(b, "null"...)
-			case value.KindInt:
-				b = strconv.AppendInt(b, v.Int(), 10)
-			case value.KindFloat:
-				f := v.Float()
-				if math.IsInf(f, 0) || math.IsNaN(f) {
-					return b, fmt.Errorf("numeric value out of range: row %d, column %s is %v", r+1, columnLabel(cols, i), f)
-				}
-				b = appendFloat(b, f)
-			case value.KindString:
-				b = appendString(b, v.Str())
-			case value.KindBool:
-				b = strconv.AppendBool(b, v.Bool())
-			}
+			b = appendFloat(b, f)
+		case value.KindString:
+			b = appendString(b, v.Str())
+		case value.KindBool:
+			b = strconv.AppendBool(b, v.Bool())
 		}
-		b = append(b, ']')
+	}
+	return append(b, ']'), -1
+}
+
+// appendTrailer closes a body whose header ends at rows: the first row's
+// comma becomes the list's opening bracket, or, with no row, one is added.
+func appendTrailer(b []byte, rows int, degraded bool) []byte {
+	if len(b) > rows {
+		b[rows] = '['
+	} else {
+		b = append(b, '[')
 	}
 	b = append(b, ']')
 	if degraded {
 		b = append(b, `,"degraded":true`...)
 	}
-	return append(b, '}', '\n'), nil
+	return append(b, '}', '\n')
+}
+
+// nonFiniteError is a DOUBLE JSON has no number for: in column column of
+// the row-th row, from 0, of chunk chunk of the result.
+type nonFiniteError struct {
+	chunk, row int
+	column     string
+	f          float64
+}
+
+func (e *nonFiniteError) Error() string {
+	return fmt.Sprintf("numeric value out of range: row %d, column %s is %v", e.row+1, e.column, e.f)
+}
+
+func nonFinite(cols []string, row value.Row, chunk, r, i int) error {
+	return &nonFiniteError{chunk: chunk, row: r, column: columnLabel(cols, i), f: row[i].Float()}
+}
+
+// responseBody is the gbj.RowSink a query's response is encoded by, as the
+// answering rung's plan makes the rows. A run in one chunk is encoded into
+// b itself; a run in several encodes each chunk into a pooled buffer of its
+// own, and end appends them to b in chunk order, so the body is the same at
+// any worker count. Every rung starts the body over from base.
+type responseBody struct {
+	b      []byte
+	base   int // where the body starts in b
+	rows   int // where its header ends
+	n      int // the rows encoded into b
+	cols   []string
+	chunks []chunkBody // a run in several chunks: one per chunk
+}
+
+// chunkBody is one chunk's rows, encoded into a pooled buffer.
+type chunkBody struct {
+	bp *[]byte
+	b  []byte
+	n  int
+}
+
+func (s *responseBody) Start(cols []string) {
+	s.release()
+	s.cols = cols
+	s.b = appendHeader(s.b[:s.base], cols)
+	s.rows, s.n = len(s.b), 0
+}
+
+func (s *responseBody) Begin(chunks int) {
+	if chunks > 1 {
+		s.chunks = make([]chunkBody, chunks)
+	}
+}
+
+func (s *responseBody) Chunk(c int) func(value.Row) error {
+	b, n := &s.b, &s.n
+	if s.chunks != nil {
+		ch := &s.chunks[c]
+		ch.bp = getBuffer()
+		ch.b = *ch.bp
+		b, n = &ch.b, &ch.n
+	}
+	return func(row value.Row) error {
+		var bad int
+		if *b, bad = appendRow(*b, row); bad >= 0 {
+			return nonFinite(s.cols, row, c, *n, bad)
+		}
+		*n++
+		return nil
+	}
+}
+
+// end completes the body once the engine has returned err: the chunks in
+// order, then the trailer. A non-finite DOUBLE's row is counted from the
+// start of the result: every chunk before the failing one is complete, as
+// the run reports the error of the lowest chunk that failed.
+func (s *responseBody) end(err error, degraded bool) ([]byte, error) {
+	defer s.release()
+	if err != nil {
+		var nf *nonFiniteError
+		if errors.As(err, &nf) {
+			for _, ch := range s.chunks[:nf.chunk] {
+				nf.row += ch.n
+			}
+		}
+		return s.b, err
+	}
+	size := 0
+	for _, ch := range s.chunks {
+		size += len(ch.b)
+	}
+	s.b = slices.Grow(s.b, size)
+	for _, ch := range s.chunks {
+		s.b = append(s.b, ch.b...)
+	}
+	return appendTrailer(s.b, s.rows, degraded), nil
+}
+
+// release gives the chunks' buffers back to the pool.
+func (s *responseBody) release() {
+	for _, ch := range s.chunks {
+		if ch.bp != nil {
+			putBuffer(ch.bp, ch.b)
+		}
+	}
+	s.chunks = nil
 }
 
 func columnLabel(cols []string, i int) string {
