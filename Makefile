@@ -168,8 +168,9 @@ fuzz:
 # Among them: the paper's Figure 1 (internal/exec: BenchmarkFigure1Row /
 # BenchmarkFigure1Vec, the lazy and the eager plan at par1 and par2 — the
 # row-vs-batch decision of §13.5, and the only timing of the batch form above
-# one worker —, under Row also the forced join and group strategies and, at
-# 100 000 employees, the interesting-order ablation); the decision procedure
+# one worker —, under Row also the nested loop, the lazy plan's join spelled
+# without an equi-key, forced sort grouping and, at 100 000 employees, the
+# eager plan grouped by hash and by sort); the decision procedure
 # (internal/core: BenchmarkTestFD, and BenchmarkPredicateExpansion, the §6.3
 # ablation); the grouping decision of DESIGN.md §19 (internal/exec:
 # BenchmarkOrderByOverGrouping, GroupAuto vs forced GroupSort in the row and

@@ -134,7 +134,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := runScript(engine, string(data)); err != nil {
+		if err := engine.RunScript(string(data), os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -320,16 +320,6 @@ func handleCommand(engine *gbj.Engine, cmd string) bool {
 		fmt.Printf("unknown command %s\n", fields[0])
 	}
 	return false
-}
-
-// runScript executes a whole script, printing SELECT results.
-func runScript(engine *gbj.Engine, text string) error {
-	// Split naively on ';' is wrong inside strings; delegate statement
-	// splitting to the engine by running the whole text and printing
-	// nothing — unless it contains SELECTs, which we run one by one.
-	// For simplicity scripts are executed statement-wise using the
-	// parser's own splitting via RunScript.
-	return engine.RunScript(text, os.Stdout)
 }
 
 func runStatement(engine *gbj.Engine, stmt string) error {

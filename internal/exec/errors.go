@@ -50,7 +50,7 @@ func (e *SpillError) Error() string {
 func (e *SpillError) Unwrap() error { return e.Err }
 
 // ExecPanicError wraps a panic recovered inside the executor — in a morsel
-// worker, a concurrently drained join input, or the caller's own goroutine —
+// worker or the caller's own goroutine —
 // so that one runaway operator fails its query with a typed error instead
 // of killing the process. Recovery is first-error-wins across a worker
 // pool: concurrent panics all terminate their workers, and the error with

@@ -1,8 +1,8 @@
 // Package exec implements the physical executor: it lowers logical plans
 // (package algebra) onto in-memory tables (package storage) as breakers that
 // hold state, joined by pipelines that carry rows between them (parallel.go).
-// Each logical operator has one or more physical implementations — joins can
-// run as hash, sort-merge or nested-loop; grouping as hash aggregation or
+// A join runs as a hash join when its condition has an equi-key and as a
+// nested loop when it does not; grouping runs as hash aggregation or
 // sort-based aggregation pipelined with the sort (the Klug/Dayal technique
 // the paper's Section 2 recounts).
 //
@@ -25,34 +25,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/value"
 )
-
-// JoinStrategy selects the physical join implementation.
-type JoinStrategy uint8
-
-// Join strategies. Auto picks hash when an equi-key exists, else nested
-// loop.
-const (
-	JoinAuto JoinStrategy = iota
-	JoinHash
-	JoinSortMerge
-	JoinNestedLoop
-)
-
-// String names the strategy.
-func (s JoinStrategy) String() string {
-	switch s {
-	case JoinAuto:
-		return "auto"
-	case JoinHash:
-		return "hash"
-	case JoinSortMerge:
-		return "sort-merge"
-	case JoinNestedLoop:
-		return "nested-loop"
-	default:
-		return fmt.Sprintf("JoinStrategy(%d)", uint8(s))
-	}
-}
 
 // GroupStrategy selects the physical grouping implementation.
 type GroupStrategy uint8
@@ -86,7 +58,6 @@ func (s GroupStrategy) String() string {
 
 // Options configures an execution.
 type Options struct {
-	Join   JoinStrategy
 	Group  GroupStrategy // zero: GroupAuto, what every engine run uses
 	Params expr.Params
 	// Parallelism is the worker count of the one operator set: how many
@@ -301,7 +272,7 @@ type compiled struct {
 // orderedPrefixSet reports whether the first len(cols) entries of order
 // cover exactly the column set cols. Rows sorted by a column-sequence
 // prefix are contiguous on any permutation of that prefix, which is all
-// streaming grouping and merge joins need.
+// streaming grouping needs.
 func orderedPrefixSet(order []int, cols []int) bool {
 	if len(order) < len(cols) || len(cols) == 0 {
 		return false

@@ -160,23 +160,32 @@ func joinPlan(t *testing.T, s *storage.Store) *algebra.Join {
 	}
 }
 
-// TestJoinStrategiesAgree: hash, sort-merge and nested-loop joins must
-// produce identical multisets, and NULL join keys never match.
+// thetaJoin is join with its condition spelled without an equi-key
+// (workload.Theta): the same rows, joined by nested loop.
+func thetaJoin(join *algebra.Join) *algebra.Join {
+	return &algebra.Join{L: join.L, R: join.R, Cond: workload.Theta(join.Cond)}
+}
+
+// TestJoinStrategiesAgree: the hash join of an equi-join and the nested loop
+// of its theta spelling produce identical multisets, and NULL join keys never
+// match in either.
 func TestJoinStrategiesAgree(t *testing.T) {
 	s := fixture(t)
-	var results [][]value.Row
-	for _, strat := range []JoinStrategy{JoinHash, JoinSortMerge, JoinNestedLoop} {
-		res := run(t, joinPlan(t, s), s, &Options{Join: strat})
+	hash := run(t, joinPlan(t, s), s, nil)
+	nested := run(t, thetaJoin(joinPlan(t, s)), s, nil)
+	for _, res := range []*Result{hash, nested} {
 		if len(res.Rows) != 5 {
-			t.Errorf("%s join produced %d rows, want 5 (NULL key must drop)", strat, len(res.Rows))
+			t.Errorf("join produced %d rows, want 5 (NULL key must drop)", len(res.Rows))
 		}
-		results = append(results, res.Rows)
 	}
-	if !sameMultiset(results[0], results[1]) || !sameMultiset(results[0], results[2]) {
-		t.Error("join strategies disagree")
+	if !sameMultiset(hash.Rows, nested.Rows) {
+		t.Error("hash join and nested loop disagree")
 	}
 }
 
+// TestJoinWithResidualPredicate: a conjunct that is no equi-key filters the
+// joined rows, as the hash join's residual and inside the nested loop's
+// condition.
 func TestJoinWithResidualPredicate(t *testing.T) {
 	s := fixture(t)
 	plan := &algebra.Join{
@@ -187,10 +196,10 @@ func TestJoinWithResidualPredicate(t *testing.T) {
 			expr.NewBinary(expr.OpGt, expr.Column("E", "Salary"), expr.IntLit(150)),
 		),
 	}
-	for _, strat := range []JoinStrategy{JoinHash, JoinSortMerge, JoinNestedLoop} {
-		res := run(t, plan, s, &Options{Join: strat})
+	for _, p := range []*algebra.Join{plan, thetaJoin(plan)} {
+		res := run(t, p, s, nil)
 		if len(res.Rows) != 3 {
-			t.Errorf("%s join with residual produced %d rows, want 3", strat, len(res.Rows))
+			t.Errorf("join on %s produced %d rows, want 3", p.Cond, len(res.Rows))
 		}
 	}
 }
@@ -210,8 +219,8 @@ func TestCartesianProduct(t *testing.T) {
 	}
 }
 
-// TestJoinNoEquiKeyFallsBack: theta joins (no equality atom) run as nested
-// loop even when hash is requested.
+// TestJoinNoEquiKeyFallsBack: a theta join (no equality atom) runs as a
+// nested loop.
 func TestJoinNoEquiKeyFallsBack(t *testing.T) {
 	s := fixture(t)
 	plan := &algebra.Join{
@@ -219,7 +228,7 @@ func TestJoinNoEquiKeyFallsBack(t *testing.T) {
 		R:    scanOf(t, s, "Department", "D"),
 		Cond: expr.NewBinary(expr.OpLt, expr.Column("E", "DeptID"), expr.Column("D", "DeptID")),
 	}
-	res := run(t, plan, s, &Options{Join: JoinHash})
+	res := run(t, plan, s, nil)
 	// E.DeptID < D.DeptID pairs: dept 1 rows (2) match D 2,3 → 4;
 	// dept 2 rows (3) match D 3 → 3; NULL drops. Total 7.
 	if len(res.Rows) != 7 {

@@ -22,9 +22,9 @@ import (
 // The pipeline calls begin and end around its run and adds each chunk's row
 // count to count once — a batch's logical length while the chain is in
 // batches — so the row path costs one atomic add per morsel per node and
-// never allocates. The counter is atomic: the chunks of one pipeline, and the
-// two inputs of a merge join, run on concurrent goroutines. When every sink
-// is nil the compiler places nothing, so the disabled path costs nothing.
+// never allocates. The counter is atomic: the chunks of one pipeline run on
+// concurrent goroutines. When every sink is nil the compiler places nothing,
+// so the disabled path costs nothing.
 type metricOp struct {
 	metrics *obs.OpMetrics // nil unless Options.Metrics is set
 	clock   obs.Clock

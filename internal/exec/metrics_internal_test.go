@@ -139,13 +139,13 @@ func TestRowPathZeroAllocs(t *testing.T) {
 	// Run, which the per-row measures below leave out.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	governed := func() *Options { return &Options{Join: JoinHash, Context: ctx} }
+	governed := func() *Options { return &Options{Context: ctx} }
 	// A whole Run's count moves by a few between runs whatever its size (a GC
 	// empties a pool; the race detector's runtime allocates): one morsel's
 	// bookkeeping is allowed for that, a thousandth of one per row.
 	const groups, small, large = 100, 10 * MorselSize, 40 * MorselSize
 	const perMorsel = 24
-	plain := func() *Options { return &Options{Join: JoinHash} }
+	plain := func() *Options { return &Options{} }
 	for _, tc := range []struct {
 		name string
 		opts func() *Options
@@ -336,7 +336,7 @@ func TestSerialGroupingHoldsGroupsNotRows(t *testing.T) {
 // the join's whole output.
 func TestSpillCapableSortStreamsItsInput(t *testing.T) {
 	const n, keys = 16 * MorselSize, 100
-	c := &compiler{opts: &Options{Join: JoinHash}, par: 1, clock: obs.Wall}
+	c := &compiler{opts: &Options{}, par: 1, clock: obs.Wall}
 	out, err := c.compile(probeJoinPlan(n, keys))
 	must(t, err)
 	gov := &governor{budget: MorselSize * rowStateBytes(make(value.Row, 4))}

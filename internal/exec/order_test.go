@@ -10,7 +10,7 @@ import (
 
 // TestOrderPropagation verifies the compiler's interesting-order tracking:
 // sort establishes an order, filter and projection preserve it, hash join
-// keeps the probe side's order, and grouping/merge-join exploit it.
+// keeps the probe side's order, and grouping exploits it.
 func TestOrderPropagation(t *testing.T) {
 	s := fixture(t)
 	c := &compiler{store: s, opts: &Options{}}
@@ -133,77 +133,5 @@ func TestGroupAutoExploitsSortedInput(t *testing.T) {
 	}
 	if !sameMultiset(results[0], results[1]) || !sameMultiset(results[0], results[2]) {
 		t.Error("group strategies disagree on sorted input")
-	}
-}
-
-// TestMergeJoinExploitsSortedInputs: a merge join over inputs sorted on the
-// join keys skips its sorts (flags set) and still produces correct output.
-func TestMergeJoinExploitsSortedInputs(t *testing.T) {
-	s := fixture(t)
-	sortedE := &algebra.Sort{
-		Input: scanOf(t, s, "Employee", "E"),
-		Keys:  []algebra.SortItem{{Col: expr.ColumnID{Table: "E", Name: "DeptID"}}},
-	}
-	sortedD := &algebra.Sort{
-		Input: scanOf(t, s, "Department", "D"),
-		Keys:  []algebra.SortItem{{Col: expr.ColumnID{Table: "D", Name: "DeptID"}}},
-	}
-	join := &algebra.Join{
-		L:    sortedE,
-		R:    sortedD,
-		Cond: expr.Eq(expr.Column("E", "DeptID"), expr.Column("D", "DeptID")),
-	}
-	c := &compiler{store: s, opts: &Options{Join: JoinSortMerge}}
-	out, err := c.compile(join)
-	must(t, err)
-	mj, ok := out.pipe.src.(*mergeJoinOp)
-	if !ok {
-		t.Fatalf("compiled to %T, want mergeJoinOp", out.pipe.src)
-	}
-	if !mj.lSorted || !mj.rSorted {
-		t.Errorf("sorted inputs not exploited: lSorted=%v rSorted=%v", mj.lSorted, mj.rSorted)
-	}
-	// Execution matches a hash join of the same plan.
-	res := run(t, join, s, &Options{Join: JoinSortMerge})
-	ref := run(t, join, s, &Options{Join: JoinHash})
-	if !sameMultiset(res.Rows, ref.Rows) {
-		t.Error("exploited merge join disagrees with hash join")
-	}
-	if len(res.Rows) != 5 {
-		t.Errorf("join produced %d rows, want 5", len(res.Rows))
-	}
-}
-
-// TestEagerAggregationFeedsMergeJoin is the Section 7 end-to-end shape: the
-// eager aggregation's sorted output (GroupSort on GA1+) feeds a merge join
-// whose left sort is skipped.
-func TestEagerAggregationFeedsMergeJoin(t *testing.T) {
-	s := fixture(t)
-	eager := &algebra.GroupBy{
-		Input:     scanOf(t, s, "Employee", "E"),
-		GroupCols: []expr.ColumnID{{Table: "E", Name: "DeptID"}},
-		Aggs: []algebra.AggItem{
-			{E: &expr.Aggregate{Func: expr.AggCount, Arg: expr.Column("E", "EmpID")}, As: expr.ColumnID{Name: "$agg0"}},
-		},
-	}
-	join := &algebra.Join{
-		L:    eager,
-		R:    scanOf(t, s, "Department", "D"),
-		Cond: expr.Eq(expr.Column("E", "DeptID"), expr.Column("D", "DeptID")),
-	}
-	c := &compiler{store: s, opts: &Options{Join: JoinSortMerge, Group: GroupSort}}
-	out, err := c.compile(join)
-	must(t, err)
-	mj, ok := out.pipe.src.(*mergeJoinOp)
-	if !ok {
-		t.Fatalf("compiled to %T, want mergeJoinOp", out.pipe.src)
-	}
-	if !mj.lSorted {
-		t.Error("eager aggregation's sorted output not exploited by the merge join")
-	}
-	res := run(t, join, s, &Options{Join: JoinSortMerge, Group: GroupSort})
-	ref := run(t, join, s, nil)
-	if !sameMultiset(res.Rows, ref.Rows) {
-		t.Error("exploited plan disagrees with default execution")
 	}
 }

@@ -5,7 +5,7 @@
 // source are carried through the whole chain, and the breaker above is its
 // sink: one partial group table per chunk for hash grouping, a morsel-ordered
 // collection for everything else that must hold rows (the result, an in-memory
-// sort's input, DISTINCT, merge-join inputs, a join's build side), or — for a
+// sort's input, DISTINCT, a join's build side), or — for a
 // consumer that is serial by nature: LIMIT, TopK, grouping a key-ordered
 // stream, a spill-capable sort, a refused join's grace path — the whole source
 // as one chunk in order (pipeOp.each). Nothing between two breakers is
@@ -218,36 +218,6 @@ func concatChunks(outs [][]value.Row) []value.Row {
 	return flat
 }
 
-// drainBoth drains two inputs concurrently — inter-subtree parallelism
-// for a merge join whose inputs are themselves expensive. The per-node stats
-// hooks must be (and are) safe for concurrent Close against a shared sink.
-// Panics on either side become *ExecPanicError; the left side is recovered
-// locally (not left to Run's top-level recovery) precisely so that wg.Wait
-// always runs and the right-side goroutine is joined before return.
-func drainBoth(where string, l, r *pipeOp) (lrows, rrows []value.Row, err error) {
-	var rerr error
-	var wg sync.WaitGroup
-	goSafe(&wg, where, -1, func(e error) { rerr = e }, func() {
-		rrows, rerr = r.collect()
-	})
-	lrows, lerr := func() (rows []value.Row, err error) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				rows, err = nil, panicError(where, -1, rec)
-			}
-		}()
-		return l.collect()
-	}()
-	wg.Wait()
-	if lerr != nil {
-		return nil, nil, lerr
-	}
-	if rerr != nil {
-		return nil, nil, rerr
-	}
-	return lrows, rrows, nil
-}
-
 // -------------------------------------------------------------- pipelines
 
 // emitFn receives one row from the stage below. The row is borrowed: it may
@@ -312,7 +282,7 @@ type batchSink interface {
 }
 
 // breaker is a pipeline's source in row form: a node that holds state — a
-// grouping, a sort, DISTINCT, LIMIT, TopK, a merge join — or a leaf's rows
+// grouping, a sort, DISTINCT, LIMIT, TopK — or a leaf's rows
 // (leafRows). open runs the node's input pipelines into its store and returns
 // its output: rows the run owns, or, from a sort that went to disk, the merge
 // of its runs, which the runner pulls into an in-order sink or drains for any

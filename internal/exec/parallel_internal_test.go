@@ -230,27 +230,26 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 	const top = 37
 	plans := []struct {
 		sink string
-		join JoinStrategy
 		plan algebra.Node
 	}{
-		{"root", JoinHash, probe()},
-		{"root, nested loop", JoinNestedLoop, probe()},
-		{"root, through a filter", JoinHash, &algebra.Select{
+		{"root", probe()},
+		{"root, nested loop", thetaJoin(probe())},
+		{"root, through a filter", &algebra.Select{
 			Input: probe(), Cond: &expr.Binary{Op: expr.OpLt, L: expr.Column("r", "v"), R: expr.IntLit(70)},
 		}},
-		{"sort", JoinHash, sorted},
-		{"TopK", JoinHash, &algebra.Limit{N: top, Input: sorted}},
-		{"DISTINCT", JoinHash, &algebra.Project{Distinct: true, Input: probe(), Items: []algebra.ProjItem{
+		{"sort", sorted},
+		{"TopK", &algebra.Limit{N: top, Input: sorted}},
+		{"DISTINCT", &algebra.Project{Distinct: true, Input: probe(), Items: []algebra.ProjItem{
 			{E: expr.Column("r", "v"), As: col("", "rv")}, {E: expr.Column("l", "k"), As: col("", "k")},
 		}}},
-		{"build side of an upper hash join", JoinHash, &algebra.Join{
+		{"build side of an upper hash join", &algebra.Join{
 			L: keyedValuesPlan("u", 60, 50), R: probe(),
 			Cond: expr.Eq(expr.Column("u", "k"), expr.Column("l", "k")),
 		}},
-		{"right side of an upper nested loop", JoinNestedLoop, &algebra.Join{
+		{"right side of an upper nested loop", thetaJoin(&algebra.Join{
 			L: keyedValuesPlan("u", 6, 50), R: probe(),
 			Cond: expr.Eq(expr.Column("u", "k"), expr.Column("l", "k")),
-		}},
+		})},
 	}
 	same := func(t *testing.T, got, want []value.Row) {
 		t.Helper()
@@ -267,15 +266,15 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 		t.Run(tc.sink, func(t *testing.T) {
 			want, err := workload.RefEval(tc.plan, store, nil)
 			must(t, err)
-			one, err := Run(tc.plan, store, &Options{Join: tc.join})
+			one, err := Run(tc.plan, store, nil)
 			must(t, err)
 			if !sameMultiset(one.Rows, want) {
 				t.Fatalf("%d rows at one worker differ from the reference evaluator's %d", len(one.Rows), len(want))
 			}
 			for _, opts := range []*Options{
-				{Join: tc.join, Parallelism: 4},
-				{Join: tc.join, Vectorize: true},
-				{Join: tc.join, Vectorize: true, Parallelism: 4},
+				{Parallelism: 4},
+				{Vectorize: true},
+				{Vectorize: true, Parallelism: 4},
 			} {
 				got, err := Run(tc.plan, store, opts)
 				must(t, err)
@@ -284,34 +283,6 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 			}
 		})
 	}
-	// One run has one join strategy, so a merge join over a hash join's probe
-	// is put together by hand.
-	t.Run("merge-join input", func(t *testing.T) {
-		merged := func(par int, vectorize bool) []value.Row {
-			c := &compiler{store: store, opts: &Options{Join: JoinHash, Vectorize: vectorize}, par: par, clock: obs.Wall}
-			left, err := c.compile(probe())
-			must(t, err)
-			right, err := c.compile(keyedValuesPlan("u", 60, 50))
-			must(t, err)
-			rows, _, err := (&mergeJoinOp{
-				left: left.pipe, right: right.pipe, keys: []equiKey{{left: 0, right: 0}}, par: par, where: "merge",
-			}).open()
-			must(t, err)
-			return rows
-		}
-		want, err := workload.RefEval(&algebra.Join{
-			L: probe(), R: keyedValuesPlan("u", 60, 50),
-			Cond: expr.Eq(expr.Column("l", "k"), expr.Column("u", "k")),
-		}, store, nil)
-		must(t, err)
-		one := merged(1, false)
-		if !sameMultiset(one, want) {
-			t.Fatalf("%d rows at one worker differ from the reference evaluator's %d", len(one), len(want))
-		}
-		same(t, merged(4, false), one)
-		same(t, merged(1, true), one)
-		same(t, merged(4, true), one)
-	})
 }
 
 // TestLimitStopsTheSource: a bare LIMIT takes its input as one in-order chunk
@@ -356,10 +327,10 @@ func TestLimitStopsTheSource(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				plan := tc.plan(src)
-				full, err := Run(plan, store, &Options{Join: JoinHash, Parallelism: workers})
+				full, err := Run(plan, store, &Options{Parallelism: workers})
 				must(t, err)
 				col := obs.NewCollector()
-				got, err := Run(&algebra.Limit{Input: plan, N: n}, store, &Options{Join: JoinHash, Parallelism: workers, Vectorize: vectorize, Metrics: col})
+				got, err := Run(&algebra.Limit{Input: plan, N: n}, store, &Options{Parallelism: workers, Vectorize: vectorize, Metrics: col})
 				must(t, err)
 				if len(got.Rows) != n {
 					t.Fatalf("%d rows, want %d", len(got.Rows), n)

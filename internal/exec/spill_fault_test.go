@@ -47,7 +47,6 @@ func TestSpillOperatorDiskFaults(t *testing.T) {
 		{
 			name: "grace-hash-join",
 			plan: joinPlan(t, s),
-			opts: Options{Join: JoinHash},
 		},
 		// The same breakers over a columnar source: the streaming prefix stays
 		// in batches and the breaker takes the unrolled rows in order.
@@ -67,7 +66,7 @@ func TestSpillOperatorDiskFaults(t *testing.T) {
 		{
 			name: "grace-hash-join, vectorized",
 			plan: joinPlan(t, s),
-			opts: Options{Join: JoinHash, Vectorize: true},
+			opts: Options{Vectorize: true},
 		},
 	}
 	kinds := []fault.Kind{fault.DiskWriteFail, fault.DiskShortWrite, fault.DiskReadFail, fault.DiskCloseFail}
@@ -113,7 +112,7 @@ func TestSpillOperatorDiskFaults(t *testing.T) {
 				t.Fatalf("fault-free run leaked %d spill files", n)
 			}
 			// Spilling changes no row: the row engine's, with no budget at all.
-			unbudgeted, err := Run(tc.plan, s, &Options{Join: tc.opts.Join, Group: tc.opts.Group})
+			unbudgeted, err := Run(tc.plan, s, &Options{Group: tc.opts.Group})
 			must(t, err)
 			if !rowsEqual(ref.Rows, unbudgeted.Rows) {
 				t.Fatalf("the spilling run's %d rows are not the unbudgeted run's %d", len(ref.Rows), len(unbudgeted.Rows))

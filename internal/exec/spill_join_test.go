@@ -121,7 +121,7 @@ func TestRefusedSpillJoinCuts(t *testing.T) {
 					defer mgr.Cleanup()
 					metrics := obs.NewCollector()
 					res, err := Run(tc.plan, store, &Options{
-						Join: JoinHash, Parallelism: workers, Vectorize: vectorize,
+						Parallelism: workers, Vectorize: vectorize,
 						MemoryBudget: 512, Spill: mgr, Metrics: metrics,
 					})
 					must(t, err)

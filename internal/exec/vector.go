@@ -13,7 +13,7 @@
 //
 // Hash grouping takes batches as a sink (vector_group.go), the collection
 // materializes them; every other node — expression and DISTINCT projection,
-// nested-loop and merge joins, sorts, LIMIT, grouping a key-ordered stream,
+// the nested-loop join, sorts, LIMIT, grouping a key-ordered stream,
 // every spill-capable breaker — has only its row form, and the runner unrolls
 // the batch into one borrowed scratch row per logical row where the chain
 // reaches it (pipeOp.unroll). Everything above the first breaker is the row

@@ -11,16 +11,16 @@ package exec_test
 // a stable harness for hunting regressions in either source form.
 //
 // BenchmarkFigure1Row also carries the executor ablations. Under lazy/par1
-// it forces the other physical strategies (join=sort-merge,
-// join=nested-loop, group=sort; hash is the default run): the
-// transformation's win is not an artifact of one algorithm. Under
-// scale=100k it runs the eager plan at Employee 100000 x Department 1000
-// with three (group, join) pairs: the sort grouping leaves its output
-// ordered on the join column, so the merge join above skips its left-side
-// sort. Skipping that sort is real, but paying an N-row sort in the grouping
-// operator to get there loses to hashing the N rows — which is why the
-// executor streams only over an order it is handed and never sorts rows to
-// create one (DESIGN.md §19). Every run must return one row per department.
+// it runs the sort grouping (group=sort) and the nested loop (join=nested-loop:
+// the lazy plan's join spelled without an equi-key, workload.Theta) beside
+// the default hash grouping and hash join: the transformation's win is not
+// an artifact of one algorithm. Under scale=100k
+// it runs the eager plan at Employee 100000 x Department 1000 with hash and
+// with sort grouping over the hash join: the sort leaves the groups ordered,
+// but paying an N-row sort to get there loses to hashing the N rows — which
+// is why the executor streams only over an order it is handed and never
+// sorts rows to create one (DESIGN.md §19). Every run must return one row per
+// department.
 
 import (
 	"fmt"
@@ -91,29 +91,21 @@ func benchFigure1(b *testing.B, vectorize bool) (*storage.Store, algebra.Node) {
 
 func BenchmarkFigure1Row(b *testing.B) {
 	store, lazy := benchFigure1(b, false)
-	for _, s := range []struct {
-		name string
-		opts exec.Options
-	}{
-		{"join=sort-merge", exec.Options{Join: exec.JoinSortMerge}},
-		{"join=nested-loop", exec.Options{Join: exec.JoinNestedLoop}},
-		{"group=sort", exec.Options{Group: exec.GroupSort}},
-	} {
-		s.opts.Parallelism = 1
-		benchPlan(b, "lazy/par1/"+s.name, store, lazy, s.opts, 100)
-	}
+	benchPlan(b, "lazy/par1/group=sort", store, lazy, exec.Options{Group: exec.GroupSort, Parallelism: 1}, 100)
+	// A second Figure 1, its lazy plan's join respelled without an equi-key:
+	// the same rows through the nested loop.
+	store, theta, _ := figure1(b, 10000, 100)
+	algebra.Walk(theta, func(n algebra.Node) {
+		if j, ok := n.(*algebra.Join); ok {
+			j.Cond = workload.Theta(j.Cond)
+		}
+	})
+	benchPlan(b, "lazy/par1/join=nested-loop", store, theta, exec.Options{Parallelism: 1}, 100)
 
 	store, _, eager := figure1(b, 100000, 1000)
-	for _, s := range []struct {
-		group exec.GroupStrategy
-		join  exec.JoinStrategy
-	}{
-		{exec.GroupHash, exec.JoinHash},
-		{exec.GroupSort, exec.JoinSortMerge}, // the merge join's left sort exploited
-		{exec.GroupHash, exec.JoinSortMerge}, // ... and not
-	} {
-		benchPlan(b, fmt.Sprintf("scale=100k/eager/group=%s,join=%s", s.group, s.join), store, eager,
-			exec.Options{Group: s.group, Join: s.join, Parallelism: 1}, 1000)
+	for _, g := range []exec.GroupStrategy{exec.GroupHash, exec.GroupSort} {
+		benchPlan(b, fmt.Sprintf("scale=100k/eager/group=%s", g), store, eager,
+			exec.Options{Group: g, Parallelism: 1}, 1000)
 	}
 }
 

@@ -92,7 +92,6 @@ type Variant struct {
 	Transformed bool
 	Workers     int
 	Vectorize   bool
-	Join        exec.JoinStrategy
 	Group       exec.GroupStrategy
 	Nodes       int // 0 runs locally
 	Strategy    dist.Strategy
@@ -109,7 +108,7 @@ func (v Variant) String() string {
 	if v.Vectorize {
 		form = "vec"
 	}
-	s := fmt.Sprintf("%s/%s/%dw/join=%v/group=%v", plan, form, max(v.Workers, 1), v.Join, v.Group)
+	s := fmt.Sprintf("%s/%s/%dw/group=%v", plan, form, max(v.Workers, 1), v.Group)
 	if v.Nodes > 0 {
 		s += fmt.Sprintf("/%dn/%v", v.Nodes, v.Strategy)
 	}
@@ -127,7 +126,7 @@ func (v Variant) run(plans []algebra.Node, store *storage.Store, opts *exec.Opti
 	if v.Transformed {
 		plan = plans[1]
 	}
-	opts.Join, opts.Group, opts.Parallelism, opts.Vectorize, opts.MemoryBudget = v.Join, v.Group, v.Workers, v.Vectorize, v.Budget
+	opts.Group, opts.Parallelism, opts.Vectorize, opts.MemoryBudget = v.Group, v.Workers, v.Vectorize, v.Budget
 	if v.Nodes == 0 {
 		return exec.Run(plan, store, opts)
 	}
@@ -166,7 +165,6 @@ type Cell struct {
 	// combinations drawn at random. An empty axis is the zero Variant's value.
 	Workers    []int
 	Vectorize  []bool
-	Joins      []exec.JoinStrategy
 	Groups     []exec.GroupStrategy
 	Nodes      []int
 	Strategies []dist.Strategy
@@ -186,7 +184,6 @@ type Cell struct {
 }
 
 var (
-	allJoins      = []exec.JoinStrategy{exec.JoinAuto, exec.JoinHash, exec.JoinSortMerge, exec.JoinNestedLoop}
 	allGroups     = []exec.GroupStrategy{exec.GroupAuto, exec.GroupHash, exec.GroupSort}
 	allStrategies = []dist.Strategy{dist.StrategyAuto, dist.StrategyEager, dist.StrategyLazy}
 	bothForms     = []bool{false, true}
@@ -195,12 +192,12 @@ var (
 // Cells is the oracle matrix. A new cross-feature combination is one more row.
 var Cells = []Cell{
 	{Name: "reference", Seed: 42, Instances: 1500, Short: 200, Corpus: workload.RandomPlan,
-		Workers: []int{1, 3}, Joins: allJoins[1:], Groups: allGroups},
+		Workers: []int{1, 3}, Groups: allGroups},
 	{Name: "local", Seed: 19940301, Instances: 200, Short: 40, Corpus: workload.Draw, Pipelines: true,
-		Workers: []int{1, 2, 3, 4, 8}, Vectorize: bothForms, Joins: allJoins, Groups: allGroups,
+		Workers: []int{1, 2, 3, 4, 8}, Vectorize: bothForms, Groups: allGroups,
 		Compare: InOrder | Counts},
 	{Name: "chaos", Seed: 0xC4A05, Instances: 200, Short: 40, Corpus: workload.Draw, Draw: 1, Runs: 4,
-		Workers: []int{1, 4}, Vectorize: bothForms, Joins: allJoins, Groups: allGroups, Budgets: []int64{0, 0, -1 << 14},
+		Workers: []int{1, 4}, Vectorize: bothForms, Groups: allGroups, Budgets: []int64{0, 0, -1 << 14},
 		Faults: RowFaults, Compare: InOrder},
 	{Name: "spill", Seed: 0xD15C0AC, Instances: 200, Short: 40, Corpus: workload.Draw, Draw: 7,
 		Workers: []int{1, 4}, Vectorize: bothForms, Budgets: []int64{-8 << 10, 64 << 10, 0},
@@ -242,15 +239,12 @@ func axis[T any](vals []T, set func(*Variant, T)) []func(*Variant) {
 }
 
 // axes lists the cell's axes for one query's plans, the plan first: the
-// standard plan and, when there is one, the transformed. A strategy for a
-// node the plans do not hold changes nothing, so its axis keeps one value; so
-// does every strategy of a rename, which tests the hand-over above an input
-// whose strategies the corpus sweeps without the rename.
+// standard plan and, when there is one, the transformed. A group strategy on
+// plans without a GroupBy changes nothing, so its axis keeps one value; so
+// does a rename's, which tests the hand-over above an input whose strategies
+// the corpus sweeps without the rename.
 func (c *Cell) axes(plans []algebra.Node, rename bool) [][]func(*Variant) {
-	joins, groups := c.Joins, c.Groups
-	if rename || !holds(plans, func(n algebra.Node) bool { _, j := n.(*algebra.Join); _, p := n.(*algebra.Product); return j || p }) {
-		joins = joins[:min(len(joins), 1)]
-	}
+	groups := c.Groups
 	if rename || !holds(plans, func(n algebra.Node) bool { _, ok := n.(*algebra.GroupBy); return ok }) {
 		groups = groups[:min(len(groups), 1)]
 	}
@@ -258,7 +252,6 @@ func (c *Cell) axes(plans []algebra.Node, rename bool) [][]func(*Variant) {
 		axis([]bool{false, true}[:len(plans)], func(v *Variant, x bool) { v.Transformed = x }),
 		axis(c.Workers, func(v *Variant, x int) { v.Workers = x }),
 		axis(c.Vectorize, func(v *Variant, x bool) { v.Vectorize = x }),
-		axis(joins, func(v *Variant, x exec.JoinStrategy) { v.Join = x }),
 		axis(groups, func(v *Variant, x exec.GroupStrategy) { v.Group = x }),
 		axis(c.Nodes, func(v *Variant, x int) { v.Nodes = x }),
 		axis(c.Strategies, func(v *Variant, x dist.Strategy) { v.Strategy = x }),
@@ -690,7 +683,7 @@ func (t *trial) check(v Variant, rows []value.Row, col *obs.Collector, schedule 
 		return t.reference(v, rows, schedule)
 	}
 	plan := t.plan(v)
-	base, err := t.base(Variant{Transformed: v.Transformed, Join: v.Join, Group: v.Group})
+	base, err := t.base(Variant{Transformed: v.Transformed, Group: v.Group})
 	if err != nil {
 		return err
 	}
@@ -708,7 +701,7 @@ func (t *trial) check(v Variant, rows []value.Row, col *obs.Collector, schedule 
 	})
 	var one *outcome
 	if t.in.Rename {
-		if one, err = t.base(Variant{Transformed: v.Transformed, Vectorize: v.Vectorize, Join: v.Join, Group: v.Group}); err != nil {
+		if one, err = t.base(Variant{Transformed: v.Transformed, Vectorize: v.Vectorize, Group: v.Group}); err != nil {
 			return err
 		}
 		if got, want := col.Lookup(plan).Batches.Load(), one.col.Lookup(plan).Batches.Load(); got != want {

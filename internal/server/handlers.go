@@ -267,7 +267,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
 }
 
 // writeJSON answers with one of the small fixed-shape bodies; a query
-// response goes through appendQueryResponse instead.
+// response is encoded by responseBody instead.
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -187,9 +187,8 @@ func Templates(r *rand.Rand) []Instance {
 
 // pipelineTemplates are the templates whose plans above one worker are
 // pipelines of several stages ending in each kind of sink — partial group
-// tables, and the collection behind the result, a sort, a TopK, DISTINCT, a
-// merge join's inputs and a join's build side (the join strategy decides
-// which) — and the four renames, over each input whose rows a collection
+// tables, and the collection behind the result, a sort, a TopK, DISTINCT and a
+// join's build side — and the four renames, over each input whose rows a collection
 // takes as they lie: a hash group's finished rows and a stored table (renames
 // the optimizer makes), DISTINCT's survivors and a TopK's buffer (renames put
 // over the optimizer's plan). Dim is joined twice for the three-table shapes.
@@ -213,7 +212,7 @@ func pipelineTemplates(r *rand.Rand) []Instance {
 		// probe → root, unordered: the collection itself
 		{Query: fmt.Sprintf(`SELECT F.FID, D.Label
 		 FROM Fact F, Dim D WHERE F.DimID = D.DimID AND F.V < %d`, cut)},
-		// nested loop (no equi-key under any strategy) → group
+		// nested loop (no equi-key) → group
 		{Query: `SELECT D.DimID, COUNT(*), SUM(F.V)
 		 FROM Fact F, Dim D WHERE F.V < D.DimID
 		 GROUP BY D.DimID`},
@@ -238,8 +237,9 @@ func pipelineTemplates(r *rand.Rand) []Instance {
 
 // RandomPlan is one instance of the corpus's hand-built half: two tiny tables
 // L(a, b) and R(c, d) full of NULLs and duplicates, and a random plan over
-// them — a scan or an equi-join (with a residual or not), maybe filtered, under
-// a group, a projection, a DISTINCT projection or nothing.
+// them — a scan, an equi-join (with a residual or not) or the same join spelled
+// without an equi-key (Theta), maybe filtered, under a group, a projection, a
+// DISTINCT projection or nothing.
 func RandomPlan(r *rand.Rand) ([]Instance, error) {
 	s := storage.NewStore(schema.NewCatalog())
 	l := &schema.Table{Name: "L", Columns: []schema.Column{{Name: "a", Type: value.KindInt}, {Name: "b", Type: value.KindInt}}}
@@ -278,12 +278,14 @@ func RandomPlan(r *rand.Rand) ([]Instance, error) {
 	}
 	var plan algebra.Node = scan(l)
 	equi := expr.Eq(expr.Column("L", "a"), expr.Column("R", "c"))
-	switch r.Intn(3) {
+	switch r.Intn(4) {
 	case 1:
 		plan = &algebra.Join{L: plan, R: scan(rt), Cond: equi}
 	case 2:
 		plan = &algebra.Join{L: plan, R: scan(rt), Cond: expr.And(equi,
 			expr.NewBinary(expr.OpGt, expr.Column("L", "b"), expr.IntLit(0)))}
+	case 3:
+		plan = &algebra.Join{L: plan, R: scan(rt), Cond: Theta(equi)}
 	}
 	if r.Intn(2) == 0 {
 		plan = &algebra.Select{Input: plan,
@@ -300,4 +302,19 @@ func RandomPlan(r *rand.Rand) ([]Instance, error) {
 			Items: []algebra.ProjItem{{E: expr.Column("L", "a"), As: expr.ColumnID{Name: "a"}}}}
 	}
 	return []Instance{{Store: s, Plan: plan}}, nil
+}
+
+// Theta spells an equi-join condition without an equi-key: each column =
+// column conjunct x = y becomes x <= y AND x >= y. That holds on exactly the
+// rows x = y holds on, NULLs included, but is no equality atom, so the
+// executor joins by nested loop where it would have hashed.
+func Theta(cond expr.Expr) expr.Expr {
+	conj := expr.Conjuncts(cond)
+	for i, c := range conj {
+		if expr.ClassifyAtom(c).Class == expr.AtomColCol {
+			eq := c.(*expr.Binary)
+			conj[i] = expr.And(expr.NewBinary(expr.OpLe, eq.L, eq.R), expr.NewBinary(expr.OpGe, eq.L, eq.R))
+		}
+	}
+	return expr.And(conj...)
 }
