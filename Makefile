@@ -1,5 +1,5 @@
 # Development entry points. `make check` is the full gate, and it runs each
-# test once: vet, the custom static analyzers (gbj-lint), build, every test in
+# test once: gofmt, vet, the custom static analyzers (gbj-lint), build, every test in
 # the module under the race detector (race: the whole oracle matrix, the
 # model checker, the certificate re-derivation, the plan-verifier suite, the
 # concurrent-execution and query-service oracles), the cluster legs again at
@@ -17,9 +17,15 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet lint plancheck modelcheck verify-certs build test race sites chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench bench-smoke loc
+.PHONY: check fmt vet lint plancheck modelcheck verify-certs build test race sites chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench bench-smoke loc
 
-check: vet lint build race sites fuzz bench-smoke
+check: fmt vet lint build race sites fuzz bench-smoke
+
+# Every Go file is gofmt-clean, except the analyzers' fixtures under
+# testdata/, some of which are malformed on purpose (ignorescope is one line).
+fmt:
+	@out=$$(gofmt -l . | grep -Ev '(^|/)testdata/'); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -146,6 +152,8 @@ serve-oracle:
 
 # Each fuzz target needs its own invocation (go test allows one -fuzz
 # pattern per package run). -run=^$ skips the regular tests.
+# FuzzCanonical holds the plan-cache key to re-parsing to the query's own
+# tree, so distinct queries never share a cached plan.
 # FuzzRepartitionPermutation holds the cluster's shuffle to a permutation of
 # its input. The last two are the service boundary: the query response's hand-written encoder and
 # decoder held to encoding/json (DESIGN.md §17.5), and arbitrary request
@@ -155,6 +163,7 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzTestFD -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzLex -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzCanonical -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/expr -run '^$$' -fuzz FuzzLikeMatch -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vec -run '^$$' -fuzz FuzzGroupKeyVector -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzEagerCert -fuzztime $(FUZZTIME)
@@ -189,8 +198,10 @@ fuzz:
 # par2, the wide one also under a cancellable context and streamed to a
 # consumer (exec.Stream) — and
 # BenchmarkGovernorTick, the per-row governance check on one goroutine and on
-# two sharing a governor; internal/storage: BenchmarkInsert, 48 000
-# four-column rows under a primary key; internal/dist: BenchmarkRowBytes);
+# two sharing a governor; the root package: BenchmarkPlanCacheHit, a cached
+# Example 1 query end to end, and BenchmarkConvertResult; internal/storage:
+# BenchmarkInsert, 48 000 four-column rows under a primary key;
+# internal/dist: BenchmarkRowBytes);
 # and the wire encoding of §17.5 (internal/server:
 # BenchmarkEncodeQueryResponse, BenchmarkDecodeQueryResponse, each beside the
 # encoding/json path it replaced, and BenchmarkHandleQuery, a served SELECT

@@ -17,68 +17,68 @@ import (
 // NULL); without it, records must match the table's declaration order.
 // Returns the number of rows inserted; the first failing row aborts the
 // load with its line number.
-func (e *Engine) LoadCSV(table string, r io.Reader, header bool) (int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	def, err := e.store.Catalog().Table(table)
-	if err != nil {
-		return 0, err
-	}
-	reader := csv.NewReader(r)
-	reader.FieldsPerRecord = -1
-
-	positions := make([]int, 0, len(def.Columns))
-	line := 0
-	if header {
-		record, err := reader.Read()
+func (e *Engine) LoadCSV(table string, r io.Reader, header bool) (inserted int, err error) {
+	err = e.write(func() error {
+		def, err := e.store.Catalog().Table(table)
 		if err != nil {
-			return 0, fmt.Errorf("gbj: reading CSV header: %w", err)
+			return err
 		}
-		line++
-		for _, name := range record {
-			idx := def.ColumnIndex(strings.TrimSpace(name))
-			if idx < 0 {
-				return 0, fmt.Errorf("gbj: CSV header names unknown column %q of %s", name, table)
-			}
-			positions = append(positions, idx)
-		}
-	} else {
-		for i := range def.Columns {
-			positions = append(positions, i)
-		}
-	}
+		reader := csv.NewReader(r)
+		reader.FieldsPerRecord = -1
 
-	inserted := 0
-	for {
-		record, err := reader.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return inserted, fmt.Errorf("gbj: reading CSV line %d: %w", line+1, err)
-		}
-		line++
-		if len(record) != len(positions) {
-			return inserted, fmt.Errorf("gbj: CSV line %d has %d fields, want %d", line, len(record), len(positions))
-		}
-		row := make(value.Row, len(def.Columns))
-		for i := range row {
-			row[i] = value.Null
-		}
-		for i, field := range record {
-			col := def.Columns[positions[i]]
-			v, err := parseCSVField(field, col.Type)
+		positions := make([]int, 0, len(def.Columns))
+		line := 0
+		if header {
+			record, err := reader.Read()
 			if err != nil {
-				return inserted, fmt.Errorf("gbj: CSV line %d, column %s: %w", line, col.Name, err)
+				return fmt.Errorf("gbj: reading CSV header: %w", err)
 			}
-			row[positions[i]] = v
+			line++
+			for _, name := range record {
+				idx := def.ColumnIndex(strings.TrimSpace(name))
+				if idx < 0 {
+					return fmt.Errorf("gbj: CSV header names unknown column %q of %s", name, table)
+				}
+				positions = append(positions, idx)
+			}
+		} else {
+			for i := range def.Columns {
+				positions = append(positions, i)
+			}
 		}
-		if err := e.store.Insert(table, row); err != nil {
-			return inserted, fmt.Errorf("gbj: CSV line %d: %w", line, err)
+
+		for {
+			record, err := reader.Read()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return fmt.Errorf("gbj: reading CSV line %d: %w", line+1, err)
+			}
+			line++
+			if len(record) != len(positions) {
+				return fmt.Errorf("gbj: CSV line %d has %d fields, want %d", line, len(record), len(positions))
+			}
+			row := make(value.Row, len(def.Columns))
+			for i := range row {
+				row[i] = value.Null
+			}
+			for i, field := range record {
+				col := def.Columns[positions[i]]
+				v, err := parseCSVField(field, col.Type)
+				if err != nil {
+					return fmt.Errorf("gbj: CSV line %d, column %s: %w", line, col.Name, err)
+				}
+				row[positions[i]] = v
+			}
+			if err := e.store.Insert(table, row); err != nil {
+				return fmt.Errorf("gbj: CSV line %d: %w", line, err)
+			}
+			inserted++
 		}
-		inserted++
-	}
-	return inserted, nil
+		return nil
+	})
+	return inserted, err
 }
 
 // parseCSVField converts one CSV field to the column's type.

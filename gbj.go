@@ -93,9 +93,8 @@ type Engine struct {
 	fallbacks atomic.Int64
 
 	// planCache, when non-nil (SetPlanCacheSize), memoizes plan selection
-	// keyed by (canonical AST, store epoch, planInputs); cacheStats counts
-	// its traffic. Guarded by mu; the cache itself is internally
-	// synchronized.
+	// keyed by the canonical query; write empties it. cacheStats counts its
+	// traffic. Guarded by mu; the cache itself is internally synchronized.
 	planCache  *core.PlanCache
 	cacheStats obs.CacheStats
 
@@ -110,28 +109,21 @@ type Engine struct {
 	recovery     dist.RecoveryStats
 }
 
-// planInputs is every setting plan selection reads. It is comparable and
-// rendered whole into the plan-cache key (planKey), so a field added here
-// is part of the key without further wiring.
-type planInputs struct {
+// settings is the engine's configuration: what plan selection reads plus
+// what only execution reads. QueryOptions overrides apply to a by-value
+// copy (with), never to the engine's own value.
+type settings struct {
 	mode         Mode
 	parallelism  int
 	vectorize    bool
 	nodes        int // 0 and 1 both mean single-site
 	shards       int // 0 means one shard per node, rounded up to a power of two
 	distStrategy DistStrategy
-}
-
-// settings is the engine's configuration: what plan selection reads plus
-// what only execution reads. QueryOptions overrides apply to a by-value
-// copy (with), never to the engine's own value.
-type settings struct {
-	planInputs
-	memBudget   int64
-	spillDir    string
-	clock       obs.Clock
-	linkRetries int
-	faults      *fault.Injector
+	memBudget    int64
+	spillDir     string
+	clock        obs.Clock
+	linkRetries  int
+	faults       *fault.Injector
 	// serial is QueryOptions.Serial, kept beside the worker count it zeroes
 	// because a cluster run sheds one thing more: its sites running at once.
 	serial bool
@@ -169,20 +161,19 @@ func NewWithStore(store *storage.Store) *Engine {
 	return &Engine{store: store, opt: opt}
 }
 
-// update is the one way a setting changes: under the write lock it applies
-// set, mirrors the fields the optimizer and cost model read into
-// core.Optimizer, and clears the plan cache so no cached plan outlives the
-// settings it was chosen under. The cached cluster needs no invalidation
-// here: clusterFor compares its shape and epoch on every use.
+// update is the one way a setting changes: a write that applies set and
+// mirrors the fields the optimizer and cost model read into
+// core.Optimizer. The cached cluster needs no invalidation here:
+// clusterFor compares its shape and epoch on every use.
 func (e *Engine) update(set func(*settings)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	set(&e.set)
-	e.opt.Mode = e.set.mode
-	e.opt.Parallelism = e.set.parallelism
-	e.opt.Vectorize = e.set.vectorize
-	e.opt.Nodes = e.set.nodes
-	e.invalidatePlans()
+	e.write(func() error {
+		set(&e.set)
+		e.opt.Mode = e.set.mode
+		e.opt.Parallelism = e.set.parallelism
+		e.opt.Vectorize = e.set.vectorize
+		e.opt.Nodes = e.set.nodes
+		return nil
+	})
 }
 
 // SetMode selects the optimizer mode.
@@ -332,15 +323,14 @@ func (e *Engine) Exec(text string) error {
 	if err != nil {
 		return err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, stmt := range stmts {
-		if err := e.execStmt(stmt); err != nil {
-			return err
+	return e.write(func() error {
+		for _, stmt := range stmts {
+			if err := e.execStmt(stmt); err != nil {
+				return err
+			}
 		}
-	}
-	e.invalidatePlans()
-	return nil
+		return nil
+	})
 }
 
 // MustExec runs Exec and panics on error; for setup code whose statements
@@ -360,32 +350,22 @@ func (e *Engine) execStmt(stmt sql.Stmt) error {
 		}
 		return e.store.CreateTable(def)
 	case *sql.CreateDomainStmt:
-		if err := e.store.Catalog().AddDomain(&schema.Domain{
+		return e.store.Catalog().AddDomain(&schema.Domain{
 			Name:  s.Name,
 			Type:  s.Type,
 			Check: s.Check,
-		}); err != nil {
-			return err
-		}
-		// Domain/view DDL goes straight to the catalog; bump the store
-		// epoch by hand so epoch-keyed caches observe the change.
-		e.store.BumpEpoch()
-		return nil
+		})
 	case *sql.CreateViewStmt:
 		// Validate the definition by binding it now.
 		if _, err := core.NewPlanner(e.store).Bind(s.Query); err != nil {
 			return fmt.Errorf("gbj: invalid view %s: %w", s.Name, err)
 		}
-		if err := e.store.Catalog().AddView(&schema.View{
+		return e.store.Catalog().AddView(&schema.View{
 			Name:    s.Name,
 			Text:    s.Text,
 			Def:     s.Query,
 			Columns: s.Columns,
-		}); err != nil {
-			return err
-		}
-		e.store.BumpEpoch()
-		return nil
+		})
 	case *sql.InsertStmt:
 		return e.execInsert(s)
 	case *sql.SelectStmt:

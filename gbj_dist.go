@@ -132,7 +132,7 @@ func (e *Engine) SetDistStrategy(st DistStrategy) {
 
 // clusterFor returns the cluster for the current topology and data,
 // rebuilding it when the topology or the store's epoch has moved on since
-// it was built (any DDL/DML bumps the epoch). Callers hold mu (read), which
+// it was built (every table write bumps the epoch). Callers hold mu (read), which
 // keeps writers out while the store is partitioned; distMu serializes the
 // rebuild so concurrent queries share one partitioning pass.
 func (e *Engine) clusterFor() (*dist.Cluster, error) {

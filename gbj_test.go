@@ -16,7 +16,7 @@ import (
 )
 
 // newExample1Engine builds the paper's Example 1 database via the SQL API.
-func newExample1Engine(t *testing.T) *Engine {
+func newExample1Engine(t testing.TB) *Engine {
 	t.Helper()
 	e := New()
 	if err := e.Exec(`

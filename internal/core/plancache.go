@@ -1,12 +1,10 @@
 package core
 
 // PlanCache is the bounded LRU behind the engine's plan cache. It maps an
-// opaque key — the engine builds it from (canonical AST, catalog epoch,
-// engine mode) — to an opaque planned value. The cache itself knows
-// nothing about plans: eviction order, the capacity bound and the obs
-// counters live here; certificate re-verification of hits stays with the
-// engine, which is the only layer that can see both the cached plan and
-// the live catalog.
+// opaque key — the engine uses the canonical query text — to an opaque
+// planned value. The cache itself knows nothing about plans: eviction
+// order, the capacity bound and the obs counters live here; keeping entries
+// fresh stays with the engine, which clears the cache on every write.
 //
 // All methods are safe for concurrent use; every session's lookups go
 // through one shared instance.
@@ -85,17 +83,6 @@ func (c *PlanCache) Put(key string, val any) {
 	}
 }
 
-// Drop removes one entry (a hit whose certificates failed re-verification;
-// the engine records the rejection on the stats separately).
-func (c *PlanCache) Drop(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.Remove(el)
-		delete(c.entries, key)
-	}
-}
-
 // Clear empties the cache and records one invalidation.
 func (c *PlanCache) Clear() {
 	c.mu.Lock()
@@ -111,6 +98,3 @@ func (c *PlanCache) Len() int {
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
-
-// Stats returns the shared counters.
-func (c *PlanCache) Stats() *obs.CacheStats { return c.stats }

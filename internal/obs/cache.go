@@ -12,12 +12,8 @@ type CacheStats struct {
 	misses atomic.Int64
 	// evictions counts entries dropped by the LRU bound.
 	evictions atomic.Int64
-	// rejected counts cache hits discarded because the hit's certificates
-	// failed re-verification (plancheck.CrossCheck) against the current
-	// catalog — the "stale certificate never executes" guarantee firing.
-	rejected atomic.Int64
-	// invalidations counts whole-cache clears (DDL/DML epoch bumps and
-	// engine-mode flips).
+	// invalidations counts whole-cache clears: one per engine write (DDL,
+	// DML, a CSV load, a setter) while the cache is on.
 	invalidations atomic.Int64
 }
 
@@ -30,9 +26,6 @@ func (s *CacheStats) Miss() { s.misses.Add(1) }
 // Evict records an LRU eviction.
 func (s *CacheStats) Evict() { s.evictions.Add(1) }
 
-// Reject records a hit discarded after certificate re-verification failed.
-func (s *CacheStats) Reject() { s.rejected.Add(1) }
-
 // Invalidate records a whole-cache clear.
 func (s *CacheStats) Invalidate() { s.invalidations.Add(1) }
 
@@ -41,7 +34,6 @@ type CacheSnapshot struct {
 	Hits          int64 `json:"hits"`
 	Misses        int64 `json:"misses"`
 	Evictions     int64 `json:"evictions"`
-	Rejected      int64 `json:"rejected"`
 	Invalidations int64 `json:"invalidations"`
 }
 
@@ -51,7 +43,6 @@ func (s *CacheStats) Snapshot() CacheSnapshot {
 		Hits:          s.hits.Load(),
 		Misses:        s.misses.Load(),
 		Evictions:     s.evictions.Load(),
-		Rejected:      s.rejected.Load(),
 		Invalidations: s.invalidations.Load(),
 	}
 }

@@ -157,7 +157,7 @@ func TestTracerJSONDeterministic(t *testing.T) {
 	if err := json.Unmarshal(b, &spans); err != nil {
 		t.Fatalf("unmarshal: %v\n%s", err, b)
 	}
-	if len(spans) != 1 || spans[0].Name != "Sort" || spans[0].DurationNs != (5 * time.Millisecond).Nanoseconds() {
+	if len(spans) != 1 || spans[0].Name != "Sort" || spans[0].DurationNs != (5*time.Millisecond).Nanoseconds() {
 		t.Fatalf("root span wrong: %s", b)
 	}
 	if len(spans[0].Children) != 2 || spans[0].Children[0].Name != "GroupBy" {

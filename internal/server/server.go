@@ -12,8 +12,8 @@
 //     with the smaller budget; only a saturated queue or an expired
 //     admission deadline turns into a typed *AdmissionError (HTTP 429).
 //   - The engine's plan cache (enabled via Config.PlanCacheSize) memoizes
-//     plan selection across sessions; /v1/stats exposes its hit/miss/
-//     rejection counters.
+//     plan selection across sessions; /v1/stats exposes its hit, miss,
+//     eviction and invalidation counters.
 //   - Shutdown cancels the server's root context, which every in-flight
 //     request context is joined to — running queries abort within one
 //     scheduling quantum, their spill files are swept by the per-query

@@ -53,6 +53,18 @@ func TestCanonicalSeparatesDistinctQueries(t *testing.T) {
 		"SELECT a FROM (SELECT a FROM t) s",
 		"SELECT t.* FROM t, u",
 		"SELECT * FROM t, u",
+		// An embedded quote, a delimited identifier, a subquery, operator
+		// nesting and a float with no fraction once rendered alike.
+		"SELECT 'a', 'b' FROM t",
+		"SELECT 'a'', ''b' FROM t",
+		"SELECT a, b FROM t",
+		`SELECT "a, b" FROM t`,
+		"SELECT a FROM t WHERE a IN (SELECT b FROM u)",
+		"SELECT a FROM t WHERE a IN (SELECT c FROM u)",
+		"SELECT a - b - c FROM t",
+		"SELECT a - (b - c) FROM t",
+		"SELECT 1 FROM t",
+		"SELECT 1.0 FROM t",
 	}
 	seen := make(map[string]string)
 	for _, text := range queries {

@@ -1,6 +1,11 @@
 package sql
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/value"
+)
 
 // FuzzParse checks the lexer and parser never panic and that accepted
 // SELECT statements round-trip through a second parse of the raw input
@@ -47,4 +52,90 @@ func FuzzLex(f *testing.F) {
 			t.Fatalf("lexing %q did not end with EOF", input)
 		}
 	})
+}
+
+// FuzzCanonical holds the plan-cache key to injectivity: for any text that
+// parses as a SELECT, the canonical form parses back to the same tree, and
+// canonicalizes to itself. Two distinct trees therefore never share a key.
+func FuzzCanonical(f *testing.F) {
+	seeds := []string{
+		"SELECT 'a'', ''b', 'it''s' FROM t",
+		`SELECT "a, b", "x""y", "select", "" FROM "T T" AS "from"`,
+		"SELECT a FROM t WHERE a IN (SELECT b FROM u) AND NOT EXISTS (SELECT c FROM v)",
+		"SELECT a FROM t HAVING COUNT(*) > (SELECT MAX(v) FROM u)",
+		"SELECT s.a FROM (SELECT a FROM t) s WHERE s.a NOT IN (1, -2, 3.5)",
+		"SELECT a - (b - c), -(a * (b + c)), 1.0, -0.0, 1e30, :p FROM t",
+		"SELECT a FROM t WHERE NOT a = 1 OR (b BETWEEN 1 AND 2 AND c NOT LIKE 'x%') OR d IS NOT NULL",
+		"SELECT DISTINCT COUNT(DISTINCT a), SUM(a + b) AS total FROM t GROUP BY t.c ORDER BY total DESC LIMIT 5",
+		// The benchmark's serve_mixed reads over its hr schema.
+		"SELECT d.DeptID, d.Name, COUNT(e.EmpID), SUM(e.Salary) FROM Emp e, Dept d WHERE (e.DeptID = d.DeptID) GROUP BY d.DeptID, d.Name ORDER BY DeptID",
+		"SELECT DeptID, COUNT(EmpID) FROM Emp WHERE Salary >= 0 GROUP BY DeptID ORDER BY DeptID",
+		"SELECT COUNT(id), SUM(val), SUM(grp) FROM kv WHERE id > 0",
+		"SELECT d.Name, MAX(e.Salary), MIN(e.Salary) FROM Emp e, Dept d WHERE e.DeptID = d.DeptID GROUP BY d.Name",
+		"SELECT e.EmpID, e.Salary, d.Name FROM Emp e, Dept d WHERE (e.DeptID = d.DeptID) AND (e.Salary > 1450)",
+		"select grp, count(id), sum(val) from kv where id > 0 group by grp order by grp",
+		"SELECT d.DeptID, AVG(e.Salary) FROM Emp e, Dept d WHERE e.DeptID = d.DeptID AND d.DeptID < 6 GROUP BY d.DeptID",
+		"SELECT EmpID, Salary FROM Emp WHERE Salary > 1400 AND DeptID = 3 ORDER BY EmpID",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		q, err := ParseQuery(input)
+		if err != nil {
+			return
+		}
+		c := Canonical(q)
+		back, err := ParseQuery(c)
+		if err != nil {
+			t.Fatalf("canonical form of %q does not parse: %q: %v", input, c, err)
+		}
+		if !sameTree(reflect.ValueOf(q), reflect.ValueOf(back)) {
+			t.Fatalf("canonical form of %q parses to another tree: %q", input, c)
+		}
+		if c2 := Canonical(back); c2 != c {
+			t.Fatalf("canonical form of %q is not a fixed point: %q -> %q", input, c, c2)
+		}
+	})
+}
+
+var valueType = reflect.TypeOf(value.Value{})
+
+// sameTree compares two parsed trees field by field. Literal values compare
+// by kind and content: a string value holds a pointer into the text it was
+// parsed from, so reflect.DeepEqual would tell two parses apart.
+func sameTree(a, b reflect.Value) bool {
+	if a.Kind() != b.Kind() || a.Type() != b.Type() {
+		return false
+	}
+	if a.Type() == valueType {
+		x, y := a.Interface().(value.Value), b.Interface().(value.Value)
+		return x.Kind() == y.Kind() && x.String() == y.String()
+	}
+	switch a.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameTree(a.Elem(), b.Elem())
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameTree(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameTree(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	default:
+		return a.Interface() == b.Interface()
+	}
 }

@@ -103,18 +103,13 @@ func TestSnapshotRejectsWrites(t *testing.T) {
 	}
 }
 
-// DDL that bypasses the store (CREATE DOMAIN / CREATE VIEW) still bumps
-// the epoch through BumpEpoch, and snapshots don't see the new objects.
+// DDL that bypasses the store (CREATE DOMAIN / CREATE VIEW) reaches the
+// live catalog, and snapshots don't see the new objects.
 func TestSnapshotCatalogIsolation(t *testing.T) {
 	s := snapshotStore(t)
 	snap := s.Snapshot()
-	before := s.Epoch()
 	if err := s.Catalog().AddView(&schema.View{Name: "v", Text: "SELECT 1"}); err != nil {
 		t.Fatalf("add view: %v", err)
-	}
-	s.BumpEpoch()
-	if s.Epoch() != before+1 {
-		t.Fatalf("BumpEpoch: epoch %d, want %d", s.Epoch(), before+1)
 	}
 	if snap.Catalog().View("v") != nil {
 		t.Fatal("snapshot catalog sees view created after capture")

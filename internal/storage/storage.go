@@ -85,14 +85,14 @@ func (t *Table) Columnar() []*vec.Batch {
 
 // Store is the collection of all table instances, backed by a catalog.
 //
-// The store is versioned: every write (CreateTable, Insert, any DDL noted
-// through BumpEpoch) bumps a monotonic epoch, and Snapshot returns a frozen
-// point-in-time view that later writes can never change. Writes are
-// copy-on-write at table granularity — Insert publishes a fresh *Table
-// value instead of mutating the published one — so a snapshot taken
-// mid-stream keeps serving the exact multiset it captured. This is the
-// snapshot-isolation substrate the server's queries-vs-DML concurrency is
-// built on, and the epoch is the plan cache's invalidation clock.
+// The store is versioned: every table write (CreateTable, Insert) bumps a
+// monotonic epoch, and Snapshot returns a frozen point-in-time view that
+// later writes can never change. Writes are copy-on-write at table
+// granularity — Insert publishes a fresh *Table value instead of mutating
+// the published one — so a snapshot taken mid-stream keeps serving the
+// exact multiset it captured. This is the snapshot-isolation substrate the
+// server's queries-vs-DML concurrency is built on, and the epoch is the
+// engine's cluster-cache clock.
 type Store struct {
 	catalog *schema.Catalog
 	tables  map[string]*Table
@@ -101,7 +101,7 @@ type Store struct {
 	// are immutable after construction, so their reads need no lock — but
 	// taking the read lock there too keeps the invariant trivially safe.
 	mu sync.RWMutex
-	// epoch counts writes; a snapshot records the epoch it captured.
+	// epoch counts table writes; a snapshot records the epoch it captured.
 	epoch atomic.Uint64
 	// frozen marks a snapshot: every write is rejected.
 	frozen bool
@@ -124,19 +124,11 @@ func NewStore(catalog *schema.Catalog) *Store {
 // Catalog returns the store's catalog.
 func (s *Store) Catalog() *schema.Catalog { return s.catalog }
 
-// Epoch returns the store's write counter. Any INSERT, CREATE TABLE or
-// BumpEpoch call advances it; two equal epochs from the same store are a
-// guarantee of identical contents.
+// Epoch returns the store's table-write counter. Any INSERT or CREATE
+// TABLE advances it; two equal epochs from the same store are a guarantee
+// of identical tables. Domains and views go straight to the catalog and
+// leave it alone: a partitioning of the tables is all it dates.
 func (s *Store) Epoch() uint64 { return s.epoch.Load() }
-
-// BumpEpoch advances the epoch without changing table data. The engine
-// calls it for DDL that bypasses the store (CREATE DOMAIN / CREATE VIEW go
-// straight to the catalog) so epoch-keyed caches still observe the change.
-func (s *Store) BumpEpoch() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.epoch.Add(1)
-}
 
 // Frozen reports whether the store is a read-only snapshot.
 func (s *Store) Frozen() bool { return s.frozen }

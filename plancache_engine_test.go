@@ -1,13 +1,15 @@
 package gbj
 
 // Plan-cache correctness at the engine level: the invalidation matrix
-// (DML epoch bumps, mode flips, spill-dir change) proving no stale plan is
-// ever served, and the certificate re-vetting gate proving a cached plan
-// whose TestFD certificate no longer derives from the catalog is rejected
-// before execution.
+// (every kind of engine write — DDL, DML, a CSV load, a script, a failed
+// Exec, each setter — empties the cache) proving no stale plan is ever
+// served, the canonical key keeping distinct queries apart, and the
+// verification gate proving a plan whose TestFD certificate does not
+// survive verification is never cached.
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -104,6 +106,27 @@ func TestPlanCacheInvalidationMatrix(t *testing.T) {
 	expectFresh("second DML epoch bump", func() {
 		e.MustExec(`INSERT INTO Employee VALUES (9, 'G', 'G', 2)`)
 	}, 3)
+	expectFresh("CREATE DOMAIN", func() {
+		e.MustExec(`CREATE DOMAIN Positive INTEGER CHECK VALUE > 0`)
+	}, 3)
+	expectFresh("CREATE VIEW", func() {
+		e.MustExec(`CREATE VIEW Sales AS SELECT E.EmpID FROM Employee E WHERE E.DeptID = 1`)
+	}, 3)
+	expectFresh("LoadCSV", func() {
+		if _, err := e.LoadCSV("Employee", strings.NewReader("10,H,H,1\n"), false); err != nil {
+			t.Fatal(err)
+		}
+	}, 4)
+	expectFresh("RunScript INSERT", func() {
+		if err := e.RunScript(`INSERT INTO Employee VALUES (11, 'I', 'I', 1)`, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}, 5)
+	expectFresh("Exec failing after its INSERT landed", func() {
+		if err := e.Exec(`INSERT INTO Employee VALUES (12, 'J', 'J', 1); INSERT INTO NoSuch VALUES (1)`); err == nil {
+			t.Fatal("Exec into a missing table succeeded")
+		}
+	}, 6)
 
 	if s := e.PlanCacheStats(); s.Invalidations == 0 {
 		t.Fatalf("no whole-cache invalidations recorded: %+v", s)
@@ -113,10 +136,10 @@ func TestPlanCacheInvalidationMatrix(t *testing.T) {
 // A plan whose certificate does not survive verification never executes.
 // Chosen under the tamper hook, which truncates the certified GA1+ column
 // list exactly like a real staleness bug would, the query fails
-// verification and nothing is cached. A cached plan whose certificate no
-// longer survives independent re-derivation is rejected at hit time and
-// re-planned; the engine caches only verified plans, so that entry is
-// planted by hand.
+// verification and nothing is cached. The engine caches only verified
+// plans, so the second half plants a poisoned entry by hand: the next
+// write empties the cache, and the query re-plans with a clean
+// certificate.
 func TestPlanCacheRejectsTamperedCertificate(t *testing.T) {
 	e := newExample1Engine(t)
 	e.SetPlanCacheSize(16)
@@ -141,35 +164,102 @@ func TestPlanCacheRejectsTamperedCertificate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.mu.Lock()
-	key := e.planKey(q)
-	v, ok := e.planCache.Get(key)
-	if !ok {
-		e.mu.Unlock()
-		t.Fatal("the cold run left no cache entry")
+	key := sql.Canonical(q)
+	cached := func() planChoice {
+		t.Helper()
+		v, ok := e.planCache.Get(key)
+		if !ok {
+			t.Fatal("no cache entry for the query")
+		}
+		return v.(planChoice)
 	}
-	pc := v.(planChoice)
+	pc := cached()
+	clean := len(pc.certs[0].GroupCols)
 	tampered := *pc.certs[0]
 	tampered.GroupCols = tampered.GroupCols[:len(tampered.GroupCols)-1]
 	pc.certs = []*plancheck.Certificate{&tampered}
 	e.planCache.Put(key, pc)
-	e.mu.Unlock()
 
-	// The next lookup hits the poisoned entry, re-vets it through
-	// plancheck.CrossCheck, rejects it, and re-plans cleanly.
-	got := queryCounts(t, e)
-	s := e.PlanCacheStats()
-	if s.Rejected != 1 {
-		t.Fatalf("tampered certificate not rejected: %+v", s)
+	// A write in between: the poisoned entry is gone, the query misses,
+	// re-plans and caches a certificate with the full GA1+ again.
+	e.MustExec(`CREATE DOMAIN Positive INTEGER CHECK VALUE > 0`)
+	misses := e.PlanCacheStats().Misses
+	if got := queryCounts(t, e); got[1] != 2 || got[2] != 3 || got[3] != 1 {
+		t.Fatalf("post-write rows wrong: %v", got)
 	}
-	if got[1] != 2 || got[2] != 3 || got[3] != 1 {
-		t.Fatalf("post-rejection rows wrong: %v", got)
+	if s := e.PlanCacheStats(); s.Misses != misses+1 {
+		t.Fatalf("the planted entry survived a write: %+v", s)
 	}
+	if got := len(cached().certs[0].GroupCols); got != clean {
+		t.Fatalf("re-planned certificate has %d GA1+ columns, want %d", got, clean)
+	}
+}
 
-	// The replacement entry is clean: it now hits without rejection.
-	_ = queryCounts(t, e)
-	s2 := e.PlanCacheStats()
-	if s2.Rejected != 1 || s2.Hits <= s.Hits {
-		t.Fatalf("replacement entry not served: before %+v after %+v", s, s2)
+// Queries that differ only where the canonical key once rendered them
+// alike — an embedded quote, a delimited identifier holding a comma, a
+// subquery, the nesting of an arithmetic operator, a float literal with no
+// fraction — keep separate cache entries and return their own rows.
+func TestPlanCacheSeparatesLookalikeQueries(t *testing.T) {
+	e := New()
+	e.MustExec(`CREATE TABLE t ("a, b" INTEGER, a INTEGER, b INTEGER);
+		CREATE TABLE u (c INTEGER);
+		INSERT INTO t VALUES (1, 2, 3);
+		INSERT INTO u VALUES (2), (9)`)
+	pairs := [][2]string{
+		{`SELECT 'a', 'b' FROM t`, `SELECT 'a'', ''b' FROM t`},
+		{`SELECT a, b FROM t`, `SELECT "a, b" FROM t`},
+		{`SELECT a FROM t WHERE a IN (SELECT c FROM u)`, `SELECT a FROM t WHERE a IN (SELECT c + 1 FROM u)`},
+		{`SELECT a - b - 1 FROM t`, `SELECT a - (b - 1) FROM t`},
+		{`SELECT 1 FROM t`, `SELECT 1.0 FROM t`},
+	}
+	run := func(q string) string {
+		t.Helper()
+		res, err := e.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		var b strings.Builder
+		for _, row := range res.Rows {
+			fmt.Fprintf(&b, "%T%v", row[0], row)
+		}
+		return b.String()
+	}
+	for _, p := range pairs {
+		want := [2]string{run(p[0]), run(p[1])}
+		if want[0] == want[1] {
+			t.Fatalf("pair %q does not tell its queries apart: both %s", p, want[0])
+		}
+		e.SetPlanCacheSize(16)
+		for i, q := range p {
+			if got := run(q); got != want[i] {
+				t.Errorf("%s with the cache on: %s, want %s", q, got, want[i])
+			}
+		}
+		if n := e.PlanCacheLen(); n != 2 {
+			t.Errorf("pair %q: %d cache entries, want 2", p, n)
+		}
+		e.SetPlanCacheSize(0)
+	}
+}
+
+// BenchmarkPlanCacheHit is a served Example 1 query whose plan comes from
+// the cache: parse, key, lookup, snapshot and execution over the seven-row
+// tables, with no planning.
+func BenchmarkPlanCacheHit(b *testing.B) {
+	e := newExample1Engine(b)
+	e.SetPlanCacheSize(16)
+	if _, err := e.Query(example1Query); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.Query(example1Query)
+		if err != nil || len(res.Rows) != 3 {
+			b.Fatalf("rows %v, err %v", res, err)
+		}
+	}
+	if s := e.PlanCacheStats(); s.Misses != 1 {
+		b.Fatalf("hits were re-planned: %+v", s)
 	}
 }

@@ -44,10 +44,7 @@ func (e *Engine) RunScriptContext(ctx context.Context, text string, w io.Writer)
 			}
 			fmt.Fprintln(w, text)
 		default:
-			e.mu.Lock()
-			err := e.execStmt(stmt)
-			e.mu.Unlock()
-			if err != nil {
+			if err := e.write(func() error { return e.execStmt(stmt) }); err != nil {
 				return err
 			}
 		}
