@@ -6,7 +6,7 @@
 # one and at four processors (sites), a short run of every fuzz target, and
 # one iteration of every benchmark (bench-smoke). The oracle matrix is
 # TestMatrix in internal/plancheck/modelcheck, one subtest per cell of
-# modelcheck.Cells: every run's rows against workload.RefEval (DESIGN.md §5).
+# modelcheck.Cells: every run's rows against workload.RefEval (DESIGN.md §7.1).
 # The named slices below — plancheck, modelcheck, verify-certs, chaos,
 # dist-oracle, recovery-oracle, spill-oracle, serve-oracle — re-run parts of
 # race on their own, for working on one of them. Nothing here times anything:
@@ -17,9 +17,24 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check fmt vet lint plancheck modelcheck verify-certs build test race sites chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench bench-smoke loc
+.PHONY: check docs fmt vet lint plancheck modelcheck verify-certs build test race sites chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench bench-smoke loc
 
-check: fmt vet lint build race sites fuzz bench-smoke
+check: docs fmt vet lint build race sites fuzz bench-smoke
+
+# DESIGN.md stays at most 700 lines, and every "DESIGN.md §N" cited in a Go
+# file, this Makefile, README.md or EXPERIMENTS.md names one of its numbered
+# headings. CHANGES.md and ROADMAP.md are history and are not scanned.
+docs:
+	@n=$$(wc -l < DESIGN.md); \
+	if [ $$n -gt 700 ]; then echo "DESIGN.md is $$n lines, over 700"; exit 1; fi
+	@bad=0; \
+	for s in $$( { grep -rhoE --include='*.go' 'DESIGN\.md §[0-9]+(\.[0-9]+)*' . ; \
+		grep -hoE 'DESIGN\.md §[0-9]+(\.[0-9]+)*' Makefile README.md EXPERIMENTS.md; } | \
+		sed 's/.*§//' | sort -u); do \
+		re=$$(echo "$$s" | sed 's/\./\\./g'); \
+		grep -qE "^#+ $$re[. ]" DESIGN.md || { echo "DESIGN.md has no §$$s"; bad=1; }; \
+	done; \
+	exit $$bad
 
 # Every Go file is gofmt-clean, except the analyzers' fixtures under
 # testdata/, some of which are malformed on purpose (ignorescope is one line).
@@ -145,7 +160,7 @@ spill-oracle:
 # chaos test (clean typed errors, zero leaked goroutines, zero live
 # spill files); plus the store's snapshot tests, since a writer appends into
 # the slab pages and the key index that live snapshots' rows share
-# (concurrent readers against a writer). See DESIGN.md §17.
+# (concurrent readers against a writer). See DESIGN.md §6.
 serve-oracle:
 	$(GO) test -race ./internal/server -run 'TestServeOracleDifferential|TestShutdownMidQueryChaos|TestAdmit'
 	$(GO) test -race ./internal/storage -run TestSnapshot
@@ -156,7 +171,7 @@ serve-oracle:
 # tree, so distinct queries never share a cached plan.
 # FuzzRepartitionPermutation holds the cluster's shuffle to a permutation of
 # its input. The last two are the service boundary: the query response's hand-written encoder and
-# decoder held to encoding/json (DESIGN.md §17.5), and arbitrary request
+# decoder held to encoding/json (DESIGN.md §6.3), and arbitrary request
 # bodies through the real mux — a well-formed response or a row of the
 # status table, never a panic or a leaked goroutine.
 fuzz:
@@ -176,16 +191,20 @@ fuzz:
 # paper's figures, examples and sweeps are `gbj-bench` (EXPERIMENTS.md).
 # Among them: the paper's Figure 1 (internal/exec: BenchmarkFigure1Row /
 # BenchmarkFigure1Vec, the lazy and the eager plan at par1 and par2 — the
-# row-vs-batch decision of §13.5, and the only timing of the batch form above
-# one worker —, under Row also the nested loop, the lazy plan's join spelled
-# without an equi-key, forced sort grouping and, at 100 000 employees, the
-# eager plan grouped by hash and by sort); the decision procedure
-# (internal/core: BenchmarkTestFD, and BenchmarkPredicateExpansion, the §6.3
-# ablation); the grouping decision of DESIGN.md §19 (internal/exec:
+# row-vs-batch decision of DESIGN.md §4.7, and the only timing of the batch
+# form above one worker —, under Row also the nested loop, the lazy plan's
+# join spelled without an equi-key, forced sort grouping and, at 100 000
+# employees, the eager plan grouped by hash and by sort); the front end
+# (internal/sql: BenchmarkLex, BenchmarkParse and BenchmarkCanonical, over
+# Example 1 and serve_mixed's eight reads); the decision procedure
+# (internal/core: BenchmarkTestFD, and BenchmarkPredicateExpansion, the
+# paper's §6.3 ablation) and the plan cache (BenchmarkPlanCacheGet, a hit and
+# a miss among 64 canonical keys); the spill codec (internal/exec:
+# BenchmarkSpillCodec, one row written and read back); the grouping decision of DESIGN.md §4.4 (internal/exec:
 # BenchmarkOrderByOverGrouping, GroupAuto vs forced GroupSort in the row and
 # the columnar source form, the latter also at two workers, and
 # BenchmarkSortRowsStable, the sort kernel alone); the row representation of
-# §19.1 (internal/value: BenchmarkConcat, BenchmarkAppendGroupKey,
+# DESIGN.md §4.9 (internal/value: BenchmarkConcat, BenchmarkAppendGroupKey,
 # BenchmarkCompare; internal/exec: BenchmarkHashGroupSerial, one cluster
 # fragment's join-then-group, BenchmarkGroupTable, the group table alone —
 # all inserts, all hits at 10 and 1 000 groups, two partials absorbed —,
@@ -202,7 +221,7 @@ fuzz:
 # Example 1 query end to end, and BenchmarkConvertResult; internal/storage:
 # BenchmarkInsert, 48 000 four-column rows under a primary key;
 # internal/dist: BenchmarkRowBytes);
-# and the wire encoding of §17.5 (internal/server:
+# and the wire encoding of DESIGN.md §6.3 (internal/server:
 # BenchmarkEncodeQueryResponse, BenchmarkDecodeQueryResponse, each beside the
 # encoding/json path it replaced, and BenchmarkHandleQuery, a served SELECT
 # through the handler, serve_wide's two reads).

@@ -1,6 +1,7 @@
 package gbj
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -10,7 +11,7 @@ import (
 	"repro/internal/obs"
 )
 
-// The golden tests lock down the byte-exact output of ExplainAnalyze: the
+// The golden tests lock down the byte-exact output of EXPLAIN ANALYZE: the
 // plan tree with actual row counts, the cost model's estimates and per-node
 // q-errors, and the calibration summary. Timings are deterministic because
 // the engine runs under an injected obs.FakeClock (every clock read advances
@@ -23,16 +24,17 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden files")
 
-// analyzeGolden runs ExplainAnalyze under a fake clock and compares the
-// output byte-for-byte against testdata/<name>.golden.
+// analyzeGolden renders query's analysis under a fake clock, as EXPLAIN
+// ANALYZE displays it, and compares it byte-for-byte against
+// testdata/<name>.golden.
 func analyzeGolden(t *testing.T, e *Engine, name, query string) {
 	t.Helper()
 	e.SetClock(obs.NewFakeClock(time.Unix(0, 0), time.Millisecond))
-	got, err := e.ExplainAnalyze(query)
+	a, err := e.QueryAnalyzedContext(context.Background(), query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareGolden(t, name, []byte(got))
+	compareGolden(t, name, []byte(a.String()))
 }
 
 func compareGolden(t *testing.T, name string, got []byte) {
@@ -100,7 +102,7 @@ func TestExplainAnalyzeGoldenTrace(t *testing.T) {
 	e := newExample1Engine(t)
 	e.SetMode(ModeAlways)
 	e.SetClock(obs.NewFakeClock(time.Unix(0, 0), time.Millisecond))
-	a, err := e.QueryAnalyzed(example1Query)
+	a, err := e.QueryAnalyzedContext(context.Background(), example1Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

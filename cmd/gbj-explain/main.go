@@ -116,7 +116,7 @@ func main() {
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
 			defer cancel()
 		}
-		a, err := engine.QueryAnalyzedContext(ctx, query)
+		a, err := engine.QueryAnalyzedContext(ctx, query, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

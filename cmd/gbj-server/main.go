@@ -73,7 +73,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "gbj-server:", err)
 			os.Exit(1)
 		}
-		if err := engine.RunScript(string(data), os.Stdout); err != nil {
+		if err := engine.RunScriptContext(context.Background(), string(data), os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "gbj-server: init script %s: %v\n", *initFile, err)
 			os.Exit(1)
 		}

@@ -87,7 +87,7 @@ func runConnectedStatement(c *server.Client, stmt string) error {
 	defer done()
 	start := time.Now()
 	if isQueryText(stmt) {
-		res, err := c.Query(ctx, stmt, nil)
+		res, err := c.QueryDetail(ctx, stmt, nil)
 		if err != nil {
 			return err
 		}

@@ -134,7 +134,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := engine.RunScript(string(data), os.Stdout); err != nil {
+		if err := engine.RunScriptContext(context.Background(), string(data), os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -223,7 +223,7 @@ func handleCommand(engine *gbj.Engine, cmd string) bool {
 	case `\analyze`:
 		query := strings.TrimSpace(strings.TrimPrefix(cmd, `\analyze`))
 		ctx, done := queryContext()
-		a, err := engine.QueryAnalyzedContext(ctx, strings.TrimSuffix(query, ";"))
+		a, err := engine.QueryAnalyzedContext(ctx, strings.TrimSuffix(query, ";"), nil)
 		done()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
@@ -233,7 +233,7 @@ func handleCommand(engine *gbj.Engine, cmd string) bool {
 	case `\stats`:
 		query := strings.TrimSpace(strings.TrimPrefix(cmd, `\stats`))
 		ctx, done := queryContext()
-		a, err := engine.QueryAnalyzedContext(ctx, strings.TrimSuffix(query, ";"))
+		a, err := engine.QueryAnalyzedContext(ctx, strings.TrimSuffix(query, ";"), nil)
 		done()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)

@@ -1,6 +1,7 @@
 package gbj
 
 import (
+	"context"
 	"encoding/csv"
 	"errors"
 	"io"
@@ -29,7 +30,7 @@ func TestLoadCSVPositional(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("inserted %d rows, want 3", n)
 	}
-	res, err := e.Query(`SELECT T.id, T.name, T.score, T.active FROM T ORDER BY id`)
+	res, err := e.QueryOptionsContext(context.Background(), `SELECT T.id, T.name, T.score, T.active FROM T ORDER BY id`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestLoadCSVWithHeader(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("inserted %d rows, want 2", n)
 	}
-	res, err := e.Query(`SELECT T.id, T.name, T.score FROM T ORDER BY id`)
+	res, err := e.QueryOptionsContext(context.Background(), `SELECT T.id, T.name, T.score FROM T ORDER BY id`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +100,14 @@ func TestLoadCSVErrors(t *testing.T) {
 
 func TestExplainAnalyze(t *testing.T) {
 	e := newExample1Engine(t)
-	text, err := e.ExplainAnalyze(example1Query)
+	a, err := e.QueryAnalyzedContext(context.Background(), example1Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	text := a.String()
 	for _, want := range []string{"rows", "GroupBy", "(3 rows)"} {
 		if !strings.Contains(text, want) {
-			t.Errorf("ExplainAnalyze missing %q:\n%s", want, text)
+			t.Errorf("EXPLAIN ANALYZE missing %q:\n%s", want, text)
 		}
 	}
 }
@@ -152,7 +154,7 @@ func TestLoadCSVMidFileReadError(t *testing.T) {
 		t.Errorf("inserted count = %d, want the 2 rows loaded before the fault", n)
 	}
 	// The rows that made it in are queryable.
-	res, qerr := e.Query(`SELECT T.id FROM T ORDER BY id`)
+	res, qerr := e.QueryOptionsContext(context.Background(), `SELECT T.id FROM T ORDER BY id`, nil)
 	if qerr != nil || len(res.Rows) != 2 {
 		t.Errorf("rows after aborted load: %v (err %v), want 2", res, qerr)
 	}

@@ -62,7 +62,7 @@ func TestEngineDistributedOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(71994))
 	for i := 0; i < iterations; i++ {
 		e, query := buildEngineInstance(t, r)
-		local, err := e.Query(query)
+		local, err := e.QueryOptionsContext(context.Background(), query, nil)
 		if err != nil {
 			t.Fatalf("iteration %d local: %v\nquery: %s", i, err, query)
 		}
@@ -74,7 +74,7 @@ func TestEngineDistributedOracle(t *testing.T) {
 			if err := e.SetNodes(nodes); err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.Query(query)
+			got, err := e.QueryOptionsContext(context.Background(), query, nil)
 			if err != nil {
 				t.Fatalf("iteration %d nodes=%d: %v\nquery: %s", i, nodes, err, query)
 			}
@@ -128,7 +128,7 @@ func TestEngineDistributedEagerShipsFewer(t *testing.T) {
 	var rows [][]string
 	for _, s := range []DistStrategy{DistEager, DistLazy} {
 		e.SetDistStrategy(s)
-		a, err := e.QueryAnalyzed(example1Query)
+		a, err := e.QueryAnalyzedContext(context.Background(), example1Query, nil)
 		if err != nil {
 			t.Fatalf("strategy %v: %v", s, err)
 		}
@@ -181,12 +181,12 @@ func TestEngineDistributedInsertInvalidatesCluster(t *testing.T) {
 	if err := e.SetNodes(4); err != nil {
 		t.Fatal(err)
 	}
-	before, err := e.Query(`SELECT COUNT(E.EmpID) FROM Employee E`)
+	before, err := e.QueryOptionsContext(context.Background(), `SELECT COUNT(E.EmpID) FROM Employee E`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.MustExec(`INSERT INTO Employee VALUES (9999, 1)`)
-	after, err := e.Query(`SELECT COUNT(E.EmpID) FROM Employee E`)
+	after, err := e.QueryOptionsContext(context.Background(), `SELECT COUNT(E.EmpID) FROM Employee E`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestQueryOptionsBudgetHonouredDistributed(t *testing.T) {
 		if !errors.As(err, &re) {
 			t.Errorf("nodes=%d: 1-byte per-query budget returned %v, want *ResourceError", nodes, err)
 		}
-		if _, err := e.Query(example1Query); err != nil {
+		if _, err := e.QueryOptionsContext(context.Background(), example1Query, nil); err != nil {
 			t.Errorf("nodes=%d: the per-query budget leaked into the next query: %v", nodes, err)
 		}
 
@@ -252,7 +252,7 @@ func TestDistributedQueryDoesNotBlockWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.SetDistStrategy(DistEager)
-	before, err := e.Query(example1Query)
+	before, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestDistributedQueryDoesNotBlockWriter(t *testing.T) {
 	}
 	parked := make(chan answer, 1)
 	go func() {
-		res, err := e.Query(example1Query)
+		res, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
 		parked <- answer{res, err}
 	}()
 	select {
@@ -302,14 +302,14 @@ func TestDistributedQueryDoesNotBlockWriter(t *testing.T) {
 	}
 
 	e.SetFaultInjector(nil)
-	after, err := e.Query(example1Query)
+	after, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e.SetNodes(1); err != nil {
 		t.Fatal(err)
 	}
-	local, err := e.Query(example1Query)
+	local, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,14 +353,14 @@ func TestClusterEstimatesCountTheSites(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.SetDistStrategy(DistEager)
-	a, err := e.QueryAnalyzed(example1Query)
+	a, err := e.QueryAnalyzedContext(context.Background(), example1Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Calibration.MaxQError != 1 {
 		t.Errorf("max q-error %.2f on exact estimates, want 1.00:\n%s", a.Calibration.MaxQError, a)
 	}
-	a, err = e.QueryAnalyzed(`SELECT E.EmpID, D.Name FROM Employee E, Department D WHERE E.DeptID = D.DeptID`)
+	a, err = e.QueryAnalyzedContext(context.Background(), `SELECT E.EmpID, D.Name FROM Employee E, Department D WHERE E.DeptID = D.DeptID`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestRootGatherCountsItsRows(t *testing.T) {
 	if err := e.SetNodes(4); err != nil {
 		t.Fatal(err)
 	}
-	a, err := e.QueryAnalyzed(`SELECT E.EmpID, D.Name FROM Employee E, Department D WHERE E.DeptID = D.DeptID`)
+	a, err := e.QueryAnalyzedContext(context.Background(), `SELECT E.EmpID, D.Name FROM Employee E, Department D WHERE E.DeptID = D.DeptID`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package gbj
 // showing the recovery counters under the fake clock.
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ import (
 func recoveryExample(t *testing.T) (*Engine, []string) {
 	t.Helper()
 	e := example1Engine(t, 200, 8)
-	local, err := e.Query(example1Query)
+	local, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestEngineRetriedQueryMatchesLocal(t *testing.T) {
 	// Probe the fault-free run to confirm the plan ships at all.
 	probe := fault.New(nil)
 	e.SetFaultInjector(probe)
-	res, err := e.Query(example1Query)
+	res, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
 	if err != nil {
 		t.Fatalf("fault-free distributed run: %v", err)
 	}
@@ -62,7 +63,7 @@ func TestEngineRetriedQueryMatchesLocal(t *testing.T) {
 		{Tick: 1, Kind: fault.LinkDrop},
 		{Tick: 2, Kind: fault.LinkDrop},
 	}).WithClock(obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)))
-	res, err = e.Query(example1Query)
+	res, err = e.QueryOptionsContext(context.Background(), example1Query, nil)
 	if err != nil {
 		t.Fatalf("bounded drops inside the retry budget failed the query: %v", err)
 	}
@@ -91,7 +92,7 @@ func TestEngineDegradesToLocal(t *testing.T) {
 	e.SetFaultInjector(fault.NewLinkSchedule(storm))
 	fallbacksBefore := e.Fallbacks()
 
-	res, err := e.Query(example1Query)
+	res, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
 	if err != nil {
 		t.Fatalf("query failed instead of degrading to local execution: %v", err)
 	}
@@ -109,7 +110,7 @@ func TestEngineDegradesToLocal(t *testing.T) {
 }
 
 // TestEngineDegradedAnalyzeExplains: the same degradation through
-// QueryAnalyzed — the analysis must describe the local re-run and carry
+// QueryAnalyzedContext — the analysis must describe the local re-run and carry
 // the degradation line, so EXPLAIN ANALYZE never silently hides that the
 // cluster was abandoned.
 func TestEngineDegradedAnalyzeExplains(t *testing.T) {
@@ -123,7 +124,7 @@ func TestEngineDegradedAnalyzeExplains(t *testing.T) {
 	}
 	e.SetFaultInjector(fault.NewLinkSchedule(storm))
 
-	a, err := e.QueryAnalyzed(example1Query)
+	a, err := e.QueryAnalyzedContext(context.Background(), example1Query, nil)
 	if err != nil {
 		t.Fatalf("analyze failed instead of degrading: %v", err)
 	}

@@ -109,7 +109,7 @@ func TestConcurrentEngineMixedTraffic(t *testing.T) {
 	}
 
 	// Quiesced: the final count must equal everything inserted.
-	res, err := e.Query(`SELECT COUNT(id) FROM kv`)
+	res, err := e.QueryOptionsContext(context.Background(), `SELECT COUNT(id) FROM kv`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

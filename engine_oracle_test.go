@@ -1,6 +1,7 @@
 package gbj
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -43,7 +44,7 @@ func TestEngineModeOracle(t *testing.T) {
 			for _, cfg := range engineConfigs {
 				e.SetVectorize(cfg.vectorize)
 				e.SetParallelism(cfg.parallelism)
-				res, err := e.Query(query)
+				res, err := e.QueryOptionsContext(context.Background(), query, nil)
 				if err != nil {
 					t.Fatalf("iteration %d (mode %v, %s): %v\nquery: %s", i, mode, cfg.name, err, query)
 				}

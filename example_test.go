@@ -1,6 +1,7 @@
 package gbj_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -20,12 +21,12 @@ func Example() {
 		INSERT INTO Department VALUES (1, 'Sales'), (2, 'Eng');
 		INSERT INTO Employee VALUES (1, 1), (2, 1), (3, 2)`)
 
-	res, err := e.Query(`
+	res, err := e.QueryOptionsContext(context.Background(), `
 		SELECT D.DeptID, D.Name, COUNT(E.EmpID)
 		FROM Employee E, Department D
 		WHERE E.DeptID = D.DeptID
 		GROUP BY D.DeptID, D.Name
-		ORDER BY DeptID`)
+		ORDER BY DeptID`, nil)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -78,25 +79,25 @@ func ExampleEngine_SetMode() {
 	const q = `SELECT D.id, COUNT(E.id) FROM E, D WHERE E.d = D.id GROUP BY D.id`
 
 	e.SetMode(gbj.ModeAlways) // group before join
-	r1, _ := e.Query(q)
+	r1, _ := e.QueryOptionsContext(context.Background(), q, nil)
 	e.SetMode(gbj.ModeNever) // group after join
-	r2, _ := e.Query(q)
+	r2, _ := e.QueryOptionsContext(context.Background(), q, nil)
 	fmt.Println(len(r1.Rows) == len(r2.Rows))
 	// Output:
 	// true
 }
 
-// ExampleEngine_QueryParams binds host variables (the paper's H set).
-func ExampleEngine_QueryParams() {
+// ExampleEngine_QueryOptionsContext binds host variables (the paper's H set).
+func ExampleEngine_QueryOptionsContext() {
 	e := gbj.New()
 	e.MustExec(`
 		CREATE TABLE UserAccount (
 			UserId INTEGER, Machine CHARACTER(20),
 			PRIMARY KEY (UserId, Machine));
 		INSERT INTO UserAccount VALUES (1, 'dragon'), (2, 'tiger')`)
-	res, err := e.QueryParams(
+	res, err := e.QueryOptionsContext(context.Background(),
 		`SELECT U.UserId FROM UserAccount U WHERE U.Machine = :m`,
-		map[string]any{"m": "dragon"})
+		&gbj.QueryOptions{Params: map[string]any{"m": "dragon"}})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -176,7 +177,7 @@ func Example_example3() {
 		return
 	}
 	printDecision(plan)
-	res, err := e.Query(query)
+	res, err := e.QueryOptionsContext(context.Background(), query, nil)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -212,7 +213,7 @@ func Example_example5() {
 		return
 	}
 	printDecision(plan)
-	res, err := e.Query(query)
+	res, err := e.QueryOptionsContext(context.Background(), query, nil)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -264,7 +265,7 @@ func Example_derivedTable() {
 		return
 	}
 	printDecision(plan)
-	res, err := e.Query(query)
+	res, err := e.QueryOptionsContext(context.Background(), query, nil)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -309,7 +310,7 @@ func Example_figure8() {
 		return
 	}
 	printDecision(plan)
-	res, err := e.Query(query)
+	res, err := e.QueryOptionsContext(context.Background(), query, nil)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -11,7 +11,7 @@
 //	e.MustExec(`CREATE TABLE Department (DeptID INTEGER PRIMARY KEY, Name CHARACTER(30))`)
 //	e.MustExec(`CREATE TABLE Employee (EmpID INTEGER PRIMARY KEY, DeptID INTEGER)`)
 //	// ... INSERT data ...
-//	res, err := e.Query(`
+//	res, err := e.QueryOptionsContext(ctx, `
 //	    SELECT D.DeptID, D.Name, COUNT(E.EmpID)
 //	    FROM Employee E, Department D
 //	    WHERE E.DeptID = D.DeptID
@@ -217,9 +217,9 @@ func (e *Engine) SetVectorize(on bool) {
 // optimizer chose the eager group-before-join plan, the engine degrades
 // gracefully: it re-executes the lazy group-after-join plan once (eager
 // aggregation trades memory for speed; the lazy plan is the conservative
-// shape), counts the event in Fallbacks, and surfaces it in ExplainAnalyze.
-// Only when the lazy plan also exceeds the budget does the query fail, with
-// a *ResourceError.
+// shape), counts the event in Fallbacks, and surfaces it in the query's
+// analysis (QueryAnalyzedContext). Only when the lazy plan also exceeds the
+// budget does the query fail, with a *ResourceError.
 func (e *Engine) SetMemoryBudget(bytes int64) {
 	e.update(func(s *settings) { s.memBudget = bytes })
 }
@@ -369,7 +369,7 @@ func (e *Engine) execStmt(stmt sql.Stmt) error {
 	case *sql.InsertStmt:
 		return e.execInsert(s)
 	case *sql.SelectStmt:
-		return fmt.Errorf("gbj: use Query for SELECT statements")
+		return fmt.Errorf("gbj: use QueryOptionsContext for SELECT statements")
 	case *sql.ExplainStmt:
 		return fmt.Errorf("gbj: use Explain for EXPLAIN statements")
 	default:
@@ -455,35 +455,16 @@ func (e *Engine) execInsert(s *sql.InsertStmt) error {
 	return nil
 }
 
-// Query parses, optimizes and executes a SELECT statement.
-func (e *Engine) Query(text string) (*Result, error) {
-	return e.QueryParamsContext(context.Background(), text, nil)
-}
-
-// QueryContext is Query under a context: cancelling the context or passing
-// one with a deadline aborts the query promptly (within one scheduling
-// quantum of every worker), joins all goroutines, and returns the context's
-// error.
+// QueryContext is QueryOptionsContext with no per-query options.
 func (e *Engine) QueryContext(ctx context.Context, text string) (*Result, error) {
-	return e.QueryParamsContext(ctx, text, nil)
-}
-
-// QueryParams executes a SELECT with host-variable bindings (":name"
-// references in the query text). Values may be int/int64, float64, string,
-// bool, or nil.
-func (e *Engine) QueryParams(text string, params map[string]any) (*Result, error) {
-	return e.QueryParamsContext(context.Background(), text, params)
-}
-
-// QueryParamsContext is QueryParams under a context.
-func (e *Engine) QueryParamsContext(ctx context.Context, text string, params map[string]any) (*Result, error) {
-	return e.QueryOptionsContext(ctx, text, &QueryOptions{Params: params})
+	return e.QueryOptionsContext(ctx, text, nil)
 }
 
 // QueryOptions carries per-query execution options. The zero value means
 // "use the engine's settings".
 type QueryOptions struct {
-	// Params are host-variable bindings (":name" references).
+	// Params are host-variable bindings (":name" references). Values may be
+	// int/int64, float64, string, bool, or nil.
 	Params map[string]any
 	// MemoryBudget, when > 0, overrides the engine's per-query budget for
 	// this query only — the admission controller leases budgets from a
@@ -499,18 +480,25 @@ type QueryOptions struct {
 	Serial bool
 }
 
-// QueryOptionsContext executes a SELECT with per-query options. Plan
-// selection happens under the engine's read lock (through the plan cache
-// when enabled); execution then runs against a store snapshot — or, with
-// more than one node, the cluster partitioned from it — with the lock
-// released, so concurrent DML neither blocks on this query nor changes the
-// rows it sees.
+// QueryOptionsContext parses, optimizes and executes a SELECT with
+// per-query options (nil means the engine's settings). Plan selection
+// happens under the engine's read lock, through the plan cache; execution
+// then runs against a store snapshot — or, with more than one node, the
+// cluster partitioned from it — with the lock released, so concurrent DML
+// neither blocks on this query nor changes the rows it sees. Cancelling ctx
+// or passing one with a deadline aborts the query promptly (within one
+// scheduling quantum of every worker), joins all goroutines, and returns the
+// context's error.
 func (e *Engine) QueryOptionsContext(ctx context.Context, text string, o *QueryOptions) (*Result, error) {
 	q, err := sql.ParseQuery(text)
 	if err != nil {
 		return nil, err
 	}
-	return e.querySelect(ctx, q, o)
+	out, err := e.query(ctx, q, o, false, nil)
+	if err != nil {
+		return nil, err
+	}
+	return convertResult(out.res), nil
 }
 
 // RowSink takes a query's rows as the answering rung's plan emits them
@@ -535,39 +523,27 @@ func (e *Engine) QueryStreamContext(ctx context.Context, text string, o *QueryOp
 	if err != nil {
 		return err
 	}
-	_, err = e.queryRows(ctx, q, o, sink)
+	_, err = e.query(ctx, q, o, false, sink)
 	return err
 }
 
-// querySelect runs a parsed SELECT uninstrumented and converts its rows.
-func (e *Engine) querySelect(ctx context.Context, q *sql.SelectStmt, o *QueryOptions) (*Result, error) {
-	res, err := e.queryRows(ctx, q, o, nil)
-	if err != nil {
-		return nil, err
-	}
-	return convertResult(res), nil
-}
-
-// queryRows runs a parsed SELECT uninstrumented down the execution ladder
-// and returns the rows of the rung that answered — or, given a sink, hands
-// them to it.
-func (e *Engine) queryRows(ctx context.Context, q *sql.SelectStmt, o *QueryOptions, sink RowSink) (*exec.Result, error) {
+// query is the one path every SELECT entry takes: convert the host
+// variables, prepare the plan and snapshot, run the execution ladder. It
+// returns what the answering rung ran — with its rows, or with them handed
+// to sink.
+func (e *Engine) query(ctx context.Context, q *sql.SelectStmt, o *QueryOptions, instrument bool, sink RowSink) (outcome, error) {
 	var params expr.Params
 	if o != nil {
 		var err error
 		if params, err = convertParams(o.Params); err != nil {
-			return nil, err
+			return outcome{}, err
 		}
 	}
 	p, err := e.prepare(q, o, params)
 	if err != nil {
-		return nil, err
+		return outcome{}, err
 	}
-	out, err := e.run(ctx, &p, false, sink)
-	if err != nil {
-		return nil, err
-	}
-	return out.res, nil
+	return e.run(ctx, &p, instrument, sink)
 }
 
 // prepared is everything one query captures under the engine's read lock;
@@ -755,7 +731,7 @@ func canFallBack(err error, pc planChoice) bool {
 }
 
 // fallbackReason renders the one-line account of a budget degradation that
-// ExplainAnalyze and the metrics surface report.
+// EXPLAIN ANALYZE and the metrics surface report.
 func fallbackReason(err error) string {
 	var se *exec.SpillError
 	if errors.As(err, &se) {
@@ -883,7 +859,7 @@ func (e *Engine) explainQuery(q *sql.SelectStmt) (string, error) {
 	return r.Explain(), nil
 }
 
-// Analysis is the result of QueryAnalyzed: the rows plus the full
+// Analysis is the result of QueryAnalyzedContext: the rows plus the full
 // observability profile of the execution.
 type Analysis struct {
 	// Result holds the query's rows.
@@ -908,26 +884,18 @@ type Analysis struct {
 	Governance obs.Governance
 }
 
-// QueryAnalyzed parses, optimizes and executes a SELECT with full
-// instrumentation: per-operator metrics, a span trace, and the
-// estimate-vs-actual calibration against the cost model.
-func (e *Engine) QueryAnalyzed(text string) (*Analysis, error) {
-	return e.QueryAnalyzedContext(context.Background(), text)
-}
-
-// QueryAnalyzedContext is QueryAnalyzed under a context. When the memory
-// budget forces a degradation to the lazy plan, the analysis describes the
-// fallback run and Governance records why.
-func (e *Engine) QueryAnalyzedContext(ctx context.Context, text string) (*Analysis, error) {
+// QueryAnalyzedContext is QueryOptionsContext with full instrumentation:
+// per-operator metrics, a span trace, and the estimate-vs-actual
+// calibration against the cost model. The text may carry a leading EXPLAIN.
+// When the memory budget forces a degradation to the lazy plan, the analysis
+// describes the fallback run and Governance records why. Its String is what
+// EXPLAIN ANALYZE displays.
+func (e *Engine) QueryAnalyzedContext(ctx context.Context, text string, o *QueryOptions) (*Analysis, error) {
 	q, err := parseSelect(text)
 	if err != nil {
 		return nil, err
 	}
-	p, err := e.prepare(q, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	out, err := e.run(ctx, &p, true, nil)
+	out, err := e.query(ctx, q, o, true, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -991,18 +959,6 @@ func (a *Analysis) String() string {
 		fmt.Fprintf(&sb, "degraded: %s\n", a.Governance.DegradedReason)
 	}
 	return sb.String()
-}
-
-// ExplainAnalyze executes the chosen plan and renders it with ACTUAL
-// per-operator row counts (the measured analogue of the paper's plan
-// diagrams) annotated with the cost model's estimates and per-node
-// q-errors, followed by the result cardinality and the calibration summary.
-func (e *Engine) ExplainAnalyze(text string) (string, error) {
-	a, err := e.QueryAnalyzed(text)
-	if err != nil {
-		return "", err
-	}
-	return a.String(), nil
 }
 
 // DistributedEstimate is the Section 7 communication-cost analysis: the

@@ -232,7 +232,7 @@ func verifyRecovery(root algebra.Node, alive []bool, owner []int) error {
 }
 
 // degradeReason renders the one-line account of a distributed→local
-// degradation that ExplainAnalyze and the metrics surface report.
+// degradation that EXPLAIN ANALYZE and the metrics surface report.
 func degradeReason(err error) string {
 	return fmt.Sprintf("cluster unavailable (%v); re-executed the query locally", err)
 }

@@ -50,7 +50,7 @@ func TestEngineExample1(t *testing.T) {
 	e := newExample1Engine(t)
 	for _, mode := range []Mode{ModeCost, ModeAlways, ModeNever} {
 		e.SetMode(mode)
-		res, err := e.Query(example1Query)
+		res, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -90,7 +90,7 @@ func TestEngineRefusesUnprovenRewrite(t *testing.T) {
 		if err := e.SetNodes(nodes); err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Query(`SELECT R1.a, SUM(R1.c) FROM R1, R2 WHERE R1.a = R2.d GROUP BY R1.a`)
+		res, err := e.QueryOptionsContext(context.Background(), `SELECT R1.a, SUM(R1.c) FROM R1, R2 WHERE R1.a = R2.d GROUP BY R1.a`, nil)
 		if err == nil {
 			t.Fatalf("nodes=%d: the unproven rewrite ran and returned %v", nodes, res.Rows)
 		}
@@ -121,23 +121,33 @@ func TestEngineExplainForward(t *testing.T) {
 
 func TestEngineParams(t *testing.T) {
 	e := newExample1Engine(t)
-	res, err := e.QueryParams(`
+	res, err := e.QueryOptionsContext(context.Background(), `
 		SELECT E.EmpID FROM Employee E WHERE E.DeptID = :dept`,
-		map[string]any{"dept": 2})
+		&QueryOptions{Params: map[string]any{"dept": 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 3 {
 		t.Fatalf("parameterized query returned %d rows, want 3", len(res.Rows))
 	}
-	// All supported parameter kinds.
-	_, err = e.QueryParams(`SELECT E.EmpID FROM Employee E WHERE E.LastName = :s`,
-		map[string]any{"s": "Yan"})
+	// The analyzed run binds the same parameters.
+	a, err := e.QueryAnalyzedContext(context.Background(), `
+		SELECT E.EmpID FROM Employee E WHERE E.DeptID = :dept`,
+		&QueryOptions{Params: map[string]any{"dept": 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.QueryParams(`SELECT E.EmpID FROM Employee E WHERE E.DeptID = :x`,
-		map[string]any{"x": []int{1}}); err == nil {
+	if fmt.Sprint(a.Result.Rows) != fmt.Sprint(res.Rows) {
+		t.Fatalf("analyzed parameterized query returned %v, want %v", a.Result.Rows, res.Rows)
+	}
+	// All supported parameter kinds.
+	_, err = e.QueryOptionsContext(context.Background(), `SELECT E.EmpID FROM Employee E WHERE E.LastName = :s`,
+		&QueryOptions{Params: map[string]any{"s": "Yan"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.QueryOptionsContext(context.Background(), `SELECT E.EmpID FROM Employee E WHERE E.DeptID = :x`,
+		&QueryOptions{Params: map[string]any{"x": []int{1}}}); err == nil {
 		t.Error("unsupported parameter type accepted")
 	}
 }
@@ -169,7 +179,7 @@ func TestEngineViewsAndReverse(t *testing.T) {
 		SELECT U.UserId, U.UserName, I.TotUsage, I.MaxSpeed, I.MinSpeed
 		FROM UserInfo I, UserAccount U
 		WHERE I.UserId = U.UserId AND I.Machine = U.Machine AND U.Machine = 'dragon'`
-	res, err := e.Query(q)
+	res, err := e.QueryOptionsContext(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +213,7 @@ func TestEngineViewsAndReverse(t *testing.T) {
 
 	// ModeNever skips the reverse analysis too (pure materialization).
 	e.SetMode(ModeNever)
-	res2, err := e.Query(q)
+	res2, err := e.QueryOptionsContext(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +265,7 @@ func TestEngineErrors(t *testing.T) {
 	if err := e.Exec(`CREATE TABLE T (a INTEGER`); err == nil {
 		t.Error("Exec accepted a syntax error")
 	}
-	if _, err := e.Query(`INSERT INTO T VALUES (1)`); err == nil {
+	if _, err := e.QueryOptionsContext(context.Background(), `INSERT INTO T VALUES (1)`, nil); err == nil {
 		t.Error("Query accepted an INSERT")
 	}
 	if err := e.Exec(`INSERT INTO NoSuch VALUES (1)`); err == nil {
@@ -275,7 +285,7 @@ func TestEngineErrors(t *testing.T) {
 
 func TestResultString(t *testing.T) {
 	e := newExample1Engine(t)
-	res, err := e.Query(`SELECT D.DeptID, D.Name FROM Department D ORDER BY DeptID`)
+	res, err := e.QueryOptionsContext(context.Background(), `SELECT D.DeptID, D.Name FROM Department D ORDER BY DeptID`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +354,7 @@ func TestQueryStreamIsQueryUnboxed(t *testing.T) {
 		e := NewWithStore(store)
 		set.set(e)
 		for i, q := range queries {
-			boxed, err := e.Query(q)
+			boxed, err := e.QueryOptionsContext(context.Background(), q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -385,7 +395,7 @@ func TestStreamRestartsPerRung(t *testing.T) {
 	q := workload.SweepQueryGroupByDim + ` ORDER BY Label DESC`
 	e := NewWithStore(store)
 	e.SetMode(ModeNever)
-	want, err := e.Query(q)
+	want, err := e.QueryOptionsContext(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,12 +468,12 @@ func BenchmarkConvertResult(b *testing.B) {
 // correctly ordered.
 func TestOrderByOnGroupColumns(t *testing.T) {
 	e := newExample1Engine(t)
-	res, err := e.Query(`
+	res, err := e.QueryOptionsContext(context.Background(), `
 		SELECT E.DeptID, COUNT(*) AS n
 		FROM Employee E, Department D
 		WHERE E.DeptID = D.DeptID
 		GROUP BY E.DeptID
-		ORDER BY DeptID`)
+		ORDER BY DeptID`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +503,7 @@ func TestConcurrentQueries(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		go func() {
 			for i := 0; i < 20; i++ {
-				res, err := e.Query(example1Query)
+				res, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
 				if err != nil {
 					done <- err
 					return
@@ -558,12 +568,12 @@ func TestExplainPrefixSpellings(t *testing.T) {
 		{"EXPLAIN EXPLAIN " + sel, false},
 		{"EXPLAIN INSERT INTO Department VALUES (9, 'X')", false},
 	} {
-		a, err := e.QueryAnalyzed(tc.text)
+		a, err := e.QueryAnalyzedContext(context.Background(), tc.text, nil)
 		if (err == nil) != tc.ok {
-			t.Errorf("QueryAnalyzed(%q): err = %v, want ok=%t", tc.text, err, tc.ok)
+			t.Errorf("QueryAnalyzedContext(%q): err = %v, want ok=%t", tc.text, err, tc.ok)
 		}
 		if err == nil && len(a.Result.Rows) != 3 {
-			t.Errorf("QueryAnalyzed(%q) returned %d rows, want 3", tc.text, len(a.Result.Rows))
+			t.Errorf("QueryAnalyzedContext(%q) returned %d rows, want 3", tc.text, len(a.Result.Rows))
 		}
 		if _, err := e.Explain(tc.text); (err == nil) != tc.ok {
 			t.Errorf("Explain(%q): err = %v, want ok=%t", tc.text, err, tc.ok)

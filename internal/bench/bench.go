@@ -100,7 +100,7 @@ func (r *PlanRun) repeat(ctx context.Context, e *gbj.Engine, query string, reps 
 // or on a cluster, where Analysis.Duration is 0, the wall time of the call.
 func analyze(ctx context.Context, e *gbj.Engine, query string) (*gbj.Analysis, time.Duration, error) {
 	start := time.Now()
-	a, err := e.QueryAnalyzedContext(ctx, query)
+	a, err := e.QueryAnalyzedContext(ctx, query, nil)
 	wall := time.Since(start)
 	if err != nil {
 		return nil, 0, err

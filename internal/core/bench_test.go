@@ -105,3 +105,33 @@ func BenchmarkPredicateExpansion(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPlanCacheGet times one lookup in a plan cache of 64 entries keyed
+// as the engine keys them, by canonical query text: a hit on Example 1's key,
+// and a miss on a key of the same length.
+func BenchmarkPlanCacheGet(b *testing.B) {
+	q, err := sql.ParseQuery(workload.Example1Query)
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := sql.Canonical(q)
+	c := NewPlanCache(64, nil)
+	for i := 0; i < 63; i++ {
+		c.Put(fmt.Sprintf("%s LIMIT %d", key, i), i)
+	}
+	c.Put(key, 63)
+	miss := strings.Repeat("x", len(key))
+	for _, tc := range []struct {
+		name, key string
+		hit       bool
+	}{{"hit", key, true}, {"miss", miss, false}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := c.Get(tc.key); ok != tc.hit {
+					b.Fatalf("Get hit = %t, want %t", ok, tc.hit)
+				}
+			}
+		})
+	}
+}

@@ -57,7 +57,7 @@ func (c *compiler) compileGroupBy(node *algebra.GroupBy) (compiled, error) {
 			return compiled{}, fmt.Errorf("exec: aggregate item %s contains no aggregate function", item.E)
 		}
 	}
-	// How grouping is chosen, here and nowhere else (DESIGN.md §19). Order is
+	// How grouping is chosen, here and nowhere else (DESIGN.md §4.4). Order is
 	// a physical property of this node's input: if the propagated order
 	// proves it sorted on the grouping columns the groups are contiguous —
 	// one streaming pass, no sort, no table. Anything else hashes, and an

@@ -19,7 +19,7 @@ package exec_test
 // with sort grouping over the hash join: the sort leaves the groups ordered,
 // but paying an N-row sort to get there loses to hashing the N rows — which
 // is why the executor streams only over an order it is handed and never
-// sorts rows to create one (DESIGN.md §19). Every run must return one row per
+// sorts rows to create one (DESIGN.md §4.4). Every run must return one row per
 // department.
 
 import (

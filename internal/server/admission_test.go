@@ -86,7 +86,7 @@ func TestAdmitRejectsWhenQueueFull(t *testing.T) {
 		t.Fatalf("overload returned %T (%v), want *AdmissionError", err, err)
 	}
 	// HTTP surface: 429 with the admission code.
-	_, err = c.Query(ctx, groupByJoin, nil)
+	_, err = c.QueryDetail(ctx, groupByJoin, nil)
 	apiError(t, err, http.StatusTooManyRequests, "admission")
 	var ae *APIError
 	if !errors.As(err, &ae) || !ae.IsAdmission() {
@@ -98,7 +98,7 @@ func TestAdmitRejectsWhenQueueFull(t *testing.T) {
 
 	// Capacity released: the same query is admitted and runs.
 	hog.Release()
-	if _, err := c.Query(ctx, groupByJoin, nil); err != nil {
+	if _, err := c.QueryDetail(ctx, groupByJoin, nil); err != nil {
 		t.Fatalf("query after release: %v", err)
 	}
 }

@@ -105,7 +105,7 @@ func TestShutdownMidQueryChaos(t *testing.T) {
 			defer wg.Done()
 			c := NewClient(ts.URL, ts.Client())
 			started <- struct{}{}
-			_, err := c.Query(ctx, heavy, nil)
+			_, err := c.QueryDetail(ctx, heavy, nil)
 			if err == nil {
 				return // finished before the axe fell: fine
 			}
@@ -141,7 +141,7 @@ func TestShutdownMidQueryChaos(t *testing.T) {
 	}
 	// New work is refused with the typed path, not a panic.
 	c := NewClient(ts.URL, ts.Client())
-	_, err = c.Query(ctx, `SELECT COUNT(id) FROM big`, nil)
+	_, err = c.QueryDetail(ctx, `SELECT COUNT(id) FROM big`, nil)
 	apiError(t, err, http.StatusServiceUnavailable, "shutting_down")
 
 	// Teardown leaks no goroutines.

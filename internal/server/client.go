@@ -72,26 +72,9 @@ func (c *Client) CloseSession(ctx context.Context) error {
 	return err
 }
 
-// Query runs a SELECT with optional parameters and returns the rows with
-// Go-native values (int64, float64, string, bool, nil) — the same value
-// vocabulary gbj.Result uses.
-func (c *Client) Query(ctx context.Context, sqlText string, params map[string]any) (*gbjResult, error) {
-	resp, err := c.QueryDetail(ctx, sqlText, params)
-	if err != nil {
-		return nil, err
-	}
-	return &gbjResult{Columns: resp.Columns, Rows: resp.Rows}, nil
-}
-
-// gbjResult mirrors gbj.Result without importing it into every client
-// caller's namespace.
-type gbjResult struct {
-	Columns []string
-	Rows    [][]any
-}
-
-// QueryDetail is Query exposing the full wire response, including the
-// Degraded flag.
+// QueryDetail runs a SELECT with optional parameters and returns the wire
+// response: the rows with Go-native values (int64, float64, string, bool,
+// nil) — the same value vocabulary gbj.Result uses — and the Degraded flag.
 func (c *Client) QueryDetail(ctx context.Context, sqlText string, params map[string]any) (*QueryResponse, error) {
 	req := QueryRequest{Session: c.session, SQL: sqlText, Params: params}
 	var resp QueryResponse

@@ -3,7 +3,7 @@ package server
 // The serve-oracle differential: 64 concurrent sessions of mixed
 // DML/query traffic against the HTTP API, with every static-table result
 // compared cell for cell — Go types included, so a DOUBLE that arrives as
-// an int64 is a failure — against the single-caller Engine.Query oracle,
+// an int64 is a failure — against the single-caller Engine.QueryOptionsContext oracle,
 // hot-table results checked against an arithmetic
 // invariant that any torn snapshot breaks, and a full differential re-run
 // after the storm quiesces. `make serve-oracle` runs this under -race.
@@ -22,7 +22,7 @@ import (
 // oracle — and returns its rows.
 func oracleRows(t *testing.T, e *gbj.Engine, q string, params map[string]any) [][]any {
 	t.Helper()
-	res, err := e.QueryParams(q, params)
+	res, err := e.QueryOptionsContext(context.Background(), q, &gbj.QueryOptions{Params: params})
 	if err != nil {
 		t.Fatalf("oracle %q: %v", q, err)
 	}
@@ -111,7 +111,7 @@ func TestServeOracleDifferential(t *testing.T) {
 						return
 					}
 				case 2: // hot-table invariant: SUM(val) == 2*SUM(grp) by construction
-					res, err := c.Query(ctx, `SELECT SUM(grp), SUM(val) FROM kv`, nil)
+					res, err := c.QueryDetail(ctx, `SELECT SUM(grp), SUM(val) FROM kv`, nil)
 					if err != nil {
 						errs <- fmt.Errorf("client %d: hot query: %w", cl, err)
 						return
@@ -123,7 +123,7 @@ func TestServeOracleDifferential(t *testing.T) {
 						return
 					}
 				case 3: // grouped hot query: same invariant per group
-					res, err := c.Query(ctx, `SELECT grp, SUM(val), COUNT(id) FROM kv GROUP BY grp ORDER BY grp`, nil)
+					res, err := c.QueryDetail(ctx, `SELECT grp, SUM(val), COUNT(id) FROM kv GROUP BY grp ORDER BY grp`, nil)
 					if err != nil {
 						errs <- fmt.Errorf("client %d: grouped hot query: %w", cl, err)
 						return

@@ -76,7 +76,7 @@ func TestSessionLifecycleAndQuery(t *testing.T) {
 	if c.Session() == "" {
 		t.Fatal("no session id")
 	}
-	res, err := c.Query(ctx, groupByJoin, nil)
+	res, err := c.QueryDetail(ctx, groupByJoin, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSessionLifecycleAndQuery(t *testing.T) {
 		t.Fatalf("rows: %v", res.Rows)
 	}
 	// Parameters round-trip as int64 through JSON.
-	res, err = c.Query(ctx, `SELECT COUNT(EmpID) FROM Emp WHERE DeptID = :d`, map[string]any{"d": 2})
+	res, err = c.QueryDetail(ctx, `SELECT COUNT(EmpID) FROM Emp WHERE DeptID = :d`, map[string]any{"d": 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSessionLifecycleAndQuery(t *testing.T) {
 	if err := c.Exec(ctx, `INSERT INTO kv VALUES (1, 1, 2), (2, 1, 2)`); err != nil {
 		t.Fatal(err)
 	}
-	res, err = c.Query(ctx, `SELECT COUNT(id) FROM kv`, nil)
+	res, err = c.QueryDetail(ctx, `SELECT COUNT(id) FROM kv`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSessionLifecycleAndQuery(t *testing.T) {
 	// invalidated the cache — epoch bump — so the first rerun is a miss
 	// and the second is the hit.)
 	for i := 0; i < 2; i++ {
-		if _, err := c.Query(ctx, groupByJoin, nil); err != nil {
+		if _, err := c.QueryDetail(ctx, groupByJoin, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,10 +147,10 @@ func TestErrorCodeTable(t *testing.T) {
 	s, c := newTestServer(t, Config{Engine: e})
 
 	// 400 sql: parse errors.
-	_, err := c.Query(ctx, `SELEC nonsense`, nil)
+	_, err := c.QueryDetail(ctx, `SELEC nonsense`, nil)
 	apiError(t, err, http.StatusBadRequest, "sql")
 	// 400 sql: bind errors.
-	_, err = c.Query(ctx, `SELECT x FROM NoSuchTable`, nil)
+	_, err = c.QueryDetail(ctx, `SELECT x FROM NoSuchTable`, nil)
 	apiError(t, err, http.StatusBadRequest, "sql")
 	err = c.Exec(ctx, `INSERT INTO NoSuchTable VALUES (1)`)
 	apiError(t, err, http.StatusBadRequest, "sql")
@@ -180,7 +180,7 @@ func TestErrorCodeTable(t *testing.T) {
 	// 404 unknown_session: querying or closing a session that isn't open.
 	c2 := NewClient(c.base, c.hc)
 	c2.session = "s999999"
-	_, err = c2.Query(ctx, groupByJoin, nil)
+	_, err = c2.QueryDetail(ctx, groupByJoin, nil)
 	apiError(t, err, http.StatusNotFound, "unknown_session")
 	err = c2.CloseSession(ctx)
 	apiError(t, err, http.StatusNotFound, "unknown_session")
@@ -189,7 +189,7 @@ func TestErrorCodeTable(t *testing.T) {
 	e.MustExec(`INSERT INTO kv VALUES (1, 1, 2)`)
 	tctx, cancel := context.WithTimeout(ctx, time.Nanosecond)
 	defer cancel()
-	_, err = c.Query(tctx, groupByJoin, nil)
+	_, err = c.QueryDetail(tctx, groupByJoin, nil)
 	if err == nil {
 		t.Fatal("expected timeout error")
 	}
@@ -203,7 +203,7 @@ func TestErrorCodeTable(t *testing.T) {
 
 	// 413 too_large: a request body past the fixed cap, on either route.
 	big := strings.Repeat(" ", maxRequestBytes) + `SELECT COUNT(id) FROM kv`
-	_, err = c.Query(ctx, big, nil)
+	_, err = c.QueryDetail(ctx, big, nil)
 	apiError(t, err, http.StatusRequestEntityTooLarge, "too_large")
 	err = c.Exec(ctx, big)
 	apiError(t, err, http.StatusRequestEntityTooLarge, "too_large")
@@ -213,7 +213,7 @@ func TestErrorCodeTable(t *testing.T) {
 	e.MustExec(`CREATE TABLE fl (id INTEGER PRIMARY KEY, x DOUBLE)`)
 	e.MustExec(`INSERT INTO fl VALUES (1, 1e308), (2, 1e308)`)
 	for _, q := range []string{`SELECT SUM(x) FROM fl`, `SELECT id, x * -10.0 FROM fl`} {
-		_, err = c.Query(ctx, q, nil)
+		_, err = c.QueryDetail(ctx, q, nil)
 		apiError(t, err, http.StatusBadRequest, "sql")
 		if !strings.Contains(err.Error(), "numeric value out of range") {
 			t.Fatalf("%s: %v", q, err)
@@ -223,7 +223,7 @@ func TestErrorCodeTable(t *testing.T) {
 	// 507 resource: budget exceeded with no fallback plan and no spill.
 	e.SetMemoryBudget(64)
 	e.SetMode(gbj.ModeNever) // the lazy plan has no cheaper fallback
-	_, err = c.Query(ctx, groupByJoin, nil)
+	_, err = c.QueryDetail(ctx, groupByJoin, nil)
 	apiError(t, err, http.StatusInsufficientStorage, "resource")
 	e.SetMemoryBudget(0)
 	e.SetMode(gbj.ModeCost)
@@ -253,11 +253,11 @@ func TestDoubleKeepsItsTypeOverHTTP(t *testing.T) {
 	e.MustExec(`CREATE TABLE fl (id INTEGER PRIMARY KEY, x DOUBLE)`)
 	e.MustExec(`INSERT INTO fl VALUES (1, 2.0), (2, 0.5), (3, -3.0), (4, 1e21)`)
 	for _, q := range []string{`SELECT id, x FROM fl`, `SELECT SUM(x), COUNT(id) FROM fl WHERE id < 4`} {
-		direct, err := e.Query(q)
+		direct, err := e.QueryOptionsContext(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Query(ctx, q, nil)
+		res, err := c.QueryDetail(ctx, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,7 +383,7 @@ func TestServeOnListener(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if _, err := c.Query(ctx, groupByJoin, nil); err != nil {
+	if _, err := c.QueryDetail(ctx, groupByJoin, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A header that never ends: the server answers 431 once it has read

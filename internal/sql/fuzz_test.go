@@ -67,17 +67,8 @@ func FuzzCanonical(f *testing.F) {
 		"SELECT a - (b - c), -(a * (b + c)), 1.0, -0.0, 1e30, :p FROM t",
 		"SELECT a FROM t WHERE NOT a = 1 OR (b BETWEEN 1 AND 2 AND c NOT LIKE 'x%') OR d IS NOT NULL",
 		"SELECT DISTINCT COUNT(DISTINCT a), SUM(a + b) AS total FROM t GROUP BY t.c ORDER BY total DESC LIMIT 5",
-		// The benchmark's serve_mixed reads over its hr schema.
-		"SELECT d.DeptID, d.Name, COUNT(e.EmpID), SUM(e.Salary) FROM Emp e, Dept d WHERE (e.DeptID = d.DeptID) GROUP BY d.DeptID, d.Name ORDER BY DeptID",
-		"SELECT DeptID, COUNT(EmpID) FROM Emp WHERE Salary >= 0 GROUP BY DeptID ORDER BY DeptID",
-		"SELECT COUNT(id), SUM(val), SUM(grp) FROM kv WHERE id > 0",
-		"SELECT d.Name, MAX(e.Salary), MIN(e.Salary) FROM Emp e, Dept d WHERE e.DeptID = d.DeptID GROUP BY d.Name",
-		"SELECT e.EmpID, e.Salary, d.Name FROM Emp e, Dept d WHERE (e.DeptID = d.DeptID) AND (e.Salary > 1450)",
-		"select grp, count(id), sum(val) from kv where id > 0 group by grp order by grp",
-		"SELECT d.DeptID, AVG(e.Salary) FROM Emp e, Dept d WHERE e.DeptID = d.DeptID AND d.DeptID < 6 GROUP BY d.DeptID",
-		"SELECT EmpID, Salary FROM Emp WHERE Salary > 1400 AND DeptID = 3 ORDER BY EmpID",
 	}
-	for _, s := range seeds {
+	for _, s := range append(seeds, hrReads...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {

@@ -47,7 +47,7 @@ func stateBytes(t *testing.T, e *Engine, mode Mode) int64 {
 	e.SetMode(mode)
 	e.SetMemoryBudget(1 << 40)
 	defer e.SetMemoryBudget(0)
-	a, err := e.QueryAnalyzed(fallbackQuery)
+	a, err := e.QueryAnalyzedContext(context.Background(), fallbackQuery, nil)
 	if err != nil {
 		t.Fatalf("measuring mode %v: %v", mode, err)
 	}
@@ -59,7 +59,7 @@ func stateBytes(t *testing.T, e *Engine, mode Mode) int64 {
 
 // TestBudgetFallback is the graceful-degradation contract: a budget the
 // eager plan exceeds but the lazy plan fits degrades the query to the lazy
-// plan — same rows, one Fallbacks tick, the reason in ExplainAnalyze — and
+// plan — same rows, one Fallbacks tick, the reason in EXPLAIN ANALYZE — and
 // only a budget neither plan fits surfaces a *ResourceError.
 func TestBudgetFallback(t *testing.T) {
 	e := newFallbackEngine(t)
@@ -72,7 +72,7 @@ func TestBudgetFallback(t *testing.T) {
 
 	// The reference rows, from the lazy plan with no budget.
 	e.SetMode(ModeNever)
-	want, err := e.Query(fallbackQuery)
+	want, err := e.QueryOptionsContext(context.Background(), fallbackQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestBudgetFallback(t *testing.T) {
 	if got := e.MemoryBudget(); got != mid {
 		t.Fatalf("MemoryBudget() = %d, want %d", got, mid)
 	}
-	res, err := e.Query(fallbackQuery)
+	res, err := e.QueryOptionsContext(context.Background(), fallbackQuery, nil)
 	if err != nil {
 		t.Fatalf("over-budget eager plan did not degrade: %v", err)
 	}
@@ -96,23 +96,42 @@ func TestBudgetFallback(t *testing.T) {
 	}
 
 	// The analyzed path degrades too, and says so.
-	text, err := e.ExplainAnalyze(fallbackQuery)
+	a, err := e.QueryAnalyzedContext(context.Background(), fallbackQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	text := a.String()
 	for _, wantLine := range []string{"memory budget:", "fallback:", "group-after-join"} {
 		if !strings.Contains(text, wantLine) {
-			t.Errorf("ExplainAnalyze output missing %q:\n%s", wantLine, text)
+			t.Errorf("EXPLAIN ANALYZE output missing %q:\n%s", wantLine, text)
 		}
 	}
 	if n := e.Fallbacks(); n != 2 {
 		t.Fatalf("Fallbacks() = %d after two degraded queries, want 2", n)
 	}
 
+	// A per-query budget degrades the analyzed run the same way, with the
+	// engine's budget unset.
+	e.SetMemoryBudget(0)
+	a, err = e.QueryAnalyzedContext(context.Background(), fallbackQuery, &QueryOptions{MemoryBudget: mid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Governance.BudgetBytes != mid || !a.Governance.Fallback {
+		t.Errorf("analyzed run under QueryOptions{MemoryBudget: %d}: budget %d, fallback %t; want that budget and the lazy fallback",
+			mid, a.Governance.BudgetBytes, a.Governance.Fallback)
+	}
+	if fmt.Sprint(a.Result.Rows) != fmt.Sprint(want.Rows) {
+		t.Fatalf("per-query fallback rows diverge from the lazy plan's\ngot:  %v\nwant: %v", a.Result.Rows, want.Rows)
+	}
+	if n := e.Fallbacks(); n != 3 {
+		t.Fatalf("Fallbacks() = %d after three degraded queries, want 3", n)
+	}
+
 	// A budget below even the lazy plan: the fallback also trips, and the
 	// query fails with the typed resource error — never an OOM.
 	e.SetMemoryBudget(lazy / 4)
-	_, err = e.Query(fallbackQuery)
+	_, err = e.QueryOptionsContext(context.Background(), fallbackQuery, nil)
 	var re *ResourceError
 	if !errors.As(err, &re) {
 		t.Fatalf("under-budget query returned %v (%T), want *ResourceError", err, err)
@@ -131,11 +150,11 @@ func TestQueryContextCancelled(t *testing.T) {
 	if _, err := e.QueryContext(ctx, example1Query); !errors.Is(err, context.Canceled) {
 		t.Fatalf("QueryContext on a cancelled context: %v, want context.Canceled", err)
 	}
-	if _, err := e.QueryParamsContext(ctx, `SELECT E.EmpID FROM Employee E WHERE E.DeptID = :d`,
-		map[string]any{"d": 1}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QueryParamsContext on a cancelled context: %v, want context.Canceled", err)
+	if _, err := e.QueryOptionsContext(ctx, `SELECT E.EmpID FROM Employee E WHERE E.DeptID = :d`,
+		&QueryOptions{Params: map[string]any{"d": 1}}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("QueryOptionsContext on a cancelled context: %v, want context.Canceled", err)
 	}
-	if _, err := e.QueryAnalyzedContext(ctx, example1Query); !errors.Is(err, context.Canceled) {
+	if _, err := e.QueryAnalyzedContext(ctx, example1Query, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("QueryAnalyzedContext on a cancelled context: %v, want context.Canceled", err)
 	}
 }

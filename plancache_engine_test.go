@@ -8,6 +8,7 @@ package gbj
 // survive verification is never cached.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -21,7 +22,7 @@ import (
 // queryCounts runs example1Query and returns DeptID -> COUNT.
 func queryCounts(t *testing.T, e *Engine) map[int64]int64 {
 	t.Helper()
-	res, err := e.Query(example1Query)
+	res, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestPlanCacheHitsRepeatQueries(t *testing.T) {
 	}
 	// Query spelling differences that parse to the same AST share an
 	// entry; semantically different queries do not.
-	if _, err := e.Query("select d.DeptID, d.Name, count(e.EmpID) from Employee e, Department d where e.DeptID = d.DeptID group by d.DeptID, d.Name"); err != nil {
+	if _, err := e.QueryOptionsContext(context.Background(), "select d.DeptID, d.Name, count(e.EmpID) from Employee e, Department d where e.DeptID = d.DeptID group by d.DeptID, d.Name", nil); err != nil {
 		t.Fatal(err)
 	}
 	if e.PlanCacheLen() != 2 { // different correlation names -> different AST
@@ -117,8 +118,8 @@ func TestPlanCacheInvalidationMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}, 4)
-	expectFresh("RunScript INSERT", func() {
-		if err := e.RunScript(`INSERT INTO Employee VALUES (11, 'I', 'I', 1)`, io.Discard); err != nil {
+	expectFresh("RunScriptContext INSERT", func() {
+		if err := e.RunScriptContext(context.Background(), `INSERT INTO Employee VALUES (11, 'I', 'I', 1)`, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 	}, 5)
@@ -146,7 +147,7 @@ func TestPlanCacheRejectsTamperedCertificate(t *testing.T) {
 	e.SetMode(ModeAlways) // guarantee the eager (certified) shape
 
 	core.TestHooks.TamperCertCols = true
-	_, err := e.Query(example1Query)
+	_, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
 	core.TestHooks.TamperCertCols = false
 	if err == nil || !strings.Contains(err.Error(), "eager-cert") {
 		t.Fatalf("a tampered certificate was not refused when chosen: %v", err)
@@ -214,7 +215,7 @@ func TestPlanCacheSeparatesLookalikeQueries(t *testing.T) {
 	}
 	run := func(q string) string {
 		t.Helper()
-		res, err := e.Query(q)
+		res, err := e.QueryOptionsContext(context.Background(), q, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -248,13 +249,13 @@ func TestPlanCacheSeparatesLookalikeQueries(t *testing.T) {
 func BenchmarkPlanCacheHit(b *testing.B) {
 	e := newExample1Engine(b)
 	e.SetPlanCacheSize(16)
-	if _, err := e.Query(example1Query); err != nil {
+	if _, err := e.QueryOptionsContext(context.Background(), example1Query, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := e.Query(example1Query)
+		res, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
 		if err != nil || len(res.Rows) != 3 {
 			b.Fatalf("rows %v, err %v", res, err)
 		}

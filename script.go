@@ -8,16 +8,11 @@ import (
 	"repro/internal/sql"
 )
 
-// RunScript parses and executes a sequence of statements, writing SELECT
-// results and EXPLAIN output to w. DDL and INSERT statements run silently;
-// the first error stops execution.
-func (e *Engine) RunScript(text string, w io.Writer) error {
-	return e.RunScriptContext(context.Background(), text, w)
-}
-
-// RunScriptContext is RunScript under a context: cancellation aborts the
-// in-flight statement (queries stop within one scheduling quantum) and
-// stops the script. SELECT statements run exactly as Query runs them.
+// RunScriptContext parses and executes a sequence of statements, writing
+// SELECT results and EXPLAIN output to w. DDL and INSERT statements run
+// silently; the first error stops execution. Cancellation aborts the
+// in-flight statement (queries stop within one scheduling quantum) and stops
+// the script. SELECT statements run exactly as QueryOptionsContext runs them.
 func (e *Engine) RunScriptContext(ctx context.Context, text string, w io.Writer) error {
 	stmts, err := sql.Parse(text)
 	if err != nil {
@@ -29,10 +24,11 @@ func (e *Engine) RunScriptContext(ctx context.Context, text string, w io.Writer)
 		}
 		switch s := stmt.(type) {
 		case *sql.SelectStmt:
-			res, err := e.querySelect(ctx, s, nil)
+			out, err := e.query(ctx, s, nil, false, nil)
 			if err != nil {
 				return err
 			}
+			res := convertResult(out.res)
 			fmt.Fprint(w, res.String())
 			fmt.Fprintf(w, "(%d rows)\n", len(res.Rows))
 		case *sql.ExplainStmt:

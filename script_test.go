@@ -1,6 +1,7 @@
 package gbj
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -8,7 +9,7 @@ import (
 func TestRunScript(t *testing.T) {
 	e := New()
 	var out strings.Builder
-	err := e.RunScript(`
+	err := e.RunScriptContext(context.Background(), `
 		CREATE TABLE T (a INTEGER PRIMARY KEY, b CHARACTER(10));
 		INSERT INTO T VALUES (1, 'x'), (2, 'y');
 		SELECT a, b FROM T ORDER BY a;
@@ -25,7 +26,7 @@ func TestRunScript(t *testing.T) {
 func TestRunScriptExplain(t *testing.T) {
 	e := newExample1Engine(t)
 	var out strings.Builder
-	err := e.RunScript(`EXPLAIN `+example1Query+`;`, &out)
+	err := e.RunScriptContext(context.Background(), `EXPLAIN `+example1Query+`;`, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,15 +38,15 @@ func TestRunScriptExplain(t *testing.T) {
 func TestRunScriptErrors(t *testing.T) {
 	e := New()
 	var out strings.Builder
-	if err := e.RunScript(`SELECT a FROM NoSuch;`, &out); err == nil {
+	if err := e.RunScriptContext(context.Background(), `SELECT a FROM NoSuch;`, &out); err == nil {
 		t.Error("script over unknown table succeeded")
 	}
-	if err := e.RunScript(`NOT SQL AT ALL`, &out); err == nil {
+	if err := e.RunScriptContext(context.Background(), `NOT SQL AT ALL`, &out); err == nil {
 		t.Error("garbage script succeeded")
 	}
 	// Error stops execution: the table from the first statement exists,
 	// the second fails, the third never runs.
-	err := e.RunScript(`
+	err := e.RunScriptContext(context.Background(), `
 		CREATE TABLE U (a INTEGER);
 		INSERT INTO U VALUES ('not an int');
 		INSERT INTO U VALUES (1);
@@ -53,7 +54,7 @@ func TestRunScriptErrors(t *testing.T) {
 	if err == nil {
 		t.Fatal("type error not surfaced")
 	}
-	res, qerr := e.Query(`SELECT U.a FROM U`)
+	res, qerr := e.QueryOptionsContext(context.Background(), `SELECT U.a FROM U`, nil)
 	if qerr != nil {
 		t.Fatal(qerr)
 	}
@@ -101,12 +102,12 @@ func TestEngineSubstitutionEndToEnd(t *testing.T) {
 		t.Errorf("Explain missing substitution note:\n%s", text)
 	}
 	e.SetMode(ModeAlways)
-	res, err := e.Query(q)
+	res, err := e.QueryOptionsContext(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.SetMode(ModeNever)
-	res2, err := e.Query(q)
+	res2, err := e.QueryOptionsContext(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package gbj
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -57,14 +58,14 @@ func TestSpillCompletes64KiB(t *testing.T) {
 	e := newSpillFallbackEngine(t)
 
 	// The reference rows, with no budget at all.
-	want, err := e.Query(spillFallbackQuery)
+	want, err := e.QueryOptionsContext(context.Background(), spillFallbackQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// 64 KiB without a spill directory: typed resource error.
 	e.SetMemoryBudget(64 << 10)
-	_, err = e.Query(spillFallbackQuery)
+	_, err = e.QueryOptionsContext(context.Background(), spillFallbackQuery, nil)
 	var re *ResourceError
 	if !errors.As(err, &re) {
 		t.Fatalf("64 KiB budget without spilling returned %v (%T), want *ResourceError", err, err)
@@ -73,7 +74,7 @@ func TestSpillCompletes64KiB(t *testing.T) {
 	// The same budget with a spill directory: the query completes by
 	// partitioning to disk, and the rows are byte-identical.
 	e.SetSpillDir(t.TempDir())
-	res, err := e.Query(spillFallbackQuery)
+	res, err := e.QueryOptionsContext(context.Background(), spillFallbackQuery, nil)
 	if err != nil {
 		t.Fatalf("64 KiB budget with spilling failed: %v", err)
 	}
@@ -82,7 +83,7 @@ func TestSpillCompletes64KiB(t *testing.T) {
 	}
 
 	// The analyzed path reports how much went to disk.
-	a, err := e.QueryAnalyzed(spillFallbackQuery)
+	a, err := e.QueryAnalyzedContext(context.Background(), spillFallbackQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestSpillFailureFallsBack(t *testing.T) {
 	}
 
 	e.SetMode(ModeNever)
-	want, err := e.Query(fallbackQuery)
+	want, err := e.QueryOptionsContext(context.Background(), fallbackQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestSpillFailureFallsBack(t *testing.T) {
 	e.SetMemoryBudget((eager + lazy) / 2)
 	e.SetSpillDir(bad)
 
-	res, err := e.Query(fallbackQuery)
+	res, err := e.QueryOptionsContext(context.Background(), fallbackQuery, nil)
 	if err != nil {
 		t.Fatalf("spill failure did not degrade to the lazy plan: %v", err)
 	}
@@ -134,13 +135,14 @@ func TestSpillFailureFallsBack(t *testing.T) {
 		t.Fatalf("Fallbacks() = %d after one spill-failure fallback, want 1", n)
 	}
 
-	text, err := e.ExplainAnalyze(fallbackQuery)
+	a, err := e.QueryAnalyzedContext(context.Background(), fallbackQuery, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	text := a.String()
 	for _, wantLine := range []string{"fallback:", "spill failed"} {
 		if !strings.Contains(text, wantLine) {
-			t.Errorf("ExplainAnalyze output missing %q:\n%s", wantLine, text)
+			t.Errorf("EXPLAIN ANALYZE output missing %q:\n%s", wantLine, text)
 		}
 	}
 	if n := e.Fallbacks(); n != 2 {

@@ -1,6 +1,7 @@
 package gbj
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -54,7 +55,7 @@ func loadStar(t *testing.T, e *Engine, facts, dims int) {
 func TestEstimatesFollowLoads(t *testing.T) {
 	const query = `SELECT D.DimID, D.Label, COUNT(F.FID), SUM(F.V) FROM Fact F, Dim D WHERE F.DimID = D.DimID GROUP BY D.DimID, D.Label`
 	used := starEngine(t)
-	if _, err := used.Query(query); err != nil {
+	if _, err := used.QueryOptionsContext(context.Background(), query, nil); err != nil {
 		t.Fatal(err)
 	}
 	loadStar(t, used, 2000, 100)
@@ -94,7 +95,7 @@ func TestOrderByOverGroupingSortsGroupsNotRows(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				e.SetVectorize(vectorize)
 				e.SetParallelism(workers)
-				a, err := e.QueryAnalyzed(q.text)
+				a, err := e.QueryAnalyzedContext(context.Background(), q.text, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -173,7 +174,7 @@ func TestPipelinedPlanCountsMatchSerial(t *testing.T) {
 	analyze := func(workers int) *Analysis {
 		t.Helper()
 		e.SetParallelism(workers)
-		a, err := e.QueryAnalyzed(starShapeGroups)
+		a, err := e.QueryAnalyzedContext(context.Background(), starShapeGroups, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
