@@ -128,11 +128,12 @@ dist-oracle:
 # reference's rows with recovery visible only in the retry/failover counters;
 # and bursts of drops that must fail nodes over. Beside them: the
 # exhausted-budget typed-error sweep, the receiver-dedup seeded-bug
-# regression, the failover sweep (internal/dist) and the engine-level
-# degradation tests (dist_recovery_engine_test.go).
+# regression, the failover sweep and the circuit breaker's own tests, a
+# re-route the dist-recovery rule rejects among them (internal/dist), and the
+# engine-level degradation tests (dist_recovery_engine_test.go).
 recovery-oracle:
 	$(GO) test -race -cpu 1,4 ./internal/plancheck/modelcheck -run 'TestMatrix/^(recovery|failover)'
-	$(GO) test -race -cpu 1,4 ./internal/dist -run TestRecovery
+	$(GO) test -race -cpu 1,4 ./internal/dist -run 'TestRecovery|TestFailOver'
 	$(GO) test -race . -run 'TestEngineRetried|TestEngineDegrad|TestExplainAnalyzeGoldenRecovery'
 
 # The matrix's spill cell under the race detector: hundreds of corpus

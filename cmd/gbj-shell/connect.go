@@ -6,7 +6,6 @@ package main
 // server's counters (sessions, plan-cache hit rate, admission ladder).
 
 import (
-	"bufio"
 	"fmt"
 	"os"
 	"strings"
@@ -50,39 +49,22 @@ func runConnected(url string) int {
 
 	fmt.Printf("gbj-shell — connected to %s (session %s)\n", url, c.Session())
 	fmt.Println(`type SQL ending with ';', \stats for server counters, or \quit`)
-	scanner := bufio.NewScanner(os.Stdin)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	var buf strings.Builder
-	for {
-		fmt.Print("gbj> ")
-		if !scanner.Scan() {
-			return 0
-		}
-		line := scanner.Text()
-		trimmed := strings.TrimSpace(line)
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, `\`) {
-			if handleConnectedCommand(c, trimmed) {
-				return 0
-			}
-			continue
-		}
-		buf.WriteString(line)
-		buf.WriteByte('\n')
-		if !strings.HasSuffix(trimmed, ";") {
-			continue
-		}
-		stmt := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(buf.String()), ";"))
-		buf.Reset()
-		if stmt == "" {
-			continue
-		}
-		if err := runConnectedStatement(c, stmt); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-		}
-	}
+	repl(os.Stdin, os.Stdout, os.Stderr, mode{
+		statement: func(stmt string) error { return runConnectedStatement(c, stmt) },
+		command:   func(_ string, fields []string) bool { return connectedCommand(c, fields) },
+		more:      "gbj> ",
+		unknown:   ` in client mode (\stats, \timing, \timeout, \quit)`,
+	})
+	return 0
 }
 
+// runConnectedStatement sends one statement, its ';' dropped; an empty one
+// is not sent.
 func runConnectedStatement(c *server.Client, stmt string) error {
+	stmt = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(stmt), ";"))
+	if stmt == "" {
+		return nil
+	}
 	ctx, done := queryContext()
 	defer done()
 	start := time.Now()
@@ -105,56 +87,27 @@ func runConnectedStatement(c *server.Client, stmt string) error {
 	return nil
 }
 
-// handleConnectedCommand executes a backslash command in client mode;
-// returns true to exit.
-func handleConnectedCommand(c *server.Client, cmd string) bool {
-	switch strings.Fields(cmd)[0] {
-	case `\quit`, `\q`:
-		return true
-	case `\stats`:
-		ctx, done := queryContext()
-		st, err := c.Stats(ctx)
-		done()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			return false
-		}
-		fmt.Printf("sessions=%d queries=%d fallbacks=%d\n", st.Sessions, st.Queries, st.Fallbacks)
-		fmt.Printf("plan cache: hits=%d misses=%d evictions=%d hit rate=%.1f%%\n",
-			st.PlanCache.Hits, st.PlanCache.Misses, st.PlanCache.Evictions, 100*st.PlanCacheHitRate)
-		fmt.Printf("admission: admitted=%d degraded=%d rejected=%d timeouts=%d\n",
-			st.Admission.Admitted, st.Admission.Degraded, st.Admission.Rejected, st.Admission.Timeouts)
-		if p := st.Admission.Pool; p != nil {
-			fmt.Printf("pool: total=%d available=%d granted=%d queued=%d\n",
-				p.Total, p.Available, p.Granted, p.Queued)
-		}
-	case `\timing`:
-		timing = !timing
-		if timing {
-			fmt.Println("timing is on")
-		} else {
-			fmt.Println("timing is off")
-		}
-	case `\timeout`:
-		fields := strings.Fields(cmd)
-		if len(fields) != 2 {
-			fmt.Println(`usage: \timeout 30s|off`)
-			return false
-		}
-		if fields[1] == "off" || fields[1] == "0" {
-			queryTimeout = 0
-			fmt.Println("timeout is off")
-			return false
-		}
-		d, err := time.ParseDuration(fields[1])
-		if err != nil || d < 0 {
-			fmt.Println(`usage: \timeout 30s|off`)
-			return false
-		}
-		queryTimeout = d
-		fmt.Printf("timeout: %v per query\n", d)
-	default:
-		fmt.Printf("unknown command %s in client mode (\\stats, \\timing, \\timeout, \\quit)\n", strings.Fields(cmd)[0])
+// connectedCommand executes a backslash command in client mode; false when
+// there is no such command.
+func connectedCommand(c *server.Client, fields []string) bool {
+	if fields[0] != `\stats` {
+		return false
 	}
-	return false
+	ctx, done := queryContext()
+	st, err := c.Stats(ctx)
+	done()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		return true
+	}
+	fmt.Printf("sessions=%d queries=%d fallbacks=%d\n", st.Sessions, st.Queries, st.Fallbacks)
+	fmt.Printf("plan cache: hits=%d misses=%d evictions=%d hit rate=%.1f%%\n",
+		st.PlanCache.Hits, st.PlanCache.Misses, st.PlanCache.Evictions, 100*st.PlanCacheHitRate)
+	fmt.Printf("admission: admitted=%d degraded=%d rejected=%d timeouts=%d\n",
+		st.Admission.Admitted, st.Admission.Degraded, st.Admission.Rejected, st.Admission.Timeouts)
+	if p := st.Admission.Pool; p != nil {
+		fmt.Printf("pool: total=%d available=%d granted=%d queued=%d\n",
+			p.Total, p.Available, p.Granted, p.Queued)
+	}
+	return true
 }

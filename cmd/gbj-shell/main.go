@@ -43,7 +43,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -143,48 +142,21 @@ func main() {
 
 	fmt.Println("gbj-shell — group-by before join (Yan & Larson, ICDE 1994)")
 	fmt.Println(`type SQL ending with ';', or \quit`)
-	scanner := bufio.NewScanner(os.Stdin)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	var buf strings.Builder
-	prompt := "gbj> "
-	for {
-		fmt.Print(prompt)
-		if !scanner.Scan() {
-			break
-		}
-		line := scanner.Text()
-		trimmed := strings.TrimSpace(line)
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, `\`) {
-			if handleCommand(engine, trimmed) {
-				return
-			}
-			continue
-		}
-		buf.WriteString(line)
-		buf.WriteByte('\n')
-		if strings.HasSuffix(trimmed, ";") {
-			stmt := buf.String()
-			buf.Reset()
-			prompt = "gbj> "
-			if err := runStatement(engine, stmt); err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
-			}
-		} else if buf.Len() > 0 {
-			prompt = "...> "
-		}
-	}
+	repl(os.Stdin, os.Stdout, os.Stderr, mode{
+		statement: func(stmt string) error { return runStatement(engine, stmt) },
+		command:   func(line string, fields []string) bool { return engineCommand(engine, line, fields) },
+		more:      "...> ",
+	})
 }
 
-// handleCommand executes a backslash command; returns true to exit.
-func handleCommand(engine *gbj.Engine, cmd string) bool {
-	fields := strings.Fields(cmd)
+// engineCommand executes a backslash command against the embedded engine;
+// false when there is no such command.
+func engineCommand(engine *gbj.Engine, line string, fields []string) bool {
 	switch fields[0] {
-	case `\quit`, `\q`:
-		return true
 	case `\mode`:
 		if len(fields) != 2 {
 			fmt.Println(`usage: \mode cost|always|never`)
-			return false
+			return true
 		}
 		switch fields[1] {
 		case "cost":
@@ -195,94 +167,77 @@ func handleCommand(engine *gbj.Engine, cmd string) bool {
 			engine.SetMode(gbj.ModeNever)
 		default:
 			fmt.Println(`usage: \mode cost|always|never`)
-			return false
+			return true
 		}
 		fmt.Printf("optimizer mode: %v\n", engine.Mode())
 	case `\tables`:
-		for _, line := range engine.ListObjects() {
-			fmt.Println(line)
+		for _, obj := range engine.ListObjects() {
+			fmt.Println(obj)
 		}
 	case `\import`:
 		if len(fields) < 3 || len(fields) > 4 {
 			fmt.Println(`usage: \import file.csv table [hdr]`)
-			return false
+			return true
 		}
 		f, err := os.Open(fields[1])
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
-			return false
+			return true
 		}
 		defer f.Close()
 		header := len(fields) == 4 && fields[3] == "hdr"
 		n, err := engine.LoadCSV(fields[2], f, header)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
-			return false
+			return true
 		}
 		fmt.Printf("loaded %d rows into %s\n", n, fields[2])
 	case `\analyze`:
-		query := strings.TrimSpace(strings.TrimPrefix(cmd, `\analyze`))
+		query := strings.TrimSpace(strings.TrimPrefix(line, `\analyze`))
 		ctx, done := queryContext()
 		a, err := engine.QueryAnalyzedContext(ctx, strings.TrimSuffix(query, ";"), nil)
 		done()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
-			return false
+			return true
 		}
 		fmt.Println(a.String())
 	case `\stats`:
-		query := strings.TrimSpace(strings.TrimPrefix(cmd, `\stats`))
+		query := strings.TrimSpace(strings.TrimPrefix(line, `\stats`))
 		ctx, done := queryContext()
 		a, err := engine.QueryAnalyzedContext(ctx, strings.TrimSuffix(query, ";"), nil)
 		done()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
-			return false
+			return true
 		}
 		printStats(a)
-	case `\timeout`:
-		if len(fields) != 2 {
-			fmt.Println(`usage: \timeout 30s|off`)
-			return false
-		}
-		if fields[1] == "off" || fields[1] == "0" {
-			queryTimeout = 0
-			fmt.Println("timeout is off")
-			return false
-		}
-		d, err := time.ParseDuration(fields[1])
-		if err != nil || d < 0 {
-			fmt.Println(`usage: \timeout 30s|off`)
-			return false
-		}
-		queryTimeout = d
-		fmt.Printf("timeout: %v per query\n", d)
 	case `\budget`:
 		if len(fields) != 2 {
 			fmt.Println(`usage: \budget 64MB|off`)
-			return false
+			return true
 		}
 		if fields[1] == "off" || fields[1] == "0" {
 			engine.SetMemoryBudget(0)
 			fmt.Println("memory budget is off")
-			return false
+			return true
 		}
 		n, err := parseBytes(fields[1])
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
-			return false
+			return true
 		}
 		engine.SetMemoryBudget(n)
 		fmt.Printf("memory budget: %d bytes per query\n", n)
 	case `\spill`:
 		if len(fields) != 2 {
 			fmt.Println(`usage: \spill dir|off`)
-			return false
+			return true
 		}
 		if fields[1] == "off" {
 			engine.SetSpillDir("")
 			fmt.Println("spilling is off")
-			return false
+			return true
 		}
 		engine.SetSpillDir(fields[1])
 		if engine.MemoryBudget() == 0 {
@@ -295,31 +250,24 @@ func handleCommand(engine *gbj.Engine, cmd string) bool {
 			n, err := strconv.Atoi(fields[1])
 			if err != nil {
 				fmt.Println(`usage: \retries [n]`)
-				return false
+				return true
 			}
 			if err := engine.SetLinkRetries(n); err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
-				return false
+				return true
 			}
 		} else if len(fields) > 2 {
 			fmt.Println(`usage: \retries [n]`)
-			return false
+			return true
 		}
 		rc := engine.RecoveryCounters()
 		fmt.Printf("link retry budget: %d per shipment\n", engine.LinkRetries())
 		fmt.Printf("retries=%d redeliveries_dropped=%d failovers=%d degraded=%d\n",
 			rc.Retries, rc.RedeliveriesDropped, rc.Failovers, rc.Degraded)
-	case `\timing`:
-		timing = !timing
-		if timing {
-			fmt.Println("timing is on")
-		} else {
-			fmt.Println("timing is off")
-		}
 	default:
-		fmt.Printf("unknown command %s\n", fields[0])
+		return false
 	}
-	return false
+	return true
 }
 
 func runStatement(engine *gbj.Engine, stmt string) error {

@@ -207,28 +207,15 @@ func translateCerts(dp *dist.Plan, certs []*plancheck.Certificate) []*plancheck.
 }
 
 // recoveryPolicy assembles the fault-tolerance policy a distributed rung
-// executes under: the retry budget, the clock driving backoff, the
-// engine-lifetime counter aggregate, whether the query is Serial (its
-// sites then run one after another, dist's sitesAtOnce rule) and the
-// plancheck dist-recovery verifier consulted on every failover re-route.
+// executes under: the retry budget, the engine-lifetime counter aggregate
+// and whether the query is Serial (its sites then run one after another,
+// dist's sitesAtOnce rule). Backoff reads the rung's exec.Options.Clock.
 func (e *Engine) recoveryPolicy(s settings) *dist.Recovery {
 	return &dist.Recovery{
 		LinkRetries: s.linkRetries,
-		Clock:       s.clock,
 		Stats:       &e.recovery,
 		Serial:      s.serial,
-		Verify:      verifyRecovery,
 	}
-}
-
-// verifyRecovery is the plancheck hook the distributed runner consults
-// after a failover: the re-routed ownership table and the untouched plan
-// tree must still satisfy the placement and agg-split invariants.
-func verifyRecovery(root algebra.Node, alive []bool, owner []int) error {
-	if vs := plancheck.CheckRecovery(root, alive, owner); len(vs) > 0 {
-		return vs[0]
-	}
-	return nil
 }
 
 // degradeReason renders the one-line account of a distributed→local

@@ -4,7 +4,7 @@
 // their shard ownership to survivors, and a typed unavailability error the
 // engine layer turns into graceful distributed→local degradation.
 //
-// Everything here is driven through the injected clock (obs.Clock): a
+// Everything here is driven through the run's clock (exec.Options.Clock): a
 // backoff never sleeps for real — it advances virtual time and accounts the
 // accumulated wait against the query context's deadline — so recovery
 // schedules are deterministic under obs.FakeClock and free under obs.Wall.
@@ -14,9 +14,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/algebra"
-	"repro/internal/obs"
 )
 
 // TestHooks gate deliberately-broken recovery behaviour for regression
@@ -41,29 +38,17 @@ type ShipTag struct {
 	Epoch int
 }
 
-// Recovery configures the fault-tolerance layer of one distributed run.
-// The zero value (or a nil pointer) disables it: one attempt per
-// shipment, no failover, fail-fast — the semantics the fail-fast chaos
-// oracle relies on.
+// Recovery configures the fault-tolerance layer of one distributed run:
+// the values a query sets. A nil policy disables the layer — one attempt
+// per shipment, no failover, fail-fast — the semantics the fail-fast chaos
+// oracle relies on (Cluster.Run). Under a policy the circuit breaker is on
+// (failThreshold), backoff reads the run's exec.Options.Clock, and every
+// failover re-route is checked by plancheck.CheckRecovery.
 type Recovery struct {
 	// LinkRetries is the per-shipment retry budget: attempts beyond the
-	// first. 0 means no retries. Each retry waits backoff's schedule.
+	// first. 0 (or negative) means no retries. Each retry waits backoff's
+	// schedule.
 	LinkRetries int
-	// FailThreshold is the circuit breaker: a node whose link fails this
-	// many consecutive attempts is declared dead and its shard ownership
-	// moves to a surviving node. 0 defaults to 3; negative disables
-	// failover.
-	FailThreshold int
-	// Clock drives backoff waits and deadline accounting. Defaults to
-	// obs.Wall; tests inject obs.FakeClock for byte-stable schedules.
-	Clock obs.Clock
-	// Verify, when set, is consulted on every failover re-route with the
-	// plan root, the liveness vector and the new ownership table; a
-	// non-nil error rejects the recovery plan and fails the run. The
-	// engine wires in plancheck.CheckRecovery (the dist-recovery rule);
-	// the indirection exists because plancheck's tests build real dist
-	// nodes, so dist cannot import plancheck.
-	Verify func(root algebra.Node, alive []bool, owner []int) error
 	// Stats, when set, accumulates the run's recovery counters into an
 	// engine-lifetime aggregate (the \retries shell command reads it).
 	Stats *RecoveryStats
@@ -73,24 +58,10 @@ type Recovery struct {
 	Serial bool
 }
 
-// resolveRecovery normalizes a policy for one run. nil means fault
-// tolerance off.
-func resolveRecovery(rc *Recovery) Recovery {
-	if rc == nil {
-		return Recovery{FailThreshold: -1}
-	}
-	out := *rc
-	if out.LinkRetries < 0 {
-		out.LinkRetries = 0
-	}
-	if out.FailThreshold == 0 {
-		out.FailThreshold = 3
-	}
-	if out.Clock == nil {
-		out.Clock = obs.Wall
-	}
-	return out
-}
+// failThreshold is the circuit breaker: under a Recovery policy, a node
+// whose link fails this many consecutive attempts is declared dead and its
+// shard ownership moves to a surviving node.
+const failThreshold = 3
 
 // The retry wait: baseBackoff before the first retry, doubling per retry up
 // to maxBackoff.

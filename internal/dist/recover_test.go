@@ -8,40 +8,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/algebra"
 	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/plancheck"
 	"repro/internal/value"
 )
-
-// TestResolveRecoveryDefaults pins the policy normalization: nil disables
-// fault tolerance outright (no retries, breaker off), and a zero-valued
-// policy picks up the documented defaults.
-func TestResolveRecoveryDefaults(t *testing.T) {
-	off := resolveRecovery(nil)
-	if off.LinkRetries != 0 || off.FailThreshold != -1 {
-		t.Fatalf("nil policy resolved to %+v, want fail-fast with failover disabled", off)
-	}
-
-	def := resolveRecovery(&Recovery{})
-	if def.LinkRetries != 0 {
-		t.Errorf("zero LinkRetries resolved to %d, want 0", def.LinkRetries)
-	}
-	if def.FailThreshold != 3 {
-		t.Errorf("FailThreshold default = %d, want 3", def.FailThreshold)
-	}
-	if def.Clock == nil {
-		t.Error("Clock default is nil, want obs.Wall")
-	}
-
-	neg := resolveRecovery(&Recovery{LinkRetries: -5, FailThreshold: -1})
-	if neg.LinkRetries != 0 {
-		t.Errorf("negative LinkRetries resolved to %d, want 0", neg.LinkRetries)
-	}
-	if neg.FailThreshold != -1 {
-		t.Errorf("negative FailThreshold resolved to %d, want -1 (failover off)", neg.FailThreshold)
-	}
-}
 
 // TestBackoffSchedule pins the retry wait computation: deterministic for a
 // given (tag, attempt), 1ms doubling per attempt up to a 50ms cap, with
@@ -79,8 +50,8 @@ func TestWaitBackoffHonorsDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), clock.Now().Add(5*time.Millisecond))
 	defer cancel()
 	r := &runner{
-		opts: &exec.Options{Context: ctx},
-		rec:  resolveRecovery(&Recovery{LinkRetries: 100, Clock: clock}),
+		opts: &exec.Options{Context: ctx, Clock: clock},
+		rec:  Recovery{LinkRetries: 100},
 	}
 	start := time.Now()
 	var err error
@@ -100,33 +71,33 @@ func TestWaitBackoffHonorsDeadline(t *testing.T) {
 	}
 }
 
-// TestFailOverGuards pins the circuit breaker's refusal cases: disabled
-// policy, the coordinator, and a node still under the failure threshold
-// all stay alive.
+// TestFailOverGuards pins the circuit breaker's refusal cases: no policy,
+// the coordinator, and a node still under the failure threshold all stay
+// alive.
 func TestFailOverGuards(t *testing.T) {
-	mkRunner := func(threshold int) *runner {
+	mkRunner := func(breaker bool) *runner {
 		return &runner{
-			cl:     &Cluster{nodes: make([]*Node, 4)},
-			plan:   &Plan{},
-			rec:    resolveRecovery(&Recovery{FailThreshold: threshold}),
-			health: newHealth(4),
+			cl:      &Cluster{nodes: make([]*Node, 4)},
+			plan:    &Plan{},
+			breaker: breaker,
+			health:  newHealth(4),
 		}
 	}
 
-	r := mkRunner(-1)
+	r := mkRunner(false)
 	r.health.consec[2] = 100
 	if _, ok, _ := r.failOver(nil, 2, 0); ok {
-		t.Error("failover fired with the breaker disabled")
+		t.Error("failover fired without a recovery policy")
 	}
 
-	r = mkRunner(2)
+	r = mkRunner(true)
 	r.health.consec[0] = 100
 	if _, ok, _ := r.failOver(nil, 0, 1); ok {
 		t.Error("the coordinator was failed over; node 0 hosts the gathered result and must stay")
 	}
 
-	r = mkRunner(2)
-	r.health.consec[2] = 1
+	r = mkRunner(true)
+	r.health.consec[2] = failThreshold - 1
 	if _, ok, _ := r.failOver(nil, 2, 0); ok {
 		t.Error("failover fired below the consecutive-failure threshold")
 	}
@@ -139,12 +110,12 @@ func TestFailOverGuards(t *testing.T) {
 // ownership moves to the next surviving node, and the counter advances.
 func TestFailOverMovesOwnership(t *testing.T) {
 	r := &runner{
-		cl:     &Cluster{nodes: make([]*Node, 4)},
-		plan:   &Plan{},
-		rec:    resolveRecovery(&Recovery{FailThreshold: 2}),
-		health: newHealth(4),
+		cl:      &Cluster{nodes: make([]*Node, 4)},
+		plan:    &Plan{},
+		breaker: true,
+		health:  newHealth(4),
 	}
-	r.health.consec[2] = 2
+	r.health.consec[2] = failThreshold
 	next, ok, err := r.failOver(nil, 2, 0)
 	if err != nil || !ok {
 		t.Fatalf("failover refused: next=%d ok=%v err=%v", next, ok, err)
@@ -164,7 +135,7 @@ func TestFailOverMovesOwnership(t *testing.T) {
 
 	// Node 3 dies next: its shards — and the ones it adopted from node 2 —
 	// move to the next survivor on the ring, the coordinator.
-	r.health.consec[3] = 2
+	r.health.consec[3] = failThreshold
 	next, ok, err = r.failOver(nil, 3, 0)
 	if err != nil || !ok || next != 0 {
 		t.Fatalf("second failover: next=%d ok=%v err=%v, want owner 0", next, ok, err)
@@ -174,44 +145,37 @@ func TestFailOverMovesOwnership(t *testing.T) {
 	}
 
 	// With nodes 2 and 3 dead, killing node 1 leaves only the coordinator.
-	r.health.consec[1] = 2
+	r.health.consec[1] = failThreshold
 	next, ok, err = r.failOver(nil, 1, 0)
 	if err != nil || !ok || next != 0 {
 		t.Fatalf("third failover: next=%d ok=%v err=%v", next, ok, err)
 	}
 }
 
-// TestFailOverVerifyRejects: a Verify hook vetoes the recovery plan and the
-// run fails with the wrapped rejection rather than retrying blindly.
+// TestFailOverVerifyRejects: every failover re-route is checked by
+// plancheck's dist-recovery rule, with nothing to install. A cluster whose
+// coordinator is already dead admits no legal re-route, so failing node 1
+// over must fail the run with the wrapped violation rather than retry from
+// node 2.
 func TestFailOverVerifyRejects(t *testing.T) {
-	veto := errors.New("ownership table rejected")
-	var gotAlive []bool
-	var gotOwner []int
 	r := &runner{
-		cl:   &Cluster{nodes: make([]*Node, 4)},
-		plan: &Plan{},
-		rec: resolveRecovery(&Recovery{
-			FailThreshold: 1,
-			Verify: func(root algebra.Node, alive []bool, owner []int) error {
-				gotAlive, gotOwner = alive, owner
-				return veto
-			},
-		}),
-		health: newHealth(4),
+		cl:      &Cluster{nodes: make([]*Node, 4)},
+		plan:    &Plan{},
+		breaker: true,
+		health:  newHealth(4),
 	}
-	r.health.consec[1] = 1
+	r.health.dead[0] = true
+	r.health.consec[1] = failThreshold
 	_, ok, err := r.failOver(nil, 1, 0)
 	if ok {
-		t.Error("failover proceeded past a Verify rejection")
+		t.Error("failover proceeded past a dist-recovery violation")
 	}
-	if !errors.Is(err, veto) || !strings.Contains(fmt.Sprint(err), "recovery plan rejected") {
-		t.Fatalf("got %v, want the wrapped Verify rejection", err)
+	var v plancheck.Violation
+	if !errors.As(err, &v) || v.Rule != "dist-recovery" || !strings.Contains(fmt.Sprint(err), "recovery plan rejected") {
+		t.Fatalf("got %v, want the recovery plan rejected for a dist-recovery violation", err)
 	}
-	if len(gotAlive) != 4 || gotAlive[1] {
-		t.Errorf("Verify saw liveness %v, want node 1 dead", gotAlive)
-	}
-	if len(gotOwner) != 4 || gotOwner[1] != 2 {
-		t.Errorf("Verify saw ownership %v, want owner[1]=2", gotOwner)
+	if !strings.Contains(v.Msg, "coordinator (node 0) is dead") {
+		t.Errorf("violation %q does not name the dead coordinator", v.Msg)
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/plancheck/modelcheck"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -81,8 +80,7 @@ func TestRecoveryExhaustedBudgetIsTyped(t *testing.T) {
 
 		clock := obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)
 		inj := fault.NewSeededLinkOnly(r.Int63(), horizon, 8).WithClock(clock)
-		rec := &dist.Recovery{LinkRetries: 0, FailThreshold: -1, Clock: clock}
-		res, err := cl.RunRecover(dp, &exec.Options{Faults: inj}, rec)
+		res, err := cl.Run(dp, &exec.Options{Faults: inj, Clock: clock})
 		switch {
 		case err == nil:
 			if got := workload.Multiset(res.Rows); !slices.Equal(want, got) {
@@ -105,6 +103,44 @@ func TestRecoveryExhaustedBudgetIsTyped(t *testing.T) {
 	}
 	if !sawUnavailable {
 		t.Fatal("60 exhausting schedules never produced an UnavailableError — the sweep is vacuous")
+	}
+}
+
+// TestRecoveryNegativeRetriesIsNone: a negative retry budget is no retries,
+// as 0 is — one attempt per shipment, never none. A clean run returns the
+// local run's rows, and a drop on the first link ordinal fails the run after
+// exactly one attempt.
+func TestRecoveryNegativeRetriesIsNone(t *testing.T) {
+	r := rand.New(rand.NewSource(0x0E6))
+	store := nullKeySweep(t, r)
+	const query = `SELECT F.GroupID, SUM(F.V), COUNT(*)
+	 FROM Fact F, Dim D WHERE F.DimID = D.DimID
+	 GROUP BY F.GroupID`
+	plan := plansFor(t, store, query)[0]
+	oracleRes, err := exec.Run(plan, store, &exec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := dist.NewCluster(store, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := dist.Compile(plan, dist.Config{Nodes: 2, Strategy: dist.StrategyEager})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.RunRecover(dp, &exec.Options{}, &dist.Recovery{LinkRetries: -5})
+	if err != nil {
+		t.Fatalf("clean run under a negative retry budget: %v", err)
+	}
+	if got, want := workload.Multiset(res.Rows), workload.Multiset(oracleRes.Rows); !slices.Equal(want, got) {
+		t.Fatalf("clean run under a negative retry budget diverged\ngot: %v\nwant: %v", got, want)
+	}
+	inj := fault.NewLinkSchedule([]fault.Event{{Tick: 1, Kind: fault.LinkDrop}})
+	_, err = cl.RunRecover(dp, &exec.Options{Faults: inj}, &dist.Recovery{LinkRetries: -5})
+	var ue *dist.UnavailableError
+	if !errors.As(err, &ue) || ue.Attempts != 1 {
+		t.Fatalf("one drop under a negative retry budget: got %v, want an UnavailableError after 1 attempt", err)
 	}
 }
 
@@ -146,8 +182,8 @@ func TestRecoverySkipShipmentDedupCorrupts(t *testing.T) {
 		clock := obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)
 		inj := fault.NewLinkSchedule([]fault.Event{{Tick: tick, Kind: fault.LinkDrop}}).WithClock(clock)
 		stats := &dist.RecoveryStats{}
-		rec := &dist.Recovery{LinkRetries: 2, Clock: clock, Stats: stats}
-		res, err := cl.RunRecover(dp, &exec.Options{Faults: inj}, rec)
+		rec := &dist.Recovery{LinkRetries: 2, Stats: stats}
+		res, err := cl.RunRecover(dp, &exec.Options{Faults: inj, Clock: clock}, rec)
 		if err != nil {
 			t.Fatalf("single bounded drop at link ordinal %d failed the run: %v", tick, err)
 		}
@@ -232,14 +268,8 @@ func TestRecoveryFailoverProducesExactRows(t *testing.T) {
 		clock := obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)
 		inj := fault.NewLinkSchedule(events).WithClock(clock)
 		stats := &dist.RecoveryStats{}
-		rec := &dist.Recovery{
-			LinkRetries:   1,
-			FailThreshold: 2,
-			Clock:         clock,
-			Verify:        modelcheck.RecoveryVerify,
-			Stats:         stats,
-		}
-		res, err := cl.RunRecover(dp, &exec.Options{Faults: inj}, rec)
+		rec := &dist.Recovery{LinkRetries: 2, Stats: stats}
+		res, err := cl.RunRecover(dp, &exec.Options{Faults: inj, Clock: clock}, rec)
 		if err != nil {
 			// The burst hit the coordinator's link or cascaded past every
 			// survivor: a typed failure is the documented outcome there.

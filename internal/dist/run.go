@@ -37,6 +37,7 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/plancheck"
 	"repro/internal/value"
 )
 
@@ -92,10 +93,13 @@ func (c *Cluster) RunRecover(p *Plan, opts *exec.Options, rec *Recovery) (res *e
 		cl:     c,
 		opts:   opts,
 		plan:   p,
-		rec:    resolveRecovery(rec),
 		sites:  sitesAtOnce(len(c.nodes), opts, rec),
 		health: newHealth(len(c.nodes)),
 		inbox:  make(map[int64]bool),
+	}
+	if rec != nil {
+		r.rec, r.breaker = *rec, true
+		r.rec.LinkRetries = max(rec.LinkRetries, 0)
 	}
 	defer r.flushStats()
 	out, err := r.eval(p.Root)
@@ -151,9 +155,13 @@ type runner struct {
 	cl     *Cluster
 	opts   *exec.Options
 	plan   *Plan
-	rec    Recovery
-	sites  int // sitesAtOnce, fixed for the run
+	rec    Recovery // the zero value under a nil policy
+	sites  int      // sitesAtOnce, fixed for the run
 	health *health
+
+	// breaker is whether a policy was given: only then may failOver
+	// declare a node dead.
+	breaker bool
 
 	// inbox is the receiver side of the shipment protocol: seq tags whose
 	// payload has been accepted. A second delivery of an accepted tag is
@@ -594,7 +602,7 @@ func (r *runner) waitBackoff(tag ShipTag, attempt int) error {
 	if d <= 0 {
 		return nil
 	}
-	clock := r.rec.Clock
+	clock := r.opts.Clock
 	if clock == nil {
 		clock = obs.Wall
 	}
@@ -609,15 +617,15 @@ func (r *runner) waitBackoff(tag ShipTag, attempt int) error {
 }
 
 // failOver runs the circuit breaker after a source exhausted a
-// shipment's retry budget: when the node has accumulated FailThreshold
+// shipment's retry budget: when the node has accumulated failThreshold
 // consecutive failures it is declared dead, every shard it owned moves
-// to the next surviving node, and — when a Verify hook is installed —
-// the resulting ownership table is checked against the plancheck
-// dist-recovery rule. Returns the new owner and true when the shipment
+// to the next surviving node, and the resulting ownership table is checked
+// against the plancheck dist-recovery rule (CheckRecovery); a violation
+// fails the run. Returns the new owner and true when the shipment
 // should be retried from there. The coordinator (node 0) is the gather
 // site and the query's result location; it cannot be failed over.
 func (r *runner) failOver(m *obs.OpMetrics, src, dst int) (int, bool, error) {
-	if r.rec.FailThreshold <= 0 || src == 0 || r.health.consec[src] < r.rec.FailThreshold {
+	if !r.breaker || src == 0 || r.health.consec[src] < failThreshold {
 		return 0, false, nil
 	}
 	n := len(r.cl.nodes)
@@ -642,10 +650,8 @@ func (r *runner) failOver(m *obs.OpMetrics, src, dst int) (int, bool, error) {
 	if m != nil {
 		m.Failovers.Add(1)
 	}
-	if r.rec.Verify != nil {
-		if err := r.rec.Verify(r.plan.Root, r.health.aliveMask(), r.health.ownerCopy()); err != nil {
-			return 0, false, fmt.Errorf("dist: recovery plan rejected: %w", err)
-		}
+	if vs := plancheck.CheckRecovery(r.plan.Root, r.health.aliveMask(), r.health.ownerCopy()); len(vs) > 0 {
+		return 0, false, fmt.Errorf("dist: recovery plan rejected: %w", vs[0])
 	}
 	return next, true, nil
 }

@@ -27,7 +27,7 @@ func TestSitesAtOnceRule(t *testing.T) {
 		{"parallel fragments", 4, exec.Options{Parallelism: 4}, nil, 4},
 		{"one-worker fragments", 4, exec.Options{Parallelism: 1}, nil, 4},
 		{"vectorized fragments", 4, exec.Options{Vectorize: true}, nil, 4},
-		{"recovery policy", 4, exec.Options{}, &Recovery{LinkRetries: 3, FailThreshold: 2}, 4},
+		{"recovery policy", 4, exec.Options{}, &Recovery{LinkRetries: 3, Stats: &RecoveryStats{}}, 4},
 		{"serial", 4, exec.Options{}, &Recovery{Serial: true}, 1},
 		{"memory budget", 4, exec.Options{MemoryBudget: 1 << 20}, nil, 1},
 		{"fault injector", 4, exec.Options{Faults: fault.New(nil)}, nil, 1},

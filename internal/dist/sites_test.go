@@ -24,7 +24,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/plancheck/modelcheck"
 	"repro/internal/storage"
 	"repro/internal/value"
 	"repro/internal/workload"
@@ -107,27 +106,22 @@ func TestSitesRunAtOnce(t *testing.T) {
 // failoverBurst finds a link-drop burst that makes the four-node eager
 // plan fail a node over and still complete, as
 // TestRecoveryFailoverProducesExactRows does, and returns a constructor for
-// that schedule with its recovery policy.
-func failoverBurst(t *testing.T, cl *dist.Cluster, dp *dist.Plan) func() (*fault.Injector, *dist.Recovery) {
+// the run's options (that schedule and its clock) with its recovery policy.
+func failoverBurst(t *testing.T, cl *dist.Cluster, dp *dist.Plan) func() (*exec.Options, *dist.Recovery) {
 	t.Helper()
 	horizon := probeLinkTicks(t, cl, dp, exec.Options{})
 	for start := int64(1); start <= horizon; start++ {
-		mk := func() (*fault.Injector, *dist.Recovery) {
+		mk := func() (*exec.Options, *dist.Recovery) {
 			events := make([]fault.Event, 4)
 			for i := range events {
 				events[i] = fault.Event{Tick: start + int64(i), Kind: fault.LinkDrop}
 			}
 			clock := obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)
-			return fault.NewLinkSchedule(events).WithClock(clock), &dist.Recovery{
-				LinkRetries:   1,
-				FailThreshold: 2,
-				Clock:         clock,
-				Verify:        modelcheck.RecoveryVerify,
-				Stats:         &dist.RecoveryStats{},
-			}
+			opts := &exec.Options{Faults: fault.NewLinkSchedule(events).WithClock(clock), Clock: clock}
+			return opts, &dist.Recovery{LinkRetries: 2, Stats: &dist.RecoveryStats{}}
 		}
-		inj, rec := mk()
-		if _, err := cl.RunRecover(dp, &exec.Options{Faults: inj}, rec); err == nil && rec.Stats.Failovers.Load() > 0 {
+		opts, rec := mk()
+		if _, err := cl.RunRecover(dp, opts, rec); err == nil && rec.Stats.Failovers.Load() > 0 {
 			return mk
 		}
 	}
@@ -183,8 +177,8 @@ func TestOnePlanManyRuns(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			inj, rec := burst()
-			res, err := cl.RunRecover(dp, &exec.Options{Faults: inj}, rec)
+			opts, rec := burst()
+			res, err := cl.RunRecover(dp, opts, rec)
 			check("failover", res, err)
 			if rec.Stats.Failovers.Load() == 0 {
 				t.Error("the failover run did not fail over")
@@ -262,12 +256,12 @@ func TestSitesAtOnceSameAnswers(t *testing.T) {
 				defer cancel()
 				opts := &exec.Options{Parallelism: par, Context: ctx, Metrics: obs.NewCollector()}
 				stats := &dist.RecoveryStats{}
-				rec := &dist.Recovery{LinkRetries: 8, Verify: modelcheck.RecoveryVerify, Stats: stats}
+				rec := &dist.Recovery{LinkRetries: 8, Stats: stats}
 				if faulted {
 					horizon := probeLinkTicks(t, cl, dp, *opts)
 					clock := obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)
 					opts.Faults = fault.NewSeededLinkOnly(faultSeed, max(horizon, 1), 4).WithClock(clock)
-					rec.Clock = clock
+					opts.Clock = clock
 				}
 				res, err := cl.RunRecover(dp, opts, rec)
 				if err != nil {

@@ -1,7 +1,7 @@
 // Distributed plan invariants. The dist package's plan nodes implement
-// two small interfaces declared here (plancheck cannot import dist — dist
-// imports exec which the optimizer feeds checked plans into), and Check
-// recognizes them structurally:
+// two small interfaces declared here (plancheck cannot import dist: dist
+// imports plancheck, whose CheckRecovery it calls on every failover), and
+// Check recognizes them structurally:
 //
 //   - dist-placement: row placement is consistent — every path from the
 //     root to a shard source passes through a gather, so the plan's final

@@ -1,7 +1,8 @@
-package plancheck
+package plancheck_test
 
 // Distributed rule tests, built against the real dist plan nodes so the
-// ExchangeNode/ShardSource interface contracts stay honest.
+// ExchangeNode/ShardSource interface contracts stay honest. They are an
+// external test package because dist imports plancheck.
 
 import (
 	"strings"
@@ -10,8 +11,13 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/dist"
 	"repro/internal/expr"
+	"repro/internal/plancheck"
 	"repro/internal/value"
 )
+
+func col(table, name string, k value.Kind) algebra.ColDesc {
+	return algebra.ColDesc{ID: expr.ColumnID{Table: table, Name: name}, Type: k}
+}
 
 func empLeaf() *dist.Leaf {
 	return &dist.Leaf{Table: "Employee", Alias: "E", Cols: algebra.Schema{
@@ -45,7 +51,7 @@ func eagerSplitPlan(merge expr.AggFunc, finalGroup []expr.ColumnID) algebra.Node
 
 func deptCols() []expr.ColumnID { return []expr.ColumnID{{Table: "E", Name: "DeptID"}} }
 
-func rulesOf(vs []Violation) []string {
+func rulesOf(vs []plancheck.Violation) []string {
 	var out []string
 	for _, v := range vs {
 		out = append(out, v.Rule)
@@ -53,7 +59,7 @@ func rulesOf(vs []Violation) []string {
 	return out
 }
 
-func hasRule(vs []Violation, rule, msgPart string) bool {
+func hasRule(vs []plancheck.Violation, rule, msgPart string) bool {
 	for _, v := range vs {
 		if v.Rule == rule && strings.Contains(v.Msg, msgPart) {
 			return true
@@ -63,7 +69,7 @@ func hasRule(vs []Violation, rule, msgPart string) bool {
 }
 
 func TestDistLegalEagerSplitPasses(t *testing.T) {
-	if vs := Check(eagerSplitPlan(expr.AggSum, deptCols()), nil); len(vs) != 0 {
+	if vs := plancheck.Check(eagerSplitPlan(expr.AggSum, deptCols()), nil); len(vs) != 0 {
 		t.Fatalf("legal partial/final split reported violations: %v", vs)
 	}
 }
@@ -75,13 +81,13 @@ func TestDistPlacementRequiresGather(t *testing.T) {
 		Input: empLeaf(),
 		Cond:  expr.Eq(expr.Column("E", "DeptID"), expr.IntLit(1)),
 	}
-	vs := Check(plan, nil)
+	vs := plancheck.Check(plan, nil)
 	if !hasRule(vs, "dist-placement", "without passing through a gather") {
 		t.Fatalf("ungathered shard output not reported; got %v", rulesOf(vs))
 	}
 	// Gathering it fixes the plan.
 	fixed := &dist.Exchange{Kind: dist.Gather, Input: plan}
-	if vs := Check(fixed, nil); len(vs) != 0 {
+	if vs := plancheck.Check(fixed, nil); len(vs) != 0 {
 		t.Fatalf("gathered plan still reports violations: %v", vs)
 	}
 }
@@ -96,18 +102,18 @@ func TestDistShuffleKeysMustMatchGrouping(t *testing.T) {
 		}
 		return &dist.Exchange{Kind: dist.Gather, Input: grouped}
 	}
-	if vs := Check(build([]int{1}), nil); len(vs) != 0 {
+	if vs := plancheck.Check(build([]int{1}), nil); len(vs) != 0 {
 		t.Fatalf("consistent shuffle reported violations: %v", vs)
 	}
-	vs := Check(build([]int{0}), nil)
+	vs := plancheck.Check(build([]int{0}), nil)
 	if !hasRule(vs, "dist-shuffle-keys", "one group could land on two nodes") {
 		t.Fatalf("shuffle on the wrong column not reported; got %v", rulesOf(vs))
 	}
-	vs = Check(build([]int{0, 1}), nil)
+	vs = plancheck.Check(build([]int{0, 1}), nil)
 	if !hasRule(vs, "dist-shuffle-keys", "partitioning is inconsistent") {
 		t.Fatalf("key-count mismatch not reported; got %v", rulesOf(vs))
 	}
-	vs = Check(build([]int{7}), nil)
+	vs = plancheck.Check(build([]int{7}), nil)
 	if !hasRule(vs, "dist-shuffle-keys", "outside the") {
 		t.Fatalf("out-of-range shuffle key not reported; got %v", rulesOf(vs))
 	}
@@ -115,13 +121,13 @@ func TestDistShuffleKeysMustMatchGrouping(t *testing.T) {
 
 func TestDistAggSplitLegality(t *testing.T) {
 	// Merging partial COUNTs with MAX undercounts every multi-node group.
-	vs := Check(eagerSplitPlan(expr.AggMax, deptCols()), nil)
+	vs := plancheck.Check(eagerSplitPlan(expr.AggMax, deptCols()), nil)
 	if !hasRule(vs, "dist-agg-split", "requires merge SUM") {
 		t.Fatalf("illegal merge function not reported; got %v", rulesOf(vs))
 	}
 	// A final grouping on different columns than the partial changes the
 	// grouping semantics.
-	vs = Check(eagerSplitPlan(expr.AggSum, nil), nil)
+	vs = plancheck.Check(eagerSplitPlan(expr.AggSum, nil), nil)
 	if !hasRule(vs, "dist-agg-split", "changes grouping semantics") {
 		t.Fatalf("partial/final group-column mismatch not reported; got %v", rulesOf(vs))
 	}
@@ -144,7 +150,7 @@ func TestDistDecomposedPlansPass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vs := Check(dp.Root, nil); len(vs) != 0 {
+		if vs := plancheck.Check(dp.Root, nil); len(vs) != 0 {
 			t.Fatalf("nodes=%d: compiler-emitted eager split reports violations: %v", nodes, vs)
 		}
 		if dp.EagerGroupBys() != 1 {

@@ -61,10 +61,10 @@ type Policy uint8
 const (
 	NoRecovery Policy = iota
 	// Retry allows four to seven retries per shipment, more than any
-	// BoundedLinks schedule holds, with the default breaker.
+	// BoundedLinks schedule holds, under the same breaker.
 	Retry
-	// Failover allows one retry and declares a node dead after two
-	// consecutive failures.
+	// Failover allows two retries, so a four-drop burst exhausts a node's
+	// budget and the breaker (three consecutive failures) declares it dead.
 	Failover
 )
 
@@ -469,15 +469,6 @@ func (c *Cell) allowed(err error) bool {
 	return false
 }
 
-// RecoveryVerify is the dist-recovery rule as the Recovery.Verify hook, as
-// the engine installs it.
-func RecoveryVerify(root algebra.Node, alive []bool, owner []int) error {
-	if vs := plancheck.CheckRecovery(root, alive, owner); len(vs) > 0 {
-		return vs[0]
-	}
-	return nil
-}
-
 // Run runs the cell: for each instance of its corpus the reference once, then
 // every variant against it. It returns the cell's tally, or the first
 // disagreement with its cell, query, plan, variant and fault schedule.
@@ -770,7 +761,8 @@ func (t *trial) run(r *rand.Rand, v Variant, tally *Tally) error {
 			return nil // nothing crossed a link: nothing to fault
 		}
 		clock := obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)
-		rec = &dist.Recovery{Clock: clock, Verify: RecoveryVerify, Stats: &stats}
+		opts.Clock = clock
+		rec = &dist.Recovery{Stats: &stats}
 		if c.Faults == BoundedLinks {
 			opts.Faults = fault.NewSeededLinkOnly(seed, horizon, 1+r.Intn(4)).WithClock(clock)
 		} else {
@@ -782,7 +774,7 @@ func (t *trial) run(r *rand.Rand, v Variant, tally *Tally) error {
 			opts.Faults = fault.NewLinkSchedule(burst).WithClock(clock)
 		}
 		if c.Recovery == Failover {
-			rec.LinkRetries, rec.FailThreshold = 1, 2
+			rec.LinkRetries = 2
 		} else {
 			rec.LinkRetries = 4 + r.Intn(4)
 		}
