@@ -73,11 +73,15 @@ verify-certs:
 # plus the oracle runs over plans the optimizer verified as it emitted them,
 # the TestFD certificate of every transformed plan included: the matrix's
 # local cell (every strategy, worker count and source form) and the
-# public-API engine-mode oracle (the engine verifies every plan it runs).
+# public-API engine-mode oracle (the engine verifies every plan it runs);
+# and that what EXPLAIN shows is what runs: under every mode, the plan
+# EXPLAIN marks as chosen is the plan QueryAnalyzedContext executes, for
+# Example 1 and for the Example 5 view (TestEngineExplainForward,
+# TestEngineViewsAndReverse).
 plancheck:
 	$(GO) test ./internal/plancheck
 	$(GO) test ./internal/plancheck/modelcheck -run 'TestMatrix/^local$$'
-	$(GO) test . -run TestEngineModeOracle
+	$(GO) test . -run 'TestEngineModeOracle|TestEngineExplainForward|TestEngineViewsAndReverse'
 
 build:
 	$(GO) build ./...

@@ -75,7 +75,8 @@ func TestConcurrentEngineMixedTraffic(t *testing.T) {
 	}
 
 	// A config flipper and an accessor poller: the handler-goroutine
-	// surfaces the server reads while queries run.
+	// surfaces the server reads while queries run, and EXPLAIN of the
+	// readers' query, which renders the plan decision they run.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -99,6 +100,10 @@ func TestConcurrentEngineMixedTraffic(t *testing.T) {
 			_ = e.LinkRetries()
 			_ = e.MemoryBudget()
 			_ = e.ListObjects()
+			if _, err := e.Explain(`SELECT COUNT(id), SUM(val) FROM kv`); err != nil {
+				errs <- fmt.Errorf("explain: %w", err)
+				return
+			}
 		}
 	}()
 

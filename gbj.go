@@ -39,7 +39,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/plancheck"
 	"repro/internal/schema"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -51,7 +50,9 @@ import (
 type Mode = core.Mode
 
 // Optimizer modes: cost-based (default), always transform when valid, or
-// never transform.
+// never transform. On a query over an aggregated view, ModeNever runs the
+// nested plan as written (materialize the view, then join); ModeCost and
+// ModeAlways run the cheaper of the nested and the flat plan.
 const (
 	ModeCost   = core.ModeCost
 	ModeAlways = core.ModeAlways
@@ -550,7 +551,7 @@ func (e *Engine) query(ctx context.Context, q *sql.SelectStmt, o *QueryOptions, 
 // execution touches nothing else of the engine but its atomic counters, so
 // the lock is released before the first row moves.
 type prepared struct {
-	pc     planChoice
+	choice *core.Choice
 	set    settings       // the engine's settings with the query's overrides
 	store  *storage.Store // frozen snapshot: the query's stable view of the data
 	params expr.Params
@@ -565,11 +566,11 @@ type prepared struct {
 func (e *Engine) prepare(q *sql.SelectStmt, o *QueryOptions, params expr.Params) (prepared, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	pc, err := e.chooseForExecCached(q)
+	c, err := e.choose(q)
 	if err != nil {
 		return prepared{}, err
 	}
-	p := prepared{pc: pc, set: e.set.with(o), store: e.store.Snapshot(), params: params}
+	p := prepared{choice: c, set: e.set.with(o), store: e.store.Snapshot(), params: params}
 	if p.set.nodes > 1 {
 		if p.cluster, err = e.clusterFor(); err != nil {
 			return prepared{}, err
@@ -633,7 +634,7 @@ func (e *Engine) run(ctx context.Context, p *prepared, instrument bool, sink Row
 			e.recovery.Degraded.Add(1)
 			degraded, fellBack = degradeReason(ue), ""
 			at = attempt{}
-		case !at.lazy && canFallBack(err, p.pc):
+		case !at.lazy && canFallBack(err, p.choice):
 			e.fallbacks.Add(1)
 			fellBack = fallbackReason(err)
 			at.lazy = true
@@ -649,9 +650,9 @@ func (e *Engine) run(ctx context.Context, p *prepared, instrument bool, sink Row
 // local rung's as its root pipeline makes them, a cluster rung's as the
 // cluster returns them.
 func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome, sink RowSink) (err error) {
-	plan, ann, certs := p.pc.plan, p.pc.ann, p.pc.certs
+	plan, ann, certs := p.choice.Plan, p.choice.Ann, p.choice.Certs
 	if at.lazy {
-		plan, ann, certs = p.pc.fallback, p.pc.fallbackAnn, nil
+		plan, ann, certs = p.choice.Fallback, p.choice.FallbackAnn, nil
 	}
 	opts := p.execOptions(ctx, at, out)
 	if at == (attempt{}) && p.set.spillDir != "" && p.set.memBudget > 0 {
@@ -724,10 +725,10 @@ func (p *prepared) execOptions(ctx context.Context, at attempt, out *outcome) *e
 // canFallBack reports whether err is a budget abort or a spill failure
 // that the engine can recover from by degrading to the choice's lazy
 // fallback plan.
-func canFallBack(err error, pc planChoice) bool {
+func canFallBack(err error, c *core.Choice) bool {
 	var re *exec.ResourceError
 	var se *exec.SpillError
-	return pc.fallback != nil && (errors.As(err, &re) || errors.As(err, &se))
+	return c.Fallback != nil && (errors.As(err, &re) || errors.As(err, &se))
 }
 
 // fallbackReason renders the one-line account of a budget degradation that
@@ -744,86 +745,29 @@ func fallbackReason(err error) string {
 	return "re-executed the lazy group-after-join plan"
 }
 
-// planChoice is the executable outcome of plan selection: the chosen plan
-// with its cost annotations, plus — when the chosen plan is the eager
-// (group-before-join) shape — the lazy plan as a memory-budget fallback.
-// Eager aggregation builds its group table before the join filters rows, so
-// it is the shape that can blow past a budget on data the lazy plan handles
-// fine; keeping the lazy plan at hand is what makes graceful degradation a
-// single re-execution rather than a re-optimization.
-type planChoice struct {
-	plan algebra.Node
-	ann  algebra.Annotations
-	// fallback/fallbackAnn are nil when the chosen plan is already the
-	// conservative shape.
-	fallback    algebra.Node
-	fallbackAnn algebra.Annotations
-	// certs are the TestFD certificates covering the chosen plan's eager
-	// aggregations, kept so distributed compilations of the plan can be
-	// re-verified with translated certificates.
-	certs []*plancheck.Certificate
-}
-
-// chooseForExec runs the optimizer and packages the result for execution:
-// the chosen plan, its per-node row estimates — keyed by the exact node
-// pointers the executor will run, which is what lets Analyze pair estimates
-// with measured cardinalities — and the lazy fallback when the choice was
-// eager.
-func (e *Engine) chooseForExec(q *sql.SelectStmt) (planChoice, error) {
-	// The reverse analysis applies to non-aggregating queries over an
-	// aggregated view; try it first, falling back to the forward path.
-	if e.referencesView(q) && e.set.mode != ModeNever {
-		rr, err := e.opt.TryReverse(q)
-		if err != nil {
-			return planChoice{}, err
-		}
-		if rr.Applicable && rr.Decision.OK {
-			if rr.UseFlat {
-				return planChoice{plan: rr.FlatPlan, ann: rr.FlatCost.Ann}, nil
-			}
-			// The nested plan materializes the aggregated view — a
-			// group-before-join; the flat plan is its lazy equivalent.
-			return planChoice{
-				plan: rr.Nested, ann: rr.NestedCost.Ann,
-				fallback: rr.FlatPlan, fallbackAnn: rr.FlatCost.Ann,
-			}, nil
-		}
-	}
-	r, err := e.opt.Optimize(q)
-	if err != nil {
-		return planChoice{}, err
-	}
-	if r.Transformed {
-		return planChoice{
-			plan: r.Alternative, ann: r.TransformedCost.Ann,
-			fallback: r.Standard, fallbackAnn: r.StandardCost.Ann,
-			certs: r.Certificates(),
-		}, nil
-	}
-	return planChoice{plan: r.Standard, ann: r.StandardCost.Ann}, nil
-}
-
-func (e *Engine) referencesView(q *sql.SelectStmt) bool {
-	for _, ref := range q.From {
-		if ref.Subquery != nil || e.store.Catalog().View(ref.Name) != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// Explain returns a textual account of the optimization decision for a
-// SELECT: the standard plan, the Section 3 normalization, the TestFD
-// trace, the transformed plan when valid, and the cost-based choice. For a
-// query over an aggregated view it reports the Section 8 reverse analysis.
+// Explain returns a textual account of the plan decision for a SELECT: the
+// standard plan, the Section 3 normalization, the TestFD trace, the
+// transformed plan when valid, and the cost-based choice — or, for a query
+// over an aggregated view the Section 8 reverse analysis applies to, that
+// analysis. It is the account of the plan the query runs (core.Choice).
 func (e *Engine) Explain(text string) (string, error) {
 	q, err := parseSelect(text)
 	if err != nil {
 		return "", err
 	}
+	return e.explain(q)
+}
+
+// explain renders the plan decision the engine runs q with, under the read
+// lock: Explain's and a script's EXPLAIN.
+func (e *Engine) explain(q *sql.SelectStmt) (string, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.explainQuery(q)
+	c, err := e.choose(q)
+	if err != nil {
+		return "", err
+	}
+	return c.Explain(), nil
 }
 
 // parseSelect parses one SELECT statement, with or without a leading
@@ -840,23 +784,6 @@ func parseSelect(text string) (*sql.SelectStmt, error) {
 		return s.Query, nil
 	}
 	return nil, fmt.Errorf("gbj: expected a SELECT statement, got %T", stmt)
-}
-
-func (e *Engine) explainQuery(q *sql.SelectStmt) (string, error) {
-	if e.referencesView(q) {
-		rr, err := e.opt.TryReverse(q)
-		if err != nil {
-			return "", err
-		}
-		if rr.Applicable {
-			return explainReverse(rr), nil
-		}
-	}
-	r, err := e.opt.Optimize(q)
-	if err != nil {
-		return "", err
-	}
-	return r.Explain(), nil
 }
 
 // Analysis is the result of QueryAnalyzedContext: the rows plus the full
@@ -999,30 +926,6 @@ func (e *Engine) EstimateDistributed(query string) (DistributedEstimate, error) 
 		StandardRows:    dc.StandardRowsShipped,
 		TransformedRows: dc.TransformedRowsShipped,
 	}, nil
-}
-
-// explainReverse renders a Section 8 reverse-transformation report.
-func explainReverse(r *core.ReverseReport) string {
-	var sb strings.Builder
-	sb.WriteString("=== Nested plan (materialize the aggregated view, then join) ===\n")
-	sb.WriteString(algebra.Format(r.Nested, r.NestedCost.Ann))
-	fmt.Fprintf(&sb, "estimated cost: %.0f\n\n", r.NestedCost.Total)
-	if !r.Decision.OK {
-		fmt.Fprintf(&sb, "reverse transformation rejected: %s\n", r.WhyNot)
-		return sb.String()
-	}
-	sb.WriteString("=== TestFD on the merged query (paper Section 8) ===\n")
-	sb.WriteString(r.Decision.TraceString())
-	sb.WriteString("\nanswer: YES — join-before-group-by is equivalent\n\n")
-	sb.WriteString("=== Flat plan (join first, group once at the top) ===\n")
-	sb.WriteString(algebra.Format(r.FlatPlan, r.FlatCost.Ann))
-	fmt.Fprintf(&sb, "estimated cost: %.0f\n\n", r.FlatCost.Total)
-	if r.UseFlat {
-		sb.WriteString("chosen: flat plan (join before group-by)\n")
-	} else {
-		sb.WriteString("chosen: nested plan (view materialization)\n")
-	}
-	return sb.String()
 }
 
 func convertParams(params map[string]any) (expr.Params, error) {

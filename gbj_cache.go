@@ -4,7 +4,7 @@ package gbj
 // costing both shapes, static verification — is pure CPU work repeated
 // verbatim for every occurrence of the same query text, which is exactly
 // the traffic shape a multi-session server sees. The cache memoizes the
-// planChoice keyed by the canonical query alone (sql.Canonical, which
+// core.Choice keyed by the canonical query alone (sql.Canonical, which
 // re-parses to the same tree, so distinct queries never share a key).
 //
 // The key needs nothing else because of one invariant: every engine write
@@ -65,21 +65,22 @@ func (e *Engine) write(fn func() error) error {
 	return fn()
 }
 
-// chooseForExecCached is chooseForExec behind the plan cache. Caller
-// holds e.mu (read suffices), which keeps write — and its clear — out
-// between the lookup and the insert.
-func (e *Engine) chooseForExecCached(q *sql.SelectStmt) (planChoice, error) {
+// choose is the engine's one plan decision, core.Optimizer.Choose, behind
+// the plan cache: what a query runs and what EXPLAIN prints. Caller holds
+// e.mu (read suffices), which keeps write — and its clear — out between the
+// lookup and the insert.
+func (e *Engine) choose(q *sql.SelectStmt) (*core.Choice, error) {
 	if e.planCache == nil {
-		return e.chooseForExec(q)
+		return e.opt.Choose(q)
 	}
 	key := sql.Canonical(q)
 	if v, ok := e.planCache.Get(key); ok {
-		return v.(planChoice), nil
+		return v.(*core.Choice), nil
 	}
-	pc, err := e.chooseForExec(q)
+	c, err := e.opt.Choose(q)
 	if err != nil {
-		return planChoice{}, err
+		return nil, err
 	}
-	e.planCache.Put(key, pc)
-	return pc, nil
+	e.planCache.Put(key, c)
+	return c, nil
 }

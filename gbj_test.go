@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/fault"
@@ -117,6 +118,55 @@ func TestEngineExplainForward(t *testing.T) {
 	if _, err := e.Explain("EXPLAIN " + example1Query); err != nil {
 		t.Errorf("EXPLAIN prefix rejected: %v", err)
 	}
+	explainIsWhatRuns(t, e, example1Query)
+}
+
+// explainIsWhatRuns checks, under each optimizer mode, that the plan EXPLAIN
+// marks as chosen is the plan QueryAnalyzedContext runs. It leaves the
+// engine in ModeCost.
+func explainIsWhatRuns(t *testing.T, e *Engine, q string) {
+	t.Helper()
+	defer e.SetMode(ModeCost)
+	for _, mode := range []Mode{ModeCost, ModeAlways, ModeNever} {
+		e.SetMode(mode)
+		text, err := e.Explain(q)
+		if err != nil {
+			t.Fatalf("mode %v: %v", mode, err)
+		}
+		a, err := e.QueryAnalyzedContext(context.Background(), q, nil)
+		if err != nil {
+			t.Fatalf("mode %v: %v", mode, err)
+		}
+		shown, ran := explainedPlan(text), algebra.Format(a.Plan, nil)
+		if shown != ran {
+			t.Errorf("mode %v: EXPLAIN chose\n%sbut the query ran\n%sEXPLAIN:\n%s", mode, shown, ran, text)
+		}
+	}
+}
+
+// explainedPlan returns the plan an EXPLAIN text marks as chosen, without
+// its estimates: the plan its "chosen:" line names, else its first plan —
+// the standard or nested plan, when no alternative was proven.
+func explainedPlan(text string) string {
+	plans := map[string]string{}
+	var chosen, cur string
+	for _, line := range strings.Split(text, "\n") {
+		switch {
+		case strings.HasPrefix(line, "=== ") && strings.Contains(line, " plan "):
+			cur = strings.ToLower(strings.Fields(line)[1])
+			if chosen == "" {
+				chosen = cur
+			}
+		case strings.HasPrefix(line, "estimated cost:"):
+			cur = ""
+		case cur != "":
+			line, _, _ = strings.Cut(line, "  -- ")
+			plans[cur] += line + "\n"
+		case strings.HasPrefix(line, "chosen: "):
+			chosen = strings.Fields(line)[1]
+		}
+	}
+	return plans[chosen]
 }
 
 func TestEngineParams(t *testing.T) {
@@ -220,6 +270,7 @@ func TestEngineViewsAndReverse(t *testing.T) {
 	if len(res2.Rows) != 2 {
 		t.Errorf("ModeNever result has %d rows", len(res2.Rows))
 	}
+	explainIsWhatRuns(t, e, q)
 }
 
 func TestEngineDDLAndConstraints(t *testing.T) {

@@ -1250,6 +1250,16 @@ func registerUserInfoView(t *testing.T, s *storage.Store) {
 	}))
 }
 
+// reverseOf binds q and runs the Section 8 analysis on it, as Choose does
+// for a query over a view.
+func reverseOf(o *Optimizer, q *sql.SelectStmt) (*ReverseReport, error) {
+	b, err := o.planner.Bind(q)
+	if err != nil {
+		return nil, err
+	}
+	return o.reverse(b)
+}
+
 // TestExample5ReverseTransformation reproduces the paper's Section 8
 // example: a query over the aggregated view UserInfo merges into the flat
 // Example 3 query, TestFD validates it, and both evaluations agree.
@@ -1261,7 +1271,7 @@ func TestExample5ReverseTransformation(t *testing.T) {
 		SELECT U.UserId, U.UserName, I.TotUsage, I.MaxSpeed, I.MinSpeed
 		FROM UserInfo I, UserAccount U
 		WHERE I.UserId = U.UserId AND I.Machine = U.Machine AND U.Machine = 'dragon'`)
-	r, err := o.TryReverse(q)
+	r, err := reverseOf(o, q)
 	must(t, err)
 	if !r.Applicable {
 		t.Fatalf("reverse not applicable: %s", r.WhyNot)
@@ -1301,7 +1311,7 @@ func TestExample5FlatQueryIsTheMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewOptimizer(store).TryReverse(nested)
+	r, err := reverseOf(NewOptimizer(store), nested)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1321,7 +1331,7 @@ func TestReverseChoicePricesTheCluster(t *testing.T) {
 	registerUserInfoView(t, s)
 	o := NewOptimizer(s)
 	o.Nodes = 4
-	r, err := o.TryReverse(parse(t, `
+	r, err := reverseOf(o, parse(t, `
 		SELECT U.UserId, U.UserName, I.TotUsage, I.MaxSpeed, I.MinSpeed
 		FROM UserInfo I, UserAccount U
 		WHERE I.UserId = U.UserId AND I.Machine = U.Machine AND U.Machine = 'dragon'`))
@@ -1351,13 +1361,13 @@ func TestReverseNotApplicable(t *testing.T) {
 			WHERE I.UserId = U.UserId AND I.Machine = U.Machine AND I.TotUsage > 10`},
 	}
 	for _, c := range cases {
-		r, err := o.TryReverse(parse(t, c.q))
+		r, err := reverseOf(o, parse(t, c.q))
 		must(t, err)
 		if r.Applicable {
 			t.Errorf("%s: reported applicable", c.name)
 		}
 		// The nested plan must still execute.
-		_ = runPlan(t, r.Chosen(), s)
+		_ = runPlan(t, r.Nested, s)
 	}
 }
 
@@ -1387,7 +1397,7 @@ func TestDerivedTableInFrom(t *testing.T) {
 		      GROUP BY A.UserId, A.Machine) I,
 		     UserAccount U
 		WHERE I.UserId = U.UserId AND I.Machine = U.Machine AND U.Machine = 'dragon'`)
-	rr, err := o.TryReverse(q2)
+	rr, err := reverseOf(o, q2)
 	must(t, err)
 	if !rr.Applicable || !rr.Decision.OK {
 		t.Fatalf("reverse analysis on derived table failed: %s", rr.WhyNot)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/algebra"
@@ -262,44 +263,23 @@ func appendUnique(base []expr.ColumnID, extra []expr.ColumnID) []expr.ColumnID {
 // row would fail C0 against every σ[C2]R2 row. The added conjuncts are
 // returned for tracing; Shape.C1 is updated in place.
 func ExpandPredicates(s *Shape) []expr.Expr {
-	// Union-find over columns connected by Type 2 atoms.
-	parent := make(map[expr.ColumnID]expr.ColumnID)
-	var find func(c expr.ColumnID) expr.ColumnID
-	find = func(c expr.ColumnID) expr.ColumnID {
-		p, ok := parent[c]
-		if !ok || p == c {
-			parent[c] = c
-			return c
-		}
-		root := find(p)
-		parent[c] = root
-		return root
-	}
-	union := func(a, b expr.ColumnID) { parent[find(a)] = find(b) }
-
-	all := make([]expr.Expr, 0, len(s.C1)+len(s.C0)+len(s.C2))
-	all = append(all, s.C1...)
-	all = append(all, s.C0...)
-	all = append(all, s.C2...)
-	// constants[root] is a constant expression some class member equals.
-	constants := make(map[expr.ColumnID]expr.Expr)
-	var typed []expr.EqAtom
-	for _, conj := range all {
-		atom := expr.ClassifyAtom(conj)
-		switch atom.Class {
+	// Union the columns Type 2 atoms connect; then constants[root] is a
+	// constant expression some member of root's class equals.
+	u := colUnion{}
+	var consts []expr.EqAtom
+	for _, conj := range slices.Concat(s.C1, s.C0, s.C2) {
+		switch atom := expr.ClassifyAtom(conj); atom.Class {
 		case expr.AtomColCol:
-			union(atom.Col, atom.Col2)
-			typed = append(typed, atom)
+			u.union(atom)
 		case expr.AtomColConst:
-			typed = append(typed, atom)
+			consts = append(consts, atom)
 		}
 	}
-	for _, atom := range typed {
-		if atom.Class == expr.AtomColConst {
-			root := find(atom.Col)
-			if _, ok := constants[root]; !ok {
-				constants[root] = atom.Const
-			}
+	constants := make(map[expr.ColumnID]expr.Expr)
+	for _, atom := range consts {
+		root := u.find(atom.Col)
+		if _, ok := constants[root]; !ok {
+			constants[root] = atom.Const
 		}
 	}
 
@@ -316,7 +296,7 @@ func ExpandPredicates(s *Shape) []expr.Expr {
 		if !s.r1Set[col.Table] || pinned[col] {
 			continue
 		}
-		c, ok := constants[find(col)]
+		c, ok := constants[u.find(col)]
 		if !ok {
 			continue
 		}

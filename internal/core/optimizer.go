@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/algebra"
@@ -14,7 +15,10 @@ import (
 // Mode selects how the optimizer uses the transformation.
 type Mode uint8
 
-// Optimizer modes.
+// Optimizer modes. On a query over an aggregated view or derived table
+// (Section 8), ModeNever runs the nested plan as written — materialize the
+// view, then join — and ModeCost and ModeAlways both run the cheaper of the
+// nested and the flat plan.
 const (
 	// ModeCost applies the transformation when it is valid AND the cost
 	// model prefers the transformed plan (the paper's Section 7: validity
@@ -152,25 +156,22 @@ func (r *Report) Certificates() []*plancheck.Certificate {
 	return certs
 }
 
-// verifyReport runs the static plan verifier over the report's plans when
-// CheckPlans is set: the standard plan must be well-formed, and the
-// transformed plan must additionally carry a valid eager-aggregation
-// certificate.
-func (o *Optimizer) verifyReport(r *Report) error {
-	if !o.CheckPlans {
-		return nil
+// verifyReport collects the report's Certificates once and, when
+// CheckPlans is set, runs the static plan verifier over the report's plans:
+// the standard plan must be well-formed, and the transformed plan must
+// additionally carry a valid eager-aggregation certificate.
+func (o *Optimizer) verifyReport(r *Report) ([]*plancheck.Certificate, error) {
+	certs := r.Certificates()
+	if err := o.verifyPlain(r.Standard, "standard"); err != nil {
+		return nil, err
 	}
-	if err := plancheck.Verify(r.Standard, nil); err != nil {
-		return fmt.Errorf("core: standard plan failed verification: %w", err)
-	}
-	if r.Alternative != nil {
-		certs := r.Certificates()
+	if r.Alternative != nil && o.CheckPlans {
 		opts := &plancheck.Options{
 			Certificates:     certs,
 			RequireEagerCert: true,
 		}
 		if err := plancheck.Verify(r.Alternative, opts); err != nil {
-			return fmt.Errorf("core: transformed plan failed verification: %w", err)
+			return nil, fmt.Errorf("core: transformed plan failed verification: %w", err)
 		}
 		// Independent cross-check: re-derive the Main Theorem conditions
 		// from the catalog and the plan pair alone, and compare against
@@ -182,8 +183,20 @@ func (o *Optimizer) verifyReport(r *Report) error {
 			for i, v := range vs {
 				msgs[i] = v.Error()
 			}
-			return fmt.Errorf("core: certificate cross-check failed:\n  %s", strings.Join(msgs, "\n  "))
+			return nil, fmt.Errorf("core: certificate cross-check failed:\n  %s", strings.Join(msgs, "\n  "))
 		}
+	}
+	return certs, nil
+}
+
+// verifyPlain checks a plan with no eager aggregation for well-formedness
+// when CheckPlans is set; what names the plan in the error.
+func (o *Optimizer) verifyPlain(plan algebra.Node, what string) error {
+	if !o.CheckPlans {
+		return nil
+	}
+	if err := plancheck.Verify(plan, nil); err != nil {
+		return fmt.Errorf("core: %s plan failed verification: %w", what, err)
 	}
 	return nil
 }
@@ -209,19 +222,105 @@ func (o *Optimizer) Optimize(q *sql.SelectStmt) (*Report, error) {
 	return o.OptimizeBound(b)
 }
 
-// OptimizeBound runs the decision pipeline on a bound query: normalize
-// (Section 3), TestFD (Section 6.3), transform (Main Theorem / Theorem 2),
-// choose by cost (Section 7). With CheckPlans set, both emitted plans are
-// statically verified before the report is returned.
+// OptimizeBound runs the forward decision pipeline on a bound query:
+// normalize (Section 3), TestFD (Section 6.3), transform (Main Theorem /
+// Theorem 2), choose by cost (Section 7). With CheckPlans set, both emitted
+// plans are statically verified before the report is returned.
 func (o *Optimizer) OptimizeBound(b *BoundQuery) (*Report, error) {
 	r, err := o.optimizeBound(b)
 	if err != nil {
 		return nil, err
 	}
-	if err := o.verifyReport(r); err != nil {
+	if _, err := o.verifyReport(r); err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// Choice is the one plan decision for a query: the plan that runs, the lazy
+// plan a budget abort falls back to, the certificates that license the plan,
+// and the account EXPLAIN prints. The engine runs it and EXPLAIN renders it,
+// so the plan EXPLAIN marks as chosen is the plan that runs.
+type Choice struct {
+	// Plan is the chosen plan and Ann its per-node estimates, keyed by the
+	// node pointers the executor runs — which is what lets an analysis pair
+	// estimates with measured cardinalities.
+	Plan algebra.Node
+	Ann  algebra.Annotations
+	// Fallback is the lazy plan behind a group-before-join choice — the
+	// standard plan behind a transformed one, the flat plan behind a nested
+	// view — and FallbackAnn its estimates; both nil when Plan is already
+	// the lazy shape. Eager aggregation builds its group table before the
+	// join filters rows, so it is the shape that can blow a memory budget
+	// the lazy plan fits; keeping the lazy plan at hand makes degradation a
+	// re-execution, not a re-optimization.
+	Fallback    algebra.Node
+	FallbackAnn algebra.Annotations
+	// Certs are the TestFD certificates covering Plan's eager aggregations,
+	// kept so a distributed compilation of Plan can be re-verified.
+	Certs []*plancheck.Certificate
+
+	// The report of the rule that decided: reverse when the Section 8
+	// analysis applied, else forward.
+	forward *Report
+	reverse *ReverseReport
+}
+
+// Choose makes the one plan decision. A query over a view or a derived
+// table gets the Section 8 reverse analysis first, unless the mode is
+// ModeNever; every other query, and one the reverse analysis does not apply
+// to, gets the forward rule with its Section 9 rescue. With CheckPlans set,
+// every plan the choice carries has been verified.
+func (o *Optimizer) Choose(q *sql.SelectStmt) (*Choice, error) {
+	b, err := o.planner.Bind(q)
+	if err != nil {
+		return nil, err
+	}
+	if o.Mode != ModeNever && slices.ContainsFunc(b.tables, func(bt boundTable) bool { return bt.view != nil }) {
+		rr, err := o.reverse(b)
+		if err != nil {
+			return nil, err
+		}
+		if rr.Applicable {
+			if rr.UseFlat {
+				return &Choice{Plan: rr.FlatPlan, Ann: rr.FlatCost.Ann, reverse: rr}, nil
+			}
+			// The nested plan materializes the aggregated view — a
+			// group-before-join; the flat plan, when proven, is its lazy
+			// equivalent.
+			return &Choice{
+				Plan: rr.Nested, Ann: rr.NestedCost.Ann,
+				Fallback: rr.FlatPlan, FallbackAnn: rr.FlatCost.Ann,
+				reverse: rr,
+			}, nil
+		}
+	}
+	r, err := o.optimizeBound(b)
+	if err != nil {
+		return nil, err
+	}
+	certs, err := o.verifyReport(r)
+	if err != nil {
+		return nil, err
+	}
+	if !r.Transformed {
+		return &Choice{Plan: r.Standard, Ann: r.StandardCost.Ann, forward: r}, nil
+	}
+	return &Choice{
+		Plan: r.Alternative, Ann: r.TransformedCost.Ann,
+		Fallback: r.Standard, FallbackAnn: r.StandardCost.Ann,
+		Certs:   certs,
+		forward: r,
+	}, nil
+}
+
+// Explain renders the account of the rule that decided: the reverse report
+// when the Section 8 analysis applied, else the forward report.
+func (c *Choice) Explain() string {
+	if c.reverse != nil {
+		return c.reverse.Explain()
+	}
+	return c.forward.Explain()
 }
 
 func (o *Optimizer) optimizeBound(b *BoundQuery) (*Report, error) {

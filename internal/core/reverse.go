@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/algebra"
 	"repro/internal/expr"
-	"repro/internal/plancheck"
 	"repro/internal/sql"
 )
 
@@ -21,16 +21,12 @@ type ReverseReport struct {
 	Applicable bool
 	WhyNot     string
 
-	// ViewAlias is the FROM alias of the aggregated view.
-	ViewAlias string
 	// Flat is the merged single-block query (joins + group-by at the
 	// top), built so that its group-before-join form is exactly the
 	// original nested evaluation.
 	Flat *sql.SelectStmt
 	// Decision is the TestFD outcome on the flat query.
 	Decision Decision
-	// Shape is the flat query's normalization.
-	Shape *Shape
 
 	// Nested is the original plan (materialize the view, then join);
 	// FlatPlan is the join-first plan. Both are executable.
@@ -43,45 +39,18 @@ type ReverseReport struct {
 	UseFlat    bool
 }
 
-// Chosen returns the plan the reverse analysis selected.
-func (r *ReverseReport) Chosen() algebra.Node {
-	if r.UseFlat {
-		return r.FlatPlan
-	}
-	return r.Nested
-}
-
-// TryReverse analyzes a query over an aggregated view (Section 8). The
-// nested plan is always available; when the merge succeeds and TestFD
-// proves the flat form equivalent, the report carries both plans and the
-// cost-based choice. With CheckPlans set, both plans are statically
-// verified (a view's grouping is wrapped in a rename projection, so
-// neither plan contains an eager aggregation needing a certificate).
-func (o *Optimizer) TryReverse(q *sql.SelectStmt) (*ReverseReport, error) {
-	r, err := o.tryReverse(q)
-	if err != nil {
-		return nil, err
-	}
-	if o.CheckPlans {
-		if err := plancheck.Verify(r.Nested, nil); err != nil {
-			return nil, fmt.Errorf("core: nested plan failed verification: %w", err)
-		}
-		if r.FlatPlan != nil {
-			if err := plancheck.Verify(r.FlatPlan, nil); err != nil {
-				return nil, fmt.Errorf("core: flat plan failed verification: %w", err)
-			}
-		}
-	}
-	return r, nil
-}
-
-func (o *Optimizer) tryReverse(q *sql.SelectStmt) (*ReverseReport, error) {
-	b, err := o.planner.Bind(q)
-	if err != nil {
-		return nil, err
-	}
+// reverse runs the Section 8 analysis on a bound query. The nested plan is
+// always available; when the merge succeeds and TestFD proves the flat form
+// equivalent, the report carries both plans and the cost-based choice. With
+// CheckPlans set, both plans are statically verified (a view's grouping is
+// wrapped in a rename projection, so neither plan contains an eager
+// aggregation needing a certificate).
+func (o *Optimizer) reverse(b *BoundQuery) (*ReverseReport, error) {
 	nested, err := o.planner.PlanStandard(b)
 	if err != nil {
+		return nil, err
+	}
+	if err := o.verifyPlain(nested, "nested"); err != nil {
 		return nil, err
 	}
 	r := &ReverseReport{Nested: nested}
@@ -96,7 +65,6 @@ func (o *Optimizer) tryReverse(q *sql.SelectStmt) (*ReverseReport, error) {
 		r.WhyNot = why
 		return r, nil
 	}
-	r.ViewAlias = merged.viewAlias
 	r.Flat = merged.flat
 
 	// Validate the flat form: bind, normalize with R1 forced to the
@@ -115,7 +83,6 @@ func (o *Optimizer) tryReverse(q *sql.SelectStmt) (*ReverseReport, error) {
 		}
 		return nil, err
 	}
-	r.Shape = shape
 	r.Applicable = true
 	r.Decision = TestFD(shape)
 	if !r.Decision.OK {
@@ -138,16 +105,44 @@ func (o *Optimizer) tryReverse(q *sql.SelectStmt) (*ReverseReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := o.verifyPlain(flatPlan, "flat"); err != nil {
+		return nil, err
+	}
 	r.FlatPlan = flatPlan
 	r.FlatCost = model.Estimate(flatPlan)
 	r.UseFlat = r.FlatCost.Total < r.NestedCost.Total
 	return r, nil
 }
 
+// Explain renders the Section 8 report: the nested plan, the TestFD run on
+// the merged query and the flat plan with the choice, or why the reverse
+// transformation was rejected.
+func (r *ReverseReport) Explain() string {
+	var sb strings.Builder
+	sb.WriteString("=== Nested plan (materialize the aggregated view, then join) ===\n")
+	sb.WriteString(algebra.Format(r.Nested, r.NestedCost.Ann))
+	fmt.Fprintf(&sb, "estimated cost: %.0f\n\n", r.NestedCost.Total)
+	if !r.Decision.OK {
+		fmt.Fprintf(&sb, "reverse transformation rejected: %s\n", r.WhyNot)
+		return sb.String()
+	}
+	sb.WriteString("=== TestFD on the merged query (paper Section 8) ===\n")
+	sb.WriteString(r.Decision.TraceString())
+	sb.WriteString("\nanswer: YES — join-before-group-by is equivalent\n\n")
+	sb.WriteString("=== Flat plan (join first, group once at the top) ===\n")
+	sb.WriteString(algebra.Format(r.FlatPlan, r.FlatCost.Ann))
+	fmt.Fprintf(&sb, "estimated cost: %.0f\n\n", r.FlatCost.Total)
+	if r.UseFlat {
+		sb.WriteString("chosen: flat plan (join before group-by)\n")
+	} else {
+		sb.WriteString("chosen: nested plan (view materialization)\n")
+	}
+	return sb.String()
+}
+
 // mergedView is the result of a successful view merge.
 type mergedView struct {
 	flat        *sql.SelectStmt
-	viewAlias   string
 	viewTables  []string
 	viewGroupBy []expr.ColumnID
 }
@@ -292,7 +287,7 @@ func (o *Optimizer) mergeAggregatedView(b *BoundQuery) (*mergedView, string, err
 	// final result either way.
 	flat.Limit = b.Limit
 	flat.HasLimit = b.HasLimit
-	out := &mergedView{flat: flat, viewAlias: viewBT.alias, viewGroupBy: vb.GroupBy}
+	out := &mergedView{flat: flat, viewGroupBy: vb.GroupBy}
 	for _, bt := range vb.tables {
 		out.viewTables = append(out.viewTables, bt.alias)
 	}

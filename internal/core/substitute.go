@@ -35,32 +35,42 @@ type substCandidate struct {
 	note string
 }
 
+// colUnion is a union-find over columns: the equivalence classes that
+// column = column atoms (Type 2) induce. Substitution (equivClasses) and
+// predicate expansion (ExpandPredicates) both build theirs with it.
+type colUnion map[expr.ColumnID]expr.ColumnID
+
+// find returns c's class representative, making c a class of its own on
+// first sight.
+func (u colUnion) find(c expr.ColumnID) expr.ColumnID {
+	p, ok := u[c]
+	if !ok || p == c {
+		u[c] = c
+		return c
+	}
+	root := u.find(p)
+	u[c] = root
+	return root
+}
+
+// union merges the classes of the two columns of a Type 2 atom.
+func (u colUnion) union(atom expr.EqAtom) { u[u.find(atom.Col)] = u.find(atom.Col2) }
+
 // equivClasses builds column equivalence classes from the top-level Type 2
 // equality conjuncts of the WHERE clause.
 func equivClasses(where expr.Expr) map[expr.ColumnID][]expr.ColumnID {
-	parent := make(map[expr.ColumnID]expr.ColumnID)
-	var find func(c expr.ColumnID) expr.ColumnID
-	find = func(c expr.ColumnID) expr.ColumnID {
-		p, ok := parent[c]
-		if !ok || p == c {
-			parent[c] = c
-			return c
-		}
-		root := find(p)
-		parent[c] = root
-		return root
-	}
+	u := colUnion{}
 	for _, conj := range expr.Conjuncts(where) {
 		if atom := expr.ClassifyAtom(conj); atom.Class == expr.AtomColCol {
-			parent[find(atom.Col)] = find(atom.Col2)
+			u.union(atom)
 		}
 	}
 	classes := make(map[expr.ColumnID][]expr.ColumnID)
-	for c := range parent {
-		root := find(c)
+	for c := range u {
+		root := u.find(c)
 		classes[root] = append(classes[root], c)
 	}
-	out := make(map[expr.ColumnID][]expr.ColumnID, len(parent))
+	out := make(map[expr.ColumnID][]expr.ColumnID, len(u))
 	for _, members := range classes {
 		sort.Slice(members, func(i, j int) bool {
 			if members[i].Table != members[j].Table {

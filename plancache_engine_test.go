@@ -166,20 +166,20 @@ func TestPlanCacheRejectsTamperedCertificate(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := sql.Canonical(q)
-	cached := func() planChoice {
+	cached := func() *core.Choice {
 		t.Helper()
 		v, ok := e.planCache.Get(key)
 		if !ok {
 			t.Fatal("no cache entry for the query")
 		}
-		return v.(planChoice)
+		return v.(*core.Choice)
 	}
-	pc := cached()
-	clean := len(pc.certs[0].GroupCols)
-	tampered := *pc.certs[0]
+	c := *cached()
+	clean := len(c.Certs[0].GroupCols)
+	tampered := *c.Certs[0]
 	tampered.GroupCols = tampered.GroupCols[:len(tampered.GroupCols)-1]
-	pc.certs = []*plancheck.Certificate{&tampered}
-	e.planCache.Put(key, pc)
+	c.Certs = []*plancheck.Certificate{&tampered}
+	e.planCache.Put(key, &c)
 
 	// A write in between: the poisoned entry is gone, the query misses,
 	// re-plans and caches a certificate with the full GA1+ again.
@@ -191,7 +191,7 @@ func TestPlanCacheRejectsTamperedCertificate(t *testing.T) {
 	if s := e.PlanCacheStats(); s.Misses != misses+1 {
 		t.Fatalf("the planted entry survived a write: %+v", s)
 	}
-	if got := len(cached().certs[0].GroupCols); got != clean {
+	if got := len(cached().Certs[0].GroupCols); got != clean {
 		t.Fatalf("re-planned certificate has %d GA1+ columns, want %d", got, clean)
 	}
 }

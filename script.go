@@ -32,9 +32,7 @@ func (e *Engine) RunScriptContext(ctx context.Context, text string, w io.Writer)
 			fmt.Fprint(w, res.String())
 			fmt.Fprintf(w, "(%d rows)\n", len(res.Rows))
 		case *sql.ExplainStmt:
-			e.mu.RLock()
-			text, err := e.explainQuery(s.Query)
-			e.mu.RUnlock()
+			text, err := e.explain(s.Query)
 			if err != nil {
 				return err
 			}
