@@ -212,7 +212,7 @@ fuzz:
 # DESIGN.md §4.9 (internal/value: BenchmarkConcat, BenchmarkAppendGroupKey,
 # BenchmarkCompare; internal/exec: BenchmarkHashGroupSerial, one cluster
 # fragment's join-then-group, BenchmarkGroupTable, the group table alone —
-# all inserts, all hits at 10 and 1 000 groups, two partials absorbed —,
+# all inserts, all hits at 10 and 1 000 groups, two partials combined —,
 # BenchmarkJoinTable, the other hashed stores alone — join build + probe at
 # 10 keys, 1 000 keys and 100 keys × 100 rows, par1 and par2, DISTINCT's set,
 # COUNT(DISTINCT) over 1 000 groups — and BenchmarkTinyJoinGroup, what a run
@@ -223,7 +223,7 @@ fuzz:
 # consumer (exec.Stream) — and
 # BenchmarkGovernorTick, the per-row governance check on one goroutine and on
 # two sharing a governor; the root package: BenchmarkPlanCacheHit, a cached
-# Example 1 query end to end, and BenchmarkConvertResult; internal/storage:
+# Example 1 query end to end, and BenchmarkBoxSink; internal/storage:
 # BenchmarkInsert, 48 000 four-column rows under a primary key;
 # internal/dist: BenchmarkRowBytes);
 # and the wire encoding of DESIGN.md §6.3 (internal/server:

@@ -495,11 +495,11 @@ func (e *Engine) QueryOptionsContext(ctx context.Context, text string, o *QueryO
 	if err != nil {
 		return nil, err
 	}
-	out, err := e.query(ctx, q, o, false, nil)
-	if err != nil {
+	var sink boxSink
+	if _, err := e.query(ctx, q, o, false, &sink); err != nil {
 		return nil, err
 	}
-	return convertResult(out.res), nil
+	return sink.result(), nil
 }
 
 // RowSink takes a query's rows as the answering rung's plan emits them
@@ -822,7 +822,8 @@ func (e *Engine) QueryAnalyzedContext(ctx context.Context, text string, o *Query
 	if err != nil {
 		return nil, err
 	}
-	out, err := e.query(ctx, q, o, true, nil)
+	var sink boxSink
+	out, err := e.query(ctx, q, o, true, &sink)
 	if err != nil {
 		return nil, err
 	}
@@ -835,7 +836,7 @@ func (e *Engine) QueryAnalyzedContext(ctx context.Context, text string, o *Query
 		return nil, err
 	}
 	a := &Analysis{
-		Result:      convertResult(out.res),
+		Result:      sink.result(),
 		Plan:        out.plan,
 		Calibration: cal,
 		Metrics:     out.col,
@@ -962,36 +963,77 @@ func columnNames(schema algebra.Schema) []string {
 	return cols
 }
 
-// convertResult boxes a result's cells into Go-native values. The cells of
-// all rows are cut from one slab, so a result costs two slice allocations
-// however many rows it has; an empty result keeps Rows nil.
-func convertResult(res *exec.Result) *Result {
-	out := &Result{Columns: columnNames(res.Schema)}
-	if len(res.Rows) == 0 {
-		return out
-	}
-	cells := 0
-	for _, row := range res.Rows {
-		cells += len(row)
-	}
-	slab := make([]any, cells)
-	out.Rows = make([][]any, len(res.Rows))
-	for r, row := range res.Rows {
-		conv := slab[:len(row):len(row)]
-		slab = slab[len(row):]
-		for i, v := range row {
+// boxSink is the RowSink of the in-process SELECT entries: it boxes each
+// row's cells into Go-native values as its chunk hands the row over, so no
+// row of the engine's is kept for it. A chunk's cells are cut from pages sized
+// as a value.Slab's — a run of rows is a few large objects, not one per row,
+// and a chunk's pages are never more than twice what they hold — and the
+// result's row headers are made once, at the end (result).
+type boxSink struct {
+	columns []string
+	chunks  []boxedChunk
+}
+
+// boxedChunk is one chunk's cells: pages, each full but the last.
+type boxedChunk struct {
+	pages [][]any
+	rows  int // rows handed over: the rows of the full pages and the last
+}
+
+func (s *boxSink) Start(columns []string) { s.columns, s.chunks = columns, nil }
+
+func (s *boxSink) Begin(chunks int) { s.chunks = make([]boxedChunk, chunks) }
+
+func (s *boxSink) Chunk(c int) func(value.Row) error {
+	ch := &s.chunks[c]
+	return func(row value.Row) error {
+		last := len(ch.pages) - 1
+		if last < 0 || len(ch.pages[last])+len(row) > cap(ch.pages[last]) {
+			if last < 0 {
+				ch.pages = make([][]any, 0, 8) // a morsel's pages: 8 + 8 + 16 + … + 512 rows
+			}
+			ch.pages = append(ch.pages, make([]any, 0, value.SlabPageRows(ch.rows)*len(row)))
+			last++
+		}
+		page := ch.pages[last]
+		for _, v := range row {
+			var cell any
 			switch v.Kind() {
 			case value.KindInt:
-				conv[i] = v.Int()
+				cell = v.Int()
 			case value.KindFloat:
-				conv[i] = v.Float()
+				cell = v.Float()
 			case value.KindString:
-				conv[i] = v.Str()
+				cell = v.Str()
 			case value.KindBool:
-				conv[i] = v.Bool()
+				cell = v.Bool()
+			}
+			page = append(page, cell)
+		}
+		ch.pages[last] = page
+		ch.rows++
+		return nil
+	}
+}
+
+// result is the boxed rows, chunk by chunk in order; an empty result keeps
+// Rows nil.
+func (s *boxSink) result() *Result {
+	out := &Result{Columns: s.columns}
+	n, width := 0, len(s.columns)
+	for _, ch := range s.chunks {
+		n += ch.rows
+	}
+	if n == 0 {
+		return out
+	}
+	out.Rows = make([][]any, 0, n)
+	for _, ch := range s.chunks {
+		for _, page := range ch.pages {
+			for ; len(page) > 0; page = page[width:] {
+				out.Rows = append(out.Rows, page[:width:width])
 			}
 		}
-		out.Rows[r] = conv
 	}
 	return out
 }

@@ -372,6 +372,27 @@ func (s *collectSink) Chunk(c int) func(value.Row) error {
 
 func (s *collectSink) rows() []value.Row { return slices.Concat(s.chunks...) }
 
+// sameCells reports whether the engine's rows and the boxed rows hold the
+// same cells: an integer as int64, a float as float64, a string, a bool, NULL
+// as nil.
+func sameCells(rows []value.Row, boxed [][]any) bool {
+	return slices.EqualFunc(rows, boxed, func(row value.Row, cells []any) bool {
+		return slices.EqualFunc(row, cells, func(v value.Value, cell any) bool {
+			switch v.Kind() {
+			case value.KindInt:
+				return cell == any(v.Int())
+			case value.KindFloat:
+				return cell == any(v.Float())
+			case value.KindString:
+				return cell == any(v.Str())
+			case value.KindBool:
+				return cell == any(v.Bool())
+			}
+			return v.IsNull() && cell == nil
+		})
+	})
+}
+
 // TestQueryStreamIsQueryUnboxed: QueryStreamContext hands its sink the rows
 // Query boxes, in Query's order — at one worker and at four, where the wide
 // join arrives in several chunks, in the columnar source form and on a
@@ -413,10 +434,9 @@ func TestQueryStreamIsQueryUnboxed(t *testing.T) {
 			if err := e.QueryStreamContext(ctx, q, nil, &sink); err != nil {
 				t.Fatal(err)
 			}
-			again := convertResult(&exec.Result{Rows: sink.rows()})
-			if sink.starts != 1 || !reflect.DeepEqual(sink.columns, boxed.Columns) || !reflect.DeepEqual(again.Rows, boxed.Rows) {
+			if sink.starts != 1 || !reflect.DeepEqual(sink.columns, boxed.Columns) || !sameCells(sink.rows(), boxed.Rows) {
 				t.Errorf("%s, query %d: %d starts, columns %v, %d rows; Query: columns %v, %d rows",
-					set.name, i, sink.starts, sink.columns, len(again.Rows), boxed.Columns, len(boxed.Rows))
+					set.name, i, sink.starts, sink.columns, len(sink.rows()), boxed.Columns, len(boxed.Rows))
 			}
 			if i == 0 && set.name == "par4" && len(sink.chunks) < 2 {
 				t.Errorf("%s: the wide join arrived in %d chunk(s), want several", set.name, len(sink.chunks))
@@ -460,8 +480,8 @@ func TestStreamRestartsPerRung(t *testing.T) {
 		if err := e.QueryStreamContext(ctx, q, nil, &sink); err != nil {
 			t.Fatal(err)
 		}
-		if got := convertResult(&exec.Result{Rows: sink.rows()}); !reflect.DeepEqual(got.Rows, want.Rows) {
-			t.Fatalf("streamed %d rows, want the lazy plan's %d", len(got.Rows), len(want.Rows))
+		if got := sink.rows(); !sameCells(got, want.Rows) {
+			t.Fatalf("streamed %d rows, want the lazy plan's %d", len(got), len(want.Rows))
 		}
 		return &sink
 	}
@@ -482,35 +502,75 @@ func TestStreamRestartsPerRung(t *testing.T) {
 	t.Logf("the failed rung handed over %d of %d rows", sink.voided, len(want.Rows))
 }
 
-// TestConvertResultAllocatesPerResult: boxing a result costs the same
-// number of allocations at ten rows and at a thousand — the cells share one
-// slab. (Cells that need a box of their own — strings, integers past a
-// byte — are left out of the rows.)
-func TestConvertResultAllocatesPerResult(t *testing.T) {
-	allocs := func(n int) float64 {
-		res := &exec.Result{Rows: make([]value.Row, n)}
-		for i := range res.Rows {
-			res.Rows[i] = value.Row{value.NewInt(int64(i % 200)), value.NewBool(i%2 == 0), value.Null}
-		}
-		return testing.AllocsPerRun(10, func() { convertResult(res) })
+// boxRows hands rows to a boxSink as a run at the given worker count does —
+// one chunk at one worker, runs of MorselSize rows above — and returns what
+// it boxed.
+func boxRows(rows []value.Row, workers int) *Result {
+	var sink boxSink
+	sink.Start([]string{"a", "b", "c"})
+	chunks := 1
+	if workers > 1 {
+		chunks = (len(rows) + exec.MorselSize - 1) / exec.MorselSize
 	}
-	if small, large := allocs(10), allocs(1000); small != large || large > 3 {
-		t.Errorf("convertResult: %v allocations for 10 rows, %v for 1000; want the same, at most 3", small, large)
+	sink.Begin(chunks)
+	for c := 0; c < chunks; c++ {
+		emit, lo, hi := sink.Chunk(c), 0, len(rows)
+		if workers > 1 {
+			lo, hi = c*exec.MorselSize, min((c+1)*exec.MorselSize, len(rows))
+		}
+		for _, row := range rows[lo:hi] {
+			if err := emit(row); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return sink.result()
+}
+
+// TestBoxSinkAllocatesPerPage: boxing a result allocates per page of cells,
+// never per row — a few allocations for the result, then a page per doubling
+// of a chunk's rows up to 1 024 and one per 1 024 rows after —, at one worker
+// and at two, and the rows come out in order, cell for cell. (Cells that need
+// a box of their own — strings, integers past a byte — are left out of the
+// rows.)
+func TestBoxSinkAllocatesPerPage(t *testing.T) {
+	rows := make([]value.Row, 100_000)
+	for i := range rows {
+		rows[i] = value.Row{value.NewInt(int64(i % 200)), value.NewBool(i%2 == 0), value.Null}
+	}
+	for _, workers := range []int{1, 2} {
+		allocs := func(n int) float64 {
+			if got := boxRows(rows[:n], workers); !sameCells(rows[:n], got.Rows) {
+				t.Fatalf("workers=%d: %d rows boxed as %d, or not cell for cell", workers, n, len(got.Rows))
+			}
+			return testing.AllocsPerRun(10, func() { boxRows(rows[:n], workers) })
+		}
+		// 1 000 rows take one chunk's pages of 8, 8, 16, …, 512 rows: six more than 10 rows' two.
+		if small, large := allocs(10), allocs(1000); small > 8 || large != small+6 {
+			t.Errorf("workers=%d: %v allocations for 10 rows, %v for 1000; want at most 8, and six pages more", workers, small, large)
+		}
+		if all := allocs(len(rows)); all > float64(len(rows)/100) {
+			t.Errorf("workers=%d: %v allocations for %d rows: want one per page, at most one per 100 rows", workers, all, len(rows))
+		}
 	}
 }
 
-// BenchmarkConvertResult is the boxing layer alone, at the shape of
-// serve_wide's widest result (24 000 rows of int, string, int).
-func BenchmarkConvertResult(b *testing.B) {
-	res := &exec.Result{Rows: make([]value.Row, 24000)}
-	for i := range res.Rows {
-		res.Rows[i] = value.Row{value.NewInt(int64(1000 + i)), value.NewString(fmt.Sprintf("label-%04d", i%997)), value.NewInt(int64(i % 50))}
+// BenchmarkBoxSink is the boxing layer alone, at the shape of serve_wide's
+// widest result (24 000 rows of int, string, int), at one worker and at two.
+func BenchmarkBoxSink(b *testing.B) {
+	rows := make([]value.Row, 24000)
+	for i := range rows {
+		rows[i] = value.Row{value.NewInt(int64(1000 + i)), value.NewString(fmt.Sprintf("label-%04d", i%997)), value.NewInt(int64(i % 50))}
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if out := convertResult(res); len(out.Rows) != len(res.Rows) {
-			b.Fatal("rows lost")
-		}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("par%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if out := boxRows(rows, workers); len(out.Rows) != len(rows) {
+					b.Fatal("rows lost")
+				}
+			}
+		})
 	}
 }
 

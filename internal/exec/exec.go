@@ -185,7 +185,8 @@ func Run(root algebra.Node, store *storage.Store, opts *Options) (*Result, error
 // Stream is Run with the root pipeline's rows handed to c as they are made
 // instead of collected: no row of the result is kept by the run. At one
 // worker the rows are one chunk, pulled in order — a spilled sort's merge
-// included; above one they are the chunks Run's collection cuts.
+// included, unless Metrics are on: then the merge is drained, as Run drains
+// it; above one they are the chunks Run's collection cuts.
 func Stream(root algebra.Node, store *storage.Store, opts *Options, c Consumer) error {
 	_, err := execute(root, store, opts, c)
 	return err
@@ -530,7 +531,7 @@ func hasSequencePrefix(order, want []int) bool {
 // result takes them in a fresh header slice (collect).
 type leafRows []value.Row
 
-func (l leafRows) open() ([]value.Row, *mergeIter, error) { return l, nil, nil }
+func (l leafRows) open() (opened, error) { return opened{rows: l}, nil }
 
 // distinctSet is DISTINCT's memory: the canonical key of every row seen, in a
 // paged.Dict. A row is looked up by its key bytes in a reused buffer, and a
@@ -575,16 +576,16 @@ type distinctOp struct {
 	gov   *governor
 }
 
-func (d *distinctOp) open() ([]value.Row, *mergeIter, error) {
+func (d *distinctOp) open() (opened, error) {
 	rows, err := d.input.collect()
 	if err != nil || len(rows) == 0 {
-		return nil, nil, err
+		return opened{}, err
 	}
 	seen := newDistinctSet(len(rows[0]))
 	out := rows[:0]
 	for _, row := range rows {
 		if err := d.gov.tick(); err != nil {
-			return nil, nil, err
+			return opened{}, err
 		}
 		if seen.first(row) {
 			out = append(out, row)
@@ -600,14 +601,14 @@ func (d *distinctOp) open() ([]value.Row, *mergeIter, error) {
 		slab := make([]value.Value, len(out)*width)
 		for i, row := range out {
 			if err := d.gov.cancelled(); err != nil {
-				return nil, nil, err
+				return opened{}, err
 			}
 			kept[i] = slab[i*width : (i+1)*width : (i+1)*width]
 			copy(kept[i], row)
 		}
 		out = kept
 	}
-	return out, nil, nil
+	return opened{rows: out}, nil
 }
 
 // projectInto evaluates the item expressions over one row into out.

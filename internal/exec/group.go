@@ -86,10 +86,14 @@ func (c *compiler) compileGroupBy(node *algebra.GroupBy) (compiled, error) {
 			}
 		}
 		base.input = in.pipeline(node)
-		return compiled{pipe: c.source(&sortGroupOp{groupCore: base, preSorted: preSorted}, node), order: outOrder}, nil
+		p := c.source(&sortGroupOp{groupCore: base, preSorted: preSorted}, node)
+		p.borrowed = base.scalarGroup() // the scalar group folds: its row is made on demand
+		return compiled{pipe: p, order: outOrder}, nil
 	default:
 		base.input = in.pipeline(node)
-		return compiled{pipe: c.source(&hashGroupOp{groupCore: base}, node)}, nil
+		p := c.source(&hashGroupOp{groupCore: base}, node)
+		p.borrowed = true // groupRows: each row is made into its consumer's scratch
+		return compiled{pipe: p}, nil
 	}
 }
 
@@ -220,7 +224,7 @@ func (s *partialTables) bind(worker, chunk int) (emitFn, error) {
 // worker — which are combined in chunk order. It is for the runs that read a
 // row once: a breach of the budget aborts (or, for the scalar group, nothing
 // is charged at all); hashAggregate serves the runs that read rows twice.
-func (g *groupCore) foldPipeline() ([]value.Row, error) {
+func (g *groupCore) foldPipeline() (opened, error) {
 	if g.input.inBatches() {
 		g.ran("vec-hash")
 		g.initAggCols()
@@ -229,7 +233,7 @@ func (g *groupCore) foldPipeline() ([]value.Row, error) {
 	}
 	s := &partialTables{g: g}
 	if err := g.input.run(s); err != nil {
-		return nil, err
+		return opened{}, err
 	}
 	for _, t := range s.tables {
 		g.recordBuild(t.n, t.index.KeyBytes())
@@ -241,60 +245,151 @@ func (g *groupCore) foldPipeline() ([]value.Row, error) {
 // It holds the rows because it may read them twice: when the budget refuses a
 // group the table is released and the whole input goes to sort-based
 // aggregation with hash-order output instead.
-func (g *groupCore) hashAggregate(rows []value.Row) ([]value.Row, error) {
+func (g *groupCore) hashAggregate(rows []value.Row) (opened, error) {
 	g.ran("hash")
 	t, err := g.newTable()
 	if err != nil {
-		return nil, err
+		return opened{}, err
 	}
 	for _, row := range rows {
 		if err := g.gov.tick(); err != nil {
-			return nil, err
+			return opened{}, err
 		}
 		if err := t.add(row); err == errRefused {
 			g.ran("external")
-			return g.sortAggregate(rows, true)
+			out, err := g.sortAggregate(rows, true)
+			return opened{rows: out}, err
 		} else if err != nil {
-			return nil, err
+			return opened{}, err
 		}
 	}
 	g.recordBuild(t.n, t.index.KeyBytes())
 	return g.combine([]*groupTable{t})
 }
 
-// combine absorbs the partial tables in chunk order and emits the groups in
-// the resulting first-appearance order. Under exact arithmetic the result is
-// bit-identical for any chunk count, since the accumulator fold visits rows
-// in the same relative order.
-func (g *groupCore) combine(tables []*groupTable) ([]value.Row, error) {
+// combine merges the partial tables by ownership — the paper's eager
+// aggregation reused as the combine rule — and hands over their groups as
+// rows finished on demand. A group stays in the earliest table that holds it:
+// chunk by chunk in order, each group of a table is looked up in the tables
+// before it, in order, and the first that has it owns it and takes its state
+// through the accumulators' Merge step; a group no earlier table has is owned
+// where it lies. No merged table is built and no group is copied, so tables
+// with disjoint keys combine without allocating. Each group's states fold in
+// chunk order and its grouping values are those of the earliest chunk holding
+// it, and the owned groups, table by table in chunk order and each table's in
+// id order, are the global first-appearance order: exactly what one pass over
+// the whole input would have built, for any chunk count, bit for bit under
+// exact arithmetic.
+func (g *groupCore) combine(tables []*groupTable) (opened, error) {
 	if len(tables) == 0 {
 		// Empty input: no groups, or the scalar group's single state.
 		t, err := g.newTable()
 		if err != nil {
-			return nil, err
+			return opened{}, err
 		}
 		g.recordBuild(t.n, 0)
 		tables = []*groupTable{t}
 	}
-	t := tables[0]
-	for _, src := range tables[1:] {
-		if err := t.absorb(src); err != nil {
-			return nil, err
+	for c := 1; c < len(tables); c++ {
+		src := tables[c]
+		for sid := 0; sid < src.n; sid++ {
+			owner, id := tables[0], 0
+			if !src.scalar {
+				hash, key := src.index.HashOf(sid), src.index.Key(sid)
+				for _, owner = range tables[:c] {
+					if id = owner.index.Lookup(hash, key); id >= 0 {
+						break
+					}
+				}
+				if id < 0 {
+					continue
+				}
+			}
+			src.move(sid)
+			for k, col := range owner.cols {
+				if err := col.MergeFrom(id, src.cols[k], sid); err != nil {
+					return opened{}, err
+				}
+			}
 		}
 	}
-	// Ids are first-appearance order, so walking them is the output order;
-	// every output row is cut from one slab.
-	out := make([]value.Row, t.n)
-	slab := make([]value.Value, 0, t.n*g.width())
-	for id := 0; id < t.n; id++ {
-		start := len(slab)
-		var err error
-		if slab, err = t.appendRow(id, slab); err != nil {
-			return nil, err
-		}
-		out[id] = slab[start:len(slab):len(slab)]
+	r := &groupRows{g: g, tables: tables, starts: make([]int, len(tables)+1)}
+	for c, t := range tables {
+		r.starts[c+1] = r.starts[c] + t.owned()
 	}
-	return out, nil
+	return opened{made: r}, nil
+}
+
+// groupRows is a hash grouping's output: the groups the partial tables own,
+// table by table in chunk order and each table's in id order, each row
+// finished only when a consumer asks for it — into the consumer's row, with
+// the worker's own scratch — so no row of them is held by the grouping.
+type groupRows struct {
+	g       *groupCore
+	tables  []*groupTable
+	starts  []int         // starts[t]: the output index of table t's first owned group; the last entry is the row count
+	cursors []groupCursor // per worker (workers)
+}
+
+// len is the number of rows.
+func (r *groupRows) len() int { return r.starts[len(r.tables)] }
+
+// slots is the collection of all the rows: one slab, cut into one window per
+// row, in order, for the runner to make each row into.
+func (r *groupRows) slots() []value.Row {
+	n, w := r.len(), r.g.width()
+	slab, rows := make([]value.Value, n*w), make([]value.Row, n)
+	for i := 0; i < n; i++ {
+		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows
+}
+
+// workers gives the rows one cursor per worker that makes them.
+func (r *groupRows) workers(n int) { r.cursors = make([]groupCursor, n) }
+
+// at returns worker w's cursor, set to make rows lo, lo+1, … in order and
+// given scratch of its own on first use, so workers finish one table's groups
+// at once.
+func (r *groupRows) at(w, lo int) *groupCursor {
+	t := 0
+	for r.starts[t+1] <= lo {
+		t++
+	}
+	c := &r.cursors[w]
+	c.r, c.t, c.id = r, t, r.tables[t].ownedID(lo-r.starts[t])
+	if c.results == nil {
+		k := len(r.g.aggs)
+		buf := make(value.Row, k+r.g.width())
+		c.results, c.row = buf[:k:k], buf[k:k]
+	}
+	return c
+}
+
+// groupCursor makes a grouping's rows in order: the next row is group id of
+// table t. results is the scratch a row is finished with, row the one it is
+// made into when the consumer brings none.
+type groupCursor struct {
+	r            *groupRows
+	t, id        int
+	results, row value.Row
+}
+
+// next appends the next row to out, and returns it.
+func (c *groupCursor) next(out []value.Value) ([]value.Value, error) {
+	tables := c.r.tables
+	out, err := tables[c.t].appendRow(c.id, c.results, out)
+	// Step to the next owned group, into the next table past the last.
+	for c.id++; c.t < len(tables); c.t, c.id = c.t+1, 0 {
+		tab := tables[c.t]
+		for c.id < tab.n && !tab.owns(c.id) {
+			c.id++
+		}
+		if c.id < tab.n {
+			break
+		}
+	}
+	return out, err
 }
 
 // bySeq sorts finished group rows by the arrival seqs of their groups' first
@@ -384,6 +479,7 @@ func (g *groupCore) streamGroups(byKey bool) (add func(spillRow) error, done fun
 		return nil, nil, err
 	}
 	accs.grow()
+	results := make(value.Row, len(g.aggs))
 	live := false
 	var key string
 	pos := firstColumns(len(g.groupCols))
@@ -392,7 +488,7 @@ func (g *groupCore) streamGroups(byKey bool) (add func(spillRow) error, done fun
 		if !live {
 			return nil
 		}
-		row, err := accs.finish(0, append(make(value.Row, 0, g.width()), group...))
+		row, err := accs.finish(0, results, append(make(value.Row, 0, g.width()), group...))
 		if err != nil {
 			return err
 		}
@@ -454,18 +550,15 @@ type hashGroupOp struct {
 	groupCore
 }
 
-func (g *hashGroupOp) open() ([]value.Row, *mergeIter, error) {
-	var out []value.Row
-	var err error
-	if g.mgr != nil && !g.scalarGroup() {
-		var rows []value.Row
-		if rows, err = g.input.collect(); err == nil {
-			out, err = g.hashAggregate(rows)
-		}
-	} else {
-		out, err = g.foldPipeline()
+func (g *hashGroupOp) open() (opened, error) {
+	if g.mgr == nil || g.scalarGroup() {
+		return g.foldPipeline()
 	}
-	return out, nil, err
+	rows, err := g.input.collect()
+	if err != nil {
+		return opened{}, err
+	}
+	return g.hashAggregate(rows)
 }
 
 // sortGroupOp aggregates each run of =ⁿ-equal keys off a key-ordered stream
@@ -480,16 +573,16 @@ type sortGroupOp struct {
 	preSorted bool
 }
 
-func (g *sortGroupOp) open() ([]value.Row, *mergeIter, error) {
-	out, err := g.aggregate()
-	return out, nil, err
-}
-
-func (g *sortGroupOp) aggregate() ([]value.Row, error) {
+func (g *sortGroupOp) open() (opened, error) {
 	if g.scalarGroup() {
 		// One group: nothing to sort, and one state never needs to spill.
 		return g.foldPipeline()
 	}
+	out, err := g.aggregate()
+	return opened{rows: out}, err
+}
+
+func (g *sortGroupOp) aggregate() ([]value.Row, error) {
 	if g.preSorted {
 		g.ran("stream")
 		add, done, err := g.streamGroups(false)
@@ -547,7 +640,7 @@ type sortOp struct {
 	where   string
 }
 
-func (s *sortOp) open() ([]value.Row, *mergeIter, error) {
+func (s *sortOp) open() (opened, error) {
 	x := &extSorter{
 		gov: s.gov, mgr: s.mgr, metrics: s.metrics, op: s.where, par: s.par,
 		cmp: func(a, b value.Row) int { return cmpByKeys(s.keys, a, b) },
@@ -570,10 +663,10 @@ func (s *sortOp) open() ([]value.Row, *mergeIter, error) {
 	switch {
 	case err != nil:
 		x.close()
-		return nil, nil, err
+		return opened{}, err
 	case it.cmp != nil:
-		return nil, it, nil // runs on disk: their merge
+		return opened{merge: it}, nil // runs on disk: their merge
 	default:
-		return it.sorted(), nil, nil
+		return opened{rows: it.sorted()}, nil
 	}
 }

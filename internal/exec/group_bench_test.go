@@ -6,8 +6,9 @@ package exec_test
 // rows joined to 1 000 dims, grouped to 1 000 groups (shape (a)) and to 6 500
 // (the many-groups query), one worker. BenchmarkHashGroupParallel is the same
 // at two workers — scan → probe → per-chunk partial tables, the olap_groups
-// pipeline — and both add a two-column key at about 0.8 groups per row (the
-// groups_region shape). BenchmarkPipelineFilterProject is the pipeline that
+// pipeline — and at four and eight, where a group of a later chunk may miss
+// in up to seven earlier tables before its own owns it; both add a two-column
+// key at about 0.8 groups per row (the groups_region shape). BenchmarkPipelineFilterProject is the pipeline that
 // ends in a collection: scan → filter → project → result. BenchmarkTinyJoinGroup
 // is a plan too small for any of that to matter — 100 × 10 rows, join → group
 // → project, one worker, the size of a serve_mixed table — so what it times is
@@ -87,7 +88,11 @@ func benchHashGroup(b *testing.B, parallelism int) {
 
 func BenchmarkHashGroupSerial(b *testing.B) { benchHashGroup(b, 1) }
 
-func BenchmarkHashGroupParallel(b *testing.B) { benchHashGroup(b, 2) }
+func BenchmarkHashGroupParallel(b *testing.B) {
+	for _, workers := range []int{2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { benchHashGroup(b, workers) })
+	}
+}
 
 func BenchmarkPipelineFilterProject(b *testing.B) {
 	store := benchSweep(b, 6500)

@@ -63,7 +63,7 @@ type limitOp struct {
 	n     int64
 }
 
-func (l *limitOp) open() ([]value.Row, *mergeIter, error) {
+func (l *limitOp) open() (opened, error) {
 	var out []value.Row
 	var err error
 	if l.n > 0 {
@@ -74,7 +74,7 @@ func (l *limitOp) open() ([]value.Row, *mergeIter, error) {
 			return nil
 		})
 	}
-	return out, nil, err
+	return opened{rows: out}, err
 }
 
 // topKOp is the fused ORDER BY + LIMIT operator: a bounded max-heap of the
@@ -130,25 +130,26 @@ func (t *topKOp) siftDown() {
 	}
 }
 
-func (t *topKOp) open() ([]value.Row, *mergeIter, error) {
+func (t *topKOp) open() (opened, error) {
 	t.heap = t.heap[:0]
 	seq := int64(0)
 	err := t.input.each(func(row value.Row) error {
 		sr := spillRow{seq: seq, row: row}
 		seq++
-		// A borrowed row is copied only when it enters the heap.
+		// A borrowed row is copied only when it enters the heap, over the row
+		// it evicts once the heap is full: n copies in all.
 		if int64(len(t.heap)) < t.n {
 			sr.row = t.input.keep(row)
 			t.push(sr)
 		} else if t.n > 0 && t.less(sr, t.heap[0]) {
-			sr.row = t.input.keep(row)
+			sr.row = t.input.keepOver(t.heap[0].row, row)
 			t.heap[0] = sr
 			t.siftDown()
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return opened{}, err
 	}
 	out := make([]value.Row, len(t.heap))
 	for i := len(t.heap) - 1; i >= 0; i-- {
@@ -158,5 +159,5 @@ func (t *topKOp) open() ([]value.Row, *mergeIter, error) {
 		t.heap = t.heap[:last]
 		t.siftDown()
 	}
-	return out, nil, nil
+	return opened{rows: out}, nil
 }

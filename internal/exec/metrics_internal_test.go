@@ -315,9 +315,13 @@ func TestSerialGroupingHoldsGroupsNotRows(t *testing.T) {
 			allocs := func(n int) float64 {
 				op := tc.op(n) // the source rows are built here, outside the measurement
 				return testing.AllocsPerRun(5, func() {
-					rows, _, err := op.open()
-					if err != nil || len(rows) != tc.out {
-						t.Fatalf("%d rows, err=%v", len(rows), err)
+					out, err := op.open()
+					rows := len(out.rows)
+					if out.made != nil {
+						rows = out.made.len()
+					}
+					if err != nil || rows != tc.out {
+						t.Fatalf("%d rows, err=%v", rows, err)
 					}
 				})
 			}
@@ -348,8 +352,9 @@ func TestSpillCapableSortStreamsItsInput(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, merge, err := op.open()
+	src, err := op.open()
 	must(t, err)
+	merge := src.merge
 	if merge == nil {
 		t.Fatal("the sort returned rows, not the merge of its runs: the budget does not make it spill")
 	}

@@ -44,10 +44,11 @@
 //   - Collected outputs are concatenated in chunk-index order, which is the
 //     order one pass over the source produces.
 //   - Aggregation keeps one partial-aggregate table per chunk — one contiguous
-//     chunk per worker — and absorbs them in chunk order through the
-//     accumulators' Merge step (groupTable.absorb). Group output order (first
-//     appearance) and accumulator fold order therefore do not depend on the
-//     worker count; results are bit-identical whenever the aggregate
+//     chunk per worker — and combines them in chunk order: a group stays in
+//     the earliest table holding it, which takes later chunks' states through
+//     the accumulators' Merge step (groupCore.combine). Group output order
+//     (first appearance) and accumulator fold order therefore do not depend
+//     on the worker count; results are bit-identical whenever the aggregate
 //     arithmetic is exact (integers, exactly representable floats).
 //
 // The hash join follows the partitioned build/probe scheme (joinTable): the
@@ -284,12 +285,22 @@ type batchSink interface {
 // breaker is a pipeline's source in row form: a node that holds state — a
 // grouping, a sort, DISTINCT, LIMIT, TopK — or a leaf's rows
 // (leafRows). open runs the node's input pipelines into its store and returns
-// its output: rows the run owns, or, from a sort that went to disk, the merge
-// of its runs, which the runner pulls into an in-order sink or drains for any
-// other, and closes. Every other spill file a breaker made is swept before
-// open returns.
+// its output: rows the run owns; from a sort that went to disk, the merge of
+// its runs, which the runner pulls into an in-order sink or drains for any
+// other, and closes; or from a hash grouping, its groups' rows, which the
+// runner has finished on demand as it carries them. Every other spill file a
+// breaker made is swept before open returns.
 type breaker interface {
-	open() ([]value.Row, *mergeIter, error)
+	open() (opened, error)
+}
+
+// opened is a pipeline's source, open: one of rows the run owns, a merge, rows
+// made on demand, or a columnar leaf's batches.
+type opened struct {
+	rows    []value.Row
+	merge   *mergeIter
+	made    *groupRows
+	batches []*vec.Batch
 }
 
 // colSource is a pipeline's source in columnar form, the form a stored
@@ -399,6 +410,15 @@ func (p *pipeOp) keep(row value.Row) value.Row {
 	return row
 }
 
+// keepOver is keep for a row that replaces dropped, a row the receiver kept
+// before and lets go of now: a copy is made over dropped.
+func (p *pipeOp) keepOver(dropped, row value.Row) value.Row {
+	if p.borrowed {
+		return append(dropped[:0], row...)
+	}
+	return row
+}
+
 // run carries the source through the stages into s.
 func (p *pipeOp) run(s sink) error {
 	if err := p.gov.cancelled(); err != nil {
@@ -412,33 +432,35 @@ func (p *pipeOp) run(s sink) error {
 
 // runChunks opens the source, starts the stages and drives the source through
 // them into s. A merge is pulled into an in-order sink; any other sink cuts
-// chunks, so it is drained first. A stage whose start the budget refuses cuts
-// the pipeline there (cut), and the stages above it start after the cut.
+// chunks, so it is drained first. A stage whose
+// start the budget refuses cuts the pipeline there (cut), and the stages
+// above it start after the cut.
 func (p *pipeOp) runChunks(s sink) (err error) {
-	var rows []value.Row
-	var merge *mergeIter
-	var batches []*vec.Batch
+	var src opened
 	if p.cols != nil {
-		batches = p.cols.table.Columnar()
+		src.batches = p.cols.table.Columnar()
 		p.scratch = make([]value.Row, p.par)
-	} else if rows, merge, err = p.src.open(); err != nil {
+	} else if src, err = p.src.open(); err != nil {
 		return err
 	}
-	if merge != nil {
-		defer func(m *mergeIter) {
-			if cerr := m.close(); err == nil {
+	if merge := src.merge; merge != nil {
+		defer func() {
+			if cerr := merge.close(); err == nil {
 				err = cerr
 			}
-		}(merge)
+		}()
 		if _, ordered := s.(inOrder); !ordered {
-			if rows, err = merge.drain(p.gov); err != nil {
+			if src.rows, err = merge.drain(p.gov); err != nil {
 				return err
 			}
-			merge = nil
+			src.merge = nil
 		}
 	}
 	if h, ok := s.(*passOn); ok {
-		h.rows = rows
+		h.rows = src.rows
+		if src.made != nil {
+			h.rows = src.made.slots()
+		}
 	}
 	for i := 0; i < len(p.stages); i++ {
 		start := p.stages[i].start
@@ -447,14 +469,14 @@ func (p *pipeOp) runChunks(s sink) (err error) {
 		}
 		if err = start(); err == errRefused {
 			// p is the stages above the cut from here, the first of them next.
-			rows, err = p.cut(i, rows, merge, batches)
-			merge, batches, i = nil, nil, -1
+			src.rows, err = p.cut(i, src)
+			src.merge, src.made, src.batches, i = nil, nil, nil, -1
 		}
 		if err != nil {
 			return err
 		}
 	}
-	return p.drive(s, rows, merge, batches)
+	return p.drive(s, src)
 }
 
 // cut runs the source and the stages below stage i — whose start the budget
@@ -462,10 +484,10 @@ func (p *pipeOp) runChunks(s sink) (err error) {
 // grace path, and ends their instrumentation there; p becomes the stages
 // above, over the joined rows the grace path returns. It comes before any
 // source row has moved, so nothing below is begun twice.
-func (p *pipeOp) cut(i int, rows []value.Row, merge *mergeIter, batches []*vec.Batch) ([]value.Row, error) {
+func (p *pipeOp) cut(i int, src opened) ([]value.Row, error) {
 	below, st := *p, p.stages[i]
 	below.stages = p.stages[:i]
-	joined, err := st.grace(func(fn emitFn) error { return below.drive(inOrder{fn}, rows, merge, batches) })
+	joined, err := st.grace(func(fn emitFn) error { return below.drive(inOrder{fn}, src) })
 	below.eachOut((*metricOp).end)
 	p.stages, p.nbatch, p.cols = p.stages[i+1:], 0, nil
 	p.srcOut, p.borrowed = st.out, p.borrowed && len(p.stages) > 0
@@ -473,9 +495,12 @@ func (p *pipeOp) cut(i int, rows []value.Row, merge *mergeIter, batches []*vec.B
 }
 
 // drive carries an opened source through the stages into s: a merge pulled
-// row by row into an in-order sink, rows or batches cut into s's chunks.
-func (p *pipeOp) drive(s sink, rows []value.Row, merge *mergeIter, batches []*vec.Batch) error {
-	if merge != nil {
+// row by row into an in-order sink, rows or batches cut into s's chunks, and
+// rows made on demand cut the same way, each made by the worker's cursor into
+// its scratch row — or, for a collection that is its source's rows, into the
+// row's own slot of the collection's slab.
+func (p *pipeOp) drive(s sink, src opened) error {
+	if src.merge != nil {
 		emit, _, counts, err := p.bind(s, 0, 0)
 		if err != nil {
 			return err
@@ -488,7 +513,7 @@ func (p *pipeOp) drive(s sink, rows []value.Row, merge *mergeIter, batches []*ve
 			}
 			var sr spillRow
 			var ok bool
-			if sr, ok, err = merge.next(); !ok || err != nil {
+			if sr, ok, err = src.merge.next(); !ok || err != nil {
 				break
 			}
 			read++
@@ -500,31 +525,38 @@ func (p *pipeOp) drive(s sink, rows []value.Row, merge *mergeIter, batches []*ve
 		return err
 	}
 	// A collection that is its source's rows, with no tick and no count per
-	// row, has nothing to do with a row — a chunk is its length — and nothing
-	// for a second worker to do.
+	// row, has nothing to do with a row but make it, if it is made on demand
+	// — a chunk is its length — and nothing else for a second worker to do.
 	_, idle := s.(*passOn)
 	idle = idle && p.gov == nil && !p.metered
 	workers, where := p.par, ""
-	if idle {
+	if idle && src.made == nil {
 		workers = 1
 	}
-	if workers > 1 {
+	rows, batches, made := src.rows, src.batches, src.made
+	n, morsel := len(rows), MorselSize
+	switch {
+	case p.cols != nil:
+		n, morsel = len(batches), 1
+	case made != nil:
+		n = made.len()
+		made.workers(workers)
+	}
+	size := s.begin(n, morsel)
+	if workers > 1 && numChunks(n, size) > 1 {
 		where = p.node.Describe() // formatted only for a pool that can report a panic under it
 	}
-	n, morsel := len(rows), MorselSize
-	if p.cols != nil {
-		n, morsel = len(batches), 1
-	}
-	return forEachChunk(where, workers, n, s.begin(n, morsel), func(w, c, lo, hi int) error {
+	return forEachChunk(where, workers, n, size, func(w, c, lo, hi int) error {
 		emit, carry, counts, err := p.bind(s, w, c)
 		if err != nil {
 			return err
 		}
 		// The source node's tick, one per unit it hands up: a batch, or a row.
 		read := 0
-		if idle {
+		switch {
+		case idle && made == nil:
 			read = hi - lo
-		} else if carry != nil {
+		case carry != nil:
 			for _, b := range batches[lo:hi] {
 				if err = p.gov.tick(); err != nil {
 					break
@@ -537,7 +569,28 @@ func (p *pipeOp) drive(s sink, rows []value.Row, merge *mergeIter, batches []*ve
 					break
 				}
 			}
-		} else {
+		case made != nil:
+			cur := made.at(w, lo)
+			h, _ := s.(*passOn) // a collection: each row into its own slot of the slab
+			for i := lo; i < hi; i++ {
+				if err = p.gov.tick(); err != nil {
+					break
+				}
+				row := cur.row
+				if h != nil {
+					row = h.rows[i]
+				}
+				if row, err = cur.next(row[:0]); err != nil {
+					break
+				}
+				read++
+				if !idle {
+					if err = emit(row); err != nil {
+						break
+					}
+				}
+			}
+		default:
 			for _, row := range rows[lo:hi] {
 				if err = p.gov.tick(); err != nil {
 					break
@@ -739,7 +792,8 @@ func (s *collector) bindBatch(worker, chunk int) (batchFn, error) {
 // passOn is the sink of a collection that is its source's rows: it keeps
 // nothing, and cuts the collector's chunks, so every stage ticks, counts and
 // takes its morsels exactly as it would into a collector. The runner hands it
-// the source's rows.
+// the source's rows — for rows made on demand, one slab's worth of empty rows
+// the runner makes them into.
 type passOn struct{ rows []value.Row }
 
 func (*passOn) begin(_, morsel int) int { return morsel }
@@ -752,8 +806,8 @@ func (*passOn) bind(_, _ int) (emitFn, error) {
 // order, in a slice the caller owns. Over a source in row form whose rows
 // every stage passes on, the rows are the source's: the run ticks, counts and
 // times them into passOn and hands them over — a breaker's own, a leaf's in a
-// fresh header slice — the one place a finished row reaches a result without
-// another copy.
+// fresh header slice, a grouping's made straight into one slab — the one
+// place a finished row reaches a result without another copy.
 func (p *pipeOp) collect() ([]value.Row, error) {
 	if p.src != nil && !slices.ContainsFunc(p.stages, func(st stage) bool { return !st.passes }) {
 		h := &passOn{}
@@ -772,15 +826,24 @@ func (p *pipeOp) collect() ([]value.Row, error) {
 	return concatChunks(s.outs), nil
 }
 
-// stream runs the pipeline to completion into c (Stream): at one worker as
-// one in-order chunk, a merge pulled row by row; above one cut into the
-// collector's chunks, each chunk's rows handed to c's receiver for it.
+// stream runs the pipeline to completion into c (Stream): above one worker
+// cut into the collector's chunks, each chunk's rows handed to c's receiver
+// for it; at one worker as c's one chunk, in order, a merge pulled row by row
+// — unless a stage counts its morsels (metrics): then it is cut into the
+// collector's chunks on the way, a merge drained first, so every node counts
+// what it counts into Run's collection. Cutting without metrics too would
+// bind the stages once per morsel: BenchmarkResultPath/wide/par1/stream went
+// from 98 to 374 allocs/op and 199 to 217 KB/op at the same time (2-vCPU
+// Xeon, Go 1.24), on the path every served SELECT takes.
 func (p *pipeOp) stream(c Consumer) error {
-	if p.par == 1 {
-		c.Begin(1)
-		return p.run(inOrder{c.Chunk(0)})
+	if p.par > 1 {
+		return p.run(streamer{c})
 	}
-	return p.run(streamer{c})
+	c.Begin(1)
+	if slices.ContainsFunc(p.stages, func(st stage) bool { return st.metrics != nil }) {
+		return p.run(inMorsels{c.Chunk(0)})
+	}
+	return p.run(inOrder{c.Chunk(0)})
 }
 
 // streamer is the sink of a streamed run above one worker.
@@ -800,6 +863,14 @@ type inOrder struct{ fn emitFn }
 func (s inOrder) begin(n, _ int) int { return n }
 
 func (s inOrder) bind(_, _ int) (emitFn, error) { return s.fn, nil }
+
+// inMorsels is inOrder with the source cut into the collector's chunks, all
+// handed to fn in order on the caller's goroutine.
+type inMorsels struct{ fn emitFn }
+
+func (s inMorsels) begin(_, morsel int) int { return morsel }
+
+func (s inMorsels) bind(_, _ int) (emitFn, error) { return s.fn, nil }
 
 // errStop ends an in-order run early: its consumer has the rows it wants.
 var errStop = errors.New("exec: in-order run stopped by its consumer")

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -31,22 +32,49 @@ type handedOver struct {
 	rows []value.Row
 }
 
-func (h *handedOver) open() ([]value.Row, *mergeIter, error) {
-	rows, merge, err := h.breaker.open()
-	h.rows = rows
-	return rows, merge, err
+func (h *handedOver) open() (opened, error) {
+	out, err := h.breaker.open()
+	h.rows = out.rows
+	return out, err
 }
 
-// TestRowsAreMadeOnce: a finished row's first copy is its last. Group →
-// rename → root returns the group's own rows — cut from one slab, in id
-// order — and TopK → root its own buffer, both the very slice the breaker's
-// open returned rather than a copy, at one and three workers, in the row and
-// the columnar source form, with metrics and a context governor each on and
-// off. A rename over a stored table returns the table's rows in a header slice
-// of the caller's: reordering it and appending to it leave Table.Rows() as it
-// was.
+// discard is a Consumer that keeps nothing.
+type discard struct{}
+
+func (discard) Begin(int) {}
+
+func (discard) Chunk(int) func(value.Row) error { return func(value.Row) error { return nil } }
+
+// allocated is the bytes fn allocates, the least of three runs.
+func allocated(fn func()) int64 {
+	least := int64(-1)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		if got := int64(after.TotalAlloc - before.TotalAlloc); least < 0 || got < least {
+			least = got
+		}
+	}
+	return least
+}
+
+// TestRowsAreMadeOnce: a finished row's first copy is its last. A hash
+// grouping makes each row only when its consumer asks for it. Group → rename
+// → root collects each row once, made straight into one slab, in id order:
+// Run allocates that slab and its headers, and no more, over what streaming
+// the same plan does — Stream, which keeps no row, and TopK over the group,
+// which keeps its few, hold no slab of the groups. TopK → root returns the
+// operator's own buffer, the very slice its open returned. All of it at one
+// and three workers — three finish one table's groups at once, each with its
+// own scratch —, in the row and the columnar source form, with metrics and a
+// context governor each on and off. A rename over a stored table returns the
+// table's rows in a header slice of the caller's: reordering it and
+// appending to it leave Table.Rows() as it was.
 func TestRowsAreMadeOnce(t *testing.T) {
-	const n, groups, top = 5000, 300, 5
+	const n, groups, top = 20000, 5000, 5
 	store, scan := keyedStore(t, "t", n, groups)
 	tab, err := store.Table("t")
 	must(t, err)
@@ -57,6 +85,9 @@ func TestRowsAreMadeOnce(t *testing.T) {
 			E: &expr.Aggregate{Func: expr.AggSum, Arg: expr.Column("t", "v")}, As: expr.ColumnID{Name: "s"},
 		}},
 	}
+	groupTop := &algebra.Limit{N: top, Input: &algebra.Sort{
+		Input: group, Keys: []algebra.SortItem{{Col: expr.ColumnID{Name: "s"}, Desc: true}},
+	}}
 	topK := &algebra.Limit{N: top, Input: &algebra.Sort{
 		Input: scan, Keys: []algebra.SortItem{{Col: expr.ColumnID{Table: "t", Name: "v"}, Desc: true}},
 	}}
@@ -65,54 +96,80 @@ func TestRowsAreMadeOnce(t *testing.T) {
 	wantTop, err := Run(topK, store, nil)
 	must(t, err)
 	width := len(group.Schema())
+	slab := int64(groups * width * valueSlotBytes)
+	headers := int64(groups * rowHeaderBytes)
 	for _, workers := range []int{1, 3} {
 		for _, vectorize := range []bool{false, true} {
 			for _, metrics := range []bool{false, true} {
 				for _, governed := range []bool{false, true} {
 					name := fmt.Sprintf("workers=%d/vectorize=%v/metrics=%v/governed=%v", workers, vectorize, metrics, governed)
 					t.Run(name, func(t *testing.T) {
-						opts := &Options{Group: GroupHash, Parallelism: workers, Vectorize: vectorize}
-						if metrics {
-							opts.Metrics = obs.NewCollector()
+						ctx, cancel := context.WithCancel(context.Background())
+						defer cancel()
+						options := func() *Options {
+							opts := &Options{Group: GroupHash, Parallelism: workers, Vectorize: vectorize}
+							if metrics {
+								opts.Metrics = obs.NewCollector()
+							}
+							if governed {
+								opts.Context = ctx // cancellable, so the run has a governor
+							}
+							return opts
 						}
-						if governed {
-							ctx, cancel := context.WithCancel(context.Background())
-							defer cancel()
-							opts.Context = ctx
+						gov := newGovernor(options())
+						gov.detach()
+						if (gov != nil) != governed {
+							t.Fatalf("governed=%v, but the options make a governor: %v", governed, gov != nil)
 						}
 						compile := func(plan algebra.Node) compiled {
+							opts := options()
 							c := &compiler{store: store, opts: opts, par: workers, clock: obs.Wall, gov: newGovernor(opts)}
 							out, err := c.compile(plan)
 							must(t, err)
 							return out
 						}
 
-						// group → rename → root: the collection is the group's buffer.
-						out := compile(renameOf(group))
-						grouped := &handedOver{breaker: out.pipe.src.(*hashGroupOp)}
-						out.pipe.src = grouped
-						rows, err := out.pipe.collect()
+						// group → rename → root: each row made once, into one slab, in id order.
+						opts, renamed := options(), renameOf(group)
+						res, err := Run(renamed, store, opts)
 						must(t, err)
-						if unsafe.SliceData(rows) != unsafe.SliceData(grouped.rows) {
-							t.Fatal("the result is a copy of the group's rows")
-						}
+						rows := res.Rows
 						if !sameRows(rows, wantGroups.Rows) {
 							t.Fatalf("group → rename → root: %v, want %v", rows, wantGroups.Rows)
 						}
-						slab := uintptr(unsafe.Pointer(&rows[0][0]))
+						at := uintptr(unsafe.Pointer(&rows[0][0]))
 						for i, row := range rows {
-							if at := uintptr(unsafe.Pointer(&row[0])); at != slab+uintptr(i*width)*unsafe.Sizeof(value.Value{}) {
-								t.Fatalf("row %d does not lie in the group's slab: a row was made again", i)
+							if got := uintptr(unsafe.Pointer(&row[0])); got != at+uintptr(i*width)*unsafe.Sizeof(value.Value{}) {
+								t.Fatalf("row %d does not lie in the collection's slab: a row was made again", i)
 							}
 						}
 						if metrics {
-							if got := opts.Metrics.Lookup(out.pipe.node).RowsOut.Load(); got != groups {
+							if got := opts.Metrics.Lookup(renamed).RowsOut.Load(); got != groups {
 								t.Fatalf("the rename counted %d rows, want %d", got, groups)
 							}
 						}
+						collected := allocated(func() {
+							_, err := Run(renameOf(group), store, options())
+							must(t, err)
+						})
+						streamed := allocated(func() { must(t, Stream(renameOf(group), store, options(), discard{})) })
+						topped := allocated(func() {
+							res, err := Run(groupTop, store, options())
+							must(t, err)
+							if len(res.Rows) != top {
+								t.Fatalf("TopK over the group: %d rows", len(res.Rows))
+							}
+						})
+						t.Logf("collected %d bytes, streamed %d, TopK over the group %d; the slab is %d, its headers %d", collected, streamed, topped, slab, headers)
+						if extra := collected - streamed; extra < slab || extra > slab+headers+slab/4 {
+							t.Errorf("collecting the groups allocates %d bytes more than streaming them: want the %d-byte slab and its %d bytes of headers", extra, slab, headers)
+						}
+						if saved := collected - topped; saved < slab {
+							t.Errorf("TopK over the group allocates %d bytes less than collecting it: want at least the %d-byte slab", saved, slab)
+						}
 
 						// TopK → root: the result is the operator's buffer, given up.
-						out = compile(topK)
+						out := compile(topK)
 						heap := &handedOver{breaker: out.pipe.src.(*topKOp)}
 						out.pipe.src = heap
 						rows, err = out.pipe.collect()
@@ -126,7 +183,7 @@ func TestRowsAreMadeOnce(t *testing.T) {
 
 						// scan → rename → root: the stored rows, in a header slice of the caller's.
 						before := slices.Clone(tab.Rows())
-						res, err := Run(renameOf(scan), store, opts)
+						res, err = Run(renameOf(scan), store, options())
 						must(t, err)
 						if !sameRows(res.Rows, before) {
 							t.Fatal("scan → rename → root: not the table's rows")

@@ -8,6 +8,7 @@ package exec
 
 import (
 	"errors"
+	"math/bits"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -87,13 +88,10 @@ func appendKey(buf []byte, row value.Row, cols []int) []byte {
 type groupAccs struct {
 	core *groupCore
 	cols []expr.AccColumn
-	// results is scratch: one group's accumulator results, the row an item's
-	// arithmetic shell is evaluated against.
-	results value.Row
 }
 
 func (g *groupCore) newAccs() (groupAccs, error) {
-	a := groupAccs{core: g, cols: make([]expr.AccColumn, len(g.aggs)), results: make(value.Row, len(g.aggs))}
+	a := groupAccs{core: g, cols: make([]expr.AccColumn, len(g.aggs))}
 	for k, agg := range g.aggs {
 		var err error
 		if a.cols[k], err = expr.NewAccColumn(agg); err != nil {
@@ -129,17 +127,20 @@ func (a *groupAccs) feed(id int, row value.Row) error {
 
 // finish appends group id's aggregate items to out: an item that is its one
 // aggregate is that accumulator's result, any other is its arithmetic shell
-// evaluated over the group's results.
-func (a *groupAccs) finish(id int, out []value.Value) ([]value.Value, error) {
+// evaluated over the group's results. results is the caller's scratch, one
+// slot per aggregate: the row a shell is evaluated against. Finishing only
+// reads the accumulators, so workers with scratch of their own may finish
+// groups of one table at once.
+func (a *groupAccs) finish(id int, results value.Row, out []value.Value) ([]value.Value, error) {
 	for k, col := range a.cols {
-		a.results[k] = col.Result(id)
+		results[k] = col.Result(id)
 	}
 	for _, spec := range a.core.specs {
 		if spec.shell == nil {
-			out = append(out, a.results[spec.first])
+			out = append(out, results[spec.first])
 			continue
 		}
-		v, err := expr.Eval(spec.shell, a.results, a.core.params)
+		v, err := expr.Eval(spec.shell, results, a.core.params)
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +155,9 @@ func (a *groupAccs) finish(id int, out []value.Value) ([]value.Value, error) {
 // paged array: its grouping values, those of the group's first row, and one
 // accumulator state per aggregate. No key string, state struct or accumulator
 // is allocated for a group, and the index and the COUNT, SUM and AVG columns
-// hold no pointers for the collector to follow.
+// hold no pointers for the collector to follow. A partial table's group that
+// an earlier chunk's table also holds is merged into that one and marked in
+// moved (combine).
 //
 // A scalar aggregation (no grouping columns) is a table holding one unkeyed,
 // uncharged group from the start, so it yields its one row even over empty
@@ -166,7 +169,8 @@ type groupTable struct {
 	n      int // groups
 	index  paged.Dict
 	values paged.Array[value.Value]
-	probe  []byte // scratch: the key of the row being looked up
+	probe  []byte   // scratch: the key of the row being looked up
+	moved  []uint64 // bit id set: the group is merged into an earlier table's; nil when none is
 }
 
 func (g *groupCore) newTable() (*groupTable, error) {
@@ -208,61 +212,64 @@ func (t *groupTable) insert(hash uint32, key []byte, row value.Row) (int, error)
 	if err := t.adm.charge(t.core.groupStateBytes(len(key))); err != nil {
 		return 0, err
 	}
-	id := t.appendGroup(hash, key)
+	t.n++
+	t.grow()
+	id := t.index.Append(hash, key)
 	for _, c := range t.core.groupCols {
 		*t.values.Append() = row[c]
 	}
 	return id, nil
 }
 
-// appendGroup gives key — not in the table — the next id and fresh
-// accumulator states. The caller appends the group's grouping values, and
-// accounts for the group: this is where a table grows.
-func (t *groupTable) appendGroup(hash uint32, key []byte) int {
-	t.n++
-	t.grow()
-	return t.index.Append(hash, key)
+// move marks group id as merged into an earlier table's group.
+func (t *groupTable) move(id int) {
+	if t.moved == nil {
+		t.moved = make([]uint64, (t.n+63)/64)
+	}
+	t.moved[id/64] |= 1 << (id % 64)
+}
+
+// owns reports whether group id is the table's own, not merged away.
+func (t *groupTable) owns(id int) bool {
+	return t.moved == nil || t.moved[id/64]&(1<<(id%64)) == 0
+}
+
+// owned is the number of groups the table owns.
+func (t *groupTable) owned() int {
+	n := t.n
+	for _, word := range t.moved {
+		n -= bits.OnesCount64(word)
+	}
+	return n
+}
+
+// ownedID is the id of the table's k-th owned group, counted from 0.
+func (t *groupTable) ownedID(k int) int {
+	for w, word := range t.moved {
+		if free := 64 - bits.OnesCount64(word); k >= free {
+			k -= free
+			continue
+		}
+		for id := w * 64; ; id++ {
+			if word&(1<<(id%64)) == 0 {
+				if k == 0 {
+					return id
+				}
+				k--
+			}
+		}
+	}
+	return len(t.moved)*64 + k
 }
 
 // appendRow appends group id's output row — its grouping values, then its
-// aggregate items — to out.
-func (t *groupTable) appendRow(id int, out []value.Value) ([]value.Value, error) {
+// aggregate items — to out, finishing it with the caller's scratch results.
+func (t *groupTable) appendRow(id int, results value.Row, out []value.Value) ([]value.Value, error) {
 	k := len(t.core.groupCols)
 	for j := id * k; j < (id+1)*k; j++ {
 		out = append(out, *t.values.At(j))
 	}
-	return t.finish(id, out)
-}
-
-// absorb merges a later chunk's partial table into t through the
-// accumulators' Merge step — the paper's eager aggregation reused as the
-// combine rule. A group t does not hold yet is appended, under the hash src
-// stored for it, and src's state merged into the fresh one, which leaves
-// exactly src's state. Absorbing chunks in index order keeps t's ids the
-// global first-appearance order, and a group's grouping values are always
-// those from the earliest chunk containing it: exactly what one pass over the
-// whole input would have built.
-func (t *groupTable) absorb(src *groupTable) error {
-	k := len(t.core.groupCols)
-	for sid := 0; sid < src.n; sid++ {
-		id := 0
-		if !t.scalar {
-			hash, key := src.index.HashOf(sid), src.index.Key(sid)
-			if id = t.index.Lookup(hash, key); id < 0 {
-				//lint:ignore budgetcharge copies a partial state already charged when its chunk built it
-				id = t.appendGroup(hash, key)
-				for j := sid * k; j < (sid+1)*k; j++ {
-					*t.values.Append() = *src.values.At(j)
-				}
-			}
-		}
-		for c, col := range t.cols {
-			if err := col.MergeFrom(id, src.cols[c], sid); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return t.finish(id, results, out)
 }
 
 // joinTable is the hash-join build store. The build rows stay in the slice

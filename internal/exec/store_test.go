@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +15,7 @@ import (
 )
 
 // Unit tests of the three state stores (store.go, spill.go): the admission
-// rule each takes from the governor, the group table's chunk-order absorb,
+// rule each takes from the governor, the group tables' chunk-order combine,
 // the join table's partition-count independence, and the scalar group.
 
 // kvRows builds (k, v) rows from alternating key/value arguments; a negative
@@ -55,9 +56,25 @@ func addItems(t testing.TB, g *groupCore, items ...expr.Expr) {
 // groupRow is group id's output row.
 func groupRow(t *testing.T, tab *groupTable, id int) value.Row {
 	t.Helper()
-	row, err := tab.appendRow(id, nil)
+	row, err := tab.appendRow(id, make(value.Row, len(tab.core.aggs)), nil)
 	must(t, err)
 	return row
+}
+
+// madeRows makes every row of a grouping's output the way a collection
+// does: into one slab, in order.
+func madeRows(t testing.TB, out opened) []value.Row {
+	t.Helper()
+	r := out.made
+	r.workers(1)
+	rows, cur := r.slots(), r.at(0, 0)
+	for i, row := range rows {
+		var err error
+		if rows[i], err = cur.next(row[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rows
 }
 
 // buildTable folds rows into a fresh table of g.
@@ -73,9 +90,9 @@ func buildTable(t testing.TB, g *groupCore, rows []value.Row) *groupTable {
 	return tab
 }
 
-// absorbCuts builds one table per chunk of rows — cut at the given row
-// indexes — and absorbs them in chunk order into the first.
-func absorbCuts(t *testing.T, g *groupCore, rows []value.Row, cuts []int) *groupTable {
+// combineCuts builds one table per chunk of rows — cut at the given row
+// indexes — and combines them in chunk order: the grouping's output rows.
+func combineCuts(t *testing.T, g *groupCore, rows []value.Row, cuts []int) []value.Row {
 	t.Helper()
 	lo := 0
 	var tables []*groupTable
@@ -83,24 +100,20 @@ func absorbCuts(t *testing.T, g *groupCore, rows []value.Row, cuts []int) *group
 		tables = append(tables, buildTable(t, g, rows[lo:hi]))
 		lo = hi
 	}
-	for _, tab := range tables[1:] {
-		must(t, tables[0].absorb(tab))
-	}
-	return tables[0]
+	out, err := g.combine(tables)
+	must(t, err)
+	return madeRows(t, out)
 }
 
-// sameTable fails unless got holds want's groups under the same ids: the same
-// key bytes, grouping values of the same kinds and the same output rows.
-func sameTable(t *testing.T, where string, got, want *groupTable) {
+// sameGroups fails unless got is want's groups in id order: grouping values
+// of the same kinds and the same output rows.
+func sameGroups(t *testing.T, where string, got []value.Row, want *groupTable) {
 	t.Helper()
-	if got.n != want.n {
-		t.Fatalf("%s: %d groups, want %d", where, got.n, want.n)
+	if len(got) != want.n {
+		t.Fatalf("%s: %d groups, want %d", where, len(got), want.n)
 	}
-	for id := 0; id < got.n; id++ {
-		g, w := groupRow(t, got, id), groupRow(t, want, id)
-		if !got.scalar && string(got.index.Key(id)) != string(want.index.Key(id)) {
-			t.Fatalf("%s: group %d has key %q, want %q", where, id, got.index.Key(id), want.index.Key(id))
-		}
+	for id, g := range got {
+		w := groupRow(t, want, id)
 		for c := range w {
 			if g[c].Kind() != w[c].Kind() || !value.NullEq(g[c], w[c]) {
 				t.Fatalf("%s: group %d is %v, want %v", where, id, g, w)
@@ -187,12 +200,13 @@ func TestStoreAdmission(t *testing.T) {
 	}
 }
 
-// TestGroupTableAbsorb: however the input is cut into chunks, absorbing the
-// chunks' partial tables in order yields the one-pass table — group ids in
-// global first-appearance order, each holding the grouping values of the
-// first row of the group in the whole input (key 1 arrives as an integer and
-// later as the =ⁿ-equal 1.0, and stays the integer), sums merged.
-func TestGroupTableAbsorb(t *testing.T) {
+// TestGroupTableCombine: however the input is cut into chunks — two, three
+// and eight tables among them, empty ones too —, combining the chunks'
+// partial tables yields the one-pass table's rows — groups in global
+// first-appearance order, each holding the grouping values of the first row
+// of the group in the whole input (key 1 arrives as an integer and later as
+// the =ⁿ-equal 1.0, and stays the integer), sums merged.
+func TestGroupTableCombine(t *testing.T) {
 	rows := kvRows(2, 1, 1, 2, 3, 4, 1, 8, 2, 16, 4, 32, 3, 64)
 	rows[3][0] = value.NewFloat(1)
 	g := sumCore(t, nil, nil, 0)
@@ -200,16 +214,17 @@ func TestGroupTableAbsorb(t *testing.T) {
 	if first := groupRow(t, want, 1); first[0].Kind() != value.KindInt || first[1].Int() != 10 {
 		t.Fatalf("group 1 is %v, want the integer key 1 with sum 10", first)
 	}
-	for _, cuts := range [][]int{{}, {1}, {3}, {6}, {2, 4}, {1, 2, 3, 4, 5, 6}, {0, 7}} {
-		sameTable(t, fmt.Sprintf("cuts %v", cuts), absorbCuts(t, g, rows, cuts), want)
+	for _, cuts := range [][]int{{}, {1}, {3}, {6}, {2, 4}, {1, 2, 3, 4, 5, 6}, {0, 7}, {0, 1, 2, 3, 4, 5, 6}, {1, 3, 3, 4, 5, 6, 7}} {
+		sameGroups(t, fmt.Sprintf("cuts %v", cuts), combineCuts(t, g, rows, cuts), want)
 	}
 }
 
-// TestGroupTableAbsorbBoxedStates: the aggregates whose states hold pointers
-// — DISTINCT's value set, MIN and MAX over strings — and an arithmetic shell
-// come through absorb as through one pass, for the keyed and the scalar
-// group, at one chunk and at three.
-func TestGroupTableAbsorbBoxedStates(t *testing.T) {
+// TestGroupTableCombineBoxedStates: the aggregates whose states hold
+// pointers — DISTINCT's value set, whose merge is a union, MIN and MAX over
+// strings — and an arithmetic shell come through combine as through one pass,
+// for the keyed and the scalar group, at one chunk and at two, three and
+// eight.
+func TestGroupTableCombineBoxedStates(t *testing.T) {
 	words := []string{"pear", "fig", "apple", "fig", "quince", "apple", "kiwi", "pear", "date"}
 	rows := make([]value.Row, 0, 3*len(words))
 	for i := 0; i < 3*len(words); i++ {
@@ -257,8 +272,8 @@ func TestGroupTableAbsorbBoxedStates(t *testing.T) {
 				t.Fatalf("group %d of %v: %v, want %d distinct, %q..%q, %d", id, groupCols, got, len(seen), lo, hi, nonNull+all)
 			}
 		}
-		for _, cuts := range [][]int{{}, {5, 17}, {9, 18}} {
-			sameTable(t, fmt.Sprintf("group by %v, cuts %v", groupCols, cuts), absorbCuts(t, g, rows, cuts), want)
+		for _, cuts := range [][]int{{}, {13}, {5, 17}, {9, 18}, {3, 6, 9, 12, 15, 18, 21}} {
+			sameGroups(t, fmt.Sprintf("group by %v, cuts %v", groupCols, cuts), combineCuts(t, g, rows, cuts), want)
 		}
 	}
 }
@@ -336,43 +351,82 @@ func TestGroupTableIndex(t *testing.T) {
 		if tab.n != groups || tab.index.Len() != groups {
 			t.Fatalf("%d groups under %d keys, want %d", tab.n, tab.index.Len(), groups)
 		}
-		// Absorbed into an empty table, the groups keep their ids and sums.
-		into, err := g.newTable()
+		// Combined after an empty table, the groups keep their order and sums.
+		empty, err := g.newTable()
 		must(t, err)
-		must(t, into.absorb(tab))
-		sameTable(t, "absorbed", into, tab)
+		out, err := g.combine([]*groupTable{empty, tab})
+		must(t, err)
+		sameGroups(t, "combined", madeRows(t, out), tab)
 	})
 }
 
 // TestArithmeticShellIsBoundOnce: an item that is arithmetic over aggregates
 // — COUNT(v) + SUM(v) * 2 — has each aggregate subterm bound to its
 // accumulator column when the node is compiled, so finishing a group
-// evaluates the shell over the group's results and builds nothing: the output
-// of 1 000 groups is its row headers and one slab of values.
+// evaluates the shell over the group's results and builds nothing: combining
+// 1 000 groups and making their rows costs the same few allocations — the
+// rows' slab and headers, the maker and its scratch — as combining ten.
 func TestArithmeticShellIsBoundOnce(t *testing.T) {
-	const groups = 1000
 	v := expr.Column("t", "v")
 	g := sumCore(t, nil, nil, 0)
 	addItems(t, g, expr.NewBinary(expr.OpAdd,
 		&expr.Aggregate{Func: expr.AggCount, Arg: v},
 		expr.NewBinary(expr.OpMul, &expr.Aggregate{Func: expr.AggSum, Arg: v}, expr.IntLit(2))))
-	tab := buildTable(t, g, keyedValuesPlan("t", 3*groups, groups).Rows)
-	var rows []value.Row
-	if avg := testing.AllocsPerRun(10, func() {
+	allocs := func(groups int) float64 {
+		tables := []*groupTable{buildTable(t, g, keyedValuesPlan("t", 3*groups, groups).Rows)}
+		var rows []value.Row
 		var err error
-		rows, err = g.combine([]*groupTable{tab})
+		avg := testing.AllocsPerRun(10, func() {
+			var out opened
+			if out, err = g.combine(tables); err != nil {
+				return
+			}
+			rows = out.made.slots()
+			out.made.workers(1)
+			cur := out.made.at(0, 0)
+			for i := 0; i < len(rows) && err == nil; i++ {
+				rows[i], err = cur.next(rows[i][:0])
+			}
+		})
 		must(t, err)
-	}); avg > 2 {
-		t.Errorf("finishing %d groups allocates %.0f times, want 2 (the rows and their slab)", groups, avg)
-	}
-	// Group k holds v = k, k+1000, k+2000.
-	if len(rows) != groups {
-		t.Fatalf("%d groups finished, want %d", len(rows), groups)
-	}
-	for k, row := range rows {
-		if sum := 3*int64(k) + 3*groups; row[0].Int() != int64(k) || row[1].Int() != sum || row[2].Int() != 3+2*sum {
-			t.Fatalf("group %d is %v, want SUM %d and COUNT + SUM * 2 = %d", k, row, sum, 3+2*sum)
+		// Group k holds v = k, k+groups, k+2*groups.
+		if len(rows) != groups {
+			t.Fatalf("%d groups finished, want %d", len(rows), groups)
 		}
+		for k, row := range rows {
+			if sum := 3*int64(k) + 3*int64(groups); row[0].Int() != int64(k) || row[1].Int() != sum || row[2].Int() != 3+2*sum {
+				t.Fatalf("group %d is %v, want SUM %d and COUNT + SUM * 2 = %d", k, row, sum, 3+2*sum)
+			}
+		}
+		return avg
+	}
+	if small, large := allocs(10), allocs(1000); small != large || large > 6 {
+		t.Errorf("finishing 10 groups allocates %.0f times, 1000 groups %.0f times: want the same, at most 6", small, large)
+	}
+}
+
+// TestCombineDisjointAllocatesNothingPerGroup: two partial tables whose keys
+// are disjoint each own their groups, so combining them moves no group and
+// grows no table — it allocates the same bytes for a hundred groups a table as
+// for ten thousand.
+func TestCombineDisjointAllocatesNothingPerGroup(t *testing.T) {
+	g := sumCore(t, nil, nil, 0)
+	bytes := func(groups int) uint64 {
+		rows := keyedValuesPlan("t", 2*groups, 2*groups).Rows // keys 0 .. 2*groups-1, each once
+		tables := []*groupTable{buildTable(t, g, rows[:groups]), buildTable(t, g, rows[groups:])}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		out, err := g.combine(tables)
+		runtime.ReadMemStats(&after)
+		must(t, err)
+		if n := out.made.len(); n != 2*groups {
+			t.Fatalf("%d groups combined, want %d", n, 2*groups)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if small, large := bytes(100), bytes(10000); large > small {
+		t.Errorf("combining two disjoint tables allocates %d bytes at 100 groups each, %d bytes at 10000: want no more", small, large)
 	}
 }
 
@@ -501,16 +555,17 @@ func TestJoinTablePartitions(t *testing.T) {
 func TestScalarGroupEmptyInput(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		g := sumCore(t, nil, nil)
-		var rows []value.Row
+		var out opened
 		var err error
 		if workers == 1 {
-			rows, err = g.hashAggregate(nil)
+			out, err = g.hashAggregate(nil)
 		} else {
 			g.par = workers
 			g.input = &pipeOp{src: leafRows(nil), par: workers, node: valuesPlan(0)}
-			rows, err = g.foldPipeline()
+			out, err = g.foldPipeline()
 		}
 		must(t, err)
+		rows := madeRows(t, out)
 		if len(rows) != 1 || len(rows[0]) != 1 || !rows[0][0].IsNull() {
 			t.Fatalf("workers=%d: scalar SUM over no rows = %v, want one row of one NULL", workers, rows)
 		}

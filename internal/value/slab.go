@@ -1,12 +1,19 @@
 package value
 
-// A Slab's first page holds slabFirstRows rows, and each page after it twice
-// as many as the one before, up to slabMaxRows: a few kept rows cost a few
-// rows, and a long run of them one allocation per slabMaxRows.
+// A Slab's first page holds slabFirstRows rows, and each page after it as
+// many as all the pages before it, up to slabMaxRows: a few kept rows cost a
+// few rows, a long run of them one allocation per slabMaxRows, and the pages
+// before the first whole one hold slabMaxRows rows between them — a morsel
+// of them, cut alone, fills its pages.
 const (
 	slabFirstRows = 8
 	slabMaxRows   = 1024
 )
+
+// SlabPageRows is the rows of a slab's next page, given the rows its pages so
+// far were made for. A store that cuts other cells than Values from pages —
+// the boxed results of package gbj — pages by the same rule.
+func SlabPageRows(made int) int { return min(max(made, slabFirstRows), slabMaxRows) }
 
 // Slab cuts the rows a store keeps from pages of values, so a run of kept
 // rows is a few large heap objects instead of one per row — fewer for the
@@ -18,7 +25,7 @@ const (
 // use, but the rows it has handed out are ordinary rows.
 type Slab struct {
 	free []Value // the current page's uncut tail
-	rows int     // the rows the current page was made for
+	made int     // the rows its pages were made for
 }
 
 // Copy returns a copy of row cut from the slab.
@@ -31,8 +38,9 @@ func (s *Slab) Copy(row Row) Row {
 // Make returns a row of n NULLs cut from the slab.
 func (s *Slab) Make(n int) Row {
 	if n > len(s.free) || s.free == nil {
-		s.rows = min(max(2*s.rows, slabFirstRows), slabMaxRows)
-		s.free = make([]Value, s.rows*n)
+		rows := SlabPageRows(s.made)
+		s.made += rows
+		s.free = make([]Value, rows*n)
 	}
 	row := s.free[:n:n]
 	s.free = s.free[n:]

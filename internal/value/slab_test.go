@@ -39,8 +39,8 @@ func TestSlabRowsNeverAlias(t *testing.T) {
 }
 
 // TestSlabPagesGrow: the first page holds slabFirstRows rows and each page
-// after it twice the one before, up to slabMaxRows, so the rows of one page lie
-// back to back and a long run costs one allocation per slabMaxRows rows.
+// after it as many as all before it, up to slabMaxRows, so the rows of one page
+// lie back to back and a long run costs one allocation per slabMaxRows rows.
 func TestSlabPagesGrow(t *testing.T) {
 	const width = 2
 	var s Slab
@@ -52,12 +52,12 @@ func TestSlabPagesGrow(t *testing.T) {
 			rows = append(rows, s.Make(width))
 		}
 	})
-	// 8 + 16 + … + 1024 = 2040 rows in the first eight pages, then whole pages.
-	if want := float64(8 + (len(rows)-2040+slabMaxRows-1)/slabMaxRows); allocs != want {
+	// 8 + 8 + 16 + … + 512 = 1024 rows in the first eight pages, then whole pages.
+	if want := float64(8 + (len(rows)-1024+slabMaxRows-1)/slabMaxRows); allocs != want {
 		t.Errorf("%d rows cost %.0f allocations, want %.0f", len(rows), allocs, want)
 	}
 	pageStart := 0
-	for size := slabFirstRows; pageStart+size <= len(rows); size = min(2*size, slabMaxRows) {
+	for size := slabFirstRows; pageStart+size <= len(rows); size = min(pageStart, slabMaxRows) {
 		base := uintptr(unsafe.Pointer(&rows[pageStart][0]))
 		for i := pageStart; i < pageStart+size; i++ {
 			if at := uintptr(unsafe.Pointer(&rows[i][0])); at != base+uintptr((i-pageStart)*width)*unsafe.Sizeof(Value{}) {

@@ -24,11 +24,11 @@ func (e *Engine) RunScriptContext(ctx context.Context, text string, w io.Writer)
 		}
 		switch s := stmt.(type) {
 		case *sql.SelectStmt:
-			out, err := e.query(ctx, s, nil, false, nil)
-			if err != nil {
+			var sink boxSink
+			if _, err := e.query(ctx, s, nil, false, &sink); err != nil {
 				return err
 			}
-			res := convertResult(out.res)
+			res := sink.result()
 			fmt.Fprint(w, res.String())
 			fmt.Fprintf(w, "(%d rows)\n", len(res.Rows))
 		case *sql.ExplainStmt:
