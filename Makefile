@@ -17,7 +17,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check docs fmt vet lint plancheck modelcheck verify-certs build test race sites chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench bench-smoke loc
+.PHONY: check docs fmt vet lint plancheck modelcheck verify-certs build test race sites chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench bench-smoke bench-record loc
 
 check: docs fmt vet lint build race sites fuzz bench-smoke
 
@@ -214,7 +214,7 @@ fuzz:
 # fragment's join-then-group, BenchmarkGroupTable, the group table alone —
 # all inserts, all hits at 10 and 1 000 groups, two partials combined —,
 # BenchmarkJoinTable, the other hashed stores alone — join build + probe at
-# 10 keys, 1 000 keys and 100 keys × 100 rows, par1 and par2, DISTINCT's set,
+# 10 keys, 1 000 keys and 100 keys × 100 rows, par1 and par2, DISTINCT's group table,
 # COUNT(DISTINCT) over 1 000 groups — and BenchmarkTinyJoinGroup, what a run
 # costs before its first row, BenchmarkResultPath, what a finished row costs
 # on its way to Run's caller — group → rename, group → column-permuting π,
@@ -237,6 +237,15 @@ bench:
 # runs, or whose row-count assertion fails, breaks the gate. Times nothing.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# One untraced run of all five workloads of the end-to-end benchmark
+# (BENCHMARK.json), seed 1, 10 s each, stamped and written to BENCH_pr<N>.json
+# at the repository root: `make bench-record PR=<N>`, N the change's number.
+# Each change commits its record, so the files are the benchmark's
+# trajectory. PR is required.
+bench-record:
+	@if [ -z "$(PR)" ]; then echo "usage: make bench-record PR=<number>"; exit 2; fi
+	$(GO) run ./benchmark -seed 1 -seconds 10 -json BENCH_pr$(PR).json
 
 # Non-test and test Go lines per package — the numbers CHANGES.md reports for
 # a change (internal/exec's non-test count is the one ROADMAP tracks).

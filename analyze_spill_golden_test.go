@@ -1,16 +1,19 @@
 package gbj
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 )
 
 // newSpillEngine builds a deterministic Fact/Dim database large enough that
-// a 512-byte budget forces every stateful operator to disk: the hash join
-// partitions (grace join), the aggregation externalizes, and a bare ORDER BY
-// runs as an external merge sort. The data is generated, not random, so the
-// spill byte counts in the goldens are exact.
+// a 512-byte budget forces the stateful operators with more than a handful of
+// entries to disk: the hash join partitions (grace join), a grouping of the
+// Fact rows' 101 V values externalizes, and a bare ORDER BY runs as an
+// external merge sort. A grouping of the eight Dim labels fits and hashes.
+// The data is generated, not random, so the spill byte counts in the goldens
+// are exact.
 func newSpillEngine(t *testing.T) *Engine {
 	t.Helper()
 	e := New()
@@ -74,4 +77,36 @@ func TestExplainAnalyzeGoldenExternalSort(t *testing.T) {
 	e := newSpillEngine(t)
 	analyzeGolden(t, e, "analyze_external_sort", `
 		SELECT F.FID, F.V FROM Fact F ORDER BY V, FID`)
+}
+
+// TestExplainAnalyzeGoldenExternalAggregation pins a grouping that goes
+// external: DISTINCT over the Fact rows' 101 V values is a grouping on
+// every column, whose table the 512-byte budget refuses, so it must show
+// op=external with the spill_bytes= and runs= of its sort by group key.
+func TestExplainAnalyzeGoldenExternalAggregation(t *testing.T) {
+	e := newSpillEngine(t)
+	analyzeGolden(t, e, "analyze_external_aggregation", `
+		SELECT DISTINCT F.V FROM Fact F`)
+}
+
+// TestSpillRunStaysInsideItsBudget: a spill-capable run that ends without
+// error held no more state than its budget — the high-water mark it reports
+// counts admitted state only, not the charges the budget refused on the way
+// to disk.
+func TestSpillRunStaysInsideItsBudget(t *testing.T) {
+	e := newSpillEngine(t)
+	for _, q := range []string{
+		`SELECT D.Label, SUM(F.V) FROM Fact F, Dim D WHERE F.K = D.K GROUP BY D.Label`,
+		`SELECT F.FID, F.V FROM Fact F ORDER BY V, FID`,
+		`SELECT DISTINCT F.V FROM Fact F`,
+	} {
+		a, err := e.QueryAnalyzedContext(context.Background(), q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := a.Governance; g.SpillBytes == 0 || g.UsedBytes > g.BudgetBytes {
+			t.Errorf("%s: spilled %d bytes holding %d bytes of state, want some spilled inside the budget of %d",
+				q, g.SpillBytes, g.UsedBytes, g.BudgetBytes)
+		}
+	}
 }

@@ -517,9 +517,12 @@ type RowSink interface {
 // QueryStreamContext is QueryOptionsContext with the rows handed to sink as
 // the plan makes them instead of returned — same plan selection, same
 // snapshot, same execution ladder, same errors. An error sink returns ends
-// the query with that error. It exists for the query service, whose
-// response body is encoded as the rows arrive.
+// the query with that error, and a nil sink is an error. It exists for the
+// query service, whose response body is encoded as the rows arrive.
 func (e *Engine) QueryStreamContext(ctx context.Context, text string, o *QueryOptions, sink RowSink) error {
+	if sink == nil {
+		return errors.New("gbj: QueryStreamContext needs a sink for the rows")
+	}
 	q, err := sql.ParseQuery(text)
 	if err != nil {
 		return err
@@ -530,8 +533,7 @@ func (e *Engine) QueryStreamContext(ctx context.Context, text string, o *QueryOp
 
 // query is the one path every SELECT entry takes: convert the host
 // variables, prepare the plan and snapshot, run the execution ladder. It
-// returns what the answering rung ran — with its rows, or with them handed
-// to sink.
+// returns what the answering rung ran; its rows went to sink.
 func (e *Engine) query(ctx context.Context, q *sql.SelectStmt, o *QueryOptions, instrument bool, sink RowSink) (outcome, error) {
 	var params expr.Params
 	if o != nil {
@@ -586,7 +588,6 @@ type attempt struct{ dist, lazy bool }
 // outcome is what the rung that produced the rows ran and measured. col and
 // tracer are nil for uninstrumented runs; est is filled only alongside them.
 type outcome struct {
-	res    *exec.Result
 	plan   algebra.Node // the tree that executed: the compiled one on the cluster
 	est    algebra.Annotations
 	col    *obs.Collector
@@ -645,11 +646,10 @@ func (e *Engine) run(ctx context.Context, p *prepared, instrument bool, sink Row
 }
 
 // try executes one rung. Local rungs run the logical plan against the
-// store snapshot; distributed rungs lower it onto the cluster first. Given a
-// sink, the rung starts it and hands it the rows instead of keeping them: a
-// local rung's as its root pipeline makes them, a cluster rung's as the
-// cluster returns them.
-func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome, sink RowSink) (err error) {
+// store snapshot; distributed rungs lower it onto the cluster first. The rung
+// starts sink and hands it the rows: a local rung's as its root pipeline makes
+// them, a cluster rung's as the cluster returns them.
+func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome, sink RowSink) error {
 	plan, ann, certs := p.choice.Plan, p.choice.Ann, p.choice.Certs
 	if at.lazy {
 		plan, ann, certs = p.choice.Fallback, p.choice.FallbackAnn, nil
@@ -667,12 +667,8 @@ func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome,
 	}
 	if !at.dist {
 		out.plan, out.est = plan, ann
-		if sink != nil {
-			sink.Start(columnNames(plan.Schema()))
-			return exec.Stream(plan, p.store, opts, sink)
-		}
-		out.res, err = exec.Run(plan, p.store, opts)
-		return err
+		sink.Start(columnNames(plan.Schema()))
+		return exec.Stream(plan, p.store, opts, sink)
 	}
 	dp, err := p.set.compileDist(plan, ann, certs)
 	if err != nil {
@@ -682,14 +678,14 @@ func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome,
 	if out.col != nil {
 		out.est = translateAnn(dp, ann)
 	}
-	out.res, err = p.cluster.RunRecover(dp, opts, e.recoveryPolicy(p.set))
-	if err != nil || sink == nil {
+	res, err := p.cluster.RunRecover(dp, opts, e.recoveryPolicy(p.set))
+	if err != nil {
 		return err
 	}
-	sink.Start(columnNames(out.res.Schema))
+	sink.Start(columnNames(res.Schema))
 	sink.Begin(1)
 	emit := sink.Chunk(0)
-	for _, row := range out.res.Rows {
+	for _, row := range res.Rows {
 		if err := emit(row); err != nil {
 			return err
 		}

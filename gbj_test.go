@@ -396,8 +396,8 @@ func sameCells(rows []value.Row, boxed [][]any) bool {
 // TestQueryStreamIsQueryUnboxed: QueryStreamContext hands its sink the rows
 // Query boxes, in Query's order — at one worker and at four, where the wide
 // join arrives in several chunks, in the columnar source form and on a
-// four-node cluster —, an empty result still starts with its columns, and
-// an empty result keeps Result.Rows nil.
+// four-node cluster —, an empty result still starts with its columns, an
+// empty result keeps Result.Rows nil, and a nil sink is refused.
 func TestQueryStreamIsQueryUnboxed(t *testing.T) {
 	store, err := workload.Sweep(workload.SweepParams{FactRows: 6000, DimRows: 50, Groups: 40, MatchFraction: 0.9, Seed: 3})
 	if err != nil {
@@ -449,6 +449,9 @@ func TestQueryStreamIsQueryUnboxed(t *testing.T) {
 	e := NewWithStore(store)
 	if err := e.QueryStreamContext(ctx, `SELEC nonsense`, nil, &collectSink{}); err == nil {
 		t.Error("parse error not reported")
+	}
+	if err := e.QueryStreamContext(ctx, queries[0], nil, nil); err == nil {
+		t.Error("a nil sink is not an error: the rows went nowhere")
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/paged"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -30,12 +29,13 @@ import (
 type GroupStrategy uint8
 
 // Grouping strategies. GroupAuto, the zero value and so every engine run,
-// lets the compiler choose per GroupBy node from the order it can prove of
-// the node's input — the paper's Section 7, sortedness "can be exploited":
-// input already ordered on the grouping columns is grouped in one streaming
-// pass, anything else hashes. GroupHash and GroupSort (sort the input rows,
-// then stream) force one implementation on every node: the oracles'
-// strategy axis, set by no engine path.
+// lets the compiler choose per grouping from the order it can prove of its
+// input — the paper's Section 7, sortedness "can be exploited": input already
+// ordered on the grouping columns is grouped in one streaming pass, anything
+// else hashes. GroupHash and GroupSort (the streaming pass over a sort of the
+// input on the grouping columns) force one implementation on every GroupBy
+// node; DISTINCT, a grouping too, is never forced. The matrix's strategy axis
+// and the benchmark set them; no engine path does.
 const (
 	GroupAuto GroupStrategy = iota
 	GroupHash
@@ -58,7 +58,7 @@ func (s GroupStrategy) String() string {
 
 // Options configures an execution.
 type Options struct {
-	Group  GroupStrategy // zero: GroupAuto, what every engine run uses
+	Group  GroupStrategy // forced on GroupBy nodes; zero: GroupAuto, what every engine run uses
 	Params expr.Params
 	// Parallelism is the worker count of the one operator set: how many
 	// goroutines carry a pipeline's chunks (0 and 1 mean one worker, the
@@ -426,7 +426,12 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 				return compiled{pipe: p, order: order}, nil
 			}
 		}
-		p.add(stage{metrics: c.nodeMetrics(n), bind: func(emit emitFn) emitFn {
+		// π_D's morsels are its grouping's, counted by its partial tables.
+		metrics := c.nodeMetrics(n)
+		if node.Distinct {
+			metrics = nil
+		}
+		p.add(stage{metrics: metrics, bind: func(emit emitFn) emitFn {
 			// The chunk's scratch row: a sink that keeps rows copies it.
 			proj := make(value.Row, len(items))
 			return func(row value.Row) error {
@@ -439,10 +444,16 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 				return emit(proj)
 			}
 		}}, true)
-		if node.Distinct {
-			return compiled{pipe: c.source(&distinctOp{input: p, gov: gov}, n), order: order}, nil
+		if !node.Distinct {
+			return compiled{pipe: p, order: order}, nil
 		}
-		return compiled{pipe: p, order: order}, nil
+		// π_D is duplicate elimination under =ⁿ (SQL2 duplicate semantics): a
+		// grouping on every column with no aggregate item, never forced. Its
+		// rows keep the projection's order: a hash grouping's are in first
+		// appearance order, at every worker count and on its external path.
+		out := c.grouping(compiled{pipe: p, order: order}, groupCore{groupCols: firstColumns(len(items))}, GroupAuto, n)
+		out.order = order
+		return out, nil
 	case *algebra.Product:
 		return c.compileJoin(&algebra.Join{L: node.L, R: node.R}, n)
 	case *algebra.Join:
@@ -454,32 +465,11 @@ func (c *compiler) compileInner(n algebra.Node) (compiled, error) {
 		if err != nil {
 			return compiled{}, err
 		}
-		schema := node.Input.Schema()
-		keys := make([]sortKey, len(node.Keys))
-		allAsc := true
-		keyCols := make([]int, len(node.Keys))
-		for i, k := range node.Keys {
-			idx, err := schema.IndexOf(k.Col)
-			if err != nil {
-				return compiled{}, err
-			}
-			keys[i] = sortKey{col: idx, desc: k.Desc}
-			keyCols[i] = idx
-			if k.Desc {
-				allAsc = false
-			}
+		keys, order, err := sortKeys(node.Input.Schema(), node.Keys)
+		if err != nil {
+			return compiled{}, err
 		}
-		// Skip the sort entirely when the input already streams in the
-		// requested (all-ascending) key sequence.
-		if allAsc && hasSequencePrefix(in.order, keyCols) {
-			return in, nil
-		}
-		outOrder := keyCols
-		if !allAsc {
-			outOrder = nil // mixed directions: no OrderKey-ascending guarantee
-		}
-		op := &sortOp{input: in.pipeline(n), keys: keys, par: c.stateWorkers(), gov: c.gov, mgr: c.spill, metrics: c.nodeMetrics(n), where: n.Describe()}
-		return compiled{pipe: c.source(op, n), order: outOrder}, nil
+		return c.sorted(in, keys, order, n), nil
 	case *algebra.Limit:
 		return c.compileLimit(node)
 	default:
@@ -526,26 +516,44 @@ func hasSequencePrefix(order, want []int) bool {
 	return true
 }
 
+// sortKeys compiles ORDER BY items over schema: the sort keys, and the order
+// rows sorted on them carry — the keys' columns, or nil under mixed
+// directions, which give no value.OrderKey-ascending guarantee.
+func sortKeys(schema algebra.Schema, items []algebra.SortItem) ([]sortKey, []int, error) {
+	keys := make([]sortKey, len(items))
+	order := make([]int, len(items))
+	allAsc := true
+	for i, k := range items {
+		idx, err := schema.IndexOf(k.Col)
+		if err != nil {
+			return nil, nil, err
+		}
+		keys[i], order[i] = sortKey{col: idx, desc: k.Desc}, idx
+		allAsc = allAsc && !k.Desc
+	}
+	if !allAsc {
+		order = nil
+	}
+	return keys, order, nil
+}
+
+// sorted lowers a sort of in on keys at node n, its rows carrying order:
+// nothing at all when in already streams in that order, else a sortOp with the
+// node's metrics, the state workers and the spill manager.
+func (c *compiler) sorted(in compiled, keys []sortKey, order []int, n algebra.Node) compiled {
+	if hasSequencePrefix(in.order, order) {
+		return in
+	}
+	op := &sortOp{input: in.pipeline(n), keys: keys, par: c.stateWorkers(), gov: c.gov, mgr: c.spill, metrics: c.nodeMetrics(n), where: n.Describe()}
+	return compiled{pipe: c.source(op, n), order: order}
+}
+
 // leafRows is a leaf in row form: a stored table's rows, a Values literal's or
 // rows bound through Options.Sources. None of them is the run's own, so a
 // result takes them in a fresh header slice (collect).
 type leafRows []value.Row
 
 func (l leafRows) open() (opened, error) { return opened{rows: l}, nil }
-
-// distinctSet is DISTINCT's memory: the canonical key of every row seen, in a
-// paged.Dict. A row is looked up by its key bytes in a reused buffer, and a
-// first occurrence's bytes are copied into the index's arena — no string is
-// made for either.
-type distinctSet struct {
-	index paged.Dict
-	cols  []int // every column, for appendKey
-	key   []byte
-}
-
-func newDistinctSet(width int) distinctSet {
-	return distinctSet{cols: firstColumns(width)}
-}
 
 // firstColumns is the column list 0, 1, …, n-1.
 func firstColumns(n int) []int {
@@ -554,61 +562,6 @@ func firstColumns(n int) []int {
 		cols[i] = i
 	}
 	return cols
-}
-
-// first reports whether row is the first of its =ⁿ class, and remembers it.
-func (d *distinctSet) first(row value.Row) bool {
-	d.key = appendKey(d.key[:0], row, d.cols)
-	hash := paged.Hash(d.key)
-	if d.index.Lookup(hash, d.key) >= 0 {
-		return false
-	}
-	d.index.Append(hash, d.key)
-	return true
-}
-
-// distinctOp is DISTINCT: duplicate elimination under =ⁿ (SQL2 duplicate
-// semantics). The projection itself ran as the last stage of the pipeline
-// below; duplicates are dropped in one serial pass over its collected rows,
-// first occurrences kept in input order.
-type distinctOp struct {
-	input *pipeOp
-	gov   *governor
-}
-
-func (d *distinctOp) open() (opened, error) {
-	rows, err := d.input.collect()
-	if err != nil || len(rows) == 0 {
-		return opened{}, err
-	}
-	seen := newDistinctSet(len(rows[0]))
-	out := rows[:0]
-	for _, row := range rows {
-		if err := d.gov.tick(); err != nil {
-			return opened{}, err
-		}
-		if seen.first(row) {
-			out = append(out, row)
-		}
-	}
-	if 2*len(out) < len(rows) {
-		// The collection's rows lie in its slabs, and its header slice still
-		// points at the dropped ones: survivors of a collection that dropped
-		// most of it move to a slice and a slab of their own, so the dropped
-		// rows are not kept alive by a few kept ones.
-		kept := make([]value.Row, len(out))
-		width := len(out[0])
-		slab := make([]value.Value, len(out)*width)
-		for i, row := range out {
-			if err := d.gov.cancelled(); err != nil {
-				return opened{}, err
-			}
-			kept[i] = slab[i*width : (i+1)*width : (i+1)*width]
-			copy(kept[i], row)
-		}
-		out = kept
-	}
-	return opened{rows: out}, nil
 }
 
 // projectInto evaluates the item expressions over one row into out.

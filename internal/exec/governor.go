@@ -133,17 +133,19 @@ func (g *governor) charge(op string, n int64) error {
 // bytes and reports whether they fit. On refusal the charge is backed out,
 // so the caller can release other state (by spilling it to disk) and retry
 // instead of aborting — a budget breach becomes a partitioning decision,
-// not a *ResourceError. A nil governor admits everything.
+// not a *ResourceError. Only an admitted total reaches the high-water mark:
+// a refused charge is state the run never held. A nil governor admits
+// everything.
 func (g *governor) tryCharge(n int64) bool {
 	if g == nil {
 		return true
 	}
 	used := g.used.Add(n)
-	g.note(used)
 	if g.budget > 0 && used > g.budget {
 		g.used.Add(-n)
 		return false
 	}
+	g.note(used)
 	return true
 }
 

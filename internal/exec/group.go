@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -31,70 +32,62 @@ func (c *compiler) compileGroupBy(node *algebra.GroupBy) (compiled, error) {
 		return compiled{}, err
 	}
 	inSchema := node.Input.Schema()
-	groupCols := make([]int, len(node.GroupCols))
+	g := groupCore{groupCols: make([]int, len(node.GroupCols))}
 	for i, gc := range node.GroupCols {
-		idx, err := inSchema.IndexOf(gc)
-		if err != nil {
+		if g.groupCols[i], err = inSchema.IndexOf(gc); err != nil {
 			return compiled{}, err
 		}
-		groupCols[i] = idx
-	}
-	base := groupCore{
-		groupCols: groupCols,
-		params:    c.opts.Params,
-		metrics:   c.nodeMetrics(node),
-		gov:       c.gov,
-		mgr:       c.spill,
-		par:       c.stateWorkers(),
-		where:     node.Describe(),
 	}
 	for _, item := range node.Aggs {
 		bound, err := expr.Bind(item.E, inSchema)
 		if err != nil {
 			return compiled{}, err
 		}
-		if !base.addItem(bound) {
+		if !g.addItem(bound) {
 			return compiled{}, fmt.Errorf("exec: aggregate item %s contains no aggregate function", item.E)
 		}
 	}
-	// How grouping is chosen, here and nowhere else (DESIGN.md §4.4). Order is
-	// a physical property of this node's input: if the propagated order
-	// proves it sorted on the grouping columns the groups are contiguous —
-	// one streaming pass, no sort, no table. Anything else hashes, and an
-	// ORDER BY above orders G group rows, not N input rows here. A fresh sort
-	// survives as forced GroupSort (the oracles' reference) and as a refused
-	// table's external path.
-	preSorted := orderedPrefixSet(in.order, groupCols)
-	switch {
-	case c.opts.Group == GroupSort, c.opts.Group == GroupAuto && preSorted:
-		// Output columns: grouping columns first (positions 0..k-1), then
-		// the aggregate results. A fresh sort orders the output by the
-		// grouping-column sequence; a pre-sorted pass preserves the input's
-		// (possibly permuted) key order.
-		outOrder := make([]int, len(groupCols))
-		for i := range outOrder {
-			outOrder[i] = i
-		}
-		if preSorted {
-			for i, src := range in.order[:len(groupCols)] {
-				for gi, gc := range groupCols {
-					if gc == src {
-						outOrder[i] = gi
-						break
-					}
-				}
-			}
-		}
-		base.input = in.pipeline(node)
-		p := c.source(&sortGroupOp{groupCore: base, preSorted: preSorted}, node)
-		p.borrowed = base.scalarGroup() // the scalar group folds: its row is made on demand
-		return compiled{pipe: p, order: outOrder}, nil
-	default:
-		base.input = in.pipeline(node)
-		p := c.source(&hashGroupOp{groupCore: base}, node)
+	return c.grouping(in, g, c.opts.Group, node), nil
+}
+
+// grouping lowers node n, a grouping of in on g's grouping columns with g's
+// aggregate items — a GroupBy, or π_D with every column grouped and no item.
+// How grouping is chosen, here and nowhere else (DESIGN.md §4.4). Order is a
+// physical property of the input: if the propagated order proves it sorted on
+// the grouping columns the groups are contiguous — one streaming pass, no
+// sort, no table, its output in the input's (possibly permuted) key order.
+// Anything else hashes, and an ORDER BY above orders G group rows, not N input
+// rows here. A forced GroupHash hashes always; a forced GroupSort streams over
+// a sortOp on the grouping columns the compiler puts below the pass, its
+// output in grouping-column order. The scalar group folds through the hash
+// operator under every strategy.
+func (c *compiler) grouping(in compiled, g groupCore, strategy GroupStrategy, n algebra.Node) compiled {
+	g.params, g.metrics, g.gov, g.mgr = c.opts.Params, c.nodeMetrics(n), c.gov, c.spill
+	g.par, g.where = c.stateWorkers(), n.Describe()
+	clustered := orderedPrefixSet(in.order, g.groupCols)
+	if strategy == GroupHash || !clustered && (strategy != GroupSort || g.scalarGroup()) {
+		g.input = in.pipeline(n)
+		p := c.source(&hashGroupOp{groupCore: g}, n)
 		p.borrowed = true // groupRows: each row is made into its consumer's scratch
-		return compiled{pipe: p}, nil
+		return compiled{pipe: p}
 	}
+	// The pass's implementation is known here, so it is named here.
+	order := firstColumns(len(g.groupCols))
+	if clustered {
+		g.ran("stream")
+		for i, src := range in.order[:len(order)] {
+			order[i] = slices.Index(g.groupCols, src)
+		}
+	} else {
+		g.ran("sort")
+		keys := make([]sortKey, len(g.groupCols))
+		for i, col := range g.groupCols {
+			keys[i] = sortKey{col: col}
+		}
+		in = c.sorted(in, keys, g.groupCols, n)
+	}
+	g.input = in.pipeline(n)
+	return compiled{pipe: c.source(&sortGroupOp{groupCore: g}, n), order: order}
 }
 
 // stateWorkers is the worker count of the operators that hold budget-admitted
@@ -257,7 +250,7 @@ func (g *groupCore) hashAggregate(rows []value.Row) (opened, error) {
 		}
 		if err := t.add(row); err == errRefused {
 			g.ran("external")
-			out, err := g.sortAggregate(rows, true)
+			out, err := g.sortAggregate(rows)
 			return opened{rows: out}, err
 		} else if err != nil {
 			return opened{}, err
@@ -406,41 +399,33 @@ func (s bySeq) Swap(i, j int) {
 	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
 }
 
-// sortAggregate sorts rows so groups arrive contiguous and aggregates them
-// streaming. byKey is the external path of hash aggregation: records sort on
-// the canonical GroupKey prepended as a column (equal keys ⟺ equal strings),
-// and first-appearance output order is restored from their arrival seqs.
-// Otherwise rows sort on the grouping columns themselves and the output is
-// in grouping-key order. The sorter's run files are swept before it returns.
-func (g *groupCore) sortAggregate(rows []value.Row, byKey bool) (out []value.Row, err error) {
-	cmp := func(a, b value.Row) int { return compareAt(a, g.groupCols, b, g.groupCols) }
-	if byKey {
-		cmp = func(a, b value.Row) int { return strings.Compare(a[0].Str(), b[0].Str()) }
-	}
-	sorter := &extSorter{gov: g.gov, mgr: g.mgr, metrics: g.metrics, op: g.where, par: g.par, cmp: cmp}
+// sortAggregate is the external path of hash aggregation: records sort on the
+// canonical GroupKey prepended as a column (equal keys ⟺ equal strings), their
+// groups stream off the sorted records, and first-appearance output order is
+// restored from their arrival seqs. The sorter's run files are swept before it
+// returns.
+func (g *groupCore) sortAggregate(rows []value.Row) (out []value.Row, err error) {
+	sorter := &extSorter{gov: g.gov, mgr: g.mgr, metrics: g.metrics, op: g.where, par: g.par,
+		cmp: func(a, b value.Row) int { return strings.Compare(a[0].Str(), b[0].Str()) }}
 	defer func() {
 		if cerr := sorter.close(); err == nil {
 			err = cerr
 		}
 	}()
-	if byKey {
-		for _, row := range rows {
-			if err := g.gov.tick(); err != nil {
-				return nil, err
-			}
-			rec := append(value.Row{value.NewString(value.GroupKey(row, g.groupCols))}, row...)
-			if err := sorter.add(rec, rowStateBytes(rec)); err != nil {
-				return nil, err
-			}
+	for _, row := range rows {
+		if err := g.gov.tick(); err != nil {
+			return nil, err
 		}
-	} else if err := sorter.addAll(rows); err != nil {
-		return nil, err
+		rec := append(value.Row{value.NewString(value.GroupKey(row, g.groupCols))}, row...)
+		if err := sorter.add(rec, rowStateBytes(rec)); err != nil {
+			return nil, err
+		}
 	}
 	it, err := sorter.finish()
 	if err != nil {
 		return nil, err
 	}
-	add, done, err := g.streamGroups(byKey)
+	add, done, err := g.streamGroups(true)
 	if err != nil {
 		return nil, err
 	}
@@ -563,43 +548,24 @@ func (g *hashGroupOp) open() (opened, error) {
 
 // sortGroupOp aggregates each run of =ⁿ-equal keys off a key-ordered stream
 // in a single pass — grouping pipelined with aggregation, the implementation
-// the paper's Section 2 attributes to sort-based grouping. With preSorted set
-// the input already streams in key order and is consumed as it comes, as one
-// in-order chunk: one live state and one live row. Otherwise the input is
-// materialized and sorted on the grouping columns first, and the output is
-// ordered by the grouping key.
+// the paper's Section 2 attributes to sort-based grouping. Its input streams in
+// key order — as the input's order proves, or out of the sortOp a forced
+// GroupSort put below it — and is consumed as it comes, as one in-order chunk:
+// one live state and one live row.
 type sortGroupOp struct {
 	groupCore
-	preSorted bool
 }
 
 func (g *sortGroupOp) open() (opened, error) {
-	if g.scalarGroup() {
-		// One group: nothing to sort, and one state never needs to spill.
-		return g.foldPipeline()
-	}
-	out, err := g.aggregate()
-	return opened{rows: out}, err
-}
-
-func (g *sortGroupOp) aggregate() ([]value.Row, error) {
-	if g.preSorted {
-		g.ran("stream")
-		add, done, err := g.streamGroups(false)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.input.each(func(row value.Row) error { return add(spillRow{row: row}) }); err != nil {
-			return nil, err
-		}
-		return done()
-	}
-	rows, err := g.input.collect()
+	add, done, err := g.streamGroups(false)
 	if err != nil {
-		return nil, err
+		return opened{}, err
 	}
-	g.ran("sort")
-	return g.sortAggregate(rows, false)
+	if err := g.input.each(func(row value.Row) error { return add(spillRow{row: row}) }); err != nil {
+		return opened{}, err
+	}
+	out, err := done()
+	return opened{rows: out}, err
 }
 
 // sortKey is one compiled ORDER BY key.

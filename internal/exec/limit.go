@@ -16,20 +16,9 @@ func (c *compiler) compileLimit(node *algebra.Limit) (compiled, error) {
 		if err != nil {
 			return compiled{}, err
 		}
-		schema := s.Input.Schema()
-		keys := make([]sortKey, len(s.Keys))
-		allAsc := true
-		keyCols := make([]int, len(s.Keys))
-		for i, k := range s.Keys {
-			idx, err := schema.IndexOf(k.Col)
-			if err != nil {
-				return compiled{}, err
-			}
-			keys[i] = sortKey{col: idx, desc: k.Desc}
-			keyCols[i] = idx
-			if k.Desc {
-				allAsc = false
-			}
+		keys, order, err := sortKeys(s.Input.Schema(), s.Keys)
+		if err != nil {
+			return compiled{}, err
 		}
 		p := in.pipeline(node)
 		// The fused Sort node has no operator of its own; a stage that only
@@ -40,14 +29,10 @@ func (c *compiler) compileLimit(node *algebra.Limit) (compiled, error) {
 		if c.opts.Metrics != nil {
 			p.meter(&metricOp{metrics: c.nodeMetrics(s), clock: c.clock})
 		}
-		if allAsc && hasSequencePrefix(in.order, keyCols) {
+		if hasSequencePrefix(in.order, order) {
 			return compiled{pipe: c.source(&limitOp{input: p, n: node.N}, node), order: in.order}, nil
 		}
-		outOrder := keyCols
-		if !allAsc {
-			outOrder = nil
-		}
-		return compiled{pipe: c.source(&topKOp{input: p, keys: keys, n: node.N}, node), order: outOrder}, nil
+		return compiled{pipe: c.source(&topKOp{input: p, keys: keys, n: node.N}, node), order: order}, nil
 	}
 	in, err := c.compile(node.Input)
 	if err != nil {

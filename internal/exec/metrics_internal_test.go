@@ -209,25 +209,20 @@ func TestRowPathZeroAllocs(t *testing.T) {
 	})
 	t.Run("DISTINCT project, duplicate row", func(t *testing.T) {
 		// The row is projected into the stage's scratch row, and the duplicate
-		// is recognised by its key bytes in the set's buffer, so nothing is
-		// made for it.
+		// is found by its key bytes in the group table's probe buffer — a group
+		// on every column, with no aggregate — so nothing is made for it.
 		dup := value.Row{value.NewInt(7), value.NewString("a longer string than a small-string buffer holds")}
 		items := []expr.Expr{&expr.ColumnRef{Index: 1}, &expr.ColumnRef{Index: 0}}
-		seen := newDistinctSet(len(items))
+		seen, err := (&groupCore{groupCols: firstColumns(len(items)), par: 1, where: "distinct"}).newTable()
+		must(t, err)
 		proj := make(value.Row, len(items))
-		first := func() bool {
+		add := func() {
 			must(t, projectInto(proj, items, dup, nil))
-			return seen.first(proj)
+			must(t, seen.add(proj))
 		}
-		if !first() {
-			t.Fatal("the first occurrence is not the first")
-		}
-		if avg := testing.AllocsPerRun(runs, func() {
-			if first() {
-				t.Fatal("a duplicate is the first of its class")
-			}
-		}); avg != 0 {
-			t.Errorf("a duplicate row under DISTINCT allocates %.2f times, want 0", avg)
+		add()
+		if avg := testing.AllocsPerRun(runs, add); avg != 0 || seen.n != 1 {
+			t.Errorf("a duplicate row under DISTINCT allocates %.2f times (%d groups), want 0", avg, seen.n)
 		}
 	})
 	t.Run("hash-group, existing group", func(t *testing.T) {
@@ -303,12 +298,12 @@ func TestSerialGroupingHoldsGroupsNotRows(t *testing.T) {
 			}
 			core := sumCore(t, nil, nil, 0)
 			core.input = filtered(t, rows)
-			return &sortGroupOp{groupCore: *core, preSorted: true}
+			return &sortGroupOp{groupCore: *core}
 		}, groups},
 		{"scalar", func(n int) breaker {
 			core := sumCore(t, nil, nil)
 			core.input = filtered(t, keyedValuesPlan("t", n, groups).Rows)
-			return &sortGroupOp{groupCore: *core}
+			return &hashGroupOp{groupCore: *core}
 		}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -369,9 +364,10 @@ func TestSpillCapableSortStreamsItsInput(t *testing.T) {
 	}
 	must(t, merge.close())
 	runtime.ReadMemStats(&after)
-	// The high-water mark includes the one refused attempt that flushed a run.
+	// The high-water mark is of admitted state only: a refused attempt that
+	// flushed a run is not in it.
 	row := rowStateBytes(make(value.Row, 4))
-	if rows != n || metrics.SortRuns.Load() < 2 || gov.usedBytes() > gov.budget+row {
+	if rows != n || metrics.SortRuns.Load() < 2 || gov.usedBytes() > gov.budget {
 		t.Fatalf("%d rows in %d runs with %d bytes held: want %d rows, spilled, inside the budget of %d",
 			rows, metrics.SortRuns.Load(), gov.usedBytes(), n, gov.budget)
 	}

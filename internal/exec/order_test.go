@@ -1,10 +1,13 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/algebra"
 	"repro/internal/expr"
+	"repro/internal/obs"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -105,8 +108,9 @@ func TestGroupAutoExploitsSortedInput(t *testing.T) {
 	if !ok {
 		t.Fatalf("GroupAuto over sorted input compiled to %T, want sortGroupOp", out.pipe.src)
 	}
-	if !sg.preSorted {
-		t.Error("preSorted not set on sorted input")
+	// The pass reads the ORDER BY's rows: no sort of its own below it.
+	if so, ok := sg.input.src.(*sortOp); !ok || so.where != sorted.Describe() {
+		t.Errorf("the streaming pass over sorted input reads %T, want the ORDER BY's sort", sg.input.src)
 	}
 	// Output order covers the grouping column (position 0).
 	if len(out.order) != 1 || out.order[0] != 0 {
@@ -133,5 +137,51 @@ func TestGroupAutoExploitsSortedInput(t *testing.T) {
 	}
 	if !sameMultiset(results[0], results[1]) || !sameMultiset(results[0], results[2]) {
 		t.Error("group strategies disagree on sorted input")
+	}
+}
+
+// TestForcedGroupSortIsASortUnderTheStream: a forced GroupSort over input
+// whose order proves nothing compiles to the streaming pass over an ordinary
+// sortOp on the grouping columns — the group node's, ascending — so its rows
+// are the hash grouping's, stably sorted on the grouping key, at any worker
+// count and on the sort's external path, and EXPLAIN ANALYZE still names it
+// op=sort.
+func TestForcedGroupSortIsASortUnderTheStream(t *testing.T) {
+	const n, keys = 5000, 300
+	plan := govGroupPlan(n, keys)
+	for i, row := range plan.Input.(*algebra.Values).Rows {
+		row[0] = value.NewInt(int64(keys - 1 - i%keys)) // first appearance descending
+	}
+	c := &compiler{opts: &Options{Group: GroupSort}}
+	out, err := c.compile(plan)
+	must(t, err)
+	sg, ok := out.pipe.src.(*sortGroupOp)
+	if !ok {
+		t.Fatalf("forced GroupSort compiled to %T, want sortGroupOp", out.pipe.src)
+	}
+	if so, ok := sg.input.src.(*sortOp); !ok || so.where != plan.Describe() || len(so.keys) != 1 || so.keys[0] != (sortKey{col: 0}) {
+		t.Fatalf("the streaming pass reads %T, want the group's own ascending sort on k", sg.input.src)
+	}
+	if len(out.order) != 1 || out.order[0] != 0 {
+		t.Fatalf("forced GroupSort output order = %v, want [0]", out.order)
+	}
+	hash, err := Run(plan, nil, &Options{Group: GroupHash})
+	must(t, err)
+	want := slices.Clone(hash.Rows)
+	slices.SortStableFunc(want, func(a, b value.Row) int { return value.OrderKey(a[0], b[0]) })
+	for _, workers := range []int{1, 3} {
+		for _, spill := range []bool{false, true} {
+			opts := &Options{Group: GroupSort, Parallelism: workers, Metrics: obs.NewCollector()}
+			if spill {
+				opts.MemoryBudget, opts.Spill = 4<<10, storage.NewSpillManager(t.TempDir())
+			}
+			res, err := Run(plan, nil, opts)
+			must(t, err)
+			m := opts.Metrics.Lookup(plan)
+			if !sameRows(res.Rows, want) || *m.Operator.Load() != "sort" || spill && m.SortRuns.Load() == 0 {
+				t.Fatalf("workers=%d, spill=%v: %d rows as op=%s in %d runs, want the hash rows sorted on k, op=sort, spilled when budgeted",
+					workers, spill, len(res.Rows), *m.Operator.Load(), m.SortRuns.Load())
+			}
+		}
 	}
 }

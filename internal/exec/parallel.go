@@ -5,7 +5,7 @@
 // source are carried through the whole chain, and the breaker above is its
 // sink: one partial group table per chunk for hash grouping, a morsel-ordered
 // collection for everything else that must hold rows (the result, an in-memory
-// sort's input, DISTINCT, a join's build side), or — for a
+// sort's input, a join's build side), or — for a
 // consumer that is serial by nature: LIMIT, TopK, grouping a key-ordered
 // stream, a spill-capable sort, a refused join's grace path — the whole source
 // as one chunk in order (pipeOp.each). Nothing between two breakers is
@@ -283,7 +283,7 @@ type batchSink interface {
 }
 
 // breaker is a pipeline's source in row form: a node that holds state — a
-// grouping, a sort, DISTINCT, LIMIT, TopK — or a leaf's rows
+// grouping (a GroupBy's or DISTINCT's), a sort, LIMIT, TopK — or a leaf's rows
 // (leafRows). open runs the node's input pipelines into its store and returns
 // its output: rows the run owns; from a sort that went to disk, the merge of
 // its runs, which the runner pulls into an in-order sink or drains for any

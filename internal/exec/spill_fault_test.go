@@ -1,7 +1,11 @@
 package exec
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
+	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
@@ -156,5 +160,38 @@ func TestSpillOperatorDiskFaults(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestSpillRecordTruncation: a record cut short anywhere reads as
+// io.ErrUnexpectedEOF, never as a row and never as the clean end of a file —
+// for every proper prefix of records holding every value tag, a multi-byte
+// sequence number and a long string — while the empty prefix is a clean end
+// and the whole record reads back.
+func TestSpillRecordTruncation(t *testing.T) {
+	for _, sr := range []spillRow{
+		{seq: 0, row: value.Row{}},
+		{seq: 1 << 40, row: value.Row{value.Null, value.NewInt(-300), value.NewFloat(2.5),
+			value.NewString(strings.Repeat("x", 200)), value.NewBool(true)}},
+		{seq: -7, row: value.Row{value.NewString(""), value.NewInt(1 << 50)}},
+	} {
+		rec := appendSpillRow(nil, sr.seq, sr.row)
+		for k := 0; k <= len(rec); k++ {
+			got, ok, err := readSpillRow(bufio.NewReader(bytes.NewReader(rec[:k])))
+			switch {
+			case k == 0:
+				if ok || err != nil {
+					t.Fatalf("seq %d: the empty prefix reads ok=%v err=%v, want a clean end", sr.seq, ok, err)
+				}
+			case k < len(rec):
+				if ok || !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Fatalf("seq %d: the first %d of %d bytes read ok=%v err=%v, want io.ErrUnexpectedEOF", sr.seq, k, len(rec), ok, err)
+				}
+			default:
+				if !ok || err != nil || got.seq != sr.seq || !value.NullEqRows(got.row, sr.row) {
+					t.Fatalf("seq %d: the whole record reads %v ok=%v err=%v", sr.seq, got, ok, err)
+				}
+			}
+		}
 	}
 }

@@ -8,13 +8,14 @@ import (
 	"repro/internal/value"
 )
 
-// BenchmarkJoinTable is the hashed stores other than the group table with no
-// plan around them. build+probe: a join table built on 1 and on 2 workers,
+// BenchmarkJoinTable is the hashed stores other than a GROUP BY's table with
+// no plan around them. build+probe: a join table built on 1 and on 2 workers,
 // then probed through probeInto until 48 000 matches were emitted — 48 000
 // probe rows into 10 and into 1 000 keys of one build row each, and 480 into
-// 100 keys of 100 build rows each (skew). distinct: DISTINCT's set over
-// 48 000 rows of 8 000 keys. count-distinct: COUNT(DISTINCT v) over 48 000
-// rows in 1 000 groups, three values per group. Run with -benchmem.
+// 100 keys of 100 build rows each (skew). distinct: DISTINCT's group table —
+// a group per key, no aggregate — over 48 000 rows of 8 000 keys.
+// count-distinct: COUNT(DISTINCT v) over 48 000 rows in 1 000 groups, three
+// values per group. Run with -benchmem.
 func BenchmarkJoinTable(b *testing.B) {
 	const matches = 48000
 	for _, shape := range []struct {
@@ -47,16 +48,11 @@ func BenchmarkJoinTable(b *testing.B) {
 	}
 	b.Run("distinct", func(b *testing.B) {
 		rows := keyedValuesPlan("t", matches, 8000).Rows
+		g := &groupCore{groupCols: []int{0}, par: 1, where: "distinct"} // the key column, no aggregate
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			seen, firsts := newDistinctSet(1), 0 // the key column only
-			for _, row := range rows {
-				if seen.first(row) {
-					firsts++
-				}
-			}
-			if firsts != 8000 {
-				b.Fatalf("%d distinct rows", firsts)
+			if tab := buildTable(b, g, rows); tab.n != 8000 {
+				b.Fatalf("%d distinct rows", tab.n)
 			}
 		}
 	})

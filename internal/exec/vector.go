@@ -106,7 +106,10 @@ func compileVecPred(e expr.Expr) vecPred {
 		}
 		var mid []int32
 		return func(b *vec.Batch, in, out []int32) []int32 {
-			mid = l(b, in, mid[:0])
+			// No candidate left is not a nil list, which r would read as all rows.
+			if mid = l(b, in, mid[:0]); len(mid) == 0 {
+				return out
+			}
 			return r(b, mid, out)
 		}
 	}

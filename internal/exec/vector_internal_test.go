@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/value"
+	"repro/internal/vec"
 )
 
 // These tests pin the batch form's per-batch cost the same way the metrics and
@@ -305,6 +307,96 @@ func TestVectorGroupMatchesRowGroup(t *testing.T) {
 				if sign, ok := value.Compare(ref.Rows[i][j], res.Rows[i][j]); !ok || sign != 0 {
 					t.Fatalf("par=%d: row %d col %d = %v, want %v", par, i, j, res.Rows[i][j], ref.Rows[i][j])
 				}
+			}
+		}
+	}
+}
+
+// TestColumnKernelsMatchRowForm: the kernels of a column compared with a
+// column (cmpColCol) and of a literal compared with a column (the comparison
+// reoriented by swapCmp) select exactly the rows EvalTruth finds true, for
+// every comparison operator — over typed INTEGER columns with NULLs and over
+// columns mixing NULLs, ints, equal and unequal floats and strings, alone, as
+// either side of a conjunction (a candidate list) and over a selection view.
+func TestColumnKernelsMatchRowForm(t *testing.T) {
+	cols := algebra.Schema{
+		{ID: expr.ColumnID{Table: "t", Name: "a"}, Type: value.KindInt},
+		{ID: expr.ColumnID{Table: "t", Name: "b"}, Type: value.KindInt},
+	}
+	pairs := func(vals ...value.Value) []value.Row {
+		var rows []value.Row
+		for _, a := range vals {
+			for _, b := range vals {
+				rows = append(rows, value.Row{a, b})
+			}
+		}
+		return rows
+	}
+	datasets := map[string][]value.Row{
+		"typed": pairs(value.Null, value.NewInt(1), value.NewInt(2), value.NewInt(3)),
+		"mixed": pairs(value.Null, value.NewInt(1), value.NewInt(2), value.NewFloat(1), value.NewFloat(1.5),
+			value.NewString("a"), value.NewString("b")),
+	}
+	lits := []*expr.Literal{expr.IntLit(1), expr.IntLit(2), expr.Lit(value.NewFloat(1.5)), expr.StrLit("a")}
+	a, b := expr.Column("t", "a"), expr.Column("t", "b")
+	for name, rows := range datasets {
+		batch := vec.Columnarize(rows, 2, len(rows))[0]
+		var even vec.Batch
+		var sel []int32
+		for i := 0; i < len(rows); i += 2 {
+			sel = append(sel, int32(i))
+		}
+		batch.View(sel, &even)
+		for _, op := range []expr.BinOp{expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe} {
+			var preds []expr.Expr
+			for _, lit := range lits {
+				colCol, litCol := expr.NewBinary(op, a, b), expr.NewBinary(op, lit, b)
+				preds = append(preds, colCol, litCol, expr.And(litCol, colCol), expr.And(colCol, litCol))
+			}
+			for _, pred := range preds {
+				cond, err := expr.Bind(pred, cols)
+				must(t, err)
+				kernel := compileVecPred(cond)
+				if kernel == nil {
+					t.Fatalf("%s: %s has no kernel", name, pred)
+				}
+				for _, view := range []struct {
+					b    *vec.Batch
+					step int
+				}{{batch, 1}, {&even, 2}} {
+					var want []int32
+					for i := 0; i < len(rows); i += view.step {
+						truth, err := expr.EvalTruth(cond, rows[i], nil)
+						must(t, err)
+						if truth == value.True {
+							want = append(want, int32(i))
+						}
+					}
+					if got := kernel(view.b, nil, nil); !slices.Equal(got, want) {
+						t.Errorf("%s, every %d rows: %s selects rows %v, the row form %v", name, view.step, pred, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestVectorConjunctionLeftEmpty: a conjunction whose left conjunct selects no
+// row of a batch selects none, in the batch form as in the row form — also on
+// a worker's first batch, before the kernel's candidate list was ever filled.
+func TestVectorConjunctionLeftEmpty(t *testing.T) {
+	store, scan := keyedStore(t, "t", 3*MorselSize, 10)
+	plan := &algebra.Select{Input: scan, Cond: expr.And(
+		expr.NewBinary(expr.OpGt, expr.Column("t", "k"), expr.IntLit(10)),
+		expr.NewBinary(expr.OpGe, expr.Column("t", "v"), expr.IntLit(0)),
+	)}
+	for _, workers := range []int{1, 2} {
+		for _, vectorize := range []bool{false, true} {
+			res, err := Run(plan, store, &Options{Parallelism: workers, Vectorize: vectorize})
+			must(t, err)
+			if len(res.Rows) != 0 {
+				t.Errorf("workers=%d, vectorize=%v: k > 10 AND v >= 0 over keys below 10 selects %d rows, want none",
+					workers, vectorize, len(res.Rows))
 			}
 		}
 	}

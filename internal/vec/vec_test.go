@@ -220,3 +220,44 @@ func TestGather(t *testing.T) {
 		t.Fatalf("typed then boxed reads %v, %v", v.Value(0), v.Value(1))
 	}
 }
+
+// TestAdoptedDictCopyOnWrite: a vector that adopted its source's dictionary
+// through AppendFrom interns a new string into a private clone, never into
+// the source's: the source's dictionary keeps its strings and codes, its
+// elements read back unchanged, and the clone keeps the shared codes.
+func TestAdoptedDictCopyOnWrite(t *testing.T) {
+	var src Vector
+	for _, s := range []string{"a", "b", "a"} {
+		src.Append(value.NewString(s))
+	}
+	dict := src.StrDict()
+	var dst Vector
+	dst.AppendFrom(&src, 1)
+	if dst.StrDict() != dict {
+		t.Fatal("AppendFrom did not adopt the source's dictionary")
+	}
+	dst.Append(value.NewString("c"))
+	dst.AppendFrom(&src, 0)
+	if src.StrDict() != dict || dict.Len() != 2 {
+		t.Fatalf("the source's dictionary holds %d strings, want its own 2", dict.Len())
+	}
+	if _, ok := dict.Code("c"); ok {
+		t.Fatal("a string interned by the adopting vector reached the source's dictionary")
+	}
+	for i, want := range []string{"a", "b", "a"} {
+		if got := src.Str(i); got != want || src.Code(i) != dict.index[want] {
+			t.Fatalf("source element %d reads %q (code %d), want %q", i, got, src.Code(i), want)
+		}
+	}
+	if dst.StrDict() == dict {
+		t.Fatal("interning into an adopted dictionary did not clone it")
+	}
+	for i, want := range []string{"b", "c", "a"} {
+		if got := dst.Str(i); got != want {
+			t.Fatalf("adopting element %d reads %q, want %q", i, got, want)
+		}
+	}
+	if code, _ := dst.StrDict().Code("b"); code != src.Code(1) {
+		t.Fatalf("the clone coded %q %d, the source %d", "b", code, src.Code(1))
+	}
+}
