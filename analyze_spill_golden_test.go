@@ -82,7 +82,8 @@ func TestExplainAnalyzeGoldenExternalSort(t *testing.T) {
 // TestExplainAnalyzeGoldenExternalAggregation pins a grouping that goes
 // external: DISTINCT over the Fact rows' 101 V values is a grouping on
 // every column, whose table the 512-byte budget refuses, so it must show
-// op=external with the spill_bytes= and runs= of its sort by group key.
+// op=external, build= summed over its tables, and the spill_bytes= and
+// parts= of the rows of the groups its first table refused.
 func TestExplainAnalyzeGoldenExternalAggregation(t *testing.T) {
 	e := newSpillEngine(t)
 	analyzeGolden(t, e, "analyze_external_aggregation", `

@@ -104,8 +104,8 @@ type Options struct {
 	Faults *fault.Injector
 	// Spill, when non-nil (and a MemoryBudget is set), enables graceful
 	// spill-to-disk execution: when the budget refuses operator state a
-	// sort goes external, hash aggregation degrades to sort-based external
-	// aggregation, and a hash join goes grace — all spilling through this
+	// sort goes external, and a hash join or a hash grouping goes grace —
+	// the rows its table cannot take go to partition files — all through this
 	// temp-file manager instead of aborting with a *ResourceError. Results
 	// are byte-identical to the in-memory execution. Disk failures (and
 	// injected disk faults) surface as typed *SpillError values; temp files

@@ -4,42 +4,63 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/obs"
+	"repro/internal/paged"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
-// The grace path of hashJoinOp: what the join does when the budget refuses
-// its build table and a spill manager is present. Both sides are
-// hash-partitioned to temp files and each partition pair is joined on its
-// own, re-partitioning with a rehash when a partition's table is refused
-// again. The pipeline below the refused stage runs as one in-order chunk and
-// its rows go to the partition files as they are emitted. Probe records carry
-// their arrival seq; a probe row lands in exactly one partition and partition
-// files keep build order, so a stable sort of the collected matches by probe
-// seq is exactly the in-memory output order.
+// The grace paths: what a hash join or a hash grouping does when the budget
+// refuses its table and a spill manager is present. Rows go to partition
+// files by their key's hash under their arrival seq, and each partition is
+// handled on its own, one level deeper — re-partitioned by the next field of
+// the hash when its table is refused again. The input runs as one in-order
+// chunk and its rows go to the files as they are emitted. Output order is
+// restored from the seqs: a stable sort of the joined rows by probe seq, of
+// the groups by the seq of their first row, is exactly the in-memory order.
 
-// Grace hash join parameters: the partition fan-out and the recursion bound
-// after which a partition is built in memory regardless of the budget (pure
-// key skew — a single join key bigger than the whole budget — cannot be
-// split by rehashing, and correctness beats accounting).
+// Grace parameters: the partition fan-out — graceBits of the key's hash per
+// level — and the recursion bound after which a partition is built in memory
+// regardless of the budget (pure key skew — a single join key bigger than the
+// whole budget — cannot be split by rehashing, and correctness beats
+// accounting).
 const (
-	graceParts    = 8
+	graceBits     = 3
+	graceParts    = 1 << graceBits
 	graceMaxDepth = 3
 )
 
-// gracePartition assigns a canonical join key to one of graceParts
-// partitions, salted by recursion depth so an oversized partition rehashes
-// differently on the next level (FNV-1a with a depth-perturbed basis).
+// gracePartition assigns a canonical key to one of graceParts partitions at
+// recursion depth depth: the depth's own field of the key's paged.Hash, read
+// from the top down, so keys that shared a partition at one level spread over
+// all of them at the next. The stores' slots come from the hash's low bits.
 func gracePartition(key []byte, depth int) int {
-	h := uint64(1469598103934665603) + uint64(depth)*0x9e3779b97f4a7c15
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return int(h % graceParts)
+	return int(paged.Hash(key)>>(32-graceBits*(depth+1))) & (graceParts - 1)
 }
 
-// rowFeed hands a level's probe records, in order, to fn.
+// rowFeed hands a level's records, in order, to fn.
 type rowFeed func(fn func(spillRow) error) error
+
+// numbered is the rowFeed of an in-order run: each row under its arrival seq.
+func numbered(each func(emitFn) error) rowFeed {
+	return func(fn func(spillRow) error) error {
+		seq := int64(-1)
+		return each(func(row value.Row) error {
+			seq++
+			return fn(spillRow{seq: seq, row: row})
+		})
+	}
+}
+
+// inSeqOrder is the rows of recs in a stable order of their seqs.
+func inSeqOrder(recs []spillRow) []value.Row {
+	sort.SliceStable(recs, func(a, b int) bool { return recs[a].seq < recs[b].seq })
+	out := make([]value.Row, len(recs))
+	for i, r := range recs {
+		out[i] = r.row
+	}
+	return out
+}
 
 // graceJoin runs the grace join over the refused table's build rows and the
 // left side, which left hands over row by row in order — the rows go to the
@@ -51,7 +72,8 @@ func (j *hashJoinOp) graceJoin(left func(emitFn) error) (out []value.Row, err er
 			out, err = nil, derr
 		}
 	}()
-	var build []spillRow // build rows under their insertion seq
+	j.table.adm.release() // the refused table's rows go to the partitions
+	var build []spillRow  // build rows under their insertion seq
 	for _, row := range j.table.rows {
 		if err := j.gov.tick(); err != nil {
 			return nil, err
@@ -61,22 +83,10 @@ func (j *hashJoinOp) graceJoin(left func(emitFn) error) (out []value.Row, err er
 		}
 	}
 	var matches []spillRow // joined rows under their probe seq
-	err = j.grace(build, func(fn func(spillRow) error) error {
-		seq := int64(-1)
-		return left(func(row value.Row) error {
-			seq++
-			return fn(spillRow{seq: seq, row: row})
-		})
-	}, 0, &matches)
-	if err != nil {
+	if err := j.grace(build, numbered(left), 0, &matches); err != nil {
 		return nil, err
 	}
-	sort.SliceStable(matches, func(a, b int) bool { return matches[a].seq < matches[b].seq })
-	out = make([]value.Row, len(matches))
-	for i, m := range matches {
-		out[i] = m.row
-	}
-	return out, nil
+	return inSeqOrder(matches), nil
 }
 
 // each is a partition file's records as a rowFeed.
@@ -92,25 +102,25 @@ func (s *spillFile) each(fn func(spillRow) error) error {
 	}
 }
 
-// newPartitionFiles makes one spill file per partition, all tracked for the
-// sweep at the end of graceJoin.
-func (j *hashJoinOp) newPartitionFiles(tag string) []*spillFile {
+// newPartitionFiles makes one spill file per partition, each tracked in files
+// for the sweep at the end of the operator's grace path.
+func newPartitionFiles(mgr *storage.SpillManager, gov *governor, metrics *obs.OpMetrics, where, tag string, files *[]*spillFile) []*spillFile {
 	parts := make([]*spillFile, graceParts)
 	for i := range parts {
-		parts[i] = newSpillFile(j.mgr, j.gov, j.metrics, j.where, tag)
+		parts[i] = newSpillFile(mgr, gov, metrics, where, tag)
 	}
-	j.files = append(j.files, parts...)
-	if j.metrics != nil {
-		j.metrics.SpillParts.Add(graceParts)
+	*files = append(*files, parts...)
+	if metrics != nil {
+		metrics.SpillParts.Add(graceParts)
 	}
 	return parts
 }
 
 // grace is one level of the grace join: the build rows and the probe stream
-// are scattered to partition files by the depth-salted key hash, then each
+// are scattered to partition files by the depth's hash field, then each
 // partition pair is joined and discarded.
 func (j *hashJoinOp) grace(build []spillRow, probe rowFeed, depth int, matches *[]spillRow) error {
-	bparts := j.newPartitionFiles("build")
+	bparts := newPartitionFiles(j.mgr, j.gov, j.metrics, j.where, "build", &j.files)
 	var key []byte
 	for _, sr := range build {
 		if err := j.gov.tick(); err != nil {
@@ -122,7 +132,7 @@ func (j *hashJoinOp) grace(build []spillRow, probe rowFeed, depth int, matches *
 			return err
 		}
 	}
-	pparts := j.newPartitionFiles("probe")
+	pparts := newPartitionFiles(j.mgr, j.gov, j.metrics, j.where, "probe", &j.files)
 	err := probe(func(sr spillRow) error {
 		if err := j.gov.tick(); err != nil {
 			return err
@@ -159,28 +169,23 @@ func (j *hashJoinOp) joinPartition(bf, pf *spillFile, depth int, matches *[]spil
 	}
 	var build []spillRow
 	var rows []value.Row
-	for {
-		sr, ok, err := bf.readRecord()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := j.gov.tick(); err != nil {
-			return err
-		}
+	err := bf.each(func(sr spillRow) error {
 		build, rows = append(build, sr), append(rows, sr.row)
+		return j.gov.tick()
+	})
+	if err != nil {
+		return err
 	}
 	if err := pf.startRead(); err != nil {
 		return err
 	}
 	j.table = &joinTable{cols: j.rcols, adm: admissionFor(j.gov, j.mgr, j.where), metrics: j.metrics}
-	err := j.table.build(rows, 1)
-	if err == errRefused && depth < graceMaxDepth {
-		return j.grace(build, pf.each, depth+1, matches)
-	}
+	err = j.table.build(rows, 1)
 	if err == errRefused {
+		j.table.adm.release()
+		if depth < graceMaxDepth {
+			return j.grace(build, pf.each, depth+1, matches)
+		}
 		j.table.adm.mode = admitForce
 		err = j.table.build(rows, 1)
 	}
@@ -201,4 +206,84 @@ func (j *hashJoinOp) joinPartition(bf, pf *spillFile, depth int, matches *[]spil
 	}
 	j.table.adm.release()
 	return nil
+}
+
+// spilledGroups is the hash grouping of a spill-capable run with grouping
+// columns: hybrid hash aggregation over the grace partitioning. A level's
+// records fold into one table as they come. Once the budget refuses a group
+// the table takes no new one, and it keeps the bytes it holds: rows of its
+// groups go on folding into it, and every other row goes to the partition
+// file of its key under its arrival seq. A group lives whole in one table, so
+// its states fold its rows in input order, and the output is byte-identical
+// to the in-memory run's.
+type spilledGroups struct {
+	*groupCore
+	files []*spillFile // every partition file, swept when the grouping ends
+	out   []spillRow   // the finished groups of refused levels, under their first row's seq
+}
+
+// level groups one level's records — the input numbered, or a partition
+// file — into one table. A table the budget admits whole at depth 0 is
+// returned, the grouping's output as on any other run. Any other table's
+// groups are finished into out and its bytes released, and then each
+// partition is grouped one level deeper; at graceMaxDepth a partition's table
+// is uncharged.
+func (s *spilledGroups) level(feed rowFeed, depth int) (*groupTable, error) {
+	t, err := s.newTable()
+	if err != nil {
+		return nil, err
+	}
+	if depth == graceMaxDepth {
+		t.adm.mode = admitForce
+	}
+	var firsts []int64     // by group id: the seq of the group's first row
+	var parts []*spillFile // made at the first refusal
+	err = feed(func(sr spillRow) error {
+		if err := s.gov.tick(); err != nil {
+			return err
+		}
+		id, err := t.rowGroup(sr.row)
+		if err == errRefused { // t.probe is the row's key
+			if parts == nil {
+				s.ran("external")
+				parts = newPartitionFiles(s.mgr, s.gov, s.metrics, s.where, "group", &s.files)
+			}
+			return parts[gracePartition(t.probe, depth)].writeRecord(sr.seq, sr.row)
+		}
+		if err != nil {
+			return err
+		}
+		if id == len(firsts) {
+			firsts = append(firsts, sr.seq)
+		}
+		return t.feed(id, sr.row)
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.recordBuild(t.n, t.index.KeyBytes())
+	if parts == nil && depth == 0 {
+		return t, nil
+	}
+	results := make(value.Row, len(s.aggs))
+	for id := 0; id < t.n; id++ {
+		row, err := t.appendRow(id, results, make(value.Row, 0, s.width()))
+		if err != nil {
+			return nil, err
+		}
+		s.out = append(s.out, spillRow{seq: firsts[id], row: row})
+	}
+	t.adm.release()
+	for _, pf := range parts {
+		if err := pf.startRead(); err != nil {
+			return nil, err
+		}
+		if _, err := s.level(pf.each, depth+1); err != nil {
+			return nil, err
+		}
+		if err := pf.discard(); err != nil {
+			return nil, err
+		}
+	}
+	return nil, nil
 }

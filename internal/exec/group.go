@@ -3,8 +3,6 @@ package exec
 import (
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
 
 	"repro/internal/algebra"
 	"repro/internal/expr"
@@ -93,8 +91,9 @@ func (c *compiler) grouping(in compiled, g groupCore, strategy GroupStrategy, n 
 // stateWorkers is the worker count of the operators that hold budget-admitted
 // state — hash join, grouping, sort. A spill-capable run gives them one
 // worker, and they take their input as rows (a columnar pipeline below them
-// stays in batches up to that point): refusal releases a whole store, which
-// only a store with a single builder can do.
+// stays in batches up to that point): a refusing store keeps a total of its
+// own, and a spilled group must live whole in one table, which only a store
+// with a single builder gives.
 func (c *compiler) stateWorkers() int {
 	if c.spill != nil || c.par < 1 {
 		return 1
@@ -214,9 +213,9 @@ func (s *partialTables) bind(worker, chunk int) (emitFn, error) {
 
 // foldPipeline is hash aggregation that never holds its input: the input
 // pipeline runs into per-chunk partial tables — one chunk, one table, at one
-// worker — which are combined in chunk order. It is for the runs that read a
-// row once: a breach of the budget aborts (or, for the scalar group, nothing
-// is charged at all); hashAggregate serves the runs that read rows twice.
+// worker — which are combined in chunk order. A breach of the budget aborts
+// (or, for the scalar group, nothing is charged at all); a spill-capable
+// grouping with grouping columns folds through spilledGroups instead.
 func (g *groupCore) foldPipeline() (opened, error) {
 	if g.input.inBatches() {
 		g.ran("vec-hash")
@@ -232,32 +231,6 @@ func (g *groupCore) foldPipeline() (opened, error) {
 		g.recordBuild(t.n, t.index.KeyBytes())
 	}
 	return g.combine(s.tables)
-}
-
-// hashAggregate groups materialized rows on a spill-capable run (one table).
-// It holds the rows because it may read them twice: when the budget refuses a
-// group the table is released and the whole input goes to sort-based
-// aggregation with hash-order output instead.
-func (g *groupCore) hashAggregate(rows []value.Row) (opened, error) {
-	g.ran("hash")
-	t, err := g.newTable()
-	if err != nil {
-		return opened{}, err
-	}
-	for _, row := range rows {
-		if err := g.gov.tick(); err != nil {
-			return opened{}, err
-		}
-		if err := t.add(row); err == errRefused {
-			g.ran("external")
-			out, err := g.sortAggregate(rows)
-			return opened{rows: out}, err
-		} else if err != nil {
-			return opened{}, err
-		}
-	}
-	g.recordBuild(t.n, t.index.KeyBytes())
-	return g.combine([]*groupTable{t})
 }
 
 // combine merges the partial tables by ownership — the paper's eager
@@ -385,90 +358,68 @@ func (c *groupCursor) next(out []value.Value) ([]value.Value, error) {
 	return out, err
 }
 
-// bySeq sorts finished group rows by the arrival seqs of their groups' first
-// rows: hash-order output, restored after a sort by key.
-type bySeq struct {
-	seqs []int64
-	rows []value.Row
+// hashGroupOp groups via hash tables keyed by the =ⁿ-respecting GroupKey. It
+// holds G states and never the N rows: it is the sink of its input's pipeline
+// — one partial table per chunk, one chunk per worker, fed by the chunk's
+// stages — or, on a spill-capable run with grouping columns, the one table of
+// spilledGroups, fed by the input as one in-order chunk, whose refused groups'
+// rows go to disk; the scalar group's one state never spills, so it always
+// folds. Output order is first-appearance order of groups (deterministic for
+// a deterministic input order), at any worker count and on either side of the
+// spill decision.
+type hashGroupOp struct {
+	groupCore
 }
 
-func (s bySeq) Len() int           { return len(s.rows) }
-func (s bySeq) Less(i, j int) bool { return s.seqs[i] < s.seqs[j] }
-func (s bySeq) Swap(i, j int) {
-	s.seqs[i], s.seqs[j] = s.seqs[j], s.seqs[i]
-	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
+func (g *hashGroupOp) open() (opened, error) {
+	if g.mgr == nil || g.scalarGroup() {
+		return g.foldPipeline()
+	}
+	g.ran("hash")
+	s := &spilledGroups{groupCore: &g.groupCore}
+	t, err := s.level(numbered(g.input.each), 0)
+	if derr := discardAll(s.files); err == nil {
+		err = derr
+	}
+	switch {
+	case err != nil:
+		return opened{}, err
+	case t != nil:
+		return g.combine([]*groupTable{t})
+	}
+	return opened{rows: inSeqOrder(s.out)}, nil
 }
 
-// sortAggregate is the external path of hash aggregation: records sort on the
-// canonical GroupKey prepended as a column (equal keys ⟺ equal strings), their
-// groups stream off the sorted records, and first-appearance output order is
-// restored from their arrival seqs. The sorter's run files are swept before it
-// returns.
-func (g *groupCore) sortAggregate(rows []value.Row) (out []value.Row, err error) {
-	sorter := &extSorter{gov: g.gov, mgr: g.mgr, metrics: g.metrics, op: g.where, par: g.par,
-		cmp: func(a, b value.Row) int { return strings.Compare(a[0].Str(), b[0].Str()) }}
-	defer func() {
-		if cerr := sorter.close(); err == nil {
-			err = cerr
-		}
-	}()
-	for _, row := range rows {
-		if err := g.gov.tick(); err != nil {
-			return nil, err
-		}
-		rec := append(value.Row{value.NewString(value.GroupKey(row, g.groupCols))}, row...)
-		if err := sorter.add(rec, rowStateBytes(rec)); err != nil {
-			return nil, err
-		}
-	}
-	it, err := sorter.finish()
-	if err != nil {
-		return nil, err
-	}
-	add, done, err := g.streamGroups(true)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		sr, ok, err := it.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return done()
-		}
-		if err := add(sr); err != nil {
-			return nil, err
-		}
-	}
+// sortGroupOp aggregates each run of =ⁿ-equal keys off a key-ordered stream
+// in a single pass — grouping pipelined with aggregation, the implementation
+// the paper's Section 2 attributes to sort-based grouping. Its input streams in
+// key order — as the input's order proves, or out of the sortOp a forced
+// GroupSort put below it — and is consumed as it comes, as one in-order chunk:
+// one live state and one live row. A group is finished the moment the next
+// one starts. With a spill manager its state is charged when it starts and
+// released when it is finished (proceeding uncharged if even one state is
+// refused); without one every group is charged and stays charged. No table is
+// built, so no build statistics are recorded.
+type sortGroupOp struct {
+	groupCore
 }
 
-// streamGroups aggregates contiguous groups off a sorted stream, one live
-// state at a time: add takes the stream's records in order — their rows are
-// not kept — and done finishes the last group and returns the output.
-// Finished groups are finalized at once, which is the whole point of sorting
-// first. With a spill manager a state is charged on group start and released
-// on finalize (proceeding uncharged if even one state is refused); without one
-// every group is charged and stays charged. No table is built, so no build
-// statistics are recorded.
-func (g *groupCore) streamGroups(byKey bool) (add func(spillRow) error, done func() ([]value.Row, error), err error) {
+func (g *sortGroupOp) open() (opened, error) {
 	adm := admissionFor(g.gov, g.mgr, g.where)
-	var out []value.Row
-	var firstSeqs []int64 // byKey only, parallel to out
 	// One state is live at a time — group 0 of the accumulator columns, made
 	// fresh again for each group — and its grouping values are copied into
 	// the output row when it ends, so every group's values share one buffer,
 	// compared by position.
 	accs, err := g.newAccs()
 	if err != nil {
-		return nil, nil, err
+		return opened{}, err
 	}
 	accs.grow()
 	results := make(value.Row, len(g.aggs))
-	live := false
-	var key string
 	pos := firstColumns(len(g.groupCols))
 	group := make([]value.Value, 0, len(g.groupCols))
+	var out []value.Row
+	live := false
 	finish := func() error {
 		if !live {
 			return nil
@@ -481,90 +432,30 @@ func (g *groupCore) streamGroups(byKey bool) (add func(spillRow) error, done fun
 		adm.release()
 		return nil
 	}
-	add = func(sr spillRow) error {
+	err = g.input.each(func(row value.Row) error {
 		if err := g.gov.tick(); err != nil {
 			return err
 		}
-		var rowKey string
-		row := sr.row
-		if byKey {
-			rowKey, row = row[0].Str(), row[1:]
-		}
-		if !live || rowKey != key || (!byKey && compareAt(group, pos, row, g.groupCols) != 0) {
+		if !live || compareAt(group, pos, row, g.groupCols) != 0 {
 			if err := finish(); err != nil {
 				return err
 			}
 			for _, col := range accs.cols {
 				col.Reset(0)
 			}
-			live, key, group = true, rowKey, group[:0]
+			live, group = true, group[:0]
 			for _, c := range g.groupCols {
 				group = append(group, row[c])
 			}
-			if byKey {
-				firstSeqs = append(firstSeqs, sr.seq)
-			}
-			if err := adm.charge(g.groupStateBytes(len(key))); err != nil && err != errRefused {
+			if err := adm.charge(g.groupStateBytes(0)); err != nil && err != errRefused {
 				return err
 			}
 		}
 		return accs.feed(0, row)
+	})
+	if err == nil {
+		err = finish()
 	}
-	done = func() ([]value.Row, error) {
-		if err := finish(); err != nil {
-			return nil, err
-		}
-		if byKey {
-			sort.Sort(bySeq{seqs: firstSeqs, rows: out})
-		}
-		return out, nil
-	}
-	return add, done, nil
-}
-
-// hashGroupOp groups via hash tables keyed by the =ⁿ-respecting GroupKey. It
-// holds G states and never the N rows: it is the sink of its input's pipeline
-// — one partial table per chunk, one chunk per worker, fed by the chunk's
-// stages. Only a spill-capable run with grouping columns materializes the
-// input first, because a refused table re-reads the rows for the external
-// sort; the scalar group's one state never spills, so it always folds. Output
-// order is first-appearance order of groups (deterministic for a
-// deterministic input order), at any worker count and on either side of the
-// spill decision.
-type hashGroupOp struct {
-	groupCore
-}
-
-func (g *hashGroupOp) open() (opened, error) {
-	if g.mgr == nil || g.scalarGroup() {
-		return g.foldPipeline()
-	}
-	rows, err := g.input.collect()
-	if err != nil {
-		return opened{}, err
-	}
-	return g.hashAggregate(rows)
-}
-
-// sortGroupOp aggregates each run of =ⁿ-equal keys off a key-ordered stream
-// in a single pass — grouping pipelined with aggregation, the implementation
-// the paper's Section 2 attributes to sort-based grouping. Its input streams in
-// key order — as the input's order proves, or out of the sortOp a forced
-// GroupSort put below it — and is consumed as it comes, as one in-order chunk:
-// one live state and one live row.
-type sortGroupOp struct {
-	groupCore
-}
-
-func (g *sortGroupOp) open() (opened, error) {
-	add, done, err := g.streamGroups(false)
-	if err != nil {
-		return opened{}, err
-	}
-	if err := g.input.each(func(row value.Row) error { return add(spillRow{row: row}) }); err != nil {
-		return opened{}, err
-	}
-	out, err := done()
 	return opened{rows: out}, err
 }
 

@@ -420,15 +420,26 @@ func TestParallelPipelineHoldsGroupsNotRows(t *testing.T) {
 	t.Run("group-rename", func(t *testing.T) {
 		// π_A over the GroupBy renames its columns and makes nothing: whatever
 		// the group count, group → rename → root allocates what group → root
-		// does and a fixed slack more (the rename's pipeline), not a row per group.
+		// does and a fixed slack more (the rename's pipeline), not a row per
+		// group. Each side is the fewest allocations of several measurements:
+		// at two workers a run's count varies by a few dozen with scheduling
+		// (the race runtime's most of all), while a rename that allocated per
+		// group would add thousands to every measurement.
 		const slack = 16
 		allocs := func(plan algebra.Node, groups int) float64 {
-			return testing.AllocsPerRun(5, func() {
-				res, err := Run(plan, nil, &Options{Parallelism: 2})
-				if err != nil || len(res.Rows) != groups {
-					t.Fatalf("%v rows, err=%v", res, err)
+			least := -1.0
+			for i := 0; i < 5; i++ {
+				n := testing.AllocsPerRun(5, func() {
+					res, err := Run(plan, nil, &Options{Parallelism: 2})
+					if err != nil || len(res.Rows) != groups {
+						t.Fatalf("%v rows, err=%v", res, err)
+					}
+				})
+				if least < 0 || n < least {
+					least = n
 				}
-			})
+			}
+			return least
 		}
 		for _, groups := range []int{100, 20000} {
 			group := govGroupPlan(2*groups, groups)

@@ -1,9 +1,10 @@
 // Spill-to-disk execution. When Options.Spill supplies a temp-file manager
 // and a memory budget is set, the state stores admit by refusal instead of
 // abort (store.go), and a refusal becomes a partitioning decision —
-// external merge sort (sorted runs + k-way merge), sort-based external
-// aggregation, and a grace hash join (partition build+probe to temp files,
-// recurse on oversized partitions) — instead of a *ResourceError. The
+// external merge sort (sorted runs + k-way merge), and the grace paths of
+// hash aggregation and the hash join (grace.go: the rows a refused table
+// cannot take go to partition files, recursing on oversized partitions) —
+// instead of a *ResourceError. The
 // paper's premise survives memory pressure: group-by placement stays a cost
 // choice, not a survival choice.
 //
@@ -12,8 +13,8 @@
 // re-establishes the exact in-memory output order from those sequences:
 // the external sort tie-breaks on arrival order (≡ stable sort), the grace
 // join orders its output stably by probe seq (≡ probe order with
-// build-insertion-order matches), and external aggregation orders groups
-// by first-arrival sequence (≡ hash first-appearance order).
+// build-insertion-order matches), and the spilled grouping orders groups
+// by their first row's sequence (≡ hash first-appearance order).
 //
 // Disk I/O is fault-injectable (fault.DiskStep fires per record written,
 // read and per file close) and any failure — injected or real — aborts the

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/algebra"
@@ -22,10 +23,10 @@ func countStar(in algebra.Node) *algebra.GroupBy {
 // TestAdmittedSpillJoinStreams: on a spill-capable run a hash join whose build
 // the budget admits is the probe stage it is on any other run, so its joined
 // rows flow into the breaker above and are never held. TopK (ORDER BY l.v
-// LIMIT 10) and COUNT(*) over probeJoinPlan allocate as often over 160 000
-// probe rows as over 10 000, at one worker and at four, give or take the race
-// runtime's own; a join that kept its output, or a scalar group that
-// collected its input, would pay for every row. Nothing spills.
+// LIMIT 10), COUNT(*), a GROUP BY and a DISTINCT over probeJoinPlan allocate
+// as often over 160 000 probe rows as over 10 000, at one worker and at four,
+// give or take the race runtime's own; a join that kept its output, or a
+// grouping that collected its input, would pay for every row. Nothing spills.
 func TestAdmittedSpillJoinStreams(t *testing.T) {
 	const keys, small, large, slack = 100, 10_000, 160_000, 24
 	topK := func(n int) algebra.Node {
@@ -45,6 +46,8 @@ func TestAdmittedSpillJoinStreams(t *testing.T) {
 		}{
 			{"TopK", topK, 10},
 			{"COUNT(*)", count, 1},
+			{"GROUP BY", func(n int) algebra.Node { return sumOverJoin(n, keys) }, keys},
+			{"DISTINCT", func(n int) algebra.Node { return distinctOf(probeJoinPlan(n, keys), "l", "k") }, keys},
 		} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
 				got := runAllocs(t, tc.plan(large), opts, tc.rows) - runAllocs(t, tc.plan(small), opts, tc.rows)
@@ -142,6 +145,81 @@ func TestRefusedSpillJoinCuts(t *testing.T) {
 						t.Fatalf("%d spill files outlived the run", n)
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestGracePartitionsSplitOnRehash: each grace level reads its own field of
+// the key's hash, so the keys that share a partition at one level spread over
+// the partitions of the next. Over the INTEGER keys 0–1023 every depth-0
+// partition's keys fall into at least 6 of the 8 depth-1 partitions; a salted
+// hash whose partition is its low bits sends them all to one or two.
+func TestGracePartitionsSplitOnRehash(t *testing.T) {
+	var spread [graceParts]map[int]bool
+	for p := range spread {
+		spread[p] = map[int]bool{}
+	}
+	var key []byte
+	for k := int64(0); k < 1024; k++ {
+		key = appendKey(key[:0], value.Row{value.NewInt(k)}, []int{0})
+		spread[gracePartition(key, 0)][gracePartition(key, 1)] = true
+	}
+	for p, parts := range spread {
+		if len(parts) < 6 {
+			t.Errorf("the keys of depth-0 partition %d fall into %d depth-1 partitions, want at least 6", p, len(parts))
+		}
+	}
+}
+
+// TestSpilledFloatsBitIdentical: a spilled grouping folds each group's rows
+// in input order, as the in-memory run does, so SUM and AVG over floats whose
+// sum depends on that order — 1e16, 1, −1e16, 1 in turn, interleaved across
+// 400 groups — have the same bits as the unbudgeted run at one worker when the
+// budget sends groups down to depth 1 and below, and when a budget smaller
+// than one group sends every group down to graceMaxDepth, where it is grouped
+// uncharged. Merging partial states would give 0 where the in-order sum is 1.
+func TestSpilledFloatsBitIdentical(t *testing.T) {
+	const groups = 400
+	values := &algebra.Values{Cols: algebra.Schema{
+		{ID: expr.ColumnID{Table: "t", Name: "k"}, Type: value.KindInt},
+		{ID: expr.ColumnID{Table: "t", Name: "f"}, Type: value.KindFloat},
+	}}
+	for _, f := range []float64{1e16, 1, -1e16, 1} {
+		for g := 0; g < groups; g++ {
+			values.Rows = append(values.Rows, value.Row{value.NewInt(int64(g)), value.NewFloat(f + float64(g%3))})
+		}
+	}
+	plan := &algebra.GroupBy{Input: values, GroupCols: []expr.ColumnID{{Table: "t", Name: "k"}}}
+	for _, fn := range []expr.AggFunc{expr.AggSum, expr.AggAvg} {
+		plan.Aggs = append(plan.Aggs, algebra.AggItem{
+			E: &expr.Aggregate{Func: fn, Arg: expr.Column("t", "f")}, As: expr.ColumnID{Name: fn.String()},
+		})
+	}
+	want, err := Run(plan, nil, &Options{Parallelism: 1})
+	must(t, err)
+	for _, budget := range []int64{1024, 1} {
+		for _, workers := range []int{1, 4} {
+			mgr := storage.NewSpillManager(t.TempDir())
+			metrics := obs.NewCollector()
+			got, err := Run(plan, nil, &Options{Parallelism: workers, MemoryBudget: budget, Spill: mgr, Metrics: metrics})
+			must(t, err)
+			where := fmt.Sprintf("budget=%d/workers=%d", budget, workers)
+			if parts := metrics.Lookup(plan).SpillParts.Load(); parts <= graceParts || mgr.Live() != 0 {
+				t.Fatalf("%s: %d partition files, %d left: want a level below depth 0, none left", where, parts, mgr.Live())
+			}
+			if len(got.Rows) != groups {
+				t.Fatalf("%s: %d groups, want %d", where, len(got.Rows), groups)
+			}
+			for i, row := range got.Rows {
+				if row[0].Int() != want.Rows[i][0].Int() {
+					t.Fatalf("%s: group %d is %v, want %v", where, i, row, want.Rows[i])
+				}
+				for c := 1; c < len(row); c++ {
+					if g, w := math.Float64bits(row[c].Float()), math.Float64bits(want.Rows[i][c].Float()); g != w {
+						t.Fatalf("%s: group %v column %d is %v, want %v", where, row[0], c, row[c], want.Rows[i][c])
+					}
+				}
 			}
 		}
 	}

@@ -1,9 +1,9 @@
 // The state stores behind every hash and sort operator: the group table and
 // the join build table here, the external sorter in spill.go. Each admits its
 // state through one admission rule taken from the governor, so "abort on a
-// budget breach" and "refuse, release and hand over to the external path" are
-// policies of a store, not operator families, and a worker count is how many
-// partial stores (group chunks, join partitions) are built at once.
+// budget breach" and "refuse and hand over to the external path" are policies
+// of a store, not operator families, and a worker count is how many partial
+// stores (group chunks, join partitions) are built at once.
 package exec
 
 import (
@@ -22,7 +22,7 @@ type admitMode uint8
 
 const (
 	admitAbort  admitMode = iota // charge: the breach aborts the query with a *ResourceError
-	admitRefuse                  // tryCharge: the breach releases the store's bytes and reports errRefused
+	admitRefuse                  // tryCharge: the breach reports errRefused, and the store takes nothing more until it releases
 	admitForce                   // uncharged: a grace partition no rehash can split
 )
 
@@ -38,6 +38,9 @@ type admission struct {
 	where string
 	mode  admitMode
 	held  int64 // bytes admitted under admitRefuse, given back by release
+	// refused: the budget refused an entry under admitRefuse. The store
+	// keeps what it holds and admits nothing more until release.
+	refused bool
 }
 
 // admissionFor is the rule of an operator's primary store: abort, unless a
@@ -51,14 +54,15 @@ func admissionFor(gov *governor, mgr *storage.SpillManager, where string) admiss
 }
 
 // charge admits n bytes, or fails with *ResourceError (admitAbort) or
-// errRefused after releasing everything held (admitRefuse).
+// errRefused (admitRefuse), which holds on to what was admitted before and
+// refuses every later entry too.
 func (a *admission) charge(n int64) error {
 	switch a.mode {
 	case admitAbort:
 		return a.gov.charge(a.where, n)
 	case admitRefuse:
-		if !a.gov.tryCharge(n) {
-			a.release()
+		if a.refused || !a.gov.tryCharge(n) {
+			a.refused = true
 			return errRefused
 		}
 		a.held += n
@@ -66,11 +70,12 @@ func (a *admission) charge(n int64) error {
 	return nil
 }
 
-// release returns the held bytes to the budget (state charged under
-// admitAbort is never released: its high-water mark is what an OOM would see).
+// release returns the held bytes to the budget and admits again (state
+// charged under admitAbort is never released: its high-water mark is what an
+// OOM would see).
 func (a *admission) release() {
 	a.gov.release(a.held)
-	a.held = 0
+	a.held, a.refused = 0, false
 }
 
 // appendKey appends the canonical key of row over cols — value.GroupKey's

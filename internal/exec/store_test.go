@@ -125,29 +125,31 @@ func sameGroups(t *testing.T, where string, got []value.Row, want *groupTable) {
 // TestStoreAdmission: the same overflowing input, per store and per rule.
 // Without a spill manager a hash store aborts with *ResourceError on the
 // entry that crosses the budget and keeps what it charged; with one it
-// reports errRefused and the budget is back at what other operators hold.
-// The sorter never fails: without a manager it is unaccounted, with one it
+// reports errRefused and holds what it admitted, inside the budget, until it
+// releases it — then the budget is back at what other operators hold. The
+// sorter never fails: without a manager it is unaccounted, with one it
 // flushes runs to stay inside the budget.
 func TestStoreAdmission(t *testing.T) {
 	const prior, budget = 100, 600
 	rows := keyedValuesPlan("t", 64, 64).Rows
+	// fill returns the store's admission, if it has one, and what the store reports.
 	stores := []struct {
 		name   string
 		refuse error // what a hash store reports under a manager; nil for the sorter
-		fill   func(gov *governor, mgr *storage.SpillManager) error
+		fill   func(gov *governor, mgr *storage.SpillManager) (*admission, error)
 	}{
-		{"group table", errRefused, func(gov *governor, mgr *storage.SpillManager) error {
+		{"group table", errRefused, func(gov *governor, mgr *storage.SpillManager) (*admission, error) {
 			tab, err := sumCore(t, gov, mgr, 0).newTable()
 			for i := 0; i < len(rows) && err == nil; i++ {
 				_, err = tab.rowGroup(rows[i])
 			}
-			return err
+			return &tab.adm, err
 		}},
-		{"join table", errRefused, func(gov *governor, mgr *storage.SpillManager) error {
+		{"join table", errRefused, func(gov *governor, mgr *storage.SpillManager) (*admission, error) {
 			tab := &joinTable{cols: []int{0}, adm: admissionFor(gov, mgr, "join")}
-			return tab.build(rows, 1)
+			return &tab.adm, tab.build(rows, 1)
 		}},
-		{"sorter", nil, func(gov *governor, mgr *storage.SpillManager) error {
+		{"sorter", nil, func(gov *governor, mgr *storage.SpillManager) (*admission, error) {
 			x := &extSorter{gov: gov, mgr: mgr, op: "sort", par: 1, cmp: func(a, b value.Row) int { return value.OrderKey(a[1], b[1]) }}
 			err := x.addAll(append([]value.Row(nil), rows...))
 			if err == nil {
@@ -156,7 +158,7 @@ func TestStoreAdmission(t *testing.T) {
 			if cerr := x.close(); err == nil {
 				err = cerr
 			}
-			return err
+			return nil, err
 		}},
 	}
 	for _, st := range stores {
@@ -173,7 +175,7 @@ func TestStoreAdmission(t *testing.T) {
 					mgr = storage.NewSpillManager(t.TempDir())
 					defer mgr.Cleanup()
 				}
-				err := st.fill(gov, mgr)
+				adm, err := st.fill(gov, mgr)
 				used := gov.used.Load()
 				switch {
 				case st.refuse == nil && !spill:
@@ -191,8 +193,12 @@ func TestStoreAdmission(t *testing.T) {
 						t.Fatalf("abort: err=%v used=%d, want *ResourceError holding its charge", err, used)
 					}
 				default:
-					if err != st.refuse || used != prior {
-						t.Fatalf("refuse: err=%v used=%d, want errRefused and the prior %d", err, used, prior)
+					if err != st.refuse || used <= prior || used > budget {
+						t.Fatalf("refuse: err=%v used=%d, want errRefused holding its admitted bytes over the prior %d inside the budget %d",
+							err, used, prior, budget)
+					}
+					if adm.release(); gov.used.Load() != prior {
+						t.Fatalf("released: used=%d, want the prior %d", gov.used.Load(), prior)
 					}
 				}
 			})
@@ -550,20 +556,14 @@ func TestJoinTablePartitions(t *testing.T) {
 }
 
 // TestScalarGroupEmptyInput: the scalar group's table holds its one state
-// from the start, so aggregating no rows still yields one row — off a
-// materialized input, and as the sink of a pipeline that runs no chunk.
+// from the start, so aggregating no rows still yields one row, as the sink of
+// a pipeline that runs no chunk, at one worker and at four.
 func TestScalarGroupEmptyInput(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		g := sumCore(t, nil, nil)
-		var out opened
-		var err error
-		if workers == 1 {
-			out, err = g.hashAggregate(nil)
-		} else {
-			g.par = workers
-			g.input = &pipeOp{src: leafRows(nil), par: workers, node: valuesPlan(0)}
-			out, err = g.foldPipeline()
-		}
+		g.par = workers
+		g.input = &pipeOp{src: leafRows(nil), par: workers, node: valuesPlan(0)}
+		out, err := g.foldPipeline()
 		must(t, err)
 		rows := madeRows(t, out)
 		if len(rows) != 1 || len(rows[0]) != 1 || !rows[0][0].IsNull() {

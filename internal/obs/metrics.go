@@ -38,14 +38,16 @@ type OpMetrics struct {
 	// 0 for non-exchange operators. The distributed runtime fills it in.
 	CommBytes atomic.Int64
 	// SpillBytes counts the bytes the operator wrote to spill files
-	// (external-sort runs, grace-join partitions, external-aggregation
-	// runs); 0 for operators that stayed in memory.
+	// (external-sort runs, grace partitions of a join or a grouping); 0 for
+	// operators that stayed in memory.
 	SpillBytes atomic.Int64
-	// SpillParts counts the grace-join partition files the operator wrote
-	// (summed across recursion levels); 0 outside a spilling hash join.
+	// SpillParts counts the grace partition files the operator made — a
+	// hash join's build and probe files, a hash grouping's files of the rows
+	// its table refused — summed across recursion levels; 0 when it
+	// stayed in memory.
 	SpillParts atomic.Int64
-	// SortRuns counts the sorted runs an external sort (or sort-based
-	// external aggregation) wrote to disk; 0 when the sort fit in memory.
+	// SortRuns counts the sorted runs an external sort wrote to disk; 0
+	// when the sort fit in memory.
 	SortRuns atomic.Int64
 	// Retries counts re-attempted link shipments for an exchange operator
 	// (attempts beyond each shipment's first); 0 outside the distributed

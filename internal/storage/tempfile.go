@@ -1,6 +1,6 @@
 // Spill-file management. Every temp file the executor writes while
-// spilling (external-sort runs, grace-join partitions, external-aggregation
-// spill runs) is created through a SpillManager, which tracks the live set
+// spilling (external-sort runs, the grace partitions of a join or a
+// grouping) is created through a SpillManager, which tracks the live set
 // so a query can prove it leaked nothing: the disk-chaos oracle asserts
 // Live() == 0 after every run, fault-injected or not, and Cleanup is the
 // single deferred teardown the spillcleanup analyzer requires at every
