@@ -151,11 +151,16 @@ recovery-oracle:
 # TestAdmittedSpillJoinStreams (an admitted build is the probe stage, so TopK
 # and COUNT(*) over it allocate the same at 10 000 and 160 000 probe rows) and
 # TestRefusedSpillJoinCuts (a refused build cuts the pipeline into the grace
-# path, rows as the reference evaluator's, no spill file left), and the two
-# spill analyze goldens.
+# path, rows as the reference evaluator's, no spill file left); the one way
+# back into order (internal/exec/spill_order_test.go): TestSpilledOutputStreams
+# (a grace join over 100 000 probe rows and a 100 000-group GROUP BY under
+# 64 KiB hand their output to the external sorter as runs and stream its merge,
+# inside the budget, under 2 MB more heap at the first row) and
+# TestExternalSortFanIn (at most fan-in + 1 live files at the first row of a
+# sort that wrote thousands of runs); and the two spill analyze goldens.
 spill-oracle:
 	$(GO) test -race ./internal/plancheck/modelcheck -run 'TestMatrix/^spill$$'
-	$(GO) test -race ./internal/exec -run 'TestSpillOperatorDiskFaults|TestAdmittedSpillJoinStreams|TestRefusedSpillJoinCuts'
+	$(GO) test -race ./internal/exec -run 'TestSpillOperatorDiskFaults|TestAdmittedSpillJoinStreams|TestRefusedSpillJoinCuts|TestSpilledOutputStreams|TestExternalSortFanIn'
 	$(GO) test -race . -run 'TestSpillCompletes64KiB|TestSpillFailureFallsBack|TestExplainAnalyzeGolden(SpillJoin|TopK)$$'
 
 # The query-service oracle under the race detector: the 64-session

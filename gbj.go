@@ -100,14 +100,15 @@ type Engine struct {
 	cacheStats obs.CacheStats
 
 	// cluster is the lazily built partitioning of the store for the current
-	// topology (gbj_dist.go), valid while clusterEpoch is the store's epoch.
-	// distMu guards both so concurrent queries (read-locked on mu) share one
-	// rebuild. recovery aggregates the fault-recovery counters of every
-	// distributed run.
-	distMu       sync.Mutex
-	cluster      *dist.Cluster
-	clusterEpoch uint64
-	recovery     dist.RecoveryStats
+	// topology (gbj_dist.go), built for the shard setting clusterShards and
+	// valid while clusterEpoch is the store's epoch. distMu guards them so
+	// concurrent queries (read-locked on mu) share one rebuild. recovery
+	// aggregates the fault-recovery counters of every distributed run.
+	distMu        sync.Mutex
+	cluster       *dist.Cluster
+	clusterShards int
+	clusterEpoch  uint64
+	recovery      dist.RecoveryStats
 }
 
 // settings is the engine's configuration: what plan selection reads plus

@@ -113,7 +113,7 @@ func (e *Engine) SetNodes(n int) error {
 // SetShards selects how many hash partitions each base table splits into
 // (shard k lives on node k mod nodes). The count must be a power of two —
 // so doubling the cluster only moves whole shards — and at least 1; 0
-// restores the default of one shard per node.
+// restores the default, the node count rounded up to a power of two.
 func (e *Engine) SetShards(n int) error {
 	if n < 0 {
 		return fmt.Errorf("gbj: shard count must be at least 1, got %d", n)
@@ -139,27 +139,15 @@ func (e *Engine) clusterFor() (*dist.Cluster, error) {
 	e.distMu.Lock()
 	defer e.distMu.Unlock()
 	nodes, shards := e.set.nodes, e.set.shards
-	if shards == 0 {
-		shards = nextPow2(nodes)
-	}
-	if cl := e.cluster; cl != nil && cl.Nodes() == nodes && cl.Shards() == shards && e.clusterEpoch == e.store.Epoch() {
+	if cl := e.cluster; cl != nil && cl.Nodes() == nodes && e.clusterShards == shards && e.clusterEpoch == e.store.Epoch() {
 		return cl, nil
 	}
 	cl, err := dist.NewCluster(e.store, nodes, shards)
 	if err != nil {
 		return nil, err
 	}
-	e.cluster, e.clusterEpoch = cl, e.store.Epoch()
+	e.cluster, e.clusterShards, e.clusterEpoch = cl, shards, e.store.Epoch()
 	return cl, nil
-}
-
-// nextPow2 rounds n up to a power of two (the shard-count invariant).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // compileDist lowers a chosen logical plan onto the cluster, pricing

@@ -32,6 +32,7 @@ package dist
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/fault"
@@ -166,7 +167,8 @@ type Cluster struct {
 }
 
 // NewCluster hash-partitions every base table of the store across n nodes
-// using s shards (shard k lives on node k mod n). Each table partitions on
+// using s shards (shard k lives on node k mod n); s < 1 is the default, n
+// rounded up to a power of two. Each table partitions on
 // its primary-key columns when it has a primary key, else on all columns;
 // either way the routing is a pure function of the row's canonical key
 // encoding, so repartitioning the same store is deterministic run to run.
@@ -175,7 +177,7 @@ func NewCluster(store *storage.Store, n, s int) (*Cluster, error) {
 		return nil, fmt.Errorf("dist: cluster needs at least 1 node, got %d", n)
 	}
 	if s < 1 {
-		s = n
+		s = 1 << bits.Len(uint(n-1))
 	}
 	if s&(s-1) != 0 {
 		return nil, fmt.Errorf("dist: shard count must be a power of two, got %d", s)

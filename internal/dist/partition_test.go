@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/exec"
 	"repro/internal/value"
 	"repro/internal/workload"
 )
@@ -160,6 +161,37 @@ func TestNewClusterRejectsBadTopology(t *testing.T) {
 	for _, s := range []int{1, 2, 4, 64} {
 		if _, err := dist.NewCluster(store, 2, s); err != nil {
 			t.Fatalf("shard count %d rejected: %v", s, err)
+		}
+	}
+}
+
+// TestDefaultShardsAnyNodeCount: with no shard count a cluster takes the node
+// count rounded up to a power of two, so three nodes run on four shards and
+// both plans of Example 1 return the reference evaluator's rows.
+func TestDefaultShardsAnyNodeCount(t *testing.T) {
+	store := exampleStore(t, 300, 7)
+	cl, err := dist.NewCluster(store, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl.Nodes() != 3 || cl.Shards() != 4 {
+		t.Fatalf("%d nodes on %d shards, want 3 on 4", cl.Nodes(), cl.Shards())
+	}
+	for pi, plan := range plansFor(t, store, workload.Example1Query) {
+		want, err := workload.RefEval(plan, store, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dp, err := dist.Compile(plan, dist.Config{Nodes: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cl.Run(dp, &exec.Options{})
+		if err != nil {
+			t.Fatalf("plan %d: %v", pi, err)
+		}
+		if len(want) == 0 || !slices.Equal(workload.Multiset(res.Rows), workload.Multiset(want)) {
+			t.Fatalf("plan %d: %d rows on 3 nodes are not the reference's %d", pi, len(res.Rows), len(want))
 		}
 	}
 }

@@ -184,9 +184,10 @@ func Run(root algebra.Node, store *storage.Store, opts *Options) (*Result, error
 
 // Stream is Run with the root pipeline's rows handed to c as they are made
 // instead of collected: no row of the result is kept by the run. At one
-// worker the rows are one chunk, pulled in order — a spilled sort's merge
-// included, unless Metrics are on: then the merge is drained, as Run drains
-// it; above one they are the chunks Run's collection cuts.
+// worker the rows are one chunk, pulled in order — the merge of a sort, a
+// grace join or a grouping that spilled included, unless Metrics are on: then
+// the merge is drained, as Run drains it; above one they are the chunks Run's
+// collection cuts.
 func Stream(root algebra.Node, store *storage.Store, opts *Options, c Consumer) error {
 	_, err := execute(root, store, opts, c)
 	return err

@@ -1,9 +1,6 @@
 package exec
 
 import (
-	"slices"
-	"sort"
-
 	"repro/internal/obs"
 	"repro/internal/paged"
 	"repro/internal/storage"
@@ -16,8 +13,10 @@ import (
 // handled on its own, one level deeper — re-partitioned by the next field of
 // the hash when its table is refused again. The input runs as one in-order
 // chunk and its rows go to the files as they are emitted. Output order is
-// restored from the seqs: a stable sort of the joined rows by probe seq, of
-// the groups by the seq of their first row, is exactly the in-memory order.
+// restored from the seqs by the external sorter (spill.go): a partition's
+// joined rows are in probe-seq order, a level's groups in the seq order of
+// their first rows, so each is one run, and the merge of the runs by seq is
+// exactly the in-memory order.
 
 // Grace parameters: the partition fan-out — graceBits of the key's hash per
 // level — and the recursion bound after which a partition is built in memory
@@ -52,41 +51,28 @@ func numbered(each func(emitFn) error) rowFeed {
 	}
 }
 
-// inSeqOrder is the rows of recs in a stable order of their seqs.
-func inSeqOrder(recs []spillRow) []value.Row {
-	sort.SliceStable(recs, func(a, b int) bool { return recs[a].seq < recs[b].seq })
-	out := make([]value.Row, len(recs))
-	for i, r := range recs {
-		out[i] = r.row
-	}
-	return out
-}
-
 // graceJoin runs the grace join over the refused table's build rows and the
 // left side, which left hands over row by row in order — the rows go to the
-// partition files as they come — and returns the joined rows in output order.
-// Every partition file is swept before it returns.
-func (j *hashJoinOp) graceJoin(left func(emitFn) error) (out []value.Row, err error) {
-	defer func() {
-		if derr := discardAll(j.files); derr != nil && err == nil {
-			out, err = nil, derr
-		}
-	}()
+// partition files as they come — and returns the joined rows in output order:
+// the merge of the partitions' runs. Every partition file is swept before it
+// returns.
+func (j *hashJoinOp) graceJoin(left func(emitFn) error) (opened, error) {
 	j.table.adm.release() // the refused table's rows go to the partitions
 	var build []spillRow  // build rows under their insertion seq
 	for _, row := range j.table.rows {
 		if err := j.gov.tick(); err != nil {
-			return nil, err
+			return opened{}, err
 		}
 		if !anyNullAt(row, j.rcols) {
 			build = append(build, spillRow{seq: int64(len(build)), row: row})
 		}
 	}
-	var matches []spillRow // joined rows under their probe seq
-	if err := j.grace(build, numbered(left), 0, &matches); err != nil {
-		return nil, err
+	x := newSorter(j.gov, j.mgr, j.metrics, j.where, 1, bySeq)
+	err := j.grace(build, numbered(left), 0, x)
+	if derr := discardAll(j.files); err == nil {
+		err = derr
 	}
-	return inSeqOrder(matches), nil
+	return x.finish(err)
 }
 
 // each is a partition file's records as a rowFeed.
@@ -118,8 +104,8 @@ func newPartitionFiles(mgr *storage.SpillManager, gov *governor, metrics *obs.Op
 
 // grace is one level of the grace join: the build rows and the probe stream
 // are scattered to partition files by the depth's hash field, then each
-// partition pair is joined and discarded.
-func (j *hashJoinOp) grace(build []spillRow, probe rowFeed, depth int, matches *[]spillRow) error {
+// partition pair is joined into x and discarded.
+func (j *hashJoinOp) grace(build []spillRow, probe rowFeed, depth int, x *extSorter) error {
 	bparts := newPartitionFiles(j.mgr, j.gov, j.metrics, j.where, "build", &j.files)
 	var key []byte
 	for _, sr := range build {
@@ -147,7 +133,7 @@ func (j *hashJoinOp) grace(build []spillRow, probe rowFeed, depth int, matches *
 		return err
 	}
 	for p := range bparts {
-		if err := j.joinPartition(bparts[p], pparts[p], depth, matches); err != nil {
+		if err := j.joinPartition(bparts[p], pparts[p], depth, x); err != nil {
 			return err
 		}
 		if err := bparts[p].discard(); err != nil {
@@ -161,9 +147,10 @@ func (j *hashJoinOp) grace(build []spillRow, probe rowFeed, depth int, matches *
 }
 
 // joinPartition builds one partition's table and probes it with the matching
-// probe file. A partition whose table alone is refused goes down one grace
-// level; at graceMaxDepth it is built uncharged instead.
-func (j *hashJoinOp) joinPartition(bf, pf *spillFile, depth int, matches *[]spillRow) error {
+// probe file, whose records are in seq order, so the joined rows are one run
+// of x. A partition whose table alone is refused goes down one grace level; at
+// graceMaxDepth it is built uncharged instead.
+func (j *hashJoinOp) joinPartition(bf, pf *spillFile, depth int, x *extSorter) error {
 	if err := bf.startRead(); err != nil {
 		return err
 	}
@@ -184,7 +171,7 @@ func (j *hashJoinOp) joinPartition(bf, pf *spillFile, depth int, matches *[]spil
 	if err == errRefused {
 		j.table.adm.release()
 		if depth < graceMaxDepth {
-			return j.grace(build, pf.each, depth+1, matches)
+			return j.grace(build, pf.each, depth+1, x)
 		}
 		j.table.adm.mode = admitForce
 		err = j.table.build(rows, 1)
@@ -192,14 +179,15 @@ func (j *hashJoinOp) joinPartition(bf, pf *spillFile, depth int, matches *[]spil
 	if err != nil {
 		return err
 	}
-	var seq int64 // of the probe record being joined
-	probe := j.probeInto(make(value.Row, j.width), func(joined value.Row) error {
-		*matches = append(*matches, spillRow{seq: seq, row: slices.Clone(joined)})
-		return nil
-	})
-	err = pf.each(func(sr spillRow) error {
-		seq = sr.seq
-		return probe(sr.row)
+	err = x.addRun(func(run *spillFile) error {
+		var seq int64 // of the probe record being joined
+		probe := j.probeInto(make(value.Row, j.width), func(joined value.Row) error {
+			return run.writeRecord(seq, joined)
+		})
+		return pf.each(func(sr spillRow) error {
+			seq = sr.seq
+			return probe(sr.row)
+		})
 	})
 	if err != nil {
 		return err
@@ -219,15 +207,15 @@ func (j *hashJoinOp) joinPartition(bf, pf *spillFile, depth int, matches *[]spil
 type spilledGroups struct {
 	*groupCore
 	files []*spillFile // every partition file, swept when the grouping ends
-	out   []spillRow   // the finished groups of refused levels, under their first row's seq
+	out   *extSorter   // the finished groups of refused levels, a run per level
 }
 
 // level groups one level's records — the input numbered, or a partition
 // file — into one table. A table the budget admits whole at depth 0 is
 // returned, the grouping's output as on any other run. Any other table's
-// groups are finished into out and its bytes released, and then each
-// partition is grouped one level deeper; at graceMaxDepth a partition's table
-// is uncharged.
+// groups are finished, in id order — the seq order of their first rows — as
+// one run of out, and its bytes released; then each partition is grouped one
+// level deeper. At graceMaxDepth a partition's table is uncharged.
 func (s *spilledGroups) level(feed rowFeed, depth int) (*groupTable, error) {
 	t, err := s.newTable()
 	if err != nil {
@@ -265,13 +253,21 @@ func (s *spilledGroups) level(feed rowFeed, depth int) (*groupTable, error) {
 	if parts == nil && depth == 0 {
 		return t, nil
 	}
-	results := make(value.Row, len(s.aggs))
-	for id := 0; id < t.n; id++ {
-		row, err := t.appendRow(id, results, make(value.Row, 0, s.width()))
-		if err != nil {
-			return nil, err
+	err = s.out.addRun(func(run *spillFile) error {
+		results, row := make(value.Row, len(s.aggs)), make(value.Row, 0, s.width())
+		for id := 0; id < t.n; id++ {
+			var err error
+			if row, err = t.appendRow(id, results, row[:0]); err != nil {
+				return err
+			}
+			if err := run.writeRecord(firsts[id], row); err != nil {
+				return err
+			}
 		}
-		s.out = append(s.out, spillRow{seq: firsts[id], row: row})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.adm.release()
 	for _, pf := range parts {

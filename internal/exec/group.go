@@ -363,10 +363,10 @@ func (c *groupCursor) next(out []value.Value) ([]value.Value, error) {
 // — one partial table per chunk, one chunk per worker, fed by the chunk's
 // stages — or, on a spill-capable run with grouping columns, the one table of
 // spilledGroups, fed by the input as one in-order chunk, whose refused groups'
-// rows go to disk; the scalar group's one state never spills, so it always
-// folds. Output order is first-appearance order of groups (deterministic for
-// a deterministic input order), at any worker count and on either side of the
-// spill decision.
+// rows go to disk and whose output is then the merge of its levels' runs; the
+// scalar group's one state never spills, so it always folds. Output order is
+// first-appearance order of groups (deterministic for a deterministic input
+// order), at any worker count and on either side of the spill decision.
 type hashGroupOp struct {
 	groupCore
 }
@@ -376,18 +376,15 @@ func (g *hashGroupOp) open() (opened, error) {
 		return g.foldPipeline()
 	}
 	g.ran("hash")
-	s := &spilledGroups{groupCore: &g.groupCore}
+	s := &spilledGroups{groupCore: &g.groupCore, out: newSorter(g.gov, g.mgr, g.metrics, g.where, 1, bySeq)}
 	t, err := s.level(numbered(g.input.each), 0)
 	if derr := discardAll(s.files); err == nil {
 		err = derr
 	}
-	switch {
-	case err != nil:
-		return opened{}, err
-	case t != nil:
+	if err == nil && t != nil {
 		return g.combine([]*groupTable{t})
 	}
-	return opened{rows: inSeqOrder(s.out)}, nil
+	return s.out.finish(err)
 }
 
 // sortGroupOp aggregates each run of =ⁿ-equal keys off a key-ordered stream
@@ -484,9 +481,10 @@ func cmpByKeys(keys []sortKey, a, b value.Row) int {
 // in-order chunk straight into the sorter — rows are buffered under the
 // budget, sorted runs go to disk when it refuses a row and the runs are k-way
 // merged on output, so no row is held unaccounted; without one the sort stays
-// in memory, unaccounted, adopts the pipeline's collection and runs on par
-// workers. The result is byte-identical either way: rows in sorted order, or
-// the merge of the runs, which the runner reads and closes.
+// in memory, adopts the pipeline's collection, charged whole (a breach
+// aborts), and runs on par workers. The result is byte-identical either way:
+// rows in sorted order, or the merge of the runs, which the runner reads and
+// closes.
 type sortOp struct {
 	input   *pipeOp
 	keys    []sortKey
@@ -498,10 +496,7 @@ type sortOp struct {
 }
 
 func (s *sortOp) open() (opened, error) {
-	x := &extSorter{
-		gov: s.gov, mgr: s.mgr, metrics: s.metrics, op: s.where, par: s.par,
-		cmp: func(a, b value.Row) int { return cmpByKeys(s.keys, a, b) },
-	}
+	x := newSorter(s.gov, s.mgr, s.metrics, s.where, s.par, func(a, b value.Row) int { return cmpByKeys(s.keys, a, b) })
 	var err error
 	if s.mgr == nil {
 		var rows []value.Row
@@ -513,17 +508,5 @@ func (s *sortOp) open() (opened, error) {
 			return x.add(s.input.keep(row), rowStateBytes(row))
 		})
 	}
-	var it *mergeIter
-	if err == nil {
-		it, err = x.finish()
-	}
-	switch {
-	case err != nil:
-		x.close()
-		return opened{}, err
-	case it.cmp != nil:
-		return opened{merge: it}, nil // runs on disk: their merge
-	default:
-		return opened{rows: it.sorted()}, nil
-	}
+	return x.finish(err)
 }

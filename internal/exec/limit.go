@@ -70,8 +70,6 @@ type topKOp struct {
 	input *pipeOp
 	keys  []sortKey
 	n     int64
-
-	heap []spillRow
 }
 
 func (t *topKOp) less(a, b spillRow) bool {
@@ -79,70 +77,31 @@ func (t *topKOp) less(a, b spillRow) bool {
 	return c < 0 || c == 0 && a.seq < b.seq
 }
 
-// worse reports a sorting strictly after b — the max-heap's ordering, so
-// the root is the worst row currently kept.
-func (t *topKOp) worse(a, b spillRow) bool { return t.less(b, a) }
-
-func (t *topKOp) push(sr spillRow) {
-	t.heap = append(t.heap, sr)
-	i := len(t.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !t.worse(t.heap[i], t.heap[parent]) {
-			break
-		}
-		t.heap[i], t.heap[parent] = t.heap[parent], t.heap[i]
-		i = parent
-	}
-}
-
-func (t *topKOp) siftDown() {
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		max := i
-		if l < len(t.heap) && t.worse(t.heap[l], t.heap[max]) {
-			max = l
-		}
-		if r < len(t.heap) && t.worse(t.heap[r], t.heap[max]) {
-			max = r
-		}
-		if max == i {
-			return
-		}
-		t.heap[i], t.heap[max] = t.heap[max], t.heap[i]
-		i = max
-	}
-}
-
 func (t *topKOp) open() (opened, error) {
-	t.heap = t.heap[:0]
+	// The root sorts after every other row kept: the one a better row evicts.
+	heap := binHeap[spillRow]{before: func(a, b spillRow) bool { return t.less(b, a) }}
 	seq := int64(0)
 	err := t.input.each(func(row value.Row) error {
 		sr := spillRow{seq: seq, row: row}
 		seq++
 		// A borrowed row is copied only when it enters the heap, over the row
 		// it evicts once the heap is full: n copies in all.
-		if int64(len(t.heap)) < t.n {
+		if int64(len(heap.items)) < t.n {
 			sr.row = t.input.keep(row)
-			t.push(sr)
-		} else if t.n > 0 && t.less(sr, t.heap[0]) {
-			sr.row = t.input.keepOver(t.heap[0].row, row)
-			t.heap[0] = sr
-			t.siftDown()
+			heap.push(sr)
+		} else if t.n > 0 && t.less(sr, heap.items[0]) {
+			sr.row = t.input.keepOver(heap.items[0].row, row)
+			heap.items[0] = sr
+			heap.fix()
 		}
 		return nil
 	})
 	if err != nil {
 		return opened{}, err
 	}
-	out := make([]value.Row, len(t.heap))
-	for i := len(t.heap) - 1; i >= 0; i-- {
-		out[i] = t.heap[0].row
-		last := len(t.heap) - 1
-		t.heap[0] = t.heap[last]
-		t.heap = t.heap[:last]
-		t.siftDown()
+	out := make([]value.Row, len(heap.items))
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = heap.pop().row
 	}
 	return opened{rows: out}, nil
 }

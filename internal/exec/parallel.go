@@ -246,8 +246,9 @@ type stage struct {
 	start func() error
 	// grace is a spill-capable hash join's answer to a start the budget
 	// refused (errRefused): it takes the pipeline below it as one in-order
-	// chunk (left) and returns the joined rows, the run's own (pipeOp.cut).
-	grace func(left func(emitFn) error) ([]value.Row, error)
+	// chunk (left) and returns the joined rows as a source: the external
+	// sorter's result, as a sort's (pipeOp.cut).
+	grace func(left func(emitFn) error) (opened, error)
 	// bind returns the stage's row function for one chunk, handing what it
 	// produces to emit. Per-chunk state (scratch rows, key buffers) lives in
 	// the closure, so chunks share nothing.
@@ -285,11 +286,11 @@ type batchSink interface {
 // breaker is a pipeline's source in row form: a node that holds state — a
 // grouping (a GroupBy's or DISTINCT's), a sort, LIMIT, TopK — or a leaf's rows
 // (leafRows). open runs the node's input pipelines into its store and returns
-// its output: rows the run owns; from a sort that went to disk, the merge of
-// its runs, which the runner pulls into an in-order sink or drains for any
-// other, and closes; or from a hash grouping, its groups' rows, which the
-// runner has finished on demand as it carries them. Every other spill file a
-// breaker made is swept before open returns.
+// its output: rows the run owns; from a sort or a grouping that went to disk,
+// the merge of its runs, which the runner pulls into an in-order sink or
+// drains for any other, and closes; or from a hash grouping, its groups' rows,
+// which the runner has finished on demand as it carries them. Every other
+// spill file a breaker made is swept before open returns.
 type breaker interface {
 	open() (opened, error)
 }
@@ -431,10 +432,11 @@ func (p *pipeOp) run(s sink) error {
 }
 
 // runChunks opens the source, starts the stages and drives the source through
-// them into s. A merge is pulled into an in-order sink; any other sink cuts
-// chunks, so it is drained first. A stage whose
-// start the budget refuses cuts the pipeline there (cut), and the stages
-// above it start after the cut.
+// them into s. A stage whose start the budget refuses cuts the pipeline there
+// (cut), and the stages above it start after the cut, over what it returns. A
+// merge — the source's, or the cut's — is pulled into an in-order sink; any
+// other sink cuts chunks, so it is drained first. One that is not read to its
+// end is closed before runChunks returns.
 func (p *pipeOp) runChunks(s sink) (err error) {
 	var src opened
 	if p.cols != nil {
@@ -443,25 +445,11 @@ func (p *pipeOp) runChunks(s sink) (err error) {
 	} else if src, err = p.src.open(); err != nil {
 		return err
 	}
-	if merge := src.merge; merge != nil {
-		defer func() {
-			if cerr := merge.close(); err == nil {
-				err = cerr
-			}
-		}()
-		if _, ordered := s.(inOrder); !ordered {
-			if src.rows, err = merge.drain(p.gov); err != nil {
-				return err
-			}
-			src.merge = nil
+	defer func() {
+		if cerr := src.merge.close(); err == nil {
+			err = cerr
 		}
-	}
-	if h, ok := s.(*passOn); ok {
-		h.rows = src.rows
-		if src.made != nil {
-			h.rows = src.made.slots()
-		}
-	}
+	}()
 	for i := 0; i < len(p.stages); i++ {
 		start := p.stages[i].start
 		if start == nil {
@@ -469,11 +457,28 @@ func (p *pipeOp) runChunks(s sink) (err error) {
 		}
 		if err = start(); err == errRefused {
 			// p is the stages above the cut from here, the first of them next.
-			src.rows, err = p.cut(i, src)
-			src.merge, src.made, src.batches, i = nil, nil, nil, -1
+			src, err = p.cut(i, src)
+			i = -1
 		}
 		if err != nil {
 			return err
+		}
+	}
+	if _, ordered := s.(inOrder); !ordered && src.merge != nil {
+		// Drained, polling the context per record.
+		err = src.merge.each(func(sr spillRow) error {
+			src.rows = append(src.rows, sr.row)
+			return p.gov.cancelled()
+		})
+		if err != nil {
+			return err
+		}
+		src.merge = nil
+	}
+	if h, ok := s.(*passOn); ok {
+		h.rows = src.rows
+		if src.made != nil {
+			h.rows = src.made.slots()
 		}
 	}
 	return p.drive(s, src)
@@ -481,13 +486,17 @@ func (p *pipeOp) runChunks(s sink) (err error) {
 
 // cut runs the source and the stages below stage i — whose start the budget
 // refused: a spill-capable hash join — as one in-order chunk into the stage's
-// grace path, and ends their instrumentation there; p becomes the stages
-// above, over the joined rows the grace path returns. It comes before any
-// source row has moved, so nothing below is begun twice.
-func (p *pipeOp) cut(i int, src opened) ([]value.Row, error) {
+// grace path, and ends their instrumentation there; it closes the source's
+// merge, if any, should the chunk not have read it to its end. p becomes the
+// stages above, over the joined rows the grace path returns. It comes before
+// any source row has moved, so nothing below is begun twice.
+func (p *pipeOp) cut(i int, src opened) (opened, error) {
 	below, st := *p, p.stages[i]
 	below.stages = p.stages[:i]
 	joined, err := st.grace(func(fn emitFn) error { return below.drive(inOrder{fn}, src) })
+	if cerr := src.merge.close(); err == nil {
+		err = cerr
+	}
 	below.eachOut((*metricOp).end)
 	p.stages, p.nbatch, p.cols = p.stages[i+1:], 0, nil
 	p.srcOut, p.borrowed = st.out, p.borrowed && len(p.stages) > 0

@@ -9,12 +9,13 @@
 // choice, not a survival choice.
 //
 // Spilled results are byte-identical to in-memory execution. Spilled
-// records carry their arrival sequence number, and each external path
-// re-establishes the exact in-memory output order from those sequences:
-// the external sort tie-breaks on arrival order (≡ stable sort), the grace
-// join orders its output stably by probe seq (≡ probe order with
-// build-insertion-order matches), and the spilled grouping orders groups
-// by their first row's sequence (≡ hash first-appearance order).
+// records carry their arrival sequence number, and one rule re-establishes
+// the exact in-memory output order from those sequences: the external
+// sorter's merge, by the sort keys and then by seq. A sort's runs are its
+// sorted buffers; a grace join hands it each partition's joined rows, in
+// probe-seq order (≡ probe order with build-insertion-order matches), and
+// the spilled grouping each level's groups, in the seq order of their first
+// rows (≡ hash first-appearance order), each as one run with no sort keys.
 //
 // Disk I/O is fault-injectable (fault.DiskStep fires per record written,
 // read and per file close) and any failure — injected or real — aborts the
@@ -22,7 +23,7 @@
 // never returns a partial result. Temp files are created only through the
 // storage.SpillManager (enforced by the spillcleanup analyzer), tracked by
 // the operator that made them and removed by it before its rows move on — a
-// spilled sort's runs once the runner has read their merge — so Live() == 0
+// sorter's runs once the runner has read their merge — so Live() == 0
 // holds after every run, faulted or not.
 package exec
 
@@ -225,7 +226,7 @@ func (s *spillFile) startRead() error {
 	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
 		return &SpillError{Op: s.op, Stage: "seek", Err: err}
 	}
-	s.r = bufio.NewReader(s.f)
+	s.r, s.w = bufio.NewReader(s.f), nil
 	return nil
 }
 
@@ -265,13 +266,15 @@ func (s *spillFile) discard() error {
 	return first
 }
 
-// extSorter is the one sorter: a stable sort of rows under cmp (ties keep
-// arrival order) that goes external on budget pressure. With a spill manager
-// rows are buffered under tryCharge accounting, the buffer is written out as
-// a sorted run when the budget refuses a row, and finish() merges the runs;
+// extSorter is the one sorter, and the one way spilled output gets back into
+// order: a stable sort of rows under cmp (ties keep arrival order) that goes
+// external on budget pressure. Rows are buffered under the store's admission.
+// Without a spill manager a breach aborts, and finish sorts the buffer in
+// place on par workers. With one, the buffer is written out as a sorted run
+// when the budget refuses a row, a grace path hands over output that is
+// already in order as whole runs (addRun), and finish merges the runs;
 // records carry their arrival seq, so ties resolve across runs exactly as
-// within one and a consumer can tell which record came first. Without a manager nothing can spill and nothing is accounted:
-// the buffer is sorted in place on par workers.
+// within one and a consumer can tell which record came first.
 type extSorter struct {
 	gov     *governor
 	mgr     *storage.SpillManager
@@ -279,114 +282,148 @@ type extSorter struct {
 	op      string
 	par     int
 	cmp     func(a, b value.Row) int
+	adm     admission
 
-	buf     []value.Row // arrival order
-	base    int64       // arrival seq of buf[0]
-	charged int64
-	runs    []*spillFile
+	buf   []value.Row // arrival order
+	base  int64       // arrival seq of buf[0]
+	runs  []*spillFile
+	added int // runs handed over by addRun
 }
 
-// add buffers one row accounted at `bytes`, flushing a sorted run to disk
-// when the budget refuses it. A row too large for the whole budget is
-// admitted uncharged: the external sort degrades accounting before it ever
-// fails.
+// mergeFanIn is the most runs a merge reads at once.
+const mergeFanIn = 64
+
+func newSorter(gov *governor, mgr *storage.SpillManager, metrics *obs.OpMetrics, op string, par int, cmp func(a, b value.Row) int) *extSorter {
+	return &extSorter{gov: gov, mgr: mgr, metrics: metrics, op: op, par: par, cmp: cmp, adm: admissionFor(gov, mgr, op)}
+}
+
+// bySeq is the cmp of a sorter with no sort keys: every row ties, so its
+// records merge by seq alone.
+func bySeq(value.Row, value.Row) int { return 0 }
+
+// add buffers one row accounted at bytes. Without a manager a breach aborts;
+// with one the buffer is flushed as a sorted run when the budget refuses the
+// row, and a row too large for the whole budget is admitted uncharged: the
+// external sort degrades accounting before it ever fails.
 func (x *extSorter) add(row value.Row, bytes int64) error {
-	if x.mgr == nil {
-		bytes = 0
-	} else if !x.gov.tryCharge(bytes) {
-		if len(x.buf) > 0 {
-			if err := x.flushRun(); err != nil {
-				return err
-			}
-		}
-		if !x.gov.tryCharge(bytes) {
-			bytes = 0
+	err := x.adm.charge(bytes)
+	if err == errRefused && len(x.buf) > 0 {
+		if err = x.flushRun(); err == nil {
+			err = x.adm.charge(bytes)
 		}
 	}
-	x.charged += bytes
+	if err == errRefused {
+		x.adm.refused, err = false, nil
+	}
+	if err != nil {
+		return err
+	}
 	x.buf = append(x.buf, row)
 	return nil
 }
 
-// addAll hands the sorter its whole input at once. With nothing to account
-// an empty sorter adopts the slice and later sorts it in place.
+// addAll hands a sorter without a manager its whole input at once: the
+// slice, adopted and charged whole — rows of one input are of one width —,
+// and later sorted in place.
 func (x *extSorter) addAll(rows []value.Row) error {
-	if x.mgr == nil && len(x.buf) == 0 {
-		x.buf = rows
+	if x.buf = rows; len(rows) == 0 {
 		return nil
 	}
-	for _, row := range rows {
-		if err := x.gov.tick(); err != nil {
-			return err
-		}
-		if err := x.add(row, rowStateBytes(row)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return x.adm.charge(int64(len(rows)) * rowStateBytes(rows[0]))
 }
 
-// sortedOrder returns the buffer's indices in sorted order; the rows stay
-// in arrival order, so an index is still a row's arrival seq less base.
-func (x *extSorter) sortedOrder() []int {
+// flushRun writes the buffer out as one sorted run and releases its charge.
+func (x *extSorter) flushRun() error {
 	order := make([]int, len(x.buf))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return x.cmp(x.buf[order[a]], x.buf[order[b]]) < 0 })
-	return order
-}
-
-// flushRun writes the buffer out as one sorted run and releases its charge.
-func (x *extSorter) flushRun() error {
-	sf := newSpillFile(x.mgr, x.gov, x.metrics, x.op, "run")
-	x.runs = append(x.runs, sf)
-	for _, i := range x.sortedOrder() {
-		if err := sf.writeRecord(x.base+int64(i), x.buf[i]); err != nil {
-			return err
+	err := x.addRun(func(run *spillFile) error {
+		for _, i := range order {
+			if err := run.writeRecord(x.base+int64(i), x.buf[i]); err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if x.metrics != nil {
-		x.metrics.SortRuns.Add(1)
-	}
-	x.gov.release(x.charged)
-	x.charged = 0
+	x.adm.release()
 	x.base += int64(len(x.buf))
 	x.buf = x.buf[:0]
 	return nil
 }
 
-// finish ends the input phase and returns an iterator over all records in
-// sorted order. With no runs on disk the buffer is iterated directly — sorted
-// in place when nothing could have spilled, which is the one case where the
-// records' arrival seqs are not kept; otherwise the buffer becomes the final
-// run and the runs are k-way merged, streaming.
-func (x *extSorter) finish() (*mergeIter, error) {
-	if x.mgr == nil {
-		return &mergeIter{rows: sortRowsStable(x.op, x.buf, x.par, x.cmp)}, nil
+// addRun writes one run through fill, which writes its records in merge
+// order. The runs merge as the digits of their count in base mergeFanIn
+// carry: each mergeFanIn-th run merges with the mergeFanIn-1 before it into
+// one, and so on up, so a sorter holds fewer than mergeFanIn runs of each
+// generation.
+func (x *extSorter) addRun(fill func(run *spillFile) error) error {
+	if err := x.writeRun(fill); err != nil {
+		return err
 	}
-	if len(x.runs) == 0 {
-		return &mergeIter{rows: x.buf, order: x.sortedOrder()}, nil
-	}
-	if len(x.buf) > 0 {
-		if err := x.flushRun(); err != nil {
-			return nil, err
+	x.added++
+	for n := x.added; n%mergeFanIn == 0; n /= mergeFanIn {
+		if err := x.mergeTail(); err != nil {
+			return err
 		}
 	}
-	it := &mergeIter{cmp: x.cmp, runs: x.runs}
-	for _, run := range x.runs {
-		if err := run.startRead(); err != nil {
-			return nil, err
-		}
-		sr, ok, err := run.readRecord()
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			it.push(runHead{cur: sr, src: run})
-		}
+	return nil
+}
+
+// writeRun appends a run written by fill. A run fill writes nothing to has no
+// file, but it counts: a grace path hands over a run per partition, so the
+// count follows the partitioning, not the hash.
+func (x *extSorter) writeRun(fill func(run *spillFile) error) error {
+	run := newSpillFile(x.mgr, x.gov, x.metrics, x.op, "run")
+	x.runs = append(x.runs, run)
+	if x.metrics != nil {
+		x.metrics.SortRuns.Add(1)
 	}
-	return it, nil
+	return fill(run)
+}
+
+// mergeTail merges the last mergeFanIn runs into one, which takes their place.
+func (x *extSorter) mergeTail() error {
+	from := len(x.runs) - mergeFanIn
+	it, err := mergeRuns(x.runs[from:], x.cmp)
+	if err == nil {
+		err = x.writeRun(func(run *spillFile) error {
+			return it.each(func(sr spillRow) error { return run.writeRecord(sr.seq, sr.row) })
+		})
+	}
+	if err != nil {
+		return err
+	}
+	x.runs = append(x.runs[:from], x.runs[len(x.runs)-1])
+	return nil
+}
+
+// finish ends the input phase, which ended with err, and returns the sorter's
+// rows in order: with no runs on disk the buffer, sorted in place; otherwise
+// the buffer becomes the last run and the runs — at most mergeFanIn of them —
+// are k-way merged, streaming. On any error the runs are discarded.
+func (x *extSorter) finish(err error) (out opened, _ error) {
+	switch {
+	case err == nil && len(x.runs) == 0:
+		return opened{rows: sortRowsStable(x.op, x.buf, x.par, x.cmp)}, nil
+	case err == nil && len(x.buf) > 0:
+		err = x.flushRun()
+	}
+	for err == nil && len(x.runs) > mergeFanIn {
+		err = x.mergeTail()
+	}
+	if err == nil {
+		out.merge, err = mergeRuns(x.runs, x.cmp)
+	}
+	if err != nil {
+		x.close()
+		return opened{}, err
+	}
+	return out, nil
 }
 
 // close discards every run file; the first error is reported.
@@ -409,118 +446,121 @@ type runHead struct {
 	src *spillFile
 }
 
-// mergeIter yields records in sorted order: from the in-memory buffer, or by
-// merging run files through a binary min-heap.
+// mergeIter yields the records of runs in sorted order: each run's current
+// record in a min-heap under cmp, ties broken by arrival seq.
 type mergeIter struct {
-	// in-memory mode: rows in iteration order, or in arrival order with the
-	// iteration order beside them; seq is the index into rows either way
-	rows  []value.Row
-	order []int
-	pos   int
-	// merge mode
-	cmp   func(a, b value.Row) int
-	heads []runHead
-	runs  []*spillFile // every run, discarded by close
+	heap binHeap[runHead]
+	runs []*spillFile // every run, discarded by close
 }
 
-// sorted is an in-memory iteration's rows in iteration order: the buffer
-// itself when it is sorted, else permuted once.
-func (m *mergeIter) sorted() []value.Row {
-	if m.order == nil {
-		return m.rows
+// mergeRuns starts the merge of runs, reading each one's first record.
+func mergeRuns(runs []*spillFile, cmp func(a, b value.Row) int) (*mergeIter, error) {
+	m := &mergeIter{runs: runs}
+	m.heap.before = func(a, b runHead) bool {
+		c := cmp(a.cur.row, b.cur.row)
+		return c < 0 || c == 0 && a.cur.seq < b.cur.seq
 	}
-	rows := make([]value.Row, len(m.order))
-	for i, o := range m.order {
-		rows[i] = m.rows[o]
+	for _, run := range runs {
+		if err := run.startRead(); err != nil {
+			return nil, err
+		}
+		sr, ok, err := run.readRecord()
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			m.heap.push(runHead{cur: sr, src: run})
+		}
 	}
-	return rows
+	return m, nil
 }
 
-// drain reads a merge to its end into rows, polling the context per record.
-func (m *mergeIter) drain(gov *governor) ([]value.Row, error) {
-	var rows []value.Row
+// each hands fn the merge's records, in order, to its end.
+func (m *mergeIter) each(fn func(spillRow) error) error {
 	for {
 		sr, ok, err := m.next()
 		if err == nil && ok {
-			err = gov.cancelled()
+			err = fn(sr)
 		}
 		if !ok || err != nil {
-			return rows, err
+			return err
 		}
-		rows = append(rows, sr.row)
 	}
 }
 
 // close discards the merge's run files; the first error is reported.
-func (m *mergeIter) close() error { return discardAll(m.runs) }
-
-// before is the merge order: cmp, ties broken by arrival seq.
-func (m *mergeIter) before(a, b spillRow) bool {
-	c := m.cmp(a.row, b.row)
-	return c < 0 || c == 0 && a.seq < b.seq
+// Nil-safe.
+func (m *mergeIter) close() error {
+	if m == nil {
+		return nil
+	}
+	return discardAll(m.runs)
 }
 
-func (m *mergeIter) push(h runHead) {
-	m.heads = append(m.heads, h)
-	i := len(m.heads) - 1
-	for i > 0 {
+// next returns the smallest remaining record; ok is false when drained. A run
+// is discarded as soon as it is drained, so a merge read to its end has no
+// file left.
+func (m *mergeIter) next() (spillRow, bool, error) {
+	if len(m.heap.items) == 0 {
+		return spillRow{}, false, nil
+	}
+	head := &m.heap.items[0]
+	out := head.cur
+	sr, ok, err := head.src.readRecord()
+	switch {
+	case ok:
+		head.cur = sr
+		m.heap.fix()
+	case err == nil:
+		err = head.src.discard()
+		m.heap.pop()
+	}
+	return out, err == nil, err
+}
+
+// binHeap is the package's one binary heap: items under before, the root an
+// item no other comes before — the merge's run heads, smallest first, and
+// TopK's kept rows, worst first.
+type binHeap[T any] struct {
+	items  []T
+	before func(a, b T) bool
+}
+
+func (h *binHeap[T]) push(item T) {
+	h.items = append(h.items, item)
+	for i := len(h.items) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !m.before(m.heads[i].cur, m.heads[parent].cur) {
-			break
+		if !h.before(h.items[i], h.items[parent]) {
+			return
 		}
-		m.heads[i], m.heads[parent] = m.heads[parent], m.heads[i]
+		h.items[i], h.items[parent] = h.items[parent], h.items[i]
 		i = parent
 	}
 }
 
-func (m *mergeIter) siftDown() {
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(m.heads) && m.before(m.heads[l].cur, m.heads[min].cur) {
-			min = l
+// fix restores the heap after its root was replaced.
+func (h *binHeap[T]) fix() {
+	for i := 0; ; {
+		first, l := i, 2*i+1
+		if l < len(h.items) && h.before(h.items[l], h.items[first]) {
+			first = l
 		}
-		if r < len(m.heads) && m.before(m.heads[r].cur, m.heads[min].cur) {
-			min = r
+		if r := l + 1; r < len(h.items) && h.before(h.items[r], h.items[first]) {
+			first = r
 		}
-		if min == i {
+		if first == i {
 			return
 		}
-		m.heads[i], m.heads[min] = m.heads[min], m.heads[i]
-		i = min
+		h.items[i], h.items[first] = h.items[first], h.items[i]
+		i = first
 	}
 }
 
-// next returns the smallest remaining record; ok is false when drained.
-func (m *mergeIter) next() (spillRow, bool, error) {
-	if m.cmp == nil {
-		if m.pos >= len(m.rows) {
-			return spillRow{}, false, nil
-		}
-		i := m.pos
-		if m.order != nil {
-			i = m.order[i]
-		}
-		m.pos++
-		return spillRow{seq: int64(i), row: m.rows[i]}, true, nil
-	}
-	if len(m.heads) == 0 {
-		return spillRow{}, false, nil
-	}
-	out := m.heads[0].cur
-	src := m.heads[0].src
-	sr, ok, err := src.readRecord()
-	if err != nil {
-		return spillRow{}, false, err
-	}
-	if ok {
-		m.heads[0].cur = sr
-	} else {
-		last := len(m.heads) - 1
-		m.heads[0] = m.heads[last]
-		m.heads = m.heads[:last]
-	}
-	m.siftDown()
-	return out, true, nil
+// pop removes the root and returns it.
+func (h *binHeap[T]) pop() T {
+	root, last := h.items[0], len(h.items)-1
+	h.items[0] = h.items[last]
+	h.items = h.items[:last]
+	h.fix()
+	return root
 }

@@ -85,19 +85,24 @@ func FuzzExternalSort(f *testing.F) {
 		// to disk on any non-trivial input.
 		mgr := storage.NewSpillManager(t.TempDir())
 		gov := newGovernor(&Options{MemoryBudget: 1 + int64(budget%1024)})
-		x := &extSorter{gov: gov, mgr: mgr, op: "fuzz", cmp: cmp}
+		x := newSorter(gov, mgr, nil, "fuzz", 1, cmp)
 		for i, r := range rows {
 			if err := x.add(r, rowStateBytes(r)); err != nil {
 				t.Fatalf("add row %d: %v", i, err)
 			}
 		}
-		it, err := x.finish()
+		out, err := x.finish(nil)
 		if err != nil {
 			t.Fatalf("finish: %v", err)
 		}
-		var got []spillRow
-		for {
-			sr, ok, err := it.next()
+		// A sort that fit is its rows, sorted in place: only a merge carries
+		// the records' seqs.
+		got := make([]spillRow, len(out.rows))
+		for i, row := range out.rows {
+			got[i] = spillRow{seq: ref[i].seq, row: row}
+		}
+		for out.merge != nil {
+			sr, ok, err := out.merge.next()
 			if err != nil {
 				t.Fatalf("merge next: %v", err)
 			}

@@ -127,8 +127,8 @@ func sameGroups(t *testing.T, where string, got []value.Row, want *groupTable) {
 // entry that crosses the budget and keeps what it charged; with one it
 // reports errRefused and holds what it admitted, inside the budget, until it
 // releases it — then the budget is back at what other operators hold. The
-// sorter never fails: without a manager it is unaccounted, with one it
-// flushes runs to stay inside the budget.
+// sorter aborts the same way without a manager, charged its whole buffer;
+// with one it never fails: it flushes runs to stay inside the budget.
 func TestStoreAdmission(t *testing.T) {
 	const prior, budget = 100, 600
 	rows := keyedValuesPlan("t", 64, 64).Rows
@@ -150,11 +150,15 @@ func TestStoreAdmission(t *testing.T) {
 			return &tab.adm, tab.build(rows, 1)
 		}},
 		{"sorter", nil, func(gov *governor, mgr *storage.SpillManager) (*admission, error) {
-			x := &extSorter{gov: gov, mgr: mgr, op: "sort", par: 1, cmp: func(a, b value.Row) int { return value.OrderKey(a[1], b[1]) }}
-			err := x.addAll(append([]value.Row(nil), rows...))
-			if err == nil {
-				_, err = x.finish()
+			x := newSorter(gov, mgr, nil, "sort", 1, func(a, b value.Row) int { return value.OrderKey(a[1], b[1]) })
+			var err error
+			if mgr == nil {
+				err = x.addAll(append([]value.Row(nil), rows...))
 			}
+			for i := 0; i < len(rows) && mgr != nil && err == nil; i++ {
+				err = x.add(rows[i], rowStateBytes(rows[i]))
+			}
+			_, err = x.finish(err)
 			if cerr := x.close(); err == nil {
 				err = cerr
 			}
@@ -178,11 +182,7 @@ func TestStoreAdmission(t *testing.T) {
 				adm, err := st.fill(gov, mgr)
 				used := gov.used.Load()
 				switch {
-				case st.refuse == nil && !spill:
-					if err != nil || used != prior {
-						t.Fatalf("unaccounted sort: err=%v used=%d, want nil and %d", err, used, prior)
-					}
-				case st.refuse == nil:
+				case st.refuse == nil && spill:
 					if err != nil || used > budget || mgr.Created() == 0 || mgr.Live() != 0 {
 						t.Fatalf("external sort: err=%v used=%d (budget %d) files=%d live=%d",
 							err, used, budget, mgr.Created(), mgr.Live())

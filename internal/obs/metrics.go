@@ -46,8 +46,10 @@ type OpMetrics struct {
 	// its table refused — summed across recursion levels; 0 when it
 	// stayed in memory.
 	SpillParts atomic.Int64
-	// SortRuns counts the sorted runs an external sort wrote to disk; 0
-	// when the sort fit in memory.
+	// SortRuns counts the runs the operator handed its external sorter —
+	// a sort's sorted buffers, a grace join's joined rows per partition, a
+	// spilled grouping's groups per level — and the runs it merged them
+	// into; 0 when the operator stayed in memory.
 	SortRuns atomic.Int64
 	// Retries counts re-attempted link shipments for an exchange operator
 	// (attempts beyond each shipment's first); 0 outside the distributed
