@@ -11,7 +11,9 @@ import (
 // a 512-byte budget forces the stateful operators with more than a handful of
 // entries to disk: the hash join partitions (grace join), a grouping of the
 // Fact rows' 101 V values externalizes, and a bare ORDER BY runs as an
-// external merge sort. A grouping of the eight Dim labels fits and hashes.
+// external merge sort. A grouping of the eight Dim labels over the grace join
+// externalizes too: while it reads the join's output, the merge of the join's
+// runs holds the budget in file buffers.
 // The data is generated, not random, so the spill byte counts in the goldens
 // are exact.
 func newSpillEngine(t *testing.T) *Engine {

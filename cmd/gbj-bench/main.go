@@ -15,7 +15,7 @@
 //	gbj-bench -parallelism -1  # parallel execution, one worker per CPU
 //	gbj-bench -vectorize       # columnar batch execution (identical rows)
 //	gbj-bench -nodes 4         # cluster size for the distributed experiment (E12)
-//	gbj-bench -shards 8        # hash shards per table (power of two; 0 = one per node)
+//	gbj-bench -shards 8        # hash shards per table (power of two; 0 = the default)
 //	gbj-bench -timeout 30s     # per-measurement deadline
 //	gbj-bench -mem-budget 1048576  # per-execution state-byte cap; an
 //	                               # over-budget eager plan degrades to the

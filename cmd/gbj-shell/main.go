@@ -12,8 +12,9 @@
 //
 // With -nodes above 1 the engine runs every query on a simulated cluster:
 // base tables are hash-partitioned across the nodes (into -shards
-// power-of-two shards, one per node by default) and plans ship rows
-// through byte-accounted exchange operators. Bad flag values — a
+// power-of-two shards; by default one per node, or at least eight per node
+// when the node count is not a power of two) and plans ship rows through
+// byte-accounted exchange operators. Bad flag values — a
 // parallelism below -1, a node count below 1, a non-power-of-two shard
 // count — are rejected at startup (exit 2), never clamped.
 //

@@ -220,7 +220,7 @@ func TestQueryOptionsBudgetHonouredDistributed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := e.prepare(q, &QueryOptions{Serial: true}, nil)
+		p, err := e.prepare("", q, &QueryOptions{Serial: true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func TestSerialQueryRunsSitesInTurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range []*QueryOptions{nil, {}, {MemoryBudget: 1 << 20}, {Serial: true}} {
-		p, err := e.prepare(q, o, nil)
+		p, err := e.prepare("", q, o, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,7 +119,7 @@ type settings struct {
 	parallelism  int
 	vectorize    bool
 	nodes        int // 0 and 1 both mean single-site
-	shards       int // 0 means one shard per node, rounded up to a power of two
+	shards       int // 0 means dist.NewCluster's default shard count
 	distStrategy DistStrategy
 	memBudget    int64
 	spillDir     string
@@ -492,12 +492,8 @@ type QueryOptions struct {
 // scheduling quantum of every worker), joins all goroutines, and returns the
 // context's error.
 func (e *Engine) QueryOptionsContext(ctx context.Context, text string, o *QueryOptions) (*Result, error) {
-	q, err := sql.ParseQuery(text)
-	if err != nil {
-		return nil, err
-	}
 	var sink boxSink
-	if _, err := e.query(ctx, q, o, false, &sink); err != nil {
+	if _, err := e.query(ctx, text, nil, o, false, &sink); err != nil {
 		return nil, err
 	}
 	return sink.result(), nil
@@ -524,18 +520,15 @@ func (e *Engine) QueryStreamContext(ctx context.Context, text string, o *QueryOp
 	if sink == nil {
 		return errors.New("gbj: QueryStreamContext needs a sink for the rows")
 	}
-	q, err := sql.ParseQuery(text)
-	if err != nil {
-		return err
-	}
-	_, err = e.query(ctx, q, o, false, sink)
+	_, err := e.query(ctx, text, nil, o, false, sink)
 	return err
 }
 
 // query is the one path every SELECT entry takes: convert the host
-// variables, prepare the plan and snapshot, run the execution ladder. It
-// returns what the answering rung ran; its rows went to sink.
-func (e *Engine) query(ctx context.Context, q *sql.SelectStmt, o *QueryOptions, instrument bool, sink RowSink) (outcome, error) {
+// variables, prepare the plan and snapshot, run the execution ladder. The
+// query comes as text or as q, its parse, as prepare takes it. It returns
+// what the answering rung ran; its rows went to sink.
+func (e *Engine) query(ctx context.Context, text string, q *sql.SelectStmt, o *QueryOptions, instrument bool, sink RowSink) (outcome, error) {
 	var params expr.Params
 	if o != nil {
 		var err error
@@ -543,7 +536,7 @@ func (e *Engine) query(ctx context.Context, q *sql.SelectStmt, o *QueryOptions, 
 			return outcome{}, err
 		}
 	}
-	p, err := e.prepare(q, o, params)
+	p, err := e.prepare(text, q, o, params)
 	if err != nil {
 		return outcome{}, err
 	}
@@ -565,14 +558,37 @@ type prepared struct {
 }
 
 // prepare chooses the plan (through the plan cache) and captures the
-// query's settings, data snapshot and cluster, all under one read lock.
-func (e *Engine) prepare(q *sql.SelectStmt, o *QueryOptions, params expr.Params) (prepared, error) {
+// query's settings, data snapshot and cluster, all under one read lock. A
+// caller with the query's text passes it and a nil q: a text the cache knows
+// is served without a parse, and any other is parsed outside the lock, then
+// chosen and aliased (gbj_cache.go). A caller with only a parse passes q and
+// an empty text, which the cache's text key never sees.
+func (e *Engine) prepare(text string, q *sql.SelectStmt, o *QueryOptions, params expr.Params) (prepared, error) {
+	if q == nil {
+		e.mu.RLock()
+		if c := e.cachedText(text); c != nil {
+			defer e.mu.RUnlock()
+			return e.capture(c, o, params)
+		}
+		e.mu.RUnlock()
+		var err error
+		if q, err = sql.ParseQuery(text); err != nil {
+			return prepared{}, err
+		}
+	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	c, err := e.choose(q)
+	c, err := e.choose(q, text)
 	if err != nil {
 		return prepared{}, err
 	}
+	return e.capture(c, o, params)
+}
+
+// capture is the rest of prepare once the plan is known: the query's
+// settings, snapshot and cluster. Caller holds e.mu.
+func (e *Engine) capture(c *core.Choice, o *QueryOptions, params expr.Params) (prepared, error) {
+	var err error
 	p := prepared{choice: c, set: e.set.with(o), store: e.store.Snapshot(), params: params}
 	if p.set.nodes > 1 {
 		if p.cluster, err = e.clusterFor(); err != nil {
@@ -760,7 +776,7 @@ func (e *Engine) Explain(text string) (string, error) {
 func (e *Engine) explain(q *sql.SelectStmt) (string, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	c, err := e.choose(q)
+	c, err := e.choose(q, "")
 	if err != nil {
 		return "", err
 	}
@@ -820,7 +836,7 @@ func (e *Engine) QueryAnalyzedContext(ctx context.Context, text string, o *Query
 		return nil, err
 	}
 	var sink boxSink
-	out, err := e.query(ctx, q, o, true, &sink)
+	out, err := e.query(ctx, "", q, o, true, &sink)
 	if err != nil {
 		return nil, err
 	}

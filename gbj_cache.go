@@ -4,10 +4,23 @@ package gbj
 // costing both shapes, static verification — is pure CPU work repeated
 // verbatim for every occurrence of the same query text, which is exactly
 // the traffic shape a multi-session server sees. The cache memoizes the
-// core.Choice keyed by the canonical query alone (sql.Canonical, which
-// re-parses to the same tree, so distinct queries never share a key).
+// core.Choice under two keys, tried in turn:
 //
-// The key needs nothing else because of one invariant: every engine write
+//   - the exact query text, looked up under the read lock prepare takes
+//     anyway: a hit goes straight to execution, with no lexing, parsing or
+//     rendering. Identical texts parse identically, so this key needs no
+//     argument of its own.
+//   - the canonical query (sql.Canonical, which re-parses to the same tree,
+//     so distinct queries never share a key), rendered after a parse
+//     outside the lock when the text misses. Spellings of one query that
+//     differ in case, white space or redundant parentheses share its one
+//     plan, and the text that reached it becomes an alias of the entry
+//     (core.PlanCache bounds the aliases and drops them with their entry).
+//
+// Hits count queries that were not re-planned, a text answered by the
+// canonical key included; misses count plan selections.
+//
+// The keys need nothing else because of one invariant: every engine write
 // — DDL, DML, a CSV load, a setter — runs through Engine.write, which
 // empties the cache before it releases the write lock, on success and on
 // error. Lookups and inserts run under the read lock, so an entry is only
@@ -66,21 +79,39 @@ func (e *Engine) write(fn func() error) error {
 }
 
 // choose is the engine's one plan decision, core.Optimizer.Choose, behind
-// the plan cache: what a query runs and what EXPLAIN prints. Caller holds
-// e.mu (read suffices), which keeps write — and its clear — out between the
-// lookup and the insert.
-func (e *Engine) choose(q *sql.SelectStmt) (*core.Choice, error) {
+// the plan cache's canonical key: what a query runs and what EXPLAIN prints.
+// A non-empty text is q's exact text, and becomes an alias of q's entry once
+// q has one. Caller holds e.mu (read suffices), which keeps write — and its
+// clear — out between the lookup and the insert.
+func (e *Engine) choose(q *sql.SelectStmt, text string) (*core.Choice, error) {
 	if e.planCache == nil {
 		return e.opt.Choose(q)
 	}
 	key := sql.Canonical(q)
-	if v, ok := e.planCache.Get(key); ok {
-		return v.(*core.Choice), nil
+	v, ok := e.planCache.Get(key)
+	if !ok {
+		c, err := e.opt.Choose(q)
+		if err != nil {
+			return nil, err
+		}
+		e.planCache.Put(key, c)
+		v = c
 	}
-	c, err := e.opt.Choose(q)
-	if err != nil {
-		return nil, err
+	if text != "" {
+		e.planCache.Alias(text, key)
 	}
-	e.planCache.Put(key, c)
-	return c, nil
+	return v.(*core.Choice), nil
+}
+
+// cachedText is the plan cache's answer for a query's exact text, nil when
+// caching is off or the text is no alias. Caller holds e.mu.
+func (e *Engine) cachedText(text string) *core.Choice {
+	if e.planCache == nil {
+		return nil
+	}
+	v, ok := e.planCache.GetText(text)
+	if !ok {
+		return nil
+	}
+	return v.(*core.Choice)
 }

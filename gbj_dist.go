@@ -113,7 +113,8 @@ func (e *Engine) SetNodes(n int) error {
 // SetShards selects how many hash partitions each base table splits into
 // (shard k lives on node k mod nodes). The count must be a power of two —
 // so doubling the cluster only moves whole shards — and at least 1; 0
-// restores the default, the node count rounded up to a power of two.
+// restores the default: the node count when it is a power of two, else
+// the smallest power of two of at least eight shards a node.
 func (e *Engine) SetShards(n int) error {
 	if n < 0 {
 		return fmt.Errorf("gbj: shard count must be at least 1, got %d", n)

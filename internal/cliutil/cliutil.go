@@ -34,7 +34,7 @@ var engineFlagHelp = map[string]string{
 	"parallelism":  "executor workers (0=serial, -1=one per CPU)",
 	"vectorize":    "read stored tables as columnar batches (same rows, same order)",
 	"nodes":        "simulated cluster size (1 = single-site)",
-	"shards":       "hash shards per table, a power of two (0 = one per node)",
+	"shards":       "hash shards per table, a power of two (0 = one per node, at least 8 per node at a node count that is not a power of two)",
 	"link-retries": "per-shipment link retry budget for distributed runs (0 = fail fast)",
 	"mem-budget":   "per-query operator-state byte cap (0 = unlimited)",
 	"spill-dir":    "directory for spill temp files; with a memory budget set, over-budget operators spill to disk instead of degrading (empty = spilling off)",

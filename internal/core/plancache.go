@@ -2,9 +2,16 @@ package core
 
 // PlanCache is the bounded LRU behind the engine's plan cache. It maps an
 // opaque key — the engine uses the canonical query text — to an opaque
-// planned value. The cache itself knows nothing about plans: eviction
-// order, the capacity bound and the obs counters live here; keeping entries
-// fresh stays with the engine, which clears the cache on every write.
+// planned value, and in front of the keys it keeps a second map: aliases,
+// exact texts known to key an entry, so that a lookup by the text a client
+// sent needs no parse. The cache itself knows nothing about plans: eviction
+// order, the capacity bounds and the obs counters live here; keeping
+// entries fresh stays with the engine, which clears the cache on every
+// write.
+//
+// An alias belongs to its entry: it goes when the entry is evicted or the
+// cache cleared, and there are at most capacity aliases, the least recently
+// used going first, so no stream of distinct texts grows the cache.
 //
 // All methods are safe for concurrent use; every session's lookups go
 // through one shared instance.
@@ -22,12 +29,22 @@ type PlanCache struct {
 	cap     int
 	order   *list.List // front = most recently used
 	entries map[string]*list.Element
-	stats   *obs.CacheStats
+	// aliasOrder holds *alias values, front = most recently used; aliases
+	// indexes them by text.
+	aliasOrder *list.List
+	aliases    map[string]*list.Element
+	stats      *obs.CacheStats
 }
 
 type cacheEntry struct {
 	key string
 	val any
+}
+
+// alias is one exact text and the element of the entry its parse keys.
+type alias struct {
+	text  string
+	entry *list.Element
 }
 
 // NewPlanCache returns a cache bounded to capacity entries. A nil stats is
@@ -42,10 +59,12 @@ func NewPlanCache(capacity int, stats *obs.CacheStats) *PlanCache {
 		stats = &obs.CacheStats{}
 	}
 	return &PlanCache{
-		cap:     capacity,
-		order:   list.New(),
-		entries: make(map[string]*list.Element),
-		stats:   stats,
+		cap:        capacity,
+		order:      list.New(),
+		entries:    make(map[string]*list.Element),
+		aliasOrder: list.New(),
+		aliases:    make(map[string]*list.Element),
+		stats:      stats,
 	}
 }
 
@@ -64,8 +83,47 @@ func (c *PlanCache) Get(key string) (any, bool) {
 	return el.Value.(*cacheEntry).val, true
 }
 
+// GetText returns the value of the entry text is an alias of, marking both
+// most recently used. A hit counts as one; a miss counts nothing, because
+// the caller goes on to look the text's key up with Get, which counts.
+func (c *PlanCache) GetText(text string) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	al, ok := c.aliases[text]
+	if !ok {
+		return nil, false
+	}
+	c.aliasOrder.MoveToFront(al)
+	el := al.Value.(*alias).entry
+	c.order.MoveToFront(el)
+	c.stats.Hit()
+	return el.Value.(*cacheEntry).val, true
+}
+
+// Alias makes text an alias of key's entry, so that GetText(text) answers
+// what Get(key) does, until the entry goes or the alias is the least
+// recently used of more than capacity. Without an entry for key it does
+// nothing.
+func (c *PlanCache) Alias(text, key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return
+	}
+	if al, ok := c.aliases[text]; ok {
+		al.Value.(*alias).entry = el
+		c.aliasOrder.MoveToFront(al)
+		return
+	}
+	c.aliases[text] = c.aliasOrder.PushFront(&alias{text: text, entry: el})
+	if c.aliasOrder.Len() > c.cap {
+		c.dropAlias(c.aliasOrder.Back())
+	}
+}
+
 // Put inserts or replaces the value, evicting the least recently used
-// entry when the bound is exceeded.
+// entry, and its aliases, when the bound is exceeded.
 func (c *PlanCache) Put(key string, val any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -79,22 +137,44 @@ func (c *PlanCache) Put(key string, val any) {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).key)
+		for al := c.aliasOrder.Front(); al != nil; {
+			next := al.Next()
+			if al.Value.(*alias).entry == oldest {
+				c.dropAlias(al)
+			}
+			al = next
+		}
 		c.stats.Evict()
 	}
 }
 
-// Clear empties the cache and records one invalidation.
+// dropAlias removes one alias.
+func (c *PlanCache) dropAlias(al *list.Element) {
+	c.aliasOrder.Remove(al)
+	delete(c.aliases, al.Value.(*alias).text)
+}
+
+// Clear empties the cache, aliases included, and records one invalidation.
 func (c *PlanCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.order.Init()
 	c.entries = make(map[string]*list.Element)
+	c.aliasOrder.Init()
+	c.aliases = make(map[string]*list.Element)
 	c.stats.Invalidate()
 }
 
-// Len returns the number of live entries.
+// Len returns the number of live entries; aliases are not entries.
 func (c *PlanCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
+}
+
+// Aliases returns the number of live aliases.
+func (c *PlanCache) Aliases() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.aliases)
 }

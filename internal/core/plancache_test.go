@@ -80,3 +80,49 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		t.Fatalf("cache exceeded bound: %d", c.Len())
 	}
 }
+
+// An alias answers for its entry until the entry goes — evicted or cleared
+// — or more than capacity aliases push it out; a GetText miss counts
+// nothing, so a text answered by its key counts one hit.
+func TestPlanCacheAliases(t *testing.T) {
+	stats := &obs.CacheStats{}
+	c := NewPlanCache(2, stats)
+	c.Alias("select a", "a") // no entry yet: nothing to alias
+	if _, ok := c.GetText("select a"); ok || c.Aliases() != 0 {
+		t.Fatalf("an alias of a missing key answered (%d aliases)", c.Aliases())
+	}
+	c.Put("a", 1)
+	c.Alias("select a", "a")
+	c.Alias("SELECT a", "a")
+	if v, ok := c.GetText("select a"); !ok || v.(int) != 1 {
+		t.Fatalf("alias = %v, %v", v, ok)
+	}
+	if s := stats.Snapshot(); s.Hits != 1 || s.Misses != 0 {
+		t.Fatalf("hits/misses = %d/%d, want 1/0", s.Hits, s.Misses)
+	}
+	c.Put("a", 2) // replacing the value keeps the aliases
+	if v, ok := c.GetText("SELECT a"); !ok || v.(int) != 2 {
+		t.Fatalf("alias after replace = %v, %v", v, ok)
+	}
+
+	c.Alias("Select a", "a") // a third alias pushes out the least recently used
+	if _, ok := c.GetText("select a"); ok || c.Aliases() != 2 {
+		t.Fatalf("aliases exceed the capacity: %d", c.Aliases())
+	}
+
+	c.Put("b", 3)
+	c.Alias("select b", "b")
+	c.Put("c", 4) // evicts a, the LRU entry, and its aliases
+	for _, text := range []string{"SELECT a", "Select a"} {
+		if _, ok := c.GetText(text); ok {
+			t.Fatalf("%q outlived its entry", text)
+		}
+	}
+	if c.Aliases() != 1 || c.Len() != 2 {
+		t.Fatalf("%d aliases and %d entries, want 1 and 2", c.Aliases(), c.Len())
+	}
+	c.Clear()
+	if _, ok := c.GetText("select b"); ok || c.Aliases() != 0 {
+		t.Fatal("an alias survived Clear")
+	}
+}

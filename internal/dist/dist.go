@@ -167,8 +167,8 @@ type Cluster struct {
 }
 
 // NewCluster hash-partitions every base table of the store across n nodes
-// using s shards (shard k lives on node k mod n); s < 1 is the default, n
-// rounded up to a power of two. Each table partitions on
+// using s shards (shard k lives on node k mod n); s < 1 is the default,
+// defaultShards(n). Each table partitions on
 // its primary-key columns when it has a primary key, else on all columns;
 // either way the routing is a pure function of the row's canonical key
 // encoding, so repartitioning the same store is deterministic run to run.
@@ -177,7 +177,7 @@ func NewCluster(store *storage.Store, n, s int) (*Cluster, error) {
 		return nil, fmt.Errorf("dist: cluster needs at least 1 node, got %d", n)
 	}
 	if s < 1 {
-		s = 1 << bits.Len(uint(n-1))
+		s = defaultShards(n)
 	}
 	if s&(s-1) != 0 {
 		return nil, fmt.Errorf("dist: shard count must be a power of two, got %d", s)
@@ -205,6 +205,19 @@ func NewCluster(store *storage.Store, n, s int) (*Cluster, error) {
 		}
 	}
 	return c, nil
+}
+
+// defaultShards is the shard count of a cluster of n nodes when none is
+// given: n when it is a power of two, one shard per node; else the smallest
+// power of two of at least 8n. The k mod n placement then gives every node
+// at least eight whole shards and none more than one above another — within
+// an eighth of an even share (at 3 nodes, 11, 11 and 10 of 32) — where n
+// rounded up would give some nodes two shards and the rest one.
+func defaultShards(n int) int {
+	if n&(n-1) == 0 {
+		return n
+	}
+	return 1 << bits.Len(uint(8*n-1))
 }
 
 // partitionCols picks the column positions a table partitions on: the

@@ -165,17 +165,18 @@ func TestNewClusterRejectsBadTopology(t *testing.T) {
 	}
 }
 
-// TestDefaultShardsAnyNodeCount: with no shard count a cluster takes the node
-// count rounded up to a power of two, so three nodes run on four shards and
-// both plans of Example 1 return the reference evaluator's rows.
+// TestDefaultShardsAnyNodeCount: with no shard count a cluster of a node
+// count that is not a power of two takes the smallest power of two of at
+// least eight shards a node, so three nodes run on 32 shards and both plans
+// of Example 1 return the reference evaluator's rows.
 func TestDefaultShardsAnyNodeCount(t *testing.T) {
 	store := exampleStore(t, 300, 7)
 	cl, err := dist.NewCluster(store, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.Nodes() != 3 || cl.Shards() != 4 {
-		t.Fatalf("%d nodes on %d shards, want 3 on 4", cl.Nodes(), cl.Shards())
+	if cl.Nodes() != 3 || cl.Shards() != 32 {
+		t.Fatalf("%d nodes on %d shards, want 3 on 32", cl.Nodes(), cl.Shards())
 	}
 	for pi, plan := range plansFor(t, store, workload.Example1Query) {
 		want, err := workload.RefEval(plan, store, nil)
@@ -247,5 +248,34 @@ func BenchmarkRowBytes(b *testing.B) {
 	}
 	if total != int64(b.N)*dist.RowBytes(row) {
 		b.Fatal("RowBytes is not a function of the row")
+	}
+}
+
+// TestDefaultShardsBalanceNodes: under the default shard count every node of
+// a cluster of 3, 5 or 6 nodes holds within 15 % of an even share of the
+// 3 000 Employee rows, and a power-of-two node count keeps one shard a node.
+func TestDefaultShardsBalanceNodes(t *testing.T) {
+	const rows = 3000
+	store := exampleStore(t, rows, 7)
+	for _, n := range []int{3, 5, 6} {
+		cl, err := dist.NewCluster(store, n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		even := float64(rows) / float64(n)
+		for i := 0; i < n; i++ {
+			if got := float64(len(cl.Node(i).TableRows("Employee"))); got < 0.85*even || got > 1.15*even {
+				t.Errorf("%d nodes on %d shards: node %d holds %.0f rows, want %.0f within 15%%", n, cl.Shards(), i, got, even)
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 4, 8} {
+		cl, err := dist.NewCluster(store, n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cl.Shards() != n {
+			t.Errorf("%d nodes on %d shards, want %d", n, cl.Shards(), n)
+		}
 	}
 }

@@ -102,6 +102,19 @@ func newPartitionFiles(mgr *storage.SpillManager, gov *governor, metrics *obs.Op
 	return parts
 }
 
+// sealAll seals the partition files of a finished scatter, so the ones
+// waiting their turn hold no write buffer.
+func sealAll(parts ...[]*spillFile) error {
+	for _, files := range parts {
+		for _, f := range files {
+			if err := f.seal(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // grace is one level of the grace join: the build rows and the probe stream
 // are scattered to partition files by the depth's hash field, then each
 // partition pair is joined into x and discarded.
@@ -129,6 +142,9 @@ func (j *hashJoinOp) grace(build []spillRow, probe rowFeed, depth int, x *extSor
 		key = appendKey(key[:0], sr.row, j.lcols)
 		return pparts[gracePartition(key, depth)].writeRecord(sr.seq, sr.row)
 	})
+	if err == nil {
+		err = sealAll(bparts, pparts)
+	}
 	if err != nil {
 		return err
 	}
@@ -179,7 +195,7 @@ func (j *hashJoinOp) joinPartition(bf, pf *spillFile, depth int, x *extSorter) e
 	if err != nil {
 		return err
 	}
-	err = x.addRun(func(run *spillFile) error {
+	return x.addRun(func(run *spillFile) error {
 		var seq int64 // of the probe record being joined
 		probe := j.probeInto(make(value.Row, j.width), func(joined value.Row) error {
 			return run.writeRecord(seq, joined)
@@ -188,12 +204,7 @@ func (j *hashJoinOp) joinPartition(bf, pf *spillFile, depth int, x *extSorter) e
 			seq = sr.seq
 			return probe(sr.row)
 		})
-	})
-	if err != nil {
-		return err
-	}
-	j.table.adm.release()
-	return nil
+	}, j.table.adm.release)
 }
 
 // spilledGroups is the hash grouping of a spill-capable run with grouping
@@ -249,6 +260,9 @@ func (s *spilledGroups) level(feed rowFeed, depth int) (*groupTable, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := sealAll(parts); err != nil {
+		return nil, err
+	}
 	s.recordBuild(t.n, t.index.KeyBytes())
 	if parts == nil && depth == 0 {
 		return t, nil
@@ -265,11 +279,10 @@ func (s *spilledGroups) level(feed rowFeed, depth int) (*groupTable, error) {
 			}
 		}
 		return nil
-	})
+	}, t.adm.release)
 	if err != nil {
 		return nil, err
 	}
-	t.adm.release()
 	for _, pf := range parts {
 		if err := pf.startRead(); err != nil {
 			return nil, err

@@ -191,7 +191,7 @@ func (s *spillFile) writeRecord(seq int64, row value.Row) error {
 		if err != nil {
 			return &SpillError{Op: s.op, Stage: "create", Err: err}
 		}
-		s.f, s.w = f, bufio.NewWriter(f)
+		s.f, s.w = f, bufio.NewWriterSize(f, s.gov.spillBufSize())
 	}
 	s.scratch = appendSpillRow(s.scratch[:0], seq, row)
 	if err := s.gov.diskTick(); err != nil {
@@ -215,18 +215,33 @@ func (s *spillFile) writeRecord(seq int64, row value.Row) error {
 	return nil
 }
 
-// startRead flushes pending writes and rewinds for sequential reads.
+// seal ends the writes: the buffered records go to the file and the write
+// buffer is dropped, so a file waiting to be read holds no buffer.
+// Idempotent.
+func (s *spillFile) seal() error {
+	if s.w == nil {
+		return nil
+	}
+	err := s.w.Flush()
+	s.w = nil
+	if err != nil {
+		return &SpillError{Op: s.op, Stage: "flush", Err: err}
+	}
+	return nil
+}
+
+// startRead seals the file and rewinds it for sequential reads.
 func (s *spillFile) startRead() error {
 	if s.f == nil {
 		return nil
 	}
-	if err := s.w.Flush(); err != nil {
-		return &SpillError{Op: s.op, Stage: "flush", Err: err}
+	if err := s.seal(); err != nil {
+		return err
 	}
 	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
 		return &SpillError{Op: s.op, Stage: "seek", Err: err}
 	}
-	s.r, s.w = bufio.NewReader(s.f), nil
+	s.r = bufio.NewReaderSize(s.f, s.gov.spillBufSize())
 	return nil
 }
 
@@ -252,7 +267,7 @@ func (s *spillFile) discard() error {
 	if s.gone || s.f == nil {
 		return nil
 	}
-	s.gone = true
+	s.gone, s.r, s.w = true, nil, nil
 	var first error
 	if err := s.gov.diskTick(); err != nil {
 		first = &SpillError{Op: s.op, Stage: "close", Err: err}
@@ -274,7 +289,8 @@ func (s *spillFile) discard() error {
 // when the budget refuses a row, a grace path hands over output that is
 // already in order as whole runs (addRun), and finish merges the runs;
 // records carry their arrival seq, so ties resolve across runs exactly as
-// within one and a consumer can tell which record came first.
+// within one and a consumer can tell which record came first. A merge's file
+// buffers are state too: the sorter charges them while the merge is open.
 type extSorter struct {
 	gov     *governor
 	mgr     *storage.SpillManager
@@ -293,6 +309,28 @@ type extSorter struct {
 // mergeFanIn is the most runs a merge reads at once.
 const mergeFanIn = 64
 
+// Bounds of a spill file's one I/O buffer — its writer until it is sealed,
+// then its reader until it is discarded —, sized so that the mergeFanIn+1
+// buffers of a merge that writes a run fit the budget.
+const (
+	minSpillBuf = 64
+	maxSpillBuf = 4096
+)
+
+// spillBufSize is the size of a spill file's I/O buffer under g's budget.
+// Nil-safe.
+func (g *governor) spillBufSize() int {
+	if g == nil || g.budget <= 0 {
+		return maxSpillBuf
+	}
+	return int(min(max(g.budget/(mergeFanIn+1), minSpillBuf), maxSpillBuf))
+}
+
+// minRun is the fewest rows a run of add's holds when the budget refuses
+// even an empty buffer: the run is admitted uncharged, one morsel of rows,
+// rather than one file per row.
+const minRun = MorselSize
+
 func newSorter(gov *governor, mgr *storage.SpillManager, metrics *obs.OpMetrics, op string, par int, cmp func(a, b value.Row) int) *extSorter {
 	return &extSorter{gov: gov, mgr: mgr, metrics: metrics, op: op, par: par, cmp: cmp, adm: admissionFor(gov, mgr, op)}
 }
@@ -303,11 +341,13 @@ func bySeq(value.Row, value.Row) int { return 0 }
 
 // add buffers one row accounted at bytes. Without a manager a breach aborts;
 // with one the buffer is flushed as a sorted run when the budget refuses the
-// row, and a row too large for the whole budget is admitted uncharged: the
-// external sort degrades accounting before it ever fails.
+// row. When the budget refuses even an empty buffer — a row wider than the
+// budget, or a budget other state holds — rows are admitted uncharged until
+// the buffer holds minRun of them: the external sort degrades accounting
+// before it ever fails, and still writes runs of a morsel, not of a row.
 func (x *extSorter) add(row value.Row, bytes int64) error {
 	err := x.adm.charge(bytes)
-	if err == errRefused && len(x.buf) > 0 {
+	if err == errRefused && len(x.buf) > 0 && (x.adm.held > 0 || len(x.buf) >= minRun) {
 		if err = x.flushRun(); err == nil {
 			err = x.adm.charge(bytes)
 		}
@@ -339,32 +379,31 @@ func (x *extSorter) flushRun() error {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return x.cmp(x.buf[order[a]], x.buf[order[b]]) < 0 })
-	err := x.addRun(func(run *spillFile) error {
+	return x.addRun(func(run *spillFile) error {
 		for _, i := range order {
 			if err := run.writeRecord(x.base+int64(i), x.buf[i]); err != nil {
 				return err
 			}
 		}
 		return nil
+	}, func() {
+		x.adm.release()
+		x.base += int64(len(x.buf))
+		x.buf = x.buf[:0]
 	})
-	if err != nil {
-		return err
-	}
-	x.adm.release()
-	x.base += int64(len(x.buf))
-	x.buf = x.buf[:0]
-	return nil
 }
 
 // addRun writes one run through fill, which writes its records in merge
-// order. The runs merge as the digits of their count in base mergeFanIn
-// carry: each mergeFanIn-th run merges with the mergeFanIn-1 before it into
-// one, and so on up, so a sorter holds fewer than mergeFanIn runs of each
-// generation.
-func (x *extSorter) addRun(fill func(run *spillFile) error) error {
+// order, then calls release, which gives back the state the run was made
+// from, and merges: the runs merge as the digits of their count in base
+// mergeFanIn carry — each mergeFanIn-th run merges with the mergeFanIn-1
+// before it into one, and so on up — so a sorter holds fewer than mergeFanIn
+// runs of each generation, and a merge runs with the run's state released.
+func (x *extSorter) addRun(fill func(run *spillFile) error, release func()) error {
 	if err := x.writeRun(fill); err != nil {
 		return err
 	}
+	release()
 	x.added++
 	for n := x.added; n%mergeFanIn == 0; n /= mergeFanIn {
 		if err := x.mergeTail(); err != nil {
@@ -374,21 +413,27 @@ func (x *extSorter) addRun(fill func(run *spillFile) error) error {
 	return nil
 }
 
-// writeRun appends a run written by fill. A run fill writes nothing to has no
-// file, but it counts: a grace path hands over a run per partition, so the
-// count follows the partitioning, not the hash.
+// writeRun appends a run written, and sealed, by fill. A run fill writes
+// nothing to has no file, but it counts: a grace path hands over a run per
+// partition, so the count follows the partitioning, not the hash.
 func (x *extSorter) writeRun(fill func(run *spillFile) error) error {
 	run := newSpillFile(x.mgr, x.gov, x.metrics, x.op, "run")
 	x.runs = append(x.runs, run)
 	if x.metrics != nil {
 		x.metrics.SortRuns.Add(1)
 	}
-	return fill(run)
+	if err := fill(run); err != nil {
+		return err
+	}
+	return run.seal()
 }
 
-// mergeTail merges the last mergeFanIn runs into one, which takes their place.
+// mergeTail merges the last mergeFanIn runs into one, which takes their
+// place, charging their buffers and the new run's while it writes.
 func (x *extSorter) mergeTail() error {
 	from := len(x.runs) - mergeFanIn
+	x.chargeBuffers(mergeFanIn + 1)
+	defer x.adm.release()
 	it, err := mergeRuns(x.runs[from:], x.cmp)
 	if err == nil {
 		err = x.writeRun(func(run *spillFile) error {
@@ -402,10 +447,20 @@ func (x *extSorter) mergeTail() error {
 	return nil
 }
 
+// chargeBuffers admits the I/O buffers of files open spill files, uncharged
+// when the budget refuses them, as add admits a row. A merge charges them
+// when the sorter holds nothing else, and release gives them back.
+func (x *extSorter) chargeBuffers(files int) {
+	if x.adm.charge(int64(files*x.gov.spillBufSize())) == errRefused {
+		x.adm.refused = false
+	}
+}
+
 // finish ends the input phase, which ended with err, and returns the sorter's
 // rows in order: with no runs on disk the buffer, sorted in place; otherwise
 // the buffer becomes the last run and the runs — at most mergeFanIn of them —
-// are k-way merged, streaming. On any error the runs are discarded.
+// are k-way merged, streaming, their buffers charged until the merge is
+// drained or closed. On any error the runs are discarded.
 func (x *extSorter) finish(err error) (out opened, _ error) {
 	switch {
 	case err == nil && len(x.runs) == 0:
@@ -417,12 +472,14 @@ func (x *extSorter) finish(err error) (out opened, _ error) {
 		err = x.mergeTail()
 	}
 	if err == nil {
+		x.chargeBuffers(len(x.runs))
 		out.merge, err = mergeRuns(x.runs, x.cmp)
 	}
 	if err != nil {
 		x.close()
 		return opened{}, err
 	}
+	out.merge.release = x.adm.release
 	return out, nil
 }
 
@@ -451,6 +508,17 @@ type runHead struct {
 type mergeIter struct {
 	heap binHeap[runHead]
 	runs []*spillFile // every run, discarded by close
+	// release, when set, gives the merge's buffers back to the budget once
+	// the merge is drained or closed.
+	release func()
+}
+
+// done calls release once.
+func (m *mergeIter) done() {
+	if m.release != nil {
+		m.release()
+		m.release = nil
+	}
 }
 
 // mergeRuns starts the merge of runs, reading each one's first record.
@@ -494,6 +562,7 @@ func (m *mergeIter) close() error {
 	if m == nil {
 		return nil
 	}
+	m.done()
 	return discardAll(m.runs)
 }
 
@@ -502,6 +571,7 @@ func (m *mergeIter) close() error {
 // file left.
 func (m *mergeIter) next() (spillRow, bool, error) {
 	if len(m.heap.items) == 0 {
+		m.done()
 		return spillRow{}, false, nil
 	}
 	head := &m.heap.items[0]

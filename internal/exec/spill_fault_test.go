@@ -3,6 +3,7 @@ package exec
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"errors"
 	"io"
 	"strings"
@@ -27,14 +28,18 @@ import (
 // untyped error — and must never leave a temp file behind.
 func TestSpillOperatorDiskFaults(t *testing.T) {
 	s := fixture(t)
-	// A budget below one row's state forces every operator to spill
-	// immediately, so writes, reads and closes all happen.
+	// A budget below one row's state forces the hash operators to spill
+	// immediately, so writes, reads and closes all happen. A sort refused an
+	// empty buffer holds a minimum run uncharged, more rows than the fixture
+	// has, so the sorts run under a budget of one row: every row is a run.
 	const budget = 64
+	oneRow := rowStateBytes(make(value.Row, 3))
 
 	cases := []struct {
-		name string
-		plan algebra.Node
-		opts Options
+		name   string
+		plan   algebra.Node
+		opts   Options
+		budget int64 // 0: budget
 	}{
 		{
 			name: "external-sort",
@@ -42,6 +47,7 @@ func TestSpillOperatorDiskFaults(t *testing.T) {
 				Input: scanOf(t, s, "Employee", "E"),
 				Keys:  []algebra.SortItem{{Col: expr.ColumnID{Table: "E", Name: "Salary"}}},
 			},
+			budget: oneRow,
 		},
 		{
 			name: "external-aggregation",
@@ -60,7 +66,8 @@ func TestSpillOperatorDiskFaults(t *testing.T) {
 				Input: scanOf(t, s, "Employee", "E"),
 				Keys:  []algebra.SortItem{{Col: expr.ColumnID{Table: "E", Name: "Salary"}}},
 			},
-			opts: Options{Vectorize: true},
+			opts:   Options{Vectorize: true},
+			budget: oneRow,
 		},
 		{
 			name: "external-aggregation, vectorized",
@@ -90,6 +97,7 @@ func TestSpillOperatorDiskFaults(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
+			budget := cmp.Or(tc.budget, budget)
 
 			// The reference: the same spilling plan with no faults. It must
 			// actually spill, or the sweep below exercises nothing.

@@ -2,10 +2,11 @@ package gbj
 
 // Plan-cache correctness at the engine level: the invalidation matrix
 // (every kind of engine write — DDL, DML, a CSV load, a script, a failed
-// Exec, each setter — empties the cache) proving no stale plan is ever
-// served, the canonical key keeping distinct queries apart, and the
-// verification gate proving a plan whose TestFD certificate does not
-// survive verification is never cached.
+// Exec, each setter — empties the cache, the exact-text aliases with it)
+// proving no stale plan is ever served, the canonical key keeping distinct
+// queries apart and spellings of one query together, the aliases bounded and
+// never made by a failure, and the verification gate proving a plan whose
+// TestFD certificate does not survive verification is never cached.
 
 import (
 	"context"
@@ -22,7 +23,14 @@ import (
 // queryCounts runs example1Query and returns DeptID -> COUNT.
 func queryCounts(t *testing.T, e *Engine) map[int64]int64 {
 	t.Helper()
-	res, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
+	return queryCountsOf(t, e, example1Query)
+}
+
+// queryCountsOf runs text, a spelling of example1Query, and returns
+// DeptID -> COUNT.
+func queryCountsOf(t *testing.T, e *Engine, text string) map[int64]int64 {
+	t.Helper()
+	res, err := e.QueryOptionsContext(context.Background(), text, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,9 +251,144 @@ func TestPlanCacheSeparatesLookalikeQueries(t *testing.T) {
 	}
 }
 
+// example1Spellings are texts of example1Query that differ only where the
+// canonical key does not look: keyword case, white space and redundant
+// parentheses.
+var example1Spellings = []string{
+	example1Query,
+	`select D.DeptID, D.Name, count(E.EmpID) from Employee E, Department D where E.DeptID = D.DeptID group by D.DeptID, D.Name`,
+	"SELECT D.DeptID,D.Name,COUNT(E.EmpID)\n\tFROM Employee E,Department D WHERE E.DeptID=D.DeptID GROUP BY D.DeptID,D.Name ",
+	`SELECT D.DeptID, D.Name, COUNT(E.EmpID) FROM Employee E, Department D WHERE (E.DeptID = D.DeptID) GROUP BY D.DeptID, D.Name`,
+}
+
+// Spellings of one query share one plan: the first is planned, each other is
+// answered by the canonical key and becomes an alias, and from then on every
+// spelling is answered by its exact text.
+func TestPlanCacheSpellingsShareOnePlan(t *testing.T) {
+	e := newExample1Engine(t)
+	e.SetPlanCacheSize(16)
+	for round := 0; round < 2; round++ {
+		for _, text := range example1Spellings {
+			if got := queryCountsOf(t, e, text); got[1] != 2 || got[2] != 3 || got[3] != 1 {
+				t.Fatalf("%q: %v", text, got)
+			}
+		}
+	}
+	n := len(example1Spellings)
+	if s := e.PlanCacheStats(); s.Misses != 1 || s.Hits != int64(2*n-1) {
+		t.Fatalf("stats %+v, want 1 miss and %d hits", s, 2*n-1)
+	}
+	if e.PlanCacheLen() != 1 || e.planCache.Aliases() != n {
+		t.Fatalf("%d plans and %d aliases, want 1 and %d", e.PlanCacheLen(), e.planCache.Aliases(), n)
+	}
+}
+
+// Every kind of write drops the aliases with the plans: right after it no
+// text is an alias, and the text that was one is re-planned against the
+// new state and returns its rows.
+func TestPlanCacheWritesDropAliases(t *testing.T) {
+	e := newExample1Engine(t)
+	e.SetPlanCacheSize(16)
+	text := example1Spellings[1]
+	writes := []struct {
+		name  string
+		write func()
+		dept1 int64
+	}{
+		{"INSERT", func() { e.MustExec(`INSERT INTO Employee VALUES (8, 'F', 'F', 1)`) }, 3},
+		{"SetVectorize", func() { e.SetVectorize(true) }, 3},
+		{"SetParallelism", func() { e.SetParallelism(4) }, 3},
+		{"SetDistStrategy", func() { e.SetDistStrategy(DistEager) }, 3},
+		{"SetSpillDir", func() { e.SetMemoryBudget(1 << 30); e.SetSpillDir(t.TempDir()) }, 3},
+		{"SetMode", func() { e.SetMode(ModeAlways) }, 3},
+		{"CREATE DOMAIN", func() { e.MustExec(`CREATE DOMAIN Positive INTEGER CHECK VALUE > 0`) }, 3},
+		{"CREATE VIEW", func() {
+			e.MustExec(`CREATE VIEW Sales AS SELECT E.EmpID FROM Employee E WHERE E.DeptID = 1`)
+		}, 3},
+		{"LoadCSV", func() {
+			if _, err := e.LoadCSV("Employee", strings.NewReader("10,H,H,1\n"), false); err != nil {
+				t.Fatal(err)
+			}
+		}, 4},
+		{"RunScriptContext", func() {
+			if err := e.RunScriptContext(context.Background(), `INSERT INTO Employee VALUES (11, 'I', 'I', 1)`, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}, 5},
+		{"failed Exec", func() {
+			if err := e.Exec(`INSERT INTO Employee VALUES (12, 'J', 'J', 1); INSERT INTO NoSuch VALUES (1)`); err == nil {
+				t.Fatal("Exec into a missing table succeeded")
+			}
+		}, 6},
+	}
+	queryCountsOf(t, e, text)
+	for _, w := range writes {
+		if e.planCache.Aliases() == 0 {
+			t.Fatalf("before %s: the text is no alias", w.name)
+		}
+		w.write()
+		if n := e.planCache.Aliases(); n != 0 {
+			t.Fatalf("%s left %d aliases", w.name, n)
+		}
+		misses := e.PlanCacheStats().Misses
+		if got := queryCountsOf(t, e, text); got[1] != w.dept1 {
+			t.Fatalf("after %s: dept 1 count = %d, want %d", w.name, got[1], w.dept1)
+		}
+		if s := e.PlanCacheStats(); s.Misses != misses+1 {
+			t.Fatalf("after %s: the text was not re-planned (misses %d -> %d)", w.name, misses, s.Misses)
+		}
+	}
+}
+
+// A text that fails to parse or to plan becomes no alias, and fails again
+// the next time.
+func TestPlanCacheFailuresMakeNoAlias(t *testing.T) {
+	e := newExample1Engine(t)
+	e.SetPlanCacheSize(16)
+	for _, text := range []string{
+		`SELECT FROM Employee WHERE`,                    // parse error
+		`SELECT E.EmpID FROM NoSuch E`,                  // plan error: no such table
+		`SELECT E.Nope FROM Employee E GROUP BY E.Nope`, // plan error: no such column
+	} {
+		for i := 0; i < 2; i++ {
+			if _, err := e.QueryOptionsContext(context.Background(), text, nil); err == nil {
+				t.Fatalf("%q succeeded (run %d)", text, i)
+			}
+		}
+	}
+	if n, a := e.PlanCacheLen(), e.planCache.Aliases(); n != 0 || a != 0 {
+		t.Fatalf("failures left %d plans and %d aliases", n, a)
+	}
+	if s := e.PlanCacheStats(); s.Misses != 4 || s.Hits != 0 { // each plan error, each time
+		t.Fatalf("stats %+v, want the two plan errors planned twice each", s)
+	}
+}
+
+// However many spellings arrive, there are at most as many aliases as the
+// cache has room for plans; a spelling whose alias was pushed out is
+// answered by the canonical key again, not re-planned.
+func TestPlanCacheAliasesBounded(t *testing.T) {
+	const capacity = 4
+	e := newExample1Engine(t)
+	e.SetPlanCacheSize(capacity)
+	spelling := func(i int) string { return strings.Repeat(" ", i) + example1Query }
+	for i := 0; i <= capacity; i++ {
+		queryCountsOf(t, e, spelling(i))
+	}
+	if n, a := e.PlanCacheLen(), e.planCache.Aliases(); n != 1 || a != capacity {
+		t.Fatalf("%d plans and %d aliases, want 1 and %d", n, a, capacity)
+	}
+	if got := queryCountsOf(t, e, spelling(0)); got[2] != 3 {
+		t.Fatalf("evicted spelling: %v", got)
+	}
+	if s := e.PlanCacheStats(); s.Misses != 1 {
+		t.Fatalf("a spelling was re-planned: %+v", s)
+	}
+}
+
 // BenchmarkPlanCacheHit is a served Example 1 query whose plan comes from
-// the cache: parse, key, lookup, snapshot and execution over the seven-row
-// tables, with no planning.
+// the cache by its exact text: lookup, snapshot and execution over the
+// seven-row tables, with no parse and no planning.
 func BenchmarkPlanCacheHit(b *testing.B) {
 	e := newExample1Engine(b)
 	e.SetPlanCacheSize(16)
@@ -256,6 +399,35 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
+		if err != nil || len(res.Rows) != 3 {
+			b.Fatalf("rows %v, err %v", res, err)
+		}
+	}
+	if s := e.PlanCacheStats(); s.Misses != 1 {
+		b.Fatalf("hits were re-planned: %+v", s)
+	}
+}
+
+// BenchmarkPlanCacheVariantHit is BenchmarkPlanCacheHit with a text the
+// cache's text key does not know, answered by the canonical key: parse,
+// render, lookup, alias, snapshot and execution. The texts are one more
+// spelling than the cache holds aliases, taken in turn, so each one's alias
+// is the least recently used when its turn comes round and is gone.
+func BenchmarkPlanCacheVariantHit(b *testing.B) {
+	const capacity = 16
+	e := newExample1Engine(b)
+	e.SetPlanCacheSize(capacity)
+	texts := make([]string, capacity+1)
+	for i := range texts {
+		texts[i] = strings.Repeat(" ", i) + example1Query
+	}
+	if _, err := e.QueryOptionsContext(context.Background(), example1Query, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.QueryOptionsContext(context.Background(), texts[i%len(texts)], nil)
 		if err != nil || len(res.Rows) != 3 {
 			b.Fatalf("rows %v, err %v", res, err)
 		}

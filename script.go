@@ -25,7 +25,7 @@ func (e *Engine) RunScriptContext(ctx context.Context, text string, w io.Writer)
 		switch s := stmt.(type) {
 		case *sql.SelectStmt:
 			var sink boxSink
-			if _, err := e.query(ctx, s, nil, false, &sink); err != nil {
+			if _, err := e.query(ctx, "", s, nil, false, &sink); err != nil {
 				return err
 			}
 			res := sink.result()
