@@ -202,7 +202,7 @@ fuzz:
 # Among them: the paper's Figure 1 (internal/exec: BenchmarkFigure1Row /
 # BenchmarkFigure1Vec, the lazy and the eager plan at par1 and par2 — the
 # row-vs-batch decision of DESIGN.md §4.7, and the only timing of the batch
-# form above one worker —, under Row also the nested loop, the lazy plan's
+# form above one worker —, under Row also the keyless join, the lazy plan's
 # join spelled without an equi-key, forced sort grouping and, at 100 000
 # employees, the eager plan grouped by hash and by sort); the front end
 # (internal/sql: BenchmarkLex, BenchmarkParse and BenchmarkCanonical, over

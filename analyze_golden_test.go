@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -107,6 +108,28 @@ func TestExplainAnalyzeGoldenTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareGolden(t, "analyze_trace", a.TraceJSON)
+}
+
+// TestExplainAnalyzeKeylessJoin: a join without an equi-key runs as the hash
+// join over the empty key, so EXPLAIN ANALYZE reports its build — every
+// Department row, under the one key — and its probe hits on the join's line,
+// as it does for an equi-join.
+func TestExplainAnalyzeKeylessJoin(t *testing.T) {
+	e := newExample1Engine(t)
+	a, err := e.QueryAnalyzedContext(context.Background(),
+		`SELECT E.EmpID, D.DeptID FROM Employee E, Department D WHERE E.DeptID < D.DeptID`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(a.String(), "\n") {
+		if strings.Contains(line, "Join ") {
+			if !strings.Contains(line, "build=3 ") || !strings.Contains(line, "hits=") {
+				t.Fatalf("the join's line reports no build=3 and hits=:\n%s", a)
+			}
+			return
+		}
+	}
+	t.Fatalf("no join line:\n%s", a)
 }
 
 // newPrinterEngine builds the paper's Example 3 database (Section 6.3): user

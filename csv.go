@@ -14,7 +14,8 @@ import (
 // are converted by the table's column types; empty fields and the literal
 // "NULL" load as SQL NULL. With header set, the first record names the
 // target columns (any order, possibly a subset — unnamed columns load as
-// NULL); without it, records must match the table's declaration order.
+// NULL — but each at most once); without it, records must match the table's
+// declaration order.
 // Returns the number of rows inserted; the first failing row aborts the
 // load with its line number.
 func (e *Engine) LoadCSV(table string, r io.Reader, header bool) (inserted int, err error) {
@@ -34,11 +35,16 @@ func (e *Engine) LoadCSV(table string, r io.Reader, header bool) (inserted int, 
 				return fmt.Errorf("gbj: reading CSV header: %w", err)
 			}
 			line++
+			named := make([]bool, len(def.Columns))
 			for _, name := range record {
 				idx := def.ColumnIndex(strings.TrimSpace(name))
 				if idx < 0 {
 					return fmt.Errorf("gbj: CSV header names unknown column %q of %s", name, table)
 				}
+				if named[idx] {
+					return fmt.Errorf("gbj: CSV header names column %q of %s twice", name, table)
+				}
+				named[idx] = true
 				positions = append(positions, idx)
 			}
 		} else {

@@ -77,6 +77,7 @@ func TestLoadCSVErrors(t *testing.T) {
 		want   string
 	}{
 		{"unknown column", "bogus\n1\n", true, "unknown column"},
+		{"column named twice", "id,id\n1,2\n", true, `column "id" of T twice`},
 		{"bad integer", "x,alice,1.0,true\n", false, "bad integer"},
 		{"bad number", "1,alice,zzz,true\n", false, "bad number"},
 		{"bad boolean", "1,alice,1.0,maybe\n", false, "bad boolean"},

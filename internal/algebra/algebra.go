@@ -146,9 +146,10 @@ func (p *Product) Children() []Node { return []Node{p.L, p.R} }
 // Describe renders the product.
 func (p *Product) Describe() string { return "Product ×" }
 
-// Join is σ[Cond](L × R) fused into one operator so the physical planner
-// can choose hash/merge/nested-loop implementations. Cond may be nil (pure
-// product).
+// Join is σ[Cond](L × R) fused into one operator: the executor runs every
+// join as a hash join, keyed on Cond's equi-join conjuncts — on the empty
+// key when there are none — with the rest of Cond as its residual. Cond may
+// be nil (pure product).
 type Join struct {
 	L, R Node
 	Cond expr.Expr

@@ -1,10 +1,10 @@
 // Package exec implements the physical executor: it lowers logical plans
 // (package algebra) onto in-memory tables (package storage) as breakers that
 // hold state, joined by pipelines that carry rows between them (parallel.go).
-// A join runs as a hash join when its condition has an equi-key and as a
-// nested loop when it does not; grouping runs as hash aggregation or
-// sort-based aggregation pipelined with the sort (the Klug/Dayal technique
-// the paper's Section 2 recounts).
+// Every join runs as the hash join — over the empty key when its condition
+// has no equi-key, the whole condition its residual; grouping runs as hash
+// aggregation or sort-based aggregation pipelined with the sort (the
+// Klug/Dayal technique the paper's Section 2 recounts).
 //
 // The executor records the number of rows each plan node produces. Those
 // counts are how the benchmark harness regenerates the paper's Figure 1 and
@@ -65,7 +65,7 @@ type Options struct {
 	// caller's own goroutine; negative means one per CPU) and how many
 	// partial tables hash aggregation builds. It does not change how rows
 	// move: at every setting the streaming nodes between two breakers
-	// (filter, projection, hash-join probe, nested-loop left side) are the
+	// (filter, projection, a join's probe of its left side) are the
 	// stages of one pipeline whose chunks run through the whole chain into
 	// the breaker above, so nothing in between is materialized. Hash-join
 	// tables build partitioned and sorts run chunked above one worker.

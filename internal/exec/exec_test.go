@@ -161,31 +161,31 @@ func joinPlan(t *testing.T, s *storage.Store) *algebra.Join {
 }
 
 // thetaJoin is join with its condition spelled without an equi-key
-// (workload.Theta): the same rows, joined by nested loop.
+// (workload.Theta): the same rows, joined over the empty key.
 func thetaJoin(join *algebra.Join) *algebra.Join {
 	return &algebra.Join{L: join.L, R: join.R, Cond: workload.Theta(join.Cond)}
 }
 
-// TestJoinStrategiesAgree: the hash join of an equi-join and the nested loop
+// TestJoinStrategiesAgree: the hash join of an equi-join and the keyless join
 // of its theta spelling produce identical multisets, and NULL join keys never
 // match in either.
 func TestJoinStrategiesAgree(t *testing.T) {
 	s := fixture(t)
 	hash := run(t, joinPlan(t, s), s, nil)
-	nested := run(t, thetaJoin(joinPlan(t, s)), s, nil)
-	for _, res := range []*Result{hash, nested} {
+	keyless := run(t, thetaJoin(joinPlan(t, s)), s, nil)
+	for _, res := range []*Result{hash, keyless} {
 		if len(res.Rows) != 5 {
 			t.Errorf("join produced %d rows, want 5 (NULL key must drop)", len(res.Rows))
 		}
 	}
-	if !sameMultiset(hash.Rows, nested.Rows) {
-		t.Error("hash join and nested loop disagree")
+	if !sameMultiset(hash.Rows, keyless.Rows) {
+		t.Error("hash join and keyless join disagree")
 	}
 }
 
 // TestJoinWithResidualPredicate: a conjunct that is no equi-key filters the
-// joined rows, as the hash join's residual and inside the nested loop's
-// condition.
+// joined rows, as the hash join's residual beside the equi-key and as part of
+// the keyless join's whole condition.
 func TestJoinWithResidualPredicate(t *testing.T) {
 	s := fixture(t)
 	plan := &algebra.Join{
@@ -219,8 +219,8 @@ func TestCartesianProduct(t *testing.T) {
 	}
 }
 
-// TestJoinNoEquiKeyFallsBack: a theta join (no equality atom) runs as a
-// nested loop.
+// TestJoinNoEquiKeyFallsBack: a theta join (no equality atom) runs as the
+// hash join over the empty key, its whole condition the residual.
 func TestJoinNoEquiKeyFallsBack(t *testing.T) {
 	s := fixture(t)
 	plan := &algebra.Join{

@@ -160,12 +160,13 @@ func TestInjectedCancelStopsAtItsTick(t *testing.T) {
 }
 
 // TestCancelStopsUninjectedRun: without an injector a tick is a load of the
-// flag the context's callback raises. A nested-loop join of one morsel of left
-// rows against 100 000 right rows — over 10⁸ row events, each a tick and a
-// condition that never holds, in a single chunk, so no boundary poll comes
-// before the end — is cancelled from another goroutine 20 ms in and returns
-// context.Canceled long before it could have finished, at one worker and at
-// two. A run that finished would return no error.
+// flag the context's callback raises. A keyless join of one morsel of left
+// rows against 100 000 right rows — over 10⁸ row events, each a tick of the
+// probe's one chain and a condition that never holds, in a single chunk, so
+// no boundary poll comes before the end — is cancelled from another
+// goroutine 20 ms in and returns context.Canceled long before it could have
+// finished, at one worker and at two. A run that finished would return no
+// error.
 func TestCancelStopsUninjectedRun(t *testing.T) {
 	plan := &algebra.Join{
 		L:    keyedValuesPlan("l", MorselSize, 10),
@@ -293,8 +294,9 @@ func TestDeadlineAbortsLongScanEarly(t *testing.T) {
 }
 
 // TestBudgetTripsTypedError: executions whose operator state crosses the
-// budget fail with *ResourceError naming the operator, for both the
-// grouping and hash-join state, serial and parallel.
+// budget fail with *ResourceError naming the operator, for the grouping and
+// the hash-join state — a join without an equi-key, a theta join or a
+// Product, builds the same join table — serial and parallel.
 func TestBudgetTripsTypedError(t *testing.T) {
 	cases := []struct {
 		name string
@@ -302,6 +304,8 @@ func TestBudgetTripsTypedError(t *testing.T) {
 	}{
 		{"group-by", govGroupPlan(20_000, 5000)},
 		{"hash-join", govJoinPlan(5000, 2500)},
+		{"theta-join", thetaJoin(govJoinPlan(500, 250))},
+		{"product", &algebra.Product{L: keyedValuesPlan("l", 50, 50), R: keyedValuesPlan("r", 500, 50)}},
 	}
 	for _, tc := range cases {
 		for _, par := range []int{1, 4} {
@@ -314,7 +318,7 @@ func TestBudgetTripsTypedError(t *testing.T) {
 				if res != nil {
 					t.Fatal("over-budget run returned a result")
 				}
-				if re.Budget != 4096 || re.Used <= re.Budget || re.Op == "" {
+				if re.Budget != 4096 || re.Used <= re.Budget || re.Op != tc.plan.Describe() {
 					t.Fatalf("ResourceError fields: %+v", re)
 				}
 				// The same plan under a generous budget succeeds and reports

@@ -55,70 +55,34 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 	if err != nil {
 		return compiled{}, err
 	}
-	// Both joins are a stage of the left input's pipeline: probe order
-	// follows the left input, and left columns keep their positions in the
+	// The join is a stage of the left input's pipeline: probe order follows
+	// the left input, and left columns keep their positions in the
 	// concatenated schema — at any worker count and on either side of the
-	// spill decision.
-	p, width := left.pipeline(key), len(lSchema)+len(rSchema)
-	if len(lcols) > 0 {
-		op := &hashJoinOp{
-			right: right.pipe, lcols: lcols, rcols: rcols, width: width,
-			residual: boundResidual, params: c.opts.Params, par: c.stateWorkers(),
-			metrics: metrics, gov: c.gov, mgr: c.spill, where: where,
-		}
-		// The probe is in the form the pipeline is in — in rows on a
-		// spill-capable run, where a build the budget refuses cuts the
-		// pipeline at the stage and the join goes grace.
-		st := stage{metrics: metrics, start: op.build}
-		if p.inBatches() && c.spill == nil {
-			op.probes = make([]probeState, c.par)
-			st.batch = op.probeBatches
-		} else {
-			st.bind = func(emit emitFn) emitFn { return op.probeInto(make(value.Row, width), emit) }
-		}
-		if c.spill != nil {
-			st.grace = op.graceJoin
-		}
-		p.add(st, true)
-		return compiled{pipe: p, order: left.order}, nil
+	// spill decision. A join without an equi-key is the hash join over the
+	// empty key: every build row shares the one chain, in build order, and
+	// the residual is the whole condition — left order, each row's matches
+	// in right order.
+	p := left.pipeline(key)
+	op := &hashJoinOp{
+		right: right.pipe, lcols: lcols, rcols: rcols, width: len(lSchema) + len(rSchema),
+		residual: boundResidual, params: c.opts.Params, par: c.stateWorkers(),
+		metrics: metrics, gov: c.gov, mgr: c.spill, where: where,
 	}
-
-	// No equi-key: the nested loop, the whole condition its residual. Each
-	// left row scans the whole collected right side: left order, each row's
-	// matches in right order.
-	gov, params := c.gov, c.opts.Params
-	var rrows []value.Row
-	p.add(stage{
-		metrics: metrics,
-		start:   func() (err error) { rrows, err = right.pipe.collect(); return err },
-		bind: func(emit emitFn) emitFn {
-			joined := make(value.Row, width)
-			return func(lrow value.Row) error {
-				if err := gov.tick(); err != nil {
-					return err
-				}
-				n := copy(joined, lrow)
-				// The inner scan can run long between emitted rows (a
-				// selective condition over a large right side): it ticks itself.
-				for _, rrow := range rrows {
-					if err := gov.tick(); err != nil {
-						return err
-					}
-					copy(joined[n:], rrow)
-					truth, err := expr.EvalTruth(boundResidual, joined, params)
-					if err != nil {
-						return err
-					}
-					if truth == value.True {
-						if err := emit(joined); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			}
-		},
-	}, true)
+	// The probe is in the form the pipeline is in, but in rows on a
+	// spill-capable run, where a build the budget refuses cuts the pipeline
+	// at the stage and the join goes grace, and for a keyless join, where a
+	// batch would gather |batch| × |R| joined rows at once.
+	st := stage{metrics: metrics, start: op.build}
+	if p.inBatches() && c.spill == nil && len(lcols) > 0 {
+		op.probes = make([]probeState, c.par)
+		st.batch = op.probeBatches
+	} else {
+		st.bind = func(emit emitFn) emitFn { return op.probeInto(make(value.Row, op.width), emit) }
+	}
+	if c.spill != nil {
+		st.grace = op.graceJoin
+	}
+	p.add(st, true)
 	return compiled{pipe: p, order: left.order}, nil
 }
 
@@ -135,7 +99,7 @@ func (c *compiler) compileJoin(node *algebra.Join, key algebra.Node) (compiled, 
 // their order are the same in all forms.
 type hashJoinOp struct {
 	right        *pipeOp
-	lcols, rcols []int // key columns in the left/right rows
+	lcols, rcols []int // key columns in the left/right rows; none: the empty key
 	width        int   // columns of a joined row
 	residual     expr.Expr
 	params       expr.Params
@@ -182,7 +146,8 @@ func (j *hashJoinOp) probeInto(joined value.Row, emit emitFn) emitFn {
 		}
 		n := copy(joined, row)
 		for m := matches.head; m >= 0; m = j.table.next[m] {
-			// A skewed key's chain can dominate the run, so it ticks itself.
+			// A skewed key's chain — the whole build side under the empty
+			// key — can dominate the run, so it ticks itself.
 			if err := j.gov.tick(); err != nil {
 				return err
 			}

@@ -1,8 +1,8 @@
 // The row engine: morsel-driven pipelines at every worker count. Every plan
 // node lowers to a pipeline (pipeOp, this file). A leaf or a breaker is a
-// pipeline's source; the streaming nodes above it — filter, projection,
-// hash-join probe, the nested loop's left side — are its stages. Chunks of the
-// source are carried through the whole chain, and the breaker above is its
+// pipeline's source; the streaming nodes above it — filter, projection, a
+// join's probe of its left side — are its stages. Chunks of the source are
+// carried through the whole chain, and the breaker above is its
 // sink: one partial group table per chunk for hash grouping, a morsel-ordered
 // collection for everything else that must hold rows (the result, an in-memory
 // sort's input, a join's build side), or — for a
@@ -232,7 +232,7 @@ type emitFn func(row value.Row) error
 type batchFn func(b *vec.Batch) error
 
 // stage is one streaming plan node inside a pipeline: a filter, a projection,
-// a hash-join probe, a nested loop's left side — or, with neither bind nor
+// a join's probe of its left side — or, with neither bind nor
 // batch, a node that only passes on what it is handed (a Sort the propagated
 // order made unnecessary).
 type stage struct {

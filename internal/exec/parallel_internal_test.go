@@ -233,7 +233,7 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 		plan algebra.Node
 	}{
 		{"root", probe()},
-		{"root, nested loop", thetaJoin(probe())},
+		{"root, keyless join", thetaJoin(probe())},
 		{"root, through a filter", &algebra.Select{
 			Input: probe(), Cond: &expr.Binary{Op: expr.OpLt, L: expr.Column("r", "v"), R: expr.IntLit(70)},
 		}},
@@ -246,7 +246,7 @@ func TestBorrowedRowsNeverEscape(t *testing.T) {
 			L: keyedValuesPlan("u", 60, 50), R: probe(),
 			Cond: expr.Eq(expr.Column("u", "k"), expr.Column("l", "k")),
 		}},
-		{"right side of an upper nested loop", thetaJoin(&algebra.Join{
+		{"right side of an upper keyless join", thetaJoin(&algebra.Join{
 			L: keyedValuesPlan("u", 6, 50), R: probe(),
 			Cond: expr.Eq(expr.Column("u", "k"), expr.Column("l", "k")),
 		})},

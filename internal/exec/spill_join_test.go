@@ -63,11 +63,12 @@ func TestAdmittedSpillJoinStreams(t *testing.T) {
 	}
 }
 
-// joinsOf lists the Join nodes of the plan under n.
-func joinsOf(n algebra.Node) []*algebra.Join {
-	var joins []*algebra.Join
-	if j, ok := n.(*algebra.Join); ok {
-		joins = append(joins, j)
+// joinsOf lists the Join and Product nodes of the plan under n.
+func joinsOf(n algebra.Node) []algebra.Node {
+	var joins []algebra.Node
+	switch n.(type) {
+	case *algebra.Join, *algebra.Product:
+		joins = append(joins, n)
 	}
 	for _, child := range n.Children() {
 		joins = append(joins, joinsOf(child)...)
@@ -80,9 +81,11 @@ func joinsOf(n algebra.Node) []*algebra.Join {
 // source form — run as one in-order chunk into the grace path, and its joined
 // rows are the source of the stages above: a projection into a collecting
 // root, a group, the scalar group, a sort, and a second join that is cut in
-// turn. At one, two and four workers every run returns the reference
-// evaluator's rows in its order, every join went grace, and no spill file is
-// left behind.
+// turn. A join without an equi-key — the theta spelling, and a Product — is
+// the hash join over the empty key, refused and cut alike; its one partition
+// cannot split, so it is built uncharged at graceMaxDepth. At one, two and
+// four workers every run returns the reference evaluator's rows in its order,
+// every join went grace, and no spill file is left behind.
 func TestRefusedSpillJoinCuts(t *testing.T) {
 	col := func(table, name string) expr.ColumnID { return expr.ColumnID{Table: table, Name: name} }
 	store, l := keyedStore(t, "l", 2*MorselSize+300, 40)
@@ -113,6 +116,8 @@ func TestRefusedSpillJoinCuts(t *testing.T) {
 			L: join(), R: keyedValuesPlan("u", 20, 20),
 			Cond: expr.Eq(expr.Column("l", "k"), expr.Column("u", "k")),
 		}},
+		{"keyless join", thetaJoin(join())},
+		{"product", &algebra.Product{L: join().L, R: keyedValuesPlan("u", 10, 10)}},
 	}
 	for _, tc := range plans {
 		want, err := workload.RefEval(tc.plan, store, nil)

@@ -8,15 +8,17 @@
 //     survivors are never copied.
 //   - Project, bare columns and not DISTINCT: a zero-copy column permutation —
 //     or, for a rename (the input's columns in order), the batch handed on.
-//   - hash-join probe (vector_join.go): keys encoded column-at-a-time, the
-//     shared joinTable looked up per row, the output batch gathered by index.
+//   - hash-join probe with an equi-key (vector_join.go): keys encoded
+//     column-at-a-time, the shared joinTable looked up per row, the output
+//     batch gathered by index.
 //
 // Hash grouping takes batches as a sink (vector_group.go), the collection
 // materializes them; every other node — expression and DISTINCT projection,
-// the nested-loop join, sorts, LIMIT, grouping a key-ordered stream,
-// every spill-capable breaker — has only its row form, and the runner unrolls
-// the batch into one borrowed scratch row per logical row where the chain
-// reaches it (pipeOp.unroll). Everything above the first breaker is the row
+// the probe of a join without an equi-key (every probe row matches the whole
+// build side, so a batch would gather |batch| × |R| rows), sorts, LIMIT,
+// grouping a key-ordered stream, every spill-capable breaker — has only its
+// row form, and the runner unrolls the batch into one borrowed scratch row
+// per logical row where the chain reaches it (pipeOp.unroll). Everything above the first breaker is the row
 // engine: a breaker's output is rows.
 //
 // Determinism is the same hard requirement the row form meets: for any plan

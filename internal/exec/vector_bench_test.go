@@ -11,10 +11,11 @@ package exec_test
 // a stable harness for hunting regressions in either source form.
 //
 // BenchmarkFigure1Row also carries the executor ablations. Under lazy/par1
-// it runs the sort grouping (group=sort) and the nested loop (join=nested-loop:
-// the lazy plan's join spelled without an equi-key, workload.Theta) beside
-// the default hash grouping and hash join: the transformation's win is not
-// an artifact of one algorithm. Under scale=100k
+// it runs the sort grouping (group=sort) and the keyless join (join=keyless:
+// the lazy plan's join spelled without an equi-key, workload.Theta, so every
+// probe row walks the whole build side) beside the default hash grouping and
+// the equi-keyed join: the transformation's win is not an artifact of one
+// algorithm. Under scale=100k
 // it runs the eager plan at Employee 100000 x Department 1000 with hash and
 // with sort grouping over the hash join: the sort leaves the groups ordered,
 // but paying an N-row sort to get there loses to hashing the N rows — which
@@ -93,14 +94,14 @@ func BenchmarkFigure1Row(b *testing.B) {
 	store, lazy := benchFigure1(b, false)
 	benchPlan(b, "lazy/par1/group=sort", store, lazy, exec.Options{Group: exec.GroupSort, Parallelism: 1}, 100)
 	// A second Figure 1, its lazy plan's join respelled without an equi-key:
-	// the same rows through the nested loop.
+	// the same rows through the hash join over the empty key.
 	store, theta, _ := figure1(b, 10000, 100)
 	algebra.Walk(theta, func(n algebra.Node) {
 		if j, ok := n.(*algebra.Join); ok {
 			j.Cond = workload.Theta(j.Cond)
 		}
 	})
-	benchPlan(b, "lazy/par1/join=nested-loop", store, theta, exec.Options{Parallelism: 1}, 100)
+	benchPlan(b, "lazy/par1/join=keyless", store, theta, exec.Options{Parallelism: 1}, 100)
 
 	store, _, eager := figure1(b, 100000, 1000)
 	for _, g := range []exec.GroupStrategy{exec.GroupHash, exec.GroupSort} {

@@ -212,7 +212,7 @@ func pipelineTemplates(r *rand.Rand) []Instance {
 		// probe → root, unordered: the collection itself
 		{Query: fmt.Sprintf(`SELECT F.FID, D.Label
 		 FROM Fact F, Dim D WHERE F.DimID = D.DimID AND F.V < %d`, cut)},
-		// nested loop (no equi-key) → group
+		// keyless join (no equi-key: the hash join over the empty key) → group
 		{Query: `SELECT D.DimID, COUNT(*), SUM(F.V)
 		 FROM Fact F, Dim D WHERE F.V < D.DimID
 		 GROUP BY D.DimID`},
@@ -307,7 +307,8 @@ func RandomPlan(r *rand.Rand) ([]Instance, error) {
 // Theta spells an equi-join condition without an equi-key: each column =
 // column conjunct x = y becomes x <= y AND x >= y. That holds on exactly the
 // rows x = y holds on, NULLs included, but is no equality atom, so the
-// executor joins by nested loop where it would have hashed.
+// executor joins over the empty key, the whole condition its residual, where
+// it would have hashed on x and y.
 func Theta(cond expr.Expr) expr.Expr {
 	conj := expr.Conjuncts(cond)
 	for i, c := range conj {
