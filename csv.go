@@ -19,7 +19,7 @@ import (
 // Returns the number of rows inserted; the first failing row aborts the
 // load with its line number.
 func (e *Engine) LoadCSV(table string, r io.Reader, header bool) (inserted int, err error) {
-	err = e.write(func() error {
+	err = e.write([]string{table}, func() error {
 		def, err := e.store.Catalog().Table(table)
 		if err != nil {
 			return err

@@ -12,9 +12,12 @@ package gbj
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 func TestConcurrentEngineMixedTraffic(t *testing.T) {
@@ -121,5 +124,91 @@ func TestConcurrentEngineMixedTraffic(t *testing.T) {
 	want := int64(16) + inserted.Load()
 	if got := res.Rows[0][0].(int64); got != want {
 		t.Fatalf("final count %d, want %d", got, want)
+	}
+}
+
+// TestConcurrentSessionsShareOneShape: one cached query — planned once, its
+// plan's exec.Shape made once — run by many sessions at once, each under
+// settings of its own: the engine's four workers and batch form, a Serial
+// query's one worker in rows, a leased budget that spills, an analyzed run
+// with metrics and spans. Every run returns the rows of an uncached run, and
+// the entry keeps the one shape. Under -race it is the check that a shape
+// holds nothing a run writes.
+func TestConcurrentSessionsShareOneShape(t *testing.T) {
+	store, err := workload.EmployeeDepartment(1500, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewWithStore(store)
+	e.SetParallelism(4)
+	e.SetVectorize(true)
+	e.SetSpillDir(t.TempDir())
+	ctx := context.Background()
+	rowsOf := func(res *Result) []string {
+		out := make([]string, len(res.Rows))
+		for i, row := range res.Rows {
+			out[i] = fmt.Sprint(row...)
+		}
+		slices.Sort(out)
+		return out
+	}
+	res, err := e.QueryOptionsContext(ctx, workload.Example1Query, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rowsOf(res)
+
+	e.SetPlanCacheSize(16)
+	if _, err := e.QueryOptionsContext(ctx, workload.Example1Query, nil); err != nil {
+		t.Fatal(err)
+	}
+	cp := e.cachedText(workload.Example1Query)
+	shape := cp.shapes[0].Load()
+	if shape == nil {
+		t.Fatal("the cached run kept no shape")
+	}
+	runs := []func() (*Result, error){
+		func() (*Result, error) { return e.QueryOptionsContext(ctx, workload.Example1Query, nil) },
+		func() (*Result, error) {
+			return e.QueryOptionsContext(ctx, workload.Example1Query, &QueryOptions{Serial: true})
+		},
+		func() (*Result, error) {
+			return e.QueryOptionsContext(ctx, workload.Example1Query, &QueryOptions{MemoryBudget: 4 << 10})
+		},
+		func() (*Result, error) {
+			a, err := e.QueryAnalyzedContext(ctx, workload.Example1Query, nil)
+			if err != nil {
+				return nil, err
+			}
+			return a.Result, nil
+		},
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	for g := 0; g < 16; g++ {
+		run := runs[g%len(runs)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				res, err := run()
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got := rowsOf(res); !slices.Equal(got, want) {
+					errs <- fmt.Errorf("session %d: %d rows differ from the uncached run's %d", g, len(got), len(want))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if s := e.PlanCacheStats(); s.Misses != 1 || cp.shapes[0].Load() != shape {
+		t.Fatalf("the sessions did not share one plan and one shape: %+v", s)
 	}
 }

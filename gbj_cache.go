@@ -17,24 +17,94 @@ package gbj
 //     plan, and the text that reached it becomes an alias of the entry
 //     (core.PlanCache bounds the aliases and drops them with their entry).
 //
+// Beside the choice an entry keeps the plan-only half of its compilation
+// (exec.Shape) for the plan and for its lazy fallback, made on the entry's
+// first run of each, so a hit binds operators to its snapshot and compiles
+// nothing. A shape depends on the plan alone (the engine never forces a
+// grouping strategy): the worker count, the source form, a leased budget and
+// the spill decision are read when a run binds it, so one shape serves a
+// serial, a degraded and a vectorized run alike.
+//
 // Hits count queries that were not re-planned, a text answered by the
 // canonical key included; misses count plan selections.
 //
-// The keys need nothing else because of one invariant: every engine write
-// — DDL, DML, a CSV load, a setter — runs through Engine.write, which
-// empties the cache before it releases the write lock, on success and on
-// error. Lookups and inserts run under the read lock, so an entry is only
-// ever planned against the catalog, data and settings it is served under.
-// Plans enter the cache already verified (the optimizer's CheckPlans), so a
-// hit executes as is. Sharing cached plan trees across concurrent sessions
-// is safe: executions never mutate plan nodes (the concurrent-execution
-// oracles in internal/exec run one plan from many goroutines under -race).
+// What a plan depends on. Plan selection reads the catalog (names, keys,
+// constraints, views — TestFD's YES is a function of declared constraints
+// alone), the engine's settings (mode, workers, vectorization, nodes, which
+// the cost model prices), and the statistics and rows of the base tables the
+// query reads — those its plans scan, views and derived tables expanded, and
+// those of the uncorrelated subqueries planning runs (core.Choice.Tables) —
+// and nothing else. So the keys need nothing more because of one invariant:
+// every engine write runs through Engine.write, which, before it releases the
+// write lock and on success and on error alike, drops every entry planned
+// from what the write may have changed. DDL and setters change the catalog or
+// the settings, which every plan reads: they empty the cache. DML and a CSV
+// load change the rows of the tables they name and nothing else: they drop
+// the entries that read one of those tables, and an entry over other tables
+// is still exactly the choice a fresh plan would make. Lookups and inserts
+// run under the read lock, so an entry is only ever planned against the
+// catalog, settings and data of its tables it is served under. Plans enter
+// the cache already verified (the optimizer's CheckPlans), so a hit executes
+// as is. Sharing cached plan trees and shapes across concurrent sessions is
+// safe: executions never mutate plan nodes or shapes (under -race,
+// TestConcurrentSessionsShareOneShape runs one cached shape from many sessions
+// under settings of their own, and the exec oracles one plan from many
+// goroutines).
 
 import (
+	"sync/atomic"
+
+	"repro/internal/algebra"
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/sql"
 )
+
+// cachedPlan is what the plan cache keeps for a query: its choice and the
+// compiled shapes of its plan and its fallback.
+type cachedPlan struct {
+	choice *core.Choice
+	// shapes[0] is Plan's, shapes[1] Fallback's, each made on its first run;
+	// two sessions that race to make one both run theirs and one is kept.
+	shapes [2]atomic.Pointer[compiledPlan]
+}
+
+// compiledPlan is a plan's shape with the column names of its result.
+type compiledPlan struct {
+	shape   *exec.Shape
+	columns []string
+}
+
+// compile makes plan's compiledPlan.
+func compile(plan algebra.Node) (*compiledPlan, error) {
+	shape, err := exec.NewShape(plan)
+	if err != nil {
+		return nil, err
+	}
+	return &compiledPlan{shape: shape, columns: columnNames(plan.Schema())}, nil
+}
+
+// compiled returns the compiledPlan of the choice's plan, or of its fallback
+// when lazy, from the cache entry when the query has one.
+func (p *prepared) compiled(lazy bool) (*compiledPlan, error) {
+	plan, i := p.choice.Plan, 0
+	if lazy {
+		plan, i = p.choice.Fallback, 1
+	}
+	if p.cached == nil {
+		return compile(plan)
+	}
+	if cp := p.cached.shapes[i].Load(); cp != nil {
+		return cp, nil
+	}
+	cp, err := compile(plan)
+	if err != nil {
+		return nil, err
+	}
+	p.cached.shapes[i].Store(cp)
+	return cp, nil
+}
 
 // SetPlanCacheSize bounds the engine's plan cache to n entries; n <= 0
 // disables caching (the default). Resizing drops all cached entries.
@@ -49,8 +119,8 @@ func (e *Engine) SetPlanCacheSize(n int) {
 }
 
 // PlanCacheStats returns the engine-lifetime plan-cache counters: hits,
-// misses, LRU evictions and whole-cache invalidations. The counters
-// survive SetPlanCacheSize.
+// misses, LRU evictions and invalidations (writes that dropped plans). The
+// counters survive SetPlanCacheSize.
 func (e *Engine) PlanCacheStats() obs.CacheSnapshot {
 	return e.cacheStats.Snapshot()
 }
@@ -66,14 +136,16 @@ func (e *Engine) PlanCacheLen() int {
 }
 
 // write is the one way the engine changes: it runs fn under the write lock
-// and empties the plan cache before unlocking, whether fn succeeded or not
-// — a statement that failed after an earlier one landed has still changed
-// what a plan may assume.
-func (e *Engine) write(fn func() error) error {
+// and, before unlocking, drops the cached plans that read any of tables —
+// every plan when tables is nil — whether fn succeeded or not: a statement
+// that failed after an earlier one landed has still changed what a plan may
+// assume. A write passes the tables whose rows it changes, and nil when it
+// changes the catalog or a setting, or cannot say what it changes.
+func (e *Engine) write(tables []string, fn func() error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.planCache != nil {
-		defer e.planCache.Clear()
+		defer e.planCache.Drop(tables)
 	}
 	return fn()
 }
@@ -81,31 +153,34 @@ func (e *Engine) write(fn func() error) error {
 // choose is the engine's one plan decision, core.Optimizer.Choose, behind
 // the plan cache's canonical key: what a query runs and what EXPLAIN prints.
 // A non-empty text is q's exact text, and becomes an alias of q's entry once
-// q has one. Caller holds e.mu (read suffices), which keeps write — and its
-// clear — out between the lookup and the insert.
-func (e *Engine) choose(q *sql.SelectStmt, text string) (*core.Choice, error) {
+// q has one. It returns the cache entry too, nil when caching is off. Caller
+// holds e.mu (read suffices), which keeps write — and its drop — out between
+// the lookup and the insert.
+func (e *Engine) choose(q *sql.SelectStmt, text string) (*core.Choice, *cachedPlan, error) {
 	if e.planCache == nil {
-		return e.opt.Choose(q)
+		c, err := e.opt.Choose(q)
+		return c, nil, err
 	}
 	key := sql.Canonical(q)
 	v, ok := e.planCache.Get(key)
 	if !ok {
 		c, err := e.opt.Choose(q)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		e.planCache.Put(key, c)
-		v = c
+		v = &cachedPlan{choice: c}
+		e.planCache.PutReads(key, v, c.Tables)
 	}
 	if text != "" {
 		e.planCache.Alias(text, key)
 	}
-	return v.(*core.Choice), nil
+	cp := v.(*cachedPlan)
+	return cp.choice, cp, nil
 }
 
-// cachedText is the plan cache's answer for a query's exact text, nil when
+// cachedText is the plan cache's entry for a query's exact text, nil when
 // caching is off or the text is no alias. Caller holds e.mu.
-func (e *Engine) cachedText(text string) *core.Choice {
+func (e *Engine) cachedText(text string) *cachedPlan {
 	if e.planCache == nil {
 		return nil
 	}
@@ -113,5 +188,5 @@ func (e *Engine) cachedText(text string) *core.Choice {
 	if !ok {
 		return nil
 	}
-	return v.(*core.Choice)
+	return v.(*cachedPlan)
 }

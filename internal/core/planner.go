@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/algebra"
@@ -49,6 +50,7 @@ type boundTable struct {
 	schema algebra.Schema  // columns qualified by alias
 	def    *schema.Table   // nil for views and derived tables
 	view   *sql.SelectStmt // non-nil for views and derived tables
+	reads  []string        // a view's or derived table's base tables
 	// derived carries the Example 2-style derived constraints (keys,
 	// NOT NULL, equality checks) of a view or FROM-subquery.
 	derived *derivedConstraints
@@ -61,6 +63,9 @@ type boundTable struct {
 type BoundQuery struct {
 	stmt   *sql.SelectStmt
 	tables []boundTable
+	// reads are the base tables binding read, each once: the FROM entries',
+	// a view's or derived table's, and those of the subqueries it ran.
+	reads []string
 
 	// Items are the resolved select-list items with assigned output names.
 	Items []algebra.ProjItem
@@ -88,6 +93,15 @@ func (b *BoundQuery) Tables() []string {
 	return out
 }
 
+// read adds tables to b.reads, each once.
+func (b *BoundQuery) read(tables ...string) {
+	for _, t := range tables {
+		if !slices.Contains(b.reads, t) {
+			b.reads = append(b.reads, t)
+		}
+	}
+}
+
 // Stmt returns the underlying parsed statement.
 func (b *BoundQuery) Stmt() *sql.SelectStmt { return b.stmt }
 
@@ -109,6 +123,10 @@ func (p *Planner) Bind(q *sql.SelectStmt) (*BoundQuery, error) {
 			return nil, err
 		}
 		b.tables = append(b.tables, bt)
+		if bt.def != nil {
+			b.read(bt.def.Name)
+		}
+		b.read(bt.reads...)
 	}
 
 	// Expand star items and resolve the select list.
@@ -123,7 +141,7 @@ func (p *Planner) Bind(q *sql.SelectStmt) (*BoundQuery, error) {
 	// subquery is planned and executed once, then replaced by a literal
 	// value list / boolean. The remaining predicate is an ordinary
 	// non-equality atom, which TestFD soundly ignores.
-	where, err := p.materializeSubqueries(q.Where)
+	where, err := p.materializeSubqueries(b, q.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +159,7 @@ func (p *Planner) Bind(q *sql.SelectStmt) (*BoundQuery, error) {
 		}
 		b.GroupBy = append(b.GroupBy, resolved)
 	}
-	having, err := p.materializeSubqueries(q.Having)
+	having, err := p.materializeSubqueries(b, q.Having)
 	if err != nil {
 		return nil, err
 	}
@@ -180,8 +198,8 @@ func (p *Planner) Bind(q *sql.SelectStmt) (*BoundQuery, error) {
 // EXISTS (SELECT ...) predicates with literal value lists / booleans by
 // planning and executing the subquery once. Correlated subqueries (ones
 // referencing outer tables) fail the subquery's own binding and are
-// reported as unsupported.
-func (p *Planner) materializeSubqueries(e expr.Expr) (expr.Expr, error) {
+// reported as unsupported. The tables a subquery reads become b's reads.
+func (p *Planner) materializeSubqueries(b *BoundQuery, e expr.Expr) (expr.Expr, error) {
 	if e == nil {
 		return nil, nil
 	}
@@ -199,14 +217,14 @@ func (p *Planner) materializeSubqueries(e expr.Expr) (expr.Expr, error) {
 			if !ok {
 				return fail(fmt.Errorf("core: IN subquery has no planable definition"))
 			}
-			rows, width, err := p.runSubquery(q)
+			rows, width, err := p.runSubquery(b, q)
 			if err != nil {
 				return fail(err)
 			}
 			if width != 1 {
 				return fail(fmt.Errorf("core: IN subquery must produce exactly one column, got %d", width))
 			}
-			inner, err := p.materializeSubqueries(s.E)
+			inner, err := p.materializeSubqueries(b, s.E)
 			if err != nil {
 				return fail(err)
 			}
@@ -220,7 +238,7 @@ func (p *Planner) materializeSubqueries(e expr.Expr) (expr.Expr, error) {
 			if !ok {
 				return fail(fmt.Errorf("core: EXISTS subquery has no planable definition"))
 			}
-			rows, _, err := p.runSubquery(q)
+			rows, _, err := p.runSubquery(b, q)
 			if err != nil {
 				return fail(err)
 			}
@@ -230,7 +248,7 @@ func (p *Planner) materializeSubqueries(e expr.Expr) (expr.Expr, error) {
 			if !ok {
 				return fail(fmt.Errorf("core: scalar subquery has no planable definition"))
 			}
-			rows, width, err := p.runSubquery(q)
+			rows, width, err := p.runSubquery(b, q)
 			if err != nil {
 				return fail(err)
 			}
@@ -251,12 +269,17 @@ func (p *Planner) materializeSubqueries(e expr.Expr) (expr.Expr, error) {
 	return out, firstErr
 }
 
-// runSubquery plans and executes an uncorrelated subquery.
-func (p *Planner) runSubquery(q *sql.SelectStmt) ([]value.Row, int, error) {
-	plan, err := p.PlanQuery(q)
+// runSubquery plans and executes an uncorrelated subquery of b.
+func (p *Planner) runSubquery(b *BoundQuery, q *sql.SelectStmt) ([]value.Row, int, error) {
+	sb, err := p.Bind(q)
+	var plan algebra.Node
+	if err == nil {
+		plan, err = p.PlanStandard(sb)
+	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: planning subquery: %w (correlated subqueries are not supported)", err)
 	}
+	b.read(sb.reads...)
 	res, err := exec.Run(plan, p.store, nil)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: executing subquery: %w", err)
@@ -310,6 +333,7 @@ func (p *Planner) bindDerived(ref sql.TableRef, alias string, def *sql.SelectStm
 	if err != nil {
 		return boundTable{}, fmt.Errorf("core: binding %s: %w", what, err)
 	}
+	reads := vb.reads
 	sub, err := p.PlanStandard(vb)
 	if err != nil {
 		return boundTable{}, fmt.Errorf("core: planning %s: %w", what, err)
@@ -349,6 +373,7 @@ func (p *Planner) bindDerived(ref sql.TableRef, alias string, def *sql.SelectStm
 		ref: ref, alias: alias,
 		plan:    plan,
 		schema:  cols,
+		reads:   reads,
 		view:    def,
 		derived: deriveConstraints(vb, outNamesFor(vb, columns)),
 	}, nil

@@ -5,40 +5,60 @@ import (
 	"repro/internal/value"
 )
 
-// compileLimit lowers a Limit node. LIMIT over a fresh ORDER BY fuses into
-// a bounded TopK (a size-N heap instead of a full materialized sort) —
-// unless the order propagated from the input already proves it sorted, in
-// which case the sort is elided exactly as in the bare Sort case and the
-// limit just stops the stream after N rows.
-func (c *compiler) compileLimit(node *algebra.Limit) (compiled, error) {
-	if s, ok := node.Input.(*algebra.Sort); ok {
-		in, err := c.compile(s.Input)
+// limit shapes a Limit node. LIMIT over a fresh ORDER BY fuses into a
+// bounded TopK (a size-N heap instead of a full materialized sort) — unless
+// the order propagated from the input already proves it sorted, in which case
+// the sort is elided exactly as in the bare Sort case and the limit just stops
+// the stream after N rows.
+func (sh shaper) limit(s *nodeShape, node *algebra.Limit) error {
+	sort, fused := node.Input.(*algebra.Sort)
+	if !fused {
+		in, err := sh.shape(node.Input)
 		if err != nil {
-			return compiled{}, err
+			return err
 		}
-		keys, order, err := sortKeys(s.Input.Schema(), s.Keys)
+		s.order = in.order
+		s.bind = func(c *compiler) (*pipeOp, error) {
+			p, err := c.input(in, s)
+			if err != nil {
+				return nil, err
+			}
+			return c.source(&limitOp{input: p, n: node.N}, s), nil
+		}
+		return nil
+	}
+	in, err := sh.shape(sort.Input)
+	if err != nil {
+		return err
+	}
+	keys, order, err := sortKeys(sort.Input.Schema(), sort.Keys)
+	if err != nil {
+		return err
+	}
+	sorted := hasSequencePrefix(in.order, order)
+	s.order = order
+	if sorted {
+		s.order = in.order
+	}
+	s.bind = func(c *compiler) (*pipeOp, error) {
+		p, err := c.input(in, s)
 		if err != nil {
-			return compiled{}, err
+			return nil, err
 		}
-		p := in.pipeline(node)
 		// The fused Sort node has no operator of its own; a stage that only
 		// counts records the rows flowing through the fused boundary (a sort is
 		// 1:1, so the boundary count is the Sort's output cardinality) and
 		// keeps EXPLAIN ANALYZE and the Stats sink consistent with an unfused
 		// plan.
 		if c.opts.Metrics != nil {
-			p.meter(&metricOp{metrics: c.nodeMetrics(s), clock: c.clock})
+			p.meter(&metricOp{metrics: c.nodeMetrics(sort), clock: c.clock})
 		}
-		if hasSequencePrefix(in.order, order) {
-			return compiled{pipe: c.source(&limitOp{input: p, n: node.N}, node), order: in.order}, nil
+		if sorted {
+			return c.source(&limitOp{input: p, n: node.N}, s), nil
 		}
-		return compiled{pipe: c.source(&topKOp{input: p, keys: keys, n: node.N}, node), order: order}, nil
+		return c.source(&topKOp{input: p, keys: keys, n: node.N}, s), nil
 	}
-	in, err := c.compile(node.Input)
-	if err != nil {
-		return compiled{}, err
-	}
-	return compiled{pipe: c.source(&limitOp{input: in.pipeline(node), n: node.N}, node), order: in.order}, nil
+	return nil
 }
 
 // limitOp keeps the first n rows of its input, taken as one in-order chunk,

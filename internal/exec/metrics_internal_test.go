@@ -41,6 +41,15 @@ func filterOf(in algebra.Node, table string) *algebra.Select {
 	return &algebra.Select{Input: in, Cond: expr.NewBinary(expr.OpGe, expr.Column(table, "v"), expr.IntLit(0))}
 }
 
+// bindPlan shapes plan and binds it with c: the pipeline a run of it drives.
+func bindPlan(c *compiler, plan algebra.Node) (*pipeOp, error) {
+	s, err := shaper{group: c.opts.Group}.of(plan)
+	if err != nil {
+		return nil, err
+	}
+	return c.compile(s.root)
+}
+
 // metered reports whether compile placed any instrumentation on p: on the
 // runner's loop over its source, or on a stage.
 func metered(p *pipeOp) bool {
@@ -53,11 +62,11 @@ func metered(p *pipeOp) bool {
 func TestDisabledObservabilityInsertsNoWrapper(t *testing.T) {
 	for _, plan := range []algebra.Node{valuesPlan(3), filterOf(valuesPlan(3), "t")} {
 		c := &compiler{opts: &Options{}, par: 1, clock: obs.Wall}
-		out, err := c.compile(plan)
+		out, err := bindPlan(c, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if metered(out.pipe) {
+		if metered(out) {
 			t.Fatalf("compile metered %s with every observability sink disabled", plan.Describe())
 		}
 	}
@@ -69,11 +78,11 @@ func TestDisabledObservabilityInsertsNoWrapper(t *testing.T) {
 		{Trace: obs.NewTracer(obs.NewFakeClock(time.Unix(0, 0), time.Millisecond))},
 	} {
 		c := &compiler{opts: opts, par: 1, clock: obs.Wall}
-		out, err := c.compile(filterOf(valuesPlan(3), "t"))
+		out, err := bindPlan(c, filterOf(valuesPlan(3), "t"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p := out.pipe; p.srcOut == nil || len(p.stages) != 1 || p.stages[0].out == nil {
+		if p := out; p.srcOut == nil || len(p.stages) != 1 || p.stages[0].out == nil {
 			t.Fatalf("compile metered the leaf with %v and the filter with %v, want a metricOp each", p.srcOut, p.stages)
 		}
 	}
@@ -268,9 +277,9 @@ func filtered(t *testing.T, rows []value.Row) *pipeOp {
 	plan := keyedValuesPlan("t", 0, 1)
 	plan.Rows = rows
 	c := &compiler{opts: &Options{}, par: 1, clock: obs.Wall}
-	out, err := c.compile(filterOf(plan, "t"))
+	out, err := bindPlan(c, filterOf(plan, "t"))
 	must(t, err)
-	return out.pipe
+	return out
 }
 
 // TestSerialGroupingHoldsGroupsNotRows: with abort admission hash grouping
@@ -336,12 +345,12 @@ func TestSerialGroupingHoldsGroupsNotRows(t *testing.T) {
 func TestSpillCapableSortStreamsItsInput(t *testing.T) {
 	const n, keys = 16 * MorselSize, 100
 	c := &compiler{opts: &Options{}, par: 1, clock: obs.Wall}
-	out, err := c.compile(probeJoinPlan(n, keys))
+	out, err := bindPlan(c, probeJoinPlan(n, keys))
 	must(t, err)
 	gov := &governor{budget: MorselSize * rowStateBytes(make(value.Row, 4))}
 	metrics := &obs.OpMetrics{}
 	op := &sortOp{
-		input: out.pipe, keys: []sortKey{{col: 1, desc: true}}, par: 1,
+		input: out, keys: []sortKey{{col: 1, desc: true}}, par: 1,
 		gov: gov, mgr: storage.NewSpillManager(t.TempDir()), metrics: metrics, where: "sort",
 	}
 	var before, after runtime.MemStats

@@ -11,6 +11,22 @@ import (
 	"repro/internal/value"
 )
 
+// lowered is a plan bound for one run: its pipeline, and the order its shape
+// proves of the pipeline's rows.
+type lowered struct {
+	pipe  *pipeOp
+	order []int
+}
+
+func lower(c *compiler, plan algebra.Node) (lowered, error) {
+	s, err := shaper{group: c.opts.Group}.of(plan)
+	if err != nil {
+		return lowered{}, err
+	}
+	p, err := c.compile(s.root)
+	return lowered{pipe: p, order: s.root.order}, err
+}
+
 // TestOrderPropagation verifies the compiler's interesting-order tracking:
 // sort establishes an order, filter and projection preserve it, hash join
 // keeps the probe side's order, and grouping exploits it.
@@ -25,7 +41,7 @@ func TestOrderPropagation(t *testing.T) {
 	}
 
 	// Sort yields an order on its key column.
-	out, err := c.compile(sortE)
+	out, err := lower(c, sortE)
 	must(t, err)
 	deptIdx, _ := scanE.Schema().IndexOf(expr.ColumnID{Table: "E", Name: "DeptID"})
 	if len(out.order) != 1 || out.order[0] != deptIdx {
@@ -35,7 +51,7 @@ func TestOrderPropagation(t *testing.T) {
 	// A redundant sort on the same key is elided: compiling Sort(Sort)
 	// returns the inner result unchanged.
 	doubleSort := &algebra.Sort{Input: sortE, Keys: sortE.Keys}
-	out2, err := c.compile(doubleSort)
+	out2, err := lower(c, doubleSort)
 	must(t, err)
 	if outer, isSort := out2.pipe.src.(*sortOp); isSort {
 		// The outer source must not be a second sortOp over a sortOp.
@@ -49,7 +65,7 @@ func TestOrderPropagation(t *testing.T) {
 		Input: sortE,
 		Cond:  expr.NewBinary(expr.OpGt, expr.Column("E", "Salary"), expr.IntLit(0)),
 	}
-	out3, err := c.compile(filtered)
+	out3, err := lower(c, filtered)
 	must(t, err)
 	if len(out3.order) != 1 || out3.order[0] != deptIdx {
 		t.Errorf("filter lost order: %v", out3.order)
@@ -63,7 +79,7 @@ func TestOrderPropagation(t *testing.T) {
 			{E: expr.Column("E", "EmpID"), As: expr.ColumnID{Name: "id"}},
 		},
 	}
-	out4, err := c.compile(proj)
+	out4, err := lower(c, proj)
 	must(t, err)
 	if len(out4.order) != 1 || out4.order[0] != 0 {
 		t.Errorf("projection order = %v, want [0]", out4.order)
@@ -76,7 +92,7 @@ func TestOrderPropagation(t *testing.T) {
 			{E: expr.NewBinary(expr.OpAdd, expr.Column("E", "DeptID"), expr.IntLit(1)), As: expr.ColumnID{Name: "d1"}},
 		},
 	}
-	out5, err := c.compile(projExpr)
+	out5, err := lower(c, projExpr)
 	must(t, err)
 	if len(out5.order) != 0 {
 		t.Errorf("expression projection kept order: %v", out5.order)
@@ -102,7 +118,7 @@ func TestGroupAutoExploitsSortedInput(t *testing.T) {
 	}
 
 	c := &compiler{store: s, opts: &Options{Group: GroupAuto}}
-	out, err := c.compile(group)
+	out, err := lower(c, group)
 	must(t, err)
 	sg, ok := out.pipe.src.(*sortGroupOp)
 	if !ok {
@@ -123,7 +139,7 @@ func TestGroupAutoExploitsSortedInput(t *testing.T) {
 		GroupCols: group.GroupCols,
 		Aggs:      group.Aggs,
 	}
-	out2, err := c.compile(group2)
+	out2, err := lower(c, group2)
 	must(t, err)
 	if _, ok := out2.pipe.src.(*hashGroupOp); !ok {
 		t.Fatalf("GroupAuto over unsorted input compiled to %T, want hashGroupOp", out2.pipe.src)
@@ -153,7 +169,7 @@ func TestForcedGroupSortIsASortUnderTheStream(t *testing.T) {
 		row[0] = value.NewInt(int64(keys - 1 - i%keys)) // first appearance descending
 	}
 	c := &compiler{opts: &Options{Group: GroupSort}}
-	out, err := c.compile(plan)
+	out, err := lower(c, plan)
 	must(t, err)
 	sg, ok := out.pipe.src.(*sortGroupOp)
 	if !ok {

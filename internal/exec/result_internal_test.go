@@ -121,10 +121,10 @@ func TestRowsAreMadeOnce(t *testing.T) {
 						if (gov != nil) != governed {
 							t.Fatalf("governed=%v, but the options make a governor: %v", governed, gov != nil)
 						}
-						compile := func(plan algebra.Node) compiled {
+						compile := func(plan algebra.Node) lowered {
 							opts := options()
 							c := &compiler{store: store, opts: opts, par: workers, clock: obs.Wall, gov: newGovernor(opts)}
-							out, err := c.compile(plan)
+							out, err := lower(c, plan)
 							must(t, err)
 							return out
 						}

@@ -345,9 +345,13 @@ func (t *joinTable) build(rows []value.Row, workers int) error {
 }
 
 // fill stores the n build rows of one partition under their keys, in order:
-// rows ids, or the first n rows when ids is nil.
+// rows ids, or the first n rows when ids is nil. A keyed build reserves room
+// for a key per row; a keyless one has the empty key alone, so it reserves
+// nothing.
 func (t *joinTable) fill(part *joinPart, ids []int32, n int) error {
-	part.index.Reserve(n)
+	if len(t.cols) > 0 {
+		part.index.Reserve(n)
+	}
 	var key []byte
 	var entries, bytes int64
 	for k := 0; k < n; k++ {

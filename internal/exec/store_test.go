@@ -562,7 +562,7 @@ func TestScalarGroupEmptyInput(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		g := sumCore(t, nil, nil)
 		g.par = workers
-		g.input = &pipeOp{src: leafRows(nil), par: workers, node: valuesPlan(0)}
+		g.input = &pipeOp{src: &leafRows{}, par: workers, node: &nodeShape{node: valuesPlan(0)}}
 		out, err := g.foldPipeline()
 		must(t, err)
 		rows := madeRows(t, out)

@@ -17,7 +17,8 @@ type aggColRef struct {
 }
 
 // initAggCols resolves every aggregate argument against the input columns,
-// once per run of a grouping whose input pipeline is in batches.
+// once, when the grouping is shaped; a run whose input is in batches reads
+// them.
 func (g *groupCore) initAggCols() {
 	g.aggCols = g.aggCols[:0]
 	for _, agg := range g.aggs {

@@ -91,7 +91,7 @@ func TestVectorPathZeroAllocs(t *testing.T) {
 			if c.clock == nil {
 				c.clock = obs.Wall
 			}
-			out, err := c.compile(&algebra.Select{
+			out, err := lower(c, &algebra.Select{
 				Input: src, Cond: expr.NewBinary(expr.OpGe, expr.Column("t", "v"), expr.IntLit(0)),
 			})
 			must(t, err)
@@ -151,7 +151,7 @@ func TestVectorizeDisabledInsertsNoBatchOperators(t *testing.T) {
 	store, scan := keyedStore(t, "t", 8, 8)
 	compilePlan := func(opts *Options) *pipeOp {
 		c := &compiler{store: store, opts: opts, par: 1, clock: obs.Wall}
-		out, err := c.compile(&algebra.Project{
+		out, err := lower(c, &algebra.Project{
 			Input: vecFilter(scan),
 			Items: []algebra.ProjItem{{E: expr.Column("t", "v"), As: expr.ColumnID{Name: "v"}}},
 		})
@@ -216,13 +216,13 @@ func TestOnlyStoredTablesAreColumnar(t *testing.T) {
 		{"bound through Sources", bound, false},
 	} {
 		c := &compiler{store: store, opts: opts, par: 1, clock: obs.Wall}
-		out, err := c.compile(vecFilter(tc.leaf))
+		out, err := lower(c, vecFilter(tc.leaf))
 		must(t, err)
 		if got := out.pipe.cols != nil; got != tc.columnar || out.pipe.inBatches() != tc.columnar {
 			t.Fatalf("%s: columnar source %v, in batches %v: want %v", tc.name, got, out.pipe.inBatches(), tc.columnar)
 		}
 		if !tc.columnar {
-			if _, ok := out.pipe.src.(leafRows); !ok {
+			if _, ok := out.pipe.src.(*leafRows); !ok {
 				t.Fatalf("%s: the source is a %T, want the leaf's rows", tc.name, out.pipe.src)
 			}
 		}

@@ -12,8 +12,9 @@ type CacheStats struct {
 	misses atomic.Int64
 	// evictions counts entries dropped by the LRU bound.
 	evictions atomic.Int64
-	// invalidations counts whole-cache clears: one per engine write (DDL,
-	// DML, a CSV load, a setter) while the cache is on.
+	// invalidations counts engine writes while the cache is on: each drops
+	// the plans over the tables it changed (DML, a CSV load) or every plan
+	// (DDL, a setter).
 	invalidations atomic.Int64
 }
 
@@ -26,7 +27,7 @@ func (s *CacheStats) Miss() { s.misses.Add(1) }
 // Evict records an LRU eviction.
 func (s *CacheStats) Evict() { s.evictions.Add(1) }
 
-// Invalidate records a whole-cache clear.
+// Invalidate records one write's drop of plans.
 func (s *CacheStats) Invalidate() { s.invalidations.Add(1) }
 
 // CacheSnapshot is a point-in-time copy of the counters.

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro"
@@ -66,6 +67,7 @@ func TestServeOracleDifferential(t *testing.T) {
 		PlanCacheSize: 64,
 	})
 
+	misses := e.PlanCacheStats().Misses
 	want := make([][][]any, len(staticQueries))
 	for i, q := range staticQueries {
 		want[i] = oracleRows(t, e, q.sql, q.params)
@@ -76,6 +78,7 @@ func TestServeOracleDifferential(t *testing.T) {
 		perClient = 6
 	)
 	var wg sync.WaitGroup
+	var kvReads atomic.Int64
 	errs := make(chan error, sessions)
 	for cl := 0; cl < sessions; cl++ {
 		wg.Add(1)
@@ -111,6 +114,7 @@ func TestServeOracleDifferential(t *testing.T) {
 						return
 					}
 				case 2: // hot-table invariant: SUM(val) == 2*SUM(grp) by construction
+					kvReads.Add(1)
 					res, err := c.QueryDetail(ctx, `SELECT SUM(grp), SUM(val) FROM kv`, nil)
 					if err != nil {
 						errs <- fmt.Errorf("client %d: hot query: %w", cl, err)
@@ -123,6 +127,7 @@ func TestServeOracleDifferential(t *testing.T) {
 						return
 					}
 				case 3: // grouped hot query: same invariant per group
+					kvReads.Add(1)
 					res, err := c.QueryDetail(ctx, `SELECT grp, SUM(val), COUNT(id) FROM kv GROUP BY grp ORDER BY grp`, nil)
 					if err != nil {
 						errs <- fmt.Errorf("client %d: grouped hot query: %w", cl, err)
@@ -148,6 +153,22 @@ func TestServeOracleDifferential(t *testing.T) {
 	}
 	if t.Failed() {
 		t.FailNow()
+	}
+
+	// Every INSERT goes to kv, so a write re-plans only the reads of kv: at
+	// most one plan per read of it, and the static queries' first plans. The
+	// static plans outlive the storm's writes: each static query hits.
+	replans := e.PlanCacheStats().Misses - misses
+	t.Logf("the storm re-planned %d times: %d reads of kv, %d static queries", replans, kvReads.Load(), len(staticQueries))
+	if bound := kvReads.Load() + int64(len(staticQueries)); replans > bound {
+		t.Fatalf("the storm re-planned %d times, want at most %d: writes to kv re-plan queries that do not read it", replans, bound)
+	}
+	misses = e.PlanCacheStats().Misses
+	for _, q := range staticQueries {
+		oracleRows(t, e, q.sql, q.params)
+	}
+	if n := e.PlanCacheStats().Misses - misses; n != 0 {
+		t.Fatalf("%d of %d static queries were re-planned after a storm of writes to kv alone", n, len(staticQueries))
 	}
 
 	// Quiesced: the full differential — every query, HTTP vs direct

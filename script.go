@@ -38,7 +38,7 @@ func (e *Engine) RunScriptContext(ctx context.Context, text string, w io.Writer)
 			}
 			fmt.Fprintln(w, text)
 		default:
-			if err := e.write(func() error { return e.execStmt(stmt) }); err != nil {
+			if err := e.write(insertTables(stmt), func() error { return e.execStmt(stmt) }); err != nil {
 				return err
 			}
 		}
