@@ -17,7 +17,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check docs fmt vet lint plancheck modelcheck verify-certs build test race sites chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench bench-smoke bench-record loc
+.PHONY: check docs fmt vet lint plancheck modelcheck verify-certs build test race sites chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench bench-smoke bench-record bench-trend loc
 
 check: docs fmt vet lint build race sites fuzz bench-smoke
 
@@ -184,18 +184,23 @@ serve-oracle:
 # decoder held to encoding/json (DESIGN.md §6.3), and arbitrary request
 # bodies through the real mux — a well-formed response or a row of the
 # status table, never a panic or a leaked goroutine.
+# go test shrinks an input that widens coverage by trying every byte range
+# it could cut, uncounted, for up to -fuzzminimizetime (60 s by default), so
+# one long input used to take a target's whole FUZZTIME (FuzzExternalSort,
+# whose inputs cost up to ~0.1 s each, and FuzzLikeMatch among others):
+# shrinking is bounded to a second.
 fuzz:
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzTestFD -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzLex -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzCanonical -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/expr -run '^$$' -fuzz FuzzLikeMatch -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/vec -run '^$$' -fuzz FuzzGroupKeyVector -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzEagerCert -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzExternalSort -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzRepartitionPermutation -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/server -run '^$$' -fuzz FuzzQueryResponseWire -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/server -run '^$$' -fuzz FuzzHandleQuery -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzTestFD -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzLex -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/sql -run '^$$' -fuzz FuzzCanonical -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/expr -run '^$$' -fuzz FuzzLikeMatch -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/vec -run '^$$' -fuzz FuzzGroupKeyVector -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzEagerCert -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/exec -run '^$$' -fuzz FuzzExternalSort -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzRepartitionPermutation -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzQueryResponseWire -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzHandleQuery -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Every benchmark in the module with allocs/op — the layer benchmarks; the
 # paper's figures, examples and sweeps are `gbj-bench` (EXPERIMENTS.md).
@@ -225,7 +230,7 @@ fuzz:
 # on its way to Run's caller — group → rename, group → column-permuting π,
 # scan → rename and the wide scan → filter → probe → permuting π, par1 and
 # par2, the wide one also under a cancellable context and streamed to a
-# consumer (exec.Stream) — and
+# consumer (exec.Shape.Stream) — and
 # BenchmarkGovernorTick, the per-row governance check on one goroutine and on
 # two sharing a governor; the root package: BenchmarkPlanCacheHit, a cached
 # Example 1 query end to end, and BenchmarkBoxSink; internal/storage:
@@ -251,6 +256,13 @@ bench-smoke:
 bench-record:
 	@if [ -z "$(PR)" ]; then echo "usage: make bench-record PR=<number>"; exit 2; fi
 	$(GO) run ./benchmark -seed 1 -seconds 10 -json BENCH_pr$(PR).json
+
+# The trajectory as ratios: for each workload and end-to-end metric, each
+# committed BENCH_pr<N>.json record's value over the previous record's
+# (TestBenchTrend, which reads them as the allocation ratchet does). It gates
+# nothing: one window per record measures allocation, not time.
+bench-trend:
+	$(GO) test -run '^TestBenchTrend$$' -count 1 -v .
 
 # Non-test and test Go lines per package — the numbers CHANGES.md reports for
 # a change (internal/exec's non-test count is the one ROADMAP tracks).

@@ -8,8 +8,10 @@ package gbj
 // previous one on any workload — unless BENCH_allowances.json names that
 // record, that workload and a ratio at least the one measured: an increase a
 // change means to make is written down, and the bound itself never moves.
-// Timings are not gated: one window per record does not measure them. Every
-// record must also have run every operation correctly.
+// Timings are not gated: one window per record does not measure them, and
+// make bench-trend only prints each record's numbers as ratios of the
+// previous record's (TestBenchTrend). Every record must also have run every
+// operation correctly.
 
 import (
 	"encoding/json"
@@ -19,7 +21,9 @@ import (
 	"regexp"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
+	"text/tabwriter"
 )
 
 // allocRatchet is the most the newest record's alloc_mb_per_query may be of
@@ -123,6 +127,61 @@ func checkTrajectory(dir string) error {
 		}
 	}
 	return nil
+}
+
+// benchTrend renders the records as a ratio table: a row per workload and
+// metric, a column per record after the first, holding the record's value
+// over the previous record's; "-" where either lacks the value.
+func benchTrend(records []benchRecord) string {
+	var workloads, metrics []string
+	for _, r := range records {
+		for name, w := range r.Workloads {
+			if !slices.Contains(workloads, name) {
+				workloads = append(workloads, name)
+			}
+			for m := range w.Metrics {
+				if !slices.Contains(metrics, m) {
+					metrics = append(metrics, m)
+				}
+			}
+		}
+	}
+	slices.Sort(workloads)
+	slices.Sort(metrics)
+	var sb strings.Builder
+	tw := tabwriter.NewWriter(&sb, 0, 0, 2, ' ', 0)
+	fmt.Fprint(tw, "workload\tmetric")
+	for i := 1; i < len(records); i++ {
+		fmt.Fprintf(tw, "\tpr%d/pr%d", records[i].pr, records[i-1].pr)
+	}
+	fmt.Fprintln(tw)
+	for _, name := range workloads {
+		for _, m := range metrics {
+			fmt.Fprintf(tw, "%s\t%s", name, m)
+			for i := 1; i < len(records); i++ {
+				was, ok1 := records[i-1].Workloads[name].Metrics[m]
+				now, ok2 := records[i].Workloads[name].Metrics[m]
+				if ok1 && ok2 && was.Value != 0 {
+					fmt.Fprintf(tw, "\t%.3f", now.Value/was.Value)
+				} else {
+					fmt.Fprint(tw, "\t-")
+				}
+			}
+			fmt.Fprintln(tw)
+		}
+	}
+	tw.Flush()
+	return sb.String()
+}
+
+// TestBenchTrend logs the committed records' ratio table (make bench-trend
+// runs it with -v). It gates nothing.
+func TestBenchTrend(t *testing.T) {
+	records, _, err := readTrajectory(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Log("each record's value over the previous record's:\n" + benchTrend(records))
 }
 
 func TestBenchTrajectoryAllocationRatchet(t *testing.T) {

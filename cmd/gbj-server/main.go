@@ -42,7 +42,7 @@ func main() {
 	maxSessions := flag.Int("max-sessions", 0, "concurrent session cap (0 = unbounded); overflow is a typed admission error, HTTP 429")
 	maxQueue := flag.Int("max-queue", 64, "admission queue depth once the pool is empty; beyond it queries are rejected with HTTP 429")
 	queueTimeout := flag.Duration("queue-timeout", 5*time.Second, "longest a query waits in the admission queue before a 429 (0 = wait for the client deadline)")
-	planCache := flag.Int("plan-cache", 256, "plan cache entries (0 = engine default)")
+	planCache := flag.Int("plan-cache", 256, "plan cache entries (0 = the engine's default, 256)")
 	var knobs cliutil.EngineFlags
 	knobs.Register(flag.CommandLine, map[string]string{
 		"vectorize": "", "mem-budget": "",

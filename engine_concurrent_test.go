@@ -131,9 +131,9 @@ func TestConcurrentEngineMixedTraffic(t *testing.T) {
 // plan's exec.Shape made once — run by many sessions at once, each under
 // settings of its own: the engine's four workers and batch form, a Serial
 // query's one worker in rows, a leased budget that spills, an analyzed run
-// with metrics and spans. Every run returns the rows of an uncached run, and
-// the entry keeps the one shape. Under -race it is the check that a shape
-// holds nothing a run writes.
+// with metrics and spans. Every run returns the rows of the first run, which
+// planned the entry, and no run re-plans it. Under -race it is the check
+// that a shape holds nothing a run writes.
 func TestConcurrentSessionsShareOneShape(t *testing.T) {
 	store, err := workload.EmployeeDepartment(1500, 25)
 	if err != nil {
@@ -157,15 +157,9 @@ func TestConcurrentSessionsShareOneShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := rowsOf(res)
-
-	e.SetPlanCacheSize(16)
-	if _, err := e.QueryOptionsContext(ctx, workload.Example1Query, nil); err != nil {
-		t.Fatal(err)
-	}
 	cp := e.cachedText(workload.Example1Query)
-	shape := cp.shapes[0].Load()
-	if shape == nil {
-		t.Fatal("the cached run kept no shape")
+	if cp == nil {
+		t.Fatal("the first run left no cache entry")
 	}
 	runs := []func() (*Result, error){
 		func() (*Result, error) { return e.QueryOptionsContext(ctx, workload.Example1Query, nil) },
@@ -197,7 +191,7 @@ func TestConcurrentSessionsShareOneShape(t *testing.T) {
 					return
 				}
 				if got := rowsOf(res); !slices.Equal(got, want) {
-					errs <- fmt.Errorf("session %d: %d rows differ from the uncached run's %d", g, len(got), len(want))
+					errs <- fmt.Errorf("session %d: %d rows differ from the first run's %d", g, len(got), len(want))
 					return
 				}
 			}
@@ -208,7 +202,7 @@ func TestConcurrentSessionsShareOneShape(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if s := e.PlanCacheStats(); s.Misses != 1 || cp.shapes[0].Load() != shape {
+	if s := e.PlanCacheStats(); s.Misses != 1 || e.cachedText(workload.Example1Query) != cp {
 		t.Fatalf("the sessions did not share one plan and one shape: %+v", s)
 	}
 }

@@ -94,10 +94,10 @@ type Engine struct {
 	set       settings
 	fallbacks atomic.Int64
 
-	// planCache, when non-nil (SetPlanCacheSize), memoizes plan selection
-	// keyed by the canonical query; write drops the entries a write makes
-	// stale. cacheStats counts its traffic. Guarded by mu; the cache itself
-	// is internally synchronized.
+	// planCache memoizes plan selection keyed by the canonical query
+	// (gbj_cache.go); write drops the entries a write makes stale.
+	// cacheStats counts its traffic. Guarded by mu; the cache itself is
+	// internally synchronized.
 	planCache  *core.PlanCache
 	cacheStats obs.CacheStats
 
@@ -162,7 +162,9 @@ func New() *Engine {
 func NewWithStore(store *storage.Store) *Engine {
 	opt := core.NewOptimizer(store)
 	opt.CheckPlans = true
-	return &Engine{store: store, opt: opt}
+	e := &Engine{store: store, opt: opt}
+	e.planCache = core.NewPlanCache(defaultPlanCacheSize, &e.cacheStats)
+	return e
 }
 
 // update is the one way a setting changes: a write that applies set and
@@ -564,8 +566,7 @@ func (e *Engine) query(ctx context.Context, text string, q *sql.SelectStmt, o *Q
 // execution touches nothing else of the engine but its atomic counters, so
 // the lock is released before the first row moves.
 type prepared struct {
-	choice *core.Choice
-	cached *cachedPlan    // the choice's plan-cache entry; nil when caching is off
+	cached *cachedPlan    // the query's plan-cache entry: its choice and compiled plans
 	set    settings       // the engine's settings with the query's overrides
 	store  *storage.Store // frozen snapshot: the query's stable view of the data
 	params expr.Params
@@ -586,7 +587,7 @@ func (e *Engine) prepare(text string, q *sql.SelectStmt, o *QueryOptions, params
 		e.mu.RLock()
 		if cp := e.cachedText(text); cp != nil {
 			defer e.mu.RUnlock()
-			return e.capture(cp.choice, cp, o, params)
+			return e.capture(cp, o, params)
 		}
 		e.mu.RUnlock()
 		var err error
@@ -596,19 +597,18 @@ func (e *Engine) prepare(text string, q *sql.SelectStmt, o *QueryOptions, params
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	c, cp, err := e.choose(q, text)
+	cp, err := e.choose(q, text)
 	if err != nil {
 		return prepared{}, err
 	}
-	return e.capture(c, cp, o, params)
+	return e.capture(cp, o, params)
 }
 
-// capture is the rest of prepare once the plan and its cache entry (nil
-// when uncached) are known: the query's settings, snapshot and cluster.
-// Caller holds e.mu.
-func (e *Engine) capture(c *core.Choice, cp *cachedPlan, o *QueryOptions, params expr.Params) (prepared, error) {
+// capture is the rest of prepare once the query's cache entry is known: the
+// query's settings, snapshot and cluster. Caller holds e.mu.
+func (e *Engine) capture(cp *cachedPlan, o *QueryOptions, params expr.Params) (prepared, error) {
 	var err error
-	p := prepared{choice: c, cached: cp, set: e.set.with(o), store: e.store.Snapshot(), params: params}
+	p := prepared{cached: cp, set: e.set.with(o), store: e.store.Snapshot(), params: params}
 	if p.set.nodes > 1 {
 		if p.cluster, err = e.clusterFor(); err != nil {
 			return prepared{}, err
@@ -671,7 +671,7 @@ func (e *Engine) run(ctx context.Context, p *prepared, instrument bool, sink Row
 			e.recovery.Degraded.Add(1)
 			degraded, fellBack = degradeReason(ue), ""
 			at = attempt{}
-		case !at.lazy && canFallBack(err, p.choice):
+		case !at.lazy && canFallBack(err, p.cached.choice):
 			e.fallbacks.Add(1)
 			fellBack = fallbackReason(err)
 			at.lazy = true
@@ -686,9 +686,10 @@ func (e *Engine) run(ctx context.Context, p *prepared, instrument bool, sink Row
 // starts sink and hands it the rows: a local rung's as its root pipeline makes
 // them, a cluster rung's as the cluster returns them.
 func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome, sink RowSink) error {
-	plan, ann, certs := p.choice.Plan, p.choice.Ann, p.choice.Certs
+	c, cp := p.cached.choice, p.cached.plan
+	plan, ann, certs := c.Plan, c.Ann, c.Certs
 	if at.lazy {
-		plan, ann, certs = p.choice.Fallback, p.choice.FallbackAnn, nil
+		plan, ann, certs, cp = c.Fallback, c.FallbackAnn, nil, p.cached.fallback
 	}
 	opts := p.execOptions(ctx, at, out)
 	if at == (attempt{}) && p.set.spillDir != "" && p.set.memBudget > 0 {
@@ -703,10 +704,6 @@ func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome,
 	}
 	if !at.dist {
 		out.plan, out.est = plan, ann
-		cp, err := p.compiled(at.lazy)
-		if err != nil {
-			return err
-		}
 		sink.Start(slices.Clone(cp.columns))
 		return cp.shape.Stream(p.store, opts, sink)
 	}
@@ -799,11 +796,11 @@ func (e *Engine) Explain(text string) (string, error) {
 func (e *Engine) explain(q *sql.SelectStmt) (string, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	c, _, err := e.choose(q, "")
+	cp, err := e.choose(q, "")
 	if err != nil {
 		return "", err
 	}
-	return c.Explain(), nil
+	return cp.choice.Explain(), nil
 }
 
 // parseSelect parses one SELECT statement, with or without a leading
@@ -827,7 +824,9 @@ func parseSelect(text string) (*sql.SelectStmt, error) {
 type Analysis struct {
 	// Result holds the query's rows.
 	Result *Result
-	// Plan is the executed plan.
+	// Plan is the executed plan. A local run's is the plan-cache entry's own
+	// tree, shared with every later run of the query: read it, never write
+	// it.
 	Plan algebra.Node
 	// Calibration pairs the cost model's per-node estimates with measured
 	// cardinalities (q-errors included) and carries the per-operator

@@ -17,13 +17,17 @@ package gbj
 //     plan, and the text that reached it becomes an alias of the entry
 //     (core.PlanCache bounds the aliases and drops them with their entry).
 //
+// Every engine has the cache (at defaultPlanCacheSize entries until
+// SetPlanCacheSize resizes it), so every SELECT, EXPLAIN and script query is
+// planned through it: there is no uncached plan path.
+//
 // Beside the choice an entry keeps the plan-only half of its compilation
-// (exec.Shape) for the plan and for its lazy fallback, made on the entry's
-// first run of each, so a hit binds operators to its snapshot and compiles
-// nothing. A shape depends on the plan alone (the engine never forces a
-// grouping strategy): the worker count, the source form, a leased budget and
-// the spill decision are read when a run binds it, so one shape serves a
-// serial, a degraded and a vectorized run alike.
+// (exec.Shape) for the plan and for its lazy fallback, made with the entry,
+// so a hit binds operators to its snapshot and compiles nothing. A shape
+// depends on the plan alone (the engine never forces a grouping strategy):
+// the worker count, the source form, a leased budget and the spill decision
+// are read when a run binds it, so one shape serves a serial, a degraded and
+// a vectorized run alike.
 //
 // Hits count queries that were not re-planned, a text answered by the
 // canonical key included; misses count plan selections.
@@ -52,8 +56,6 @@ package gbj
 // goroutines).
 
 import (
-	"sync/atomic"
-
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -61,19 +63,36 @@ import (
 	"repro/internal/sql"
 )
 
+// defaultPlanCacheSize is the plan cache's capacity in entries, that of
+// every new engine and of SetPlanCacheSize(0).
+const defaultPlanCacheSize = 256
+
 // cachedPlan is what the plan cache keeps for a query: its choice and the
-// compiled shapes of its plan and its fallback.
+// compiled forms of its plan and of its fallback (nil without one).
 type cachedPlan struct {
-	choice *core.Choice
-	// shapes[0] is Plan's, shapes[1] Fallback's, each made on its first run;
-	// two sessions that race to make one both run theirs and one is kept.
-	shapes [2]atomic.Pointer[compiledPlan]
+	choice         *core.Choice
+	plan, fallback *compiledPlan
 }
 
 // compiledPlan is a plan's shape with the column names of its result.
 type compiledPlan struct {
 	shape   *exec.Shape
 	columns []string
+}
+
+// newCachedPlan compiles the plan and the fallback of c.
+func newCachedPlan(c *core.Choice) (*cachedPlan, error) {
+	cp := &cachedPlan{choice: c}
+	var err error
+	if cp.plan, err = compile(c.Plan); err != nil {
+		return nil, err
+	}
+	if c.Fallback != nil {
+		if cp.fallback, err = compile(c.Fallback); err != nil {
+			return nil, err
+		}
+	}
+	return cp, nil
 }
 
 // compile makes plan's compiledPlan.
@@ -85,36 +104,15 @@ func compile(plan algebra.Node) (*compiledPlan, error) {
 	return &compiledPlan{shape: shape, columns: columnNames(plan.Schema())}, nil
 }
 
-// compiled returns the compiledPlan of the choice's plan, or of its fallback
-// when lazy, from the cache entry when the query has one.
-func (p *prepared) compiled(lazy bool) (*compiledPlan, error) {
-	plan, i := p.choice.Plan, 0
-	if lazy {
-		plan, i = p.choice.Fallback, 1
-	}
-	if p.cached == nil {
-		return compile(plan)
-	}
-	if cp := p.cached.shapes[i].Load(); cp != nil {
-		return cp, nil
-	}
-	cp, err := compile(plan)
-	if err != nil {
-		return nil, err
-	}
-	p.cached.shapes[i].Store(cp)
-	return cp, nil
-}
-
 // SetPlanCacheSize bounds the engine's plan cache to n entries; n <= 0
-// disables caching (the default). Resizing drops all cached entries.
+// restores the default (defaultPlanCacheSize). Resizing drops all cached
+// entries; the cache is never off.
 func (e *Engine) SetPlanCacheSize(n int) {
+	if n <= 0 {
+		n = defaultPlanCacheSize
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if n <= 0 {
-		e.planCache = nil
-		return
-	}
 	e.planCache = core.NewPlanCache(n, &e.cacheStats)
 }
 
@@ -123,16 +121,6 @@ func (e *Engine) SetPlanCacheSize(n int) {
 // counters survive SetPlanCacheSize.
 func (e *Engine) PlanCacheStats() obs.CacheSnapshot {
 	return e.cacheStats.Snapshot()
-}
-
-// PlanCacheLen returns the number of cached plans, 0 when caching is off.
-func (e *Engine) PlanCacheLen() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.planCache == nil {
-		return 0
-	}
-	return e.planCache.Len()
 }
 
 // write is the one way the engine changes: it runs fn under the write lock
@@ -144,46 +132,40 @@ func (e *Engine) PlanCacheLen() int {
 func (e *Engine) write(tables []string, fn func() error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.planCache != nil {
-		defer e.planCache.Drop(tables)
-	}
+	defer e.planCache.Drop(tables)
 	return fn()
 }
 
 // choose is the engine's one plan decision, core.Optimizer.Choose, behind
 // the plan cache's canonical key: what a query runs and what EXPLAIN prints.
-// A non-empty text is q's exact text, and becomes an alias of q's entry once
-// q has one. It returns the cache entry too, nil when caching is off. Caller
-// holds e.mu (read suffices), which keeps write — and its drop — out between
-// the lookup and the insert.
-func (e *Engine) choose(q *sql.SelectStmt, text string) (*core.Choice, *cachedPlan, error) {
-	if e.planCache == nil {
-		c, err := e.opt.Choose(q)
-		return c, nil, err
-	}
+// A miss plans q and compiles the choice into a new entry. A non-empty text
+// is q's exact text, and becomes an alias of q's entry. Caller holds e.mu
+// (read suffices), which keeps write — and its drop — out between the
+// lookup and the insert.
+func (e *Engine) choose(q *sql.SelectStmt, text string) (*cachedPlan, error) {
 	key := sql.Canonical(q)
 	v, ok := e.planCache.Get(key)
 	if !ok {
 		c, err := e.opt.Choose(q)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		v = &cachedPlan{choice: c}
-		e.planCache.PutReads(key, v, c.Tables)
+		cp, err := newCachedPlan(c)
+		if err != nil {
+			return nil, err
+		}
+		e.planCache.PutReads(key, cp, c.Tables)
+		v = cp
 	}
 	if text != "" {
 		e.planCache.Alias(text, key)
 	}
-	cp := v.(*cachedPlan)
-	return cp.choice, cp, nil
+	return v.(*cachedPlan), nil
 }
 
 // cachedText is the plan cache's entry for a query's exact text, nil when
-// caching is off or the text is no alias. Caller holds e.mu.
+// the text is no alias. Caller holds e.mu.
 func (e *Engine) cachedText(text string) *cachedPlan {
-	if e.planCache == nil {
-		return nil
-	}
 	v, ok := e.planCache.GetText(text)
 	if !ok {
 		return nil

@@ -58,7 +58,7 @@ type alias struct {
 // NewPlanCache returns a cache bounded to capacity entries. A nil stats is
 // replaced by a private one so callers may pass nil. Capacity < 1 is
 // treated as 1 — a cache you can construct is a cache that can hold
-// something; the engine disables caching by not constructing one.
+// something.
 func NewPlanCache(capacity int, stats *obs.CacheStats) *PlanCache {
 	if capacity < 1 {
 		capacity = 1

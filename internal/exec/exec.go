@@ -155,9 +155,9 @@ type Result struct {
 	Rows   []value.Row
 }
 
-// Consumer takes the rows of a streamed run (Stream) as the root pipeline
-// emits them, in chunks: runs of consecutive result rows, chunk c's before
-// chunk c+1's in the order Run would return them.
+// Consumer takes the rows of a streamed run (Shape.Stream) as the root
+// pipeline emits them, in chunks: runs of consecutive result rows, chunk c's
+// before chunk c+1's in the order Run would return them.
 type Consumer interface {
 	// Begin is called once, before any row, with the number of chunks. One
 	// chunk is filled on the caller's goroutine; more may be filled at once,
@@ -182,26 +182,15 @@ func Run(root algebra.Node, store *storage.Store, opts *Options) (*Result, error
 	return &Result{Schema: root.Schema(), Rows: rows}, nil
 }
 
-// Stream is Run with the root pipeline's rows handed to c as they are made
-// instead of collected: no row of the result is kept by the run. At one
-// worker the rows are one chunk, pulled in order — the merge of a sort, a
-// grace join or a grouping that spilled included, unless Metrics are on: then
-// the merge is drained, as Run drains it; above one they are the chunks Run's
-// collection cuts.
-func Stream(root algebra.Node, store *storage.Store, opts *Options, c Consumer) error {
-	_, err := execute(root, nil, store, opts, c)
-	return err
-}
-
 // Shape is the plan-only half of a compiled plan: every node's bound
 // expressions, key columns and sort keys, its grouping core and strategy, the
 // order its output carries, and the names its operators put in their errors —
 // everything that depends on the plan and the forced grouping strategy and on
-// nothing a run brings. Run and Stream make one per call; a caller that runs
-// one plan many times makes it once (NewShape) and streams it (Shape.Stream),
-// so a run only binds: its pipelines, stages and operators, over its
-// snapshot, governor, parameters and metrics. A shape holds no
-// mutable state, so any number of runs, on any goroutines, may share one.
+// nothing a run brings. Run makes one per call; a caller that runs one plan
+// many times makes it once (NewShape) and streams it (Shape.Stream), so a run
+// only binds: its pipelines, stages and operators, over its snapshot,
+// governor, parameters and metrics. A shape holds no mutable state, so any
+// number of runs, on any goroutines, may share one.
 type Shape struct {
 	root  *nodeShape
 	group GroupStrategy
@@ -222,14 +211,19 @@ func (sh shaper) of(root algebra.Node) (*Shape, error) {
 	return &Shape{root: s, group: sh.group}, nil
 }
 
-// Stream is the package's Stream of the plan s was made from.
+// Stream is Run of the plan s was made from with the root pipeline's rows
+// handed to c as they are made instead of collected: no row of the result is
+// kept by the run. At one worker the rows are one chunk, pulled in order — the
+// merge of a sort, a grace join or a grouping that spilled included, unless
+// Metrics are on: then the merge is drained, as Run drains it; above one they
+// are the chunks Run's collection cuts.
 func (s *Shape) Stream(store *storage.Store, opts *Options, c Consumer) error {
 	_, err := execute(s.root.node, s, store, opts, c)
 	return err
 }
 
-// execute is Run's and Stream's one body: it binds shape — made from root
-// first when nil — and runs its pipeline into cons, or, with cons nil,
+// execute is Run's and Shape.Stream's one body: it binds shape — made from
+// root first when nil — and runs its pipeline into cons, or, with cons nil,
 // collects it.
 func execute(root algebra.Node, shape *Shape, store *storage.Store, opts *Options, cons Consumer) (rows []value.Row, err error) {
 	if opts == nil {

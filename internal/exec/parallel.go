@@ -836,7 +836,7 @@ func (p *pipeOp) collect() ([]value.Row, error) {
 	return concatChunks(s.outs), nil
 }
 
-// stream runs the pipeline to completion into c (Stream): above one worker
+// stream runs the pipeline to completion into c (Shape.Stream): above one worker
 // cut into the collector's chunks, each chunk's rows handed to c's receiver
 // for it; at one worker as c's one chunk, in order, a merge pulled row by row
 // — unless a stage counts its morsels (metrics): then it is cut into the

@@ -11,9 +11,10 @@ package exec_test
 // π → root, some 24 000 joined rows kept, each projected into the stage's
 // scratch row and copied into the collection's slab — also under a cancellable
 // context, where every tick is a load of the governor's flag, and streamed
-// (exec.Stream) into a consumer that only counts, the path a served SELECT
-// takes: no slab, no collection. At one and at two workers; run with
-// -benchmem — allocs/op is the result path's per-row cost.
+// (exec.Shape.Stream, the shape made in each run) into a consumer that only
+// counts, the path a served SELECT takes: no slab, no collection. At one and
+// at two workers; run with -benchmem — allocs/op is the result path's per-row
+// cost.
 
 import (
 	"context"
@@ -65,7 +66,11 @@ func BenchmarkResultPath(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						var c rowCounter
-						if err := exec.Stream(plan, store, &exec.Options{Parallelism: par}, &c); err != nil {
+						shape, err := exec.NewShape(plan)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if err := shape.Stream(store, &exec.Options{Parallelism: par}, &c); err != nil {
 							b.Fatal(err)
 						}
 						if c.n.Load() != int64(len(res.Rows)) {

@@ -152,7 +152,7 @@ func TestRowsAreMadeOnce(t *testing.T) {
 							_, err := Run(renameOf(group), store, options())
 							must(t, err)
 						})
-						streamed := allocated(func() { must(t, Stream(renameOf(group), store, options(), discard{})) })
+						streamed := allocated(func() { must(t, stream(renameOf(group), store, options(), discard{})) })
 						topped := allocated(func() {
 							res, err := Run(groupTop, store, options())
 							must(t, err)

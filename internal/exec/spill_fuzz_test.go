@@ -50,11 +50,14 @@ func fuzzSpillValue(data []byte, pos *int) value.Value {
 // arbitrary rows (mixed int/float/string/bool/NULL keys) and an arbitrary
 // tiny budget, the extSorter's merged output must equal a stable in-memory
 // sort of the same rows — byte-identical through the spill codec — and the
-// run files must all be gone after close.
+// run files must all be gone after close. The runs of every input go to one
+// directory, made once: a directory made and removed per input cost more
+// than the sort of a typical input.
 func FuzzExternalSort(f *testing.F) {
 	f.Add([]byte{}, uint16(1), false)
 	f.Add([]byte{1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 2, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f}, uint16(32), true)
 	f.Add(bytes.Repeat([]byte{1, 9, 2, 7, 3, 5}, 40), uint16(64), false)
+	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte, budget uint16, desc bool) {
 		// Decode a row stream: two columns, first is the sort key.
 		var rows []value.Row
@@ -83,7 +86,7 @@ func FuzzExternalSort(f *testing.F) {
 
 		// Subject: the extSorter under a budget tight enough to force runs
 		// to disk on any non-trivial input.
-		mgr := storage.NewSpillManager(t.TempDir())
+		mgr := storage.NewSpillManager(dir)
 		gov := newGovernor(&Options{MemoryBudget: 1 + int64(budget%1024)})
 		x := newSorter(gov, mgr, nil, "fuzz", 1, cmp)
 		for i, r := range rows {

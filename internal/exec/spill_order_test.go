@@ -22,6 +22,16 @@ func (consumerFunc) Begin(int) {}
 
 func (f consumerFunc) Chunk(int) func(value.Row) error { return f }
 
+// stream is Run with plan's rows handed to c: plan shaped for opts' grouping
+// strategy, then streamed.
+func stream(plan algebra.Node, store *storage.Store, opts *Options, c Consumer) error {
+	s, err := shaper{group: opts.Group}.of(plan)
+	if err != nil {
+		return err
+	}
+	return s.Stream(store, opts, c)
+}
+
 // liveHeap is the heap still referenced, measured after a collection.
 func liveHeap() int64 {
 	runtime.GC()
@@ -75,7 +85,7 @@ func TestSpilledOutputStreams(t *testing.T) {
 
 			rows, grown := 0, int64(0)
 			base := liveHeap()
-			must(t, Stream(tc.plan, nil, spilling(), consumerFunc(func(value.Row) error {
+			must(t, stream(tc.plan, nil, spilling(), consumerFunc(func(value.Row) error {
 				if rows++; rows == 1 {
 					grown = liveHeap() - base
 				}
@@ -114,7 +124,7 @@ func TestExternalSortFanIn(t *testing.T) {
 			metrics := obs.NewCollector()
 			var got []value.Row
 			live := 0
-			must(t, Stream(plan, nil, &Options{MemoryBudget: tc.budget, Spill: mgr, Metrics: metrics}, consumerFunc(func(row value.Row) error {
+			must(t, stream(plan, nil, &Options{MemoryBudget: tc.budget, Spill: mgr, Metrics: metrics}, consumerFunc(func(row value.Row) error {
 				if got == nil {
 					live = mgr.Live()
 				}
@@ -186,7 +196,7 @@ func TestSpillBuffersCharged(t *testing.T) {
 	opts := &Options{Parallelism: 1, MemoryBudget: budget, Spill: mgr, Metrics: obs.NewCollector()}
 	rows, grown := 0, int64(0)
 	base := liveHeap()
-	must(t, Stream(plan, nil, opts, consumerFunc(func(value.Row) error {
+	must(t, stream(plan, nil, opts, consumerFunc(func(value.Row) error {
 		if rows++; rows == 1 {
 			grown = liveHeap() - base
 		}

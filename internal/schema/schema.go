@@ -12,6 +12,7 @@ package schema
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -197,7 +198,8 @@ type View struct {
 }
 
 // Catalog is the collection of all schema objects. It is not safe for
-// concurrent mutation; the engine serializes DDL.
+// concurrent mutation; the engine serializes DDL. Its maps are copy-on-write:
+// an Add publishes a new map and never writes into one a snapshot may share.
 type Catalog struct {
 	tables  map[string]*Table
 	domains map[string]*Domain
@@ -252,6 +254,7 @@ func (c *Catalog) AddTable(t *Table) error {
 			return err
 		}
 	}
+	c.tables = maps.Clone(c.tables)
 	c.tables[t.Name] = t
 	return nil
 }
@@ -302,23 +305,14 @@ func equalStringSets(a, b []string) bool {
 	return true
 }
 
-// Snapshot returns a point-in-time copy of the catalog. The maps are
-// copied so later DDL on the live catalog (CREATE TABLE/DOMAIN/VIEW) is
-// invisible to the snapshot; the definitions themselves are shared —
-// they are immutable once registered (Validate mutates a Table only
-// before AddTable publishes it).
+// Snapshot returns a point-in-time copy of the catalog. It shares the maps,
+// which no later DDL on the live catalog (CREATE TABLE/DOMAIN/VIEW) writes
+// into, so that DDL is invisible to the snapshot; the definitions themselves
+// are shared too — they are immutable once registered (Validate mutates a
+// Table only before AddTable publishes it).
 func (c *Catalog) Snapshot() *Catalog {
-	snap := NewCatalog()
-	for name, t := range c.tables {
-		snap.tables[name] = t
-	}
-	for name, d := range c.domains {
-		snap.domains[name] = d
-	}
-	for name, v := range c.views {
-		snap.views[name] = v
-	}
-	return snap
+	snap := *c
+	return &snap
 }
 
 // Table returns the named table, or an error.
@@ -354,6 +348,7 @@ func (c *Catalog) AddDomain(d *Domain) error {
 	if _, exists := c.domains[d.Name]; exists {
 		return fmt.Errorf("schema: domain %s already exists", d.Name)
 	}
+	c.domains = maps.Clone(c.domains)
 	c.domains[d.Name] = d
 	return nil
 }
@@ -378,6 +373,7 @@ func (c *Catalog) AddView(v *View) error {
 	if _, exists := c.tables[v.Name]; exists {
 		return fmt.Errorf("schema: %s already exists as a table", v.Name)
 	}
+	c.views = maps.Clone(c.views)
 	c.views[v.Name] = v
 	return nil
 }

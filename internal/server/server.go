@@ -11,8 +11,8 @@
 //     degrades before it rejects: a partial lease runs the query serially
 //     with the smaller budget; only a saturated queue or an expired
 //     admission deadline turns into a typed *AdmissionError (HTTP 429).
-//   - The engine's plan cache (enabled via Config.PlanCacheSize) memoizes
-//     plan selection across sessions; /v1/stats exposes its hit, miss,
+//   - The engine's plan cache (every engine has one; Config.PlanCacheSize
+//     resizes it) memoizes plan selection across sessions; /v1/stats exposes its hit, miss,
 //     eviction and invalidation counters.
 //   - Shutdown cancels the server's root context, which every in-flight
 //     request context is joined to — running queries abort within one
@@ -59,8 +59,8 @@ type Config struct {
 	QueueTimeout time.Duration
 	// MaxSessions bounds concurrently open sessions; 0 means unbounded.
 	MaxSessions int
-	// PlanCacheSize, when positive, enables the engine's plan cache with
-	// that many entries.
+	// PlanCacheSize, when positive, resizes the engine's plan cache to that
+	// many entries; 0 leaves it as it is (256 entries on a new engine).
 	PlanCacheSize int
 }
 

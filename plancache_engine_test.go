@@ -43,14 +43,20 @@ func queryCountsOf(t *testing.T, e *Engine, text string) map[int64]int64 {
 	return counts
 }
 
+// A new engine plans through its cache: a repeated query is planned once and
+// then hit, an INSERT into a table it does not read keeps its entry, and
+// spellings share an entry that different queries do not.
 func TestPlanCacheHitsRepeatQueries(t *testing.T) {
 	e := newExample1Engine(t)
-	e.SetPlanCacheSize(16)
+	e.MustExec(`CREATE TABLE Other (id INTEGER)`)
 	base := queryCounts(t, e)
 	if s := e.PlanCacheStats(); s.Misses != 1 || s.Hits != 0 {
 		t.Fatalf("after cold run: %+v", s)
 	}
 	for i := 0; i < 5; i++ {
+		if i == 2 {
+			e.MustExec(`INSERT INTO Other VALUES (1)`)
+		}
 		if got := queryCounts(t, e); fmt.Sprint(got) != fmt.Sprint(base) {
 			t.Fatalf("warm run %d: %v != %v", i, got, base)
 		}
@@ -59,16 +65,44 @@ func TestPlanCacheHitsRepeatQueries(t *testing.T) {
 	if s.Hits != 5 || s.Misses != 1 {
 		t.Fatalf("warm stats: %+v", s)
 	}
-	if e.PlanCacheLen() != 1 {
-		t.Fatalf("cache len %d, want 1", e.PlanCacheLen())
+	if e.planCache.Len() != 1 {
+		t.Fatalf("cache len %d, want 1", e.planCache.Len())
 	}
 	// Query spelling differences that parse to the same AST share an
 	// entry; semantically different queries do not.
 	if _, err := e.QueryOptionsContext(context.Background(), "select d.DeptID, d.Name, count(e.EmpID) from Employee e, Department d where e.DeptID = d.DeptID group by d.DeptID, d.Name", nil); err != nil {
 		t.Fatal(err)
 	}
-	if e.PlanCacheLen() != 2 { // different correlation names -> different AST
-		t.Fatalf("cache len %d, want 2", e.PlanCacheLen())
+	if e.planCache.Len() != 2 { // different correlation names -> different AST
+		t.Fatalf("cache len %d, want 2", e.planCache.Len())
+	}
+}
+
+// SetPlanCacheSize(0) restores the default capacity, it does not turn the
+// cache off: queries still hit, and defaultPlanCacheSize distinct ones fit
+// before the first eviction.
+func TestPlanCacheSizeZeroIsDefault(t *testing.T) {
+	e := newExample1Engine(t)
+	e.SetPlanCacheSize(4)
+	e.SetPlanCacheSize(0)
+	text := func(i int) string { return fmt.Sprintf(`SELECT E.EmpID FROM Employee E WHERE E.EmpID = %d`, i) }
+	for i := 0; i < defaultPlanCacheSize; i++ {
+		if _, err := e.QueryOptionsContext(context.Background(), text(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.QueryOptionsContext(context.Background(), text(0), nil); err != nil {
+		t.Fatal(err)
+	}
+	s := e.PlanCacheStats()
+	if s.Misses != defaultPlanCacheSize || s.Hits != 1 || s.Evictions != 0 || e.planCache.Len() != defaultPlanCacheSize {
+		t.Fatalf("%+v and %d entries after %d distinct queries and a repeat", s, e.planCache.Len(), defaultPlanCacheSize)
+	}
+	if _, err := e.QueryOptionsContext(context.Background(), text(defaultPlanCacheSize), nil); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.PlanCacheStats(); s.Evictions != 1 || e.planCache.Len() != defaultPlanCacheSize {
+		t.Fatalf("one query past the default capacity: %+v, %d entries", s, e.planCache.Len())
 	}
 }
 
@@ -78,7 +112,6 @@ func TestPlanCacheHitsRepeatQueries(t *testing.T) {
 func TestPlanCacheInvalidationMatrix(t *testing.T) {
 	dir := t.TempDir()
 	e := newExample1Engine(t)
-	e.SetPlanCacheSize(16)
 
 	expectFresh := func(step string, mutate func(), wantDept1 int64) {
 		t.Helper()
@@ -153,7 +186,6 @@ func TestPlanCacheInvalidationMatrix(t *testing.T) {
 // certificate.
 func TestPlanCacheRejectsTamperedCertificate(t *testing.T) {
 	e := newExample1Engine(t)
-	e.SetPlanCacheSize(16)
 	e.SetMode(ModeAlways) // guarantee the eager (certified) shape
 
 	core.TestHooks.TamperCertCols = true
@@ -162,7 +194,7 @@ func TestPlanCacheRejectsTamperedCertificate(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "eager-cert") {
 		t.Fatalf("a tampered certificate was not refused when chosen: %v", err)
 	}
-	if n := e.PlanCacheLen(); n != 0 {
+	if n := e.planCache.Len(); n != 0 {
 		t.Fatalf("the refused plan was cached: %d entries", n)
 	}
 
@@ -236,20 +268,25 @@ func TestPlanCacheSeparatesLookalikeQueries(t *testing.T) {
 		return b.String()
 	}
 	for _, p := range pairs {
-		want := [2]string{run(p[0]), run(p[1])}
+		// Each query's reference is planned into an empty cache, where no
+		// lookalike's entry can answer it.
+		var want [2]string
+		for i, q := range p {
+			e.planCache.Clear()
+			want[i] = run(q)
+		}
 		if want[0] == want[1] {
 			t.Fatalf("pair %q does not tell its queries apart: both %s", p, want[0])
 		}
-		e.SetPlanCacheSize(16)
+		e.planCache.Clear()
 		for i, q := range p {
 			if got := run(q); got != want[i] {
-				t.Errorf("%s with the cache on: %s, want %s", q, got, want[i])
+				t.Errorf("%s after its pair's first query: %s, want %s", q, got, want[i])
 			}
 		}
-		if n := e.PlanCacheLen(); n != 2 {
+		if n := e.planCache.Len(); n != 2 {
 			t.Errorf("pair %q: %d cache entries, want 2", p, n)
 		}
-		e.SetPlanCacheSize(0)
 	}
 }
 
@@ -268,7 +305,6 @@ var example1Spellings = []string{
 // spelling is answered by its exact text.
 func TestPlanCacheSpellingsShareOnePlan(t *testing.T) {
 	e := newExample1Engine(t)
-	e.SetPlanCacheSize(16)
 	for round := 0; round < 2; round++ {
 		for _, text := range example1Spellings {
 			if got := queryCountsOf(t, e, text); got[1] != 2 || got[2] != 3 || got[3] != 1 {
@@ -280,8 +316,8 @@ func TestPlanCacheSpellingsShareOnePlan(t *testing.T) {
 	if s := e.PlanCacheStats(); s.Misses != 1 || s.Hits != int64(2*n-1) {
 		t.Fatalf("stats %+v, want 1 miss and %d hits", s, 2*n-1)
 	}
-	if e.PlanCacheLen() != 1 || e.planCache.Aliases() != n {
-		t.Fatalf("%d plans and %d aliases, want 1 and %d", e.PlanCacheLen(), e.planCache.Aliases(), n)
+	if e.planCache.Len() != 1 || e.planCache.Aliases() != n {
+		t.Fatalf("%d plans and %d aliases, want 1 and %d", e.planCache.Len(), e.planCache.Aliases(), n)
 	}
 }
 
@@ -293,7 +329,6 @@ func TestPlanCacheSpellingsShareOnePlan(t *testing.T) {
 // setters, which change what every plan reads, drop that one too.
 func TestPlanCacheWritesDropAliases(t *testing.T) {
 	e := newExample1Engine(t)
-	e.SetPlanCacheSize(16)
 	text := example1Spellings[1]
 	const other = `SELECT D.Name FROM Department D WHERE D.DeptID = 2`
 	writes := []struct {
@@ -379,7 +414,6 @@ func (s *renamingSink) Start(cols []string) {
 // the names of every later hit as they were.
 func TestPlanCacheColumnsSurviveWritingCallers(t *testing.T) {
 	e := newExample1Engine(t)
-	e.SetPlanCacheSize(16)
 	ctx := context.Background()
 	first, err := e.QueryOptionsContext(ctx, example1Query, nil)
 	if err != nil {
@@ -411,7 +445,6 @@ func TestPlanCacheColumnsSurviveWritingCallers(t *testing.T) {
 // rows, and a write to a table it does not read keeps its plan.
 func TestPlanCacheDropsQueriesOverViewsAndSubqueries(t *testing.T) {
 	e := newExample1Engine(t)
-	e.SetPlanCacheSize(16)
 	e.MustExec(`CREATE VIEW EmpDept AS SELECT E.EmpID, E.DeptID FROM Employee E;
 		CREATE TABLE Bonus (EmpID INTEGER PRIMARY KEY, Amount INTEGER);
 		INSERT INTO Department VALUES (4, 'Legal'), (5, 'Audit')`)
@@ -446,7 +479,6 @@ func TestPlanCacheDropsQueriesOverViewsAndSubqueries(t *testing.T) {
 // the next time.
 func TestPlanCacheFailuresMakeNoAlias(t *testing.T) {
 	e := newExample1Engine(t)
-	e.SetPlanCacheSize(16)
 	for _, text := range []string{
 		`SELECT FROM Employee WHERE`,                    // parse error
 		`SELECT E.EmpID FROM NoSuch E`,                  // plan error: no such table
@@ -458,7 +490,7 @@ func TestPlanCacheFailuresMakeNoAlias(t *testing.T) {
 			}
 		}
 	}
-	if n, a := e.PlanCacheLen(), e.planCache.Aliases(); n != 0 || a != 0 {
+	if n, a := e.planCache.Len(), e.planCache.Aliases(); n != 0 || a != 0 {
 		t.Fatalf("failures left %d plans and %d aliases", n, a)
 	}
 	if s := e.PlanCacheStats(); s.Misses != 4 || s.Hits != 0 { // each plan error, each time
@@ -477,7 +509,7 @@ func TestPlanCacheAliasesBounded(t *testing.T) {
 	for i := 0; i <= capacity; i++ {
 		queryCountsOf(t, e, spelling(i))
 	}
-	if n, a := e.PlanCacheLen(), e.planCache.Aliases(); n != 1 || a != capacity {
+	if n, a := e.planCache.Len(), e.planCache.Aliases(); n != 1 || a != capacity {
 		t.Fatalf("%d plans and %d aliases, want 1 and %d", n, a, capacity)
 	}
 	if got := queryCountsOf(t, e, spelling(0)); got[2] != 3 {
@@ -493,7 +525,6 @@ func TestPlanCacheAliasesBounded(t *testing.T) {
 // seven-row tables, with no parse and no planning.
 func BenchmarkPlanCacheHit(b *testing.B) {
 	e := newExample1Engine(b)
-	e.SetPlanCacheSize(16)
 	if _, err := e.QueryOptionsContext(context.Background(), example1Query, nil); err != nil {
 		b.Fatal(err)
 	}
