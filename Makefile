@@ -94,10 +94,12 @@ race:
 
 # What race does not already run: the cluster's legs of dist-oracle and
 # recovery-oracle at one processor, where a fragment's sites run one after
-# another, and at four, where they run at once.
+# another, and at four, where they run at once; and sixteen engine sessions
+# sharing one cached cluster plan under settings of their own.
 sites:
 	$(GO) test -race -cpu 1,4 ./internal/plancheck/modelcheck -run 'TestMatrix/^(cluster|recovery|failover)'
 	$(GO) test -race -cpu 1,4 ./internal/dist -run 'TestEagerNeverShipsMoreBytes|TestSites|TestOnePlanManyRuns|TestSiteFailure|TestRecovery'
+	$(GO) test -race -cpu 1,4 . -run 'TestConcurrentSessionsShareOneClusterPlan'
 
 # The matrix's chaos cell under the race detector: hundreds of corpus
 # queries × deterministic cancel/panic/alloc-fail/delay schedules; every run

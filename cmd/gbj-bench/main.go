@@ -15,7 +15,6 @@
 //	gbj-bench -parallelism -1  # parallel execution, one worker per CPU
 //	gbj-bench -vectorize       # columnar batch execution (identical rows)
 //	gbj-bench -nodes 4         # cluster size for the distributed experiment (E12)
-//	gbj-bench -shards 8        # hash shards per table (power of two; 0 = the default)
 //	gbj-bench -timeout 30s     # per-measurement deadline
 //	gbj-bench -mem-budget 1048576  # per-execution state-byte cap; an
 //	                               # over-budget eager plan degrades to the
@@ -24,9 +23,9 @@
 // Every number comes from a gbj.Engine over the experiment's store: the
 // standard plan under ModeNever, the transformed one under ModeAlways, the
 // cluster's two strategies under SetDistStrategy. Flag values are validated
-// up front, on a fresh engine: an unknown -exp id, -parallelism below -1,
-// -nodes below 1, and non-power-of-two -shards are rejected with an error
-// (exit 2) instead of being dropped or clamped silently.
+// up front, on a fresh engine: an unknown -exp id, -parallelism below -1 and
+// -nodes below 1 are rejected with an error (exit 2) instead of being dropped
+// or clamped silently.
 package main
 
 import (
@@ -53,10 +52,10 @@ var knobs = cliutil.EngineFlags{Nodes: 4}
 
 // knobHelp names the engine flags the tool registers, with their help text.
 var knobHelp = map[string]string{
-	"parallelism": "", "shards": "",
-	"vectorize":  "columnar batch execution for every experiment",
-	"nodes":      "simulated cluster size for the distributed experiment (E12)",
-	"mem-budget": "per-execution operator-state byte cap (0 = unlimited); over-budget eager plans degrade to the lazy plan",
+	"parallelism": "",
+	"vectorize":   "columnar batch execution for every experiment",
+	"nodes":       "simulated cluster size for the distributed experiment (E12)",
+	"mem-budget":  "per-execution operator-state byte cap (0 = unlimited); over-budget eager plans degrade to the lazy plan",
 }
 
 // timeout is the per-measurement deadline, 0 for none.
@@ -74,13 +73,12 @@ func measureCtx() (context.Context, context.CancelFunc) {
 }
 
 // engineOn returns an engine over store with the tool's settings. Only the
-// cluster experiment's engine gets -nodes and -shards; every other one runs
-// single-site.
+// cluster experiment's engine gets -nodes; every other one runs single-site.
 func engineOn(store *storage.Store, cluster bool) (*gbj.Engine, error) {
 	e := gbj.NewWithStore(store)
 	set := knobs
 	if !cluster {
-		set.Nodes, set.Shards = 1, 0
+		set.Nodes = 1
 	}
 	return e, set.Apply(e)
 }
@@ -406,7 +404,7 @@ func runE12(reps int) error {
 	if knobs.Nodes < 2 {
 		return fmt.Errorf("E12 needs a cluster: pass -nodes 2 or more (got %d)", knobs.Nodes)
 	}
-	fmt.Fprintf(out, "cluster: %d nodes, %s; fact table: 50000 rows\n\n", knobs.Nodes, shardDesc())
+	fmt.Fprintf(out, "cluster: %d nodes; fact table: 50000 rows\n\n", knobs.Nodes)
 	fmt.Fprintf(out, "%-10s  %12s  %12s  %10s  %s\n",
 		"groups", "lazy_bytes", "eager_bytes", "reduction", "result rows")
 	for _, groups := range []int{10, 100, 1000, 10000, 50000} {
@@ -432,12 +430,4 @@ func runE12(reps int) error {
 		addRecord("E12", fmt.Sprintf("groups=%d nodes=%d", groups, knobs.Nodes), c)
 	}
 	return nil
-}
-
-// shardDesc names the shard configuration for the E12 banner.
-func shardDesc() string {
-	if knobs.Shards == 0 {
-		return "one shard per node"
-	}
-	return fmt.Sprintf("%d shards per table", knobs.Shards)
 }

@@ -21,9 +21,9 @@
 // then reports the spilled bytes and per-operator partition/run counts.
 //
 // With -nodes above 1 the query runs on a simulated cluster — base tables
-// hash-partitioned across the nodes (into -shards power-of-two shards) —
-// and -analyze reports the exchange bytes each plan shipped. Bad flag
-// values are rejected at startup (exit 2), never clamped.
+// hash-partitioned across the nodes — and -analyze reports the exchange
+// bytes each plan shipped. Bad flag values are rejected at startup (exit 2),
+// never clamped.
 package main
 
 import (
@@ -66,7 +66,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "deadline for -analyze execution (0 = none)")
 	knobs := cliutil.EngineFlags{Nodes: 1}
 	knobs.Register(flag.CommandLine, map[string]string{
-		"parallelism": "", "nodes": "", "shards": "", "link-retries": "",
+		"parallelism": "", "nodes": "", "link-retries": "",
 		"vectorize":  "read stored tables as columnar batches; -analyze shows per-operator batch counts (morsels)",
 		"mem-budget": "operator-state byte cap for -analyze execution (0 = unlimited); an over-budget eager plan degrades to the lazy plan and the output says so",
 		"spill-dir":  "directory for spill temp files; with -mem-budget set, over-budget operators spill to disk instead of degrading (empty = spilling off)",

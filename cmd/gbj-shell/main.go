@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	gbj-shell [-f script.sql] [-parallelism n] [-vectorize] [-nodes n] [-shards n] [-spill-dir dir]
+//	gbj-shell [-f script.sql] [-parallelism n] [-vectorize] [-nodes n] [-spill-dir dir]
 //	gbj-shell -connect http://127.0.0.1:7432
 //
 // With -connect the shell is a network client of a running gbj-server:
@@ -11,12 +11,10 @@
 // Engine flags do not apply in client mode — the daemon owns the engine.
 //
 // With -nodes above 1 the engine runs every query on a simulated cluster:
-// base tables are hash-partitioned across the nodes (into -shards
-// power-of-two shards; by default one per node, or at least eight per node
-// when the node count is not a power of two) and plans ship rows through
-// byte-accounted exchange operators. Bad flag values — a
-// parallelism below -1, a node count below 1, a non-power-of-two shard
-// count — are rejected at startup (exit 2), never clamped.
+// base tables are hash-partitioned across the nodes and plans ship rows
+// through byte-accounted exchange operators. Bad flag values — a
+// parallelism below -1, a node count below 1 — are rejected at startup
+// (exit 2), never clamped.
 //
 // Statements end with ';'. SELECTs print result tables; EXPLAIN SELECT
 // prints the optimizer's full decision (normalization, TestFD trace, both
@@ -91,7 +89,7 @@ func main() {
 	file := flag.String("f", "", "run statements from a file, then exit")
 	knobs := cliutil.EngineFlags{Nodes: 1}
 	knobs.Register(flag.CommandLine, map[string]string{
-		"parallelism": "", "vectorize": "", "nodes": "", "shards": "", "link-retries": "",
+		"parallelism": "", "vectorize": "", "nodes": "", "link-retries": "",
 		"spill-dir": "directory for spill temp files; with a \\budget set, over-budget operators spill to disk instead of degrading (empty = spilling off)",
 	})
 	connect := flag.String("connect", "", "URL of a running gbj-server (e.g. http://127.0.0.1:7432); the shell becomes a network client instead of embedding an engine")

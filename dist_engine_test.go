@@ -1,11 +1,12 @@
 package gbj
 
-// Engine-level distributed tests: the public SetNodes/SetShards surface,
-// the local-vs-distributed equivalence through the full stack (parser,
-// optimizer, certificate translation, cluster execution), fallback-on-
-// budget behavior, and the Section 7 regression — on the Example 1
-// workload, EXPLAIN ANALYZE must show the eager distributed plan shipping
-// strictly fewer exchange bytes than the lazy plan.
+// Engine-level distributed tests: the public SetNodes surface, the
+// local-vs-distributed equivalence through the full stack (parser,
+// optimizer, certificate translation, cluster execution), one cluster plan
+// per cached query, fallback-on-budget behavior, and the Section 7
+// regression — on the Example 1 workload, EXPLAIN ANALYZE must show the
+// eager distributed plan shipping strictly fewer exchange bytes than the
+// lazy plan.
 
 import (
 	"context"
@@ -18,7 +19,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/algebra"
 	"repro/internal/fault"
+	"repro/internal/sql"
 )
 
 // example1Engine loads the paper's Example 1 workload at the given scale.
@@ -86,8 +89,9 @@ func TestEngineDistributedOracle(t *testing.T) {
 	}
 }
 
-// TestEngineNodeShardValidation: the public setters reject bad topology
-// instead of clamping silently.
+// TestEngineNodeShardValidation: the public setter rejects a bad node count
+// instead of clamping silently. The shard count is the cluster's own
+// (dist.NewCluster's default; TestNewClusterRejectsBadTopology).
 func TestEngineNodeShardValidation(t *testing.T) {
 	e := New()
 	if err := e.SetNodes(0); err == nil {
@@ -96,16 +100,7 @@ func TestEngineNodeShardValidation(t *testing.T) {
 	if err := e.SetNodes(-2); err == nil {
 		t.Fatal("SetNodes(-2) accepted")
 	}
-	if err := e.SetShards(3); err == nil {
-		t.Fatal("SetShards(3) accepted — non-power-of-two")
-	}
-	if err := e.SetShards(-1); err == nil {
-		t.Fatal("SetShards(-1) accepted")
-	}
 	if err := e.SetNodes(4); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetShards(8); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -171,6 +166,39 @@ func TestEngineDistributedCostPrefersTransform(t *testing.T) {
 	}
 	if !strings.Contains(out, "chosen: transformed") {
 		t.Fatalf("cost-based choice on a 4-node cluster did not pick the transformed plan:\n%s", out)
+	}
+}
+
+// TestClusterRunsShareTheCachedPlan: a cluster query is compiled once, when
+// its choice is made, under the engine's strategy: two analyzed runs execute
+// one tree, the root of the cached choice's cluster plan.
+func TestClusterRunsShareTheCachedPlan(t *testing.T) {
+	e := example1Engine(t, 2000, 20)
+	if err := e.SetNodes(4); err != nil {
+		t.Fatal(err)
+	}
+	e.SetDistStrategy(DistLazy)
+	var plans [2]algebra.Node
+	for i := range plans {
+		a, err := e.QueryAnalyzedContext(context.Background(), example1Query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[i] = a.Plan
+	}
+	if plans[0] != plans[1] {
+		t.Fatal("two runs of one cached query executed two cluster plans")
+	}
+	q, err := sql.ParseQuery(example1Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := e.planCache.Get(sql.Canonical(q))
+	if !ok {
+		t.Fatal("no cache entry for the query")
+	}
+	if dp := v.(*cachedPlan).choice.Dist; dp == nil || dp.Root != plans[0] || dp.Strategy != DistLazy {
+		t.Fatalf("the runs did not execute the cached choice's cluster plan, compiled lazy: %+v", dp)
 	}
 }
 

@@ -127,50 +127,36 @@ func TestConcurrentEngineMixedTraffic(t *testing.T) {
 	}
 }
 
-// TestConcurrentSessionsShareOneShape: one cached query — planned once, its
-// plan's exec.Shape made once — run by many sessions at once, each under
-// settings of its own: the engine's four workers and batch form, a Serial
-// query's one worker in rows, a leased budget that spills, an analyzed run
-// with metrics and spans. Every run returns the rows of the first run, which
-// planned the entry, and no run re-plans it. Under -race it is the check
-// that a shape holds nothing a run writes.
-func TestConcurrentSessionsShareOneShape(t *testing.T) {
-	store, err := workload.EmployeeDepartment(1500, 25)
-	if err != nil {
-		t.Fatal(err)
+// sortedRows renders a result's rows, sorted, for comparing runs.
+func sortedRows(res *Result) []string {
+	out := make([]string, len(res.Rows))
+	for i, row := range res.Rows {
+		out[i] = fmt.Sprint(row...)
 	}
-	e := NewWithStore(store)
-	e.SetParallelism(4)
-	e.SetVectorize(true)
-	e.SetSpillDir(t.TempDir())
+	slices.Sort(out)
+	return out
+}
+
+// runSessions runs Example 1 from sixteen sessions at once, five times each,
+// under four settings in turn — the engine's, Serial, a leased budget of
+// budget bytes, and an analyzed run whose analysis analyzed checks — and
+// fails on an error or on rows other than want.
+func runSessions(t *testing.T, e *Engine, want []string, budget int64, analyzed func(*Analysis) error) {
+	t.Helper()
 	ctx := context.Background()
-	rowsOf := func(res *Result) []string {
-		out := make([]string, len(res.Rows))
-		for i, row := range res.Rows {
-			out[i] = fmt.Sprint(row...)
-		}
-		slices.Sort(out)
-		return out
-	}
-	res, err := e.QueryOptionsContext(ctx, workload.Example1Query, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := rowsOf(res)
-	cp := e.cachedText(workload.Example1Query)
-	if cp == nil {
-		t.Fatal("the first run left no cache entry")
-	}
 	runs := []func() (*Result, error){
 		func() (*Result, error) { return e.QueryOptionsContext(ctx, workload.Example1Query, nil) },
 		func() (*Result, error) {
 			return e.QueryOptionsContext(ctx, workload.Example1Query, &QueryOptions{Serial: true})
 		},
 		func() (*Result, error) {
-			return e.QueryOptionsContext(ctx, workload.Example1Query, &QueryOptions{MemoryBudget: 4 << 10})
+			return e.QueryOptionsContext(ctx, workload.Example1Query, &QueryOptions{MemoryBudget: budget})
 		},
 		func() (*Result, error) {
 			a, err := e.QueryAnalyzedContext(ctx, workload.Example1Query, nil)
+			if err == nil {
+				err = analyzed(a)
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -190,8 +176,8 @@ func TestConcurrentSessionsShareOneShape(t *testing.T) {
 					errs <- err
 					return
 				}
-				if got := rowsOf(res); !slices.Equal(got, want) {
-					errs <- fmt.Errorf("session %d: %d rows differ from the first run's %d", g, len(got), len(want))
+				if got := sortedRows(res); !slices.Equal(got, want) {
+					errs <- fmt.Errorf("session %d: %d rows differ from the reference's %d", g, len(got), len(want))
 					return
 				}
 			}
@@ -202,7 +188,82 @@ func TestConcurrentSessionsShareOneShape(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// TestConcurrentSessionsShareOneShape: one cached query — planned once, its
+// plan's exec.Shape made once — run by many sessions at once, each under
+// settings of its own: the engine's four workers and batch form, a Serial
+// query's one worker in rows, a leased budget that spills, an analyzed run
+// with metrics and spans. Every run returns the rows of the first run, which
+// planned the entry, and no run re-plans it. Under -race it is the check
+// that a shape holds nothing a run writes.
+func TestConcurrentSessionsShareOneShape(t *testing.T) {
+	store, err := workload.EmployeeDepartment(1500, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewWithStore(store)
+	e.SetParallelism(4)
+	e.SetVectorize(true)
+	e.SetSpillDir(t.TempDir())
+	res, err := e.QueryOptionsContext(context.Background(), workload.Example1Query, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := e.cachedText(workload.Example1Query)
+	if cp == nil {
+		t.Fatal("the first run left no cache entry")
+	}
+	runSessions(t, e, sortedRows(res), 4<<10, func(*Analysis) error { return nil })
 	if s := e.PlanCacheStats(); s.Misses != 1 || e.cachedText(workload.Example1Query) != cp {
 		t.Fatalf("the sessions did not share one plan and one shape: %+v", s)
+	}
+}
+
+// TestConcurrentSessionsShareOneClusterPlan is the cluster's leg of the test
+// above: sixteen sessions on a 4-node engine run the one cluster plan the
+// cached choice carries under settings of their own — sites at once by
+// default, one at a time under Serial or a memory budget (1 MiB: a site does
+// not spill, and 4 KiB fits neither plan without spilling), instrumented in
+// an analyzed run — and every run returns the single-site rows. make sites
+// runs it at -cpu 1,4, where sites at once differ.
+func TestConcurrentSessionsShareOneClusterPlan(t *testing.T) {
+	engineOn := func(nodes int) *Engine {
+		store, err := workload.EmployeeDepartment(1500, 25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewWithStore(store)
+		e.SetParallelism(4)
+		if err := e.SetNodes(nodes); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	res, err := engineOn(1).QueryOptionsContext(context.Background(), workload.Example1Query, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sortedRows(res)
+
+	e := engineOn(4)
+	if res, err = e.QueryOptionsContext(context.Background(), workload.Example1Query, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := sortedRows(res); !slices.Equal(got, want) {
+		t.Fatalf("the first cluster run's %d rows differ from the single site's %d", len(got), len(want))
+	}
+	cp := e.cachedText(workload.Example1Query)
+	if cp == nil || cp.choice.Dist == nil {
+		t.Fatal("the first run left no cache entry with a cluster plan")
+	}
+	runSessions(t, e, want, 1<<20, func(a *Analysis) error {
+		if a.Plan != cp.choice.Dist.Root {
+			return fmt.Errorf("an analyzed run executed a cluster plan other than the cached one")
+		}
+		return nil
+	})
+	if s := e.PlanCacheStats(); s.Misses != 1 || e.cachedText(workload.Example1Query) != cp {
+		t.Fatalf("the sessions did not share one cached cluster plan: %+v", s)
 	}
 }

@@ -102,32 +102,29 @@ type Engine struct {
 	cacheStats obs.CacheStats
 
 	// cluster is the lazily built partitioning of the store for the current
-	// topology (gbj_dist.go), built for the shard setting clusterShards and
-	// valid while clusterEpoch is the store's epoch. distMu guards them so
-	// concurrent queries (read-locked on mu) share one rebuild. recovery
-	// aggregates the fault-recovery counters of every distributed run.
-	distMu        sync.Mutex
-	cluster       *dist.Cluster
-	clusterShards int
-	clusterEpoch  uint64
-	recovery      dist.RecoveryStats
+	// node count (gbj_dist.go), valid while clusterEpoch is the store's
+	// epoch. distMu guards them so concurrent queries (read-locked on mu)
+	// share one rebuild. recovery aggregates the fault-recovery counters of
+	// every distributed run.
+	distMu       sync.Mutex
+	cluster      *dist.Cluster
+	clusterEpoch uint64
+	recovery     dist.RecoveryStats
 }
 
 // settings is the engine's configuration: what plan selection reads plus
 // what only execution reads. QueryOptions overrides apply to a by-value
 // copy (with), never to the engine's own value.
 type settings struct {
-	mode         Mode
-	parallelism  int
-	vectorize    bool
-	nodes        int // 0 and 1 both mean single-site
-	shards       int // 0 means dist.NewCluster's default shard count
-	distStrategy DistStrategy
-	memBudget    int64
-	spillDir     string
-	clock        obs.Clock
-	linkRetries  int
-	faults       *fault.Injector
+	mode        Mode
+	parallelism int
+	vectorize   bool
+	nodes       int // 0 and 1 both mean single-site
+	memBudget   int64
+	spillDir    string
+	clock       obs.Clock
+	linkRetries int
+	faults      *fault.Injector
 	// serial is QueryOptions.Serial, kept beside the worker count it zeroes
 	// because a cluster run sheds one thing more: its sites running at once.
 	serial bool
@@ -169,8 +166,9 @@ func NewWithStore(store *storage.Store) *Engine {
 
 // update is the one way a setting changes: a write that applies set and
 // mirrors the fields the optimizer and cost model read into
-// core.Optimizer. The cached cluster needs no invalidation here:
-// clusterFor compares its shape and epoch on every use.
+// core.Optimizer; one only they read is set there alone (SetDistStrategy).
+// The cached cluster needs no invalidation here: clusterFor compares its
+// node count and epoch on every use.
 func (e *Engine) update(set func(*settings)) {
 	e.write(nil, func() error {
 		set(&e.set)
@@ -681,15 +679,16 @@ func (e *Engine) run(ctx context.Context, p *prepared, instrument bool, sink Row
 	}
 }
 
-// try executes one rung. Local rungs run the logical plan against the
-// store snapshot; distributed rungs lower it onto the cluster first. The rung
-// starts sink and hands it the rows: a local rung's as its root pipeline makes
-// them, a cluster rung's as the cluster returns them.
+// try executes one rung. Local rungs run the entry's shape against the
+// store snapshot; distributed rungs run the choice's cluster plan, compiled
+// and verified when the choice was made. The rung starts sink and hands it
+// the rows: a local rung's as its root pipeline makes them, a cluster rung's
+// as the cluster returns them.
 func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome, sink RowSink) error {
 	c, cp := p.cached.choice, p.cached.plan
-	plan, ann, certs := c.Plan, c.Ann, c.Certs
+	plan, ann, dp := c.Plan, c.Ann, c.Dist
 	if at.lazy {
-		plan, ann, certs, cp = c.Fallback, c.FallbackAnn, nil, p.cached.fallback
+		plan, ann, dp, cp = c.Fallback, c.FallbackAnn, c.FallbackDist, p.cached.fallback
 	}
 	opts := p.execOptions(ctx, at, out)
 	if at == (attempt{}) && p.set.spillDir != "" && p.set.memBudget > 0 {
@@ -706,10 +705,6 @@ func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome,
 		out.plan, out.est = plan, ann
 		sink.Start(slices.Clone(cp.columns))
 		return cp.shape.Stream(p.store, opts, sink)
-	}
-	dp, err := p.set.compileDist(plan, ann, certs)
-	if err != nil {
-		return err
 	}
 	out.plan, out.dist = dp.Root, true
 	if out.col != nil {
@@ -824,9 +819,9 @@ func parseSelect(text string) (*sql.SelectStmt, error) {
 type Analysis struct {
 	// Result holds the query's rows.
 	Result *Result
-	// Plan is the executed plan. A local run's is the plan-cache entry's own
-	// tree, shared with every later run of the query: read it, never write
-	// it.
+	// Plan is the executed plan: the plan-cache entry's own tree — on a
+	// cluster, the root of its compiled cluster plan — shared with every
+	// later run of the query: read it, never write it.
 	Plan algebra.Node
 	// Calibration pairs the cost model's per-node estimates with measured
 	// cardinalities (q-errors included) and carries the per-operator

@@ -27,18 +27,20 @@ package gbj
 // depends on the plan alone (the engine never forces a grouping strategy):
 // the worker count, the source form, a leased budget and the spill decision
 // are read when a run binds it, so one shape serves a serial, a degraded and
-// a vectorized run alike.
+// a vectorized run alike. On a cluster the choice carries the verified
+// cluster plans the cost model priced (core.Choice.Dist), so a distributed
+// run compiles nothing either.
 //
 // Hits count queries that were not re-planned, a text answered by the
 // canonical key included; misses count plan selections.
 //
 // What a plan depends on. Plan selection reads the catalog (names, keys,
 // constraints, views — TestFD's YES is a function of declared constraints
-// alone), the engine's settings (mode, workers, vectorization, nodes, which
-// the cost model prices), and the statistics and rows of the base tables the
-// query reads — those its plans scan, views and derived tables expanded, and
-// those of the uncorrelated subqueries planning runs (core.Choice.Tables) —
-// and nothing else. So the keys need nothing more because of one invariant:
+// alone), the engine's settings (mode, workers, vectorization, nodes and
+// distributed strategy, which the cost model prices), and the statistics and
+// rows of the base tables the query reads — those its plans scan, views and
+// derived tables expanded, and those of the uncorrelated subqueries planning
+// runs (core.Choice.Tables) — and nothing else. So the keys need nothing more because of one invariant:
 // every engine write runs through Engine.write, which, before it releases the
 // write lock and on success and on error alike, drops every entry planned
 // from what the write may have changed. DDL and setters change the catalog or
@@ -49,11 +51,12 @@ package gbj
 // run under the read lock, so an entry is only ever planned against the
 // catalog, settings and data of its tables it is served under. Plans enter
 // the cache already verified (the optimizer's CheckPlans), so a hit executes
-// as is. Sharing cached plan trees and shapes across concurrent sessions is
-// safe: executions never mutate plan nodes or shapes (under -race,
-// TestConcurrentSessionsShareOneShape runs one cached shape from many sessions
-// under settings of their own, and the exec oracles one plan from many
-// goroutines).
+// as is. Sharing cached plan trees, shapes and cluster plans across
+// concurrent sessions is safe: executions never mutate plan nodes, shapes or
+// cluster plans (under -race, TestConcurrentSessionsShareOneShape and
+// TestConcurrentSessionsShareOneClusterPlan run one cached shape and one
+// cached cluster plan from many sessions under settings of their own, and the
+// exec oracles one plan from many goroutines).
 
 import (
 	"repro/internal/algebra"

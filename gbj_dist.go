@@ -1,10 +1,11 @@
 // Distributed execution surface of the engine: a simulated multi-node
-// cluster (package dist) behind SetNodes/SetShards/SetDistStrategy. With
-// more than one node configured, queries compile onto the cluster — base
-// tables read from hash-partitioned shards, exchanges move rows over
-// byte-accounted links — and the optimizer's cost comparison includes the
-// communication term, so the group-before-join choice accounts for what
-// each plan ships (the paper's Section 7 distributed argument).
+// cluster (package dist) behind SetNodes/SetDistStrategy. With more than one
+// node configured, queries run on the cluster — base tables read from
+// hash-partitioned shards, exchanges move rows over byte-accounted links.
+// The cost model compiles each candidate plan for the cluster to price what
+// it ships, so the group-before-join choice accounts for communication (the
+// paper's Section 7 distributed argument), and the compiled plan it priced
+// is the one that runs (core.Choice.Dist).
 package gbj
 
 import (
@@ -13,7 +14,6 @@ import (
 	"repro/internal/algebra"
 	"repro/internal/dist"
 	"repro/internal/fault"
-	"repro/internal/plancheck"
 )
 
 // DistStrategy selects how grouping over partitioned tables ships data:
@@ -110,89 +110,32 @@ func (e *Engine) SetNodes(n int) error {
 	return nil
 }
 
-// SetShards selects how many hash partitions each base table splits into
-// (shard k lives on node k mod nodes). The count must be a power of two —
-// so doubling the cluster only moves whole shards — and at least 1; 0
-// restores the default: the node count when it is a power of two, else
-// the smallest power of two of at least eight shards a node.
-func (e *Engine) SetShards(n int) error {
-	if n < 0 {
-		return fmt.Errorf("gbj: shard count must be at least 1, got %d", n)
-	}
-	if n > 0 && n&(n-1) != 0 {
-		return fmt.Errorf("gbj: shard count must be a power of two, got %d", n)
-	}
-	e.update(func(s *settings) { s.shards = n })
-	return nil
-}
-
-// SetDistStrategy selects the distributed grouping strategy.
+// SetDistStrategy selects the distributed grouping strategy. Only plan
+// selection reads it — the cost model compiles each plan for the cluster
+// under it, and that compiled plan runs — so it lives on the optimizer alone.
 func (e *Engine) SetDistStrategy(st DistStrategy) {
-	e.update(func(s *settings) { s.distStrategy = st })
+	e.update(func(*settings) { e.opt.DistStrategy = st })
 }
 
-// clusterFor returns the cluster for the current topology and data,
-// rebuilding it when the topology or the store's epoch has moved on since
-// it was built (every table write bumps the epoch). Callers hold mu (read), which
-// keeps writers out while the store is partitioned; distMu serializes the
-// rebuild so concurrent queries share one partitioning pass.
+// clusterFor returns the cluster for the current node count and data,
+// rebuilding it when either has moved on since it was built (every table
+// write bumps the store's epoch). Each table splits into dist.NewCluster's
+// default shard count. Callers hold mu (read), which keeps writers out while
+// the store is partitioned; distMu serializes the rebuild so concurrent
+// queries share one partitioning pass.
 func (e *Engine) clusterFor() (*dist.Cluster, error) {
 	e.distMu.Lock()
 	defer e.distMu.Unlock()
-	nodes, shards := e.set.nodes, e.set.shards
-	if cl := e.cluster; cl != nil && cl.Nodes() == nodes && e.clusterShards == shards && e.clusterEpoch == e.store.Epoch() {
+	nodes := e.set.nodes
+	if cl := e.cluster; cl != nil && cl.Nodes() == nodes && e.clusterEpoch == e.store.Epoch() {
 		return cl, nil
 	}
-	cl, err := dist.NewCluster(e.store, nodes, shards)
+	cl, err := dist.NewCluster(e.store, nodes, 0)
 	if err != nil {
 		return nil, err
 	}
-	e.cluster, e.clusterShards, e.clusterEpoch = cl, shards, e.store.Epoch()
+	e.cluster, e.clusterEpoch = cl, e.store.Epoch()
 	return cl, nil
-}
-
-// compileDist lowers a chosen logical plan onto the cluster, pricing
-// exchanges with the optimizer's row estimates, and verifies the
-// distributed plan with the certificates translated onto its nodes.
-func (s settings) compileDist(plan algebra.Node, ann algebra.Annotations, certs []*plancheck.Certificate) (*dist.Plan, error) {
-	dp, err := dist.Compile(plan, dist.Config{
-		Nodes:    s.nodes,
-		Strategy: s.distStrategy,
-		Rows: func(n algebra.Node) float64 {
-			if a, ok := ann[n]; ok {
-				return float64(a.Rows)
-			}
-			return -1
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := plancheck.Verify(dp.Root, &plancheck.Options{Certificates: translateCerts(dp, certs)}); err != nil {
-		return nil, fmt.Errorf("gbj: distributed plan failed verification: %w", err)
-	}
-	return dp, nil
-}
-
-// translateCerts re-anchors TestFD certificates from logical GroupBy nodes
-// onto the distributed plan's eager aggregations derived from them, so the
-// eager-cert rule holds on the compiled tree too.
-func translateCerts(dp *dist.Plan, certs []*plancheck.Certificate) []*plancheck.Certificate {
-	if len(certs) == 0 {
-		return nil
-	}
-	var out []*plancheck.Certificate
-	for _, g := range plancheck.EagerGroups(dp.Root) {
-		origin := dp.Origins[g]
-		for _, cert := range certs {
-			if cert.Group == origin {
-				cc := *cert
-				cc.Group = g
-				out = append(out, &cc)
-			}
-		}
-	}
-	return out
 }
 
 // recoveryPolicy assembles the fault-tolerance policy a distributed rung

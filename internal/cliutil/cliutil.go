@@ -1,7 +1,7 @@
 // Package cliutil declares and validates the flags shared by the gbj
 // command-line tools (gbj-shell, gbj-explain, gbj-bench, gbj-server). The
 // tools reject bad topology and worker counts up front with a clear message
-// instead of clamping silently — a typo like -nodes 0 or -shards 6 would
+// instead of clamping silently — a typo like -nodes 0 or -parallelism -4 would
 // otherwise run a subtly different experiment than the one asked for.
 package cliutil
 
@@ -21,7 +21,6 @@ type EngineFlags struct {
 	Parallelism int
 	Vectorize   bool
 	Nodes       int
-	Shards      int
 	LinkRetries int
 	MemBudget   int64
 	SpillDir    string
@@ -34,14 +33,13 @@ var engineFlagHelp = map[string]string{
 	"parallelism":  "executor workers (0=serial, -1=one per CPU)",
 	"vectorize":    "read stored tables as columnar batches (same rows, same order)",
 	"nodes":        "simulated cluster size (1 = single-site)",
-	"shards":       "hash shards per table, a power of two (0 = one per node, at least 8 per node at a node count that is not a power of two)",
 	"link-retries": "per-shipment link retry budget for distributed runs (0 = fail fast)",
 	"mem-budget":   "per-query operator-state byte cap (0 = unlimited)",
 	"spill-dir":    "directory for spill temp files; with a memory budget set, over-budget operators spill to disk instead of degrading (empty = spilling off)",
 }
 
 // Register declares on fs the flags named by help's keys — -parallelism,
-// -vectorize, -nodes, -shards, -link-retries, -mem-budget, -spill-dir —
+// -vectorize, -nodes, -link-retries, -mem-budget, -spill-dir —
 // with the mapped help text, or the shared default text for "". An unknown
 // name is a programming error and panics.
 func (f *EngineFlags) Register(fs *flag.FlagSet, help map[string]string) {
@@ -57,8 +55,6 @@ func (f *EngineFlags) Register(fs *flag.FlagSet, help map[string]string) {
 			fs.BoolVar(&f.Vectorize, name, f.Vectorize, text)
 		case "nodes":
 			fs.IntVar(&f.Nodes, name, f.Nodes, text)
-		case "shards":
-			fs.IntVar(&f.Shards, name, f.Shards, text)
 		case "link-retries":
 			fs.IntVar(&f.LinkRetries, name, f.LinkRetries, text)
 		case "mem-budget":
@@ -83,7 +79,6 @@ type Engine interface {
 	SetParallelism(int)
 	SetVectorize(bool)
 	SetNodes(int) error
-	SetShards(int) error
 	SetLinkRetries(int) error
 	SetMemoryBudget(int64)
 	SetSpillDir(string)
@@ -115,7 +110,6 @@ func (f *EngineFlags) Apply(e Engine) error {
 		v    int
 	}{
 		{"nodes", e.SetNodes, f.Nodes},
-		{"shards", e.SetShards, f.Shards},
 		{"link-retries", e.SetLinkRetries, f.LinkRetries},
 	} {
 		if f.has(set.name) {

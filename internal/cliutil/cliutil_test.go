@@ -130,7 +130,6 @@ func (r *recorder) SetVectorize(on bool)    { r.log("vectorize=%t", on); r.Engin
 func (r *recorder) SetMemoryBudget(b int64) { r.log("mem-budget=%d", b); r.Engine.SetMemoryBudget(b) }
 func (r *recorder) SetSpillDir(dir string)  { r.log("spill-dir=%s", dir); r.Engine.SetSpillDir(dir) }
 func (r *recorder) SetNodes(n int) error    { r.log("nodes=%d", n); return r.Engine.SetNodes(n) }
-func (r *recorder) SetShards(n int) error   { r.log("shards=%d", n); return r.Engine.SetShards(n) }
 func (r *recorder) SetLinkRetries(n int) error {
 	r.log("link-retries=%d", n)
 	return r.Engine.SetLinkRetries(n)
@@ -143,7 +142,7 @@ func (r *recorder) SetLinkRetries(n int) error {
 // the one the tools add.
 func TestEngineFlags(t *testing.T) {
 	all := map[string]string{
-		"parallelism": "", "vectorize": "", "nodes": "", "shards": "",
+		"parallelism": "", "vectorize": "", "nodes": "",
 		"link-retries": "", "mem-budget": "", "spill-dir": "",
 	}
 	server := map[string]string{"parallelism": "workers per query", "vectorize": "", "mem-budget": "", "spill-dir": ""}
@@ -158,26 +157,24 @@ func TestEngineFlags(t *testing.T) {
 	}
 	tests := []testCase{
 		{name: "defaults", defaults: EngineFlags{Nodes: 1}, help: all,
-			applied: "parallelism=0 vectorize=false mem-budget=0 spill-dir= nodes=1 shards=0 link-retries=0"},
+			applied: "parallelism=0 vectorize=false mem-budget=0 spill-dir= nodes=1 link-retries=0"},
 		{name: "bench defaults", defaults: EngineFlags{Nodes: 4, LinkRetries: 8}, help: all,
-			applied: "parallelism=0 vectorize=false mem-budget=0 spill-dir= nodes=4 shards=0 link-retries=8"},
+			applied: "parallelism=0 vectorize=false mem-budget=0 spill-dir= nodes=4 link-retries=8"},
 		{name: "all set", defaults: EngineFlags{Nodes: 1}, help: all,
-			args:    []string{"-parallelism", "-1", "-vectorize", "-nodes", "3", "-shards", "8", "-link-retries", "2", "-mem-budget", "65536", "-spill-dir", "/tmp/x"},
-			applied: "parallelism=-1 vectorize=true mem-budget=65536 spill-dir=/tmp/x nodes=3 shards=8 link-retries=2"},
+			args:    []string{"-parallelism", "-1", "-vectorize", "-nodes", "3", "-link-retries", "2", "-mem-budget", "65536", "-spill-dir", "/tmp/x"},
+			applied: "parallelism=-1 vectorize=true mem-budget=65536 spill-dir=/tmp/x nodes=3 link-retries=2"},
 		{name: "server subset", help: server, args: []string{"-parallelism", "4"},
 			applied: "parallelism=4 vectorize=false mem-budget=0 spill-dir="},
 		{name: "server has no -nodes", help: server, args: []string{"-nodes", "2"}, parseErr: true},
 		{name: "parallelism -2", defaults: EngineFlags{Nodes: 1}, help: all, args: []string{"-parallelism", "-2"}, reject: "-parallelism"},
-		{name: "first rejection wins", defaults: EngineFlags{Nodes: 1}, help: all, args: []string{"-shards", "3", "-parallelism", "-9"}, reject: "-parallelism"},
+		{name: "first rejection wins", defaults: EngineFlags{Nodes: 1}, help: all, args: []string{"-nodes", "0", "-parallelism", "-9"}, reject: "-parallelism"},
 	}
 	// Every value each setter rejects, and some it accepts.
 	for _, r := range []struct {
 		flag, reject string
 		bad, good    []int
 	}{
-		{"nodes", "-nodes", []int{-1, 0}, []int{1, 2, 3, 8, 64}}, // node counts need not be powers of two
-		{"shards", "power of two", []int{3, 6, 7, 12}, []int{0, 1, 2, 4, 64}},
-		{"shards", "-shards", []int{-4, -1}, nil},
+		{"nodes", "-nodes", []int{-1, 0}, []int{1, 2, 3, 8, 64}},               // node counts need not be powers of two
 		{"link-retries", "-link-retries", []int{-100, -1}, []int{0, 1, 3, 64}}, // no "unlimited" sentinel
 	} {
 		for _, v := range r.bad {
@@ -188,6 +185,12 @@ func TestEngineFlags(t *testing.T) {
 			tests = append(tests, testCase{name: fmt.Sprintf("%s %d", r.flag, v), defaults: EngineFlags{Nodes: 1}, help: all,
 				args: []string{"-" + r.flag, fmt.Sprint(v)}})
 		}
+	}
+	// The shard count is the cluster's own: a tool given -shards, at any
+	// value, fails to parse it (exit 2) instead of ignoring it.
+	for _, v := range []int{-4, -1, 0, 1, 2, 3, 4, 6, 7, 12, 64} {
+		tests = append(tests, testCase{name: fmt.Sprintf("shards %d", v), defaults: EngineFlags{Nodes: 1}, help: all,
+			args: []string{"-shards", fmt.Sprint(v)}, parseErr: true})
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

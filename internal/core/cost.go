@@ -115,6 +115,8 @@ type CostModel struct {
 	// plan wins by moving one row per group instead of every detail row.
 	// 0 or 1 costs plans as single-site.
 	Nodes int
+	// Strategy is the distributed grouping strategy plans compile under.
+	Strategy dist.Strategy
 	// aliasTable maps a query alias to its base-table name.
 	aliasTable map[string]string
 }
@@ -141,43 +143,43 @@ type PlanCost struct {
 	CommBytes float64
 	// Ann holds per-node estimated cardinalities for EXPLAIN display.
 	Ann algebra.Annotations
+	// Dist is the plan compiled for the model's cluster, whose exchanges
+	// CommBytes prices; nil single-site and when the compiler rejected the
+	// plan (distErr, which fails a choice of it).
+	Dist    *dist.Plan
+	distErr error
 }
 
 // Estimate walks the plan bottom-up, estimating output cardinality and
 // accumulated cost for every node. Scan aliases found in the plan (e.g.
 // inside expanded view subplans) are added to the alias map so column
-// statistics resolve there too.
+// statistics resolve there too. With more than one node it also compiles the
+// plan for the cluster and charges its exchange bytes (PlanCost.Dist).
 func (m *CostModel) Estimate(plan algebra.Node) PlanCost {
 	m.collectAliases(plan)
 	ann := make(algebra.Annotations)
 	total, rows := m.estimate(plan, ann)
 	pc := PlanCost{Total: total, Rows: rows, Ann: ann}
 	if m.Nodes > 1 {
-		pc.CommBytes = m.commBytes(plan, ann)
+		// The distributed compiler does the placement reasoning (where
+		// exchanges land, eager vs lazy grouping by bytes); this model
+		// supplies the per-node cardinalities it prices rows with.
+		pc.Dist, pc.distErr = dist.Compile(plan, dist.Config{
+			Nodes:    m.Nodes,
+			Strategy: m.Strategy,
+			Rows: func(n algebra.Node) float64 {
+				if a, ok := ann[n]; ok {
+					return float64(a.Rows)
+				}
+				return -1
+			},
+		})
+		if pc.Dist != nil {
+			pc.CommBytes = pc.Dist.EstBytes
+		}
 		pc.Total += pc.CommBytes * costCommByte
 	}
 	return pc
-}
-
-// commBytes estimates the bytes the plan ships when compiled for the
-// model's cluster size. The distributed compiler does the placement
-// reasoning (where exchanges land, eager vs lazy grouping by bytes); this
-// model supplies the per-node cardinalities it prices rows with. Plans
-// containing operators with no distributed compilation charge nothing.
-func (m *CostModel) commBytes(plan algebra.Node, ann algebra.Annotations) float64 {
-	p, err := dist.Compile(plan, dist.Config{
-		Nodes: m.Nodes,
-		Rows: func(n algebra.Node) float64 {
-			if a, ok := ann[n]; ok {
-				return float64(a.Rows)
-			}
-			return -1
-		},
-	})
-	if err != nil {
-		return 0
-	}
-	return p.EstBytes
 }
 
 // collectAliases maps every scan's alias to its base table.

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/dist"
 	"repro/internal/expr"
 	"repro/internal/value"
+	"repro/internal/workload"
 )
 
 // fakeStats is a synthetic statistics source for cost-model unit tests.
@@ -237,5 +240,64 @@ func TestCostEstimateAnnotatesEveryNode(t *testing.T) {
 	pcv := m.Estimate(vals)
 	if pcv.Rows != 5 {
 		t.Errorf("values estimate = %.0f, want 5", pcv.Rows)
+	}
+}
+
+// TestClusterCostPricesThePlanThatRuns: on four nodes the model compiles each
+// plan for the cluster under the optimizer's strategy, so the bytes it
+// charges the chosen plan are those of the cluster plan the choice carries —
+// the one a run executes — and of a compilation of that plan under the
+// strategy, not under another.
+func TestClusterCostPricesThePlanThatRuns(t *testing.T) {
+	store, err := workload.EmployeeDepartment(10000, 100)
+	must(t, err)
+	o := NewOptimizer(store)
+	o.Nodes, o.DistStrategy, o.CheckPlans = 4, dist.StrategyLazy, true
+	c, err := o.Choose(parse(t, example1SQL))
+	must(t, err)
+	pc := c.forward.StandardCost
+	if c.forward.Transformed {
+		pc = c.forward.TransformedCost
+	}
+	dp, err := dist.Compile(c.Plan, dist.Config{
+		Nodes:    4,
+		Strategy: dist.StrategyLazy,
+		Rows: func(n algebra.Node) float64 {
+			if a, ok := c.Ann[n]; ok {
+				return float64(a.Rows)
+			}
+			return -1
+		},
+	})
+	must(t, err)
+	if pc.CommBytes != dp.EstBytes {
+		t.Fatalf("the chosen plan is charged %.0f shipped bytes; compiled lazy it ships %.0f", pc.CommBytes, dp.EstBytes)
+	}
+	if c.Dist == nil || c.Dist != pc.Dist || c.Dist.Strategy != dist.StrategyLazy {
+		t.Fatalf("the choice does not carry the cluster plan its cost priced: %+v", c.Dist)
+	}
+}
+
+// TestChoiceVerifiesClusterPlans: with CheckPlans set a choice takes the
+// cluster plans of its plan and of its fallback only once plancheck accepts
+// them — here a compiled plan whose shard source reaches the root without a
+// gather is refused in either place.
+func TestChoiceVerifiesClusterPlans(t *testing.T) {
+	o := NewOptimizer(example1Store(t))
+	o.Mode, o.Nodes, o.CheckPlans = ModeAlways, 4, true // a transformed plan and its fallback
+	c, err := o.Choose(parse(t, example1SQL))
+	must(t, err)
+	scan := algebra.FindScans(c.Plan)[0]
+	plan, fallback := PlanCost{Dist: c.Dist}, PlanCost{Dist: c.FallbackDist}
+	bad := PlanCost{Dist: &dist.Plan{Root: &dist.Leaf{Table: scan.Table, Alias: scan.Alias, Cols: scan.Cols}}}
+	choice := func() *Choice { return &Choice{Plan: c.Plan, Fallback: c.Fallback, Certs: c.Certs} }
+	for _, pcs := range [][2]PlanCost{{bad, fallback}, {plan, bad}} {
+		_, err := o.cluster(choice(), pcs[0], pcs[1])
+		if err == nil || !strings.Contains(err.Error(), "dist-placement") {
+			t.Fatalf("an ungathered cluster plan was not refused: %v", err)
+		}
+	}
+	if _, err := o.cluster(choice(), plan, fallback); err != nil {
+		t.Fatalf("the compiled cluster plans were refused: %v", err)
 	}
 }

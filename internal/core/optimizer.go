@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/algebra"
+	"repro/internal/dist"
 	"repro/internal/expr"
 	"repro/internal/plancheck"
 	"repro/internal/sql"
@@ -64,6 +65,9 @@ type Optimizer struct {
 	// standard-vs-transformed choice accounts for what each plan ships.
 	// 0 or 1 costs plans as single-site.
 	Nodes int
+	// DistStrategy is the distributed grouping strategy the cost model
+	// compiles every plan for the cluster under (Choice.Dist).
+	DistStrategy dist.Strategy
 	// DisablePredicateExpansion turns off the Section 6.3 predicate
 	// expansion (deriving constant predicates for R1's join columns from
 	// equality chains); on by default, off only for ablation studies.
@@ -209,6 +213,7 @@ func (o *Optimizer) costModel(b *BoundQuery) *CostModel {
 	model.Parallelism = o.Parallelism
 	model.Vectorize = o.Vectorize
 	model.Nodes = o.Nodes
+	model.Strategy = o.DistStrategy
 	return model
 }
 
@@ -256,9 +261,12 @@ type Choice struct {
 	// re-execution, not a re-optimization.
 	Fallback    algebra.Node
 	FallbackAnn algebra.Annotations
-	// Certs are the TestFD certificates covering Plan's eager aggregations,
-	// kept so a distributed compilation of Plan can be re-verified.
+	// Certs are the TestFD certificates covering Plan's eager aggregations.
 	Certs []*plancheck.Certificate
+	// Dist and FallbackDist are Plan and Fallback as the cost model compiled
+	// and priced them for the cluster, nil single-site: what a distributed
+	// run executes, read-only, so every run of a cached choice shares them.
+	Dist, FallbackDist *dist.Plan
 	// Tables are the base tables the choice read, sorted, each once: the
 	// query's bind collects them (BoundQuery.reads) — those Plan and Fallback
 	// scan, views and derived tables expanded, and those of the subqueries
@@ -276,7 +284,7 @@ type Choice struct {
 // table gets the Section 8 reverse analysis first, unless the mode is
 // ModeNever; every other query, and one the reverse analysis does not apply
 // to, gets the forward rule with its Section 9 rescue. With CheckPlans set,
-// every plan the choice carries has been verified.
+// every plan the choice carries has been verified, its cluster plans included.
 func (o *Optimizer) Choose(q *sql.SelectStmt) (*Choice, error) {
 	b, err := o.planner.Bind(q)
 	if err != nil {
@@ -300,16 +308,16 @@ func (o *Optimizer) choose(b *BoundQuery) (*Choice, error) {
 		}
 		if rr.Applicable {
 			if rr.UseFlat {
-				return &Choice{Plan: rr.FlatPlan, Ann: rr.FlatCost.Ann, reverse: rr}, nil
+				return o.cluster(&Choice{Plan: rr.FlatPlan, Ann: rr.FlatCost.Ann, reverse: rr}, rr.FlatCost, PlanCost{})
 			}
 			// The nested plan materializes the aggregated view — a
 			// group-before-join; the flat plan, when proven, is its lazy
 			// equivalent.
-			return &Choice{
+			return o.cluster(&Choice{
 				Plan: rr.Nested, Ann: rr.NestedCost.Ann,
 				Fallback: rr.FlatPlan, FallbackAnn: rr.FlatCost.Ann,
 				reverse: rr,
-			}, nil
+			}, rr.NestedCost, rr.FlatCost)
 		}
 	}
 	r, err := o.optimizeBound(b)
@@ -321,14 +329,67 @@ func (o *Optimizer) choose(b *BoundQuery) (*Choice, error) {
 		return nil, err
 	}
 	if !r.Transformed {
-		return &Choice{Plan: r.Standard, Ann: r.StandardCost.Ann, forward: r}, nil
+		return o.cluster(&Choice{Plan: r.Standard, Ann: r.StandardCost.Ann, forward: r}, r.StandardCost, PlanCost{})
 	}
-	return &Choice{
+	return o.cluster(&Choice{
 		Plan: r.Alternative, Ann: r.TransformedCost.Ann,
 		Fallback: r.Standard, FallbackAnn: r.StandardCost.Ann,
 		Certs:   certs,
 		forward: r,
-	}, nil
+	}, r.TransformedCost, r.StandardCost)
+}
+
+// cluster gives c the cluster plans the cost model compiled while pricing
+// its plan (pc) and its fallback (fc) — nothing on a single site — and, with
+// CheckPlans set, verifies them: the plan's with Certs translated onto its
+// compiled eager aggregations, the fallback's with none. A plan the compiler
+// rejected fails the choice with the compiler's error.
+func (o *Optimizer) cluster(c *Choice, pc, fc PlanCost) (*Choice, error) {
+	if o.Nodes <= 1 {
+		return c, nil
+	}
+	var err error
+	if c.Dist, err = o.verifyDist(pc, c.Certs); err == nil && c.Fallback != nil {
+		c.FallbackDist, err = o.verifyDist(fc, nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// verifyDist is pc's cluster plan, verified under certs.
+func (o *Optimizer) verifyDist(pc PlanCost, certs []*plancheck.Certificate) (*dist.Plan, error) {
+	if pc.distErr != nil {
+		return nil, pc.distErr
+	}
+	if o.CheckPlans {
+		if err := plancheck.Verify(pc.Dist.Root, &plancheck.Options{Certificates: translateCerts(pc.Dist, certs)}); err != nil {
+			return nil, fmt.Errorf("core: distributed plan failed verification: %w", err)
+		}
+	}
+	return pc.Dist, nil
+}
+
+// translateCerts re-anchors TestFD certificates from logical GroupBy nodes
+// onto the distributed plan's eager aggregations derived from them, so the
+// eager-cert rule holds on the compiled tree too.
+func translateCerts(dp *dist.Plan, certs []*plancheck.Certificate) []*plancheck.Certificate {
+	if len(certs) == 0 {
+		return nil
+	}
+	var out []*plancheck.Certificate
+	for _, g := range plancheck.EagerGroups(dp.Root) {
+		origin := dp.Origins[g]
+		for _, cert := range certs {
+			if cert.Group == origin {
+				cc := *cert
+				cc.Group = g
+				out = append(out, &cc)
+			}
+		}
+	}
+	return out
 }
 
 // Explain renders the account of the rule that decided: the reverse report

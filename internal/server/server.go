@@ -38,8 +38,8 @@ import (
 )
 
 // Config configures a Server. Engine is required; the zero value of every
-// other field means "feature off" (no admission pool, unbounded sessions,
-// no plan cache).
+// other field means "the default" (no admission pool, unbounded sessions,
+// the engine's plan cache as it is).
 type Config struct {
 	// Engine is the shared query engine. Required.
 	Engine *gbj.Engine

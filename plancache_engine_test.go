@@ -180,23 +180,30 @@ func TestPlanCacheInvalidationMatrix(t *testing.T) {
 // A plan whose certificate does not survive verification never executes.
 // Chosen under the tamper hook, which truncates the certified GA1+ column
 // list exactly like a real staleness bug would, the query fails
-// verification and nothing is cached. The engine caches only verified
+// verification and nothing is cached — on one node, and on four, where the
+// choice would also carry its cluster plans. The engine caches only verified
 // plans, so the second half plants a poisoned entry by hand: the next
 // write empties the cache, and the query re-plans with a clean
 // certificate.
 func TestPlanCacheRejectsTamperedCertificate(t *testing.T) {
+	for _, nodes := range []int{4, 1} {
+		e := newExample1Engine(t)
+		e.SetMode(ModeAlways) // guarantee the eager (certified) shape
+		if err := e.SetNodes(nodes); err != nil {
+			t.Fatal(err)
+		}
+		core.TestHooks.TamperCertCols = true
+		_, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
+		core.TestHooks.TamperCertCols = false
+		if err == nil || !strings.Contains(err.Error(), "eager-cert") {
+			t.Fatalf("%d nodes: a tampered certificate was not refused when chosen: %v", nodes, err)
+		}
+		if n := e.planCache.Len(); n != 0 {
+			t.Fatalf("%d nodes: the refused plan was cached: %d entries", nodes, n)
+		}
+	}
 	e := newExample1Engine(t)
-	e.SetMode(ModeAlways) // guarantee the eager (certified) shape
-
-	core.TestHooks.TamperCertCols = true
-	_, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
-	core.TestHooks.TamperCertCols = false
-	if err == nil || !strings.Contains(err.Error(), "eager-cert") {
-		t.Fatalf("a tampered certificate was not refused when chosen: %v", err)
-	}
-	if n := e.planCache.Len(); n != 0 {
-		t.Fatalf("the refused plan was cached: %d entries", n)
-	}
+	e.SetMode(ModeAlways)
 
 	// Plant a poisoned entry: the cached certificate licenses the wrong GA1+.
 	base := queryCounts(t, e)
