@@ -9,11 +9,12 @@
 //	gbj-server -addr :7432 -init seed.sql
 //	gbj-server -pool 268435456 -per-query 4194304 -max-sessions 128
 //
-// Flags are validated up front — a malformed -addr, a negative -pool or
-// -max-sessions, a parallelism below -1 — and rejected with exit 2, never
-// clamped. SIGINT/SIGTERM trigger a graceful shutdown: in-flight queries
-// are cancelled through the server's root context, connections drain, and
-// the process exits once nothing is left running.
+// Flags are validated up front — a malformed -addr, a parallelism below -1,
+// and (by server.New, before -init runs) a negative -pool, -per-query,
+// -max-queue, -queue-timeout, -max-sessions or -plan-cache — and rejected
+// with exit 2, never clamped. SIGINT/SIGTERM trigger a graceful shutdown:
+// in-flight queries are cancelled through the server's root context,
+// connections drain, and the process exits once nothing is left running.
 //
 // This binary is the one place the process root context is minted; inside
 // internal/server every context derives from the request joined to that
@@ -51,15 +52,9 @@ func main() {
 	})
 	initFile := flag.String("init", "", "SQL script to run at startup (schema and seed data)")
 	flag.Parse()
-	for _, err := range []error{
-		cliutil.ValidateAddr(*addr),
-		cliutil.ValidatePoolBytes(*pool),
-		cliutil.ValidateMaxSessions(*maxSessions),
-	} {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gbj-server:", err)
-			os.Exit(2)
-		}
+	if err := cliutil.ValidateAddr(*addr); err != nil {
+		fmt.Fprintln(os.Stderr, "gbj-server:", err)
+		os.Exit(2)
 	}
 
 	engine := gbj.New()
@@ -67,20 +62,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gbj-server:", err)
 		os.Exit(2)
 	}
-	if *initFile != "" {
-		data, err := os.ReadFile(*initFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gbj-server:", err)
-			os.Exit(1)
-		}
-		if err := engine.RunScriptContext(context.Background(), string(data), os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "gbj-server: init script %s: %v\n", *initFile, err)
-			os.Exit(1)
-		}
-	}
-
 	// The process root: cancelled by SIGINT/SIGTERM, handed to the server
-	// so every request context joins it.
+	// so every request context joins it. The server is built before the
+	// init script runs, so a flag it rejects exits before any work.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	srv, err := server.New(ctx, server.Config{
@@ -95,6 +79,17 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gbj-server:", err)
 		os.Exit(2)
+	}
+	if *initFile != "" {
+		data, err := os.ReadFile(*initFile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "gbj-server:", err)
+			os.Exit(1)
+		}
+		if err := engine.RunScriptContext(context.Background(), string(data), os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "gbj-server: init script %s: %v\n", *initFile, err)
+			os.Exit(1)
+		}
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

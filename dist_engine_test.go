@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/algebra"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/sql"
 )
@@ -54,9 +55,9 @@ func example1Engine(t *testing.T, employees, departments int) *Engine {
 
 // TestEngineDistributedOracle runs the randomized engine queries locally
 // and on clusters of 2, 4 and 8 nodes, serial and parallel, with Vectorize
-// on and off, asserting the same multiset through the public API (every
-// distributed plan passes the verifier, certificates included, or the query
-// fails).
+// on and off, asserting the same multiset under the same column names
+// through the public API (every distributed plan passes the verifier,
+// certificates included, or the query fails).
 func TestEngineDistributedOracle(t *testing.T) {
 	iterations := 120
 	if testing.Short() {
@@ -84,6 +85,9 @@ func TestEngineDistributedOracle(t *testing.T) {
 			if !slices.Equal(want, canonicalRows(got)) {
 				t.Fatalf("iteration %d nodes=%d diverged\nquery: %s\nlocal: %v\ndistributed: %v",
 					i, nodes, query, want, canonicalRows(got))
+			}
+			if !slices.Equal(local.Columns, got.Columns) {
+				t.Fatalf("iteration %d nodes=%d: columns %q, local %q\nquery: %s", i, nodes, got.Columns, local.Columns, query)
 			}
 		}
 	}
@@ -197,7 +201,7 @@ func TestClusterRunsShareTheCachedPlan(t *testing.T) {
 	if !ok {
 		t.Fatal("no cache entry for the query")
 	}
-	if dp := v.(*cachedPlan).choice.Dist; dp == nil || dp.Root != plans[0] || dp.Strategy != DistLazy {
+	if dp := v.(*core.Choice).Plan.Dist; dp == nil || dp.Root != plans[0] || dp.Strategy != DistLazy {
 		t.Fatalf("the runs did not execute the cached choice's cluster plan, compiled lazy: %+v", dp)
 	}
 }

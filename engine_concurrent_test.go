@@ -254,11 +254,11 @@ func TestConcurrentSessionsShareOneClusterPlan(t *testing.T) {
 		t.Fatalf("the first cluster run's %d rows differ from the single site's %d", len(got), len(want))
 	}
 	cp := e.cachedText(workload.Example1Query)
-	if cp == nil || cp.choice.Dist == nil {
+	if cp == nil || cp.Plan.Dist == nil {
 		t.Fatal("the first run left no cache entry with a cluster plan")
 	}
 	runSessions(t, e, want, 1<<20, func(a *Analysis) error {
-		if a.Plan != cp.choice.Dist.Root {
+		if a.Plan != cp.Plan.Dist.Root {
 			return fmt.Errorf("an analyzed run executed a cluster plan other than the cached one")
 		}
 		return nil

@@ -564,7 +564,7 @@ func (e *Engine) query(ctx context.Context, text string, q *sql.SelectStmt, o *Q
 // execution touches nothing else of the engine but its atomic counters, so
 // the lock is released before the first row moves.
 type prepared struct {
-	cached *cachedPlan    // the query's plan-cache entry: its choice and compiled plans
+	choice *core.Choice   // the query's plan-cache entry
 	set    settings       // the engine's settings with the query's overrides
 	store  *storage.Store // frozen snapshot: the query's stable view of the data
 	params expr.Params
@@ -583,9 +583,9 @@ type prepared struct {
 func (e *Engine) prepare(text string, q *sql.SelectStmt, o *QueryOptions, params expr.Params) (prepared, error) {
 	if q == nil {
 		e.mu.RLock()
-		if cp := e.cachedText(text); cp != nil {
+		if c := e.cachedText(text); c != nil {
 			defer e.mu.RUnlock()
-			return e.capture(cp, o, params)
+			return e.capture(c, o, params)
 		}
 		e.mu.RUnlock()
 		var err error
@@ -595,18 +595,18 @@ func (e *Engine) prepare(text string, q *sql.SelectStmt, o *QueryOptions, params
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	cp, err := e.choose(q, text)
+	c, err := e.choose(q, text)
 	if err != nil {
 		return prepared{}, err
 	}
-	return e.capture(cp, o, params)
+	return e.capture(c, o, params)
 }
 
 // capture is the rest of prepare once the query's cache entry is known: the
 // query's settings, snapshot and cluster. Caller holds e.mu.
-func (e *Engine) capture(cp *cachedPlan, o *QueryOptions, params expr.Params) (prepared, error) {
+func (e *Engine) capture(c *core.Choice, o *QueryOptions, params expr.Params) (prepared, error) {
 	var err error
-	p := prepared{cached: cp, set: e.set.with(o), store: e.store.Snapshot(), params: params}
+	p := prepared{choice: c, set: e.set.with(o), store: e.store.Snapshot(), params: params}
 	if p.set.nodes > 1 {
 		if p.cluster, err = e.clusterFor(); err != nil {
 			return prepared{}, err
@@ -669,7 +669,7 @@ func (e *Engine) run(ctx context.Context, p *prepared, instrument bool, sink Row
 			e.recovery.Degraded.Add(1)
 			degraded, fellBack = degradeReason(ue), ""
 			at = attempt{}
-		case !at.lazy && canFallBack(err, p.cached.choice):
+		case !at.lazy && canFallBack(err, p.choice):
 			e.fallbacks.Add(1)
 			fellBack = fallbackReason(err)
 			at.lazy = true
@@ -679,16 +679,16 @@ func (e *Engine) run(ctx context.Context, p *prepared, instrument bool, sink Row
 	}
 }
 
-// try executes one rung. Local rungs run the entry's shape against the
-// store snapshot; distributed rungs run the choice's cluster plan, compiled
-// and verified when the choice was made. The rung starts sink and hands it
-// the rows: a local rung's as its root pipeline makes them, a cluster rung's
-// as the cluster returns them.
+// try executes one rung: the choice's plan, or its fallback on a lazy rung.
+// Local rungs bind its shape to the store snapshot; distributed rungs run its
+// cluster plan, compiled and verified when the choice was made. The rung
+// starts sink with the plan's column names and hands it the rows: a local
+// rung's as its root pipeline makes them, a cluster rung's as the cluster
+// returns them.
 func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome, sink RowSink) error {
-	c, cp := p.cached.choice, p.cached.plan
-	plan, ann, dp := c.Plan, c.Ann, c.Dist
+	r := p.choice.Plan
 	if at.lazy {
-		plan, ann, dp, cp = c.Fallback, c.FallbackAnn, c.FallbackDist, p.cached.fallback
+		r = p.choice.Fallback
 	}
 	opts := p.execOptions(ctx, at, out)
 	if at == (attempt{}) && p.set.spillDir != "" && p.set.memBudget > 0 {
@@ -702,19 +702,19 @@ func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome,
 		opts.Spill = mgr
 	}
 	if !at.dist {
-		out.plan, out.est = plan, ann
-		sink.Start(slices.Clone(cp.columns))
-		return cp.shape.Stream(p.store, opts, sink)
+		out.plan, out.est = r.Plan, r.Ann
+		sink.Start(slices.Clone(r.Columns))
+		return r.Shape.Stream(p.store, opts, sink)
 	}
-	out.plan, out.dist = dp.Root, true
+	out.plan, out.dist = r.Dist.Root, true
 	if out.col != nil {
-		out.est = translateAnn(dp, ann)
+		out.est = r.DistAnn()
 	}
-	res, err := p.cluster.RunRecover(dp, opts, e.recoveryPolicy(p.set))
+	res, err := p.cluster.RunRecover(r.Dist, opts, e.recoveryPolicy(p.set))
 	if err != nil {
 		return err
 	}
-	sink.Start(columnNames(res.Schema))
+	sink.Start(slices.Clone(r.Columns))
 	sink.Begin(1)
 	emit := sink.Chunk(0)
 	for _, row := range res.Rows {
@@ -791,11 +791,11 @@ func (e *Engine) Explain(text string) (string, error) {
 func (e *Engine) explain(q *sql.SelectStmt) (string, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	cp, err := e.choose(q, "")
+	c, err := e.choose(q, "")
 	if err != nil {
 		return "", err
 	}
-	return cp.choice.Explain(), nil
+	return c.Explain(), nil
 }
 
 // parseSelect parses one SELECT statement, with or without a leading
@@ -819,9 +819,10 @@ func parseSelect(text string) (*sql.SelectStmt, error) {
 type Analysis struct {
 	// Result holds the query's rows.
 	Result *Result
-	// Plan is the executed plan: the plan-cache entry's own tree — on a
-	// cluster, the root of its compiled cluster plan — shared with every
-	// later run of the query: read it, never write it.
+	// Plan is the executed plan: the tree of the plan-cache entry's runnable
+	// that ran (core.Runnable.Plan, or on a cluster the root of its
+	// Runnable.Dist), shared with every later run of the query: read it,
+	// never write it.
 	Plan algebra.Node
 	// Calibration pairs the cost model's per-node estimates with measured
 	// cardinalities (q-errors included) and carries the per-operator
@@ -983,14 +984,6 @@ func convertParams(params map[string]any) (expr.Params, error) {
 		}
 	}
 	return out, nil
-}
-
-func columnNames(schema algebra.Schema) []string {
-	var cols []string
-	for _, d := range schema {
-		cols = append(cols, d.ID.Name)
-	}
-	return cols
 }
 
 // boxSink is the RowSink of the in-process SELECT entries: it boxes each

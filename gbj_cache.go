@@ -21,15 +21,15 @@ package gbj
 // SetPlanCacheSize resizes it), so every SELECT, EXPLAIN and script query is
 // planned through it: there is no uncached plan path.
 //
-// Beside the choice an entry keeps the plan-only half of its compilation
-// (exec.Shape) for the plan and for its lazy fallback, made with the entry,
-// so a hit binds operators to its snapshot and compiles nothing. A shape
-// depends on the plan alone (the engine never forces a grouping strategy):
-// the worker count, the source form, a leased budget and the spill decision
-// are read when a run binds it, so one shape serves a serial, a degraded and
-// a vectorized run alike. On a cluster the choice carries the verified
-// cluster plans the cost model priced (core.Choice.Dist), so a distributed
-// run compiles nothing either.
+// An entry is the *core.Choice itself: each plan it can run — the chosen one
+// and its lazy fallback — is a core.Runnable made with the choice, holding
+// its estimates, the plan-only half of its compilation (exec.Shape), its
+// column names and, on a cluster, the verified cluster plan the cost model
+// priced. So a hit binds operators to its snapshot and compiles nothing, on
+// one site or on the cluster. A shape depends on the plan alone (the engine
+// never forces a grouping strategy): the worker count, the source form, a
+// leased budget and the spill decision are read when a run binds it, so one
+// shape serves a serial, a degraded and a vectorized run alike.
 //
 // Hits count queries that were not re-planned, a text answered by the
 // canonical key included; misses count plan selections.
@@ -59,9 +59,7 @@ package gbj
 // exec oracles one plan from many goroutines).
 
 import (
-	"repro/internal/algebra"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/sql"
 )
@@ -69,43 +67,6 @@ import (
 // defaultPlanCacheSize is the plan cache's capacity in entries, that of
 // every new engine and of SetPlanCacheSize(0).
 const defaultPlanCacheSize = 256
-
-// cachedPlan is what the plan cache keeps for a query: its choice and the
-// compiled forms of its plan and of its fallback (nil without one).
-type cachedPlan struct {
-	choice         *core.Choice
-	plan, fallback *compiledPlan
-}
-
-// compiledPlan is a plan's shape with the column names of its result.
-type compiledPlan struct {
-	shape   *exec.Shape
-	columns []string
-}
-
-// newCachedPlan compiles the plan and the fallback of c.
-func newCachedPlan(c *core.Choice) (*cachedPlan, error) {
-	cp := &cachedPlan{choice: c}
-	var err error
-	if cp.plan, err = compile(c.Plan); err != nil {
-		return nil, err
-	}
-	if c.Fallback != nil {
-		if cp.fallback, err = compile(c.Fallback); err != nil {
-			return nil, err
-		}
-	}
-	return cp, nil
-}
-
-// compile makes plan's compiledPlan.
-func compile(plan algebra.Node) (*compiledPlan, error) {
-	shape, err := exec.NewShape(plan)
-	if err != nil {
-		return nil, err
-	}
-	return &compiledPlan{shape: shape, columns: columnNames(plan.Schema())}, nil
-}
 
 // SetPlanCacheSize bounds the engine's plan cache to n entries; n <= 0
 // restores the default (defaultPlanCacheSize). Resizing drops all cached
@@ -141,11 +102,10 @@ func (e *Engine) write(tables []string, fn func() error) error {
 
 // choose is the engine's one plan decision, core.Optimizer.Choose, behind
 // the plan cache's canonical key: what a query runs and what EXPLAIN prints.
-// A miss plans q and compiles the choice into a new entry. A non-empty text
-// is q's exact text, and becomes an alias of q's entry. Caller holds e.mu
-// (read suffices), which keeps write — and its drop — out between the
-// lookup and the insert.
-func (e *Engine) choose(q *sql.SelectStmt, text string) (*cachedPlan, error) {
+// A miss plans q into a new entry. A non-empty text is q's exact text, and
+// becomes an alias of q's entry. Caller holds e.mu (read suffices), which
+// keeps write — and its drop — out between the lookup and the insert.
+func (e *Engine) choose(q *sql.SelectStmt, text string) (*core.Choice, error) {
 	key := sql.Canonical(q)
 	v, ok := e.planCache.Get(key)
 	if !ok {
@@ -153,25 +113,21 @@ func (e *Engine) choose(q *sql.SelectStmt, text string) (*cachedPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		cp, err := newCachedPlan(c)
-		if err != nil {
-			return nil, err
-		}
-		e.planCache.PutReads(key, cp, c.Tables)
-		v = cp
+		e.planCache.PutReads(key, c, c.Tables)
+		v = c
 	}
 	if text != "" {
 		e.planCache.Alias(text, key)
 	}
-	return v.(*cachedPlan), nil
+	return v.(*core.Choice), nil
 }
 
 // cachedText is the plan cache's entry for a query's exact text, nil when
 // the text is no alias. Caller holds e.mu.
-func (e *Engine) cachedText(text string) *cachedPlan {
+func (e *Engine) cachedText(text string) *core.Choice {
 	v, ok := e.planCache.GetText(text)
 	if !ok {
 		return nil
 	}
-	return v.(*cachedPlan)
+	return v.(*core.Choice)
 }

@@ -5,13 +5,12 @@
 // The cost model compiles each candidate plan for the cluster to price what
 // it ships, so the group-before-join choice accounts for communication (the
 // paper's Section 7 distributed argument), and the compiled plan it priced
-// is the one that runs (core.Choice.Dist).
+// is the one that runs (core.Runnable.Dist).
 package gbj
 
 import (
 	"fmt"
 
-	"repro/internal/algebra"
 	"repro/internal/dist"
 	"repro/internal/fault"
 )
@@ -154,24 +153,4 @@ func (e *Engine) recoveryPolicy(s settings) *dist.Recovery {
 // degradation that EXPLAIN ANALYZE and the metrics surface report.
 func degradeReason(err error) string {
 	return fmt.Sprintf("cluster unavailable (%v); re-executed the query locally", err)
-}
-
-// translateAnn moves logical-plan row estimates onto the distributed
-// nodes derived from them — scaled where the compiler priced a node at
-// other than its origin's cardinality (dp.EstRows: per-node partial
-// aggregates, broadcasts), since the measured count it calibrates against
-// is summed over the sites. Synthesized nodes whose origin has no estimate
-// (or no origin) calibrate against the zero estimate, surfacing as
-// q-error like any other unestimated operator.
-func translateAnn(dp *dist.Plan, ann algebra.Annotations) algebra.Annotations {
-	out := make(algebra.Annotations, len(dp.Origins))
-	for n, origin := range dp.Origins {
-		if a, ok := ann[origin]; ok {
-			if rows, ok := dp.EstRows[n]; ok {
-				a.Rows = int64(rows)
-			}
-			out[n] = a
-		}
-	}
-	return out
 }

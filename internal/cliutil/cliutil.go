@@ -166,18 +166,6 @@ func ValidateAddr(addr string) error {
 	return nil
 }
 
-// ValidatePoolBytes checks gbj-server's admission-pool size: 0 disables
-// admission control, a positive byte count enables it. Negative sizes are
-// rejected, not clamped to zero — a script that computed a negative pool
-// would otherwise silently run with admission control off, the opposite
-// of the protection it asked for.
-func ValidatePoolBytes(b int64) error {
-	if b < 0 {
-		return fmt.Errorf("-pool must be 0 (admission control off) or a positive byte count, got %d", b)
-	}
-	return nil
-}
-
 // ValidateServerURL checks a client-side gbj-server base URL (gbj-shell
 // -connect): http or https, with an explicit host:port.
 // A missing port is rejected, never defaulted — the client guessing 7432
@@ -196,18 +184,6 @@ func ValidateServerURL(u string) error {
 	}
 	if n, err := strconv.Atoi(port); err != nil || n < 1 || n > 65535 {
 		return fmt.Errorf("server URL %q has invalid port %q; ports are 1..65535", u, port)
-	}
-	return nil
-}
-
-// ValidateMaxSessions checks gbj-server's session bound: 0 means
-// unbounded, a positive count caps concurrently open sessions. Negative
-// counts are rejected, not clamped — -1 might plausibly mean either
-// "unbounded" or "none", and the server guessing would be worse than the
-// operator retyping.
-func ValidateMaxSessions(n int) error {
-	if n < 0 {
-		return fmt.Errorf("-max-sessions must be 0 (unbounded) or a positive session cap, got %d", n)
 	}
 	return nil
 }

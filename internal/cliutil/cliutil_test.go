@@ -75,46 +75,6 @@ func TestValidateAddr(t *testing.T) {
 	}
 }
 
-func TestValidatePoolBytes(t *testing.T) {
-	tests := []struct {
-		b  int64
-		ok bool
-	}{
-		{-1 << 30, false},
-		{-1, false}, // rejected, not clamped to "admission off"
-		{0, true},   // admission control off
-		{1, true},
-		{1 << 20, true},
-		{1 << 40, true},
-	}
-	for _, tt := range tests {
-		err := ValidatePoolBytes(tt.b)
-		if (err == nil) != tt.ok {
-			t.Errorf("ValidatePoolBytes(%d) = %v, want ok=%v", tt.b, err, tt.ok)
-		}
-	}
-}
-
-func TestValidateMaxSessions(t *testing.T) {
-	tests := []struct {
-		n  int
-		ok bool
-	}{
-		{-100, false},
-		{-1, false}, // no "unbounded" sentinel: 0 already means that
-		{0, true},   // unbounded
-		{1, true},
-		{64, true},
-		{4096, true},
-	}
-	for _, tt := range tests {
-		err := ValidateMaxSessions(tt.n)
-		if (err == nil) != tt.ok {
-			t.Errorf("ValidateMaxSessions(%d) = %v, want ok=%v", tt.n, err, tt.ok)
-		}
-	}
-}
-
 // recorder logs the setters Apply drives and passes each on to a real
 // engine, whose own range checks are the ones the tools enforce.
 type recorder struct {

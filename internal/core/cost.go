@@ -143,10 +143,11 @@ type PlanCost struct {
 	CommBytes float64
 	// Ann holds per-node estimated cardinalities for EXPLAIN display.
 	Ann algebra.Annotations
-	// Dist is the plan compiled for the model's cluster, whose exchanges
-	// CommBytes prices; nil single-site and when the compiler rejected the
-	// plan (distErr, which fails a choice of it).
-	Dist    *dist.Plan
+	// dist is the plan compiled for the model's cluster, whose exchanges
+	// CommBytes prices; nil single-site, when the compiler rejected the plan
+	// (distErr, which fails a choice of it), and once a choice has taken it
+	// (Runnable.Dist) or passed the plan over.
+	dist    *dist.Plan
 	distErr error
 }
 
@@ -154,7 +155,7 @@ type PlanCost struct {
 // accumulated cost for every node. Scan aliases found in the plan (e.g.
 // inside expanded view subplans) are added to the alias map so column
 // statistics resolve there too. With more than one node it also compiles the
-// plan for the cluster and charges its exchange bytes (PlanCost.Dist).
+// plan for the cluster and charges its exchange bytes (PlanCost.dist).
 func (m *CostModel) Estimate(plan algebra.Node) PlanCost {
 	m.collectAliases(plan)
 	ann := make(algebra.Annotations)
@@ -164,7 +165,7 @@ func (m *CostModel) Estimate(plan algebra.Node) PlanCost {
 		// The distributed compiler does the placement reasoning (where
 		// exchanges land, eager vs lazy grouping by bytes); this model
 		// supplies the per-node cardinalities it prices rows with.
-		pc.Dist, pc.distErr = dist.Compile(plan, dist.Config{
+		pc.dist, pc.distErr = dist.Compile(plan, dist.Config{
 			Nodes:    m.Nodes,
 			Strategy: m.Strategy,
 			Rows: func(n algebra.Node) float64 {
@@ -174,8 +175,8 @@ func (m *CostModel) Estimate(plan algebra.Node) PlanCost {
 				return -1
 			},
 		})
-		if pc.Dist != nil {
-			pc.CommBytes = pc.Dist.EstBytes
+		if pc.dist != nil {
+			pc.CommBytes = pc.dist.EstBytes
 		}
 		pc.Total += pc.CommBytes * costCommByte
 	}

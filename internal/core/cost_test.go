@@ -259,11 +259,11 @@ func TestClusterCostPricesThePlanThatRuns(t *testing.T) {
 	if c.forward.Transformed {
 		pc = c.forward.TransformedCost
 	}
-	dp, err := dist.Compile(c.Plan, dist.Config{
+	dp, err := dist.Compile(c.Plan.Plan, dist.Config{
 		Nodes:    4,
 		Strategy: dist.StrategyLazy,
 		Rows: func(n algebra.Node) float64 {
-			if a, ok := c.Ann[n]; ok {
+			if a, ok := c.Plan.Ann[n]; ok {
 				return float64(a.Rows)
 			}
 			return -1
@@ -273,8 +273,8 @@ func TestClusterCostPricesThePlanThatRuns(t *testing.T) {
 	if pc.CommBytes != dp.EstBytes {
 		t.Fatalf("the chosen plan is charged %.0f shipped bytes; compiled lazy it ships %.0f", pc.CommBytes, dp.EstBytes)
 	}
-	if c.Dist == nil || c.Dist != pc.Dist || c.Dist.Strategy != dist.StrategyLazy {
-		t.Fatalf("the choice does not carry the cluster plan its cost priced: %+v", c.Dist)
+	if got := c.Plan.Dist; got == nil || got.EstBytes != pc.CommBytes || got.Strategy != dist.StrategyLazy {
+		t.Fatalf("the choice does not carry the cluster plan its cost priced: %+v", got)
 	}
 }
 
@@ -287,17 +287,60 @@ func TestChoiceVerifiesClusterPlans(t *testing.T) {
 	o.Mode, o.Nodes, o.CheckPlans = ModeAlways, 4, true // a transformed plan and its fallback
 	c, err := o.Choose(parse(t, example1SQL))
 	must(t, err)
-	scan := algebra.FindScans(c.Plan)[0]
-	plan, fallback := PlanCost{Dist: c.Dist}, PlanCost{Dist: c.FallbackDist}
-	bad := PlanCost{Dist: &dist.Plan{Root: &dist.Leaf{Table: scan.Table, Alias: scan.Alias, Cols: scan.Cols}}}
-	choice := func() *Choice { return &Choice{Plan: c.Plan, Fallback: c.Fallback, Certs: c.Certs} }
+	scan := algebra.FindScans(c.Plan.Plan)[0]
+	plan, fallback := PlanCost{dist: c.Plan.Dist}, PlanCost{dist: c.Fallback.Dist}
+	bad := PlanCost{dist: &dist.Plan{Root: &dist.Leaf{Table: scan.Table, Alias: scan.Alias, Cols: scan.Cols}}}
+	choose := func(pc, fc PlanCost) error {
+		_, err := o.choice(&Choice{Certs: c.Certs}, c.Plan.Plan, &pc, c.Fallback.Plan, &fc)
+		return err
+	}
 	for _, pcs := range [][2]PlanCost{{bad, fallback}, {plan, bad}} {
-		_, err := o.cluster(choice(), pcs[0], pcs[1])
-		if err == nil || !strings.Contains(err.Error(), "dist-placement") {
+		if err := choose(pcs[0], pcs[1]); err == nil || !strings.Contains(err.Error(), "dist-placement") {
 			t.Fatalf("an ungathered cluster plan was not refused: %v", err)
 		}
 	}
-	if _, err := o.cluster(choice(), plan, fallback); err != nil {
+	if err := choose(plan, fallback); err != nil {
 		t.Fatalf("the compiled cluster plans were refused: %v", err)
+	}
+}
+
+// TestChoiceKeepsOnlyTheClusterPlansItRuns: on four nodes the cost model
+// compiles every plan it prices, but a choice keeps only the cluster plans of
+// the plans it can run, in its runnables — none in the report it explains
+// with. Figure 8's transformation is valid and not chosen, so the forward
+// report's transformed cost must hold none. No fixture has the cluster pick
+// the flat plan over a view (it broadcasts PrinterAuth), so the reverse half
+// makes the choice Choose makes for a flat pick, on a real 4-node report.
+func TestChoiceKeepsOnlyTheClusterPlansItRuns(t *testing.T) {
+	store, err := workload.Figure8(workload.Figure8Defaults)
+	must(t, err)
+	o := NewOptimizer(store)
+	o.Nodes, o.CheckPlans = 4, true
+	c, err := o.Choose(parse(t, workload.Figure8Query))
+	must(t, err)
+	r := c.forward
+	if r.Transformed || r.Alternative == nil || c.Fallback != nil || c.Plan.Dist == nil {
+		t.Fatalf("want the standard plan chosen over a valid transformation, with its cluster plan: %s", r.WhyNot)
+	}
+	if r.TransformedCost.dist != nil || r.StandardCost.dist != nil {
+		t.Fatal("the forward report kept a cluster plan: the transformed one no run executes, or a copy of the standard one")
+	}
+
+	s := printerStore(t)
+	registerUserInfoView(t, s)
+	o = NewOptimizer(s)
+	o.Nodes, o.CheckPlans = 4, true
+	b, err := o.planner.Bind(parse(t, workload.Example5Query))
+	must(t, err)
+	rr, err := o.reverse(b)
+	must(t, err)
+	if rr.FlatPlan == nil || rr.NestedCost.dist == nil || rr.FlatCost.dist == nil {
+		t.Fatalf("want a 4-node reverse report pricing both plans on the cluster: %s", rr.WhyNot)
+	}
+	rr.UseFlat = true
+	c, err = o.choice(&Choice{reverse: rr}, rr.FlatPlan, &rr.FlatCost, nil, &rr.NestedCost)
+	must(t, err)
+	if c.Plan.Dist == nil || rr.FlatCost.dist != nil || rr.NestedCost.dist != nil {
+		t.Fatal("the reverse report kept a cluster plan: the nested one no run executes, or a copy of the flat one")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/dist"
+	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/plancheck"
 	"repro/internal/sql"
@@ -66,7 +67,7 @@ type Optimizer struct {
 	// 0 or 1 costs plans as single-site.
 	Nodes int
 	// DistStrategy is the distributed grouping strategy the cost model
-	// compiles every plan for the cluster under (Choice.Dist).
+	// compiles every plan for the cluster under (Runnable.Dist).
 	DistStrategy dist.Strategy
 	// DisablePredicateExpansion turns off the Section 6.3 predicate
 	// expansion (deriving constant predicates for R1's join columns from
@@ -245,28 +246,21 @@ func (o *Optimizer) OptimizeBound(b *BoundQuery) (*Report, error) {
 // Choice is the one plan decision for a query: the plan that runs, the lazy
 // plan a budget abort falls back to, the certificates that license the plan,
 // and the account EXPLAIN prints. The engine runs it and EXPLAIN renders it,
-// so the plan EXPLAIN marks as chosen is the plan that runs.
+// so the plan EXPLAIN marks as chosen is the plan that runs. The plan cache
+// keeps it as it is: every run of a cached choice shares its runnables.
 type Choice struct {
-	// Plan is the chosen plan and Ann its per-node estimates, keyed by the
-	// node pointers the executor runs — which is what lets an analysis pair
-	// estimates with measured cardinalities.
-	Plan algebra.Node
-	Ann  algebra.Annotations
+	// Plan is the chosen plan.
+	Plan *Runnable
 	// Fallback is the lazy plan behind a group-before-join choice — the
 	// standard plan behind a transformed one, the flat plan behind a nested
-	// view — and FallbackAnn its estimates; both nil when Plan is already
-	// the lazy shape. Eager aggregation builds its group table before the
-	// join filters rows, so it is the shape that can blow a memory budget
-	// the lazy plan fits; keeping the lazy plan at hand makes degradation a
-	// re-execution, not a re-optimization.
-	Fallback    algebra.Node
-	FallbackAnn algebra.Annotations
+	// view — nil when Plan is already the lazy shape. Eager aggregation
+	// builds its group table before the join filters rows, so it is the
+	// shape that can blow a memory budget the lazy plan fits; keeping the
+	// lazy plan at hand makes degradation a re-execution, not a
+	// re-optimization.
+	Fallback *Runnable
 	// Certs are the TestFD certificates covering Plan's eager aggregations.
 	Certs []*plancheck.Certificate
-	// Dist and FallbackDist are Plan and Fallback as the cost model compiled
-	// and priced them for the cluster, nil single-site: what a distributed
-	// run executes, read-only, so every run of a cached choice shares them.
-	Dist, FallbackDist *dist.Plan
 	// Tables are the base tables the choice read, sorted, each once: the
 	// query's bind collects them (BoundQuery.reads) — those Plan and Fallback
 	// scan, views and derived tables expanded, and those of the subqueries
@@ -275,9 +269,31 @@ type Choice struct {
 	Tables []string
 
 	// The report of the rule that decided: reverse when the Section 8
-	// analysis applied, else forward.
+	// analysis applied, else forward. Its costs keep no cluster plan: the
+	// runnables took those they run, and no run executes the others.
 	forward *Report
 	reverse *ReverseReport
+}
+
+// Runnable is one plan a choice can run, with everything a run of it reads
+// besides its data and settings. All of it is made with the choice and is
+// read-only after: executions never mutate plan nodes, shapes or cluster
+// plans, so every run of a cached choice, on any goroutine, shares one.
+type Runnable struct {
+	// Plan is the logical plan and Ann its per-node estimates, keyed by the
+	// node pointers the executor runs — which is what lets an analysis pair
+	// estimates with measured cardinalities.
+	Plan algebra.Node
+	Ann  algebra.Annotations
+	// Shape is the plan-only half of Plan's compilation (exec.NewShape): a
+	// local run binds it and compiles nothing.
+	Shape *exec.Shape
+	// Columns are the names of the result's columns, a local run's and a
+	// cluster run's alike.
+	Columns []string
+	// Dist is Plan as the cost model compiled and priced it for the
+	// cluster, verified; nil single-site.
+	Dist *dist.Plan
 }
 
 // Choose makes the one plan decision. A query over a view or a derived
@@ -308,16 +324,12 @@ func (o *Optimizer) choose(b *BoundQuery) (*Choice, error) {
 		}
 		if rr.Applicable {
 			if rr.UseFlat {
-				return o.cluster(&Choice{Plan: rr.FlatPlan, Ann: rr.FlatCost.Ann, reverse: rr}, rr.FlatCost, PlanCost{})
+				return o.choice(&Choice{reverse: rr}, rr.FlatPlan, &rr.FlatCost, nil, &rr.NestedCost)
 			}
 			// The nested plan materializes the aggregated view — a
 			// group-before-join; the flat plan, when proven, is its lazy
 			// equivalent.
-			return o.cluster(&Choice{
-				Plan: rr.Nested, Ann: rr.NestedCost.Ann,
-				Fallback: rr.FlatPlan, FallbackAnn: rr.FlatCost.Ann,
-				reverse: rr,
-			}, rr.NestedCost, rr.FlatCost)
+			return o.choice(&Choice{reverse: rr}, rr.Nested, &rr.NestedCost, rr.FlatPlan, &rr.FlatCost)
 		}
 	}
 	r, err := o.optimizeBound(b)
@@ -329,46 +341,54 @@ func (o *Optimizer) choose(b *BoundQuery) (*Choice, error) {
 		return nil, err
 	}
 	if !r.Transformed {
-		return o.cluster(&Choice{Plan: r.Standard, Ann: r.StandardCost.Ann, forward: r}, r.StandardCost, PlanCost{})
+		return o.choice(&Choice{forward: r}, r.Standard, &r.StandardCost, nil, &r.TransformedCost)
 	}
-	return o.cluster(&Choice{
-		Plan: r.Alternative, Ann: r.TransformedCost.Ann,
-		Fallback: r.Standard, FallbackAnn: r.StandardCost.Ann,
-		Certs:   certs,
-		forward: r,
-	}, r.TransformedCost, r.StandardCost)
+	return o.choice(&Choice{Certs: certs, forward: r}, r.Alternative, &r.TransformedCost, r.Standard, &r.StandardCost)
 }
 
-// cluster gives c the cluster plans the cost model compiled while pricing
-// its plan (pc) and its fallback (fc) — nothing on a single site — and, with
-// CheckPlans set, verifies them: the plan's with Certs translated onto its
-// compiled eager aggregations, the fallback's with none. A plan the compiler
-// rejected fails the choice with the compiler's error.
-func (o *Optimizer) cluster(c *Choice, pc, fc PlanCost) (*Choice, error) {
-	if o.Nodes <= 1 {
-		return c, nil
-	}
+// choice gives c the runnables of plan, priced as pc, and of fallback (none
+// when it is nil), priced as fc — fc is the report's other cost either way.
+// Both costs give up their cluster plans: the runnables took those they run,
+// and the plan not chosen runs on no rung.
+func (o *Optimizer) choice(c *Choice, plan algebra.Node, pc *PlanCost, fallback algebra.Node, fc *PlanCost) (*Choice, error) {
 	var err error
-	if c.Dist, err = o.verifyDist(pc, c.Certs); err == nil && c.Fallback != nil {
-		c.FallbackDist, err = o.verifyDist(fc, nil)
-	}
-	if err != nil {
+	if c.Plan, err = o.runnable(plan, pc, c.Certs); err != nil {
 		return nil, err
 	}
+	if fallback != nil {
+		if c.Fallback, err = o.runnable(fallback, fc, nil); err != nil {
+			return nil, err
+		}
+	}
+	fc.dist = nil
 	return c, nil
 }
 
-// verifyDist is pc's cluster plan, verified under certs.
-func (o *Optimizer) verifyDist(pc PlanCost, certs []*plancheck.Certificate) (*dist.Plan, error) {
+// runnable makes plan's Runnable: its estimates and cluster plan from pc,
+// which gives the cluster plan up, its shape and its column names. With
+// CheckPlans set the cluster plan is verified first, under certs translated
+// onto its eager aggregations. A plan the cluster compiler rejected fails
+// with the compiler's error.
+func (o *Optimizer) runnable(plan algebra.Node, pc *PlanCost, certs []*plancheck.Certificate) (*Runnable, error) {
+	dp := pc.dist
+	pc.dist = nil
 	if pc.distErr != nil {
 		return nil, pc.distErr
 	}
-	if o.CheckPlans {
-		if err := plancheck.Verify(pc.Dist.Root, &plancheck.Options{Certificates: translateCerts(pc.Dist, certs)}); err != nil {
+	if dp != nil && o.CheckPlans {
+		if err := plancheck.Verify(dp.Root, &plancheck.Options{Certificates: translateCerts(dp, certs)}); err != nil {
 			return nil, fmt.Errorf("core: distributed plan failed verification: %w", err)
 		}
 	}
-	return pc.Dist, nil
+	shape, err := exec.NewShape(plan)
+	if err != nil {
+		return nil, err
+	}
+	var cols []string
+	for _, d := range plan.Schema() {
+		cols = append(cols, d.ID.Name)
+	}
+	return &Runnable{Plan: plan, Ann: pc.Ann, Shape: shape, Columns: cols, Dist: dp}, nil
 }
 
 // translateCerts re-anchors TestFD certificates from logical GroupBy nodes
@@ -387,6 +407,26 @@ func translateCerts(dp *dist.Plan, certs []*plancheck.Certificate) []*plancheck.
 				cc.Group = g
 				out = append(out, &cc)
 			}
+		}
+	}
+	return out
+}
+
+// DistAnn is Ann moved onto the cluster plan's nodes derived from the
+// logical ones — scaled where the compiler priced a node at other than its
+// origin's cardinality (Dist.EstRows: per-node partial aggregates,
+// broadcasts), since the measured count it calibrates against is summed
+// over the sites. Synthesized nodes whose origin has no estimate (or no
+// origin) calibrate against the zero estimate, surfacing as q-error like any
+// other unestimated operator.
+func (r *Runnable) DistAnn() algebra.Annotations {
+	out := make(algebra.Annotations, len(r.Dist.Origins))
+	for n, origin := range r.Dist.Origins {
+		if a, ok := r.Ann[origin]; ok {
+			if rows, ok := r.Dist.EstRows[n]; ok {
+				a.Rows = int64(rows)
+			}
+			out[n] = a
 		}
 	}
 	return out

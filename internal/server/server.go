@@ -39,7 +39,7 @@ import (
 
 // Config configures a Server. Engine is required; the zero value of every
 // other field means "the default" (no admission pool, unbounded sessions,
-// the engine's plan cache as it is).
+// the engine's plan cache as it is), and New rejects a negative one.
 type Config struct {
 	// Engine is the shared query engine. Required.
 	Engine *gbj.Engine
@@ -102,17 +102,20 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("server: Config.Engine is required")
 	}
-	if cfg.PoolBytes < 0 {
-		return nil, fmt.Errorf("server: PoolBytes must be >= 0, got %d", cfg.PoolBytes)
-	}
-	if cfg.PerQueryBytes < 0 {
-		return nil, fmt.Errorf("server: PerQueryBytes must be >= 0, got %d", cfg.PerQueryBytes)
+	for _, err := range []error{
+		atLeastZero("PoolBytes", cfg.PoolBytes),
+		atLeastZero("PerQueryBytes", cfg.PerQueryBytes),
+		atLeastZero("MaxQueue", cfg.MaxQueue),
+		atLeastZero("QueueTimeout", cfg.QueueTimeout),
+		atLeastZero("MaxSessions", cfg.MaxSessions),
+		atLeastZero("PlanCacheSize", cfg.PlanCacheSize),
+	} {
+		if err != nil {
+			return nil, err
+		}
 	}
 	if cfg.PoolBytes > 0 && cfg.PerQueryBytes > cfg.PoolBytes {
 		return nil, fmt.Errorf("server: PerQueryBytes %d exceeds PoolBytes %d: no query could ever be admitted", cfg.PerQueryBytes, cfg.PoolBytes)
-	}
-	if cfg.MaxSessions < 0 {
-		return nil, fmt.Errorf("server: MaxSessions must be >= 0, got %d", cfg.MaxSessions)
 	}
 	if cfg.PlanCacheSize > 0 {
 		cfg.Engine.SetPlanCacheSize(cfg.PlanCacheSize)
@@ -128,6 +131,16 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	}
 	s.mux = s.routes()
 	return s, nil
+}
+
+// atLeastZero is the range rule of every numeric Config field: zero is its
+// default and a negative value is rejected, never clamped or read as another
+// setting.
+func atLeastZero[T ~int | ~int64](field string, v T) error {
+	if v < 0 {
+		return fmt.Errorf("server: %s must be >= 0, got %v", field, v)
+	}
+	return nil
 }
 
 // Handler returns the server's HTTP handler (for Serve, tests, or

@@ -221,14 +221,14 @@ func TestPlanCacheRejectsTamperedCertificate(t *testing.T) {
 		if !ok {
 			t.Fatal("no cache entry for the query")
 		}
-		return v.(*cachedPlan).choice
+		return v.(*core.Choice)
 	}
 	c := *cached()
 	clean := len(c.Certs[0].GroupCols)
 	tampered := *c.Certs[0]
 	tampered.GroupCols = tampered.GroupCols[:len(tampered.GroupCols)-1]
 	c.Certs = []*plancheck.Certificate{&tampered}
-	e.planCache.PutReads(key, &cachedPlan{choice: &c}, c.Tables)
+	e.planCache.PutReads(key, &c, c.Tables)
 
 	// A write in between: the poisoned entry is gone, the query misses,
 	// re-plans and caches a certificate with the full GA1+ again.
