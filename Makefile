@@ -17,7 +17,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check docs fmt vet lint plancheck modelcheck verify-certs build test race sites chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench bench-smoke bench-record bench-trend loc
+.PHONY: check docs fmt vet lint plancheck modelcheck verify-certs build test race sites chaos dist-oracle recovery-oracle spill-oracle serve-oracle fuzz bench bench-smoke bench-record bench-trend bench-ab loc
 
 check: docs fmt vet lint build race sites fuzz bench-smoke
 
@@ -265,6 +265,18 @@ bench-record:
 # nothing: one window per record measures allocation, not time.
 bench-trend:
 	$(GO) test -run '^TestBenchTrend$$' -count 1 -v .
+
+# The work tree's end-to-end benchmark against BASE's, A/A first:
+# `make bench-ab BASE=<rev> [W=<workload,...>] [PAIRS=n] [SECONDS=s] [SEED=n]`
+# (internal/bench/ab). BASE is exported with git archive into a temporary
+# directory, removed on exit; ./benchmark is built there twice and here once,
+# and the runs go one process at a time, alternating which side of a pair
+# starts. Per workload and end-to-end metric it prints BASE's median and
+# quartiles, the change's median, the ratio, the pairs won and the A/A band.
+# It gates nothing; a perf change's numbers are its output.
+bench-ab:
+	@if [ -z "$(BASE)" ]; then echo "usage: make bench-ab BASE=<rev> [W=<workload,...>] [PAIRS=n] [SECONDS=s] [SEED=n]"; exit 2; fi
+	$(GO) run ./internal/bench/ab -base $(BASE) -w '$(W)' -pairs $(or $(PAIRS),5) -seconds $(or $(SECONDS),20) -seed $(or $(SEED),1)
 
 # Non-test and test Go lines per package — the numbers CHANGES.md reports for
 # a change (internal/exec's non-test count is the one ROADMAP tracks).

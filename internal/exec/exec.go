@@ -309,6 +309,33 @@ type nodeShape struct {
 	desc  string // node.Describe(), made up front where name says so
 	order []int
 	bind  func(c *compiler) (*pipeOp, error)
+	// table names the stored table whose rows, as stored, are the node's
+	// output — a Scan's, or a projection of plain columns over such a node
+	// — read through cols (nil: column i is the table's column i); "" for
+	// any other node. A join whose build side has one probes the table's
+	// join index (hashJoinOp).
+	table string
+	cols  []int
+}
+
+// column is the position of s's output column c in a row of s.table.
+func (s *nodeShape) column(c int) int {
+	if s.cols == nil {
+		return c
+	}
+	return s.cols[c]
+}
+
+// storedAs makes s's rows in's stored table's, when in's are, through cols:
+// s's column i is in's column cols[i].
+func (s *nodeShape) storedAs(in *nodeShape, cols []int) {
+	if in.table == "" {
+		return
+	}
+	s.table, s.cols = in.table, make([]int, len(cols))
+	for i, c := range cols {
+		s.cols[i] = in.column(c)
+	}
 }
 
 // name is the node's description, the name of its span, its errors and its
@@ -357,6 +384,7 @@ func (sh shaper) shape(n algebra.Node) (*nodeShape, error) {
 	var err error
 	switch node := n.(type) {
 	case *algebra.Scan:
+		s.table = node.Table
 		s.bind = func(c *compiler) (*pipeOp, error) {
 			tab, err := c.store.Table(node.Table)
 			if err != nil {
@@ -533,6 +561,9 @@ func (sh shaper) project(s *nodeShape, node *algebra.Project) error {
 	}
 	cols, bare := bareColumns(items)
 	bare = bare && !node.Distinct
+	if bare {
+		s.storedAs(in, cols)
+	}
 	if bare && slices.Equal(cols, firstColumns(len(inSchema))) {
 		// The input's columns in order under other names — the paper's π_A
 		// over a GroupBy, almost always: the input's rows, passed on.

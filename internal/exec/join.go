@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+
 	"repro/internal/algebra"
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -53,6 +55,7 @@ func (sh shaper) join(s *nodeShape, node *algebra.Join) error {
 	if err != nil {
 		return err
 	}
+	index := right.joinIndex(rcols)
 	width := len(lSchema) + len(rSchema)
 	s.named()
 	// The join is a stage of the left input's pipeline: probe order follows
@@ -78,6 +81,12 @@ func (sh shaper) join(s *nodeShape, node *algebra.Join) error {
 			residual: boundResidual, params: c.opts.Params, par: c.stateWorkers(),
 			metrics: metrics, gov: c.gov, mgr: c.spill, where: s.name(),
 		}
+		if index != nil {
+			if op.stored, err = c.store.Table(right.table); err != nil {
+				return nil, err
+			}
+			op.index, op.drain = index, c.opts.Metrics != nil || c.opts.Trace != nil
+		}
 		// The probe is in the form the pipeline is in, but in rows on a
 		// spill-capable run, where a build the budget refuses cuts the pipeline
 		// at the stage and the join goes grace, and for a keyless join, where a
@@ -95,15 +104,48 @@ func (sh shaper) join(s *nodeShape, node *algebra.Join) error {
 	return nil
 }
 
-// hashJoinOp is the hash join: it builds a joinTable on the right input and
-// probes it with left rows in left order, each row's matches in build order.
-// build and the probe are a stage of the left input's pipeline — the table
-// built partitioned above one worker; probeInto writes each joined row into
-// the chunk's scratch row and hands it straight to the stage above,
+// indexShape is how a join whose build side is a stored table's rows as
+// stored finds the table version's join index: the index's key among the
+// version's derived values, the function that makes it, and the build
+// columns' positions in the table's rows (nil: column i is the table's i).
+type indexShape struct {
+	key    any // a joinIndexKey
+	derive func(*storage.Table) any
+	cols   []int
+}
+
+// joinIndex is the indexShape of a join whose build side is s, keyed on s's
+// columns rcols: nil unless s is a stored table's rows (nodeShape.table).
+func (s *nodeShape) joinIndex(rcols []int) *indexShape {
+	if s.table == "" {
+		return nil
+	}
+	keys := make([]int, len(rcols))
+	for k, c := range rcols {
+		keys[k] = s.column(c)
+	}
+	return &indexShape{
+		key:    joinIndexKey(fmt.Sprint(keys)),
+		derive: func(t *storage.Table) any { return newJoinIndex(t, keys) },
+		cols:   s.cols,
+	}
+}
+
+// hashJoinOp is the hash join: it probes a joinTable over the right input
+// with left rows in left order, each row's matches in build order. The build
+// and the probe are a stage of the left input's pipeline — the table built
+// partitioned above one worker; probeInto writes each joined row into the
+// chunk's scratch row and hands it straight to the stage above,
 // probeBatches (vector_join.go) gathers a batch's joined rows into the
-// worker's output vectors. On a spill-capable run the build admits by refusal,
-// and a refused build cuts the pipeline at the stage: the join goes grace
-// (grace.go), which takes the whole left side as one in-order chunk and
+// worker's output vectors. When the right input is a stored table's rows as
+// stored — a Scan, bare or under a projection of plain columns — the join
+// builds nothing: it probes the table version's join index, made once per
+// version (newJoinIndex), through the projection's column map, and charges
+// the run what its own build would have (indexed). Any other right input, and
+// an indexed one whose charge the budget refuses, is collected and built into
+// a table of the run's own. On a spill-capable run that build admits by
+// refusal, and a refused build cuts the pipeline at the stage: the join goes
+// grace (grace.go), which takes the whole left side as one in-order chunk and
 // returns the joined rows as the source of the stages above. The rows and
 // their order are the same in all forms.
 type hashJoinOp struct {
@@ -118,20 +160,75 @@ type hashJoinOp struct {
 	mgr          *storage.SpillManager // nil: a budget breach aborts
 	where        string                // plan-node description for errors
 
+	// For a right input that is a stored table's rows: how to find the
+	// table's join index, the version the run reads, and whether metrics or
+	// a trace need the right input run anyway, for its nodes' counts.
+	index  *indexShape
+	stored *storage.Table
+	drain  bool
+
 	table  *joinTable
+	rmap   []int        // by build column: its position in a row of table; nil: the same
 	probes []probeState // batch form only: one per worker
 	files  []*spillFile // grace partition files, swept before graceJoin returns
 }
 
-// build drains the right input into the join table, on j.par workers. A build
-// the budget refuses leaves the drained rows in the table for the grace path.
+// build makes the join table: the stored table's index when the budget admits
+// its charge, else a table of the run's own — the right input drained into it
+// on j.par workers. A build the budget refuses leaves the drained rows in the
+// table for the grace path.
 func (j *hashJoinOp) build() error {
+	if j.index != nil && j.indexed() {
+		if j.drain {
+			return j.right.run(drained{})
+		}
+		return nil
+	}
 	rrows, err := j.right.collect()
 	if err != nil {
 		return err
 	}
 	j.table = &joinTable{cols: j.rcols, adm: admissionFor(j.gov, j.mgr, j.where), metrics: j.metrics}
 	return j.table.build(rrows, j.par)
+}
+
+// indexed binds the join to the stored table version's join index, made on
+// first use, and charges the run, in one tryCharge, the bytes its own build
+// would have admitted entry by entry. It reports false when the budget
+// refuses them: the run then builds as any other join does, so it aborts or
+// goes grace exactly where it would have.
+func (j *hashJoinOp) indexed() bool {
+	t := j.stored.Derived(j.index.key, j.index.derive).(*joinTable)
+	bytes := t.bytes.Load()
+	if !j.gov.tryCharge(bytes) {
+		return false
+	}
+	j.table, j.rmap = t, j.index.cols
+	if j.metrics != nil {
+		j.metrics.BuildEntries.Add(t.entries.Load())
+		j.metrics.StateBytes.Add(bytes)
+	}
+	return true
+}
+
+// col is the position of build column c in a row of j.table.
+func (j *hashJoinOp) col(c int) int {
+	if j.rmap == nil {
+		return c
+	}
+	return j.rmap[c]
+}
+
+// gather copies build row — a row of j.table — into out, the right half of a
+// joined row, through rmap.
+func (j *hashJoinOp) gather(out, row value.Row) {
+	if j.rmap == nil {
+		copy(out, row)
+		return
+	}
+	for c := range out {
+		out[c] = row[j.rmap[c]]
+	}
 }
 
 // probeInto is the probe: the joined rows of one left row that pass the
@@ -154,13 +251,13 @@ func (j *hashJoinOp) probeInto(joined value.Row, emit emitFn) emitFn {
 			j.metrics.ProbeHits.Add(int64(matches.n))
 		}
 		n := copy(joined, row)
-		for m := matches.head; m >= 0; m = j.table.next[m] {
+		for m := matches.head; m >= 0; m = j.table.after(m) {
 			// A skewed key's chain — the whole build side under the empty
 			// key — can dominate the run, so it ticks itself.
 			if err := j.gov.tick(); err != nil {
 				return err
 			}
-			copy(joined[n:], j.table.rows[m])
+			j.gather(joined[n:], j.table.rows[m])
 			truth, err := expr.EvalTruth(j.residual, joined, j.params)
 			if err != nil {
 				return err

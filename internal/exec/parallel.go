@@ -812,6 +812,23 @@ func (*passOn) bind(_, _ int) (emitFn, error) {
 	return func(value.Row) error { return nil }, nil
 }
 
+// drained is the sink of a join's build side that the join reads from its
+// table's index instead (hashJoinOp.indexed), on a run with metrics or a
+// trace: the rows are carried through and dropped, so every node below the
+// join ticks, counts, times and takes its morsels as it would into the
+// collection it replaces.
+type drained struct{}
+
+func (drained) begin(_, morsel int) int { return morsel }
+
+func (drained) bind(_, _ int) (emitFn, error) {
+	return func(value.Row) error { return nil }, nil
+}
+
+func (drained) bindBatch(_, _ int) (batchFn, error) {
+	return func(*vec.Batch) error { return nil }, nil
+}
+
 // collect runs the pipeline to completion and returns its rows in morsel
 // order, in a slice the caller owns. Over a source in row form whose rows
 // every stage passes on, the rows are the source's: the run ticks, counts and

@@ -9,6 +9,7 @@ package exec
 import (
 	"errors"
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -278,21 +279,27 @@ func (t *groupTable) appendRow(id int, results value.Row, out []value.Value) ([]
 }
 
 // joinTable is the hash-join build store. The build rows stay in the slice
-// the caller drained them into, and a match is a row's index in it: each
-// partition hands every distinct canonical join key a dense id in a
+// the caller drained them into — or, for a stored table's join index
+// (newJoinIndex), in the table version's own — and a match is a row's index in
+// it: each partition hands every distinct canonical join key a dense id in a
 // paged.Dict, and a key id's chain links its rows through next, one entry per
 // build row. Chains are tail-linked, so matches come back in build order
 // whatever the partition count and however skewed the key. A partition is a
 // range of the key's paged.Hash, one per build worker (one at one worker).
 // Rows with a NULL key column are never stored — the equality would be
-// unknown. No key string and no per-key slice is made.
+// unknown. No key string and no per-key slice is made. A keyless table — the
+// join over the empty key — has one chain, every build row in build order,
+// so it keeps neither an index nor next: it is its rows.
 type joinTable struct {
-	cols    []int // key columns of the build rows
+	cols    []int // key columns of the build rows; none: keyless
 	adm     admission
 	metrics *obs.OpMetrics // nil unless metrics collection is on
 	rows    []value.Row    // the build rows, in build order
-	next    []int32        // by build row: the next row of its chain, or -1
-	parts   []joinPart
+	next    []int32        // by build row: the next row of its chain, or -1; nil when keyless
+	parts   []joinPart     // nil when keyless
+	// entries and bytes are what fill admitted: the rows stored and their
+	// charge, which every run probing a join index is charged again.
+	entries, bytes atomic.Int64
 }
 
 // joinPart is one partition: its keys, and each key id's chain.
@@ -313,9 +320,14 @@ func hashRange(hash uint32, n int) int { return int(uint64(hash) * uint64(n) >> 
 // key hash keeps build order within each partition, then the partitions fill
 // in parallel. Every entry is admitted on its own, so an abort names the
 // exact allocation that crossed the budget; build statistics are recorded
-// only for a table that was built to the end.
+// only for a table that was built to the end. A keyless build is one fill,
+// with nothing to scatter and nothing to link.
 func (t *joinTable) build(rows []value.Row, workers int) error {
-	t.rows, t.next, t.parts = rows, make([]int32, len(rows)), make([]joinPart, workers)
+	t.rows = rows
+	if len(t.cols) == 0 {
+		return t.fill(nil, nil, len(rows))
+	}
+	t.next, t.parts = make([]int32, len(rows)), make([]joinPart, workers)
 	var scattered [][]int32 // by partition, above one worker
 	if workers > 1 {
 		scattered = make([][]int32, workers)
@@ -346,10 +358,9 @@ func (t *joinTable) build(rows []value.Row, workers int) error {
 
 // fill stores the n build rows of one partition under their keys, in order:
 // rows ids, or the first n rows when ids is nil. A keyed build reserves room
-// for a key per row; a keyless one has the empty key alone, so it reserves
-// nothing.
+// for a key per row; a keyless one, whose part is nil, only admits its rows.
 func (t *joinTable) fill(part *joinPart, ids []int32, n int) error {
-	if len(t.cols) > 0 {
+	if part != nil {
 		part.index.Reserve(n)
 	}
 	var key []byte
@@ -371,10 +382,14 @@ func (t *joinTable) fill(part *joinPart, ids []int32, n int) error {
 		if err := t.adm.charge(entry); err != nil {
 			return err
 		}
-		t.link(part, paged.Hash(key), key, i)
+		if part != nil {
+			t.link(part, paged.Hash(key), key, i)
+		}
 		entries++
 		bytes += entry
 	}
+	t.entries.Add(entries)
+	t.bytes.Add(bytes)
 	if t.metrics != nil {
 		t.metrics.BuildEntries.Add(entries)
 		t.metrics.StateBytes.Add(bytes)
@@ -400,12 +415,45 @@ func (t *joinTable) link(part *joinPart, hash uint32, key []byte, i int32) {
 }
 
 // lookup returns the chain of build rows stored under key; the rows after
-// its head follow t.next.
+// its head follow after.
 func (t *joinTable) lookup(key []byte) joinChain {
+	if len(t.cols) == 0 { // keyless: every row
+		if n := int32(len(t.rows)); n > 0 {
+			return joinChain{head: 0, tail: n - 1, n: n}
+		}
+		return joinChain{head: -1}
+	}
 	hash := paged.Hash(key)
 	part := &t.parts[hashRange(hash, len(t.parts))]
 	if id := part.index.Lookup(hash, key); id >= 0 {
 		return part.chains[id]
 	}
 	return joinChain{head: -1}
+}
+
+// after is the build row that follows row m in its chain, or -1.
+func (t *joinTable) after(m int32) int32 {
+	if len(t.cols) == 0 { // keyless: the next row
+		if m++; int(m) < len(t.rows) {
+			return m
+		}
+		return -1
+	}
+	return t.next[m]
+}
+
+// joinIndexKey names a stored table version's join index among its derived
+// values (storage.Table.Derived): the index's key columns, in the table's
+// rows.
+type joinIndexKey string
+
+// newJoinIndex makes tab's join index over cols: a joinTable over the
+// version's own rows, so a match is a RowID and no row is copied, built by
+// one worker under no governor — nothing to refuse or cancel. It is made once
+// per version and key, by the first run that probes it; every run that probes
+// it charges its own admission what the build admitted (hashJoinOp.indexed).
+func newJoinIndex(tab *storage.Table, cols []int) *joinTable {
+	t := &joinTable{cols: cols}
+	_ = t.build(tab.Rows(), 1)
+	return t
 }

@@ -37,12 +37,20 @@ import (
 
 // figure1 builds Example 1 over employees x departments and returns the
 // store with its lazy (standard) and eager (transformed) plans.
-func figure1(b *testing.B, employees, departments int) (store *storage.Store, lazy, eager algebra.Node) {
+func figure1(b testing.TB, employees, departments int) (store *storage.Store, lazy, eager algebra.Node) {
 	b.Helper()
 	store, err := workload.EmployeeDepartment(employees, departments)
 	if err != nil {
 		b.Fatal(err)
 	}
+	lazy, eager = example1Plans(b, store)
+	return store, lazy, eager
+}
+
+// example1Plans returns Example 1's lazy (standard) and eager (transformed)
+// plans over store.
+func example1Plans(b testing.TB, store *storage.Store) (lazy, eager algebra.Node) {
+	b.Helper()
 	q, err := sql.ParseQuery(workload.Example1Query)
 	if err != nil {
 		b.Fatal(err)
@@ -54,7 +62,7 @@ func figure1(b *testing.B, employees, departments int) (store *storage.Store, la
 	if report.Alternative == nil {
 		b.Fatalf("Example 1: transformation not available: %s", report.WhyNot)
 	}
-	return store, report.Standard, report.Alternative
+	return report.Standard, report.Alternative
 }
 
 // benchPlan times plan under opts as the sub-benchmark name; every run must

@@ -22,10 +22,11 @@ type probeState struct {
 // column-at-a-time and looked up in the join table the row form reads, and
 // the joined rows are gathered into the worker's output vectors — left
 // columns by index from the probe batch, right columns from the build rows of
-// the key's chain — and handed on as one batch. Rows with a NULL in any key
-// column are dropped, exactly like the row probe, and the output is in the
-// row probe's order: probe rows in input order, each row's matches in build
-// order, the residual applied per joined row.
+// the key's chain, through the join's column map — and handed on as one
+// batch. Rows with a NULL in any key column are dropped, exactly like the row
+// probe, and the output is in the row probe's order: probe rows in input
+// order, each row's matches in build order, the residual applied per joined
+// row.
 func (j *hashJoinOp) probeBatches(w int, next batchFn) batchFn {
 	ps := &j.probes[w]
 	return func(b *vec.Batch) error {
@@ -46,7 +47,7 @@ func (j *hashJoinOp) probeBatches(w int, next batchFn) batchFn {
 				continue
 			}
 			phys := int32(b.Index(i))
-			for m := j.table.lookup(keys[i]).head; m >= 0; m = j.table.next[m] {
+			for m := j.table.lookup(keys[i]).head; m >= 0; m = j.table.after(m) {
 				// A skewed key's chain can dominate the batch, so it ticks itself.
 				if err := j.gov.tick(); err != nil {
 					return err
@@ -54,7 +55,7 @@ func (j *hashJoinOp) probeBatches(w int, next batchFn) batchFn {
 				ps.lidx = append(ps.lidx, phys)
 				row := j.table.rows[m]
 				for c, v := range right {
-					v.AppendBoxed(row[c])
+					v.AppendBoxed(row[j.col(c)])
 				}
 			}
 		}

@@ -2,8 +2,11 @@ package storage
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/schema"
@@ -194,5 +197,83 @@ func TestSnapshotConcurrentReadersVsWriter(t *testing.T) {
 	case err := <-errs:
 		t.Fatal(err)
 	default:
+	}
+}
+
+// rowIDsByID is a value derived from one version alone, as a join index is:
+// the RowIDs of its rows by their id column.
+func rowIDsByID(t *Table) any {
+	ids := map[int64][]int{}
+	for i, row := range t.Rows() {
+		ids[row[0].Int()] = append(ids[row[0].Int()], i)
+	}
+	return ids
+}
+
+// Sixteen concurrent first users of one version's derived value make it once
+// and all get the same value; a value under another key is made apart.
+func TestDerivedOncePerVersion(t *testing.T) {
+	s := snapshotStore(t)
+	for i := 0; i < 100; i++ {
+		s.MustInsert("t", intsRow(int64(i), int64(i)))
+	}
+	tab, err := s.Snapshot().Table("t")
+	must(t, err)
+	type key struct{}
+	var made atomic.Int32
+	derive := func(t *Table) any {
+		made.Add(1)
+		runtime.Gosched() // let the other first users queue up on the lock
+		return rowIDsByID(t)
+	}
+	const users = 16
+	got := make([]any, users)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for u := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[u] = tab.Derived(key{}, derive)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := made.Load(); n != 1 {
+		t.Fatalf("%d first users made the value %d times, want once", users, n)
+	}
+	for u := range got {
+		if reflect.ValueOf(got[u]).UnsafePointer() != reflect.ValueOf(got[0]).UnsafePointer() {
+			t.Fatalf("user %d got a value of its own", u)
+		}
+	}
+	if tab.Columnar(); made.Load() != 1 || len(tab.Columnar()) != 1 {
+		t.Fatalf("Columnar shares a key with another derived value")
+	}
+}
+
+// An INSERT publishes a version with nothing derived: its value holds the new
+// row, while a snapshot of the older version still answers with its own rows.
+func TestDerivedAfterInsert(t *testing.T) {
+	s := snapshotStore(t)
+	s.MustInsert("t", intsRow(1, 10))
+	s.MustInsert("t", intsRow(2, 20))
+	type key struct{}
+	ids := func(st *Store) map[int64][]int {
+		tab, err := st.Table("t")
+		must(t, err)
+		return tab.Derived(key{}, rowIDsByID).(map[int64][]int)
+	}
+	old := s.Snapshot()
+	if got := ids(old); len(got) != 2 {
+		t.Fatalf("old version's value holds %v", got)
+	}
+	s.MustInsert("t", intsRow(3, 30))
+	if got := ids(s.Snapshot()); len(got) != 3 || !slices.Equal(got[3], []int{2}) {
+		t.Fatalf("new version's value holds %v, want id 3 at RowID 2", got)
+	}
+	if got := ids(old); len(got) != 2 || got[3] != nil {
+		t.Fatalf("old snapshot's value holds %v after the insert", got)
 	}
 }

@@ -20,19 +20,21 @@ import (
 	"repro/internal/vec"
 )
 
-// Table is one version of a base table: its rows, and the writer state every
-// version of the table shares.
+// Table is one version of a base table: its rows, the writer state every
+// version of the table shares, and what is derived from this version's rows
+// alone — its columnar batches (Columnar) and the executor's join indexes
+// over it — each made on first use and kept with the version (Derived). An
+// INSERT publishes a new version, which starts with nothing derived; a
+// snapshot holding an older version keeps that version's.
 type Table struct {
 	Def  *schema.Table
 	rows []value.Row
 	w    *writer
 
-	// colMu guards the lazily built columnar projection; concurrent
-	// queries may race to build it for the same row snapshot.
-	colMu sync.Mutex
-	// colBatches is the cached columnar form of rows[:colRows].
-	colBatches []*vec.Batch
-	colRows    int
+	// mu guards derived; concurrent queries may race to make the same
+	// value for the same version.
+	mu      sync.Mutex
+	derived map[any]any
 }
 
 // writer is what only an insert touches, shared by every version of one
@@ -68,19 +70,39 @@ func (t *Table) Rows() []value.Row { return t.rows }
 func (t *Table) Row(id int) value.Row { return t.rows[id] }
 
 // Columnar returns the table's rows as columnar batches of vec.BatchSize
-// rows, built on first use and cached until the table grows. The batches
+// rows, built on first use and kept with the version (Derived). The batches
 // are shared and read-only, exactly like Rows(); the vectorized scan
 // iterates them with no per-query conversion work. Stored columns are
 // kind-uniform by construction (Insert coerces to the declared type), so
 // every vector gets its typed representation.
 func (t *Table) Columnar() []*vec.Batch {
-	t.colMu.Lock()
-	defer t.colMu.Unlock()
-	if t.colRows != len(t.rows) {
-		t.colBatches = vec.Columnarize(t.rows, len(t.Def.Columns), vec.BatchSize)
-		t.colRows = len(t.rows)
+	return t.Derived(columnarKey{}, func(t *Table) any {
+		return vec.Columnarize(t.rows, len(t.Def.Columns), vec.BatchSize)
+	}).([]*vec.Batch)
+}
+
+// columnarKey is Columnar's key among a version's derived values.
+type columnarKey struct{}
+
+// Derived returns the value derive makes of this version under key: made
+// on the first call for key, under the version's lock, and returned to every
+// later caller — so concurrent first users make it once and all get the same
+// value. key is any comparable value; packages keep their keys apart by
+// giving them types of their own. The value is shared and must be treated as
+// read-only, like Rows(), and must depend on nothing but the version. derive
+// runs under the lock, so it must not call Derived on t.
+func (t *Table) Derived(key any, derive func(*Table) any) any {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v, ok := t.derived[key]
+	if !ok {
+		v = derive(t)
+		if t.derived == nil {
+			t.derived = map[any]any{}
+		}
+		t.derived[key] = v
 	}
-	return t.colBatches
+	return v
 }
 
 // Store is the collection of all table instances, backed by a catalog.
@@ -298,8 +320,8 @@ func (s *Store) Insert(table string, row value.Row) error {
 	// Copy-on-write publish: a fresh *Table carries the appended row so
 	// snapshots holding the old version keep their exact multiset. The row
 	// goes into the shared slab and its header onto the shared slice, both
-	// past everything an older version can reach. The columnar cache starts
-	// empty in the new version; old snapshots keep theirs.
+	// past everything an older version can reach. The new version starts with
+	// nothing derived (Derived); old snapshots keep what theirs hold.
 	s.tables[table] = &Table{Def: def, rows: append(t.rows, w.slab.Copy(w.row)), w: w}
 	s.epoch.Add(1)
 	return nil

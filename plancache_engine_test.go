@@ -177,6 +177,38 @@ func TestPlanCacheInvalidationMatrix(t *testing.T) {
 	}
 }
 
+// A join probes its stored build table's join index, made once per table
+// version, so a run after an INSERT into the build table must see the new
+// row: once re-planned, and again from the cache. The lazy plan's build side
+// is the bare Department scan, the eager plan's a projection of it, and each
+// runs in both source forms. Department version 1 is indexed by the first
+// run; version 2 holds department 4, which Employee 8 then joins.
+func TestCachedPlanSeesInsertIntoItsBuildTable(t *testing.T) {
+	for _, mode := range []Mode{ModeNever, ModeAlways} {
+		for _, vectorize := range []bool{false, true} {
+			t.Run(fmt.Sprintf("mode=%v/vectorize=%v", mode, vectorize), func(t *testing.T) {
+				e := newExample1Engine(t)
+				e.SetMode(mode)
+				e.SetVectorize(vectorize)
+				if got := queryCounts(t, e); got[4] != 0 || len(got) != 3 {
+					t.Fatalf("before the inserts: %v", got)
+				}
+				e.MustExec(`INSERT INTO Department VALUES (4, 'Legal')`)
+				queryCounts(t, e)
+				e.MustExec(`INSERT INTO Employee VALUES (8, 'H', 'H', 4)`)
+				for run := range 2 {
+					if got := queryCounts(t, e); got[4] != 1 || len(got) != 4 {
+						t.Fatalf("run %d after the inserts: %v, want department 4 with one employee", run, got)
+					}
+				}
+				if s := e.PlanCacheStats(); s.Hits == 0 {
+					t.Fatalf("no run was served from the cache: %+v", s)
+				}
+			})
+		}
+	}
+}
+
 // A plan whose certificate does not survive verification never executes.
 // Chosen under the tamper hook, which truncates the certified GA1+ column
 // list exactly like a real staleness bug would, the query fails
