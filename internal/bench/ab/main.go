@@ -10,9 +10,10 @@
 // which side of a pair runs first, and reads only the records the runs write
 // with -json. Per workload and end-to-end metric it prints BASE's median and
 // quartiles, the change's median, their ratio, the A/B pairs the change won,
-// and the A/A band: the ratios between any run of one build of BASE and any
-// run of the other. A ratio inside that band is "within A/A". It gates
-// nothing and writes nothing into either tree.
+// and the A/A band: where a ratio of two medians of this many runs of one
+// program falls by chance, the central 95 % of it over random splits of the
+// A/A runs in two. A ratio of medians inside that band is "within A/A". It
+// gates nothing and writes nothing into either tree.
 package main
 
 import (
@@ -21,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -101,11 +103,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	// Each side runs in the tree it was built from. The exported tree has no
-	// VCS metadata, so no side stamps any: at BASE=HEAD all three binaries
-	// are the same bytes.
+	// VCS metadata, so no side stamps any, and -trimpath keeps each tree's
+	// directory out of its binary: at BASE=HEAD all three binaries are the
+	// same bytes, where without it the work tree's build differs from BASE's
+	// in its embedded paths and so in its layout.
 	trees := map[string]string{"A": src, "A2": src, "B": "."}
 	for side, dir := range trees {
-		if err := command(ctx, dir, "go", "build", "-buildvcs=false", "-o", filepath.Join(tmp, side), "./benchmark").Run(); err != nil {
+		if err := command(ctx, dir, "go", "build", "-trimpath", "-buildvcs=false", "-o", filepath.Join(tmp, side), "./benchmark").Run(); err != nil {
 			return fmt.Errorf("building ./benchmark for %s: %w", side, err)
 		}
 	}
@@ -175,9 +179,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 // compare is one metric's line: BASE's median and quartiles over the A/B
 // pairs, the change's median, the ratio of the medians, the pairs the change
-// won, and the A/A band — the ratios between any run of one build of BASE and
-// any run of the other, the spread two runs of one program show — with the
-// ratio judged against it.
+// won, and the A/A band (band) — the spread of the same ratio of medians
+// between two builds of one program — with the ratio judged against it.
 func compare(m metric, a1, a2, as, bs []map[string]float64) string {
 	col := func(runs []map[string]float64) []float64 {
 		v := make([]float64, len(runs))
@@ -193,12 +196,7 @@ func compare(m metric, a1, a2, as, bs []map[string]float64) string {
 			won++
 		}
 	}
-	lo, hi := ratio(a2[0][m.Name], a1[0][m.Name]), 0.0
-	for _, x := range col(a1) {
-		for _, y := range col(a2) {
-			lo, hi = min(lo, ratio(y, x)), max(hi, ratio(y, x))
-		}
-	}
+	lo, hi := band(col(a1), col(a2))
 	r := ratio(quantile(change, 0.5), quantile(base, 0.5))
 	verdict := "within A/A"
 	if r < lo || r > hi {
@@ -206,6 +204,25 @@ func compare(m metric, a1, a2, as, bs []map[string]float64) string {
 	}
 	return fmt.Sprintf("%-20s %12.4f %12.4f..%-12.4f %12.4f %8.4f %3d/%-2d [%.4f, %.4f] %s",
 		m.Name, quantile(base, 0.5), quantile(base, 0.25), quantile(base, 0.75), quantile(change, 0.5), r, won, len(base), lo, hi, verdict)
+}
+
+// splits is how many random splits band draws.
+const splits = 2000
+
+// band is the central 95 % of the ratio of medians between two groups of the
+// A/A runs x and y — runs of one program, both builds of BASE — over random
+// splits of them into groups of len(x) and len(y) runs: how far apart the
+// medians of this many runs of one program fall by chance, the statistic the
+// A/B ratio is. The splits are seeded, so the same runs give the same band.
+func band(x, y []float64) (lo, hi float64) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	pool := append(slices.Clone(x), y...)
+	rs := make([]float64, splits)
+	for i := range rs {
+		rng.Shuffle(len(pool), func(a, b int) { pool[a], pool[b] = pool[b], pool[a] })
+		rs[i] = ratio(quantile(pool[len(x):], 0.5), quantile(pool[:len(x)], 0.5))
+	}
+	return quantile(rs, 0.025), quantile(rs, 0.975)
 }
 
 // ratio is x/y, 1 when both are 0.

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -17,8 +19,8 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-// The A/A band is every ratio between a run of one BASE build and a run of the
-// other; a ratio of medians inside it is within A/A, one past it is not.
+// The A/A band is the spread of a ratio of medians between groups of the A/A
+// runs: a ratio of medians inside it is within A/A, one past it is not.
 func TestCompareBand(t *testing.T) {
 	runs := func(vs ...float64) []map[string]float64 {
 		out := make([]map[string]float64, len(vs))
@@ -28,16 +30,47 @@ func TestCompareBand(t *testing.T) {
 		return out
 	}
 	m := metric{Name: "ms", Better: "lower"}
-	a1, a2 := runs(10, 11), runs(10.5, 9)
+	a1, a2 := runs(10, 11, 9, 10.5, 9.5), runs(10.5, 9, 10, 11, 9.5)
+	lo, hi := band([]float64{10, 11, 9, 10.5, 9.5}, []float64{10.5, 9, 10, 11, 9.5})
+	if lo >= 1 || hi <= 1 {
+		t.Fatalf("the band of two samples of one spread is [%.4f, %.4f], not about 1", lo, hi)
+	}
 	for _, c := range []struct {
 		change []map[string]float64
 		want   string
 	}{
-		{runs(10, 10.5), "1/2  [0.8182, 1.0500] within A/A"},
-		{runs(5, 6), "2/2  [0.8182, 1.0500] outside A/A"},
+		{runs(10, 10.5, 9.5, 10, 10), "within A/A"},
+		{runs(5, 6, 5.5, 6, 5), "outside A/A"},
 	} {
-		if got := compare(m, a1, a2, runs(10, 11), c.change); !strings.HasSuffix(got, c.want) {
-			t.Errorf("compare = %q, want it to end %q", got, c.want)
+		got := compare(m, a1, a2, runs(10, 11, 9, 10.5, 9.5), c.change)
+		if !strings.HasSuffix(got, fmt.Sprintf("[%.4f, %.4f] %s", lo, hi, c.want)) {
+			t.Errorf("compare = %q, want it to end [%.4f, %.4f] %s", got, lo, hi, c.want)
 		}
+	}
+}
+
+// The band is of a ratio of medians, so more runs of the same spread narrow
+// it; a band of every ratio between single runs would widen instead. At
+// three runs a side it reaches from the second smallest run over the second
+// largest to the inverse.
+func TestBandNarrowsWithRuns(t *testing.T) {
+	spread := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = 8 + 4*float64(i)/float64(n-1)
+		}
+		return v
+	}
+	few, many := spread(5), spread(41)
+	flo, fhi := band(few, few)
+	mlo, mhi := band(many, many)
+	if mhi-mlo >= fhi-flo {
+		t.Errorf("band over 41 runs [%.4f, %.4f] is no narrower than over 5 [%.4f, %.4f]", mlo, mhi, flo, fhi)
+	}
+	if lo, hi := band([]float64{1, 2, 3}, []float64{4, 5, 6}); math.Abs(lo-2.0/5) > 1e-9 || math.Abs(hi-5.0/2) > 1e-9 {
+		t.Errorf("band of three runs a side is [%v, %v], want [2/5, 5/2]", lo, hi)
+	}
+	if lo, hi := band([]float64{3, 3}, []float64{3, 3, 3}); lo != 1 || hi != 1 {
+		t.Errorf("band of constant runs is [%v, %v], want [1, 1]", lo, hi)
 	}
 }

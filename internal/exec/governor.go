@@ -149,6 +149,12 @@ func (g *governor) tryCharge(n int64) bool {
 	return true
 }
 
+// fits reports whether n more bytes would fit the budget now, charging
+// nothing. A nil governor, or one without a budget, fits everything.
+func (g *governor) fits(n int64) bool {
+	return g == nil || g.budget <= 0 || g.used.Load()+n <= g.budget
+}
+
 // release returns n bytes of previously charged state to the budget —
 // called when a spill operator writes its buffered state to disk. Only
 // spill operators release; ordinary operators keep the charge-forever

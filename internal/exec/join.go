@@ -55,7 +55,7 @@ func (sh shaper) join(s *nodeShape, node *algebra.Join) error {
 	if err != nil {
 		return err
 	}
-	index := right.joinIndex(rcols)
+	index := right.joinIndex(rcols, len(rSchema))
 	width := len(lSchema) + len(rSchema)
 	s.named()
 	// The join is a stage of the left input's pipeline: probe order follows
@@ -106,17 +106,21 @@ func (sh shaper) join(s *nodeShape, node *algebra.Join) error {
 
 // indexShape is how a join whose build side is a stored table's rows as
 // stored finds the table version's join index: the index's key among the
-// version's derived values, the function that makes it, and the build
-// columns' positions in the table's rows (nil: column i is the table's i).
+// version's derived values, its key columns in the table's rows, the build
+// columns' positions in the table's rows (nil: column i is the table's i),
+// and what each of its entries is charged beyond its key — a row of the
+// build side's width, as the join's own build would charge.
 type indexShape struct {
-	key    any // a joinIndexKey
-	derive func(*storage.Table) any
-	cols   []int
+	key      joinIndexKey
+	keys     []int
+	cols     []int
+	rowBytes int64
 }
 
-// joinIndex is the indexShape of a join whose build side is s, keyed on s's
-// columns rcols: nil unless s is a stored table's rows (nodeShape.table).
-func (s *nodeShape) joinIndex(rcols []int) *indexShape {
+// joinIndex is the indexShape of a join whose build side is s, width columns
+// wide, keyed on s's columns rcols: nil unless s is a stored table's rows
+// (nodeShape.table).
+func (s *nodeShape) joinIndex(rcols []int, width int) *indexShape {
 	if s.table == "" {
 		return nil
 	}
@@ -125,9 +129,10 @@ func (s *nodeShape) joinIndex(rcols []int) *indexShape {
 		keys[k] = s.column(c)
 	}
 	return &indexShape{
-		key:    joinIndexKey(fmt.Sprint(keys)),
-		derive: func(t *storage.Table) any { return newJoinIndex(t, keys) },
-		cols:   s.cols,
+		key:      joinIndexKey(fmt.Sprint(keys)),
+		keys:     keys,
+		cols:     s.cols,
+		rowBytes: rowHeaderBytes + valueSlotBytes*int64(width),
 	}
 }
 
@@ -139,13 +144,14 @@ func (s *nodeShape) joinIndex(rcols []int) *indexShape {
 // probeBatches (vector_join.go) gathers a batch's joined rows into the
 // worker's output vectors. When the right input is a stored table's rows as
 // stored — a Scan, bare or under a projection of plain columns — the join
-// builds nothing: it probes the table version's join index, made once per
-// version (newJoinIndex), through the projection's column map, and charges
-// the run what its own build would have (indexed). Any other right input, and
-// an indexed one whose charge the budget refuses, is collected and built into
-// a table of the run's own. On a spill-capable run that build admits by
-// refusal, and a refused build cuts the pipeline at the stage: the join goes
-// grace (grace.go), which takes the whole left side as one in-order chunk and
+// probes the table version's join index through the projection's column map.
+// The index is made once per version (newJoinIndex), by the first run whose
+// budget admits it, and every run that probes it is charged what its own
+// build would have admitted (indexed). Any other right input, and an indexed
+// one whose charge the budget refuses, is collected and built into a table of
+// the run's own. On a spill-capable run that build admits by refusal, and a
+// refused build cuts the pipeline at the stage: the join goes grace
+// (grace.go), which takes the whole left side as one in-order chunk and
 // returns the joined rows as the source of the stages above. The rows and
 // their order are the same in all forms.
 type hashJoinOp struct {
@@ -178,11 +184,13 @@ type hashJoinOp struct {
 // on j.par workers. A build the budget refuses leaves the drained rows in the
 // table for the grace path.
 func (j *hashJoinOp) build() error {
-	if j.index != nil && j.indexed() {
-		if j.drain {
-			return j.right.run(drained{})
+	if j.index != nil {
+		if ok, err := j.indexed(); err != nil || ok {
+			if err == nil && j.drain {
+				err = j.right.run(drained{})
+			}
+			return err
 		}
-		return nil
 	}
 	rrows, err := j.right.collect()
 	if err != nil {
@@ -192,23 +200,43 @@ func (j *hashJoinOp) build() error {
 	return j.table.build(rrows, j.par)
 }
 
-// indexed binds the join to the stored table version's join index, made on
-// first use, and charges the run, in one tryCharge, the bytes its own build
-// would have admitted entry by entry. It reports false when the budget
-// refuses them: the run then builds as any other join does, so it aborts or
-// goes grace exactly where it would have.
-func (j *hashJoinOp) indexed() bool {
-	t := j.stored.Derived(j.index.key, j.index.derive).(*joinTable)
-	bytes := t.bytes.Load()
-	if !j.gov.tryCharge(bytes) {
-		return false
+// indexed binds the join to the stored table version's join index and
+// charges the run the bytes its own build would have admitted: entry by
+// entry when the run makes the index, in one tryCharge when it finds it
+// made. It reports false when the budget refuses them — the index is then
+// neither made nor kept by this run — and the run builds as any other join
+// does, so it aborts or goes grace exactly where it would have. A cancel
+// during the making is the run's error.
+func (j *hashJoinOp) indexed() (bool, error) {
+	made := false
+	v, err := j.stored.Derived(j.index.key, func(tab *storage.Table) (any, error) {
+		// Every row's charge, keys aside, is less than the making admits:
+		// a budget that does not fit it would refuse the making part way,
+		// so it is not begun.
+		if !j.gov.fits(int64(tab.Len()) * j.index.rowBytes) {
+			return nil, errRefused
+		}
+		t, err := newJoinIndex(tab, j.index.keys, j.index.rowBytes, j.gov)
+		made = err == nil
+		return t, err
+	})
+	if err == errRefused {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	t := v.(*joinTable)
+	bytes := t.keyBytes.Load() + t.entries.Load()*j.index.rowBytes
+	if !made && !j.gov.tryCharge(bytes) {
+		return false, nil
 	}
 	j.table, j.rmap = t, j.index.cols
 	if j.metrics != nil {
 		j.metrics.BuildEntries.Add(t.entries.Load())
 		j.metrics.StateBytes.Add(bytes)
 	}
-	return true
+	return true, nil
 }
 
 // col is the position of build column c in a row of j.table.
@@ -251,7 +279,7 @@ func (j *hashJoinOp) probeInto(joined value.Row, emit emitFn) emitFn {
 			j.metrics.ProbeHits.Add(int64(matches.n))
 		}
 		n := copy(joined, row)
-		for m := matches.head; m >= 0; m = j.table.after(m) {
+		for m := matches.head; m >= 0; m = j.table.next[m] {
 			// A skewed key's chain — the whole build side under the empty
 			// key — can dominate the run, so it ticks itself.
 			if err := j.gov.tick(); err != nil {

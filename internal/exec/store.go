@@ -289,17 +289,22 @@ func (t *groupTable) appendRow(id int, results value.Row, out []value.Value) ([]
 // Rows with a NULL key column are never stored — the equality would be
 // unknown. No key string and no per-key slice is made. A keyless table — the
 // join over the empty key — has one chain, every build row in build order,
-// so it keeps neither an index nor next: it is its rows.
+// so it keeps no partitions: next links each row to the one after it.
 type joinTable struct {
 	cols    []int // key columns of the build rows; none: keyless
 	adm     admission
 	metrics *obs.OpMetrics // nil unless metrics collection is on
 	rows    []value.Row    // the build rows, in build order
-	next    []int32        // by build row: the next row of its chain, or -1; nil when keyless
+	next    []int32        // by build row: the next row of its chain, or -1
 	parts   []joinPart     // nil when keyless
-	// entries and bytes are what fill admitted: the rows stored and their
-	// charge, which every run probing a join index is charged again.
-	entries, bytes atomic.Int64
+	// rowBytes is what an entry is charged beyond its key: a join index's
+	// (newJoinIndex) is the width its probe reads, not its stored rows'; 0
+	// is the entry's row's own (rowStateBytes).
+	rowBytes int64
+	// entries and keyBytes are what fill stored: the entries and the bytes
+	// of their keys, from which every run probing a join index is charged
+	// what its own build would have admitted (hashJoinOp.indexed).
+	entries, keyBytes atomic.Int64
 }
 
 // joinPart is one partition: its keys, and each key id's chain.
@@ -321,13 +326,23 @@ func hashRange(hash uint32, n int) int { return int(uint64(hash) * uint64(n) >> 
 // in parallel. Every entry is admitted on its own, so an abort names the
 // exact allocation that crossed the budget; build statistics are recorded
 // only for a table that was built to the end. A keyless build is one fill,
-// with nothing to scatter and nothing to link.
+// with nothing to scatter and no key to link by: its one chain is every row
+// in order.
 func (t *joinTable) build(rows []value.Row, workers int) error {
-	t.rows = rows
+	t.rows, t.next = rows, make([]int32, len(rows))
 	if len(t.cols) == 0 {
-		return t.fill(nil, nil, len(rows))
+		if err := t.fill(nil, nil, len(rows)); err != nil {
+			return err
+		}
+		for i := range t.next {
+			t.next[i] = int32(i) + 1
+		}
+		if len(rows) > 0 {
+			t.next[len(rows)-1] = -1
+		}
+		return nil
 	}
-	t.next, t.parts = make([]int32, len(rows)), make([]joinPart, workers)
+	t.parts = make([]joinPart, workers)
 	var scattered [][]int32 // by partition, above one worker
 	if workers > 1 {
 		scattered = make([][]int32, workers)
@@ -364,7 +379,7 @@ func (t *joinTable) fill(part *joinPart, ids []int32, n int) error {
 		part.index.Reserve(n)
 	}
 	var key []byte
-	var entries, bytes int64
+	var entries, keyBytes, bytes int64
 	for k := 0; k < n; k++ {
 		i := int32(k)
 		if ids != nil {
@@ -378,7 +393,10 @@ func (t *joinTable) fill(part *joinPart, ids []int32, n int) error {
 			continue
 		}
 		key = appendKey(key[:0], row, t.cols)
-		entry := int64(len(key)) + rowStateBytes(row)
+		entry := int64(len(key)) + t.rowBytes
+		if t.rowBytes == 0 {
+			entry += rowStateBytes(row)
+		}
 		if err := t.adm.charge(entry); err != nil {
 			return err
 		}
@@ -386,10 +404,11 @@ func (t *joinTable) fill(part *joinPart, ids []int32, n int) error {
 			t.link(part, paged.Hash(key), key, i)
 		}
 		entries++
+		keyBytes += int64(len(key))
 		bytes += entry
 	}
 	t.entries.Add(entries)
-	t.bytes.Add(bytes)
+	t.keyBytes.Add(keyBytes)
 	if t.metrics != nil {
 		t.metrics.BuildEntries.Add(entries)
 		t.metrics.StateBytes.Add(bytes)
@@ -415,9 +434,9 @@ func (t *joinTable) link(part *joinPart, hash uint32, key []byte, i int32) {
 }
 
 // lookup returns the chain of build rows stored under key; the rows after
-// its head follow after.
+// its head follow t.next.
 func (t *joinTable) lookup(key []byte) joinChain {
-	if len(t.cols) == 0 { // keyless: every row
+	if t.parts == nil { // keyless: every row
 		if n := int32(len(t.rows)); n > 0 {
 			return joinChain{head: 0, tail: n - 1, n: n}
 		}
@@ -431,29 +450,25 @@ func (t *joinTable) lookup(key []byte) joinChain {
 	return joinChain{head: -1}
 }
 
-// after is the build row that follows row m in its chain, or -1.
-func (t *joinTable) after(m int32) int32 {
-	if len(t.cols) == 0 { // keyless: the next row
-		if m++; int(m) < len(t.rows) {
-			return m
-		}
-		return -1
-	}
-	return t.next[m]
-}
-
 // joinIndexKey names a stored table version's join index among its derived
 // values (storage.Table.Derived): the index's key columns, in the table's
 // rows.
 type joinIndexKey string
 
 // newJoinIndex makes tab's join index over cols: a joinTable over the
-// version's own rows, so a match is a RowID and no row is copied, built by
-// one worker under no governor — nothing to refuse or cancel. It is made once
-// per version and key, by the first run that probes it; every run that probes
-// it charges its own admission what the build admitted (hashJoinOp.indexed).
-func newJoinIndex(tab *storage.Table, cols []int) *joinTable {
-	t := &joinTable{cols: cols}
-	_ = t.build(tab.Rows(), 1)
-	return t
+// version's own rows, so a match is a RowID and no row is copied. One worker
+// builds it for the run that first probes it, under that run's governor —
+// it ticks, so a cancel stops it — admitting each entry, at the run's
+// rowBytes, against the run's budget by refusal. A refused or cancelled
+// build gives back what it admitted and returns its error, and the version
+// keeps no index; a finished one leaves its charge with the run, as the run's
+// own build would have, and keeps no governor.
+func newJoinIndex(tab *storage.Table, cols []int, rowBytes int64, gov *governor) (*joinTable, error) {
+	t := &joinTable{cols: cols, rowBytes: rowBytes, adm: admission{gov: gov, mode: admitRefuse}}
+	if err := t.build(tab.Rows(), 1); err != nil {
+		t.adm.release()
+		return nil, err
+	}
+	t.adm = admission{}
+	return t, nil
 }

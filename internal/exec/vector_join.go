@@ -47,7 +47,7 @@ func (j *hashJoinOp) probeBatches(w int, next batchFn) batchFn {
 				continue
 			}
 			phys := int32(b.Index(i))
-			for m := j.table.lookup(keys[i]).head; m >= 0; m = j.table.after(m) {
+			for m := j.table.lookup(keys[i]).head; m >= 0; m = j.table.next[m] {
 				// A skewed key's chain can dominate the batch, so it ticks itself.
 				if err := j.gov.tick(); err != nil {
 					return err

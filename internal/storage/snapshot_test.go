@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -202,12 +204,12 @@ func TestSnapshotConcurrentReadersVsWriter(t *testing.T) {
 
 // rowIDsByID is a value derived from one version alone, as a join index is:
 // the RowIDs of its rows by their id column.
-func rowIDsByID(t *Table) any {
+func rowIDsByID(t *Table) (any, error) {
 	ids := map[int64][]int{}
 	for i, row := range t.Rows() {
 		ids[row[0].Int()] = append(ids[row[0].Int()], i)
 	}
-	return ids
+	return ids, nil
 }
 
 // Sixteen concurrent first users of one version's derived value make it once
@@ -221,13 +223,13 @@ func TestDerivedOncePerVersion(t *testing.T) {
 	must(t, err)
 	type key struct{}
 	var made atomic.Int32
-	derive := func(t *Table) any {
+	derive := func(t *Table) (any, error) {
 		made.Add(1)
 		runtime.Gosched() // let the other first users queue up on the lock
 		return rowIDsByID(t)
 	}
 	const users = 16
-	got := make([]any, users)
+	got, errs := make([]any, users), make([]error, users)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for u := range got {
@@ -235,11 +237,14 @@ func TestDerivedOncePerVersion(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			got[u] = tab.Derived(key{}, derive)
+			got[u], errs[u] = tab.Derived(key{}, derive)
 		}()
 	}
 	close(start)
 	wg.Wait()
+	for _, err := range errs {
+		must(t, err)
+	}
 	if n := made.Load(); n != 1 {
 		t.Fatalf("%d first users made the value %d times, want once", users, n)
 	}
@@ -263,7 +268,9 @@ func TestDerivedAfterInsert(t *testing.T) {
 	ids := func(st *Store) map[int64][]int {
 		tab, err := st.Table("t")
 		must(t, err)
-		return tab.Derived(key{}, rowIDsByID).(map[int64][]int)
+		v, err := tab.Derived(key{}, rowIDsByID)
+		must(t, err)
+		return v.(map[int64][]int)
 	}
 	old := s.Snapshot()
 	if got := ids(old); len(got) != 2 {
@@ -276,4 +283,46 @@ func TestDerivedAfterInsert(t *testing.T) {
 	if got := ids(old); len(got) != 2 || got[3] != nil {
 		t.Fatalf("old snapshot's value holds %v after the insert", got)
 	}
+}
+
+// A derive that fails stores nothing, so the next caller derives again; and
+// while one key's value is being made, a user of another key — Columnar —
+// does not wait for it.
+func TestDerivedFailureAndKeysApart(t *testing.T) {
+	s := snapshotStore(t)
+	s.MustInsert("t", intsRow(1, 10))
+	tab, err := s.Table("t")
+	must(t, err)
+	type key struct{}
+	refused := errors.New("refused")
+	if _, err := tab.Derived(key{}, func(*Table) (any, error) { return nil, refused }); err != refused {
+		t.Fatalf("a failed derive returned %v", err)
+	}
+	v, err := tab.Derived(key{}, rowIDsByID)
+	must(t, err)
+	if len(v.(map[int64][]int)) != 1 {
+		t.Fatalf("the value derived after a failure holds %v", v)
+	}
+
+	type slow struct{}
+	making, release := make(chan struct{}), make(chan struct{})
+	go func() {
+		_, _ = tab.Derived(slow{}, func(*Table) (any, error) {
+			close(making)
+			<-release
+			return 0, nil
+		})
+	}()
+	<-making
+	done := make(chan struct{})
+	go func() {
+		tab.Columnar()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Columnar waited for another key's value to be made")
+	}
+	close(release)
 }

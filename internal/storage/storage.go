@@ -31,10 +31,19 @@ type Table struct {
 	rows []value.Row
 	w    *writer
 
-	// mu guards derived; concurrent queries may race to make the same
-	// value for the same version.
+	// mu guards derived, the version's derived values by key. Each value is
+	// made under its own slot's lock, so making one never holds up a user
+	// of another.
 	mu      sync.Mutex
-	derived map[any]any
+	derived map[any]*derivedSlot
+}
+
+// derivedSlot is one derived value of a version: made, under mu, by the
+// first caller whose derive succeeds.
+type derivedSlot struct {
+	mu   sync.Mutex
+	v    any
+	made bool
 }
 
 // writer is what only an insert touches, shared by every version of one
@@ -76,33 +85,46 @@ func (t *Table) Row(id int) value.Row { return t.rows[id] }
 // kind-uniform by construction (Insert coerces to the declared type), so
 // every vector gets its typed representation.
 func (t *Table) Columnar() []*vec.Batch {
-	return t.Derived(columnarKey{}, func(t *Table) any {
-		return vec.Columnarize(t.rows, len(t.Def.Columns), vec.BatchSize)
-	}).([]*vec.Batch)
+	v, _ := t.Derived(columnarKey{}, func(t *Table) (any, error) {
+		return vec.Columnarize(t.rows, len(t.Def.Columns), vec.BatchSize), nil
+	})
+	return v.([]*vec.Batch)
 }
 
 // columnarKey is Columnar's key among a version's derived values.
 type columnarKey struct{}
 
-// Derived returns the value derive makes of this version under key: made
-// on the first call for key, under the version's lock, and returned to every
-// later caller — so concurrent first users make it once and all get the same
-// value. key is any comparable value; packages keep their keys apart by
-// giving them types of their own. The value is shared and must be treated as
-// read-only, like Rows(), and must depend on nothing but the version. derive
-// runs under the lock, so it must not call Derived on t.
-func (t *Table) Derived(key any, derive func(*Table) any) any {
+// Derived returns the value derive makes of this version under key, made by
+// the first call for key whose derive succeeds and returned to every later
+// caller — so concurrent first users make it once and all get the same
+// value. A derive that fails stores nothing: Derived returns its error, and
+// the next caller derives again. derive runs under key's own lock, not the
+// version's, so the users of other keys never wait for it, while a caller of
+// the same key waits until it ends. key is any comparable value; packages
+// keep their keys apart by giving them types of their own. The value is
+// shared and must be treated as read-only, like Rows(), and must depend on
+// nothing but the version.
+func (t *Table) Derived(key any, derive func(*Table) (any, error)) (any, error) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	v, ok := t.derived[key]
-	if !ok {
-		v = derive(t)
+	slot := t.derived[key]
+	if slot == nil {
 		if t.derived == nil {
-			t.derived = map[any]any{}
+			t.derived = map[any]*derivedSlot{}
 		}
-		t.derived[key] = v
+		slot = &derivedSlot{}
+		t.derived[key] = slot
 	}
-	return v
+	t.mu.Unlock()
+	slot.mu.Lock()
+	defer slot.mu.Unlock()
+	if !slot.made {
+		v, err := derive(t)
+		if err != nil {
+			return nil, err
+		}
+		slot.v, slot.made = v, true
+	}
+	return slot.v, nil
 }
 
 // Store is the collection of all table instances, backed by a catalog.
