@@ -226,7 +226,8 @@ fuzz:
 # fragment's join-then-group, BenchmarkGroupTable, the group table alone —
 # all inserts, all hits at 10 and 1 000 groups, two partials combined —,
 # BenchmarkJoinTable, the other hashed stores alone — join build + probe at
-# 10 keys, 1 000 keys and 100 keys × 100 rows, par1 and par2, DISTINCT's group table,
+# 10 keys, 1 000 keys and 100 keys × 100 rows, par1 and par2, over dense
+# INTEGER keys and, under sparse/, hashed ones, DISTINCT's group table,
 # COUNT(DISTINCT) over 1 000 groups — and BenchmarkTinyJoinGroup, what a run
 # costs before its first row, BenchmarkResultPath, what a finished row costs
 # on its way to Run's caller — group → rename, group → column-permuting π,
@@ -266,17 +267,17 @@ bench-record:
 bench-trend:
 	$(GO) test -run '^TestBenchTrend$$' -count 1 -v .
 
-# The work tree's end-to-end benchmark against BASE's, A/A first:
-# `make bench-ab BASE=<rev> [W=<workload,...>] [PAIRS=n] [SECONDS=s] [SEED=n]`
-# (internal/bench/ab). BASE is exported with git archive into a temporary
-# directory, removed on exit; ./benchmark is built there twice and here once,
-# and the runs go one process at a time, alternating which side of a pair
-# starts. Per workload and end-to-end metric it prints BASE's median and
+# The work tree's end-to-end benchmark — or CHANGE's — against BASE's, A/A first:
+# `make bench-ab BASE=<rev> [CHANGE=<rev>] [W=<workload,...>] [PAIRS=n] [SECONDS=s] [SEED=n]`
+# (internal/bench/ab). BASE, and CHANGE when given, are exported with git
+# archive into a temporary directory, removed on exit; ./benchmark is built in
+# BASE's tree twice and in the change's once (here, without CHANGE), and the
+# runs go one process at a time, alternating which side of a pair starts. Per workload and end-to-end metric it prints BASE's median and
 # quartiles, the change's median, the ratio, the pairs won and the A/A band.
 # It gates nothing; a perf change's numbers are its output.
 bench-ab:
-	@if [ -z "$(BASE)" ]; then echo "usage: make bench-ab BASE=<rev> [W=<workload,...>] [PAIRS=n] [SECONDS=s] [SEED=n]"; exit 2; fi
-	$(GO) run ./internal/bench/ab -base $(BASE) -w '$(W)' -pairs $(or $(PAIRS),5) -seconds $(or $(SECONDS),20) -seed $(or $(SEED),1)
+	@if [ -z "$(BASE)" ]; then echo "usage: make bench-ab BASE=<rev> [CHANGE=<rev>] [W=<workload,...>] [PAIRS=n] [SECONDS=s] [SEED=n]"; exit 2; fi
+	$(GO) run ./internal/bench/ab -base $(BASE) -change '$(CHANGE)' -w '$(W)' -pairs $(or $(PAIRS),5) -seconds $(or $(SECONDS),20) -seed $(or $(SEED),1)
 
 # Non-test and test Go lines per package — the numbers CHANGES.md reports for
 # a change (internal/exec's non-test count is the one ROADMAP tracks).

@@ -1,19 +1,21 @@
 // Command ab compares the end-to-end benchmark (BENCHMARK.json) of the work
-// tree against a base revision, A/A first: `make bench-ab BASE=<rev>`.
+// tree, or of a second revision, against a base revision, A/A first:
+// `make bench-ab BASE=<rev> [CHANGE=<rev>]`.
 //
-//	go run ./internal/bench/ab -base HEAD~1 [-w olap_eager,serve_wide] [-pairs 5] [-seconds 20] [-seed 1]
+//	go run ./internal/bench/ab -base HEAD~1 [-change HEAD] [-w olap_eager,serve_wide] [-pairs 5] [-seconds 20] [-seed 1]
 //
-// It exports BASE with `git archive` into a temporary directory, removed on
-// exit, and builds ./benchmark there twice and in the work tree once. For
-// each workload it runs the A/A pairs (the two builds of BASE) and then the
-// A/B pairs (BASE against the work tree), one process at a time, alternating
-// which side of a pair runs first, and reads only the records the runs write
-// with -json. Per workload and end-to-end metric it prints BASE's median and
-// quartiles, the change's median, their ratio, the A/B pairs the change won,
-// and the A/A band: where a ratio of two medians of this many runs of one
-// program falls by chance, the central 95 % of it over random splits of the
-// A/A runs in two. A ratio of medians inside that band is "within A/A". It
-// gates nothing and writes nothing into either tree.
+// It exports BASE — and CHANGE, when given — with `git archive` into a
+// temporary directory, removed on exit, and builds ./benchmark in BASE's tree
+// twice and in the change's (the work tree unless CHANGE names a revision)
+// once. For each workload it runs the A/A pairs (the two builds of BASE) and
+// then the A/B pairs (BASE against the change), one process at a time,
+// alternating which side of a pair runs first, and reads only the records the
+// runs write with -json. Per workload and end-to-end metric it prints BASE's
+// median and quartiles, the change's median, their ratio, the A/B pairs the
+// change won, and the A/A band: where a ratio of two medians of this many runs
+// of one program falls by chance, the central 95 % of it over random splits of
+// the A/A runs in two. A ratio of medians inside that band is "within A/A". It
+// gates nothing and writes nothing into any tree.
 package main
 
 import (
@@ -62,7 +64,8 @@ type record struct {
 
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("ab", flag.ContinueOnError)
-	base := fs.String("base", "", "revision to compare the work tree against (required)")
+	base := fs.String("base", "", "revision to compare the change against (required)")
+	change := fs.String("change", "", "revision to measure against base (default: the work tree)")
 	ws := fs.String("w", "", "comma-separated workloads (default: every workload BENCHMARK.json declares)")
 	pairs := fs.Int("pairs", 5, "A/A pairs and A/B pairs per workload")
 	seconds := fs.Float64("seconds", 20, "measured window of each run, in seconds")
@@ -71,7 +74,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	if *base == "" || *pairs < 1 || *seconds <= 0 {
-		return fmt.Errorf("usage: ab -base <rev> [-w workloads] [-pairs n>0] [-seconds s>0] [-seed n]")
+		return fmt.Errorf("usage: ab -base <rev> [-change <rev>] [-w workloads] [-pairs n>0] [-seconds s>0] [-seed n]")
 	}
 	var spec struct {
 		Workloads []struct {
@@ -98,16 +101,20 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	defer os.RemoveAll(tmp)
-	src := filepath.Join(tmp, "base")
-	if err := export(ctx, *base, src); err != nil {
+	trees := sides(tmp, *change)
+	if err := export(ctx, *base, trees["A"]); err != nil {
 		return err
 	}
-	// Each side runs in the tree it was built from. The exported tree has no
+	if *change != "" {
+		if err := export(ctx, *change, trees["B"]); err != nil {
+			return err
+		}
+	}
+	// Each side runs in the tree it was built from. An exported tree has no
 	// VCS metadata, so no side stamps any, and -trimpath keeps each tree's
 	// directory out of its binary: at BASE=HEAD all three binaries are the
 	// same bytes, where without it the work tree's build differs from BASE's
 	// in its embedded paths and so in its layout.
-	trees := map[string]string{"A": src, "A2": src, "B": "."}
 	for side, dir := range trees {
 		if err := command(ctx, dir, "go", "build", "-trimpath", "-buildvcs=false", "-o", filepath.Join(tmp, side), "./benchmark").Run(); err != nil {
 			return fmt.Errorf("building ./benchmark for %s: %w", side, err)
@@ -159,7 +166,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return xs, ys, nil
 	}
 
-	fmt.Fprintf(out, "base %s against the work tree: %d A/A and %d A/B pairs of %gs, seed %d\n", *base, *pairs, *pairs, *seconds, *seed)
+	against := "the work tree"
+	if *change != "" {
+		against = *change
+	}
+	fmt.Fprintf(out, "base %s against %s: %d A/A and %d A/B pairs of %gs, seed %d\n", *base, against, *pairs, *pairs, *seconds, *seed)
 	for _, w := range names {
 		a1, a2, err := runPairs(w, "A", "A2", *pairs)
 		if err != nil {
@@ -175,6 +186,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// sides is the tree each side is built and run in: BASE's export under tmp
+// for A and A2, and for B the work tree, or CHANGE's export under tmp when
+// change names a revision.
+func sides(tmp, change string) map[string]string {
+	base, b := filepath.Join(tmp, "base"), "."
+	if change != "" {
+		b = filepath.Join(tmp, "change")
+	}
+	return map[string]string{"A": base, "A2": base, "B": b}
 }
 
 // compare is one metric's line: BASE's median and quartiles over the A/B

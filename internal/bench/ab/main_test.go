@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -72,5 +73,19 @@ func TestBandNarrowsWithRuns(t *testing.T) {
 	}
 	if lo, hi := band([]float64{3, 3}, []float64{3, 3, 3}); lo != 1 || hi != 1 {
 		t.Errorf("band of constant runs is [%v, %v], want [1, 1]", lo, hi)
+	}
+}
+
+// BASE's two sides build one export; the change is the work tree by default
+// and an export of its own when CHANGE names a revision.
+func TestSides(t *testing.T) {
+	tmp := filepath.Join("t", "bench-ab")
+	work := sides(tmp, "")
+	if work["A"] != work["A2"] || work["A"] == "." || work["B"] != "." {
+		t.Errorf("without a change the sides are %v, want BASE's export twice and the work tree", work)
+	}
+	rev := sides(tmp, "c4d5a98")
+	if rev["A"] != work["A"] || rev["A2"] != work["A"] || rev["B"] == "." || rev["B"] == rev["A"] || filepath.Dir(rev["B"]) != tmp {
+		t.Errorf("with a change the sides are %v, want BASE's export twice and a second export under %s", rev, tmp)
 	}
 }

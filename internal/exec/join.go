@@ -271,7 +271,12 @@ func (j *hashJoinOp) probeInto(joined value.Row, emit emitFn) emitFn {
 		if anyNullAt(row, j.lcols) {
 			return nil
 		}
-		matches := j.table.lookup(appendKey(key[:0], row, j.lcols))
+		var matches joinChain
+		if j.table.dense {
+			matches = j.table.denseMatch(row[j.lcols[0]])
+		} else {
+			matches = j.table.lookup(appendKey(key[:0], row, j.lcols))
+		}
 		if matches.n == 0 {
 			return nil
 		}

@@ -170,17 +170,17 @@ func TestJoinIndexPerVersion(t *testing.T) {
 	}
 	tab, err := old.Table("r")
 	must(t, err)
-	key := func(k int64) []byte { return appendKey(nil, value.Row{value.NewInt(k)}, []int{0}) }
-	if ch := joins[0].table.lookup(key(3)); ch.n != 10 || &joins[0].table.rows[ch.head][0] != &tab.Row(3)[0] {
+	key := func(tab *joinTable, k int64) joinChain { return probeValue(tab, value.NewInt(k)) }
+	if ch := key(joins[0].table, 3); ch.n != 10 || &joins[0].table.rows[ch.head][0] != &tab.Row(3)[0] {
 		t.Fatalf("key 3's chain is %+v, not the version's RowIDs 3, 13, …", ch)
 	}
 
 	must(t, live.Insert("r", value.Row{value.NewInt(15), value.NewInt(-1)}))
 	j := mustJoin(t, plan, live.Snapshot(), &Options{})
-	if ch := j.table.lookup(key(15)); !j.probesIndex() || ch.n != 1 || ch.head != 100 {
+	if ch := key(j.table, 15); !j.probesIndex() || ch.n != 1 || ch.head != 100 {
 		t.Fatalf("the new version's index holds key 15 as %+v, want RowID 100", ch)
 	}
-	if ch := mustJoin(t, plan, old, &Options{}).table.lookup(key(15)); ch.n != 0 {
+	if ch := key(mustJoin(t, plan, old, &Options{}).table, 15); ch.n != 0 {
 		t.Fatalf("the older snapshot's index holds the new row: %+v", ch)
 	}
 	for _, st := range []*storage.Store{old, live.Snapshot()} {

@@ -154,7 +154,10 @@ func BenchmarkSortRowsStable(b *testing.B) {
 // TestJoinPartitionRange: a join key's partition is the range of its
 // paged.Hash — in [0, n) from the smallest hash to the largest — and a built
 // table holds each key in that partition and in no other, at 1, 2, 3 and 8
-// workers: over 1 000 keys, and over 2, which leave partitions empty.
+// workers: over 1 000 keys, and over 2, which leave partitions empty. The keys
+// are INTEGERs 1 000 apart, which the dense layout rejects; the same keys 1
+// apart build a dense table at every worker count, with no partitions and one
+// slot per key.
 func TestJoinPartitionRange(t *testing.T) {
 	for n := 1; n <= 8; n++ {
 		if lo, hi := hashRange(0, n), hashRange(math.MaxUint32, n); lo != 0 || hi != n-1 {
@@ -162,7 +165,7 @@ func TestJoinPartitionRange(t *testing.T) {
 		}
 	}
 	for _, keys := range []int{1000, 2} {
-		rows := keyedValuesPlan("t", 3*keys, keys).Rows
+		rows := strided(keyedValuesPlan("t", 3*keys, keys).Rows, 1000)
 		for _, workers := range []int{1, 2, 3, 8} {
 			tab := &joinTable{cols: []int{0}}
 			must(t, tab.build(rows, workers))
@@ -182,6 +185,21 @@ func TestJoinPartitionRange(t *testing.T) {
 			}
 			if held != keys {
 				t.Fatalf("workers=%d: the partitions hold %d keys, want %d", workers, held, keys)
+			}
+		}
+	}
+	for _, keys := range []int{1000, 2} {
+		rows := keyedValuesPlan("t", 3*keys, keys).Rows
+		for _, workers := range []int{1, 2, 3, 8} {
+			tab := &joinTable{cols: []int{0}}
+			must(t, tab.build(rows, workers))
+			if !tab.dense || tab.parts != nil || len(tab.slots) != keys {
+				t.Fatalf("dense keys=%d workers=%d: dense=%v, %d partitions, %d slots", keys, workers, tab.dense, len(tab.parts), len(tab.slots))
+			}
+			for k := range keys {
+				if ch := tab.denseChain(int64(k)); ch.n != 3 {
+					t.Fatalf("dense keys=%d workers=%d: key %d has a chain of %d, want 3", keys, workers, k, ch.n)
+				}
 			}
 		}
 	}

@@ -8,6 +8,7 @@ package exec
 
 import (
 	"errors"
+	"math"
 	"math/bits"
 	"sync/atomic"
 
@@ -281,22 +282,40 @@ func (t *groupTable) appendRow(id int, results value.Row, out []value.Value) ([]
 // joinTable is the hash-join build store. The build rows stay in the slice
 // the caller drained them into — or, for a stored table's join index
 // (newJoinIndex), in the table version's own — and a match is a row's index in
-// it: each partition hands every distinct canonical join key a dense id in a
-// paged.Dict, and a key id's chain links its rows through next, one entry per
-// build row. Chains are tail-linked, so matches come back in build order
-// whatever the partition count and however skewed the key. A partition is a
-// range of the key's paged.Hash, one per build worker (one at one worker).
-// Rows with a NULL key column are never stored — the equality would be
-// unknown. No key string and no per-key slice is made. A keyless table — the
-// join over the empty key — has one chain, every build row in build order,
-// so it keeps no partitions: next links each row to the one after it.
+// it: a key's chain is its first and last build row and their count, and next
+// links each stored row to the one after it, one entry per build row. Chains
+// are tail-linked, so matches come back in build order whatever the layout
+// and however skewed the key. Rows with a NULL key column are never stored —
+// the equality would be unknown. No key string and no per-key slice is made.
+// A table has one of three layouts:
+//
+//   - dense: one key column whose non-NULL build keys are all INTEGERs
+//     spanning at most 2·entries + 16 values (denseSpan). Key k's chain is
+//     slots[k − lo], so no key is encoded or hashed, on either side; a probe
+//     value that is neither an INTEGER nor a DOUBLE holding one exactly
+//     matches nothing (denseMatch). It fills serially at any worker count
+//     and keeps no paged.Dict and no partitions.
+//   - hashed: every other keyed table. Each partition hands every distinct
+//     canonical join key a dense id in a paged.Dict, and a key id has a
+//     chain. A partition is a range of the key's paged.Hash, one per build
+//     worker (one at one worker).
+//   - keyless: the join over the empty key has one chain, every build row in
+//     build order, so it keeps no partitions: next links each row to the one
+//     after it.
+//
+// Every layout charges an entry the same bytes: its canonical key's length
+// and its row's (rowBytes).
 type joinTable struct {
 	cols    []int // key columns of the build rows; none: keyless
 	adm     admission
 	metrics *obs.OpMetrics // nil unless metrics collection is on
 	rows    []value.Row    // the build rows, in build order
 	next    []int32        // by build row: the next row of its chain, or -1
-	parts   []joinPart     // nil when keyless
+	parts   []joinPart     // hashed only
+	// dense: key k's chain is slots[k − lo], an empty one's head -1.
+	dense bool
+	lo    int64
+	slots []joinChain
 	// rowBytes is what an entry is charged beyond its key: a join index's
 	// (newJoinIndex) is the width its probe reads, not its stored rows'; 0
 	// is the entry's row's own (rowStateBytes).
@@ -317,20 +336,23 @@ type joinPart struct {
 // of them (-1 when there are none) and how many.
 type joinChain struct{ head, tail, n int32 }
 
+// noChain is the chain of a key no build row has.
+var noChain = joinChain{head: -1, tail: -1}
+
+// intKeyBytes is the length of an INTEGER's canonical key
+// (value.AppendGroupKey), every key of a dense table.
+var intKeyBytes = int64(len(value.AppendGroupKey(nil, value.NewInt(0))))
+
 // hashRange is the partition, of n, that a key hashing to hash belongs to:
 // the hash's range when [0, 2³²) is cut in n equal parts.
 func hashRange(hash uint32, n int) int { return int(uint64(hash) * uint64(n) >> 32) }
 
-// build stores rows on `workers` workers: a serial scatter of row indexes by
-// key hash keeps build order within each partition, then the partitions fill
-// in parallel. Every entry is admitted on its own, so an abort names the
-// exact allocation that crossed the budget; build statistics are recorded
-// only for a table that was built to the end. A keyless build is one fill,
-// with nothing to scatter and no key to link by: its one chain is every row
-// in order.
+// build stores rows in the layout their keys allow. Every entry is admitted on
+// its own, so an abort names the exact allocation that crossed the budget;
+// build statistics are recorded only for a table that was built to the end.
 func (t *joinTable) build(rows []value.Row, workers int) error {
-	t.rows, t.next = rows, make([]int32, len(rows))
 	if len(t.cols) == 0 {
+		t.rows, t.next = rows, make([]int32, len(rows))
 		if err := t.fill(nil, nil, len(rows)); err != nil {
 			return err
 		}
@@ -342,6 +364,65 @@ func (t *joinTable) build(rows []value.Row, workers int) error {
 		}
 		return nil
 	}
+	lo, span, dense, err := denseSpan(t.adm.gov, rows, t.cols)
+	if err != nil {
+		return err
+	}
+	if dense {
+		t.rows, t.next = rows, make([]int32, len(rows))
+		t.dense, t.lo, t.slots = true, lo, make([]joinChain, span)
+		for k := range t.slots {
+			t.slots[k] = noChain
+		}
+		return t.fill(nil, nil, len(rows))
+	}
+	return t.buildHashed(rows, workers)
+}
+
+// denseSpan reports whether rows, keyed on cols, make a dense table, with its
+// smallest key and its span: one key column, every non-NULL key an INTEGER,
+// and hi − lo + 1 at most 2·entries + 16. The difference is taken in uint64,
+// where hi ≥ lo cannot overflow it, and the scan stops at the first key that
+// rules the layout out.
+func denseSpan(gov *governor, rows []value.Row, cols []int) (lo int64, span int, ok bool, err error) {
+	if len(cols) != 1 {
+		return 0, 0, false, nil
+	}
+	c, entries := cols[0], 0
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	most := uint64(2*len(rows) + 16) // the bound, were every row an entry
+	for _, row := range rows {
+		if err := gov.tick(); err != nil {
+			return 0, 0, false, err
+		}
+		v := row[c]
+		if v.IsNull() {
+			continue
+		}
+		if v.Kind() != value.KindInt {
+			return 0, 0, false, nil
+		}
+		lo, hi = min(lo, v.Int()), max(hi, v.Int())
+		if uint64(hi)-uint64(lo) >= most {
+			return 0, 0, false, nil
+		}
+		entries++
+	}
+	if entries == 0 {
+		return 0, 0, true, nil
+	}
+	// hi − lo + 1 ≤ 2·entries + 16, without the + 1 that wraps at 2⁶⁴ − 1.
+	if d := uint64(hi) - uint64(lo); d < uint64(2*entries+16) {
+		return lo, int(d) + 1, true, nil
+	}
+	return 0, 0, false, nil
+}
+
+// buildHashed stores rows hashed on `workers` workers: a serial scatter of
+// row indexes by key hash keeps build order within each partition, then the
+// partitions fill in parallel.
+func (t *joinTable) buildHashed(rows []value.Row, workers int) error {
+	t.rows, t.next = rows, make([]int32, len(rows))
 	t.parts = make([]joinPart, workers)
 	var scattered [][]int32 // by partition, above one worker
 	if workers > 1 {
@@ -371,9 +452,10 @@ func (t *joinTable) build(rows []value.Row, workers int) error {
 	})
 }
 
-// fill stores the n build rows of one partition under their keys, in order:
-// rows ids, or the first n rows when ids is nil. A keyed build reserves room
-// for a key per row; a keyless one, whose part is nil, only admits its rows.
+// fill stores n build rows under their keys, in order: rows ids, or the
+// first n rows when ids is nil. A hashed build fills one partition, part,
+// reserving room for a key per row; a dense one fills its slots, and a
+// keyless one only admits its rows.
 func (t *joinTable) fill(part *joinPart, ids []int32, n int) error {
 	if part != nil {
 		part.index.Reserve(n)
@@ -392,19 +474,26 @@ func (t *joinTable) fill(part *joinPart, ids []int32, n int) error {
 		if anyNullAt(row, t.cols) {
 			continue
 		}
-		key = appendKey(key[:0], row, t.cols)
-		entry := int64(len(key)) + t.rowBytes
+		keyLen := intKeyBytes
+		if !t.dense {
+			key = appendKey(key[:0], row, t.cols)
+			keyLen = int64(len(key))
+		}
+		entry := keyLen + t.rowBytes
 		if t.rowBytes == 0 {
 			entry += rowStateBytes(row)
 		}
 		if err := t.adm.charge(entry); err != nil {
 			return err
 		}
-		if part != nil {
+		switch {
+		case t.dense:
+			t.linkDense(row[t.cols[0]].Int(), i)
+		case part != nil:
 			t.link(part, paged.Hash(key), key, i)
 		}
 		entries++
-		keyBytes += int64(len(key))
+		keyBytes += keyLen
 		bytes += entry
 	}
 	t.entries.Add(entries)
@@ -417,37 +506,75 @@ func (t *joinTable) fill(part *joinPart, ids []int32, n int) error {
 }
 
 // link appends build row i to the chain of key, whose hash is hash, in part,
-// giving a key seen for the first time its id and a chain of one: this is
-// where a partition grows.
+// giving a key seen for the first time its id and a chain: this is where a
+// partition grows.
 func (t *joinTable) link(part *joinPart, hash uint32, key []byte, i int32) {
-	t.next[i] = -1
 	id := part.index.Lookup(hash, key)
 	if id < 0 {
-		part.index.Append(hash, key)
-		part.chains = append(part.chains, joinChain{head: i, tail: i, n: 1})
+		id = part.index.Append(hash, key)
+		part.chains = append(part.chains, noChain)
+	}
+	t.push(&part.chains[id], i)
+}
+
+// linkDense appends build row i to the chain of key k in a dense table.
+func (t *joinTable) linkDense(k int64, i int32) {
+	t.push(&t.slots[uint64(k)-uint64(t.lo)], i)
+}
+
+// push appends build row i to the tail of chain ch.
+func (t *joinTable) push(ch *joinChain, i int32) {
+	t.next[i] = -1
+	if ch.head < 0 {
+		*ch = joinChain{head: i, tail: i, n: 1}
 		return
 	}
-	ch := &part.chains[id]
 	t.next[ch.tail] = i
 	ch.tail = i
 	ch.n++
 }
 
-// lookup returns the chain of build rows stored under key; the rows after
-// its head follow t.next.
+// lookup returns the chain of build rows stored under the canonical key key
+// in a hashed or keyless table.
 func (t *joinTable) lookup(key []byte) joinChain {
-	if t.parts == nil { // keyless: every row
+	if len(t.cols) == 0 { // keyless: every row
 		if n := int32(len(t.rows)); n > 0 {
 			return joinChain{head: 0, tail: n - 1, n: n}
 		}
-		return joinChain{head: -1}
+		return noChain
 	}
 	hash := paged.Hash(key)
 	part := &t.parts[hashRange(hash, len(t.parts))]
 	if id := part.index.Lookup(hash, key); id >= 0 {
 		return part.chains[id]
 	}
-	return joinChain{head: -1}
+	return noChain
+}
+
+// denseMatch returns the chain of a dense table's build rows whose key
+// equals v: an INTEGER, or a DOUBLE that holds one exactly (value.ExactInt),
+// is an offset from lo; any other value — NULL, a fraction, a string, a
+// boolean — matches nothing, since its canonical key (value.AppendGroupKey)
+// is never an INTEGER's.
+func (t *joinTable) denseMatch(v value.Value) joinChain {
+	switch v.Kind() {
+	case value.KindInt:
+		return t.denseChain(v.Int())
+	case value.KindFloat:
+		if k, ok := value.ExactInt(v.Float()); ok {
+			return t.denseChain(k)
+		}
+	}
+	return noChain
+}
+
+// denseChain returns key k's chain in a dense table. k − lo is taken in
+// uint64, so a key below lo wraps past the slots as one above them does.
+func (t *joinTable) denseChain(k int64) joinChain {
+	if off := uint64(k) - uint64(t.lo); off < uint64(len(t.slots)) {
+		return t.slots[off]
+	}
+	return noChain
 }
 
 // joinIndexKey names a stored table version's join index among its derived

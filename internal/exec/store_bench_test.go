@@ -12,38 +12,44 @@ import (
 // no plan around them. build+probe: a join table built on 1 and on 2 workers,
 // then probed through probeInto until 48 000 matches were emitted — 48 000
 // probe rows into 10 and into 1 000 keys of one build row each, and 480 into
-// 100 keys of 100 build rows each (skew). distinct: DISTINCT's group table —
-// a group per key, no aggregate — over 48 000 rows of 8 000 keys.
-// count-distinct: COUNT(DISTINCT v) over 48 000 rows in 1 000 groups, three
-// values per group. Run with -benchmem.
+// 100 keys of 100 build rows each (skew). The keys are 0 … keys−1, a dense
+// table; under sparse/ they are 1 000 apart, a hashed one. distinct:
+// DISTINCT's group table — a group per key, no aggregate — over 48 000 rows of
+// 8 000 keys. count-distinct: COUNT(DISTINCT v) over 48 000 rows in 1 000
+// groups, three values per group. Run with -benchmem.
 func BenchmarkJoinTable(b *testing.B) {
 	const matches = 48000
 	for _, shape := range []struct {
 		name       string
 		keys, rows int // build keys, build rows per key
 	}{{"keys=10", 10, 1}, {"keys=1000", 1000, 1}, {"skew=100x100", 100, 100}} {
-		build := keyedValuesPlan("r", shape.keys*shape.rows, shape.keys).Rows
-		probe := keyedValuesPlan("l", matches/shape.rows, shape.keys).Rows
-		for _, workers := range []int{1, 2} {
-			b.Run(fmt.Sprintf("build+probe/%s/par%d", shape.name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					j := &hashJoinOp{lcols: []int{0}, table: &joinTable{cols: []int{0}}}
-					if err := j.table.build(build, workers); err != nil {
-						b.Fatal(err)
-					}
-					emitted := 0
-					emit := j.probeInto(make(value.Row, 4), func(value.Row) error { emitted++; return nil })
-					for _, row := range probe {
-						if err := emit(row); err != nil {
+		for _, layout := range []struct {
+			prefix string
+			stride int64
+		}{{"", 1}, {"sparse/", 1000}} {
+			build := strided(keyedValuesPlan("r", shape.keys*shape.rows, shape.keys).Rows, layout.stride)
+			probe := strided(keyedValuesPlan("l", matches/shape.rows, shape.keys).Rows, layout.stride)
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("build+probe/%s%s/par%d", layout.prefix, shape.name, workers), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						j := &hashJoinOp{lcols: []int{0}, table: &joinTable{cols: []int{0}}}
+						if err := j.table.build(build, workers); err != nil {
 							b.Fatal(err)
 						}
+						emitted := 0
+						emit := j.probeInto(make(value.Row, 4), func(value.Row) error { emitted++; return nil })
+						for _, row := range probe {
+							if err := emit(row); err != nil {
+								b.Fatal(err)
+							}
+						}
+						if emitted != matches {
+							b.Fatalf("%d matches, want %d", emitted, matches)
+						}
 					}
-					if emitted != matches {
-						b.Fatalf("%d matches, want %d", emitted, matches)
-					}
-				}
-			})
+				})
+			}
 		}
 	}
 	b.Run("distinct", func(b *testing.B) {

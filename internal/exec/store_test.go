@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -467,29 +468,69 @@ func sameBuildRows(t *testing.T, where string, got, want []value.Row) {
 	}
 }
 
+// probeKey is tab's chain for a probe row's key columns cols, found as the
+// probes find it: by offset in a dense table, by its canonical key in any
+// other.
+func probeKey(tab *joinTable, row value.Row, cols []int) joinChain {
+	if tab.dense {
+		return tab.denseMatch(row[cols[0]])
+	}
+	return tab.lookup(appendKey(nil, row, cols))
+}
+
+// probeValue is probeKey for the one-column probe row {v}.
+func probeValue(tab *joinTable, v value.Value) joinChain {
+	return probeKey(tab, value.Row{v}, []int{0})
+}
+
+// strided is rows with each non-NULL INTEGER key k in column 0 made k·stride:
+// at a stride of 1000 no set of more than one key is dense (denseSpan).
+func strided(rows []value.Row, stride int64) []value.Row {
+	out := make([]value.Row, len(rows))
+	for i, row := range rows {
+		out[i] = slices.Clone(row)
+		if !row[0].IsNull() {
+			out[i][0] = value.NewInt(row[0].Int() * stride)
+		}
+	}
+	return out
+}
+
 // TestJoinTablePartitions: a key's matches are the build rows with that key,
-// in build order, at any partition count — a key stored 10 000 times
-// included, whose chain builds in linear time; NULL keys are never stored,
-// so a build of NULLs only, like an empty one, holds nothing; and keys forced
-// under one hash keep chains of their own.
+// in build order, at any partition count and in the dense layout — a key
+// stored 10 000 times included, whose chain builds in linear time; NULL keys
+// are never stored, so a build of NULLs only, like an empty one, holds
+// nothing; and keys forced under one hash keep chains of their own. The
+// hashed cases use keys the dense layout rejects: INTEGERs 1 000 apart, or
+// strings.
 func TestJoinTablePartitions(t *testing.T) {
-	key0 := func(k int64) []byte { return appendKey(nil, kvRows(k, 0)[0], []int{0}) }
+	layouts := []struct {
+		name   string
+		stride int64
+		dense  bool
+	}{{"hashed", 1000, false}, {"dense", 1, true}}
 	t.Run("build order", func(t *testing.T) {
-		rows := kvRows(3, 0, 1, 1, -1, 2, 3, 3, 2, 4, 1, 5, 3, 6, -1, 7, 9, 8)
-		for _, workers := range []int{1, 2, 3, 8} {
-			tab := &joinTable{cols: []int{0}}
-			must(t, tab.build(rows, workers))
-			if len(tab.parts) != workers {
-				t.Fatalf("workers=%d: %d partitions", workers, len(tab.parts))
-			}
-			for k := int64(-1); k < 11; k++ {
-				var want []value.Row
-				for _, row := range rows {
-					if k >= 0 && !row[0].IsNull() && row[0].Int() == k {
-						want = append(want, row)
-					}
+		for _, layout := range layouts {
+			rows := strided(kvRows(3, 0, 1, 1, -1, 2, 3, 3, 2, 4, 1, 5, 3, 6, -1, 7, 9, 8), layout.stride)
+			for _, workers := range []int{1, 2, 3, 8} {
+				tab := &joinTable{cols: []int{0}}
+				must(t, tab.build(rows, workers))
+				if want := map[bool]int{false: workers, true: 0}[layout.dense]; tab.dense != layout.dense || len(tab.parts) != want {
+					t.Fatalf("%s workers=%d: dense=%v with %d partitions", layout.name, workers, tab.dense, len(tab.parts))
 				}
-				sameBuildRows(t, fmt.Sprintf("workers=%d key=%d", workers, k), chainRows(t, tab, tab.lookup(key0(k))), want)
+				for k := int64(-1); k < 11; k++ {
+					probe := value.NewInt(k * layout.stride)
+					var want []value.Row
+					for _, row := range rows {
+						if k >= 0 && !row[0].IsNull() && row[0].Int() == k*layout.stride {
+							want = append(want, row)
+						}
+					}
+					if k < 0 {
+						probe = value.Null
+					}
+					sameBuildRows(t, fmt.Sprintf("%s workers=%d key=%d", layout.name, workers, k), chainRows(t, tab, probeValue(tab, probe)), want)
+				}
 			}
 		}
 	})
@@ -497,7 +538,8 @@ func TestJoinTablePartitions(t *testing.T) {
 		// A chain that were walked to its end on every insert would take 16
 		// times as long for 4 times the rows; tail-linking takes 4. The
 		// fastest of five builds is compared, so a collection or a
-		// descheduling in one of them does not count.
+		// descheduling in one of them does not count. The INTEGER key is
+		// dense, the string key hashed.
 		fastest := func(rows []value.Row) time.Duration {
 			best := time.Duration(1 << 62)
 			for range 5 {
@@ -507,28 +549,48 @@ func TestJoinTablePartitions(t *testing.T) {
 			}
 			return best
 		}
-		small, large := keyedValuesPlan("t", 10000, 1).Rows, keyedValuesPlan("t", 40000, 1).Rows
-		if s, l := fastest(small), fastest(large); l > 10*s {
-			t.Errorf("one key stored 40 000 times builds in %v, 10 000 times in %v: not linear", l, s)
+		oneKey := func(n int, key value.Value) []value.Row {
+			rows := keyedValuesPlan("t", n, 1).Rows
+			for _, row := range rows {
+				row[0] = key
+			}
+			return rows
 		}
-		for _, workers := range []int{1, 2} {
-			tab := &joinTable{cols: []int{0}}
-			must(t, tab.build(small, workers))
-			sameBuildRows(t, fmt.Sprintf("workers=%d", workers), chainRows(t, tab, tab.lookup(appendKey(nil, small[0], []int{0}))), small)
+		for _, key := range []value.Value{value.NewInt(0), value.NewString("k")} {
+			small, large := oneKey(10000, key), oneKey(40000, key)
+			if s, l := fastest(small), fastest(large); l > 10*s {
+				t.Errorf("key %v stored 40 000 times builds in %v, 10 000 times in %v: not linear", key, l, s)
+			}
+			for _, workers := range []int{1, 2} {
+				tab := &joinTable{cols: []int{0}}
+				must(t, tab.build(small, workers))
+				if tab.dense != (key.Kind() == value.KindInt) {
+					t.Fatalf("key %v: dense=%v", key, tab.dense)
+				}
+				sameBuildRows(t, fmt.Sprintf("key %v workers=%d", key, workers), chainRows(t, tab, probeValue(tab, key)), small)
+			}
 		}
 	})
 	t.Run("nothing stored", func(t *testing.T) {
+		// A build with no entry is dense, with no slots; buildHashed makes
+		// the hashed layout over the same rows.
 		for _, rows := range [][]value.Row{kvRows(-1, 1, -1, 2, -1, 3), nil} {
 			for _, workers := range []int{1, 2, 8} {
-				tab := &joinTable{cols: []int{0}}
-				must(t, tab.build(rows, workers))
-				for _, part := range tab.parts {
+				dense, hashed := &joinTable{cols: []int{0}}, &joinTable{cols: []int{0}}
+				must(t, dense.build(rows, workers))
+				must(t, hashed.buildHashed(rows, workers))
+				if !dense.dense || len(dense.slots) != 0 || len(hashed.parts) != workers {
+					t.Fatalf("%d rows at workers=%d: dense=%v with %d slots, hashed with %d partitions", len(rows), workers, dense.dense, len(dense.slots), len(hashed.parts))
+				}
+				for _, part := range hashed.parts {
 					if part.index.Len() != 0 || len(part.chains) != 0 {
 						t.Fatalf("%d rows at workers=%d: a partition holds %d keys", len(rows), workers, part.index.Len())
 					}
 				}
-				if ch := tab.lookup(key0(1)); ch.n != 0 || ch.head != -1 {
-					t.Fatalf("%d rows at workers=%d: key 1 has a chain of %d", len(rows), workers, ch.n)
+				for _, tab := range []*joinTable{dense, hashed} {
+					if ch := probeValue(tab, value.NewInt(1)); ch.n != 0 || ch.head != -1 {
+						t.Fatalf("%d rows at workers=%d, dense=%v: key 1 has a chain of %d", len(rows), workers, tab.dense, ch.n)
+					}
 				}
 			}
 		}

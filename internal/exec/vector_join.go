@@ -6,9 +6,10 @@ import (
 	"repro/internal/vec"
 )
 
-// probeState is one worker's probe scratch: the key encoder, the matched left
-// rows' indices, the output vectors and selection, and the scratch row the
-// residual is evaluated over. All of it is reused from batch to batch.
+// probeState is one worker's probe scratch: the key encoder (a hashed
+// table's), the matched left rows' indices, the output vectors and selection,
+// and the scratch row the residual is evaluated over. All of it is reused from
+// batch to batch.
 type probeState struct {
 	enc     vec.KeyEncoder
 	lidx    []int32
@@ -18,15 +19,15 @@ type probeState struct {
 	scratch value.Row
 }
 
-// probeBatches is the probe in batch form: a left batch's keys are encoded
-// column-at-a-time and looked up in the join table the row form reads, and
-// the joined rows are gathered into the worker's output vectors — left
-// columns by index from the probe batch, right columns from the build rows of
-// the key's chain, through the join's column map — and handed on as one
-// batch. Rows with a NULL in any key column are dropped, exactly like the row
-// probe, and the output is in the row probe's order: probe rows in input
-// order, each row's matches in build order, the residual applied per joined
-// row.
+// probeBatches is the probe in batch form: a left batch's keys are looked up
+// in the join table the row form reads — read off the key vector for a dense
+// table, encoded column-at-a-time for a hashed one — and the joined rows are
+// gathered into the worker's output vectors — left columns by index from the
+// probe batch, right columns from the build rows of the key's chain, through
+// the join's column map — and handed on as one batch. Rows with a NULL in any
+// key column are dropped, exactly like the row probe, and the output is in the
+// row probe's order: probe rows in input order, each row's matches in build
+// order, the residual applied per joined row.
 func (j *hashJoinOp) probeBatches(w int, next batchFn) batchFn {
 	ps := &j.probes[w]
 	return func(b *vec.Batch) error {
@@ -40,14 +41,34 @@ func (j *hashJoinOp) probeBatches(w int, next batchFn) batchFn {
 		for _, v := range right {
 			v.Reset()
 		}
-		keys := ps.enc.Encode(b, j.lcols)
+		// A dense table is probed with the key vector's own elements: an
+		// INTEGER vector's payload, any other's Values. Only a hashed table's
+		// keys are encoded.
+		var keys [][]byte
+		var kv *vec.Vector
+		ints := false
+		if j.table.dense {
+			kv = b.Cols[j.lcols[0]]
+			ints = kv.Kind() == value.KindInt && !kv.Mixed()
+		} else {
+			keys = ps.enc.Encode(b, j.lcols)
+		}
 		ps.lidx = ps.lidx[:0]
 		for i, n := 0, b.Len(); i < n; i++ {
 			if vec.NullAt(b, i, j.lcols) {
 				continue
 			}
 			phys := int32(b.Index(i))
-			for m := j.table.lookup(keys[i]).head; m >= 0; m = j.table.next[m] {
+			var matches joinChain
+			switch {
+			case ints:
+				matches = j.table.denseChain(kv.Int(int(phys)))
+			case kv != nil:
+				matches = j.table.denseMatch(kv.Value(int(phys)))
+			default:
+				matches = j.table.lookup(keys[i])
+			}
+			for m := matches.head; m >= 0; m = j.table.next[m] {
 				// A skewed key's chain can dominate the batch, so it ticks itself.
 				if err := j.gov.tick(); err != nil {
 					return err

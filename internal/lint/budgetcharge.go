@@ -9,14 +9,15 @@ import (
 // stateful operators: hash-join tables and aggregation state grow without
 // bound in the input size, so every function that calls a store's growth
 // step — the group table's appendGroup, the one place a group gets its id,
-// key bytes and accumulator states, and the join table's link, the one place
-// a build row joins a key's chain — must charge the governor's memory budget
-// in the same function. Both stores are shared by the row and the batch form
-// of a probe and of a group feed. A growth site in a function that never
-// calls charge means the query can blow past its MemoryBudget silently; the
-// oracle only catches that dynamically, and only when the budget happens to
-// be crossed under test. Sites that copy state already charged elsewhere
-// (the parallel merge step) carry an explicit //lint:ignore with the reason.
+// key bytes and accumulator states, and the join table's link and linkDense,
+// where a build row joins a key's chain in a hashed or a dense table — must
+// charge the governor's memory budget in the same function. Both stores are
+// shared by the row and the batch form of a probe and of a group feed. A
+// growth site in a function that never calls charge means the query can blow
+// past its MemoryBudget silently; the oracle only catches that dynamically,
+// and only when the budget happens to be crossed under test. Sites that copy
+// state already charged elsewhere (the parallel merge step) carry an explicit
+// //lint:ignore with the reason.
 var BudgetChargeAnalyzer = &Analyzer{
 	Name: "budgetcharge",
 	Doc:  "operator state growth (build rows linked into a join table, groups appended to a group table) must charge the memory budget in the same function",
@@ -88,6 +89,7 @@ func scopeCharges(body *ast.BlockStmt) bool {
 var growthSteps = map[[2]string]string{
 	{"groupTable", "appendGroup"}: "group appended to",
 	{"joinTable", "link"}:         "build row linked into",
+	{"joinTable", "linkDense"}:    "build row linked into",
 }
 
 // growthStep reports whether sel names a store's growth step, and how a
