@@ -30,7 +30,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden fil
 // testdata/<name>.golden.
 func analyzeGolden(t *testing.T, e *Engine, name, query string) {
 	t.Helper()
-	e.SetClock(obs.NewFakeClock(time.Unix(0, 0), time.Millisecond))
+	reconfigure(t, e, func(c *Config) { c.Clock = obs.NewFakeClock(time.Unix(0, 0), time.Millisecond) })
 	a, err := e.QueryAnalyzedContext(context.Background(), query, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func compareGolden(t *testing.T, name string, got []byte) {
 // Example 1 with the group-by pushed below the join (Figure 1, Plan 2).
 func TestExplainAnalyzeGoldenEager(t *testing.T) {
 	e := newExample1Engine(t)
-	e.SetMode(ModeAlways)
+	reconfigure(t, e, func(c *Config) { c.Mode = ModeAlways })
 	analyzeGolden(t, e, "analyze_eager", example1Query)
 }
 
@@ -73,7 +73,7 @@ func TestExplainAnalyzeGoldenEager(t *testing.T) {
 // (Figure 1, Plan 1): join first, group once at the top.
 func TestExplainAnalyzeGoldenLazy(t *testing.T) {
 	e := newExample1Engine(t)
-	e.SetMode(ModeNever)
+	reconfigure(t, e, func(c *Config) { c.Mode = ModeNever })
 	analyzeGolden(t, e, "analyze_lazy", example1Query)
 }
 
@@ -83,8 +83,10 @@ func TestExplainAnalyzeGoldenLazy(t *testing.T) {
 // row path's serial run never shows.
 func TestExplainAnalyzeGoldenEagerVectorized(t *testing.T) {
 	e := newExample1Engine(t)
-	e.SetMode(ModeAlways)
-	e.SetVectorize(true)
+	reconfigure(t, e, func(c *Config) {
+		c.Mode = ModeAlways
+		c.Vectorize = true
+	})
 	analyzeGolden(t, e, "analyze_eager_vectorized", example1Query)
 }
 
@@ -101,8 +103,10 @@ func TestExplainAnalyzeGoldenThreeTable(t *testing.T) {
 // fake clock makes every begin/end timestamp reproducible.
 func TestExplainAnalyzeGoldenTrace(t *testing.T) {
 	e := newExample1Engine(t)
-	e.SetMode(ModeAlways)
-	e.SetClock(obs.NewFakeClock(time.Unix(0, 0), time.Millisecond))
+	reconfigure(t, e, func(c *Config) {
+		c.Mode = ModeAlways
+		c.Clock = obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)
+	})
 	a, err := e.QueryAnalyzedContext(context.Background(), example1Query, nil)
 	if err != nil {
 		t.Fatal(err)

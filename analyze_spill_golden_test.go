@@ -40,9 +40,11 @@ func newSpillEngine(t *testing.T) *Engine {
 	if err := e.Exec(ddl.String()); err != nil {
 		t.Fatal(err)
 	}
-	e.SetMode(ModeNever)
-	e.SetMemoryBudget(512)
-	e.SetSpillDir(t.TempDir())
+	reconfigure(t, e, func(c *Config) {
+		c.Mode = ModeNever
+		c.MemoryBudget = 512
+		c.SpillDir = t.TempDir()
+	})
 	return e
 }
 

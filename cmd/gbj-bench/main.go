@@ -22,10 +22,10 @@
 //
 // Every number comes from a gbj.Engine over the experiment's store: the
 // standard plan under ModeNever, the transformed one under ModeAlways, the
-// cluster's two strategies under SetDistStrategy. Flag values are validated
-// up front, on a fresh engine: an unknown -exp id, -parallelism below -1 and
-// -nodes below 1 are rejected with an error (exit 2) instead of being dropped
-// or clamped silently.
+// cluster's two strategies under Config.DistStrategy. Flag values are
+// validated up front by gbj.Config.Validate: an unknown -exp id,
+// -parallelism below -1 and a negative -nodes or -mem-budget are rejected
+// with an error (exit 2) instead of being dropped or clamped silently.
 package main
 
 import (
@@ -45,10 +45,10 @@ import (
 )
 
 // knobs are the engine flags every experiment runs under: the executor
-// worker count (0 or 1 serial, n > 1 that many workers, negative one per
-// CPU), the columnar batch engine toggle, the per-execution operator-state
-// byte cap, and the simulated cluster of the distributed experiment (E12).
-var knobs = cliutil.EngineFlags{Nodes: 4}
+// worker count (0 or 1 serial, n > 1 that many workers, -1 one per CPU),
+// the columnar batch engine toggle, the per-execution operator-state byte
+// cap, and the simulated cluster of the distributed experiment (E12).
+var knobs = cliutil.EngineFlags{Config: gbj.Config{Nodes: 4}}
 
 // knobHelp names the engine flags the tool registers, with their help text.
 var knobHelp = map[string]string{
@@ -76,11 +76,11 @@ func measureCtx() (context.Context, context.CancelFunc) {
 // cluster experiment's engine gets -nodes; every other one runs single-site.
 func engineOn(store *storage.Store, cluster bool) (*gbj.Engine, error) {
 	e := gbj.NewWithStore(store)
-	set := knobs
+	cfg := knobs.Config
 	if !cluster {
-		set.Nodes = 1
+		cfg.Nodes = 0
 	}
-	return e, set.Apply(e)
+	return e, e.Configure(cfg)
 }
 
 // compareForward runs a forward comparison on an engine over store under
@@ -166,14 +166,14 @@ func main() {
 	flag.Parse()
 	want, err := parseExperiments(*expFlag)
 	if err == nil {
-		err = knobs.Apply(gbj.New())
+		_, err = knobs.Validate()
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gbj-bench:", err)
 		os.Exit(2)
 	}
 	if *jsonPath != "" {
-		record = &bench.File{Tool: "gbj-bench", Parallelism: knobs.Parallelism, Vectorize: knobs.Vectorize}
+		record = &bench.File{Tool: "gbj-bench", Parallelism: knobs.Config.Parallelism, Vectorize: knobs.Config.Vectorize}
 	}
 
 	failed := !runExperiments(want, *reps)
@@ -401,10 +401,10 @@ func runE8(reps int) error {
 // advantage collapses toward parity, the communication-cost twin of the
 // Figure 8 crossover.
 func runE12(reps int) error {
-	if knobs.Nodes < 2 {
-		return fmt.Errorf("E12 needs a cluster: pass -nodes 2 or more (got %d)", knobs.Nodes)
+	if knobs.Config.Nodes < 2 {
+		return fmt.Errorf("E12 needs a cluster: pass -nodes 2 or more (got %d)", knobs.Config.Nodes)
 	}
-	fmt.Fprintf(out, "cluster: %d nodes; fact table: 50000 rows\n\n", knobs.Nodes)
+	fmt.Fprintf(out, "cluster: %d nodes; fact table: 50000 rows\n\n", knobs.Config.Nodes)
 	fmt.Fprintf(out, "%-10s  %12s  %12s  %10s  %s\n",
 		"groups", "lazy_bytes", "eager_bytes", "reduction", "result rows")
 	for _, groups := range []int{10, 100, 1000, 10000, 50000} {
@@ -427,7 +427,7 @@ func runE12(reps int) error {
 		lazy, eager := c.Standard.CommBytes(), c.Transformed.CommBytes()
 		fmt.Fprintf(out, "%-10d  %12d  %12d  %9.2fx  %d\n",
 			groups, lazy, eager, float64(lazy)/float64(eager), c.Standard.OutRows)
-		addRecord("E12", fmt.Sprintf("groups=%d nodes=%d", groups, knobs.Nodes), c)
+		addRecord("E12", fmt.Sprintf("groups=%d nodes=%d", groups, knobs.Config.Nodes), c)
 	}
 	return nil
 }

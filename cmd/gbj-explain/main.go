@@ -64,7 +64,7 @@ func main() {
 	analyze := flag.Bool("analyze", false, "execute the chosen plan and annotate it with actual row counts, estimates and per-node q-errors (EXPLAIN ANALYZE)")
 	trace := flag.Bool("trace", false, "with -analyze output, also print the hierarchical operator span trace as JSON")
 	timeout := flag.Duration("timeout", 0, "deadline for -analyze execution (0 = none)")
-	knobs := cliutil.EngineFlags{Nodes: 1}
+	var knobs cliutil.EngineFlags
 	knobs.Register(flag.CommandLine, map[string]string{
 		"parallelism": "", "nodes": "", "link-retries": "",
 		"vectorize":  "read stored tables as columnar batches; -analyze shows per-operator batch counts (morsels)",
@@ -74,7 +74,11 @@ func main() {
 	flag.Parse()
 
 	engine := gbj.New()
-	if err := knobs.Apply(engine); err != nil {
+	cfg, err := knobs.Validate()
+	if err == nil {
+		err = engine.Configure(cfg)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "gbj-explain:", err)
 		os.Exit(2)
 	}

@@ -9,10 +9,11 @@
 //	gbj-server -addr :7432 -init seed.sql
 //	gbj-server -pool 268435456 -per-query 4194304 -max-sessions 128
 //
-// Flags are validated up front — a malformed -addr, a parallelism below -1,
-// and (by server.New, before -init runs) a negative -pool, -per-query,
-// -max-queue, -queue-timeout, -max-sessions or -plan-cache — and rejected
-// with exit 2, never clamped. SIGINT/SIGTERM trigger a graceful shutdown:
+// Flags are validated up front — a malformed -addr, a parallelism below -1
+// or a negative -mem-budget (gbj.Config.Validate), and (by server.New,
+// before -init runs) a negative -pool, -per-query, -max-queue,
+// -queue-timeout, -max-sessions or -plan-cache — and rejected with exit 2,
+// never clamped. SIGINT/SIGTERM trigger a graceful shutdown:
 // in-flight queries are cancelled through the server's root context,
 // connections drain, and the process exits once nothing is left running.
 //
@@ -58,7 +59,11 @@ func main() {
 	}
 
 	engine := gbj.New()
-	if err := knobs.Apply(engine); err != nil {
+	cfg, err := knobs.Validate()
+	if err == nil {
+		err = engine.Configure(cfg)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "gbj-server:", err)
 		os.Exit(2)
 	}

@@ -13,8 +13,8 @@
 // With -nodes above 1 the engine runs every query on a simulated cluster:
 // base tables are hash-partitioned across the nodes and plans ship rows
 // through byte-accounted exchange operators. Bad flag values — a
-// parallelism below -1, a node count below 1 — are rejected at startup
-// (exit 2), never clamped.
+// parallelism below -1, a negative node count or retry budget — are rejected
+// at startup by gbj.Config.Validate (exit 2), never clamped.
 //
 // Statements end with ';'. SELECTs print result tables; EXPLAIN SELECT
 // prints the optimizer's full decision (normalization, TestFD trace, both
@@ -45,6 +45,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -87,7 +88,7 @@ func queryContext() (context.Context, func()) {
 
 func main() {
 	file := flag.String("f", "", "run statements from a file, then exit")
-	knobs := cliutil.EngineFlags{Nodes: 1}
+	var knobs cliutil.EngineFlags
 	knobs.Register(flag.CommandLine, map[string]string{
 		"parallelism": "", "vectorize": "", "nodes": "", "link-retries": "",
 		"spill-dir": "directory for spill temp files; with a \\budget set, over-budget operators spill to disk instead of degrading (empty = spilling off)",
@@ -95,7 +96,11 @@ func main() {
 	connect := flag.String("connect", "", "URL of a running gbj-server (e.g. http://127.0.0.1:7432); the shell becomes a network client instead of embedding an engine")
 	flag.Parse()
 	engine := gbj.New()
-	if err := knobs.Apply(engine); err != nil {
+	cfg, err := knobs.Validate()
+	if err == nil {
+		err = engine.Configure(cfg)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "gbj-shell:", err)
 		os.Exit(2)
 	}
@@ -143,130 +148,132 @@ func main() {
 	fmt.Println(`type SQL ending with ';', or \quit`)
 	repl(os.Stdin, os.Stdout, os.Stderr, mode{
 		statement: func(stmt string) error { return runStatement(engine, stmt) },
-		command:   func(line string, fields []string) bool { return engineCommand(engine, line, fields) },
-		more:      "...> ",
+		command: func(line string, fields []string) bool {
+			return engineCommand(engine, os.Stdout, os.Stderr, line, fields)
+		},
+		more: "...> ",
 	})
 }
 
-// engineCommand executes a backslash command against the embedded engine;
-// false when there is no such command.
-func engineCommand(engine *gbj.Engine, line string, fields []string) bool {
+// engineCommand executes a backslash command against the embedded engine,
+// its replies to out and its errors to errOut; false when there is no such
+// command.
+func engineCommand(engine *gbj.Engine, out, errOut io.Writer, line string, fields []string) bool {
 	switch fields[0] {
 	case `\mode`:
-		if len(fields) != 2 {
-			fmt.Println(`usage: \mode cost|always|never`)
-			return true
+		modes := map[string]gbj.Mode{"cost": gbj.ModeCost, "always": gbj.ModeAlways, "never": gbj.ModeNever}
+		m, ok := modes[strings.Join(fields[1:], " ")]
+		if !ok {
+			fmt.Fprintln(out, `usage: \mode cost|always|never`)
+		} else if err := configure(engine, func(c *gbj.Config) { c.Mode = m }); err != nil {
+			fmt.Fprintln(errOut, "error:", err)
+		} else {
+			fmt.Fprintf(out, "optimizer mode: %v\n", m)
 		}
-		switch fields[1] {
-		case "cost":
-			engine.SetMode(gbj.ModeCost)
-		case "always":
-			engine.SetMode(gbj.ModeAlways)
-		case "never":
-			engine.SetMode(gbj.ModeNever)
-		default:
-			fmt.Println(`usage: \mode cost|always|never`)
-			return true
-		}
-		fmt.Printf("optimizer mode: %v\n", engine.Mode())
 	case `\tables`:
 		for _, obj := range engine.ListObjects() {
-			fmt.Println(obj)
+			fmt.Fprintln(out, obj)
 		}
 	case `\import`:
 		if len(fields) < 3 || len(fields) > 4 {
-			fmt.Println(`usage: \import file.csv table [hdr]`)
+			fmt.Fprintln(out, `usage: \import file.csv table [hdr]`)
 			return true
 		}
 		f, err := os.Open(fields[1])
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
+			fmt.Fprintln(errOut, "error:", err)
 			return true
 		}
 		defer f.Close()
 		header := len(fields) == 4 && fields[3] == "hdr"
 		n, err := engine.LoadCSV(fields[2], f, header)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
+			fmt.Fprintln(errOut, "error:", err)
 			return true
 		}
-		fmt.Printf("loaded %d rows into %s\n", n, fields[2])
-	case `\analyze`:
-		query := strings.TrimSpace(strings.TrimPrefix(line, `\analyze`))
+		fmt.Fprintf(out, "loaded %d rows into %s\n", n, fields[2])
+	case `\analyze`, `\stats`:
+		query := strings.TrimSpace(strings.TrimPrefix(line, fields[0]))
 		ctx, done := queryContext()
 		a, err := engine.QueryAnalyzedContext(ctx, strings.TrimSuffix(query, ";"), nil)
 		done()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
+			fmt.Fprintln(errOut, "error:", err)
 			return true
 		}
-		fmt.Println(a.String())
-	case `\stats`:
-		query := strings.TrimSpace(strings.TrimPrefix(line, `\stats`))
-		ctx, done := queryContext()
-		a, err := engine.QueryAnalyzedContext(ctx, strings.TrimSuffix(query, ";"), nil)
-		done()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			return true
+		if fields[0] == `\stats` {
+			printStats(out, a)
+		} else {
+			fmt.Fprintln(out, a.String())
 		}
-		printStats(a)
 	case `\budget`:
 		if len(fields) != 2 {
-			fmt.Println(`usage: \budget 64MB|off`)
-			return true
-		}
-		if fields[1] == "off" || fields[1] == "0" {
-			engine.SetMemoryBudget(0)
-			fmt.Println("memory budget is off")
+			fmt.Fprintln(out, `usage: \budget 64MB|off`)
 			return true
 		}
 		n, err := parseBytes(fields[1])
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			return true
+		if err == nil {
+			err = configure(engine, func(c *gbj.Config) { c.MemoryBudget = n })
 		}
-		engine.SetMemoryBudget(n)
-		fmt.Printf("memory budget: %d bytes per query\n", n)
+		switch {
+		case err != nil:
+			fmt.Fprintln(errOut, "error:", err)
+		case n == 0:
+			fmt.Fprintln(out, "memory budget is off")
+		default:
+			fmt.Fprintf(out, "memory budget: %d bytes per query\n", n)
+		}
 	case `\spill`:
 		if len(fields) != 2 {
-			fmt.Println(`usage: \spill dir|off`)
+			fmt.Fprintln(out, `usage: \spill dir|off`)
 			return true
 		}
-		if fields[1] == "off" {
-			engine.SetSpillDir("")
-			fmt.Println("spilling is off")
-			return true
+		dir := fields[1]
+		if dir == "off" {
+			dir = ""
 		}
-		engine.SetSpillDir(fields[1])
-		if engine.MemoryBudget() == 0 {
-			fmt.Printf("spill directory: %s (inactive until a \\budget is set)\n", fields[1])
-		} else {
-			fmt.Printf("spill directory: %s\n", fields[1])
+		switch err := configure(engine, func(c *gbj.Config) { c.SpillDir = dir }); {
+		case err != nil:
+			fmt.Fprintln(errOut, "error:", err)
+		case dir == "":
+			fmt.Fprintln(out, "spilling is off")
+		case engine.Config().MemoryBudget == 0:
+			fmt.Fprintf(out, "spill directory: %s (inactive until a \\budget is set)\n", dir)
+		default:
+			fmt.Fprintf(out, "spill directory: %s\n", dir)
 		}
 	case `\retries`:
+		if len(fields) > 2 {
+			fmt.Fprintln(out, `usage: \retries [n]`)
+			return true
+		}
 		if len(fields) == 2 {
 			n, err := strconv.Atoi(fields[1])
 			if err != nil {
-				fmt.Println(`usage: \retries [n]`)
+				fmt.Fprintln(out, `usage: \retries [n]`)
 				return true
 			}
-			if err := engine.SetLinkRetries(n); err != nil {
-				fmt.Fprintln(os.Stderr, "error:", err)
+			if err := configure(engine, func(c *gbj.Config) { c.LinkRetries = n }); err != nil {
+				fmt.Fprintln(errOut, "error:", err)
 				return true
 			}
-		} else if len(fields) > 2 {
-			fmt.Println(`usage: \retries [n]`)
-			return true
 		}
 		rc := engine.RecoveryCounters()
-		fmt.Printf("link retry budget: %d per shipment\n", engine.LinkRetries())
-		fmt.Printf("retries=%d redeliveries_dropped=%d failovers=%d degraded=%d\n",
+		fmt.Fprintf(out, "link retry budget: %d per shipment\n", engine.Config().LinkRetries)
+		fmt.Fprintf(out, "retries=%d redeliveries_dropped=%d failovers=%d degraded=%d\n",
 			rc.Retries, rc.RedeliveriesDropped, rc.Failovers, rc.Degraded)
 	default:
 		return false
 	}
 	return true
+}
+
+// configure configures engine with a copy of its configuration changed by
+// change; the error is Config.Validate's rejection.
+func configure(engine *gbj.Engine, change func(*gbj.Config)) error {
+	cfg := engine.Config()
+	change(&cfg)
+	return engine.Configure(cfg)
 }
 
 func runStatement(engine *gbj.Engine, stmt string) error {
@@ -280,8 +287,12 @@ func runStatement(engine *gbj.Engine, stmt string) error {
 	return err
 }
 
-// parseBytes reads a byte size with an optional KB/MB/GB (or K/M/G) suffix.
+// parseBytes reads a byte size with an optional KB/MB/GB (or K/M/G) suffix;
+// "off" is 0. Its range is the engine's: Configure rejects a negative size.
 func parseBytes(s string) (int64, error) {
+	if s == "off" {
+		return 0, nil
+	}
 	upper := strings.ToUpper(strings.TrimSpace(s))
 	mult := int64(1)
 	for _, u := range []struct {
@@ -294,30 +305,30 @@ func parseBytes(s string) (int64, error) {
 		}
 	}
 	n, err := strconv.ParseInt(strings.TrimSpace(upper), 10, 64)
-	if err != nil || n <= 0 {
+	if err != nil {
 		return 0, fmt.Errorf("bad size %q: want e.g. 65536, 64KB, 1MB", s)
 	}
 	return n * mult, nil
 }
 
-// printStats renders the per-operator metrics of an analyzed query as a
-// table: one line per plan node in pre-order, with cardinalities, wall
+// printStats renders the per-operator metrics of an analyzed query to out
+// as a table: one line per plan node in pre-order, with cardinalities, wall
 // time, hash-table shape, state size and morsel counts.
-func printStats(a *gbj.Analysis) {
+func printStats(out io.Writer, a *gbj.Analysis) {
 	width := len("operator")
 	for _, nc := range a.Calibration.Nodes {
 		if n := len(nc.Node.Describe()); n > width {
 			width = n
 		}
 	}
-	fmt.Printf("%-*s %9s %9s %12s %8s %8s %10s %8s\n",
+	fmt.Fprintf(out, "%-*s %9s %9s %12s %8s %8s %10s %8s\n",
 		width, "operator", "rows_in", "rows_out", "time", "build", "hits", "state_b", "morsels")
 	for _, nc := range a.Calibration.Nodes {
 		m := nc.Metrics
-		fmt.Printf("%-*s %9d %9d %12v %8d %8d %10d %8d\n",
+		fmt.Fprintf(out, "%-*s %9d %9d %12v %8d %8d %10d %8d\n",
 			width, nc.Node.Describe(), m.RowsIn, m.RowsOut, time.Duration(m.WallNanos),
 			m.BuildEntries, m.ProbeHits, m.StateBytes, m.Batches)
 	}
-	fmt.Printf("(%d rows)  workers=%d  max q-error: %.2f\n",
+	fmt.Fprintf(out, "(%d rows)  workers=%d  max q-error: %.2f\n",
 		len(a.Result.Rows), a.Metrics.Workers(), a.Calibration.MaxQError)
 }

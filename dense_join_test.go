@@ -43,9 +43,11 @@ func TestDenseJoinKeyDoubleProbe(t *testing.T) {
 			for _, vectorize := range []bool{false, true} {
 				for _, par := range []int{1, 2} {
 					name := fmt.Sprintf("mode=%v vectorize=%v par=%d: %s", mode, vectorize, par, q.text)
-					e.SetMode(mode)
-					e.SetVectorize(vectorize)
-					e.SetParallelism(par)
+					reconfigure(t, e, func(c *Config) {
+						c.Mode = mode
+						c.Vectorize = vectorize
+						c.Parallelism = par
+					})
 					a, err := e.QueryAnalyzedContext(context.Background(), q.text, nil)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)

@@ -1,6 +1,6 @@
 package gbj
 
-// Engine-level distributed tests: the public SetNodes surface, the
+// Engine-level distributed tests: the public Config.Nodes surface, the
 // local-vs-distributed equivalence through the full stack (parser,
 // optimizer, certificate translation, cluster execution), one cluster plan
 // per cached query, fallback-on-budget behavior, and the Section 7
@@ -71,13 +71,13 @@ func TestEngineDistributedOracle(t *testing.T) {
 			t.Fatalf("iteration %d local: %v\nquery: %s", i, err, query)
 		}
 		want := canonicalRows(local)
-		e.SetParallelism(1 + 3*r.Intn(2))
-		e.SetDistStrategy([]DistStrategy{DistAuto, DistEager, DistLazy}[r.Intn(3)])
-		e.SetVectorize(r.Intn(2) == 1)
+		reconfigure(t, e, func(c *Config) {
+			c.Parallelism = 1 + 3*r.Intn(2)
+			c.DistStrategy = []DistStrategy{DistAuto, DistEager, DistLazy}[r.Intn(3)]
+			c.Vectorize = r.Intn(2) == 1
+		})
 		for _, nodes := range []int{2, 4, 8} {
-			if err := e.SetNodes(nodes); err != nil {
-				t.Fatal(err)
-			}
+			reconfigure(t, e, func(c *Config) { c.Nodes = nodes })
 			got, err := e.QueryOptionsContext(context.Background(), query, nil)
 			if err != nil {
 				t.Fatalf("iteration %d nodes=%d: %v\nquery: %s", i, nodes, err, query)
@@ -93,19 +93,17 @@ func TestEngineDistributedOracle(t *testing.T) {
 	}
 }
 
-// TestEngineNodeShardValidation: the public setter rejects a bad node count
-// instead of clamping silently. The shard count is the cluster's own
-// (dist.NewCluster's default; TestNewClusterRejectsBadTopology).
+// TestEngineNodeShardValidation: Configure rejects a negative node count
+// instead of clamping silently, and takes 0, like 1, as single-site. The
+// shard count is the cluster's own (dist.NewCluster's default;
+// TestNewClusterRejectsBadTopology).
 func TestEngineNodeShardValidation(t *testing.T) {
 	e := New()
-	if err := e.SetNodes(0); err == nil {
-		t.Fatal("SetNodes(0) accepted")
+	if err := e.Configure(Config{Nodes: -2}); err == nil {
+		t.Fatal("Config{Nodes: -2} accepted")
 	}
-	if err := e.SetNodes(-2); err == nil {
-		t.Fatal("SetNodes(-2) accepted")
-	}
-	if err := e.SetNodes(4); err != nil {
-		t.Fatal(err)
+	for _, nodes := range []int{0, 1, 4} {
+		mustConfigure(t, e, Config{Nodes: nodes})
 	}
 }
 
@@ -119,14 +117,12 @@ func TestEngineDistributedEagerShipsFewer(t *testing.T) {
 		employees, departments = 1500, 30
 	}
 	e := example1Engine(t, employees, departments)
-	if err := e.SetNodes(4); err != nil {
-		t.Fatal(err)
-	}
+	reconfigure(t, e, func(c *Config) { c.Nodes = 4 })
 
 	shipped := map[DistStrategy]int64{}
 	var rows [][]string
 	for _, s := range []DistStrategy{DistEager, DistLazy} {
-		e.SetDistStrategy(s)
+		reconfigure(t, e, func(c *Config) { c.DistStrategy = s })
 		a, err := e.QueryAnalyzedContext(context.Background(), example1Query, nil)
 		if err != nil {
 			t.Fatalf("strategy %v: %v", s, err)
@@ -161,9 +157,7 @@ func TestEngineDistributedEagerShipsFewer(t *testing.T) {
 // distributed argument made operational.
 func TestEngineDistributedCostPrefersTransform(t *testing.T) {
 	e := example1Engine(t, 2000, 20)
-	if err := e.SetNodes(4); err != nil {
-		t.Fatal(err)
-	}
+	reconfigure(t, e, func(c *Config) { c.Nodes = 4 })
 	out, err := e.Explain(example1Query)
 	if err != nil {
 		t.Fatal(err)
@@ -178,10 +172,10 @@ func TestEngineDistributedCostPrefersTransform(t *testing.T) {
 // one tree, the root of the cached choice's cluster plan.
 func TestClusterRunsShareTheCachedPlan(t *testing.T) {
 	e := example1Engine(t, 2000, 20)
-	if err := e.SetNodes(4); err != nil {
-		t.Fatal(err)
-	}
-	e.SetDistStrategy(DistLazy)
+	reconfigure(t, e, func(c *Config) {
+		c.Nodes = 4
+		c.DistStrategy = DistLazy
+	})
 	var plans [2]algebra.Node
 	for i := range plans {
 		a, err := e.QueryAnalyzedContext(context.Background(), example1Query, nil)
@@ -210,9 +204,7 @@ func TestClusterRunsShareTheCachedPlan(t *testing.T) {
 // first distributed query must appear in subsequent distributed results.
 func TestEngineDistributedInsertInvalidatesCluster(t *testing.T) {
 	e := example1Engine(t, 50, 5)
-	if err := e.SetNodes(4); err != nil {
-		t.Fatal(err)
-	}
+	reconfigure(t, e, func(c *Config) { c.Nodes = 4 })
 	before, err := e.QueryOptionsContext(context.Background(), `SELECT COUNT(E.EmpID) FROM Employee E`, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -235,10 +227,10 @@ func TestEngineDistributedInsertInvalidatesCluster(t *testing.T) {
 func TestQueryOptionsBudgetHonouredDistributed(t *testing.T) {
 	for _, nodes := range []int{1, 4} {
 		e := example1Engine(t, 200, 8)
-		e.SetParallelism(4)
-		if err := e.SetNodes(nodes); err != nil {
-			t.Fatal(err)
-		}
+		reconfigure(t, e, func(c *Config) {
+			c.Parallelism = 4
+			c.Nodes = nodes
+		})
 		_, err := e.QueryOptionsContext(context.Background(), example1Query, &QueryOptions{MemoryBudget: 1})
 		var re *ResourceError
 		if !errors.As(err, &re) {
@@ -280,10 +272,10 @@ func (c *parkingClock) Now() time.Time {
 // insert, on a cluster rebuilt for the new epoch.
 func TestDistributedQueryDoesNotBlockWriter(t *testing.T) {
 	e := example1Engine(t, 200, 8)
-	if err := e.SetNodes(4); err != nil {
-		t.Fatal(err)
-	}
-	e.SetDistStrategy(DistEager)
+	reconfigure(t, e, func(c *Config) {
+		c.Nodes = 4
+		c.DistStrategy = DistEager
+	})
 	before, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +286,9 @@ func TestDistributedQueryDoesNotBlockWriter(t *testing.T) {
 	var once sync.Once
 	release := func() { once.Do(func() { close(clock.release) }) }
 	defer release()
-	e.SetFaultInjector(fault.NewLinkSchedule([]fault.Event{{Tick: 1, Kind: fault.LinkDelay}}).WithClock(clock))
+	reconfigure(t, e, func(c *Config) {
+		c.Faults = fault.NewLinkSchedule([]fault.Event{{Tick: 1, Kind: fault.LinkDelay}}).WithClock(clock)
+	})
 
 	type answer struct {
 		res *Result
@@ -333,14 +327,12 @@ func TestDistributedQueryDoesNotBlockWriter(t *testing.T) {
 		t.Fatal("parked query did not return its pre-insert rows")
 	}
 
-	e.SetFaultInjector(nil)
+	reconfigure(t, e, func(c *Config) { c.Faults = nil })
 	after, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SetNodes(1); err != nil {
-		t.Fatal(err)
-	}
+	reconfigure(t, e, func(c *Config) { c.Nodes = 1 })
 	local, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -356,9 +348,7 @@ func TestDistributedQueryDoesNotBlockWriter(t *testing.T) {
 // a budget or a fault injector, is dist's TestSitesAtOnceRule.)
 func TestSerialQueryRunsSitesInTurn(t *testing.T) {
 	e := example1Engine(t, 200, 8)
-	if err := e.SetNodes(4); err != nil {
-		t.Fatal(err)
-	}
+	reconfigure(t, e, func(c *Config) { c.Nodes = 4 })
 	q, err := parseSelect(example1Query)
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +358,7 @@ func TestSerialQueryRunsSitesInTurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := e.recoveryPolicy(p.set).Serial, o != nil && o.Serial; got != want {
+		if got, want := e.recoveryPolicy(&p).Serial, o != nil && o.Serial; got != want {
 			t.Errorf("options %+v: the cluster rung runs with Serial=%t, want %t", o, got, want)
 		}
 	}
@@ -381,10 +371,10 @@ func TestSerialQueryRunsSitesInTurn(t *testing.T) {
 // estimates are exact, and EXPLAIN ANALYZE has to say so.
 func TestClusterEstimatesCountTheSites(t *testing.T) {
 	e := example1Engine(t, 4000, 50)
-	if err := e.SetNodes(4); err != nil {
-		t.Fatal(err)
-	}
-	e.SetDistStrategy(DistEager)
+	reconfigure(t, e, func(c *Config) {
+		c.Nodes = 4
+		c.DistStrategy = DistEager
+	})
 	a, err := e.QueryAnalyzedContext(context.Background(), example1Query, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -417,9 +407,7 @@ func TestClusterEstimatesCountTheSites(t *testing.T) {
 // making.
 func TestRootGatherCountsItsRows(t *testing.T) {
 	e := example1Engine(t, 20, 4)
-	if err := e.SetNodes(4); err != nil {
-		t.Fatal(err)
-	}
+	reconfigure(t, e, func(c *Config) { c.Nodes = 4 })
 	a, err := e.QueryAnalyzedContext(context.Background(), `SELECT E.EmpID, D.Name FROM Employee E, Department D WHERE E.DeptID = D.DeptID`, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 package gbj
 
-// Engine-level fault-tolerance tests: the public SetLinkRetries /
-// SetFaultInjector / RecoveryCounters surface, retried distributed queries
+// Engine-level fault-tolerance tests: the public Config.LinkRetries /
+// Config.Faults / RecoveryCounters surface, retried distributed queries
 // returning exactly the local rows, graceful distributed→local degradation
 // when the cluster is unavailable, and the golden EXPLAIN ANALYZE output
 // showing the recovery counters under the fake clock.
@@ -27,10 +27,10 @@ func recoveryExample(t *testing.T) (*Engine, []string) {
 		t.Fatal(err)
 	}
 	want := canonicalRows(local)
-	if err := e.SetNodes(2); err != nil {
-		t.Fatal(err)
-	}
-	e.SetDistStrategy(DistEager)
+	reconfigure(t, e, func(c *Config) {
+		c.Nodes = 2
+		c.DistStrategy = DistEager
+	})
 	return e, want
 }
 
@@ -39,13 +39,11 @@ func recoveryExample(t *testing.T) (*Engine, []string) {
 // local oracle — and visible in the engine-lifetime recovery counters.
 func TestEngineRetriedQueryMatchesLocal(t *testing.T) {
 	e, want := recoveryExample(t)
-	if err := e.SetLinkRetries(3); err != nil {
-		t.Fatal(err)
-	}
+	reconfigure(t, e, func(c *Config) { c.LinkRetries = 3 })
 
 	// Probe the fault-free run to confirm the plan ships at all.
 	probe := fault.New(nil)
-	e.SetFaultInjector(probe)
+	reconfigure(t, e, func(c *Config) { c.Faults = probe })
 	res, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
 	if err != nil {
 		t.Fatalf("fault-free distributed run: %v", err)
@@ -59,10 +57,11 @@ func TestEngineRetriedQueryMatchesLocal(t *testing.T) {
 
 	// Two drops on the first shipment's first two attempts: budget 3
 	// absorbs them.
-	e.SetFaultInjector(fault.NewLinkSchedule([]fault.Event{
+	drops := fault.NewLinkSchedule([]fault.Event{
 		{Tick: 1, Kind: fault.LinkDrop},
 		{Tick: 2, Kind: fault.LinkDrop},
-	}).WithClock(obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)))
+	}).WithClock(obs.NewFakeClock(time.Unix(0, 0), time.Millisecond))
+	reconfigure(t, e, func(c *Config) { c.Faults = drops })
 	res, err = e.QueryOptionsContext(context.Background(), example1Query, nil)
 	if err != nil {
 		t.Fatalf("bounded drops inside the retry budget failed the query: %v", err)
@@ -73,7 +72,7 @@ func TestEngineRetriedQueryMatchesLocal(t *testing.T) {
 	if rc := e.RecoveryCounters(); rc.Retries == 0 {
 		t.Fatalf("two scheduled drops left the retry counter at zero: %+v", rc)
 	}
-	e.SetFaultInjector(nil)
+	reconfigure(t, e, func(c *Config) { c.Faults = nil })
 }
 
 // TestEngineDegradesToLocal: with retries disabled and a drop storm on the
@@ -82,14 +81,12 @@ func TestEngineRetriedQueryMatchesLocal(t *testing.T) {
 // oracle rows.
 func TestEngineDegradesToLocal(t *testing.T) {
 	e, want := recoveryExample(t)
-	if err := e.SetLinkRetries(0); err != nil {
-		t.Fatal(err)
-	}
+	reconfigure(t, e, func(c *Config) { c.LinkRetries = 0 })
 	storm := make([]fault.Event, 64)
 	for i := range storm {
 		storm[i] = fault.Event{Tick: int64(i + 1), Kind: fault.LinkDrop}
 	}
-	e.SetFaultInjector(fault.NewLinkSchedule(storm))
+	reconfigure(t, e, func(c *Config) { c.Faults = fault.NewLinkSchedule(storm) })
 	fallbacksBefore := e.Fallbacks()
 
 	res, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
@@ -106,7 +103,7 @@ func TestEngineDegradesToLocal(t *testing.T) {
 	if e.Fallbacks() <= fallbacksBefore {
 		t.Fatalf("Fallbacks() did not advance on degradation: %d -> %d", fallbacksBefore, e.Fallbacks())
 	}
-	e.SetFaultInjector(nil)
+	reconfigure(t, e, func(c *Config) { c.Faults = nil })
 }
 
 // TestEngineDegradedAnalyzeExplains: the same degradation through
@@ -115,14 +112,12 @@ func TestEngineDegradesToLocal(t *testing.T) {
 // cluster was abandoned.
 func TestEngineDegradedAnalyzeExplains(t *testing.T) {
 	e, want := recoveryExample(t)
-	if err := e.SetLinkRetries(0); err != nil {
-		t.Fatal(err)
-	}
+	reconfigure(t, e, func(c *Config) { c.LinkRetries = 0 })
 	storm := make([]fault.Event, 64)
 	for i := range storm {
 		storm[i] = fault.Event{Tick: int64(i + 1), Kind: fault.LinkDrop}
 	}
-	e.SetFaultInjector(fault.NewLinkSchedule(storm))
+	reconfigure(t, e, func(c *Config) { c.Faults = fault.NewLinkSchedule(storm) })
 
 	a, err := e.QueryAnalyzedContext(context.Background(), example1Query, nil)
 	if err != nil {
@@ -138,7 +133,7 @@ func TestEngineDegradedAnalyzeExplains(t *testing.T) {
 	if !a.Governance.Degraded {
 		t.Fatal("analysis governance does not record the degradation")
 	}
-	e.SetFaultInjector(nil)
+	reconfigure(t, e, func(c *Config) { c.Faults = nil })
 }
 
 // TestExplainAnalyzeGoldenRecovery pins the byte-exact EXPLAIN ANALYZE of
@@ -147,17 +142,15 @@ func TestEngineDegradedAnalyzeExplains(t *testing.T) {
 // identically on every host.
 func TestExplainAnalyzeGoldenRecovery(t *testing.T) {
 	e := newExample1Engine(t)
-	e.SetMode(ModeAlways)
-	if err := e.SetNodes(2); err != nil {
-		t.Fatal(err)
-	}
-	e.SetDistStrategy(DistEager)
-	if err := e.SetLinkRetries(2); err != nil {
-		t.Fatal(err)
-	}
-	e.SetFaultInjector(fault.NewLinkSchedule([]fault.Event{
-		{Tick: 1, Kind: fault.LinkDrop},
-		{Tick: 2, Kind: fault.LinkDrop},
-	}).WithClock(obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)))
+	mustConfigure(t, e, Config{
+		Mode:         ModeAlways,
+		Nodes:        2,
+		DistStrategy: DistEager,
+		LinkRetries:  2,
+		Faults: fault.NewLinkSchedule([]fault.Event{
+			{Tick: 1, Kind: fault.LinkDrop},
+			{Tick: 2, Kind: fault.LinkDrop},
+		}).WithClock(obs.NewFakeClock(time.Unix(0, 0), time.Millisecond)),
+	})
 	analyzeGolden(t, e, "analyze_recovery", example1Query)
 }

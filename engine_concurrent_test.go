@@ -22,7 +22,7 @@ import (
 
 func TestConcurrentEngineMixedTraffic(t *testing.T) {
 	e := New()
-	e.SetPlanCacheSize(64)
+	mustConfigure(t, e, Config{PlanCacheSize: 64})
 	e.MustExec(`CREATE TABLE kv (id INTEGER PRIMARY KEY, grp INTEGER, val INTEGER)`)
 	for i := 0; i < 16; i++ {
 		e.MustExec(fmt.Sprintf(`INSERT INTO kv VALUES (%d, %d, 2)`, i, i%4))
@@ -83,14 +83,18 @@ func TestConcurrentEngineMixedTraffic(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		base := e.Config()
 		for i := 0; i < 40; i++ {
-			e.SetVectorize(i%2 == 0)
-			e.SetParallelism(i % 3)
-			e.SetMode([]Mode{ModeCost, ModeAlways, ModeNever}[i%3])
+			cfg := base
+			cfg.Vectorize, cfg.Parallelism, cfg.Mode = i%2 == 0, i%3, []Mode{ModeCost, ModeAlways, ModeNever}[i%3]
+			if err := e.Configure(cfg); err != nil {
+				errs <- err
+				return
+			}
 		}
-		e.SetVectorize(false)
-		e.SetParallelism(0)
-		e.SetMode(ModeCost)
+		if err := e.Configure(base); err != nil {
+			errs <- err
+		}
 	}()
 	wg.Add(1)
 	go func() {
@@ -99,9 +103,7 @@ func TestConcurrentEngineMixedTraffic(t *testing.T) {
 			_ = e.Fallbacks()
 			_ = e.RecoveryCounters()
 			_ = e.PlanCacheStats()
-			_ = e.Mode()
-			_ = e.LinkRetries()
-			_ = e.MemoryBudget()
+			_ = e.Config()
 			_ = e.ListObjects()
 			if _, err := e.Explain(`SELECT COUNT(id), SUM(val) FROM kv`); err != nil {
 				errs <- fmt.Errorf("explain: %w", err)
@@ -203,9 +205,11 @@ func TestConcurrentSessionsShareOneShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewWithStore(store)
-	e.SetParallelism(4)
-	e.SetVectorize(true)
-	e.SetSpillDir(t.TempDir())
+	reconfigure(t, e, func(c *Config) {
+		c.Parallelism = 4
+		c.Vectorize = true
+		c.SpillDir = t.TempDir()
+	})
 	res, err := e.QueryOptionsContext(context.Background(), workload.Example1Query, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -234,10 +238,10 @@ func TestConcurrentSessionsShareOneClusterPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := NewWithStore(store)
-		e.SetParallelism(4)
-		if err := e.SetNodes(nodes); err != nil {
-			t.Fatal(err)
-		}
+		reconfigure(t, e, func(c *Config) {
+			c.Parallelism = 4
+			c.Nodes = nodes
+		})
 		return e
 	}
 	res, err := engineOn(1).QueryOptionsContext(context.Background(), workload.Example1Query, nil)

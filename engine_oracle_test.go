@@ -40,10 +40,12 @@ func TestEngineModeOracle(t *testing.T) {
 		var ref []string
 		refLabel := ""
 		for _, mode := range []Mode{ModeAlways, ModeNever, ModeCost} {
-			e.SetMode(mode)
+			reconfigure(t, e, func(c *Config) { c.Mode = mode })
 			for _, cfg := range engineConfigs {
-				e.SetVectorize(cfg.vectorize)
-				e.SetParallelism(cfg.parallelism)
+				reconfigure(t, e, func(c *Config) {
+					c.Vectorize = cfg.vectorize
+					c.Parallelism = cfg.parallelism
+				})
 				res, err := e.QueryOptionsContext(context.Background(), query, nil)
 				if err != nil {
 					t.Fatalf("iteration %d (mode %v, %s): %v\nquery: %s", i, mode, cfg.name, err, query)

@@ -68,8 +68,8 @@ func ExampleEngine_Explain() {
 	// answer: YES — FD1 and FD2 hold in the join result
 }
 
-// ExampleEngine_SetMode forces the standard plan for comparison runs.
-func ExampleEngine_SetMode() {
+// ExampleEngine_Configure forces each plan in turn for comparison runs.
+func ExampleEngine_Configure() {
 	e := gbj.New()
 	e.MustExec(`
 		CREATE TABLE D (id INTEGER PRIMARY KEY, name CHARACTER(10));
@@ -78,9 +78,9 @@ func ExampleEngine_SetMode() {
 		INSERT INTO E VALUES (10, 1), (11, 1)`)
 	const q = `SELECT D.id, COUNT(E.id) FROM E, D WHERE E.d = D.id GROUP BY D.id`
 
-	e.SetMode(gbj.ModeAlways) // group before join
+	_ = e.Configure(gbj.Config{Mode: gbj.ModeAlways}) // group before join
 	r1, _ := e.QueryOptionsContext(context.Background(), q, nil)
-	e.SetMode(gbj.ModeNever) // group after join
+	_ = e.Configure(gbj.Config{Mode: gbj.ModeNever}) // group after join
 	r2, _ := e.QueryOptionsContext(context.Background(), q, nil)
 	fmt.Println(len(r1.Rows) == len(r2.Rows))
 	// Output:
@@ -163,7 +163,7 @@ func printerEngine() *gbj.Engine {
 // this small the cost model would not bother, so ModeAlways makes it.
 func Example_example3() {
 	e := printerEngine()
-	e.SetMode(gbj.ModeAlways)
+	_ = e.Configure(gbj.Config{Mode: gbj.ModeAlways})
 	const query = `
 		SELECT U.UserId, U.UserName, SUM(A.Usage), MAX(P.Speed), MIN(P.Speed)
 		FROM UserAccount U, PrinterAuth A, Printer P
@@ -232,7 +232,7 @@ func Example_example5() {
 // below the join with Customer (ModeAlways: the data is too small to pay).
 func Example_derivedTable() {
 	e := gbj.New()
-	e.SetMode(gbj.ModeAlways)
+	_ = e.Configure(gbj.Config{Mode: gbj.ModeAlways})
 	e.MustExec(`
 		CREATE TABLE Customer (
 			CustID INTEGER,

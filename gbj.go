@@ -18,12 +18,14 @@
 //	    GROUP BY D.DeptID, D.Name`)
 //
 // The optimizer transparently evaluates the query with the group-by pushed
-// below the join whenever that is valid and the cost model prefers it; use
-// SetMode to force either plan, and Explain to see the normalization, the
-// TestFD trace, both plans with estimated cardinalities, and the decision.
+// below the join whenever that is valid and the cost model prefers it; set
+// Config.Mode (Configure) to force either plan, and use Explain to see the
+// normalization, the TestFD trace, both plans with estimated
+// cardinalities, and the decision.
 package gbj
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -73,7 +75,7 @@ type ResourceError = exec.ResourceError
 type ExecPanicError = exec.ExecPanicError
 
 // SpillError is the typed error a query returns when a disk failure
-// interrupts spill-to-disk execution (SetSpillDir) and no lazy fallback
+// interrupts spill-to-disk execution (Config.SpillDir) and no lazy fallback
 // plan is available; match it with errors.As. It names the operator and
 // spill stage and wraps the underlying I/O error — a failed spill never
 // yields partial results.
@@ -88,10 +90,10 @@ type Engine struct {
 	mu    sync.RWMutex
 	store *storage.Store
 	opt   *core.Optimizer
-	// set is the only copy of every engine setting. Guarded by mu and
-	// written only by update; a query copies it by value under the read
+	// cfg is the only copy of the engine's configuration. Guarded by mu and
+	// written only by Configure; a query copies it by value under the read
 	// lock and runs off the copy.
-	set       settings
+	cfg       Config
 	fallbacks atomic.Int64
 
 	// planCache memoizes plan selection keyed by the canonical query
@@ -112,37 +114,127 @@ type Engine struct {
 	recovery     dist.RecoveryStats
 }
 
-// settings is the engine's configuration: what plan selection reads plus
-// what only execution reads. QueryOptions overrides apply to a by-value
-// copy (with), never to the engine's own value.
-type settings struct {
-	mode        Mode
-	parallelism int
-	vectorize   bool
-	nodes       int // 0 and 1 both mean single-site
-	memBudget   int64
-	spillDir    string
-	clock       obs.Clock
-	linkRetries int
-	faults      *fault.Injector
-	// serial is QueryOptions.Serial, kept beside the worker count it zeroes
-	// because a cluster run sheds one thing more: its sites running at once.
-	serial bool
+// Config is the engine's configuration: what plan selection reads and what
+// only execution reads, in one value. The zero value of every field is its
+// default, so the zero Config is a new engine's. Configure sets it and
+// Config reads it; QueryOptions overrides one query's copy, never the
+// engine's.
+type Config struct {
+	// Mode selects how the optimizer uses the group-by pushdown: ModeCost
+	// (the default), ModeAlways or ModeNever.
+	Mode Mode
+	// Parallelism is the executor worker count: 0 or 1 run queries serially
+	// (the default), n > 1 runs n workers, and -1 one worker per CPU.
+	// Parallel execution is deterministic — it returns exactly the rows, in
+	// exactly the order, of a serial run. On a cluster (Nodes) it is the
+	// worker count of each fragment run; how many sites run at once is not
+	// set here or anywhere (see Nodes).
+	Parallelism int
+	// Vectorize selects the data representation of stored tables: off (the
+	// default) a scan hands its rows through the pipeline; on it hands the
+	// table's cached columnar batches of up to 1024 rows through vectorized
+	// filter, projection, hash-join probe and hash-aggregation kernels. Rows
+	// handed to a run stay rows: on a cluster every fragment reads its shard
+	// or its delivery in row form, so only a query the cluster degrades to a
+	// local run reads batches. Vectorized execution is deterministic — it
+	// returns exactly the rows, in exactly the order, of the row form — and
+	// composes with Parallelism and MemoryBudget.
+	Vectorize bool
+	// Nodes is the simulated cluster size queries run on: 0 or 1 (the
+	// default) executes single-site; n > 1 hash-partitions every base table
+	// across n nodes and executes queries with exchange operators
+	// (gbj_dist.go). The nodes work at the same time, as a cluster's sites
+	// do: min(n, GOMAXPROCS) of a fragment's per-node runs execute at once —
+	// one after another only for a Serial query, under a memory budget (every
+	// site's run is entitled to the whole of the query's one lease) or under
+	// a fault injector (its schedule is one sequence). The result is the same
+	// either way, row for row and byte for byte: each site's output is kept
+	// under its node number and rows move between sites in node order.
+	Nodes int
+	// DistStrategy is the distributed grouping strategy: DistAuto (the
+	// default), DistEager or DistLazy. Only plan selection reads it — the
+	// cost model compiles each plan for the cluster under it, and that
+	// compiled plan runs.
+	DistStrategy DistStrategy
+	// LinkRetries is the per-shipment retry budget of distributed execution:
+	// a failed link shipment is re-attempted up to n more times (exponential
+	// backoff with deterministic jitter, driven through Clock and bounded by
+	// the query context's deadline) before the node health tracker considers
+	// failover. 0 (the default) disables retries.
+	LinkRetries int
+	// MemoryBudget caps the bytes of operator state (hash tables, group
+	// tables, sort buffers) a single query may hold; 0 (the default) means
+	// unlimited. A query that would exceed the budget is aborted — but when
+	// the optimizer chose the eager group-before-join plan, the engine
+	// degrades gracefully: it re-executes the lazy group-after-join plan
+	// once (eager aggregation trades memory for speed; the lazy plan is the
+	// conservative shape), counts the event in Fallbacks, and surfaces it in
+	// the query's analysis (QueryAnalyzedContext). Only when the lazy plan
+	// also exceeds the budget does the query fail, with a *ResourceError.
+	MemoryBudget int64
+	// SpillDir enables graceful spill-to-disk execution: queries that would
+	// exceed MemoryBudget partition their state into temporary files under
+	// it (external merge sort, grace hash join, external aggregation) and
+	// complete with exactly the rows of an unbudgeted run, instead of failing
+	// with a *ResourceError. "" (the default) disables spilling. Spilling
+	// only engages when a memory budget is set; each query gets its own temp
+	// files, swept when the query returns. A disk failure during spilling
+	// surfaces as a *SpillError (or triggers the eager→lazy fallback when one
+	// is at hand), never as partial results.
+	SpillDir string
+	// PlanCacheSize bounds the plan cache to that many entries; 0 (the
+	// default) means defaultPlanCacheSize. A new size replaces the cache with
+	// an empty one; the cache is never off.
+	PlanCacheSize int
+	// Clock is the clock behind the timings that Analyze and the
+	// observability surfaces report, and behind link-retry backoff; nil (the
+	// default) is the wall clock. An obs.FakeClock makes analyze output
+	// fully deterministic — the golden tests rely on it.
+	Clock obs.Clock
+	// Faults is a deterministic fault schedule every query executes under —
+	// link faults drive the distributed retry/failover machinery, row-path
+	// faults the executor's containment; nil (the default) is none. This is
+	// the chaos-testing surface; it is how the golden EXPLAIN ANALYZE
+	// recovery output is produced under a FakeClock.
+	Faults *fault.Injector
 }
 
-// with returns the settings one query runs under: s with the per-query
-// overrides applied.
-func (s settings) with(o *QueryOptions) settings {
-	if o == nil {
-		return s
+// ConfigError is the error Validate returns: the Config field whose value
+// is out of range and the rule it breaks.
+type ConfigError struct {
+	Field string // the field's name, e.g. "MemoryBudget"
+	Value any
+	Rule  string
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("gbj: Config.%s %s, got %v", e.Field, e.Rule, e.Value)
+}
+
+// Validate reports the first field of c out of range, as a *ConfigError.
+// Every count and size keeps one rule: zero is its default and a negative
+// value is rejected, never clamped or read as another setting. The one
+// exception is Parallelism's -1, one worker per CPU. Mode and DistStrategy
+// must be one of their constants.
+func (c Config) Validate() error {
+	const atLeastZero = "must be >= 0"
+	switch {
+	case c.Mode > ModeNever:
+		return &ConfigError{"Mode", c.Mode, "must be ModeCost, ModeAlways or ModeNever"}
+	case c.Parallelism < -1:
+		return &ConfigError{"Parallelism", c.Parallelism, "must be -1 (one worker per CPU), 0 (serial) or a positive worker count"}
+	case c.Nodes < 0:
+		return &ConfigError{"Nodes", c.Nodes, atLeastZero}
+	case c.DistStrategy > DistLazy:
+		return &ConfigError{"DistStrategy", c.DistStrategy, "must be DistAuto, DistEager or DistLazy"}
+	case c.LinkRetries < 0:
+		return &ConfigError{"LinkRetries", c.LinkRetries, atLeastZero}
+	case c.MemoryBudget < 0:
+		return &ConfigError{"MemoryBudget", c.MemoryBudget, atLeastZero}
+	case c.PlanCacheSize < 0:
+		return &ConfigError{"PlanCacheSize", c.PlanCacheSize, atLeastZero}
 	}
-	if o.MemoryBudget > 0 {
-		s.memBudget = o.MemoryBudget
-	}
-	if o.Serial {
-		s.parallelism, s.vectorize, s.serial = 0, false, true
-	}
-	return s
+	return nil
 }
 
 // New returns an empty engine. Its optimizer verifies every plan it emits
@@ -164,102 +256,62 @@ func NewWithStore(store *storage.Store) *Engine {
 	return e
 }
 
-// update is the one way a setting changes: a write that applies set and
-// mirrors the fields the optimizer and cost model read into
-// core.Optimizer; one only they read is set there alone (SetDistStrategy).
-// The cached cluster needs no invalidation here: clusterFor compares its
-// node count and epoch on every use.
-func (e *Engine) update(set func(*settings)) {
-	e.write(nil, func() error {
-		set(&e.set)
-		e.opt.Mode = e.set.mode
-		e.opt.Parallelism = e.set.parallelism
-		e.opt.Vectorize = e.set.vectorize
-		e.opt.Nodes = e.set.nodes
+// Configure validates cfg and makes it the engine's configuration, in one
+// write: it empties the plan cache (every plan read the old configuration),
+// mirrors what plan selection reads — Mode, Parallelism, Vectorize, Nodes
+// and DistStrategy — into core.Optimizer, and replaces the plan cache only
+// when PlanCacheSize changed; PlanCacheStats' counters carry on. Queries
+// already running keep the configuration they started under. A rejected cfg
+// changes nothing. The cached cluster needs no invalidation here:
+// clusterFor compares its node count and epoch on every use.
+func (e *Engine) Configure(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	return e.write(nil, func() error {
+		if cfg.PlanCacheSize != e.cfg.PlanCacheSize {
+			e.planCache = core.NewPlanCache(cmp.Or(cfg.PlanCacheSize, defaultPlanCacheSize), &e.cacheStats)
+		}
+		e.cfg = cfg
+		e.opt.Mode, e.opt.Parallelism, e.opt.Vectorize, e.opt.Nodes, e.opt.DistStrategy =
+			cfg.Mode, cfg.Parallelism, cfg.Vectorize, cfg.Nodes, cfg.DistStrategy
 		return nil
 	})
 }
 
-// SetMode selects the optimizer mode.
-func (e *Engine) SetMode(m Mode) {
-	e.update(func(s *settings) { s.mode = m })
-}
-
-// Mode returns the current optimizer mode.
-func (e *Engine) Mode() Mode {
+// Config returns the engine's configuration. To change one field, change
+// it on this copy and pass the copy to Configure.
+func (e *Engine) Config() Config {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.set.mode
+	return e.cfg
 }
 
-// SetParallelism selects the executor worker count: 0 or 1 run queries
-// serially (the default), n > 1 runs n workers, and a negative value uses
-// one worker per CPU. Parallel execution is deterministic — it returns
-// exactly the rows, in exactly the order, of a serial run. On a cluster
-// (SetNodes) this is the worker count of each fragment run; how many sites
-// run at once is not set here or anywhere (see SetNodes).
-func (e *Engine) SetParallelism(n int) {
-	e.update(func(s *settings) { s.parallelism = n })
+// update configures the engine with its configuration changed by change:
+// the Set forwarders' path. A Configure between its read and its write is
+// lost, which the forwarders' one caller, benchmark setup, never races.
+func (e *Engine) update(change func(*Config)) error {
+	cfg := e.Config()
+	change(&cfg)
+	return e.Configure(cfg)
 }
 
-// SetVectorize selects the data representation of stored tables: off (the
-// default) a scan hands its rows through the pipeline; on it hands the
-// table's cached columnar batches of up to 1024 rows through vectorized
-// filter, projection, hash-join probe and hash-aggregation kernels. Rows
-// handed to a run stay rows: on a cluster (SetNodes) every fragment reads
-// its shard or its delivery in row form, so only a query the cluster
-// degrades to a local run reads batches. Vectorized execution is
-// deterministic — it returns exactly the rows, in exactly the order, of the
-// row form — and composes with SetParallelism and SetMemoryBudget.
-func (e *Engine) SetVectorize(on bool) {
-	e.update(func(s *settings) { s.vectorize = on })
+// SetParallelism sets Config.Parallelism. It remains only because
+// benchmark/run.go calls it; use Configure.
+func (e *Engine) SetParallelism(n int) error {
+	return e.update(func(c *Config) { c.Parallelism = n })
 }
 
-// SetMemoryBudget caps the bytes of operator state (hash tables, group
-// tables, sort buffers) a single query may hold; 0 (the default) means
-// unlimited. A query that would exceed the budget is aborted — but when the
-// optimizer chose the eager group-before-join plan, the engine degrades
-// gracefully: it re-executes the lazy group-after-join plan once (eager
-// aggregation trades memory for speed; the lazy plan is the conservative
-// shape), counts the event in Fallbacks, and surfaces it in the query's
-// analysis (QueryAnalyzedContext). Only when the lazy plan also exceeds the
-// budget does the query fail, with a *ResourceError.
-func (e *Engine) SetMemoryBudget(bytes int64) {
-	e.update(func(s *settings) { s.memBudget = bytes })
-}
-
-// MemoryBudget returns the per-query state-byte cap, 0 when unlimited.
-func (e *Engine) MemoryBudget() int64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.set.memBudget
-}
-
-// SetSpillDir enables graceful spill-to-disk execution: queries that would
-// exceed the memory budget partition their state into temporary files under
-// dir (external merge sort, grace hash join, external aggregation) and
-// complete with exactly the rows of an unbudgeted run, instead of failing
-// with a *ResourceError. "" (the default) disables spilling. Spilling only
-// engages when a memory budget is set; each query gets its own temp files,
-// swept when the query returns. A disk failure during spilling surfaces as
-// a *SpillError (or triggers the eager→lazy fallback when one is at hand),
-// never as partial results.
-func (e *Engine) SetSpillDir(dir string) {
-	e.update(func(s *settings) { s.spillDir = dir })
+// SetVectorize sets Config.Vectorize. It remains only because
+// benchmark/run.go calls it; use Configure.
+func (e *Engine) SetVectorize(on bool) error {
+	return e.update(func(c *Config) { c.Vectorize = on })
 }
 
 // Fallbacks reports how many queries degraded from the eager plan to the
 // lazy plan because the eager plan exceeded the memory budget.
 func (e *Engine) Fallbacks() int64 {
 	return e.fallbacks.Load()
-}
-
-// SetClock injects the clock behind the timings that Analyze and the
-// observability surfaces report; nil restores the wall clock. Injecting an
-// obs.FakeClock makes analyze output fully deterministic — the golden tests
-// rely on it.
-func (e *Engine) SetClock(c obs.Clock) {
-	e.update(func(s *settings) { s.clock = c })
 }
 
 // Result is a materialized query result with Go-native values: int64,
@@ -480,7 +532,7 @@ func (e *Engine) QueryContext(ctx context.Context, text string) (*Result, error)
 }
 
 // QueryOptions carries per-query execution options. The zero value means
-// "use the engine's settings".
+// "use the engine's configuration".
 type QueryOptions struct {
 	// Params are host-variable bindings (":name" references). Values may be
 	// int/int64, float64, string, bool, or nil.
@@ -500,7 +552,7 @@ type QueryOptions struct {
 }
 
 // QueryOptionsContext parses, optimizes and executes a SELECT with
-// per-query options (nil means the engine's settings). Plan selection
+// per-query options (nil means the engine's configuration). Plan selection
 // happens under the engine's read lock, through the plan cache; execution
 // then runs against a store snapshot — or, with more than one node, the
 // cluster partitioned from it — with the lock released, so concurrent DML
@@ -564,8 +616,11 @@ func (e *Engine) query(ctx context.Context, text string, q *sql.SelectStmt, o *Q
 // execution touches nothing else of the engine but its atomic counters, so
 // the lock is released before the first row moves.
 type prepared struct {
-	choice *core.Choice   // the query's plan-cache entry
-	set    settings       // the engine's settings with the query's overrides
+	choice *core.Choice // the query's plan-cache entry
+	cfg    Config       // the engine's configuration with the query's overrides
+	// serial is QueryOptions.Serial, kept beside the worker count it zeroes
+	// because a cluster run sheds one thing more: its sites running at once.
+	serial bool
 	store  *storage.Store // frozen snapshot: the query's stable view of the data
 	params expr.Params
 	// cluster is the partitioned materialization of the same data, non-nil
@@ -575,7 +630,7 @@ type prepared struct {
 }
 
 // prepare chooses the plan (through the plan cache) and captures the
-// query's settings, data snapshot and cluster, all under one read lock. A
+// query's configuration, data snapshot and cluster, all under one read lock. A
 // caller with the query's text passes it and a nil q: a text the cache knows
 // is served without a parse, and any other is parsed outside the lock, then
 // chosen and aliased (gbj_cache.go). A caller with only a parse passes q and
@@ -603,11 +658,18 @@ func (e *Engine) prepare(text string, q *sql.SelectStmt, o *QueryOptions, params
 }
 
 // capture is the rest of prepare once the query's cache entry is known: the
-// query's settings, snapshot and cluster. Caller holds e.mu.
+// query's configuration, snapshot and cluster. The query's overrides apply
+// to its copy of the configuration. Caller holds e.mu.
 func (e *Engine) capture(c *core.Choice, o *QueryOptions, params expr.Params) (prepared, error) {
 	var err error
-	p := prepared{choice: c, set: e.set.with(o), store: e.store.Snapshot(), params: params}
-	if p.set.nodes > 1 {
+	p := prepared{choice: c, cfg: e.cfg, store: e.store.Snapshot(), params: params}
+	if o != nil && o.MemoryBudget > 0 {
+		p.cfg.MemoryBudget = o.MemoryBudget
+	}
+	if o != nil && o.Serial {
+		p.cfg.Parallelism, p.cfg.Vectorize, p.serial = 0, false, true
+	}
+	if p.cfg.Nodes > 1 {
 		if p.cluster, err = e.clusterFor(); err != nil {
 			return prepared{}, err
 		}
@@ -651,7 +713,7 @@ func (e *Engine) run(ctx context.Context, p *prepared, instrument bool, sink Row
 	for {
 		var out outcome
 		if instrument {
-			out.col, out.tracer = obs.NewCollector(), obs.NewTracer(p.set.clock)
+			out.col, out.tracer = obs.NewCollector(), obs.NewTracer(p.cfg.Clock)
 			if degraded != "" {
 				out.col.SetDegraded(degraded)
 			}
@@ -691,13 +753,13 @@ func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome,
 		r = p.choice.Fallback
 	}
 	opts := p.execOptions(ctx, at, out)
-	if at == (attempt{}) && p.set.spillDir != "" && p.set.memBudget > 0 {
+	if at == (attempt{}) && p.cfg.SpillDir != "" && p.cfg.MemoryBudget > 0 {
 		// The first local rung spills under budget pressure instead of
 		// aborting; its temp files are swept when the rung returns. The
 		// lazy re-execution gets no manager: a spill failure must not retry
 		// through the same failing disk, and the lazy plan is the
 		// conservative in-memory shape either way.
-		mgr := storage.NewSpillManager(p.set.spillDir)
+		mgr := storage.NewSpillManager(p.cfg.SpillDir)
 		defer func() { _ = mgr.Cleanup() }()
 		opts.Spill = mgr
 	}
@@ -710,7 +772,7 @@ func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome,
 	if out.col != nil {
 		out.est = r.DistAnn()
 	}
-	res, err := p.cluster.RunRecover(r.Dist, opts, e.recoveryPolicy(p.set))
+	res, err := p.cluster.RunRecover(r.Dist, opts, e.recoveryPolicy(p))
 	if err != nil {
 		return err
 	}
@@ -726,7 +788,7 @@ func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome,
 }
 
 // execOptions builds the executor options of one rung from the query's
-// settings copy: the same options on every rung, local or cluster, but for
+// configuration copy: the same options on every rung, local or cluster, but for
 // operator spans, which only local rungs record (try adds the first local
 // rung's SpillManager). The cluster runner hands every (fragment, site) run a
 // copy with that site's Sources bound — rows, so a fragment runs in row form
@@ -736,13 +798,13 @@ func (e *Engine) try(ctx context.Context, p *prepared, at attempt, out *outcome,
 func (p *prepared) execOptions(ctx context.Context, at attempt, out *outcome) *exec.Options {
 	opts := &exec.Options{
 		Params:       p.params,
-		Parallelism:  p.set.parallelism,
-		Vectorize:    p.set.vectorize,
+		Parallelism:  p.cfg.Parallelism,
+		Vectorize:    p.cfg.Vectorize,
 		Context:      ctx,
-		MemoryBudget: p.set.memBudget,
+		MemoryBudget: p.cfg.MemoryBudget,
 		Metrics:      out.col,
-		Clock:        p.set.clock,
-		Faults:       p.set.faults,
+		Clock:        p.cfg.Clock,
+		Faults:       p.cfg.Faults,
 	}
 	if !at.dist {
 		opts.Trace = out.tracer

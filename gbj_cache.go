@@ -17,8 +17,8 @@ package gbj
 //     plan, and the text that reached it becomes an alias of the entry
 //     (core.PlanCache bounds the aliases and drops them with their entry).
 //
-// Every engine has the cache (at defaultPlanCacheSize entries until
-// SetPlanCacheSize resizes it), so every SELECT, EXPLAIN and script query is
+// Every engine has the cache (at defaultPlanCacheSize entries unless
+// Config.PlanCacheSize says otherwise), so every SELECT, EXPLAIN and script query is
 // planned through it: there is no uncached plan path.
 //
 // An entry is the *core.Choice itself: each plan it can run — the chosen one
@@ -36,27 +36,28 @@ package gbj
 //
 // What a plan depends on. Plan selection reads the catalog (names, keys,
 // constraints, views — TestFD's YES is a function of declared constraints
-// alone), the engine's settings (mode, workers, vectorization, nodes and
-// distributed strategy, which the cost model prices), and the statistics and
-// rows of the base tables the query reads — those its plans scan, views and
-// derived tables expanded, and those of the uncorrelated subqueries planning
-// runs (core.Choice.Tables) — and nothing else. So the keys need nothing more because of one invariant:
-// every engine write runs through Engine.write, which, before it releases the
-// write lock and on success and on error alike, drops every entry planned
-// from what the write may have changed. DDL and setters change the catalog or
-// the settings, which every plan reads: they empty the cache. DML and a CSV
-// load change the rows of the tables they name and nothing else: they drop
-// the entries that read one of those tables, and an entry over other tables
-// is still exactly the choice a fresh plan would make. Lookups and inserts
-// run under the read lock, so an entry is only ever planned against the
-// catalog, settings and data of its tables it is served under. Plans enter
-// the cache already verified (the optimizer's CheckPlans), so a hit executes
-// as is. Sharing cached plan trees, shapes and cluster plans across
-// concurrent sessions is safe: executions never mutate plan nodes, shapes or
-// cluster plans (under -race, TestConcurrentSessionsShareOneShape and
-// TestConcurrentSessionsShareOneClusterPlan run one cached shape and one
-// cached cluster plan from many sessions under settings of their own, and the
-// exec oracles one plan from many goroutines).
+// alone), the engine's configuration (mode, workers, vectorization, nodes
+// and distributed strategy, which the cost model prices), and the
+// statistics and rows of the base tables the query reads — those its plans
+// scan, views and derived tables expanded, and those of the uncorrelated
+// subqueries planning runs (core.Choice.Tables) — and nothing else. So the
+// keys need nothing more because of one invariant: every engine write runs
+// through Engine.write, which, before it releases the write lock and on
+// success and on error alike, drops every entry planned from what the write
+// may have changed. DDL and Configure change the catalog or the
+// configuration, which every plan reads: they empty the cache. DML and a
+// CSV load change the rows of the tables they name and nothing else: they
+// drop the entries that read one of those tables, and an entry over other
+// tables is still exactly the choice a fresh plan would make. Lookups and
+// inserts run under the read lock, so an entry is only ever planned against
+// the catalog, configuration and data of its tables it is served under.
+// Plans enter the cache already verified (the optimizer's CheckPlans), so a
+// hit executes as is. Sharing cached plan trees, shapes and cluster plans
+// across concurrent sessions is safe: executions never mutate plan nodes,
+// shapes or cluster plans (under -race, TestConcurrentSessionsShareOneShape
+// and TestConcurrentSessionsShareOneClusterPlan run one cached shape and one
+// cached cluster plan from many sessions under configurations of their own,
+// and the exec oracles one plan from many goroutines).
 
 import (
 	"repro/internal/core"
@@ -65,24 +66,12 @@ import (
 )
 
 // defaultPlanCacheSize is the plan cache's capacity in entries, that of
-// every new engine and of SetPlanCacheSize(0).
+// every new engine and of Config.PlanCacheSize 0.
 const defaultPlanCacheSize = 256
-
-// SetPlanCacheSize bounds the engine's plan cache to n entries; n <= 0
-// restores the default (defaultPlanCacheSize). Resizing drops all cached
-// entries; the cache is never off.
-func (e *Engine) SetPlanCacheSize(n int) {
-	if n <= 0 {
-		n = defaultPlanCacheSize
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.planCache = core.NewPlanCache(n, &e.cacheStats)
-}
 
 // PlanCacheStats returns the engine-lifetime plan-cache counters: hits,
 // misses, LRU evictions and invalidations (writes that dropped plans). The
-// counters survive SetPlanCacheSize.
+// counters survive a change of Config.PlanCacheSize.
 func (e *Engine) PlanCacheStats() obs.CacheSnapshot {
 	return e.cacheStats.Snapshot()
 }
@@ -92,7 +81,7 @@ func (e *Engine) PlanCacheStats() obs.CacheSnapshot {
 // every plan when tables is nil — whether fn succeeded or not: a statement
 // that failed after an earlier one landed has still changed what a plan may
 // assume. A write passes the tables whose rows it changes, and nil when it
-// changes the catalog or a setting, or cannot say what it changes.
+// changes the catalog or the configuration, or cannot say what it changes.
 func (e *Engine) write(tables []string, fn func() error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

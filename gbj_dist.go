@@ -1,18 +1,17 @@
 // Distributed execution surface of the engine: a simulated multi-node
-// cluster (package dist) behind SetNodes/SetDistStrategy. With more than one
-// node configured, queries run on the cluster — base tables read from
-// hash-partitioned shards, exchanges move rows over byte-accounted links.
-// The cost model compiles each candidate plan for the cluster to price what
-// it ships, so the group-before-join choice accounts for communication (the
-// paper's Section 7 distributed argument), and the compiled plan it priced
-// is the one that runs (core.Runnable.Dist).
+// cluster (package dist) behind Config.Nodes and Config.DistStrategy. With
+// more than one node configured, queries run on the cluster — base tables
+// read from hash-partitioned shards, exchanges move rows over byte-accounted
+// links. The cost model compiles each candidate plan for the cluster to
+// price what it ships, so the group-before-join choice accounts for
+// communication (the paper's Section 7 distributed argument), and the
+// compiled plan it priced is the one that runs (core.Runnable.Dist).
 package gbj
 
 import (
 	"fmt"
 
 	"repro/internal/dist"
-	"repro/internal/fault"
 )
 
 // DistStrategy selects how grouping over partitioned tables ships data:
@@ -32,37 +31,6 @@ const (
 // engine recovers from it by degrading to local execution; it surfaces to
 // callers only when that local re-run is impossible.
 type UnavailableError = dist.UnavailableError
-
-// SetLinkRetries sets the per-shipment retry budget of distributed
-// execution: a failed link shipment is re-attempted up to n more times
-// (exponential backoff with deterministic jitter, driven through the
-// injected clock and bounded by the query context's deadline) before the
-// node health tracker considers failover. 0 (the default) disables
-// retries. Negative values are rejected.
-func (e *Engine) SetLinkRetries(n int) error {
-	if n < 0 {
-		return fmt.Errorf("gbj: link retry budget must be at least 0, got %d", n)
-	}
-	e.update(func(s *settings) { s.linkRetries = n })
-	return nil
-}
-
-// LinkRetries returns the configured per-shipment link retry budget.
-func (e *Engine) LinkRetries() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.set.linkRetries
-}
-
-// SetFaultInjector installs a deterministic fault schedule every
-// subsequent query executes under — link faults drive the distributed
-// retry/failover machinery, row-path faults the executor's containment.
-// nil (the default) removes it. This is the chaos-testing surface; it is
-// how the golden EXPLAIN ANALYZE recovery output is produced under
-// FakeClock.
-func (e *Engine) SetFaultInjector(inj *fault.Injector) {
-	e.update(func(s *settings) { s.faults = inj })
-}
 
 // RecoveryCounters is a snapshot of the engine-lifetime fault-recovery
 // totals across every distributed query (the \retries shell command
@@ -91,29 +59,10 @@ func (e *Engine) RecoveryCounters() RecoveryCounters {
 	}
 }
 
-// SetNodes selects the simulated cluster size queries run on: 1 (the
-// default) executes single-site; n > 1 hash-partitions every base table
-// across n nodes and executes queries with exchange operators. The nodes
-// work at the same time, as a cluster's sites do: min(n, GOMAXPROCS) of a
-// fragment's per-node runs execute at once — one after another only for a
-// Serial query, under a memory budget (every site's run is entitled to the
-// whole of the query's one lease) or under a fault injector (its schedule
-// is one sequence). The result is the same either way, row for row and
-// byte for byte: each site's output is kept under its node number and rows
-// move between sites in node order. Values below 1 are rejected.
+// SetNodes sets Config.Nodes. It remains only because benchmark/run.go
+// calls it; use Configure.
 func (e *Engine) SetNodes(n int) error {
-	if n < 1 {
-		return fmt.Errorf("gbj: node count must be at least 1, got %d", n)
-	}
-	e.update(func(s *settings) { s.nodes = n })
-	return nil
-}
-
-// SetDistStrategy selects the distributed grouping strategy. Only plan
-// selection reads it — the cost model compiles each plan for the cluster
-// under it, and that compiled plan runs — so it lives on the optimizer alone.
-func (e *Engine) SetDistStrategy(st DistStrategy) {
-	e.update(func(*settings) { e.opt.DistStrategy = st })
+	return e.update(func(c *Config) { c.Nodes = n })
 }
 
 // clusterFor returns the cluster for the current node count and data,
@@ -125,7 +74,7 @@ func (e *Engine) SetDistStrategy(st DistStrategy) {
 func (e *Engine) clusterFor() (*dist.Cluster, error) {
 	e.distMu.Lock()
 	defer e.distMu.Unlock()
-	nodes := e.set.nodes
+	nodes := e.cfg.Nodes
 	if cl := e.cluster; cl != nil && cl.Nodes() == nodes && e.clusterEpoch == e.store.Epoch() {
 		return cl, nil
 	}
@@ -137,15 +86,15 @@ func (e *Engine) clusterFor() (*dist.Cluster, error) {
 	return cl, nil
 }
 
-// recoveryPolicy assembles the fault-tolerance policy a distributed rung
-// executes under: the retry budget, the engine-lifetime counter aggregate
+// recoveryPolicy assembles the fault-tolerance policy a distributed rung of
+// p executes under: the retry budget, the engine-lifetime counter aggregate
 // and whether the query is Serial (its sites then run one after another,
 // dist's sitesAtOnce rule). Backoff reads the rung's exec.Options.Clock.
-func (e *Engine) recoveryPolicy(s settings) *dist.Recovery {
+func (e *Engine) recoveryPolicy(p *prepared) *dist.Recovery {
 	return &dist.Recovery{
-		LinkRetries: s.linkRetries,
+		LinkRetries: p.cfg.LinkRetries,
 		Stats:       &e.recovery,
-		Serial:      s.serial,
+		Serial:      p.serial,
 	}
 }
 

@@ -16,6 +16,23 @@ import (
 	"repro/internal/workload"
 )
 
+// mustConfigure configures e as cfg, failing t on a rejection.
+func mustConfigure(t testing.TB, e *Engine, cfg Config) {
+	t.Helper()
+	if err := e.Configure(cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// reconfigure configures e with its configuration changed by change,
+// failing t on a rejection.
+func reconfigure(t testing.TB, e *Engine, change func(*Config)) {
+	t.Helper()
+	cfg := e.Config()
+	change(&cfg)
+	mustConfigure(t, e, cfg)
+}
+
 // newExample1Engine builds the paper's Example 1 database via the SQL API.
 func newExample1Engine(t testing.TB) *Engine {
 	t.Helper()
@@ -50,7 +67,7 @@ const example1Query = `
 func TestEngineExample1(t *testing.T) {
 	e := newExample1Engine(t)
 	for _, mode := range []Mode{ModeCost, ModeAlways, ModeNever} {
-		e.SetMode(mode)
+		reconfigure(t, e, func(c *Config) { c.Mode = mode })
 		res, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
@@ -66,8 +83,8 @@ func TestEngineExample1(t *testing.T) {
 			t.Errorf("mode %v: counts = %v", mode, counts)
 		}
 	}
-	if e.Mode() != ModeNever {
-		t.Errorf("Mode() = %v after SetMode(ModeNever)", e.Mode())
+	if got := e.Config().Mode; got != ModeNever {
+		t.Errorf("Config().Mode = %v after configuring ModeNever", got)
 	}
 }
 
@@ -86,11 +103,9 @@ func TestEngineRefusesUnprovenRewrite(t *testing.T) {
 		CREATE TABLE R2 (d INTEGER, e INTEGER);
 		INSERT INTO R1 VALUES (1, 10);
 		INSERT INTO R2 VALUES (1, 1), (1, 2)`)
-	e.SetMode(ModeAlways)
+	reconfigure(t, e, func(c *Config) { c.Mode = ModeAlways })
 	for _, nodes := range []int{1, 2} {
-		if err := e.SetNodes(nodes); err != nil {
-			t.Fatal(err)
-		}
+		reconfigure(t, e, func(c *Config) { c.Nodes = nodes })
 		res, err := e.QueryOptionsContext(context.Background(), `SELECT R1.a, SUM(R1.c) FROM R1, R2 WHERE R1.a = R2.d GROUP BY R1.a`, nil)
 		if err == nil {
 			t.Fatalf("nodes=%d: the unproven rewrite ran and returned %v", nodes, res.Rows)
@@ -126,9 +141,9 @@ func TestEngineExplainForward(t *testing.T) {
 // engine in ModeCost.
 func explainIsWhatRuns(t *testing.T, e *Engine, q string) {
 	t.Helper()
-	defer e.SetMode(ModeCost)
+	defer reconfigure(t, e, func(c *Config) { c.Mode = ModeCost })
 	for _, mode := range []Mode{ModeCost, ModeAlways, ModeNever} {
-		e.SetMode(mode)
+		reconfigure(t, e, func(c *Config) { c.Mode = mode })
 		text, err := e.Explain(q)
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
@@ -262,7 +277,7 @@ func TestEngineViewsAndReverse(t *testing.T) {
 	}
 
 	// ModeNever skips the reverse analysis too (pure materialization).
-	e.SetMode(ModeNever)
+	reconfigure(t, e, func(c *Config) { c.Mode = ModeNever })
 	res2, err := e.QueryOptionsContext(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -412,19 +427,15 @@ func TestQueryStreamIsQueryUnboxed(t *testing.T) {
 	}
 	for _, set := range []struct {
 		name string
-		set  func(e *Engine)
+		cfg  Config
 	}{
-		{"par1", func(e *Engine) {}},
-		{"par4", func(e *Engine) { e.SetParallelism(4) }},
-		{"vectorized-par4", func(e *Engine) { e.SetVectorize(true); e.SetParallelism(4) }},
-		{"nodes4", func(e *Engine) {
-			if err := e.SetNodes(4); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		{"par1", Config{}},
+		{"par4", Config{Parallelism: 4}},
+		{"vectorized-par4", Config{Vectorize: true, Parallelism: 4}},
+		{"nodes4", Config{Nodes: 4}},
 	} {
 		e := NewWithStore(store)
-		set.set(e)
+		mustConfigure(t, e, set.cfg)
 		for i, q := range queries {
 			boxed, err := e.QueryOptionsContext(context.Background(), q, nil)
 			if err != nil {
@@ -468,17 +479,19 @@ func TestStreamRestartsPerRung(t *testing.T) {
 	ctx := context.Background()
 	q := workload.SweepQueryGroupByDim + ` ORDER BY Label DESC`
 	e := NewWithStore(store)
-	e.SetMode(ModeNever)
+	reconfigure(t, e, func(c *Config) { c.Mode = ModeNever })
 	want, err := e.QueryOptionsContext(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetMode(ModeAlways)
-	e.SetMemoryBudget(500_000)
-	e.SetSpillDir(t.TempDir())
+	reconfigure(t, e, func(c *Config) {
+		c.Mode = ModeAlways
+		c.MemoryBudget = 500_000
+		c.SpillDir = t.TempDir()
+	})
 	stream := func(inj *fault.Injector) *collectSink {
 		t.Helper()
-		e.SetFaultInjector(inj)
+		reconfigure(t, e, func(c *Config) { c.Faults = inj })
 		var sink collectSink
 		if err := e.QueryStreamContext(ctx, q, nil, &sink); err != nil {
 			t.Fatal(err)

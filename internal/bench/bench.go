@@ -210,15 +210,15 @@ func (c *Comparison) verified(what string) (*Comparison, error) {
 // Picked is the engine's own ModeCost choice, and the run that reveals it
 // counts as a repetition of the plan it picked. The engine's budget
 // fallback applies: an over-budget eager repetition re-runs as the lazy
-// plan and counts in Fallbacks. e is left in ModeCost.
+// plan and counts in Fallbacks. e's configuration is restored on return.
 func CompareForward(ctx context.Context, e *gbj.Engine, query string, reps int) (*Comparison, error) {
 	c := &Comparison{
 		Query:       query,
 		Standard:    &PlanRun{Label: "standard (group after join)"},
 		Transformed: &PlanRun{Label: "transformed (group before join)"},
 	}
-	defer e.SetMode(gbj.ModeCost)
-	e.SetMode(gbj.ModeCost)
+	defer e.Configure(e.Config()) // gives back the caller's configuration, valid as Config returned it
+	reconfigure(e, func(c *gbj.Config) { c.Mode = gbj.ModeCost })
 	a, d, err := analyze(ctx, e, query)
 	if err != nil {
 		return nil, err
@@ -229,11 +229,11 @@ func CompareForward(ctx context.Context, e *gbj.Engine, query string, reps int) 
 		c.Picked, picked = "transformed", c.Transformed
 	}
 	picked.add(a, d)
-	e.SetMode(gbj.ModeNever)
+	reconfigure(e, func(c *gbj.Config) { c.Mode = gbj.ModeNever })
 	if err := c.Standard.repeat(ctx, e, query, reps); err != nil {
 		return nil, err
 	}
-	e.SetMode(gbj.ModeAlways)
+	reconfigure(e, func(c *gbj.Config) { c.Mode = gbj.ModeAlways })
 	for c.Transformed != nil && c.Transformed.reps < max(reps, 1) {
 		a, d, err := analyze(ctx, e, query)
 		if err != nil {
@@ -251,15 +251,16 @@ func CompareForward(ctx context.Context, e *gbj.Engine, query string, reps int) 
 // CompareReverse measures the Section 8 experiment on e: the nested query
 // over an aggregated view (materialize the view, then join) against flat,
 // its merged single-block form (join first, group once), both under
-// ModeNever so each runs as written. e is left in ModeCost.
+// ModeNever so each runs as written. e's configuration is restored on
+// return.
 func CompareReverse(ctx context.Context, e *gbj.Engine, nested, flat string, reps int) (*Comparison, error) {
 	c := &Comparison{
 		Query:       nested,
 		Standard:    &PlanRun{Label: "nested (materialize view, then join)"},
 		Transformed: &PlanRun{Label: "flat (join before group-by)"},
 	}
-	defer e.SetMode(gbj.ModeCost)
-	e.SetMode(gbj.ModeNever)
+	defer e.Configure(e.Config()) // gives back the caller's configuration, valid as Config returned it
+	reconfigure(e, func(c *gbj.Config) { c.Mode = gbj.ModeNever })
 	if err := c.Standard.repeat(ctx, e, nested, reps); err != nil {
 		return nil, err
 	}
@@ -269,27 +270,36 @@ func CompareReverse(ctx context.Context, e *gbj.Engine, nested, flat string, rep
 	return c.verified("reverse plans")
 }
 
-// CompareDistributed measures query on e's cluster (SetNodes) under the
+// CompareDistributed measures query on e's cluster (Config.Nodes) under the
 // lazy shipping strategy (ship every detail row to the coordinator) and the
 // eager one (pre-aggregate per node, ship one row per local group): the
 // engine's chosen plan, compiled with its estimates, verified, and run under
-// its recovery policy. e is left on DistAuto.
+// its recovery policy. e's configuration is restored on return.
 func CompareDistributed(ctx context.Context, e *gbj.Engine, query string, reps int) (*Comparison, error) {
 	c := &Comparison{
 		Query:       query,
 		Standard:    &PlanRun{Label: "lazy (ship detail rows)"},
 		Transformed: &PlanRun{Label: "eager (pre-aggregate per node)"},
 	}
-	defer e.SetDistStrategy(gbj.DistAuto)
-	e.SetDistStrategy(gbj.DistLazy)
+	defer e.Configure(e.Config()) // gives back the caller's configuration, valid as Config returned it
+	reconfigure(e, func(c *gbj.Config) { c.DistStrategy = gbj.DistLazy })
 	if err := c.Standard.repeat(ctx, e, query, reps); err != nil {
 		return nil, err
 	}
-	e.SetDistStrategy(gbj.DistEager)
+	reconfigure(e, func(c *gbj.Config) { c.DistStrategy = gbj.DistEager })
 	if err := c.Transformed.repeat(ctx, e, query, reps); err != nil {
 		return nil, err
 	}
 	return c.verified("distributed strategies")
+}
+
+// reconfigure changes e's configuration by change, which sets its Mode or
+// DistStrategy to one of their constants: a change Config.Validate accepts,
+// so Configure cannot fail.
+func reconfigure(e *gbj.Engine, change func(*gbj.Config)) {
+	cfg := e.Config()
+	change(&cfg)
+	_ = e.Configure(cfg)
 }
 
 // Table renders the comparison in the shape of the paper's plan-diagram

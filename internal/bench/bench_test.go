@@ -254,3 +254,51 @@ func TestSweepWorkloads(t *testing.T) {
 		t.Error("fact-grouped sweep unexpectedly transformable (GroupID does not determine DimID)")
 	}
 }
+
+// TestComparisonsRestoreTheConfig: each comparison changes the mode or the
+// shipping strategy only while it measures, and gives the engine back the
+// configuration the caller had, not the defaults.
+func TestComparisonsRestoreTheConfig(t *testing.T) {
+	employees := func() (*storage.Store, error) { return workload.EmployeeDepartment(200, 10) }
+	printers := func() (*storage.Store, error) {
+		store, err := workload.Printers(workload.PrinterParams{
+			Users: 50, Machines: 5, Printers: 10, AuthsPerUser: 2, Seed: 7,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return store, workload.RegisterUserInfoView(store)
+	}
+	ctx := context.Background()
+	for _, run := range []struct {
+		name    string
+		store   func() (*storage.Store, error)
+		compare func(e *gbj.Engine) (*Comparison, error)
+	}{
+		{"CompareForward", employees, func(e *gbj.Engine) (*Comparison, error) {
+			return CompareForward(ctx, e, workload.Example1Query, 1)
+		}},
+		{"CompareReverse", printers, func(e *gbj.Engine) (*Comparison, error) {
+			return CompareReverse(ctx, e, workload.Example5Query, workload.Example5FlatQuery, 1)
+		}},
+		{"CompareDistributed", employees, func(e *gbj.Engine) (*Comparison, error) {
+			return CompareDistributed(ctx, e, workload.Example1Query, 1)
+		}},
+	} {
+		store, err := run.store()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := gbj.NewWithStore(store)
+		want := gbj.Config{Mode: gbj.ModeNever, DistStrategy: gbj.DistEager, Nodes: 2}
+		if err := e.Configure(want); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := run.compare(e); err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if got := e.Config(); got != want {
+			t.Errorf("%s left the engine configured %+v, want the caller's %+v", run.name, got, want)
+		}
+	}
+}

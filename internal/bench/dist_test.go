@@ -45,7 +45,7 @@ func TestCompareDistributedCommBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := gbj.NewWithStore(store)
-	if err := e.SetNodes(4); err != nil {
+	if err := e.Configure(gbj.Config{Nodes: 4}); err != nil {
 		t.Fatal(err)
 	}
 	c, err := CompareDistributed(context.Background(), e, workload.Example1Query, 1)

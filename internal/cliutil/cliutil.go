@@ -1,38 +1,37 @@
 // Package cliutil declares and validates the flags shared by the gbj
 // command-line tools (gbj-shell, gbj-explain, gbj-bench, gbj-server). The
-// tools reject bad topology and worker counts up front with a clear message
-// instead of clamping silently — a typo like -nodes 0 or -parallelism -4 would
-// otherwise run a subtly different experiment than the one asked for.
+// tools reject bad topology, worker counts and budgets up front with a clear
+// message instead of clamping silently — a typo like -nodes -2 or
+// -parallelism -4 would otherwise run a subtly different experiment than the
+// one asked for.
 package cliutil
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
 	"net/url"
 	"strconv"
+
+	gbj "repro"
 )
 
 // EngineFlags is the one declaration of the engine-knob flags the tools
-// share: Register, then Apply. The field values at Register time are
-// the flag defaults (gbj-bench defaults to a 4-node cluster, the others to
-// single-site), and each tool registers only the knobs it has.
+// share: set Config to the tool's defaults (gbj-bench's is a 4-node
+// cluster, the others' the zero Config), Register the knobs the tool has,
+// parse, then Validate. Each flag binds straight onto its Config field.
 type EngineFlags struct {
-	Parallelism int
-	Vectorize   bool
-	Nodes       int
-	LinkRetries int
-	MemBudget   int64
-	SpillDir    string
+	Config gbj.Config
 
-	registered map[string]string
+	flags map[string]string // Config field name → its registered flag's name
 }
 
 // engineFlagHelp is the help text of a flag registered with "".
 var engineFlagHelp = map[string]string{
 	"parallelism":  "executor workers (0=serial, -1=one per CPU)",
 	"vectorize":    "read stored tables as columnar batches (same rows, same order)",
-	"nodes":        "simulated cluster size (1 = single-site)",
+	"nodes":        "simulated cluster size (0 or 1 = single-site)",
 	"link-retries": "per-shipment link retry budget for distributed runs (0 = fail fast)",
 	"mem-budget":   "per-query operator-state byte cap (0 = unlimited)",
 	"spill-dir":    "directory for spill temp files; with a memory budget set, over-budget operators spill to disk instead of degrading (empty = spilling off)",
@@ -43,94 +42,50 @@ var engineFlagHelp = map[string]string{
 // with the mapped help text, or the shared default text for "". An unknown
 // name is a programming error and panics.
 func (f *EngineFlags) Register(fs *flag.FlagSet, help map[string]string) {
-	f.registered = help
+	f.flags = make(map[string]string, len(help))
+	c := &f.Config
 	for name, text := range help {
 		if text == "" {
 			text = engineFlagHelp[name]
 		}
+		var field string
 		switch name {
 		case "parallelism":
-			fs.IntVar(&f.Parallelism, name, f.Parallelism, text)
+			field = "Parallelism"
+			fs.IntVar(&c.Parallelism, name, c.Parallelism, text)
 		case "vectorize":
-			fs.BoolVar(&f.Vectorize, name, f.Vectorize, text)
+			field = "Vectorize"
+			fs.BoolVar(&c.Vectorize, name, c.Vectorize, text)
 		case "nodes":
-			fs.IntVar(&f.Nodes, name, f.Nodes, text)
+			field = "Nodes"
+			fs.IntVar(&c.Nodes, name, c.Nodes, text)
 		case "link-retries":
-			fs.IntVar(&f.LinkRetries, name, f.LinkRetries, text)
+			field = "LinkRetries"
+			fs.IntVar(&c.LinkRetries, name, c.LinkRetries, text)
 		case "mem-budget":
-			fs.Int64Var(&f.MemBudget, name, f.MemBudget, text)
+			field = "MemoryBudget"
+			fs.Int64Var(&c.MemoryBudget, name, c.MemoryBudget, text)
 		case "spill-dir":
-			fs.StringVar(&f.SpillDir, name, f.SpillDir, text)
+			field = "SpillDir"
+			fs.StringVar(&c.SpillDir, name, c.SpillDir, text)
 		default:
 			panic("cliutil: unknown engine flag -" + name)
 		}
+		f.flags[field] = name
 	}
 }
 
-func (f *EngineFlags) has(name string) bool {
-	_, ok := f.registered[name]
-	return ok
-}
-
-// Engine is the setter surface of gbj.Engine that Apply drives (an
-// interface so this package stays importable by the tools' smallest
-// dependencies).
-type Engine interface {
-	SetParallelism(int)
-	SetVectorize(bool)
-	SetNodes(int) error
-	SetLinkRetries(int) error
-	SetMemoryBudget(int64)
-	SetSpillDir(string)
-}
-
-// Apply sets every registered knob on the engine and returns the first
-// rejection, naming its flag: -parallelism's CLI rule (ValidateParallelism)
-// or the range check of the engine's own setter, the one copy of each rule.
-// The tools print it and exit 2.
-func (f *EngineFlags) Apply(e Engine) error {
-	if f.has("parallelism") {
-		if err := ValidateParallelism(f.Parallelism); err != nil {
-			return err
-		}
-		e.SetParallelism(f.Parallelism)
+// Validate returns the parsed Config and gbj.Config.Validate's rejection of
+// it, if any, with the flag that set the field named in front — the
+// engine's one copy of every range rule, so each tool reports a bad flag
+// alike. The tools print it and exit 2.
+func (f *EngineFlags) Validate() (gbj.Config, error) {
+	err := f.Config.Validate()
+	var ce *gbj.ConfigError
+	if errors.As(err, &ce) && f.flags[ce.Field] != "" {
+		err = fmt.Errorf("-%s: %w", f.flags[ce.Field], err)
 	}
-	if f.has("vectorize") {
-		e.SetVectorize(f.Vectorize)
-	}
-	if f.has("mem-budget") {
-		e.SetMemoryBudget(f.MemBudget)
-	}
-	if f.has("spill-dir") {
-		e.SetSpillDir(f.SpillDir)
-	}
-	for _, set := range []struct {
-		name string
-		fn   func(int) error
-		v    int
-	}{
-		{"nodes", e.SetNodes, f.Nodes},
-		{"link-retries", e.SetLinkRetries, f.LinkRetries},
-	} {
-		if f.has(set.name) {
-			if err := set.fn(set.v); err != nil {
-				return fmt.Errorf("-%s: %w", set.name, err)
-			}
-		}
-	}
-	return nil
-}
-
-// ValidateParallelism checks an executor worker count: 0 runs serial, a
-// positive count runs that many workers, and -1 is the documented "one
-// worker per CPU" sentinel. Any other negative value is rejected — the one
-// rule only the tools keep, since the engine gives every negative count a
-// meaning.
-func ValidateParallelism(n int) error {
-	if n < -1 {
-		return fmt.Errorf("-parallelism must be -1 (one worker per CPU), 0 (serial), or a positive worker count; got %d", n)
-	}
-	return nil
+	return f.Config, err
 }
 
 // ValidateLintOutput checks gbj-lint's output-mode flags: -json emits the

@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -9,27 +10,6 @@ import (
 
 	gbj "repro"
 )
-
-func TestValidateParallelism(t *testing.T) {
-	tests := []struct {
-		n  int
-		ok bool
-	}{
-		{-100, false},
-		{-2, false},
-		{-1, true}, // one worker per CPU
-		{0, true},  // serial
-		{1, true},
-		{8, true},
-		{1024, true},
-	}
-	for _, tt := range tests {
-		err := ValidateParallelism(tt.n)
-		if (err == nil) != tt.ok {
-			t.Errorf("ValidateParallelism(%d) = %v, want ok=%v", tt.n, err, tt.ok)
-		}
-	}
-}
 
 func TestValidateLintOutput(t *testing.T) {
 	tests := []struct {
@@ -75,31 +55,11 @@ func TestValidateAddr(t *testing.T) {
 	}
 }
 
-// recorder logs the setters Apply drives and passes each on to a real
-// engine, whose own range checks are the ones the tools enforce.
-type recorder struct {
-	*gbj.Engine
-	calls []string
-}
-
-func (r *recorder) log(format string, args ...any) {
-	r.calls = append(r.calls, fmt.Sprintf(format, args...))
-}
-func (r *recorder) SetParallelism(n int)    { r.log("parallelism=%d", n); r.Engine.SetParallelism(n) }
-func (r *recorder) SetVectorize(on bool)    { r.log("vectorize=%t", on); r.Engine.SetVectorize(on) }
-func (r *recorder) SetMemoryBudget(b int64) { r.log("mem-budget=%d", b); r.Engine.SetMemoryBudget(b) }
-func (r *recorder) SetSpillDir(dir string)  { r.log("spill-dir=%s", dir); r.Engine.SetSpillDir(dir) }
-func (r *recorder) SetNodes(n int) error    { r.log("nodes=%d", n); return r.Engine.SetNodes(n) }
-func (r *recorder) SetLinkRetries(n int) error {
-	r.log("link-retries=%d", n)
-	return r.Engine.SetLinkRetries(n)
-}
-
-// TestEngineFlags drives Register → Apply the way the tools do: each
-// registers its own subset with its own defaults, bad values are rejected
-// (never clamped) with the flag named, and only registered knobs reach the
-// engine. The range rules are the engine setters' own; -parallelism's is
-// the one the tools add.
+// TestEngineFlags drives Register → Parse → Validate the way the tools do:
+// each registers its own subset with its own default Config, a flag lands
+// on its Config field, bad values are rejected (never clamped) by
+// gbj.Config.Validate with the flag named, and unregistered flags fail to
+// parse.
 func TestEngineFlags(t *testing.T) {
 	all := map[string]string{
 		"parallelism": "", "vectorize": "", "nodes": "",
@@ -108,53 +68,59 @@ func TestEngineFlags(t *testing.T) {
 	server := map[string]string{"parallelism": "workers per query", "vectorize": "", "mem-budget": "", "spill-dir": ""}
 	type testCase struct {
 		name     string
-		defaults EngineFlags
+		defaults gbj.Config
 		help     map[string]string
 		args     []string
 		parseErr bool
-		reject   string // substring of Apply's error; "" = valid
-		applied  string // space-joined setter log; "" = not checked
+		reject   string     // substring of Validate's error; "" = valid
+		want     gbj.Config // the validated Config of a valid case
 	}
 	tests := []testCase{
-		{name: "defaults", defaults: EngineFlags{Nodes: 1}, help: all,
-			applied: "parallelism=0 vectorize=false mem-budget=0 spill-dir= nodes=1 link-retries=0"},
-		{name: "bench defaults", defaults: EngineFlags{Nodes: 4, LinkRetries: 8}, help: all,
-			applied: "parallelism=0 vectorize=false mem-budget=0 spill-dir= nodes=4 link-retries=8"},
-		{name: "all set", defaults: EngineFlags{Nodes: 1}, help: all,
-			args:    []string{"-parallelism", "-1", "-vectorize", "-nodes", "3", "-link-retries", "2", "-mem-budget", "65536", "-spill-dir", "/tmp/x"},
-			applied: "parallelism=-1 vectorize=true mem-budget=65536 spill-dir=/tmp/x nodes=3 link-retries=2"},
-		{name: "server subset", help: server, args: []string{"-parallelism", "4"},
-			applied: "parallelism=4 vectorize=false mem-budget=0 spill-dir="},
+		{name: "defaults", help: all},
+		{name: "bench defaults", defaults: gbj.Config{Nodes: 4, LinkRetries: 8}, help: all,
+			want: gbj.Config{Nodes: 4, LinkRetries: 8}},
+		{name: "all set", help: all,
+			args: []string{"-parallelism", "-1", "-vectorize", "-nodes", "3", "-link-retries", "2", "-mem-budget", "65536", "-spill-dir", "/tmp/x"},
+			want: gbj.Config{Parallelism: -1, Vectorize: true, Nodes: 3, LinkRetries: 2, MemoryBudget: 65536, SpillDir: "/tmp/x"}},
+		{name: "server subset", help: server, args: []string{"-parallelism", "4"}, want: gbj.Config{Parallelism: 4}},
 		{name: "server has no -nodes", help: server, args: []string{"-nodes", "2"}, parseErr: true},
-		{name: "parallelism -2", defaults: EngineFlags{Nodes: 1}, help: all, args: []string{"-parallelism", "-2"}, reject: "-parallelism"},
-		{name: "first rejection wins", defaults: EngineFlags{Nodes: 1}, help: all, args: []string{"-nodes", "0", "-parallelism", "-9"}, reject: "-parallelism"},
+		{name: "first rejection wins", help: all, args: []string{"-nodes", "-1", "-parallelism", "-9"}, reject: "-parallelism"},
 	}
-	// Every value each setter rejects, and some it accepts.
+	// Every value Validate rejects, and some it accepts, per numeric flag.
 	for _, r := range []struct {
-		flag, reject string
-		bad, good    []int
+		flag      string
+		bad, good []int
+		set       func(*gbj.Config, int)
 	}{
-		{"nodes", "-nodes", []int{-1, 0}, []int{1, 2, 3, 8, 64}},               // node counts need not be powers of two
-		{"link-retries", "-link-retries", []int{-100, -1}, []int{0, 1, 3, 64}}, // no "unlimited" sentinel
+		{"parallelism", []int{-100, -2}, []int{-1, 0, 1, 8, 1024}, // -1 is one worker per CPU
+			func(c *gbj.Config, v int) { c.Parallelism = v }},
+		{"nodes", []int{-2, -1}, []int{0, 1, 2, 3, 8, 64}, // 0 and 1 are single-site; counts need not be powers of two
+			func(c *gbj.Config, v int) { c.Nodes = v }},
+		{"link-retries", []int{-100, -1}, []int{0, 1, 3, 64}, // no "unlimited" sentinel
+			func(c *gbj.Config, v int) { c.LinkRetries = v }},
+		{"mem-budget", []int{-5, -1}, []int{0, 1, 65536}, // 0 is unlimited
+			func(c *gbj.Config, v int) { c.MemoryBudget = int64(v) }},
 	} {
 		for _, v := range r.bad {
-			tests = append(tests, testCase{name: fmt.Sprintf("%s %d", r.flag, v), defaults: EngineFlags{Nodes: 1}, help: all,
-				args: []string{"-" + r.flag, fmt.Sprint(v)}, reject: r.reject})
+			tests = append(tests, testCase{name: fmt.Sprintf("%s %d", r.flag, v), help: all,
+				args: []string{"-" + r.flag, fmt.Sprint(v)}, reject: "-" + r.flag})
 		}
 		for _, v := range r.good {
-			tests = append(tests, testCase{name: fmt.Sprintf("%s %d", r.flag, v), defaults: EngineFlags{Nodes: 1}, help: all,
-				args: []string{"-" + r.flag, fmt.Sprint(v)}})
+			var want gbj.Config
+			r.set(&want, v)
+			tests = append(tests, testCase{name: fmt.Sprintf("%s %d", r.flag, v), help: all,
+				args: []string{"-" + r.flag, fmt.Sprint(v)}, want: want})
 		}
 	}
 	// The shard count is the cluster's own: a tool given -shards, at any
 	// value, fails to parse it (exit 2) instead of ignoring it.
 	for _, v := range []int{-4, -1, 0, 1, 2, 3, 4, 6, 7, 12, 64} {
-		tests = append(tests, testCase{name: fmt.Sprintf("shards %d", v), defaults: EngineFlags{Nodes: 1}, help: all,
+		tests = append(tests, testCase{name: fmt.Sprintf("shards %d", v), help: all,
 			args: []string{"-shards", fmt.Sprint(v)}, parseErr: true})
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			f := tt.defaults
+			f := EngineFlags{Config: tt.defaults}
 			fs := flag.NewFlagSet("tool", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
 			f.Register(fs, tt.help)
@@ -164,19 +130,19 @@ func TestEngineFlags(t *testing.T) {
 			if tt.parseErr {
 				return
 			}
-			e := &recorder{Engine: gbj.New()}
-			err := f.Apply(e)
-			if tt.reject == "" && err != nil {
-				t.Fatalf("Apply() = %v, want ok", err)
-			}
+			cfg, err := f.Validate()
 			if tt.reject != "" {
-				if err == nil || !strings.Contains(err.Error(), tt.reject) {
-					t.Fatalf("Apply() = %v, want a rejection mentioning %q", err, tt.reject)
+				var ce *gbj.ConfigError
+				if err == nil || !strings.HasPrefix(err.Error(), tt.reject+": ") || !errors.As(err, &ce) {
+					t.Fatalf("Validate() = %v, want gbj.Config.Validate's rejection behind %q", err, tt.reject)
 				}
 				return
 			}
-			if got := strings.Join(e.calls, " "); tt.applied != "" && got != tt.applied {
-				t.Errorf("applied %q, want %q", got, tt.applied)
+			if err != nil {
+				t.Fatalf("Validate() = %v, want ok", err)
+			}
+			if cfg != tt.want {
+				t.Errorf("Validate() = %+v, want %+v", cfg, tt.want)
 			}
 		})
 	}

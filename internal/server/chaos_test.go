@@ -78,8 +78,10 @@ func TestShutdownMidQueryChaos(t *testing.T) {
 		fmt.Fprintf(&sb, "(%d, %d, %d)", i, i%3, i%7)
 	}
 	e.MustExec(sb.String())
-	e.SetMemoryBudget(1 << 16)
-	e.SetSpillDir(spillDir)
+	reconfigure(t, e, func(c *gbj.Config) {
+		c.MemoryBudget = 1 << 16
+		c.SpillDir = spillDir
+	})
 
 	s, err := New(context.Background(), Config{
 		Engine:        e,

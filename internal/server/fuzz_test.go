@@ -15,6 +15,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro"
 )
 
 // errorTable is the status table of handlers.go, code → HTTP status.
@@ -69,7 +71,7 @@ func FuzzHandleQuery(f *testing.F) {
 	}
 
 	e := newTestEngine(f)
-	e.SetMemoryBudget(1 << 20) // a fuzzed cross product answers 507, not an OOM
+	reconfigure(f, e, func(c *gbj.Config) { c.MemoryBudget = 1 << 20 }) // a fuzzed cross product answers 507, not an OOM
 	s, err := New(context.Background(), Config{Engine: e, PlanCacheSize: 16})
 	if err != nil {
 		f.Fatal(err)

@@ -118,7 +118,11 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: PerQueryBytes %d exceeds PoolBytes %d: no query could ever be admitted", cfg.PerQueryBytes, cfg.PoolBytes)
 	}
 	if cfg.PlanCacheSize > 0 {
-		cfg.Engine.SetPlanCacheSize(cfg.PlanCacheSize)
+		ec := cfg.Engine.Config()
+		ec.PlanCacheSize = cfg.PlanCacheSize
+		if err := cfg.Engine.Configure(ec); err != nil {
+			return nil, err
+		}
 	}
 	root, stop := context.WithCancel(ctx)
 	s := &Server{

@@ -25,6 +25,17 @@ import (
 	"repro/internal/value"
 )
 
+// reconfigure configures e with its configuration changed by change,
+// failing t on a rejection.
+func reconfigure(t testing.TB, e *gbj.Engine, change func(*gbj.Config)) {
+	t.Helper()
+	cfg := e.Config()
+	change(&cfg)
+	if err := e.Configure(cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // newTestEngine seeds the schema every server test queries: the paper's
 // Employee/Department shape, a per-department DOUBLE column (two of its
 // values integral) and a writable kv table.
@@ -293,12 +304,16 @@ func TestErrorCodeTable(t *testing.T) {
 	}
 
 	// 507 resource: budget exceeded with no fallback plan and no spill.
-	e.SetMemoryBudget(64)
-	e.SetMode(gbj.ModeNever) // the lazy plan has no cheaper fallback
+	reconfigure(t, e, func(c *gbj.Config) {
+		c.MemoryBudget = 64
+		c.Mode = gbj.ModeNever // the lazy plan has no cheaper fallback
+	})
 	_, err = c.QueryDetail(ctx, groupByJoin, nil)
 	apiError(t, err, http.StatusInsufficientStorage, "resource")
-	e.SetMemoryBudget(0)
-	e.SetMode(gbj.ModeCost)
+	reconfigure(t, e, func(c *gbj.Config) {
+		c.MemoryBudget = 0
+		c.Mode = gbj.ModeCost
+	})
 }
 
 // TestNonFiniteDoubleIsAnError: the encoder refuses each value JSON has no

@@ -85,7 +85,7 @@ func TestStreamedBodyIsAppendQueryResponse(t *testing.T) {
 	e.MustExec(`INSERT INTO kv VALUES (1, 1, 2), (2, 1, 2), (3, 4, 8)`)
 	s := newServer(t, Config{Engine: e})
 	for _, par := range []int{1, 4} {
-		e.SetParallelism(par)
+		reconfigure(t, e, func(c *gbj.Config) { c.Parallelism = par })
 		for _, q := range slices.Concat(staticQueries, quiescedQueries) {
 			rec := serveQuery(t, s, q.sql, q.params)
 			if want := collectedBody(t, e, q.sql, q.params, false); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
@@ -142,7 +142,7 @@ func TestNonFiniteAfterRowsIsAnError(t *testing.T) {
 	e.MustExec(strings.TrimSuffix(sb.String(), ","))
 	s := newServer(t, Config{Engine: e})
 	for _, par := range []int{1, 4} {
-		e.SetParallelism(par)
+		reconfigure(t, e, func(c *gbj.Config) { c.Parallelism = par })
 		rec := serveQuery(t, s, `SELECT id, x * 10.0 FROM fl`, nil)
 		var er ErrorResponse
 		dec := json.NewDecoder(rec.Body)
@@ -167,14 +167,16 @@ func TestStreamedBodyRestartsPerRung(t *testing.T) {
 	}
 	e := gbj.NewWithStore(store)
 	q := workload.SweepQueryGroupByDim + ` ORDER BY Label DESC`
-	e.SetMode(gbj.ModeNever)
+	reconfigure(t, e, func(c *gbj.Config) { c.Mode = gbj.ModeNever })
 	want := collectedBody(t, e, q, nil, false)
-	e.SetMode(gbj.ModeAlways)
-	e.SetMemoryBudget(500_000)
-	e.SetSpillDir(t.TempDir())
+	reconfigure(t, e, func(c *gbj.Config) {
+		c.Mode = gbj.ModeAlways
+		c.MemoryBudget = 500_000
+		c.SpillDir = t.TempDir()
+	})
 	s := newServer(t, Config{Engine: e})
 	clean := fault.New(nil)
-	e.SetFaultInjector(clean)
+	reconfigure(t, e, func(c *gbj.Config) { c.Faults = clean })
 	if rec := serveQuery(t, s, q, nil); !bytes.Equal(rec.Body.Bytes(), want) || e.Fallbacks() != 0 {
 		t.Fatalf("fault-free: status %d, %d fallbacks", rec.Code, e.Fallbacks())
 	}
@@ -182,7 +184,7 @@ func TestStreamedBodyRestartsPerRung(t *testing.T) {
 	for tick := clean.Ticks() - 100; tick <= clean.Ticks(); tick++ {
 		events = append(events, fault.Event{Tick: tick, Kind: fault.DiskReadFail})
 	}
-	e.SetFaultInjector(fault.New(events))
+	reconfigure(t, e, func(c *gbj.Config) { c.Faults = fault.New(events) })
 	rec := serveQuery(t, s, q, nil)
 	if e.Fallbacks() != 1 {
 		t.Fatalf("the merge's read fault made %d fallbacks, want 1", e.Fallbacks())
@@ -197,7 +199,7 @@ func TestStreamedBodyRestartsPerRung(t *testing.T) {
 // with the degraded flag.
 func TestPartialLeaseEndsDegraded(t *testing.T) {
 	e := wideEngine(t, 6000)
-	e.SetParallelism(4)
+	reconfigure(t, e, func(c *gbj.Config) { c.Parallelism = 4 })
 	s := newServer(t, Config{Engine: e, PoolBytes: 1 << 24, PerQueryBytes: 1 << 24, MaxQueue: 4})
 	hog, err := s.adm.pool.Lease(context.Background(), 3<<22, 3<<22)
 	if err != nil {

@@ -44,9 +44,11 @@ const fallbackQuery = `
 // generous enough never to trip.
 func stateBytes(t *testing.T, e *Engine, mode Mode) int64 {
 	t.Helper()
-	e.SetMode(mode)
-	e.SetMemoryBudget(1 << 40)
-	defer e.SetMemoryBudget(0)
+	reconfigure(t, e, func(c *Config) {
+		c.Mode = mode
+		c.MemoryBudget = 1 << 40
+	})
+	defer reconfigure(t, e, func(c *Config) { c.MemoryBudget = 0 })
 	a, err := e.QueryAnalyzedContext(context.Background(), fallbackQuery, nil)
 	if err != nil {
 		t.Fatalf("measuring mode %v: %v", mode, err)
@@ -71,7 +73,7 @@ func TestBudgetFallback(t *testing.T) {
 	}
 
 	// The reference rows, from the lazy plan with no budget.
-	e.SetMode(ModeNever)
+	reconfigure(t, e, func(c *Config) { c.Mode = ModeNever })
 	want, err := e.QueryOptionsContext(context.Background(), fallbackQuery, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -79,10 +81,12 @@ func TestBudgetFallback(t *testing.T) {
 
 	// A budget between the two plans' appetites: eager trips, lazy fits.
 	mid := (eager + lazy) / 2
-	e.SetMode(ModeAlways)
-	e.SetMemoryBudget(mid)
-	if got := e.MemoryBudget(); got != mid {
-		t.Fatalf("MemoryBudget() = %d, want %d", got, mid)
+	reconfigure(t, e, func(c *Config) {
+		c.Mode = ModeAlways
+		c.MemoryBudget = mid
+	})
+	if got := e.Config().MemoryBudget; got != mid {
+		t.Fatalf("Config().MemoryBudget = %d, want %d", got, mid)
 	}
 	res, err := e.QueryOptionsContext(context.Background(), fallbackQuery, nil)
 	if err != nil {
@@ -112,7 +116,7 @@ func TestBudgetFallback(t *testing.T) {
 
 	// A per-query budget degrades the analyzed run the same way, with the
 	// engine's budget unset.
-	e.SetMemoryBudget(0)
+	reconfigure(t, e, func(c *Config) { c.MemoryBudget = 0 })
 	a, err = e.QueryAnalyzedContext(context.Background(), fallbackQuery, &QueryOptions{MemoryBudget: mid})
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +134,7 @@ func TestBudgetFallback(t *testing.T) {
 
 	// A budget below even the lazy plan: the fallback also trips, and the
 	// query fails with the typed resource error — never an OOM.
-	e.SetMemoryBudget(lazy / 4)
+	reconfigure(t, e, func(c *Config) { c.MemoryBudget = lazy / 4 })
 	_, err = e.QueryOptionsContext(context.Background(), fallbackQuery, nil)
 	var re *ResourceError
 	if !errors.As(err, &re) {

@@ -78,13 +78,15 @@ func TestPlanCacheHitsRepeatQueries(t *testing.T) {
 	}
 }
 
-// SetPlanCacheSize(0) restores the default capacity, it does not turn the
+// Config.PlanCacheSize 0 restores the default capacity, it does not turn the
 // cache off: queries still hit, and defaultPlanCacheSize distinct ones fit
 // before the first eviction.
 func TestPlanCacheSizeZeroIsDefault(t *testing.T) {
 	e := newExample1Engine(t)
-	e.SetPlanCacheSize(4)
-	e.SetPlanCacheSize(0)
+	reconfigure(t, e, func(c *Config) {
+		c.PlanCacheSize = 4
+		c.PlanCacheSize = 0
+	})
 	text := func(i int) string { return fmt.Sprintf(`SELECT E.EmpID FROM Employee E WHERE E.EmpID = %d`, i) }
 	for i := 0; i < defaultPlanCacheSize; i++ {
 		if _, err := e.QueryOptionsContext(context.Background(), text(i), nil); err != nil {
@@ -139,14 +141,13 @@ func TestPlanCacheInvalidationMatrix(t *testing.T) {
 	expectFresh("DML epoch bump", func() {
 		e.MustExec(`INSERT INTO Employee VALUES (8, 'F', 'F', 1)`)
 	}, 3)
-	expectFresh("SetVectorize flip", func() { e.SetVectorize(true) }, 3)
-	expectFresh("SetParallelism flip", func() { e.SetParallelism(4) }, 3)
-	expectFresh("SetDistStrategy flip", func() { e.SetDistStrategy(DistEager) }, 3)
+	expectFresh("Vectorize flip", func() { reconfigure(t, e, func(c *Config) { c.Vectorize = true }) }, 3)
+	expectFresh("Parallelism flip", func() { reconfigure(t, e, func(c *Config) { c.Parallelism = 4 }) }, 3)
+	expectFresh("DistStrategy flip", func() { reconfigure(t, e, func(c *Config) { c.DistStrategy = DistEager }) }, 3)
 	expectFresh("spill-dir change", func() {
-		e.SetMemoryBudget(1 << 30)
-		e.SetSpillDir(dir)
+		reconfigure(t, e, func(c *Config) { c.MemoryBudget, c.SpillDir = 1<<30, dir })
 	}, 3)
-	expectFresh("SetMode flip", func() { e.SetMode(ModeAlways) }, 3)
+	expectFresh("Mode flip", func() { reconfigure(t, e, func(c *Config) { c.Mode = ModeAlways }) }, 3)
 	expectFresh("second DML epoch bump", func() {
 		e.MustExec(`INSERT INTO Employee VALUES (9, 'G', 'G', 2)`)
 	}, 3)
@@ -188,8 +189,10 @@ func TestCachedPlanSeesInsertIntoItsBuildTable(t *testing.T) {
 		for _, vectorize := range []bool{false, true} {
 			t.Run(fmt.Sprintf("mode=%v/vectorize=%v", mode, vectorize), func(t *testing.T) {
 				e := newExample1Engine(t)
-				e.SetMode(mode)
-				e.SetVectorize(vectorize)
+				reconfigure(t, e, func(c *Config) {
+					c.Mode = mode
+					c.Vectorize = vectorize
+				})
 				if got := queryCounts(t, e); got[4] != 0 || len(got) != 3 {
 					t.Fatalf("before the inserts: %v", got)
 				}
@@ -220,10 +223,8 @@ func TestCachedPlanSeesInsertIntoItsBuildTable(t *testing.T) {
 func TestPlanCacheRejectsTamperedCertificate(t *testing.T) {
 	for _, nodes := range []int{4, 1} {
 		e := newExample1Engine(t)
-		e.SetMode(ModeAlways) // guarantee the eager (certified) shape
-		if err := e.SetNodes(nodes); err != nil {
-			t.Fatal(err)
-		}
+		reconfigure(t, e, func(c *Config) { c.Mode = ModeAlways }) // guarantee the eager (certified) shape
+		reconfigure(t, e, func(c *Config) { c.Nodes = nodes })
 		core.TestHooks.TamperCertCols = true
 		_, err := e.QueryOptionsContext(context.Background(), example1Query, nil)
 		core.TestHooks.TamperCertCols = false
@@ -235,7 +236,7 @@ func TestPlanCacheRejectsTamperedCertificate(t *testing.T) {
 		}
 	}
 	e := newExample1Engine(t)
-	e.SetMode(ModeAlways)
+	reconfigure(t, e, func(c *Config) { c.Mode = ModeAlways })
 
 	// Plant a poisoned entry: the cached certificate licenses the wrong GA1+.
 	base := queryCounts(t, e)
@@ -377,11 +378,11 @@ func TestPlanCacheWritesDropAliases(t *testing.T) {
 		scoped bool // the write changes Employee's rows alone
 	}{
 		{"INSERT", func() { e.MustExec(`INSERT INTO Employee VALUES (8, 'F', 'F', 1)`) }, 3, true},
-		{"SetVectorize", func() { e.SetVectorize(true) }, 3, false},
-		{"SetParallelism", func() { e.SetParallelism(4) }, 3, false},
-		{"SetDistStrategy", func() { e.SetDistStrategy(DistEager) }, 3, false},
-		{"SetSpillDir", func() { e.SetMemoryBudget(1 << 30); e.SetSpillDir(t.TempDir()) }, 3, false},
-		{"SetMode", func() { e.SetMode(ModeAlways) }, 3, false},
+		{"Vectorize", func() { reconfigure(t, e, func(c *Config) { c.Vectorize = true }) }, 3, false},
+		{"Parallelism", func() { reconfigure(t, e, func(c *Config) { c.Parallelism = 4 }) }, 3, false},
+		{"DistStrategy", func() { reconfigure(t, e, func(c *Config) { c.DistStrategy = DistEager }) }, 3, false},
+		{"SpillDir", func() { reconfigure(t, e, func(c *Config) { c.MemoryBudget, c.SpillDir = 1<<30, t.TempDir() }) }, 3, false},
+		{"Mode", func() { reconfigure(t, e, func(c *Config) { c.Mode = ModeAlways }) }, 3, false},
 		{"CREATE DOMAIN", func() { e.MustExec(`CREATE DOMAIN Positive INTEGER CHECK VALUE > 0`) }, 3, false},
 		{"CREATE VIEW", func() {
 			e.MustExec(`CREATE VIEW Sales AS SELECT E.EmpID FROM Employee E WHERE E.DeptID = 1`)
@@ -543,7 +544,7 @@ func TestPlanCacheFailuresMakeNoAlias(t *testing.T) {
 func TestPlanCacheAliasesBounded(t *testing.T) {
 	const capacity = 4
 	e := newExample1Engine(t)
-	e.SetPlanCacheSize(capacity)
+	reconfigure(t, e, func(c *Config) { c.PlanCacheSize = capacity })
 	spelling := func(i int) string { return strings.Repeat(" ", i) + example1Query }
 	for i := 0; i <= capacity; i++ {
 		queryCountsOf(t, e, spelling(i))
@@ -588,7 +589,7 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 func BenchmarkPlanCacheVariantHit(b *testing.B) {
 	const capacity = 16
 	e := newExample1Engine(b)
-	e.SetPlanCacheSize(capacity)
+	mustConfigure(b, e, Config{PlanCacheSize: capacity})
 	texts := make([]string, capacity+1)
 	for i := range texts {
 		texts[i] = strings.Repeat(" ", i) + example1Query

@@ -101,12 +101,12 @@ func TestEngineSubstitutionEndToEnd(t *testing.T) {
 	if !strings.Contains(text, "Section 9 substitution") {
 		t.Errorf("Explain missing substitution note:\n%s", text)
 	}
-	e.SetMode(ModeAlways)
+	reconfigure(t, e, func(c *Config) { c.Mode = ModeAlways })
 	res, err := e.QueryOptionsContext(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetMode(ModeNever)
+	reconfigure(t, e, func(c *Config) { c.Mode = ModeNever })
 	res2, err := e.QueryOptionsContext(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func TestSpillCompletes64KiB(t *testing.T) {
 	}
 
 	// 64 KiB without a spill directory: typed resource error.
-	e.SetMemoryBudget(64 << 10)
+	reconfigure(t, e, func(c *Config) { c.MemoryBudget = 64 << 10 })
 	_, err = e.QueryOptionsContext(context.Background(), spillFallbackQuery, nil)
 	var re *ResourceError
 	if !errors.As(err, &re) {
@@ -73,7 +73,7 @@ func TestSpillCompletes64KiB(t *testing.T) {
 
 	// The same budget with a spill directory: the query completes by
 	// partitioning to disk, and the rows are byte-identical.
-	e.SetSpillDir(t.TempDir())
+	reconfigure(t, e, func(c *Config) { c.SpillDir = t.TempDir() })
 	res, err := e.QueryOptionsContext(context.Background(), spillFallbackQuery, nil)
 	if err != nil {
 		t.Fatalf("64 KiB budget with spilling failed: %v", err)
@@ -109,7 +109,7 @@ func TestSpillFailureFallsBack(t *testing.T) {
 		t.Fatalf("test data does not separate the plans: eager %d <= lazy %d", eager, lazy)
 	}
 
-	e.SetMode(ModeNever)
+	reconfigure(t, e, func(c *Config) { c.Mode = ModeNever })
 	want, err := e.QueryOptionsContext(context.Background(), fallbackQuery, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -120,9 +120,11 @@ func TestSpillFailureFallsBack(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e.SetMode(ModeAlways)
-	e.SetMemoryBudget((eager + lazy) / 2)
-	e.SetSpillDir(bad)
+	reconfigure(t, e, func(c *Config) {
+		c.Mode = ModeAlways
+		c.MemoryBudget = (eager + lazy) / 2
+		c.SpillDir = bad
+	})
 
 	res, err := e.QueryOptionsContext(context.Background(), fallbackQuery, nil)
 	if err != nil {

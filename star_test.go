@@ -93,8 +93,10 @@ func TestOrderByOverGroupingSortsGroupsNotRows(t *testing.T) {
 	} {
 		for _, vectorize := range []bool{false, true} {
 			for _, workers := range []int{1, 4} {
-				e.SetVectorize(vectorize)
-				e.SetParallelism(workers)
+				reconfigure(t, e, func(c *Config) {
+					c.Vectorize = vectorize
+					c.Parallelism = workers
+				})
 				a, err := e.QueryAnalyzedContext(context.Background(), q.text, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -173,7 +175,7 @@ func TestPipelinedPlanCountsMatchSerial(t *testing.T) {
 	loadStar(t, e, facts, dims)
 	analyze := func(workers int) *Analysis {
 		t.Helper()
-		e.SetParallelism(workers)
+		reconfigure(t, e, func(c *Config) { c.Parallelism = workers })
 		a, err := e.QueryAnalyzedContext(context.Background(), starShapeGroups, nil)
 		if err != nil {
 			t.Fatal(err)
