@@ -75,13 +75,11 @@ func main() {
 
 	engine := gbj.New()
 	cfg, err := knobs.Validate()
-	if err == nil {
-		err = engine.Configure(cfg)
-	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gbj-explain:", err)
 		os.Exit(2)
 	}
+	_ = engine.Configure(cfg) // cfg passed Validate, Configure's only rejection
 	var query string
 	switch {
 	case *demo:

@@ -60,13 +60,11 @@ func main() {
 
 	engine := gbj.New()
 	cfg, err := knobs.Validate()
-	if err == nil {
-		err = engine.Configure(cfg)
-	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gbj-server:", err)
 		os.Exit(2)
 	}
+	_ = engine.Configure(cfg) // cfg passed Validate, Configure's only rejection
 	// The process root: cancelled by SIGINT/SIGTERM, handed to the server
 	// so every request context joins it. The server is built before the
 	// init script runs, so a flag it rejects exits before any work.

@@ -97,13 +97,11 @@ func main() {
 	flag.Parse()
 	engine := gbj.New()
 	cfg, err := knobs.Validate()
-	if err == nil {
-		err = engine.Configure(cfg)
-	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gbj-shell:", err)
 		os.Exit(2)
 	}
+	_ = engine.Configure(cfg) // cfg passed Validate, Configure's only rejection
 	if *connect != "" {
 		if err := cliutil.ValidateServerURL(*connect); err != nil {
 			fmt.Fprintln(os.Stderr, "gbj-shell: -connect:", err)
@@ -192,8 +190,8 @@ func engineCommand(engine *gbj.Engine, out, errOut io.Writer, line string, field
 			return true
 		}
 		fmt.Fprintf(out, "loaded %d rows into %s\n", n, fields[2])
-	case `\analyze`, `\stats`:
-		query := strings.TrimSpace(strings.TrimPrefix(line, fields[0]))
+	case `\analyze`:
+		query := strings.TrimSpace(strings.TrimPrefix(line, `\analyze`))
 		ctx, done := queryContext()
 		a, err := engine.QueryAnalyzedContext(ctx, strings.TrimSuffix(query, ";"), nil)
 		done()
@@ -201,11 +199,17 @@ func engineCommand(engine *gbj.Engine, out, errOut io.Writer, line string, field
 			fmt.Fprintln(errOut, "error:", err)
 			return true
 		}
-		if fields[0] == `\stats` {
-			printStats(out, a)
-		} else {
-			fmt.Fprintln(out, a.String())
+		fmt.Fprintln(out, a.String())
+	case `\stats`:
+		query := strings.TrimSpace(strings.TrimPrefix(line, `\stats`))
+		ctx, done := queryContext()
+		a, err := engine.QueryAnalyzedContext(ctx, strings.TrimSuffix(query, ";"), nil)
+		done()
+		if err != nil {
+			fmt.Fprintln(errOut, "error:", err)
+			return true
 		}
+		printStats(out, a)
 	case `\budget`:
 		if len(fields) != 2 {
 			fmt.Fprintln(out, `usage: \budget 64MB|off`)

@@ -217,8 +217,12 @@ func CompareForward(ctx context.Context, e *gbj.Engine, query string, reps int) 
 		Standard:    &PlanRun{Label: "standard (group after join)"},
 		Transformed: &PlanRun{Label: "transformed (group before join)"},
 	}
-	defer e.Configure(e.Config()) // gives back the caller's configuration, valid as Config returned it
-	reconfigure(e, func(c *gbj.Config) { c.Mode = gbj.ModeCost })
+	// Configure cannot fail: base came from Config, each change is a constant.
+	base := e.Config()
+	defer e.Configure(base)
+	cfg := base
+	cfg.Mode = gbj.ModeCost
+	_ = e.Configure(cfg)
 	a, d, err := analyze(ctx, e, query)
 	if err != nil {
 		return nil, err
@@ -229,11 +233,13 @@ func CompareForward(ctx context.Context, e *gbj.Engine, query string, reps int) 
 		c.Picked, picked = "transformed", c.Transformed
 	}
 	picked.add(a, d)
-	reconfigure(e, func(c *gbj.Config) { c.Mode = gbj.ModeNever })
+	cfg.Mode = gbj.ModeNever
+	_ = e.Configure(cfg)
 	if err := c.Standard.repeat(ctx, e, query, reps); err != nil {
 		return nil, err
 	}
-	reconfigure(e, func(c *gbj.Config) { c.Mode = gbj.ModeAlways })
+	cfg.Mode = gbj.ModeAlways
+	_ = e.Configure(cfg)
 	for c.Transformed != nil && c.Transformed.reps < max(reps, 1) {
 		a, d, err := analyze(ctx, e, query)
 		if err != nil {
@@ -259,8 +265,12 @@ func CompareReverse(ctx context.Context, e *gbj.Engine, nested, flat string, rep
 		Standard:    &PlanRun{Label: "nested (materialize view, then join)"},
 		Transformed: &PlanRun{Label: "flat (join before group-by)"},
 	}
-	defer e.Configure(e.Config()) // gives back the caller's configuration, valid as Config returned it
-	reconfigure(e, func(c *gbj.Config) { c.Mode = gbj.ModeNever })
+	// Configure cannot fail: base came from Config, each change is a constant.
+	base := e.Config()
+	defer e.Configure(base)
+	cfg := base
+	cfg.Mode = gbj.ModeNever
+	_ = e.Configure(cfg)
 	if err := c.Standard.repeat(ctx, e, nested, reps); err != nil {
 		return nil, err
 	}
@@ -281,25 +291,21 @@ func CompareDistributed(ctx context.Context, e *gbj.Engine, query string, reps i
 		Standard:    &PlanRun{Label: "lazy (ship detail rows)"},
 		Transformed: &PlanRun{Label: "eager (pre-aggregate per node)"},
 	}
-	defer e.Configure(e.Config()) // gives back the caller's configuration, valid as Config returned it
-	reconfigure(e, func(c *gbj.Config) { c.DistStrategy = gbj.DistLazy })
+	// Configure cannot fail: base came from Config, each change is a constant.
+	base := e.Config()
+	defer e.Configure(base)
+	cfg := base
+	cfg.DistStrategy = gbj.DistLazy
+	_ = e.Configure(cfg)
 	if err := c.Standard.repeat(ctx, e, query, reps); err != nil {
 		return nil, err
 	}
-	reconfigure(e, func(c *gbj.Config) { c.DistStrategy = gbj.DistEager })
+	cfg.DistStrategy = gbj.DistEager
+	_ = e.Configure(cfg)
 	if err := c.Transformed.repeat(ctx, e, query, reps); err != nil {
 		return nil, err
 	}
 	return c.verified("distributed strategies")
-}
-
-// reconfigure changes e's configuration by change, which sets its Mode or
-// DistStrategy to one of their constants: a change Config.Validate accepts,
-// so Configure cannot fail.
-func reconfigure(e *gbj.Engine, change func(*gbj.Config)) {
-	cfg := e.Config()
-	change(&cfg)
-	_ = e.Configure(cfg)
 }
 
 // Table renders the comparison in the shape of the paper's plan-diagram

@@ -83,10 +83,8 @@ func TestPlanCacheHitsRepeatQueries(t *testing.T) {
 // before the first eviction.
 func TestPlanCacheSizeZeroIsDefault(t *testing.T) {
 	e := newExample1Engine(t)
-	reconfigure(t, e, func(c *Config) {
-		c.PlanCacheSize = 4
-		c.PlanCacheSize = 0
-	})
+	reconfigure(t, e, func(c *Config) { c.PlanCacheSize = 4 })
+	reconfigure(t, e, func(c *Config) { c.PlanCacheSize = 0 })
 	text := func(i int) string { return fmt.Sprintf(`SELECT E.EmpID FROM Employee E WHERE E.EmpID = %d`, i) }
 	for i := 0; i < defaultPlanCacheSize; i++ {
 		if _, err := e.QueryOptionsContext(context.Background(), text(i), nil); err != nil {
