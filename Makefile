@@ -224,7 +224,9 @@ fuzz:
 # DESIGN.md §4.9 (internal/value: BenchmarkConcat, BenchmarkAppendGroupKey,
 # BenchmarkCompare; internal/exec: BenchmarkHashGroupSerial, one cluster
 # fragment's join-then-group, BenchmarkGroupTable, the group table alone —
-# all inserts, all hits at 10 and 1 000 groups, two partials combined —,
+# hits among 10, 1 000 and 8 000 groups and all inserts, par1 and par2, row
+# and batch, over dense INTEGER keys and, under sparse/, hashed ones; two
+# partials combined —,
 # BenchmarkJoinTable, the other hashed stores alone — join build + probe at
 # 10 keys, 1 000 keys and 100 keys × 100 rows, par1 and par2, over dense
 # INTEGER keys and, under sparse/, hashed ones, DISTINCT's group table,

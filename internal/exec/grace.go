@@ -263,7 +263,7 @@ func (s *spilledGroups) level(feed rowFeed, depth int) (*groupTable, error) {
 	if err := sealAll(parts); err != nil {
 		return nil, err
 	}
-	s.recordBuild(t.n, t.index.KeyBytes())
+	s.recordBuild(t.n, t.keyBytes())
 	if parts == nil && depth == 0 {
 		return t, nil
 	}

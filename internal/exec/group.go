@@ -257,7 +257,7 @@ func (g *groupCore) foldPipeline() (opened, error) {
 		return opened{}, err
 	}
 	for _, t := range s.tables {
-		g.recordBuild(t.n, t.index.KeyBytes())
+		g.recordBuild(t.n, t.keyBytes())
 	}
 	return g.combine(s.tables)
 }
@@ -285,14 +285,26 @@ func (g *groupCore) combine(tables []*groupTable) (opened, error) {
 		g.recordBuild(t.n, 0)
 		tables = []*groupTable{t}
 	}
+	var buf []byte // a dense table's group's key
 	for c := 1; c < len(tables); c++ {
 		src := tables[c]
 		for sid := 0; sid < src.n; sid++ {
 			owner, id := tables[0], 0
 			if !src.scalar {
-				hash, key := src.index.HashOf(sid), src.index.Key(sid)
+				// A dense owner finds the group by its one grouping value, a
+				// hashed one by its key, made on first need.
+				var key []byte
+				var hash uint32
 				for _, owner = range tables[:c] {
-					if id = owner.index.Lookup(hash, key); id >= 0 {
+					if owner.layout == layoutDense {
+						id = owner.denseGroup(*src.values.At(sid))
+					} else {
+						if key == nil {
+							key, hash = src.keyOf(sid, &buf)
+						}
+						id = owner.index.Lookup(hash, key)
+					}
+					if id >= 0 {
 						break
 					}
 				}

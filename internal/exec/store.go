@@ -157,14 +157,30 @@ func (a *groupAccs) finish(id int, results value.Row, out []value.Value) ([]valu
 }
 
 // groupTable is the partial-aggregate store. A group is a dense id, handed
-// out in first-appearance order by the index — a paged.Dict over the groups'
-// canonical key bytes — and everything else a group owns is element id of a
-// paged array: its grouping values, those of the group's first row, and one
-// accumulator state per aggregate. No key string, state struct or accumulator
-// is allocated for a group, and the index and the COUNT, SUM and AVG columns
-// hold no pointers for the collector to follow. A partial table's group that
-// an earlier chunk's table also holds is merged into that one and marked in
-// moved (combine).
+// out in first-appearance order, and everything else a group owns is element
+// id of a paged array: its grouping values, those of the group's first row,
+// and one accumulator state per aggregate. No key string, state struct or
+// accumulator is allocated for a group, and the index and the COUNT, SUM and
+// AVG columns hold no pointers for the collector to follow. A partial table's
+// group that an earlier chunk's table also holds is merged into that one and
+// marked in moved (combine). A table has one of three layouts:
+//
+//   - dense: one grouping column whose non-NULL keys are all INTEGERs, or
+//     DOUBLEs holding one exactly (denseKey), spanning at most 2·G + 16
+//     values (denseFits), G the table's groups. Key k's group is
+//     slots[k − base], so no key is encoded or hashed; the NULL group's id
+//     is kept beside the slots. A key outside the slots grows them
+//     geometrically while the span still fits; any other key makes the
+//     table hashed for good (toHashed).
+//   - trial: a one-column table not yet dense. It is hashed, and tracks its
+//     keys' span; each time G reaches 8, 16, 32, … a span that fits makes it
+//     dense (toDense). A key that is no dense key makes it hashed for good.
+//   - hashed: every other keyed table, the scalar one too. The index, a
+//     paged.Dict over the groups' canonical key bytes, hands out the ids.
+//
+// Every layout charges a group the same bytes, groupStateBytes of its
+// canonical key's length, so budgets, spill decisions and build statistics
+// do not depend on it; on a refusal probe holds the refused key's bytes.
 //
 // A scalar aggregation (no grouping columns) is a table holding one unkeyed,
 // uncharged group from the start, so it yields its one row even over empty
@@ -174,11 +190,31 @@ type groupTable struct {
 	adm    admission
 	scalar bool
 	n      int // groups
-	index  paged.Dict
+	layout groupLayout
+	index  paged.Dict // trial and hashed
+	// lo and hi are the smallest and the largest non-NULL key (trial, dense);
+	// key k's group is slots[k − base] − 1, 0 marking an empty slot, and the
+	// NULL group's is null − 1 (dense).
+	lo, hi int64
+	base   int64
+	slots  []int32
+	null   int32
 	values paged.Array[value.Value]
 	probe  []byte   // scratch: the key of the row being looked up
 	moved  []uint64 // bit id set: the group is merged into an earlier table's; nil when none is
 }
+
+// groupLayout is how a group table finds a key's group.
+type groupLayout uint8
+
+const (
+	layoutHashed groupLayout = iota
+	layoutTrial
+	layoutDense
+)
+
+// trialFirst is the group count at which a trial table first checks its span.
+const trialFirst = 8
 
 func (g *groupCore) newTable() (*groupTable, error) {
 	accs, err := g.newAccs()
@@ -186,6 +222,9 @@ func (g *groupCore) newTable() (*groupTable, error) {
 	if t.scalar {
 		t.grow()
 		t.n = 1
+	}
+	if len(g.groupCols) == 1 {
+		t.layout, t.lo, t.hi = layoutTrial, math.MaxInt64, math.MinInt64
 	}
 	return t, err
 }
@@ -205,6 +244,13 @@ func (t *groupTable) rowGroup(row value.Row) (int, error) {
 	if t.scalar {
 		return 0, nil
 	}
+	if t.layout == layoutDense {
+		if id := t.denseGroup(row[t.core.groupCols[0]]); id >= 0 {
+			return id, nil
+		}
+		t.probe = appendKey(t.probe[:0], row, t.core.groupCols)
+		return t.insert(0, t.probe, row)
+	}
 	t.probe = appendKey(t.probe[:0], row, t.core.groupCols)
 	hash := paged.Hash(t.probe)
 	if id := t.index.Lookup(hash, t.probe); id >= 0 {
@@ -213,19 +259,156 @@ func (t *groupTable) rowGroup(row value.Row) (int, error) {
 	return t.insert(hash, t.probe, row)
 }
 
-// insert admits and creates the group for key, copying its grouping values
-// out of row — the group's first row, which the table does not keep.
+// denseGroup returns the id of a dense table's group whose key equals v, or
+// -1: none has it, or v is no dense key.
+func (t *groupTable) denseGroup(v value.Value) int {
+	if v.IsNull() {
+		return int(t.null) - 1
+	}
+	if k, ok := denseKey(v); ok {
+		if off := uint64(k) - uint64(t.base); off < uint64(len(t.slots)) {
+			return int(t.slots[off]) - 1
+		}
+	}
+	return -1
+}
+
+// insert admits and creates the group for key, whose hash is hash unless the
+// table is dense, copying its grouping values out of row — the group's first
+// row, which the table does not keep.
 func (t *groupTable) insert(hash uint32, key []byte, row value.Row) (int, error) {
 	if err := t.adm.charge(t.core.groupStateBytes(len(key))); err != nil {
 		return 0, err
 	}
+	id := t.n
 	t.n++
 	t.grow()
-	id := t.index.Append(hash, key)
 	for _, c := range t.core.groupCols {
 		*t.values.Append() = row[c]
 	}
+	switch t.layout {
+	case layoutDense:
+		t.placeDense(id)
+	case layoutTrial:
+		t.index.Append(hash, key)
+		t.track(id)
+	default:
+		t.index.Append(hash, key)
+	}
 	return id, nil
+}
+
+// track takes a trial table's new group id into its keys' span, and makes
+// the table dense when G is a power of two from trialFirst on and the span
+// fits, or hashed for good when the key is no dense key.
+func (t *groupTable) track(id int) {
+	v := *t.values.At(id)
+	if v.IsNull() {
+		return
+	}
+	k, ok := denseKey(v)
+	if !ok {
+		t.layout = layoutHashed
+		return
+	}
+	t.lo, t.hi = min(t.lo, k), max(t.hi, k)
+	if t.n >= trialFirst && t.n&(t.n-1) == 0 && denseFits(t.lo, t.hi, t.n) {
+		t.toDense()
+	}
+}
+
+// toDense fills the slots of a trial table's span from its groups' values in
+// id order and drops its index.
+func (t *groupTable) toDense() {
+	t.layout, t.base = layoutDense, t.lo
+	t.slots = make([]int32, uint64(t.hi)-uint64(t.lo)+1)
+	for id := 0; id < t.n; id++ {
+		t.placeDense(id)
+	}
+	t.index = paged.Dict{}
+}
+
+// placeDense puts a dense table's group id, whose grouping value is stored,
+// under its key: in the slots, grown to cover it if need be, or as the NULL
+// group. A key the slots cannot cover makes the table hashed.
+func (t *groupTable) placeDense(id int) {
+	v := *t.values.At(id)
+	if v.IsNull() {
+		t.null = int32(id) + 1
+		return
+	}
+	k, ok := denseKey(v)
+	if !ok || !t.cover(k) {
+		t.toHashed()
+		return
+	}
+	t.slots[uint64(k)-uint64(t.base)] = int32(id) + 1
+}
+
+// cover makes a dense table's slots cover key k, and reports false when the
+// span with k would not fit. Slots grow geometrically — doubling, up to the
+// bound — with the new room on k's side, so keys arriving in either order
+// make a new slice only a logarithmic number of times; the window is kept
+// inside the int64 range at either end.
+func (t *groupTable) cover(k int64) bool {
+	lo, hi := min(t.lo, k), max(t.hi, k)
+	if off := uint64(k) - uint64(t.base); off < uint64(len(t.slots)) {
+		t.lo, t.hi = lo, hi
+		return true
+	}
+	if !denseFits(lo, hi, t.n) {
+		return false
+	}
+	size := min(max(2*uint64(len(t.slots)), uint64(hi)-uint64(lo)+1), denseBound(t.n))
+	// uint64(x) + 1<<63 is x − MinInt64, and MaxInt64 − uint64(x) is
+	// MaxInt64 − x: the room below and above key x.
+	base := lo // room above
+	switch {
+	case k < t.lo && uint64(hi)+1<<63 < size-1:
+		base = math.MinInt64
+	case k < t.lo: // room below
+		base = int64(uint64(hi) - (size - 1))
+	case math.MaxInt64-uint64(lo) < size-1:
+		base = math.MaxInt64 - int64(size-1)
+	}
+	slots := make([]int32, size)
+	copy(slots[uint64(t.lo)-uint64(base):], t.slots[uint64(t.lo)-uint64(t.base):uint64(t.hi)-uint64(t.base)+1])
+	t.base, t.slots, t.lo, t.hi = base, slots, lo, hi
+	return true
+}
+
+// toHashed makes a dense table hashed for good: every group's canonical key,
+// made from its stored grouping value, appended to the index in id order.
+func (t *groupTable) toHashed() {
+	t.layout, t.slots, t.null = layoutHashed, nil, 0
+	t.index.Reserve(t.n)
+	for id := 0; id < t.n; id++ {
+		t.probe = value.AppendGroupKey(t.probe[:0], *t.values.At(id))
+		t.index.Append(paged.Hash(t.probe), t.probe)
+	}
+}
+
+// keyBytes is the total length of the groups' canonical keys, whatever the
+// layout: a dense table's are an INTEGER's, the NULL group's one byte.
+func (t *groupTable) keyBytes() int64 {
+	if t.layout != layoutDense {
+		return t.index.KeyBytes()
+	}
+	n := int64(t.n) * intKeyBytes
+	if t.null > 0 {
+		n -= intKeyBytes - nullKeyBytes
+	}
+	return n
+}
+
+// keyOf returns group id's canonical key and its hash: the index's, or made
+// into the caller's scratch buf from a dense table's grouping value.
+func (t *groupTable) keyOf(id int, buf *[]byte) ([]byte, uint32) {
+	if t.layout == layoutDense {
+		*buf = value.AppendGroupKey((*buf)[:0], *t.values.At(id))
+		return *buf, paged.Hash(*buf)
+	}
+	return t.index.Key(id), t.index.HashOf(id)
 }
 
 // move marks group id as merged into an earlier table's group.
@@ -292,9 +475,9 @@ func (t *groupTable) appendRow(id int, results value.Row, out []value.Value) ([]
 //   - dense: one key column whose non-NULL build keys are all INTEGERs
 //     spanning at most 2·entries + 16 values (denseSpan). Key k's chain is
 //     slots[k − lo], so no key is encoded or hashed, on either side; a probe
-//     value that is neither an INTEGER nor a DOUBLE holding one exactly
-//     matches nothing (denseMatch). It fills serially at any worker count
-//     and keeps no paged.Dict and no partitions.
+//     value that is no dense key (denseKey) matches nothing (denseMatch). It
+//     fills serially at any worker count and keeps no paged.Dict and no
+//     partitions.
 //   - hashed: every other keyed table. Each partition hands every distinct
 //     canonical join key a dense id in a paged.Dict, and a key id has a
 //     chain. A partition is a range of the key's paged.Hash, one per build
@@ -339,9 +522,33 @@ type joinChain struct{ head, tail, n int32 }
 // noChain is the chain of a key no build row has.
 var noChain = joinChain{head: -1, tail: -1}
 
-// intKeyBytes is the length of an INTEGER's canonical key
-// (value.AppendGroupKey), every key of a dense table.
-var intKeyBytes = int64(len(value.AppendGroupKey(nil, value.NewInt(0))))
+// intKeyBytes and nullKeyBytes are the lengths of an INTEGER's and of NULL's
+// canonical key (value.AppendGroupKey): every key of a dense table.
+var (
+	intKeyBytes  = int64(len(value.AppendGroupKey(nil, value.NewInt(0))))
+	nullKeyBytes = int64(len(value.AppendGroupKey(nil, value.Null)))
+)
+
+// denseKey is v's key in a dense store: an INTEGER, or a DOUBLE that holds
+// one exactly (value.ExactInt), whose canonical key is that INTEGER's. Any
+// other value — NULL, a fraction, NaN, a string, a boolean — has none.
+func denseKey(v value.Value) (int64, bool) {
+	switch v.Kind() {
+	case value.KindInt:
+		return v.Int(), true
+	case value.KindFloat:
+		return value.ExactInt(v.Float())
+	}
+	return 0, false
+}
+
+// denseBound is the most values a dense store of n entries may span.
+func denseBound(n int) uint64 { return 2*uint64(n) + 16 }
+
+// denseFits is the dense layout's span rule: keys lo … hi span at most
+// denseBound(n) values. hi − lo is taken in uint64, where hi ≥ lo cannot
+// overflow it, and compared without the + 1 that wraps at 2⁶⁴ − 1.
+func denseFits(lo, hi int64, n int) bool { return uint64(hi)-uint64(lo) < denseBound(n) }
 
 // hashRange is the partition, of n, that a key hashing to hash belongs to:
 // the hash's range when [0, 2³²) is cut in n equal parts.
@@ -381,16 +588,14 @@ func (t *joinTable) build(rows []value.Row, workers int) error {
 
 // denseSpan reports whether rows, keyed on cols, make a dense table, with its
 // smallest key and its span: one key column, every non-NULL key an INTEGER,
-// and hi − lo + 1 at most 2·entries + 16. The difference is taken in uint64,
-// where hi ≥ lo cannot overflow it, and the scan stops at the first key that
-// rules the layout out.
+// and the keys within denseFits of the entries. The scan stops at the first
+// key that rules the layout out.
 func denseSpan(gov *governor, rows []value.Row, cols []int) (lo int64, span int, ok bool, err error) {
 	if len(cols) != 1 {
 		return 0, 0, false, nil
 	}
 	c, entries := cols[0], 0
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	most := uint64(2*len(rows) + 16) // the bound, were every row an entry
 	for _, row := range rows {
 		if err := gov.tick(); err != nil {
 			return 0, 0, false, err
@@ -403,7 +608,7 @@ func denseSpan(gov *governor, rows []value.Row, cols []int) (lo int64, span int,
 			return 0, 0, false, nil
 		}
 		lo, hi = min(lo, v.Int()), max(hi, v.Int())
-		if uint64(hi)-uint64(lo) >= most {
+		if !denseFits(lo, hi, len(rows)) { // the bound, were every row an entry
 			return 0, 0, false, nil
 		}
 		entries++
@@ -411,9 +616,8 @@ func denseSpan(gov *governor, rows []value.Row, cols []int) (lo int64, span int,
 	if entries == 0 {
 		return 0, 0, true, nil
 	}
-	// hi − lo + 1 ≤ 2·entries + 16, without the + 1 that wraps at 2⁶⁴ − 1.
-	if d := uint64(hi) - uint64(lo); d < uint64(2*entries+16) {
-		return lo, int(d) + 1, true, nil
+	if denseFits(lo, hi, entries) {
+		return lo, int(uint64(hi)-uint64(lo)) + 1, true, nil
 	}
 	return 0, 0, false, nil
 }
@@ -552,18 +756,11 @@ func (t *joinTable) lookup(key []byte) joinChain {
 }
 
 // denseMatch returns the chain of a dense table's build rows whose key
-// equals v: an INTEGER, or a DOUBLE that holds one exactly (value.ExactInt),
-// is an offset from lo; any other value — NULL, a fraction, a string, a
-// boolean — matches nothing, since its canonical key (value.AppendGroupKey)
-// is never an INTEGER's.
+// equals v: a dense key (denseKey) is an offset from lo; any other value
+// matches nothing, since its canonical key is never an INTEGER's.
 func (t *joinTable) denseMatch(v value.Value) joinChain {
-	switch v.Kind() {
-	case value.KindInt:
-		return t.denseChain(v.Int())
-	case value.KindFloat:
-		if k, ok := value.ExactInt(v.Float()); ok {
-			return t.denseChain(k)
-		}
+	if k, ok := denseKey(v); ok {
+		return t.denseChain(k)
 	}
 	return noChain
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/value"
+	"repro/internal/vec"
 )
 
 // BenchmarkJoinTable is the hashed stores other than a GROUP BY's table with
@@ -79,36 +80,73 @@ func BenchmarkJoinTable(b *testing.B) {
 }
 
 // BenchmarkGroupTable is the group table with no plan around it, SUM(v) per k
-// over 20 000 rows: every row starting a group (inserts), every row finding
-// its group among 10 and among 1 000 (hits), and two 20 000-group partial
-// tables sharing half their groups combined (combine). Run with -benchmem:
-// allocs/op over 20 000 is what a group costs.
+// folded as a hash grouping's sink folds it — one partial table per worker
+// over a contiguous chunk, on 1 and on 2 workers, then combined — row by row
+// (row/) and in batches of MorselSize rows (batch/): 48 000 rows finding
+// their group among 10, 1 000 and 8 000 keys (groups=N), and 20 000 rows each
+// starting a group (inserts). The keys are 0 … keys−1, a dense table; under
+// sparse/ they are 1 000 apart, a hashed one. combine: two 20 000-group
+// partial tables sharing half their groups combined. Run with -benchmem:
+// allocs/op over the groups is what a group costs.
 func BenchmarkGroupTable(b *testing.B) {
 	const n = 20000
 	g := sumCore(b, nil, nil, 0)
-	b.Run("inserts", func(b *testing.B) {
-		rows := keyedValuesPlan("t", n, n).Rows
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if tab := buildTable(b, g, rows); tab.n != n {
-				b.Fatalf("%d groups", tab.n)
-			}
-		}
-	})
-	for _, groups := range []int{10, 1000} {
-		b.Run(fmt.Sprintf("hits/groups=%d", groups), func(b *testing.B) {
-			rows := keyedValuesPlan("t", n, groups).Rows
-			tab := buildTable(b, g, rows)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, row := range rows {
-					if err := tab.add(row); err != nil {
-						b.Fatal(err)
-					}
+	g.initAggCols()
+	for _, shape := range []struct {
+		name       string
+		rows, keys int
+	}{{"groups=10", 48000, 10}, {"groups=1000", 48000, 1000}, {"groups=8000", 48000, 8000}, {"inserts", n, n}} {
+		for _, layout := range []struct {
+			prefix string
+			stride int64
+		}{{"", 1}, {"sparse/", 1000}} {
+			rows := strided(keyedValuesPlan("t", shape.rows, shape.keys).Rows, layout.stride)
+			for _, workers := range []int{1, 2} {
+				size := chunkSizeFor(len(rows), workers)
+				batches := make([][]*vec.Batch, numChunks(len(rows), size)) // by chunk
+				for c := range batches {
+					batches[c] = vec.Columnarize(rows[c*size:min((c+1)*size, len(rows))], 2, MorselSize)
+				}
+				for _, form := range []string{"row", "batch"} {
+					b.Run(fmt.Sprintf("%s/%s%s/par%d", form, layout.prefix, shape.name, workers), func(b *testing.B) {
+						b.ReportAllocs()
+						for i := 0; i < b.N; i++ {
+							g.par = workers
+							s := &partialTables{g: g}
+							s.begin(len(rows), 0)
+							err := forEachChunk("group", workers, len(s.tables), 1, func(_, c, _, _ int) error {
+								if form == "row" {
+									emit, err := s.bind(0, c)
+									for _, row := range rows[c*size : min((c+1)*size, len(rows))] {
+										if err == nil {
+											err = emit(row)
+										}
+									}
+									return err
+								}
+								fold, err := s.bindBatch(0, c)
+								for _, batch := range batches[c] {
+									if err == nil {
+										err = fold(batch)
+									}
+								}
+								return err
+							})
+							if err != nil {
+								b.Fatal(err)
+							}
+							out, err := g.combine(s.tables)
+							if err != nil {
+								b.Fatal(err)
+							}
+							if got := out.made.len(); got != shape.keys {
+								b.Fatalf("%d groups, want %d", got, shape.keys)
+							}
+						}
+					})
 				}
 			}
-		})
+		}
 	}
 	b.Run("combine", func(b *testing.B) {
 		rows := keyedValuesPlan("t", n+n/2, n+n/2).Rows
